@@ -1,8 +1,6 @@
 # Build/verify entry points. `make check` is the CI gate: vet, a build
-# of every cmd/* binary, race-enabled tests over every package with
-# concurrent paths (synth's parallel generator, the pipeline worker
-# pool, the CDN parallel replay, and the trace mergers), then the full
-# suite. `make bench` records a local run in BENCH_local.txt and
+# of every cmd/* binary, the whole module's tests under the race
+# detector, then the full suite. `make bench` records a local run in BENCH_local.txt and
 # refreshes the machine-readable BENCH_*.json trajectory files;
 # `make bench-gate` is the CI perf gate comparing a short run against
 # the committed baselines (see EXPERIMENTS.md §"Perf trajectory").
@@ -26,11 +24,12 @@ GATE_TIME_SERVE ?= 10000x
 GATE_TIME_STREAM ?= 100x
 GATE_TIME_PIPELINE ?= 20x
 MAX_NS_REGRESS ?= 0.15
-# The pipeline benchmark allocates ~84K times per op; goroutine
-# scheduling and map-growth timing jitter that count by a few parts in
-# ten thousand, so its gate uses a small relative allocs budget instead
-# of the strict any-increase rule that guards the zero-alloc areas.
-MAX_ALLOCS_REGRESS_PIPELINE ?= 0.005
+# The study benchmarks (stream and pipeline areas) allocate 10K-100K
+# times per op across a worker pool; goroutine scheduling and map-growth
+# timing jitter that count by a few parts in a thousand at GOMAXPROCS > 1,
+# so their gates use a small relative allocs budget instead of the strict
+# any-increase rule that guards the zero-alloc serve area.
+MAX_ALLOCS_REGRESS_STUDY ?= 0.005
 
 .PHONY: all build test check vet race bench bench-mem bench-baseline bench-gate tools fmt-check serve-demo slo-demo slo-demo-breach cluster-demo
 
@@ -52,12 +51,10 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Race-check the concurrent packages; these must stay race-clean. The
-# streaming study core (core, analysis, crawler) rides the fused
-# generate→replay→analyze pipeline, so its equivalence tests exercise
-# the per-region replay fan-out and the analysis worker pool under -race.
+# Race-check the whole module (~2.5 min on two cores); every package
+# must stay race-clean.
 race:
-	$(GO) test -race ./internal/synth/... ./internal/pipeline/... ./internal/cdn/... ./internal/trace/... ./internal/obs/... ./internal/edge/... ./internal/loadgen/... ./internal/fleet/... ./internal/core/... ./internal/analysis/... ./internal/crawler/...
+	$(GO) test -race ./...
 
 # Fail if any file is not gofmt-clean (CI runs this before check).
 fmt-check:
@@ -97,7 +94,7 @@ bench-baseline: tools
 
 # CI perf gate: a short fixed-iteration run of each area, compared
 # against the committed BENCH_*.json. Fails on >15% ns/op regression or
-# any allocs/op increase; the serve run and comparison are restricted
+# an allocs/op increase (any at all on the serve area); the serve run and comparison are restricted
 # to the socket-free serve-path variants (the http variant is too noisy
 # for a short gate and rides only in the trajectory file).
 bench-gate: tools
@@ -110,12 +107,12 @@ bench-gate: tools
 		| $(BIN)/tsbench -area stream -config 'benchtime=$(GATE_TIME_STREAM),count=3,source=bench-gate' \
 			-out $(BIN)/BENCH_stream.current.json
 	$(BIN)/tsbench -baseline BENCH_stream.json -compare $(BIN)/BENCH_stream.current.json \
-		-max-ns-regress $(MAX_NS_REGRESS)
+		-max-ns-regress $(MAX_NS_REGRESS) -max-allocs-regress $(MAX_ALLOCS_REGRESS_STUDY)
 	$(GO) test -run NONE -bench '$(PIPELINE_BENCH)' -benchtime=$(GATE_TIME_PIPELINE) -benchmem -count=3 ./internal/core \
 		| $(BIN)/tsbench -area pipeline -config 'benchtime=$(GATE_TIME_PIPELINE),count=3,source=bench-gate' \
 			-out $(BIN)/BENCH_pipeline.current.json
 	$(BIN)/tsbench -baseline BENCH_pipeline.json -compare $(BIN)/BENCH_pipeline.current.json \
-		-max-ns-regress $(MAX_NS_REGRESS) -max-allocs-regress $(MAX_ALLOCS_REGRESS_PIPELINE)
+		-max-ns-regress $(MAX_NS_REGRESS) -max-allocs-regress $(MAX_ALLOCS_REGRESS_STUDY)
 
 # Live serving demo: generate a trace, start the HTTP edge in the
 # background, replay the trace against it over loopback, then SIGINT the
@@ -128,11 +125,11 @@ DEMO_WORKERS ?= 16
 
 serve-demo: tools
 	@mkdir -p $(DEMO_DIR)
-	$(BIN)/tsgen -scale $(DEMO_SCALE) -seed 42 -out $(DEMO_DIR)/trace.bin.gz
+	$(BIN)/tsgen -scale $(DEMO_SCALE) -seed 42 -out $(DEMO_DIR)/trace.tsb
 	@$(BIN)/tsserve -addr $(DEMO_ADDR) -capacity 2147483648 \
 		-manifest $(DEMO_DIR)/serve-manifest.json & \
 	srv=$$!; sleep 1; \
-	$(BIN)/tsload -in $(DEMO_DIR)/trace.bin.gz -target http://$(DEMO_ADDR) \
+	$(BIN)/tsload -in $(DEMO_DIR)/trace.tsb -target http://$(DEMO_ADDR) \
 		-workers $(DEMO_WORKERS) -manifest $(DEMO_DIR)/load-manifest.json \
 		-bench-json $(DEMO_DIR)/BENCH_load.json; rc=$$?; \
 	kill -INT $$srv; wait $$srv; exit $$rc
@@ -148,11 +145,11 @@ SLO_BREACH_SCALE ?= 0.005
 
 slo-demo: tools
 	@mkdir -p $(DEMO_DIR)
-	$(BIN)/tsgen -scale $(DEMO_SCALE) -seed 42 -out $(DEMO_DIR)/trace.bin.gz
+	$(BIN)/tsgen -scale $(DEMO_SCALE) -seed 42 -out $(DEMO_DIR)/trace.tsb
 	@$(BIN)/tsserve -addr $(SLO_ADDR) -capacity 2147483648 \
 		-slo-policy $(SLO_POLICY) -trace-buffer 256 -trace-sample 64 & \
 	srv=$$!; sleep 1; \
-	$(BIN)/tsload -in $(DEMO_DIR)/trace.bin.gz -target http://$(SLO_ADDR) \
+	$(BIN)/tsload -in $(DEMO_DIR)/trace.tsb -target http://$(SLO_ADDR) \
 		-workers $(DEMO_WORKERS) -slo $(SLO_POLICY) \
 		-summary $(DEMO_DIR)/load-summary.json; rc=$$?; \
 	if [ $$rc -eq 0 ]; then $(BIN)/tsgate -target http://$(SLO_ADDR); rc=$$?; fi; \
@@ -173,12 +170,12 @@ CLUSTER_ADDR ?= 127.0.0.1:8101
 
 cluster-demo: tools
 	@mkdir -p $(DEMO_DIR)
-	$(BIN)/tsgen -scale $(DEMO_SCALE) -seed 42 -out $(DEMO_DIR)/trace.bin.gz
+	$(BIN)/tsgen -scale $(DEMO_SCALE) -seed 42 -out $(DEMO_DIR)/trace.tsb
 	@$(BIN)/tscluster -router-addr $(CLUSTER_ADDR) -shield \
 		-dcs 'north-america,south-america;europe;asia' \
 		-capacity 2147483648 -slo-policy $(SLO_POLICY) & \
 	clu=$$!; sleep 3; \
-	$(BIN)/tsload -in $(DEMO_DIR)/trace.bin.gz -target http://$(CLUSTER_ADDR) \
+	$(BIN)/tsload -in $(DEMO_DIR)/trace.tsb -target http://$(CLUSTER_ADDR) \
 		-workers $(DEMO_WORKERS) -manifest $(DEMO_DIR)/cluster-load-manifest.json; rc=$$?; \
 	if [ $$rc -eq 0 ]; then $(BIN)/tsgate -target http://$(CLUSTER_ADDR); rc=$$?; fi; \
 	kill -INT $$clu; wait $$clu; exit $$rc
@@ -189,11 +186,11 @@ cluster-demo: tools
 # tsgate exits with exactly 1 (breach), proving the gate can fail.
 slo-demo-breach: tools
 	@mkdir -p $(DEMO_DIR)
-	$(BIN)/tsgen -scale $(SLO_BREACH_SCALE) -seed 43 -out $(DEMO_DIR)/trace-breach.bin.gz
+	$(BIN)/tsgen -scale $(SLO_BREACH_SCALE) -seed 43 -out $(DEMO_DIR)/trace-breach.tsb
 	@$(BIN)/tsserve -addr $(SLO_BREACH_ADDR) -capacity 16777216 -origin-latency 25ms \
 		-slo-policy $(SLO_POLICY) & \
 	srv=$$!; sleep 1; \
-	$(BIN)/tsload -in $(DEMO_DIR)/trace-breach.bin.gz -target http://$(SLO_BREACH_ADDR) \
+	$(BIN)/tsload -in $(DEMO_DIR)/trace-breach.tsb -target http://$(SLO_BREACH_ADDR) \
 		-workers 64; \
 	$(BIN)/tsgate -target http://$(SLO_BREACH_ADDR); rc=$$?; \
 	kill -INT $$srv; wait $$srv; \

@@ -66,12 +66,15 @@ func benchSetup(b *testing.B) {
 		}
 		network.ResetStats()
 		network.ResetClientState()
-		replayed, err := network.ReplayAll(trace.NewSliceReader(recs))
+		err = network.Replay(trace.NewSliceReader(recs), func(r *trace.Record) error {
+			cp := *r // Replay reuses its scratch record
+			benchReplay = append(benchReplay, &cp)
+			return nil
+		})
 		if err != nil {
 			panic(err)
 		}
-		benchReplay = replayed
-		res, err := study.AnalyzeOnly(trace.NewSliceReader(replayed))
+		res, err := study.AnalyzeOnly(trace.NewSliceReader(benchReplay))
 		if err != nil {
 			panic(err)
 		}
@@ -314,15 +317,22 @@ func BenchmarkFig16ResponseCodes(b *testing.B) {
 
 // --- Ablations of the §V design implications -------------------------
 
-// replayWarm replays the shared workload through a cache configuration
-// (warm measurement) and returns the total stats.
-func replayWarm(b *testing.B, mk func() cdn.Cache, chunk int64, incognito func(string, uint64) bool) cdn.DCStats {
+// replayWarmCfg runs the warm-up + measured protocol over the shared
+// workload and returns the measured pass's total stats.
+func replayWarmCfg(b *testing.B, cfg cdn.Config) cdn.DCStats {
 	b.Helper()
-	network := cdn.New(cdn.Config{NewCache: mk, ChunkBytes: chunk, IsIncognito: incognito})
-	if _, err := network.WarmedReplay(benchRecs); err != nil {
+	network, err := cdn.ReplaySource(func() *cdn.CDN { return cdn.New(cfg) },
+		trace.SliceSource(benchRecs), func(*trace.Record) error { return nil })
+	if err != nil {
 		b.Fatal(err)
 	}
 	return network.TotalStats()
+}
+
+// replayWarm is replayWarmCfg for a plain per-DC cache configuration.
+func replayWarm(b *testing.B, mk func() cdn.Cache, chunk int64, incognito func(string, uint64) bool) cdn.DCStats {
+	b.Helper()
+	return replayWarmCfg(b, cdn.Config{NewCache: mk, ChunkBytes: chunk, IsIncognito: incognito})
 }
 
 const ablationCapacity = int64(2 << 30)
@@ -576,11 +586,7 @@ func BenchmarkAblationPublisherPartition(b *testing.B) {
 	run := func(b *testing.B, cfg cdn.Config) cdn.DCStats {
 		var stats cdn.DCStats
 		for i := 0; i < b.N; i++ {
-			network := cdn.New(cfg)
-			if _, err := network.WarmedReplay(benchRecs); err != nil {
-				b.Fatal(err)
-			}
-			stats = network.TotalStats()
+			stats = replayWarmCfg(b, cfg)
 		}
 		return stats
 	}
@@ -667,27 +673,26 @@ func BenchmarkAblationTiered(b *testing.B) {
 }
 
 // BenchmarkAblationParallelReplay measures the per-region parallel
-// replay speedup over sequential replay.
+// replay (ReplayStream) speedup over sequential Replay.
 func BenchmarkAblationParallelReplay(b *testing.B) {
 	benchSetup(b)
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			network := benchStudy.NewCDN()
-			if _, err := network.ReplayAll(trace.NewSliceReader(benchRecs)); err != nil {
-				b.Fatal(err)
+	discard := func(*trace.Record) error { return nil }
+	for _, v := range []struct {
+		name   string
+		replay func(*cdn.CDN, trace.Reader, func(*trace.Record) error) error
+	}{
+		{"sequential", (*cdn.CDN).Replay},
+		{"parallel", (*cdn.CDN).ReplayStream},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := v.replay(benchStudy.NewCDN(), trace.NewSliceReader(benchRecs), discard); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		b.SetBytes(int64(len(benchRecs)))
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			network := benchStudy.NewCDN()
-			if _, err := network.ReplayParallel(trace.NewSliceReader(benchRecs)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(int64(len(benchRecs)))
-	})
+			b.SetBytes(int64(len(benchRecs)))
+		})
+	}
 }
 
 // BenchmarkAblationFastDTW compares exact DTW with the FastDTW
@@ -864,14 +869,12 @@ func BenchmarkCDNReplay(b *testing.B) {
 // is end to end: trace records encoded as HTTP requests (edge wire
 // format), served over a loopback socket from the CDN cache model,
 // fanned out across parallel keep-alive clients — the request rate
-// behind `make serve-demo`. The serve-* pair isolates lock granularity
-// from socket overhead: serve-global-lock is the old serialized edge
-// (one mutex around the whole CDN), serve-per-dc-locks is the
-// ConcurrentCDN layer; their ratio at GOMAXPROCS >= 4 is the tentpole
-// scaling win recorded in EXPERIMENTS.md. Both run the same
-// region-balanced workload so per-DC parallelism is available, and
-// records are handed out by an atomic cursor so goroutine interleaving
-// is the only variable.
+// behind `make serve-demo`. The serve-* pair isolates the CDN serve
+// step from socket overhead: serve-unlocked is CDN.ServeInto on one
+// goroutine (what the offline replay pays per record), serve-locked is
+// ConcurrentCDN.ServeInto from GOMAXPROCS goroutines (what the live edge
+// pays, lock and contention included). Both run the same region-balanced
+// workload, handed out by an atomic cursor.
 func BenchmarkEdgeServe(b *testing.B) {
 	benchSetup(b)
 	mkCDN := func() *cdn.CDN {
@@ -881,8 +884,8 @@ func BenchmarkEdgeServe(b *testing.B) {
 		})
 	}
 	// Rebalance regions: synthetic traffic is volume-weighted toward
-	// the paper's biggest regions, which would cap per-DC parallelism
-	// at the largest region's share rather than at lock granularity.
+	// the paper's biggest regions; the serve variants touch every DC's
+	// cache equally instead.
 	regions := timeutil.AllRegions()
 	balanced := make([]*trace.Record, len(benchRecs))
 	for i, r := range benchRecs {
@@ -932,37 +935,29 @@ func BenchmarkEdgeServe(b *testing.B) {
 	// with one full pass, leaving only hits (and occasional dice-driven
 	// 403/416/204 responses, which also do not allocate).
 	warmCDN := func() *cdn.CDN {
-		return cdn.New(cdn.Config{
+		network := cdn.New(cdn.Config{
 			NewCache:   func() cdn.Cache { return cdn.NewLRU(serveBenchCapacity) },
 			ChunkBytes: 2 << 20,
 		})
+		var out trace.Record
+		for _, r := range balanced {
+			network.ServeInto(r, &out)
+		}
+		return network
 	}
 
-	b.Run("serve-global-lock", func(b *testing.B) {
+	b.Run("serve-unlocked", func(b *testing.B) {
 		network := warmCDN()
-		for _, r := range balanced {
-			network.Serve(r)
-		}
-		var mu sync.Mutex
-		var next atomic.Int64
+		var out trace.Record
 		b.ReportAllocs()
 		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			var out trace.Record
-			for pb.Next() {
-				r := balanced[next.Add(1)%int64(len(balanced))]
-				mu.Lock()
-				network.ServeInto(r, &out)
-				mu.Unlock()
-			}
-		})
+		for i := 0; i < b.N; i++ {
+			network.ServeInto(balanced[i%len(balanced)], &out)
+		}
 	})
 
-	b.Run("serve-per-dc-locks", func(b *testing.B) {
+	b.Run("serve-locked", func(b *testing.B) {
 		conc := cdn.NewConcurrent(warmCDN())
-		for _, r := range balanced {
-			conc.Serve(r)
-		}
 		var next atomic.Int64
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	tsanalyze -in trace.bin [-format binary|text] [-figures 1,3,11]
+//	tsanalyze -in trace.tsb [-format block|json] [-figures 1,3,11]
 //	          [-replay] [-csv] [-debug-addr :6060] [-progress]
 //	          [-manifest run.json]
 //
@@ -41,8 +41,8 @@ func main() {
 
 func run() error {
 	var (
-		in        = flag.String("in", "-", "input trace path (.bin/.txt/.jsonl, optional .gz), or - for text on stdin")
-		format    = flag.String("format", "", "override log format: binary, text or json")
+		in        = flag.String("in", "-", "input trace path (.tsb/.jsonl, optional .gz), or - for JSON Lines on stdin")
+		format    = flag.String("format", "", "override log format: block or json")
 		figures   = flag.String("figures", "", "comma-separated figure numbers (default: all)")
 		replay    = flag.Bool("replay", false, "replay through the CDN simulator before analyzing")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -92,7 +92,7 @@ func run() error {
 		// must be reopenable: files reopen; stdin is buffered once.
 		var src trace.Source
 		if *in == "-" {
-			recs, err := trace.ReadAll(trace.NewContextReader(ctx, trace.NewTextReader(os.Stdin)))
+			recs, err := trace.ReadAll(trace.NewContextReader(ctx, trace.NewJSONReader(os.Stdin)))
 			if err != nil {
 				return err
 			}
@@ -105,7 +105,7 @@ func run() error {
 		// Single streaming pass; stdin works directly.
 		var r trace.Reader
 		if *in == "-" {
-			r = trace.NewTextReader(os.Stdin)
+			r = trace.NewJSONReader(os.Stdin)
 		} else {
 			fr, err := trace.OpenFile(*in, fmtOverride)
 			if err != nil {

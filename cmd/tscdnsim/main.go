@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	tscdnsim -in trace.bin [-policies lru,lfu,fifo,slru,split]
-//	         [-capacity 1073741824] [-chunk 2097152] [-out replayed.bin]
+//	tscdnsim -in trace.tsb [-policies lru,lfu,fifo,slru,split]
+//	         [-capacity 1073741824] [-chunk 2097152] [-out replayed.tsb]
 //	         [-debug-addr :6060] [-progress] [-manifest run.json]
 package main
 
@@ -37,7 +37,7 @@ func main() {
 func run() error {
 	var (
 		in       = flag.String("in", "", "input trace path (required)")
-		format   = flag.String("format", "", "override log format: binary, text or json")
+		format   = flag.String("format", "", "override log format: block or json")
 		policies = flag.String("policies", "lru,lfu,fifo,slru,gdsf,2q,split", "comma-separated cache policies to compare")
 		capacity = flag.Int64("capacity", 1<<30, "per-datacenter cache capacity in bytes")
 		chunk    = flag.Int64("chunk", 2<<20, "video chunk size in bytes (negative disables chunking)")

@@ -3,13 +3,14 @@
 //
 // Usage:
 //
-//	tsgen -out trace.bin [-format binary|text|json] [-scale 0.01]
+//	tsgen -out trace.tsb [-format block|json] [-scale 0.01]
 //	      [-seed 42] [-sites V-1,P-2] [-salt s] [-profiles custom.json]
 //	      [-dump-profiles profiles.json] [-parallel] [-workers N]
 //	      [-debug-addr :6060] [-progress] [-manifest run.json]
 //
-// Output format defaults to the file extension (.bin/.txt/.jsonl, with
-// an optional .gz suffix for compression); "-" writes text to stdout.
+// Output format defaults to the file extension (.jsonl is JSON Lines,
+// anything else the v2 block format; an optional .gz suffix compresses);
+// "-" writes JSON Lines to stdout.
 //
 // -parallel generates (site, hour) shards concurrently and streams them
 // through a time-ordered merge, producing the same bytes as a sequential
@@ -39,8 +40,8 @@ func main() {
 
 func run() error {
 	var (
-		out          = flag.String("out", "-", "output path (extension selects format; .gz compresses), or - for text on stdout")
-		format       = flag.String("format", "", "override log format: binary, text or json")
+		out          = flag.String("out", "-", "output path (extension selects format; .gz compresses), or - for JSON Lines on stdout")
+		format       = flag.String("format", "", "override log format: block or json")
 		scale        = flag.Float64("scale", 0.01, "fraction of paper-reported object/request counts")
 		seed         = flag.Int64("seed", 42, "random seed (identical seeds reproduce identical traces)")
 		sites        = flag.String("sites", "", "comma-separated site subset (default: all five)")
@@ -146,7 +147,7 @@ func run() error {
 	sess.SetProgress(sess.CounterProgress("trace_write_records_total", float64(len(recs)), "records"))
 
 	if *out == "-" {
-		tw := trace.NewTextWriter(os.Stdout)
+		tw := trace.NewJSONWriter(os.Stdout)
 		for i, r := range recs {
 			if i%4096 == 0 && ctx.Err() != nil {
 				return ctx.Err()
@@ -205,7 +206,7 @@ func parallelGenerate(ctx context.Context, gen *synth.Generator, out, format str
 		}
 	}
 	if out == "-" {
-		tw := trace.NewTextWriter(os.Stdout)
+		tw := trace.NewJSONWriter(os.Stdout)
 		if err := gen.GenerateParallelTo(opts, sink(tw)); err != nil {
 			return n, err
 		}

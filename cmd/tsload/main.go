@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	tsload -in trace.bin -target http://127.0.0.1:8080
+//	tsload -in trace.tsb -target http://127.0.0.1:8080
 //	       [-speedup 0] [-workers 32] [-timeout 10s] [-retries 2]
 //	       [-backoff 20ms] [-max-redirects 0] [-debug-addr :6060]
 //	       [-progress] [-manifest run.json] [-bench-json BENCH_load.json]
@@ -52,7 +52,7 @@ func main() {
 func run() error {
 	var (
 		in        = flag.String("in", "", "input trace path (required)")
-		format    = flag.String("format", "", "override log format: binary, text or json")
+		format    = flag.String("format", "", "override log format: block or json")
 		target    = flag.String("target", "", "edge base URL, e.g. http://127.0.0.1:8080 (required)")
 		speedup   = flag.Float64("speedup", 0, "trace-seconds replayed per wall-second (0 = as fast as possible)")
 		workers   = flag.Int("workers", 32, "request worker pool size")

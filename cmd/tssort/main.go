@@ -9,9 +9,9 @@
 //	tssort -in trace.tsb -out sorted.tsb [-sort-mem 1000000]
 //	       [-in-format block] [-out-format block] [-tmp dir]
 //
-// Formats default to the file extensions (.bin/.tsb/.txt/.jsonl, with
-// an optional .gz suffix); sorting a v1 trace into a v2 .tsb output is
-// the cheapest way to recompress a full week (~3-5x smaller on disk).
+// Formats default to the file extensions (.jsonl is JSON Lines, anything
+// else the v2 block format, with an optional .gz suffix); sorting a
+// .jsonl trace into a .tsb output also converts it.
 package main
 
 import (
@@ -34,8 +34,8 @@ func run() error {
 	var (
 		in        = flag.String("in", "", "input trace path (extension selects format)")
 		out       = flag.String("out", "", "output trace path (extension selects format)")
-		inFormat  = flag.String("in-format", "", "override input format: binary, block, text or json")
-		outFormat = flag.String("out-format", "", "override output format: binary, block, text or json")
+		inFormat  = flag.String("in-format", "", "override input format: block or json")
+		outFormat = flag.String("out-format", "", "override output format: block or json")
 		sortMem   = flag.Int("sort-mem", 1_000_000, "records held in RAM at once; larger inputs spill sorted v2 runs")
 		tmp       = flag.String("tmp", "", "spill directory (default: OS temp)")
 	)

@@ -3,7 +3,6 @@ package cdn
 import (
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -73,6 +72,19 @@ type DataCenter struct {
 	met dcMetrics
 }
 
+// partition returns the cache serving pub: its dedicated partition when
+// the publisher has one, the DC's shared cache otherwise. The length
+// guard keeps the common no-publisher-partitions setup from hashing the
+// publisher string on every request.
+func (dc *DataCenter) partition(pub string) Cache {
+	if len(dc.PublisherCache) > 0 {
+		if pc, ok := dc.PublisherCache[pub]; ok {
+			return pc
+		}
+	}
+	return dc.Cache
+}
+
 // dcMetrics is one data center's set of live metric handles. Counters
 // update per request during replay, so the /metrics page shows per-DC
 // hit-rate and traffic dynamics over replay time rather than only the
@@ -88,8 +100,8 @@ type dcMetrics struct {
 }
 
 // DCStats carries per-DC counters. During serving the fields are updated
-// with atomic adds (so ConcurrentCDN can share them across goroutines);
-// read a consistent copy through DataCenter.StatsSnapshot or
+// with atomic adds, so /stats readers never take ConcurrentCDN's serve
+// lock; read a consistent copy through DataCenter.StatsSnapshot or
 // CDN.TotalStats while traffic is in flight. Once serving has stopped the
 // plain fields are safe to read directly, as all existing offline callers
 // do.
@@ -141,23 +153,12 @@ type browserKey struct {
 	obj  uint64
 }
 
-// clientTracker is the per-client request history the serve path
+// clientState is the per-client request history the serve path
 // consults: browser-cache freshness deadlines and per-user request
-// sequence numbers. clientState is the unsynchronized implementation
-// used by the offline replay paths; stripedClients (concurrent.go) is
-// the lock-striped implementation behind ConcurrentCDN.
-type clientTracker interface {
-	// nextSeq returns the user's current request sequence number and
-	// advances it.
-	nextSeq(user uint64) uint32
-	// browserCheck reports whether the user's local copy of obj is still
-	// fresh at ts; when it is not, the freshness deadline is reset to
-	// ts+ttl. The check and the reset are one atomic step.
-	browserCheck(user, obj uint64, ts time.Time, ttl time.Duration) bool
-}
-
-// clientState tracks per-client request history for a single-threaded
-// replay. ReplayParallel gives each region worker its own instance.
+// sequence numbers. It is unsynchronized; the CDN's default instance is
+// guarded by whoever serializes Serve calls (the single replay goroutine,
+// or ConcurrentCDN's mutex), and ReplayStream gives each region worker
+// its own.
 type clientState struct {
 	browser map[browserKey]time.Time
 	reqSeq  map[uint64]uint32
@@ -170,12 +171,16 @@ func newClientState() *clientState {
 	}
 }
 
+// nextSeq returns the user's current request sequence number and
+// advances it.
 func (cs *clientState) nextSeq(user uint64) uint32 {
 	seq := cs.reqSeq[user]
 	cs.reqSeq[user] = seq + 1
 	return seq
 }
 
+// browserCheck reports whether the user's local copy of obj is still
+// fresh at ts; when it is not, the freshness deadline is reset to ts+ttl.
 func (cs *clientState) browserCheck(user, obj uint64, ts time.Time, ttl time.Duration) bool {
 	bk := browserKey{user: user, obj: obj}
 	if deadline, ok := cs.browser[bk]; ok && ts.Before(deadline) {
@@ -352,7 +357,7 @@ func (c *CDN) PurgeAll(objectID uint64, videoSize int64) int {
 // thread-safe serve path.
 func (c *CDN) Serve(r *trace.Record) *trace.Record {
 	out := new(trace.Record)
-	c.serveInto(r, out, c.clients, nil)
+	c.serveInto(r, out, c.clients)
 	return out
 }
 
@@ -361,76 +366,31 @@ func (c *CDN) Serve(r *trace.Record) *trace.Record {
 // form for hot paths holding pooled or per-goroutine scratch. out may
 // alias r, in which case the record is finalized in place.
 func (c *CDN) ServeInto(r, out *trace.Record) {
-	c.serveInto(r, out, c.clients, nil)
+	c.serveInto(r, out, c.clients)
 }
 
-// serve is serveInto allocating its result, for callers that retain the
-// finalized record (Replay sinks).
-func (c *CDN) serve(r *trace.Record, clients clientTracker, locks lockTable) *trace.Record {
-	out := new(trace.Record)
-	c.serveInto(r, out, clients, locks)
-	return out
-}
-
-// serveInto is the serve hot path with explicit client state (enabling
-// per-region workers and lock-striped concurrent clients) and an
-// optional per-(DC, cache partition) lock table. With a nil lock table
-// the caller owns all synchronization; with a non-nil one, cache touches
-// happen under the request's partition lock while stats/metrics rely on
-// atomics only. A cache hit performs no heap allocation: the DC and lock
-// resolve by array index, the rejection dice and chunk keys hash without
-// hash.Hash indirection, and the result lands in *out.
-func (c *CDN) serveInto(r, out *trace.Record, clients clientTracker, locks lockTable) {
+// serveInto is the one serve path, with explicit client state so
+// ReplayStream's region workers can each own theirs. The caller owns all
+// synchronization of the caches and client state it reaches; only the
+// stats and metrics are atomic. A cache hit performs no heap allocation:
+// the DC resolves by array index, the rejection dice and chunk keys hash
+// without hash.Hash indirection, and the result lands in *out.
+func (c *CDN) serveInto(r, out *trace.Record, clients *clientState) {
 	*out = *r
 	dc := c.dcForRegion(r.Region)
 	atomic.AddInt64(&dc.Stats.Requests, 1)
 	dc.met.requests.Inc()
 
-	seq := clients.nextSeq(r.UserID)
-	die := hash3(r.ObjectID, r.UserID, seq)
-
 	// Access control first: rejected requests never touch the cache.
-	if c.cfg.P403 > 0 && unit(die) < c.cfg.P403 {
-		out.StatusCode = StatusForbidden
+	if status := c.rejection(r, clients.nextSeq(r.UserID)); status != 0 {
+		out.StatusCode = status
 		out.BytesServed = 0
 		out.Cache = trace.CacheUnknown
 		return
 	}
 
 	isVideo := r.Category() == trace.CategoryVideo
-	if isVideo && c.cfg.P416 > 0 && unit(die>>8) < c.cfg.P416 {
-		out.StatusCode = StatusRangeError
-		out.BytesServed = 0
-		out.Cache = trace.CacheUnknown
-		return
-	}
-	if r.Category() == trace.CategoryOther && c.cfg.P204 > 0 && unit(die>>16) < c.cfg.P204 {
-		out.StatusCode = StatusNoContent
-		out.BytesServed = 0
-		out.Cache = trace.CacheUnknown
-		return
-	}
-
-	// Resolve the cache partition (and, when serving concurrently, its
-	// lock) once: a request touches exactly one partition.
-	cache := dc.Cache
-	defaultPartition := true
-	// The length guard keeps the common no-publisher-partitions setup
-	// from hashing the publisher string on every request.
-	if len(dc.PublisherCache) > 0 {
-		if pc, ok := dc.PublisherCache[r.Publisher]; ok {
-			cache = pc
-			defaultPartition = false
-		}
-	}
-	var mu *sync.Mutex
-	if locks != nil {
-		mu = locks[int(dc.Region)].forPartition(r.Publisher, defaultPartition)
-	}
-	// Occupancy gauges read the default cache; refreshing them is only
-	// race-free when this request holds the default partition's lock (or
-	// no locking is in play at all).
-	refreshGauges := locks == nil || defaultPartition
+	cache := dc.partition(r.Publisher)
 
 	// Browser cache: a non-incognito user with a fresh local copy sends
 	// a conditional request and gets 304 (no body). Videos are streamed
@@ -444,14 +404,8 @@ func (c *CDN) serveInto(r, out *trace.Record, clients clientTracker, locks lockT
 			out.StatusCode = StatusNotModified
 			out.BytesServed = 0
 			// The CDN still consults its cache for the validator.
-			if mu != nil {
-				mu.Lock()
-			}
 			hit := cache.Access(r.ObjectID, r.ObjectSize, r.Timestamp)
-			c.recordCache(dc, hit, 0, 0, refreshGauges)
-			if mu != nil {
-				mu.Unlock()
-			}
+			c.recordCache(dc, hit, 0, 0)
 			out.Cache = cacheStatus(hit)
 			return
 		}
@@ -464,9 +418,6 @@ func (c *CDN) serveInto(r, out *trace.Record, clients clientTracker, locks lockT
 	}
 	var hit bool
 	var originBytes int64
-	if mu != nil {
-		mu.Lock()
-	}
 	if isVideo && c.chunk > 0 {
 		hit, originBytes = c.accessChunks(cache, r, bytesWanted)
 	} else {
@@ -475,10 +426,7 @@ func (c *CDN) serveInto(r, out *trace.Record, clients clientTracker, locks lockT
 			originBytes = r.ObjectSize
 		}
 	}
-	c.recordCache(dc, hit, originBytes, bytesWanted, refreshGauges)
-	if mu != nil {
-		mu.Unlock()
-	}
+	c.recordCache(dc, hit, originBytes, bytesWanted)
 	out.Cache = cacheStatus(hit)
 	out.BytesServed = bytesWanted
 	if isVideo && bytesWanted < r.ObjectSize {
@@ -486,7 +434,23 @@ func (c *CDN) serveInto(r, out *trace.Record, clients clientTracker, locks lockT
 	} else {
 		out.StatusCode = StatusOK
 	}
-	return
+}
+
+// rejection rolls the access-control dice for the user's seq-th request:
+// it returns the rejecting status (403 for any request, 416 for a video
+// range, 204 for an "other" beacon) or 0 when the request proceeds to the
+// cache. The roll is a pure function of (object, user, seq).
+func (c *CDN) rejection(r *trace.Record, seq uint32) int {
+	die := hash3(r.ObjectID, r.UserID, seq)
+	switch cat := r.Category(); {
+	case c.cfg.P403 > 0 && unit(die) < c.cfg.P403:
+		return StatusForbidden
+	case cat == trace.CategoryVideo && c.cfg.P416 > 0 && unit(die>>8) < c.cfg.P416:
+		return StatusRangeError
+	case cat == trace.CategoryOther && c.cfg.P204 > 0 && unit(die>>16) < c.cfg.P204:
+		return StatusNoContent
+	}
+	return 0
 }
 
 // accessChunks touches the chunks covering [0, bytesWanted) of a video
@@ -516,7 +480,7 @@ func (c *CDN) accessChunks(cache Cache, r *trace.Record, bytesWanted int64) (hit
 	return hit, originBytes
 }
 
-func (c *CDN) recordCache(dc *DataCenter, hit bool, originBytes, egress int64, refreshGauges bool) {
+func (c *CDN) recordCache(dc *DataCenter, hit bool, originBytes, egress int64) {
 	if hit {
 		atomic.AddInt64(&dc.Stats.Hits, 1)
 		dc.met.hits.Inc()
@@ -530,7 +494,7 @@ func (c *CDN) recordCache(dc *DataCenter, hit bool, originBytes, egress int64, r
 	dc.met.egressBytes.Add(egress)
 	// Gauges track the default cache's occupancy live; the one nil check
 	// keeps the instrumented-off path from paying the Len/Bytes calls.
-	if refreshGauges && dc.met.cacheObjs != nil {
+	if dc.met.cacheObjs != nil {
 		dc.met.cacheObjs.Set(float64(dc.Cache.Len()))
 		dc.met.cacheBytes.Set(float64(dc.Cache.Bytes()))
 	}
@@ -556,32 +520,6 @@ func (c *CDN) Replay(r trace.Reader, sink func(*trace.Record) error) error {
 			return err
 		}
 	}
-}
-
-// ReplayAll replays and collects the finalized records. Each element is
-// a fresh copy, safe to hold.
-func (c *CDN) ReplayAll(r trace.Reader) ([]*trace.Record, error) {
-	var out []*trace.Record
-	err := c.Replay(r, func(rec *trace.Record) error {
-		cp := *rec
-		out = append(out, &cp)
-		return nil
-	})
-	return out, err
-}
-
-// WarmedReplay runs the steady-state measurement protocol used
-// throughout the repository: replay the records once to warm the edge
-// caches, reset counters and client state, then replay again and return
-// the measured records. The input slice must be timestamp-ordered.
-func (c *CDN) WarmedReplay(recs []*trace.Record) ([]*trace.Record, error) {
-	discard := func(*trace.Record) error { return nil }
-	if err := c.Replay(trace.NewSliceReader(recs), discard); err != nil {
-		return nil, err
-	}
-	c.ResetStats()
-	c.ResetClientState()
-	return c.ReplayAll(trace.NewSliceReader(recs))
 }
 
 func cacheStatus(hit bool) trace.CacheStatus {

@@ -184,6 +184,17 @@ func TestServeErrorCodes(t *testing.T) {
 	}
 }
 
+// collect returns a replay sink that appends a copy of every finalized
+// record to *out (Replay and ReplayStream recycle the record they hand
+// the sink).
+func collect(out *[]*trace.Record) func(*trace.Record) error {
+	return func(rec *trace.Record) error {
+		cp := *rec
+		*out = append(*out, &cp)
+		return nil
+	}
+}
+
 func TestReplayAll(t *testing.T) {
 	c := New(Config{ChunkBytes: -1})
 	recs := []*trace.Record{
@@ -191,8 +202,8 @@ func TestReplayAll(t *testing.T) {
 		imageReq(1, 2, 100, t0.Add(time.Second)),
 		imageReq(2, 1, 100, t0.Add(2*time.Second)),
 	}
-	out, err := c.ReplayAll(trace.NewSliceReader(recs))
-	if err != nil {
+	var out []*trace.Record
+	if err := c.Replay(trace.NewSliceReader(recs), collect(&out)); err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 3 {

@@ -2,93 +2,57 @@ package cdn
 
 import (
 	"sync"
-	"time"
 
 	"trafficscope/internal/timeutil"
 	"trafficscope/internal/trace"
 )
 
 // ConcurrentCDN is the thread-safe serving facade over a CDN: many
-// goroutines may call Serve at once. It is the layer the live edge
-// (internal/edge) serves through, replacing the global mutex that used
-// to serialize the whole hot path.
+// goroutines may call ServeInto at once. It is the layer the live edge
+// (internal/edge) serves through.
 //
-// Lock granularity is one mutex per (DataCenter, cache partition):
-// requests for different regions — or for different publisher
-// partitions within a region — proceed fully in parallel, and only
-// requests contending for the same partition's cache structure queue
-// behind each other. DCStats fields are updated with atomic adds, and
-// client state (browser-cache freshness, per-user request sequencing)
-// lives in a lock-striped table keyed by user ID, so neither is guarded
-// by the partition locks.
-//
-// Equivalence with the single-threaded CDN.Serve: calls issued one at a
-// time (e.g. a single-worker load generator) produce byte-identical
-// results and statistics to CDN.Serve on the same record order. Under
-// true concurrency, per-request interleaving is nondeterministic, so
-// order-sensitive quantities (eviction victims, per-user sequence dice,
-// browser-cache freshness windows) may differ run to run; per-DC
-// request and egress totals are order-independent, and hit/miss totals
-// are too whenever the caches are large enough not to evict and the
-// browser-cache/rejection features are off. See DESIGN.md §"Edge
-// concurrency model".
+// One mutex guards the wrapped CDN's caches and client state, and each
+// request is served entirely inside one critical section by the same
+// serveInto the offline replay calls. Concurrent serving is therefore
+// linearizable: whatever order requests win the lock in, every response
+// record and every per-DC counter equals what a sequential CDN produces
+// when fed that order — with chunked video, eviction, the browser cache
+// and the rejection dice all on. DCStats fields stay atomic so readers
+// (StatsSnapshot, TotalStats, the edge's /stats) never queue behind
+// serving traffic. The serve step is under 1% of a live request, so
+// finer-grained locking has nothing to win; see DESIGN.md §"Edge
+// concurrency model" for the measurements.
 type ConcurrentCDN struct {
-	c       *CDN
-	locks   lockTable
-	clients *stripedClients
+	mu sync.Mutex
+	c  *CDN
 }
 
-// lockTable holds each region's partition locks in a dense slice
-// indexed by int(region) (index 0 unused, regions run 1..NumRegions),
-// so the hot path resolves its lock with an array index instead of a
-// map lookup.
-type lockTable []*partitionLocks
-
-// partitionLocks serializes access to one data center's cache
-// partitions: the shared default cache and each dedicated publisher
-// partition get their own mutex. The publisher set is fixed at CDN
-// construction, so the map is read-only after NewConcurrent.
-type partitionLocks struct {
-	def sync.Mutex
-	pub map[string]*sync.Mutex
-}
-
-// forPartition returns the lock guarding the partition serving pub.
-func (pl *partitionLocks) forPartition(pub string, defaultPartition bool) *sync.Mutex {
-	if defaultPartition {
-		return &pl.def
-	}
-	return pl.pub[pub]
-}
-
-// NewConcurrent wraps c with per-(DC, partition) locking and striped
-// client state. The wrapped CDN must not be driven through its own
-// single-threaded Serve/Replay methods while the ConcurrentCDN is in
-// use; offline and live paths share the same caches and counters.
+// NewConcurrent wraps c. The wrapped CDN must not be driven through its
+// own single-threaded Serve/Replay methods while the ConcurrentCDN is in
+// use; offline and live paths share the same caches, client state and
+// counters.
 func NewConcurrent(c *CDN) *ConcurrentCDN {
-	locks := make(lockTable, timeutil.NumRegions+1)
-	for region, dc := range c.dcs {
-		pl := &partitionLocks{pub: map[string]*sync.Mutex{}}
-		for pub := range dc.PublisherCache {
-			pl.pub[pub] = new(sync.Mutex)
-		}
-		locks[int(region)] = pl
-	}
-	return &ConcurrentCDN{c: c, locks: locks, clients: newStripedClients()}
+	return &ConcurrentCDN{c: c}
 }
 
-// Serve processes one request record like CDN.Serve, safely callable
-// from many goroutines.
-func (cc *ConcurrentCDN) Serve(r *trace.Record) *trace.Record {
-	return cc.c.serve(r, cc.clients, cc.locks)
-}
-
-// ServeInto is Serve writing the response record into *out instead of
-// allocating one — the zero-allocation form for callers holding a
-// reusable record (out may alias r). A cache hit costs a partition
-// lock, an LRU touch and atomic stat adds, with no heap allocation.
+// ServeInto is CDN.ServeInto, safely callable from many goroutines (out
+// may alias r). A cache hit costs the lock, an LRU touch and atomic stat
+// adds, with no heap allocation.
 func (cc *ConcurrentCDN) ServeInto(r, out *trace.Record) {
-	cc.c.serveInto(r, out, cc.clients, cc.locks)
+	cc.mu.Lock()
+	cc.c.serveInto(r, out, cc.c.clients)
+	cc.mu.Unlock()
+}
+
+// DCContains is CDN.DCContains under the serve lock, safe to call while
+// the ConcurrentCDN is live. The answer is a point-in-time snapshot: the
+// object may be evicted (or admitted) the instant the lock is released,
+// which is the same weak-consistency contract any cross-DC fill protocol
+// has.
+func (cc *ConcurrentCDN) DCContains(region timeutil.Region, r *trace.Record) bool {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return cc.c.DCContains(region, r)
 }
 
 // CDN returns the wrapped CDN for configuration-time access (DC lookup,
@@ -101,58 +65,9 @@ func (cc *ConcurrentCDN) CDN() *CDN { return cc.c }
 func (cc *ConcurrentCDN) TotalStats() DCStats { return cc.c.TotalStats() }
 
 // ResetClientState clears browser-cache freshness and request
-// sequencing. Must not be called while traffic is in flight.
-func (cc *ConcurrentCDN) ResetClientState() { cc.clients = newStripedClients() }
-
-// clientStripeCount is the number of client-state stripes. Power of two
-// so stripe selection is a mask; 64 stripes keep the collision odds per
-// concurrent request pair below 2% even at 16 in-flight requests.
-const clientStripeCount = 64
-
-// stripedClients is the thread-safe clientTracker: client state is
-// partitioned into clientStripeCount independent maps, each behind its
-// own mutex, with users assigned to stripes by a splitmix64 hash of
-// their ID. All of one user's state (sequence counter and every
-// browser-cache entry, which are keyed by user) lands in one stripe, so
-// per-user serialization is preserved while unrelated users rarely
-// contend.
-type stripedClients struct {
-	stripes [clientStripeCount]clientStripe
-}
-
-type clientStripe struct {
-	mu sync.Mutex
-	cs clientState
-	// Pad each stripe to its own cache line so mutexes on neighbouring
-	// stripes do not false-share.
-	_ [64]byte
-}
-
-func newStripedClients() *stripedClients {
-	sc := &stripedClients{}
-	for i := range sc.stripes {
-		sc.stripes[i].cs = clientState{
-			browser: map[browserKey]time.Time{},
-			reqSeq:  map[uint64]uint32{},
-		}
-	}
-	return sc
-}
-
-func (sc *stripedClients) stripe(user uint64) *clientStripe {
-	return &sc.stripes[mix64(user)&(clientStripeCount-1)]
-}
-
-func (sc *stripedClients) nextSeq(user uint64) uint32 {
-	s := sc.stripe(user)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cs.nextSeq(user)
-}
-
-func (sc *stripedClients) browserCheck(user, obj uint64, ts time.Time, ttl time.Duration) bool {
-	s := sc.stripe(user)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cs.browserCheck(user, obj, ts, ttl)
+// sequencing; safe while traffic is in flight.
+func (cc *ConcurrentCDN) ResetClientState() {
+	cc.mu.Lock()
+	cc.c.ResetClientState()
+	cc.mu.Unlock()
 }

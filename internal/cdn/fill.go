@@ -141,14 +141,7 @@ func (g *SingleFlight) Inflight() int {
 // produce. Not safe for concurrent use with serving traffic; see
 // ConcurrentCDN.DCContains for the locking variant.
 func (c *CDN) DCContains(region timeutil.Region, r *trace.Record) bool {
-	dc := c.dcForRegion(region)
-	cache := dc.Cache
-	if len(dc.PublisherCache) > 0 {
-		if pc, ok := dc.PublisherCache[r.Publisher]; ok {
-			cache = pc
-		}
-	}
-	return c.cacheContains(cache, r)
+	return c.cacheContains(c.dcForRegion(region).partition(r.Publisher), r)
 }
 
 // cacheContains is the chunk-aware residency check behind DCContains.
@@ -170,29 +163,4 @@ func (c *CDN) cacheContains(cache Cache, r *trace.Record) bool {
 		return true
 	}
 	return cache.Contains(r.ObjectID)
-}
-
-// DCContains is CDN.DCContains under the partition lock serving traffic
-// may be holding, safe to call while the ConcurrentCDN is live. The
-// answer is a point-in-time snapshot: the object may be evicted (or
-// admitted) the instant the lock is released, which is the same
-// weak-consistency contract any cross-DC fill protocol has.
-func (cc *ConcurrentCDN) DCContains(region timeutil.Region, r *trace.Record) bool {
-	ri := int(region)
-	if ri < 1 || ri >= len(cc.locks) || cc.locks[ri] == nil {
-		return false
-	}
-	dc := cc.c.dcForRegion(region)
-	cache := dc.Cache
-	defaultPartition := true
-	if len(dc.PublisherCache) > 0 {
-		if pc, ok := dc.PublisherCache[r.Publisher]; ok {
-			cache = pc
-			defaultPartition = false
-		}
-	}
-	mu := cc.locks[ri].forPartition(r.Publisher, defaultPartition)
-	mu.Lock()
-	defer mu.Unlock()
-	return cc.c.cacheContains(cache, r)
 }

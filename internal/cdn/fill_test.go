@@ -265,7 +265,8 @@ func TestConcurrentDCContains(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	// Out-of-range regions answer false instead of panicking.
+	// Out-of-range regions route to the first DC like serving does (which
+	// holds none of the European traffic) instead of panicking.
 	if cc.DCContains(timeutil.Region(0), fillProbeRecord(1, 1, 0, "jpg")) {
 		t.Error("region 0 probe must answer false")
 	}

@@ -36,10 +36,10 @@ type streamWorker struct {
 // finalized records in exactly the reader's order, so a time-ordered
 // input yields a time-ordered output stream.
 //
-// Parallelism is safe for the same reason ReplayParallel's is: every
-// piece of per-request state (the edge cache, browser-cache freshness,
-// request sequencing) is owned by a single region's worker, because
-// clients belong to exactly one region in valid traces. The stream
+// Parallelism is safe because every piece of per-request state (the edge
+// cache, browser-cache freshness, request sequencing) is owned by a
+// single region's worker: clients belong to exactly one region in valid
+// traces. The stream
 // verifies that region stability and fails with ErrRegionUnstable on
 // traces that violate it. Aggregate counters (TotalStats, per-DC stats)
 // match a sequential Replay of the same trace exactly.
@@ -75,7 +75,7 @@ func (c *CDN) ReplayStream(r trace.Reader, sink func(*trace.Record) error) error
 				// the collector pairs order entries with outputs — so
 				// serving continues even after an abort; the tail is at
 				// most the buffered in-flight window.
-				c.serveInto(rec, rec, state, nil)
+				c.serveInto(rec, rec, state)
 				w.out <- rec
 			}
 		}()
@@ -159,55 +159,36 @@ func (c *CDN) ReplayStream(r trace.Reader, sink func(*trace.Record) error) error
 // its stats. Both replay paths reuse record storage, so the sink must
 // not retain the record pointer past the call.
 func ReplaySource(build func() *CDN, src trace.Source, sink func(*trace.Record) error) (*CDN, error) {
-	c := build()
 	discard := func(*trace.Record) error { return nil }
-
-	warm, err := src.Open()
-	if err != nil {
-		return nil, fmt.Errorf("cdn: open warm-up pass: %w", err)
-	}
-	err = c.ReplayStream(warm, discard)
-	trace.CloseReader(warm)
+	c, replay := build(), (*CDN).ReplayStream
+	err := replayPass(c, replay, src, "warm-up", discard)
 	if errors.Is(err, ErrRegionUnstable) {
-		// Region-unstable users: redo both passes sequentially on a
-		// fresh CDN (the aborted parallel warm-up left partial state).
-		c = build()
-		warm, err := src.Open()
-		if err != nil {
-			return nil, fmt.Errorf("cdn: open warm-up pass: %w", err)
-		}
-		err = c.Replay(warm, discard)
-		trace.CloseReader(warm)
-		if err != nil {
-			return nil, fmt.Errorf("cdn: warm-up replay: %w", err)
-		}
-		c.ResetStats()
-		c.ResetClientState()
-		measured, err := src.Open()
-		if err != nil {
-			return nil, fmt.Errorf("cdn: open measured pass: %w", err)
-		}
-		err = c.Replay(measured, sink)
-		trace.CloseReader(measured)
-		if err != nil {
-			return nil, err
-		}
-		return c, nil
+		// Region-unstable users: redo the warm-up sequentially on a fresh
+		// CDN (the aborted parallel one left partial state) and measure
+		// sequentially too.
+		c, replay = build(), (*CDN).Replay
+		err = replayPass(c, replay, src, "warm-up", discard)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("cdn: warm-up replay: %w", err)
-	}
-
-	c.ResetStats()
-	c.ResetClientState()
-	measured, err := src.Open()
-	if err != nil {
-		return nil, fmt.Errorf("cdn: open measured pass: %w", err)
-	}
-	err = c.ReplayStream(measured, sink)
-	trace.CloseReader(measured)
 	if err != nil {
 		return nil, err
 	}
+	c.ResetStats()
+	c.ResetClientState()
+	if err := replayPass(c, replay, src, "measured", sink); err != nil {
+		return nil, err
+	}
 	return c, nil
+}
+
+// replayPass opens src and streams it once through c with the given
+// replay entrypoint (ReplayStream or Replay). Sink errors come back
+// unwrapped.
+func replayPass(c *CDN, replay func(*CDN, trace.Reader, func(*trace.Record) error) error,
+	src trace.Source, pass string, sink func(*trace.Record) error) error {
+	r, err := src.Open()
+	if err != nil {
+		return fmt.Errorf("cdn: open %s pass: %w", pass, err)
+	}
+	defer trace.CloseReader(r)
+	return replay(c, r, sink)
 }

@@ -2,6 +2,7 @@ package cdn
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -9,6 +10,41 @@ import (
 	"trafficscope/internal/timeutil"
 	"trafficscope/internal/trace"
 )
+
+// regionStableTrace builds a trace where each user sticks to one region.
+func regionStableTrace(n int, seed int64) []*trace.Record {
+	rng := rand.New(rand.NewSource(seed))
+	regions := timeutil.AllRegions()
+	userRegion := map[uint64]timeutil.Region{}
+	recs := make([]*trace.Record, n)
+	for i := range recs {
+		user := rng.Uint64() % 200
+		region, ok := userRegion[user]
+		if !ok {
+			region = regions[rng.Intn(len(regions))]
+			userRegion[user] = region
+		}
+		ft := trace.FileJPG
+		size := int64(rng.Intn(100_000) + 100)
+		if rng.Intn(4) == 0 {
+			ft = trace.FileMP4
+			size = int64(rng.Intn(20_000_000) + 1_000_000)
+		}
+		recs[i] = &trace.Record{
+			Timestamp:   t0.Add(time.Duration(i) * 37 * time.Second),
+			Publisher:   "V-1",
+			ObjectID:    rng.Uint64() % 500,
+			FileType:    ft,
+			ObjectSize:  size,
+			BytesServed: size,
+			UserID:      user,
+			UserAgent:   "UA",
+			Region:      region,
+			StatusCode:  200,
+		}
+	}
+	return recs
+}
 
 // TestReplayStreamMatchesSequential checks that the streaming parallel
 // replay delivers the same records in the same order, and the same
@@ -25,19 +61,14 @@ func TestReplayStreamMatchesSequential(t *testing.T) {
 	}
 
 	seqCDN := mk()
-	seq, err := seqCDN.ReplayAll(trace.NewSliceReader(recs))
-	if err != nil {
+	var seq []*trace.Record
+	if err := seqCDN.Replay(trace.NewSliceReader(recs), collect(&seq)); err != nil {
 		t.Fatal(err)
 	}
 
 	strCDN := mk()
 	var got []*trace.Record
-	err = strCDN.ReplayStream(trace.NewSliceReader(recs), func(rec *trace.Record) error {
-		cp := *rec // the stream recycles rec after the sink returns
-		got = append(got, &cp)
-		return nil
-	})
-	if err != nil {
+	if err := strCDN.ReplayStream(trace.NewSliceReader(recs), collect(&got)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -114,8 +145,8 @@ func TestReplayStreamSinkError(t *testing.T) {
 }
 
 // TestReplaySourceMatchesWarmedReplay checks the streaming two-pass
-// protocol produces the same measured stats and records as the buffered
-// WarmedReplay path.
+// protocol produces the same measured stats and records as the
+// sequential reference: warm with Replay, reset, measure with Replay.
 func TestReplaySourceMatchesWarmedReplay(t *testing.T) {
 	recs := regionStableTrace(6000, 6)
 	mk := func() *CDN {
@@ -126,17 +157,18 @@ func TestReplaySourceMatchesWarmedReplay(t *testing.T) {
 	}
 
 	refCDN := mk()
-	ref, err := refCDN.WarmedReplay(recs)
-	if err != nil {
+	if err := refCDN.Replay(trace.NewSliceReader(recs), func(*trace.Record) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	refCDN.ResetStats()
+	refCDN.ResetClientState()
+	var ref []*trace.Record
+	if err := refCDN.Replay(trace.NewSliceReader(recs), collect(&ref)); err != nil {
 		t.Fatal(err)
 	}
 
 	var got []*trace.Record
-	srcCDN, err := ReplaySource(mk, trace.SliceSource(recs), func(rec *trace.Record) error {
-		cp := *rec // the stream recycles rec after the sink returns
-		got = append(got, &cp)
-		return nil
-	})
+	srcCDN, err := ReplaySource(mk, trace.SliceSource(recs), collect(&got))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@ import (
 	"trafficscope/internal/trace"
 )
 
-// ReplayParallel of the parallel generator's merged stream must match a
-// sequential replay of the sequential trace: the generated streams are
+// ReplayStream of the parallel generator's merged stream must match a
+// sequential Replay of the sequential trace: the generated streams are
 // byte-identical, and the replay's aggregate stats must agree exactly.
 func TestReplayParallelOfMergedStreamMatchesSequential(t *testing.T) {
 	gen, err := synth.NewGenerator(synth.Config{Seed: 19, Scale: 0.003, Salt: "replay"})
@@ -29,8 +29,8 @@ func TestReplayParallelOfMergedStreamMatchesSequential(t *testing.T) {
 	}
 
 	seqCDN := mk()
-	seqOut, err := seqCDN.ReplayAll(trace.NewSliceReader(seq))
-	if err != nil {
+	var seqOut []*trace.Record
+	if err := seqCDN.Replay(trace.NewSliceReader(seq), collect(&seqOut)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -39,8 +39,8 @@ func TestReplayParallelOfMergedStreamMatchesSequential(t *testing.T) {
 	parCDN := mk()
 	pr := gen.ParallelReader(synth.ParallelOptions{Workers: 4})
 	defer pr.Close()
-	parOut, err := parCDN.ReplayParallel(pr)
-	if err != nil {
+	var parOut []*trace.Record
+	if err := parCDN.ReplayStream(pr, collect(&parOut)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -34,11 +34,11 @@ func TestConcurrentServeHitPathZeroAllocs(t *testing.T) {
 			})
 		}
 	}
+	var out trace.Record
 	for _, r := range recs {
-		cc.Serve(r) // warm: every chunk admitted, client state created
+		cc.ServeInto(r, &out) // warm: every chunk admitted, client state created
 	}
 
-	var out trace.Record
 	i := 0
 	n := testing.AllocsPerRun(500, func() {
 		cc.ServeInto(recs[i%len(recs)], &out)

@@ -17,7 +17,6 @@ type traceEncoding struct {
 }
 
 var traceEncodings = []traceEncoding{
-	{"v1-binary", "trace.bin", trace.FormatBinary},
 	{"v2-block", "trace.tsb", trace.FormatBlock},
 	{"jsonl", "trace.jsonl", trace.FormatJSON},
 }
@@ -35,11 +34,10 @@ func resultsFingerprint(r *Results) string {
 }
 
 // A trace must mean the same thing no matter which codec carried it:
-// replay+analysis over the v1 binary, v2 block and JSONL encodings of
-// one generated trace must produce byte-identical results — across
-// seeds and across analysis worker counts (v2's interning and
-// delta-of-delta timestamps are lossless, and JSONL round-trips
-// nanosecond timestamps).
+// replay+analysis over the v2 block and JSONL encodings of one generated
+// trace must produce byte-identical results — across seeds and across
+// analysis worker counts (v2's interning and delta-of-delta timestamps
+// are lossless, and JSONL round-trips microsecond timestamps).
 func TestAnalysisEquivalentAcrossFormats(t *testing.T) {
 	for _, seed := range []int64{42, 7} {
 		seed := seed
@@ -50,7 +48,7 @@ func TestAnalysisEquivalentAcrossFormats(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// One generation pass fans out to all three codecs.
+			// One generation pass fans out to both codecs.
 			dir := t.TempDir()
 			writers := make([]*trace.FileWriter, len(traceEncodings))
 			for i, enc := range traceEncodings {

@@ -9,11 +9,10 @@
 // latency end to end over a real network stack.
 //
 // All hit/miss/byte accounting goes through the CDN model — served
-// concurrently via cdn.ConcurrentCDN, with one lock per (data center,
-// cache partition) — so a live replay and an offline CDN.Replay of the
-// same records (in the same order) produce identical aggregate
-// statistics. Under concurrent replay the guarantee relaxes to per-DC
-// totals; see DESIGN.md §"Edge concurrency model".
+// through cdn.ConcurrentCDN, one request per critical section — so a
+// live replay and an offline CDN.Replay of the same records in the order
+// the edge served them produce identical records and statistics; see
+// DESIGN.md §"Edge concurrency model".
 package edge
 
 import (
@@ -44,10 +43,9 @@ const DefaultMaxBodyBytes = 4096
 // Config configures an edge Server.
 type Config struct {
 	// CDN is the cache model serving requests. Required. The Server
-	// wraps it in a cdn.ConcurrentCDN and serves through that, so
-	// requests for different regions or publisher partitions proceed in
-	// parallel; do not drive the same CDN through its single-threaded
-	// Serve/Replay methods while the Server is running.
+	// wraps it in a cdn.ConcurrentCDN and serves through that; do not
+	// drive the same CDN through its single-threaded Serve/Replay
+	// methods while the Server is running.
 	CDN *cdn.CDN
 	// OriginLatency is the simulated origin round-trip added to every
 	// cache miss. Zero disables origin latency simulation.
@@ -100,10 +98,10 @@ type Config struct {
 	Trace *TraceRing
 }
 
-// Server serves trace objects over HTTP from a CDN cache model. The hot
-// path takes no server-wide lock: CDN access goes through a
-// cdn.ConcurrentCDN (per-(DC, partition) locking, atomic counters), and
-// all edge telemetry is atomic.
+// Server serves trace objects over HTTP from a CDN cache model. The only
+// lock on the hot path is the cdn.ConcurrentCDN's, held for the cache
+// model step alone (under 1% of a request); counters and all edge
+// telemetry are atomic.
 type Server struct {
 	cfg      Config
 	cdn      *cdn.ConcurrentCDN

@@ -12,12 +12,12 @@ import (
 	"trafficscope/internal/trace"
 )
 
-// encodeTrace renders records to the binary codec, the byte-level
+// encodeTrace renders records to the block codec, the byte-level
 // equality oracle for the seed -> trace contract.
 func encodeTrace(t *testing.T, recs []*trace.Record) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := trace.NewBinaryWriter(&buf)
+	w := trace.NewBlockWriter(&buf)
 	for _, r := range recs {
 		if err := w.Write(r); err != nil {
 			t.Fatal(err)

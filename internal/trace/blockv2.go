@@ -41,10 +41,16 @@ import (
 // The first record of a block carries its absolute timestamp as the
 // "delta" (previous values reset per block), so blocks are independently
 // decodable after a seek to a frame boundary. Interning Publisher,
-// FileType and UserAgent once per block plus delta timestamps make v2
-// ~3-5x smaller than v1 on real traces (the UserAgent string dominates
-// v1 record size).
+// FileType and UserAgent once per block plus delta timestamps keep a
+// record at 20-40 bytes — the full UserAgent string on every record is
+// what made the removed v1 format 3-5x larger.
 var blockMagic = [8]byte{'T', 'S', 'L', 'O', 'G', 0, 0, 2}
+
+// ErrBadMagic indicates the stream is not a trafficscope block trace.
+var ErrBadMagic = errors.New("trace: bad block trace magic")
+
+// ErrTruncated indicates the stream ended mid-block.
+var ErrTruncated = errors.New("trace: truncated block")
 
 // ErrCorruptBlock indicates a structurally invalid v2 block.
 var ErrCorruptBlock = errors.New("trace: corrupt v2 block")
@@ -178,8 +184,8 @@ func (bw *BlockWriter) flushBlock() error {
 
 // Flush frames any partial block and flushes the underlying writer. The
 // writer remains usable; a later Write starts a new block. An empty
-// stream flushes to just nothing (no magic) so empty spill files read as
-// empty v1-compatible streams via format detection fallback.
+// stream flushes to nothing (no magic), which every reader takes as an
+// empty trace.
 func (bw *BlockWriter) Flush() error {
 	if err := bw.flushBlock(); err != nil {
 		return err
@@ -204,9 +210,11 @@ type BlockReader struct {
 
 var _ Reader = (*BlockReader)(nil)
 
-// NewBlockReader wraps r.
+// NewBlockReader wraps r. bufio.NewReaderSize hands back r itself when it
+// is already a large-enough *bufio.Reader, so OpenFile's magic-sniffing
+// peek reader is reused rather than double-buffered.
 func NewBlockReader(r io.Reader) *BlockReader {
-	return &BlockReader{r: asBufioReader(r), in: newInterner()}
+	return &BlockReader{r: bufio.NewReaderSize(r, 1<<16), in: newInterner()}
 }
 
 // Read fills rec with the next record, returning io.EOF at end of input,
@@ -389,4 +397,53 @@ func (br *BlockReader) parseBlock(payload []byte) error {
 	br.lastTS = 0
 	br.step = 0
 	return nil
+}
+
+// decoder is a tiny cursor over a block payload; the first malformed
+// field poisons all later reads.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (d *decoder) varint() int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.err = errors.New("bad varint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.err = errors.New("bad uvarint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// strBytes returns a view into the decode buffer valid only until the
+// next read; callers must copy (or intern) before the buffer is reused.
+func (d *decoder) strBytes() []byte {
+	n := d.uvarint()
+	if d.err != nil {
+		return nil
+	}
+	if uint64(len(d.b)) < n {
+		d.err = errors.New("short string")
+		return nil
+	}
+	b := d.b[:n]
+	d.b = d.b[n:]
+	return b
 }

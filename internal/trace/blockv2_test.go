@@ -185,26 +185,20 @@ func TestBlockReaderBadMagic(t *testing.T) {
 		t.Errorf("want ErrBadMagic, got %v", err)
 	}
 	// A v1 stream under a v2 reader is a foreign stream too.
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	if err := w.Write(sampleRecord()); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := NewBlockReader(&buf).Read(&Record{}); !errors.Is(err, ErrBadMagic) {
+	v1 := append(append([]byte{}, v1Magic[:]...), 5, 'h', 'e', 'l', 'l', 'o')
+	if err := NewBlockReader(bytes.NewReader(v1)).Read(&Record{}); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("v1 stream: want ErrBadMagic, got %v", err)
 	}
 }
 
 // The headline claim of the format: on a realistic trace, v2 is at
-// least 3x smaller than v1 (interned strings + delta-of-delta
-// timestamps vs full strings on every record).
-func TestBlockFormatAtLeast3xSmallerThanV1(t *testing.T) {
+// least 3x smaller than the other supported encoding (interned strings +
+// delta-of-delta timestamps vs full strings and field names on every
+// record).
+func TestBlockFormatAtLeast3xSmallerThanJSONL(t *testing.T) {
 	recs := realisticTrace(20_000)
-	var v1 bytes.Buffer
-	w := NewBinaryWriter(&v1)
+	var jsonl bytes.Buffer
+	w := NewJSONWriter(&jsonl)
 	for _, r := range recs {
 		if err := w.Write(r); err != nil {
 			t.Fatal(err)
@@ -214,12 +208,12 @@ func TestBlockFormatAtLeast3xSmallerThanV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	v2 := encodeBlock(t, recs)
-	ratio := float64(v1.Len()) / float64(len(v2))
-	t.Logf("v1 %d bytes (%.1f B/rec), v2 %d bytes (%.1f B/rec), ratio %.2fx",
-		v1.Len(), float64(v1.Len())/float64(len(recs)),
+	ratio := float64(jsonl.Len()) / float64(len(v2))
+	t.Logf("jsonl %d bytes (%.1f B/rec), v2 %d bytes (%.1f B/rec), ratio %.2fx",
+		jsonl.Len(), float64(jsonl.Len())/float64(len(recs)),
 		len(v2), float64(len(v2))/float64(len(recs)), ratio)
 	if ratio < 3 {
-		t.Errorf("v2 only %.2fx smaller than v1, want >= 3x", ratio)
+		t.Errorf("v2 only %.2fx smaller than jsonl, want >= 3x", ratio)
 	}
 }
 
@@ -352,8 +346,8 @@ func TestBlockReaderRejectsCorruptFrames(t *testing.T) {
 	}
 }
 
-// OpenFile sniffs magic bytes, so v1 and v2 files open correctly under
-// each other's extensions (and under explicit wrong format hints).
+// OpenFile sniffs magic bytes, so a block file opens correctly under any
+// extension and under an explicit wrong format hint.
 func TestOpenFileSniffsBlockMagic(t *testing.T) {
 	recs := realisticTrace(50)
 	dir := t.TempDir()
@@ -364,9 +358,8 @@ func TestOpenFileSniffsBlockMagic(t *testing.T) {
 		open   Format // format hint passed to OpenFile
 	}{
 		{"v2-under-bin-name.bin", FormatBlock, 0},
-		{"v2-explicit-binary-hint.bin", FormatBlock, FormatBinary},
-		{"v1-under-tsb-name.tsb", FormatBinary, 0},
-		{"v1-explicit-block-hint.bin", FormatBinary, FormatBlock},
+		{"v2-under-jsonl-name.jsonl", FormatBlock, 0},
+		{"v2-explicit-json-hint.tsb", FormatBlock, FormatJSON},
 		{"native-v2.tsb", 0, 0}, // .tsb detects as block
 		{"v2-gzipped.tsb.gz", 0, 0},
 	}
@@ -402,8 +395,7 @@ func TestOpenFileSniffsBlockMagic(t *testing.T) {
 			}
 		}
 	}
-	// Confirm the .tsb file actually carries v2 magic (DetectFormat picked
-	// block, not a silent binary fallback).
+	// Confirm the .tsb file actually carries v2 magic.
 	data, err := os.ReadFile(filepath.Join(dir, "native-v2.tsb"))
 	if err != nil {
 		t.Fatal(err)

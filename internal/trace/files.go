@@ -16,74 +16,90 @@ type Format int
 
 // Supported formats.
 const (
-	FormatBinary Format = iota + 1
-	FormatText
-	FormatJSON
-	// FormatBlock is trace format v2: framed blocks with per-block string
-	// interning and delta-of-delta timestamps (see blockv2.go). 3-5x
-	// smaller on disk than FormatBinary.
+	// FormatJSON is JSON Lines, the interchange format for off-the-shelf
+	// log tooling (see jsonl.go).
+	FormatJSON Format = iota + 1
+	// FormatBlock is trace format v2, the storage format: framed blocks
+	// with per-block string interning and delta-of-delta timestamps (see
+	// blockv2.go).
 	FormatBlock
 )
 
-// ParseFormat parses a format name ("binary", "text", "json"/"jsonl",
-// "block"/"v2").
+// v1Magic heads a stream in the removed v1 binary encoding. It is kept
+// for detection only, so an old trace is refused by name instead of
+// being decoded as garbage.
+var v1Magic = [8]byte{'T', 'S', 'L', 'O', 'G', 0, 0, 1}
+
+// errRemovedFormat refuses an input (a path or a format name) in one of
+// the encodings this package no longer reads or writes. No trace is
+// committed anywhere; every workflow regenerates its trace from a seed.
+func errRemovedFormat(input string) error {
+	return fmt.Errorf("trace: %s: the v1 binary and tab-separated text encodings were removed; "+
+		"supported formats are block (.tsb) and json (.jsonl) — regenerate the trace from its seed", input)
+}
+
+// ParseFormat parses a format name ("block"/"v2", "json"/"jsonl").
 func ParseFormat(s string) (Format, error) {
 	switch strings.ToLower(s) {
-	case "binary", "bin":
-		return FormatBinary, nil
-	case "text", "tsv":
-		return FormatText, nil
 	case "json", "jsonl":
 		return FormatJSON, nil
 	case "block", "v2":
 		return FormatBlock, nil
+	case "binary", "bin", "text", "tsv":
+		return 0, errRemovedFormat(fmt.Sprintf("format %q", s))
 	default:
-		return 0, fmt.Errorf("trace: unknown format %q (want binary, block, text or json)", s)
+		return 0, fmt.Errorf("trace: unknown format %q (want block or json)", s)
 	}
 }
 
 // DetectFormat guesses the format from a file name, honoring a trailing
-// .gz suffix: trace.bin.gz -> binary, trace.tsb -> block (v2),
-// trace.jsonl -> json, trace.tsv.gz -> text. Matching is
-// case-insensitive. Any unknown extension — including a bare ".gz" with
-// no inner extension, or no extension at all — falls back to binary;
-// OpenFile then sniffs the magic bytes, so a v2 file with a .bin name
-// still opens correctly, and a truly foreign stream fails loudly on the
-// magic check.
+// .gz suffix: trace.jsonl.gz -> json, trace.tsb -> block. Matching is
+// case-insensitive. The removed text encoding's extensions (.txt, .tsv,
+// .log) yield 0, which OpenFile and CreateFile refuse; any other
+// extension — or none — is block, and OpenFile's magic check fails
+// loudly on a foreign stream.
 func DetectFormat(path string) Format {
 	p := strings.TrimSuffix(strings.ToLower(path), ".gz")
 	switch {
-	case strings.HasSuffix(p, ".txt"), strings.HasSuffix(p, ".tsv"), strings.HasSuffix(p, ".log"):
-		return FormatText
 	case strings.HasSuffix(p, ".json"), strings.HasSuffix(p, ".jsonl"):
 		return FormatJSON
-	case strings.HasSuffix(p, ".tsb"), strings.HasSuffix(p, ".blk"):
-		return FormatBlock
+	case strings.HasSuffix(p, ".txt"), strings.HasSuffix(p, ".tsv"), strings.HasSuffix(p, ".log"):
+		return 0
 	default:
-		return FormatBinary
+		return FormatBlock
 	}
 }
 
-// sniffFormat refines a magic-headed format guess by peeking the first 8
-// bytes: the v1 and v2 binary formats are distinguished by their magic,
-// so either can be opened under the other's name (or a neutral name).
-// Text/JSON guesses and unreadable prefixes are returned unchanged — the
-// codec's own error reporting is better than a sniff failure here.
-func sniffFormat(br *bufio.Reader, guess Format) Format {
-	if guess != FormatBinary && guess != FormatBlock {
-		return guess
+// resolveFormat applies DetectFormat when the caller passed no format.
+func resolveFormat(path string, format Format) (Format, error) {
+	switch format {
+	case FormatJSON, FormatBlock:
+		return format, nil
+	case 0:
+		if format = DetectFormat(path); format != 0 {
+			return format, nil
+		}
+		return 0, errRemovedFormat(path)
 	}
+	return 0, fmt.Errorf("trace: unknown format %d", format)
+}
+
+// sniffFormat corrects the format guess from the first 8 bytes: a block
+// magic opens as block under any name or hint, and the v1 magic is
+// refused. Other (or unreadable) prefixes keep the guess — the codec's
+// own error reporting is better than a sniff failure.
+func sniffFormat(br *bufio.Reader, path string, guess Format) (Format, error) {
 	magic, err := br.Peek(8)
 	if err != nil {
-		return guess
+		return guess, nil
 	}
-	switch {
-	case [8]byte(magic) == binaryMagic:
-		return FormatBinary
-	case [8]byte(magic) == blockMagic:
-		return FormatBlock
+	switch [8]byte(magic) {
+	case v1Magic:
+		return 0, errRemovedFormat(path)
+	case blockMagic:
+		return FormatBlock, nil
 	}
-	return guess
+	return guess, nil
 }
 
 // FileReader streams records from a trace file, transparently
@@ -97,8 +113,9 @@ type FileReader struct {
 // OpenFile opens a trace file with the given format (0 means detect from
 // the file name).
 func OpenFile(path string, format Format) (*FileReader, error) {
-	if format == 0 {
-		format = DetectFormat(path)
+	format, err := resolveFormat(path, format)
+	if err != nil {
+		return nil, err
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -121,23 +138,15 @@ func OpenFile(path string, format Format) (*FileReader, error) {
 		fr.gz = gz
 		src = gz
 	}
-	// Sniff the magic bytes so a v2 (block) file opens correctly even
-	// under a v1 name and vice versa. NewBinaryReader/NewBlockReader
-	// reuse this buffered reader rather than stacking a second one.
 	br := bufio.NewReaderSize(src, 1<<16)
-	format = sniffFormat(br, format)
-	switch format {
-	case FormatBinary:
-		fr.Reader = NewBinaryReader(br)
-	case FormatBlock:
+	if format, err = sniffFormat(br, path, format); err != nil {
+		fr.Close()
+		return nil, err
+	}
+	if format == FormatBlock {
 		fr.Reader = NewBlockReader(br)
-	case FormatText:
-		fr.Reader = NewTextReader(br)
-	case FormatJSON:
+	} else {
 		fr.Reader = NewJSONReader(br)
-	default:
-		f.Close()
-		return nil, fmt.Errorf("trace: unknown format %d", format)
 	}
 	if reg != nil {
 		fr.Reader = &countingRecordReader{
@@ -168,8 +177,9 @@ type FileWriter struct {
 
 // CreateFile creates a trace file with the given format (0 = detect).
 func CreateFile(path string, format Format) (*FileWriter, error) {
-	if format == 0 {
-		format = DetectFormat(path)
+	format, err := resolveFormat(path, format)
+	if err != nil {
+		return nil, err
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -186,22 +196,12 @@ func CreateFile(path string, format Format) (*FileWriter, error) {
 		fw.gz = gzip.NewWriter(dst)
 		dst = fw.gz
 	}
-	switch format {
-	case FormatBinary:
-		w := NewBinaryWriter(dst)
-		fw.Writer, fw.flush = w, w.Flush
-	case FormatBlock:
+	if format == FormatBlock {
 		w := NewBlockWriter(dst)
 		fw.Writer, fw.flush = w, w.Flush
-	case FormatText:
-		w := NewTextWriter(dst)
-		fw.Writer, fw.flush = w, w.Flush
-	case FormatJSON:
+	} else {
 		w := NewJSONWriter(dst)
 		fw.Writer, fw.flush = w, w.Flush
-	default:
-		f.Close()
-		return nil, fmt.Errorf("trace: unknown format %d", format)
 	}
 	if reg != nil {
 		fw.Writer = &countingRecordWriter{

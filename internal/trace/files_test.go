@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"io"
 	"math/rand"
@@ -66,18 +67,15 @@ func TestParseFormat(t *testing.T) {
 		want Format
 		ok   bool
 	}{
-		{"binary", FormatBinary, true},
-		{"bin", FormatBinary, true},
-		{"text", FormatText, true},
-		{"TSV", FormatText, true},
+		{"block", FormatBlock, true},
+		{"v2", FormatBlock, true},
 		{"json", FormatJSON, true},
 		{"jsonl", FormatJSON, true},
-		{"Binary", FormatBinary, true},
+		{"Block", FormatBlock, true},
 		{"JSON", FormatJSON, true},
-		{"TeXt", FormatText, true},
 		{"xml", 0, false},
 		{"", 0, false},
-		{"binary ", 0, false}, // no trimming: flag values arrive clean
+		{"block ", 0, false}, // no trimming: flag values arrive clean
 	}
 	for _, tt := range tests {
 		got, err := ParseFormat(tt.in)
@@ -90,35 +88,115 @@ func TestParseFormat(t *testing.T) {
 	}
 }
 
+// isRemovedFormatError reports whether err is the loud refusal of a
+// removed encoding: it must name both supported formats and tell the
+// user to regenerate.
+func isRemovedFormatError(err error) bool {
+	if err == nil {
+		return false
+	}
+	msg := err.Error()
+	return strings.Contains(msg, "removed") && strings.Contains(msg, "block") &&
+		strings.Contains(msg, "json") && strings.Contains(msg, "regenerate the trace from its seed")
+}
+
+// The v1 binary and text encodings are gone; every way of asking for
+// them — a format name, a file extension, or a stream that carries the
+// v1 magic under any name or hint — must fail with the same explanatory
+// error rather than be decoded as block garbage.
+func TestRemovedFormatsFailLoudly(t *testing.T) {
+	for _, name := range []string{"binary", "bin", "text", "tsv", "Binary", "TSV"} {
+		if f, err := ParseFormat(name); !isRemovedFormatError(err) {
+			t.Errorf("ParseFormat(%q) = %v, %v; want the removed-format error", name, f, err)
+		}
+	}
+
+	dir := t.TempDir()
+	v1 := append(append([]byte{}, v1Magic[:]...), "\x05hello"...)
+	files := []struct {
+		name    string
+		content []byte
+		format  Format
+	}{
+		{"old.bin", v1, 0},
+		{"old.tsb", v1, 0},
+		{"old.tsb", v1, FormatBlock},
+		{"old.jsonl", v1, FormatJSON},
+		{"old.bin.gz", gzipBytes(t, v1), 0},
+		{"old.txt", []byte("#trafficscope-log v1\n"), 0},
+		{"old.tsv.gz", nil, 0},
+		{"old.LOG", nil, 0},
+	}
+	for _, f := range files {
+		path := filepath.Join(dir, f.name)
+		if err := os.WriteFile(path, f.content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fr, err := OpenFile(path, f.format)
+		if !isRemovedFormatError(err) {
+			t.Errorf("OpenFile(%s, %d) error = %v; want the removed-format error", f.name, f.format, err)
+		}
+		if fr != nil {
+			fr.Close()
+		}
+	}
+	for _, name := range []string{"new.txt", "new.tsv.gz", "new.log"} {
+		path := filepath.Join(dir, name)
+		if fw, err := CreateFile(path, 0); !isRemovedFormatError(err) {
+			t.Errorf("CreateFile(%s) error = %v; want the removed-format error", name, err)
+			if fw != nil {
+				fw.Close()
+			}
+		}
+		if _, err := os.Stat(path); err == nil {
+			t.Errorf("CreateFile(%s) left a file behind", name)
+		}
+	}
+}
+
+func gzipBytes(t *testing.T, data []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestDetectFormat(t *testing.T) {
 	tests := []struct {
 		path string
 		want Format
 	}{
-		{"trace.bin", FormatBinary},
-		{"trace.bin.gz", FormatBinary},
-		{"trace.txt", FormatText},
-		{"trace.log.gz", FormatText},
+		{"trace.tsb", FormatBlock},
+		{"trace.tsb.gz", FormatBlock},
 		{"trace.jsonl", FormatJSON},
 		{"trace.json.gz", FormatJSON},
-		{"whatever", FormatBinary},
+		{"whatever", FormatBlock},
 		// Case-insensitive matching: shell completion and copy-pasted
 		// paths often arrive upper- or mixed-case.
-		{"TRACE.BIN", FormatBinary},
-		{"TRACE.TXT", FormatText},
+		{"TRACE.TSB", FormatBlock},
 		{"Trace.JsonL.GZ", FormatJSON},
-		{"trace.TSV.gz", FormatText},
-		// tsv is a first-class text extension, compressed or not.
-		{"trace.tsv", FormatText},
-		{"trace.tsv.gz", FormatText},
-		// Unknown or missing inner extensions fall back to binary, whose
+		// Unknown or missing inner extensions fall back to block, whose
 		// reader self-validates via a magic header and fails loudly on a
 		// wrong guess (see the DetectFormat doc comment).
-		{".gz", FormatBinary},
-		{"trace.gz", FormatBinary},
-		{"trace.xml", FormatBinary},
-		{"trace.xml.gz", FormatBinary},
-		{"", FormatBinary},
+		{"trace.bin", FormatBlock},
+		{".gz", FormatBlock},
+		{"trace.gz", FormatBlock},
+		{"trace.xml", FormatBlock},
+		{"trace.xml.gz", FormatBlock},
+		{"", FormatBlock},
+		// The removed text encoding's extensions detect as nothing, so
+		// OpenFile/CreateFile refuse them.
+		{"trace.txt", 0},
+		{"TRACE.TXT", 0},
+		{"trace.log.gz", 0},
+		{"trace.tsv", 0},
+		{"trace.TSV.gz", 0},
 	}
 	for _, tt := range tests {
 		if got := DetectFormat(tt.path); got != tt.want {
@@ -135,7 +213,7 @@ func TestFileRoundTripAllFormatsAndGzip(t *testing.T) {
 	}
 	SortByTime(recs)
 	dir := t.TempDir()
-	for _, name := range []string{"t.bin", "t.bin.gz", "t.txt", "t.txt.gz", "t.jsonl", "t.jsonl.gz"} {
+	for _, name := range []string{"t.tsb", "t.tsb.gz", "t.jsonl", "t.jsonl.gz"} {
 		path := filepath.Join(dir, name)
 		fw, err := CreateFile(path, 0)
 		if err != nil {
@@ -164,13 +242,7 @@ func TestFileRoundTripAllFormatsAndGzip(t *testing.T) {
 			t.Fatalf("%s: %d records, want %d", name, len(got), len(recs))
 		}
 		for i := range recs {
-			want := *recs[i]
-			if strings.Contains(name, ".txt") {
-				// Text codec flattens tabs in agents; our random agents
-				// have none, so DeepEqual still applies.
-				_ = want
-			}
-			if !reflect.DeepEqual(&want, got[i]) {
+			if !reflect.DeepEqual(recs[i], got[i]) {
 				t.Fatalf("%s record %d mismatch", name, i)
 			}
 		}
@@ -178,19 +250,19 @@ func TestFileRoundTripAllFormatsAndGzip(t *testing.T) {
 }
 
 func TestOpenFileErrors(t *testing.T) {
-	if _, err := OpenFile("/does/not/exist.bin", 0); err == nil {
+	if _, err := OpenFile("/does/not/exist.tsb", 0); err == nil {
 		t.Error("missing file should error")
 	}
 	// A non-gzip file with .gz suffix fails at open.
 	dir := t.TempDir()
-	path := filepath.Join(dir, "fake.bin.gz")
-	fw, err := CreateFile(filepath.Join(dir, "plain.bin"), 0)
+	path := filepath.Join(dir, "fake.tsb.gz")
+	fw, err := CreateFile(filepath.Join(dir, "plain.tsb"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fw.Write(sampleRecord())
 	fw.Close()
-	if err := copyFile(filepath.Join(dir, "plain.bin"), path); err != nil {
+	if err := copyFile(filepath.Join(dir, "plain.tsb"), path); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenFile(path, 0); err == nil {
@@ -250,7 +322,7 @@ func TestMergeReaderEmptySources(t *testing.T) {
 }
 
 func TestMergeReaderPropagatesError(t *testing.T) {
-	bad := NewTextReader(strings.NewReader("garbage line with no tabs\nmore\n"))
+	bad := NewJSONReader(strings.NewReader("garbage line, not json\nmore\n"))
 	good := NewSliceReader([]*Record{sampleRecord()})
 	_, err := ReadAll(NewMergeReader(good, bad))
 	var pe *ParseError

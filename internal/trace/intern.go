@@ -35,7 +35,7 @@ func (in *interner) bytes(b []byte) string {
 }
 
 // str returns the interned string equal to s. Use for inputs that are
-// already strings (text/JSON decoding) so repeated values converge on
+// already strings (JSON decoding) so repeated values converge on
 // one shared backing array instead of one per record.
 func (in *interner) str(s string) string {
 	if c, ok := in.m[s]; ok {

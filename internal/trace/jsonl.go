@@ -64,6 +64,17 @@ func (jw *JSONWriter) Write(r *Record) error {
 // Flush writes buffered data to the underlying writer.
 func (jw *JSONWriter) Flush() error { return jw.w.Flush() }
 
+// ParseError describes a malformed log line.
+type ParseError struct {
+	Line int
+	Msg  string
+}
+
+// Error implements the error interface.
+func (e *ParseError) Error() string {
+	return fmt.Sprintf("trace: line %d: %s", e.Line, e.Msg)
+}
+
 // JSONReader reads records written by JSONWriter (or any compatible JSON
 // Lines source).
 type JSONReader struct {

@@ -1,5 +1,5 @@
 // Package trace defines the HTTP access-log record model used throughout
-// trafficscope, together with streaming text and binary codecs and the
+// trafficscope, together with streaming block and JSON Lines codecs and the
 // anonymization helpers described in the paper's §III ("All personally
 // identifiable information in the HTTP logs (e.g., IP addresses) is
 // anonymized ... Each record includes publisher identifier, hashed URL,

@@ -2,9 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -14,8 +14,7 @@ import (
 func TestReadersNeverPanicOnGarbage(t *testing.T) {
 	f := func(data []byte) bool {
 		for _, mk := range []func(io.Reader) Reader{
-			func(r io.Reader) Reader { return NewBinaryReader(r) },
-			func(r io.Reader) Reader { return NewTextReader(r) },
+			func(r io.Reader) Reader { return NewBlockReader(r) },
 			func(r io.Reader) Reader { return NewJSONReader(r) },
 		} {
 			r := mk(bytes.NewReader(data))
@@ -33,66 +32,39 @@ func TestReadersNeverPanicOnGarbage(t *testing.T) {
 	}
 }
 
-// Truncating a valid binary stream at any byte offset yields EOF,
-// ErrTruncated or a validation error — never a panic or a bogus record
-// beyond the cut.
-func TestBinaryReaderEveryTruncation(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	var buf bytes.Buffer
-	bw := NewBinaryWriter(&buf)
-	var want int
-	for i := 0; i < 20; i++ {
-		if err := bw.Write(randomRecord(rng)); err != nil {
-			t.Fatal(err)
-		}
-		want++
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for cut := 0; cut <= len(full); cut++ {
-		r := NewBinaryReader(bytes.NewReader(full[:cut]))
-		n := 0
-		var rec Record
-		for {
-			if err := r.Read(&rec); err != nil {
-				break
-			}
-			n++
-			if n > want {
-				t.Fatalf("cut %d: produced %d records from a %d-record stream", cut, n, want)
-			}
-		}
-	}
-}
-
-// Corrupting any single byte of a text stream never panics and yields at
-// most the original number of records.
-func TestTextReaderSingleByteCorruption(t *testing.T) {
+// Corrupting any single byte of a JSON Lines stream never panics and
+// yields at most the original number of records.
+func TestJSONReaderSingleByteCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	var buf bytes.Buffer
-	tw := NewTextWriter(&buf)
+	jw := NewJSONWriter(&buf)
 	const want = 10
 	for i := 0; i < want; i++ {
-		if err := tw.Write(randomRecord(rng)); err != nil {
+		if err := jw.Write(randomRecord(rng)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tw.Flush(); err != nil {
+	if err := jw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	original := buf.String()
+	original := buf.Bytes()
 	for pos := 0; pos < len(original); pos += 7 { // sample positions
-		corrupted := []byte(original)
+		corrupted := append([]byte{}, original...)
 		corrupted[pos] ^= 0x5a
-		tr := NewTextReader(strings.NewReader(string(corrupted)))
+		jr := NewJSONReader(bytes.NewReader(corrupted))
 		good := 0
 		var rec Record
 		for {
-			_, err := tr.ReadSkippingErrors(&rec)
-			if err != nil {
+			err := jr.Read(&rec)
+			if err == io.EOF {
 				break
+			}
+			var pe *ParseError
+			if errors.As(err, &pe) {
+				continue // skip the damaged line, keep reading
+			}
+			if err != nil {
+				t.Fatalf("pos %d: %v", pos, err)
 			}
 			good++
 			if good > want {
@@ -107,7 +79,7 @@ func TestTextReaderSingleByteCorruption(t *testing.T) {
 func TestInterleavedWriters(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	var b1, b2 bytes.Buffer
-	w1, w2 := NewBinaryWriter(&b1), NewBinaryWriter(&b2)
+	w1, w2 := NewBlockWriter(&b1), NewBlockWriter(&b2)
 	var n1, n2 int
 	for i := 0; i < 500; i++ {
 		r := randomRecord(rng)
@@ -125,11 +97,11 @@ func TestInterleavedWriters(t *testing.T) {
 	}
 	w1.Flush()
 	w2.Flush()
-	got1, err := ReadAll(NewBinaryReader(&b1))
+	got1, err := ReadAll(NewBlockReader(&b1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := ReadAll(NewBinaryReader(&b2))
+	got2, err := ReadAll(NewBlockReader(&b2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func (f SourceFunc) Open() (Reader, error) { return f() }
 
 // FileSource reopens a trace file for every pass.
 type FileSource struct {
-	// Path is the trace file (.bin/.txt/.jsonl, optional .gz).
+	// Path is the trace file (.tsb/.jsonl, optional .gz).
 	Path string
 	// Format overrides format detection; zero means detect from the
 	// path.

@@ -46,7 +46,7 @@ func drain(t *testing.T, r Reader) int {
 // the Source interface; both passes must yield every record.
 func TestFileSourceReopens(t *testing.T) {
 	recs := sourceTestRecords(25)
-	path := filepath.Join(t.TempDir(), "trace.bin")
+	path := filepath.Join(t.TempDir(), "trace.tsb")
 	w, err := CreateFile(path, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestSourceFunc(t *testing.T) {
 // closable inner reader, so ctx-wrapped FileReaders release their
 // handles in Source pipelines.
 func TestContextReaderClose(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.bin")
+	path := filepath.Join(t.TempDir(), "trace.tsb")
 	w, err := CreateFile(path, 0)
 	if err != nil {
 		t.Fatal(err)

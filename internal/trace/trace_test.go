@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"math/rand"
 	"reflect"
@@ -138,48 +137,8 @@ func randomRecord(rng *rand.Rand) *Record {
 	}
 }
 
-func TestTextCodecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	recs := make([]*Record, 200)
-	for i := range recs {
-		recs[i] = randomRecord(rng)
-	}
-	got := codecRoundTrip(t, recs,
-		func(w io.Writer) Writer { return NewTextWriter(w) },
-		func(w Writer) error { return w.(*TextWriter).Flush() },
-		func(r io.Reader) Reader { return NewTextReader(r) })
-	if len(got) != len(recs) {
-		t.Fatalf("got %d records, want %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if !reflect.DeepEqual(recs[i], got[i]) {
-			t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, got[i], recs[i])
-		}
-	}
-}
-
-func TestBinaryCodecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	recs := make([]*Record, 200)
-	for i := range recs {
-		recs[i] = randomRecord(rng)
-	}
-	got := codecRoundTrip(t, recs,
-		func(w io.Writer) Writer { return NewBinaryWriter(w) },
-		func(w Writer) error { return w.(*BinaryWriter).Flush() },
-		func(r io.Reader) Reader { return NewBinaryReader(r) })
-	if len(got) != len(recs) {
-		t.Fatalf("got %d records, want %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if !reflect.DeepEqual(recs[i], got[i]) {
-			t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, got[i], recs[i])
-		}
-	}
-}
-
 // Property: both codecs round-trip any valid record, including awkward
-// user agents containing tabs (which the text codec flattens to spaces).
+// user agents containing tabs and newlines.
 func TestCodecProperty(t *testing.T) {
 	f := func(objID, userID uint64, size, served int64, uaRaw string) bool {
 		r := sampleRecord()
@@ -195,158 +154,41 @@ func TestCodecProperty(t *testing.T) {
 		r.BytesServed = served % (1 << 40)
 		r.UserAgent = strings.ToValidUTF8(uaRaw, "?")
 
-		// Binary codec must preserve the agent exactly.
 		var bb bytes.Buffer
-		bw := NewBinaryWriter(&bb)
+		bw := NewBlockWriter(&bb)
 		if bw.Write(r) != nil || bw.Flush() != nil {
 			return false
 		}
 		got := &Record{}
-		if err := NewBinaryReader(&bb).Read(got); err != nil || !reflect.DeepEqual(got, r) {
+		if err := NewBlockReader(&bb).Read(got); err != nil || !reflect.DeepEqual(got, r) {
 			return false
 		}
 
-		// Text codec flattens tabs/newlines in the agent but must
-		// preserve everything else.
-		var tb bytes.Buffer
-		tw := NewTextWriter(&tb)
-		if tw.Write(r) != nil || tw.Flush() != nil {
+		var jb bytes.Buffer
+		jw := NewJSONWriter(&jb)
+		if jw.Write(r) != nil || jw.Flush() != nil {
 			return false
 		}
 		got2 := &Record{}
-		if err := NewTextReader(&tb).Read(got2); err != nil {
+		if err := NewJSONReader(&jb).Read(got2); err != nil {
 			return false
 		}
-		want := *r
-		want.UserAgent = strings.Map(func(c rune) rune {
-			if c == '\t' || c == '\n' || c == '\r' {
-				return ' '
-			}
-			return c
-		}, r.UserAgent)
-		return reflect.DeepEqual(got2, &want)
+		return reflect.DeepEqual(got2, r)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestTextReaderMalformedLines(t *testing.T) {
-	input := textHeaderLine() +
-		"not a record\n" +
-		validTextLine() +
-		"1\t2\t3\n" + // too few fields
-		validTextLine()
-	tr := NewTextReader(strings.NewReader(input))
-
-	// First read hits the malformed line.
-	var rec Record
-	err := tr.Read(&rec)
-	var pe *ParseError
-	if !errors.As(err, &pe) {
-		t.Fatalf("want ParseError, got %v", err)
-	}
-	if pe.Line != 2 {
-		t.Errorf("ParseError.Line = %d, want 2", pe.Line)
-	}
-	if pe.Error() == "" {
-		t.Error("empty error string")
-	}
-}
-
-func TestTextReaderSkippingErrors(t *testing.T) {
-	input := textHeaderLine() +
-		"garbage line\n" +
-		validTextLine() +
-		"more\tgarbage\there\n" +
-		validTextLine()
-	tr := NewTextReader(strings.NewReader(input))
-	var recs []*Record
-	var totalSkipped int
-	var rec Record
-	for {
-		skipped, err := tr.ReadSkippingErrors(&rec)
-		totalSkipped += skipped
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp := rec
-		recs = append(recs, &cp)
-	}
-	if len(recs) != 2 || totalSkipped != 2 {
-		t.Errorf("got %d records, %d skipped; want 2, 2", len(recs), totalSkipped)
-	}
-}
-
-func TestTextReaderHeaderlessAndComments(t *testing.T) {
-	input := "# a comment\n" + validTextLine() + "\n" + validTextLine()
-	recs, err := ReadAll(NewTextReader(strings.NewReader(input)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Errorf("got %d records, want 2", len(recs))
-	}
-}
-
-func TestBinaryReaderBadMagic(t *testing.T) {
-	err := NewBinaryReader(strings.NewReader("THIS IS NOT A LOG FILE AT ALL")).Read(&Record{})
-	if !errors.Is(err, ErrBadMagic) {
-		t.Errorf("want ErrBadMagic, got %v", err)
-	}
-}
-
-func TestBinaryReaderTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	bw := NewBinaryWriter(&buf)
-	if err := bw.Write(sampleRecord()); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	cut := full[:len(full)-3]
-	err := NewBinaryReader(bytes.NewReader(cut)).Read(&Record{})
-	if !errors.Is(err, ErrTruncated) {
-		t.Errorf("want ErrTruncated, got %v", err)
-	}
-}
-
-func TestBinaryReaderEmptyStream(t *testing.T) {
-	err := NewBinaryReader(bytes.NewReader(nil)).Read(&Record{})
-	if err != io.EOF {
-		t.Errorf("want io.EOF for empty stream, got %v", err)
-	}
-}
-
 func TestWritersRejectInvalidRecords(t *testing.T) {
 	bad := sampleRecord()
 	bad.Publisher = ""
-	if err := NewTextWriter(io.Discard).Write(bad); err == nil {
-		t.Error("text writer accepted invalid record")
+	if err := NewJSONWriter(io.Discard).Write(bad); err == nil {
+		t.Error("json writer accepted invalid record")
 	}
-	if err := NewBinaryWriter(io.Discard).Write(bad); err == nil {
-		t.Error("binary writer accepted invalid record")
+	if err := NewBlockWriter(io.Discard).Write(bad); err == nil {
+		t.Error("block writer accepted invalid record")
 	}
-}
-
-func textHeaderLine() string { return textHeader + "\n" }
-
-func validTextLine() string {
-	var buf bytes.Buffer
-	tw := NewTextWriter(&buf)
-	if err := tw.Write(sampleRecord()); err != nil {
-		panic(err)
-	}
-	if err := tw.Flush(); err != nil {
-		panic(err)
-	}
-	s := buf.String()
-	return s[strings.IndexByte(s, '\n')+1:] // strip header
 }
 
 func TestAnonymizerStability(t *testing.T) {

@@ -48,9 +48,9 @@ func readTruncated(t *testing.T, dir, name string, data []byte, n int) (int, err
 }
 
 // TestTruncatedGzipTraceErrors guards against silent short reads: a
-// .bin.gz trace cut mid-stream must surface an error from OpenFile or
+// .tsb.gz trace cut mid-stream must surface an error from OpenFile or
 // ReadAll — never a nil error with fewer records than were written. The
-// gzip footer (CRC + length) makes any truncation detectable; the binary
+// gzip footer (CRC + length) makes any truncation detectable; the block
 // codec's ErrTruncated covers the uncompressed case.
 func TestTruncatedGzipTraceErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -59,10 +59,10 @@ func TestTruncatedGzipTraceErrors(t *testing.T) {
 		recs[i] = randomRecord(rng)
 	}
 	dir := t.TempDir()
-	data := writeTrace(t, filepath.Join(dir, "full.bin.gz"), recs)
+	data := writeTrace(t, filepath.Join(dir, "full.tsb.gz"), recs)
 
 	// Sanity: the untruncated file reads back whole.
-	if n, err := readTruncated(t, dir, "whole.bin.gz", data, len(data)); err != nil || n != len(recs) {
+	if n, err := readTruncated(t, dir, "whole.tsb.gz", data, len(data)); err != nil || n != len(recs) {
 		t.Fatalf("untruncated read: %d records, %v", n, err)
 	}
 
@@ -78,7 +78,7 @@ func TestTruncatedGzipTraceErrors(t *testing.T) {
 		if cut <= 0 || cut >= len(data) {
 			continue
 		}
-		n, err := readTruncated(t, dir, "cut.bin.gz", data, cut)
+		n, err := readTruncated(t, dir, "cut.tsb.gz", data, cut)
 		if err == nil {
 			t.Errorf("truncation at %d/%d bytes: read %d records with nil error (silent short read)",
 				cut, len(data), n)
@@ -87,7 +87,7 @@ func TestTruncatedGzipTraceErrors(t *testing.T) {
 }
 
 // TestTruncatedBinaryTraceErrors is the uncompressed counterpart: a cut
-// mid-record must surface ErrTruncated specifically.
+// mid-block must surface ErrTruncated specifically.
 func TestTruncatedBinaryTraceErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	recs := make([]*Record, 50)
@@ -95,10 +95,10 @@ func TestTruncatedBinaryTraceErrors(t *testing.T) {
 		recs[i] = randomRecord(rng)
 	}
 	dir := t.TempDir()
-	data := writeTrace(t, filepath.Join(dir, "full.bin"), recs)
+	data := writeTrace(t, filepath.Join(dir, "full.tsb"), recs)
 
 	for _, cut := range []int{len(data) / 2, len(data) - 1} {
-		_, err := readTruncated(t, dir, "cut.bin", data, cut)
+		_, err := readTruncated(t, dir, "cut.tsb", data, cut)
 		if !errors.Is(err, ErrTruncated) {
 			t.Errorf("truncation at %d/%d bytes: err = %v, want ErrTruncated", cut, len(data), err)
 		}

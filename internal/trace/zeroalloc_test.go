@@ -9,7 +9,7 @@ import (
 // The fill-in Reader contract exists so a read loop can run with zero
 // allocations per record: the caller supplies the storage and string
 // fields come from the reader's interner. These guards pin that for the
-// two binary codecs and the k-way merge — a regression here silently
+// block codec and the k-way merge — a regression here silently
 // reintroduces a GC tax on every record of a multi-gigabyte trace.
 
 // warmReader encodes recs with mkW and returns a reader over the bytes
@@ -48,15 +48,6 @@ func assertZeroAllocReads(t *testing.T, r Reader, runs int) {
 	if avg != 0 {
 		t.Errorf("steady-state Read allocates %.3f objects/record, want 0", avg)
 	}
-}
-
-func TestBinaryReaderReadsZeroAlloc(t *testing.T) {
-	recs := realisticTrace(3000)
-	r := warmReader(t, recs,
-		func(w io.Writer) Writer { return NewBinaryWriter(w) },
-		func(w Writer) error { return w.(*BinaryWriter).Flush() },
-		func(rd io.Reader) Reader { return NewBinaryReader(rd) }, 500)
-	assertZeroAllocReads(t, r, 1000)
 }
 
 func TestBlockReaderReadsZeroAlloc(t *testing.T) {

@@ -104,29 +104,25 @@ var (
 	CloseReader   = trace.CloseReader
 )
 
-// Codec constructors for the on-disk log formats.
+// Stream codec constructors and in-memory readers. The block format is
+// reached through CreateTraceFile/OpenTraceFile.
 var (
-	NewTextWriter   = trace.NewTextWriter
-	NewTextReader   = trace.NewTextReader
-	NewBinaryWriter = trace.NewBinaryWriter
-	NewBinaryReader = trace.NewBinaryReader
-	NewJSONWriter   = trace.NewJSONWriter
-	NewJSONReader   = trace.NewJSONReader
-	NewSliceReader  = trace.NewSliceReader
-	NewMergeReader  = trace.NewMergeReader
-	ReadAll         = trace.ReadAll
-	SortByTime      = trace.SortByTime
+	NewJSONWriter  = trace.NewJSONWriter
+	NewJSONReader  = trace.NewJSONReader
+	NewSliceReader = trace.NewSliceReader
+	NewMergeReader = trace.NewMergeReader
+	ReadAll        = trace.ReadAll
+	SortByTime     = trace.SortByTime
 )
 
-// TraceFormat identifies an on-disk trace encoding (binary, text, JSON
+// TraceFormat identifies an on-disk trace encoding (v2 block, JSON
 // Lines); trace files with a .gz suffix are transparently compressed.
 type TraceFormat = trace.Format
 
 // Trace file formats.
 const (
-	FormatBinary = trace.FormatBinary
-	FormatText   = trace.FormatText
-	FormatJSON   = trace.FormatJSON
+	FormatJSON  = trace.FormatJSON
+	FormatBlock = trace.FormatBlock
 )
 
 // File helpers: format detection, gzip-aware open/create, and external

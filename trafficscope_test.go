@@ -38,7 +38,7 @@ func TestPublicCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
+	w := NewJSONWriter(&buf)
 	for _, r := range recs {
 		if err := w.Write(r); err != nil {
 			t.Fatal(err)
@@ -47,7 +47,7 @@ func TestPublicCodecRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadAll(NewBinaryReader(&buf))
+	back, err := ReadAll(NewJSONReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
