@@ -13,7 +13,8 @@ CMDS := tsgen tsanalyze tscdnsim tsreport tscrawl tsserve tsload tsbench tsgate 
 # judges only the socket-free serve-path variants (the http variant
 # rides in the trajectory file but is too noisy for a short CI run).
 SERVE_BENCH := BenchmarkEdgeServe
-STREAM_BENCH := BenchmarkRunStreaming|BenchmarkAnalyzeOnly
+STREAM_BENCH := BenchmarkRunStreaming|BenchmarkAnalyzeOnly|BenchmarkLRUChurn|BenchmarkReplayStream
+STREAM_PKGS := ./internal/core ./internal/cdn
 PIPELINE_BENCH := BenchmarkPipelineFull
 GATE_MATCH_SERVE := /serve-
 # Gate iteration counts: the serve variants are ~400ns/op, so they need
@@ -77,7 +78,7 @@ bench: tools
 # refreshed into the BENCH_stream.json trajectory file.
 bench-mem: tools
 	@printf '\n### bench-mem (%s)\n\n```\n' "$$(date -u +%Y-%m-%dT%H:%M:%SZ)" >> EXPERIMENTS.md
-	$(GO) test -run NONE -bench '$(STREAM_BENCH)' -benchmem ./internal/core | tee -a EXPERIMENTS.md \
+	$(GO) test -run NONE -bench '$(STREAM_BENCH)' -benchmem $(STREAM_PKGS) | tee -a EXPERIMENTS.md \
 		| $(BIN)/tsbench -area stream -config 'source=bench-mem' -out BENCH_stream.json
 	@printf '```\n' >> EXPERIMENTS.md
 
@@ -87,7 +88,7 @@ bench-mem: tools
 bench-baseline: tools
 	$(GO) test -run NONE -bench '$(SERVE_BENCH)' -benchmem -count=3 . \
 		| $(BIN)/tsbench -area serve -config 'count=3,source=bench-baseline' -out BENCH_serve.json
-	$(GO) test -run NONE -bench '$(STREAM_BENCH)' -benchmem -count=3 ./internal/core \
+	$(GO) test -run NONE -bench '$(STREAM_BENCH)' -benchmem -count=3 $(STREAM_PKGS) \
 		| $(BIN)/tsbench -area stream -config 'count=3,source=bench-baseline' -out BENCH_stream.json
 	$(GO) test -run NONE -bench '$(PIPELINE_BENCH)' -benchmem -count=3 ./internal/core \
 		| $(BIN)/tsbench -area pipeline -config 'count=3,source=bench-baseline' -out BENCH_pipeline.json
@@ -103,7 +104,7 @@ bench-gate: tools
 			-out $(BIN)/BENCH_serve.current.json
 	$(BIN)/tsbench -baseline BENCH_serve.json -compare $(BIN)/BENCH_serve.current.json \
 		-match '$(GATE_MATCH_SERVE)' -max-ns-regress $(MAX_NS_REGRESS)
-	$(GO) test -run NONE -bench '$(STREAM_BENCH)' -benchtime=$(GATE_TIME_STREAM) -benchmem -count=3 ./internal/core \
+	$(GO) test -run NONE -bench '$(STREAM_BENCH)' -benchtime=$(GATE_TIME_STREAM) -benchmem -count=3 $(STREAM_PKGS) \
 		| $(BIN)/tsbench -area stream -config 'benchtime=$(GATE_TIME_STREAM),count=3,source=bench-gate' \
 			-out $(BIN)/BENCH_stream.current.json
 	$(BIN)/tsbench -baseline BENCH_stream.json -compare $(BIN)/BENCH_stream.current.json \

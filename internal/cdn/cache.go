@@ -9,7 +9,6 @@ package cdn
 
 import (
 	"container/heap"
-	"container/list"
 	"fmt"
 	"time"
 )
@@ -47,139 +46,155 @@ type Cache interface {
 	Name() string
 }
 
-// lruEntry is one resident object in an LRU-family cache.
-type lruEntry struct {
-	key  uint64
-	size int64
+// node is one resident object of a queue, linked by slice index.
+type node struct {
+	key        uint64
+	size       int64
+	prev, next int32
+}
+
+// queue is the byte-bounded recency list every list-ordered policy is
+// built on: LRU, FIFO, both SLRU segments and 2Q's in-queue, main queue
+// and ghost history (unit sizes, so its capacity counts keys). Nodes live
+// in one slice and link by index — nodes[0] is the sentinel, whose next
+// is the newest entry and whose prev is the eviction victim — and evicted
+// nodes are recycled through a free list threaded along next, so a full
+// cache inserts and evicts without allocating.
+type queue struct {
+	capacity int64
+	bytes    int64
+	nodes    []node
+	free     int32 // head of the recycled-node list; 0 when empty
+	index    map[uint64]int32
+}
+
+func newQueue(capacity int64) queue {
+	return queue{capacity: capacity, nodes: make([]node, 1), index: map[uint64]int32{}}
+}
+
+// Contains implements Cache.
+func (q *queue) Contains(key uint64) bool { _, ok := q.index[key]; return ok }
+
+// Len implements Cache.
+func (q *queue) Len() int { return len(q.index) }
+
+// Bytes implements Cache.
+func (q *queue) Bytes() int64 { return q.bytes }
+
+// Capacity implements Cache.
+func (q *queue) Capacity() int64 { return q.capacity }
+
+// Push implements Cache.
+func (q *queue) Push(key uint64, size int64, _ time.Time) {
+	if !q.Contains(key) {
+		q.insert(key, size, nil)
+	}
+}
+
+// Purge implements Purger.
+func (q *queue) Purge(key uint64) bool {
+	i, ok := q.index[key]
+	if ok {
+		q.drop(i)
+	}
+	return ok
+}
+
+// touch moves key to the front if resident and reports whether it was.
+func (q *queue) touch(key uint64) bool {
+	i, ok := q.index[key]
+	if ok && q.nodes[0].next != i {
+		q.unlink(i)
+		q.linkFront(i)
+	}
+	return ok
+}
+
+// insert admits key at the front, evicting from the back until it fits;
+// objects larger than the whole queue are not admitted. evicted, when
+// non-nil, sees each victim's key.
+func (q *queue) insert(key uint64, size int64, evicted func(key uint64)) {
+	if size > q.capacity {
+		return
+	}
+	for q.bytes+size > q.capacity && len(q.index) > 0 {
+		victim := q.nodes[0].prev
+		if evicted != nil {
+			evicted(q.nodes[victim].key)
+		}
+		q.drop(victim)
+	}
+	i := q.free
+	if i != 0 {
+		q.free = q.nodes[i].next
+	} else {
+		q.nodes = append(q.nodes, node{})
+		i = int32(len(q.nodes) - 1)
+	}
+	q.nodes[i].key, q.nodes[i].size = key, size
+	q.linkFront(i)
+	q.index[key] = i
+	q.bytes += size
+}
+
+// drop removes node i from the queue and recycles it.
+func (q *queue) drop(i int32) {
+	q.unlink(i)
+	delete(q.index, q.nodes[i].key)
+	q.bytes -= q.nodes[i].size
+	q.nodes[i].next = q.free
+	q.free = i
+}
+
+func (q *queue) unlink(i int32) {
+	n := &q.nodes[i]
+	q.nodes[n.prev].next = n.next
+	q.nodes[n.next].prev = n.prev
+}
+
+func (q *queue) linkFront(i int32) {
+	first := q.nodes[0].next
+	q.nodes[i].prev, q.nodes[i].next = 0, first
+	q.nodes[first].prev = i
+	q.nodes[0].next = i
 }
 
 // LRU is a least-recently-used cache.
-type LRU struct {
-	capacity int64
-	bytes    int64
-	ll       *list.List // front = most recent
-	items    map[uint64]*list.Element
-}
+type LRU struct{ queue }
 
 var _ Cache = (*LRU)(nil)
 
 // NewLRU creates an LRU cache with the given byte capacity.
-func NewLRU(capacity int64) *LRU {
-	return &LRU{capacity: capacity, ll: list.New(), items: map[uint64]*list.Element{}}
-}
+func NewLRU(capacity int64) *LRU { return &LRU{newQueue(capacity)} }
 
 // Access implements Cache.
 func (c *LRU) Access(key uint64, size int64, _ time.Time) bool {
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
+	if c.touch(key) {
 		return true
 	}
-	c.insert(key, size)
+	c.insert(key, size, nil)
 	return false
 }
-
-// Contains implements Cache.
-func (c *LRU) Contains(key uint64) bool { _, ok := c.items[key]; return ok }
-
-// Push implements Cache.
-func (c *LRU) Push(key uint64, size int64, _ time.Time) {
-	if _, ok := c.items[key]; ok {
-		return
-	}
-	c.insert(key, size)
-}
-
-func (c *LRU) insert(key uint64, size int64) {
-	if size > c.capacity {
-		return // uncacheable: larger than the whole cache
-	}
-	for c.bytes+size > c.capacity {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		ev := back.Value.(lruEntry)
-		c.ll.Remove(back)
-		delete(c.items, ev.key)
-		c.bytes -= ev.size
-	}
-	c.items[key] = c.ll.PushFront(lruEntry{key: key, size: size})
-	c.bytes += size
-}
-
-// Len implements Cache.
-func (c *LRU) Len() int { return c.ll.Len() }
-
-// Bytes implements Cache.
-func (c *LRU) Bytes() int64 { return c.bytes }
-
-// Capacity implements Cache.
-func (c *LRU) Capacity() int64 { return c.capacity }
 
 // Name implements Cache.
 func (c *LRU) Name() string { return "lru" }
 
 // FIFO evicts in insertion order regardless of reuse.
-type FIFO struct {
-	capacity int64
-	bytes    int64
-	ll       *list.List
-	items    map[uint64]*list.Element
-}
+type FIFO struct{ queue }
 
 var _ Cache = (*FIFO)(nil)
 
 // NewFIFO creates a FIFO cache with the given byte capacity.
-func NewFIFO(capacity int64) *FIFO {
-	return &FIFO{capacity: capacity, ll: list.New(), items: map[uint64]*list.Element{}}
-}
+func NewFIFO(capacity int64) *FIFO { return &FIFO{newQueue(capacity)} }
 
 // Access implements Cache.
 func (c *FIFO) Access(key uint64, size int64, _ time.Time) bool {
-	if _, ok := c.items[key]; ok {
+	if c.Contains(key) {
 		return true
 	}
-	c.insert(key, size)
+	c.insert(key, size, nil)
 	return false
 }
-
-// Contains implements Cache.
-func (c *FIFO) Contains(key uint64) bool { _, ok := c.items[key]; return ok }
-
-// Push implements Cache.
-func (c *FIFO) Push(key uint64, size int64, _ time.Time) {
-	if _, ok := c.items[key]; ok {
-		return
-	}
-	c.insert(key, size)
-}
-
-func (c *FIFO) insert(key uint64, size int64) {
-	if size > c.capacity {
-		return
-	}
-	for c.bytes+size > c.capacity {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		ev := back.Value.(lruEntry)
-		c.ll.Remove(back)
-		delete(c.items, ev.key)
-		c.bytes -= ev.size
-	}
-	c.items[key] = c.ll.PushFront(lruEntry{key: key, size: size})
-	c.bytes += size
-}
-
-// Len implements Cache.
-func (c *FIFO) Len() int { return c.ll.Len() }
-
-// Bytes implements Cache.
-func (c *FIFO) Bytes() int64 { return c.bytes }
-
-// Capacity implements Cache.
-func (c *FIFO) Capacity() int64 { return c.capacity }
 
 // Name implements Cache.
 func (c *FIFO) Name() string { return "fifo" }
@@ -293,8 +308,7 @@ func (c *LFU) Name() string { return "lfu" }
 // promoted to a protected segment on re-reference; scans of one-hit
 // objects cannot flush popular content.
 type SLRU struct {
-	probation *LRU
-	protected *LRU
+	probation, protected queue
 }
 
 var _ Cache = (*SLRU)(nil)
@@ -307,58 +321,22 @@ func NewSLRU(capacity int64, protectedFrac float64) (*SLRU, error) {
 	}
 	prot := int64(float64(capacity) * protectedFrac)
 	return &SLRU{
-		probation: NewLRU(capacity - prot),
-		protected: NewLRU(prot),
+		probation: newQueue(capacity - prot),
+		protected: newQueue(prot),
 	}, nil
 }
 
 // Access implements Cache.
-func (c *SLRU) Access(key uint64, size int64, now time.Time) bool {
-	if c.protected.Contains(key) {
-		c.protected.Access(key, size, now)
+func (c *SLRU) Access(key uint64, size int64, _ time.Time) bool {
+	if c.protected.touch(key) {
 		return true
 	}
-	if c.probation.Contains(key) {
-		// Promote: remove from probation, insert into protected.
-		c.probation.remove(key)
-		c.protected.Push(key, size, now)
-		c.protected.Access(key, size, now)
+	if c.probation.Purge(key) {
+		c.protected.insert(key, size, nil) // promote on re-reference
 		return true
 	}
-	c.probation.Access(key, size, now)
+	c.probation.insert(key, size, nil)
 	return false
-}
-
-// remove deletes a key from an LRU (SLRU promotion helper).
-func (c *LRU) remove(key uint64) {
-	if el, ok := c.items[key]; ok {
-		ev := el.Value.(lruEntry)
-		c.ll.Remove(el)
-		delete(c.items, key)
-		c.bytes -= ev.size
-	}
-}
-
-// Purge implements Purger for LRU.
-func (c *LRU) Purge(key uint64) bool {
-	if !c.Contains(key) {
-		return false
-	}
-	c.remove(key)
-	return true
-}
-
-// Purge implements Purger for FIFO.
-func (c *FIFO) Purge(key uint64) bool {
-	el, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	ev := el.Value.(lruEntry)
-	c.ll.Remove(el)
-	delete(c.items, key)
-	c.bytes -= ev.size
-	return true
 }
 
 // Purge implements Purger for LFU.

@@ -1,7 +1,9 @@
 package cdn
 
 import (
+	"container/list"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -299,5 +301,297 @@ func TestZeroCapacityCacheNeverAdmits(t *testing.T) {
 		if c.Access(1, 1, t0) {
 			t.Errorf("%s: zero-capacity cache hit", c.Name())
 		}
+	}
+}
+
+// refList is the container/list cache the queue replaced, kept as the
+// reference model: touch selects LRU (move to front on hit) over FIFO.
+type refList struct {
+	capacity, bytes int64
+	touch           bool
+	ll              *list.List // front = most recent
+	items           map[uint64]*list.Element
+}
+
+type refEntry struct {
+	key  uint64
+	size int64
+}
+
+func newRefList(capacity int64, touch bool) *refList {
+	return &refList{capacity: capacity, touch: touch, ll: list.New(), items: map[uint64]*list.Element{}}
+}
+
+func (c *refList) Contains(key uint64) bool { _, ok := c.items[key]; return ok }
+
+func (c *refList) Access(key uint64, size int64) bool {
+	if el, ok := c.items[key]; ok {
+		if c.touch {
+			c.ll.MoveToFront(el)
+		}
+		return true
+	}
+	c.insert(key, size)
+	return false
+}
+
+func (c *refList) Push(key uint64, size int64) {
+	if !c.Contains(key) {
+		c.insert(key, size)
+	}
+}
+
+// insert returns the evicted keys, oldest first.
+func (c *refList) insert(key uint64, size int64) []uint64 {
+	if size > c.capacity {
+		return nil
+	}
+	var evicted []uint64
+	for c.bytes+size > c.capacity {
+		back := c.ll.Back()
+		if back == nil {
+			break
+		}
+		evicted = append(evicted, back.Value.(refEntry).key)
+		c.Purge(back.Value.(refEntry).key)
+	}
+	c.items[key] = c.ll.PushFront(refEntry{key: key, size: size})
+	c.bytes += size
+	return evicted
+}
+
+func (c *refList) Purge(key uint64) bool {
+	el, ok := c.items[key]
+	if !ok {
+		return false
+	}
+	c.ll.Remove(el)
+	delete(c.items, key)
+	c.bytes -= el.Value.(refEntry).size
+	return true
+}
+
+func (c *refList) keys() []uint64 {
+	var out []uint64
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(refEntry).key)
+	}
+	return out
+}
+
+// keys lists the queue front (newest) to back (next victim).
+func (q *queue) keys() []uint64 {
+	var out []uint64
+	for i := q.nodes[0].next; i != 0; i = q.nodes[i].next {
+		out = append(out, q.nodes[i].key)
+	}
+	return out
+}
+
+// cacheModel is one policy under differential test: the operations both
+// sides answer, and every internal list front to back.
+type cacheModel struct {
+	access   func(key uint64, size int64) bool
+	push     func(key uint64, size int64)
+	purge    func(key uint64) bool
+	contains func(key uint64) bool
+	lists    func() [][]uint64
+	occupied func() (objects int, bytes int64)
+}
+
+// occupancy sums the resident segments of a reference policy.
+func occupancy(segments ...*refList) func() (int, int64) {
+	return func() (n int, bytes int64) {
+		for _, s := range segments {
+			n += s.ll.Len()
+			bytes += s.bytes
+		}
+		return n, bytes
+	}
+}
+
+func refSingle(capacity int64, touch bool) cacheModel {
+	ref := newRefList(capacity, touch)
+	return cacheModel{
+		access:   ref.Access,
+		push:     ref.Push,
+		purge:    ref.Purge,
+		contains: ref.Contains,
+		lists:    func() [][]uint64 { return [][]uint64{ref.keys()} },
+		occupied: occupancy(ref),
+	}
+}
+
+func refSLRU(capacity int64, frac float64) cacheModel {
+	prot := int64(float64(capacity) * frac)
+	probation, protected := newRefList(capacity-prot, true), newRefList(prot, true)
+	contains := func(key uint64) bool { return probation.Contains(key) || protected.Contains(key) }
+	return cacheModel{
+		access: func(key uint64, size int64) bool {
+			if protected.Contains(key) {
+				return protected.Access(key, size)
+			}
+			if probation.Purge(key) {
+				protected.Push(key, size)
+				protected.Access(key, size)
+				return true
+			}
+			return probation.Access(key, size)
+		},
+		push: func(key uint64, size int64) {
+			if !contains(key) {
+				probation.Push(key, size)
+			}
+		},
+		purge:    func(key uint64) bool { return probation.Purge(key) || protected.Purge(key) },
+		contains: contains,
+		lists:    func() [][]uint64 { return [][]uint64{probation.keys(), protected.keys()} },
+		occupied: occupancy(probation, protected),
+	}
+}
+
+func refTwoQ(capacity int64, inFrac float64, ghostN int) cacheModel {
+	inCap := int64(float64(capacity) * inFrac)
+	in, main := newRefList(inCap, false), newRefList(capacity-inCap, true)
+	ghost := newRefList(int64(ghostN), false) // unit sizes: capacity counts keys
+	contains := func(key uint64) bool { return in.Contains(key) || main.Contains(key) }
+	return cacheModel{
+		access: func(key uint64, size int64) bool {
+			if main.Contains(key) {
+				return main.Access(key, size)
+			}
+			if in.Contains(key) {
+				return true
+			}
+			if ghost.Purge(key) {
+				return main.Access(key, size)
+			}
+			for _, ek := range in.insert(key, size) {
+				ghost.Push(ek, 1)
+			}
+			return false
+		},
+		push: func(key uint64, size int64) {
+			if !contains(key) {
+				main.Push(key, size)
+			}
+		},
+		// TwoQ does not implement Purger.
+		contains: contains,
+		lists:    func() [][]uint64 { return [][]uint64{in.keys(), main.keys(), ghost.keys()} },
+		occupied: occupancy(in, main),
+	}
+}
+
+func modelOf(c Cache, lists func() [][]uint64) cacheModel {
+	m := cacheModel{
+		access:   func(key uint64, size int64) bool { return c.Access(key, size, t0) },
+		push:     func(key uint64, size int64) { c.Push(key, size, t0) },
+		contains: c.Contains,
+		lists:    lists,
+		occupied: func() (int, int64) { return c.Len(), c.Bytes() },
+	}
+	if p, ok := c.(Purger); ok {
+		m.purge = p.Purge
+	}
+	return m
+}
+
+// TestQueuePoliciesMatchListReference drives every queue-backed policy
+// and its container/list reference with the same seeded operation stream
+// and requires the same answers and the same list contents, front to
+// back, and the same Len and Bytes after every step — hit ratios reported anywhere in the repository
+// come out of these lists, so the rewrite must be indistinguishable.
+func TestQueuePoliciesMatchListReference(t *testing.T) {
+	policies := map[string]func(capacity int64) (got, want cacheModel){
+		"lru": func(capacity int64) (cacheModel, cacheModel) {
+			c := NewLRU(capacity)
+			return modelOf(c, func() [][]uint64 { return [][]uint64{c.keys()} }), refSingle(capacity, true)
+		},
+		"fifo": func(capacity int64) (cacheModel, cacheModel) {
+			c := NewFIFO(capacity)
+			return modelOf(c, func() [][]uint64 { return [][]uint64{c.keys()} }), refSingle(capacity, false)
+		},
+		"slru": func(capacity int64) (cacheModel, cacheModel) {
+			c, err := NewSLRU(capacity, 0.8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return modelOf(c, func() [][]uint64 { return [][]uint64{c.probation.keys(), c.protected.keys()} }),
+				refSLRU(capacity, 0.8)
+		},
+		"2q": func(capacity int64) (cacheModel, cacheModel) {
+			c, err := NewTwoQ(capacity, 0.25, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return modelOf(c, func() [][]uint64 { return [][]uint64{c.in.keys(), c.main.keys(), c.ghost.keys()} }),
+				refTwoQ(capacity, 0.25, 8)
+		},
+	}
+	const opsPerCapacity = 30_000 // × 4 capacities = 1.2e5 operations a policy
+	for name, mk := range policies {
+		for _, capacity := range []int64{0, 1, 1000, 4096} {
+			got, want := mk(capacity)
+			rng := rand.New(rand.NewSource(capacity + 7))
+			for step := 0; step < opsPerCapacity; step++ {
+				key := uint64(rng.Intn(96))
+				var size int64
+				switch rng.Intn(10) {
+				case 0: // stays 0
+				case 1:
+					size = capacity
+				case 2:
+					size = capacity + 1 + int64(rng.Intn(50))
+				default:
+					size = 1 + int64(rng.Intn(400))
+				}
+				op := rng.Intn(10)
+				var g, w bool
+				switch {
+				case op < 6:
+					g, w = got.access(key, size), want.access(key, size)
+				case op < 7:
+					got.push(key, size)
+					want.push(key, size)
+				case op < 8 && got.purge != nil:
+					g, w = got.purge(key), want.purge(key)
+				default:
+					g, w = got.contains(key), want.contains(key)
+				}
+				if g != w {
+					t.Fatalf("%s cap %d step %d: op %d key %d size %d = %v, reference %v", name, capacity, step, op, key, size, g, w)
+				}
+				if gl, wl := got.lists(), want.lists(); !reflect.DeepEqual(gl, wl) {
+					t.Fatalf("%s cap %d step %d: lists %v, reference %v", name, capacity, step, gl, wl)
+				}
+				gn, gb := got.occupied()
+				if wn, wb := want.occupied(); gn != wn || gb != wb {
+					t.Fatalf("%s cap %d step %d: Len/Bytes %d/%d, reference %d/%d", name, capacity, step, gn, gb, wn, wb)
+				}
+			}
+		}
+	}
+}
+
+// TestQueueRecyclesNodes: once the cache is full every insert reuses an
+// evicted node, so the node slice stops growing.
+func TestQueueRecyclesNodes(t *testing.T) {
+	c := NewLRU(100 * 10)
+	for key := uint64(0); key < 100; key++ {
+		c.Access(key, 10, t0)
+	}
+	full := len(c.nodes)
+	if full != 101 {
+		t.Fatalf("full cache holds %d nodes, want 100 + sentinel", full)
+	}
+	for key := uint64(100); key < 50_000; key++ {
+		c.Access(key, 10, t0)
+		if key%3 == 0 {
+			c.Purge(key - 5)
+		}
+	}
+	if len(c.nodes) != full {
+		t.Errorf("node slice grew from %d to %d under churn", full, len(c.nodes))
 	}
 }

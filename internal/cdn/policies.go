@@ -2,7 +2,6 @@ package cdn
 
 import (
 	"container/heap"
-	"container/list"
 	"fmt"
 	"strings"
 	"time"
@@ -198,11 +197,8 @@ func (c *GDSF) Name() string { return "gdsf" }
 // objects re-referenced while in the ghost queue enter the main LRU.
 // Like SLRU it resists one-hit scans, but with an explicit ghost history.
 type TwoQ struct {
-	in      *FIFO
-	main    *LRU
-	ghost   *list.List // keys only, front = newest
-	ghostIx map[uint64]*list.Element
-	ghostN  int
+	in, main queue
+	ghost    queue // keys only: unit sizes, so capacity bounds the key count
 }
 
 var _ Cache = (*TwoQ)(nil)
@@ -218,18 +214,15 @@ func NewTwoQ(capacity int64, inFrac float64, ghostN int) (*TwoQ, error) {
 	}
 	inCap := int64(float64(capacity) * inFrac)
 	return &TwoQ{
-		in:      NewFIFO(inCap),
-		main:    NewLRU(capacity - inCap),
-		ghost:   list.New(),
-		ghostIx: map[uint64]*list.Element{},
-		ghostN:  ghostN,
+		in:    newQueue(inCap),
+		main:  newQueue(capacity - inCap),
+		ghost: newQueue(int64(ghostN)),
 	}, nil
 }
 
 // Access implements Cache.
-func (c *TwoQ) Access(key uint64, size int64, now time.Time) bool {
-	if c.main.Contains(key) {
-		c.main.Access(key, size, now)
+func (c *TwoQ) Access(key uint64, size int64, _ time.Time) bool {
+	if c.main.touch(key) {
 		return true
 	}
 	if c.in.Contains(key) {
@@ -237,59 +230,16 @@ func (c *TwoQ) Access(key uint64, size int64, now time.Time) bool {
 		// (hot-for-a-moment objects don't pollute main).
 		return true
 	}
-	if _, ghosted := c.ghostIx[key]; ghosted {
-		c.removeGhost(key)
-		c.main.Access(key, size, now)
+	if c.ghost.Purge(key) {
+		c.main.insert(key, size, nil)
 		return false // the bytes were not cached; it is a miss
 	}
 	// First sight: into the FIFO in-queue; remember evictions as ghosts.
-	evicted := c.in.insertTracking(key, size)
-	for _, ek := range evicted {
-		c.addGhost(ek)
-	}
+	c.in.insert(key, size, c.addGhost)
 	return false
 }
 
-// insertTracking inserts into the FIFO and returns the evicted keys.
-func (c *FIFO) insertTracking(key uint64, size int64) []uint64 {
-	if size > c.capacity {
-		return nil
-	}
-	var evicted []uint64
-	for c.bytes+size > c.capacity {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		ev := back.Value.(lruEntry)
-		c.ll.Remove(back)
-		delete(c.items, ev.key)
-		c.bytes -= ev.size
-		evicted = append(evicted, ev.key)
-	}
-	c.items[key] = c.ll.PushFront(lruEntry{key: key, size: size})
-	c.bytes += size
-	return evicted
-}
-
-func (c *TwoQ) addGhost(key uint64) {
-	if _, ok := c.ghostIx[key]; ok {
-		return
-	}
-	c.ghostIx[key] = c.ghost.PushFront(key)
-	for c.ghost.Len() > c.ghostN {
-		back := c.ghost.Back()
-		delete(c.ghostIx, back.Value.(uint64))
-		c.ghost.Remove(back)
-	}
-}
-
-func (c *TwoQ) removeGhost(key uint64) {
-	if el, ok := c.ghostIx[key]; ok {
-		c.ghost.Remove(el)
-		delete(c.ghostIx, key)
-	}
-}
+func (c *TwoQ) addGhost(key uint64) { c.ghost.Push(key, 1, time.Time{}) }
 
 // Contains implements Cache.
 func (c *TwoQ) Contains(key uint64) bool {

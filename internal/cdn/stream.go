@@ -16,128 +16,150 @@ import (
 // region worker, so such traces must fall back to sequential replay.
 var ErrRegionUnstable = errors.New("cdn: parallel replay requires region-stable users")
 
-// streamBuf bounds the per-region channel depth; with R regions in
-// flight the replay holds at most R×2×streamBuf records plus the order
-// queue — O(workers × batch) memory, independent of trace length.
-const streamBuf = 1024
+// Replay blocks: ReplayStream moves records in blocks of replayBlockSize,
+// at most replayBlocks of them in flight, so the replay holds
+// O(replayBlocks × replayBlockSize) records whatever the trace length and
+// pays its channel operations per block, not per record.
+const (
+	replayBlockSize = 1024
+	replayBlocks    = 8
+)
 
-// streamWorker is one region's serve lane: records enter in in input
-// order, finalized records leave out in the same order.
-type streamWorker struct {
-	in  chan *trace.Record
-	out chan *trace.Record
+// replayBlock is one run of consecutive input records, each tagged with
+// the data center that serves it. The dispatcher owns a block while
+// filling it, the lanes named in it own their (disjoint) records while
+// serving, the collector owns it while sinking, and then it returns to
+// the dispatcher for reuse.
+type replayBlock struct {
+	recs    [replayBlockSize]trace.Record
+	dc      [replayBlockSize]uint8 // recs[i] is served by lane dc[i]
+	n       int
+	serving sync.WaitGroup // lanes that have not finished this block
 }
 
 // ReplayStream replays records through the CDN with one worker per data
-// center, streaming: records flow reader → per-region workers → sink
-// with no full-trace buffering, so a week-long on-disk trace replays in
-// bounded memory. Per-DC request order is preserved (each region's
-// records are served sequentially by its worker), and the sink receives
-// finalized records in exactly the reader's order, so a time-ordered
-// input yields a time-ordered output stream.
+// center, streaming: records flow reader → per-DC lanes → sink in
+// blocks with no full-trace buffering, so a week-long on-disk trace
+// replays in bounded memory. Per-DC request order is preserved (each
+// lane takes blocks in sequence and serves its records of a block in
+// input order), and the sink receives finalized records in exactly the
+// reader's order, so a time-ordered input yields a time-ordered output
+// stream.
 //
 // Parallelism is safe because every piece of per-request state (the edge
 // cache, browser-cache freshness, request sequencing) is owned by a
-// single region's worker: clients belong to exactly one region in valid
-// traces. The stream
-// verifies that region stability and fails with ErrRegionUnstable on
-// traces that violate it. Aggregate counters (TotalStats, per-DC stats)
-// match a sequential Replay of the same trace exactly.
+// single DC's lane: clients belong to exactly one region in valid
+// traces. The stream verifies that region stability and fails with
+// ErrRegionUnstable on traces that violate it. Aggregate counters
+// (TotalStats, per-DC stats) match a sequential Replay of the same trace
+// exactly.
 //
-// In-flight records are pooled: each record the reader fills is served
-// in place by its region worker, handed to the sink, and recycled. The
+// Record ownership: the reader fills a record inside a block, its lane
+// serves it in place, the sink sees it, and the block is refilled. The
 // sink must therefore not retain the record pointer past the call.
 func (c *CDN) ReplayStream(r trace.Reader, sink func(*trace.Record) error) error {
-	workers := map[timeutil.Region]*streamWorker{}
-	// order carries, per input record, the worker that serves it; the
-	// collector pairs each entry with that worker's next output, which
-	// reconstructs global input order from the per-region streams.
-	order := make(chan *streamWorker, 4*streamBuf)
-
-	// pool recycles in-flight records: dispatcher Get → worker serves in
-	// place → collector sinks → Put. Steady state holds O(workers ×
-	// streamBuf) records regardless of trace length, with no per-record
-	// allocation once the pool is primed.
-	pool := sync.Pool{New: func() any { return new(trace.Record) }}
+	// Every channel holds replayBlocks entries and at most that many
+	// blocks exist, so only waiting for a free block ever blocks a send.
+	var lanes [timeutil.NumRegions + 1]chan *replayBlock
+	order := make(chan *replayBlock, replayBlocks)
+	free := make(chan *replayBlock, replayBlocks)
 
 	var wg sync.WaitGroup
-	startWorker := func() *streamWorker {
-		w := &streamWorker{
-			in:  make(chan *trace.Record, streamBuf),
-			out: make(chan *trace.Record, streamBuf),
-		}
+	startLane := func(dc uint8) chan *replayBlock {
+		in := make(chan *replayBlock, replayBlocks)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			state := newClientState()
-			for rec := range w.in {
-				// Every queued record must produce exactly one output —
-				// the collector pairs order entries with outputs — so
-				// serving continues even after an abort; the tail is at
-				// most the buffered in-flight window.
-				c.serveInto(rec, rec, state)
-				w.out <- rec
+			for b := range in {
+				for i, lane := range b.dc[:b.n] {
+					if lane == dc {
+						c.serveInto(&b.recs[i], &b.recs[i], state)
+					}
+				}
+				b.serving.Done()
 			}
 		}()
-		return w
+		return in
 	}
 
-	// The collector delivers finalized records to the sink in input
+	// The collector delivers finalized blocks to the sink in input
 	// order. On a sink error it keeps draining (skipping the sink) so
-	// workers and the dispatcher unwind promptly.
+	// lanes and the dispatcher unwind promptly.
 	var sinkErr error
 	var stop atomic.Bool
 	collectorDone := make(chan struct{})
 	go func() {
 		defer close(collectorDone)
-		for w := range order {
-			rec := <-w.out
-			if sinkErr == nil {
-				if err := sink(rec); err != nil {
-					sinkErr = err
+		for b := range order {
+			b.serving.Wait()
+			for i := 0; i < b.n && sinkErr == nil; i++ {
+				if sinkErr = sink(&b.recs[i]); sinkErr != nil {
 					stop.Store(true)
 				}
 			}
-			pool.Put(rec)
+			free <- b
 		}
 	}()
 
-	// Dispatch loop: route each record to its region's worker, checking
-	// user-region stability on the fly.
+	// Dispatch loop: fill a block in input order, checking user-region
+	// stability on the fly, then hand it to every lane it names and to
+	// the collector. A block cut short by EOF, an error or an abort is
+	// still dispatched: the records before the cut are served and sunk.
 	var readErr error
 	userRegion := make(map[uint64]timeutil.Region, 1024)
-	for !stop.Load() {
-		rec := pool.Get().(*trace.Record)
-		err := r.Read(rec)
-		if err == io.EOF {
-			pool.Put(rec)
-			break
+	allocated := 0
+	for done := false; !done; {
+		var b *replayBlock
+		if allocated < replayBlocks {
+			b = new(replayBlock)
+			allocated++
+		} else {
+			b = <-free
 		}
-		if err != nil {
-			pool.Put(rec)
-			readErr = fmt.Errorf("cdn: replay read: %w", err)
-			break
+		b.n = 0
+		var named [len(lanes)]bool
+		for b.n < replayBlockSize && !done {
+			rec := &b.recs[b.n]
+			if err := r.Read(rec); err != nil {
+				if err != io.EOF {
+					readErr = fmt.Errorf("cdn: replay read: %w", err)
+				}
+				done = true
+				break
+			}
+			if prev, seen := userRegion[rec.UserID]; !seen {
+				userRegion[rec.UserID] = rec.Region
+			} else if prev != rec.Region {
+				readErr = fmt.Errorf("%w: user %x appears in regions %v and %v",
+					ErrRegionUnstable, rec.UserID, prev, rec.Region)
+				done = true
+				break
+			}
+			dc := uint8(c.dcForRegion(rec.Region).Region)
+			b.dc[b.n], named[dc] = dc, true
+			b.n++
+			done = stop.Load()
 		}
-		if prev, ok := userRegion[rec.UserID]; ok && prev != rec.Region {
-			readErr = fmt.Errorf("%w: user %x appears in regions %v and %v",
-				ErrRegionUnstable, rec.UserID, prev, rec.Region)
-			pool.Put(rec)
-			break
+		// Each lane is counted before it gets the block, and all of them
+		// before the collector can wait on it.
+		for dc, ok := range named {
+			if !ok {
+				continue
+			}
+			if lanes[dc] == nil {
+				lanes[dc] = startLane(uint8(dc))
+			}
+			b.serving.Add(1)
+			lanes[dc] <- b
 		}
-		userRegion[rec.UserID] = rec.Region
-		w := workers[rec.Region]
-		if w == nil {
-			w = startWorker()
-			workers[rec.Region] = w
-		}
-		// The in-send must precede the order entry: the collector
-		// assumes every order entry has a matching output coming.
-		w.in <- rec
-		order <- w
+		order <- b
 	}
 
-	for _, w := range workers {
-		close(w.in)
+	for _, in := range lanes {
+		if in != nil {
+			close(in)
+		}
 	}
 	close(order)
 	<-collectorDone

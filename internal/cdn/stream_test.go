@@ -11,14 +11,19 @@ import (
 	"trafficscope/internal/trace"
 )
 
-// regionStableTrace builds a trace where each user sticks to one region.
+// regionStableTrace builds a trace where each user sticks to one region,
+// over 200 users and 500 objects.
 func regionStableTrace(n int, seed int64) []*trace.Record {
+	return regionStableTraceOf(n, seed, 200, 500)
+}
+
+func regionStableTraceOf(n int, seed int64, users, objects uint64) []*trace.Record {
 	rng := rand.New(rand.NewSource(seed))
 	regions := timeutil.AllRegions()
 	userRegion := map[uint64]timeutil.Region{}
 	recs := make([]*trace.Record, n)
 	for i := range recs {
-		user := rng.Uint64() % 200
+		user := rng.Uint64() % users
 		region, ok := userRegion[user]
 		if !ok {
 			region = regions[rng.Intn(len(regions))]
@@ -33,7 +38,7 @@ func regionStableTrace(n int, seed int64) []*trace.Record {
 		recs[i] = &trace.Record{
 			Timestamp:   t0.Add(time.Duration(i) * 37 * time.Second),
 			Publisher:   "V-1",
-			ObjectID:    rng.Uint64() % 500,
+			ObjectID:    rng.Uint64() % objects,
 			FileType:    ft,
 			ObjectSize:  size,
 			BytesServed: size,
@@ -123,24 +128,62 @@ func TestReplayStreamEmptyTrace(t *testing.T) {
 }
 
 // TestReplayStreamSinkError checks a failing sink aborts the replay
-// promptly and the sink error is returned.
+// promptly and the sink error is returned, wherever in a block the
+// failure falls: the records before it arrive as a sequential replay
+// would deliver them, none after it, over all four regions' lanes.
 func TestReplayStreamSinkError(t *testing.T) {
 	recs := regionStableTrace(5000, 5)
-	c := New(Config{})
+	var want []*trace.Record
+	if err := New(Config{}).Replay(trace.NewSliceReader(recs), collect(&want)); err != nil {
+		t.Fatal(err)
+	}
 	boom := errors.New("sink boom")
-	seen := 0
-	err := c.ReplayStream(trace.NewSliceReader(recs), func(*trace.Record) error {
-		seen++
-		if seen == 100 {
-			return boom
+	for _, failAt := range []int{1, 100, replayBlockSize, replayBlockSize + 1, replayBlockSize + 476, len(recs)} {
+		var got []*trace.Record
+		err := New(Config{}).ReplayStream(trace.NewSliceReader(recs), func(r *trace.Record) error {
+			cp := *r
+			got = append(got, &cp)
+			if len(got) == failAt {
+				return boom
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("fail at %d: err = %v, want %v", failAt, err, boom)
 		}
+		if len(got) != failAt {
+			t.Fatalf("fail at %d: sink called %d times, want exactly %d", failAt, len(got), failAt)
+		}
+		if !reflect.DeepEqual(got, want[:failAt]) {
+			t.Errorf("fail at %d: records before the failure differ from sequential replay", failAt)
+		}
+	}
+}
+
+// TestReplayStreamFlushesBeforeReadError: a reader that fails mid-block
+// still gets every record it delivered served and sunk, in order.
+func TestReplayStreamFlushesBeforeReadError(t *testing.T) {
+	recs := regionStableTrace(3000, 8)
+	bad := *recs[0]
+	bad.Region = timeutil.RegionAsia
+	if recs[0].Region == timeutil.RegionAsia {
+		bad.Region = timeutil.RegionEurope
+	}
+	const cut = 2*replayBlockSize + 300
+	unstable := append(append([]*trace.Record{}, recs[:cut]...), &bad)
+	n := 0
+	err := New(Config{}).ReplayStream(trace.NewSliceReader(unstable), func(r *trace.Record) error {
+		if r.ObjectID != recs[n].ObjectID || r.StatusCode == 0 {
+			t.Errorf("record %d out of order or not served: %+v", n, r)
+		}
+		n++
 		return nil
 	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
+	if !errors.Is(err, ErrRegionUnstable) {
+		t.Fatalf("err = %v, want ErrRegionUnstable", err)
 	}
-	if seen != 100 {
-		t.Errorf("sink called %d times after error, want exactly 100", seen)
+	if n != cut {
+		t.Errorf("sink saw %d records before the unstable one, want %d", n, cut)
 	}
 }
 

@@ -96,3 +96,46 @@ func TestServeIntoMatchesServe(t *testing.T) {
 		t.Errorf("stats diverged: Serve %+v, ServeInto %+v, aliased %+v", as, bs, cs)
 	}
 }
+
+// TestLRUChurnZeroAllocs guards the miss path: a full LRU admitting new
+// keys evicts and recycles nodes without allocating — the container/list
+// cache it replaced paid two allocations per admitted object.
+func TestLRUChurnZeroAllocs(t *testing.T) {
+	const resident = 1024
+	c := NewLRU(resident * 10)
+	key := uint64(0)
+	for ; key < 2*resident; key++ {
+		c.Access(key, 10, t0) // full, and every node has been recycled once
+	}
+	n := testing.AllocsPerRun(20_000, func() {
+		c.Access(key, 10, t0)
+		key++
+	})
+	if n != 0 {
+		t.Errorf("LRU insert+evict at steady state: %v allocs/op, want 0", n)
+	}
+	if c.Len() != resident {
+		t.Errorf("Len = %d, want %d", c.Len(), resident)
+	}
+}
+
+// TestReplayStreamAllocsPerRecord guards the block lanes: a replay
+// allocates its blocks, lanes and client-state maps, not per record.
+// Caches hold the whole working set, so no insert allocates for growth
+// in the measured replay.
+func TestReplayStreamAllocsPerRecord(t *testing.T) {
+	recs := regionStableTrace(50_000, 9)
+	c := New(Config{NewCache: func() Cache { return NewLRU(1 << 40) }})
+	discard := func(*trace.Record) error { return nil }
+	src := trace.NewSliceReader(recs)
+	n := testing.AllocsPerRun(3, func() {
+		src.Reset()
+		c.ResetClientState()
+		if err := c.ReplayStream(src, discard); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRec := n / float64(len(recs)); perRec > 0.01 {
+		t.Errorf("ReplayStream: %.4f allocs/record (%v per replay), want <= 0.01", perRec, n)
+	}
+}

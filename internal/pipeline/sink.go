@@ -122,9 +122,12 @@ func (s *Sink[T]) dispatch(batch []trace.Record) {
 }
 
 // Feed folds one record into the pool, copying it into the current
-// batch — the caller may reuse *rec immediately after Feed returns. The
-// error is always nil; the signature matches the sink funcs used across
-// the replay paths so Feed can be passed as a replay sink directly.
+// batch — the caller keeps owning *rec and may reuse it immediately after
+// Feed returns (a replay block is refilled once its sink calls return).
+// The copy belongs to the batch: one worker folds it, then the batch is
+// recycled for refilling. The error is always nil; the signature matches
+// the sink funcs used across the replay paths so Feed can be passed as a
+// replay sink directly.
 func (s *Sink[T]) Feed(rec *trace.Record) error {
 	s.batch = append(s.batch, *rec)
 	if len(s.batch) == s.batchSize {

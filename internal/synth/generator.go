@@ -141,17 +141,21 @@ func (g *Generator) Generate() ([]*trace.Record, error) {
 // GenerateTo streams records to sink. Records arrive grouped by site and
 // hour shard, roughly time-ordered within a site; use Generate for a
 // fully sorted in-memory trace or GenerateParallelTo for a sorted stream.
+// Each record lives in its hour's slab, which is never reused: the sink
+// may retain the pointer. A sink error aborts generation.
 func (g *Generator) GenerateTo(sink func(*trace.Record) error) error {
 	for i := range g.pops {
 		plan := g.plans[i]
 		if plan == nil {
 			continue
 		}
-		cum := make([]float64, len(plan.objs))
+		sc := newShardScratch(plan)
 		for _, h := range plan.hours {
-			rng := newStream(g.cfg.Seed, i, h)
-			if err := g.generateHour(plan, h, rng, cum, sink); err != nil {
-				return err
+			slab := g.generateHour(i, h, sc)
+			for k := range slab {
+				if err := sink(&slab[k]); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -264,9 +268,26 @@ func (g *Generator) buildSitePlan(i int) (*sitePlan, error) {
 	return plan, nil
 }
 
-// generateHour emits local hour h of the plan's site: a Poisson request
-// budget split into user sessions. Sink errors abort generation.
-func (g *Generator) generateHour(plan *sitePlan, h int, rng *rand.Rand, cum []float64, sink func(*trace.Record) error) error {
+// shardScratch is the working storage one goroutine reuses across a
+// site's hour shards: the hour's cumulative object distribution and the
+// RNG, reseeded to each shard's stream.
+type shardScratch struct {
+	cum []float64
+	rng *rand.Rand
+}
+
+func newShardScratch(plan *sitePlan) *shardScratch {
+	return &shardScratch{cum: make([]float64, len(plan.objs)), rng: rand.New(rand.NewSource(0))}
+}
+
+// generateHour produces local hour h of site i, in emission order: a
+// Poisson request budget split into user sessions, drawn from the (site,
+// hour) stream. The records are carved out of one slab allocated here and
+// sized by that budget — an upper bound, since the observation window
+// clips boundary sessions — which the caller owns.
+func (g *Generator) generateHour(i, h int, sc *shardScratch) []trace.Record {
+	plan, cum, rng := g.plans[i], sc.cum, sc.rng
+	rng.Seed(streamSeed(g.cfg.Seed, i, h)) // the state newStream(seed, i, h) starts in
 	// Cumulative object distribution for this hour.
 	var acc float64
 	for oi, o := range plan.objs {
@@ -286,6 +307,7 @@ func (g *Generator) generateHour(plan *sitePlan, h int, rng *rand.Rand, cum []fl
 	// Number of requests this local hour (Poisson via normal approx for
 	// large means, exact for small).
 	n := samplePoisson(rng, plan.hourTotal[h])
+	slab := make([]trace.Record, 0, n)
 	for n > 0 {
 		// One session: size capped by remaining budget.
 		size := 1 + sampleGeometric(rng, plan.prof.MeanRequestsPerSession-1)
@@ -293,25 +315,19 @@ func (g *Generator) generateHour(plan *sitePlan, h int, rng *rand.Rand, cum []fl
 			size = n
 		}
 		n -= size
-		if err := g.emitSession(plan, pickUser(), h, size, cum, acc, rng, sink); err != nil {
-			return err
-		}
+		slab = g.emitSession(plan, pickUser(), h, size, cum, acc, rng, slab)
 	}
-	return nil
+	return slab
 }
 
-// generateShard produces local hour h of site i as a time-sorted slice —
-// the parallel path's unit of work.
-func (g *Generator) generateShard(i, h int) []*trace.Record {
-	plan := g.plans[i]
-	cum := make([]float64, len(plan.objs))
-	var recs []*trace.Record
-	rng := newStream(g.cfg.Seed, i, h)
-	// The sink cannot fail; generateHour only errors on sink errors.
-	_ = g.generateHour(plan, h, rng, cum, func(r *trace.Record) error {
-		recs = append(recs, r)
-		return nil
-	})
+// generateShard produces local hour h of site i as a time-sorted slice of
+// pointers into the shard's slab — the parallel path's unit of work.
+func (g *Generator) generateShard(i, h int, sc *shardScratch) []*trace.Record {
+	slab := g.generateHour(i, h, sc)
+	recs := make([]*trace.Record, len(slab))
+	for k := range slab {
+		recs[k] = &slab[k]
+	}
 	trace.SortByTime(recs)
 	return recs
 }
@@ -466,16 +482,16 @@ func (g *Generator) newPrivateObject(p *SiteProfile, pop *Population, userIdx in
 	return o
 }
 
-// emitSession generates one user session starting in local hour h.
-// Sessions whose UTC start falls outside the observation window are
-// dropped, and sessions running past the window end are truncated —
-// matching how a hard one-week log window clips boundary sessions.
-// A sink failure aborts the session and propagates to the caller.
-func (g *Generator) emitSession(plan *sitePlan, u *userState, localHour, size int, cum []float64, cumTotal float64, rng *rand.Rand, sink func(*trace.Record) error) error {
+// emitSession appends one user session starting in local hour h to slab
+// and returns it. Sessions whose UTC start falls outside the observation
+// window are dropped, and sessions running past the window end are
+// truncated — matching how a hard one-week log window clips boundary
+// sessions.
+func (g *Generator) emitSession(plan *sitePlan, u *userState, localHour, size int, cum []float64, cumTotal float64, rng *rand.Rand, slab []trace.Record) []trace.Record {
 	localOffset := time.Duration(rng.Float64() * float64(time.Hour))
 	utc := g.cfg.Week.HourStart(localHour).Add(localOffset).Add(-u.region.UTCOffset())
 	if !g.cfg.Week.Contains(utc) {
-		return nil
+		return slab
 	}
 
 	p := plan.prof
@@ -488,31 +504,30 @@ func (g *Generator) emitSession(plan *sitePlan, u *userState, localHour, size in
 			}
 			t = t.Add(time.Duration(gap * float64(time.Second)))
 			if !g.cfg.Week.Contains(t) {
-				return nil
+				return slab
 			}
 		}
 		o := pickObject(u, localHour, plan.objs, cum, cumTotal, rng)
-		rec := &trace.Record{
+		served := bytesForRequest(o, p, rng)
+		status := 200 // provisional; the CDN replay rewrites it
+		if served < o.Size && o.Category() == trace.CategoryVideo {
+			status = 206
+		}
+		slab = append(slab, trace.Record{
 			Timestamp:   t,
 			Publisher:   p.Name,
 			ObjectID:    o.ID,
 			FileType:    o.FileType,
 			ObjectSize:  o.Size,
-			BytesServed: bytesForRequest(o, p, rng),
+			BytesServed: served,
 			UserID:      u.id,
 			UserAgent:   u.agent,
 			Region:      u.region,
-			StatusCode:  200, // provisional; the CDN replay rewrites it
+			StatusCode:  status,
 			Cache:       trace.CacheUnknown,
-		}
-		if rec.BytesServed < rec.ObjectSize && o.Category() == trace.CategoryVideo {
-			rec.StatusCode = 206
-		}
-		if err := sink(rec); err != nil {
-			return err
-		}
+		})
 	}
-	return nil
+	return slab
 }
 
 // pickObject draws the session's next object: the user's habitual

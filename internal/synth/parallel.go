@@ -159,16 +159,18 @@ func (g *Generator) ParallelReader(opts ParallelOptions) *ParallelReader {
 		if g.plans[i] == nil {
 			continue
 		}
-		out := make(chan []*trace.Record, 2)
+		// At most two batches wait in out, one is being read and one is
+		// being filled, so four slots never drop a batch worth recycling.
+		out, free := make(chan []*trace.Record, 2), make(chan []*trace.Record, 4)
 		site := g.prof[i].Name
-		g.runSitePipeline(i, perSite[i], lookahead, lead, out, done, shardMetrics{
+		g.runSitePipeline(i, perSite[i], lookahead, lead, out, free, done, shardMetrics{
 			shardsDone:   m.Counter("synth_shards_done_total"),
 			records:      m.Counter("synth_records_total"),
 			siteRecords:  m.Counter(obs.Name("synth_site_records_total", "site", site)),
 			mergePending: m.Gauge(obs.Name("synth_merge_pending_records", "site", site)),
 			mergeLag:     m.Gauge(obs.Name("synth_merge_watermark_lag_seconds", "site", site)),
 		})
-		sources = append(sources, &batchReader{ch: out})
+		sources = append(sources, &batchReader{ch: out, free: free})
 	}
 	merge := trace.NewMergeReader(sources...)
 	if m != nil {
@@ -190,8 +192,9 @@ type shardMetrics struct {
 }
 
 // runSitePipeline spawns site i's shard workers and sequencer. Sorted
-// batches arrive on out, which is closed when the site is exhausted.
-func (g *Generator) runSitePipeline(i, workers, lookahead int, lead time.Duration, out chan<- []*trace.Record, done <-chan struct{}, met shardMetrics) {
+// batches arrive on out, which is closed when the site is exhausted;
+// batch slices the reader has drained come back on free for refilling.
+func (g *Generator) runSitePipeline(i, workers, lookahead int, lead time.Duration, out chan<- []*trace.Record, free <-chan []*trace.Record, done <-chan struct{}, met shardMetrics) {
 	plan := g.plans[i]
 	hours := plan.hours
 	tasks := make(chan int)
@@ -221,8 +224,9 @@ func (g *Generator) runSitePipeline(i, workers, lookahead int, lead time.Duratio
 
 	for w := 0; w < workers; w++ {
 		go func() {
+			sc := newShardScratch(plan)
 			for j := range tasks {
-				recs := g.generateShard(i, hours[j])
+				recs := g.generateShard(i, hours[j], sc)
 				met.shardsDone.Inc()
 				met.records.Add(int64(len(recs)))
 				met.siteRecords.Add(int64(len(recs)))
@@ -240,6 +244,7 @@ func (g *Generator) runSitePipeline(i, workers, lookahead int, lead time.Duratio
 	go func() {
 		defer close(out)
 		var merger trace.RunMerger
+		var batch []*trace.Record // recycled, empty until Emit releases into it
 		for j := range hours {
 			var recs []*trace.Record
 			select {
@@ -251,12 +256,19 @@ func (g *Generator) runSitePipeline(i, workers, lookahead int, lead time.Duratio
 			merger.Add(recs)
 			if j+1 < len(hours) {
 				wm := g.cfg.Week.HourStart(hours[j+1]).Add(-lead)
-				if batch := merger.Emit(wm); len(batch) > 0 {
+				if batch == nil {
+					select {
+					case batch = <-free:
+					default:
+					}
+				}
+				if batch = merger.Emit(wm, batch); len(batch) > 0 {
 					select {
 					case out <- batch:
 					case <-done:
 						return
 					}
+					batch = nil
 				}
 				met.mergePending.Set(float64(merger.Pending()))
 				if newest := merger.NewestPending(); !newest.IsZero() {
@@ -266,9 +278,9 @@ func (g *Generator) runSitePipeline(i, workers, lookahead int, lead time.Duratio
 				}
 			}
 		}
-		if batch := merger.Rest(); len(batch) > 0 {
+		if rest := merger.Rest(); len(rest) > 0 {
 			select {
-			case out <- batch:
+			case out <- rest:
 			case <-done:
 			}
 		}
@@ -277,13 +289,27 @@ func (g *Generator) runSitePipeline(i, workers, lookahead int, lead time.Duratio
 
 // batchReader adapts a channel of sorted record batches to trace.Reader.
 type batchReader struct {
-	ch  <-chan []*trace.Record
-	cur []*trace.Record
-	pos int
+	ch   <-chan []*trace.Record
+	free chan<- []*trace.Record
+	cur  []*trace.Record
+	pos  int
 }
 
+// Read copies the next record out of its shard slab into rec, so the
+// caller never aliases generator storage. A batch belongs to the reader
+// from receipt until its last record is read; then its pointers are
+// cleared — a slab is garbage once no batch or merge buffer points into
+// it — and the slice goes back to the sequencer.
 func (b *batchReader) Read(rec *trace.Record) error {
 	for b.pos >= len(b.cur) {
+		if b.cur != nil {
+			clear(b.cur)
+			select {
+			case b.free <- b.cur[:0]:
+			default:
+			}
+			b.cur = nil
+		}
 		batch, ok := <-b.ch
 		if !ok {
 			return io.EOF

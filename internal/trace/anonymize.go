@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"io"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -26,40 +24,33 @@ func NewAnonymizer(salt []byte) *Anonymizer {
 }
 
 // HashString maps an arbitrary string (URL, client address) to a salted
-// 64-bit identifier.
+// 64-bit identifier: FNV-1a over salt then s, as hash/fnv computes it.
 func (a *Anonymizer) HashString(s string) uint64 {
-	h := fnv.New64a()
-	h.Write(a.salt)
-	io.WriteString(h, s)
-	return h.Sum64()
+	return fnv1a(fnv1a(fnvOffset64, a.salt), s)
 }
 
 // HashUser derives a user identity from client address and user agent.
 // Combining both mirrors common CDN practice: NAT'd clients with distinct
 // devices separate, while a single browser remains stable.
 func (a *Anonymizer) HashUser(clientAddr, userAgent string) uint64 {
-	h := fnv.New64a()
-	h.Write(a.salt)
-	io.WriteString(h, clientAddr)
-	h.Write([]byte{0})
-	io.WriteString(h, userAgent)
-	return h.Sum64()
+	h := fnv1a(fnv1a(fnvOffset64, a.salt), clientAddr)
+	h *= fnvPrime64 // the NUL separator: h ^= 0 is the identity
+	return fnv1a(h, userAgent)
 }
 
-// HashChunk derives the object identifier of chunk index i of a base
-// object. Chunk 0 is the base object itself. The CDN treats video chunks
-// as separate cacheable objects.
-func (a *Anonymizer) HashChunk(baseID uint64, chunk int) uint64 {
-	if chunk == 0 {
-		return baseID
+// FNV-1a 64-bit constants (hash/fnv), inlined so hashing an identifier
+// allocates neither a hash.Hash64 nor a byte copy of the string.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a folds s into the running FNV-1a hash h.
+func fnv1a[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
-	h := fnv.New64a()
-	h.Write(a.salt)
-	var b [12]byte
-	binary.BigEndian.PutUint64(b[:8], baseID)
-	binary.BigEndian.PutUint32(b[8:], uint32(chunk))
-	h.Write(b[:])
-	return h.Sum64()
+	return h
 }
 
 // Filter selects a subset of a trace. Zero-value fields match everything.
@@ -179,7 +170,7 @@ func ReadAll(r Reader) ([]*Record, error) {
 
 // SortByTime sorts records by timestamp, stably, in place.
 func SortByTime(recs []*Record) {
-	sort.SliceStable(recs, func(i, j int) bool {
-		return recs[i].Timestamp.Before(recs[j].Timestamp)
+	slices.SortStableFunc(recs, func(a, b *Record) int {
+		return a.Timestamp.Compare(b.Timestamp)
 	})
 }

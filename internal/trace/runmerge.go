@@ -1,6 +1,9 @@
 package trace
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // RunMerger incrementally merges time-sorted runs into one globally
 // sorted stream without buffering every run: as soon as the caller knows
@@ -12,8 +15,17 @@ import "time"
 // Runs must each be sorted by timestamp. Ties across runs resolve in run
 // insertion order, and ties within a run keep the run's order, matching
 // what a stable sort of the concatenated input would produce.
+//
+// Ownership: the merger holds record pointers, never records — whoever
+// allocated a record (the generator's shard slab) keeps owning it, and it
+// must stay unmodified until released. Add copies the run's pointers, so
+// the caller may reuse the run slice at once. The pending set ping-pongs
+// between two buffers the merger owns and reuses on every Add, which is
+// why Emit copies the released pointers out into a slice the caller owns.
 type RunMerger struct {
-	pending []*Record
+	pending []*Record    // the merged, unreleased suffix of bufs[cur]
+	bufs    [2][]*Record // the buffer holding pending, and the next merge's target
+	cur     int
 }
 
 // Add merges one sorted run into the pending set.
@@ -21,11 +33,8 @@ func (m *RunMerger) Add(run []*Record) {
 	if len(run) == 0 {
 		return
 	}
-	if len(m.pending) == 0 {
-		m.pending = append(m.pending, run...)
-		return
-	}
-	merged := make([]*Record, 0, len(m.pending)+len(run))
+	next := 1 - m.cur
+	merged := slices.Grow(m.bufs[next][:0], len(m.pending)+len(run))
 	a, b := m.pending, run
 	for len(a) > 0 && len(b) > 0 {
 		// Ties favor the earlier run (a), keeping the merge stable.
@@ -39,29 +48,28 @@ func (m *RunMerger) Add(run []*Record) {
 	}
 	merged = append(merged, a...)
 	merged = append(merged, b...)
-	m.pending = merged
+	m.bufs[next], m.pending, m.cur = merged, merged, next
 }
 
 // Emit releases the merged records with timestamps strictly before
-// watermark. Callers must only pass watermarks no future run can
-// undercut.
-func (m *RunMerger) Emit(watermark time.Time) []*Record {
+// watermark by appending them to dst, which it returns; pass a recycled
+// slice to release without allocating. Callers must only pass watermarks
+// no future run can undercut.
+func (m *RunMerger) Emit(watermark time.Time, dst []*Record) []*Record {
 	n := 0
 	for n < len(m.pending) && m.pending[n].Timestamp.Before(watermark) {
 		n++
 	}
-	if n == 0 {
-		return nil
-	}
-	out := m.pending[:n:n]
+	dst = append(dst, m.pending[:n]...)
 	m.pending = m.pending[n:]
-	return out
+	return dst
 }
 
-// Rest releases everything still pending; call after the final run.
+// Rest releases everything still pending, handing the caller the buffer
+// itself; call after the final run.
 func (m *RunMerger) Rest() []*Record {
 	out := m.pending
-	m.pending = nil
+	*m = RunMerger{}
 	return out
 }
 

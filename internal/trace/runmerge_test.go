@@ -42,7 +42,7 @@ func TestRunMergerOrdersOverlappingRuns(t *testing.T) {
 		// The next run can reach back at most 30 minutes before its
 		// nominal start.
 		wm := base.Add(time.Duration(i+1)*time.Hour - 30*time.Minute)
-		got = append(got, m.Emit(wm)...)
+		got = m.Emit(wm, got)
 	}
 	got = append(got, m.Rest()...)
 	if m.Pending() != 0 {
@@ -62,7 +62,7 @@ func TestRunMergerEmitHoldsBoundary(t *testing.T) {
 	base := time.Date(2015, 10, 3, 0, 0, 0, 0, time.UTC)
 	var m RunMerger
 	m.Add([]*Record{mkRec(base, 1), mkRec(base.Add(time.Second), 2)})
-	out := m.Emit(base.Add(time.Second))
+	out := m.Emit(base.Add(time.Second), nil)
 	if len(out) != 1 || !out[0].Timestamp.Equal(base) {
 		t.Fatalf("Emit released %d records, want only the one strictly before the watermark", len(out))
 	}
@@ -106,5 +106,41 @@ func TestMergeReaderStableOnTies(t *testing.T) {
 		if got[i].UserID != u {
 			t.Fatalf("tie order: got user %d at %d, want %d", got[i].UserID, i, u)
 		}
+	}
+}
+
+// TestRunMergerReusesBuffers: the pending set ping-pongs between two
+// buffers and Emit releases into the caller's slice, so a hundred
+// Add+Emit rounds of steady size allocate a handful of buffers (the two
+// growing to size, dst once) rather than one or two per round.
+func TestRunMergerReusesBuffers(t *testing.T) {
+	base := time.Date(2015, 10, 3, 0, 0, 0, 0, time.UTC)
+	const rounds, perRun = 100, 200
+	runs := make([][]*Record, rounds)
+	for i := range runs {
+		runs[i] = make([]*Record, perRun)
+		for j := range runs[i] {
+			// Run i spans three hours from hour i: a third of it is
+			// released per round and two runs' worth stays pending.
+			runs[i][j] = mkRec(base.Add(time.Duration(i)*time.Hour+time.Duration(j)*3*time.Hour/perRun), uint64(i))
+		}
+	}
+	var released int
+	allocs := testing.AllocsPerRun(1, func() {
+		var m RunMerger
+		var dst []*Record
+		released = 0
+		for i, run := range runs {
+			m.Add(run)
+			dst = m.Emit(base.Add(time.Duration(i+1)*time.Hour), dst[:0])
+			released += len(dst)
+		}
+		released += len(m.Rest())
+	})
+	if released != rounds*perRun {
+		t.Fatalf("released %d records, want %d", released, rounds*perRun)
+	}
+	if allocs > 12 {
+		t.Errorf("%v allocations over %d Add+Emit rounds, want O(1) buffers (<= 12)", allocs, rounds)
 	}
 }

@@ -209,18 +209,49 @@ func TestAnonymizerStability(t *testing.T) {
 	}
 }
 
-func TestAnonymizerChunk(t *testing.T) {
-	a := NewAnonymizer(nil)
-	base := a.HashString("/v.mp4")
-	if a.HashChunk(base, 0) != base {
-		t.Error("chunk 0 must equal the base ID")
+// TestAnonymizerHashesPinned pins HashString and HashUser to the values
+// hash/fnv's FNV-1a gives for salt ‖ s and salt ‖ addr ‖ 0 ‖ agent: object
+// and user IDs are part of every golden digest, so the inlined loop must
+// never drift from them.
+func TestAnonymizerHashesPinned(t *testing.T) {
+	const iphone = "Mozilla/5.0 (iPhone; CPU iPhone OS 9_0 like Mac OS X)"
+	tests := []struct {
+		salt, s, agent string
+		user           bool // HashUser(s, agent) rather than HashString(s)
+		want           uint64
+	}{
+		{"", "", "", false, 0xcbf29ce484222325},
+		{"", "x", "", false, 0xaf63f54c86021707},
+		{"", "/video/1.mp4", "", false, 0x373d27749a85dae8},
+		{"", "V-1/private/17", "", false, 0xf709312912cbc8c8},
+		{"", "P-2/obj-\x00\xff", "", false, 0x5572005f645139cc},
+		{"", "", "", true, 0xaf63bd4c8601b7df},
+		{"", "1.2.3.4", "UA1", true, 0x59061cdb36731b4},
+		{"", "V-1/user-0", iphone, true, 0x12bcff6cbabbcef6},
+		{"", "a\x00b", "", true, 0xab40d7820d408076},
+		{"", "a", "\x00b", true, 0xac7fed820e4f49ca},
+		{"salt", "", "", false, 0x97f5318bf97c581},
+		{"salt", "x", "", false, 0xbb202c0d8ee5661b},
+		{"salt", "/video/1.mp4", "", false, 0x949ea8869009333c},
+		{"salt", "V-1/private/17", "", false, 0xc1d1631f658e124},
+		{"salt", "P-2/obj-\x00\xff", "", false, 0xcab3bf5a01c35fd0},
+		{"salt", "", "", true, 0xbb1fb40d8ee49a33},
+		{"salt", "1.2.3.4", "UA1", true, 0xab605b52b948adc0},
+		{"salt", "V-1/user-0", iphone, true, 0x3b06c64c912b3002},
+		{"salt", "a\x00b", "", true, 0xb7d21f9d30982ad2},
+		{"salt", "a", "\x00b", true, 0xb911b59d31a7cda6},
+		{"42", "/video/1.mp4", "", false, 0x5b28b65e5ff984da},
+		{"42", "V-1/user-0", iphone, true, 0x306f6a991367f410},
 	}
-	c1, c2 := a.HashChunk(base, 1), a.HashChunk(base, 2)
-	if c1 == c2 || c1 == base || c2 == base {
-		t.Error("chunk IDs must be distinct")
-	}
-	if a.HashChunk(base, 1) != c1 {
-		t.Error("chunk hashing must be deterministic")
+	for _, tt := range tests {
+		a := NewAnonymizer([]byte(tt.salt))
+		got := a.HashString(tt.s)
+		if tt.user {
+			got = a.HashUser(tt.s, tt.agent)
+		}
+		if got != tt.want {
+			t.Errorf("salt %q, %q, %q (user %v) = %#x, want %#x", tt.salt, tt.s, tt.agent, tt.user, got, tt.want)
+		}
 	}
 }
 
