@@ -32,7 +32,7 @@ MAX_NS_REGRESS ?= 0.15
 # any-increase rule that guards the zero-alloc serve area.
 MAX_ALLOCS_REGRESS_STUDY ?= 0.005
 
-.PHONY: all build test check vet race bench bench-mem bench-baseline bench-gate tools fmt-check serve-demo slo-demo slo-demo-breach cluster-demo
+.PHONY: all build test check vet race bench bench-mem bench-baseline bench-baseline-serve bench-baseline-stream bench-baseline-pipeline bench-gate tools fmt-check serve-demo slo-demo slo-demo-breach cluster-demo
 
 all: build test
 
@@ -84,12 +84,20 @@ bench-mem: tools
 
 # Refresh the committed BENCH_*.json baselines the CI bench-gate
 # compares against. Run after deliberate perf-affecting changes and
-# commit the updated files with them.
-bench-baseline: tools
+# commit the updated files with them. One target per area, so that a
+# change to the study path re-baselines stream and pipeline without
+# rewriting the serve numbers it cannot have moved.
+bench-baseline: bench-baseline-serve bench-baseline-stream bench-baseline-pipeline
+
+bench-baseline-serve: tools
 	$(GO) test -run NONE -bench '$(SERVE_BENCH)' -benchmem -count=3 . \
 		| $(BIN)/tsbench -area serve -config 'count=3,source=bench-baseline' -out BENCH_serve.json
+
+bench-baseline-stream: tools
 	$(GO) test -run NONE -bench '$(STREAM_BENCH)' -benchmem -count=3 $(STREAM_PKGS) \
 		| $(BIN)/tsbench -area stream -config 'count=3,source=bench-baseline' -out BENCH_stream.json
+
+bench-baseline-pipeline: tools
 	$(GO) test -run NONE -bench '$(PIPELINE_BENCH)' -benchmem -count=3 ./internal/core \
 		| $(BIN)/tsbench -area pipeline -config 'count=3,source=bench-baseline' -out BENCH_pipeline.json
 

@@ -20,15 +20,23 @@ import (
 // (PerUserCDF, FracObjectsAbove) are unbiased estimates with relative
 // standard error ~ 1/sqrt(budget).
 type Addiction struct {
+	perSite[[numCats]addictionCat]
 	budget int
-	sites  map[string]map[trace.Category]map[pairKey]int64
-	bounds map[string]map[trace.Category]*boundedKeys // nil maps in exact mode
 }
 
-type pairKey struct {
-	obj  uint64
-	user uint64
+// addictionCat is the state of one (site, category) population.
+type addictionCat struct {
+	// pairs counts requests per (object slot, user slot), packed by
+	// pairKey.
+	pairs map[uint64]int64
+	// In bounded mode the object slots are those of the population's
+	// sample, and the user slots those of a table of its own holding
+	// only the users of sampled objects.
+	keys  boundedKeys
+	users slotTable
 }
+
+func pairKey(obj, user uint32) uint64 { return uint64(obj)<<32 | uint64(user) }
 
 func init() {
 	Register(Descriptor{
@@ -42,114 +50,76 @@ func init() {
 // NewAddiction creates an empty accumulator; budget 0 is exact, a
 // positive budget caps tracked objects per site and category.
 func NewAddiction(budget int) *Addiction {
-	a := &Addiction{budget: budget, sites: map[string]map[trace.Category]map[pairKey]int64{}}
-	if budget > 0 {
-		a.bounds = map[string]map[trace.Category]*boundedKeys{}
-	}
+	a := &Addiction{budget: budget}
+	a.needs = exactNeeds(budget, needObjects|needUsers)
 	return a
 }
 
-// bound returns the (site, category) object sampler in bounded mode.
-func (a *Addiction) bound(site string, cat trace.Category) *boundedKeys {
-	if a.bounds == nil {
-		return nil
-	}
-	cats, ok := a.bounds[site]
-	if !ok {
-		cats = map[trace.Category]*boundedKeys{}
-		a.bounds[site] = cats
-	}
-	b, ok := cats[cat]
-	if !ok {
-		b = newBoundedKeys(a.budget)
-		cats[cat] = b
-	}
-	return b
-}
-
-// dropObjects deletes every pair of the dropped objects.
-func dropObjects(pairs map[pairKey]int64, dropped []uint64) {
-	if len(dropped) == 0 {
-		return
-	}
-	gone := make(map[uint64]struct{}, len(dropped))
-	for _, id := range dropped {
-		gone[id] = struct{}{}
-	}
-	for k := range pairs {
-		if _, ok := gone[k.obj]; ok {
-			delete(pairs, k)
-		}
-	}
-}
-
 // Add folds one record.
-func (a *Addiction) Add(r *trace.Record) {
-	site, ok := a.sites[r.Publisher]
-	if !ok {
-		site = map[trace.Category]map[pairKey]int64{}
-		a.sites[r.Publisher] = site
-	}
-	cat := r.Category()
-	pairs, ok := site[cat]
-	if !ok {
-		pairs = map[pairKey]int64{}
-		site[cat] = pairs
-	}
-	if b := a.bound(r.Publisher, cat); b != nil {
-		ok, dropped := b.admit(r.ObjectID)
-		dropObjects(pairs, dropped)
-		if !ok {
+func (a *Addiction) Add(r *trace.Record) { a.add(r, a.resolve(r)) }
+
+func (a *Addiction) add(r *trace.Record, k *recKey) {
+	c := &a.site(k.site)[k.cat]
+	obj, user := k.obj, k.user
+	if a.budget > 0 {
+		var ok bool
+		if obj, ok = c.keys.admit(a.budget, r.ObjectID, k.objHash, c.compact); !ok {
 			return
 		}
+		user = c.users.slot(r.UserID)
 	}
-	pairs[pairKey{obj: r.ObjectID, user: r.UserID}]++
+	if c.pairs == nil {
+		c.pairs = map[uint64]int64{}
+	}
+	c.pairs[pairKey(obj, user)]++
+}
+
+// absorb folds o's pairs in, objs and users mapping o's slots to c's.
+func (c *addictionCat) absorb(o *addictionCat, objs, users []uint32) {
+	if c.pairs == nil {
+		c.pairs = make(map[uint64]int64, len(o.pairs))
+	}
+	for k, n := range o.pairs {
+		if obj := objs[k>>32]; obj != noSlot {
+			c.pairs[pairKey(obj, users[uint32(k)])] += n
+		}
+	}
+}
+
+// absorbSampled is absorb in bounded mode, where each side has its own
+// user table: the users of o's surviving pairs join c's first.
+func (c *addictionCat) absorbSampled(o *addictionCat, objs []uint32) {
+	users := make([]uint32, len(o.users.keys))
+	for k := range o.pairs {
+		if u := uint32(k); objs[k>>32] != noSlot {
+			users[u] = c.users.slot(o.users.keys[u])
+		}
+	}
+	c.absorb(o, objs, users)
+}
+
+// compact drops the pairs of evicted objects, renumbers the rest and
+// forgets users left without a pair, after the sample shrank.
+func (c *addictionCat) compact(evict []uint32) {
+	old := addictionCat{pairs: c.pairs, users: c.users}
+	c.pairs, c.users = nil, slotTable{}
+	c.absorbSampled(&old, evict)
 }
 
 // Merge folds another accumulator in.
-func (a *Addiction) Merge(o *Addiction) {
-	for site, cats := range o.sites {
-		mine, ok := a.sites[site]
-		if !ok {
-			mine = map[trace.Category]map[pairKey]int64{}
-			a.sites[site] = mine
-		}
-		for cat, pairs := range cats {
-			m, ok := mine[cat]
-			if !ok {
-				m = map[pairKey]int64{}
-				mine[cat] = m
-			}
-			if b := a.bound(site, cat); b != nil {
-				ob := o.bound(site, cat)
-				admitted, dropped := b.mergeFrom(ob)
-				dropObjects(m, dropped)
-				keep := make(map[uint64]struct{}, len(admitted))
-				for _, id := range admitted {
-					keep[id] = struct{}{}
-				}
-				for k, n := range pairs {
-					if _, ok := keep[k.obj]; ok {
-						m[k] += n
-					}
-				}
-				continue
-			}
-			for k, n := range pairs {
-				m[k] += n
-			}
-		}
-	}
-}
+func (a *Addiction) Merge(o *Addiction) { a.mergeKeyed(o, a.keys().absorb(o.keys())) }
 
-// Sites returns the analyzed site names, sorted.
-func (a *Addiction) Sites() []string {
-	out := make([]string, 0, len(a.sites))
-	for s := range a.sites {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
+func (a *Addiction) mergeKeyed(src Analyzer, rm *remap) {
+	a.mergeSites(&src.(*Addiction).perSite, rm, func(si int, st, os *[numCats]addictionCat) {
+		for cat := range st {
+			c, oc := &st[cat], &os[cat]
+			if a.budget == 0 {
+				c.absorb(oc, rm.obj[si], rm.user[si])
+			} else {
+				c.absorbSampled(oc, c.keys.mergeFrom(a.budget, &oc.keys, c.compact))
+			}
+		}
+	})
 }
 
 // ObjectPoint is one object in the Fig. 13 scatter.
@@ -159,41 +129,63 @@ type ObjectPoint struct {
 	Users    int64
 }
 
+// population returns the state of one (site, category) population and
+// the slot → ID list of its objects; c is nil when there is none.
+func (a *Addiction) population(site string, cat trace.Category) (c *addictionCat, ids []uint64) {
+	si, st := a.find(site)
+	ci, ok := catIndex(cat)
+	if st == nil || !ok {
+		return nil, nil
+	}
+	return &st[ci], a.objectIDs(si, &st[ci].keys.slotTable)
+}
+
 // Scatter returns (requests, users) per object for the site and category.
 func (a *Addiction) Scatter(site string, cat trace.Category) []ObjectPoint {
-	site2, ok := a.sites[site]
-	if !ok {
+	c, ids := a.population(site, cat)
+	if c == nil {
 		return nil
 	}
-	agg := map[uint64]*ObjectPoint{}
-	for k, n := range site2[cat] {
-		p, ok := agg[k.obj]
-		if !ok {
-			p = &ObjectPoint{Object: k.obj}
-			agg[k.obj] = p
-		}
+	pts := make([]ObjectPoint, len(ids))
+	for k, n := range c.pairs {
+		p := &pts[k>>32]
 		p.Requests += n
 		p.Users++
 	}
-	out := make([]ObjectPoint, 0, len(agg))
-	for _, p := range agg {
-		out = append(out, *p)
+	out := pts[:0]
+	for slot, p := range pts {
+		if p.Users > 0 {
+			p.Object = ids[slot]
+			out = append(out, p)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Requests > out[j].Requests })
+	return out
+}
+
+// maxPerUser returns, by object slot, the maximum number of requests any
+// single user issued for the object; zero for a slot without requests.
+func (c *addictionCat) maxPerUser(slots int) []int64 {
+	out := make([]int64, slots)
+	for k, n := range c.pairs {
+		if n > out[k>>32] {
+			out[k>>32] = n
+		}
+	}
 	return out
 }
 
 // MaxRequestsPerUser returns, per object, the maximum number of requests
 // any single user issued for it.
 func (a *Addiction) MaxRequestsPerUser(site string, cat trace.Category) map[uint64]int64 {
-	site2, ok := a.sites[site]
-	if !ok {
+	c, ids := a.population(site, cat)
+	if c == nil {
 		return nil
 	}
 	out := map[uint64]int64{}
-	for k, n := range site2[cat] {
-		if n > out[k.obj] {
-			out[k.obj] = n
+	for slot, n := range c.maxPerUser(len(ids)) {
+		if n > 0 {
+			out[ids[slot]] = n
 		}
 	}
 	return out
@@ -203,13 +195,18 @@ func (a *Addiction) MaxRequestsPerUser(site string, cat trace.Category) map[uint
 // user, the Fig. 14 presentation ("at least 10% of video objects have
 // more than 10 requests per unique user").
 func (a *Addiction) PerUserCDF(site string, cat trace.Category) *stats.ECDF {
-	maxes := a.MaxRequestsPerUser(site, cat)
-	if len(maxes) == 0 {
+	c, ids := a.population(site, cat)
+	if c == nil {
 		return nil
 	}
-	sample := make([]float64, 0, len(maxes))
-	for _, n := range maxes {
-		sample = append(sample, float64(n))
+	var sample []float64
+	for _, n := range c.maxPerUser(len(ids)) {
+		if n > 0 {
+			sample = append(sample, float64(n))
+		}
+	}
+	if len(sample) == 0 {
+		return nil
 	}
 	return stats.MustECDF(sample)
 }
@@ -217,15 +214,22 @@ func (a *Addiction) PerUserCDF(site string, cat trace.Category) *stats.ECDF {
 // FracObjectsAbove returns the fraction of objects whose per-user repeat
 // maximum exceeds the threshold.
 func (a *Addiction) FracObjectsAbove(site string, cat trace.Category, threshold int64) float64 {
-	maxes := a.MaxRequestsPerUser(site, cat)
-	if len(maxes) == 0 {
+	c, ids := a.population(site, cat)
+	if c == nil {
 		return 0
 	}
-	var above int
-	for _, n := range maxes {
+	var above, objects int
+	for _, n := range c.maxPerUser(len(ids)) {
+		if n == 0 {
+			continue
+		}
+		objects++
 		if n > threshold {
 			above++
 		}
 	}
-	return float64(above) / float64(len(maxes))
+	if objects == 0 {
+		return 0
+	}
+	return float64(above) / float64(objects)
 }

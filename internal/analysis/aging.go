@@ -1,7 +1,7 @@
 package analysis
 
 import (
-	"sort"
+	"math/bits"
 
 	"trafficscope/internal/timeutil"
 	"trafficscope/internal/trace"
@@ -17,11 +17,18 @@ import (
 // FracAliveAllWeek and FracSilentAfterDay ratios are then unbiased
 // estimates with relative standard error ~ 1/sqrt(budget).
 type Aging struct {
-	week   timeutil.Week
+	perSite[agingSite]
 	budget int
-	sites  map[string]map[uint64]*[7]bool // site -> object -> requested-on-day
-	bounds map[string]*boundedKeys        // nil in exact mode
 }
+
+type agingSite struct {
+	keys boundedKeys // bounded mode: the site's object sample
+	// days, by object slot, has bit d set when the object was requested
+	// on day d of the week; every tracked object has at least one.
+	days []uint8
+}
+
+const allWeek = 1<<7 - 1
 
 func init() {
 	Register(Descriptor{
@@ -35,100 +42,56 @@ func init() {
 // NewAging creates an accumulator over the given trace week; budget 0
 // is exact, a positive budget caps tracked objects per site.
 func NewAging(week timeutil.Week, budget int) *Aging {
-	a := &Aging{week: week, budget: budget, sites: map[string]map[uint64]*[7]bool{}}
-	if budget > 0 {
-		a.bounds = map[string]*boundedKeys{}
-	}
+	a := &Aging{budget: budget}
+	a.week, a.needs = week, exactNeeds(budget, needObjects)
 	return a
 }
 
-// bound returns the site's object sampler in bounded mode.
-func (a *Aging) bound(site string) *boundedKeys {
-	if a.bounds == nil {
-		return nil
-	}
-	b, ok := a.bounds[site]
-	if !ok {
-		b = newBoundedKeys(a.budget)
-		a.bounds[site] = b
-	}
-	return b
-}
-
 // Add folds one record; records outside the week are ignored.
-func (a *Aging) Add(r *trace.Record) {
-	day := a.week.DayIndex(r.Timestamp)
-	if day < 0 {
+func (a *Aging) Add(r *trace.Record) { a.add(r, a.resolve(r)) }
+
+func (a *Aging) add(r *trace.Record, k *recKey) {
+	if k.hour < 0 {
 		return
 	}
-	site, ok := a.sites[r.Publisher]
-	if !ok {
-		site = map[uint64]*[7]bool{}
-		a.sites[r.Publisher] = site
-	}
-	if b := a.bound(r.Publisher); b != nil {
-		ok, dropped := b.admit(r.ObjectID)
-		for _, id := range dropped {
-			delete(site, id)
-		}
-		if !ok {
+	st := a.site(k.site)
+	slot := k.obj
+	if a.budget > 0 {
+		var ok bool
+		if slot, ok = st.keys.admit(a.budget, r.ObjectID, k.objHash, st.compact); !ok {
 			return
 		}
 	}
-	days, ok := site[r.ObjectID]
-	if !ok {
-		days = &[7]bool{}
-		site[r.ObjectID] = days
+	*at(&st.days, slot) |= 1 << (k.hour / 24)
+}
+
+// absorb folds o's objects in, rm mapping o's slots to st's.
+func (st *agingSite) absorb(o *agingSite, rm []uint32) {
+	for slot, days := range o.days {
+		if to := rm[slot]; days != 0 && to != noSlot {
+			*at(&st.days, to) |= days
+		}
 	}
-	days[day] = true
+}
+
+// compact renumbers the tracked objects after the sample shrank.
+func (st *agingSite) compact(evict []uint32) {
+	old := agingSite{days: st.days}
+	st.days = nil
+	st.absorb(&old, evict)
 }
 
 // Merge folds another accumulator in.
-func (a *Aging) Merge(o *Aging) {
-	for site, objs := range o.sites {
-		mine, ok := a.sites[site]
-		if !ok {
-			mine = map[uint64]*[7]bool{}
-			a.sites[site] = mine
-		}
-		keep := func(uint64) bool { return true }
-		if b := a.bound(site); b != nil {
-			admitted, dropped := b.mergeFrom(o.bound(site))
-			for _, id := range dropped {
-				delete(mine, id)
-			}
-			in := make(map[uint64]struct{}, len(admitted))
-			for _, id := range admitted {
-				in[id] = struct{}{}
-			}
-			keep = func(id uint64) bool { _, ok := in[id]; return ok }
-		}
-		for id, days := range objs {
-			if !keep(id) {
-				continue
-			}
-			m, ok := mine[id]
-			if !ok {
-				m = &[7]bool{}
-				mine[id] = m
-			}
-			for d, hit := range days {
-				if hit {
-					m[d] = true
-				}
-			}
-		}
-	}
-}
+func (a *Aging) Merge(o *Aging) { a.mergeKeyed(o, a.keys().absorb(o.keys())) }
 
-// Sites returns the analyzed site names, sorted.
-func (a *Aging) Sites() []string {
-	out := make([]string, 0, len(a.sites))
-	for s := range a.sites {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
+func (a *Aging) mergeKeyed(src Analyzer, rm *remap) {
+	a.mergeSites(&src.(*Aging).perSite, rm, func(si int, st, os *agingSite) {
+		objs := rm.obj[si]
+		if a.budget > 0 {
+			objs = st.keys.mergeFrom(a.budget, &os.keys, st.compact)
+		}
+		st.absorb(os, objs)
+	})
 }
 
 // Curve returns, for ages 1..7, the fraction of the site's objects
@@ -136,29 +99,19 @@ func (a *Aging) Sites() []string {
 // every object is requested on its first-seen day).
 func (a *Aging) Curve(site string) [7]float64 {
 	var curve [7]float64
-	objs, ok := a.sites[site]
-	if !ok {
+	_, st := a.find(site)
+	if st == nil {
 		return curve
 	}
 	var requested, observable [7]int64
-	for _, days := range objs {
-		first := -1
-		for d, hit := range days {
-			if hit {
-				first = d
-				break
-			}
-		}
-		if first < 0 {
+	for _, days := range st.days {
+		if days == 0 {
 			continue
 		}
-		for age := 0; age < 7; age++ {
-			day := first + age
-			if day >= 7 {
-				break // age not observable within the trace
-			}
+		first := bits.TrailingZeros8(days)
+		for age := 0; first+age < 7; age++ { // later ages are not observable within the trace
 			observable[age]++
-			if days[day] {
+			if days&(1<<(first+age)) != 0 {
 				requested[age]++
 			}
 		}
@@ -175,46 +128,39 @@ func (a *Aging) Curve(site string) [7]float64 {
 // that received requests on every day of the week ("only about 10% of
 // objects are requested throughout the trace duration of one week").
 func (a *Aging) FracAliveAllWeek(site string) float64 {
-	objs, ok := a.sites[site]
-	if !ok || len(objs) == 0 {
-		return 0
-	}
-	var alive int64
-	for _, days := range objs {
-		all := true
-		for _, hit := range days {
-			if !hit {
-				all = false
-				break
-			}
-		}
-		if all {
-			alive++
-		}
-	}
-	return float64(alive) / float64(len(objs))
+	return a.fracWhere(site, func(days uint8) bool { return days == allWeek })
 }
 
 // FracSilentAfterDay returns the fraction of the site's objects with no
 // request after the given day index (0-based; the paper reports "about
 // 20% of objects are not requested after 3 days").
 func (a *Aging) FracSilentAfterDay(site string, day int) float64 {
-	objs, ok := a.sites[site]
-	if !ok || len(objs) == 0 {
+	later := uint8(allWeek)
+	if day >= 0 {
+		later = allWeek &^ (1<<(min(day, 6)+1) - 1)
+	}
+	return a.fracWhere(site, func(days uint8) bool { return days&later == 0 })
+}
+
+// fracWhere returns the fraction of the site's tracked objects whose
+// day set satisfies pred.
+func (a *Aging) fracWhere(site string, pred func(days uint8) bool) float64 {
+	_, st := a.find(site)
+	if st == nil {
 		return 0
 	}
-	var silent int64
-	for _, days := range objs {
-		s := true
-		for d := day + 1; d < 7; d++ {
-			if days[d] {
-				s = false
-				break
-			}
+	var n, total int64
+	for _, days := range st.days {
+		if days == 0 {
+			continue
 		}
-		if s {
-			silent++
+		total++
+		if pred(days) {
+			n++
 		}
 	}
-	return float64(silent) / float64(len(objs))
+	if total == 0 {
+		return 0
+	}
+	return float64(n) / float64(total)
 }

@@ -131,8 +131,8 @@ func TestBoundedModeMatchesExact(t *testing.T) {
 		// admits every key: the sampling analyzers must agree with exact
 		// bit for bit, including through the split+Merge path.
 		for _, site := range exact.addict.Sites() {
-			for cat, pairs := range exact.addict.sites[site] {
-				got := huge.addict.sites[site][cat]
+			for _, cat := range trace.AllCategories() {
+				got, pairs := pairCounts(huge.addict, site, cat), pairCounts(exact.addict, site, cat)
 				if len(got) != len(pairs) {
 					t.Fatalf("addiction %s/%v: %d pairs bounded vs %d exact", site, cat, len(got), len(pairs))
 				}
@@ -144,7 +144,7 @@ func TestBoundedModeMatchesExact(t *testing.T) {
 			}
 		}
 		for _, site := range exact.aging.Sites() {
-			if got, want := len(huge.aging.sites[site]), len(exact.aging.sites[site]); got != want {
+			if got, want := trackedObjects(huge.aging, site), trackedObjects(exact.aging, site); got != want {
 				t.Fatalf("aging %s: %d objects bounded vs %d exact", site, got, want)
 			}
 			if got, want := huge.aging.Curve(site), exact.aging.Curve(site); got != want {
@@ -152,7 +152,7 @@ func TestBoundedModeMatchesExact(t *testing.T) {
 			}
 		}
 		for _, site := range exact.sessions.Sites() {
-			if got, want := len(huge.sessions.sites[site]), len(exact.sessions.sites[site]); got != want {
+			if got, want := trackedUsers(huge.sessions, site), trackedUsers(exact.sessions, site); got != want {
 				t.Fatalf("sessions %s: %d users bounded vs %d exact", site, got, want)
 			}
 			g, w := huge.sessions.MeanRequestsPerSession(site), exact.sessions.MeanRequestsPerSession(site)
@@ -164,7 +164,7 @@ func TestBoundedModeMatchesExact(t *testing.T) {
 			if got, want := huge.caching.WeightedHitRatio(site), exact.caching.WeightedHitRatio(site); got != want {
 				t.Fatalf("caching %s weighted hit ratio: %v vs %v", site, got, want)
 			}
-			if got, want := len(huge.caching.sites[site].lookups), len(exact.caching.sites[site].lookups); got != want {
+			if got, want := cachedObjects(huge.caching, site), cachedObjects(exact.caching, site); got != want {
 				t.Fatalf("caching %s: %d objects bounded vs %d exact", site, got, want)
 			}
 		}
@@ -175,24 +175,24 @@ func TestBoundedModeMatchesExact(t *testing.T) {
 		// bounded. Hash-threshold halving can undershoot the cap but
 		// never exceed it.
 		for _, site := range small.aging.Sites() {
-			if n := len(small.aging.sites[site]); n > smallBudget {
+			if n := trackedObjects(small.aging, site); n > smallBudget {
 				t.Errorf("aging %s tracks %d objects > budget %d", site, n, smallBudget)
 			}
 		}
 		for _, site := range small.sessions.Sites() {
-			if n := len(small.sessions.sites[site]); n > smallBudget {
+			if n := trackedUsers(small.sessions, site); n > smallBudget {
 				t.Errorf("sessions %s tracks %d users > budget %d", site, n, smallBudget)
 			}
 		}
 		for _, site := range small.caching.Sites() {
-			if n := len(small.caching.sites[site].lookups); n > smallBudget {
+			if n := cachedObjects(small.caching, site); n > smallBudget {
 				t.Errorf("caching %s tracks %d objects > budget %d", site, n, smallBudget)
 			}
 		}
-		for site, cats := range small.series.sites {
-			for cat, objs := range cats {
-				if len(objs) > smallBudget {
-					t.Errorf("series %s/%v tracks %d series > budget %d", site, cat, len(objs), smallBudget)
+		for _, site := range small.series.Sites() {
+			for _, cat := range trace.AllCategories() {
+				if n := len(seriesTotals(small.series, site, cat)); n > smallBudget {
+					t.Errorf("series %s/%v tracks %d series > budget %d", site, cat, n, smallBudget)
 				}
 			}
 		}
@@ -215,7 +215,7 @@ func TestBoundedModeMatchesExact(t *testing.T) {
 			}
 		}
 		for _, site := range exact.addict.Sites() {
-			for cat := range exact.addict.sites[site] {
+			for _, cat := range trace.AllCategories() {
 				maxes := exact.addict.MaxRequestsPerUser(site, cat)
 				if len(maxes) < 2000 {
 					continue // tiny populations carry too few sampled objects
@@ -288,18 +288,11 @@ func TestBoundedModeMatchesExact(t *testing.T) {
 		// requests, and every object with at least threshold requests is
 		// admitted (Count-Min never undercounts; the huge cap never
 		// binds).
-		for site, cats := range exact.series.sites {
-			for cat, objs := range cats {
-				got := huge.series.sites[site][cat]
-				for id, series := range objs {
-					var exactN, gotN float64
-					for _, v := range series {
-						exactN += float64(v)
-					}
-					if g, ok := got[id]; ok {
-						for _, v := range g {
-							gotN += float64(v)
-						}
+		for _, site := range exact.series.Sites() {
+			for _, cat := range trace.AllCategories() {
+				got := seriesTotals(huge.series, site, cat)
+				for id, exactN := range seriesTotals(exact.series, site, cat) {
+					if gotN, ok := got[id]; ok {
 						// Two workers each tolerate threshold-1 missed
 						// requests before admission.
 						if miss := exactN - gotN; miss < 0 || miss > 2*(seriesAdmitThreshold-1) {
@@ -312,4 +305,71 @@ func TestBoundedModeMatchesExact(t *testing.T) {
 			}
 		}
 	})
+}
+
+// The helpers below read analyzer state back by real ID, so the
+// assertions above do not depend on slot numbering.
+
+type idPair struct{ obj, user uint64 }
+
+// pairCounts returns the addiction pairs of one population by ID.
+func pairCounts(a *Addiction, site string, cat trace.Category) map[idPair]int64 {
+	c, objs := a.population(site, cat)
+	if c == nil {
+		return nil
+	}
+	si, _ := a.find(site)
+	users := a.userIDs(si, &c.users)
+	out := map[idPair]int64{}
+	for k, n := range c.pairs {
+		out[idPair{objs[k>>32], users[uint32(k)]}] = n
+	}
+	return out
+}
+
+func trackedObjects(a *Aging, site string) (n int) {
+	_, st := a.find(site)
+	for _, days := range st.days {
+		if days != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+func trackedUsers(s *Sessions, site string) int {
+	users := map[uint32]bool{}
+	_, log := s.events(site)
+	for _, e := range log {
+		users[e.user] = true
+	}
+	return len(users)
+}
+
+func cachedObjects(c *Caching, site string) (n int) {
+	_, st := c.find(site)
+	for _, o := range st.objs {
+		if o.lookups != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// seriesTotals returns the request total of every series of one
+// population by object ID.
+func seriesTotals(s *ObjectSeries, site string, cat trace.Category) map[uint64]float64 {
+	si, st := s.find(site)
+	if st == nil {
+		return nil
+	}
+	ids := s.objectIDs(si, &st.objs)
+	c, _ := catIndex(cat)
+	out := map[uint64]float64{}
+	for i := int(c); i < len(st.rowOf); i += numCats {
+		if ri := st.rowOf[i]; ri != 0 {
+			out[ids[i/numCats]] = sum32(st.row(ri - 1))
+		}
+	}
+	return out
 }

@@ -1,13 +1,17 @@
 package analysis
 
-import "trafficscope/internal/sketch"
+import (
+	"slices"
 
-// boundedKeys implements the analyzers' bounded-memory mode: a uniform
-// hash-threshold sample of a key population (object IDs, user IDs)
-// capped at a fixed size. The analyzer keeps its per-key state in its
-// usual maps but routes every insert through admit, which returns false
-// for keys outside the sample and reports the keys to evict whenever
-// the sample outgrew the cap and the threshold halved.
+	"trafficscope/internal/sketch"
+)
+
+// boundedKeys is a slot table with a sampler attached, the bounded-memory
+// mode's replacement for a keyspace population: a uniform hash-threshold
+// sample of the keys offered to it, capped at a fixed size. Slots stay
+// dense: when the sample outgrows the cap the threshold halves, the
+// surviving keys are renumbered and the caller moves its per-slot state
+// through the returned remap.
 //
 // Because membership depends only on the key's hash and the current
 // threshold, the sample is an unbiased uniform subsample of the keys
@@ -15,98 +19,98 @@ import "trafficscope/internal/sketch"
 // (fractions of objects, per-object CDFs, per-user session curves)
 // computed from the sampled keys estimates the population value with
 // relative standard error ~ 1/sqrt(cap). Two workers' samples merge
-// exactly by adopting the stricter threshold and evicting.
+// exactly by adopting the stricter threshold and evicting. The zero
+// value is an empty sample admitting every key.
 type boundedKeys struct {
-	cap  int
-	samp *sketch.KeySampler
-	keys map[uint64]struct{}
+	slotTable
+	samp sketch.KeySampler
 }
 
-// newBoundedKeys creates a sampler capped at cap keys (cap > 0).
-func newBoundedKeys(cap int) *boundedKeys {
-	return &boundedKeys{cap: cap, samp: sketch.NewKeySampler(), keys: map[uint64]struct{}{}}
+// admit returns the key's slot if the key is in the sample, tracking it
+// if new. When tracking it overflows cap the sample shrinks, and move is
+// called with the remap of every old slot to its new one, or to noSlot
+// for an evicted key, for the caller to move its per-slot state through
+// (the key itself may be among the evicted, in which case ok is false).
+func (b *boundedKeys) admit(cap int, key, hash uint64, move func(evict []uint32)) (slot uint32, ok bool) {
+	if !b.samp.Admits(hash) {
+		return noSlot, false
+	}
+	if s, seen := b.idx[key]; seen {
+		return s, true
+	}
+	slot = b.slot(key)
+	if len(b.keys) <= cap {
+		return slot, true
+	}
+	evict := b.prune(cap)
+	move(evict)
+	return evict[slot], evict[slot] != noSlot
 }
 
-// admit reports whether key is in the sample, tracking it if new.
-// dropped lists keys evicted by a threshold halving this call; the
-// caller must delete its state for them (key itself may be among them,
-// in which case admit returns false).
-func (b *boundedKeys) admit(key uint64) (ok bool, dropped []uint64) {
-	h := sketch.Hash64(key)
-	if !b.samp.Admits(h) {
-		return false, nil
-	}
-	if _, seen := b.keys[key]; seen {
-		return true, nil
-	}
-	b.keys[key] = struct{}{}
-	if len(b.keys) > b.cap {
-		dropped = b.shrink()
-	}
-	return b.samp.Admits(h), dropped
-}
-
-// shrink halves the threshold until the sample fits the cap, returning
-// the evicted keys.
-func (b *boundedKeys) shrink() []uint64 {
-	var dropped []uint64
-	for len(b.keys) > b.cap {
+// prune evicts the keys the sampler does not admit, halving its
+// threshold first for as long as the sample exceeds cap, and renumbers
+// the survivors in order. It returns the remap from old slots to new,
+// nil if every key stayed.
+func (b *boundedKeys) prune(cap int) []uint32 {
+	old := b.keys
+	kept := b.admitted(old)
+	for len(kept) > cap {
 		b.samp.Halve()
-		for k := range b.keys {
-			if !b.samp.Admits(sketch.Hash64(k)) {
-				delete(b.keys, k)
-				dropped = append(dropped, k)
-			}
-		}
+		kept = b.admitted(kept)
 	}
-	return dropped
+	if len(kept) == len(old) {
+		return nil
+	}
+	b.slotTable = slotTable{idx: make(map[uint64]uint32, len(kept)), keys: kept}
+	for s, k := range kept {
+		b.idx[k] = uint32(s)
+	}
+	return b.remapOf(old)
 }
 
-// mergeFrom folds another sampler's keys in under the stricter of the
-// two thresholds and the cap. admitted lists o's keys that joined the
-// merged sample (the caller merges state for exactly those); dropped
-// lists this sampler's previously-tracked keys that fell out.
-func (b *boundedKeys) mergeFrom(o *boundedKeys) (admitted, dropped []uint64) {
-	if b.samp.MergeFrom(o.samp) {
-		for k := range b.keys {
-			if !b.samp.Admits(sketch.Hash64(k)) {
-				delete(b.keys, k)
-				dropped = append(dropped, k)
-			}
+// admitted filters keys down to those the sampler admits.
+func (b *boundedKeys) admitted(keys []uint64) []uint64 {
+	var out []uint64
+	for _, k := range keys {
+		if b.samp.Admits(sketch.Hash64(k)) {
+			out = append(out, k)
 		}
 	}
-	for k := range o.keys {
-		if !b.samp.Admits(sketch.Hash64(k)) {
-			continue
-		}
-		if _, seen := b.keys[k]; !seen {
-			b.keys[k] = struct{}{}
-			admitted = append(admitted, k)
-		} else {
-			admitted = append(admitted, k)
-		}
-	}
-	if len(b.keys) > b.cap {
-		more := b.shrink()
-		// A late shrink can evict keys from either side; the caller
-		// deletes state for all of them, so fold them into dropped and
-		// filter them out of admitted.
-		evicted := make(map[uint64]struct{}, len(more))
-		for _, k := range more {
-			evicted[k] = struct{}{}
-		}
-		kept := admitted[:0]
-		for _, k := range admitted {
-			if _, gone := evicted[k]; !gone {
-				kept = append(kept, k)
-			}
-		}
-		admitted = kept
-		dropped = append(dropped, more...)
-	}
-	return admitted, dropped
+	return out
 }
 
-// inclusionProb exposes the sample's inclusion probability for
-// population-total estimates (scale sampled totals by its inverse).
-func (b *boundedKeys) inclusionProb() float64 { return b.samp.InclusionProb() }
+// remapOf maps each of keys to its slot, or to noSlot.
+func (b *boundedKeys) remapOf(keys []uint64) []uint32 {
+	rm := make([]uint32, len(keys))
+	for s, k := range keys {
+		slot, ok := b.idx[k]
+		if !ok {
+			slot = noSlot
+		}
+		rm[s] = slot
+	}
+	return rm
+}
+
+// mergeFrom folds another sample in under the stricter of the two
+// thresholds and the cap, and returns the remap of o's slots to their
+// slots in the merged sample (noSlot for keys that did not make it). If
+// a key b tracked is evicted, move is first called with the remap of
+// b's old slots, as admit calls it.
+func (b *boundedKeys) mergeFrom(cap int, o *boundedKeys, move func(evict []uint32)) (from []uint32) {
+	tightened := b.samp.MergeFrom(&o.samp)
+	mine := len(b.keys)
+	for _, k := range o.keys {
+		if b.samp.Admits(sketch.Hash64(k)) {
+			b.slot(k)
+		}
+	}
+	if tightened || len(b.keys) > cap {
+		// b's own keys lead the table in their old order, so they keep
+		// their slots unless one of them is evicted.
+		if rm := b.prune(cap); rm != nil && slices.Contains(rm[:mine], noSlot) {
+			move(rm[:mine])
+		}
+	}
+	return b.remapOf(o.keys)
+}

@@ -1,7 +1,8 @@
 package analysis
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"trafficscope/internal/stats"
 	"trafficscope/internal/trace"
@@ -18,43 +19,44 @@ import (
 // scalar counters in both modes, and the per-category response-code
 // table is tiny and always exact.
 type Caching struct {
+	perSite[cachingSite]
 	budget int
-	sites  map[string]*cachingSite
 }
 
 type cachingSite struct {
-	// per object: lookups and hits (only records with a cache verdict)
-	lookups map[uint64]int64
-	hits    map[uint64]int64
-	objCat  map[uint64]trace.Category
+	keys boundedKeys // bounded mode: the site's object sample
+	// objs, by object slot, counts only records with a cache verdict.
+	objs []objLookups
 	// response code counts per category
-	codes map[trace.Category]map[int]int64
+	codes [numCats][]codeCount
 	// exact site-wide totals (independent of object sampling)
 	totalLookups int64
 	totalHits    int64
-	bound        *boundedKeys // nil in exact mode
 }
 
-func newCachingSite(budget int) *cachingSite {
-	s := &cachingSite{
-		lookups: map[uint64]int64{},
-		hits:    map[uint64]int64{},
-		objCat:  map[uint64]trace.Category{},
-		codes:   map[trace.Category]map[int]int64{},
-	}
-	if budget > 0 {
-		s.bound = newBoundedKeys(budget)
-	}
-	return s
+// objLookups is one object's cache outcomes; lookups is zero for an
+// object without a verdict yet.
+type objLookups struct {
+	lookups, hits int64
+	cat           trace.Category // of the object's first verdict
 }
 
-// drop deletes all per-object state for the dropped objects.
-func (s *cachingSite) drop(dropped []uint64) {
-	for _, id := range dropped {
-		delete(s.lookups, id)
-		delete(s.hits, id)
-		delete(s.objCat, id)
+// codeCount counts one response code. A category sees a handful of
+// codes, so a scanned slice beats a map.
+type codeCount struct {
+	code int
+	n    int64
+}
+
+// addCode adds n responses with the given code.
+func addCode(codes *[]codeCount, code int, n int64) {
+	for i := range *codes {
+		if (*codes)[i].code == code {
+			(*codes)[i].n += n
+			return
+		}
 	}
+	*codes = append(*codes, codeCount{code, n})
 }
 
 func init() {
@@ -69,119 +71,105 @@ func init() {
 // NewCaching creates an empty accumulator; budget 0 is exact, a
 // positive budget caps tracked objects per site.
 func NewCaching(budget int) *Caching {
-	return &Caching{budget: budget, sites: map[string]*cachingSite{}}
+	c := &Caching{budget: budget}
+	c.needs = exactNeeds(budget, needObjects)
+	return c
 }
 
 // Add folds one record.
-func (c *Caching) Add(r *trace.Record) {
-	s, ok := c.sites[r.Publisher]
-	if !ok {
-		s = newCachingSite(c.budget)
-		c.sites[r.Publisher] = s
-	}
-	cat := r.Category()
-	codes, ok := s.codes[cat]
-	if !ok {
-		codes = map[int]int64{}
-		s.codes[cat] = codes
-	}
-	codes[r.StatusCode]++
+func (c *Caching) Add(r *trace.Record) { c.add(r, c.resolve(r)) }
+
+func (c *Caching) add(r *trace.Record, k *recKey) {
+	st := c.site(k.site)
+	addCode(&st.codes[k.cat], r.StatusCode, 1)
 	if r.Cache == trace.CacheUnknown {
 		return
 	}
-	s.totalLookups++
+	st.totalLookups++
 	if r.Cache == trace.CacheHit {
-		s.totalHits++
+		st.totalHits++
 	}
-	if s.bound != nil {
-		ok, dropped := s.bound.admit(r.ObjectID)
-		s.drop(dropped)
-		if !ok {
+	slot := k.obj
+	if c.budget > 0 {
+		var ok bool
+		if slot, ok = st.keys.admit(c.budget, r.ObjectID, k.objHash, st.compact); !ok {
 			return
 		}
 	}
-	s.lookups[r.ObjectID]++
+	o := at(&st.objs, slot)
+	if o.lookups == 0 {
+		o.cat = category(k.cat)
+	}
+	o.lookups++
 	if r.Cache == trace.CacheHit {
-		s.hits[r.ObjectID]++
+		o.hits++
 	}
-	if _, seen := s.objCat[r.ObjectID]; !seen {
-		s.objCat[r.ObjectID] = cat
+}
+
+// absorb folds o's per-object state in, rm mapping o's slots to st's.
+func (st *cachingSite) absorb(o *cachingSite, rm []uint32) {
+	for slot, from := range o.objs {
+		if rm[slot] == noSlot || from.lookups == 0 {
+			continue
+		}
+		to := at(&st.objs, rm[slot])
+		if to.lookups == 0 {
+			to.cat = from.cat
+		}
+		to.lookups += from.lookups
+		to.hits += from.hits
 	}
+}
+
+// compact renumbers the tracked objects after the sample shrank.
+func (st *cachingSite) compact(evict []uint32) {
+	old := cachingSite{objs: st.objs}
+	st.objs = nil
+	st.absorb(&old, evict)
 }
 
 // Merge folds another accumulator in.
-func (c *Caching) Merge(o *Caching) {
-	for site, os := range o.sites {
-		s, ok := c.sites[site]
-		if !ok {
-			s = newCachingSite(c.budget)
-			c.sites[site] = s
-		}
-		s.totalLookups += os.totalLookups
-		s.totalHits += os.totalHits
-		keep := func(uint64) bool { return true }
-		if s.bound != nil && os.bound != nil {
-			admitted, dropped := s.bound.mergeFrom(os.bound)
-			s.drop(dropped)
-			in := make(map[uint64]struct{}, len(admitted))
-			for _, id := range admitted {
-				in[id] = struct{}{}
-			}
-			keep = func(id uint64) bool { _, ok := in[id]; return ok }
-		}
-		for id, n := range os.lookups {
-			if keep(id) {
-				s.lookups[id] += n
+func (c *Caching) Merge(o *Caching) { c.mergeKeyed(o, c.keys().absorb(o.keys())) }
+
+func (c *Caching) mergeKeyed(src Analyzer, rm *remap) {
+	c.mergeSites(&src.(*Caching).perSite, rm, func(si int, st, os *cachingSite) {
+		st.totalLookups += os.totalLookups
+		st.totalHits += os.totalHits
+		for cat := range os.codes {
+			for _, cc := range os.codes[cat] {
+				addCode(&st.codes[cat], cc.code, cc.n)
 			}
 		}
-		for id, n := range os.hits {
-			if keep(id) {
-				s.hits[id] += n
-			}
+		objs := rm.obj[si]
+		if c.budget > 0 {
+			objs = st.keys.mergeFrom(c.budget, &os.keys, st.compact)
 		}
-		for id, cat := range os.objCat {
-			if _, seen := s.objCat[id]; !seen && keep(id) {
-				s.objCat[id] = cat
-			}
-		}
-		for cat, codes := range os.codes {
-			mine, ok := s.codes[cat]
-			if !ok {
-				mine = map[int]int64{}
-				s.codes[cat] = mine
-			}
-			for code, n := range codes {
-				mine[code] += n
-			}
-		}
-	}
+		st.absorb(os, objs)
+	})
 }
 
-// Sites returns the analyzed site names, sorted.
-func (c *Caching) Sites() []string {
-	out := make([]string, 0, len(c.sites))
-	for s := range c.sites {
-		out = append(out, s)
+// hitRatios lists the lookups and hit ratio of every tracked object of
+// the site, optionally only those of one category.
+func (st *cachingSite) hitRatios(only trace.Category) (lookups, ratios []float64) {
+	for _, o := range st.objs {
+		if o.lookups == 0 || (only != 0 && o.cat != only) {
+			continue
+		}
+		lookups = append(lookups, float64(o.lookups))
+		ratios = append(ratios, float64(o.hits)/float64(o.lookups))
 	}
-	sort.Strings(out)
-	return out
+	return lookups, ratios
 }
 
 // HitRatioCDF returns the ECDF of per-object hit ratios for the site and
 // category (Fig. 15). Objects without cache-annotated requests are
 // excluded.
 func (c *Caching) HitRatioCDF(site string, cat trace.Category) *stats.ECDF {
-	s, ok := c.sites[site]
-	if !ok {
+	_, st := c.find(site)
+	if st == nil || cat == 0 {
 		return nil
 	}
-	var sample []float64
-	for id, lookups := range s.lookups {
-		if s.objCat[id] != cat || lookups == 0 {
-			continue
-		}
-		sample = append(sample, float64(s.hits[id])/float64(lookups))
-	}
+	_, sample := st.hitRatios(cat)
 	if len(sample) == 0 {
 		return nil
 	}
@@ -193,11 +181,11 @@ func (c *Caching) HitRatioCDF(site string, cat trace.Category) *stats.ECDF {
 // The ratio comes from exact site-wide counters, so it carries no
 // sampling error in bounded mode.
 func (c *Caching) WeightedHitRatio(site string) float64 {
-	s, ok := c.sites[site]
-	if !ok || s.totalLookups == 0 {
+	_, st := c.find(site)
+	if st == nil || st.totalLookups == 0 {
 		return 0
 	}
-	return float64(s.totalHits) / float64(s.totalLookups)
+	return float64(st.totalHits) / float64(st.totalLookups)
 }
 
 // PopularityHitCorrelation returns the Spearman correlation between
@@ -205,19 +193,11 @@ func (c *Caching) WeightedHitRatio(site string) float64 {
 // higher hit ratios (more than 0.9 correlation coefficient)"). Rank
 // correlation is used because popularity is heavy-tailed.
 func (c *Caching) PopularityHitCorrelation(site string) float64 {
-	s, ok := c.sites[site]
-	if !ok {
+	_, st := c.find(site)
+	if st == nil {
 		return 0
 	}
-	var pops, ratios []float64
-	for id, lookups := range s.lookups {
-		if lookups == 0 {
-			continue
-		}
-		pops = append(pops, float64(lookups))
-		ratios = append(ratios, float64(s.hits[id])/float64(lookups))
-	}
-	return stats.Spearman(pops, ratios)
+	return stats.Spearman(st.hitRatios(0))
 }
 
 // HitRatioByPopularityDecile buckets the site's objects into popularity
@@ -225,33 +205,32 @@ func (c *Caching) PopularityHitCorrelation(site string) float64 {
 // ratio per decile — the mechanism behind the paper's >0.9 popularity-
 // hit correlation claim, shown as a curve rather than one coefficient.
 func (c *Caching) HitRatioByPopularityDecile(site string) []float64 {
-	s, ok := c.sites[site]
-	if !ok || len(s.lookups) == 0 {
+	si, st := c.find(site)
+	if st == nil {
 		return nil
 	}
+	ids := c.objectIDs(si, &st.keys.slotTable)
 	type obj struct {
 		id      uint64
 		lookups int64
 		ratio   float64
 	}
-	objs := make([]obj, 0, len(s.lookups))
-	for id, lookups := range s.lookups {
-		if lookups == 0 {
+	var objs []obj
+	for slot, o := range st.objs {
+		if o.lookups == 0 {
 			continue
 		}
-		objs = append(objs, obj{id: id, lookups: lookups, ratio: float64(s.hits[id]) / float64(lookups)})
+		objs = append(objs, obj{id: ids[slot], lookups: o.lookups, ratio: float64(o.hits) / float64(o.lookups)})
 	}
 	if len(objs) < 10 {
 		return nil
 	}
-	// Tie-break equal lookup counts by id: objs comes from map iteration,
-	// and without a total order equal-popularity objects would land in
-	// different deciles from run to run.
-	sort.Slice(objs, func(i, j int) bool {
-		if objs[i].lookups != objs[j].lookups {
-			return objs[i].lookups < objs[j].lookups
-		}
-		return objs[i].id < objs[j].id
+	// Tie-break equal lookup counts by id: slot order depends on which
+	// worker saw an object first, and without a total order
+	// equal-popularity objects would land in different deciles from run
+	// to run.
+	slices.SortFunc(objs, func(a, b obj) int {
+		return cmp.Or(cmp.Compare(a.lookups, b.lookups), cmp.Compare(a.id, b.id))
 	})
 	out := make([]float64, 10)
 	for d := 0; d < 10; d++ {
@@ -272,14 +251,15 @@ func (c *Caching) HitRatioByPopularityDecile(site string) []float64 {
 // ResponseCodes returns the site's status-code counts for a category
 // (Fig. 16).
 func (c *Caching) ResponseCodes(site string, cat trace.Category) map[int]int64 {
-	s, ok := c.sites[site]
-	if !ok {
+	_, st := c.find(site)
+	if st == nil {
 		return nil
 	}
-	codes := s.codes[cat]
-	out := make(map[int]int64, len(codes))
-	for code, n := range codes {
-		out[code] = n
+	out := map[int]int64{}
+	if ci, ok := catIndex(cat); ok {
+		for _, cc := range st.codes[ci] {
+			out[cc.code] = cc.n
+		}
 	}
 	return out
 }

@@ -31,20 +31,61 @@ import (
 // undercounts, so no qualifying object is starved — overcounts can only
 // admit a cold object early, which the minRequests filter still drops.
 type ObjectSeries struct {
-	week   timeutil.Week
+	perSite[seriesSite]
 	budget int
-	sites  map[string]map[trace.Category]map[uint64]*[timeutil.HoursPerWeek]float32
-	gates  map[string]map[trace.Category]*seriesGate // nil in exact mode
 }
 
 // seriesAdmitThreshold is the estimated request count at which a series
 // is allocated in bounded mode.
 const seriesAdmitThreshold = 4
 
-// seriesGate is the bounded-mode admission state for one (site,
-// category) population.
-type seriesGate struct {
-	cm *sketch.CountMin
+// hourRow is one object's hour-of-week request counts.
+type hourRow [timeutil.HoursPerWeek]float32
+
+// rowChunk is the number of rows allocated at a time: rows live in
+// fixed-size chunks so that taking one more never copies the 672-byte
+// rows already in use.
+const rowChunk = 64
+
+type seriesSite struct {
+	// rowOf, at catSlot, is one more than the row holding the series of
+	// that object under that category; zero for none.
+	rowOf []uint32
+	rows  [][]hourRow
+	// perCat counts the series per category, what bounded mode caps.
+	perCat [numCats]int
+	// Bounded mode: objs slots the admitted objects (exact mode uses
+	// the keyspace's slots) and gates holds the per-category Count-Min
+	// admission sketches, nil for a category without requests.
+	objs  slotTable
+	gates [numCats]*sketch.CountMin
+}
+
+// row returns the series stored in row i.
+func (st *seriesSite) row(i uint32) *hourRow { return &st.rows[i/rowChunk][i%rowChunk] }
+
+// has reports whether the object slot has a series under the category.
+func (st *seriesSite) has(slot uint32, cat uint8) bool {
+	i := catSlot(slot, cat)
+	return i < uint32(len(st.rowOf)) && st.rowOf[i] != 0
+}
+
+// series returns the series of the object slot under the category,
+// starting an empty one if it has none.
+func (st *seriesSite) series(slot uint32, cat uint8) *hourRow {
+	ri := at(&st.rowOf, catSlot(slot, cat))
+	if *ri == 0 {
+		n := 0
+		for _, per := range st.perCat {
+			n += per
+		}
+		if n == len(st.rows)*rowChunk {
+			st.rows = append(st.rows, make([]hourRow, rowChunk))
+		}
+		st.perCat[cat]++
+		*ri = uint32(n) + 1
+	}
+	return st.row(*ri - 1)
 }
 
 func init() {
@@ -60,98 +101,66 @@ func init() {
 // budget 0 is exact, a positive budget caps per-(site, category) series
 // at that count behind a Count-Min admission gate.
 func NewObjectSeries(week timeutil.Week, budget int) *ObjectSeries {
-	s := &ObjectSeries{
-		week:   week,
-		budget: budget,
-		sites:  map[string]map[trace.Category]map[uint64]*[timeutil.HoursPerWeek]float32{},
-	}
-	if budget > 0 {
-		s.gates = map[string]map[trace.Category]*seriesGate{}
-	}
+	s := &ObjectSeries{budget: budget}
+	s.week, s.needs = week, exactNeeds(budget, needObjects)
 	return s
 }
 
-// gate returns the (site, category) admission gate in bounded mode.
-func (s *ObjectSeries) gate(site string, cat trace.Category) *seriesGate {
-	if s.gates == nil {
-		return nil
-	}
-	cats, ok := s.gates[site]
-	if !ok {
-		cats = map[trace.Category]*seriesGate{}
-		s.gates[site] = cats
-	}
-	g, ok := cats[cat]
-	if !ok {
-		g = &seriesGate{cm: sketch.NewCountMin(0, 0)}
-		cats[cat] = g
-	}
-	return g
-}
-
 // Add folds one record; records outside the week are ignored.
-func (s *ObjectSeries) Add(r *trace.Record) {
-	idx := s.week.HourIndex(r.Timestamp)
-	if idx < 0 {
+func (s *ObjectSeries) Add(r *trace.Record) { s.add(r, s.resolve(r)) }
+
+func (s *ObjectSeries) add(r *trace.Record, k *recKey) {
+	if k.hour < 0 {
 		return
 	}
-	site, ok := s.sites[r.Publisher]
-	if !ok {
-		site = map[trace.Category]map[uint64]*[timeutil.HoursPerWeek]float32{}
-		s.sites[r.Publisher] = site
-	}
-	cat := r.Category()
-	objs, ok := site[cat]
-	if !ok {
-		objs = map[uint64]*[timeutil.HoursPerWeek]float32{}
-		site[cat] = objs
-	}
-	series, ok := objs[r.ObjectID]
-	if !ok {
-		if g := s.gate(r.Publisher, cat); g != nil {
-			est := g.cm.Add(sketch.Hash64(r.ObjectID), 1)
-			if est < seriesAdmitThreshold || len(objs) >= s.budget {
+	st := s.site(k.site)
+	slot := k.obj
+	if s.budget > 0 {
+		var known bool
+		if slot, known = st.objs.idx[r.ObjectID]; !known || !st.has(slot, k.cat) {
+			if st.gates[k.cat] == nil {
+				st.gates[k.cat] = sketch.NewCountMin(0, 0)
+			}
+			if est := st.gates[k.cat].Add(k.objHash, 1); est < seriesAdmitThreshold || st.perCat[k.cat] >= s.budget {
 				return
 			}
+			slot = st.objs.slot(r.ObjectID)
 		}
-		series = &[timeutil.HoursPerWeek]float32{}
-		objs[r.ObjectID] = series
 	}
-	series[idx]++
+	st.series(slot, k.cat)[k.hour]++
 }
 
 // Merge folds another accumulator in. In bounded mode the sketches add
 // and partial series merge; an object admitted by one worker but still
 // below another worker's threshold loses those sub-threshold requests,
 // so the per-object undercount bound scales with the worker count.
-func (s *ObjectSeries) Merge(o *ObjectSeries) {
-	for site, cats := range o.sites {
-		mine, ok := s.sites[site]
-		if !ok {
-			mine = map[trace.Category]map[uint64]*[timeutil.HoursPerWeek]float32{}
-			s.sites[site] = mine
-		}
-		for cat, objs := range cats {
-			m, ok := mine[cat]
-			if !ok {
-				m = map[uint64]*[timeutil.HoursPerWeek]float32{}
-				mine[cat] = m
-			}
-			if g := s.gate(site, cat); g != nil {
-				g.cm.Merge(o.gate(site, cat).cm)
-			}
-			for id, series := range objs {
-				dst, ok := m[id]
-				if !ok {
-					dst = &[timeutil.HoursPerWeek]float32{}
-					m[id] = dst
+func (s *ObjectSeries) Merge(o *ObjectSeries) { s.mergeKeyed(o, s.keys().absorb(o.keys())) }
+
+func (s *ObjectSeries) mergeKeyed(src Analyzer, rm *remap) {
+	s.mergeSites(&src.(*ObjectSeries).perSite, rm, func(si int, st, os *seriesSite) {
+		objs := rm.obj[si]
+		if s.budget > 0 {
+			objs = st.objs.absorb(&os.objs)
+			for cat, g := range os.gates {
+				if g == nil {
+					continue
 				}
-				for h, v := range series {
-					dst[h] += v
+				if st.gates[cat] == nil {
+					st.gates[cat] = sketch.NewCountMin(0, 0)
 				}
+				st.gates[cat].Merge(g)
 			}
 		}
-	}
+		for i, ri := range os.rowOf {
+			if ri == 0 {
+				continue
+			}
+			dst := st.series(objs[i/numCats], uint8(i%numCats))
+			for h, v := range os.row(ri - 1) {
+				dst[h] += v
+			}
+		}
+	})
 }
 
 // SeriesSet extracts, for one site and category, the normalized request
@@ -160,20 +169,25 @@ func (s *ObjectSeries) Merge(o *ObjectSeries) {
 // count. Series are normalized to sum 1, matching the paper's
 // "normalized request count" axes.
 func (s *ObjectSeries) SeriesSet(site string, cat trace.Category, minRequests float64, maxObjects int) (ids []uint64, series [][]float64) {
-	site2, ok := s.sites[site]
-	if !ok {
+	si, st := s.find(site)
+	c, ok := catIndex(cat)
+	if st == nil || !ok {
 		return nil, nil
 	}
+	objIDs := s.objectIDs(si, &st.objs)
 	type cand struct {
 		id    uint64
 		total float64
-		raw   *[timeutil.HoursPerWeek]float32
+		raw   *hourRow
 	}
 	var cands []cand
-	for id, raw := range site2[cat] {
-		total := sum32(raw)
-		if total >= minRequests {
-			cands = append(cands, cand{id: id, total: total, raw: raw})
+	for i := int(c); i < len(st.rowOf); i += numCats {
+		if st.rowOf[i] == 0 {
+			continue
+		}
+		raw := st.row(st.rowOf[i] - 1)
+		if total := sum32(raw); total >= minRequests {
+			cands = append(cands, cand{id: objIDs[i/numCats], total: total, raw: raw})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
@@ -193,7 +207,7 @@ func (s *ObjectSeries) SeriesSet(site string, cat trace.Category, minRequests fl
 }
 
 // sum32 totals a stored series.
-func sum32(raw *[timeutil.HoursPerWeek]float32) float64 {
+func sum32(raw *hourRow) float64 {
 	var total float64
 	for _, v := range raw {
 		total += float64(v)
@@ -203,7 +217,7 @@ func sum32(raw *[timeutil.HoursPerWeek]float32) float64 {
 
 // widen converts a stored series back to the float64 slice the DTW and
 // normalization code operates on.
-func widen(raw *[timeutil.HoursPerWeek]float32) []float64 {
+func widen(raw *hourRow) []float64 {
 	out := make([]float64, len(raw))
 	for i, v := range raw {
 		out[i] = float64(v)

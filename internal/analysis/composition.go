@@ -7,8 +7,6 @@
 package analysis
 
 import (
-	"sort"
-
 	"trafficscope/internal/sketch"
 	"trafficscope/internal/trace"
 )
@@ -89,48 +87,29 @@ func (b *CategoryBreakdown) ByteFrac(c trace.Category) float64 {
 
 // compSite is the mutable per-site state of a Composition.
 type compSite struct {
-	requests map[trace.Category]int64
-	bytes    map[trace.Category]int64
-	objCat   map[uint64]trace.Category      // distinct objects with their category (exact mode)
-	objHLL   map[trace.Category]*sketch.HLL // distinct-object cardinality (bounded mode)
-}
-
-func newCompSite(bounded bool) *compSite {
-	s := &compSite{
-		requests: map[trace.Category]int64{},
-		bytes:    map[trace.Category]int64{},
-	}
-	if bounded {
-		s.objHLL = map[trace.Category]*sketch.HLL{}
-	} else {
-		s.objCat = map[uint64]trace.Category{}
-	}
-	return s
-}
-
-// hll returns the category's distinct-object sketch in bounded mode.
-func (s *compSite) hll(cat trace.Category) *sketch.HLL {
-	h, ok := s.objHLL[cat]
-	if !ok {
-		h = sketch.NewHLL(0)
-		s.objHLL[cat] = h
-	}
-	return h
+	requests [numCats]int64
+	bytes    [numCats]int64
+	// firstCat, by object slot, is one more than the catIndex the object
+	// was first seen under (exact mode); zero for an object not seen yet.
+	firstCat []uint8
+	// objHLL is the distinct-object cardinality per category (bounded
+	// mode); nil for a category without requests.
+	objHLL [numCats]*sketch.HLL
 }
 
 // Composition accumulates Figs. 1, 2a and 2b: per-site object, request
 // and byte composition by content category. It satisfies
 // pipeline.Accumulator and merges exactly in exact mode (object
 // identity is tracked). Bounded mode (Params.MemoryBudget > 0) replaces
-// the distinct-object map with one HyperLogLog per site and category —
+// the per-object category with one HyperLogLog per site and category —
 // a fixed 16 KiB each, relative standard error ~0.8% on object counts —
 // while request and byte totals stay exact in both modes. An object
 // requested under two categories counts toward each in bounded mode
 // (exact mode keeps first-seen only); such conflicts do not occur in
 // generated traces, where an object's category is a function of its ID.
 type Composition struct {
+	perSite[compSite]
 	budget int
-	sites  map[string]*compSite
 }
 
 func init() {
@@ -145,87 +124,75 @@ func init() {
 // NewComposition creates an empty accumulator; budget 0 is exact, any
 // positive budget switches distinct-object counting to HyperLogLog.
 func NewComposition(budget int) *Composition {
-	return &Composition{budget: budget, sites: map[string]*compSite{}}
+	c := &Composition{budget: budget}
+	c.needs = exactNeeds(budget, needObjects)
+	return c
 }
 
 // Add folds one record.
-func (c *Composition) Add(r *trace.Record) {
-	s, ok := c.sites[r.Publisher]
-	if !ok {
-		s = newCompSite(c.budget > 0)
-		c.sites[r.Publisher] = s
-	}
-	cat := r.Category()
-	s.requests[cat]++
-	s.bytes[cat] += r.ObjectSize
-	if s.objHLL != nil {
-		s.hll(cat).Add(sketch.Hash64(r.ObjectID))
+func (c *Composition) Add(r *trace.Record) { c.add(r, c.resolve(r)) }
+
+func (c *Composition) add(r *trace.Record, k *recKey) {
+	st := c.site(k.site)
+	st.requests[k.cat]++
+	st.bytes[k.cat] += r.ObjectSize
+	if c.budget > 0 {
+		if st.objHLL[k.cat] == nil {
+			st.objHLL[k.cat] = sketch.NewHLL(0)
+		}
+		st.objHLL[k.cat].Add(k.objHash)
 		return
 	}
-	if _, seen := s.objCat[r.ObjectID]; !seen {
-		s.objCat[r.ObjectID] = cat
+	if first := at(&st.firstCat, k.obj); *first == 0 {
+		*first = k.cat + 1
 	}
 }
 
 // Merge folds another accumulator in.
-func (c *Composition) Merge(o *Composition) {
-	for site, os := range o.sites {
-		s, ok := c.sites[site]
-		if !ok {
-			s = newCompSite(c.budget > 0)
-			c.sites[site] = s
-		}
-		for cat, n := range os.requests {
-			s.requests[cat] += n
-		}
-		for cat, n := range os.bytes {
-			s.bytes[cat] += n
-		}
-		if s.objHLL != nil {
-			for cat, h := range os.objHLL {
-				s.hll(cat).Merge(h)
-			}
-			continue
-		}
-		for id, cat := range os.objCat {
-			if _, seen := s.objCat[id]; !seen {
-				s.objCat[id] = cat
-			}
-		}
-	}
-}
+func (c *Composition) Merge(o *Composition) { c.mergeKeyed(o, c.keys().absorb(o.keys())) }
 
-// Sites returns the analyzed site names, sorted.
-func (c *Composition) Sites() []string {
-	out := make([]string, 0, len(c.sites))
-	for s := range c.sites {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
+func (c *Composition) mergeKeyed(src Analyzer, rm *remap) {
+	c.mergeSites(&src.(*Composition).perSite, rm, func(si int, st, os *compSite) {
+		for cat := range os.requests {
+			st.requests[cat] += os.requests[cat]
+			st.bytes[cat] += os.bytes[cat]
+			if h := os.objHLL[cat]; h != nil {
+				if st.objHLL[cat] == nil {
+					st.objHLL[cat] = sketch.NewHLL(0)
+				}
+				st.objHLL[cat].Merge(h)
+			}
+		}
+		for slot, cat := range os.firstCat {
+			if first := at(&st.firstCat, rm.obj[si][slot]); cat != 0 && *first == 0 {
+				*first = cat
+			}
+		}
+	})
 }
 
 // Site returns the breakdown for one site, or nil if unseen.
 func (c *Composition) Site(name string) *CategoryBreakdown {
-	s, ok := c.sites[name]
-	if !ok {
+	_, st := c.find(name)
+	if st == nil {
 		return nil
 	}
 	b := newCategoryBreakdown()
-	for cat, n := range s.requests {
+	for i, n := range st.requests {
+		if n == 0 {
+			continue
+		}
+		cat := category(uint8(i))
 		b.Requests[cat] = n
-	}
-	for cat, n := range s.bytes {
-		b.Bytes[cat] = n
-	}
-	if s.objHLL != nil {
-		for cat, h := range s.objHLL {
+		b.Bytes[cat] = st.bytes[i]
+		if h := st.objHLL[i]; h != nil {
 			b.Objects[cat] = int64(h.Estimate() + 0.5)
 		}
-		return b
 	}
-	for _, cat := range s.objCat {
-		b.Objects[cat]++
+	for _, cat := range st.firstCat {
+		if cat != 0 {
+			b.Objects[category(cat-1)]++
+		}
 	}
 	return b
 }

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"sort"
-
 	"trafficscope/internal/sketch"
 	"trafficscope/internal/trace"
 	"trafficscope/internal/useragent"
@@ -15,14 +13,40 @@ import (
 // each, relative standard error ~0.8% on each device's user count, so
 // the resulting shares are accurate to well under a percentage point.
 type DeviceMix struct {
+	perSite[devicesSite]
 	bounded bool
-	sites   map[string]map[useragent.Device]map[uint64]bool
-	hlls    map[string]map[useragent.Device]*sketch.HLL // bounded mode
-	// parsed memoizes UA classification: agent strings repeat across
-	// records, and useragent.Parse allocates a lowered copy per call.
-	// Bounded so a trace of unique agents cannot grow it without limit.
-	parsed map[string]useragent.Device
+	// agents lists the distinct User-Agent strings classified so far and
+	// index finds them: agent strings repeat across records, and
+	// useragent.Parse allocates a lowered copy per call. Capped at
+	// maxAgents so a trace of unique agents cannot grow them without
+	// limit.
+	agents []classifiedAgent
+	index  map[string]uint16
 }
+
+const maxAgents = 1 << 14
+
+type classifiedAgent struct {
+	ua  string
+	dev uint8 // deviceIndex of the agent's device
+}
+
+type devicesSite struct {
+	users []userDevices  // by user slot (exact mode)
+	hlls  [4]*sketch.HLL // distinct users per device (bounded mode)
+}
+
+// userDevices is the set of devices one user was seen on, with the
+// agent string last seen from the user: the next record nearly always
+// carries the same string — the same pointer, in a generated or decoded
+// trace — so comparing against it ends before hashing 100 bytes.
+type userDevices struct {
+	agent uint16 // 1 + its index in agents; zero for none
+	seen  uint8  // bit deviceIndex(d) per device d
+}
+
+// deviceIndex maps a device to its position in useragent.AllDevices().
+func deviceIndex(d useragent.Device) uint8 { return uint8(d - useragent.DeviceDesktop) }
 
 func init() {
 	Register(Descriptor{
@@ -36,138 +60,93 @@ func init() {
 // NewDeviceMix creates an empty accumulator; budget 0 is exact, any
 // positive budget switches distinct-user counting to HyperLogLog.
 func NewDeviceMix(budget int) *DeviceMix {
-	d := &DeviceMix{
-		bounded: budget > 0,
-		parsed:  map[string]useragent.Device{},
-	}
-	if d.bounded {
-		d.hlls = map[string]map[useragent.Device]*sketch.HLL{}
-	} else {
-		d.sites = map[string]map[useragent.Device]map[uint64]bool{}
-	}
+	d := &DeviceMix{bounded: budget > 0, index: map[string]uint16{}}
+	d.needs = exactNeeds(budget, needUsers)
 	return d
 }
 
-// device classifies (and memoizes) one User-Agent string.
-func (d *DeviceMix) device(ua string) useragent.Device {
-	dev, ok := d.parsed[ua]
-	if !ok {
-		dev = useragent.Parse(ua).Device
-		if len(d.parsed) < 1<<14 {
-			d.parsed[ua] = dev
-		}
+// classify returns the deviceIndex of one User-Agent string's device
+// and, unless the memo is full, one more than the string's index in it.
+func (d *DeviceMix) classify(ua string) (agent uint16, dev uint8) {
+	if i, ok := d.index[ua]; ok {
+		return i + 1, d.agents[i].dev
 	}
-	return dev
-}
-
-// hll returns the (site, device) user sketch in bounded mode.
-func (d *DeviceMix) hll(site string, dev useragent.Device) *sketch.HLL {
-	devs, ok := d.hlls[site]
-	if !ok {
-		devs = map[useragent.Device]*sketch.HLL{}
-		d.hlls[site] = devs
+	dev = deviceIndex(useragent.Parse(ua).Device)
+	if len(d.agents) == maxAgents {
+		return 0, dev
 	}
-	h, ok := devs[dev]
-	if !ok {
-		h = sketch.NewHLL(0)
-		devs[dev] = h
-	}
-	return h
+	d.index[ua] = uint16(len(d.agents))
+	d.agents = append(d.agents, classifiedAgent{ua, dev})
+	return uint16(len(d.agents)), dev
 }
 
 // Add folds one record.
-func (d *DeviceMix) Add(r *trace.Record) {
-	dev := d.device(r.UserAgent)
+func (d *DeviceMix) Add(r *trace.Record) { d.add(r, d.resolve(r)) }
+
+func (d *DeviceMix) add(r *trace.Record, k *recKey) {
+	st := d.site(k.site)
 	if d.bounded {
-		d.hll(r.Publisher, dev).Add(sketch.Hash64(r.UserID))
+		_, dev := d.classify(r.UserAgent)
+		if st.hlls[dev] == nil {
+			st.hlls[dev] = sketch.NewHLL(0)
+		}
+		st.hlls[dev].Add(k.userHash)
 		return
 	}
-	site, ok := d.sites[r.Publisher]
-	if !ok {
-		site = map[useragent.Device]map[uint64]bool{}
-		d.sites[r.Publisher] = site
+	u := at(&st.users, k.user)
+	var dev uint8
+	if u.agent != 0 && d.agents[u.agent-1].ua == r.UserAgent {
+		dev = d.agents[u.agent-1].dev
+	} else {
+		u.agent, dev = d.classify(r.UserAgent)
 	}
-	users, ok := site[dev]
-	if !ok {
-		users = map[uint64]bool{}
-		site[dev] = users
-	}
-	users[r.UserID] = true
+	u.seen |= 1 << dev
 }
 
 // Merge folds another accumulator in.
-func (d *DeviceMix) Merge(o *DeviceMix) {
-	if d.bounded {
-		for site, devs := range o.hlls {
-			for dev, h := range devs {
-				d.hll(site, dev).Merge(h)
-			}
-		}
-		return
-	}
-	for site, devs := range o.sites {
-		mine, ok := d.sites[site]
-		if !ok {
-			mine = map[useragent.Device]map[uint64]bool{}
-			d.sites[site] = mine
-		}
-		for dev, users := range devs {
-			m, ok := mine[dev]
-			if !ok {
-				m = map[uint64]bool{}
-				mine[dev] = m
-			}
-			for u := range users {
-				m[u] = true
-			}
-		}
-	}
-}
+func (d *DeviceMix) Merge(o *DeviceMix) { d.mergeKeyed(o, d.keys().absorb(o.keys())) }
 
-// Sites returns the analyzed site names, sorted.
-func (d *DeviceMix) Sites() []string {
-	var out []string
-	if d.bounded {
-		for s := range d.hlls {
-			out = append(out, s)
+func (d *DeviceMix) mergeKeyed(src Analyzer, rm *remap) {
+	d.mergeSites(&src.(*DeviceMix).perSite, rm, func(si int, st, os *devicesSite) {
+		for i, h := range os.hlls {
+			if h == nil {
+				continue
+			}
+			if st.hlls[i] == nil {
+				st.hlls[i] = sketch.NewHLL(0)
+			}
+			st.hlls[i].Merge(h)
 		}
-	} else {
-		for s := range d.sites {
-			out = append(out, s)
+		for slot, u := range os.users {
+			if u.seen != 0 {
+				at(&st.users, rm.user[si][slot]).seen |= u.seen
+			}
 		}
-	}
-	sort.Strings(out)
-	return out
+	})
 }
 
 // UserShare returns the fraction of the site's users on each device, in
 // the order of useragent.AllDevices(). A user active on several devices
 // counts toward each (rare with hashed per-device identities).
 func (d *DeviceMix) UserShare(site string) [4]float64 {
-	var out [4]float64
-	var total float64
-	counts := make([]float64, 4)
-	if d.bounded {
-		devs, ok := d.hlls[site]
-		if !ok {
-			return out
-		}
-		for i, dev := range useragent.AllDevices() {
-			if h := devs[dev]; h != nil {
-				counts[i] = h.Estimate()
-			}
-			total += counts[i]
-		}
-	} else {
-		devs, ok := d.sites[site]
-		if !ok {
-			return out
-		}
-		for i, dev := range useragent.AllDevices() {
-			counts[i] = float64(len(devs[dev]))
-			total += counts[i]
+	var out, counts [4]float64
+	_, st := d.find(site)
+	if st == nil {
+		return out
+	}
+	for i, h := range st.hlls {
+		if h != nil {
+			counts[i] = h.Estimate()
 		}
 	}
+	for _, u := range st.users {
+		for i := range counts {
+			if u.seen&(1<<i) != 0 {
+				counts[i]++
+			}
+		}
+	}
+	total := counts[0] + counts[1] + counts[2] + counts[3]
 	if total == 0 {
 		return out
 	}

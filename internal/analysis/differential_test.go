@@ -1,0 +1,323 @@
+package analysis
+
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"trafficscope/internal/stats"
+	"trafficscope/internal/timeutil"
+	"trafficscope/internal/trace"
+)
+
+// foreignRecords draws n records no generator of this repository would
+// emit: publishers the profiles do not know, timestamps before and after
+// the week, one object ID served under two categories, records without
+// a cache verdict, users and objects shared between sites, regions and
+// status codes outside the defined sets.
+func foreignRecords(rng *rand.Rand, n int) []trace.Record {
+	sites := []string{"V-1", "P-2", "unknown.example", "zz", "another-publisher-with-a-long-name"}
+	types := []trace.FileType{trace.FileMP4, trace.FileFLV, trace.FileJPG, trace.FileGIF, trace.FileJS, trace.FileHTML, "bin"}
+	agents := []string{
+		"Mozilla/5.0 (Windows NT 6.1) AppleWebKit/537.36 Chrome/45.0.2454.101 Safari/537.36",
+		"Mozilla/5.0 (Linux; Android 5.1.1; Nexus 5) AppleWebKit/537.36 Chrome/45.0.2454.94 Mobile Safari/537.36",
+		"Mozilla/5.0 (iPhone; CPU iPhone OS 9_0 like Mac OS X) AppleWebKit/601.1.46 Version/9.0 Mobile/13A344 Safari/601.1",
+		"curl/7.43.0",
+		"",
+	}
+	codes := []int{200, 200, 200, 206, 304, 403, 416, 204, 500, 999}
+	recs := make([]trace.Record, n)
+	for i := range recs {
+		r := &recs[i]
+		site := rng.Intn(len(sites))
+		r.Publisher = sites[site]
+		// Zipf-ish object and user draws from small pools, so that pairs,
+		// sessions and multi-day objects occur. A fifth of the IDs are
+		// shared by every site; the rest are offset per site.
+		r.ObjectID = uint64(rng.ExpFloat64() * 300)
+		r.UserID = uint64(rng.ExpFloat64() * 150)
+		if r.ObjectID%5 != 0 {
+			r.ObjectID += uint64(site) << 20
+		}
+		if r.UserID%5 != 0 {
+			r.UserID += uint64(site) << 20
+		}
+		// An object keeps its file type, except every seventh, which is
+		// served as video or image depending on the requesting user.
+		r.FileType = types[r.ObjectID%uint64(len(types))]
+		if r.ObjectID%7 == 0 {
+			r.FileType = types[(r.ObjectID+r.UserID%2*2)%uint64(len(types))]
+		}
+		r.ObjectSize = int64(r.ObjectID%1000) * 1000
+		r.BytesServed = r.ObjectSize
+		r.UserAgent = agents[(r.UserID+uint64(rng.Intn(20)/19))%uint64(len(agents))]
+		r.Region = timeutil.Region(rng.Intn(6)) // 0 and 5 are no region
+		r.StatusCode = codes[rng.Intn(len(codes))]
+		r.Cache = trace.CacheStatus(rng.Intn(3))
+		// Nine in ten inside the week, in bursts so that sessions form;
+		// the rest up to a week before or after, a few decades away.
+		at := time.Duration(rng.Int63n(int64(timeutil.HoursPerWeek * time.Hour)))
+		switch rng.Intn(40) {
+		case 0, 1:
+			at -= timeutil.HoursPerWeek * time.Hour
+		case 2, 3:
+			at += timeutil.HoursPerWeek * time.Hour
+		case 4:
+			at += 30 * 365 * 24 * time.Hour
+		}
+		if i > 0 && rng.Intn(3) > 0 {
+			prev := &recs[i-1]
+			r.Publisher, r.UserID, r.UserAgent = prev.Publisher, prev.UserID, prev.UserAgent
+			at = prev.Timestamp.Sub(week.Start) + time.Duration(rng.Int63n(int64(15*time.Minute)))
+		}
+		r.Timestamp = week.Start.Add(at)
+	}
+	return recs
+}
+
+// refSet is the map-based reference for the analyzers that keep
+// per-object or per-user state.
+type refSet struct {
+	sessions   *refSessions
+	addiction  *refAddiction
+	aging      *refAging
+	caching    *refCaching
+	popularity *refPopularity
+}
+
+func newRefSet() *refSet {
+	return &refSet{newRefSessions(0), newRefAddiction(), newRefAging(week), newRefCaching(), newRefPopularity()}
+}
+
+func (s *refSet) add(r *trace.Record) {
+	s.sessions.Add(r)
+	s.addiction.Add(r)
+	s.aging.Add(r)
+	s.caching.Add(r)
+	s.popularity.Add(r)
+}
+
+func (s *refSet) merge(o *refSet) {
+	s.sessions.Merge(o.sessions)
+	s.addiction.Merge(o.addiction)
+	s.aging.Merge(o.aging)
+	s.caching.Merge(o.caching)
+	s.popularity.Merge(o.popularity)
+}
+
+// newSet is the same five analyzers of this package used stand-alone,
+// each resolving through its private keyspace and merging through its
+// typed Merge.
+type newSet struct {
+	sessions   *Sessions
+	addiction  *Addiction
+	aging      *Aging
+	caching    *Caching
+	popularity *Popularity
+}
+
+func newNewSet() *newSet {
+	return &newSet{NewSessions(0, 0), NewAddiction(0), NewAging(week, 0), NewCaching(0), NewPopularity()}
+}
+
+func (s *newSet) add(r *trace.Record) {
+	s.sessions.Add(r)
+	s.addiction.Add(r)
+	s.aging.Add(r)
+	s.caching.Add(r)
+	s.popularity.Add(r)
+}
+
+func (s *newSet) merge(o *newSet) {
+	s.sessions.Merge(o.sessions)
+	s.addiction.Merge(o.addiction)
+	s.aging.Merge(o.aging)
+	s.caching.Merge(o.caching)
+	s.popularity.Merge(o.popularity)
+}
+
+func setOfFold(f *Fold) *newSet {
+	a := f.Analyzers()
+	return &newSet{
+		a["sessions"].(*Sessions), a["addiction"].(*Addiction), a["aging"].(*Aging),
+		a["caching"].(*Caching), a["popularity"].(*Popularity),
+	}
+}
+
+// TestSlotIndexedMatchesMapBased folds the same foreign records into the
+// map-based reference, into a Fold and into stand-alone analyzers, over
+// one to four workers with random batch assignment and random merge
+// order, and requires every accessor to agree.
+func TestSlotIndexedMatchesMapBased(t *testing.T) {
+	n := 100_000
+	if testing.Short() {
+		n = 20_000
+	}
+	for trial := 0; trial < 4; trial++ {
+		rng := rand.New(rand.NewSource(int64(1000 + trial)))
+		recs := foreignRecords(rng, n)
+		workers := 1 + trial%4
+		refs := make([]*refSet, workers)
+		folds := make([]*Fold, workers)
+		alone := make([]*newSet, workers)
+		for w := range refs {
+			refs[w], folds[w], alone[w] = newRefSet(), NewFold(Registered(), Params{Week: week}), newNewSet()
+		}
+		for i := 0; i < len(recs); {
+			w, batch := rng.Intn(workers), 1+rng.Intn(2048)
+			for ; batch > 0 && i < len(recs); batch, i = batch-1, i+1 {
+				refs[w].add(&recs[i])
+				folds[w].Add(&recs[i])
+				alone[w].add(&recs[i])
+			}
+		}
+		for len(refs) > 1 {
+			dst, src := rng.Intn(len(refs)), rng.Intn(len(refs)-1)
+			if src >= dst {
+				src++
+			}
+			refs[dst].merge(refs[src])
+			folds[dst].Merge(folds[src])
+			alone[dst].merge(alone[src])
+			refs, folds, alone = slices.Delete(refs, src, src+1), slices.Delete(folds, src, src+1), slices.Delete(alone, src, src+1)
+		}
+		if got := folds[0].Records(); got != int64(n) {
+			t.Fatalf("trial %d: fold counted %d records, want %d", trial, got, n)
+		}
+		t.Run(fmt.Sprintf("trial=%d/workers=%d/fold", trial, workers), func(t *testing.T) {
+			compareSets(t, refs[0], setOfFold(folds[0]))
+		})
+		t.Run(fmt.Sprintf("trial=%d/workers=%d/alone", trial, workers), func(t *testing.T) {
+			compareSets(t, refs[0], alone[0])
+		})
+	}
+}
+
+// ecdfValues flattens a possibly nil ECDF for comparison.
+func ecdfValues(e *stats.ECDF) []float64 {
+	if e == nil {
+		return nil
+	}
+	return e.Values()
+}
+
+func sortedFloats(xs []float64) []float64 {
+	out := slices.Clone(xs)
+	slices.Sort(out)
+	return out
+}
+
+// byRequests orders scatter points totally; Scatter leaves ties in
+// arbitrary order.
+func byRequests(pts []ObjectPoint) []ObjectPoint {
+	out := slices.Clone(pts)
+	slices.SortFunc(out, func(a, b ObjectPoint) int {
+		return cmp.Or(cmp.Compare(b.Requests, a.Requests), cmp.Compare(a.Object, b.Object))
+	})
+	return out
+}
+
+func compareSets(t *testing.T, want *refSet, got *newSet) {
+	// Equal, but for nil against empty and NaN against NaN.
+	eq := func(what string, g, w any) {
+		t.Helper()
+		gv, wv := reflect.ValueOf(g), reflect.ValueOf(w)
+		switch gv.Kind() {
+		case reflect.Slice, reflect.Map:
+			if gv.Len() == 0 && wv.Len() == 0 {
+				return
+			}
+		case reflect.Float64:
+			if math.IsNaN(gv.Float()) && math.IsNaN(wv.Float()) {
+				return
+			}
+		}
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("%s:\n got  %v\n want %v", what, g, w)
+		}
+	}
+	// Spearman sums ranks in object order, which differs between a map
+	// and a slot table; everything else is order-free or sorted.
+	near := func(what string, g, w float64) {
+		t.Helper()
+		if !(math.Abs(g-w) <= 1e-9 || (math.IsNaN(g) && math.IsNaN(w))) {
+			t.Errorf("%s: got %v, want %v", what, g, w)
+		}
+	}
+	cats := append(trace.AllCategories(), 0, 9)
+
+	eq("sessions sites", got.sessions.Sites(), want.sessions.Sites())
+	eq("addiction sites", got.addiction.Sites(), want.addiction.Sites())
+	eq("aging sites", got.aging.Sites(), want.aging.Sites())
+	eq("caching sites", got.caching.Sites(), want.caching.Sites())
+	eq("popularity sites", got.popularity.Sites(), want.popularity.Sites())
+	if len(want.sessions.Sites()) < 5 || len(want.aging.Sites()) < 5 {
+		t.Fatalf("fixture lost its sites: %v", want.sessions.Sites())
+	}
+
+	for _, site := range append(want.sessions.Sites(), "never-seen") {
+		s := "[" + site + "] "
+		eq(s+"IATSeconds", sortedFloats(got.sessions.IATSeconds(site)), sortedFloats(want.sessions.IATSeconds(site)))
+		eq(s+"IATCDF", ecdfValues(got.sessions.IATCDF(site)), ecdfValues(want.sessions.IATCDF(site)))
+		eq(s+"SessionsOf", got.sessions.SessionsOf(site), want.sessions.SessionsOf(site))
+		eq(s+"SessionLengthCDF", ecdfValues(got.sessions.SessionLengthCDF(site)), ecdfValues(want.sessions.SessionLengthCDF(site)))
+		eq(s+"MeanRequestsPerSession", got.sessions.MeanRequestsPerSession(site), want.sessions.MeanRequestsPerSession(site))
+		eq(s+"TimeoutKnee", got.sessions.TimeoutKnee(site), want.sessions.TimeoutKnee(site))
+
+		eq(s+"Curve", got.aging.Curve(site), want.aging.Curve(site))
+		eq(s+"FracAliveAllWeek", got.aging.FracAliveAllWeek(site), want.aging.FracAliveAllWeek(site))
+		for day := 0; day < 7; day++ {
+			eq(s+"FracSilentAfterDay", got.aging.FracSilentAfterDay(site, day), want.aging.FracSilentAfterDay(site, day))
+		}
+
+		eq(s+"WeightedHitRatio", got.caching.WeightedHitRatio(site), want.caching.WeightedHitRatio(site))
+		near(s+"PopularityHitCorrelation", got.caching.PopularityHitCorrelation(site), want.caching.PopularityHitCorrelation(site))
+		eq(s+"HitRatioByPopularityDecile", got.caching.HitRatioByPopularityDecile(site), want.caching.HitRatioByPopularityDecile(site))
+
+		for _, cat := range cats {
+			c := fmt.Sprintf("[%s/%v] ", site, cat)
+			eq(c+"Scatter", byRequests(got.addiction.Scatter(site, cat)), byRequests(want.addiction.Scatter(site, cat)))
+			eq(c+"MaxRequestsPerUser", got.addiction.MaxRequestsPerUser(site, cat), want.addiction.MaxRequestsPerUser(site, cat))
+			eq(c+"PerUserCDF", ecdfValues(got.addiction.PerUserCDF(site, cat)), ecdfValues(want.addiction.PerUserCDF(site, cat)))
+			for _, threshold := range []int64{0, 1, 2, 10} {
+				eq(c+"FracObjectsAbove", got.addiction.FracObjectsAbove(site, cat, threshold), want.addiction.FracObjectsAbove(site, cat, threshold))
+			}
+
+			eq(c+"HitRatioCDF", ecdfValues(got.caching.HitRatioCDF(site, cat)), ecdfValues(want.caching.HitRatioCDF(site, cat)))
+			eq(c+"ResponseCodes", got.caching.ResponseCodes(site, cat), want.caching.ResponseCodes(site, cat))
+			for _, code := range []int{200, 304, 999, 7} {
+				eq(c+"CodeFrac", got.caching.CodeFrac(site, cat, code), want.caching.CodeFrac(site, cat, code))
+			}
+
+			eq(c+"Counts", got.popularity.Counts(site, cat), want.popularity.Counts(site, cat))
+			eq(c+"RequestCounts", got.popularity.RequestCounts(site, cat), want.popularity.RequestCounts(site, cat))
+			eq(c+"popularity CDF", ecdfValues(got.popularity.CDF(site, cat)), ecdfValues(want.popularity.CDF(site, cat)))
+			eq(c+"ZipfExponent", got.popularity.ZipfExponent(site, cat), want.popularity.ZipfExponent(site, cat))
+			for _, frac := range []float64{0, 0.1, 0.5, 1} {
+				eq(c+"TopShare", got.popularity.TopShare(site, cat, frac), want.popularity.TopShare(site, cat, frac))
+			}
+		}
+	}
+
+	// The fixture must hold the cases the test is for.
+	var twoCats, noVerdict bool
+	for _, site := range want.popularity.Sites() {
+		video, image := want.popularity.RequestCounts(site, trace.CategoryVideo), want.popularity.RequestCounts(site, trace.CategoryImage)
+		for id := range video {
+			if _, ok := image[id]; ok {
+				twoCats = true
+			}
+		}
+		if c := want.caching.ResponseCodes(site, trace.CategoryVideo); len(c) > 0 && want.caching.WeightedHitRatio(site) > 0 {
+			noVerdict = true
+		}
+	}
+	if !twoCats || !noVerdict {
+		t.Fatalf("fixture lacks a case: object under two categories %v, verdicts %v", twoCats, noVerdict)
+	}
+}

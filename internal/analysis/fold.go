@@ -1,0 +1,91 @@
+package analysis
+
+import "trafficscope/internal/trace"
+
+// keyed is an analyzer that takes records resolved against a keyspace.
+// Every analysis in this package is one; Fold feeds the others through
+// their public Add.
+type keyed interface {
+	Analyzer
+	// bind makes the analyzer resolve through the fold's keyspace.
+	bind(*keyspace)
+	// add folds one record that k resolves.
+	add(r *trace.Record, k *recKey)
+	// mergeKeyed folds src, an analyzer of the same type whose keyspace
+	// rm translates, into the receiver.
+	mergeKeyed(src Analyzer, rm *remap)
+}
+
+// Fold folds one record into every analysis of a study; it satisfies
+// pipeline.Accumulator so the analysis pass parallelizes. The analyzer
+// set is registry-driven: one entry per descriptor the study selected,
+// so pruned analyses cost nothing — not even construction. The record's
+// site, category, hour, object and user are resolved once against the
+// fold's keyspace, which all its analyzers index their state by.
+type Fold struct {
+	descs []Descriptor
+	accs  []Analyzer
+	keyed []keyed // keyed[i] is accs[i], or nil if it takes bare records
+	ks    *keyspace
+	// k is the record being folded: a field, because a local handed to
+	// the analyzers through their interface would be allocated per record.
+	k recKey
+	n int64
+}
+
+// NewFold constructs one analyzer per descriptor.
+func NewFold(descs []Descriptor, p Params) *Fold {
+	f := &Fold{
+		descs: descs,
+		accs:  make([]Analyzer, len(descs)),
+		keyed: make([]keyed, len(descs)),
+		ks:    newKeyspace(p.Week, 0),
+	}
+	for i, d := range descs {
+		f.accs[i] = d.New(p)
+		if ka, ok := f.accs[i].(keyed); ok {
+			ka.bind(f.ks)
+			f.keyed[i] = ka
+		}
+	}
+	return f
+}
+
+// Add implements pipeline.Accumulator.
+func (f *Fold) Add(r *trace.Record) {
+	f.n++
+	f.ks.resolve(r, &f.k)
+	for i, ka := range f.keyed {
+		if ka != nil {
+			ka.add(r, &f.k)
+		} else {
+			f.accs[i].Add(r)
+		}
+	}
+}
+
+// Merge implements pipeline.Accumulator. Both folds must come from the
+// same descriptor set (always true inside one pipeline run).
+func (f *Fold) Merge(o *Fold) {
+	f.n += o.n
+	rm := f.ks.absorb(o.ks)
+	for i, ka := range f.keyed {
+		if ka != nil {
+			ka.mergeKeyed(o.accs[i], rm)
+		} else {
+			f.descs[i].Merge(f.accs[i], o.accs[i])
+		}
+	}
+}
+
+// Records returns the number of records folded.
+func (f *Fold) Records() int64 { return f.n }
+
+// Analyzers returns the folded analyzers by registry name.
+func (f *Fold) Analyzers() map[string]Analyzer {
+	out := make(map[string]Analyzer, len(f.descs))
+	for i, d := range f.descs {
+		out[d.Name] = f.accs[i]
+	}
+	return out
+}

@@ -1,0 +1,295 @@
+package analysis
+
+import (
+	"slices"
+	"sort"
+	"time"
+
+	"trafficscope/internal/sketch"
+	"trafficscope/internal/timeutil"
+	"trafficscope/internal/trace"
+)
+
+// Every analysis aggregates per site and per object or user, so folding
+// one record used to hash the same publisher, object ID and user ID once
+// per analyzer. A keyspace resolves them once: the site to an index into
+// a short slice, the object and the user to dense per-site slots. The
+// analyzers keep their state in slices indexed by site and slot, and a
+// merge translates one keyspace's slots into another's through a remap
+// built once per site and population instead of re-hashing every key in
+// every analyzer.
+
+// noSlot marks a key with no slot: a population the keyspace does not
+// resolve, or a key a remap drops.
+const noSlot = ^uint32(0)
+
+// numCats is the number of content categories; per-category state is
+// indexed by catIndex.
+const numCats = 3
+
+// Key populations an analyzer may index its state by.
+const (
+	needObjects uint8 = 1 << iota
+	needUsers
+)
+
+// recKey is one record resolved against a keyspace.
+type recKey struct {
+	site      int32  // index of the publisher in the keyspace
+	cat       uint8  // catIndex of the record's category
+	hour      int16  // hour of the week, -1 outside it
+	localHour uint8  // hour of day on the client's clock
+	obj, user uint32 // per-site slots; noSlot when the population is not resolved
+	// objHash and userHash are sketch.Hash64 of the IDs, what the
+	// bounded-mode samplers and sketches key on.
+	objHash, userHash uint64
+}
+
+// catIndex maps a category to its index in per-category state; ok is
+// false for a value that names no category.
+func catIndex(c trace.Category) (idx uint8, ok bool) {
+	return uint8(c - trace.CategoryVideo), c >= trace.CategoryVideo && c <= trace.CategoryOther
+}
+
+// category is the inverse of catIndex.
+func category(idx uint8) trace.Category { return trace.CategoryVideo + trace.Category(idx) }
+
+// slotTable assigns dense slots to keys in first-seen order. The zero
+// value is an empty table.
+type slotTable struct {
+	idx  map[uint64]uint32
+	keys []uint64 // slot → key
+}
+
+// slot returns the key's slot, assigning the next one to a new key.
+func (t *slotTable) slot(key uint64) uint32 {
+	if s, ok := t.idx[key]; ok {
+		return s
+	}
+	if t.idx == nil {
+		t.idx = map[uint64]uint32{}
+	}
+	s := uint32(len(t.keys))
+	t.idx[key] = s
+	t.keys = append(t.keys, key)
+	return s
+}
+
+// absorb adds o's keys and returns the remap from o's slots to t's.
+func (t *slotTable) absorb(o *slotTable) []uint32 {
+	rm := make([]uint32, len(o.keys))
+	for s, key := range o.keys {
+		rm[s] = t.slot(key)
+	}
+	return rm
+}
+
+// siteKeys holds one publisher's key populations.
+type siteKeys struct {
+	name        string
+	objs, users slotTable
+}
+
+// keyspace resolves records for one fold worker, or for one stand-alone
+// analyzer.
+type keyspace struct {
+	week timeutil.Week
+	// startOfDay is how far into its UTC day the week starts.
+	startOfDay time.Duration
+	// want is the union of the populations its analyzers index by; the
+	// others are never hashed.
+	want  uint8
+	sites []siteKeys
+}
+
+func newKeyspace(week timeutil.Week, want uint8) *keyspace {
+	s := week.Start.UTC()
+	midnight := time.Date(s.Year(), s.Month(), s.Day(), 0, 0, 0, 0, time.UTC)
+	return &keyspace{week: week, startOfDay: s.Sub(midnight), want: want}
+}
+
+// site returns the publisher's index, adding it if new. A trace has a
+// handful of publishers, so comparing names beats hashing them.
+func (ks *keyspace) site(name string) int32 {
+	if i := ks.find(name); i >= 0 {
+		return int32(i)
+	}
+	ks.sites = append(ks.sites, siteKeys{name: name})
+	return int32(len(ks.sites) - 1)
+}
+
+// find returns the publisher's index, or -1.
+func (ks *keyspace) find(name string) int {
+	for i := range ks.sites {
+		if ks.sites[i].name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// resolve fills k for r.
+func (ks *keyspace) resolve(r *trace.Record, k *recKey) {
+	k.site = ks.site(r.Publisher)
+	k.cat, _ = catIndex(r.Category())
+	// Week.HourIndex and timeutil.LocalHourOfDay, sharing one
+	// subtraction and skipping the calendar: inside the week the local
+	// hour of day follows from the offset into it.
+	if d := r.Timestamp.Sub(ks.week.Start); d >= 0 && d < timeutil.HoursPerWeek*time.Hour {
+		k.hour = int16(d / time.Hour)
+		// A day is added so that a negative UTC offset cannot take the
+		// dividend below zero, where division would round up.
+		local := ks.startOfDay + d + r.Region.UTCOffset() + 24*time.Hour
+		k.localHour = uint8(local / time.Hour % 24)
+	} else {
+		k.hour = -1
+		k.localHour = uint8(timeutil.LocalHourOfDay(r.Timestamp, r.Region))
+	}
+	k.obj, k.user = noSlot, noSlot
+	st := &ks.sites[k.site]
+	if ks.want&needObjects != 0 {
+		k.obj = st.objs.slot(r.ObjectID)
+	}
+	if ks.want&needUsers != 0 {
+		k.user = st.users.slot(r.UserID)
+	}
+	k.objHash, k.userHash = sketch.Hash64(r.ObjectID), sketch.Hash64(r.UserID)
+}
+
+// remap translates a source keyspace's indices into a destination's.
+type remap struct {
+	site      []int32    // source site → destination site
+	obj, user [][]uint32 // per source site: source slot → destination slot
+}
+
+// absorb adds every site and key of o and returns the remap from o's
+// indices to ks's.
+func (ks *keyspace) absorb(o *keyspace) *remap {
+	rm := &remap{
+		site: make([]int32, len(o.sites)),
+		obj:  make([][]uint32, len(o.sites)),
+		user: make([][]uint32, len(o.sites)),
+	}
+	for si := range o.sites {
+		os := &o.sites[si]
+		di := ks.site(os.name)
+		rm.site[si] = di
+		rm.obj[si] = ks.sites[di].objs.absorb(&os.objs)
+		rm.user[si] = ks.sites[di].users.absorb(&os.users)
+	}
+	return rm
+}
+
+// base is the keyspace plumbing every analyzer embeds. An analyzer
+// folded by a Fold shares the fold's keyspace and is handed each record
+// already resolved; one used alone resolves through a private keyspace,
+// made on first use.
+type base struct {
+	ks    *keyspace
+	key   recKey // the record a stand-alone Add is folding
+	week  timeutil.Week
+	needs uint8  // the populations this analyzer indexes its state by
+	seen  []bool // by site index: the analyzer holds state for the site
+}
+
+// bind makes the analyzer resolve through ks. It must precede any Add.
+func (b *base) bind(ks *keyspace) {
+	ks.want |= b.needs
+	b.ks = ks
+}
+
+func (b *base) keys() *keyspace {
+	if b.ks == nil {
+		b.ks = newKeyspace(b.week, b.needs)
+	}
+	return b.ks
+}
+
+// resolve resolves r for a stand-alone Add.
+func (b *base) resolve(r *trace.Record) *recKey {
+	b.keys().resolve(r, &b.key)
+	return &b.key
+}
+
+// Sites returns the analyzed site names, sorted.
+func (b *base) Sites() []string {
+	var out []string
+	for si, ok := range b.seen {
+		if ok {
+			out = append(out, b.ks.sites[si].name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// perSite is an analyzer's state, one T per site it has seen.
+type perSite[T any] struct {
+	base
+	sites []T
+}
+
+// site returns the state of site si, marking the site seen.
+func (p *perSite[T]) site(si int32) *T {
+	*at(&p.seen, uint32(si)) = true
+	return at(&p.sites, uint32(si))
+}
+
+// mergeSites calls fn for every site o has state for, with that state,
+// p's state for the same site and the site's index in o.
+func (p *perSite[T]) mergeSites(o *perSite[T], rm *remap, fn func(si int, dst, src *T)) {
+	for si, ok := range o.seen {
+		if ok {
+			fn(si, p.site(rm.site[si]), &o.sites[si])
+		}
+	}
+}
+
+// find returns the named site's index and state; st is nil for a site
+// the analyzer has no state for.
+func (p *perSite[T]) find(name string) (si int, st *T) {
+	if p.ks == nil {
+		return -1, nil
+	}
+	si = p.ks.find(name)
+	if si < 0 || si >= len(p.seen) || !p.seen[si] {
+		return si, nil
+	}
+	return si, &p.sites[si]
+}
+
+// objectIDs returns the slot → ID list behind the object slots of site
+// si's state: the keyspace's, or in bounded mode the analyzer's own.
+func (b *base) objectIDs(si int, own *slotTable) []uint64 {
+	if b.needs&needObjects == 0 {
+		return own.keys
+	}
+	return b.ks.sites[si].objs.keys
+}
+
+// userIDs is objectIDs for user slots.
+func (b *base) userIDs(si int, own *slotTable) []uint64 {
+	if b.needs&needUsers == 0 {
+		return own.keys
+	}
+	return b.ks.sites[si].users.keys
+}
+
+// at returns &(*s)[i], growing *s with zero values to reach it.
+func at[T any](s *[]T, i uint32) *T {
+	if had, n := len(*s), int(i)+1; n > had {
+		*s = slices.Grow(*s, n-had)[:n]
+		clear((*s)[had:])
+	}
+	return &(*s)[i]
+}
+
+// exactNeeds is the needs mask of an analyzer whose exact mode indexes
+// its state by the given keyspace populations and whose bounded mode
+// (budget > 0) samples its own.
+func exactNeeds(budget int, populations uint8) uint8 {
+	if budget > 0 {
+		return 0
+	}
+	return populations
+}

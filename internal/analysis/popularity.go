@@ -1,7 +1,8 @@
 package analysis
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"trafficscope/internal/stats"
 	"trafficscope/internal/trace"
@@ -10,8 +11,14 @@ import (
 // Popularity accumulates Fig. 6: per-site, per-category distributions of
 // per-object request counts, plus Zipf-exponent fits.
 type Popularity struct {
-	sites map[string]map[trace.Category]map[uint64]int64
+	// Per site: requests by object slot and category, at catSlot.
+	perSite[[]int64]
 }
+
+// catSlot is where per-(object, category) state of an object slot lives
+// in a flat slice. An object keeps one category in practice; a trace
+// that serves one ID under two keeps them apart.
+func catSlot(slot uint32, cat uint8) uint32 { return slot*numCats + uint32(cat) }
 
 func init() {
 	Register(Descriptor{
@@ -24,82 +31,62 @@ func init() {
 
 // NewPopularity creates an empty accumulator.
 func NewPopularity() *Popularity {
-	return &Popularity{sites: map[string]map[trace.Category]map[uint64]int64{}}
+	p := &Popularity{}
+	p.needs = needObjects
+	return p
 }
 
 // Add folds one record.
-func (p *Popularity) Add(r *trace.Record) {
-	site, ok := p.sites[r.Publisher]
-	if !ok {
-		site = map[trace.Category]map[uint64]int64{}
-		p.sites[r.Publisher] = site
-	}
-	cat := r.Category()
-	objs, ok := site[cat]
-	if !ok {
-		objs = map[uint64]int64{}
-		site[cat] = objs
-	}
-	objs[r.ObjectID]++
+func (p *Popularity) Add(r *trace.Record) { p.add(r, p.resolve(r)) }
+
+func (p *Popularity) add(_ *trace.Record, k *recKey) {
+	*at(p.site(k.site), catSlot(k.obj, k.cat))++
 }
 
 // Merge folds another accumulator in.
-func (p *Popularity) Merge(o *Popularity) {
-	for site, cats := range o.sites {
-		mine, ok := p.sites[site]
-		if !ok {
-			mine = map[trace.Category]map[uint64]int64{}
-			p.sites[site] = mine
-		}
-		for cat, objs := range cats {
-			m, ok := mine[cat]
-			if !ok {
-				m = map[uint64]int64{}
-				mine[cat] = m
-			}
-			for id, n := range objs {
-				m[id] += n
-			}
-		}
-	}
-}
+func (p *Popularity) Merge(o *Popularity) { p.mergeKeyed(o, p.keys().absorb(o.keys())) }
 
-// Sites returns the analyzed site names, sorted.
-func (p *Popularity) Sites() []string {
-	out := make([]string, 0, len(p.sites))
-	for site := range p.sites {
-		out = append(out, site)
-	}
-	sort.Strings(out)
-	return out
+func (p *Popularity) mergeKeyed(src Analyzer, rm *remap) {
+	p.mergeSites(&src.(*Popularity).perSite, rm, func(si int, counts, from *[]int64) {
+		for i, n := range *from {
+			if n != 0 {
+				*at(counts, catSlot(rm.obj[si][i/numCats], uint8(i%numCats))) += n
+			}
+		}
+	})
 }
 
 // Counts returns the per-object request counts for the site and category,
 // sorted descending (rank order).
 func (p *Popularity) Counts(site string, cat trace.Category) []int64 {
-	site2, ok := p.sites[site]
-	if !ok {
+	_, counts := p.find(site)
+	c, ok := catIndex(cat)
+	if counts == nil || !ok {
 		return nil
 	}
-	objs := site2[cat]
-	out := make([]int64, 0, len(objs))
-	for _, n := range objs {
-		out = append(out, n)
+	out := []int64{}
+	for i := int(c); i < len(*counts); i += numCats {
+		if n := (*counts)[i]; n != 0 {
+			out = append(out, n)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] > out[j] })
+	slices.SortFunc(out, func(a, b int64) int { return cmp.Compare(b, a) })
 	return out
 }
 
 // RequestCounts returns per-object request counts keyed by object ID.
 func (p *Popularity) RequestCounts(site string, cat trace.Category) map[uint64]int64 {
-	site2, ok := p.sites[site]
-	if !ok {
+	si, counts := p.find(site)
+	c, ok := catIndex(cat)
+	if counts == nil || !ok {
 		return nil
 	}
-	objs := site2[cat]
-	out := make(map[uint64]int64, len(objs))
-	for id, n := range objs {
-		out[id] = n
+	ids := p.objectIDs(si, nil)
+	out := map[uint64]int64{}
+	for i := int(c); i < len(*counts); i += numCats {
+		if n := (*counts)[i]; n != 0 {
+			out[ids[i/numCats]] = n
+		}
 	}
 	return out
 }

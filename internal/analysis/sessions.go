@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"trafficscope/internal/stats"
@@ -19,22 +21,56 @@ const DefaultSessionTimeout = 10 * time.Minute
 // distributions. Session length is the span from a session's first to
 // last request, a lower bound on engagement (the paper's footnote 1).
 //
-// Sessions buffers per-user timestamps and computes on demand; it is a
-// two-pass analysis by nature (per-user ordering is required).
-// Timestamps are stored as Unix nanoseconds — one word per request
-// instead of a 3-word time.Time — because this buffer is the largest
-// analyzer allocation in a streaming run.
+// Sessions is a two-pass analysis by nature (per-user ordering is
+// required): it logs one (user slot, timestamp) event per request in
+// arrival order — the largest analyzer allocation in a streaming run,
+// so timestamps are Unix nanoseconds instead of 3-word time.Times, and
+// the log grows by chunks instead of being copied as it grows — and on
+// the first query joins the chunks and sorts them by user and time;
+// every IAT and session method then scans that slice in place.
 //
-// Bounded mode (Params.MemoryBudget > 0) keeps the full timestamp
-// vectors for a uniform *user* sample of at most the budget per site:
-// every sampled user's IATs and sessions are exact, so the IAT and
-// session-length distributions are unbiased estimates with relative
-// standard error ~ 1/sqrt(budget).
+// Bounded mode (Params.MemoryBudget > 0) keeps the events of a uniform
+// *user* sample of at most the budget per site: every sampled user's
+// IATs and sessions are exact, so the IAT and session-length
+// distributions are unbiased estimates with relative standard error
+// ~ 1/sqrt(budget).
 type Sessions struct {
+	perSite[sessionsSite]
 	timeout time.Duration
 	budget  int
-	sites   map[string]map[uint64][]int64
-	bounds  map[string]*boundedKeys // nil in exact mode
+	// mu guards the lazy sort, so that concurrent queries stay as safe
+	// as they were when queries only read.
+	mu sync.Mutex
+}
+
+type sessionsSite struct {
+	keys boundedKeys // bounded mode: the site's user sample
+	// log holds the events in arrival order, in chunks of which only the
+	// last has room; sorted means it is one chunk ordered by (user, ts).
+	log    [][]sessionEvent
+	events int
+	sorted bool
+}
+
+type sessionEvent struct {
+	ts   int64 // Unix nanoseconds
+	user uint32
+}
+
+// Log chunks start small, for the many sites of a small trace, and
+// double up to a size that keeps allocation a rounding error.
+const minLogChunk, maxLogChunk = 256, 8192
+
+// append logs one event.
+func (st *sessionsSite) append(e sessionEvent) {
+	last := len(st.log) - 1
+	if last < 0 || len(st.log[last]) == cap(st.log[last]) {
+		st.log = append(st.log, make([]sessionEvent, 0, min(max(st.events, minLogChunk), maxLogChunk)))
+		last++
+	}
+	st.log[last] = append(st.log[last], e)
+	st.events++
+	st.sorted = false
 }
 
 func init() {
@@ -53,101 +89,99 @@ func NewSessions(timeout time.Duration, budget int) *Sessions {
 	if timeout <= 0 {
 		timeout = DefaultSessionTimeout
 	}
-	s := &Sessions{timeout: timeout, budget: budget, sites: map[string]map[uint64][]int64{}}
-	if budget > 0 {
-		s.bounds = map[string]*boundedKeys{}
-	}
+	s := &Sessions{timeout: timeout, budget: budget}
+	s.needs = exactNeeds(budget, needUsers)
 	return s
 }
 
 // Timeout returns the configured session timeout.
 func (s *Sessions) Timeout() time.Duration { return s.timeout }
 
-// bound returns the site's user sampler in bounded mode.
-func (s *Sessions) bound(site string) *boundedKeys {
-	if s.bounds == nil {
-		return nil
-	}
-	b, ok := s.bounds[site]
-	if !ok {
-		b = newBoundedKeys(s.budget)
-		s.bounds[site] = b
-	}
-	return b
-}
-
 // Add folds one record.
-func (s *Sessions) Add(r *trace.Record) {
-	site, ok := s.sites[r.Publisher]
-	if !ok {
-		site = map[uint64][]int64{}
-		s.sites[r.Publisher] = site
-	}
-	if b := s.bound(r.Publisher); b != nil {
-		ok, dropped := b.admit(r.UserID)
-		for _, u := range dropped {
-			delete(site, u)
-		}
-		if !ok {
+func (s *Sessions) Add(r *trace.Record) { s.add(r, s.resolve(r)) }
+
+func (s *Sessions) add(r *trace.Record, k *recKey) {
+	st := s.site(k.site)
+	slot := k.user
+	if s.budget > 0 {
+		var ok bool
+		if slot, ok = st.keys.admit(s.budget, r.UserID, k.userHash, st.compact); !ok {
 			return
 		}
 	}
-	site[r.UserID] = append(site[r.UserID], r.Timestamp.UnixNano())
+	st.append(sessionEvent{ts: r.Timestamp.UnixNano(), user: slot})
+}
+
+// absorb logs o's events, users mapping o's slots to st's.
+func (st *sessionsSite) absorb(o *sessionsSite, users []uint32) {
+	for _, chunk := range o.log {
+		for _, e := range chunk {
+			if e.user = users[e.user]; e.user != noSlot {
+				st.append(e)
+			}
+		}
+	}
+}
+
+// compact drops the events of evicted users and renumbers the rest
+// after the sample shrank.
+func (st *sessionsSite) compact(evict []uint32) {
+	old := sessionsSite{log: st.log}
+	st.log, st.events = nil, 0
+	st.absorb(&old, evict)
 }
 
 // Merge folds another accumulator in.
-func (s *Sessions) Merge(o *Sessions) {
-	for site, users := range o.sites {
-		mine, ok := s.sites[site]
-		if !ok {
-			mine = map[uint64][]int64{}
-			s.sites[site] = mine
+func (s *Sessions) Merge(o *Sessions) { s.mergeKeyed(o, s.keys().absorb(o.keys())) }
+
+func (s *Sessions) mergeKeyed(src Analyzer, rm *remap) {
+	s.mergeSites(&src.(*Sessions).perSite, rm, func(si int, st, os *sessionsSite) {
+		users := rm.user[si]
+		if s.budget > 0 {
+			users = st.keys.mergeFrom(s.budget, &os.keys, st.compact)
 		}
-		keep := func(uint64) bool { return true }
-		if b := s.bound(site); b != nil {
-			admitted, dropped := b.mergeFrom(o.bound(site))
-			for _, u := range dropped {
-				delete(mine, u)
-			}
-			in := make(map[uint64]struct{}, len(admitted))
-			for _, u := range admitted {
-				in[u] = struct{}{}
-			}
-			keep = func(u uint64) bool { _, ok := in[u]; return ok }
-		}
-		for u, ts := range users {
-			if keep(u) {
-				mine[u] = append(mine[u], ts...)
-			}
-		}
-	}
+		st.absorb(os, users)
+	})
 }
 
-// Sites returns the analyzed site names, sorted.
-func (s *Sessions) Sites() []string {
-	out := make([]string, 0, len(s.sites))
-	for site := range s.sites {
-		out = append(out, site)
+// events returns the site's index and its log ordered by (user, time),
+// joining and sorting it if anything was folded since the last query.
+func (s *Sessions) events(site string) (si int, log []sessionEvent) {
+	si, st := s.find(site)
+	if st == nil || st.events == 0 {
+		return si, nil
 	}
-	sort.Strings(out)
-	return out
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !st.sorted {
+		if len(st.log) > 1 {
+			st.log = [][]sessionEvent{slices.Concat(st.log...)}
+		}
+		slices.SortFunc(st.log[0], func(a, b sessionEvent) int {
+			return cmp.Or(cmp.Compare(a.user, b.user), cmp.Compare(a.ts, b.ts))
+		})
+		st.sorted = true
+	}
+	return si, st.log[0]
 }
 
 // IATSeconds returns every consecutive same-user request gap for the
 // site, in seconds (Fig. 11).
 func (s *Sessions) IATSeconds(site string) []float64 {
-	users, ok := s.sites[site]
-	if !ok {
+	_, log := s.events(site)
+	gaps := 0
+	for i := 1; i < len(log); i++ {
+		if log[i].user == log[i-1].user {
+			gaps++
+		}
+	}
+	if gaps == 0 {
 		return nil
 	}
-	var out []float64
-	for _, ts := range users {
-		if len(ts) < 2 {
-			continue
-		}
-		sorted := sortedTimes(ts)
-		for i := 1; i < len(sorted); i++ {
-			out = append(out, time.Duration(sorted[i]-sorted[i-1]).Seconds())
+	out := make([]float64, 0, gaps)
+	for i := 1; i < len(log); i++ {
+		if log[i].user == log[i-1].user {
+			out = append(out, time.Duration(log[i].ts-log[i-1].ts).Seconds())
 		}
 	}
 	return out
@@ -175,63 +209,63 @@ type Session struct {
 	Requests int
 }
 
+// eachSession calls fn for every session of the site, in (user slot,
+// start) order: consecutive same-user requests within the timeout
+// belong to one session.
+func (s *Sessions) eachSession(site string, fn func(si int, user uint32, start, last int64, requests int)) {
+	si, log := s.events(site)
+	for i := 0; i < len(log); {
+		j := i + 1
+		for j < len(log) && log[j].user == log[i].user && time.Duration(log[j].ts-log[j-1].ts) <= s.timeout {
+			j++
+		}
+		fn(si, log[i].user, log[i].ts, log[j-1].ts, j-i)
+		i = j
+	}
+}
+
 // SessionsOf reconstructs the site's sessions: consecutive same-user
 // requests within the timeout belong to one session (Fig. 12).
 func (s *Sessions) SessionsOf(site string) []Session {
-	users, ok := s.sites[site]
-	if !ok {
-		return nil
-	}
 	var out []Session
-	for u, ts := range users {
-		sorted := sortedTimes(ts)
-		start := sorted[0]
-		last := sorted[0]
-		n := 1
-		for i := 1; i < len(sorted); i++ {
-			if time.Duration(sorted[i]-last) > s.timeout {
-				out = append(out, Session{User: u, Start: time.Unix(0, start).UTC(), Length: time.Duration(last - start), Requests: n})
-				start = sorted[i]
-				n = 0
-			}
-			last = sorted[i]
-			n++
+	var ids []uint64
+	s.eachSession(site, func(si int, user uint32, start, last int64, requests int) {
+		if ids == nil {
+			ids = s.userIDs(si, &s.sites[si].keys.slotTable)
 		}
-		out = append(out, Session{User: u, Start: time.Unix(0, start).UTC(), Length: time.Duration(last - start), Requests: n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Start.Equal(out[j].Start) {
-			return out[i].Start.Before(out[j].Start)
-		}
-		return out[i].User < out[j].User // deterministic tiebreak
+		out = append(out, Session{User: ids[user], Start: time.Unix(0, start).UTC(), Length: time.Duration(last - start), Requests: requests})
+	})
+	slices.SortFunc(out, func(a, b Session) int {
+		return cmp.Or(a.Start.Compare(b.Start), cmp.Compare(a.User, b.User)) // deterministic tiebreak
 	})
 	return out
 }
 
 // SessionLengthCDF returns the ECDF of session lengths in seconds.
 func (s *Sessions) SessionLengthCDF(site string) *stats.ECDF {
-	sess := s.SessionsOf(site)
-	if len(sess) == 0 {
+	n := 0
+	s.eachSession(site, func(int, uint32, int64, int64, int) { n++ })
+	if n == 0 {
 		return nil
 	}
-	sample := make([]float64, len(sess))
-	for i, ses := range sess {
-		sample[i] = ses.Length.Seconds()
-	}
+	sample := make([]float64, 0, n)
+	s.eachSession(site, func(_ int, _ uint32, start, last int64, _ int) {
+		sample = append(sample, time.Duration(last-start).Seconds())
+	})
 	return stats.MustECDF(sample)
 }
 
 // MeanRequestsPerSession returns the average session size.
 func (s *Sessions) MeanRequestsPerSession(site string) float64 {
-	sess := s.SessionsOf(site)
-	if len(sess) == 0 {
+	var sessions, requests int
+	s.eachSession(site, func(_ int, _ uint32, _, _ int64, n int) {
+		sessions++
+		requests += n
+	})
+	if sessions == 0 {
 		return 0
 	}
-	var total float64
-	for _, ses := range sess {
-		total += float64(ses.Requests)
-	}
-	return total / float64(len(sess))
+	return float64(requests) / float64(sessions)
 }
 
 // TimeoutKnee estimates the session-timeout knee of a site's IAT
@@ -310,11 +344,4 @@ func (s *Sessions) TimeoutKnee(site string) time.Duration {
 	knee := float64(bestStart) + float64(bestLen)/2
 	center := math.Exp(lo + knee/bins*(hi-lo))
 	return time.Duration(center * float64(time.Second))
-}
-
-func sortedTimes(ts []int64) []int64 {
-	out := make([]int64, len(ts))
-	copy(out, ts)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"sort"
-
 	"trafficscope/internal/stats"
 	"trafficscope/internal/trace"
 )
@@ -11,7 +9,15 @@ import (
 // distinct-object sizes ("content sizes"). Objects are deduplicated by
 // ID, so repeated requests do not skew the distribution.
 type SizeDistribution struct {
-	sites map[string]map[trace.Category]map[uint64]int64
+	perSite[sizesSite]
+}
+
+type sizesSite struct {
+	// size, at catSlot, is the object's size as last seen under that
+	// category; has, by object slot, is the set of categories (bit
+	// catIndex) it was seen under.
+	size []int64
+	has  []uint8
 }
 
 func init() {
@@ -25,70 +31,54 @@ func init() {
 
 // NewSizeDistribution creates an empty accumulator.
 func NewSizeDistribution() *SizeDistribution {
-	return &SizeDistribution{sites: map[string]map[trace.Category]map[uint64]int64{}}
+	s := &SizeDistribution{}
+	s.needs = needObjects
+	return s
 }
 
 // Add folds one record.
-func (s *SizeDistribution) Add(r *trace.Record) {
-	site, ok := s.sites[r.Publisher]
-	if !ok {
-		site = map[trace.Category]map[uint64]int64{}
-		s.sites[r.Publisher] = site
-	}
-	cat := r.Category()
-	objs, ok := site[cat]
-	if !ok {
-		objs = map[uint64]int64{}
-		site[cat] = objs
-	}
-	objs[r.ObjectID] = r.ObjectSize
+func (s *SizeDistribution) Add(r *trace.Record) { s.add(r, s.resolve(r)) }
+
+func (s *SizeDistribution) add(r *trace.Record, k *recKey) {
+	s.site(k.site).set(k.obj, k.cat, r.ObjectSize)
+}
+
+func (st *sizesSite) set(slot uint32, cat uint8, size int64) {
+	*at(&st.size, catSlot(slot, cat)) = size
+	*at(&st.has, slot) |= 1 << cat
 }
 
 // Merge folds another accumulator in.
-func (s *SizeDistribution) Merge(o *SizeDistribution) {
-	for site, cats := range o.sites {
-		mine, ok := s.sites[site]
-		if !ok {
-			mine = map[trace.Category]map[uint64]int64{}
-			s.sites[site] = mine
-		}
-		for cat, objs := range cats {
-			m, ok := mine[cat]
-			if !ok {
-				m = map[uint64]int64{}
-				mine[cat] = m
-			}
-			for id, size := range objs {
-				m[id] = size
-			}
-		}
-	}
-}
+func (s *SizeDistribution) Merge(o *SizeDistribution) { s.mergeKeyed(o, s.keys().absorb(o.keys())) }
 
-// Sites returns the analyzed site names, sorted.
-func (s *SizeDistribution) Sites() []string {
-	out := make([]string, 0, len(s.sites))
-	for site := range s.sites {
-		out = append(out, site)
-	}
-	sort.Strings(out)
-	return out
+func (s *SizeDistribution) mergeKeyed(src Analyzer, rm *remap) {
+	s.mergeSites(&src.(*SizeDistribution).perSite, rm, func(si int, st, os *sizesSite) {
+		for slot, has := range os.has {
+			for cat := uint8(0); cat < numCats; cat++ {
+				if has&(1<<cat) != 0 {
+					st.set(rm.obj[si][slot], cat, os.size[catSlot(uint32(slot), cat)])
+				}
+			}
+		}
+	})
 }
 
 // CDF returns the size ECDF of the site's objects in the category, or nil
 // when no such objects were observed.
 func (s *SizeDistribution) CDF(site string, cat trace.Category) *stats.ECDF {
-	site2, ok := s.sites[site]
-	if !ok {
+	_, st := s.find(site)
+	c, ok := catIndex(cat)
+	if st == nil || !ok {
 		return nil
 	}
-	objs, ok := site2[cat]
-	if !ok || len(objs) == 0 {
-		return nil
+	var sample []float64
+	for slot, has := range st.has {
+		if has&(1<<c) != 0 {
+			sample = append(sample, float64(st.size[catSlot(uint32(slot), c)]))
+		}
 	}
-	sample := make([]float64, 0, len(objs))
-	for _, size := range objs {
-		sample = append(sample, float64(size))
+	if len(sample) == 0 {
+		return nil
 	}
 	return stats.MustECDF(sample)
 }

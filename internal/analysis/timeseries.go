@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"sort"
-
 	"trafficscope/internal/stats"
 	"trafficscope/internal/timeutil"
 	"trafficscope/internal/trace"
@@ -13,7 +11,7 @@ import (
 // the timestamps to local timezones to calculate hourly traffic
 // volumes"). Volume is requested bytes.
 type HourlyVolume struct {
-	sites map[string]*[24]float64
+	perSite[[24]float64]
 }
 
 func init() {
@@ -34,51 +32,32 @@ func init() {
 }
 
 // NewHourlyVolume creates an empty accumulator.
-func NewHourlyVolume() *HourlyVolume {
-	return &HourlyVolume{sites: map[string]*[24]float64{}}
-}
+func NewHourlyVolume() *HourlyVolume { return &HourlyVolume{} }
 
 // Add folds one record.
-func (h *HourlyVolume) Add(r *trace.Record) {
-	buckets, ok := h.sites[r.Publisher]
-	if !ok {
-		buckets = &[24]float64{}
-		h.sites[r.Publisher] = buckets
-	}
-	hour := timeutil.LocalHourOfDay(r.Timestamp, r.Region)
-	buckets[hour] += float64(r.ObjectSize)
+func (h *HourlyVolume) Add(r *trace.Record) { h.add(r, h.resolve(r)) }
+
+func (h *HourlyVolume) add(r *trace.Record, k *recKey) {
+	h.site(k.site)[k.localHour] += float64(r.ObjectSize)
 }
 
 // Merge folds another accumulator in.
-func (h *HourlyVolume) Merge(o *HourlyVolume) {
-	for site, ob := range o.sites {
-		buckets, ok := h.sites[site]
-		if !ok {
-			buckets = &[24]float64{}
-			h.sites[site] = buckets
-		}
-		for i, v := range ob {
+func (h *HourlyVolume) Merge(o *HourlyVolume) { h.mergeKeyed(o, h.keys().absorb(o.keys())) }
+
+func (h *HourlyVolume) mergeKeyed(src Analyzer, rm *remap) {
+	h.mergeSites(&src.(*HourlyVolume).perSite, rm, func(_ int, buckets, from *[24]float64) {
+		for i, v := range from {
 			buckets[i] += v
 		}
-	}
-}
-
-// Sites returns the site names, sorted.
-func (h *HourlyVolume) Sites() []string {
-	out := make([]string, 0, len(h.sites))
-	for s := range h.sites {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
+	})
 }
 
 // Percent returns the site's hourly volume as percentages of its daily
 // total (the paper's y-axis, "Percentage Traffic Volume").
 func (h *HourlyVolume) Percent(site string) [24]float64 {
 	var out [24]float64
-	buckets, ok := h.sites[site]
-	if !ok {
+	_, buckets := h.find(site)
+	if buckets == nil {
 		return out
 	}
 	norm := stats.Normalize(buckets[:])
@@ -119,58 +98,55 @@ func (h *HourlyVolume) TroughHour(site string) int {
 // (wrapped at the week boundary), which is the series a regional
 // operator forecasts against.
 type HourOfWeekSeries struct {
-	week  timeutil.Week
+	perSite[[timeutil.HoursPerWeek]float64]
 	local bool
-	sites map[string]*[timeutil.HoursPerWeek]float64
 }
 
 // NewHourOfWeekSeries creates a UTC-time accumulator over the given week.
 func NewHourOfWeekSeries(week timeutil.Week) *HourOfWeekSeries {
-	return &HourOfWeekSeries{week: week, sites: map[string]*[timeutil.HoursPerWeek]float64{}}
+	h := &HourOfWeekSeries{}
+	h.week = week
+	return h
 }
 
 // NewLocalHourOfWeekSeries creates a local-time accumulator: requests
 // are bucketed by the client's local hour of week.
 func NewLocalHourOfWeekSeries(week timeutil.Week) *HourOfWeekSeries {
-	return &HourOfWeekSeries{week: week, local: true, sites: map[string]*[timeutil.HoursPerWeek]float64{}}
+	h := NewHourOfWeekSeries(week)
+	h.local = true
+	return h
 }
 
 // Add folds one record; records outside the week are ignored.
-func (h *HourOfWeekSeries) Add(r *trace.Record) {
-	idx := h.week.HourIndex(r.Timestamp)
-	if idx < 0 {
+func (h *HourOfWeekSeries) Add(r *trace.Record) { h.add(r, h.resolve(r)) }
+
+func (h *HourOfWeekSeries) add(r *trace.Record, k *recKey) {
+	if k.hour < 0 {
 		return
 	}
+	idx := int(k.hour)
 	if h.local {
 		shift := int(r.Region.UTCOffset().Hours())
 		idx = ((idx+shift)%timeutil.HoursPerWeek + timeutil.HoursPerWeek) % timeutil.HoursPerWeek
 	}
-	buckets, ok := h.sites[r.Publisher]
-	if !ok {
-		buckets = &[timeutil.HoursPerWeek]float64{}
-		h.sites[r.Publisher] = buckets
-	}
-	buckets[idx]++
+	h.site(k.site)[idx]++
 }
 
 // Merge folds another accumulator in.
-func (h *HourOfWeekSeries) Merge(o *HourOfWeekSeries) {
-	for site, ob := range o.sites {
-		buckets, ok := h.sites[site]
-		if !ok {
-			buckets = &[timeutil.HoursPerWeek]float64{}
-			h.sites[site] = buckets
-		}
-		for i, v := range ob {
+func (h *HourOfWeekSeries) Merge(o *HourOfWeekSeries) { h.mergeKeyed(o, h.keys().absorb(o.keys())) }
+
+func (h *HourOfWeekSeries) mergeKeyed(src Analyzer, rm *remap) {
+	h.mergeSites(&src.(*HourOfWeekSeries).perSite, rm, func(_ int, buckets, from *[timeutil.HoursPerWeek]float64) {
+		for i, v := range from {
 			buckets[i] += v
 		}
-	}
+	})
 }
 
 // Series returns the site's hour-of-week request counts.
 func (h *HourOfWeekSeries) Series(site string) []float64 {
-	buckets, ok := h.sites[site]
-	if !ok {
+	_, buckets := h.find(site)
+	if buckets == nil {
 		return nil
 	}
 	out := make([]float64, timeutil.HoursPerWeek)

@@ -32,7 +32,7 @@ func bufferedResults(t *testing.T, s *Study) *Results {
 	}
 	network.ResetStats()
 	network.ResetClientState()
-	acc := newMultiAcc(s.descs, s.params())
+	acc := s.newFold()
 	measure := func(rec *trace.Record) error {
 		acc.Add(rec)
 		return nil

@@ -197,57 +197,22 @@ func (r *Results) Addiction() *analysis.Addiction { return get[*analysis.Addicti
 // Caching covers Figs. 15-16.
 func (r *Results) Caching() *analysis.Caching { return get[*analysis.Caching](r, "caching") }
 
-// multiAcc folds one record into every constructed analysis; it
-// satisfies pipeline.Accumulator so the analysis pass parallelizes. The
-// analyzer set is registry-driven: one entry per descriptor the study
-// selected, so pruned analyses cost nothing — not even construction.
-type multiAcc struct {
-	descs []analysis.Descriptor
-	accs  []analysis.Analyzer
-	n     int64
-}
-
-func newMultiAcc(descs []analysis.Descriptor, p analysis.Params) *multiAcc {
-	accs := make([]analysis.Analyzer, len(descs))
-	for i, d := range descs {
-		accs[i] = d.New(p)
-	}
-	return &multiAcc{descs: descs, accs: accs}
-}
-
-// Add implements pipeline.Accumulator.
-func (m *multiAcc) Add(r *trace.Record) {
-	m.n++
-	for _, a := range m.accs {
-		a.Add(r)
-	}
-}
-
-// Merge implements pipeline.Accumulator. Both accumulators must come
-// from the same descriptor set (always true inside one pipeline run).
-func (m *multiAcc) Merge(o *multiAcc) {
-	m.n += o.n
-	for i, d := range m.descs {
-		d.Merge(m.accs[i], o.accs[i])
-	}
-}
-
 // params builds the analyzer construction parameters for this study.
 func (s *Study) params() analysis.Params {
 	return analysis.Params{Week: s.gen.Week(), SessionTimeout: s.cfg.SessionTimeout, MemoryBudget: s.cfg.MemoryBudget}
 }
 
+// newFold builds one pipeline worker's accumulator: every configured
+// analysis behind one shared key resolution.
+func (s *Study) newFold() *analysis.Fold { return analysis.NewFold(s.descs, s.params()) }
+
 // newResults assembles a Results from a folded accumulator.
-func (s *Study) newResults(acc *multiAcc) *Results {
-	analyzers := make(map[string]analysis.Analyzer, len(acc.descs))
-	for i, d := range acc.descs {
-		analyzers[d.Name] = acc.accs[i]
-	}
+func (s *Study) newResults(f *analysis.Fold) *Results {
 	return &Results{
 		Week:        s.gen.Week(),
-		Records:     acc.n,
+		Records:     f.Records(),
 		ClusterOpts: s.cfg.Cluster,
-		analyzers:   analyzers,
+		analyzers:   f.Analyzers(),
 	}
 }
 
@@ -320,10 +285,7 @@ func (s *Study) Run() (*Results, error) {
 // Replay is per-region parallel when the trace has region-stable users
 // (always true for synthetic traces) and sequential otherwise.
 func (s *Study) RunSource(src trace.Source) (*Results, error) {
-	p := s.params()
-	sink := pipeline.NewSink(func() *multiAcc {
-		return newMultiAcc(s.descs, p)
-	}, pipeline.Options{Workers: s.cfg.Workers, Metrics: s.cfg.Metrics})
+	sink := pipeline.NewSink(s.newFold, pipeline.Options{Workers: s.cfg.Workers, Metrics: s.cfg.Metrics})
 	network, err := cdn.ReplaySource(s.NewCDN, src, sink.Feed)
 	if err != nil {
 		sink.Abort()
@@ -341,10 +303,7 @@ func (s *Study) RunSource(src trace.Source) (*Results, error) {
 // AnalyzeOnly runs the analyses over a pre-replayed trace (records that
 // already carry cache status and response codes), skipping the CDN.
 func (s *Study) AnalyzeOnly(r trace.Reader) (*Results, error) {
-	p := s.params()
-	acc, err := pipeline.Run(r, func() *multiAcc {
-		return newMultiAcc(s.descs, p)
-	}, pipeline.Options{Workers: s.cfg.Workers, Metrics: s.cfg.Metrics})
+	acc, err := pipeline.Run(r, s.newFold, pipeline.Options{Workers: s.cfg.Workers, Metrics: s.cfg.Metrics})
 	if err != nil {
 		return nil, fmt.Errorf("core: analyze: %w", err)
 	}

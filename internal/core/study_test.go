@@ -5,7 +5,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"trafficscope/internal/analysis"
+	"trafficscope/internal/timeutil"
 	"trafficscope/internal/trace"
 )
 
@@ -351,5 +354,43 @@ func TestAnalyzeOnlySkipsCDN(t *testing.T) {
 	// Without replay there are no cache verdicts.
 	if res.Caching().WeightedHitRatio("V-1") != 0 {
 		t.Error("AnalyzeOnly should see no cache data")
+	}
+}
+
+func TestStudyWeek(t *testing.T) {
+	study, err := NewStudy(Config{Seed: 1, Scale: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := study.Week()
+	if !w.Contains(w.Start.Add(time.Hour)) {
+		t.Error("week window broken")
+	}
+}
+
+func TestSiteNamesNonPaperSites(t *testing.T) {
+	// Sites outside the paper's five sort lexically after them.
+	week := timeutil.NewWeek(time.Date(2015, 10, 3, 0, 0, 0, 0, time.UTC))
+	comp := analysis.NewComposition(0)
+	for _, site := range []string{"Z-custom", "V-2", "A-custom"} {
+		comp.Add(&trace.Record{
+			Timestamp:  week.HourStart(0).Add(time.Minute),
+			Publisher:  site,
+			ObjectID:   1,
+			FileType:   trace.FileJPG,
+			ObjectSize: 10,
+			UserID:     1,
+			UserAgent:  "UA",
+			Region:     timeutil.RegionEurope,
+			StatusCode: 200,
+		})
+	}
+	r := &Results{analyzers: map[string]analysis.Analyzer{"composition": comp}}
+	got := r.SiteNames()
+	want := []string{"V-2", "A-custom", "Z-custom"}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("SiteNames = %v, want %v", got, want)
+		}
 	}
 }

@@ -229,43 +229,41 @@ func (h *HLL) Merge(o *HLL) {
 // sampled keys estimate the population values with relative standard
 // error ~ 1/sqrt(sample size).
 //
-// The sampler itself holds no keys; the caller keeps its per-key state
-// in its own maps, asks Admits before inserting, and evicts entries
-// whose keys fail Admits after a Halve. Because admission depends only
-// on the key's hash and the current threshold, two workers' samples
-// merge exactly: take the minimum threshold and evict, which yields the
-// same sample a single worker with that threshold would have kept.
+// The sampler itself holds no keys; the caller keeps the keys it has
+// admitted, asks Admits before inserting, and evicts entries whose keys
+// fail Admits after a Halve. Because admission depends only on the
+// key's hash and the current threshold, two workers' samples merge
+// exactly: take the minimum threshold and evict, which yields the same
+// sample a single worker with that threshold would have kept.
+//
+// The zero value admits every key.
 type KeySampler struct {
-	threshold uint64
+	halvings uint8 // the threshold is MaxUint64 >> halvings
 }
 
 // NewKeySampler starts with every key admitted.
-func NewKeySampler() *KeySampler {
-	return &KeySampler{threshold: math.MaxUint64}
-}
+func NewKeySampler() *KeySampler { return &KeySampler{} }
 
 // Admits reports whether the key with this hash is in the sample.
-func (s *KeySampler) Admits(hash uint64) bool { return hash <= s.threshold }
+func (s *KeySampler) Admits(hash uint64) bool { return hash <= math.MaxUint64>>s.halvings }
 
 // Halve shrinks the sample by half. The caller must then evict state
 // for keys that no longer pass Admits.
-func (s *KeySampler) Halve() { s.threshold /= 2 }
+func (s *KeySampler) Halve() { s.halvings++ }
 
 // InclusionProb returns the probability a key is in the sample; scale
 // sampled totals by 1/InclusionProb for population estimates.
-func (s *KeySampler) InclusionProb() float64 {
-	return (float64(s.threshold) + 1) / math.Ldexp(1, 64)
-}
+func (s *KeySampler) InclusionProb() float64 { return math.Ldexp(1, -int(s.halvings)) }
 
 // Exact reports whether the sampler still admits every key (no Halve
 // yet): sampled state equals exact state.
-func (s *KeySampler) Exact() bool { return s.threshold == math.MaxUint64 }
+func (s *KeySampler) Exact() bool { return s.halvings == 0 }
 
 // MergeFrom lowers the threshold to the other sampler's if needed and
 // reports whether it changed (the caller must evict when it did).
 func (s *KeySampler) MergeFrom(o *KeySampler) bool {
-	if o.threshold < s.threshold {
-		s.threshold = o.threshold
+	if o.halvings > s.halvings {
+		s.halvings = o.halvings
 		return true
 	}
 	return false

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"time"
 
 	"trafficscope/internal/stats"
@@ -187,7 +188,7 @@ type sitePlan struct {
 	// hours lists the hours with positive intensity, ascending.
 	hourTotal [timeutil.HoursPerWeek]float64
 	hours     []int
-	users     []*userState
+	users     []userState
 	userCum   []float64 // cumulative activity weights for weighted draws
 	iatMu     float64
 	iatSigma  float64
@@ -302,7 +303,7 @@ func (g *Generator) generateHour(i, h int, sc *shardScratch) []trace.Record {
 		if i >= len(plan.users) {
 			i = len(plan.users) - 1
 		}
-		return plan.users[i]
+		return &plan.users[i]
 	}
 	// Number of requests this local hour (Poisson via normal approx for
 	// large means, exact for small).
@@ -339,18 +340,23 @@ func (g *Generator) generateShard(i, h int, sc *shardScratch) []*trace.Record {
 // object regardless of its general popularity. Those users produce the
 // Fig. 13 outliers whose object request counts dwarf their unique-user
 // counts.
-func (g *Generator) buildUserPool(p *SiteProfile, pop *Population, n int, rng *rand.Rand) ([]*userState, []float64) {
+func (g *Generator) buildUserPool(p *SiteProfile, pop *Population, n int, rng *rand.Rand) ([]userState, []float64) {
 	devices := useragent.AllDevices()
 	regions := timeutil.AllRegions()
-	users := make([]*userState, n)
+	users := make([]userState, n)
 	cum := make([]float64, n)
 	var acc float64
+	// Each user's client address, "<site>/user-<i>", is formatted into
+	// one reused buffer and hashed from there.
+	addr := append([]byte(p.Name), "/user-"...)
+	prefix := len(addr)
 	for i := range users {
 		dev := devices[stats.WeightedChoice(rng, p.DeviceMix[:])]
 		agents := useragent.CanonicalAgents(dev)
 		agent := agents[rng.Intn(len(agents))]
-		users[i] = &userState{
-			id:     g.anon.HashUser(fmt.Sprintf("%s/user-%d", p.Name, i), agent),
+		addr = strconv.AppendInt(addr[:prefix], int64(i), 10)
+		users[i] = userState{
+			id:     g.anon.HashUserBytes(addr, agent),
 			device: dev,
 			agent:  agent,
 			region: regions[stats.WeightedChoice(rng, p.RegionMix[:])],
@@ -409,7 +415,8 @@ func (g *Generator) assignFavorites(plan *sitePlan, totalRequests float64, rng *
 	}
 	weightTotal := plan.userCum[len(plan.userCum)-1]
 	prev := 0.0
-	for ui, u := range plan.users {
+	for ui := range plan.users {
+		u := &plan.users[ui]
 		w := plan.userCum[ui] - prev
 		prev = plan.userCum[ui]
 		if u.favorite != nil {
@@ -463,7 +470,8 @@ func (g *Generator) newPrivateObject(p *SiteProfile, pop *Population, userIdx in
 	}
 	cat := cats[stats.WeightedChoice(rng, weights)]
 	cp := p.Categories[cat]
-	id := g.anon.HashString(fmt.Sprintf("%s/private/%d", p.Name, userIdx))
+	key := append([]byte(p.Name), "/private/"...)
+	id := g.anon.HashBytes(strconv.AppendInt(key, int64(userIdx), 10))
 	if o, ok := g.private[id]; ok {
 		return o // idempotent across repeated Generate calls
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"trafficscope/internal/stats"
 	"trafficscope/internal/timeutil"
@@ -87,10 +88,15 @@ func buildCategoryObjects(p *SiteProfile, cat trace.Category, cp *CategoryProfil
 	}
 	classes, weights := classMixSlices(cp.Classes)
 	objs := make([]*Object, 0, n)
+	// Each object's URL, "<site>/<category>/obj-<i>", is formatted into
+	// one reused buffer and hashed from there.
+	url := append(append(append([]byte(p.Name), '/'), cat.String()...), "/obj-"...)
+	prefix := len(url)
 	for i := 0; i < n; i++ {
 		class := classes[stats.WeightedChoice(rng, weights)]
+		url = strconv.AppendInt(url[:prefix], int64(i), 10)
 		o := &Object{
-			ID:         anon.HashString(fmt.Sprintf("%s/%s/obj-%d", p.Name, cat, i)),
+			ID:         anon.HashBytes(url),
 			FileType:   cp.FileTypes[rng.Intn(len(cp.FileTypes))],
 			Size:       sampleSize(rng, &cp.Sizes, class, cat),
 			Class:      class,

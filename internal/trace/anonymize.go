@@ -29,11 +29,26 @@ func (a *Anonymizer) HashString(s string) uint64 {
 	return fnv1a(fnv1a(fnvOffset64, a.salt), s)
 }
 
+// HashBytes is HashString for a key built in a byte buffer, so that
+// callers formatting millions of keys need not allocate a string each.
+func (a *Anonymizer) HashBytes(b []byte) uint64 {
+	return fnv1a(fnv1a(fnvOffset64, a.salt), b)
+}
+
 // HashUser derives a user identity from client address and user agent.
 // Combining both mirrors common CDN practice: NAT'd clients with distinct
 // devices separate, while a single browser remains stable.
 func (a *Anonymizer) HashUser(clientAddr, userAgent string) uint64 {
-	h := fnv1a(fnv1a(fnvOffset64, a.salt), clientAddr)
+	return hashUser(a.salt, clientAddr, userAgent)
+}
+
+// HashUserBytes is HashUser for a client address built in a byte buffer.
+func (a *Anonymizer) HashUserBytes(clientAddr []byte, userAgent string) uint64 {
+	return hashUser(a.salt, clientAddr, userAgent)
+}
+
+func hashUser[T string | []byte](salt []byte, clientAddr T, userAgent string) uint64 {
+	h := fnv1a(fnv1a(fnvOffset64, salt), clientAddr)
 	h *= fnvPrime64 // the NUL separator: h ^= 0 is the identity
 	return fnv1a(h, userAgent)
 }
