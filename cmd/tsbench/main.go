@@ -1,159 +1,221 @@
-// Command tsbench converts `go test -bench` output into the repo's
-// machine-readable BENCH_<area>.json trajectory files and compares a
-// fresh run against a committed baseline — the tool behind `make bench`,
-// `make bench-baseline` and the CI bench-gate job.
+// Command tsbench is the repo's perf gate: it compares two verbatim
+// outputs of `go run ./benchmark -all` — the committed BENCH_ledger.txt
+// and a fresh run — under the bounds BENCHMARK.json fixes.
 //
-// Convert (reads go test output from -in or stdin):
+// Usage (from the repository root, where BENCHMARK.json lives):
 //
-//	go test -bench EdgeServe -benchmem . | tsbench -area serve -out BENCH_serve.json
+//	tsbench BASELINE CURRENT
 //
-// Compare (exit status 1 on any regression):
-//
-//	tsbench -baseline BENCH_serve.json -compare current.json \
-//	        [-max-ns-regress 0.15] [-match regexp]
-//
-// The comparison fails on any benchmark missing from the current run,
-// on ns/op more than max-ns-regress above baseline, or on any increase
-// in allocs/op. -match restricts both sides of the comparison (so a
-// short CI gate can re-run and judge only the stable benchmarks of an
-// area while the committed file keeps the full set).
+// It fails (exit 1) when, on any workload, allocs_per_op,
+// alloc_bytes_per_op or hit_ratio is worse than the baseline by more
+// than its contract bound, when fail_ratio rises, or when a line of the
+// baseline is missing from the current run. It refuses (exit 2) to
+// judge two runs whose headers name different GOMAXPROCS, a baseline
+// that lacks a gated line, or input it cannot read. There are no flags:
+// what is gated and by how much is the contract's decision, not the
+// caller's.
 package main
 
 import (
-	"flag"
+	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"regexp"
+	"strconv"
 	"strings"
-
-	"trafficscope/internal/benchjson"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "tsbench:", err)
-		os.Exit(1)
-	}
-}
+// contractPath is relative to the repository root, where make and CI
+// run the gate.
+const contractPath = "BENCHMARK.json"
 
-func run() error {
-	var (
-		area      = flag.String("area", "", "benchmark area label for -out (e.g. serve, stream)")
-		in        = flag.String("in", "", "go test -bench output to convert (default stdin)")
-		out       = flag.String("out", "", "BENCH_<area>.json path to write")
-		match     = flag.String("match", "", "only convert benchmarks whose name matches this regexp")
-		config    = flag.String("config", "", "run configuration recorded in the file, as k=v[,k=v...]")
-		baseline  = flag.String("baseline", "", "committed baseline JSON to compare against")
-		compare   = flag.String("compare", "", "current-run JSON to compare with -baseline")
-		maxNs     = flag.Float64("max-ns-regress", 0.15, "allowed fractional ns/op regression in compare mode")
-		maxAllocs = flag.Float64("max-allocs-regress", 0, "allowed fractional allocs/op regression in compare mode (0 = any increase fails)")
-	)
-	flag.Parse()
+// machineMetrics are the end-to-end metrics the gate does not judge
+// although the contract bounds them: setup_s moved 16 % and peak_rss_mib
+// 7 % between two passes of one binary on one machine, so against a
+// snapshot taken on another machine they measure the machine. The
+// contract's driver judges them, on paired runs of parent and change.
+// The per-layer rows (timing, dtw.*, cdn.*, ...) carry no bound in the
+// contract and are never judged. What remains — allocation counts and
+// bytes, hit_ratio — repeated to within 0.5 % A/A (EXPERIMENTS.md
+// §"Perf ledger").
+var machineMetrics = map[string]bool{"setup_s": true, "peak_rss_mib": true}
 
-	if *baseline != "" || *compare != "" {
-		if *baseline == "" || *compare == "" {
-			return fmt.Errorf("compare mode needs both -baseline and -compare")
-		}
-		return runCompare(*baseline, *compare, *match, *maxNs, *maxAllocs)
-	}
-	if *out == "" {
-		return fmt.Errorf("-out is required (or use -baseline/-compare)")
-	}
-	if *area == "" {
-		return fmt.Errorf("-area is required with -out")
-	}
-	return runConvert(*area, *in, *out, *match, *config)
-}
+const (
+	exitWorse   = 1 // a gated value is worse than its bound, or a line is gone
+	exitRefused = 2 // no verdict: the two runs cannot be compared
+)
 
-func runConvert(area, in, out, match, config string) error {
-	var src io.Reader = os.Stdin
-	if in != "" {
-		f, err := os.Open(in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		src = f
+func main() { os.Exit(run(contractPath, os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(contractPath string, args []string, stdout, stderr io.Writer) int {
+	if len(args) != 2 {
+		fmt.Fprintln(stderr, "usage: tsbench BASELINE CURRENT (two outputs of `go run ./benchmark -all`)")
+		return exitRefused
 	}
-	entries, err := benchjson.ParseGoBench(src)
+	gated, worse, err := judge(contractPath, args[0], args[1])
 	if err != nil {
-		return err
+		fmt.Fprintln(stderr, "tsbench:", err)
+		return exitRefused
 	}
-	if entries, err = filterEntries(entries, match); err != nil {
-		return err
+	if len(worse) > 0 {
+		for _, w := range worse {
+			fmt.Fprintln(stderr, "tsbench: WORSE", w)
+		}
+		fmt.Fprintf(stderr, "tsbench: FAIL: %d worse, %d values judged under %s\n", len(worse), gated, contractPath)
+		return exitWorse
 	}
-	if len(entries) == 0 {
-		return fmt.Errorf("no benchmark results in input (match %q)", match)
-	}
-	f := benchjson.New(area, parseConfig(config), entries)
-	if err := benchjson.WriteFile(out, f); err != nil {
-		return err
-	}
-	fmt.Printf("tsbench: wrote %d benchmarks to %s (area %s, %s)\n", len(entries), out, area, f.GitSHA)
-	return nil
+	fmt.Fprintf(stdout, "tsbench: %d gated values within %s's bounds of %s, no line missing\n", gated, contractPath, args[0])
+	return 0
 }
 
-func runCompare(baselinePath, currentPath, match string, maxNs, maxAllocs float64) error {
-	base, err := benchjson.ReadFile(baselinePath)
+// judge reads the contract and both ledgers and compares them. An error
+// means no verdict.
+func judge(contractPath, basePath, curPath string) (gated int, worse []string, err error) {
+	c, err := readContract(contractPath)
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
-	cur, err := benchjson.ReadFile(currentPath)
+	base, err := readLedger(basePath)
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
-	if base.Benchmarks, err = filterEntries(base.Benchmarks, match); err != nil {
-		return err
+	cur, err := readLedger(curPath)
+	if err != nil {
+		return 0, nil, err
 	}
-	if cur.Benchmarks, err = filterEntries(cur.Benchmarks, match); err != nil {
-		return err
+	if base.procs != cur.procs {
+		return 0, nil, fmt.Errorf("refusing to compare GOMAXPROCS=%s (%s) with GOMAXPROCS=%s (%s): worker pools allocate per worker",
+			base.procs, basePath, cur.procs, curPath)
 	}
-	if len(base.Benchmarks) == 0 {
-		return fmt.Errorf("no baseline benchmarks in %s match %q", baselinePath, match)
+	gated, worse, err = compare(c, base, cur)
+	if err != nil {
+		return 0, nil, fmt.Errorf("%s: %w", basePath, err)
 	}
-	regs := benchjson.Compare(base, cur, maxNs, maxAllocs)
-	if len(regs) == 0 {
-		fmt.Printf("tsbench: %d benchmarks within budget of %s (max ns/op regression %.0f%%)\n",
-			len(base.Benchmarks), baselinePath, 100*maxNs)
-		return nil
-	}
-	for _, r := range regs {
-		fmt.Fprintln(os.Stderr, "tsbench: REGRESSION", r)
-	}
-	return fmt.Errorf("%d benchmark regression(s) vs %s", len(regs), baselinePath)
+	return gated, worse, nil
 }
 
-// filterEntries keeps entries whose name matches the regexp; an empty
-// pattern keeps everything.
-func filterEntries(entries []benchjson.Entry, match string) ([]benchjson.Entry, error) {
-	if match == "" {
-		return entries, nil
-	}
-	re, err := regexp.Compile(match)
+// metric is one end-to-end metric of the contract: which direction is
+// better, and the share of the baseline by which it may be worse.
+type metric struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
+}
+
+// failRatio is not a contract metric (an end-to-end metric may never be
+// 0, benchmark/README.md) but `-all` prints it per workload; any rise
+// fails.
+var failRatio = metric{Name: "fail_ratio", Better: "lower", Bound: 0}
+
+// contract is what the gate reads of BENCHMARK.json.
+type contract struct {
+	Workloads []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []metric `json:"end_to_end"`
+}
+
+func readContract(path string) (*contract, error) {
+	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("bad -match: %w", err)
+		return nil, err
 	}
-	kept := entries[:0]
-	for _, e := range entries {
-		if re.MatchString(e.Name) {
-			kept = append(kept, e)
+	var c contract
+	if err := json.Unmarshal(b, &c); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(c.Workloads) == 0 || len(c.EndToEnd) == 0 {
+		return nil, fmt.Errorf("%s: no workloads or no end_to_end metrics", path)
+	}
+	return &c, nil
+}
+
+// ledger is one output of `go run ./benchmark -all`: a header line
+// "# seed=… GOMAXPROCS=… …" and one "workload/metric value unit" line
+// per metric.
+type ledger struct {
+	procs  string             // the header's GOMAXPROCS
+	keys   []string           // "workload/metric", in file order
+	values map[string]float64 // by key
+}
+
+func readLedger(path string) (*ledger, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	l := &ledger{values: map[string]float64{}}
+	sc := bufio.NewScanner(f)
+	for n := 1; sc.Scan(); n++ {
+		fields := strings.Fields(sc.Text())
+		switch {
+		case len(fields) == 0:
+		case fields[0] == "#":
+			for _, kv := range fields[1:] {
+				if v, ok := strings.CutPrefix(kv, "GOMAXPROCS="); ok {
+					l.procs = v
+				}
+			}
+		default:
+			if len(fields) < 2 {
+				return nil, fmt.Errorf("%s:%d: want \"workload/metric value unit\", got %q", path, n, sc.Text())
+			}
+			v, err := strconv.ParseFloat(fields[1], 64)
+			if err != nil {
+				return nil, fmt.Errorf("%s:%d: %w", path, n, err)
+			}
+			l.keys = append(l.keys, fields[0])
+			l.values[fields[0]] = v
 		}
 	}
-	return kept, nil
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if l.procs == "" {
+		return nil, fmt.Errorf("%s: no \"# … GOMAXPROCS=…\" header: not an output of `go run ./benchmark -all`", path)
+	}
+	return l, nil
 }
 
-// parseConfig parses "k=v,k=v" into the config map.
-func parseConfig(s string) map[string]string {
-	if s == "" {
-		return nil
-	}
-	cfg := map[string]string{}
-	for _, kv := range strings.Split(s, ",") {
-		k, v, _ := strings.Cut(kv, "=")
-		if k != "" {
-			cfg[k] = v
+// compare returns how many values it judged and one line per value of
+// cur that is worse than base by more than the contract allows. A gated
+// line absent from base is an error: a truncated snapshot must not pass.
+func compare(c *contract, base, cur *ledger) (gated int, worse []string, err error) {
+	for _, key := range base.keys {
+		if _, ok := cur.values[key]; !ok {
+			worse = append(worse, key+": missing from the current run")
 		}
 	}
-	return cfg
+	var metrics []metric
+	for _, m := range c.EndToEnd {
+		if !machineMetrics[m.Name] {
+			metrics = append(metrics, m)
+		}
+	}
+	metrics = append(metrics, failRatio)
+	for _, w := range c.Workloads {
+		for _, m := range metrics {
+			key := w.Name + "/" + m.Name
+			b, ok := base.values[key]
+			if !ok {
+				return 0, nil, fmt.Errorf("no %s line", key)
+			}
+			got, ok := cur.values[key]
+			if !ok {
+				continue // reported above
+			}
+			gated++
+			over := got > b*(1+m.Bound)
+			if m.Better == "higher" {
+				over = got < b*(1-m.Bound)
+			}
+			if over {
+				worse = append(worse, fmt.Sprintf("%s: %g vs baseline %g (%+.2f%%, %s is better, bound %g%%)",
+					key, got, b, 100*(got-b)/b, m.Better, 100*m.Bound))
+			}
+		}
+	}
+	return gated, worse, nil
 }

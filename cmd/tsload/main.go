@@ -8,8 +8,8 @@
 //	tsload -in trace.tsb -target http://127.0.0.1:8080
 //	       [-speedup 0] [-workers 32] [-timeout 10s] [-retries 2]
 //	       [-backoff 20ms] [-max-redirects 0] [-debug-addr :6060]
-//	       [-progress] [-manifest run.json] [-bench-json BENCH_load.json]
-//	       [-summary load-summary.json] [-slo <policy file|inline>]
+//	       [-progress] [-manifest run.json] [-summary load-summary.json]
+//	       [-slo <policy file|inline>]
 //
 // The target may be a tsserve edge or a tsrouter front tier; against a
 // redirect-mode router, 307 hops are followed (bounded by
@@ -19,10 +19,8 @@
 // latency (measured from each record's scheduled send time, so
 // client-side queueing counts), queued-send delay, hit ratio and egress
 // — the serving-side metrics the offline simulator cannot measure.
-// -bench-json additionally writes the run as a benchjson file, the same
-// schema the repo's BENCH_*.json perf trajectory uses. SIGINT/SIGTERM
-// stops dispatch, waits for in-flight requests, and still writes the
-// manifest.
+// SIGINT/SIGTERM stops dispatch, waits for in-flight requests, and still
+// writes the manifest.
 package main
 
 import (
@@ -31,10 +29,8 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 	"time"
 
-	"trafficscope/internal/benchjson"
 	"trafficscope/internal/loadgen"
 	"trafficscope/internal/obs/cliobs"
 	"trafficscope/internal/obs/slo"
@@ -60,7 +56,6 @@ func run() error {
 		retries   = flag.Int("retries", 2, "retries after transport errors (HTTP errors are never retried)")
 		backoff   = flag.Duration("backoff", 20*time.Millisecond, "initial retry backoff (doubles per attempt)")
 		redirects = flag.Int("max-redirects", 0, "max 307 hops followed per request, e.g. from a redirect-mode tsrouter (0 = default 5, negative = don't follow)")
-		benchJSON = flag.String("bench-json", "", "write the run summary as a benchjson file (BENCH_*.json schema)")
 		summary   = flag.String("summary", "", "write the run summary as JSON (tsgate -run input)")
 		sloSpec   = flag.String("slo", "", "SLO policy (file path or inline) to assert against the run; breach exits nonzero")
 	)
@@ -123,11 +118,6 @@ func run() error {
 		extra["p99_ms"] = 1000 * st.Latency.Quantile(0.99)
 		extra["queued_delay_p50_ms"] = 1000 * st.QueuedDelay.Quantile(0.50)
 		extra["queued_delay_p99_ms"] = 1000 * st.QueuedDelay.Quantile(0.99)
-		if *benchJSON != "" {
-			if err := writeBenchJSON(*benchJSON, st, *speedup, *workers); err != nil {
-				return err
-			}
-		}
 		if *summary != "" {
 			if err := writeSummary(*summary, st); err != nil {
 				return err
@@ -218,40 +208,6 @@ func printSummary(st *loadgen.Stats) {
 		siteTab.AddRow(s, st.BySite[s])
 	}
 	fmt.Println(siteTab)
-}
-
-// writeBenchJSON records the run in the repo's BENCH_*.json schema: one
-// entry whose ns/op is the mean scheduled-send-to-completion latency,
-// with records/sec and the latency/queued-delay quantiles alongside.
-func writeBenchJSON(path string, st *loadgen.Stats, speedup float64, workers int) error {
-	var meanNs float64
-	if st.Latency.Count > 0 {
-		meanNs = st.Latency.Sum / float64(st.Latency.Count) * 1e9
-	}
-	entry := benchjson.Entry{
-		Name:          "tsload/replay",
-		NsPerOp:       meanNs,
-		RecordsPerSec: st.RPS(),
-		Metrics: map[string]float64{
-			"hit-%":     100 * st.HitRatio(),
-			"errors":    float64(st.Errors),
-			"shed":      float64(st.Shed),
-			"cancelled": float64(st.Cancelled),
-			"redirects": float64(st.Redirects),
-		},
-		Quantiles: map[string]float64{
-			"latency_p50_s":      st.Latency.Quantile(0.50),
-			"latency_p90_s":      st.Latency.Quantile(0.90),
-			"latency_p99_s":      st.Latency.Quantile(0.99),
-			"queued_delay_p50_s": st.QueuedDelay.Quantile(0.50),
-			"queued_delay_p99_s": st.QueuedDelay.Quantile(0.99),
-		},
-	}
-	f := benchjson.New("serve-live", map[string]string{
-		"speedup": strconv.FormatFloat(speedup, 'g', -1, 64),
-		"workers": strconv.Itoa(workers),
-	}, []benchjson.Entry{entry})
-	return benchjson.WriteFile(path, f)
 }
 
 // fmtLatency renders a latency in seconds with a sensible unit.

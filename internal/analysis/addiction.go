@@ -43,7 +43,6 @@ func init() {
 		Name:    "addiction",
 		Figures: []int{13, 14},
 		New:     func(p Params) Analyzer { return NewAddiction(p.MemoryBudget) },
-		Merge:   mergeAs[*Addiction],
 	})
 }
 

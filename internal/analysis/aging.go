@@ -35,7 +35,6 @@ func init() {
 		Name:    "aging",
 		Figures: []int{7},
 		New:     func(p Params) Analyzer { return NewAging(p.Week, p.MemoryBudget) },
-		Merge:   mergeAs[*Aging],
 	})
 }
 

@@ -600,52 +600,6 @@ func TestObjectSeriesAndClustering(t *testing.T) {
 	}
 }
 
-func TestBestK(t *testing.T) {
-	s := NewObjectSeries(week, 0)
-	// Two clearly distinct shape families (diurnal vs short-lived), so
-	// the silhouette should peak at k=2.
-	for obj := uint64(1); obj <= 6; obj++ {
-		for d := 0; d < 7; d++ {
-			for _, hh := range []int{1, 2, 3} {
-				for k := 0; k < 2; k++ {
-					s.Add(rec("V-2", obj, uint64(d*10+k), trace.FileMP4, 100, d*24+hh))
-				}
-			}
-		}
-	}
-	for obj := uint64(10); obj <= 15; obj++ {
-		start := int(obj-10)*12 + 6
-		for h := start; h < start+4; h++ {
-			for k := 0; k < 11; k++ {
-				s.Add(rec("V-2", obj, uint64(k), trace.FileMP4, 100, h))
-			}
-		}
-	}
-	opts := ClusterOptions{MinRequests: 20, BandRadius: 24, Workers: 2}
-	k, score, err := s.BestK("V-2", trace.CategoryVideo, opts, 2, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two macro-families; the jittered diurnal family can legitimately
-	// sub-split, so accept a small k with strong separation.
-	if k < 2 || k > 4 {
-		t.Errorf("BestK = %d (score %v), want a small k", k, score)
-	}
-	if score < 0.3 {
-		t.Errorf("silhouette = %v, want well-separated", score)
-	}
-	// Validation paths.
-	if _, _, err := s.BestK("V-2", trace.CategoryVideo, opts, 5, 3); err == nil {
-		t.Error("kMax < kMin should error")
-	}
-	if _, _, err := s.BestK("V-2", trace.CategoryVideo, opts, 2, 50); err == nil {
-		t.Error("kMax >= series count should error")
-	}
-	if _, _, err := s.BestK("missing", trace.CategoryVideo, opts, 2, 4); err == nil {
-		t.Error("missing site should error")
-	}
-}
-
 func TestClassifyShapeEdgeCases(t *testing.T) {
 	if ClassifyShape(nil) != "empty" {
 		t.Error("nil series")

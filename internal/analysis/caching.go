@@ -64,7 +64,6 @@ func init() {
 		Name:    "caching",
 		Figures: []int{15, 16},
 		New:     func(p Params) Analyzer { return NewCaching(p.MemoryBudget) },
-		Merge:   mergeAs[*Caching],
 	})
 }
 

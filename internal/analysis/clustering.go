@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"trafficscope/internal/cluster"
@@ -93,7 +92,6 @@ func init() {
 		Name:    "series",
 		Figures: []int{8, 9, 10},
 		New:     func(p Params) Analyzer { return NewObjectSeries(p.Week, p.MemoryBudget) },
-		Merge:   mergeAs[*ObjectSeries],
 	})
 }
 
@@ -360,50 +358,6 @@ func spread(series [][]float64, members []int) []float64 {
 		}
 	}
 	return out
-}
-
-// BestK selects the cluster count in [kMin, kMax] maximizing the mean
-// silhouette over the DTW distance matrix — a principled alternative to
-// eyeballing the dendrogram as the paper does. It returns the chosen k
-// and its silhouette score.
-func (s *ObjectSeries) BestK(site string, cat trace.Category, opts ClusterOptions, kMin, kMax int) (int, float64, error) {
-	if kMin < 2 {
-		kMin = 2
-	}
-	if kMax < kMin {
-		return 0, 0, fmt.Errorf("analysis: kMax %d < kMin %d", kMax, kMin)
-	}
-	o := opts.withDefaults()
-	_, series := s.SeriesSet(site, cat, o.MinRequests, o.MaxObjects)
-	if len(series) <= kMax {
-		return 0, 0, fmt.Errorf("analysis: %s/%s: %d series, need > kMax=%d", site, cat, len(series), kMax)
-	}
-	dist, err := dtw.PairwiseDistances(series, dtw.PairwiseOptions{BandRadius: o.BandRadius, Workers: o.Workers})
-	if err != nil {
-		return 0, 0, err
-	}
-	dendro, err := cluster.Agglomerative(dist, o.Linkage)
-	if err != nil {
-		return 0, 0, err
-	}
-	bestK, bestScore := 0, math.Inf(-1)
-	for k := kMin; k <= kMax; k++ {
-		labels, _, err := dendro.CutK(k)
-		if err != nil {
-			return 0, 0, err
-		}
-		score, err := cluster.Silhouette(dist, labels)
-		if err != nil {
-			continue // degenerate cut (e.g. all singletons merged)
-		}
-		if score > bestScore {
-			bestK, bestScore = k, score
-		}
-	}
-	if bestK == 0 {
-		return 0, 0, fmt.Errorf("analysis: %s/%s: no valid cut in [%d, %d]", site, cat, kMin, kMax)
-	}
-	return bestK, bestScore, nil
 }
 
 // ClassifyShape heuristically labels a normalized hour-of-week series as

@@ -117,7 +117,6 @@ func init() {
 		Name:    "composition",
 		Figures: []int{1, 2},
 		New:     func(p Params) Analyzer { return NewComposition(p.MemoryBudget) },
-		Merge:   mergeAs[*Composition],
 	})
 }
 

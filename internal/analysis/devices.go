@@ -53,7 +53,6 @@ func init() {
 		Name:    "devices",
 		Figures: []int{4},
 		New:     func(p Params) Analyzer { return NewDeviceMix(p.MemoryBudget) },
-		Merge:   mergeAs[*DeviceMix],
 	})
 }
 

@@ -1,10 +1,14 @@
 package analysis
 
-import "trafficscope/internal/trace"
+import (
+	"fmt"
+
+	"trafficscope/internal/trace"
+)
 
 // keyed is an analyzer that takes records resolved against a keyspace.
-// Every analysis in this package is one; Fold feeds the others through
-// their public Add.
+// Every analysis in this package is one (they embed base), and Fold
+// folds nothing else.
 type keyed interface {
 	Analyzer
 	// bind makes the analyzer resolve through the fold's keyspace.
@@ -24,8 +28,7 @@ type keyed interface {
 // fold's keyspace, which all its analyzers index their state by.
 type Fold struct {
 	descs []Descriptor
-	accs  []Analyzer
-	keyed []keyed // keyed[i] is accs[i], or nil if it takes bare records
+	accs  []keyed
 	ks    *keyspace
 	// k is the record being folded: a field, because a local handed to
 	// the analyzers through their interface would be allocated per record.
@@ -33,20 +36,22 @@ type Fold struct {
 	n int64
 }
 
-// NewFold constructs one analyzer per descriptor.
+// NewFold constructs one analyzer per descriptor. It panics on a
+// descriptor whose analyzer is not keyed: descriptors are registered in
+// this package's init funcs, so that is a programming error.
 func NewFold(descs []Descriptor, p Params) *Fold {
 	f := &Fold{
 		descs: descs,
-		accs:  make([]Analyzer, len(descs)),
-		keyed: make([]keyed, len(descs)),
+		accs:  make([]keyed, len(descs)),
 		ks:    newKeyspace(p.Week, 0),
 	}
 	for i, d := range descs {
-		f.accs[i] = d.New(p)
-		if ka, ok := f.accs[i].(keyed); ok {
-			ka.bind(f.ks)
-			f.keyed[i] = ka
+		ka, ok := d.New(p).(keyed)
+		if !ok {
+			panic(fmt.Sprintf("analysis: analyzer %q does not resolve through a keyspace", d.Name))
 		}
+		ka.bind(f.ks)
+		f.accs[i] = ka
 	}
 	return f
 }
@@ -55,12 +60,8 @@ func NewFold(descs []Descriptor, p Params) *Fold {
 func (f *Fold) Add(r *trace.Record) {
 	f.n++
 	f.ks.resolve(r, &f.k)
-	for i, ka := range f.keyed {
-		if ka != nil {
-			ka.add(r, &f.k)
-		} else {
-			f.accs[i].Add(r)
-		}
+	for _, ka := range f.accs {
+		ka.add(r, &f.k)
 	}
 }
 
@@ -69,12 +70,8 @@ func (f *Fold) Add(r *trace.Record) {
 func (f *Fold) Merge(o *Fold) {
 	f.n += o.n
 	rm := f.ks.absorb(o.ks)
-	for i, ka := range f.keyed {
-		if ka != nil {
-			ka.mergeKeyed(o.accs[i], rm)
-		} else {
-			f.descs[i].Merge(f.accs[i], o.accs[i])
-		}
+	for i, ka := range f.accs {
+		ka.mergeKeyed(o.accs[i], rm)
 	}
 }
 

@@ -25,7 +25,6 @@ func init() {
 		Name:    "popularity",
 		Figures: []int{6},
 		New:     func(Params) Analyzer { return NewPopularity() },
-		Merge:   mergeAs[*Popularity],
 	})
 }
 

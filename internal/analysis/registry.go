@@ -52,17 +52,6 @@ type Descriptor struct {
 	Figures []int
 	// New constructs a fresh accumulator for the given study inputs.
 	New func(Params) Analyzer
-	// Merge folds src into dst. Both are values produced by New.
-	Merge func(dst, src Analyzer)
-}
-
-// mergeAs adapts a typed Merge method to the registry's untyped
-// signature; descriptor authors use it as Merge: mergeAs[*Composition].
-func mergeAs[T interface {
-	Analyzer
-	Merge(T)
-}](dst, src Analyzer) {
-	dst.(T).Merge(src.(T))
 }
 
 // registry holds every registered analysis in registration order
@@ -73,7 +62,7 @@ var registry []Descriptor
 // incomplete descriptors — registration happens in init funcs, so a bad
 // entry is a programming error caught by any test run.
 func Register(d Descriptor) {
-	if d.Name == "" || d.New == nil || d.Merge == nil {
+	if d.Name == "" || d.New == nil {
 		panic(fmt.Sprintf("analysis: incomplete descriptor %+v", d))
 	}
 	for _, e := range registry {

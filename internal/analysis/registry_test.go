@@ -76,9 +76,9 @@ func TestForFiguresRejectsUnknown(t *testing.T) {
 }
 
 // TestDescriptorsConstructAndMerge exercises every registered analysis
-// through the untyped registry interface: construct two accumulators,
-// fold a record into each, merge — no panics, and the merge functions
-// accept the constructors' concrete types.
+// through the registry, as the study does: construct two one-descriptor
+// folds, fold a record into each, merge — no panics, so every analyzer is
+// keyed and its merge accepts the constructor's concrete type.
 func TestDescriptorsConstructAndMerge(t *testing.T) {
 	week := timeutil.NewWeek(time.Date(2015, 10, 3, 0, 0, 0, 0, time.UTC))
 	p := Params{Week: week, SessionTimeout: 10 * time.Minute}
@@ -96,9 +96,12 @@ func TestDescriptorsConstructAndMerge(t *testing.T) {
 		Cache:       trace.CacheHit,
 	}
 	for _, d := range Registered() {
-		a, b := d.New(p), d.New(p)
+		a, b := NewFold([]Descriptor{d}, p), NewFold([]Descriptor{d}, p)
 		a.Add(rec)
 		b.Add(rec)
-		d.Merge(a, b)
+		a.Merge(b)
+		if a.Records() != 2 {
+			t.Errorf("%s: merged fold holds %d records, want 2", d.Name, a.Records())
+		}
 	}
 }

@@ -78,7 +78,6 @@ func init() {
 		Name:    "sessions",
 		Figures: []int{11, 12},
 		New:     func(p Params) Analyzer { return NewSessions(p.SessionTimeout, p.MemoryBudget) },
-		Merge:   mergeAs[*Sessions],
 	})
 }
 

@@ -25,7 +25,6 @@ func init() {
 		Name:    "sizes",
 		Figures: []int{5},
 		New:     func(Params) Analyzer { return NewSizeDistribution() },
-		Merge:   mergeAs[*SizeDistribution],
 	})
 }
 

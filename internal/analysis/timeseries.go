@@ -19,15 +19,13 @@ func init() {
 		Name:    "hourly",
 		Figures: []int{3},
 		New:     func(Params) Analyzer { return NewHourlyVolume() },
-		Merge:   mergeAs[*HourlyVolume],
 	})
 	// The hour-of-week series has no paper figure of its own: it feeds
 	// the forecasting comparison, so it is only constructed when the
 	// study runs unpruned.
 	Register(Descriptor{
-		Name:  "weekseries",
-		New:   func(p Params) Analyzer { return NewLocalHourOfWeekSeries(p.Week) },
-		Merge: mergeAs[*HourOfWeekSeries],
+		Name: "weekseries",
+		New:  func(p Params) Analyzer { return NewLocalHourOfWeekSeries(p.Week) },
 	})
 }
 

@@ -1,97 +1,34 @@
-// Package benchjson gives the repository's benchmarks a machine-readable
-// trajectory: `go test -bench` output (and tsload run summaries) are
-// converted into a schema'd BENCH_<area>.json at the repo root, committed
-// alongside the code, and compared by CI against the committed baseline —
-// so a perf regression shows up as a failing check and a red diff line,
-// not as prose drift in EXPERIMENTS.md.
-//
-// Schema (SchemaVersion 1):
-//
-//	{
-//	  "schema": 1,
-//	  "area": "serve",                       // which subsystem the file covers
-//	  "git_sha": "…",                        // commit the numbers were measured at
-//	  "gomaxprocs": 8,
-//	  "go_version": "go1.22.1",
-//	  "config": {"benchtime": "2s"},         // free-form run configuration
-//	  "benchmarks": [
-//	    {
-//	      "name": "BenchmarkEdgeServe/serve-per-dc-locks",  // -GOMAXPROCS suffix stripped
-//	      "ns_per_op": 468.2,
-//	      "b_per_op": 0,                     // pointer fields: absent when not measured
-//	      "allocs_per_op": 0,
-//	      "records_per_sec": 1.2e6,          // from MB/s when SetBytes counts records
-//	      "metrics": {"hit-%": 83.7},        // any other per-op ReportMetric units
-//	      "quantiles": {"latency_p99_s": 0.01} // latency quantiles (tsload runs)
-//	    }
-//	  ]
-//	}
+// Package benchjson is the run stamp the repository benchmark compiles
+// against: benchmark/modes.go reads New(...).GitSHA for the header line
+// of `go run ./benchmark -all`. The BENCH_*.json trajectory files this
+// package used to parse, write and compare are retired (EXPERIMENTS.md
+// §"Perf ledger"); benchmark/ is frozen by BENCHMARK.json, so the stamp
+// stays until a benchmark PR inlines `git rev-parse` there.
 package benchjson
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
 	"os/exec"
-	"runtime"
-	"sort"
-	"strconv"
 	"strings"
 )
 
-// SchemaVersion is the current BENCH_*.json schema revision.
-const SchemaVersion = 1
-
-// Entry is one benchmark's measurement.
+// Entry is one named measurement of a File.
 type Entry struct {
-	// Name is the benchmark name with the trailing -GOMAXPROCS suffix
-	// stripped, so baselines match across machines with different core
-	// counts.
-	Name string `json:"name"`
-	// NsPerOp is wall time per operation in nanoseconds.
-	NsPerOp float64 `json:"ns_per_op"`
-	// BytesPerOp / AllocsPerOp are heap bytes and allocations per
-	// operation (-benchmem). nil when the run did not measure them —
-	// distinct from a measured zero, which the regression gate defends.
-	BytesPerOp  *float64 `json:"b_per_op,omitempty"`
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	// RecordsPerSec is derived from the MB/s column: the repo's
-	// throughput benchmarks SetBytes(record count), making "MB/s"
-	// millions of records per second.
-	RecordsPerSec float64 `json:"records_per_sec,omitempty"`
-	// Metrics holds any remaining per-op columns (e.g. "hit-%").
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-	// Quantiles holds latency quantiles for entries built from live-run
-	// summaries (tsload) rather than go test benchmarks.
-	Quantiles map[string]float64 `json:"quantiles,omitempty"`
+	Name string
 }
 
-// File is one BENCH_<area>.json document.
+// File is a set of measurements stamped with the commit they were
+// taken at.
 type File struct {
-	Schema     int               `json:"schema"`
-	Area       string            `json:"area"`
-	GitSHA     string            `json:"git_sha"`
-	GOMAXPROCS int               `json:"gomaxprocs"`
-	GoVersion  string            `json:"go_version"`
-	Config     map[string]string `json:"config,omitempty"`
-	Benchmarks []Entry           `json:"benchmarks"`
+	Area       string
+	GitSHA     string
+	Config     map[string]string
+	Benchmarks []Entry
 }
 
 // New builds a File for area around entries, stamping the current git
-// SHA (or "unknown" outside a repo), GOMAXPROCS and Go version.
+// SHA (or "unknown" outside a repo).
 func New(area string, config map[string]string, entries []Entry) *File {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
-	return &File{
-		Schema:     SchemaVersion,
-		Area:       area,
-		GitSHA:     gitSHA(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		Config:     config,
-		Benchmarks: entries,
-	}
+	return &File{Area: area, GitSHA: gitSHA(), Config: config, Benchmarks: entries}
 }
 
 // gitSHA returns HEAD's commit hash, or "unknown".
@@ -101,195 +38,4 @@ func gitSHA() string {
 		return "unknown"
 	}
 	return strings.TrimSpace(string(out))
-}
-
-// WriteFile writes f as indented JSON (trailing newline, stable field
-// order) so committed baselines diff cleanly.
-func WriteFile(path string, f *File) error {
-	b, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// ReadFile loads a BENCH_*.json document, rejecting unknown schema
-// revisions.
-func ReadFile(path string) (*File, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f File
-	if err := json.Unmarshal(b, &f); err != nil {
-		return nil, fmt.Errorf("benchjson: %s: %w", path, err)
-	}
-	if f.Schema != SchemaVersion {
-		return nil, fmt.Errorf("benchjson: %s: schema %d, want %d", path, f.Schema, SchemaVersion)
-	}
-	return &f, nil
-}
-
-// ParseGoBench parses `go test -bench` output into entries. Repeated
-// runs of one benchmark (-count > 1) are folded conservatively: fastest
-// ns/op and records/sec (the machine's demonstrated capability), but
-// worst-case B/op and allocs/op (an allocation on any run is real).
-// Lines that are not benchmark results are ignored.
-func ParseGoBench(r io.Reader) ([]Entry, error) {
-	byName := map[string]*Entry{}
-	var order []string
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		e, ok := parseBenchLine(sc.Text())
-		if !ok {
-			continue
-		}
-		prev, seen := byName[e.Name]
-		if !seen {
-			cp := e
-			byName[e.Name] = &cp
-			order = append(order, e.Name)
-			continue
-		}
-		if e.NsPerOp < prev.NsPerOp {
-			prev.NsPerOp = e.NsPerOp
-		}
-		if e.RecordsPerSec > prev.RecordsPerSec {
-			prev.RecordsPerSec = e.RecordsPerSec
-		}
-		prev.BytesPerOp = maxPtr(prev.BytesPerOp, e.BytesPerOp)
-		prev.AllocsPerOp = maxPtr(prev.AllocsPerOp, e.AllocsPerOp)
-		for k, v := range e.Metrics {
-			if prev.Metrics == nil {
-				prev.Metrics = map[string]float64{}
-			}
-			prev.Metrics[k] = v
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]Entry, 0, len(order))
-	for _, name := range order {
-		out = append(out, *byName[name])
-	}
-	return out, nil
-}
-
-// maxPtr keeps the larger of two optional measurements, preferring
-// measured over absent.
-func maxPtr(a, b *float64) *float64 {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	case *b > *a:
-		return b
-	default:
-		return a
-	}
-}
-
-// parseBenchLine parses one "BenchmarkX-8 <iters> <value> <unit> ..."
-// result line.
-func parseBenchLine(line string) (Entry, bool) {
-	fields := strings.Fields(line)
-	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return Entry{}, false
-	}
-	if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
-		return Entry{}, false // iteration count missing: not a result line
-	}
-	e := Entry{Name: stripProcs(fields[0])}
-	sawNs := false
-	for i := 2; i+1 < len(fields); i += 2 {
-		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
-			return Entry{}, false
-		}
-		switch unit := fields[i+1]; unit {
-		case "ns/op":
-			e.NsPerOp = v
-			sawNs = true
-		case "B/op":
-			e.BytesPerOp = &v
-		case "allocs/op":
-			e.AllocsPerOp = &v
-		case "MB/s":
-			// The repo's throughput benchmarks SetBytes(record count):
-			// 1 "MB/s" is a million records per second.
-			e.RecordsPerSec = v * 1e6
-		default:
-			if e.Metrics == nil {
-				e.Metrics = map[string]float64{}
-			}
-			e.Metrics[unit] = v
-		}
-	}
-	return e, sawNs
-}
-
-// stripProcs drops the trailing -GOMAXPROCS suffix go test appends to
-// parallel benchmark names.
-func stripProcs(name string) string {
-	i := strings.LastIndexByte(name, '-')
-	if i < 0 {
-		return name
-	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
-	}
-	return name[:i]
-}
-
-// Regression is one comparison failure between a baseline and a
-// current measurement.
-type Regression struct {
-	Name   string
-	Reason string
-}
-
-func (r Regression) String() string { return r.Name + ": " + r.Reason }
-
-// Compare checks current against baseline: every baseline benchmark
-// must still exist, must not be slower than (1+maxNsRegress)× the
-// baseline ns/op, and must not allocate more than
-// (1+maxAllocsRegress)× the baseline allocs/op. maxAllocsRegress 0 is
-// the strict "any increase fails" gate for zero- and low-allocation
-// paths; benchmarks with tens of thousands of allocs/op (the pipeline
-// area) need a small relative budget because goroutine scheduling and
-// map-growth timing jitter the count by a few parts in ten thousand.
-// Benchmarks only in current are ignored (they enter the baseline on
-// the next `make bench-baseline`). An empty result means the gate
-// passes.
-func Compare(baseline, current *File, maxNsRegress, maxAllocsRegress float64) []Regression {
-	cur := map[string]*Entry{}
-	for i := range current.Benchmarks {
-		cur[current.Benchmarks[i].Name] = &current.Benchmarks[i]
-	}
-	var regs []Regression
-	for _, base := range baseline.Benchmarks {
-		got, ok := cur[base.Name]
-		if !ok {
-			regs = append(regs, Regression{base.Name, "missing from current run"})
-			continue
-		}
-		if base.NsPerOp > 0 && got.NsPerOp > base.NsPerOp*(1+maxNsRegress) {
-			regs = append(regs, Regression{base.Name, fmt.Sprintf(
-				"ns/op %.4g vs baseline %.4g (+%.1f%%, budget %.0f%%)",
-				got.NsPerOp, base.NsPerOp, 100*(got.NsPerOp/base.NsPerOp-1), 100*maxNsRegress)})
-		}
-		if base.AllocsPerOp != nil && got.AllocsPerOp != nil && *got.AllocsPerOp > *base.AllocsPerOp*(1+maxAllocsRegress) {
-			reason := "any increase fails"
-			if maxAllocsRegress > 0 {
-				reason = fmt.Sprintf("budget %.1f%%", 100*maxAllocsRegress)
-			}
-			regs = append(regs, Regression{base.Name, fmt.Sprintf(
-				"allocs/op %g vs baseline %g (%s)",
-				*got.AllocsPerOp, *base.AllocsPerOp, reason)})
-		}
-	}
-	return regs
 }

@@ -266,92 +266,6 @@ func (c *TwoQ) Capacity() int64 { return c.in.Capacity() + c.main.Capacity() }
 // Name implements Cache.
 func (c *TwoQ) Name() string { return "2q" }
 
-// AdmissionCache wraps a cache with a frequency doorkeeper: an object is
-// admitted on a miss only after it has been seen Threshold times within
-// the current window. One-hit wonders — the long tail of Fig. 6 — never
-// displace resident content. Lookup state is an approximate counting
-// table that halves periodically (a TinyLFU-style aging scheme without
-// the Bloom compaction).
-type AdmissionCache struct {
-	inner     Cache
-	threshold uint8
-	counts    map[uint64]uint8
-	ops       int
-	window    int
-}
-
-var _ Cache = (*AdmissionCache)(nil)
-
-// NewAdmissionCache wraps inner, admitting objects on their
-// threshold-th sighting within a window of windowOps operations.
-func NewAdmissionCache(inner Cache, threshold uint8, windowOps int) (*AdmissionCache, error) {
-	if threshold < 1 {
-		return nil, fmt.Errorf("cdn: admission threshold %d < 1", threshold)
-	}
-	if windowOps < 1 {
-		return nil, fmt.Errorf("cdn: admission window %d < 1", windowOps)
-	}
-	return &AdmissionCache{
-		inner:     inner,
-		threshold: threshold,
-		counts:    map[uint64]uint8{},
-		window:    windowOps,
-	}, nil
-}
-
-// Access implements Cache.
-func (c *AdmissionCache) Access(key uint64, size int64, now time.Time) bool {
-	c.age()
-	if c.inner.Contains(key) {
-		return c.inner.Access(key, size, now)
-	}
-	n := c.counts[key]
-	if n < 255 {
-		c.counts[key] = n + 1
-	}
-	if c.counts[key] >= c.threshold {
-		c.inner.Access(key, size, now) // admit (miss, then resident)
-	}
-	return false
-}
-
-// age halves all counters once per window, bounding table staleness.
-func (c *AdmissionCache) age() {
-	c.ops++
-	if c.ops < c.window {
-		return
-	}
-	c.ops = 0
-	for k, v := range c.counts {
-		v /= 2
-		if v == 0 {
-			delete(c.counts, k)
-		} else {
-			c.counts[k] = v
-		}
-	}
-}
-
-// Contains implements Cache.
-func (c *AdmissionCache) Contains(key uint64) bool { return c.inner.Contains(key) }
-
-// Push implements Cache.
-func (c *AdmissionCache) Push(key uint64, size int64, now time.Time) {
-	c.inner.Push(key, size, now)
-}
-
-// Len implements Cache.
-func (c *AdmissionCache) Len() int { return c.inner.Len() }
-
-// Bytes implements Cache.
-func (c *AdmissionCache) Bytes() int64 { return c.inner.Bytes() }
-
-// Capacity implements Cache.
-func (c *AdmissionCache) Capacity() int64 { return c.inner.Capacity() }
-
-// Name implements Cache.
-func (c *AdmissionCache) Name() string { return c.inner.Name() + "+admit" }
-
 // TieredCache models an edge cache backed by a regional parent (origin
 // shield): an edge miss consults the parent before the origin. Parent
 // hits avoid origin traffic but still count as edge misses for the

@@ -126,57 +126,6 @@ func TestTwoQValidationAndBasics(t *testing.T) {
 	}
 }
 
-func TestAdmissionCacheDoorkeeper(t *testing.T) {
-	inner := NewLRU(1000)
-	c, err := NewAdmissionCache(inner, 2, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First sighting: counted, not admitted.
-	if c.Access(1, 10, t0) {
-		t.Error("first access cannot hit")
-	}
-	if inner.Contains(1) {
-		t.Error("one-hit wonder admitted")
-	}
-	// Second sighting: admitted (still a miss).
-	if c.Access(1, 10, t0) {
-		t.Error("admission access is still a miss")
-	}
-	if !inner.Contains(1) {
-		t.Error("second sighting should admit")
-	}
-	// Third: hit.
-	if !c.Access(1, 10, t0) {
-		t.Error("resident object should hit")
-	}
-	if _, err := NewAdmissionCache(inner, 0, 10); err == nil {
-		t.Error("threshold 0 should error")
-	}
-	if _, err := NewAdmissionCache(inner, 1, 0); err == nil {
-		t.Error("window 0 should error")
-	}
-	if c.Name() != "lru+admit" {
-		t.Error("name")
-	}
-}
-
-func TestAdmissionCacheAging(t *testing.T) {
-	inner := NewLRU(1000)
-	c, _ := NewAdmissionCache(inner, 2, 10)
-	c.Access(1, 10, t0) // count 1
-	// Burn a full window so the counter halves to zero.
-	for k := uint64(100); k < 115; k++ {
-		c.Access(k, 10, t0)
-	}
-	if len(c.counts) == 0 {
-		t.Skip("aging removed all counters including fresh ones")
-	}
-	if c.counts[1] != 0 {
-		t.Errorf("stale counter = %d, want aged away", c.counts[1])
-	}
-}
-
 func TestTieredCacheParentAbsorbsEdgeMisses(t *testing.T) {
 	edge := NewLRU(100)
 	parent := NewLRU(10000)

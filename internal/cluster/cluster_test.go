@@ -210,92 +210,6 @@ func TestExtractValidation(t *testing.T) {
 	}
 }
 
-func TestPAMTwoBlobs(t *testing.T) {
-	pts := twoBlobs()
-	dist := matFromPoints(pts)
-	res, err := PAM(dist, 2, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Medoids) != 2 {
-		t.Fatalf("medoids = %v", res.Medoids)
-	}
-	// One medoid per blob.
-	lowMed := res.Medoids[0] < 4
-	highMed := res.Medoids[1] >= 4
-	if lowMed == (res.Medoids[1] < 4) {
-		t.Errorf("both medoids in one blob: %v", res.Medoids)
-	}
-	_ = highMed
-	// Labels separate the blobs.
-	for i := 0; i < 4; i++ {
-		if res.Labels[i] != res.Labels[0] {
-			t.Errorf("low blob split: %v", res.Labels)
-		}
-	}
-	for i := 4; i < 8; i++ {
-		if res.Labels[i] != res.Labels[4] {
-			t.Errorf("high blob split: %v", res.Labels)
-		}
-	}
-	if res.Cost <= 0 {
-		t.Errorf("cost = %v, want > 0", res.Cost)
-	}
-}
-
-func TestPAMValidation(t *testing.T) {
-	dist := matFromPoints(twoBlobs())
-	rng := rand.New(rand.NewSource(1))
-	if _, err := PAM(dist, 0, rng); err == nil {
-		t.Error("k=0 should error")
-	}
-	if _, err := PAM(dist, 99, rng); err == nil {
-		t.Error("k>n should error")
-	}
-	res, err := PAM(dist, len(dist), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost != 0 {
-		t.Errorf("k=n cost = %v, want 0", res.Cost)
-	}
-}
-
-func TestPAMDeterministic(t *testing.T) {
-	dist := matFromPoints(twoBlobs())
-	a, _ := PAM(dist, 2, rand.New(rand.NewSource(7)))
-	b, _ := PAM(dist, 2, rand.New(rand.NewSource(7)))
-	if a.Cost != b.Cost {
-		t.Errorf("same seed different cost: %v vs %v", a.Cost, b.Cost)
-	}
-}
-
-func TestSilhouette(t *testing.T) {
-	pts := twoBlobs()
-	dist := matFromPoints(pts)
-	good := []int{0, 0, 0, 0, 1, 1, 1, 1}
-	s, err := Silhouette(dist, good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s < 0.9 {
-		t.Errorf("well-separated silhouette = %v, want > 0.9", s)
-	}
-	// A deliberately bad labeling scores much lower.
-	bad := []int{0, 1, 0, 1, 0, 1, 0, 1}
-	sb, err := Silhouette(dist, bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sb >= s {
-		t.Errorf("bad labeling silhouette %v >= good %v", sb, s)
-	}
-	// One cluster: error.
-	if _, err := Silhouette(dist, []int{0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
-		t.Error("single cluster should error")
-	}
-}
-
 // Property-style test: for random point sets, CutK(k) always yields
 // exactly k clusters and every label is in [0, k).
 func TestCutKLabelRangeRandom(t *testing.T) {

@@ -1,8 +1,7 @@
 // Package cluster implements the clustering machinery of the paper's
 // §IV-B content-popularity analysis: agglomerative hierarchical clustering
 // over a precomputed distance matrix (the paper feeds it pairwise DTW
-// distances), dendrogram construction and cutting, medoid extraction, and
-// a PAM k-medoids alternative used as an ablation.
+// distances), dendrogram construction and cutting, and medoid extraction.
 package cluster
 
 import (

@@ -10,8 +10,10 @@ import (
 
 // BenchmarkRunStreaming measures the fused generate→replay→analyze path
 // end to end: reopenable generator source, warm-up + measured CDN
-// passes, analysis pipeline. Run with -benchmem (make bench-mem) to
-// track the streaming core's allocation footprint.
+// passes, analysis pipeline. The benchmarks of this file are un-gated
+// developer tools (go test -run NONE -bench . -benchmem ./internal/core);
+// the gated numbers are the study-stream and study-disk workloads of
+// benchmark/.
 func BenchmarkRunStreaming(b *testing.B) {
 	study, err := NewStudy(Config{Seed: 42, Scale: 0.002})
 	if err != nil {
@@ -59,8 +61,8 @@ func BenchmarkAnalyzeOnly(b *testing.B) {
 // MaxInMemory forced low enough to spill and k-way merge runs), then
 // replay+analyze the sorted file. SetBytes carries the record count, so
 // the "MB/s" column reads as millions of records per second end to end;
-// the disk-B/rec metric is the v2 codec's on-disk footprint. This is
-// the benchmark behind BENCH_pipeline.json (make bench / bench-gate).
+// the disk-B/rec metric is the v2 codec's on-disk footprint. The
+// study-disk workload of benchmark/ runs the same stages at scale 0.1.
 func BenchmarkPipelineFull(b *testing.B) {
 	study, err := NewStudy(Config{Seed: 42, Scale: 0.002})
 	if err != nil {

@@ -3,9 +3,9 @@
 // (§IV-B): "DTW uses a dynamic programming approach to obtain a minimum
 // distance alignment between two time series".
 //
-// The package provides the full O(N·M) dynamic program with warping-path
-// extraction, a Sakoe-Chiba banded variant for large series, and the
-// LB_Keogh lower bound for cheap pruning in pairwise-distance matrices.
+// The package provides the full O(N·M) dynamic program, a Sakoe-Chiba
+// banded variant for large series, and the pairwise-distance matrix the
+// agglomerative clustering consumes.
 package dtw
 
 import (
@@ -17,21 +17,6 @@ import (
 // ErrEmptySeries is returned when either input series is empty.
 var ErrEmptySeries = errors.New("dtw: empty series")
 
-// PathPoint is one step of a warping path, mapping index I of the first
-// series to index J of the second.
-type PathPoint struct {
-	I, J int
-}
-
-// Result carries the DTW distance and, optionally, the optimal warping
-// path (first to last alignment point).
-type Result struct {
-	// Distance is the total cost of the optimal warping path.
-	Distance float64
-	// Path is the optimal alignment, present only when requested.
-	Path []PathPoint
-}
-
 // absDiff is the point-wise cost function: |a - b|, the "area between the
 // time warped time series" interpretation used by the paper.
 func absDiff(a, b float64) float64 { return math.Abs(a - b) }
@@ -39,11 +24,7 @@ func absDiff(a, b float64) float64 { return math.Abs(a - b) }
 // Distance computes the DTW distance between a and b with the full
 // dynamic program (no band).
 func Distance(a, b []float64) (float64, error) {
-	r, err := compute(a, b, -1, false)
-	if err != nil {
-		return 0, err
-	}
-	return r.Distance, nil
+	return compute(a, b, -1)
 }
 
 // DistanceBand computes the DTW distance constrained to a Sakoe-Chiba band
@@ -55,24 +36,15 @@ func DistanceBand(a, b []float64, radius int) (float64, error) {
 	if radius < 0 {
 		return 0, fmt.Errorf("dtw: negative band radius %d", radius)
 	}
-	r, err := compute(a, b, radius, false)
-	if err != nil {
-		return 0, err
-	}
-	return r.Distance, nil
+	return compute(a, b, radius)
 }
 
-// WithPath computes the DTW distance and the optimal warping path.
-func WithPath(a, b []float64) (Result, error) {
-	return compute(a, b, -1, true)
-}
-
-// compute runs the DP. radius < 0 disables the band. wantPath keeps the
-// full matrix for backtracking; otherwise two rolling rows are used.
-func compute(a, b []float64, radius int, wantPath bool) (Result, error) {
+// compute runs the DP over two rolling rows. radius < 0 disables the
+// band.
+func compute(a, b []float64, radius int) (float64, error) {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
-		return Result{}, ErrEmptySeries
+		return 0, ErrEmptySeries
 	}
 	inf := math.Inf(1)
 
@@ -85,55 +57,15 @@ func compute(a, b []float64, radius int, wantPath bool) (Result, error) {
 		return math.Abs(center-float64(j)) <= float64(radius)
 	}
 
-	if !wantPath {
-		prev := make([]float64, m)
-		cur := make([]float64, m)
-		for j := range prev {
-			prev[j] = inf
-		}
-		for i := 0; i < n; i++ {
-			for j := range cur {
-				cur[j] = inf
-			}
-			for j := 0; j < m; j++ {
-				if !inBand(i, j) {
-					continue
-				}
-				cost := absDiff(a[i], b[j])
-				var best float64
-				switch {
-				case i == 0 && j == 0:
-					best = 0
-				case i == 0:
-					best = cur[j-1]
-				case j == 0:
-					best = prev[j]
-				default:
-					best = math.Min(prev[j], math.Min(cur[j-1], prev[j-1]))
-				}
-				if math.IsInf(best, 1) {
-					continue
-				}
-				cur[j] = cost + best
-			}
-			prev, cur = cur, prev
-		}
-		d := prev[m-1]
-		if math.IsInf(d, 1) {
-			return Result{}, fmt.Errorf("dtw: band radius too small for series of lengths %d, %d", n, m)
-		}
-		return Result{Distance: d}, nil
-	}
-
-	// Full matrix for path extraction.
-	dp := make([][]float64, n)
-	for i := range dp {
-		dp[i] = make([]float64, m)
-		for j := range dp[i] {
-			dp[i][j] = inf
-		}
+	prev := make([]float64, m)
+	cur := make([]float64, m)
+	for j := range prev {
+		prev[j] = inf
 	}
 	for i := 0; i < n; i++ {
+		for j := range cur {
+			cur[j] = inf
+		}
 		for j := 0; j < m; j++ {
 			if !inBand(i, j) {
 				continue
@@ -144,90 +76,24 @@ func compute(a, b []float64, radius int, wantPath bool) (Result, error) {
 			case i == 0 && j == 0:
 				best = 0
 			case i == 0:
-				best = dp[i][j-1]
+				best = cur[j-1]
 			case j == 0:
-				best = dp[i-1][j]
+				best = prev[j]
 			default:
-				best = math.Min(dp[i-1][j], math.Min(dp[i][j-1], dp[i-1][j-1]))
+				best = math.Min(prev[j], math.Min(cur[j-1], prev[j-1]))
 			}
 			if math.IsInf(best, 1) {
 				continue
 			}
-			dp[i][j] = cost + best
+			cur[j] = cost + best
 		}
+		prev, cur = cur, prev
 	}
-	if math.IsInf(dp[n-1][m-1], 1) {
-		return Result{}, fmt.Errorf("dtw: band radius too small for series of lengths %d, %d", n, m)
+	d := prev[m-1]
+	if math.IsInf(d, 1) {
+		return 0, fmt.Errorf("dtw: band radius too small for series of lengths %d, %d", n, m)
 	}
-
-	// Backtrack from (n-1, m-1) to (0, 0).
-	path := make([]PathPoint, 0, n+m)
-	i, j := n-1, m-1
-	for {
-		path = append(path, PathPoint{I: i, J: j})
-		if i == 0 && j == 0 {
-			break
-		}
-		bi, bj := i, j
-		best := inf
-		try := func(pi, pj int) {
-			if pi < 0 || pj < 0 {
-				return
-			}
-			if dp[pi][pj] < best {
-				best = dp[pi][pj]
-				bi, bj = pi, pj
-			}
-		}
-		try(i-1, j-1)
-		try(i-1, j)
-		try(i, j-1)
-		i, j = bi, bj
-	}
-	// Reverse to start-to-end order.
-	for l, r := 0, len(path)-1; l < r; l, r = l+1, r-1 {
-		path[l], path[r] = path[r], path[l]
-	}
-	return Result{Distance: dp[n-1][m-1], Path: path}, nil
-}
-
-// LBKeogh computes the LB_Keogh lower bound of DTW(a, b) with the given
-// envelope radius over b. For any radius r, LBKeogh(a, b, r) <=
-// DistanceBand(a, b, r) <= any larger-band DTW distance, so it can prune
-// pairwise computations. Series must be equal length.
-func LBKeogh(a, b []float64, radius int) (float64, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return 0, ErrEmptySeries
-	}
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("dtw: LB_Keogh needs equal lengths, got %d and %d", len(a), len(b))
-	}
-	if radius < 0 {
-		return 0, fmt.Errorf("dtw: negative radius %d", radius)
-	}
-	var lb float64
-	n := len(a)
-	for i := 0; i < n; i++ {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		jmin, jmax := i-radius, i+radius
-		if jmin < 0 {
-			jmin = 0
-		}
-		if jmax > n-1 {
-			jmax = n - 1
-		}
-		for j := jmin; j <= jmax; j++ {
-			lo = math.Min(lo, b[j])
-			hi = math.Max(hi, b[j])
-		}
-		switch {
-		case a[i] > hi:
-			lb += a[i] - hi
-		case a[i] < lo:
-			lb += lo - a[i]
-		}
-	}
-	return lb, nil
+	return d, nil
 }
 
 // PairwiseOptions configures PairwiseDistances.
@@ -273,7 +139,7 @@ func PairwiseDistances(series [][]float64, opts PairwiseOptions) ([][]float64, e
 	for w := 0; w < workers; w++ {
 		go func() {
 			for jb := range jobCh {
-				d, err := distanceMaybeBand(series[jb.i], series[jb.j], opts.BandRadius)
+				d, err := compute(series[jb.i], series[jb.j], opts.BandRadius)
 				if err != nil {
 					select {
 					case errCh <- err:
@@ -300,11 +166,4 @@ func PairwiseDistances(series [][]float64, opts PairwiseOptions) ([][]float64, e
 	default:
 	}
 	return dist, nil
-}
-
-func distanceMaybeBand(a, b []float64, radius int) (float64, error) {
-	if radius < 0 {
-		return Distance(a, b)
-	}
-	return DistanceBand(a, b, radius)
 }

@@ -63,54 +63,6 @@ func TestDistanceEmpty(t *testing.T) {
 	if _, err := Distance([]float64{1}, nil); err != ErrEmptySeries {
 		t.Errorf("want ErrEmptySeries, got %v", err)
 	}
-	if _, err := LBKeogh(nil, nil, 1); err != ErrEmptySeries {
-		t.Errorf("want ErrEmptySeries, got %v", err)
-	}
-}
-
-func TestWithPathProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		n, m := 2+rng.Intn(20), 2+rng.Intn(20)
-		a, b := randSeries(rng, n), randSeries(rng, m)
-		res, err := WithPath(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := res.Path
-		if len(p) == 0 {
-			t.Fatal("empty path")
-		}
-		if p[0] != (PathPoint{0, 0}) {
-			t.Fatalf("path must start at (0,0), got %v", p[0])
-		}
-		if p[len(p)-1] != (PathPoint{n - 1, m - 1}) {
-			t.Fatalf("path must end at (n-1,m-1), got %v", p[len(p)-1])
-		}
-		// Monotone, connected steps.
-		var cost float64
-		for k := 1; k < len(p); k++ {
-			di, dj := p[k].I-p[k-1].I, p[k].J-p[k-1].J
-			if di < 0 || dj < 0 || di > 1 || dj > 1 || (di == 0 && dj == 0) {
-				t.Fatalf("invalid step %v -> %v", p[k-1], p[k])
-			}
-		}
-		// Path cost equals reported distance.
-		for _, pt := range p {
-			cost += math.Abs(a[pt.I] - b[pt.J])
-		}
-		if math.Abs(cost-res.Distance) > 1e-9 {
-			t.Fatalf("path cost %v != distance %v", cost, res.Distance)
-		}
-		// Path distance equals no-path distance.
-		d2, err := Distance(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(d2-res.Distance) > 1e-9 {
-			t.Fatalf("rolling-row %v != full matrix %v", d2, res.Distance)
-		}
-	}
 }
 
 // Property: DTW is symmetric, nonnegative, and zero on identical inputs.
@@ -172,36 +124,6 @@ func TestDistanceBandValidation(t *testing.T) {
 	}
 	if d != 1 {
 		t.Errorf("diagonal-only DTW = %v, want 1", d)
-	}
-}
-
-// Property: LB_Keogh lower-bounds banded DTW at the same radius.
-func TestLBKeoghLowerBoundProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 100; trial++ {
-		n := 4 + rng.Intn(40)
-		a, b := randSeries(rng, n), randSeries(rng, n)
-		radius := rng.Intn(n)
-		lb, err := LBKeogh(a, b, radius)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := DistanceBand(a, b, radius)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lb > d+1e-9 {
-			t.Fatalf("LB_Keogh %v > banded DTW %v (radius %d)", lb, d, radius)
-		}
-	}
-}
-
-func TestLBKeoghValidation(t *testing.T) {
-	if _, err := LBKeogh([]float64{1, 2}, []float64{1}, 1); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := LBKeogh([]float64{1}, []float64{1}, -1); err == nil {
-		t.Error("negative radius should error")
 	}
 }
 

@@ -11,6 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"trafficscope/internal/cdn"
+	"trafficscope/internal/obs"
+	"trafficscope/internal/obs/slo"
 	"trafficscope/internal/timeutil"
 	"trafficscope/internal/trace"
 )
@@ -326,8 +329,53 @@ func TestWireAllocs(t *testing.T) {
 	}
 }
 
-// Codec micro-benchmarks; the BENCH_serve.json trajectory tracks the
-// full serve path, these isolate the wire layer.
+// discardWriter is a ResponseWriter that keeps only the headers.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+// TestHandlerHitAllocs pins the allocation budget of a warm hit through
+// the whole handler (wire parse, ServeInto, headers, body, metrics and
+// SLO windows on as tsserve runs them), net/http and the socket left
+// out: the quantity the benchmark ledger reports as
+// edge.handler_hit_allocs. ServeInto itself is pinned at 0 in
+// internal/cdn; these are the handler's own.
+func TestHandlerHitAllocs(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := newTestServer(t, Config{
+		CDN: cdn.New(cdn.Config{
+			NewCache:   func() cdn.Cache { return cdn.NewLRU(1 << 30) },
+			ChunkBytes: 2 << 20,
+			Metrics:    reg,
+		}),
+		MaxBodyBytes: 4096,
+		Metrics:      reg,
+		SLO:          slo.NewEngine(slo.Policy{}, timeutil.RegionEurope.String()),
+	})
+	handler := s.Handler()
+	req, err := http.NewRequest(http.MethodGet, RequestPath(testRecord()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &discardWriter{h: http.Header{}}
+	serve := func() {
+		clear(w.h)
+		handler.ServeHTTP(w, req)
+	}
+	serve() // the miss that warms the cache
+	serve()
+	if got := w.h.Get(HeaderCache); got != trace.CacheHit.String() {
+		t.Fatalf("warm request: %s = %q, want a hit", HeaderCache, got)
+	}
+	if n := testing.AllocsPerRun(200, serve); n > 9 {
+		t.Errorf("warm handler hit: %v allocs/op, want <= 9", n)
+	}
+}
+
+// Codec micro-benchmarks: un-gated developer tools that isolate the wire
+// layer; the ledger's edge.wire_* rows time the same calls.
 func BenchmarkAppendRequestPath(b *testing.B) {
 	rec := testRecord()
 	buf := make([]byte, 0, 128)

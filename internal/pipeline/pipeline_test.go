@@ -207,9 +207,10 @@ func TestRunReportsMetrics(t *testing.T) {
 	}
 }
 
-// GenerateAndRun folds a parallel-generated trace in one pass; the count
-// must match a materialized Generate of the same seed.
-func TestGenerateAndRunMatchesGenerate(t *testing.T) {
+// Run folds a parallel-generated trace in one pass, straight from the
+// ParallelReader; the count must match a materialized Generate of the
+// same seed.
+func TestRunOverParallelReaderMatchesGenerate(t *testing.T) {
 	g, err := synth.NewGenerator(synth.Config{Seed: 21, Scale: 0.002, Salt: "pipe"})
 	if err != nil {
 		t.Fatal(err)
@@ -218,8 +219,9 @@ func TestGenerateAndRunMatchesGenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := GenerateAndRun(g, synth.ParallelOptions{Workers: 4},
-		func() *Count { return &Count{} }, Options{Workers: 2, BatchSize: 256})
+	r := g.ParallelReader(synth.ParallelOptions{Workers: 4})
+	defer r.Close()
+	got, err := Run(r, func() *Count { return &Count{} }, Options{Workers: 2, BatchSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,58 +114,3 @@ func Ranks(xs []float64) []float64 {
 	}
 	return ranks
 }
-
-// Welford accumulates streaming mean and variance using Welford's online
-// algorithm. The zero value is ready to use.
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N reports the number of observations folded in so far.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean returns the running mean, or NaN before any observation.
-func (w *Welford) Mean() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.mean
-}
-
-// Variance returns the running unbiased sample variance, or NaN with fewer
-// than two observations.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return math.NaN()
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the running sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Merge folds another accumulator into w (parallel Welford combination).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
-	w.n = n
-}

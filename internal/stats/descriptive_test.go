@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -85,55 +84,6 @@ func TestRanksTies(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Ranks = %v, want %v", got, want)
 		}
-	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	xs := make([]float64, 1000)
-	var w Welford
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*3 + 7
-		w.Add(xs[i])
-	}
-	if !almostEqual(w.Mean(), Mean(xs), 1e-9) {
-		t.Errorf("Welford mean %v != batch %v", w.Mean(), Mean(xs))
-	}
-	if !almostEqual(w.Variance(), Variance(xs), 1e-9) {
-		t.Errorf("Welford var %v != batch %v", w.Variance(), Variance(xs))
-	}
-	if w.N() != 1000 {
-		t.Errorf("N = %d", w.N())
-	}
-}
-
-func TestWelfordMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var all, a, b Welford
-	var xs []float64
-	for i := 0; i < 500; i++ {
-		x := rng.ExpFloat64()
-		xs = append(xs, x)
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if !almostEqual(a.Mean(), all.Mean(), 1e-9) || !almostEqual(a.Variance(), all.Variance(), 1e-9) {
-		t.Errorf("merged (%v,%v) != sequential (%v,%v)", a.Mean(), a.Variance(), all.Mean(), all.Variance())
-	}
-	var empty Welford
-	empty.Merge(a)
-	if !almostEqual(empty.Mean(), a.Mean(), 0) {
-		t.Error("merge into empty should copy")
-	}
-	pre := a
-	a.Merge(Welford{})
-	if a != pre {
-		t.Error("merging empty should be a no-op")
 	}
 }
 

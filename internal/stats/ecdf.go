@@ -1,6 +1,6 @@
 // Package stats provides the statistical primitives used throughout
-// trafficscope: empirical CDFs, histograms, quantiles, correlation
-// coefficients, heavy-tailed samplers, and streaming moment estimators.
+// trafficscope: empirical CDFs, quantiles, descriptive moments,
+// correlation coefficients and heavy-tailed samplers.
 //
 // Everything in this package is deterministic given its inputs; samplers
 // take an explicit *rand.Rand so callers control seeding.

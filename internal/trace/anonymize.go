@@ -3,7 +3,6 @@ package trace
 import (
 	"io"
 	"slices"
-	"time"
 )
 
 // Anonymizer derives stable, salted 64-bit identifiers from personally
@@ -66,74 +65,6 @@ func fnv1a[T string | []byte](h uint64, s T) uint64 {
 		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
 	return h
-}
-
-// Filter selects a subset of a trace. Zero-value fields match everything.
-type Filter struct {
-	// Publisher, when nonempty, matches records of that publisher only.
-	Publisher string
-	// Category, when nonzero, matches records of that content category.
-	Category Category
-	// From and To bound the timestamp window; zero times are unbounded.
-	// From is inclusive, To exclusive.
-	From, To time.Time
-	// Statuses, when nonempty, matches only the listed HTTP status codes.
-	Statuses []int
-}
-
-// Match reports whether the record passes the filter.
-func (f *Filter) Match(r *Record) bool {
-	if f.Publisher != "" && r.Publisher != f.Publisher {
-		return false
-	}
-	if f.Category != 0 && r.Category() != f.Category {
-		return false
-	}
-	if !f.From.IsZero() && r.Timestamp.Before(f.From) {
-		return false
-	}
-	if !f.To.IsZero() && !r.Timestamp.Before(f.To) {
-		return false
-	}
-	if len(f.Statuses) > 0 {
-		ok := false
-		for _, s := range f.Statuses {
-			if r.StatusCode == s {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// FilteredReader wraps a Reader, yielding only records that match the
-// filter.
-type FilteredReader struct {
-	r Reader
-	f Filter
-}
-
-var _ Reader = (*FilteredReader)(nil)
-
-// NewFilteredReader wraps r with filter f.
-func NewFilteredReader(r Reader, f Filter) *FilteredReader {
-	return &FilteredReader{r: r, f: f}
-}
-
-// Read fills rec with the next matching record.
-func (fr *FilteredReader) Read(rec *Record) error {
-	for {
-		if err := fr.r.Read(rec); err != nil {
-			return err
-		}
-		if fr.f.Match(rec) {
-			return nil
-		}
-	}
 }
 
 // SliceReader replays an in-memory slice of records; useful in tests and

@@ -255,62 +255,6 @@ func TestAnonymizerHashesPinned(t *testing.T) {
 	}
 }
 
-func TestFilterMatch(t *testing.T) {
-	r := sampleRecord() // V-1, video, Oct 3 2015, status 206
-	tests := []struct {
-		name string
-		f    Filter
-		want bool
-	}{
-		{"empty filter", Filter{}, true},
-		{"publisher match", Filter{Publisher: "V-1"}, true},
-		{"publisher mismatch", Filter{Publisher: "P-1"}, false},
-		{"category match", Filter{Category: CategoryVideo}, true},
-		{"category mismatch", Filter{Category: CategoryImage}, false},
-		{"from before", Filter{From: r.Timestamp.Add(-time.Hour)}, true},
-		{"from exactly", Filter{From: r.Timestamp}, true},
-		{"from after", Filter{From: r.Timestamp.Add(time.Hour)}, false},
-		{"to after", Filter{To: r.Timestamp.Add(time.Hour)}, true},
-		{"to exactly (exclusive)", Filter{To: r.Timestamp}, false},
-		{"status match", Filter{Statuses: []int{200, 206}}, true},
-		{"status mismatch", Filter{Statuses: []int{200}}, false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.f.Match(r); got != tt.want {
-				t.Errorf("Match = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
-func TestFilteredReader(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	recs := make([]*Record, 100)
-	for i := range recs {
-		recs[i] = randomRecord(rng)
-	}
-	fr := NewFilteredReader(NewSliceReader(recs), Filter{Publisher: "V-1"})
-	got, err := ReadAll(fr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0
-	for _, r := range recs {
-		if r.Publisher == "V-1" {
-			want++
-		}
-	}
-	if len(got) != want {
-		t.Errorf("filtered %d records, want %d", len(got), want)
-	}
-	for _, r := range got {
-		if r.Publisher != "V-1" {
-			t.Fatalf("filter leaked publisher %s", r.Publisher)
-		}
-	}
-}
-
 func TestSliceReaderReset(t *testing.T) {
 	recs := []*Record{sampleRecord(), sampleRecord()}
 	sr := NewSliceReader(recs)

@@ -165,18 +165,17 @@ type Cache = cdn.Cache
 
 // CDN and cache-policy constructors.
 var (
-	NewCDN            = cdn.New
-	NewLRU            = cdn.NewLRU
-	NewLFU            = cdn.NewLFU
-	NewFIFO           = cdn.NewFIFO
-	NewSLRU           = cdn.NewSLRU
-	NewGDSF           = cdn.NewGDSF
-	NewTwoQ           = cdn.NewTwoQ
-	NewTTLCache       = cdn.NewTTLCache
-	NewSplitCache     = cdn.NewSplitCache
-	NewAdmissionCache = cdn.NewAdmissionCache
-	NewShardedCache   = cdn.NewShardedCache
-	NewTieredCache    = cdn.NewTieredCache
+	NewCDN          = cdn.New
+	NewLRU          = cdn.NewLRU
+	NewLFU          = cdn.NewLFU
+	NewFIFO         = cdn.NewFIFO
+	NewSLRU         = cdn.NewSLRU
+	NewGDSF         = cdn.NewGDSF
+	NewTwoQ         = cdn.NewTwoQ
+	NewTTLCache     = cdn.NewTTLCache
+	NewSplitCache   = cdn.NewSplitCache
+	NewShardedCache = cdn.NewShardedCache
+	NewTieredCache  = cdn.NewTieredCache
 )
 
 // DTWDistance computes the Dynamic Time Warping distance between two
@@ -187,14 +186,6 @@ func DTWDistance(a, b []float64) (float64, error) { return dtw.Distance(a, b) }
 func DTWDistanceBand(a, b []float64, radius int) (float64, error) {
 	return dtw.DistanceBand(a, b, radius)
 }
-
-// FastDTWDistance computes the multiresolution FastDTW approximation.
-func FastDTWDistance(a, b []float64, radius int) (float64, error) {
-	return dtw.FastDistance(a, b, radius)
-}
-
-// DTWBarycenter computes the DTW Barycenter Average of a series set.
-var DTWBarycenter = dtw.Barycenter
 
 // Dendrogram is an agglomerative clustering history.
 type Dendrogram = cluster.Dendrogram
