@@ -1,6 +1,6 @@
 # Build/verify entry points. `make check` is the CI gate: vet, a build
 # of every cmd/* binary, the whole module's tests under the race
-# detector, then the full suite. `make bench` runs the repository
+# detector, the full suite, then the tracked line count (`make loc`). `make bench` runs the repository
 # benchmark (benchmark/, contract BENCHMARK.json) and refreshes the one
 # committed snapshot, BENCH_ledger.txt; `make bench-gate` is the CI perf
 # gate comparing a short run against it (see EXPERIMENTS.md §"Perf
@@ -10,7 +10,7 @@ GO ?= go
 BIN ?= bin
 CMDS := tsgen tsanalyze tscdnsim tsreport tscrawl tsserve tsload tsbench tsgate tsrouter tscluster tssort
 
-.PHONY: all build test check vet race bench bench-gate tools fmt-check serve-demo slo-demo slo-demo-breach cluster-demo
+.PHONY: all build test check vet race loc bench bench-gate tools fmt-check serve-demo slo-demo slo-demo-breach cluster-demo
 
 all: build test
 
@@ -39,7 +39,12 @@ race:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-check: vet tools race test
+# Net non-test lines of Go outside benchmark/: the tracked number
+# (ROADMAP aim 2) CHANGES.md quotes before/after for every PR.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
+
+check: vet tools race test loc
 
 # Every metric of every workload, end-to-end and per-layer, at the
 # contract's run length (~5 min). Commit the refreshed BENCH_ledger.txt

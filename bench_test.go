@@ -431,7 +431,7 @@ func BenchmarkBaselineCrawler(b *testing.B) {
 		coverage, undercount, rankCorr float64
 	}
 	for i := 0; i < b.N; i++ {
-		c, err := benchResults.CrawlerBaseline(benchReplay, "V-2", 24*time.Hour, 200)
+		c, err := benchResults.CrawlerBaselineSource(trace.SliceSource(benchReplay), "V-2", 24*time.Hour, 200)
 		if err != nil {
 			b.Fatal(err)
 		}

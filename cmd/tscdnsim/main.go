@@ -12,18 +12,14 @@
 package main
 
 import (
+	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
-	"flag"
-
 	"trafficscope/internal/cdn"
-	"trafficscope/internal/obs"
 	"trafficscope/internal/obs/cliobs"
 	"trafficscope/internal/report"
-	"trafficscope/internal/timeutil"
 	"trafficscope/internal/trace"
 )
 
@@ -69,19 +65,11 @@ func run() error {
 	}
 	src := trace.ContextSource(ctx, trace.FileSource{Path: *in, Format: fmtOverride})
 
-	// A cheap counting pass sizes the progress bar (streaming — the trace
-	// is never held in memory). The input must be time-ordered; replay
-	// preserves the order it reads.
-	records, err := countRecords(src)
-	if err != nil {
-		return err
-	}
-	extra["records"] = records
+	// The input must be time-ordered; replay preserves the order it
+	// reads. Each policy reads the file twice (warm-up + measured), so
+	// that many file sizes is the progress total.
 	policyList := strings.Split(*policies, ",")
-	// Each policy replays the trace twice (warm-up + measured); the
-	// per-DC request counters are shared across policies, so their sum
-	// tracks overall progress.
-	sess.SetProgress(requestProgress(sess.Registry(), float64(2*len(policyList)*records)))
+	sess.SetProgress(sess.ReadProgress(int64(2*len(policyList)) * cliobs.FileSize(*in)))
 
 	tab := report.NewTable("CDN cache policy comparison",
 		"policy", "requests", "hit ratio", "origin traffic", "egress traffic")
@@ -118,6 +106,7 @@ func run() error {
 			return err
 		}
 		stats := network.TotalStats()
+		extra["records"] = stats.Requests
 		tab.AddRow(name, stats.Requests, report.Percent(stats.HitRatio()),
 			report.Bytes(stats.OriginBytes), report.Bytes(stats.EgressBytes))
 		if fw != nil {
@@ -126,41 +115,4 @@ func run() error {
 	}
 	fmt.Println(tab)
 	return sess.Finish(extra)
-}
-
-// countRecords streams one pass over the source and counts records.
-func countRecords(src trace.Source) (int, error) {
-	r, err := src.Open()
-	if err != nil {
-		return 0, err
-	}
-	defer trace.CloseReader(r)
-	n := 0
-	var rec trace.Record
-	for {
-		err := r.Read(&rec)
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return 0, err
-		}
-		n++
-	}
-}
-
-// requestProgress sums the per-DC request counters into one progress
-// signal for the replay loop.
-func requestProgress(reg *obs.Registry, total float64) obs.ProgressFunc {
-	var counters []*obs.Counter
-	for _, r := range timeutil.AllRegions() {
-		counters = append(counters, reg.Counter(obs.Name("cdn_requests_total", "dc", r.String())))
-	}
-	return func() (float64, float64, string) {
-		var done int64
-		for _, c := range counters {
-			done += c.Value()
-		}
-		return float64(done), total, "requests"
-	}
 }

@@ -1,6 +1,9 @@
 // Command tscrawl simulates the prior-art crawl-based measurement
 // methodology (§II of the paper) against a trace file and reports what
 // the crawler could and could not observe compared to the HTTP logs.
+// The trace is streamed once — every site's campaign and the log-side
+// object counts come out of the same read — so it must be in time order
+// (tssort sorts one that is not) and may be far larger than memory.
 //
 // Usage:
 //
@@ -11,13 +14,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"trafficscope/internal/crawler"
 	"trafficscope/internal/obs/cliobs"
 	"trafficscope/internal/report"
-	"trafficscope/internal/synth"
 	"trafficscope/internal/timeutil"
 	"trafficscope/internal/trace"
 )
@@ -66,34 +69,28 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	recs, err := trace.ReadAll(trace.NewContextReader(ctx, fr))
-	fr.Close()
+	defer fr.Close()
+	// The first record dates the trace week; logs then delivers it to
+	// the crawl ahead of the rest of the file.
+	r := trace.NewContextReader(ctx, fr)
+	var first trace.Record
+	if err := r.Read(&first); err == io.EOF {
+		return fmt.Errorf("empty trace")
+	} else if err != nil {
+		return err
+	}
+	week := timeutil.NewWeek(first.Timestamp)
+	logs := &logReader{r: r, first: &first, start: week.Start, truth: map[string]map[uint64]int64{}}
+	camps, err := crawler.Simulate(logs, week, crawler.Config{Interval: *interval, TopN: *topN})
 	if err != nil {
 		return err
 	}
-	trace.SortByTime(recs)
-	if len(recs) == 0 {
-		return fmt.Errorf("empty trace")
-	}
-	week := timeutil.NewWeek(recs[0].Timestamp)
-	_ = synth.DefaultWeekStart // traces generated by tsgen start here
-
-	// Ground truth per site.
-	truth := map[string]map[uint64]int64{}
-	for _, r := range recs {
-		if truth[r.Publisher] == nil {
-			truth[r.Publisher] = map[uint64]int64{}
+	sites := camps.Sites()
+	if *site != "" {
+		if logs.truth[*site] == nil {
+			return fmt.Errorf("site %q not in trace", *site)
 		}
-		truth[r.Publisher][r.ObjectID]++
-	}
-	sites := make([]string, 0, len(truth))
-	for s := range truth {
-		if *site == "" || s == *site {
-			sites = append(sites, s)
-		}
-	}
-	if len(sites) == 0 {
-		return fmt.Errorf("site %q not in trace", *site)
+		sites = []string{*site}
 	}
 
 	tab := report.NewTable(
@@ -101,11 +98,7 @@ func run() error {
 		"site", "log objects", "crawl objects", "coverage", "views missed",
 		"rank corr", "temporal points")
 	for _, s := range sites {
-		camp, err := crawler.Simulate(recs, s, week, crawler.Config{Interval: *interval, TopN: *topN})
-		if err != nil {
-			return err
-		}
-		cmp := crawler.Compare(camp, truth[s])
+		cmp := crawler.Compare(camps.Site(s), logs.truth[s])
 		tab.AddRow(s, cmp.LogObjects, cmp.CrawlObjects,
 			report.Percent(cmp.Coverage), report.Percent(cmp.ViewUndercount),
 			cmp.RankCorrelation, fmt.Sprintf("%d (logs: 168)", cmp.TemporalPoints))
@@ -113,7 +106,37 @@ func run() error {
 	fmt.Println(tab)
 	fmt.Println("user-level analyses (sessions, inter-arrival times, per-user repeats)")
 	fmt.Println("are impossible from crawl data: crawls observe aggregate view counts only.")
-	extra["records"] = len(recs)
+	extra["records"] = logs.records
 	extra["sites"] = len(sites)
 	return sess.Finish(extra)
+}
+
+// logReader hands the trace to the crawl simulation while tallying what
+// the logs themselves hold: request counts per site and object.
+type logReader struct {
+	r       trace.Reader
+	first   *trace.Record // already read from r; delivered before the rest
+	start   time.Time     // of the week first dated; no record may precede it
+	truth   map[string]map[uint64]int64
+	records int
+}
+
+func (l *logReader) Read(rec *trace.Record) error {
+	if l.first != nil {
+		*rec, l.first = *l.first, nil
+	} else if err := l.r.Read(rec); err != nil {
+		return err
+	}
+	if rec.Timestamp.Before(l.start) {
+		return fmt.Errorf("request at %v precedes the first record's hour %v: the trace is not in time order (sort it with tssort)",
+			rec.Timestamp.Format(time.RFC3339), l.start.Format(time.RFC3339))
+	}
+	objects := l.truth[rec.Publisher]
+	if objects == nil {
+		objects = map[uint64]int64{}
+		l.truth[rec.Publisher] = objects
+	}
+	objects[rec.ObjectID]++
+	l.records++
+	return nil
 }

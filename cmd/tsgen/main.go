@@ -22,6 +22,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -126,21 +127,29 @@ func run() error {
 // parallelGenerate writes the trace with concurrent shard generation:
 // the generator's streaming time-ordered merge yields records already
 // globally sorted, so they go straight to the writer without a sort or
-// an in-memory trace.
+// an in-memory trace. Cancelling ctx ends the stream with ctx's error.
 func parallelGenerate(ctx context.Context, gen *synth.Generator, out, format string, opts synth.ParallelOptions) (int64, error) {
 	var n int64
-	sink := func(w trace.Writer) func(*trace.Record) error {
-		return func(r *trace.Record) error {
-			if n%4096 == 0 && ctx.Err() != nil {
-				return ctx.Err()
+	stream := func(w trace.Writer) error {
+		pr := gen.ParallelReader(opts)
+		defer pr.Close()
+		r := trace.NewContextReader(ctx, pr)
+		var rec trace.Record
+		for {
+			if err := r.Read(&rec); err == io.EOF {
+				return nil
+			} else if err != nil {
+				return err
+			}
+			if err := w.Write(&rec); err != nil {
+				return err
 			}
 			n++
-			return w.Write(r)
 		}
 	}
 	if out == "-" {
 		tw := trace.NewJSONWriter(os.Stdout)
-		if err := gen.GenerateParallelTo(opts, sink(tw)); err != nil {
+		if err := stream(tw); err != nil {
 			return n, err
 		}
 		return n, tw.Flush()
@@ -157,7 +166,7 @@ func parallelGenerate(ctx context.Context, gen *synth.Generator, out, format str
 	if err != nil {
 		return 0, err
 	}
-	if err := gen.GenerateParallelTo(opts, sink(fw)); err != nil {
+	if err := stream(fw); err != nil {
 		fw.Close()
 		return n, err
 	}

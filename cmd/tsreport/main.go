@@ -82,8 +82,9 @@ func run() error {
 		if ft, err := results.ForecastTable(24); err == nil {
 			tables = append(tables, ft)
 		}
-		// The crawl baseline streams its own pass over the regenerated
-		// trace, so even the extras never materialize the trace.
+		// The crawl baseline streams one more pass over the regenerated
+		// trace (one for all sites), so even the extras never
+		// materialize the trace.
 		if bt, err := results.CrawlerBaselineTableSource(src, 24*time.Hour, 200); err == nil {
 			tables = append(tables, bt)
 		}

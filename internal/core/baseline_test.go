@@ -25,7 +25,7 @@ func TestCrawlerBaseline(t *testing.T) {
 	// An idealized crawler (full visibility) still loses temporal
 	// resolution and user identity; a realistic top-N one also loses
 	// coverage.
-	ideal, err := results.CrawlerBaseline(recs, "V-1", 24*time.Hour, 0)
+	ideal, err := results.CrawlerBaselineSource(trace.SliceSource(recs), "V-1", 24*time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestCrawlerBaseline(t *testing.T) {
 		t.Error("crawls must not see users")
 	}
 
-	narrow, err := results.CrawlerBaseline(recs, "V-1", 24*time.Hour, 10)
+	narrow, err := results.CrawlerBaselineSource(trace.SliceSource(recs), "V-1", 24*time.Hour, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestCrawlerBaseline(t *testing.T) {
 		t.Errorf("top-10 crawler should miss views, got undercount %v", narrow.ViewUndercount)
 	}
 
-	tab, err := results.CrawlerBaselineTable(recs, 24*time.Hour, 50)
+	tab, err := results.CrawlerBaselineTableSource(trace.SliceSource(recs), 24*time.Hour, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestCrawlerBaselineUnknownSiteEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := results.CrawlerBaseline(recs, "no-such-site", 24*time.Hour, 0)
+	cmp, err := results.CrawlerBaselineSource(trace.SliceSource(recs), "no-such-site", 24*time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,13 +9,17 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"trafficscope/internal/report"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/figures.golden from this run")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/figures.golden and testdata/crawl.golden from this run")
 
-const figuresGolden = "testdata/figures.golden"
+const (
+	figuresGolden = "testdata/figures.golden"
+	crawlGolden   = "testdata/crawl.golden"
+)
 
 // goldenLines renders every table the report prints for an exact-mode
 // study and returns one "sha256  title" line per table.
@@ -83,5 +87,61 @@ func TestFiguresGolden(t *testing.T) {
 				t.Errorf("workers=%d: table %d\n got  %s\n want %s", workers, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// crawlGoldenText renders the crawl-vs-logs table as tsreport prints it
+// (seed 42, scale 0.03, daily crawls, top-200 visible), followed by the
+// four campaign configurations of examples/crawlbaseline against V-2.
+func crawlGoldenText(t *testing.T) string {
+	t.Helper()
+	study, err := NewStudy(Config{Seed: 42, Scale: 0.03})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := study.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := res.CrawlerBaselineTableSource(study.Source(), 24*time.Hour, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	fmt.Fprintln(&b, tab)
+	for _, c := range []struct {
+		interval time.Duration
+		topN     int
+	}{{time.Hour, 0}, {24 * time.Hour, 0}, {24 * time.Hour, 200}, {24 * time.Hour, 50}} {
+		cmp, err := res.CrawlerBaselineSource(study.Source(), "V-2", c.interval, c.topN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "V-2 every %v top-%d: objects %d/%d coverage %.9f undercount %.9f rank corr %.9f points %d\n",
+			c.interval, c.topN, cmp.CrawlObjects, cmp.LogObjects,
+			cmp.Coverage, cmp.ViewUndercount, cmp.RankCorrelation, cmp.TemporalPoints)
+	}
+	return b.String()
+}
+
+// TestCrawlBaselineGolden pins the crawl methodology's output to text
+// recorded while the table still made one pass per site: however many
+// publishers one read serves, every number must stay where it was.
+func TestCrawlBaselineGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale-0.03 study runs in -short mode")
+	}
+	got := crawlGoldenText(t)
+	if *updateGolden {
+		if err := os.WriteFile(crawlGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(crawlGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("crawl baseline differs from %s\n got:\n%s\n want:\n%s", crawlGolden, got, want)
 	}
 }

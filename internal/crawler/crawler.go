@@ -44,21 +44,49 @@ type Snapshot struct {
 type Campaign struct {
 	// Site is the crawled publisher.
 	Site string
-	// Snapshots are in time order.
+	// Snapshots are in time order, one per crawl instant.
 	Snapshots []Snapshot
+
+	cum map[uint64]int64 // running per-object view counts while simulating
 }
 
-// Simulate derives the crawl campaign a crawler with the given config
-// would have collected over the trace week, from the ground-truth logs.
-func Simulate(recs []*trace.Record, site string, week timeutil.Week, cfg Config) (*Campaign, error) {
-	return SimulateReader(trace.NewSliceReader(recs), site, week, cfg)
+// Campaigns is the crawl dataset of every publisher in a trace, built by
+// one Simulate read.
+type Campaigns struct {
+	times  []time.Time // crawl instants, the same for every site
+	bySite map[string]*Campaign
 }
 
-// SimulateReader is Simulate over a streaming reader: the logs are
-// consumed once in time order and never buffered, so a crawl campaign
-// can be derived from an on-disk trace in bounded memory (the campaign
-// itself holds only per-object cumulative counts).
-func SimulateReader(r trace.Reader, site string, week timeutil.Week, cfg Config) (*Campaign, error) {
+// Sites returns, in name order, the publishers with at least one record
+// in the trace.
+func (cs *Campaigns) Sites() []string {
+	names := make([]string, 0, len(cs.bySite))
+	for name := range cs.bySite {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// Site returns the named publisher's campaign. A publisher without a
+// record in the trace was still crawled at every instant and found
+// empty, so its campaign has all the snapshots and no views.
+func (cs *Campaigns) Site(name string) *Campaign {
+	if c := cs.bySite[name]; c != nil {
+		return c
+	}
+	c := &Campaign{Site: name}
+	c.crawlThrough(cs.times, 0)
+	return c
+}
+
+// Simulate derives, from the ground-truth logs, the crawl campaign a
+// crawler with the given config would have collected from each
+// publisher over the trace week. The logs are consumed once, in time
+// order, and never buffered, so campaigns can be derived from an on-disk
+// trace in bounded memory (a campaign holds only per-object cumulative
+// counts). To crawl one site, pass a reader filtered to it.
+func Simulate(r trace.Reader, week timeutil.Week, cfg Config) (*Campaigns, error) {
 	interval := cfg.Interval
 	if interval == 0 {
 		interval = 24 * time.Hour
@@ -75,36 +103,7 @@ func SimulateReader(r trace.Reader, site string, week timeutil.Week, cfg Config)
 		return nil, fmt.Errorf("crawler: interval %v longer than the trace window", interval)
 	}
 
-	cum := map[uint64]int64{}
-	camp := &Campaign{Site: site}
-	ti := 0
-	flush := func(at time.Time) {
-		views := make(map[uint64]int64, len(cum))
-		if cfg.TopN > 0 && len(cum) > cfg.TopN {
-			type kv struct {
-				id uint64
-				n  int64
-			}
-			all := make([]kv, 0, len(cum))
-			for id, n := range cum {
-				all = append(all, kv{id, n})
-			}
-			sort.Slice(all, func(i, j int) bool {
-				if all[i].n != all[j].n {
-					return all[i].n > all[j].n
-				}
-				return all[i].id < all[j].id
-			})
-			for _, e := range all[:cfg.TopN] {
-				views[e.id] = e.n
-			}
-		} else {
-			for id, n := range cum {
-				views[id] = n
-			}
-		}
-		camp.Snapshots = append(camp.Snapshots, Snapshot{Time: at, Views: views})
-	}
+	cs := &Campaigns{times: times, bySite: map[string]*Campaign{}}
 	var rec trace.Record
 	for {
 		err := r.Read(&rec)
@@ -114,19 +113,61 @@ func SimulateReader(r trace.Reader, site string, week timeutil.Week, cfg Config)
 		if err != nil {
 			return nil, fmt.Errorf("crawler: read: %w", err)
 		}
-		if rec.Publisher != site {
-			continue
+		c := cs.bySite[rec.Publisher]
+		if c == nil {
+			// A site first seen after a crawl instant was crawled then
+			// too: the loop below publishes its earlier, empty snapshots.
+			c = &Campaign{Site: rec.Publisher, cum: map[uint64]int64{}}
+			cs.bySite[rec.Publisher] = c
 		}
-		for ti < len(times) && rec.Timestamp.After(times[ti]) {
-			flush(times[ti])
-			ti++
+		due := len(c.Snapshots)
+		if due > 0 && !rec.Timestamp.After(times[due-1]) {
+			return nil, fmt.Errorf("crawler: %s request at %v arrived after the %v crawl was taken: the trace is not in time order (sort it with tssort)",
+				rec.Publisher, rec.Timestamp.Format(time.RFC3339), times[due-1].Format(time.RFC3339))
 		}
-		cum[rec.ObjectID]++
+		for due < len(times) && rec.Timestamp.After(times[due]) {
+			due++
+		}
+		c.crawlThrough(times[:due], cfg.TopN)
+		c.cum[rec.ObjectID]++
 	}
-	for ; ti < len(times); ti++ {
-		flush(times[ti])
+	for _, c := range cs.bySite {
+		c.crawlThrough(times, cfg.TopN)
+		c.cum = nil
 	}
-	return camp, nil
+	return cs, nil
+}
+
+// crawlThrough publishes the snapshots of every instant in times the
+// campaign has not crawled yet, from the current cumulative counts.
+func (c *Campaign) crawlThrough(times []time.Time, topN int) {
+	for _, at := range times[len(c.Snapshots):] {
+		views := make(map[uint64]int64, len(c.cum))
+		if topN > 0 && len(c.cum) > topN {
+			type kv struct {
+				id uint64
+				n  int64
+			}
+			all := make([]kv, 0, len(c.cum))
+			for id, n := range c.cum {
+				all = append(all, kv{id, n})
+			}
+			sort.Slice(all, func(i, j int) bool {
+				if all[i].n != all[j].n {
+					return all[i].n > all[j].n
+				}
+				return all[i].id < all[j].id
+			})
+			for _, e := range all[:topN] {
+				views[e.id] = e.n
+			}
+		} else {
+			for id, n := range c.cum {
+				views[id] = n
+			}
+		}
+		c.Snapshots = append(c.Snapshots, Snapshot{Time: at, Views: views})
+	}
 }
 
 // FinalViews returns the last snapshot's view counts (what a single

@@ -426,9 +426,10 @@ func (s *Server) handleObject(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	// No server-wide lock: the concurrent CDN serializes only requests
-	// contending for the same (DC, cache partition). The response is
-	// written over the pooled request record in place.
+	// The concurrent CDN's one mutex is held for the serve step alone;
+	// parsing above and the origin wait, fill and body write below run
+	// outside it. The response is written over the pooled request record
+	// in place.
 	out := &sc.rec
 	s.cdn.ServeInto(out, out)
 	region = out.Region
@@ -520,14 +521,20 @@ func (s *Server) handleObject(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
+// OriginDelay is the origin model the edge and the fleet's shield share:
+// fetching n bytes takes the round-trip latency plus n over the fill
+// bandwidth in bytes per second (zero means infinite bandwidth).
+func OriginDelay(latency time.Duration, bandwidth, n int64) time.Duration {
+	if bandwidth > 0 && n > 0 {
+		latency += time.Duration(float64(n) / float64(bandwidth) * float64(time.Second))
+	}
+	return latency
+}
+
 // originDelay computes the simulated origin fetch time for a miss
 // serving n logical bytes.
 func (s *Server) originDelay(n int64) time.Duration {
-	d := s.cfg.OriginLatency
-	if s.cfg.OriginBandwidth > 0 && n > 0 {
-		d += time.Duration(float64(n) / float64(s.cfg.OriginBandwidth) * float64(time.Second))
-	}
-	return d
+	return OriginDelay(s.cfg.OriginLatency, s.cfg.OriginBandwidth, n)
 }
 
 // sleepCtx sleeps d, returning false if ctx was cancelled first.
@@ -542,8 +549,8 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// statsReply is the /stats JSON document.
-type statsReply struct {
+// StatsReply is the /stats JSON document.
+type StatsReply struct {
 	Total    cdn.DCStats            `json:"total"`
 	HitRatio float64                `json:"hit_ratio"`
 	PerDC    map[string]cdn.DCStats `json:"per_dc"`
@@ -565,7 +572,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(statsReply{Total: total, HitRatio: total.HitRatio(), PerDC: perDC, Fill: s.FillStats()})
+	json.NewEncoder(w).Encode(StatsReply{Total: total, HitRatio: total.HitRatio(), PerDC: perDC, Fill: s.FillStats()})
 }
 
 // ListenConfig configures the networked serving loop.
@@ -584,21 +591,29 @@ type ListenConfig struct {
 	// zero defaults to 10s.
 	DrainTimeout time.Duration
 	// DrainGrace keeps the listener open for this long after drain
-	// begins, with /healthz already answering 503 "draining" — the
-	// window a load balancer needs to observe the state change and stop
-	// routing here before connections start being refused. Zero closes
-	// the listener immediately (the pre-cluster behavior).
+	// begins, with the edge's /healthz already answering 503 "draining"
+	// — the window a load balancer needs to observe the state change and
+	// stop routing here before connections start being refused. Zero
+	// closes the listener immediately.
 	DrainGrace time.Duration
 	// OnReady, if set, is called with the bound address once the
 	// listener is open — how callers learn the port of Addr ":0".
 	OnReady func(addr string)
 }
 
-// ListenAndServe serves until ctx is cancelled, then drains gracefully:
-// the listener closes, in-flight requests finish (bounded by
-// DrainTimeout), and nil is returned. A non-nil error means the listener
-// or server failed.
+// ListenAndServe serves the edge until ctx is cancelled, then drains
+// gracefully with /healthz answering "draining" from the first moment.
 func (s *Server) ListenAndServe(ctx context.Context, lc ListenConfig) error {
+	return ListenAndServe(ctx, s.Handler(), lc, s.StartDraining)
+}
+
+// ListenAndServe is the serving loop of every trafficscope HTTP process
+// (edge and router): it serves handler until ctx is cancelled, then
+// drains gracefully — onDrain (may be nil) runs, the listener stays open
+// for DrainGrace and closes, in-flight requests finish (bounded by
+// DrainTimeout), and nil is returned. A non-nil error means the listener
+// or server failed, or the drain overran its budget.
+func ListenAndServe(ctx context.Context, handler http.Handler, lc ListenConfig, onDrain func()) error {
 	if lc.ReadTimeout == 0 {
 		lc.ReadTimeout = 5 * time.Second
 	}
@@ -622,7 +637,7 @@ func (s *Server) ListenAndServe(ctx context.Context, lc ListenConfig) error {
 		lc.OnReady(ln.Addr().String())
 	}
 	srv := &http.Server{
-		Handler:      s.Handler(),
+		Handler:      handler,
 		ReadTimeout:  lc.ReadTimeout,
 		WriteTimeout: lc.WriteTimeout,
 		IdleTimeout:  lc.IdleTimeout,
@@ -633,10 +648,13 @@ func (s *Server) ListenAndServe(ctx context.Context, lc ListenConfig) error {
 	case err := <-errc:
 		return err
 	case <-ctx.Done():
-		// Flip /healthz to "draining" first, then (optionally) keep
-		// serving for DrainGrace so load balancers can observe it before
-		// Shutdown closes the listener.
-		s.StartDraining()
+		// Announce the drain first (the edge flips /healthz to
+		// "draining"), then (optionally) keep serving for DrainGrace so
+		// load balancers can observe it before Shutdown closes the
+		// listener.
+		if onDrain != nil {
+			onDrain()
+		}
 		if lc.DrainGrace > 0 {
 			select {
 			case err := <-errc:

@@ -16,15 +16,6 @@ import (
 	"trafficscope/internal/obs/slo"
 )
 
-// EdgeStats mirrors the edge's /stats JSON document (the backend side of
-// the wire; internal/edge keeps its reply type private).
-type EdgeStats struct {
-	Total    cdn.DCStats            `json:"total"`
-	HitRatio float64                `json:"hit_ratio"`
-	PerDC    map[string]cdn.DCStats `json:"per_dc"`
-	Fill     edge.FillStats         `json:"fill"`
-}
-
 // ClusterStats is the collector's merged /stats document: the same
 // shape tsload and scripts already read from a single edge, extended
 // with per-backend rows and poll metadata. Per-DC entries from several
@@ -132,7 +123,7 @@ func (c *Collector) Run(ctx context.Context) {
 // backendPoll is one backend's fetched state.
 type backendPoll struct {
 	backend *Backend
-	stats   EdgeStats
+	stats   edge.StatsReply
 	slo     slo.Report
 	metrics []byte
 	err     error

@@ -179,7 +179,7 @@ func (s *Shield) resolve(rec *trace.Record, from, uri string) cdn.FillResult {
 	}
 	// No peer holds it: this is the one origin fetch for the whole
 	// miss storm.
-	if d := s.originDelay(n); d > 0 {
+	if d := edge.OriginDelay(s.cfg.OriginLatency, s.cfg.OriginBandwidth, n); d > 0 {
 		s.originDelayH.Observe(d.Seconds())
 		time.Sleep(d)
 	}
@@ -221,16 +221,6 @@ type probeStatusError struct {
 
 func (e *probeStatusError) Error() string {
 	return "fleet: shield probe " + e.url + ": status " + strconv.Itoa(e.status)
-}
-
-// originDelay models the origin fetch time for n bytes, mirroring
-// edge.Server's origin model.
-func (s *Shield) originDelay(n int64) time.Duration {
-	d := s.cfg.OriginLatency
-	if s.cfg.OriginBandwidth > 0 && n > 0 {
-		d += time.Duration(float64(n) / float64(s.cfg.OriginBandwidth) * float64(time.Second))
-	}
-	return d
 }
 
 func (s *Shield) logf(format string, args ...any) {

@@ -125,7 +125,8 @@ func userIsIncognito(userID uint64, frac float64) bool {
 	return hashUnit(userID) < frac
 }
 
-// Generate produces the full trace, sorted by timestamp.
+// Generate produces the full trace, sorted by timestamp: the sequential
+// reference ParallelReader's stream must match byte for byte.
 func (g *Generator) Generate() ([]*trace.Record, error) {
 	var all []*trace.Record
 	err := g.GenerateTo(func(r *trace.Record) error {
@@ -141,7 +142,7 @@ func (g *Generator) Generate() ([]*trace.Record, error) {
 
 // GenerateTo streams records to sink. Records arrive grouped by site and
 // hour shard, roughly time-ordered within a site; use Generate for a
-// fully sorted in-memory trace or GenerateParallelTo for a sorted stream.
+// fully sorted in-memory trace or ParallelReader for a sorted stream.
 // Each record lives in its hour's slab, which is never reused: the sink
 // may retain the pointer. A sink error aborts generation.
 func (g *Generator) GenerateTo(sink func(*trace.Record) error) error {

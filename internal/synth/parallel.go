@@ -18,16 +18,17 @@ type ParallelOptions struct {
 	// over the sites (each site always gets at least one); values < 1
 	// default to GOMAXPROCS.
 	Workers int
-	// Lookahead bounds how many hour shards per site may be generated
-	// ahead of the slowest point of the time-ordered merge — the
-	// memory/parallelism trade-off. Values < 1 default to 4.
-	Lookahead int
 	// Metrics receives live generation telemetry: shards done/total,
 	// records generated (total and per site), per-site merge pending
 	// depth and watermark lag, and the k-way merge heap depth. nil —
 	// the default — disables instrumentation.
 	Metrics *obs.Registry
 }
+
+// lookahead bounds how many hour shards per site may be generated ahead
+// of the slowest point of the time-ordered merge — the
+// memory/parallelism trade-off.
+const lookahead = 4
 
 // ExpectedRecords estimates the number of records a full generation run
 // will emit (the sum of every site's hourly Poisson intensities). The
@@ -142,10 +143,6 @@ func (g *Generator) ParallelReader(opts ParallelOptions) *ParallelReader {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	lookahead := opts.Lookahead
-	if lookahead < 1 {
-		lookahead = 4
-	}
 	done := make(chan struct{})
 	perSite := g.siteWorkers(workers)
 	lead := maxRegionLead()
@@ -163,7 +160,7 @@ func (g *Generator) ParallelReader(opts ParallelOptions) *ParallelReader {
 		// being filled, so four slots never drop a batch worth recycling.
 		out, free := make(chan []*trace.Record, 2), make(chan []*trace.Record, 4)
 		site := g.prof[i].Name
-		g.runSitePipeline(i, perSite[i], lookahead, lead, out, free, done, shardMetrics{
+		g.runSitePipeline(i, perSite[i], lead, out, free, done, shardMetrics{
 			shardsDone:   m.Counter("synth_shards_done_total"),
 			records:      m.Counter("synth_records_total"),
 			siteRecords:  m.Counter(obs.Name("synth_site_records_total", "site", site)),
@@ -194,7 +191,7 @@ type shardMetrics struct {
 // runSitePipeline spawns site i's shard workers and sequencer. Sorted
 // batches arrive on out, which is closed when the site is exhausted;
 // batch slices the reader has drained come back on free for refilling.
-func (g *Generator) runSitePipeline(i, workers, lookahead int, lead time.Duration, out chan<- []*trace.Record, free <-chan []*trace.Record, done <-chan struct{}, met shardMetrics) {
+func (g *Generator) runSitePipeline(i, workers int, lead time.Duration, out chan<- []*trace.Record, free <-chan []*trace.Record, done <-chan struct{}, met shardMetrics) {
 	plan := g.plans[i]
 	hours := plan.hours
 	tasks := make(chan int)
@@ -319,42 +316,4 @@ func (b *batchReader) Read(rec *trace.Record) error {
 	*rec = *b.cur[b.pos]
 	b.pos++
 	return nil
-}
-
-// GenerateParallelTo streams the full trace to sink in global timestamp
-// order, generating shards concurrently. A sink error stops generation
-// and is returned. The sink must not retain the record pointer past the
-// call — one scratch record is reused for the whole stream.
-func (g *Generator) GenerateParallelTo(opts ParallelOptions, sink func(*trace.Record) error) error {
-	r := g.ParallelReader(opts)
-	defer r.Close()
-	var rec trace.Record
-	for {
-		err := r.Read(&rec)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := sink(&rec); err != nil {
-			return err
-		}
-	}
-}
-
-// GenerateParallel produces the full trace, sorted by timestamp, using
-// concurrent generation. The result is byte-identical to Generate for
-// the same seed and config.
-func (g *Generator) GenerateParallel(opts ParallelOptions) ([]*trace.Record, error) {
-	var all []*trace.Record
-	err := g.GenerateParallelTo(opts, func(r *trace.Record) error {
-		cp := *r
-		all = append(all, &cp)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return all, nil
 }

@@ -55,7 +55,7 @@ func TestGenerateByteIdenticalAcrossRuns(t *testing.T) {
 	}
 }
 
-// GenerateParallel must produce a byte-identical trace to sequential
+// ParallelReader must stream a byte-identical trace to sequential
 // Generate for the same seed and config, for the default profiles at
 // two seeds and across worker counts.
 func TestGenerateParallelMatchesSequential(t *testing.T) {
@@ -67,7 +67,7 @@ func TestGenerateParallelMatchesSequential(t *testing.T) {
 		}
 		want := encodeTrace(t, seq)
 		for _, workers := range []int{1, 3, 8} {
-			par, err := g.GenerateParallel(ParallelOptions{Workers: workers, Lookahead: 2})
+			par, err := trace.ReadAll(g.ParallelReader(ParallelOptions{Workers: workers}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,27 +129,21 @@ func TestGenerateToPropagatesSinkError(t *testing.T) {
 	}
 }
 
-// The parallel path must propagate sink errors the same way and release
-// its goroutines afterwards.
-func TestGenerateParallelToPropagatesSinkError(t *testing.T) {
+// A consumer that stops mid-stream closes the reader, which must
+// release the generation goroutines and leave the generator usable.
+func TestParallelReaderCloseMidStream(t *testing.T) {
 	g := newTestGenerator(t, 5, 0.003)
-	sinkErr := errors.New("downstream failed")
-	var emitted int
-	err := g.GenerateParallelTo(ParallelOptions{Workers: 4}, func(*trace.Record) error {
-		emitted++
-		if emitted == 25 {
-			return sinkErr
+	r := g.ParallelReader(ParallelOptions{Workers: 4})
+	var rec trace.Record
+	for i := 0; i < 25; i++ {
+		if err := r.Read(&rec); err != nil {
+			t.Fatalf("record %d: %v", i, err)
 		}
-		return nil
-	})
-	if !errors.Is(err, sinkErr) {
-		t.Fatalf("GenerateParallelTo error = %v, want %v", err, sinkErr)
 	}
-	if emitted != 25 {
-		t.Fatalf("generation continued past the failing sink: %d records emitted", emitted)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
 	}
-	// The generator must remain usable after an aborted parallel run.
-	recs, err := g.GenerateParallel(ParallelOptions{Workers: 2})
+	recs, err := trace.ReadAll(g.ParallelReader(ParallelOptions{Workers: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"io"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -22,7 +23,19 @@ func TestGenerationAllocsPerRecord(t *testing.T) {
 	}{
 		{"GenerateTo", g.GenerateTo},
 		{"ParallelReader", func(sink func(*trace.Record) error) error {
-			return g.GenerateParallelTo(ParallelOptions{Workers: 2}, sink)
+			r := g.ParallelReader(ParallelOptions{Workers: 2})
+			defer r.Close()
+			var rec trace.Record
+			for {
+				if err := r.Read(&rec); err == io.EOF {
+					return nil
+				} else if err != nil {
+					return err
+				}
+				if err := sink(&rec); err != nil {
+					return err
+				}
+			}
 		}},
 	}
 	const maxBytes = 1.25*float64(unsafe.Sizeof(trace.Record{})) + float64(unsafe.Sizeof(uintptr(0)))

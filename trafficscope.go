@@ -226,19 +226,20 @@ var (
 )
 
 // CrawlConfig configures a simulated crawl campaign (the prior-art
-// methodology of §II); CrawlCampaign is its dataset.
+// methodology of §II); CrawlCampaign is one site's dataset and
+// CrawlCampaigns every site's, as one read of the logs builds them.
 type (
-	CrawlConfig   = crawler.Config
-	CrawlCampaign = crawler.Campaign
+	CrawlConfig    = crawler.Config
+	CrawlCampaign  = crawler.Campaign
+	CrawlCampaigns = crawler.Campaigns
 	// CrawlComparison quantifies what crawling loses vs. HTTP logs.
 	CrawlComparison = crawler.Comparison
 )
 
 // Crawler-baseline functions.
 var (
-	SimulateCrawl       = crawler.Simulate
-	SimulateCrawlReader = crawler.SimulateReader
-	CompareCrawl        = crawler.Compare
+	SimulateCrawl = crawler.Simulate
+	CompareCrawl  = crawler.Compare
 )
 
 // Week is a one-week observation window.
