@@ -10,7 +10,7 @@ GO ?= go
 BIN ?= bin
 CMDS := tsgen tsanalyze tscdnsim tsreport tscrawl tsserve tsload tsbench tsgate tsrouter tscluster tssort
 
-.PHONY: all build test check vet race loc bench bench-gate tools fmt-check serve-demo slo-demo slo-demo-breach cluster-demo
+.PHONY: all build test check vet race fuzz-smoke loc bench bench-gate tools fmt-check serve-demo slo-demo slo-demo-breach cluster-demo
 
 all: build test
 
@@ -34,6 +34,16 @@ vet:
 # must stay race-clean.
 race:
 	$(GO) test -race ./...
+
+# Five seconds of each fuzz target (CI runs this after check): the seed
+# corpus plus whatever the mutator reaches, so a target that rots or a
+# parser/kernel that breaks on its own seeds fails the build. -fuzz takes
+# one target of one package per run.
+fuzz-smoke:
+	$(GO) test -run NONE -fuzz '^FuzzBlockReader$$' -fuzztime 5s ./internal/trace
+	$(GO) test -run NONE -fuzz '^FuzzJSONReader$$' -fuzztime 5s ./internal/trace
+	$(GO) test -run NONE -fuzz '^FuzzWireRoundTrip$$' -fuzztime 5s ./internal/edge
+	$(GO) test -run NONE -fuzz '^FuzzDistanceBand$$' -fuzztime 5s ./internal/dtw
 
 # Fail if any file is not gofmt-clean (CI runs this before check).
 fmt-check:

@@ -2,6 +2,9 @@ package analysis
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -597,6 +600,39 @@ func TestObjectSeriesAndClustering(t *testing.T) {
 	// Too-high K errors.
 	if _, err := s.ClusterSeries("V-2", trace.CategoryVideo, ClusterOptions{MinRequests: 20, K: 10}); err == nil {
 		t.Error("k > series count should error")
+	}
+}
+
+// TestClusterSeriesWorkerInvariant: the distance matrix is the same bits
+// however its rows fall on workers, so the whole result is — and an
+// unset worker count, which now means GOMAXPROCS, changes nothing else.
+func TestClusterSeriesWorkerInvariant(t *testing.T) {
+	s := NewObjectSeries(week, 0)
+	rng := rand.New(rand.NewSource(8))
+	for obj := uint64(1); obj <= 40; obj++ {
+		start, span := rng.Intn(100), 12+rng.Intn(56)
+		for k := 0; k < 60; k++ {
+			s.Add(rec("V-2", obj, uint64(k), trace.FileMP4, 100, start+rng.Intn(span)))
+		}
+	}
+	cluster := func(workers int) *ClusterResult {
+		res, err := s.ClusterSeries("V-2", trace.CategoryVideo, ClusterOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := cluster(1)
+	if len(want.Series) != 40 {
+		t.Fatalf("clustered %d series, want 40", len(want.Series))
+	}
+	for _, workers := range []int{0, 3} {
+		if got := cluster(workers); !reflect.DeepEqual(got, want) {
+			t.Errorf("Workers %d: result differs from Workers 1", workers)
+		}
+	}
+	if got := (&ClusterOptions{}).withDefaults().Workers; got != runtime.GOMAXPROCS(0) {
+		t.Errorf("default Workers = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
 }
 

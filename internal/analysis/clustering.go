@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"trafficscope/internal/cluster"
@@ -255,6 +256,9 @@ func (o *ClusterOptions) withDefaults() ClusterOptions {
 	}
 	if out.BandRadius == 0 {
 		out.BandRadius = 24
+	}
+	if out.Workers < 1 {
+		out.Workers = runtime.GOMAXPROCS(0)
 	}
 	if out.Linkage == 0 {
 		out.Linkage = cluster.LinkageAverage

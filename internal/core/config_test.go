@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"trafficscope/internal/analysis"
 	"trafficscope/internal/trace"
 )
 
@@ -24,6 +25,23 @@ func TestRateOrDefault(t *testing.T) {
 	if cfg.P403 != 0.1 || cfg.P416 != 0.2 || cfg.P204 != 0.3 {
 		t.Errorf("positive rates should pass through: got P403=%v P416=%v P204=%v",
 			cfg.P403, cfg.P416, cfg.P204)
+	}
+}
+
+// TestClusterWorkersInherit: -workers reaches the Fig. 8-10 distance
+// matrix through Config.Workers unless the clustering names its own.
+func TestClusterWorkersInherit(t *testing.T) {
+	for _, tc := range []struct {
+		study, cluster, want int
+	}{{1, 0, 1}, {3, 0, 3}, {0, 0, 0}, {1, 4, 4}} {
+		study, err := NewStudy(Config{Workers: tc.study, Cluster: analysis.ClusterOptions{Workers: tc.cluster}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := study.newResults(study.newFold()).ClusterOpts.Workers; got != tc.want {
+			t.Errorf("Config.Workers %d, Cluster.Workers %d: clustering runs on %d, want %d",
+				tc.study, tc.cluster, got, tc.want)
+		}
 	}
 }
 

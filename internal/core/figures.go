@@ -203,7 +203,6 @@ func (r *Results) Fig09Medoids(res *analysis.ClusterResult, title string) *repor
 			if v > c.Medoid[peak] {
 				peak = h
 			}
-			_ = v
 		}
 		t.AddRow(fmt.Sprintf("#%d", i+1), analysis.ClassifyShape(c.Medoid),
 			fmt.Sprintf("d%d h%d", peak/24, peak%24),

@@ -46,9 +46,11 @@ type Config struct {
 	// based estimators (see analysis.Params.MemoryBudget for the error
 	// model). Use this to run full-scale studies in bounded memory.
 	MemoryBudget int
-	// Cluster configures the Fig. 8-10 DTW clustering.
+	// Cluster configures the Fig. 8-10 DTW clustering; its Workers, left
+	// zero, is this Config's.
 	Cluster analysis.ClusterOptions
-	// Workers parallelizes the analysis pass; < 1 means GOMAXPROCS.
+	// Workers parallelizes the analysis pass and the clustering's
+	// distance matrix; < 1 means GOMAXPROCS.
 	Workers int
 	// Figures restricts which analyses run: only analyzers covering at
 	// least one of the listed paper figures are constructed and folded,
@@ -208,10 +210,14 @@ func (s *Study) newFold() *analysis.Fold { return analysis.NewFold(s.descs, s.pa
 
 // newResults assembles a Results from a folded accumulator.
 func (s *Study) newResults(f *analysis.Fold) *Results {
+	opts := s.cfg.Cluster
+	if opts.Workers == 0 {
+		opts.Workers = s.cfg.Workers
+	}
 	return &Results{
 		Week:        s.gen.Week(),
 		Records:     f.Records(),
-		ClusterOpts: s.cfg.Cluster,
+		ClusterOpts: opts,
 		analyzers:   f.Analyzers(),
 	}
 }
