@@ -1,6 +1,7 @@
 # Build/verify entry points. `make check` is the CI gate: vet, a build
 # of every cmd/* binary, the whole module's tests under the race
-# detector, the full suite, then the tracked line count (`make loc`). `make bench` runs the repository
+# detector, the full suite, then the tracked sizes (`make loc`: lines,
+# CLI flags, config fields). `make bench` runs the repository
 # benchmark (benchmark/, contract BENCHMARK.json) and refreshes the one
 # committed snapshot, BENCH_ledger.txt; `make bench-gate` is the CI perf
 # gate comparing a short run against it (see EXPERIMENTS.md §"Perf
@@ -49,10 +50,20 @@ fuzz-smoke:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Net non-test lines of Go outside benchmark/: the tracked number
-# (ROADMAP aim 2) CHANGES.md quotes before/after for every PR.
+# The three tracked sizes (ROADMAP aim 2) CHANGES.md quotes before/after
+# for every PR, one expression each: net non-test lines of Go outside
+# benchmark/; CLI flags declared by the tools (cmd/ plus the three every
+# tool gets from cliobs); exported fields of the *Config, *Options and
+# Params structs under internal/ (a line `A, B T` counts two). A PR that
+# says "no new knob" shows the last two unchanged.
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l | sed 's/$$/ lines/'
+	@grep -rhoE '\b(flag|fs)\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)?(Var)?\(' --include='*.go' cmd internal/obs/cliobs | wc -l | sed 's/$$/ flags/'
+	@find internal -name '*.go' -not -name '*_test.go' | xargs awk ' \
+		/^type [A-Za-z]*(Config|Options|Params) struct \{/ { s = 1; next } \
+		s && /^}/ { s = 0 } \
+		s && match($$0, /^\t[A-Z][A-Za-z0-9]*(, [A-Z][A-Za-z0-9]*)* /) { f = substr($$0, RSTART, RLENGTH); n += gsub(/,/, ",", f) + 1 } \
+		END { print n " config fields" }'
 
 check: vet tools race test loc
 

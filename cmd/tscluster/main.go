@@ -10,14 +10,16 @@
 //
 //	tscluster [-router-addr 127.0.0.1:8090]
 //	          [-dcs 'north-america,south-america;europe;asia']
-//	          [-replicas 1] [-redirect] [-shield] [-peer-fill]
-//	          [-policy lru] [-capacity 1073741824] [-shards 0]
-//	          [-chunk 2097152] [-origin-latency 0] [-origin-bw 0]
-//	          [-max-body 4096] [-max-inflight 0] [-slo-policy <file>]
-//	          [-retries 1] [-probe-interval 500ms] [-fail-after 2]
-//	          [-collect-interval 1s] [-drain-grace 0]
+//	          [-replicas 1] [-redirect] [-shield]
 //	          [-ready-timeout 15s] [-shutdown-timeout 15s]
 //	          [-tsserve-bin path] [-tsrouter-bin path]
+//	          forwarded to every tsserve when set:
+//	          [-policy p] [-capacity bytes] [-shards n] [-chunk bytes]
+//	          [-origin-latency d] [-origin-bw bytes/s] [-max-body bytes]
+//	          [-max-inflight n] [-slo-policy <file>] [-drain-grace d]
+//	          forwarded to tsrouter when set:
+//	          [-retries n] [-probe-interval d] [-fail-after n]
+//	          [-collect-interval d]
 //
 // -dcs groups regions into backend processes: ';' separates processes,
 // ',' co-hosts regions on one process. The default runs four single-DC
@@ -28,11 +30,11 @@
 // router (tsrouter -shield): concurrent misses for one object collapse
 // into a single origin fetch and peer DCs are probed before the origin.
 // The router address is fixed up front, so backends can point at the
-// shield before the router exists. -peer-fill instead wires a direct
-// peer mesh: backend listen ports are reserved first so every backend
-// starts knowing its peers' /fill/ addresses (no dedupe tier). The two
-// compose — with both, backends ask the shield first and fall back to
-// direct peer probes if it is unreachable.
+// shield before the router exists. -origin-latency and -origin-bw then
+// also describe the origin the shield fronts.
+//
+// The forwarded flags are passed on only when given, so tsserve and
+// tsrouter hold their only defaults (see their -h).
 //
 // Child binaries default to tsserve/tsrouter next to the tscluster
 // executable, then $PATH.
@@ -41,7 +43,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -61,34 +62,33 @@ func main() {
 
 func run() error {
 	var (
-		routerAddr = flag.String("router-addr", "127.0.0.1:8090", "tsrouter listen address (the cluster's public address)")
-		dcs        = flag.String("dcs", "north-america;south-america;europe;asia", "region groups, one backend process per ';'-separated group, ','-separated regions co-hosted")
-		replicas   = flag.Int("replicas", 1, "backend processes per group (objects split by consistent hash)")
-		redirect   = flag.Bool("redirect", false, "router answers 307 redirects instead of proxying")
-		shield     = flag.Bool("shield", false, "route backend misses through an origin shield on the router (dedupe + peer fill)")
-		peerFill   = flag.Bool("peer-fill", false, "wire backends into a direct peer-fill mesh (no shield dedupe)")
-
-		policy      = flag.String("policy", "lru", "per-DC eviction policy")
-		capacity    = flag.Int64("capacity", 1<<30, "per-datacenter cache capacity in bytes")
-		shards      = flag.Int("shards", 0, "consistent-hash shards per DC cache")
-		chunk       = flag.Int64("chunk", 2<<20, "video chunk size in bytes (negative disables chunking)")
-		originLat   = flag.Duration("origin-latency", 0, "simulated origin round-trip on miss")
-		originBW    = flag.Int64("origin-bw", 0, "simulated origin bandwidth in bytes/s (0 = infinite)")
-		maxBody     = flag.Int64("max-body", 4096, "max on-wire body bytes per response")
-		maxInflight = flag.Int("max-inflight", 0, "per-backend max concurrently served requests")
-		sloPolicy   = flag.String("slo-policy", "", "SLO policy file passed to every backend")
-		drainGrace  = flag.Duration("drain-grace", 0, "backend drain grace window")
-
-		retries       = flag.Int("retries", fleet.DefaultRetries, "router retry budget on transport failure")
-		probeInterval = flag.Duration("probe-interval", fleet.DefaultProbeInterval, "router backend probe period")
-		failAfter     = flag.Int("fail-after", fleet.DefaultFailAfter, "consecutive failures before backend eviction")
-		collectEvery  = flag.Duration("collect-interval", fleet.DefaultCollectInterval, "collector polling period")
-
+		routerAddr      = flag.String("router-addr", "127.0.0.1:8090", "tsrouter listen address (the cluster's public address)")
+		dcs             = flag.String("dcs", "north-america;south-america;europe;asia", "region groups, one backend process per ';'-separated group, ','-separated regions co-hosted")
+		replicas        = flag.Int("replicas", 1, "backend processes per group (objects split by consistent hash)")
+		redirect        = flag.Bool("redirect", false, "router answers 307 redirects instead of proxying")
+		shield          = flag.Bool("shield", false, "route backend misses through an origin shield on the router (dedupe + peer fill)")
 		readyTimeout    = flag.Duration("ready-timeout", fleet.DefaultReadyTimeout, "per-child readiness budget")
 		shutdownTimeout = flag.Duration("shutdown-timeout", fleet.DefaultShutdownTimeout, "graceful drain budget before children are killed")
 		tsserveBin      = flag.String("tsserve-bin", "", "tsserve binary (default: next to tscluster, then $PATH)")
 		tsrouterBin     = flag.String("tsrouter-bin", "", "tsrouter binary (default: next to tscluster, then $PATH)")
 	)
+	// Forwarded flags are declared only so that flag.Parse accepts and
+	// type-checks them: the zero defaults are never passed on.
+	const toServe, toRouter = " (forwarded to every tsserve when set)", " (forwarded to tsrouter when set)"
+	flag.String("policy", "", "per-DC eviction policy"+toServe)
+	flag.Int64("capacity", 0, "per-datacenter cache capacity in bytes"+toServe)
+	flag.Int("shards", 0, "consistent-hash shards per DC cache"+toServe)
+	flag.Int64("chunk", 0, "video chunk size in bytes, negative disables chunking"+toServe)
+	flag.Duration("origin-latency", 0, "simulated origin round-trip on miss"+toServe+"; with -shield, also the shield's origin")
+	flag.Int64("origin-bw", 0, "simulated origin bandwidth in bytes/s"+toServe+"; with -shield, also the shield's origin")
+	flag.Int64("max-body", 0, "max on-wire body bytes per response"+toServe)
+	flag.Int("max-inflight", 0, "per-backend max concurrently served requests"+toServe)
+	flag.String("slo-policy", "", "SLO policy file"+toServe)
+	flag.Duration("drain-grace", 0, "backend drain grace window"+toServe)
+	flag.Int("retries", 0, "retry budget on transport failure"+toRouter)
+	flag.Duration("probe-interval", 0, "backend probe period"+toRouter)
+	flag.Int("fail-after", 0, "consecutive failures before backend eviction"+toRouter)
+	flag.Duration("collect-interval", 0, "collector polling period"+toRouter)
 	flag.Parse()
 
 	groups, err := parseGroups(*dcs)
@@ -110,75 +110,57 @@ func run() error {
 	serveBin := findBin(*tsserveBin, "tsserve")
 	routerBin := findBin(*tsrouterBin, "tsrouter")
 
-	// Backends first: each announces its ephemeral port, then must
-	// answer /healthz before the router is wired to it. A direct
-	// peer-fill mesh needs every backend to know its peers' addresses at
-	// start, so -peer-fill reserves the listen ports up front instead.
-	nBackends := len(groups) * *replicas
-	var meshAddrs []string
-	if *peerFill {
-		var err error
-		if meshAddrs, err = reservePorts(nBackends); err != nil {
-			return err
+	// Only the flags the user set travel on, as -name=value, so a child's
+	// own default applies to everything else. The origin model is the
+	// backends' and, with -shield, the shield's too.
+	var serveArgs, routerArgs []string
+	flag.Visit(func(f *flag.Flag) {
+		arg := "-" + f.Name + "=" + f.Value.String()
+		switch f.Name {
+		case "policy", "capacity", "shards", "chunk", "max-body", "max-inflight", "slo-policy", "drain-grace":
+			serveArgs = append(serveArgs, arg)
+		case "origin-latency", "origin-bw":
+			serveArgs = append(serveArgs, arg)
+			if *shield {
+				routerArgs = append(routerArgs, arg)
+			}
+		case "retries", "probe-interval", "fail-after", "collect-interval":
+			routerArgs = append(routerArgs, arg)
 		}
-	}
+	})
+
+	// Backends first: each announces its ephemeral port, then must
+	// answer /healthz before the router is wired to it.
 	type started struct {
 		group string
 		proc  *fleet.Proc
 	}
 	var backends []started
-	idx := 0
 	for _, group := range groups {
 		for rep := 0; rep < *replicas; rep++ {
 			name := group
 			if *replicas > 1 {
 				name = group + "#" + strconv.Itoa(rep)
 			}
-			listen := "127.0.0.1:0"
-			if *peerFill {
-				listen = meshAddrs[idx]
-			}
 			args := []string{
-				"-addr", listen,
+				"-addr", "127.0.0.1:0",
 				"-dc", group,
 				// The fill name must match the router-side backend name
 				// (derived from the group) so the shield skips the requester.
 				"-name", group,
-				"-policy", *policy,
-				"-capacity", strconv.FormatInt(*capacity, 10),
-				"-shards", strconv.Itoa(*shards),
-				"-chunk", strconv.FormatInt(*chunk, 10),
-				"-origin-latency", originLat.String(),
-				"-origin-bw", strconv.FormatInt(*originBW, 10),
-				"-max-body", strconv.FormatInt(*maxBody, 10),
-				"-max-inflight", strconv.Itoa(*maxInflight),
-				"-drain-grace", drainGrace.String(),
 			}
 			if *shield {
 				args = append(args, "-shield", "http://"+*routerAddr)
 			}
-			if *peerFill {
-				var peers []string
-				for i, a := range meshAddrs {
-					if i != idx {
-						peers = append(peers, "http://"+a)
-					}
-				}
-				args = append(args, "-peer-fill", strings.Join(peers, ","))
-			}
-			if *sloPolicy != "" {
-				args = append(args, "-slo-policy", *sloPolicy)
-			}
-			p, err := cluster.Start(name, serveBin, args...)
+			p, err := cluster.Start(name, serveBin, append(args, serveArgs...)...)
 			if err != nil {
 				cluster.Shutdown()
 				return fmt.Errorf("starting backend %s: %w", name, err)
 			}
 			backends = append(backends, started{group: group, proc: p})
-			idx++
 		}
 	}
-	var routerArgs []string
+	routerArgs = append(routerArgs, "-addr", *routerAddr)
 	for _, b := range backends {
 		addr, err := cluster.Addr(ctx, b.proc)
 		if err != nil {
@@ -191,23 +173,11 @@ func run() error {
 		}
 		routerArgs = append(routerArgs, "-backend", b.group+"=http://"+addr)
 	}
-
-	routerArgs = append(routerArgs,
-		"-addr", *routerAddr,
-		"-retries", strconv.Itoa(*retries),
-		"-probe-interval", probeInterval.String(),
-		"-fail-after", strconv.Itoa(*failAfter),
-		"-collect-interval", collectEvery.String(),
-	)
 	if *redirect {
 		routerArgs = append(routerArgs, "-redirect")
 	}
 	if *shield {
-		routerArgs = append(routerArgs,
-			"-shield",
-			"-origin-latency", originLat.String(),
-			"-origin-bw", strconv.FormatInt(*originBW, 10),
-		)
+		routerArgs = append(routerArgs, "-shield")
 	}
 	router, err := cluster.Start("router", routerBin, routerArgs...)
 	if err != nil {
@@ -224,13 +194,8 @@ func run() error {
 		return err
 	}
 	fill := ""
-	switch {
-	case *shield && *peerFill:
-		fill = ", shield + peer-fill mesh"
-	case *shield:
+	if *shield {
 		fill = ", origin shield"
-	case *peerFill:
-		fill = ", peer-fill mesh"
 	}
 	fmt.Fprintf(os.Stderr, "tscluster: cluster ready on http://%s (%d backends, %d region groups%s)\n",
 		addr, len(backends), len(groups), fill)
@@ -275,30 +240,6 @@ func parseGroups(spec string) ([]string, error) {
 		return nil, fmt.Errorf("bad -dcs: no region groups")
 	}
 	return groups, nil
-}
-
-// reservePorts binds n ephemeral loopback ports, records their
-// addresses and releases them, so a peer-fill mesh can be computed
-// before any backend starts. The usual bind race is acceptable for a
-// single-machine demo launcher: the window between release and the
-// child's own bind is milliseconds.
-func reservePorts(n int) ([]string, error) {
-	addrs := make([]string, 0, n)
-	listeners := make([]net.Listener, 0, n)
-	defer func() {
-		for _, l := range listeners {
-			l.Close()
-		}
-	}()
-	for i := 0; i < n; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("reserving backend port: %w", err)
-		}
-		listeners = append(listeners, l)
-		addrs = append(addrs, l.Addr().String())
-	}
-	return addrs, nil
 }
 
 // findBin resolves a child binary: explicit flag, then a sibling of the

@@ -32,7 +32,6 @@ import (
 
 	"trafficscope/internal/loadgen"
 	"trafficscope/internal/obs/slo"
-	"trafficscope/internal/report"
 )
 
 func main() {
@@ -90,7 +89,7 @@ func gateRun(path string, policy slo.Policy, minReq int64) (bool, error) {
 	ws := st.SLOWindow()
 	reps, breached := policy.EvaluateStats(ws, "")
 	wn := slo.WindowName(time.Duration(ws.WindowSeconds * float64(time.Second)))
-	printVerdicts(fmt.Sprintf("SLO gate: run %s (%d requests)", path, ws.Requests), reps, wn)
+	fmt.Println(slo.VerdictTable(fmt.Sprintf("SLO gate: run %s (%d requests)", path, ws.Requests), reps, wn))
 	return applyMinRequests(breached, ws.Requests, minReq), nil
 }
 
@@ -132,7 +131,7 @@ func gateLive(target string, policy slo.Policy, havePolicy bool, minReq int64, t
 		for _, name := range scopes {
 			reps = append(reps, rep.Scopes[name].Objectives...)
 		}
-		printVerdicts(fmt.Sprintf("SLO gate: %s (server policy, %s window)", target, gateName), reps, gateName)
+		fmt.Println(slo.VerdictTable(fmt.Sprintf("SLO gate: %s (server policy, %s window)", target, gateName), reps, gateName))
 		var requests int64
 		if ws, ok := globalWindow(gateName); ok {
 			requests = ws.Requests
@@ -171,7 +170,7 @@ func gateLive(target string, policy slo.Policy, havePolicy bool, minReq int64, t
 		reps = append(reps, r...)
 		breached = breached || b
 	}
-	printVerdicts(fmt.Sprintf("SLO gate: %s (%s window)", target, gateName), reps, gateName)
+	fmt.Println(slo.VerdictTable(fmt.Sprintf("SLO gate: %s (%s window)", target, gateName), reps, gateName))
 	return applyMinRequests(breached, globalRequests, minReq), nil
 }
 
@@ -188,32 +187,6 @@ func applyMinRequests(breached bool, requests, minReq int64) bool {
 		fmt.Println("PASS: all objectives within budget")
 	}
 	return breached
-}
-
-// printVerdicts renders one row per objective, reporting the burn rate
-// over the gate window.
-func printVerdicts(title string, reps []slo.ObjectiveReport, gateName string) {
-	tab := report.NewTable(title, "objective", "scope", "actual", "threshold", "burn", "verdict")
-	for _, r := range reps {
-		scope := r.Scope
-		if scope == "" {
-			scope = slo.GlobalScope
-		}
-		verdict := "ok"
-		if r.Breached {
-			verdict = "BREACH"
-		}
-		tab.AddRow(r.Name, scope, formatActual(r.Kind, r.Actual), formatActual(r.Kind, r.Threshold),
-			fmt.Sprintf("%.2f", r.BurnRates[gateName]), verdict)
-	}
-	fmt.Println(tab)
-}
-
-func formatActual(kind string, v float64) string {
-	if kind == slo.KindLatency.String() {
-		return time.Duration(v * float64(time.Second)).Round(10 * time.Microsecond).String()
-	}
-	return report.Percent(v)
 }
 
 func windowNames(m map[string]slo.WindowStats) []string {

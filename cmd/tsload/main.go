@@ -156,21 +156,8 @@ func gateSLO(spec string, st *loadgen.Stats) error {
 	}
 	ws := st.SLOWindow()
 	reps, breached := policy.EvaluateStats(ws, "")
-	tab := report.NewTable("SLO verdicts (whole run)", "objective", "actual", "threshold", "burn", "verdict")
 	wn := slo.WindowName(time.Duration(ws.WindowSeconds * float64(time.Second)))
-	for _, r := range reps {
-		verdict := "ok"
-		if r.Breached {
-			verdict = "BREACH"
-		}
-		actual, threshold := report.Percent(r.Actual), report.Percent(r.Threshold)
-		if r.Kind == slo.KindLatency.String() {
-			actual = fmtLatency(r.Actual)
-			threshold = fmtLatency(r.Threshold)
-		}
-		tab.AddRow(r.Name, actual, threshold, fmt.Sprintf("%.2f", r.BurnRates[wn]), verdict)
-	}
-	fmt.Println(tab)
+	fmt.Println(slo.VerdictTable("SLO verdicts (whole run)", reps, wn))
 	if breached {
 		return fmt.Errorf("SLO breached (see verdicts above)")
 	}

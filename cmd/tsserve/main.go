@@ -16,7 +16,7 @@
 //	        [-drain 10s] [-drain-grace 0] [-slo-policy <file|inline>]
 //	        [-trace-buffer 0] [-trace-sample 1] [-dc europe]
 //	        [-name europe] [-shield http://127.0.0.1:8090]
-//	        [-peer-fill http://...,http://...] [-fill-timeout 5s]
+//	        [-fill-timeout 5s]
 //	        [-debug-addr :6060] [-progress] [-manifest run.json]
 //
 // The edge always tracks rolling SLO windows and serves them at /slo
@@ -32,15 +32,16 @@
 // scopes. tsrouter maps traffic to a fleet of scoped edges and a
 // collector merges their stats back into one cluster view.
 //
-// -shield and -peer-fill put the edge's miss path behind a fill
-// hierarchy: instead of a flat simulated origin fetch, a miss first asks
-// the shield (typically tsrouter -shield, which dedupes concurrent
-// misses cluster-wide and probes peer DCs) or the given peer edges'
-// /fill/ endpoints, and only pays the origin when nobody has the object.
-// The cache model is untouched — only where bytes come from changes —
-// so offline replay equivalence holds with fills on. The /fill/
-// residency endpoint itself is always served. -name tells the shield who
-// is asking so it never probes the requester back (defaults to -dc).
+// -shield puts the edge's miss path behind a fill hierarchy: instead of
+// a flat simulated origin fetch, a miss asks the shield (typically
+// tsrouter -shield), which dedupes concurrent misses cluster-wide, probes
+// the peer DCs' /fill/ endpoints and only pays the origin when nobody has
+// the object; if the shield cannot answer, the miss pays the local origin
+// model. The cache model is untouched — only where bytes come from
+// changes — so offline replay equivalence holds with fills on. The
+// /fill/ residency endpoint itself is always served. -name tells the
+// shield who is asking so it never probes the requester back (defaults
+// to -dc).
 //
 // SIGINT/SIGTERM triggers a graceful drain: /healthz flips to 503
 // "draining", the listener stays open for -drain-grace so load
@@ -97,8 +98,7 @@ func run() error {
 		dcFlag      = flag.String("dc", "", "comma-separated regions this edge owns (e.g. europe or north-america,south-america); requests for other regions get 421. Empty serves all regions")
 		name        = flag.String("name", "", "backend name sent with fill requests so the shield skips the requester (defaults to -dc)")
 		shieldURL   = flag.String("shield", "", "origin shield base URL; misses fill through it (dedupe + peer probing) instead of the flat origin model")
-		peerFill    = flag.String("peer-fill", "", "comma-separated peer edge base URLs to probe on miss (after -shield, before local origin)")
-		fillTimeout = flag.Duration("fill-timeout", edge.DefaultFillTimeout, "budget for one shield or peer fill attempt")
+		fillTimeout = flag.Duration("fill-timeout", edge.DefaultFillTimeout, "budget for one shield fill attempt")
 	)
 	obsFlags := cliobs.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -163,15 +163,8 @@ func run() error {
 	if *name == "" {
 		*name = *dcFlag
 	}
-	var peers []string
-	for _, p := range strings.Split(*peerFill, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, strings.TrimRight(p, "/"))
-		}
-	}
-	if *shieldURL != "" || len(peers) > 0 {
+	if *shieldURL != "" {
 		extra["shield"] = *shieldURL
-		extra["peer_fill"] = len(peers)
 	}
 	srv, err := edge.New(edge.Config{
 		Regions:         dcs,
@@ -181,8 +174,7 @@ func run() error {
 		MaxBodyBytes:    *maxBody,
 		MaxInflight:     *maxInflight,
 		Name:            *name,
-		ShieldURL:       strings.TrimRight(*shieldURL, "/"),
-		PeerFillURLs:    peers,
+		ShieldURL:       *shieldURL,
 		FillTimeout:     *fillTimeout,
 		Metrics:         sess.Registry(),
 		SLO:             engine,

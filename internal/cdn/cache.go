@@ -8,7 +8,6 @@
 package cdn
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -199,107 +198,195 @@ func (c *FIFO) Access(key uint64, size int64, _ time.Time) bool {
 // Name implements Cache.
 func (c *FIFO) Name() string { return "fifo" }
 
-// lfuItem is a heap node ordered by (frequency, last access tick).
-type lfuItem struct {
-	key   uint64
-	size  int64
-	freq  int64
-	tick  int64 // tie-break: older ticks evict first
-	index int
+// heapNode is one resident object of a heapStore.
+type heapNode struct {
+	key      uint64
+	size     int64
+	freq     float64
+	priority float64
+	tick     int64 // tie-break: older ticks evict first
+	pos      int32 // position in heapStore.heap; on the free list, the next free node
 }
 
-type lfuHeap []*lfuItem
-
-func (h lfuHeap) Len() int { return len(h) }
-func (h lfuHeap) Less(i, j int) bool {
-	if h[i].freq != h[j].freq {
-		return h[i].freq < h[j].freq
-	}
-	return h[i].tick < h[j].tick
-}
-func (h lfuHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *lfuHeap) Push(x any) {
-	it := x.(*lfuItem)
-	it.index = len(*h)
-	*h = append(*h, it)
-}
-func (h *lfuHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
-}
-
-// LFU is a least-frequently-used cache with LRU tie-breaking.
-type LFU struct {
+// heapStore is the byte-bounded priority store both frequency-ordered
+// policies are built on, as queue is for the recency-ordered ones: LFU
+// and GDSF differ only in the priority they give an object and in what an
+// eviction does to later priorities. Nodes live in one slice and a binary
+// min-heap of node indices orders them by (priority, tick); every
+// operation takes a fresh tick, so the order is total and the victim
+// never depends on the heap's layout. Evicted nodes are recycled through
+// a free list threaded along pos, so a full cache admits and evicts
+// without allocating.
+type heapStore struct {
 	capacity int64
 	bytes    int64
-	items    map[uint64]*lfuItem
-	heap     lfuHeap
+	nodes    []heapNode
+	heap     []int32 // min-heap of indices into nodes
+	free     int32   // head of the recycled-node list; -1 when empty
+	index    map[uint64]int32
 	tick     int64
+	// priority ranks an object by access frequency and size; the lowest
+	// priority is evicted first.
+	priority func(freq float64, size int64) float64
+	// evicted, when non-nil, sees the priority of each object evicted for
+	// space (not of a purged one).
+	evicted func(priority float64)
 }
+
+func newHeapStore(capacity int64, priority func(freq float64, size int64) float64, evicted func(priority float64)) heapStore {
+	return heapStore{capacity: capacity, free: -1, index: map[uint64]int32{}, priority: priority, evicted: evicted}
+}
+
+// Access implements Cache.
+func (h *heapStore) Access(key uint64, size int64, _ time.Time) bool {
+	h.tick++
+	if i, ok := h.index[key]; ok {
+		n := &h.nodes[i]
+		n.freq++
+		n.priority = h.priority(n.freq, n.size)
+		n.tick = h.tick
+		h.fix(int(n.pos))
+		return true
+	}
+	h.insert(key, size, 1)
+	return false
+}
+
+// Contains implements Cache.
+func (h *heapStore) Contains(key uint64) bool { _, ok := h.index[key]; return ok }
+
+// Len implements Cache.
+func (h *heapStore) Len() int { return len(h.index) }
+
+// Bytes implements Cache.
+func (h *heapStore) Bytes() int64 { return h.bytes }
+
+// Capacity implements Cache.
+func (h *heapStore) Capacity() int64 { return h.capacity }
+
+// Purge implements Purger.
+func (h *heapStore) Purge(key uint64) bool {
+	i, ok := h.index[key]
+	if ok {
+		h.remove(int(h.nodes[i].pos))
+	}
+	return ok
+}
+
+// push admits key, if absent, at the frequency a policy gives an object
+// nobody has asked for yet.
+func (h *heapStore) push(key uint64, size int64, freq float64) {
+	h.tick++
+	if !h.Contains(key) {
+		h.insert(key, size, freq)
+	}
+}
+
+// insert admits key, evicting lowest (priority, tick) first until it
+// fits; objects larger than the whole store are not admitted. The
+// newcomer's priority is taken after the evictions, so a policy whose
+// evicted hook moves later priorities (GDSF's inflation) applies to it.
+func (h *heapStore) insert(key uint64, size int64, freq float64) {
+	if size > h.capacity {
+		return
+	}
+	for h.bytes+size > h.capacity && len(h.heap) > 0 {
+		if h.evicted != nil {
+			h.evicted(h.nodes[h.heap[0]].priority)
+		}
+		h.remove(0)
+	}
+	i := h.free
+	if i >= 0 {
+		h.free = h.nodes[i].pos
+	} else {
+		h.nodes = append(h.nodes, heapNode{})
+		i = int32(len(h.nodes) - 1)
+	}
+	h.nodes[i] = heapNode{key: key, size: size, freq: freq, priority: h.priority(freq, size), tick: h.tick, pos: int32(len(h.heap))}
+	h.heap = append(h.heap, i)
+	h.up(len(h.heap) - 1)
+	h.index[key] = i
+	h.bytes += size
+}
+
+// remove takes the node at heap position pos out of the store and
+// recycles it.
+func (h *heapStore) remove(pos int) {
+	last := len(h.heap) - 1
+	h.swap(pos, last)
+	i := h.heap[last]
+	h.heap = h.heap[:last]
+	if pos != last {
+		h.fix(pos)
+	}
+	n := &h.nodes[i]
+	delete(h.index, n.key)
+	h.bytes -= n.size
+	n.pos = h.free
+	h.free = i
+}
+
+func (h *heapStore) less(a, b int32) bool {
+	x, y := &h.nodes[a], &h.nodes[b]
+	if x.priority != y.priority {
+		return x.priority < y.priority
+	}
+	return x.tick < y.tick
+}
+
+// fix restores heap order after the node at pos alone changed rank.
+func (h *heapStore) fix(pos int) {
+	h.down(pos)
+	h.up(pos) // no-op if down moved it: what came up ranked above its subtree already
+}
+
+func (h *heapStore) swap(a, b int) {
+	h.heap[a], h.heap[b] = h.heap[b], h.heap[a]
+	h.nodes[h.heap[a]].pos, h.nodes[h.heap[b]].pos = int32(a), int32(b)
+}
+
+func (h *heapStore) up(pos int) {
+	for pos > 0 {
+		parent := (pos - 1) / 2
+		if !h.less(h.heap[pos], h.heap[parent]) {
+			return
+		}
+		h.swap(pos, parent)
+		pos = parent
+	}
+}
+
+func (h *heapStore) down(pos int) {
+	for {
+		least := pos
+		for child := 2*pos + 1; child <= 2*pos+2 && child < len(h.heap); child++ {
+			if h.less(h.heap[child], h.heap[least]) {
+				least = child
+			}
+		}
+		if least == pos {
+			return
+		}
+		h.swap(pos, least)
+		pos = least
+	}
+}
+
+// LFU is a least-frequently-used cache with LRU tie-breaking: an
+// object's priority is its access count (exact as a float64 far beyond
+// any replay's length).
+type LFU struct{ heapStore }
 
 var _ Cache = (*LFU)(nil)
 
 // NewLFU creates an LFU cache with the given byte capacity.
 func NewLFU(capacity int64) *LFU {
-	return &LFU{capacity: capacity, items: map[uint64]*lfuItem{}}
+	return &LFU{newHeapStore(capacity, func(freq float64, _ int64) float64 { return freq }, nil)}
 }
 
-// Access implements Cache.
-func (c *LFU) Access(key uint64, size int64, _ time.Time) bool {
-	c.tick++
-	if it, ok := c.items[key]; ok {
-		it.freq++
-		it.tick = c.tick
-		heap.Fix(&c.heap, it.index)
-		return true
-	}
-	c.insert(key, size, 1)
-	return false
-}
-
-// Contains implements Cache.
-func (c *LFU) Contains(key uint64) bool { _, ok := c.items[key]; return ok }
-
-// Push implements Cache.
-func (c *LFU) Push(key uint64, size int64, _ time.Time) {
-	c.tick++
-	if _, ok := c.items[key]; ok {
-		return
-	}
-	c.insert(key, size, 0)
-}
-
-func (c *LFU) insert(key uint64, size int64, freq int64) {
-	if size > c.capacity {
-		return
-	}
-	for c.bytes+size > c.capacity && len(c.heap) > 0 {
-		ev := heap.Pop(&c.heap).(*lfuItem)
-		delete(c.items, ev.key)
-		c.bytes -= ev.size
-	}
-	it := &lfuItem{key: key, size: size, freq: freq, tick: c.tick}
-	heap.Push(&c.heap, it)
-	c.items[key] = it
-	c.bytes += size
-}
-
-// Len implements Cache.
-func (c *LFU) Len() int { return len(c.items) }
-
-// Bytes implements Cache.
-func (c *LFU) Bytes() int64 { return c.bytes }
-
-// Capacity implements Cache.
-func (c *LFU) Capacity() int64 { return c.capacity }
+// Push implements Cache: a pushed object ranks below every accessed one.
+func (c *LFU) Push(key uint64, size int64, _ time.Time) { c.push(key, size, 0) }
 
 // Name implements Cache.
 func (c *LFU) Name() string { return "lfu" }
@@ -337,18 +424,6 @@ func (c *SLRU) Access(key uint64, size int64, _ time.Time) bool {
 	}
 	c.probation.insert(key, size, nil)
 	return false
-}
-
-// Purge implements Purger for LFU.
-func (c *LFU) Purge(key uint64) bool {
-	it, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	heap.Remove(&c.heap, it.index)
-	delete(c.items, key)
-	c.bytes -= it.size
-	return true
 }
 
 // Purge implements Purger for SLRU.

@@ -249,7 +249,7 @@ func TestPurgePolicies(t *testing.T) {
 	slru, _ := NewSLRU(1000, 0.8)
 	split, _ := NewSplitCache(NewLRU(500), NewLRU(500), 50)
 	ttl, _ := NewTTLCache(NewLRU(1000), time.Hour)
-	caches := []Cache{NewLRU(1000), NewFIFO(1000), NewLFU(1000), slru, split, ttl}
+	caches := []Cache{NewLRU(1000), NewFIFO(1000), NewLFU(1000), NewGDSF(1000), slru, split, ttl}
 	for _, c := range caches {
 		p, ok := c.(Purger)
 		if !ok {

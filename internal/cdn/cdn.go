@@ -49,8 +49,8 @@ type Config struct {
 	// Publishers not listed share the DC's default cache.
 	PublisherCaches map[string]func() Cache
 	// Metrics receives live replay telemetry: per-DC request/hit/miss
-	// and origin/egress byte counters plus cache occupancy gauges, and
-	// per-cache (per-shard for ShardedCache) hit/miss/eviction counters.
+	// and origin/egress byte counters, and per-cache (per-shard for
+	// ShardedCache) hit/miss/eviction counters and occupancy gauges.
 	// nil — the default — disables instrumentation entirely; caches are
 	// then not wrapped and the serve path pays only nil checks.
 	Metrics *obs.Registry
@@ -95,8 +95,6 @@ type dcMetrics struct {
 	misses      *obs.Counter
 	originBytes *obs.Counter
 	egressBytes *obs.Counter
-	cacheObjs   *obs.Gauge
-	cacheBytes  *obs.Gauge
 }
 
 // DCStats carries per-DC counters. During serving the fields are updated
@@ -223,11 +221,9 @@ func New(cfg Config) *CDN {
 				misses:      reg.Counter(obs.Name("cdn_misses_total", "dc", name)),
 				originBytes: reg.Counter(obs.Name("cdn_origin_bytes_total", "dc", name)),
 				egressBytes: reg.Counter(obs.Name("cdn_egress_bytes_total", "dc", name)),
-				cacheObjs:   reg.Gauge(obs.Name("cdn_cache_objects", "dc", name)),
-				cacheBytes:  reg.Gauge(obs.Name("cdn_cache_bytes", "dc", name)),
 			}
 			if sharded, ok := dc.Cache.(*ShardedCache); ok {
-				sharded.Instrument(reg, "dc", name)
+				sharded.Instrument(reg, "dc", name, "cache", "default")
 			} else {
 				dc.Cache = NewInstrumentedCache(dc.Cache, reg, "dc", name, "cache", "default")
 			}
@@ -321,7 +317,10 @@ func (c *CDN) PushToAll(objectID uint64, size int64, now time.Time) {
 // PurgeAll invalidates an object (and, for video, its chunks) across all
 // DC caches — a publisher content-update purge. It returns the number of
 // cache entries removed. videoSize > 0 purges chunk keys covering that
-// size; pass 0 for non-chunked objects.
+// size; pass 0 for non-chunked objects. Only caches that implement Purger
+// are purged: every single-store policy, SLRU, and the split, TTL and
+// instrumented wrappers do; TwoQ, TieredCache and ShardedCache do not and
+// keep the object until it ages out.
 func (c *CDN) PurgeAll(objectID uint64, videoSize int64) int {
 	var removed int
 	keys := []uint64{objectID}
@@ -492,12 +491,6 @@ func (c *CDN) recordCache(dc *DataCenter, hit bool, originBytes, egress int64) {
 	atomic.AddInt64(&dc.Stats.EgressBytes, egress)
 	dc.met.originBytes.Add(originBytes)
 	dc.met.egressBytes.Add(egress)
-	// Gauges track the default cache's occupancy live; the one nil check
-	// keeps the instrumented-off path from paying the Len/Bytes calls.
-	if dc.met.cacheObjs != nil {
-		dc.met.cacheObjs.Set(float64(dc.Cache.Len()))
-		dc.met.cacheBytes.Set(float64(dc.Cache.Bytes()))
-	}
 }
 
 // Replay streams records from r through the CDN, passing each finalized

@@ -1,6 +1,9 @@
 package cdn
 
 import (
+	"bytes"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -62,5 +65,69 @@ func TestShardedCacheInstrument(t *testing.T) {
 	}
 	if misses != 100 {
 		t.Errorf("summed per-shard misses = %d, want 100", misses)
+	}
+}
+
+// TestMetricFamiliesHaveOneLabelSet: every metric family a CDN publishes
+// carries one set of label keys — plain and sharded, with a publisher
+// partition. The per-DC cdn_cache_objects{dc} / cdn_cache_bytes{dc} pair
+// that recordCache used to set beside InstrumentedCache's {dc,cache} and
+// {dc,shard} series broke this (and walked every shard per request).
+func TestMetricFamiliesHaveOneLabelSet(t *testing.T) {
+	sharded := func() Cache {
+		c, err := NewShardedCache(2, 8, func() Cache { return NewLRU(1 << 20) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for name, newCache := range map[string]func() Cache{
+		"plain":   func() Cache { return NewLRU(1 << 20) },
+		"sharded": sharded,
+	} {
+		reg := obs.NewRegistry()
+		c := New(Config{
+			NewCache:        newCache,
+			PublisherCaches: map[string]func() Cache{"V-1": newCache},
+			ChunkBytes:      -1,
+			Metrics:         reg,
+		})
+		for i := uint64(0); i < 6; i++ {
+			c.Serve(imageReq(i%3, 100+i, 1000, t0))
+			c.Serve(videoReq(i%3, 100+i, 1000, 1000, t0))
+		}
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		labelSets := map[string]map[string]bool{} // family -> distinct label-key lists
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			series, _, _ := strings.Cut(line, " ")
+			family, labels, _ := strings.Cut(series, "{")
+			var keys []string
+			for _, kv := range strings.Split(strings.TrimSuffix(labels, "}"), ",") {
+				if k, _, ok := strings.Cut(kv, "="); ok {
+					keys = append(keys, k)
+				}
+			}
+			sort.Strings(keys)
+			if labelSets[family] == nil {
+				labelSets[family] = map[string]bool{}
+			}
+			labelSets[family][strings.Join(keys, ",")] = true
+		}
+		for _, family := range []string{"cdn_requests_total", "cdn_cache_objects", "cdn_cache_bytes", "cdn_cache_hits_total"} {
+			if len(labelSets[family]) == 0 {
+				t.Errorf("%s: family %s not rendered", name, family)
+			}
+		}
+		for family, sets := range labelSets {
+			if len(sets) != 1 {
+				t.Errorf("%s: family %s rendered under %d label sets: %v", name, family, len(sets), sets)
+			}
+		}
 	}
 }

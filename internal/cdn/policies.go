@@ -1,7 +1,6 @@
 package cdn
 
 import (
-	"container/heap"
 	"fmt"
 	"strings"
 	"time"
@@ -71,56 +70,17 @@ func PolicyFactory(name string, capacity int64) (func() Cache, error) {
 // protected from large one-shot objects — the classic web-cache policy
 // for the mixed image/video workloads this repository studies.
 type GDSF struct {
-	capacity int64
-	bytes    int64
-	items    map[uint64]*gdsfItem
-	heap     gdsfHeap
-	inflate  float64 // L: priority floor, raised to each eviction's priority
-	tick     int64
-}
-
-type gdsfItem struct {
-	key      uint64
-	size     int64
-	freq     float64
-	priority float64
-	tick     int64
-	index    int
-}
-
-type gdsfHeap []*gdsfItem
-
-func (h gdsfHeap) Len() int { return len(h) }
-func (h gdsfHeap) Less(i, j int) bool {
-	if h[i].priority != h[j].priority {
-		return h[i].priority < h[j].priority
-	}
-	return h[i].tick < h[j].tick
-}
-func (h gdsfHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *gdsfHeap) Push(x any) {
-	it := x.(*gdsfItem)
-	it.index = len(*h)
-	*h = append(*h, it)
-}
-func (h *gdsfHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
+	heapStore
+	inflate float64 // L: priority floor, raised to each eviction's priority
 }
 
 var _ Cache = (*GDSF)(nil)
 
 // NewGDSF creates a GDSF cache with the given byte capacity.
 func NewGDSF(capacity int64) *GDSF {
-	return &GDSF{capacity: capacity, items: map[uint64]*gdsfItem{}}
+	c := &GDSF{}
+	c.heapStore = newHeapStore(capacity, c.priority, c.evicted)
+	return c
 }
 
 // priority computes L + freq/size (sizes in KiB so priorities stay in a
@@ -133,61 +93,16 @@ func (c *GDSF) priority(freq float64, size int64) float64 {
 	return c.inflate + freq/kb
 }
 
-// Access implements Cache.
-func (c *GDSF) Access(key uint64, size int64, _ time.Time) bool {
-	c.tick++
-	if it, ok := c.items[key]; ok {
-		it.freq++
-		it.priority = c.priority(it.freq, it.size)
-		it.tick = c.tick
-		heap.Fix(&c.heap, it.index)
-		return true
+// evicted is the inflation step: future insertions compete against the
+// value of what was just evicted.
+func (c *GDSF) evicted(priority float64) {
+	if priority > c.inflate {
+		c.inflate = priority
 	}
-	c.insert(key, size, 1)
-	return false
 }
 
-// Contains implements Cache.
-func (c *GDSF) Contains(key uint64) bool { _, ok := c.items[key]; return ok }
-
-// Push implements Cache.
-func (c *GDSF) Push(key uint64, size int64, _ time.Time) {
-	c.tick++
-	if _, ok := c.items[key]; ok {
-		return
-	}
-	c.insert(key, size, 0.5)
-}
-
-func (c *GDSF) insert(key uint64, size int64, freq float64) {
-	if size > c.capacity {
-		return
-	}
-	for c.bytes+size > c.capacity && len(c.heap) > 0 {
-		ev := heap.Pop(&c.heap).(*gdsfItem)
-		delete(c.items, ev.key)
-		c.bytes -= ev.size
-		// Inflation: future insertions compete against the value of
-		// what was just evicted.
-		if ev.priority > c.inflate {
-			c.inflate = ev.priority
-		}
-	}
-	it := &gdsfItem{key: key, size: size, freq: freq, tick: c.tick}
-	it.priority = c.priority(freq, size)
-	heap.Push(&c.heap, it)
-	c.items[key] = it
-	c.bytes += size
-}
-
-// Len implements Cache.
-func (c *GDSF) Len() int { return len(c.items) }
-
-// Bytes implements Cache.
-func (c *GDSF) Bytes() int64 { return c.bytes }
-
-// Capacity implements Cache.
-func (c *GDSF) Capacity() int64 { return c.capacity }
+// Push implements Cache: a pushed object starts at half an access.
+func (c *GDSF) Push(key uint64, size int64, _ time.Time) { c.push(key, size, 0.5) }
 
 // Name implements Cache.
 func (c *GDSF) Name() string { return "gdsf" }

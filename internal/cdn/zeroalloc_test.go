@@ -119,6 +119,31 @@ func TestLRUChurnZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestHeapStoreChurnZeroAllocs is the same guard for the priority store:
+// a full LFU or GDSF admitting new keys recycles evicted nodes — the
+// container/heap caches it replaced allocated an item per admission and
+// boxed it on every heap.Push.
+func TestHeapStoreChurnZeroAllocs(t *testing.T) {
+	const resident = 1024
+	for _, c := range []Cache{NewLFU(resident * 10), NewGDSF(resident * 10)} {
+		key := uint64(0)
+		for ; key < 2*resident; key++ {
+			c.Access(key, 10, t0)
+		}
+		n := testing.AllocsPerRun(20_000, func() {
+			c.Access(key, 10, t0)
+			c.Access(key, 10, t0) // a hit re-sifts; it must not allocate either
+			key++
+		})
+		if n != 0 {
+			t.Errorf("%s insert+evict+hit at steady state: %v allocs/op, want 0", c.Name(), n)
+		}
+		if c.Len() != resident {
+			t.Errorf("%s: Len = %d, want %d", c.Name(), c.Len(), resident)
+		}
+	}
+}
+
 // TestReplayStreamAllocsPerRecord guards the block lanes: a replay
 // allocates its blocks, lanes and client-state maps, not per record.
 // Caches hold the whole working set, so no insert allocates for growth

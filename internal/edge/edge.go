@@ -73,16 +73,13 @@ type Config struct {
 	// (X-TS-Fill-From) so a shield probing peers on its behalf skips the
 	// requester itself. Conventionally the tsserve -dc value.
 	Name string
-	// PeerFillURLs lists peer edge base URLs to probe directly on a miss
-	// before falling back to the origin. Empty disables direct peer fill.
-	PeerFillURLs []string
 	// ShieldURL, when set, routes every miss through an origin shield
-	// (fleet.Shield) instead of probing peers directly: the shield dedupes
-	// concurrent origin fetches across all backends and does the peer
-	// probing itself. Takes precedence over PeerFillURLs.
+	// (fleet.Shield): the shield dedupes concurrent origin fetches across
+	// all backends and probes the peer DCs. Empty keeps the flat simulated
+	// origin fetch.
 	ShieldURL string
-	// FillTimeout bounds one shield or peer fill attempt; zero defaults
-	// to DefaultFillTimeout.
+	// FillTimeout bounds one shield fill attempt; zero defaults to
+	// DefaultFillTimeout.
 	FillTimeout time.Duration
 	// FillClient issues fill requests; nil builds a pooled client.
 	FillClient *http.Client
@@ -122,10 +119,10 @@ type Server struct {
 	inflightG *obs.Gauge
 	latency   *obs.Histogram
 
-	// Fill hierarchy: fill is non-nil when this edge resolves misses
-	// through peers or a shield (requesting side); the /fill/ endpoint
-	// and its counters are always live (serving side).
-	fill            *filler
+	// Fill hierarchy: misses resolve through the shield when
+	// cfg.ShieldURL is set (requesting side, deduped by fillSF); the
+	// /fill/ endpoint and its counters are always live (serving side).
+	fillSF          cdn.SingleFlight
 	fillPeer        *obs.Counter
 	fillOrigin      *obs.Counter
 	fillDedup       *obs.Counter
@@ -169,6 +166,18 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.OriginBandwidth < 0 {
 		return nil, errors.New("edge: negative OriginBandwidth")
+	}
+	if cfg.ShieldURL != "" {
+		cfg.ShieldURL = strings.TrimRight(cfg.ShieldURL, "/")
+		if cfg.FillTimeout <= 0 {
+			cfg.FillTimeout = DefaultFillTimeout
+		}
+		if cfg.FillClient == nil {
+			cfg.FillClient = &http.Client{Transport: &http.Transport{
+				MaxIdleConnsPerHost: 16,
+				IdleConnTimeout:     time.Minute,
+			}}
+		}
 	}
 	s := &Server{cfg: cfg, cdn: cdn.NewConcurrent(cfg.CDN)}
 	if len(cfg.Regions) > 0 {
@@ -224,33 +233,6 @@ func New(cfg Config) (*Server, error) {
 	s.fillHits = reg.Counter("edge_fill_hits_total")
 	s.fillMisses = reg.Counter("edge_fill_misses_total")
 	s.fillServedBytes = reg.Counter("edge_fill_served_bytes_total")
-	if cfg.ShieldURL != "" || len(cfg.PeerFillURLs) > 0 {
-		timeout := cfg.FillTimeout
-		if timeout <= 0 {
-			timeout = DefaultFillTimeout
-		}
-		client := cfg.FillClient
-		if client == nil {
-			client = &http.Client{Transport: &http.Transport{
-				MaxIdleConnsPerHost: 16,
-				IdleConnTimeout:     time.Minute,
-			}}
-		}
-		f := &filler{
-			name:    cfg.Name,
-			shield:  strings.TrimRight(cfg.ShieldURL, "/"),
-			client:  client,
-			timeout: timeout,
-			origin:  s.originDelay,
-			s:       s,
-		}
-		for _, p := range cfg.PeerFillURLs {
-			if p = strings.TrimRight(strings.TrimSpace(p), "/"); p != "" {
-				f.peers = append(f.peers, p)
-			}
-		}
-		s.fill = f
-	}
 	if cfg.SLO != nil {
 		s.sloGlobal = cfg.SLO.Global()
 		for _, r := range timeutil.AllRegions() {
@@ -453,13 +435,13 @@ func (s *Server) handleObject(w http.ResponseWriter, req *http.Request) {
 	h.Set("Content-Type", "application/octet-stream")
 
 	// Resolve the miss outside any lock so slow fills stall only their
-	// own request, not the whole edge. With a fill hierarchy configured
-	// the miss goes shield → peers → local origin (deduped per object);
-	// otherwise it is the flat simulated origin fetch.
+	// own request, not the whole edge. With a shield configured the miss
+	// goes shield → local origin (deduped per object); otherwise it is
+	// the flat simulated origin fetch.
 	if out.Cache == trace.CacheMiss {
-		if s.fill != nil {
+		if s.cfg.ShieldURL != "" {
 			fillStart := time.Now()
-			res, shared, ferr := s.fill.fill(req.Context(), out)
+			res, shared, ferr := s.fill(req.Context(), out)
 			originNs = time.Since(fillStart).Nanoseconds()
 			if ferr != nil {
 				// A follower whose client died while waiting on the

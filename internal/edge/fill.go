@@ -13,17 +13,17 @@ import (
 
 // The fill hierarchy's edge half. Serving side: /fill/ answers "do you
 // hold this object?" from cache residency alone (cdn.DCContains — no
-// admission, no recency touch, no stats), so peers can fill from here
-// without perturbing this DC's cache model. Requesting side: on a
-// regional miss, a filler replaces the flat simulated-origin sleep with
-// shield → peer → local-origin resolution, deduping concurrent misses
+// admission, no recency touch, no stats), so the shield can fill peers'
+// misses from here without perturbing this DC's cache model. Requesting
+// side: behind a shield, a regional miss replaces the flat simulated-origin
+// sleep with shield → local-origin resolution, deduping concurrent misses
 // for the same object through a cdn.SingleFlight. The CDN model is
 // untouched either way — the cache already admitted the object when
 // ServeInto counted the miss; the fill layer only decides where the
 // bytes come from and how long they take, which is exactly why offline
 // Replay equivalence survives.
 
-// DefaultFillTimeout bounds one shield or peer fill attempt when
+// DefaultFillTimeout bounds one shield fill attempt when
 // Config.FillTimeout is zero.
 const DefaultFillTimeout = 5 * time.Second
 
@@ -43,8 +43,9 @@ type FillStats struct {
 	PeerFillBytes   int64 `json:"peer_fill_bytes"`
 	OriginFillBytes int64 `json:"origin_fill_bytes"`
 	DedupFillBytes  int64 `json:"dedup_fill_bytes"`
-	// FillErrors counts shield/peer attempts that failed in transport;
-	// the miss still resolves (next tier, ultimately local origin).
+	// FillErrors counts shield attempts that failed (transport, status
+	// or a reply naming no source); the miss still resolves, from the
+	// local origin.
 	FillErrors int64 `json:"fill_errors"`
 	// Serving side: /fill/ requests answered for peers.
 	ServedRequests int64 `json:"served_requests"`
@@ -99,7 +100,7 @@ func fillBytes(r *trace.Record) int64 {
 	return r.ObjectSize
 }
 
-// handleFill answers a peer's (or shield's) residency probe: 200 when an
+// handleFill answers the shield's residency probe: 200 when an
 // owned DC holds every chunk the request covers, 404 otherwise. The
 // check is strictly read-only — no origin fetch is triggered, no LRU
 // state moves, no DCStats count — so serving fills leaves this edge's
@@ -142,107 +143,75 @@ func (s *Server) handleFill(w http.ResponseWriter, req *http.Request) {
 	w.WriteHeader(http.StatusOK)
 }
 
-// filler is the requesting side: it resolves a regional miss through the
-// fill hierarchy. Resolution order is shield (if configured) → direct
-// peer probes → local simulated origin; concurrent misses for the same
+// fill is the requesting side: it resolves the regional miss rec
+// describes through the shield, falling back to the local simulated
+// origin when the shield cannot answer. Concurrent misses for the same
 // object within this edge collapse into one resolution via SingleFlight.
-type filler struct {
-	name    string
-	shield  string   // shield base URL, "" when unshielded
-	peers   []string // peer edge base URLs for direct probing
-	client  *http.Client
-	timeout time.Duration
-	origin  func(int64) time.Duration // local origin delay model
-	sf      cdn.SingleFlight
-	s       *Server // fill counters
-}
-
-// fill resolves the miss rec describes. The leader for an object runs
-// the resolution to completion even if its client disconnects — the
-// result is shared, and the cache model admitted the object when the
-// miss was counted, so abandoning a fill mid-flight would only desync
-// followers. Followers wait under ctx and may give up individually
-// (ctx.Err() is returned). shared reports this call rode another
-// caller's in-flight resolution.
-func (f *filler) fill(ctx context.Context, rec *trace.Record) (cdn.FillResult, bool, error) {
+// Peer edges are never asked from here: probing their /fill/ endpoints is
+// the shield's job alone (fleet.Shield.resolve).
+//
+// The leader for an object runs the resolution to completion even if its
+// client disconnects — the result is shared, and the cache model admitted
+// the object when the miss was counted, so abandoning a fill mid-flight
+// would only desync followers. Followers wait under ctx and may give up
+// individually (ctx.Err() is returned). shared reports this call rode
+// another caller's in-flight resolution.
+func (s *Server) fill(ctx context.Context, rec *trace.Record) (cdn.FillResult, bool, error) {
 	// Copy out of the pooled scratch: followers may still read the
 	// leader's closure state after the leader's handler returned it.
 	r := *rec
-	return f.sf.Do(ctx, r.ObjectID, func() (cdn.FillResult, error) {
-		return f.fetch(&r), nil
+	return s.fillSF.Do(ctx, r.ObjectID, func() (cdn.FillResult, error) {
+		return s.fetchFill(&r), nil
 	})
 }
 
-// fetch is the leader's resolution: shield, then peers, then local
-// origin. It never fails — every error falls through to the next tier,
-// counted in edge_fill_errors_total.
-func (f *filler) fetch(r *trace.Record) cdn.FillResult {
+// fetchFill is the leader's resolution: the shield, then the local origin
+// model. It never fails — a shield that cannot answer is counted in
+// edge_fill_errors_total and the miss pays the local origin instead.
+func (s *Server) fetchFill(r *trace.Record) cdn.FillResult {
 	n := fillBytes(r)
-	if f.shield != "" {
-		if res, ok := f.ask(f.shield, r, n); ok {
-			return res
-		}
-		f.s.fillErrors.Inc()
+	if res, ok := s.askShield(r, n); ok {
+		return res
 	}
-	for _, p := range f.peers {
-		res, ok := f.ask(p, r, n)
-		if ok && res.Source != cdn.FillNone {
-			res.Source = cdn.FillPeer
-			if res.Backend == "" {
-				res.Backend = p
-			}
-			return res
-		}
-		if !ok {
-			f.s.fillErrors.Inc()
-		}
-	}
+	s.fillErrors.Inc()
 	// Local origin simulation: an uninterruptible sleep by design — the
 	// leader's fill completes for whoever shares it.
-	if d := f.origin(n); d > 0 {
+	if d := s.originDelay(n); d > 0 {
 		time.Sleep(d)
 	}
 	return cdn.FillResult{Source: cdn.FillOrigin, Bytes: n}
 }
 
-// ask issues one fill request against base. ok=false means transport or
-// protocol failure (try the next tier); ok=true with Source FillNone
-// means a clean "not cached" 404 from a peer.
-func (f *filler) ask(base string, r *trace.Record, n int64) (cdn.FillResult, bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), f.timeout)
+// askShield issues the fill request. A shield always answers 200 naming
+// where the bytes came from (X-TS-Fill-Source peer|origin); a transport
+// failure, any other status or a reply without a source is ok=false.
+func (s *Server) askShield(r *trace.Record, n int64) (cdn.FillResult, bool) {
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.FillTimeout)
 	defer cancel()
 	uri := string(AppendFillPath(make([]byte, 0, 96), r))
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+uri, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.cfg.ShieldURL+uri, nil)
 	if err != nil {
 		return cdn.FillResult{}, false
 	}
-	if f.name != "" {
-		req.Header.Set(HeaderFillFrom, f.name)
+	if s.cfg.Name != "" {
+		req.Header.Set(HeaderFillFrom, s.cfg.Name)
 	}
-	resp, err := f.client.Do(req)
+	resp, err := s.cfg.FillClient.Do(req)
 	if err != nil {
 		return cdn.FillResult{}, false
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		res := cdn.FillResult{
-			Source:  cdn.ParseFillSource(resp.Header.Get(HeaderFillSource)),
-			Backend: resp.Header.Get(HeaderFillBackend),
-			Deduped: resp.Header.Get(HeaderFillDedup) == "1",
-			Bytes:   n,
-		}
-		if v, err := strconv.ParseInt(resp.Header.Get(HeaderBytes), 10, 64); err == nil && v > 0 {
-			res.Bytes = v
-		}
-		if res.Source == cdn.FillNone {
-			// A bare 200 without a source header is a peer edge's hit.
-			res.Source = cdn.FillPeer
-		}
-		return res, true
-	case http.StatusNotFound:
-		return cdn.FillResult{Source: cdn.FillNone}, true
-	default:
+	res := cdn.FillResult{
+		Source:  cdn.ParseFillSource(resp.Header.Get(HeaderFillSource)),
+		Backend: resp.Header.Get(HeaderFillBackend),
+		Deduped: resp.Header.Get(HeaderFillDedup) == "1",
+		Bytes:   n,
+	}
+	if resp.StatusCode != http.StatusOK || res.Source == cdn.FillNone {
 		return cdn.FillResult{}, false
 	}
+	if v, err := strconv.ParseInt(resp.Header.Get(HeaderBytes), 10, 64); err == nil && v > 0 {
+		res.Bytes = v
+	}
+	return res, true
 }

@@ -3,6 +3,7 @@ package edge
 import (
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -78,47 +79,94 @@ func TestFillEndpoint(t *testing.T) {
 	}
 }
 
-// TestPeerFill: a miss on one edge is filled from a peer edge that
-// already holds the object, counted as a peer fill on the requester and
-// a served hit on the peer — and the requester's CDN stats stay exactly
-// what an offline replay of its own traffic would produce.
-func TestPeerFill(t *testing.T) {
-	peer := newTestServer(t, Config{Name: "peer-dc"})
-	peerTS := httptest.NewServer(peer.Handler())
-	defer peerTS.Close()
+// shieldReply answers a fill the way fleet.Shield does: 200,
+// X-TS-Fill-Source naming where the bytes came from, X-TS-Fill-Backend
+// for a peer fill, X-TS-Fill-Dedup and X-TS-Bytes.
+func shieldReply(source cdn.FillSource) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		var rec trace.Record
+		if err := ParseFillRequestInto(req, &rec); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		h := w.Header()
+		h.Set(HeaderFillSource, source.String())
+		if source == cdn.FillPeer {
+			h.Set(HeaderFillBackend, "peer-dc")
+		}
+		h.Set(HeaderFillDedup, "0")
+		h.Set(HeaderBytes, strconv.FormatInt(rec.ObjectSize, 10))
+	}
+}
 
-	rec := testRecord()
-	// Warm the peer: its own miss admits the object.
-	resp, err := http.Get(peerTS.URL + RequestPath(rec))
+// fakeShield is an httptest server answering /fill/ with reply. It counts
+// requests and remembers the last X-TS-Fill-From.
+type fakeShield struct {
+	*httptest.Server
+	mu       sync.Mutex
+	requests int
+	from     string
+}
+
+func newFakeShield(t *testing.T, reply http.HandlerFunc) *fakeShield {
+	t.Helper()
+	fs := &fakeShield{}
+	mux := http.NewServeMux()
+	mux.HandleFunc(FillPrefix, func(w http.ResponseWriter, req *http.Request) {
+		fs.mu.Lock()
+		fs.requests++
+		fs.from = req.Header.Get(HeaderFillFrom)
+		fs.mu.Unlock()
+		reply(w, req)
+	})
+	fs.Server = httptest.NewServer(mux)
+	t.Cleanup(fs.Close)
+	return fs
+}
+
+func (fs *fakeShield) seen() (requests int, from string) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.requests, fs.from
+}
+
+// getMiss requests rec from the edge at base, requires a MISS verdict and
+// returns the status code and how long the request took.
+func getMiss(t *testing.T, base string, rec *trace.Record) (status int, elapsed time.Duration) {
+	t.Helper()
+	start := time.Now()
+	resp, err := http.Get(base + RequestPath(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	if got := resp.Header.Get(HeaderCache); got != trace.CacheMiss.String() {
+		t.Fatalf("%s = %q, want MISS", HeaderCache, got)
+	}
+	return resp.StatusCode, time.Since(start)
+}
 
+// TestPeerFill: a miss the shield fills from a peer DC is counted as a
+// peer fill on the requester, costs it no origin latency — and the
+// requester's CDN stats stay exactly what an offline replay of its own
+// traffic would produce.
+func TestPeerFill(t *testing.T) {
+	shield := newFakeShield(t, shieldReply(cdn.FillPeer))
 	s := newTestServer(t, Config{
 		Name:          "local-dc",
-		PeerFillURLs:  []string{peerTS.URL},
-		OriginLatency: 200 * time.Millisecond, // only paid if peer fill fails
+		ShieldURL:     shield.URL,
+		OriginLatency: 200 * time.Millisecond, // only paid if the shield fails
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	start := time.Now()
-	resp, err = http.Get(ts.URL + RequestPath(rec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	elapsed := time.Since(start)
-	if got := resp.Header.Get(HeaderCache); got != trace.CacheMiss.String() {
-		t.Fatalf("%s = %q, want MISS", HeaderCache, got)
-	}
-	if elapsed >= 200*time.Millisecond {
-		t.Errorf("peer-filled miss took %v — looks like it paid the origin latency", elapsed)
+	rec := testRecord()
+	if _, elapsed := getMiss(t, ts.URL, rec); elapsed >= 200*time.Millisecond {
+		t.Errorf("miss filled from a peer took %v — looks like it paid the origin latency", elapsed)
 	}
 
 	fs := s.FillStats()
-	if fs.PeerFills != 1 || fs.OriginFills != 0 || fs.DedupFills != 0 {
+	if fs.PeerFills != 1 || fs.OriginFills != 0 || fs.DedupFills != 0 || fs.FillErrors != 0 {
 		t.Errorf("fill stats = %+v, want exactly one peer fill", fs)
 	}
 	if fs.PeerFillBytes != rec.ObjectSize {
@@ -127,8 +175,8 @@ func TestPeerFill(t *testing.T) {
 	if fs.SavedBytes() != rec.ObjectSize {
 		t.Errorf("SavedBytes = %d, want %d", fs.SavedBytes(), rec.ObjectSize)
 	}
-	if pfs := peer.FillStats(); pfs.ServedHits != 1 {
-		t.Errorf("peer fill stats = %+v, want one served hit", pfs)
+	if n, from := shield.seen(); n != 1 || from != "local-dc" {
+		t.Errorf("shield saw %d requests, last from %q; want 1 from local-dc", n, from)
 	}
 
 	// Equivalence: the requester's cache model never saw the fill layer.
@@ -143,23 +191,19 @@ func TestPeerFill(t *testing.T) {
 	}
 }
 
-// TestPeerFillMissFallsBack: when no peer holds the object the miss
-// falls back to the (local) origin and is counted as an origin fill.
+// TestPeerFillMissFallsBack: when no peer holds the object the shield
+// fetches it from the origin; the requester counts one origin fill and
+// does not pay its own origin model on top.
 func TestPeerFillMissFallsBack(t *testing.T) {
-	peer := newTestServer(t, Config{})
-	peerTS := httptest.NewServer(peer.Handler())
-	defer peerTS.Close()
-
-	s := newTestServer(t, Config{PeerFillURLs: []string{peerTS.URL}})
+	shield := newFakeShield(t, shieldReply(cdn.FillOrigin))
+	s := newTestServer(t, Config{ShieldURL: shield.URL, OriginLatency: 200 * time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	rec := testRecord()
-	resp, err := http.Get(ts.URL + RequestPath(rec))
-	if err != nil {
-		t.Fatal(err)
+	if _, elapsed := getMiss(t, ts.URL, rec); elapsed >= 200*time.Millisecond {
+		t.Errorf("shield-filled miss took %v — looks like it paid the local origin latency too", elapsed)
 	}
-	resp.Body.Close()
 	fs := s.FillStats()
 	if fs.OriginFills != 1 || fs.PeerFills != 0 || fs.FillErrors != 0 {
 		t.Errorf("fill stats = %+v, want exactly one origin fill", fs)
@@ -167,52 +211,66 @@ func TestPeerFillMissFallsBack(t *testing.T) {
 	if fs.OriginFillBytes != rec.ObjectSize {
 		t.Errorf("OriginFillBytes = %d, want %d", fs.OriginFillBytes, rec.ObjectSize)
 	}
-	if pfs := peer.FillStats(); pfs.ServedRequests != 1 || pfs.ServedHits != 0 {
-		t.Errorf("peer fill stats = %+v, want one served miss", pfs)
+	if n, _ := shield.seen(); n != 1 {
+		t.Errorf("shield saw %d requests, want 1", n)
 	}
 }
 
-// TestPeerFillUnreachableFallsBack: a dead peer costs a fill error, not
-// a failed request.
+// TestPeerFillUnreachableFallsBack: a shield that cannot answer — dead,
+// or replying with something that is not a shield's answer — costs a fill
+// error and one local origin fill, not a failed request. A bare 200 is an
+// error too, never a peer hit: only the shield's own X-TS-Fill-Source
+// says where bytes came from.
 func TestPeerFillUnreachableFallsBack(t *testing.T) {
-	s := newTestServer(t, Config{
-		PeerFillURLs: []string{"http://127.0.0.1:1"}, // nothing listens here
-		FillTimeout:  500 * time.Millisecond,
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	cases := map[string]func() string{
+		"dead shield": func() string { return "http://127.0.0.1:1" }, // nothing listens here
+		"200 without a source": func() string {
+			return newFakeShield(t, func(w http.ResponseWriter, _ *http.Request) {
+				w.WriteHeader(http.StatusOK)
+			}).URL
+		},
+		"404": func() string {
+			return newFakeShield(t, func(w http.ResponseWriter, _ *http.Request) {
+				http.Error(w, "not cached", http.StatusNotFound)
+			}).URL
+		},
+	}
+	for name, shieldURL := range cases {
+		t.Run(name, func(t *testing.T) {
+			s := newTestServer(t, Config{ShieldURL: shieldURL(), FillTimeout: 500 * time.Millisecond})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
 
-	resp, err := http.Get(ts.URL + RequestPath(testRecord()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusPartialContent {
-		t.Fatalf("status %d, want %d", resp.StatusCode, http.StatusPartialContent)
-	}
-	fs := s.FillStats()
-	if fs.FillErrors != 1 || fs.OriginFills != 1 {
-		t.Errorf("fill stats = %+v, want one fill error + one origin fill", fs)
+			rec := testRecord()
+			if status, _ := getMiss(t, ts.URL, rec); status != http.StatusPartialContent {
+				t.Fatalf("status %d, want %d", status, http.StatusPartialContent)
+			}
+			fs := s.FillStats()
+			if fs.FillErrors != 1 || fs.OriginFills != 1 || fs.PeerFills != 0 {
+				t.Errorf("fill stats = %+v, want one fill error + one origin fill", fs)
+			}
+			if fs.OriginFillBytes != rec.ObjectSize {
+				t.Errorf("OriginFillBytes = %d, want %d", fs.OriginFillBytes, rec.ObjectSize)
+			}
+		})
 	}
 }
 
 // TestFillDedup is the tentpole's edge-local half: concurrent misses for
 // one object (one per region — each DC's cache misses independently)
-// collapse into exactly one origin fetch; every other request is
-// counted as deduped. Run under -race in CI's cluster-e2e job.
+// collapse into exactly one shield fill; every other request is counted
+// as deduped. Run under -race in CI's cluster-e2e job.
 func TestFillDedup(t *testing.T) {
-	// The peer blocks the leader's probe until released, guaranteeing
+	// The shield blocks the leader's fill until released, guaranteeing
 	// the followers' misses arrive while the flight is open.
 	gate := make(chan struct{})
-	peerMux := http.NewServeMux()
-	peerMux.HandleFunc(FillPrefix, func(w http.ResponseWriter, _ *http.Request) {
+	origin := shieldReply(cdn.FillOrigin)
+	shield := newFakeShield(t, func(w http.ResponseWriter, req *http.Request) {
 		<-gate
-		http.Error(w, "not cached", http.StatusNotFound)
+		origin(w, req)
 	})
-	peerTS := httptest.NewServer(peerMux)
-	defer peerTS.Close()
 
-	s := newTestServer(t, Config{PeerFillURLs: []string{peerTS.URL}})
+	s := newTestServer(t, Config{ShieldURL: shield.URL})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -235,10 +293,10 @@ func TestFillDedup(t *testing.T) {
 			}
 		}(r)
 	}
-	// Wait for the leader to reach the blocked peer probe, give the
+	// Wait for the leader to reach the blocked shield, give the
 	// followers time to park on the flight, then release.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.fill.sf.Inflight() == 0 {
+	for s.fillSF.Inflight() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no fill flight ever started")
 		}
@@ -262,6 +320,9 @@ func TestFillDedup(t *testing.T) {
 	}
 	if fs.DedupFillBytes != (n-1)*rec.ObjectSize {
 		t.Errorf("DedupFillBytes = %d, want %d", fs.DedupFillBytes, (n-1)*rec.ObjectSize)
+	}
+	if got, _ := shield.seen(); got != 1 {
+		t.Errorf("shield saw %d fill requests for %d concurrent misses, want 1", got, n)
 	}
 	// The CDN model counted one independent miss per DC regardless.
 	if st := s.TotalStats(); st.Misses != n {

@@ -87,7 +87,8 @@ func AppendRequestPath(dst []byte, r *trace.Record) []byte {
 }
 
 // AppendFillPath is AppendRequestPath under FillPrefix: the URI a
-// backend (or shield) uses to ask a peer whether it can fill r's miss.
+// backend sends its shield to fill r's miss, and the shield forwards to
+// the peers it probes.
 func AppendFillPath(dst []byte, r *trace.Record) []byte {
 	return appendRequestPath(dst, FillPrefix, r)
 }

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"trafficscope/internal/obs"
+	"trafficscope/internal/report"
 )
 
 // Engine evaluates a Policy against live traffic: one Tracker for the
@@ -177,28 +177,7 @@ func (e *Engine) Report() Report {
 			scopeName = GlobalScope
 		}
 		sr := rep.Scopes[scopeName]
-		or := ObjectiveReport{
-			Name:      o.Name(),
-			Kind:      o.Kind.String(),
-			Scope:     o.Scope,
-			Quantile:  o.Quantile,
-			Threshold: o.Threshold,
-			BurnRates: map[string]float64{},
-		}
-		for _, w := range e.policy.BurnWindows {
-			st := o.Evaluate(sr.Windows[WindowName(w)])
-			or.BurnRates[WindowName(w)] = st.BurnRate
-			if w == e.policy.Window {
-				or.Actual = st.Actual
-				or.BadFraction = st.BadFraction
-				or.Observed = st.Observed
-				or.Breached = st.Breached
-				or.BudgetRemaining = 1 - st.BurnRate
-				if or.BudgetRemaining < -BurnCap {
-					or.BudgetRemaining = -BurnCap
-				}
-			}
-		}
+		or := o.report(sr.Windows, WindowName(e.policy.Window))
 		sr.Objectives = append(sr.Objectives, or)
 		if or.Breached {
 			sr.Breached = true
@@ -206,35 +185,6 @@ func (e *Engine) Report() Report {
 		}
 	}
 	return rep
-}
-
-// Breaches flattens the report's breached objectives into "scope:
-// name actual vs threshold" strings for log and gate output.
-func (r Report) Breaches() []string {
-	var out []string
-	names := make([]string, 0, len(r.Scopes))
-	for name := range r.Scopes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, scope := range names {
-		for _, o := range r.Scopes[scope].Objectives {
-			if !o.Breached {
-				continue
-			}
-			out = append(out, fmt.Sprintf("%s: %s actual %s vs threshold %s (burn %.2f, %d observed)",
-				scope, o.Name, formatValue(o.Kind, o.Actual), formatValue(o.Kind, o.Threshold),
-				o.BurnRates[WindowName(time.Duration(r.GateWindowSeconds*float64(time.Second)))], o.Observed))
-		}
-	}
-	return out
-}
-
-func formatValue(kind string, v float64) string {
-	if kind == KindLatency.String() {
-		return time.Duration(v * float64(time.Second)).Round(10 * time.Microsecond).String()
-	}
-	return strconv.FormatFloat(100*v, 'f', 2, 64) + "%"
 }
 
 // WritePrometheus renders the report as ts_slo_* gauges in the
@@ -342,31 +292,71 @@ func (p Policy) EvaluateStats(ws WindowStats, scopeName string) ([]ObjectiveRepo
 	var out []ObjectiveReport
 	breached := false
 	wn := WindowName(time.Duration(ws.WindowSeconds * float64(time.Second)))
+	windows := map[string]WindowStats{wn: ws}
 	for _, o := range p.Objectives {
 		if o.Scope != scopeName {
 			continue
 		}
-		st := o.Evaluate(ws)
-		or := ObjectiveReport{
-			Name:        o.Name(),
-			Kind:        o.Kind.String(),
-			Scope:       o.Scope,
-			Quantile:    o.Quantile,
-			Threshold:   o.Threshold,
-			Actual:      st.Actual,
-			BadFraction: st.BadFraction,
-			Observed:    st.Observed,
-			BurnRates:   map[string]float64{wn: st.BurnRate},
-			Breached:    st.Breached,
-		}
-		or.BudgetRemaining = 1 - st.BurnRate
-		if or.BudgetRemaining < -BurnCap {
-			or.BudgetRemaining = -BurnCap
-		}
+		or := o.report(windows, wn)
 		out = append(out, or)
-		if st.Breached {
+		if or.Breached {
 			breached = true
 		}
 	}
 	return out, breached
+}
+
+// report is the one place an objective becomes a verdict: its burn rate
+// over every window in windows, and over the window named gate the
+// measurements a breach is judged on. Engine.Report, MergeReports and
+// EvaluateStats differ only in where their windows come from.
+func (o Objective) report(windows map[string]WindowStats, gate string) ObjectiveReport {
+	or := ObjectiveReport{
+		Name:      o.Name(),
+		Kind:      o.Kind.String(),
+		Scope:     o.Scope,
+		Quantile:  o.Quantile,
+		Threshold: o.Threshold,
+		BurnRates: make(map[string]float64, len(windows)),
+	}
+	for wn, ws := range windows {
+		st := o.Evaluate(ws)
+		or.BurnRates[wn] = st.BurnRate
+		if wn == gate {
+			or.Actual = st.Actual
+			or.BadFraction = st.BadFraction
+			or.Observed = st.Observed
+			or.Breached = st.Breached
+			or.BudgetRemaining = 1 - st.BurnRate
+			if or.BudgetRemaining < -BurnCap {
+				or.BudgetRemaining = -BurnCap
+			}
+		}
+	}
+	return or
+}
+
+// VerdictTable renders one row per objective verdict, with the burn rate
+// over the gate window gate — the table tsgate and tsload -slo print.
+func VerdictTable(title string, verdicts []ObjectiveReport, gate string) *report.Table {
+	tab := report.NewTable(title, "objective", "scope", "actual", "threshold", "burn", "verdict")
+	value := func(kind string, v float64) string {
+		if kind == KindLatency.String() {
+			return time.Duration(v * float64(time.Second)).Round(10 * time.Microsecond).String()
+		}
+		return report.Percent(v)
+	}
+	for _, r := range verdicts {
+		scope := r.Scope
+		if scope == "" {
+			scope = GlobalScope
+		}
+		verdict := "ok"
+		if r.Breached {
+			verdict = "BREACH"
+		}
+		tab.AddRow(r.Name, scope, value(r.Kind, r.Actual), value(r.Kind, r.Threshold),
+			fmt.Sprintf("%.2f", r.BurnRates[gate]), verdict)
+	}
+	return tab
 }

@@ -112,30 +112,8 @@ func MergeReports(reps ...Report) (Report, error) {
 
 	gateName := WindowName(time.Duration(out.GateWindowSeconds * float64(time.Second)))
 	for _, k := range objOrder {
-		o := objs[k]
 		sr := out.Scopes[k.scope]
-		or := ObjectiveReport{
-			Name:      k.name,
-			Kind:      o.Kind.String(),
-			Scope:     o.Scope,
-			Quantile:  o.Quantile,
-			Threshold: o.Threshold,
-			BurnRates: map[string]float64{},
-		}
-		for wn, ws := range sr.Windows {
-			st := o.Evaluate(ws)
-			or.BurnRates[wn] = st.BurnRate
-			if wn == gateName {
-				or.Actual = st.Actual
-				or.BadFraction = st.BadFraction
-				or.Observed = st.Observed
-				or.Breached = st.Breached
-				or.BudgetRemaining = 1 - st.BurnRate
-				if or.BudgetRemaining < -BurnCap {
-					or.BudgetRemaining = -BurnCap
-				}
-			}
-		}
+		or := objs[k].report(sr.Windows, gateName)
 		sr.Objectives = append(sr.Objectives, or)
 		if or.Breached {
 			sr.Breached = true

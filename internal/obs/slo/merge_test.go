@@ -2,6 +2,7 @@ package slo
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -71,7 +72,7 @@ func TestMergeReports(t *testing.T) {
 	// Objectives were re-evaluated over the pooled traffic: error rate
 	// 2/200 = 1% under the 5% budget, hit ratio 149/198 > 50%.
 	if merged.Breached {
-		t.Fatalf("merged report breached: %v", merged.Breaches())
+		t.Fatalf("merged report breached: %+v", merged.Scopes[GlobalScope].Objectives)
 	}
 	gObjs := merged.Scopes[GlobalScope].Objectives
 	if len(gObjs) != 3 {
@@ -173,5 +174,78 @@ func TestParseKind(t *testing.T) {
 	}
 	if _, err := ParseKind("throughput"); err == nil {
 		t.Error("unknown kind: want error")
+	}
+}
+
+// TestOneEvaluator: the three ways an objective becomes a verdict —
+// Engine.Report, MergeReports of that one report, and
+// Policy.EvaluateStats on the report's gate window — agree field for
+// field on every objective, including a breached one and one whose burn
+// rate runs past BurnCap (a zero error budget with an error observed).
+func TestOneEvaluator(t *testing.T) {
+	p, err := ParsePolicy("window 10s; interval 1s; burn-windows 2s 10s; " +
+		"latency p99 <= 100ms; latency p50 <= 1ms; error-rate <= 0%; hit-ratio >= 90%; " +
+		"hit-ratio >= 10% scope=europe; error-rate <= 50% scope=europe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := at(5 * time.Second)
+	e := NewEngine(p, "europe")
+	e.SetClock(func() time.Time { return now })
+	// 100 requests at 2ms, two a second: half hits, half misses, two errors.
+	for i := 0; i < 100; i++ {
+		isErr := i < 2
+		hit := i%2 == 0 && !isErr
+		ts := at(time.Duration(i/25) * time.Second)
+		e.Global().RecordAt(ts, 0.002, hit, !hit && !isErr, isErr)
+		e.Scope("europe").RecordAt(ts, 0.002, hit, !hit && !isErr, isErr)
+	}
+	rep := e.Report()
+	merged, err := MergeReports(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const gate = "10s"
+	var breached, capped int
+	for scopeKey, sr := range rep.Scopes {
+		scope := scopeKey
+		if scope == GlobalScope {
+			scope = ""
+		}
+		stats, _ := p.EvaluateStats(sr.Windows[gate], scope)
+		if len(stats) != len(sr.Objectives) || len(merged.Scopes[scopeKey].Objectives) != len(sr.Objectives) {
+			t.Fatalf("scope %s: %d engine verdicts, %d merged, %d from EvaluateStats",
+				scopeKey, len(sr.Objectives), len(merged.Scopes[scopeKey].Objectives), len(stats))
+		}
+		for i, want := range sr.Objectives {
+			if got := merged.Scopes[scopeKey].Objectives[i]; !reflect.DeepEqual(got, want) {
+				t.Errorf("scope %s %s: merged %+v, engine %+v", scopeKey, want.Name, got, want)
+			}
+			// EvaluateStats sees the gate window alone, so it reports
+			// that one burn rate; every other field must match.
+			narrowed := want
+			narrowed.BurnRates = map[string]float64{gate: want.BurnRates[gate]}
+			if !reflect.DeepEqual(stats[i], narrowed) {
+				t.Errorf("scope %s %s: EvaluateStats %+v, engine %+v", scopeKey, want.Name, stats[i], narrowed)
+			}
+			if len(want.BurnRates) != 2 || want.Observed == 0 {
+				t.Errorf("scope %s %s: verdict rests on %d windows, %d observations", scopeKey, want.Name, len(want.BurnRates), want.Observed)
+			}
+			if want.Breached {
+				breached++
+			}
+			if want.BurnRates[gate] == BurnCap {
+				capped++
+				// Evaluate caps the burn rate, so the budget bottoms out
+				// one short of the report's own -BurnCap floor.
+				if want.BudgetRemaining != 1-BurnCap {
+					t.Errorf("scope %s %s: budget remaining %g at the burn cap, want %g", scopeKey, want.Name, want.BudgetRemaining, 1-BurnCap)
+				}
+			}
+		}
+	}
+	// Breached: p50 <= 1ms, error-rate <= 0% (capped) and hit-ratio >= 90%.
+	if breached != 3 || capped != 1 {
+		t.Errorf("%d breached objectives (%d at BurnCap), want 3 (1)", breached, capped)
 	}
 }
