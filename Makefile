@@ -1,11 +1,11 @@
 # Build/verify entry points. `make check` is the CI gate: vet, a build
 # of every cmd/* binary, the whole module's tests under the race
-# detector, the full suite, then the tracked sizes (`make loc`: lines,
-# CLI flags, config fields). `make bench` runs the repository
-# benchmark (benchmark/, contract BENCHMARK.json) and refreshes the one
-# committed snapshot, BENCH_ledger.txt; `make bench-gate` is the CI perf
-# gate comparing a short run against it (see EXPERIMENTS.md §"Perf
-# ledger").
+# detector, the full suite, then the tracked sizes (`make loc`: lines
+# without and with tests, CLI flags, config fields). `make bench` runs
+# the repository benchmark (benchmark/, contract BENCHMARK.json) and
+# refreshes the one committed snapshot, BENCH_ledger.txt; `make
+# bench-gate` is the CI perf gate comparing a short run against it (see
+# EXPERIMENTS.md §"Perf ledger").
 
 GO ?= go
 BIN ?= bin
@@ -50,14 +50,17 @@ fuzz-smoke:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The three tracked sizes (ROADMAP aim 2) CHANGES.md quotes before/after
+# The four tracked sizes (ROADMAP aim 2) CHANGES.md quotes before/after
 # for every PR, one expression each: net non-test lines of Go outside
-# benchmark/; CLI flags declared by the tools (cmd/ plus the three every
-# tool gets from cliobs); exported fields of the *Config, *Options and
-# Params structs under internal/ (a line `A, B T` counts two). A PR that
-# says "no new knob" shows the last two unchanged.
+# benchmark/; the same with _test.go files included (code that moves into
+# or out of a test file shows only here); CLI flags declared by the tools
+# (cmd/ plus the three every tool gets from cliobs); exported fields of
+# the *Config, *Options and Params structs under internal/ (a line
+# `A, B T` counts two). A PR that says "no new knob" shows the last two
+# unchanged.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l | sed 's/$$/ lines/'
+	@find . -name '*.go' -not -path './benchmark/*' | xargs cat | wc -l | sed 's/$$/ lines with tests/'
 	@grep -rhoE '\b(flag|fs)\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)?(Var)?\(' --include='*.go' cmd internal/obs/cliobs | wc -l | sed 's/$$/ flags/'
 	@find internal -name '*.go' -not -name '*_test.go' | xargs awk ' \
 		/^type [A-Za-z]*(Config|Options|Params) struct \{/ { s = 1; next } \

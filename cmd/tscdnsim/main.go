@@ -1,8 +1,9 @@
 // Command tscdnsim replays a trace through the CDN simulator under one
 // or more cache configurations and reports hit ratios and origin/egress
 // traffic — the tool behind the paper's §V cache-optimization
-// discussion. Every pass streams from the trace file, so traces far
-// larger than memory replay fine.
+// discussion. The policies share one streaming read of the trace file
+// per pass (warm-up, then measured), so traces far larger than memory
+// replay fine and comparing more policies reads no more.
 //
 // Usage:
 //
@@ -66,52 +67,50 @@ func run() error {
 	src := trace.ContextSource(ctx, trace.FileSource{Path: *in, Format: fmtOverride})
 
 	// The input must be time-ordered; replay preserves the order it
-	// reads. Each policy reads the file twice (warm-up + measured), so
-	// that many file sizes is the progress total.
+	// reads. All policies share one read of each pass (warm-up +
+	// measured), so two file sizes is the progress total, and both reads
+	// go through a ContextReader so SIGINT unwinds the replay and the
+	// deferred Finish still writes the manifest.
 	policyList := strings.Split(*policies, ",")
-	sess.SetProgress(sess.ReadProgress(int64(2*len(policyList)) * cliobs.FileSize(*in)))
-
-	tab := report.NewTable("CDN cache policy comparison",
-		"policy", "requests", "hit ratio", "origin traffic", "egress traffic")
+	sess.SetProgress(sess.ReadProgress(2 * cliobs.FileSize(*in)))
+	cells := make([]cdn.FanoutCell, len(policyList))
 	for i, name := range policyList {
-		name = strings.TrimSpace(name)
 		factory, err := cdn.PolicyFactory(name, *capacity)
 		if err != nil {
 			return err
 		}
-		build := func() *cdn.CDN {
+		cells[i].Build = func() *cdn.CDN {
 			return cdn.New(cdn.Config{NewCache: factory, ChunkBytes: *chunk, Metrics: sess.Registry()})
 		}
-		// The measured pass of the final policy streams into -out (if
-		// set); other policies discard the finalized records.
-		sink := func(*trace.Record) error { return nil }
-		var fw *trace.FileWriter
-		if *out != "" && i == len(policyList)-1 {
-			fw, err = trace.CreateFile(*out, 0)
-			if err != nil {
-				return err
-			}
-			sink = fw.Write
-		}
-		// Warm-up pass models the steady-state CDN, then measure. Both
-		// passes read through a ContextReader so SIGINT unwinds the
-		// replay and the deferred Finish still writes the manifest.
-		network, err := cdn.ReplaySource(build, src, sink)
-		if fw != nil {
-			if cerr := fw.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
+	}
+	// The measured pass of the final policy streams into -out (if set).
+	var fw *trace.FileWriter
+	if *out != "" {
+		fw, err = trace.CreateFile(*out, 0)
 		if err != nil {
 			return err
 		}
-		stats := network.TotalStats()
-		extra["records"] = stats.Requests
-		tab.AddRow(name, stats.Requests, report.Percent(stats.HitRatio()),
-			report.Bytes(stats.OriginBytes), report.Bytes(stats.EgressBytes))
-		if fw != nil {
-			fmt.Fprintf(os.Stderr, "tscdnsim: wrote replayed trace to %s\n", *out)
+		cells[len(cells)-1].Observe = fw.Write
+	}
+	networks, err := cdn.ReplayFanout(src, cells)
+	if fw != nil {
+		if cerr := fw.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
+	}
+	if err != nil {
+		return err
+	}
+	tab := report.NewTable("CDN cache policy comparison",
+		"policy", "requests", "hit ratio", "origin traffic", "egress traffic")
+	for i, name := range policyList {
+		stats := networks[i].TotalStats()
+		extra["records"] = stats.Requests
+		tab.AddRow(strings.TrimSpace(name), stats.Requests, report.Percent(stats.HitRatio()),
+			report.Bytes(stats.OriginBytes), report.Bytes(stats.EgressBytes))
+	}
+	if fw != nil {
+		fmt.Fprintf(os.Stderr, "tscdnsim: wrote replayed trace to %s\n", *out)
 	}
 	fmt.Println(tab)
 	return sess.Finish(extra)

@@ -37,7 +37,7 @@ func run() error {
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		summary   = flag.Bool("summary", false, "print only the run summary")
 		workers   = flag.Int("workers", 0, "analysis parallelism (0 = GOMAXPROCS)")
-		extras    = flag.Bool("extras", true, "include forecasting and crawler-baseline tables")
+		extras    = flag.Bool("extras", true, "include forecasting, crawler-baseline and §V implication tables")
 		verify    = flag.Bool("verify", false, "append the calibration-verification table; exit 1 if any check fails")
 		outDir    = flag.String("outdir", "", "also write every table as a CSV file into this directory")
 		memBudget = flag.Int("mem-budget", 0, "per-site analyzer state budget in keys (0 = exact; >0 enables sketch/sample estimators)")
@@ -77,16 +77,26 @@ func run() error {
 	elapsed := time.Since(start)
 	extra["records"] = results.Records
 
-	tables := results.AllFigureTables()
-	if *extras {
-		if ft, err := results.ForecastTable(24); err == nil {
-			tables = append(tables, ft)
-		}
-		// The crawl baseline streams one more pass over the regenerated
-		// trace (one for all sites), so even the extras never
-		// materialize the trace.
-		if bt, err := results.CrawlerBaselineTableSource(src, 24*time.Hour, 200); err == nil {
-			tables = append(tables, bt)
+	// Tables are built only when something prints or writes them: under
+	// -summary without -outdir the run skips the clustering, the forecast
+	// and the extras' three further passes over the week.
+	var tables []*report.Table
+	if !*summary || *outDir != "" {
+		tables = results.AllFigureTables()
+		if *extras {
+			if ft, err := results.ForecastTable(24); err == nil {
+				tables = append(tables, ft)
+			}
+			// The crawl baseline streams one more pass over the
+			// regenerated trace (one for all sites) and the §V table two
+			// (for all its cells), so even the extras never materialize
+			// the trace.
+			if bt, err := results.CrawlerBaselineTableSource(src, 24*time.Hour, 200); err == nil {
+				tables = append(tables, bt)
+			}
+			if it, err := results.ImplicationsTableSource(src); err == nil {
+				tables = append(tables, it)
+			}
 		}
 	}
 	allPass := true

@@ -1,9 +1,9 @@
 // Cache tuning: evaluates the content-delivery optimizations the paper's
-// §V proposes against the same synthetic workload:
-//
-//  1. policy comparison (LRU vs LFU vs FIFO vs SLRU),
-//  2. one unified cache vs a small/large split cache,
-//  3. proactively pushing popular objects to every edge location.
+// §V proposes — eviction policy, a small/large split, revalidation TTL,
+// per-publisher partitions, sharding, a parent tier, incognito browsing
+// and edge push — against one synthetic week. It prints the same table
+// `tsreport` appends under -extras; every configuration is an independent
+// CDN, and all of them share two streaming reads of the week.
 package main
 
 import (
@@ -13,121 +13,18 @@ import (
 	"trafficscope"
 )
 
-const (
-	scale    = 0.01
-	capacity = int64(1 << 30) // per-datacenter cache bytes
-)
-
 func main() {
-	gen, err := trafficscope.NewGenerator(trafficscope.GeneratorConfig{Seed: 7, Scale: scale})
+	study, err := trafficscope.NewStudy(trafficscope.Config{Seed: 7, Scale: 0.01})
 	if err != nil {
 		log.Fatal(err)
 	}
-	recs, err := gen.Generate()
+	results, err := study.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("workload: %d requests over one week\n\n", len(recs))
-
-	fmt.Println("1) cache policy comparison (equal capacity):")
-	policies := []struct {
-		name string
-		mk   func() trafficscope.Cache
-	}{
-		{"lru", func() trafficscope.Cache { return trafficscope.NewLRU(capacity) }},
-		{"lfu", func() trafficscope.Cache { return trafficscope.NewLFU(capacity) }},
-		{"fifo", func() trafficscope.Cache { return trafficscope.NewFIFO(capacity) }},
-		{"slru", func() trafficscope.Cache { return mustSLRU(capacity) }},
-	}
-	for _, p := range policies {
-		hr, origin := replay(recs, p.mk, nil)
-		fmt.Printf("   %-5s hit ratio %.1f%%, origin traffic %.1f GiB\n", p.name, hr*100, origin)
-	}
-
-	fmt.Println("\n2) unified vs small/large split cache (paper §IV-B implication):")
-	unifiedHR, _ := replay(recs, func() trafficscope.Cache { return trafficscope.NewLRU(capacity) }, nil)
-	splitHR, _ := replay(recs, func() trafficscope.Cache {
-		small := trafficscope.NewLRU(capacity / 12)
-		large := trafficscope.NewLRU(capacity - capacity/12)
-		c, err := trafficscope.NewSplitCache(small, large, 1<<20)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return c
-	}, nil)
-	fmt.Printf("   unified LRU: %.1f%%   split (1/12 small, <=1MB): %.1f%%\n", unifiedHR*100, splitHR*100)
-
-	fmt.Println("\n3) pull-only vs pushing the top-100 objects to every edge (paper §V):")
-	top := topObjects(recs, 100)
-	pullHR, _ := replay(recs, func() trafficscope.Cache { return trafficscope.NewLRU(capacity) }, nil)
-	pushHR, _ := replay(recs, func() trafficscope.Cache { return trafficscope.NewLRU(capacity) }, top)
-	fmt.Printf("   pull-only: %.1f%%   with push: %.1f%%\n", pullHR*100, pushHR*100)
-}
-
-// replay measures the steady-state (warm) hit ratio of a cache
-// configuration, optionally pushing objects to all DCs first.
-func replay(recs []*trafficscope.Record, mk func() trafficscope.Cache, push []*trafficscope.Record) (hitRatio, originGiB float64) {
-	network := trafficscope.NewCDN(trafficscope.CDNConfig{NewCache: mk})
-	for _, p := range push {
-		network.PushToAll(p.ObjectID, p.ObjectSize, recs[0].Timestamp)
-	}
-	discard := func(*trafficscope.Record) error { return nil }
-	if err := network.Replay(trafficscope.NewSliceReader(recs), discard); err != nil {
-		log.Fatal(err)
-	}
-	network.ResetStats()
-	network.ResetClientState()
-	for _, p := range push {
-		network.PushToAll(p.ObjectID, p.ObjectSize, recs[0].Timestamp)
-	}
-	if err := network.Replay(trafficscope.NewSliceReader(recs), discard); err != nil {
-		log.Fatal(err)
-	}
-	stats := network.TotalStats()
-	return stats.HitRatio(), float64(stats.OriginBytes) / float64(1<<30)
-}
-
-// topObjects returns one representative record per object for the n most
-// requested objects.
-func topObjects(recs []*trafficscope.Record, n int) []*trafficscope.Record {
-	counts := map[uint64]int{}
-	rep := map[uint64]*trafficscope.Record{}
-	for _, r := range recs {
-		counts[r.ObjectID]++
-		rep[r.ObjectID] = r
-	}
-	type kv struct {
-		id uint64
-		n  int
-	}
-	all := make([]kv, 0, len(counts))
-	for id, c := range counts {
-		all = append(all, kv{id, c})
-	}
-	for i := 0; i < len(all); i++ { // selection of top n is enough here
-		for j := i + 1; j < len(all); j++ {
-			if all[j].n > all[i].n {
-				all[i], all[j] = all[j], all[i]
-			}
-		}
-		if i >= n {
-			break
-		}
-	}
-	if len(all) > n {
-		all = all[:n]
-	}
-	out := make([]*trafficscope.Record, 0, len(all))
-	for _, e := range all {
-		out = append(out, rep[e.id])
-	}
-	return out
-}
-
-func mustSLRU(capacity int64) trafficscope.Cache {
-	c, err := trafficscope.NewSLRU(capacity, 0.8)
+	table, err := results.ImplicationsTableSource(study.Source())
 	if err != nil {
 		log.Fatal(err)
 	}
-	return c
+	fmt.Println(table)
 }

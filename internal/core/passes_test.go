@@ -54,6 +54,14 @@ func TestPassBudget(t *testing.T) {
 		t.Errorf("CrawlerBaselineSource opened its source %d times, want 1", src.opens)
 	}
 
+	src.opens = 0
+	if _, err := res.ImplicationsTableSource(src); err != nil {
+		t.Fatal(err)
+	}
+	if src.opens != 2 {
+		t.Errorf("ImplicationsTableSource opened its source %d times for all its cells, want 2", src.opens)
+	}
+
 	// A user seen in two regions aborts the per-region parallel warm-up,
 	// which is then redone sequentially: one extra pass, no more.
 	recs, err := study.Generator().Generate()

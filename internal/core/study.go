@@ -144,6 +144,9 @@ type Results struct {
 
 	// analyzers maps registry names to the folded analyzers.
 	analyzers map[string]analysis.Analyzer
+	// scale is the study's Config.Scale; the §V table sizes its caches
+	// by it.
+	scale float64
 }
 
 // Analyzer returns the folded analyzer registered under name, or nil if
@@ -219,6 +222,7 @@ func (s *Study) newResults(f *analysis.Fold) *Results {
 		Records:     f.Records(),
 		ClusterOpts: opts,
 		analyzers:   f.Analyzers(),
+		scale:       s.cfg.Scale,
 	}
 }
 
