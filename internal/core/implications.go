@@ -79,10 +79,13 @@ func (r *Results) implicationRows(capacity int64) []implicationRow {
 
 	// The edge-level hit ratio is the same with and without the parent by
 	// construction; the parent's value is the share of edge misses it
-	// absorbs before they reach the origin.
+	// absorbs before they reach the origin. One parent stands behind
+	// every DC's edge, as the live fleet's shield does (a cell is served
+	// by one goroutine, so sharing it is safe).
 	var tiers []*cdn.TieredCache
+	parent := cdn.NewLRU(capacity)
 	shield := cell(cdn.Config{NewCache: func() cdn.Cache {
-		t := cdn.NewTieredCache(cdn.NewLRU(capacity/4), cdn.NewLRU(capacity))
+		t := cdn.NewTieredCache(cdn.NewLRU(capacity/4), parent)
 		tiers = append(tiers, t)
 		return t
 	}})
@@ -168,7 +171,7 @@ func (r *Results) implicationRows(capacity int64) []implicationRow {
 			return must(cdn.NewShardedCache(8, 64, lru(capacity/8)))
 		}}), nil},
 		{"parent tier", "edge only (capacity/4)", cell(cdn.Config{NewCache: lru(capacity / 4)}), nil},
-		{"parent tier", "edge + shield", shield, absorbed},
+		{"parent tier", "edge + one shared shield", shield, absorbed},
 		{"incognito browsing", "0% of users", incognito0, share0},
 		{"incognito browsing", "50% of users", incognito50, share50},
 		{"incognito browsing", "88% of users", incognito88, share88},
