@@ -38,10 +38,12 @@ func ReplayFanout(src trace.Source, cells []FanoutCell) ([]*CDN, error) {
 	cdns := make([]*CDN, len(cells))
 	lanes := make([]func(*trace.Record) error, len(cells))
 	for i, cell := range cells {
-		if lanes[i] = cell.Survey; lanes[i] == nil {
-			cdns[i] = cell.Build()
-			lanes[i] = cdns[i].lane(nil)
+		if cell.Survey != nil {
+			lanes[i] = cell.Survey
+			continue
 		}
+		cdns[i] = cell.Build()
+		lanes[i] = cdns[i].lane(nil)
 	}
 	if err := fanoutPass(src, "warm-up", lanes); err != nil {
 		return nil, err

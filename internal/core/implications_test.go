@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"os"
-	"reflect"
 	"strings"
 	"testing"
+
+	"trafficscope/internal/cdn"
 )
 
 const (
@@ -12,10 +14,9 @@ const (
 	experimentsDoc     = "../../EXPERIMENTS.md"
 )
 
-// implicationsText renders the §V table on the workload the retired root
-// ablation benchmarks shared (seed 42, scale 0.02, salt "bench"), renders
-// times over from one study run.
-func implicationsText(t *testing.T, workers, renders int) []string {
+// implicationsStudy runs the workload the retired root ablation
+// benchmarks shared (seed 42, scale 0.02, salt "bench").
+func implicationsStudy(t *testing.T, workers int) (*Study, *Results) {
 	t.Helper()
 	study, err := NewStudy(Config{Seed: 42, Scale: 0.02, Salt: "bench", Workers: workers})
 	if err != nil {
@@ -25,40 +26,67 @@ func implicationsText(t *testing.T, workers, renders int) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	texts := make([]string, renders)
-	for i := range texts {
-		tab, err := res.ImplicationsTableSource(study.Source())
-		if err != nil {
-			t.Fatal(err)
-		}
-		texts[i] = tab.String()
-	}
-	return texts
+	return study, res
 }
 
-// TestImplicationsGolden pins every number of the §V table. The text may
-// not depend on the worker count, on how the fan-out's goroutines
-// interleave, or — the pushed set is chosen out of a map — on map
-// iteration order, which changes from one render to the next: five
-// renders, one golden.
+// TestImplicationsGolden pins every number of the §V table; the text may
+// not depend on the worker count or on how the fan-out's goroutines
+// interleave.
 func TestImplicationsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale-0.02 study runs in -short mode")
 	}
-	if *updateGolden {
-		if err := os.WriteFile(implicationsGolden, []byte(implicationsText(t, 1, 1)[0]), 0o644); err != nil {
+	var want []byte
+	for _, workers := range []int{1, 2, 3} {
+		study, res := implicationsStudy(t, workers)
+		tab, err := res.ImplicationsTableSource(study.Source())
+		if err != nil {
 			t.Fatal(err)
 		}
+		if want == nil && *updateGolden {
+			if err := os.WriteFile(implicationsGolden, []byte(tab.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want == nil {
+			if want, err = os.ReadFile(implicationsGolden); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := tab.String(); got != string(want) {
+			t.Errorf("workers=%d: §V table differs from %s\n got:\n%s\n want:\n%s", workers, implicationsGolden, got, want)
+		}
 	}
-	want, err := os.ReadFile(implicationsGolden)
+}
+
+// TestEdgePushIsDeterministic: the pushed set is chosen out of a map,
+// whose iteration order changes from one run to the next, and the first
+// day is full of ties at the cut. Five replays of the push cell alone
+// must all print the golden's row.
+func TestEdgePushIsDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale-0.02 study runs in -short mode")
+	}
+	golden, err := os.ReadFile(implicationsGolden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for workers, renders := range map[int]int{1: 3, 2: 1, 3: 1} {
-		for _, got := range implicationsText(t, workers, renders) {
-			if got != string(want) {
-				t.Fatalf("workers=%d: §V table differs from %s\n got:\n%s\n want:\n%s", workers, implicationsGolden, got, want)
+	study, res := implicationsStudy(t, 0)
+	for run := 0; run < 5; run++ {
+		rows := res.implicationRows(int64(implicationCapacity * res.scale))
+		var push implicationRow
+		for _, row := range rows {
+			if strings.HasPrefix(row.setup, "push top") {
+				push = row
 			}
+		}
+		if _, err := cdn.ReplayFanout(study.Source(), []cdn.FanoutCell{push.cell.FanoutCell}); err != nil {
+			t.Fatal(err)
+		}
+		_, row, _ := strings.Cut(string(golden), push.setup)
+		row, _, _ = strings.Cut(row, "\n")
+		if hit := fmt.Sprintf(" %.2f%% ", 100*push.cell.stats.HitRatio()); !strings.Contains(row, hit) {
+			t.Errorf("run %d: push cell hit ratio%s, golden row reads %q", run, hit, row)
 		}
 	}
 }
@@ -92,28 +120,5 @@ func TestImplicationsDoc(t *testing.T) {
 	out := head + "\n## §V implications\n" + prose + fence + string(golden) + "```\n" + tail
 	if err := os.WriteFile(experimentsDoc, []byte(out), 0o644); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestTopObjectsBreaksTiesByID: the pushed set is the same whatever order
-// the map yields its keys in, and ties at the cut go to the lower IDs.
-func TestTopObjectsBreaksTiesByID(t *testing.T) {
-	counts := map[uint64]objectCount{}
-	for id := uint64(1); id <= 300; id++ {
-		counts[id] = objectCount{requests: int(id % 3)} // 100 objects per request count
-	}
-	first := topObjects(counts, 150)
-	for i, id := range first {
-		if want := 2 - i/100; counts[id].requests != want || (i%100 > 0 && id <= first[i-1]) {
-			t.Fatalf("rank %d is object %d with %d requests after object %d", i, id, counts[id].requests, first[max(i-1, 0)])
-		}
-	}
-	if last := first[len(first)-1]; last != 148 {
-		t.Errorf("the cut through the 1-request tie ends at object %d, want 148 (the 50 lowest IDs)", last)
-	}
-	for run := 0; run < 5; run++ {
-		if got := topObjects(counts, 150); !reflect.DeepEqual(got, first) {
-			t.Fatalf("run %d selected a different set", run)
-		}
 	}
 }
