@@ -169,6 +169,9 @@ func printSummary(st *loadgen.Stats) {
 	tab := report.NewTable("load generation summary", "metric", "value")
 	tab.AddRow("requests", st.Requests)
 	tab.AddRow("errors", st.Errors)
+	if st.FirstError != "" {
+		tab.AddRow("first error", st.FirstError)
+	}
 	tab.AddRow("retries", st.Retries)
 	tab.AddRow("shed (503)", st.Shed)
 	tab.AddRow("cancelled", st.Cancelled)

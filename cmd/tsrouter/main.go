@@ -36,24 +36,12 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"trafficscope/internal/edge"
 	"trafficscope/internal/fleet"
 	"trafficscope/internal/obs/cliobs"
-	"trafficscope/internal/report"
 )
-
-// backendFlags collects repeatable -backend values.
-type backendFlags []string
-
-func (b *backendFlags) String() string { return strings.Join(*b, " ") }
-
-func (b *backendFlags) Set(v string) error {
-	*b = append(*b, v)
-	return nil
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -63,34 +51,29 @@ func main() {
 }
 
 func run() error {
-	var backends backendFlags
-	flag.Var(&backends, "backend", "backend spec regions=url (repeatable), e.g. europe=http://127.0.0.1:8081")
+	var bs []*fleet.Backend
+	flag.Func("backend", "backend spec regions=url (repeatable), e.g. europe=http://127.0.0.1:8081", func(spec string) error {
+		b, err := fleet.ParseBackendSpec(spec)
+		if err == nil {
+			bs = append(bs, b)
+		}
+		return err
+	})
 	var (
-		addr          = flag.String("addr", ":8090", "TCP listen address")
-		redirect      = flag.Bool("redirect", false, "answer 307 redirects to the owning backend instead of proxying")
-		retries       = flag.Int("retries", fleet.DefaultRetries, "extra proxy attempts on transport failure (negative disables)")
-		probeInterval = flag.Duration("probe-interval", fleet.DefaultProbeInterval, "backend /healthz probe period")
-		probeTimeout  = flag.Duration("probe-timeout", fleet.DefaultProbeTimeout, "single probe request budget")
-		failAfter     = flag.Int("fail-after", fleet.DefaultFailAfter, "consecutive failures before a backend is evicted")
-		collectEvery  = flag.Duration("collect-interval", fleet.DefaultCollectInterval, "backend stats polling period for the merged cluster views")
-		drain         = flag.Duration("drain", 10*time.Second, "graceful drain budget on shutdown")
-		shield        = flag.Bool("shield", false, "mount an origin shield at /fill/ (backends opt in with tsserve -shield)")
-		originLat     = flag.Duration("origin-latency", 0, "simulated origin round-trip per shielded origin fetch")
-		originBW      = flag.Int64("origin-bw", 0, "simulated origin fill bandwidth in bytes/s (0 = infinite)")
+		addr      = flag.String("addr", ":8090", "TCP listen address")
+		drain     = flag.Duration("drain", 10*time.Second, "graceful drain budget on shutdown")
+		shield    = flag.Bool("shield", false, "mount an origin shield at /fill/ (backends opt in with tsserve -shield)")
+		originLat = flag.Duration("origin-latency", 0, "simulated origin round-trip per shielded origin fetch")
+		originBW  = flag.Int64("origin-bw", 0, "simulated origin fill bandwidth in bytes/s (0 = infinite)")
 	)
+	var rc fleet.RouterConfig
+	var cc fleet.CollectorConfig
+	fleet.AddRouterFlags(flag.CommandLine, &rc, &cc)
 	obsFlags := cliobs.AddFlags(flag.CommandLine)
 	flag.Parse()
 
-	if len(backends) == 0 {
+	if len(bs) == 0 {
 		return fmt.Errorf("at least one -backend regions=url is required")
-	}
-	bs := make([]*fleet.Backend, 0, len(backends))
-	for _, spec := range backends {
-		b, err := fleet.ParseBackendSpec(spec)
-		if err != nil {
-			return err
-		}
-		bs = append(bs, b)
 	}
 
 	ctx, stop := cliobs.SignalContext()
@@ -101,60 +84,32 @@ func run() error {
 		return err
 	}
 	mode := "proxy"
-	if *redirect {
+	if rc.Redirect {
 		mode = "redirect"
 	}
 	extra := map[string]any{
-		"addr": *addr, "mode": mode, "backends": len(bs), "retries": *retries,
+		"addr": *addr, "mode": mode, "backends": len(bs), "retries": rc.Retries,
 	}
 	defer sess.Finish(extra)
 
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "tsrouter: "+format+"\n", args...)
 	}
-	router, err := fleet.NewRouter(fleet.RouterConfig{
-		Backends:      bs,
-		Redirect:      *redirect,
-		Retries:       *retries,
-		ProbeInterval: *probeInterval,
-		ProbeTimeout:  *probeTimeout,
-		FailAfter:     *failAfter,
-		Metrics:       sess.Registry(),
-		Logf:          logf,
-	})
-	if err != nil {
-		return err
-	}
-	collector, err := fleet.NewCollector(fleet.CollectorConfig{
-		Backends: bs,
-		Interval: *collectEvery,
-		Logf:     logf,
-	})
-	if err != nil {
-		return err
-	}
-	// The collector's merged /stats, /slo and /metrics live on the
-	// router mux: clients talk to one address for routing and cluster
-	// state alike. The router's own fleet_* counters are served by the
-	// -debug-addr observability server.
-	mux := http.NewServeMux()
-	router.Register(mux)
-	collector.Register(mux)
-	var sh *fleet.Shield
+	rc.Metrics, rc.Logf, cc.Logf = sess.Registry(), logf, logf
+	var sc *fleet.ShieldConfig
 	if *shield {
-		sh = fleet.NewShield(fleet.ShieldConfig{
-			Backends:        bs,
-			OriginLatency:   *originLat,
-			OriginBandwidth: *originBW,
-			Metrics:         sess.Registry(),
-			Logf:            logf,
-		})
-		sh.Register(mux)
+		sc = &fleet.ShieldConfig{OriginLatency: *originLat, OriginBandwidth: *originBW, Metrics: sess.Registry(), Logf: logf}
 		extra["shield"] = true
 	}
-
-	router.Start(ctx)
-	go collector.Run(ctx)
+	// Routing, the collector's merged /stats, /slo and /metrics and the
+	// shield live on one mux: clients talk to one address for routing and
+	// cluster state alike. The router's own fleet_* counters are served
+	// by the -debug-addr observability server.
+	mux := http.NewServeMux()
+	front, err := fleet.NewFront(mux, bs, rc, cc, sc)
+	if err != nil {
+		return err
+	}
 	sess.SetProgress(sess.CounterProgress("fleet_requests_total", 0, "requests"))
 
 	serveErr := edge.ListenAndServe(ctx, mux, edge.ListenConfig{
@@ -165,23 +120,22 @@ func run() error {
 				a, mode, len(bs))
 		},
 	}, nil)
+	// Only now that the router has drained does the collector take its
+	// last poll: the summary reads totals no in-flight request can move.
+	front.Stop()
 
-	if stats, ok := collector.Stats(); ok {
+	if stats, ok := front.Collector.Stats(); ok {
 		extra["requests"] = stats.Total.Requests
 		extra["hit_ratio"] = stats.HitRatio
 		extra["unreachable"] = stats.Unreachable
-		fmt.Fprintf(os.Stderr, "tsrouter: cluster served %d requests, hit ratio %.1f%%\n",
-			stats.Total.Requests, 100*stats.HitRatio)
-		if fill := stats.Fill; fill.PeerFills+fill.OriginFills+fill.DedupFills > 0 {
-			extra["origin_fill_bytes"] = fill.OriginFillBytes
-			extra["fill_saved_bytes"] = fill.SavedBytes()
-			fmt.Fprintf(os.Stderr, "tsrouter: fills: %d peer, %d origin, %d deduped; origin egress %s, saved %s\n",
-				fill.PeerFills, fill.OriginFills, fill.DedupFills,
-				report.Bytes(fill.OriginFillBytes), report.Bytes(fill.SavedBytes()))
+		if stats.Fill.Filled() > 0 {
+			extra["origin_fill_bytes"] = stats.Fill.OriginFillBytes
+			extra["fill_saved_bytes"] = stats.Fill.SavedBytes()
 		}
+		fmt.Fprint(os.Stderr, edge.Summary("tsrouter: cluster", stats.Total, stats.Fill))
 	}
-	if sh != nil {
-		extra["shield_origin_fetches"] = sh.OriginFetches()
+	if front.Shield != nil {
+		extra["shield_origin_fetches"] = front.Shield.OriginFetches()
 	}
 	if serveErr != nil {
 		sess.Finish(extra)

@@ -55,14 +55,10 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
-	"trafficscope/internal/cdn"
 	"trafficscope/internal/edge"
 	"trafficscope/internal/obs/cliobs"
-	"trafficscope/internal/obs/slo"
 	"trafficscope/internal/report"
 	"trafficscope/internal/timeutil"
 )
@@ -76,30 +72,18 @@ func main() {
 
 func run() error {
 	var (
-		addr        = flag.String("addr", ":8080", "TCP listen address")
-		policy      = flag.String("policy", "lru", "per-DC eviction policy (lru, lfu, fifo, slru, gdsf, 2q, split)")
-		capacity    = flag.Int64("capacity", 1<<30, "per-datacenter cache capacity in bytes")
-		shards      = flag.Int("shards", 0, "consistent-hash shards per DC cache (0 = unsharded; capacity splits evenly)")
-		pubCaches   = flag.String("publisher-caches", "", "dedicated per-publisher partitions, e.g. V-1=268435456,P-1=134217728")
-		chunk       = flag.Int64("chunk", 2<<20, "video chunk size in bytes (negative disables chunking)")
-		originLat   = flag.Duration("origin-latency", 0, "simulated origin round-trip added to every miss")
-		originBW    = flag.Int64("origin-bw", 0, "simulated origin fill bandwidth in bytes/s (0 = infinite)")
-		maxBody     = flag.Int64("max-body", edge.DefaultMaxBodyBytes, "max on-wire body bytes per response (logical size travels in X-TS-Bytes; negative = no body)")
-		maxConns    = flag.Int("max-conns", 0, "max concurrently accepted TCP connections (0 = unlimited)")
-		maxInflight = flag.Int("max-inflight", 0, "max concurrently served requests; excess get 503 (0 = unlimited)")
-		readTO      = flag.Duration("read-timeout", 5*time.Second, "HTTP read timeout")
-		writeTO     = flag.Duration("write-timeout", 30*time.Second, "HTTP write timeout")
-		idleTO      = flag.Duration("idle-timeout", 2*time.Minute, "HTTP keep-alive idle timeout")
-		drain       = flag.Duration("drain", 10*time.Second, "graceful drain budget on shutdown")
-		drainGrace  = flag.Duration("drain-grace", 0, "keep serving for this long after drain begins, with /healthz already 503")
-		sloPolicy   = flag.String("slo-policy", "", "SLO policy (file path or inline) with objectives to evaluate live")
-		traceBuf    = flag.Int("trace-buffer", 0, "per-request trace-event ring size for /debug/trace (0 = disabled)")
-		traceSample = flag.Int("trace-sample", 1, "trace every Nth request when the ring is enabled")
-		dcFlag      = flag.String("dc", "", "comma-separated regions this edge owns (e.g. europe or north-america,south-america); requests for other regions get 421. Empty serves all regions")
-		name        = flag.String("name", "", "backend name sent with fill requests so the shield skips the requester (defaults to -dc)")
-		shieldURL   = flag.String("shield", "", "origin shield base URL; misses fill through it (dedupe + peer probing) instead of the flat origin model")
-		fillTimeout = flag.Duration("fill-timeout", edge.DefaultFillTimeout, "budget for one shield fill attempt")
+		addr       = flag.String("addr", ":8080", "TCP listen address")
+		maxConns   = flag.Int("max-conns", 0, "max concurrently accepted TCP connections (0 = unlimited)")
+		readTO     = flag.Duration("read-timeout", 5*time.Second, "HTTP read timeout")
+		writeTO    = flag.Duration("write-timeout", 30*time.Second, "HTTP write timeout")
+		idleTO     = flag.Duration("idle-timeout", 2*time.Minute, "HTTP keep-alive idle timeout")
+		drain      = flag.Duration("drain", 10*time.Second, "graceful drain budget on shutdown")
+		drainGrace = flag.Duration("drain-grace", 0, "keep serving for this long after drain begins, with /healthz already 503")
+		dcFlag     = flag.String("dc", "", "comma-separated regions this edge owns (e.g. europe or north-america,south-america); requests for other regions get 421. Empty serves all regions")
+		name       = flag.String("name", "", "backend name sent with fill requests so the shield skips the requester (defaults to -dc)")
+		shieldURL  = flag.String("shield", "", "origin shield base URL; misses fill through it (dedupe + peer probing) instead of the flat origin model")
 	)
+	model := edge.AddFlags(flag.CommandLine)
 	obsFlags := cliobs.AddFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -111,75 +95,31 @@ func run() error {
 		return err
 	}
 	extra := map[string]any{
-		"addr": *addr, "policy": *policy, "capacity": *capacity, "shards": *shards,
+		"addr": *addr, "policy": model.Policy, "capacity": model.Capacity, "shards": model.Shards,
 		// Serving parallelism is bounded by cores (the cache model's
 		// one lock covers under 1% of a request); record them.
 		"gomaxprocs": runtime.GOMAXPROCS(0),
 	}
 	defer sess.Finish(extra)
 
-	dcs, err := parseDCs(*dcFlag)
-	if err != nil {
-		return err
-	}
-	if len(dcs) > 0 {
-		extra["dc"] = *dcFlag
-	}
-
-	factory, err := cacheFactory(*policy, *capacity, *shards)
-	if err != nil {
-		return err
-	}
-	pubFactories, err := parsePublisherCaches(*pubCaches, *policy)
-	if err != nil {
-		return err
-	}
-	network := cdn.New(cdn.Config{
-		NewCache:        factory,
-		ChunkBytes:      *chunk,
-		PublisherCaches: pubFactories,
-		Metrics:         sess.Registry(),
-	})
-	// The SLO engine always runs (the /slo windows cost atomic adds);
-	// -slo-policy supplies the objectives that can actually breach. Every
-	// region is registered as a scope so per-DC objectives are evaluable.
-	policySLO := slo.Policy{}
-	if *sloPolicy != "" {
-		if policySLO, err = slo.LoadPolicy(*sloPolicy); err != nil {
-			return err
+	// A DC-scoped edge owns (and registers as SLO scopes) only its own
+	// regions; empty means unscoped.
+	var dcs []timeutil.Region
+	scope := "all regions"
+	if *dcFlag != "" {
+		if dcs, err = timeutil.ParseRegions(*dcFlag); err != nil {
+			return fmt.Errorf("bad -dc: %v", err)
 		}
+		extra["dc"] = *dcFlag
+		scope = "dc " + *dcFlag
 	}
-	// A DC-scoped edge only registers its own regions as scopes; a
-	// cluster collector merges the per-DC reports back into one view.
-	scopeRegions := dcs
-	if len(scopeRegions) == 0 {
-		scopeRegions = timeutil.AllRegions()
-	}
-	regionScopes := make([]string, 0, len(scopeRegions))
-	for _, r := range scopeRegions {
-		regionScopes = append(regionScopes, r.String())
-	}
-	engine := slo.NewEngine(policySLO, regionScopes...)
 	if *name == "" {
 		*name = *dcFlag
 	}
 	if *shieldURL != "" {
 		extra["shield"] = *shieldURL
 	}
-	srv, err := edge.New(edge.Config{
-		Regions:         dcs,
-		CDN:             network,
-		OriginLatency:   *originLat,
-		OriginBandwidth: *originBW,
-		MaxBodyBytes:    *maxBody,
-		MaxInflight:     *maxInflight,
-		Name:            *name,
-		ShieldURL:       *shieldURL,
-		FillTimeout:     *fillTimeout,
-		Metrics:         sess.Registry(),
-		SLO:             engine,
-		Trace:           edge.NewTraceRing(*traceBuf, *traceSample),
-	})
+	srv, err := model.NewServer(dcs, *name, *shieldURL, sess.Registry())
 	if err != nil {
 		return err
 	}
@@ -194,12 +134,8 @@ func run() error {
 		DrainTimeout: *drain,
 		DrainGrace:   *drainGrace,
 		OnReady: func(a string) {
-			scope := "all regions"
-			if *dcFlag != "" {
-				scope = "dc " + *dcFlag
-			}
 			fmt.Fprintf(os.Stderr, "tsserve: serving on http://%s (%s, %s per DC, %s; endpoints: /o/ /stats /healthz /slo /metrics /debug/trace)\n",
-				a, *policy, report.Bytes(*capacity), scope)
+				a, model.Policy, report.Bytes(model.Capacity), scope)
 		},
 	})
 
@@ -208,81 +144,15 @@ func run() error {
 	extra["hit_ratio"] = stats.HitRatio()
 	extra["origin_bytes"] = stats.OriginBytes
 	extra["egress_bytes"] = stats.EgressBytes
-	fmt.Fprintf(os.Stderr, "tsserve: served %d requests, hit ratio %.1f%%, egress %s\n",
-		stats.Requests, 100*stats.HitRatio(), report.Bytes(stats.EgressBytes))
-	if fs := srv.FillStats(); fs.PeerFills+fs.OriginFills+fs.DedupFills > 0 {
-		extra["origin_fill_bytes"] = fs.OriginFillBytes
-		extra["fill_saved_bytes"] = fs.SavedBytes()
-		fmt.Fprintf(os.Stderr, "tsserve: fills: %d peer, %d origin, %d deduped; origin egress %s, saved %s\n",
-			fs.PeerFills, fs.OriginFills, fs.DedupFills,
-			report.Bytes(fs.OriginFillBytes), report.Bytes(fs.SavedBytes()))
+	fills := srv.FillStats()
+	if fills.Filled() > 0 {
+		extra["origin_fill_bytes"] = fills.OriginFillBytes
+		extra["fill_saved_bytes"] = fills.SavedBytes()
 	}
+	fmt.Fprint(os.Stderr, edge.Summary("tsserve:", stats, fills))
 	if serveErr != nil {
 		sess.Finish(extra)
 		return serveErr
 	}
 	return sess.Finish(extra)
-}
-
-// parseDCs parses a comma-separated region list ("europe" or
-// "north-america,south-america") into the regions this edge owns. Empty
-// means unscoped.
-func parseDCs(spec string) ([]timeutil.Region, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var out []timeutil.Region
-	for _, part := range strings.Split(spec, ",") {
-		r, err := timeutil.ParseRegion(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad -dc entry: %v", err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// cacheFactory builds the per-DC cache constructor, optionally sharding
-// the policy across a consistent-hash ring.
-func cacheFactory(policy string, capacity int64, shards int) (func() cdn.Cache, error) {
-	if shards <= 1 {
-		return cdn.PolicyFactory(policy, capacity)
-	}
-	perShard, err := cdn.PolicyFactory(policy, capacity/int64(shards))
-	if err != nil {
-		return nil, err
-	}
-	// Validate ring parameters once so the factory cannot fail later.
-	if _, err := cdn.NewShardedCache(shards, 64, perShard); err != nil {
-		return nil, err
-	}
-	return func() cdn.Cache {
-		c, _ := cdn.NewShardedCache(shards, 64, perShard) // validated above
-		return c
-	}, nil
-}
-
-// parsePublisherCaches parses "site=bytes,site=bytes" into dedicated
-// cache partitions using the same eviction policy as the default cache.
-func parsePublisherCaches(spec, policy string) (map[string]func() cdn.Cache, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	out := map[string]func() cdn.Cache{}
-	for _, part := range strings.Split(spec, ",") {
-		site, sizeStr, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok || site == "" {
-			return nil, fmt.Errorf("bad -publisher-caches entry %q (want site=bytes)", part)
-		}
-		size, err := strconv.ParseInt(sizeStr, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -publisher-caches size %q: %v", sizeStr, err)
-		}
-		factory, err := cdn.PolicyFactory(policy, size)
-		if err != nil {
-			return nil, err
-		}
-		out[site] = factory
-	}
-	return out, nil
 }

@@ -1,0 +1,345 @@
+//go:build !race
+
+package trafficscope
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// The repository's demos, declared as cells: a trace, the servers to
+// start, the clients to run against them and the exit code each process
+// must return. TestDemos builds the real binaries and runs every cell
+// (`make demos` runs it verbosely). Servers listen on 127.0.0.1:0 and
+// their bound address is read from the readiness line they print, so no
+// cell owns a port or sleeps to wait for one.
+//
+// In a process's args $dir is the cell's scratch directory, $trace the
+// generated trace, $policy the committed demo SLO policy, $0, $1, ... the
+// base URL of the cell's n-th server and $target that of its last one.
+type demoProc struct {
+	tool string
+	args []string
+	exit int
+}
+
+type demoCell struct {
+	name        string
+	scale, seed string
+	// servers start in order and are SIGINTed in reverse order once the
+	// clients are through: a front tier drains before what it fronts.
+	servers []demoProc
+	clients []demoProc
+	check   func(t *testing.T, r *demoRun)
+}
+
+var demoCells = []demoCell{
+	// One edge under the demo policy, gated three ways: tsload's own run
+	// gate, tsgate on the live /slo windows, tsgate on the run summary.
+	{
+		name: "edge-slo", scale: "0.01", seed: "42",
+		servers: []demoProc{{tool: "tsserve", args: []string{"-addr", "127.0.0.1:0", "-capacity", "2147483648",
+			"-slo-policy", "$policy", "-trace-buffer", "256", "-trace-sample", "64", "-manifest", "$dir/serve-manifest.json"}}},
+		clients: []demoProc{
+			{tool: "tsload", args: []string{"-in", "$trace", "-target", "$target", "-workers", "16", "-slo", "$policy",
+				"-summary", "$dir/load-summary.json", "-manifest", "$dir/load-manifest.json"}},
+			{tool: "tsgate", args: []string{"-target", "$target"}},
+			{tool: "tsgate", args: []string{"-run", "$dir/load-summary.json", "-policy", "$policy"}},
+		},
+		check: func(t *testing.T, r *demoRun) {
+			served, loaded := r.manifest("serve-manifest.json"), r.manifest("load-manifest.json")
+			var summary struct {
+				Requests, Errors int64
+			}
+			r.readJSON("load-summary.json", &summary)
+			if served["requests"] != r.records || loaded["requests"] != r.records || float64(summary.Requests) != r.records {
+				t.Errorf("requests: edge %v, tsload %v, summary %d; want %v", served["requests"], loaded["requests"], summary.Requests, r.records)
+			}
+			if loaded["errors"] != 0.0 || summary.Errors != 0 {
+				t.Errorf("tsload errors: manifest %v, summary %d", loaded["errors"], summary.Errors)
+			}
+			if served["hit_ratio"] != loaded["hit_ratio"] {
+				t.Errorf("hit ratio: edge %v, tsload %v", served["hit_ratio"], loaded["hit_ratio"])
+			}
+		},
+	},
+	// The gate can fail: a 16 MiB cache forces a miss storm and every
+	// miss pays 25 ms of origin latency, so the demo policy's hit-ratio
+	// floor and p99 target both breach and tsgate must exit exactly 1.
+	{
+		name: "edge-breach", scale: "0.005", seed: "43",
+		servers: []demoProc{{tool: "tsserve", args: []string{"-addr", "127.0.0.1:0", "-capacity", "16777216",
+			"-origin-latency", "25ms", "-slo-policy", "$policy"}}},
+		clients: []demoProc{
+			{tool: "tsload", args: []string{"-in", "$trace", "-target", "$target", "-workers", "64"}},
+			{tool: "tsgate", args: []string{"-target", "$target"}, exit: 1},
+		},
+	},
+	// The whole fleet in one process behind its shield, gated through the
+	// collector's merged /slo as if it were one tsserve.
+	{
+		name: "fleet-shield", scale: "0.01", seed: "42",
+		servers: []demoProc{{tool: "tscluster", args: []string{"-router-addr", "127.0.0.1:0", "-shield",
+			"-dcs", "north-america,south-america;europe;asia", "-capacity", "2147483648", "-slo-policy", "$policy"}}},
+		clients: []demoProc{
+			{tool: "tsload", args: []string{"-in", "$trace", "-target", "$target", "-workers", "16", "-manifest", "$dir/load-manifest.json"}},
+			{tool: "tsgate", args: []string{"-target", "$target"}},
+		},
+		check: func(t *testing.T, r *demoRun) {
+			if fills := r.checkExitTotals(t); fills == 0 {
+				t.Error("no miss was filled through the shield")
+			}
+		},
+	},
+	// The same tiers as separate processes wired by hand: the one
+	// multi-process smoke of tsserve -dc and tsrouter -backend.
+	{
+		name: "fleet-by-hand", scale: "0.005", seed: "42",
+		servers: []demoProc{
+			{tool: "tsserve", args: []string{"-addr", "127.0.0.1:0", "-dc", "north-america,south-america", "-capacity", "2147483648", "-slo-policy", "$policy"}},
+			{tool: "tsserve", args: []string{"-addr", "127.0.0.1:0", "-dc", "europe,asia", "-capacity", "2147483648", "-slo-policy", "$policy"}},
+			{tool: "tsrouter", args: []string{"-addr", "127.0.0.1:0", "-backend", "north-america,south-america=$0", "-backend", "europe,asia=$1",
+				"-manifest", "$dir/router-manifest.json"}},
+		},
+		clients: []demoProc{
+			{tool: "tsload", args: []string{"-in", "$trace", "-target", "$target", "-workers", "16", "-manifest", "$dir/load-manifest.json"}},
+			{tool: "tsgate", args: []string{"-target", "$target"}},
+		},
+		check: func(t *testing.T, r *demoRun) {
+			r.checkExitTotals(t)
+			if routed := r.manifest("router-manifest.json"); routed["requests"] != r.records || routed["unreachable"] != nil {
+				t.Errorf("router manifest: %v requests, unreachable %v; want %v, none", routed["requests"], routed["unreachable"], r.records)
+			}
+		},
+	},
+}
+
+func TestDemos(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds six binaries and replays four traces over loopback")
+	}
+	bin := t.TempDir()
+	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator),
+		"./cmd/tsgen", "./cmd/tsserve", "./cmd/tsload", "./cmd/tsgate", "./cmd/tsrouter", "./cmd/tscluster")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	policy, err := filepath.Abs("policies/demo.slo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range demoCells {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			r := &demoRun{t: t, bin: bin, dir: t.TempDir()}
+			t.Cleanup(r.stopServers)
+			r.vars = []string{"$dir", r.dir, "$policy", policy, "$trace", filepath.Join(r.dir, "trace.tsb")}
+			r.client(demoProc{tool: "tsgen", args: []string{"-scale", c.scale, "-seed", c.seed, "-out", "$trace", "-manifest", "$dir/gen-manifest.json"}})
+			r.records, _ = r.manifest("gen-manifest.json")["records"].(float64)
+			if r.records == 0 {
+				t.Fatal("tsgen wrote no records")
+			}
+			for i, s := range c.servers {
+				url := r.start(s)
+				r.vars = append(r.vars, "$"+strconv.Itoa(i), url)
+			}
+			r.vars = append(r.vars, "$target", r.servers[len(r.servers)-1].url)
+			for _, cl := range c.clients {
+				r.client(cl)
+			}
+			r.stopServers()
+			if c.check != nil && !t.Failed() {
+				c.check(t, r)
+			}
+		})
+	}
+}
+
+// demoRun is one cell's execution state.
+type demoRun struct {
+	t       *testing.T
+	bin     string
+	dir     string
+	vars    []string // strings.NewReplacer pairs
+	records float64  // requests in the cell's trace (a JSON number, as the manifests carry it)
+	servers []*demoServer
+	stopped bool
+}
+
+type demoServer struct {
+	demoProc
+	cmd    *exec.Cmd
+	url    string
+	log    *serverLog
+	exited chan struct{} // closed once cmd.Wait has returned
+}
+
+func (r *demoRun) command(p demoProc) *exec.Cmd {
+	args := make([]string, len(p.args))
+	for i, a := range p.args {
+		args[i] = strings.NewReplacer(r.vars...).Replace(a)
+	}
+	return exec.Command(filepath.Join(r.bin, p.tool), args...)
+}
+
+// client runs p to completion and requires its declared exit code.
+func (r *demoRun) client(p demoProc) {
+	r.t.Helper()
+	cmd := r.command(p)
+	out, err := cmd.CombinedOutput()
+	if cmd.ProcessState == nil {
+		r.t.Fatalf("%s: %v", p.tool, err)
+	}
+	if code := cmd.ProcessState.ExitCode(); code != p.exit {
+		r.t.Fatalf("%s %v exited %d, want %d\n%s", p.tool, cmd.Args[1:], code, p.exit, out)
+	}
+}
+
+// start launches a server and returns the base URL its readiness line
+// announces ("tsserve: serving on http://127.0.0.1:43571 (...)").
+func (r *demoRun) start(p demoProc) string {
+	r.t.Helper()
+	s := &demoServer{demoProc: p, cmd: r.command(p), log: &serverLog{ready: make(chan string, 1)}, exited: make(chan struct{})}
+	s.cmd.Stderr = s.log
+	if err := s.cmd.Start(); err != nil {
+		r.t.Fatalf("%s: %v", p.tool, err)
+	}
+	go func() {
+		s.cmd.Wait()
+		close(s.exited)
+	}()
+	r.servers = append(r.servers, s)
+	select {
+	case s.url = <-s.log.ready:
+	case <-s.exited:
+		r.t.Fatalf("%s exited before it was ready\n%s", p.tool, s.log)
+	case <-time.After(30 * time.Second):
+		r.t.Fatalf("%s printed no readiness line\n%s", p.tool, s.log)
+	}
+	return s.url
+}
+
+// stopServers SIGINTs the servers last-started first, one at a time, and
+// requires each one's declared exit code. Only the first call acts.
+func (r *demoRun) stopServers() {
+	if r.stopped {
+		return
+	}
+	r.stopped = true
+	for i := len(r.servers) - 1; i >= 0; i-- {
+		s := r.servers[i]
+		s.cmd.Process.Signal(os.Interrupt)
+		select {
+		case <-s.exited:
+		case <-time.After(30 * time.Second):
+			s.cmd.Process.Kill()
+			<-s.exited
+			r.t.Errorf("%s did not exit on SIGINT", s.tool)
+		}
+		if code := s.cmd.ProcessState.ExitCode(); code != s.exit {
+			r.t.Errorf("%s exited %d, want %d", s.tool, code, s.exit)
+		}
+		r.t.Logf("%s\n%s", s.tool, s.log)
+	}
+}
+
+// serverLog collects a server's stderr and announces the URL of its
+// readiness line.
+type serverLog struct {
+	mu    sync.Mutex
+	buf   bytes.Buffer
+	ready chan string // receives the base URL once
+	found bool
+}
+
+var readyLine = regexp.MustCompile(` on (http://[^\s/]+) `)
+
+func (l *serverLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.buf.Write(p)
+	if !l.found {
+		if m := readyLine.FindSubmatch(l.buf.Bytes()); m != nil {
+			l.found = true
+			l.ready <- string(m[1])
+		}
+	}
+	return len(p), nil
+}
+
+func (l *serverLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+func (r *demoRun) readJSON(name string, into any) {
+	r.t.Helper()
+	data, err := os.ReadFile(filepath.Join(r.dir, name))
+	if err == nil {
+		err = json.Unmarshal(data, into)
+	}
+	if err != nil {
+		r.t.Fatalf("%s: %v", name, err)
+	}
+}
+
+// manifest returns the tool-specific section of a run manifest.
+func (r *demoRun) manifest(name string) map[string]any {
+	r.t.Helper()
+	var m struct {
+		Extra map[string]any `json:"extra"`
+	}
+	r.readJSON(name, &m)
+	return m.Extra
+}
+
+var (
+	servedLine = regexp.MustCompile(` served (\d+) requests`)
+	fillsLine  = regexp.MustCompile(` fills: (\d+) peer, (\d+) origin, (\d+) deduped`)
+)
+
+// checkExitTotals holds the servers' exit summaries to the exactness the
+// ordered shutdown promises: the cluster line counts every request of the
+// trace, which is also the sum of the edges' own lines, and the same for
+// the fill counts. Edge lines are tsserve's and tscluster's "edge <name>"
+// ones; the cluster's come from tsrouter or tscluster. Returns the
+// cluster's fill count.
+func (r *demoRun) checkExitTotals(t *testing.T) (fills int64) {
+	t.Helper()
+	var edges, cluster [4]int64 // requests, peer, origin, deduped
+	for _, s := range r.servers {
+		for _, line := range strings.Split(s.log.String(), "\n") {
+			into := &cluster
+			if strings.HasPrefix(line, "tsserve: ") || strings.HasPrefix(line, "tscluster: edge ") {
+				into = &edges
+			}
+			if m := servedLine.FindStringSubmatch(line); m != nil {
+				n, _ := strconv.ParseInt(m[1], 10, 64)
+				into[0] += n
+			}
+			if m := fillsLine.FindStringSubmatch(line); m != nil {
+				for i := 1; i <= 3; i++ {
+					n, _ := strconv.ParseInt(m[i], 10, 64)
+					into[i] += n
+				}
+			}
+		}
+	}
+	if loaded := r.manifest("load-manifest.json"); loaded["requests"] != r.records || float64(cluster[0]) != r.records {
+		t.Errorf("trace has %v requests, tsload sent %v, the cluster line counts %d", r.records, loaded["requests"], cluster[0])
+	}
+	if edges != cluster {
+		t.Errorf("exit summaries (requests, peer, origin, deduped fills): edges sum to %v, cluster line says %v", edges, cluster)
+	}
+	return cluster[1] + cluster[2] + cluster[3]
+}

@@ -618,11 +618,24 @@ func ListenAndServe(ctx context.Context, handler http.Handler, lc ListenConfig, 
 	if lc.OnReady != nil {
 		lc.OnReady(ln.Addr().String())
 	}
+	// unused holds the connections that have not carried a request byte
+	// yet (a client's transport dials these speculatively and parks them).
+	// http.Server.Shutdown waits up to five seconds for each to send its
+	// first request; the drain below closes them instead.
+	var unused sync.Map // net.Conn -> struct{}
 	srv := &http.Server{
 		Handler:      handler,
 		ReadTimeout:  lc.ReadTimeout,
 		WriteTimeout: lc.WriteTimeout,
 		IdleTimeout:  lc.IdleTimeout,
+		ConnState: func(c net.Conn, st http.ConnState) {
+			switch st {
+			case http.StateNew:
+				unused.Store(c, struct{}{})
+			case http.StateActive, http.StateHijacked, http.StateClosed:
+				unused.Delete(c) // StateIdle only ever follows StateActive
+			}
+		},
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
@@ -644,6 +657,10 @@ func ListenAndServe(ctx context.Context, handler http.Handler, lc ListenConfig, 
 			case <-time.After(lc.DrainGrace):
 			}
 		}
+		unused.Range(func(c, _ any) bool {
+			c.(net.Conn).Close()
+			return true
+		})
 		dctx, cancel := context.WithTimeout(context.Background(), lc.DrainTimeout)
 		defer cancel()
 		err := srv.Shutdown(dctx)

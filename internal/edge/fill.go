@@ -2,11 +2,13 @@ package edge
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
 	"trafficscope/internal/cdn"
+	"trafficscope/internal/report"
 	"trafficscope/internal/timeutil"
 	"trafficscope/internal/trace"
 )
@@ -71,6 +73,23 @@ func (f *FillStats) Add(src FillStats) {
 // that would have been origin fetches without the fill hierarchy (peer
 // fills plus deduped rides on in-flight fetches).
 func (f FillStats) SavedBytes() int64 { return f.PeerFillBytes + f.DedupFillBytes }
+
+// Filled counts the misses resolved through the fill hierarchy.
+func (f FillStats) Filled() int64 { return f.PeerFills + f.OriginFills + f.DedupFills }
+
+// Summary renders the exit summary tsserve, tsrouter and tscluster print
+// for who ("tsserve:", "tscluster: edge europe", ...): requests, hit
+// ratio and egress, plus a fills line when any miss went through the fill
+// hierarchy.
+func Summary(who string, total cdn.DCStats, fill FillStats) string {
+	s := fmt.Sprintf("%s served %d requests, hit ratio %.1f%%, egress %s\n",
+		who, total.Requests, 100*total.HitRatio(), report.Bytes(total.EgressBytes))
+	if fill.Filled() > 0 {
+		s += fmt.Sprintf("%s fills: %d peer, %d origin, %d deduped; origin egress %s, saved %s\n", who,
+			fill.PeerFills, fill.OriginFills, fill.DedupFills, report.Bytes(fill.OriginFillBytes), report.Bytes(fill.SavedBytes()))
+	}
+	return s
+}
 
 // FillStats snapshots the edge's fill counters (atomic reads, safe while
 // traffic is in flight).

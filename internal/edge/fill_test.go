@@ -259,7 +259,7 @@ func TestPeerFillUnreachableFallsBack(t *testing.T) {
 // TestFillDedup is the tentpole's edge-local half: concurrent misses for
 // one object (one per region — each DC's cache misses independently)
 // collapse into exactly one shield fill; every other request is counted
-// as deduped. Run under -race in CI's cluster-e2e job.
+// as deduped. `make check` runs it under -race.
 func TestFillDedup(t *testing.T) {
 	// The shield blocks the leader's fill until released, guaranteeing
 	// the followers' misses arrive while the flight is open.

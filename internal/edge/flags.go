@@ -1,0 +1,139 @@
+package edge
+
+import (
+	"flag"
+	"fmt"
+	"strconv"
+	"strings"
+
+	"trafficscope/internal/cdn"
+	"trafficscope/internal/obs"
+	"trafficscope/internal/obs/slo"
+	"trafficscope/internal/timeutil"
+)
+
+// Flags are the edge's model flags: what an edge is — cache policy and
+// size, origin model, body and shed limits, SLO objectives, trace ring —
+// as opposed to where it runs (-addr, -dc, -name, -shield and the
+// listener timeouts stay tsserve's own). tsserve and tscluster both
+// register them through AddFlags, so every name, default and usage
+// string is declared once. The flags that are Config fields as they stand
+// (origin model, body and shed limits, fill timeout) land in the embedded
+// Config; NewServer derives the rest of it.
+type Flags struct {
+	Config
+	Policy          string
+	Capacity        int64
+	Shards          int
+	PublisherCaches string
+	ChunkBytes      int64
+	SLOPolicy       string
+	TraceBuffer     int
+	TraceSample     int
+}
+
+// AddFlags registers the edge model flags on fs and returns their
+// destination, valid after fs.Parse.
+func AddFlags(fs *flag.FlagSet) *Flags {
+	f := &Flags{}
+	fs.StringVar(&f.Policy, "policy", "lru", "per-DC eviction policy (lru, lfu, fifo, slru, gdsf, 2q, split)")
+	fs.Int64Var(&f.Capacity, "capacity", 1<<30, "per-datacenter cache capacity in bytes")
+	fs.IntVar(&f.Shards, "shards", 0, "consistent-hash shards per DC cache (0 = unsharded; capacity splits evenly)")
+	fs.StringVar(&f.PublisherCaches, "publisher-caches", "", "dedicated per-publisher partitions, e.g. V-1=268435456,P-1=134217728")
+	fs.Int64Var(&f.ChunkBytes, "chunk", 2<<20, "video chunk size in bytes (negative disables chunking)")
+	fs.DurationVar(&f.OriginLatency, "origin-latency", 0, "simulated origin round-trip added to every miss")
+	fs.Int64Var(&f.OriginBandwidth, "origin-bw", 0, "simulated origin fill bandwidth in bytes/s (0 = infinite)")
+	fs.Int64Var(&f.MaxBodyBytes, "max-body", DefaultMaxBodyBytes, "max on-wire body bytes per response (logical size travels in X-TS-Bytes; negative = no body)")
+	fs.IntVar(&f.MaxInflight, "max-inflight", 0, "max concurrently served requests; excess get 503 (0 = unlimited)")
+	fs.StringVar(&f.SLOPolicy, "slo-policy", "", "SLO policy (file path or inline) with objectives to evaluate live")
+	fs.IntVar(&f.TraceBuffer, "trace-buffer", 0, "per-request trace-event ring size for /debug/trace (0 = disabled)")
+	fs.IntVar(&f.TraceSample, "trace-sample", 1, "trace every Nth request when the ring is enabled")
+	fs.DurationVar(&f.FillTimeout, "fill-timeout", DefaultFillTimeout, "budget for one shield fill attempt")
+	return f
+}
+
+// NewServer builds the edge the flags describe at the placement the
+// caller gives it: the regions it owns (none = every region), the name
+// its fill requests carry, the shield its misses go through ("" = the
+// flat origin model) and the registry its telemetry lands in (nil =
+// nothing exported).
+func (f *Flags) NewServer(regions []timeutil.Region, name, shieldURL string, metrics *obs.Registry) (*Server, error) {
+	factory, err := cacheFactory(f.Policy, f.Capacity, f.Shards)
+	if err != nil {
+		return nil, err
+	}
+	pubFactories, err := parsePublisherCaches(f.PublisherCaches, f.Policy)
+	if err != nil {
+		return nil, err
+	}
+	// The SLO engine always runs (the /slo windows cost atomic adds);
+	// -slo-policy supplies the objectives that can actually breach.
+	policy := slo.Policy{}
+	if f.SLOPolicy != "" {
+		if policy, err = slo.LoadPolicy(f.SLOPolicy); err != nil {
+			return nil, err
+		}
+	}
+	// Every owned region is a scope so per-DC objectives are evaluable; a
+	// cluster collector merges the scoped edges' reports into one view.
+	owned := regions
+	if len(owned) == 0 {
+		owned = timeutil.AllRegions()
+	}
+	cfg := f.Config
+	cfg.Regions, cfg.Name, cfg.ShieldURL, cfg.Metrics = regions, name, shieldURL, metrics
+	cfg.CDN = cdn.New(cdn.Config{
+		NewCache:        factory,
+		ChunkBytes:      f.ChunkBytes,
+		PublisherCaches: pubFactories,
+		Metrics:         metrics,
+	})
+	cfg.SLO = slo.NewEngine(policy, timeutil.RegionNames(owned)...)
+	cfg.Trace = NewTraceRing(f.TraceBuffer, f.TraceSample)
+	return New(cfg)
+}
+
+// cacheFactory builds the per-DC cache constructor, optionally sharding
+// the policy across a consistent-hash ring.
+func cacheFactory(policy string, capacity int64, shards int) (func() cdn.Cache, error) {
+	if shards <= 1 {
+		return cdn.PolicyFactory(policy, capacity)
+	}
+	perShard, err := cdn.PolicyFactory(policy, capacity/int64(shards))
+	if err != nil {
+		return nil, err
+	}
+	// Validate ring parameters once so the factory cannot fail later.
+	if _, err := cdn.NewShardedCache(shards, 64, perShard); err != nil {
+		return nil, err
+	}
+	return func() cdn.Cache {
+		c, _ := cdn.NewShardedCache(shards, 64, perShard) // validated above
+		return c
+	}, nil
+}
+
+// parsePublisherCaches parses "site=bytes,site=bytes" into dedicated
+// cache partitions using the same eviction policy as the default cache.
+func parsePublisherCaches(spec, policy string) (map[string]func() cdn.Cache, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	out := map[string]func() cdn.Cache{}
+	for _, part := range strings.Split(spec, ",") {
+		site, sizeStr, ok := strings.Cut(strings.TrimSpace(part), "=")
+		if !ok || site == "" {
+			return nil, fmt.Errorf("bad -publisher-caches entry %q (want site=bytes)", part)
+		}
+		size, err := strconv.ParseInt(sizeStr, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad -publisher-caches size %q: %v", sizeStr, err)
+		}
+		factory, err := cdn.PolicyFactory(policy, size)
+		if err != nil {
+			return nil, err
+		}
+		out[site] = factory
+	}
+	return out, nil
+}

@@ -4,9 +4,9 @@
 // region has several backends), proxying by default or answering 307
 // redirects, with /healthz-driven failover; a Collector polls every
 // backend's /stats, /slo and /metrics and serves merged cluster views on
-// the same endpoints so tsgate and dashboards see one server. The
-// Cluster launcher spawns the whole topology on one machine for demos
-// and e2e tests.
+// the same endpoints so tsgate and dashboards see one server. Launch
+// hosts the whole topology in one process, every tier on its own
+// listener, for tscluster and the e2e tests.
 //
 // This is process topology, not statistics — the statistical clustering
 // of user sessions lives in internal/cluster.
@@ -77,17 +77,14 @@ type BackendStatus struct {
 
 // Status snapshots the backend's health for /backends.
 func (b *Backend) Status() BackendStatus {
-	st := BackendStatus{
+	return BackendStatus{
 		Name:     b.Name,
 		URL:      b.URL,
+		Regions:  timeutil.RegionNames(b.Regions),
 		Healthy:  b.healthy.Load(),
 		Probes:   b.probes.Load(),
 		Failures: b.failures.Load(),
 	}
-	for _, r := range b.Regions {
-		st.Regions = append(st.Regions, r.String())
-	}
-	return st
 }
 
 // ParseBackendSpec parses a "regions=url" backend flag value, e.g.
@@ -102,16 +99,11 @@ func ParseBackendSpec(spec string) (*Backend, error) {
 	if !strings.HasPrefix(url, "http://") && !strings.HasPrefix(url, "https://") {
 		return nil, fmt.Errorf("fleet: backend url %q must start with http:// or https://", url)
 	}
-	b := &Backend{Name: regionsStr, URL: strings.TrimRight(url, "/")}
-	for _, part := range strings.Split(regionsStr, ",") {
-		r, err := timeutil.ParseRegion(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("fleet: backend spec %q: %v", spec, err)
-		}
-		b.Regions = append(b.Regions, r)
+	regions, err := timeutil.ParseRegions(regionsStr)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: backend spec %q: %v", spec, err)
 	}
-	b.healthy.Store(true)
-	return b, nil
+	return NewBackend(regionsStr, url, regions...), nil
 }
 
 // NewBackend builds a healthy backend owning the given regions.

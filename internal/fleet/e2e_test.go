@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -48,48 +47,75 @@ hit-ratio >= 1%
 	return p
 }
 
-// dcBackend is one single-DC edge process stand-in: a region-scoped
-// edge.Server over httptest wrapped as a fleet Backend.
-type dcBackend struct {
-	region timeutil.Region
-	cdn    *cdn.CDN
-	srv    *edge.Server
-	ts     *httptest.Server
-	b      *Backend
+// e2eFleet is a launched fleet of four single-DC edges — the in-process
+// equivalent of four `tsserve -dc <region>` behind a tsrouter — plus each
+// edge's own CDN, which the equivalence checks read directly.
+type e2eFleet struct {
+	*Fleet
+	cdns []*cdn.CDN // parallel to Fleet.Edges
 }
 
-// startDCBackends spins one region-scoped backend per trace region,
-// each with its own CDN, metrics registry and SLO engine — the in-proc
-// equivalent of four `tsserve -dc <region>` processes. A non-empty
-// shieldURL points every backend's miss path at an origin shield, the
-// in-proc equivalent of `tsserve -shield <url>`.
-func startDCBackends(t *testing.T, shieldURL string) []*dcBackend {
+// region is the one region edge i owns.
+func (f *e2eFleet) region(i int) timeutil.Region { return f.Edges[i].Backend.Regions[0] }
+
+// launchE2E launches one region-scoped edge per trace region, each with
+// its own CDN, metrics registry and SLO engine, behind a front tier built
+// from router; shield routes every edge's miss path through an origin
+// shield there (`tscluster -shield`). The collector polls at launch and
+// at Shutdown only, so a test's own PollOnce is the last word.
+func launchE2E(t *testing.T, router RouterConfig, shield bool) *e2eFleet {
 	t.Helper()
-	var out []*dcBackend
-	for _, r := range timeutil.AllRegions() {
-		network := mkE2ECDN()
-		srv, err := edge.New(edge.Config{
-			CDN:       network,
-			Regions:   []timeutil.Region{r},
-			Name:      r.String(),
-			ShieldURL: shieldURL,
-			Metrics:   obs.NewRegistry(),
-			SLO:       slo.NewEngine(e2ePolicy(t), r.String()),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(ts.Close)
-		out = append(out, &dcBackend{
-			region: r,
-			cdn:    network,
-			srv:    srv,
-			ts:     ts,
-			b:      NewBackend(r.String(), ts.URL, r),
-		})
+	f := &e2eFleet{}
+	router.Logf = t.Logf
+	cfg := LaunchConfig{
+		Router:    router,
+		Collector: CollectorConfig{Interval: time.Hour, Logf: t.Logf},
+		NewEdge: func(regions []timeutil.Region, name, shieldURL string) (*edge.Server, error) {
+			network := mkE2ECDN()
+			f.cdns = append(f.cdns, network)
+			return edge.New(edge.Config{
+				CDN:       network,
+				Regions:   regions,
+				Name:      name,
+				ShieldURL: shieldURL,
+				Metrics:   obs.NewRegistry(),
+				SLO:       slo.NewEngine(e2ePolicy(t), name),
+			})
+		},
 	}
-	return out
+	for _, r := range timeutil.AllRegions() {
+		cfg.Groups = append(cfg.Groups, []timeutil.Region{r})
+	}
+	if shield {
+		cfg.Shield = &ShieldConfig{Metrics: obs.NewRegistry(), Logf: t.Logf}
+	}
+	var err error
+	if f.Fleet, err = Launch(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Shutdown() })
+	return f
+}
+
+// replayE2E replays recs through the fleet's router and requires a clean
+// run: every record answered, none shed, and any failure named.
+func replayE2E(t *testing.T, f *e2eFleet, recs []*trace.Record) *loadgen.Stats {
+	t.Helper()
+	st, err := loadgen.Run(context.Background(), loadgen.Config{
+		Target:  f.URL,
+		Workers: 8,
+		Speedup: 0,
+	}, trace.NewSliceReader(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Errors != 0 || st.Shed != 0 {
+		t.Fatalf("replay through the fleet: %d errors (first: %s), %d shed", st.Errors, st.FirstError, st.Shed)
+	}
+	if st.Requests != int64(len(recs)) {
+		t.Fatalf("completed %d requests, want %d", st.Requests, len(recs))
+	}
+	return st
 }
 
 func e2eTrace(t *testing.T) []*trace.Record {
@@ -122,61 +148,27 @@ func TestRouterReplayMatchesOfflinePerDC(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	backends := startDCBackends(t, "")
-	bs := make([]*Backend, len(backends))
-	for i, d := range backends {
-		bs[i] = d.b
-	}
-	router, err := NewRouter(RouterConfig{Backends: bs, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	collector, err := NewCollector(CollectorConfig{Backends: bs, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	router.Start(ctx)
+	fl := launchE2E(t, RouterConfig{}, false)
+	st := replayE2E(t, fl, recs)
 
-	mux := http.NewServeMux()
-	router.Register(mux)
-	collector.Register(mux)
-	front := httptest.NewServer(mux)
-	defer front.Close()
-
-	st, err := loadgen.Run(ctx, loadgen.Config{
-		Target:  front.URL,
-		Workers: 8,
-		Speedup: 0,
-	}, trace.NewSliceReader(recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Errors != 0 || st.Shed != 0 {
-		t.Fatalf("replay through router: %d errors, %d shed", st.Errors, st.Shed)
-	}
-	if st.Requests != int64(len(recs)) {
-		t.Fatalf("completed %d requests, want %d", st.Requests, len(recs))
-	}
-
-	// The per-DC equivalence guarantee, now across process boundaries:
+	// The per-DC equivalence guarantee, now across listener boundaries:
 	// each backend's single DC must match the offline replay exactly.
 	var liveTotal cdn.DCStats
-	for _, d := range backends {
-		got := d.cdn.DC(d.region).StatsSnapshot()
-		want := offline.DC(d.region).StatsSnapshot()
+	for i, network := range fl.cdns {
+		region := fl.region(i)
+		got := network.DC(region).StatsSnapshot()
+		want := offline.DC(region).StatsSnapshot()
 		if got != want {
-			t.Errorf("DC %v: live totals %+v, want offline %+v", d.region, got, want)
+			t.Errorf("DC %v: live totals %+v, want offline %+v", region, got, want)
 		}
 		addDCStats(&liveTotal, got)
 		// No traffic may leak into a backend's foreign DCs.
 		for _, other := range timeutil.AllRegions() {
-			if other == d.region {
+			if other == region {
 				continue
 			}
-			if foreign := d.cdn.DC(other).StatsSnapshot(); foreign.Requests != 0 {
-				t.Errorf("backend %v served %d requests for foreign DC %v", d.region, foreign.Requests, other)
+			if foreign := network.DC(other).StatsSnapshot(); foreign.Requests != 0 {
+				t.Errorf("backend %v served %d requests for foreign DC %v", region, foreign.Requests, other)
 			}
 		}
 	}
@@ -186,8 +178,8 @@ func TestRouterReplayMatchesOfflinePerDC(t *testing.T) {
 
 	// The collector must reassemble the same numbers into one cluster
 	// view, reachable over the router's own /stats.
-	collector.PollOnce(context.Background())
-	stats, ok := collector.Stats()
+	fl.Front.Collector.PollOnce(context.Background())
+	stats, ok := fl.Front.Collector.Stats()
 	if !ok {
 		t.Fatal("collector has not polled")
 	}
@@ -204,7 +196,7 @@ func TestRouterReplayMatchesOfflinePerDC(t *testing.T) {
 	}
 
 	var overHTTP ClusterStats
-	getJSON(t, front.URL+"/stats", &overHTTP)
+	getJSON(t, fl.URL+"/stats", &overHTTP)
 	if overHTTP.Total != offline.TotalStats() {
 		t.Errorf("/stats over HTTP total %+v, want %+v", overHTTP.Total, offline.TotalStats())
 	}
@@ -213,7 +205,7 @@ func TestRouterReplayMatchesOfflinePerDC(t *testing.T) {
 	// server's report, cover every region scope, and not be breached —
 	// a compliant run gates green through the router.
 	var rep slo.Report
-	getJSON(t, front.URL+"/slo", &rep)
+	getJSON(t, fl.URL+"/slo", &rep)
 	if rep.Breached {
 		t.Errorf("merged SLO report breached: %+v", rep)
 	}
@@ -232,7 +224,7 @@ func TestRouterReplayMatchesOfflinePerDC(t *testing.T) {
 
 	// The merged /metrics page serves the summed backend series plus
 	// re-derived cluster SLO gauges.
-	resp, err := http.Get(front.URL + "/metrics")
+	resp, err := http.Get(fl.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,30 +249,14 @@ func TestRouterRedirectReplayMatchesOfflinePerDC(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	backends := startDCBackends(t, "")
-	bs := make([]*Backend, len(backends))
-	for i, d := range backends {
-		bs[i] = d.b
-	}
-	router, err := NewRouter(RouterConfig{Backends: bs, Redirect: true, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	router.Start(ctx)
-
-	mux := http.NewServeMux()
-	router.Register(mux)
-	front := httptest.NewServer(mux)
-	defer front.Close()
+	fl := launchE2E(t, RouterConfig{Redirect: true}, false)
 
 	// A non-following client sees the redirect itself: 307, a Location
 	// on the owning backend, and the backend's name in X-TS-Backend.
 	probe := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
 		return http.ErrUseLastResponse
 	}}
-	resp, err := probe.Get(front.URL + edge.RequestPath(recs[0]))
+	resp, err := probe.Get(fl.URL + edge.RequestPath(recs[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,30 +268,18 @@ func TestRouterRedirectReplayMatchesOfflinePerDC(t *testing.T) {
 		t.Fatalf("redirect missing backend/location headers: %v", resp.Header)
 	}
 
-	st, err := loadgen.Run(ctx, loadgen.Config{
-		Target:  front.URL,
-		Workers: 8,
-		Speedup: 0,
-	}, trace.NewSliceReader(recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Errors != 0 {
-		t.Fatalf("replay had %d errors", st.Errors)
-	}
-	if st.Requests != int64(len(recs)) {
-		t.Fatalf("completed %d requests, want %d", st.Requests, len(recs))
-	}
+	st := replayE2E(t, fl, recs)
 	// Every request took exactly one router hop.
 	if st.Redirects != st.Requests {
 		t.Errorf("followed %d redirects for %d requests, want one per request", st.Redirects, st.Requests)
 	}
 
-	for _, d := range backends {
-		got := d.cdn.DC(d.region).StatsSnapshot()
-		want := offline.DC(d.region).StatsSnapshot()
+	for i, network := range fl.cdns {
+		region := fl.region(i)
+		got := network.DC(region).StatsSnapshot()
+		want := offline.DC(region).StatsSnapshot()
 		if got != want {
-			t.Errorf("DC %v: live totals %+v, want offline %+v", d.region, got, want)
+			t.Errorf("DC %v: live totals %+v, want offline %+v", region, got, want)
 		}
 	}
 }

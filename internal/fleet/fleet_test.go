@@ -52,27 +52,6 @@ func TestParseBackendSpec(t *testing.T) {
 	}
 }
 
-func TestParseServingAddr(t *testing.T) {
-	cases := []struct {
-		line string
-		want string
-		ok   bool
-	}{
-		{"tsserve: serving on http://127.0.0.1:43571 (lru, 1.0 GiB per DC, all regions; endpoints: ...)", "127.0.0.1:43571", true},
-		{"tsrouter: serving on http://127.0.0.1:8090 (proxy mode, 4 backends; endpoints: ...)", "127.0.0.1:8090", true},
-		{"ready on http://10.0.0.7:80/healthz soon", "10.0.0.7:80", true},
-		{"serving on http://host:1234", "host:1234", true},
-		{"no address in this line", "", false},
-		{"half a marker on http://", "", false},
-	}
-	for _, c := range cases {
-		got, ok := parseServingAddr(c.line)
-		if got != c.want || ok != c.ok {
-			t.Errorf("parseServingAddr(%q) = %q, %v; want %q, %v", c.line, got, ok, c.want, c.ok)
-		}
-	}
-}
-
 func TestBackendHealthTransitions(t *testing.T) {
 	b := NewBackend("eu", "http://127.0.0.1:1", timeutil.RegionEurope)
 	if !b.Healthy() {

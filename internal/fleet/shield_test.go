@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"trafficscope/internal/edge"
-	"trafficscope/internal/loadgen"
 	"trafficscope/internal/obs"
 	"trafficscope/internal/timeutil"
 	"trafficscope/internal/trace"
@@ -36,7 +35,7 @@ func shieldRecord(region timeutil.Region) *trace.Record {
 // collapse into a single resolution — exactly one origin fetch — with
 // every other request reported as deduped. A gate in the peer's /fill
 // handler holds the leader's flight open until all followers have
-// joined. Run under -race in CI's cluster-e2e job.
+// joined. `make check` runs it under -race.
 func TestShieldDedupeDirect(t *testing.T) {
 	gate := make(chan struct{})
 	peerMux := http.NewServeMux()
@@ -272,62 +271,20 @@ func TestClusterShieldReplayEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The shield's address is fixed before any backend exists — the same
-	// ordering tscluster relies on with -router-addr.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	shieldURL := "http://" + ln.Addr().String()
-	backends := startDCBackends(t, shieldURL)
-	bs := make([]*Backend, len(backends))
-	for i, d := range backends {
-		bs[i] = d.b
-	}
-
-	sh := NewShield(ShieldConfig{Backends: bs, Metrics: obs.NewRegistry(), Logf: t.Logf})
-	router, err := NewRouter(RouterConfig{Backends: bs, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	collector, err := NewCollector(CollectorConfig{Backends: bs, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	router.Start(ctx)
-
-	mux := http.NewServeMux()
-	router.Register(mux)
-	collector.Register(mux)
-	sh.Register(mux)
-	front := httptest.NewUnstartedServer(mux)
-	front.Listener.Close()
-	front.Listener = ln
-	front.Start()
-	defer front.Close()
-
-	st, err := loadgen.Run(ctx, loadgen.Config{
-		Target:  front.URL,
-		Workers: 8,
-		Speedup: 0,
-	}, trace.NewSliceReader(recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Errors != 0 || st.Shed != 0 {
-		t.Fatalf("replay through shielded cluster: %d errors, %d shed", st.Errors, st.Shed)
-	}
+	// Launch binds the front tier first, so the shield's address is
+	// fixed before any edge exists.
+	fl := launchE2E(t, RouterConfig{}, true)
+	replayE2E(t, fl, recs)
 
 	// Equivalence survives the fill hierarchy: the fill layer only moved
 	// bytes and time, never cache state.
 	var misses int64
-	for _, d := range backends {
-		got := d.cdn.DC(d.region).StatsSnapshot()
-		want := offline.DC(d.region).StatsSnapshot()
+	for i, network := range fl.cdns {
+		region := fl.region(i)
+		got := network.DC(region).StatsSnapshot()
+		want := offline.DC(region).StatsSnapshot()
 		if got != want {
-			t.Errorf("DC %v: live totals with shield %+v, want offline %+v", d.region, got, want)
+			t.Errorf("DC %v: live totals with shield %+v, want offline %+v", region, got, want)
 		}
 		misses += got.Misses
 	}
@@ -335,19 +292,19 @@ func TestClusterShieldReplayEquivalence(t *testing.T) {
 	// Every miss resolved through exactly one fill path, and the edges'
 	// view of origin/peer traffic agrees with the shield's own counters.
 	var fill edge.FillStats
-	for _, d := range backends {
-		fill.Add(d.srv.FillStats())
+	for _, e := range fl.Edges {
+		fill.Add(e.Server.FillStats())
 	}
 	if resolved := fill.PeerFills + fill.OriginFills + fill.DedupFills; resolved != misses {
 		t.Errorf("fills %d (peer %d + origin %d + dedup %d) != misses %d",
 			resolved, fill.PeerFills, fill.OriginFills, fill.DedupFills, misses)
 	}
-	if fill.OriginFills != sh.OriginFetches() {
+	if fill.OriginFills != fl.Front.Shield.OriginFetches() {
 		t.Errorf("edges counted %d origin fills, shield made %d origin fetches",
-			fill.OriginFills, sh.OriginFetches())
+			fill.OriginFills, fl.Front.Shield.OriginFetches())
 	}
-	if fill.PeerFills != sh.peerFills.Value() {
-		t.Errorf("edges counted %d peer fills, shield made %d", fill.PeerFills, sh.peerFills.Value())
+	if fill.PeerFills != fl.Front.Shield.peerFills.Value() {
+		t.Errorf("edges counted %d peer fills, shield made %d", fill.PeerFills, fl.Front.Shield.peerFills.Value())
 	}
 	if fill.FillErrors != 0 {
 		t.Errorf("%d fill errors during replay", fill.FillErrors)
@@ -362,8 +319,8 @@ func TestClusterShieldReplayEquivalence(t *testing.T) {
 		misses, fill.OriginFills, fill.PeerFills, fill.DedupFills, fill.OriginFillBytes, fill.SavedBytes())
 
 	// The collector's merged /stats carries the same fill section.
-	collector.PollOnce(context.Background())
-	stats, ok := collector.Stats()
+	fl.Front.Collector.PollOnce(context.Background())
+	stats, ok := fl.Front.Collector.Stats()
 	if !ok {
 		t.Fatal("collector has not polled")
 	}
@@ -371,7 +328,7 @@ func TestClusterShieldReplayEquivalence(t *testing.T) {
 		t.Errorf("merged fill %+v != summed backend fill %+v", stats.Fill, fill)
 	}
 	var overHTTP ClusterStats
-	getJSON(t, front.URL+"/stats", &overHTTP)
+	getJSON(t, fl.URL+"/stats", &overHTTP)
 	if overHTTP.Fill != fill {
 		t.Errorf("/stats over HTTP fill %+v != %+v", overHTTP.Fill, fill)
 	}

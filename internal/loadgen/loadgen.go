@@ -87,10 +87,13 @@ const DefaultMaxRedirects = 5
 type Stats struct {
 	Requests int64 `json:"requests"`
 	Errors   int64 `json:"errors"`
-	Retries  int64 `json:"retries"`
-	Hits     int64 `json:"hits"`
-	Misses   int64 `json:"misses"`
-	Shed     int64 `json:"shed"` // 503 responses from edge load shedding
+	// FirstError is the first failure counted in Errors, so a run that
+	// reports "1 errors" also names a cause.
+	FirstError string `json:"first_error,omitempty"`
+	Retries    int64  `json:"retries"`
+	Hits       int64  `json:"hits"`
+	Misses     int64  `json:"misses"`
+	Shed       int64  `json:"shed"` // 503 responses from edge load shedding
 	// Cancelled counts exchanges that ended without a cache verdict:
 	// the per-request deadline fired mid-exchange, or a successful
 	// response carried no X-TS-Cache header (e.g. the edge's implicit
@@ -166,6 +169,7 @@ type run struct {
 	client *http.Client
 
 	requests, errors, retries                  atomic.Int64
+	firstErr                                   atomic.Pointer[string]
 	hits, misses, shed, cancelled, redirects   atomic.Int64
 	logicalBytes, wireBytes                    atomic.Int64
 	mu                                         sync.Mutex // guards the maps below
@@ -390,8 +394,7 @@ func (rn *run) one(ctx context.Context, j job, ws *workerStats) {
 		req, err := http.NewRequestWithContext(rctx, http.MethodGet, url, nil)
 		if err != nil {
 			cancel()
-			rn.errors.Add(1)
-			rn.errC.Inc()
+			rn.fail(err)
 			return
 		}
 		resp, err := rn.client.Do(req)
@@ -405,20 +408,17 @@ func (rn *run) one(ctx context.Context, j job, ws *workerStats) {
 				// cancelled exchange instead.
 				rn.cancelled.Add(1)
 				rn.cancC.Inc()
-				rn.errors.Add(1)
-				rn.errC.Inc()
+				rn.fail(err)
 				return
 			}
 			if ctx.Err() != nil || attempt >= rn.cfg.Retries {
-				rn.errors.Add(1)
-				rn.errC.Inc()
+				rn.fail(err)
 				return
 			}
 			rn.retries.Add(1)
 			rn.retryC.Inc()
 			if !sleepCtx(ctx, backoff) {
-				rn.errors.Add(1)
-				rn.errC.Inc()
+				rn.fail(err)
 				return
 			}
 			backoff = nextBackoff(backoff)
@@ -431,6 +431,17 @@ func (rn *run) one(ctx context.Context, j job, ws *workerStats) {
 		ws.qdelay.Observe(queued.Seconds())
 		rn.record(rec, resp, wire, ws)
 		return
+	}
+}
+
+// fail counts one record whose request failed for good and keeps the
+// first such error for Stats.FirstError.
+func (rn *run) fail(err error) {
+	rn.errors.Add(1)
+	rn.errC.Inc()
+	if rn.firstErr.Load() == nil {
+		msg := err.Error()
+		rn.firstErr.CompareAndSwap(nil, &msg)
 	}
 }
 
@@ -491,6 +502,9 @@ func (rn *run) stats(elapsed time.Duration, reg *obs.Registry) *Stats {
 		BySite:       map[string]int64{},
 		ByStatus:     map[int]int64{},
 		Duration:     elapsed,
+	}
+	if msg := rn.firstErr.Load(); msg != nil {
+		st.FirstError = *msg
 	}
 	hists := reg.Snapshot().Histograms
 	st.Latency = hists[latencyMetric]

@@ -6,6 +6,7 @@ package timeutil
 
 import (
 	"fmt"
+	"strings"
 	"time"
 )
 
@@ -76,6 +77,33 @@ func ParseRegion(s string) (Region, error) {
 	default:
 		return 0, fmt.Errorf("timeutil: unknown region %q", s)
 	}
+}
+
+// ParseRegions parses a comma-separated region list ("europe",
+// "north-america, south-america"): the one grammar behind tsserve -dc,
+// tsrouter -backend and each tscluster -dcs group. Blanks around a name
+// are trimmed; an empty name is an error.
+func ParseRegions(s string) ([]Region, error) {
+	parts := strings.Split(s, ",")
+	out := make([]Region, len(parts))
+	for i, part := range parts {
+		r, err := ParseRegion(strings.TrimSpace(part))
+		if err != nil {
+			return nil, err
+		}
+		out[i] = r
+	}
+	return out, nil
+}
+
+// RegionNames returns the regions' names, the inverse of ParseRegions
+// once joined with commas.
+func RegionNames(regions []Region) []string {
+	names := make([]string, len(regions))
+	for i, r := range regions {
+		names[i] = r.String()
+	}
+	return names
 }
 
 // AllRegions returns the defined regions in order.

@@ -76,6 +76,20 @@ func TestRegionRoundTrip(t *testing.T) {
 	if _, err := ParseRegion("atlantis"); err == nil {
 		t.Error("unknown region should error")
 	}
+	list, err := ParseRegions("north-america, south-america ,europe,asia")
+	if err != nil || len(list) != NumRegions {
+		t.Fatalf("ParseRegions = %v, %v", list, err)
+	}
+	for i, r := range AllRegions() {
+		if list[i] != r {
+			t.Errorf("ParseRegions[%d] = %v, want %v", i, list[i], r)
+		}
+	}
+	for _, bad := range []string{"", "europe,", ",europe", "europe,,asia", "europe;asia", "atlantis"} {
+		if _, err := ParseRegions(bad); err == nil {
+			t.Errorf("ParseRegions(%q) should error", bad)
+		}
+	}
 	if Region(99).String() == "" {
 		t.Error("unknown region String should be nonempty")
 	}
