@@ -134,17 +134,20 @@ func parallelGenerate(ctx context.Context, gen *synth.Generator, out, format str
 		pr := gen.ParallelReader(opts)
 		defer pr.Close()
 		r := trace.NewContextReader(ctx, pr)
-		var rec trace.Record
+		block := make([]trace.Record, 1024)
 		for {
-			if err := r.Read(&rec); err == io.EOF {
+			got, err := r.ReadBlock(block)
+			for i := range block[:got] {
+				if err := w.Write(&block[i]); err != nil {
+					return err
+				}
+				n++
+			}
+			if err == io.EOF {
 				return nil
 			} else if err != nil {
 				return err
 			}
-			if err := w.Write(&rec); err != nil {
-				return err
-			}
-			n++
 		}
 	}
 	if out == "-" {

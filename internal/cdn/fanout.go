@@ -92,13 +92,7 @@ func fanoutPass(src trace.Source, pass string, lanes []func(*trace.Record) error
 	block := make([]trace.Record, replayBlockSize)
 	errs := make([]error, len(lanes))
 	for {
-		n, readErr := 0, error(nil)
-		for n < len(block) {
-			if readErr = r.Read(&block[n]); readErr != nil {
-				break
-			}
-			n++
-		}
+		n, readErr := trace.ReadBlock(r, block)
 		var wg sync.WaitGroup
 		for i, lane := range lanes {
 			wg.Add(1)

@@ -102,10 +102,11 @@ func (c *CDN) ReplayStream(r trace.Reader, sink func(*trace.Record) error) error
 		}
 	}()
 
-	// Dispatch loop: fill a block in input order, checking user-region
-	// stability on the fly, then hand it to every lane it names and to
-	// the collector. A block cut short by EOF, an error or an abort is
-	// still dispatched: the records before the cut are served and sunk.
+	// Dispatch loop: fill a block in input order, then tag each record
+	// with its data center, checking user-region stability on the way,
+	// and hand the block to every lane it names and to the collector. A
+	// block cut short by EOF, an error or an abort is still dispatched:
+	// the records before the cut are served and sunk.
 	var readErr error
 	userRegion := make(map[uint64]timeutil.Region, 1024)
 	allocated := 0
@@ -117,17 +118,16 @@ func (c *CDN) ReplayStream(r trace.Reader, sink func(*trace.Record) error) error
 		} else {
 			b = <-free
 		}
-		b.n = 0
-		var named [len(lanes)]bool
-		for b.n < replayBlockSize && !done {
-			rec := &b.recs[b.n]
-			if err := r.Read(rec); err != nil {
-				if err != io.EOF {
-					readErr = fmt.Errorf("cdn: replay read: %w", err)
-				}
-				done = true
-				break
+		n, err := trace.ReadBlock(r, b.recs[:])
+		if err != nil {
+			if err != io.EOF {
+				readErr = fmt.Errorf("cdn: replay read: %w", err)
 			}
+			done = true
+		}
+		var named [len(lanes)]bool
+		for b.n = 0; b.n < n; b.n++ {
+			rec := &b.recs[b.n]
 			if prev, seen := userRegion[rec.UserID]; !seen {
 				userRegion[rec.UserID] = rec.Region
 			} else if prev != rec.Region {
@@ -138,9 +138,8 @@ func (c *CDN) ReplayStream(r trace.Reader, sink func(*trace.Record) error) error
 			}
 			dc := uint8(c.dcForRegion(rec.Region).Region)
 			b.dc[b.n], named[dc] = dc, true
-			b.n++
-			done = stop.Load()
 		}
+		done = done || stop.Load()
 		// Each lane is counted before it gets the block, and all of them
 		// before the collector can wait on it.
 		for dc, ok := range named {

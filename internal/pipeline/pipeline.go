@@ -51,13 +51,10 @@ type Options struct {
 // returned.
 func Run[T Accumulator[T]](r trace.Reader, newAcc func() T, opts Options) (T, error) {
 	s := NewSink(newAcc, opts)
-	var rec trace.Record
 	for {
-		err := r.Read(&rec)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
+		// Blocks are read straight into the batch a worker will fold.
+		n, err := trace.ReadBlock(r, s.batch[:s.batchSize])
+		if err != nil && !errors.Is(err, io.EOF) {
 			// Skip the final flush after a read error: the run's result
 			// is discarded, so folding the partial batch would be wasted
 			// work — and the workers abandon whatever is still queued.
@@ -65,9 +62,13 @@ func Run[T Accumulator[T]](r trace.Reader, newAcc func() T, opts Options) (T, er
 			var zero T
 			return zero, fmt.Errorf("pipeline: read: %w", err)
 		}
-		s.Feed(&rec)
+		s.batch = s.batch[:n]
+		if err != nil {
+			return s.Close()
+		}
+		s.dispatch(s.batch)
+		s.batch = (*s.pool.Get().(*[]trace.Record))[:0]
 	}
-	return s.Close()
 }
 
 // Count is a trivial accumulator counting records; useful for smoke tests

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"trafficscope/internal/stats"
@@ -65,6 +66,11 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	}
 	if cfg.Week.Start.IsZero() {
 		cfg.Week = timeutil.NewWeek(DefaultWeekStart)
+	}
+	// The parallel merge keys records by UnixNano, which is defined from
+	// 1678 to 2262.
+	if y := cfg.Week.Start.Year(); y < 1700 || y > 2200 {
+		return nil, fmt.Errorf("synth: week starting %s: year outside 1700-2200", cfg.Week.Start.Format(time.DateOnly))
 	}
 	if cfg.Sites == nil {
 		cfg.Sites = DefaultProfiles()
@@ -143,8 +149,8 @@ func (g *Generator) Generate() ([]*trace.Record, error) {
 // GenerateTo streams records to sink. Records arrive grouped by site and
 // hour shard, roughly time-ordered within a site; use Generate for a
 // fully sorted in-memory trace or ParallelReader for a sorted stream.
-// Each record lives in its hour's slab, which is never reused: the sink
-// may retain the pointer. A sink error aborts generation.
+// Each record lives in its hour's slab, which is fresh and never reused:
+// the sink may retain the pointer. A sink error aborts generation.
 func (g *Generator) GenerateTo(sink func(*trace.Record) error) error {
 	for i := range g.pops {
 		plan := g.plans[i]
@@ -152,11 +158,15 @@ func (g *Generator) GenerateTo(sink func(*trace.Record) error) error {
 			continue
 		}
 		sc := newShardScratch(plan)
+		var hour slab
 		for _, h := range plan.hours {
-			slab := g.generateHour(i, h, sc)
-			for k := range slab {
-				if err := sink(&slab[k]); err != nil {
-					return err
+			hour.chunks = hour.chunks[:0]
+			g.generateHour(i, h, sc, &hour)
+			for _, chunk := range hour.chunks {
+				for k := range chunk {
+					if err := sink(&chunk[k]); err != nil {
+						return err
+					}
 				}
 			}
 		}
@@ -282,12 +292,72 @@ func newShardScratch(plan *sitePlan) *shardScratch {
 	return &shardScratch{cum: make([]float64, len(plan.objs)), rng: rand.New(rand.NewSource(0))}
 }
 
-// generateHour produces local hour h of site i, in emission order: a
-// Poisson request budget split into user sessions, drawn from the (site,
-// hour) stream. The records are carved out of one slab allocated here and
-// sized by that budget — an upper bound, since the observation window
-// clips boundary sessions — which the caller owns.
-func (g *Generator) generateHour(i, h int, sc *shardScratch) []trace.Record {
+// chunkRecords is the capacity of a pooled slab chunk: 16 KiB of records.
+const chunkRecords = 128
+
+// slab holds one (site, hour)'s records in emission order, in chunks of
+// one capacity of which all but the last are full: record k is
+// chunks[k/cap][k%cap]. Without a pool it is a single fresh chunk sized by
+// the hour's request budget, which whoever receives the records may keep
+// (GenerateTo); with one it grows by pooled chunks of chunkRecords, which
+// go back to the pool once the hour's last record has been copied out
+// (the parallel path).
+type slab struct {
+	chunks [][]trace.Record
+	budget int
+	pool   *chunkPool
+}
+
+// add returns the storage of the slab's next record.
+func (s *slab) add() *trace.Record {
+	k := len(s.chunks) - 1
+	if k < 0 || len(s.chunks[k]) == cap(s.chunks[k]) {
+		if s.pool != nil {
+			s.chunks = append(s.chunks, s.pool.get())
+		} else {
+			s.chunks = append(s.chunks, make([]trace.Record, 0, s.budget))
+		}
+		k++
+	}
+	c := s.chunks[k]
+	c = c[:len(c)+1]
+	s.chunks[k] = c
+	return &c[len(c)-1]
+}
+
+// chunkPool recycles a site pipeline's record chunks between the
+// goroutines that fill them and the ones that drain them.
+type chunkPool struct {
+	mu   sync.Mutex
+	free [][]trace.Record
+}
+
+// get returns an empty chunk of chunkRecords.
+func (p *chunkPool) get() []trace.Record {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.free) - 1; n >= 0 {
+		c := p.free[n]
+		p.free = p.free[:n]
+		return c
+	}
+	return make([]trace.Record, 0, chunkRecords)
+}
+
+// put takes back chunks whose records have all been copied out.
+func (p *chunkPool) put(chunks ...[]trace.Record) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, c := range chunks {
+		p.free = append(p.free, c[:0])
+	}
+}
+
+// generateHour produces local hour h of site i into out, which must be
+// empty, in emission order: a Poisson request budget split into user
+// sessions, drawn from the (site, hour) stream. The budget is an upper
+// bound on the records — the observation window clips boundary sessions.
+func (g *Generator) generateHour(i, h int, sc *shardScratch, out *slab) {
 	plan, cum, rng := g.plans[i], sc.cum, sc.rng
 	rng.Seed(streamSeed(g.cfg.Seed, i, h)) // the state newStream(seed, i, h) starts in
 	// Cumulative object distribution for this hour.
@@ -297,7 +367,7 @@ func (g *Generator) generateHour(i, h int, sc *shardScratch) []trace.Record {
 		cum[oi] = acc
 	}
 	if acc <= 0 {
-		return nil
+		return
 	}
 	pickUser := func() *userState {
 		i := sort.SearchFloat64s(plan.userCum, rng.Float64()*plan.userCum[len(plan.userCum)-1])
@@ -309,7 +379,7 @@ func (g *Generator) generateHour(i, h int, sc *shardScratch) []trace.Record {
 	// Number of requests this local hour (Poisson via normal approx for
 	// large means, exact for small).
 	n := samplePoisson(rng, plan.hourTotal[h])
-	slab := make([]trace.Record, 0, n)
+	out.budget = n
 	for n > 0 {
 		// One session: size capped by remaining budget.
 		size := 1 + sampleGeometric(rng, plan.prof.MeanRequestsPerSession-1)
@@ -317,21 +387,8 @@ func (g *Generator) generateHour(i, h int, sc *shardScratch) []trace.Record {
 			size = n
 		}
 		n -= size
-		slab = g.emitSession(plan, pickUser(), h, size, cum, acc, rng, slab)
+		g.emitSession(plan, pickUser(), h, size, cum, acc, rng, out)
 	}
-	return slab
-}
-
-// generateShard produces local hour h of site i as a time-sorted slice of
-// pointers into the shard's slab — the parallel path's unit of work.
-func (g *Generator) generateShard(i, h int, sc *shardScratch) []*trace.Record {
-	slab := g.generateHour(i, h, sc)
-	recs := make([]*trace.Record, len(slab))
-	for k := range slab {
-		recs[k] = &slab[k]
-	}
-	trace.SortByTime(recs)
-	return recs
 }
 
 // buildUserPool creates the site's users with device, agent and region
@@ -491,16 +548,15 @@ func (g *Generator) newPrivateObject(p *SiteProfile, pop *Population, userIdx in
 	return o
 }
 
-// emitSession appends one user session starting in local hour h to slab
-// and returns it. Sessions whose UTC start falls outside the observation
-// window are dropped, and sessions running past the window end are
-// truncated — matching how a hard one-week log window clips boundary
-// sessions.
-func (g *Generator) emitSession(plan *sitePlan, u *userState, localHour, size int, cum []float64, cumTotal float64, rng *rand.Rand, slab []trace.Record) []trace.Record {
+// emitSession adds one user session starting in local hour h to out.
+// Sessions whose UTC start falls outside the observation window are
+// dropped, and sessions running past the window end are truncated —
+// matching how a hard one-week log window clips boundary sessions.
+func (g *Generator) emitSession(plan *sitePlan, u *userState, localHour, size int, cum []float64, cumTotal float64, rng *rand.Rand, out *slab) {
 	localOffset := time.Duration(rng.Float64() * float64(time.Hour))
 	utc := g.cfg.Week.HourStart(localHour).Add(localOffset).Add(-u.region.UTCOffset())
 	if !g.cfg.Week.Contains(utc) {
-		return slab
+		return
 	}
 
 	p := plan.prof
@@ -513,7 +569,7 @@ func (g *Generator) emitSession(plan *sitePlan, u *userState, localHour, size in
 			}
 			t = t.Add(time.Duration(gap * float64(time.Second)))
 			if !g.cfg.Week.Contains(t) {
-				return slab
+				return
 			}
 		}
 		o := pickObject(u, localHour, plan.objs, cum, cumTotal, rng)
@@ -522,7 +578,7 @@ func (g *Generator) emitSession(plan *sitePlan, u *userState, localHour, size in
 		if served < o.Size && o.Category() == trace.CategoryVideo {
 			status = 206
 		}
-		slab = append(slab, trace.Record{
+		*out.add() = trace.Record{
 			Timestamp:   t,
 			Publisher:   p.Name,
 			ObjectID:    o.ID,
@@ -534,9 +590,8 @@ func (g *Generator) emitSession(plan *sitePlan, u *userState, localHour, size in
 			Region:      u.region,
 			StatusCode:  status,
 			Cache:       trace.CacheUnknown,
-		})
+		}
 	}
-	return slab
 }
 
 // pickObject draws the session's next object: the user's habitual

@@ -1,9 +1,11 @@
 package synth
 
 import (
+	"cmp"
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -26,8 +28,7 @@ type ParallelOptions struct {
 }
 
 // lookahead bounds how many hour shards per site may be generated ahead
-// of the slowest point of the time-ordered merge — the
-// memory/parallelism trade-off.
+// of the site's sequencer — the memory/parallelism trade-off.
 const lookahead = 4
 
 // ExpectedRecords estimates the number of records a full generation run
@@ -103,47 +104,254 @@ func (g *Generator) siteWorkers(total int) []int {
 	return out
 }
 
+// shardKey orders one record of a shard without touching it: the
+// timestamp, then the record's position in the slab. Emission order
+// breaks ties, so keys are unique and an unstable sort of them is the
+// stable sort by time of the records.
+type shardKey struct {
+	ts  int64 // UnixNano
+	idx uint32
+}
+
+// shard is one generated (site, hour): its records in emission order
+// (a slab of pooled chunks) and their keys in time order. A worker fills
+// it, the site's sequencer releases keys[pos:] as the watermark passes
+// them, and once drained the chunks return to the site's pool and the
+// shard, with its key storage, to the workers.
+type shard struct {
+	hour int // index into the site's hours
+	recs slab
+	keys []shardKey
+	pos  int
+}
+
+func (sh *shard) sortKeys() {
+	var n int
+	for _, chunk := range sh.recs.chunks {
+		n += len(chunk)
+	}
+	sh.keys, sh.pos = slices.Grow(sh.keys[:0], n), 0
+	for _, chunk := range sh.recs.chunks {
+		for k := range chunk {
+			sh.keys = append(sh.keys, shardKey{ts: chunk[k].Timestamp.UnixNano(), idx: uint32(len(sh.keys))})
+		}
+	}
+	slices.SortFunc(sh.keys, func(a, b shardKey) int {
+		if c := cmp.Compare(a.ts, b.ts); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+}
+
+// next is the shard's earliest unreleased record.
+func (sh *shard) next() *trace.Record {
+	idx := sh.keys[sh.pos].idx
+	return &sh.recs.chunks[idx/chunkRecords][idx%chunkRecords]
+}
+
+// head reports the timestamp of the shard's next unreleased record and
+// whether the watermark wm releases it.
+func (sh *shard) head(wm int64) (ts int64, released bool) {
+	if sh.pos == len(sh.keys) {
+		return 0, false
+	}
+	ts = sh.keys[sh.pos].ts
+	return ts, ts < wm
+}
+
+// runHead is the next timestamp of one sorted run in a k-way merge.
+type runHead struct {
+	ts  int64
+	run int
+}
+
+// earliest returns the index of the smallest head. Heads stay in run
+// order and merges here are at most a few dozen runs wide, so a scan
+// beats a heap and a tie goes to the lower run, which keeps the merge
+// stable.
+func earliest(heads []runHead) int {
+	m := 0
+	for i := 1; i < len(heads); i++ {
+		if heads[i].ts < heads[m].ts {
+			m = i
+		}
+	}
+	return m
+}
+
+// advance gives head i its run's next timestamp, or drops it once the
+// run has no more.
+func advance(heads []runHead, i int, ts int64, more bool) []runHead {
+	if more {
+		heads[i].ts = ts
+		return heads
+	}
+	return slices.Delete(heads, i, i+1)
+}
+
+// shardMerge is a site's live shards — generated, not yet drained — in
+// hour order, which is the run order of the merge.
+type shardMerge struct {
+	live  []*shard
+	heads []runHead
+}
+
+// release hands emit every live record below the watermark wm in time
+// order, ties to the earlier shard and then to emission order: the order
+// of a stable sort of the shards laid end to end. No shard added later
+// may hold a record below wm. It stops early, and reports false, when
+// emit does.
+func (m *shardMerge) release(wm int64, emit func(*trace.Record) bool) bool {
+	m.heads = m.heads[:0]
+	for run, sh := range m.live {
+		if ts, released := sh.head(wm); released {
+			m.heads = append(m.heads, runHead{ts: ts, run: run})
+		}
+	}
+	for len(m.heads) > 0 {
+		i := earliest(m.heads)
+		sh := m.live[m.heads[i].run]
+		if !emit(sh.next()) {
+			return false
+		}
+		sh.pos++
+		ts, released := sh.head(wm)
+		m.heads = advance(m.heads, i, ts, released)
+	}
+	return true
+}
+
+// retire passes the drained shards to recycle and keeps the rest,
+// reporting how many records they still hold and the newest timestamp
+// among them.
+func (m *shardMerge) retire(recycle func(*shard)) (pending int, newest int64) {
+	kept := m.live[:0]
+	for _, sh := range m.live {
+		if sh.pos == len(sh.keys) {
+			recycle(sh)
+			continue
+		}
+		kept = append(kept, sh)
+		pending += len(sh.keys) - sh.pos
+		newest = max(newest, sh.keys[len(sh.keys)-1].ts)
+	}
+	clear(m.live[len(kept):])
+	m.live = kept
+	return pending, newest
+}
+
+// siteStream is the reader's end of one site pipeline: time-ordered
+// blocks — chunks of the site's pool — arrive on out, which is closed
+// after the site's last; a block belongs to the reader until its last
+// record is copied out and then returns to the pool.
+type siteStream struct {
+	out  <-chan []trace.Record
+	pool *chunkPool
+	blk  []trace.Record
+	pos  int
+}
+
+// next moves past the current record, taking the site's next block when
+// this one is through, and reports the timestamp now under the cursor;
+// more is false once the site is exhausted.
+func (s *siteStream) next() (ts int64, more bool) {
+	if s.pos++; s.pos >= len(s.blk) {
+		if s.blk != nil {
+			s.pool.put(s.blk)
+		}
+		s.blk, s.pos = <-s.out, 0
+		if s.blk == nil {
+			return 0, false
+		}
+	}
+	return s.blk[s.pos].Timestamp.UnixNano(), true
+}
+
 // ParallelReader is a trace.Reader producing the generator's full trace
-// in global timestamp order, generated concurrently. Read returns io.EOF
-// after the last record; Close releases the generation goroutines early
-// (Read does so automatically at EOF).
+// in global timestamp order, generated concurrently. Read and ReadBlock
+// return io.EOF after the last record; Close stops the generation
+// goroutines early and returns when they have exited (both do so
+// themselves at EOF).
 type ParallelReader struct {
-	merge     *trace.MergeReader
+	sites     []siteStream
+	heads     []runHead // one head per site with records left
+	started   bool
+	depth     *obs.Gauge
 	done      chan struct{}
+	running   sync.WaitGroup
 	closeOnce sync.Once
 }
 
-var _ trace.Reader = (*ParallelReader)(nil)
+var _ trace.BulkReader = (*ParallelReader)(nil) // and so a trace.Reader
 
 // Read fills rec with the next record in global timestamp order.
 func (r *ParallelReader) Read(rec *trace.Record) error {
-	err := r.merge.Read(rec)
-	if err != nil {
-		r.Close()
+	if !r.started {
+		r.prime()
 	}
-	return err
+	if len(r.heads) == 0 {
+		r.Close()
+		return io.EOF
+	}
+	// The one copy a record makes between the site's block and the
+	// caller's storage.
+	i := earliest(r.heads)
+	s := &r.sites[r.heads[i].run]
+	*rec = s.blk[s.pos]
+	ts, more := s.next()
+	if r.heads = advance(r.heads, i, ts, more); !more {
+		r.depth.Set(float64(len(r.heads)))
+	}
+	return nil
 }
 
-// Close stops the generation goroutines. Safe to call multiple times.
+// ReadBlock fills dst with the next records in global timestamp order
+// (see trace.BulkReader).
+func (r *ParallelReader) ReadBlock(dst []trace.Record) (int, error) {
+	for n := range dst {
+		if err := r.Read(&dst[n]); err != nil {
+			return n, err
+		}
+	}
+	return len(dst), nil
+}
+
+// prime waits for every site's first block.
+func (r *ParallelReader) prime() {
+	r.started = true
+	for i := range r.sites {
+		r.sites[i].pos = -1
+		if ts, more := r.sites[i].next(); more {
+			r.heads = append(r.heads, runHead{ts: ts, run: i})
+		}
+	}
+	r.depth.Set(float64(len(r.heads)))
+}
+
+// Close stops the generation goroutines and waits for them. Safe to call
+// multiple times.
 func (r *ParallelReader) Close() error {
 	r.closeOnce.Do(func() { close(r.done) })
+	r.running.Wait()
 	return nil
 }
 
 // ParallelReader starts concurrent generation and returns the sorted
 // record stream. One pipeline runs per site: a pool of workers generates
 // (site, hour) shards — each an independent RNG stream, see rng.go —
-// which a per-site sequencer consumes in hour order, releasing the
-// merged prefix no later shard can undercut (trace.RunMerger). The site
-// streams are combined by a k-way heap merge with stable tie-breaking,
-// so the result is byte-identical to sequential Generate for the same
-// seed and config, without ever buffering the whole trace.
+// into recycled slabs, and a per-site sequencer takes them in hour
+// order, merging the live shards by key and copying the prefix no later
+// shard can undercut into blocks. The reader merges the site streams,
+// ties to the lower site, copying each record from its block into the
+// caller's storage, so the result is byte-identical to sequential
+// Generate for the same seed and config, without ever buffering the
+// whole trace.
 func (g *Generator) ParallelReader(opts ParallelOptions) *ParallelReader {
 	workers := opts.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	done := make(chan struct{})
 	perSite := g.siteWorkers(workers)
 	lead := maxRegionLead()
 
@@ -151,29 +359,25 @@ func (g *Generator) ParallelReader(opts ParallelOptions) *ParallelReader {
 	m.Gauge("synth_shards_total").Set(float64(g.ShardCount()))
 	m.Gauge("synth_expected_records").Set(g.ExpectedRecords())
 
-	var sources []trace.Reader
+	r := &ParallelReader{done: make(chan struct{}), depth: m.Gauge("synth_merge_heap_depth")}
 	for i := range g.plans {
 		if g.plans[i] == nil {
 			continue
 		}
-		// At most two batches wait in out, one is being read and one is
-		// being filled, so four slots never drop a batch worth recycling.
-		out, free := make(chan []*trace.Record, 2), make(chan []*trace.Record, 4)
+		// Eight blocks let the sequencer run a release ahead of the reader
+		// without a goroutine switch per block.
+		out, pool := make(chan []trace.Record, 8), new(chunkPool)
 		site := g.prof[i].Name
-		g.runSitePipeline(i, perSite[i], lead, out, free, done, shardMetrics{
+		g.runSitePipeline(r, i, perSite[i], lead, out, pool, shardMetrics{
 			shardsDone:   m.Counter("synth_shards_done_total"),
 			records:      m.Counter("synth_records_total"),
 			siteRecords:  m.Counter(obs.Name("synth_site_records_total", "site", site)),
 			mergePending: m.Gauge(obs.Name("synth_merge_pending_records", "site", site)),
 			mergeLag:     m.Gauge(obs.Name("synth_merge_watermark_lag_seconds", "site", site)),
 		})
-		sources = append(sources, &batchReader{ch: out, free: free})
+		r.sites = append(r.sites, siteStream{out: out, pool: pool})
 	}
-	merge := trace.NewMergeReader(sources...)
-	if m != nil {
-		merge.SetHeapGauge(m.Gauge("synth_merge_heap_depth"))
-	}
-	return &ParallelReader{merge: merge, done: done}
+	return r
 }
 
 // shardMetrics carries one site pipeline's telemetry handles. The
@@ -188,132 +392,103 @@ type shardMetrics struct {
 	mergeLag     *obs.Gauge
 }
 
-// runSitePipeline spawns site i's shard workers and sequencer. Sorted
-// batches arrive on out, which is closed when the site is exhausted;
-// batch slices the reader has drained come back on free for refilling.
-func (g *Generator) runSitePipeline(i, workers int, lead time.Duration, out chan<- []*trace.Record, free <-chan []*trace.Record, done <-chan struct{}, met shardMetrics) {
-	plan := g.plans[i]
+// runSitePipeline spawns site i's shard workers and sequencer as
+// goroutines of r. Time-ordered blocks arrive on out, which is closed
+// when the site is exhausted or r is closed; shard slabs and blocks are
+// chunks of pool.
+func (g *Generator) runSitePipeline(r *ParallelReader, i, workers int, lead time.Duration, out chan<- []trace.Record, pool *chunkPool, met shardMetrics) {
+	plan, done := g.plans[i], r.done
 	hours := plan.hours
-	tasks := make(chan int)
-	results := make([]chan []*trace.Record, len(hours))
-	for j := range results {
-		results[j] = make(chan []*trace.Record, 1)
-	}
-	sem := make(chan struct{}, lookahead)
+	// The sequencer keeps lookahead shards dispatched and unsequenced — the
+	// memory/parallelism trade-off — so tasks and generated never block
+	// their senders, and drained has room for every shard there can be.
+	tasks := make(chan int, lookahead)
+	generated := make(chan *shard, lookahead)
+	drained := make(chan *shard, len(hours))
 
-	// Feeder: dispatches shard indices in hour order, never letting more
-	// than lookahead shards run ahead of the sequencer.
-	go func() {
-		defer close(tasks)
-		for j := range hours {
-			select {
-			case sem <- struct{}{}:
-			case <-done:
-				return
-			}
-			select {
-			case tasks <- j:
-			case <-done:
-				return
-			}
-		}
-	}()
-
+	r.running.Add(workers + 1)
 	for w := 0; w < workers; w++ {
 		go func() {
+			defer r.running.Done()
 			sc := newShardScratch(plan)
 			for j := range tasks {
-				recs := g.generateShard(i, hours[j], sc)
-				met.shardsDone.Inc()
-				met.records.Add(int64(len(recs)))
-				met.siteRecords.Add(int64(len(recs)))
+				var sh *shard
 				select {
-				case results[j] <- recs:
-				case <-done:
-					return
+				case sh = <-drained:
+				default:
+					sh = &shard{recs: slab{pool: pool}}
 				}
+				sh.hour = j
+				g.generateHour(i, hours[j], sc, &sh.recs)
+				sh.sortKeys()
+				met.shardsDone.Inc()
+				met.records.Add(int64(len(sh.keys)))
+				met.siteRecords.Add(int64(len(sh.keys)))
+				generated <- sh
 			}
 		}()
 	}
 
-	// Sequencer: consumes shards in hour order and releases the merged
-	// prefix below the next shard's earliest possible timestamp.
+	// Sequencer: takes shards in hour order and copies into blocks,
+	// merged by key, what lies below the next shard's earliest possible
+	// timestamp.
 	go func() {
+		defer r.running.Done()
 		defer close(out)
-		var merger trace.RunMerger
-		var batch []*trace.Record // recycled, empty until Emit releases into it
-		for j := range hours {
-			var recs []*trace.Record
+		defer close(tasks)
+		var (
+			ready [lookahead]*shard // shard j, generated out of turn, waits at j%lookahead
+			merge shardMerge
+			block []trace.Record
+		)
+		for j := 0; j < min(lookahead, len(hours)); j++ {
+			tasks <- j
+		}
+		// send hands the reader a full block, or the last of a release.
+		send := func() bool {
 			select {
-			case recs = <-results[j]:
+			case out <- block:
+				block = nil
+				return true
 			case <-done:
+				return false
+			}
+		}
+		emit := func(rec *trace.Record) bool {
+			if block == nil {
+				block = pool.get()
+			}
+			block = append(block, *rec)
+			return len(block) < cap(block) || send()
+		}
+		recycle := func(sh *shard) {
+			pool.put(sh.recs.chunks...)
+			sh.recs.chunks = sh.recs.chunks[:0]
+			drained <- sh
+		}
+		for j := range hours {
+			for ready[j%lookahead] == nil {
+				select {
+				case sh := <-generated:
+					ready[sh.hour%lookahead] = sh
+				case <-done:
+					return
+				}
+			}
+			merge.live, ready[j%lookahead] = append(merge.live, ready[j%lookahead]), nil
+			if j+lookahead < len(hours) {
+				tasks <- j + lookahead
+			}
+			wm := int64(math.MaxInt64) // after the last shard everything goes
+			if j+1 < len(hours) {
+				wm = g.cfg.Week.HourStart(hours[j+1]).Add(-lead).UnixNano()
+			}
+			if !merge.release(wm, emit) || len(block) > 0 && !send() {
 				return
 			}
-			<-sem
-			merger.Add(recs)
-			if j+1 < len(hours) {
-				wm := g.cfg.Week.HourStart(hours[j+1]).Add(-lead)
-				if batch == nil {
-					select {
-					case batch = <-free:
-					default:
-					}
-				}
-				if batch = merger.Emit(wm, batch); len(batch) > 0 {
-					select {
-					case out <- batch:
-					case <-done:
-						return
-					}
-					batch = nil
-				}
-				met.mergePending.Set(float64(merger.Pending()))
-				if newest := merger.NewestPending(); !newest.IsZero() {
-					met.mergeLag.Set(newest.Sub(wm).Seconds())
-				} else {
-					met.mergeLag.Set(0)
-				}
-			}
-		}
-		if rest := merger.Rest(); len(rest) > 0 {
-			select {
-			case out <- rest:
-			case <-done:
-			}
+			pending, newest := merge.retire(recycle)
+			met.mergePending.Set(float64(pending))
+			met.mergeLag.Set(time.Duration(max(newest-wm, 0)).Seconds())
 		}
 	}()
-}
-
-// batchReader adapts a channel of sorted record batches to trace.Reader.
-type batchReader struct {
-	ch   <-chan []*trace.Record
-	free chan<- []*trace.Record
-	cur  []*trace.Record
-	pos  int
-}
-
-// Read copies the next record out of its shard slab into rec, so the
-// caller never aliases generator storage. A batch belongs to the reader
-// from receipt until its last record is read; then its pointers are
-// cleared — a slab is garbage once no batch or merge buffer points into
-// it — and the slice goes back to the sequencer.
-func (b *batchReader) Read(rec *trace.Record) error {
-	for b.pos >= len(b.cur) {
-		if b.cur != nil {
-			clear(b.cur)
-			select {
-			case b.free <- b.cur[:0]:
-			default:
-			}
-			b.cur = nil
-		}
-		batch, ok := <-b.ch
-		if !ok {
-			return io.EOF
-		}
-		b.cur, b.pos = batch, 0
-	}
-	*rec = *b.cur[b.pos]
-	b.pos++
-	return nil
 }

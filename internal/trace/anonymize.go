@@ -76,7 +76,7 @@ type SliceReader struct {
 	pos  int
 }
 
-var _ Reader = (*SliceReader)(nil)
+var _ BulkReader = (*SliceReader)(nil) // and so a Reader
 
 // NewSliceReader wraps recs. The slice is not copied; callers must not
 // mutate it while reading.
@@ -91,6 +91,19 @@ func (sr *SliceReader) Read(rec *Record) error {
 	*rec = *sr.recs[sr.pos]
 	sr.pos++
 	return nil
+}
+
+// ReadBlock copies the next records into dst (see BulkReader).
+func (sr *SliceReader) ReadBlock(dst []Record) (int, error) {
+	n := min(len(dst), len(sr.recs)-sr.pos)
+	for i, r := range sr.recs[sr.pos : sr.pos+n] {
+		dst[i] = *r
+	}
+	sr.pos += n
+	if n < len(dst) {
+		return n, io.EOF
+	}
+	return n, nil
 }
 
 // Reset rewinds the reader to the first record.

@@ -208,7 +208,7 @@ type BlockReader struct {
 	step    int64
 }
 
-var _ Reader = (*BlockReader)(nil)
+var _ BulkReader = (*BlockReader)(nil) // and so a Reader
 
 // NewBlockReader wraps r. bufio.NewReaderSize hands back r itself when it
 // is already a large-enough *bufio.Reader, so OpenFile's magic-sniffing
@@ -300,6 +300,12 @@ func (br *BlockReader) Read(rec *Record) error {
 	}
 	return nil
 }
+
+// ReadBlock fills dst with the next records (see BulkReader): Read is
+// the one decoder, reached here without the file and counting wrappers'
+// hops per record. The records before a damaged frame are delivered with
+// its error.
+func (br *BlockReader) ReadBlock(dst []Record) (int, error) { return readLoop(br, dst) }
 
 func (br *BlockReader) internAt(idx uint64) (string, error) {
 	if idx >= uint64(len(br.interns)) {

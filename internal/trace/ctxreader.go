@@ -13,7 +13,7 @@ type ContextReader struct {
 	inner Reader
 }
 
-var _ Reader = (*ContextReader)(nil)
+var _ BulkReader = (*ContextReader)(nil) // and so a Reader
 
 // NewContextReader wraps r with ctx.
 func NewContextReader(ctx context.Context, r Reader) *ContextReader {
@@ -29,6 +29,15 @@ func (c *ContextReader) Read(rec *Record) error {
 	default:
 	}
 	return c.inner.Read(rec)
+}
+
+// ReadBlock forwards one block to the wrapped reader, polling the
+// context once for the block.
+func (c *ContextReader) ReadBlock(dst []Record) (int, error) {
+	if err := c.ctx.Err(); err != nil {
+		return 0, err
+	}
+	return ReadBlock(c.inner, dst)
 }
 
 // Close closes the wrapped reader when it is closable, so a

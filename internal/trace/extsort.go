@@ -1,21 +1,58 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 )
 
 // ExternalSortOptions configures ExternalSort.
 type ExternalSortOptions struct {
 	// MaxInMemory caps the records held in RAM at once; larger traces
 	// spill sorted runs to temporary files and k-way merge them. Values
-	// < 1 default to one million records (~150 MB).
+	// < 1 default to one million records (128 MB, plus 16 MB of sort keys).
 	MaxInMemory int
 	// TempDir hosts the spill files; empty uses the OS temp directory.
 	TempDir string
+}
+
+// sortKey orders one record of a batch: its timestamp, split as
+// time.Time compares it so that every instant Validate accepts orders
+// exactly as Timestamp.Before does, then its position in the batch. The
+// position makes keys unique, so an unstable sort of keys is the stable
+// sort of the records.
+type sortKey struct {
+	sec  int64
+	nsec uint32
+	idx  uint32
+}
+
+func (a sortKey) compare(b sortKey) int {
+	if c := cmp.Compare(a.sec, b.sec); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.nsec, b.nsec); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// sortedKeys returns batch's keys in timestamp order, ties in batch
+// order, built in keys' storage when it is large enough. The records do
+// not move and no comparison touches one: the caller walks the batch in
+// key order.
+func sortedKeys(batch []Record, keys []sortKey) []sortKey {
+	keys = slices.Grow(keys[:0], len(batch))[:len(batch)]
+	for i := range batch {
+		t := batch[i].Timestamp
+		keys[i] = sortKey{sec: t.Unix(), nsec: uint32(t.Nanosecond()), idx: uint32(i)}
+	}
+	slices.SortFunc(keys, sortKey.compare)
+	return keys
 }
 
 // ExternalSort reads all records from r and writes them to w in
@@ -23,15 +60,15 @@ type ExternalSortOptions struct {
 // MaxInMemory records. It is how full-scale (paper-sized) traces are
 // sorted without holding the week in RAM. Runs spill in the v2 block
 // format (FormatBlock): interned strings plus delta timestamps keep the
-// spill footprint a fraction of the input's, and batches are held as a
-// flat []Record so a full in-memory window costs one allocation, not one
-// per record.
+// spill footprint a fraction of the input's. A batch is one flat []Record
+// that fills in blocks and never moves: sorting orders 16-byte keys
+// (sortedKeys), and the batch is written out in key order.
 func ExternalSort(r Reader, w Writer, opts ExternalSortOptions) error {
-	maxInMem := opts.MaxInMemory
+	// A key indexes its batch with 32 bits.
+	maxInMem := min(opts.MaxInMemory, math.MaxInt32)
 	if maxInMem < 1 {
 		maxInMem = 1_000_000
 	}
-
 	var runs []string
 	defer func() {
 		for _, path := range runs {
@@ -39,26 +76,30 @@ func ExternalSort(r Reader, w Writer, opts ExternalSortOptions) error {
 		}
 	}()
 
+	var keys []sortKey // one allocation, reused by every spill
+	writeSorted := func(batch []Record, w Writer) error {
+		keys = sortedKeys(batch, keys)
+		for _, k := range keys {
+			if err := w.Write(&batch[k.idx]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	spill := func(batch []Record) error {
-		sortRecords(batch)
 		f, err := os.CreateTemp(opts.TempDir, "tsort-run-*.tsb")
 		if err != nil {
 			return err
 		}
 		bw := NewBlockWriter(f)
-		for i := range batch {
-			if err := bw.Write(&batch[i]); err != nil {
-				f.Close()
-				os.Remove(f.Name())
-				return err
-			}
+		err = writeSorted(batch, bw)
+		if err == nil {
+			err = bw.Flush()
 		}
-		if err := bw.Flush(); err != nil {
-			f.Close()
-			os.Remove(f.Name())
-			return err
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		if err := f.Close(); err != nil {
+		if err != nil {
 			os.Remove(f.Name())
 			return err
 		}
@@ -66,18 +107,21 @@ func ExternalSort(r Reader, w Writer, opts ExternalSortOptions) error {
 		return nil
 	}
 
+	// The batch doubles until it holds maxInMem records, never more.
 	batch := make([]Record, 0, min(maxInMem, 4096))
 	for {
-		batch = append(batch, Record{})
-		err := r.Read(&batch[len(batch)-1])
+		if len(batch) == cap(batch) {
+			batch = append(make([]Record, 0, min(maxInMem, 2*cap(batch))), batch...)
+		}
+		n, err := ReadBlock(r, batch[len(batch):cap(batch)])
+		batch = batch[:len(batch)+n]
 		if err == io.EOF {
-			batch = batch[:len(batch)-1]
 			break
 		}
 		if err != nil {
 			return fmt.Errorf("trace: external sort read: %w", err)
 		}
-		if len(batch) >= maxInMem {
+		if len(batch) == maxInMem {
 			if err := spill(batch); err != nil {
 				return fmt.Errorf("trace: external sort spill: %w", err)
 			}
@@ -87,14 +131,9 @@ func ExternalSort(r Reader, w Writer, opts ExternalSortOptions) error {
 
 	// Fast path: everything fit in memory.
 	if len(runs) == 0 {
-		sortRecords(batch)
-		for i := range batch {
-			if err := w.Write(&batch[i]); err != nil {
-				return err
-			}
-		}
-		return nil
+		return writeSorted(batch, w)
 	}
+
 	// Spill the final partial batch and merge all runs.
 	if len(batch) > 0 {
 		if err := spill(batch); err != nil {
@@ -131,11 +170,4 @@ func ExternalSort(r Reader, w Writer, opts ExternalSortOptions) error {
 			return err
 		}
 	}
-}
-
-// sortRecords stably sorts a flat record slice by timestamp.
-func sortRecords(recs []Record) {
-	sort.SliceStable(recs, func(i, j int) bool {
-		return recs[i].Timestamp.Before(recs[j].Timestamp)
-	})
 }

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"math/rand"
 	"os"
+	"sort"
 	"testing"
+	"time"
 )
 
 // collectWriter gathers records for assertions.
@@ -126,4 +128,75 @@ func osReadDir(dir string) ([]string, error) {
 	}
 	defer f.Close()
 	return f.Readdirnames(-1)
+}
+
+// The key sort against the sort it replaced: on 1e5 records, a third of
+// them sharing their timestamp with others, some before 1970 and some a
+// nanosecond apart, walking the batch in key order visits exactly what
+// sort.SliceStable by Timestamp.Before leaves in place.
+func TestSortedKeysMatchStableSort(t *testing.T) {
+	const n = 100_000
+	rng := rand.New(rand.NewSource(11))
+	base := time.Date(2015, 10, 3, 0, 0, 0, 0, time.UTC)
+	batch := make([]Record, n)
+	tied := 0
+	for i := range batch {
+		switch rng.Intn(10) {
+		case 0, 1, 2, 3: // one of 500 shared instants
+			batch[i].Timestamp = base.Add(time.Duration(rng.Intn(500)) * time.Hour)
+			tied++
+		case 4: // before the epoch, where Unix() is negative
+			batch[i].Timestamp = time.Unix(-rng.Int63n(1e9), rng.Int63n(1e9))
+		case 5: // far outside UnixNano's range
+			batch[i].Timestamp = time.Date(2500+rng.Intn(1000), 1, 1, 0, 0, 0, rng.Intn(1e9), time.UTC)
+		default: // nanoseconds apart within one second
+			batch[i].Timestamp = base.Add(time.Duration(rng.Int63n(1e9)))
+		}
+		batch[i].ObjectID = uint64(i) // the record's identity
+	}
+	if tied < n*3/10 {
+		t.Fatalf("only %d of %d records share a timestamp", tied, n)
+	}
+	want := append([]Record(nil), batch...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Timestamp.Before(want[j].Timestamp) })
+	keys := sortedKeys(batch, nil)
+	if len(keys) != n {
+		t.Fatalf("%d keys for %d records", len(keys), n)
+	}
+	for i, k := range keys {
+		if batch[k.idx].ObjectID != want[i].ObjectID {
+			t.Fatalf("position %d: key order has record %d (%v), the stable sort record %d (%v)",
+				i, batch[k.idx].ObjectID, batch[k.idx].Timestamp, want[i].ObjectID, want[i].Timestamp)
+		}
+	}
+	if again := sortedKeys(batch[:n/2], keys); &again[0] != &keys[0] {
+		t.Error("sortedKeys did not reuse key storage large enough for the batch")
+	}
+}
+
+// capReader counts what its blocks ask for, to see the batch's capacity.
+type capReader struct {
+	inner   Reader
+	largest int
+}
+
+func (c *capReader) Read(rec *Record) error { return c.inner.Read(rec) }
+
+func (c *capReader) ReadBlock(dst []Record) (int, error) {
+	c.largest = max(c.largest, cap(dst))
+	return ReadBlock(c.inner, dst)
+}
+
+// The batch never holds, nor has room for, more than MaxInMemory records.
+func TestExternalSortBatchStaysWithinMaxInMemory(t *testing.T) {
+	const maxInMemory = 5000 // not a power-of-two multiple of the initial 4096
+	in := &capReader{inner: NewSliceReader(shuffledRecords(t, 12_000, 6))}
+	var out collectWriter
+	if err := ExternalSort(in, &out, ExternalSortOptions{MaxInMemory: maxInMemory, TempDir: t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	assertSorted(t, out.recs, 12_000)
+	if in.largest > maxInMemory {
+		t.Errorf("batch grew to room for %d records, MaxInMemory is %d", in.largest, maxInMemory)
+	}
 }

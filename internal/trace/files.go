@@ -7,8 +7,6 @@ import (
 	"io"
 	"os"
 	"strings"
-
-	"trafficscope/internal/obs"
 )
 
 // Format identifies an on-disk trace encoding.
@@ -158,6 +156,10 @@ func OpenFile(path string, format Format) (*FileReader, error) {
 	return fr, nil
 }
 
+// ReadBlock forwards to the codec's reader, whose block side the
+// embedded Reader hides.
+func (fr *FileReader) ReadBlock(dst []Record) (int, error) { return ReadBlock(fr.Reader, dst) }
+
 // Close releases the underlying file (and gzip stream).
 func (fr *FileReader) Close() error {
 	if fr.gz != nil {
@@ -239,15 +241,13 @@ type mergeItem struct {
 type mergeHeap []mergeItem
 
 func (h mergeHeap) less(i, j int) bool {
-	ti, tj := h[i].rec.Timestamp, h[j].rec.Timestamp
-	if ti.Equal(tj) {
-		// Break timestamp ties by source index so the merge is stable:
-		// the output matches a stable sort of the concatenated sources,
-		// which is what makes parallel generation byte-identical to the
-		// sequential path.
-		return h[i].src < h[j].src
+	if c := h[i].rec.Timestamp.Compare(h[j].rec.Timestamp); c != 0 {
+		return c < 0
 	}
-	return ti.Before(tj)
+	// Break timestamp ties by source index so the merge is stable: the
+	// output matches a stable sort of the concatenated sources, which is
+	// what makes the external sort's spilling path equal its in-memory one.
+	return h[i].src < h[j].src
 }
 
 func (h mergeHeap) siftDown(i int) {
@@ -277,42 +277,49 @@ func (h mergeHeap) init() {
 
 // MergeReader merges several timestamp-ordered readers into one globally
 // ordered stream (k-way merge). Sources that are not individually sorted
-// produce an unsorted merge; use SortByTime afterwards in that case.
+// produce an unsorted merge; use SortByTime afterwards in that case. A
+// source error other than io.EOF ends the stream after that source's last
+// good record: every later Read or ReadBlock returns the error again.
 type MergeReader struct {
 	sources []Reader
 	heap    mergeHeap
 	started bool
-	depth   *obs.Gauge // optional live heap-depth gauge
+	err     error
 }
 
-var _ Reader = (*MergeReader)(nil)
+var _ BulkReader = (*MergeReader)(nil) // and so a Reader
 
 // NewMergeReader merges the given sources.
 func NewMergeReader(sources ...Reader) *MergeReader {
 	return &MergeReader{sources: sources}
 }
 
-// SetHeapGauge publishes the merge heap depth (number of sources with a
-// buffered head record) to g on every read. Pass nil to disable.
-func (m *MergeReader) SetHeapGauge(g *obs.Gauge) { m.depth = g }
+// prime reads every source's first record and builds the heap.
+func (m *MergeReader) prime() error {
+	m.heap = make(mergeHeap, 0, len(m.sources))
+	for i, src := range m.sources {
+		m.heap = append(m.heap, mergeItem{src: i})
+		err := src.Read(&m.heap[len(m.heap)-1].rec)
+		if err == io.EOF {
+			m.heap = m.heap[:len(m.heap)-1]
+			continue
+		}
+		if err != nil {
+			return err
+		}
+	}
+	m.heap.init()
+	return nil
+}
 
 // Read fills rec with the next record in global timestamp order.
 func (m *MergeReader) Read(rec *Record) error {
 	if !m.started {
 		m.started = true
-		m.heap = make(mergeHeap, 0, len(m.sources))
-		for i, src := range m.sources {
-			m.heap = append(m.heap, mergeItem{src: i})
-			err := src.Read(&m.heap[len(m.heap)-1].rec)
-			if err == io.EOF {
-				m.heap = m.heap[:len(m.heap)-1]
-				continue
-			}
-			if err != nil {
-				return err
-			}
-		}
-		m.heap.init()
+		m.err = m.prime()
+	}
+	if m.err != nil {
+		return m.err
 	}
 	if len(m.heap) == 0 {
 		return io.EOF
@@ -321,21 +328,21 @@ func (m *MergeReader) Read(rec *Record) error {
 	// and restore the heap in place (pop+push fused into one siftDown).
 	top := &m.heap[0]
 	*rec = top.rec
-	src := top.src
-	err := m.sources[src].Read(&top.rec)
-	switch {
-	case err == nil:
-		m.heap.siftDown(0)
-	case err == io.EOF:
+	switch err := m.sources[top.src].Read(&top.rec); err {
+	case nil:
+	case io.EOF:
 		n := len(m.heap)
 		m.heap[0] = m.heap[n-1]
 		m.heap = m.heap[:n-1]
-		m.heap.siftDown(0)
 	default:
-		return err
+		// The head just handed out is good; the error is the next read's.
+		m.err = err
+		return nil
 	}
-	if m.depth != nil {
-		m.depth.Set(float64(len(m.heap)))
-	}
+	m.heap.siftDown(0)
 	return nil
 }
+
+// ReadBlock fills dst with the next records in global timestamp order
+// (see BulkReader).
+func (m *MergeReader) ReadBlock(dst []Record) (int, error) { return readLoop(m, dst) }

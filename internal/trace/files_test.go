@@ -331,6 +331,40 @@ func TestMergeReaderPropagatesError(t *testing.T) {
 	}
 }
 
+func mkRec(ts time.Time, user uint64) *Record {
+	return &Record{
+		Timestamp:  ts,
+		Publisher:  "V-1",
+		ObjectID:   1,
+		FileType:   FileJPG,
+		ObjectSize: 100,
+		UserID:     user,
+		UserAgent:  "UA",
+		StatusCode: 200,
+	}
+}
+
+// MergeReader must be stable: equal timestamps resolve by source index.
+func TestMergeReaderStableOnTies(t *testing.T) {
+	ts := time.Date(2015, 10, 3, 12, 0, 0, 0, time.UTC)
+	a := []*Record{mkRec(ts, 1), mkRec(ts.Add(time.Second), 2)}
+	b := []*Record{mkRec(ts, 3), mkRec(ts.Add(time.Second), 4)}
+	c := []*Record{mkRec(ts, 5)}
+	got, err := ReadAll(NewMergeReader(NewSliceReader(a), NewSliceReader(b), NewSliceReader(c)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []uint64{1, 3, 5, 2, 4}
+	if len(got) != len(want) {
+		t.Fatalf("merged %d records, want %d", len(got), len(want))
+	}
+	for i, u := range want {
+		if got[i].UserID != u {
+			t.Fatalf("tie order: got user %d at %d, want %d", got[i].UserID, i, u)
+		}
+	}
+}
+
 // Sanity: merge of shards equals sort of concatenation.
 func TestMergeMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))

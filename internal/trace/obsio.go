@@ -65,6 +65,15 @@ func (cr *countingRecordReader) Read(rec *Record) error {
 	return err
 }
 
+func (cr *countingRecordReader) ReadBlock(dst []Record) (int, error) {
+	n, err := ReadBlock(cr.inner, dst)
+	cr.recs.Add(int64(n))
+	if err != nil && err != io.EOF {
+		cr.errs.Inc()
+	}
+	return n, err
+}
+
 // countingRecordWriter counts encoded records.
 type countingRecordWriter struct {
 	inner Writer

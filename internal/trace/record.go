@@ -198,6 +198,42 @@ type Reader interface {
 	Read(rec *Record) error
 }
 
+// BulkReader is the optional block side of a Reader: the readers that
+// hold their records in blocks already (the generator, the v2 decoder, a
+// slice, a merge) fill a caller's block in one call instead of one
+// interface call per record. Consumers go through ReadBlock, the helper,
+// which serves every Reader.
+type BulkReader interface {
+	Reader
+	// ReadBlock fills dst from the front with the next records of the
+	// stream Read walks — the two share one cursor and may be mixed — and
+	// returns how many it filled. n == len(dst) with a nil error, or
+	// n < len(dst) with the error that stopped it (io.EOF after the last
+	// record): the records dst[:n] are valid either way, dst[n:] is
+	// unspecified. Ownership is Read's: the caller owns dst, the reader
+	// overwrites every field and keeps no reference into it.
+	ReadBlock(dst []Record) (n int, err error)
+}
+
+// ReadBlock fills dst from r under the BulkReader contract: natively
+// when r implements it, by a Read loop otherwise.
+func ReadBlock(r Reader, dst []Record) (int, error) {
+	if br, ok := r.(BulkReader); ok {
+		return br.ReadBlock(dst)
+	}
+	return readLoop(r, dst)
+}
+
+// readLoop is ReadBlock over Read alone.
+func readLoop(r Reader, dst []Record) (int, error) {
+	for n := range dst {
+		if err := r.Read(&dst[n]); err != nil {
+			return n, err
+		}
+	}
+	return len(dst), nil
+}
+
 // Writer persists trace records.
 type Writer interface {
 	// Write appends one record. Implementations must not retain the
