@@ -9,7 +9,7 @@
 
 GO ?= go
 BIN ?= bin
-CMDS := tsgen tsanalyze tscdnsim tsreport tscrawl tsserve tsload tsbench tsgate tsrouter tscluster tssort
+CMDS := tsgen tsreport tssort tsserve tsload tsbench tsgate tsrouter tscluster
 
 .PHONY: all build test check vet race fuzz-smoke loc bench bench-gate tools fmt-check demos
 
@@ -94,8 +94,9 @@ bench-gate:
 
 # The demos as declared cells (demos_test.go): one edge gated three ways
 # by the committed SLO policy, an injected breach tsgate must fail, the
-# whole fleet behind its shield in one tscluster, and the same tiers as
-# separate tsserve/tsrouter processes. The test builds the real binaries,
+# whole fleet behind its shield in one tscluster, the same tiers as
+# separate tsserve/tsrouter processes, and the README quickstart (a tsgen
+# file through tsreport -in). The test builds the real binaries,
 # runs each cell on ephemeral ports and asserts every exit code, manifest
 # and exit summary; `go test ./...` runs it too, this shows the logs.
 demos:

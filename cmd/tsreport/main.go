@@ -1,20 +1,44 @@
-// Command tsreport runs the full reproduction end to end — generate the
-// calibrated trace, replay it through the CDN simulator, run every
-// analysis — and prints one table per paper figure. The whole run
-// streams: generation, replay and analysis are fused, so peak memory is
-// bounded by the worker count rather than the trace length.
+// Command tsreport runs the paper's evaluation end to end and prints one
+// table per paper figure, then the forecasting backtest, the §II crawler
+// baseline, the §V implications and a run summary. By default it
+// generates the calibrated week, replays it through the CDN simulator and
+// analyzes it; the whole run streams (generation, replay and analysis are
+// fused), so peak memory is bounded by the worker count rather than the
+// trace length. -in reads the week from a trace file instead, and the same
+// tables render over it.
 //
 // Usage:
 //
-//	tsreport [-scale 0.02] [-seed 42] [-csv] [-summary]
+//	tsreport [-scale 0.02] [-seed 42] [-in trace.tsb [-format block|json] [-replay]]
+//	         [-figures 1,3,11] [-csv] [-summary] [-verify] [-outdir dir]
 //	         [-debug-addr :6060] [-progress] [-manifest run.json]
+//
+// With -in the trace is analyzed as-is in one streaming pass (cache
+// columns require a trace that already carries cache verdicts); with
+// -replay it is first pushed through the CDN simulator — warm-up plus
+// measured pass, both streaming, with the measured records fused straight
+// into the analysis pipeline. -in - reads JSON Lines on stdin, buffered in
+// memory only when a second pass needs it (-replay, or the extra tables).
+// The analyses use the study week; -seed picks the incognito model and
+// -scale the cache capacities. The crawler baseline needs the trace in
+// time order (tssort sorts one that is not).
+//
+// -figures restricts which analyses are constructed at all: an unlisted
+// figure's analyzer is never built, never folds a record, and only the
+// listed figures' tables print — no extras, and -verify is refused.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"trafficscope/internal/core"
@@ -24,107 +48,157 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	o := addFlags(flag.CommandLine)
+	flag.Parse()
+	cliobs.TuneBatchGC()
+	ctx, stop := cliobs.SignalContext()
+	defer stop()
+	if _, err := run(ctx, o, os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "tsreport:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		scale     = flag.Float64("scale", 0.02, "fraction of paper-reported object/request counts")
-		seed      = flag.Int64("seed", 42, "random seed")
-		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		summary   = flag.Bool("summary", false, "print only the run summary")
-		workers   = flag.Int("workers", 0, "analysis parallelism (0 = GOMAXPROCS)")
-		extras    = flag.Bool("extras", true, "include forecasting, crawler-baseline and §V implication tables")
-		verify    = flag.Bool("verify", false, "append the calibration-verification table; exit 1 if any check fails")
-		outDir    = flag.String("outdir", "", "also write every table as a CSV file into this directory")
-		memBudget = flag.Int("mem-budget", 0, "per-site analyzer state budget in keys (0 = exact; >0 enables sketch/sample estimators)")
-	)
-	obsFlags := cliobs.AddFlags(flag.CommandLine)
-	flag.Parse()
-	cliobs.TuneBatchGC()
+// options are tsreport's flags.
+type options struct {
+	scale                  float64
+	seed                   int64
+	csv, summary           bool
+	workers, memBudget     int
+	extras, verify, replay bool
+	outDir                 string
+	in, format, figures    string
+	obs                    *cliobs.Flags
+}
 
-	ctx, stop := cliobs.SignalContext()
-	defer stop()
+func addFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.Float64Var(&o.scale, "scale", 0.02, "fraction of paper-reported object/request counts")
+	fs.Int64Var(&o.seed, "seed", 42, "random seed")
+	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of aligned tables")
+	fs.BoolVar(&o.summary, "summary", false, "print only the run summary")
+	fs.IntVar(&o.workers, "workers", 0, "analysis parallelism (0 = GOMAXPROCS)")
+	fs.BoolVar(&o.extras, "extras", true, "include forecasting, crawler-baseline and §V implication tables")
+	fs.BoolVar(&o.verify, "verify", false, "append the calibration-verification table; exit 1 if any check fails")
+	fs.StringVar(&o.outDir, "outdir", "", "also write every table as a CSV file into this directory")
+	fs.IntVar(&o.memBudget, "mem-budget", 0, "per-site analyzer state budget in keys (0 = exact; >0 enables sketch/sample estimators)")
+	fs.StringVar(&o.in, "in", "", "read the week from this trace (.tsb/.jsonl, optional .gz), or - for JSON Lines on stdin, instead of generating it")
+	fs.StringVar(&o.format, "format", "", "override log format: block or json")
+	fs.StringVar(&o.figures, "figures", "", "comma-separated figure numbers (default: all)")
+	fs.BoolVar(&o.replay, "replay", false, "replay the -in trace through the CDN simulator before analyzing")
+	o.obs = cliobs.AddFlags(fs)
+	return o
+}
 
-	sess, err := obsFlags.Start("tsreport")
+// run produces the report o describes on stdout and returns the results
+// it was rendered from.
+func run(ctx context.Context, o *options, stdin io.Reader, stdout io.Writer) (*core.Results, error) {
+	figList, err := parseFigures(o.figures)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	extra := map[string]any{"seed": *seed, "scale": *scale}
+	if len(figList) > 0 && o.verify {
+		return nil, fmt.Errorf("-verify checks every figure; drop -figures")
+	}
+
+	sess, err := o.obs.Start("tsreport")
+	if err != nil {
+		return nil, err
+	}
+	extra := map[string]any{"seed": o.seed, "scale": o.scale}
+	if o.in != "" {
+		extra["in"], extra["replay"] = o.in, o.replay
+	}
 	defer sess.Finish(extra)
 
 	start := time.Now()
-	study, err := core.NewStudy(core.Config{Seed: *seed, Scale: *scale, Workers: *workers, MemoryBudget: *memBudget, Metrics: sess.Registry()})
+	// NewStudy validates -figures against the analyzer registry and
+	// constructs only the analyzers covering the requested figures.
+	study, err := core.NewStudy(core.Config{Seed: o.seed, Scale: o.scale, Workers: o.workers, Figures: figList, MemoryBudget: o.memBudget, Metrics: sess.Registry()})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Progress tracks the analysis pipeline (the measured pass streams
-	// straight into it) against the generator's expected record count;
-	// the CDN warm-up pass before it shows as rate-only activity on the
-	// /metrics page.
-	expected := study.Generator().ExpectedRecords()
-	sess.SetProgress(sess.CounterProgress("pipeline_records_total", expected, "records"))
-	// SIGINT/SIGTERM unwinds whichever generate/replay/analyze pass is in
-	// flight; the deferred Finish still writes the manifest.
-	src := trace.ContextSource(ctx, study.Source())
-	results, err := study.RunSource(src)
+	// Tables are built only when something prints or writes them: under
+	// -summary without -outdir the run skips the clustering, the forecast
+	// and the extras' three further passes over the week.
+	tabulate := !o.summary || o.outDir != ""
+	extras := tabulate && o.extras && len(figList) == 0
+	src, err := o.source(ctx, study, sess, stdin, o.replay || extras)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	// SIGINT/SIGTERM unwinds whichever pass is in flight; the deferred
+	// Finish still writes the manifest.
+	src = trace.ContextSource(ctx, src)
+	var results *core.Results
+	if o.in == "" || o.replay {
+		results, err = study.RunSource(src)
+	} else {
+		var r trace.Reader
+		if r, err = src.Open(); err != nil {
+			return nil, err
+		}
+		results, err = study.AnalyzeOnly(r)
+		trace.CloseReader(r)
+	}
+	if err != nil {
+		return nil, err
 	}
 	elapsed := time.Since(start)
 	extra["records"] = results.Records
 
-	// Tables are built only when something prints or writes them: under
-	// -summary without -outdir the run skips the clustering, the forecast
-	// and the extras' three further passes over the week.
 	var tables []*report.Table
-	if !*summary || *outDir != "" {
-		tables = results.AllFigureTables()
-		if *extras {
-			if ft, err := results.ForecastTable(24); err == nil {
-				tables = append(tables, ft)
-			}
-			// The crawl baseline streams one more pass over the
-			// regenerated trace (one for all sites) and the §V table two
-			// (for all its cells), so even the extras never materialize
-			// the trace.
-			if bt, err := results.CrawlerBaselineTableSource(src, 24*time.Hour, 200); err == nil {
-				tables = append(tables, bt)
-			}
-			if it, err := results.ImplicationsTableSource(src); err == nil {
-				tables = append(tables, it)
+	if tabulate {
+		for _, tab := range results.AllFigureTables() {
+			if tableWanted(tab, figList) {
+				tables = append(tables, tab)
 			}
 		}
 	}
+	if extras {
+		// The crawl baseline streams one more pass over src (one for all
+		// sites) and the §V table two (for all its cells), so even the
+		// extras never materialize the trace.
+		ft, err := results.ForecastTable(24)
+		if err != nil {
+			return nil, err
+		}
+		bt, err := results.CrawlerBaselineTableSource(src, 24*time.Hour, 200)
+		if err != nil {
+			return nil, err
+		}
+		it, err := results.ImplicationsTableSource(src)
+		if err != nil {
+			return nil, err
+		}
+		tables = append(tables, ft, bt, it)
+	}
 	allPass := true
-	if *verify {
+	if o.verify {
 		vt, ok := results.VerifyTable()
 		tables = append(tables, vt)
 		allPass = ok
 	}
-	if !*summary {
+	if !o.summary {
 		for _, tab := range tables {
-			if *csv {
-				fmt.Print(tab.CSV())
+			if o.csv {
+				fmt.Fprint(stdout, tab.CSV())
 			} else {
-				fmt.Println(tab)
+				fmt.Fprintln(stdout, tab)
 			}
 		}
 	}
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			return err
+	if o.outDir != "" {
+		if err := os.MkdirAll(o.outDir, 0o755); err != nil {
+			return nil, err
 		}
 		for i, tab := range tables {
-			path := filepath.Join(*outDir, fmt.Sprintf("table-%02d.csv", i+1))
+			path := filepath.Join(o.outDir, fmt.Sprintf("table-%02d.csv", i+1))
 			if err := os.WriteFile(path, []byte(tab.CSV()), 0o644); err != nil {
-				return err
+				return nil, err
 			}
 		}
-		fmt.Fprintf(os.Stderr, "tsreport: wrote %d CSV tables to %s\n", len(tables), *outDir)
+		fmt.Fprintf(os.Stderr, "tsreport: wrote %d CSV tables to %s\n", len(tables), o.outDir)
 	}
 	sum := report.NewTable("run summary", "metric", "value")
 	sum.AddRow("records", results.Records)
@@ -134,11 +208,82 @@ func run() error {
 	sum.AddRow("origin traffic", report.Bytes(results.CDNStats.OriginBytes))
 	sum.AddRow("egress traffic", report.Bytes(results.CDNStats.EgressBytes))
 	sum.AddRow("elapsed", elapsed.Round(time.Millisecond).String())
-	fmt.Println(sum)
+	fmt.Fprintln(stdout, sum)
 	if !allPass {
-		return fmt.Errorf("calibration verification failed (see table above)")
+		return results, fmt.Errorf("calibration verification failed (see table above)")
 	}
 	extra["cdn_requests"] = results.CDNStats.Requests
 	extra["elapsed_seconds"] = elapsed.Seconds()
-	return sess.Finish(extra)
+	return results, sess.Finish(extra)
+}
+
+// source is the week the report covers, and sets the progress line that
+// tracks reading it: the generated week by default, else -in's trace. A
+// file reopens for every pass; stdin is buffered in memory when more than
+// one pass reads it.
+func (o *options) source(ctx context.Context, study *core.Study, sess *cliobs.Session, stdin io.Reader, multiPass bool) (trace.Source, error) {
+	if o.in == "" {
+		// Progress tracks the analysis pipeline (the measured pass streams
+		// straight into it) against the generator's expected record count;
+		// the CDN warm-up pass before it shows as rate-only activity on the
+		// /metrics page.
+		sess.SetProgress(sess.CounterProgress("pipeline_records_total", study.Generator().ExpectedRecords(), "records"))
+		return study.Source(), nil
+	}
+	// ETA tracks on-disk input bytes consumed (compressed bytes for .gz).
+	sess.SetProgress(sess.ReadProgress(cliobs.FileSize(o.in)))
+	if o.in == "-" {
+		r := trace.NewJSONReader(stdin)
+		if !multiPass {
+			return trace.SourceFunc(func() (trace.Reader, error) { return r, nil }), nil
+		}
+		recs, err := trace.ReadAll(trace.NewContextReader(ctx, r))
+		return trace.SliceSource(recs), err
+	}
+	var f trace.Format
+	if o.format != "" {
+		var err error
+		if f, err = trace.ParseFormat(o.format); err != nil {
+			return nil, err
+		}
+	}
+	return trace.FileSource{Path: o.in, Format: f}, nil
+}
+
+// parseFigures splits the -figures flag into figure numbers. Registry
+// validation (unknown numbers, the valid range) happens in
+// core.NewStudy.
+func parseFigures(s string) ([]int, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var out []int
+	for _, tok := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(tok))
+		if err != nil {
+			return nil, fmt.Errorf("bad figure number %q", tok)
+		}
+		out = append(out, n)
+	}
+	return out, nil
+}
+
+// figTitle extracts the figure number from a rendered table title
+// ("Fig 3: ...", including lettered variants like "Fig 2a: ...").
+var figTitle = regexp.MustCompile(`Fig (\d+)[a-z]?:`)
+
+// tableWanted matches a rendered figure table against the requested
+// figure numbers; with none requested every table is wanted. An analyzer
+// can cover several figures (composition renders Figs 1, 2a and 2b), so
+// the requested set prunes tables as well as analyzers.
+func tableWanted(tab *report.Table, figures []int) bool {
+	if len(figures) == 0 {
+		return true
+	}
+	m := figTitle.FindStringSubmatch(tab.String())
+	if m == nil {
+		return false
+	}
+	n, _ := strconv.Atoi(m[1])
+	return slices.Contains(figures, n)
 }

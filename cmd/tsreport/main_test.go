@@ -1,0 +1,165 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"flag"
+	"io"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"trafficscope/internal/core"
+	"trafficscope/internal/trace"
+)
+
+// parse runs args through tsreport's flag set.
+func parse(t *testing.T, args ...string) *options {
+	t.Helper()
+	fs := flag.NewFlagSet("tsreport", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	o := addFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("parse %v: %v", args, err)
+	}
+	return o
+}
+
+// tsreport runs the command with args and stdin, returning its results and
+// what it printed.
+func tsreport(t *testing.T, stdin io.Reader, args ...string) (*core.Results, string, error) {
+	t.Helper()
+	var out bytes.Buffer
+	res, err := run(context.Background(), parse(t, args...), stdin, &out)
+	return res, out.String(), err
+}
+
+// week returns the records tsgen writes for seed 42 at scale 0.005.
+func week(t *testing.T) []*trace.Record {
+	t.Helper()
+	study, err := core.NewStudy(core.Config{Seed: 42, Scale: 0.005})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := study.Source().Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trace.CloseReader(r)
+	recs, err := trace.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// writeTrace writes recs to path in the format its extension selects.
+func writeTrace(t *testing.T, path string, recs []*trace.Record) {
+	t.Helper()
+	fw, err := trace.CreateFile(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := fw.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// jsonLines is recs as `tsgen -out -` pipes them.
+func jsonLines(t *testing.T, recs []*trace.Record) *bytes.Reader {
+	t.Helper()
+	var buf bytes.Buffer
+	w := trace.NewJSONWriter(&buf)
+	for _, rec := range recs {
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.NewReader(buf.Bytes())
+}
+
+// TestFileReplayMatchesGeneratedRun: replaying the generated week from a
+// v2 file, or from JSON Lines on stdin (buffered for the second pass),
+// reports what the generated run does.
+func TestFileReplayMatchesGeneratedRun(t *testing.T) {
+	recs := week(t)
+	path := filepath.Join(t.TempDir(), "w.tsb")
+	writeTrace(t, path, recs)
+
+	want, _, err := tsreport(t, nil, "-scale", "0.005", "-summary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Records != int64(len(recs)) || want.CDNStats.Requests != want.Records {
+		t.Fatalf("generated run: %d records, %d CDN requests; the trace has %d", want.Records, want.CDNStats.Requests, len(recs))
+	}
+	for name, c := range map[string]struct {
+		stdin io.Reader
+		args  []string
+	}{
+		"file":  {nil, []string{"-in", path}},
+		"stdin": {jsonLines(t, recs), []string{"-in", "-"}},
+	} {
+		got, _, err := tsreport(t, c.stdin, append(c.args, "-replay", "-scale", "0.005", "-summary")...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Records != want.Records || got.CDNStats != want.CDNStats {
+			t.Errorf("%s: %d records, %+v; generated run %d, %+v", name, got.Records, got.CDNStats, want.Records, want.CDNStats)
+		}
+	}
+}
+
+// TestFiguresPrintsOnlyThoseTables reads JSON Lines on stdin in one pass
+// and prints the figure's table and the run summary, nothing else. Fig. 1
+// shares its analyzer with Figs. 2a and 2b, whose tables must be pruned.
+func TestFiguresPrintsOnlyThoseTables(t *testing.T) {
+	recs := week(t)
+	for _, fig := range []string{"3", "1"} {
+		res, out, err := tsreport(t, jsonLines(t, recs), "-in", "-", "-figures", fig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Records != int64(len(recs)) {
+			t.Errorf("-figures %s: analyzed %d records, stdin carried %d", fig, res.Records, len(recs))
+		}
+		var titles []string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "== ") {
+				titles = append(titles, line)
+			}
+		}
+		if len(titles) != 2 || !strings.HasPrefix(titles[0], "== Fig "+fig+": ") || titles[1] != "== run summary ==" {
+			t.Errorf("-figures %s: table titles %q, want Fig %s's and the run summary", fig, titles, fig)
+		}
+	}
+}
+
+func TestFiguresRefusesVerify(t *testing.T) {
+	_, _, err := tsreport(t, nil, "-figures", "3", "-verify")
+	if err == nil || !strings.Contains(err.Error(), "-figures") {
+		t.Errorf("-figures 3 -verify: err %v, want a refusal naming -figures", err)
+	}
+}
+
+// TestUnsortedTraceNamesTssort: the crawl baseline reads the trace in
+// time order and says how to get there.
+func TestUnsortedTraceNamesTssort(t *testing.T) {
+	recs := week(t)
+	slices.Reverse(recs)
+	path := filepath.Join(t.TempDir(), "rev.jsonl")
+	writeTrace(t, path, recs)
+	_, _, err := tsreport(t, nil, "-in", path, "-scale", "0.005")
+	if err == nil || !strings.Contains(err.Error(), "not in time order (sort it with tssort)") {
+		t.Errorf("reverse-ordered trace: err %v, want crawler.Simulate's order error naming tssort", err)
+	}
+}

@@ -121,15 +121,31 @@ var demoCells = []demoCell{
 			}
 		},
 	},
+	// README's quickstart: the file tsgen wrote, replayed by tsreport,
+	// reports the week tsreport generates itself.
+	{
+		name: "report-file", scale: "0.005", seed: "42",
+		clients: []demoProc{
+			{tool: "tsreport", args: []string{"-in", "$trace", "-replay", "-summary", "-manifest", "$dir/file-manifest.json"}},
+			{tool: "tsreport", args: []string{"-scale", "0.005", "-summary", "-manifest", "$dir/week-manifest.json"}},
+		},
+		check: func(t *testing.T, r *demoRun) {
+			file, week := r.manifest("file-manifest.json"), r.manifest("week-manifest.json")
+			if file["records"] != r.records || week["records"] != r.records || file["cdn_requests"] != week["cdn_requests"] {
+				t.Errorf("records: file %v, generated %v, trace %v; CDN requests: file %v, generated %v",
+					file["records"], week["records"], r.records, file["cdn_requests"], week["cdn_requests"])
+			}
+		},
+	},
 }
 
 func TestDemos(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds six binaries and replays four traces over loopback")
+		t.Skip("builds seven binaries, replays four traces over loopback and reports a fifth")
 	}
 	bin := t.TempDir()
 	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator),
-		"./cmd/tsgen", "./cmd/tsserve", "./cmd/tsload", "./cmd/tsgate", "./cmd/tsrouter", "./cmd/tscluster")
+		"./cmd/tsgen", "./cmd/tsserve", "./cmd/tsload", "./cmd/tsgate", "./cmd/tsrouter", "./cmd/tscluster", "./cmd/tsreport")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -152,7 +168,9 @@ func TestDemos(t *testing.T) {
 				url := r.start(s)
 				r.vars = append(r.vars, "$"+strconv.Itoa(i), url)
 			}
-			r.vars = append(r.vars, "$target", r.servers[len(r.servers)-1].url)
+			if len(r.servers) > 0 {
+				r.vars = append(r.vars, "$target", r.servers[len(r.servers)-1].url)
+			}
 			for _, cl := range c.clients {
 				r.client(cl)
 			}

@@ -12,15 +12,6 @@ import (
 	"time"
 )
 
-// Purger is the optional invalidation interface: publishers purge
-// objects when source content changes (the mechanism behind the 304
-// "not modified" guarantee). Policies that can remove a specific key
-// implement it; wrappers forward it when their inner caches do.
-type Purger interface {
-	// Purge removes the object if resident, reporting whether it was.
-	Purge(key uint64) bool
-}
-
 // Cache is a byte-capacity-bounded object cache. Implementations are not
 // safe for concurrent use; each simulated data center owns one cache and
 // replay is single-threaded per DC.
@@ -90,7 +81,8 @@ func (q *queue) Push(key uint64, size int64, _ time.Time) {
 	}
 }
 
-// Purge implements Purger.
+// Purge removes key if resident and reports whether it was: SLRU's
+// promotion and 2Q's ghost hits move a key out of one queue this way.
 func (q *queue) Purge(key uint64) bool {
 	i, ok := q.index[key]
 	if ok {
@@ -229,7 +221,7 @@ type heapStore struct {
 	// priority is evicted first.
 	priority func(freq float64, size int64) float64
 	// evicted, when non-nil, sees the priority of each object evicted for
-	// space (not of a purged one).
+	// space.
 	evicted func(priority float64)
 }
 
@@ -263,15 +255,6 @@ func (h *heapStore) Bytes() int64 { return h.bytes }
 
 // Capacity implements Cache.
 func (h *heapStore) Capacity() int64 { return h.capacity }
-
-// Purge implements Purger.
-func (h *heapStore) Purge(key uint64) bool {
-	i, ok := h.index[key]
-	if ok {
-		h.remove(int(h.nodes[i].pos))
-	}
-	return ok
-}
 
 // push admits key, if absent, at the frequency a policy gives an object
 // nobody has asked for yet.
@@ -423,33 +406,6 @@ func (c *SLRU) Access(key uint64, size int64, _ time.Time) bool {
 		return true
 	}
 	c.probation.insert(key, size, nil)
-	return false
-}
-
-// Purge implements Purger for SLRU.
-func (c *SLRU) Purge(key uint64) bool {
-	return c.probation.Purge(key) || c.protected.Purge(key)
-}
-
-// Purge implements Purger for SplitCache: the object may live in either
-// partition depending on its size at insertion, so both are tried.
-func (c *SplitCache) Purge(key uint64) bool {
-	purged := false
-	if p, ok := c.Small.(Purger); ok && p.Purge(key) {
-		purged = true
-	}
-	if p, ok := c.Large.(Purger); ok && p.Purge(key) {
-		purged = true
-	}
-	return purged
-}
-
-// Purge implements Purger for TTLCache.
-func (c *TTLCache) Purge(key uint64) bool {
-	delete(c.expires, key)
-	if p, ok := c.inner.(Purger); ok {
-		return p.Purge(key)
-	}
 	return false
 }
 

@@ -245,53 +245,6 @@ func TestImmediateReaccessHits(t *testing.T) {
 	}
 }
 
-func TestPurgePolicies(t *testing.T) {
-	slru, _ := NewSLRU(1000, 0.8)
-	split, _ := NewSplitCache(NewLRU(500), NewLRU(500), 50)
-	ttl, _ := NewTTLCache(NewLRU(1000), time.Hour)
-	caches := []Cache{NewLRU(1000), NewFIFO(1000), NewLFU(1000), NewGDSF(1000), slru, split, ttl}
-	for _, c := range caches {
-		p, ok := c.(Purger)
-		if !ok {
-			t.Fatalf("%s does not implement Purger", c.Name())
-		}
-		c.Access(1, 10, t0)
-		if !c.Contains(1) {
-			t.Fatalf("%s: setup failed", c.Name())
-		}
-		if !p.Purge(1) {
-			t.Errorf("%s: Purge(resident) = false", c.Name())
-		}
-		if c.Contains(1) {
-			t.Errorf("%s: object survived purge", c.Name())
-		}
-		if p.Purge(1) {
-			t.Errorf("%s: Purge(absent) = true", c.Name())
-		}
-		// Purged object is a miss on re-access.
-		if c.Access(1, 10, t0) {
-			t.Errorf("%s: purged object hit", c.Name())
-		}
-	}
-}
-
-func TestPurgeAccounting(t *testing.T) {
-	c := NewLFU(1000)
-	c.Access(1, 100, t0)
-	c.Access(2, 200, t0)
-	c.Purge(1)
-	if c.Bytes() != 200 || c.Len() != 1 {
-		t.Errorf("after purge: bytes=%d len=%d", c.Bytes(), c.Len())
-	}
-	// Heap stays consistent under further churn.
-	for k := uint64(10); k < 30; k++ {
-		c.Access(k, 60, t0)
-	}
-	if c.Bytes() > c.Capacity() {
-		t.Error("capacity exceeded after purge churn")
-	}
-}
-
 func TestZeroCapacityCacheNeverAdmits(t *testing.T) {
 	for _, c := range []Cache{NewLRU(0), NewFIFO(0), NewLFU(0)} {
 		c.Access(1, 1, t0)
@@ -443,7 +396,6 @@ func refSLRU(capacity int64, frac float64) cacheModel {
 				probation.Push(key, size)
 			}
 		},
-		purge:    func(key uint64) bool { return probation.Purge(key) || protected.Purge(key) },
 		contains: contains,
 		lists:    func() [][]uint64 { return [][]uint64{probation.keys(), protected.keys()} },
 		occupied: occupancy(probation, protected),
@@ -476,7 +428,6 @@ func refTwoQ(capacity int64, inFrac float64, ghostN int) cacheModel {
 				main.Push(key, size)
 			}
 		},
-		// TwoQ does not implement Purger.
 		contains: contains,
 		lists:    func() [][]uint64 { return [][]uint64{in.keys(), main.keys(), ghost.keys()} },
 		occupied: occupancy(in, main),
@@ -491,8 +442,8 @@ func modelOf(c Cache, lists func() [][]uint64) cacheModel {
 		lists:    lists,
 		occupied: func() (int, int64) { return c.Len(), c.Bytes() },
 	}
-	if p, ok := c.(Purger); ok {
-		m.purge = p.Purge
+	if p, ok := c.(interface{ Purge(uint64) bool }); ok {
+		m.purge = p.Purge // the queue's, promoted to LRU and FIFO
 	}
 	return m
 }

@@ -111,6 +111,15 @@ type DCStats struct {
 	EgressBytes int64 // bytes served to clients
 }
 
+// Add sums src into s field-wise.
+func (s *DCStats) Add(src DCStats) {
+	s.Requests += src.Requests
+	s.Hits += src.Hits
+	s.Misses += src.Misses
+	s.OriginBytes += src.OriginBytes
+	s.EgressBytes += src.EgressBytes
+}
+
 // HitRatio returns hits/(hits+misses), or 0 when idle.
 func (s *DCStats) HitRatio() float64 {
 	total := s.Hits + s.Misses
@@ -296,12 +305,7 @@ func (c *CDN) ResetClientState() {
 func (c *CDN) TotalStats() DCStats {
 	var out DCStats
 	for _, dc := range c.dcs {
-		st := dc.StatsSnapshot()
-		out.Requests += st.Requests
-		out.Hits += st.Hits
-		out.Misses += st.Misses
-		out.OriginBytes += st.OriginBytes
-		out.EgressBytes += st.EgressBytes
+		out.Add(dc.StatsSnapshot())
 	}
 	return out
 }
@@ -312,42 +316,6 @@ func (c *CDN) PushToAll(objectID uint64, size int64, now time.Time) {
 	for _, dc := range c.dcs {
 		dc.Cache.Push(objectID, size, now)
 	}
-}
-
-// PurgeAll invalidates an object (and, for video, its chunks) across all
-// DC caches — a publisher content-update purge. It returns the number of
-// cache entries removed. videoSize > 0 purges chunk keys covering that
-// size; pass 0 for non-chunked objects. Only caches that implement Purger
-// are purged: every single-store policy, SLRU, and the split, TTL and
-// instrumented wrappers do; TwoQ, TieredCache and ShardedCache do not and
-// keep the object until it ages out.
-func (c *CDN) PurgeAll(objectID uint64, videoSize int64) int {
-	var removed int
-	keys := []uint64{objectID}
-	if videoSize > 0 && c.chunk > 0 {
-		total := int((videoSize + c.chunk - 1) / c.chunk)
-		for i := 1; i < total; i++ {
-			keys = append(keys, chunkKey(objectID, i))
-		}
-	}
-	for _, dc := range c.dcs {
-		caches := []Cache{dc.Cache}
-		for _, pc := range dc.PublisherCache {
-			caches = append(caches, pc)
-		}
-		for _, cache := range caches {
-			p, ok := cache.(Purger)
-			if !ok {
-				continue
-			}
-			for _, key := range keys {
-				if p.Purge(key) {
-					removed++
-				}
-			}
-		}
-	}
-	return removed
 }
 
 // Serve processes one request record, returning a copy with StatusCode,

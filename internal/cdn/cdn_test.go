@@ -252,30 +252,6 @@ func TestDCStatsByteHitRatio(t *testing.T) {
 	}
 }
 
-func TestPurgeAllInvalidatesEverywhere(t *testing.T) {
-	c := New(Config{ChunkBytes: 1 << 20})
-	// Warm the same video's chunks in two regions.
-	size := int64(3 << 20)
-	for _, region := range []timeutil.Region{timeutil.RegionEurope, timeutil.RegionAsia} {
-		r := videoReq(5, uint64(region), size, size, t0)
-		r.Region = region
-		c.Serve(r)
-	}
-	removed := c.PurgeAll(5, size)
-	if removed != 6 { // 3 chunks x 2 regions
-		t.Errorf("removed %d entries, want 6", removed)
-	}
-	// Idempotent: nothing left to remove.
-	if c.PurgeAll(5, size) != 0 {
-		t.Error("second purge should remove nothing")
-	}
-	// Next request misses again (and refills).
-	r := videoReq(5, 99, size, size, t0.Add(time.Minute))
-	if got := c.Serve(r); got.Cache == trace.CacheHit {
-		t.Error("purged video still hit")
-	}
-}
-
 func TestPublisherCachePartition(t *testing.T) {
 	c := New(Config{
 		ChunkBytes: -1,

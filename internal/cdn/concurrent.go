@@ -56,8 +56,8 @@ func (cc *ConcurrentCDN) DCContains(region timeutil.Region, r *trace.Record) boo
 }
 
 // CDN returns the wrapped CDN for configuration-time access (DC lookup,
-// PushToAll, PurgeAll). Reads of per-DC stats while traffic is in
-// flight must go through StatsSnapshot/TotalStats.
+// PushToAll). Reads of per-DC stats while traffic is in flight must go
+// through StatsSnapshot/TotalStats.
 func (cc *ConcurrentCDN) CDN() *CDN { return cc.c }
 
 // TotalStats sums counters across all data centers; safe while traffic

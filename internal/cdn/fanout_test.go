@@ -132,7 +132,7 @@ func TestReplayFanoutMatchesReplaySource(t *testing.T) {
 // TestReplayFanoutErrors: an error from one cell's Observe or Survey,
 // wherever in a block it falls, comes back from the fan-out and the
 // failing hook is not called again; so does a read error (here the
-// context cancelled mid-pass, as SIGINT does to tscdnsim).
+// context cancelled mid-pass, as SIGINT does to tsreport's §V table).
 func TestReplayFanoutErrors(t *testing.T) {
 	recs := fanoutTrace()
 	boom := errors.New("cell boom")

@@ -24,7 +24,6 @@ type InstrumentedCache struct {
 }
 
 var _ Cache = (*InstrumentedCache)(nil)
-var _ Purger = (*InstrumentedCache)(nil)
 
 // NewInstrumentedCache wraps inner, publishing metrics under
 // cdn_cache_*_total{<labels>} and cdn_cache_{objects,bytes}{<labels>}.
@@ -95,20 +94,6 @@ func (c *InstrumentedCache) Capacity() int64 { return c.inner.Capacity() }
 
 // Name implements Cache.
 func (c *InstrumentedCache) Name() string { return c.inner.Name() }
-
-// Purge implements Purger when the inner cache does.
-func (c *InstrumentedCache) Purge(key uint64) bool {
-	p, ok := c.inner.(Purger)
-	if !ok {
-		return false
-	}
-	purged := p.Purge(key)
-	if purged {
-		c.objects.Set(float64(c.inner.Len()))
-		c.bytes.Set(float64(c.inner.Bytes()))
-	}
-	return purged
-}
 
 // Instrument wraps every shard with per-shard hit/miss/eviction counters
 // (labels plus shard="<i>"), giving the load-balance and per-server

@@ -96,17 +96,6 @@ func (c *refLFU) insert(key uint64, size int64, freq int64) {
 	c.bytes += size
 }
 
-func (c *refLFU) Purge(key uint64) bool {
-	it, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	heap.Remove(&c.heap, it.index)
-	delete(c.items, key)
-	c.bytes -= it.size
-	return true
-}
-
 type refGDSF struct {
 	capacity int64
 	bytes    int64
@@ -211,23 +200,9 @@ func (c *refGDSF) insert(key uint64, size int64, freq float64) {
 	c.bytes += size
 }
 
-// Purge is the one method the reference GDSF never had: LFU's, so the
-// differential stream can exercise the Purge the heapStore gave GDSF. It
-// is an invalidation, not an eviction, so inflation does not move.
-func (c *refGDSF) Purge(key uint64) bool {
-	it, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	heap.Remove(&c.heap, it.index)
-	delete(c.items, key)
-	c.bytes -= it.size
-	return true
-}
-
 // TestHeapPoliciesMatchReference drives LFU and GDSF and their
 // container/heap references with the same seeded stream of accesses,
-// pushes, purges and residency probes over mixed sizes (zero, exactly the
+// pushes and residency probes over mixed sizes (zero, exactly the
 // capacity, larger than it) and requires the same answer to every
 // operation and the same Len, Bytes and per-key Contains after it. The
 // victim of an eviction is the minimum of (priority, tick) — ticks are
@@ -239,14 +214,14 @@ func TestHeapPoliciesMatchReference(t *testing.T) {
 		"lfu": func(capacity int64) (cacheModel, cacheModel) {
 			ref := newRefLFU(capacity)
 			return modelOf(NewLFU(capacity), nil), cacheModel{
-				access: ref.Access, push: ref.Push, purge: ref.Purge, contains: ref.Contains,
+				access: ref.Access, push: ref.Push, contains: ref.Contains,
 				occupied: func() (int, int64) { return len(ref.items), ref.bytes },
 			}
 		},
 		"gdsf": func(capacity int64) (cacheModel, cacheModel) {
 			ref := newRefGDSF(capacity)
 			return modelOf(NewGDSF(capacity), nil), cacheModel{
-				access: ref.Access, push: ref.Push, purge: ref.Purge, contains: ref.Contains,
+				access: ref.Access, push: ref.Push, contains: ref.Contains,
 				occupied: func() (int, int64) { return len(ref.items), ref.bytes },
 			}
 		},
@@ -258,9 +233,6 @@ func TestHeapPoliciesMatchReference(t *testing.T) {
 	for name, mk := range policies {
 		for _, capacity := range []int64{0, 1, 1000, 4096} {
 			got, want := mk(capacity)
-			if got.purge == nil {
-				t.Fatalf("%s does not implement Purger", name)
-			}
 			rng := rand.New(rand.NewSource(capacity + 11))
 			for step := 0; step < opsPerCapacity; step++ {
 				key := uint64(rng.Intn(keys))
@@ -282,8 +254,6 @@ func TestHeapPoliciesMatchReference(t *testing.T) {
 				case op < 8:
 					got.push(key, size)
 					want.push(key, size)
-				case op < 9:
-					g, w = got.purge(key), want.purge(key)
 				default:
 					g, w = got.contains(key), want.contains(key)
 				}

@@ -158,6 +158,8 @@ func (r *Results) implicationRows(capacity int64) []implicationRow {
 		{"eviction policy", "lfu", policy("lfu"), nil},
 		{"eviction policy", "fifo", policy("fifo"), nil},
 		{"eviction policy", "slru", policy("slru"), nil},
+		{"eviction policy", "gdsf", policy("gdsf"), nil},
+		{"eviction policy", "2q", policy("2q"), nil},
 		{"split by size", "unified lru", baseline, nil},
 		{"split by size", "small/large at 1 MiB", policy("split"), nil},
 		{"revalidation TTL", "1 h", ttl(time.Hour), nil},

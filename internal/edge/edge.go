@@ -470,7 +470,7 @@ func (s *Server) handleObject(w http.ResponseWriter, req *http.Request) {
 			}
 		} else if d := s.originDelay(out.BytesServed); d > 0 {
 			originNs = int64(d)
-			if !sleepCtx(req.Context(), d) {
+			if !timeutil.SleepCtx(req.Context(), d) {
 				s.cancelled.Inc()
 				// The CDN counted a miss, but the client saw a failure:
 				// SLO windows judge the client-visible outcome.
@@ -517,18 +517,6 @@ func OriginDelay(latency time.Duration, bandwidth, n int64) time.Duration {
 // serving n logical bytes.
 func (s *Server) originDelay(n int64) time.Duration {
 	return OriginDelay(s.cfg.OriginLatency, s.cfg.OriginBandwidth, n)
-}
-
-// sleepCtx sleeps d, returning false if ctx was cancelled first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // StatsReply is the /stats JSON document.

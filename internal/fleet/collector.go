@@ -159,12 +159,12 @@ func (c *Collector) PollOnce(ctx context.Context) {
 			c.logf("fleet: collector: backend %s unreachable: %v", p.backend.Name, p.err)
 			continue
 		}
-		addDCStats(&merged.Total, p.stats.Total)
+		merged.Total.Add(p.stats.Total)
 		merged.Fill.Add(p.stats.Fill)
 		merged.Backends[p.backend.Name] = p.stats.Total
 		for dc, st := range p.stats.PerDC {
 			sum := merged.PerDC[dc]
-			addDCStats(&sum, st)
+			sum.Add(st)
 			merged.PerDC[dc] = sum
 		}
 		reports = append(reports, p.slo)
@@ -306,13 +306,4 @@ func (c *Collector) Register(mux *http.ServeMux) {
 			}
 		}
 	})
-}
-
-// addDCStats sums src into dst field-wise.
-func addDCStats(dst *cdn.DCStats, src cdn.DCStats) {
-	dst.Requests += src.Requests
-	dst.Hits += src.Hits
-	dst.Misses += src.Misses
-	dst.OriginBytes += src.OriginBytes
-	dst.EgressBytes += src.EgressBytes
 }

@@ -161,7 +161,7 @@ func TestRouterReplayMatchesOfflinePerDC(t *testing.T) {
 		if got != want {
 			t.Errorf("DC %v: live totals %+v, want offline %+v", region, got, want)
 		}
-		addDCStats(&liveTotal, got)
+		liveTotal.Add(got)
 		// No traffic may leak into a backend's foreign DCs.
 		for _, other := range timeutil.AllRegions() {
 			if other == region {

@@ -104,7 +104,7 @@ func TestLaunchShutdownTotalsAreExact(t *testing.T) {
 	var total cdn.DCStats
 	var fill edge.FillStats
 	for _, e := range fl.Edges {
-		addDCStats(&total, e.Server.TotalStats())
+		total.Add(e.Server.TotalStats())
 		fill.Add(e.Server.FillStats())
 	}
 	stats, _ := fl.Front.Collector.Stats()

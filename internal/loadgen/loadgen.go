@@ -23,6 +23,7 @@ import (
 	"trafficscope/internal/edge"
 	"trafficscope/internal/obs"
 	"trafficscope/internal/obs/slo"
+	"trafficscope/internal/timeutil"
 	"trafficscope/internal/trace"
 )
 
@@ -417,7 +418,7 @@ func (rn *run) one(ctx context.Context, j job, ws *workerStats) {
 			}
 			rn.retries.Add(1)
 			rn.retryC.Inc()
-			if !sleepCtx(ctx, backoff) {
+			if !timeutil.SleepCtx(ctx, backoff) {
 				rn.fail(err)
 				return
 			}
@@ -518,16 +519,4 @@ func (rn *run) stats(elapsed time.Duration, reg *obs.Registry) *Stats {
 	}
 	rn.mu.Unlock()
 	return st
-}
-
-// sleepCtx sleeps d, returning false if ctx was cancelled first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }

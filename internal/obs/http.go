@@ -17,7 +17,7 @@ var expvarOnce sync.Once
 // DebugServer is a live observability endpoint: /metrics (Prometheus
 // text), /debug/vars (expvar JSON, including the registry snapshot) and
 // /debug/pprof/* (CPU, heap, goroutine, block profiles and execution
-// traces), so a long tsgen/tsanalyze run can be inspected while it runs.
+// traces), so a long tsgen/tsreport run can be inspected while it runs.
 type DebugServer struct {
 	// Addr is the bound address, useful when the requested port was 0.
 	Addr string

@@ -1,10 +1,12 @@
 // Package timeutil provides the time bucketing and timezone handling used
 // by the trace analyses: hour-of-week buckets, hour-of-day aggregation in
 // the *user's local time* (the paper converts CDN timestamps to local
-// timezones before computing hourly traffic curves), and week alignment.
+// timezones before computing hourly traffic curves), week alignment, and
+// the cancellable sleep the serving and load-generation tiers share.
 package timeutil
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -168,4 +170,16 @@ func (w Week) DayLabels() [7]string {
 		out[d] = w.Start.AddDate(0, 0, d).Weekday().String()[:3]
 	}
 	return out
+}
+
+// SleepCtx sleeps d, returning false if ctx was cancelled first.
+func SleepCtx(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }
