@@ -9,7 +9,7 @@
 
 GO ?= go
 BIN ?= bin
-CMDS := tsgen tsreport tssort tsserve tsload tsbench tsgate tsrouter tscluster
+CMDS := tsgen tsreport tsserve tsload tsbench tsgate tsrouter tscluster
 
 .PHONY: all build test check vet race fuzz-smoke loc bench bench-gate tools fmt-check demos
 
@@ -46,6 +46,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzWireRoundTrip$$' -fuzztime 5s ./internal/edge
 	$(GO) test -run NONE -fuzz '^FuzzDistanceBand$$' -fuzztime 5s ./internal/dtw
 	$(GO) test -run NONE -fuzz '^FuzzParseGroups$$' -fuzztime 5s ./internal/fleet
+	$(GO) test -run NONE -fuzz '^FuzzUnmarshalProfiles$$' -fuzztime 5s ./internal/synth
 
 # Fail if any file is not gofmt-clean (CI runs this before check).
 fmt-check:

@@ -13,15 +13,14 @@
 //	         [-figures 1,3,11] [-csv] [-summary] [-verify] [-outdir dir]
 //	         [-debug-addr :6060] [-progress] [-manifest run.json]
 //
-// With -in the trace is analyzed as-is in one streaming pass (cache
-// columns require a trace that already carries cache verdicts); with
-// -replay it is first pushed through the CDN simulator — warm-up plus
-// measured pass, both streaming, with the measured records fused straight
-// into the analysis pipeline. -in - reads JSON Lines on stdin, buffered in
-// memory only when a second pass needs it (-replay, or the extra tables).
-// The analyses use the study week; -seed picks the incognito model and
-// -scale the cache capacities. The crawler baseline needs the trace in
-// time order (tssort sorts one that is not).
+// -in reads its trace, a file or JSON Lines on stdin (-in -), exactly once,
+// into a time-ordered spool on disk (trace.Spool): a log may arrive in any
+// order, and every pass reads the spool. The trace is analyzed as-is
+// (cache columns require a trace that already carries cache verdicts);
+// with -replay it is first pushed through the CDN simulator — warm-up plus
+// measured pass, with the measured records fused straight into the
+// analysis pipeline. The analyses use the study week; -seed picks the
+// incognito model and -scale the cache capacities.
 //
 // -figures restricts which analyses are constructed at all: an unlisted
 // figure's analyzer is never built, never folds a record, and only the
@@ -123,9 +122,12 @@ func run(ctx context.Context, o *options, stdin io.Reader, stdout io.Writer) (*c
 	// and the extras' three further passes over the week.
 	tabulate := !o.summary || o.outDir != ""
 	extras := tabulate && o.extras && len(figList) == 0
-	src, err := o.source(ctx, study, sess, stdin, o.replay || extras)
+	src, err := o.source(ctx, study, sess, stdin)
 	if err != nil {
 		return nil, err
+	}
+	if spool, ok := src.(*trace.Spool); ok {
+		defer spool.Close()
 	}
 	// SIGINT/SIGTERM unwinds whichever pass is in flight; the deferred
 	// Finish still writes the manifest.
@@ -218,10 +220,9 @@ func run(ctx context.Context, o *options, stdin io.Reader, stdout io.Writer) (*c
 }
 
 // source is the week the report covers, and sets the progress line that
-// tracks reading it: the generated week by default, else -in's trace. A
-// file reopens for every pass; stdin is buffered in memory when more than
-// one pass reads it.
-func (o *options) source(ctx context.Context, study *core.Study, sess *cliobs.Session, stdin io.Reader, multiPass bool) (trace.Source, error) {
+// tracks reading it: the generated week by default, else the spool of
+// -in's trace, a path or JSON Lines on stdin, which is read exactly once.
+func (o *options) source(ctx context.Context, study *core.Study, sess *cliobs.Session, stdin io.Reader) (trace.Source, error) {
 	if o.in == "" {
 		// Progress tracks the analysis pipeline (the measured pass streams
 		// straight into it) against the generator's expected record count;
@@ -233,12 +234,7 @@ func (o *options) source(ctx context.Context, study *core.Study, sess *cliobs.Se
 	// ETA tracks on-disk input bytes consumed (compressed bytes for .gz).
 	sess.SetProgress(sess.ReadProgress(cliobs.FileSize(o.in)))
 	if o.in == "-" {
-		r := trace.NewJSONReader(stdin)
-		if !multiPass {
-			return trace.SourceFunc(func() (trace.Reader, error) { return r, nil }), nil
-		}
-		recs, err := trace.ReadAll(trace.NewContextReader(ctx, r))
-		return trace.SliceSource(recs), err
+		return trace.NewSpool(trace.NewContextReader(ctx, trace.NewJSONReader(stdin)))
 	}
 	var f trace.Format
 	if o.format != "" {
@@ -247,7 +243,12 @@ func (o *options) source(ctx context.Context, study *core.Study, sess *cliobs.Se
 			return nil, err
 		}
 	}
-	return trace.FileSource{Path: o.in, Format: f}, nil
+	fr, err := trace.OpenFile(o.in, f)
+	if err != nil {
+		return nil, err
+	}
+	defer fr.Close()
+	return trace.NewSpool(trace.NewContextReader(ctx, fr))
 }
 
 // parseFigures splits the -figures flag into figure numbers. Registry

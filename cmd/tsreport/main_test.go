@@ -6,7 +6,7 @@ import (
 	"flag"
 	"io"
 	"path/filepath"
-	"slices"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -88,7 +88,7 @@ func jsonLines(t *testing.T, recs []*trace.Record) *bytes.Reader {
 }
 
 // TestFileReplayMatchesGeneratedRun: replaying the generated week from a
-// v2 file, or from JSON Lines on stdin (buffered for the second pass),
+// v2 file, or from JSON Lines on stdin (spooled for the second pass),
 // reports what the generated run does.
 func TestFileReplayMatchesGeneratedRun(t *testing.T) {
 	recs := week(t)
@@ -151,15 +151,64 @@ func TestFiguresRefusesVerify(t *testing.T) {
 	}
 }
 
-// TestUnsortedTraceNamesTssort: the crawl baseline reads the trace in
-// time order and says how to get there.
-func TestUnsortedTraceNamesTssort(t *testing.T) {
+// reverseInstants returns recs with their distinct timestamps in reverse
+// order. Records sharing a microsecond, the unit a trace file stores, keep
+// their order, so a stable sort restores recs.
+func reverseInstants(recs []*trace.Record) []*trace.Record {
+	out := make([]*trace.Record, 0, len(recs))
+	for end := len(recs); end > 0; {
+		start := end - 1
+		for us := recs[start].Timestamp.UnixMicro(); start > 0 && recs[start-1].Timestamp.UnixMicro() == us; {
+			start--
+		}
+		out = append(out, recs[start:end]...)
+		end = start
+	}
+	return out
+}
+
+var elapsedRow = regexp.MustCompile(`(?m)^elapsed .*$`)
+
+// TestUnorderedTraceReportsAsOrdered: a log may arrive in any order. The
+// week with its instants reversed, as a JSON Lines file or on stdin,
+// prints every table the ordered file prints under -replay, and under
+// -summary, where no crawl table would notice the disorder, the ordered
+// file's records and CDN stats.
+func TestUnorderedTraceReportsAsOrdered(t *testing.T) {
 	recs := week(t)
-	slices.Reverse(recs)
-	path := filepath.Join(t.TempDir(), "rev.jsonl")
-	writeTrace(t, path, recs)
-	_, _, err := tsreport(t, nil, "-in", path, "-scale", "0.005")
-	if err == nil || !strings.Contains(err.Error(), "not in time order (sort it with tssort)") {
-		t.Errorf("reverse-ordered trace: err %v, want crawler.Simulate's order error naming tssort", err)
+	dir := t.TempDir()
+	ordered, reversed := filepath.Join(dir, "w.tsb"), filepath.Join(dir, "rev.jsonl")
+	writeTrace(t, ordered, recs)
+	rev := reverseInstants(recs)
+	if rev[0] == recs[0] {
+		t.Fatal("the reversed week starts where the ordered one does")
+	}
+	writeTrace(t, reversed, rev)
+
+	want, wantOut, err := tsreport(t, nil, "-in", ordered, "-replay", "-scale", "0.005")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		stdin func() io.Reader
+		in    string
+	}{
+		"file":  {func() io.Reader { return nil }, reversed},
+		"stdin": {func() io.Reader { return jsonLines(t, rev) }, "-"},
+	} {
+		_, out, err := tsreport(t, c.stdin(), "-in", c.in, "-replay", "-scale", "0.005")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, want := elapsedRow.ReplaceAllString(out, ""), elapsedRow.ReplaceAllString(wantOut, ""); got != want {
+			t.Errorf("%s: the reversed week prints\n%s\nthe ordered file\n%s", name, got, want)
+		}
+		got, _, err := tsreport(t, c.stdin(), "-in", c.in, "-replay", "-scale", "0.005", "-summary")
+		if err != nil {
+			t.Fatalf("%s -summary: %v", name, err)
+		}
+		if got.Records != want.Records || got.CDNStats != want.CDNStats {
+			t.Errorf("%s -summary: %d records, %+v; the ordered file %d, %+v", name, got.Records, got.CDNStats, want.Records, want.CDNStats)
+		}
 	}
 }

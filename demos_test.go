@@ -122,7 +122,8 @@ var demoCells = []demoCell{
 		},
 	},
 	// README's quickstart: the file tsgen wrote, replayed by tsreport,
-	// reports the week tsreport generates itself.
+	// reports the week tsreport generates itself, and reads the file once
+	// for both passes.
 	{
 		name: "report-file", scale: "0.005", seed: "42",
 		clients: []demoProc{
@@ -134,6 +135,17 @@ var demoCells = []demoCell{
 			if file["records"] != r.records || week["records"] != r.records || file["cdn_requests"] != week["cdn_requests"] {
 				t.Errorf("records: file %v, generated %v, trace %v; CDN requests: file %v, generated %v",
 					file["records"], week["records"], r.records, file["cdn_requests"], week["cdn_requests"])
+			}
+			var m struct {
+				Metrics struct{ Counters map[string]int64 }
+			}
+			r.readJSON("file-manifest.json", &m)
+			fi, err := os.Stat(filepath.Join(r.dir, "trace.tsb"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if read := m.Metrics.Counters["trace_read_bytes_total"]; read != fi.Size() {
+				t.Errorf("tsreport read %d bytes of a %d-byte trace", read, fi.Size())
 			}
 		},
 	},

@@ -122,7 +122,7 @@ func Simulate(r trace.Reader, week timeutil.Week, cfg Config) (*Campaigns, error
 		}
 		due := len(c.Snapshots)
 		if due > 0 && !rec.Timestamp.After(times[due-1]) {
-			return nil, fmt.Errorf("crawler: %s request at %v arrived after the %v crawl was taken: the trace is not in time order (sort it with tssort)",
+			return nil, fmt.Errorf("crawler: %s request at %v arrived after the %v crawl was taken: the trace is not in time order (read it through trace.NewSpool)",
 				rec.Publisher, rec.Timestamp.Format(time.RFC3339), times[due-1].Format(time.RFC3339))
 		}
 		for due < len(times) && rec.Timestamp.After(times[due]) {

@@ -105,8 +105,8 @@ func TestSimulateRejectsUnsortedTrace(t *testing.T) {
 	last := len(recs) - 1
 	recs[0], recs[last] = recs[last], recs[0]
 	_, err := Simulate(trace.NewSliceReader(recs), week, Config{Interval: 24 * time.Hour})
-	if err == nil || !strings.Contains(err.Error(), "tssort") {
-		t.Fatalf("unsorted trace: err = %v, want one naming tssort", err)
+	if err == nil || !strings.Contains(err.Error(), "trace.NewSpool") {
+		t.Fatalf("unsorted trace: err = %v, want one naming trace.NewSpool", err)
 	}
 	// Disorder that crosses no crawl instant changes no snapshot.
 	recs = mkRecs("P-1", 1, 70)

@@ -39,7 +39,7 @@ func SignalContext() (context.Context, context.CancelFunc) {
 const batchGCPercent = 20
 
 // TuneBatchGC tightens the garbage collector for batch pipeline tools
-// (tsreport, tssort). Peak memory of a fused generate→replay→analyze run
+// (tsreport). Peak memory of a fused generate→replay→analyze run
 // is GC headroom on top of the analyzer accumulators, so trading headroom
 // for RSS is the right default; an explicit GOGC environment variable
 // still wins. Latency-sensitive tools (tsserve) should not call this.

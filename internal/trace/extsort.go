@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"slices"
 )
 
@@ -69,10 +67,14 @@ func ExternalSort(r Reader, w Writer, opts ExternalSortOptions) error {
 	if maxInMem < 1 {
 		maxInMem = 1_000_000
 	}
-	var runs []string
+	var runs []*Spool
+	var sources []Reader // the runs' readers, once merging
 	defer func() {
-		for _, path := range runs {
-			os.Remove(path)
+		for _, src := range sources {
+			CloseReader(src)
+		}
+		for _, run := range runs {
+			run.Close()
 		}
 	}()
 
@@ -87,24 +89,11 @@ func ExternalSort(r Reader, w Writer, opts ExternalSortOptions) error {
 		return nil
 	}
 	spill := func(batch []Record) error {
-		f, err := os.CreateTemp(opts.TempDir, "tsort-run-*.tsb")
-		if err != nil {
-			return err
-		}
-		bw := NewBlockWriter(f)
-		err = writeSorted(batch, bw)
+		run, err := writeTemp(opts.TempDir, func(w Writer) error { return writeSorted(batch, w) })
 		if err == nil {
-			err = bw.Flush()
+			runs = append(runs, run)
 		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			os.Remove(f.Name())
-			return err
-		}
-		runs = append(runs, f.Name())
-		return nil
+		return err
 	}
 
 	// The batch doubles until it holds maxInMem records, never more.
@@ -141,20 +130,12 @@ func ExternalSort(r Reader, w Writer, opts ExternalSortOptions) error {
 		}
 	}
 	batch = nil
-	sources := make([]Reader, 0, len(runs))
-	files := make([]*os.File, 0, len(runs))
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
-	for _, path := range runs {
-		f, err := os.Open(filepath.Clean(path))
+	for _, run := range runs {
+		src, err := run.Open()
 		if err != nil {
 			return err
 		}
-		files = append(files, f)
-		sources = append(sources, NewBlockReader(f))
+		sources = append(sources, src)
 	}
 	merged := NewMergeReader(sources...)
 	var rec Record

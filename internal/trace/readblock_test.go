@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -152,6 +153,13 @@ func TestReadBlockMatchesRead(t *testing.T) {
 	if err := jw.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	reversed := slices.Clone(recs)
+	slices.Reverse(reversed)
+	spool, err := trace.NewSpool(trace.NewSliceReader(reversed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer spool.Close()
 	thirds := func() []trace.Reader {
 		return []trace.Reader{
 			trace.NewSliceReader(recs[:2000]), trace.NewSliceReader(recs[2000:4000]), trace.NewSliceReader(recs[4000:]),
@@ -178,6 +186,13 @@ func TestReadBlockMatchesRead(t *testing.T) {
 		{"v2 truncated frame", func() trace.Reader {
 			return trace.NewBlockReader(bytes.NewReader(data[:len(data)-100]))
 		}, trace.ErrTruncated, 4096},
+		{"spool of the reversed trace", func() trace.Reader {
+			r, err := spool.Open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}, io.EOF, len(recs)},
 		{"slice", func() trace.Reader { return trace.NewSliceReader(recs) }, io.EOF, len(recs)},
 		{"merge", func() trace.Reader { return trace.NewMergeReader(thirds()...) }, io.EOF, len(recs)},
 		{"merge, source fails", func() trace.Reader {

@@ -36,8 +36,8 @@ type FileSource struct {
 // Open implements Source.
 func (f FileSource) Open() (Reader, error) { return OpenFile(f.Path, f.Format) }
 
-// SliceSource replays an in-memory record slice for every pass. It is
-// the buffered fallback for inputs that cannot be reopened (stdin).
+// SliceSource replays an in-memory record slice for every pass. A stream
+// that cannot be reopened goes through a Spool instead, on disk.
 type SliceSource []*Record
 
 // Open implements Source.
