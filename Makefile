@@ -39,14 +39,16 @@ race:
 # Five seconds of each fuzz target (CI runs this after check): the seed
 # corpus plus whatever the mutator reaches, so a target that rots or a
 # parser/kernel that breaks on its own seeds fails the build. -fuzz takes
-# one target of one package per run.
+# one target of one package per run, so the loop asks each package for
+# its targets (`go test -list`): a new Fuzz* function runs here by existing.
 fuzz-smoke:
-	$(GO) test -run NONE -fuzz '^FuzzBlockReader$$' -fuzztime 5s ./internal/trace
-	$(GO) test -run NONE -fuzz '^FuzzJSONReader$$' -fuzztime 5s ./internal/trace
-	$(GO) test -run NONE -fuzz '^FuzzWireRoundTrip$$' -fuzztime 5s ./internal/edge
-	$(GO) test -run NONE -fuzz '^FuzzDistanceBand$$' -fuzztime 5s ./internal/dtw
-	$(GO) test -run NONE -fuzz '^FuzzParseGroups$$' -fuzztime 5s ./internal/fleet
-	$(GO) test -run NONE -fuzz '^FuzzUnmarshalProfiles$$' -fuzztime 5s ./internal/synth
+	@for pkg in $$($(GO) list ./...); do \
+		targets=$$($(GO) test -list '^Fuzz' $$pkg) || exit 1; \
+		for t in $$(echo "$$targets" | grep '^Fuzz'); do \
+			echo "fuzz-smoke: $$t ($$pkg)"; \
+			$(GO) test -run NONE -fuzz "^$$t$$" -fuzztime 5s $$pkg || exit 1; \
+		done; \
+	done
 
 # Fail if any file is not gofmt-clean (CI runs this before check).
 fmt-check:

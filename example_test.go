@@ -2,27 +2,57 @@ package trafficscope_test
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"trafficscope"
 )
 
 // ExampleNewStudy runs the full reproduction pipeline at a tiny scale
-// and reads one headline number from the results.
+// and reads one headline number from the results. README.md's library
+// snippet is this function's body.
 func ExampleNewStudy() {
 	study, err := trafficscope.NewStudy(trafficscope.Config{Seed: 42, Scale: 0.002, Salt: "example"})
 	if err != nil {
 		panic(err)
 	}
-	results, err := study.Run()
+	results, err := study.Run() // generate -> CDN replay -> all analyses
 	if err != nil {
 		panic(err)
 	}
+	fmt.Println(len(results.AllFigureTables()), "figure tables")
+	// Or typed access, e.g. the Fig. 2a request composition:
 	b := results.Composition().Site("V-1")
 	fmt.Printf("V-1 video request share above 90%%: %v\n",
 		b.RequestFrac(trafficscope.CategoryVideo) > 0.9)
 	// Output:
+	// 20 figure tables
 	// V-1 video request share above 90%: true
+}
+
+// ExampleConfig_sessionTimeout sessionizes one week at three timeouts:
+// the gap that ends a session decides what a "session" is. The paper
+// takes 10 minutes from the knee of the inter-arrival times (Fig. 11).
+func ExampleConfig_sessionTimeout() {
+	for _, timeout := range []time.Duration{time.Minute, 10 * time.Minute, time.Hour} {
+		study, err := trafficscope.NewStudy(trafficscope.Config{
+			Seed: 5, Scale: 0.002, SessionTimeout: timeout, Figures: []int{12},
+		})
+		if err != nil {
+			panic(err)
+		}
+		results, err := study.Run()
+		if err != nil {
+			panic(err)
+		}
+		sessions := results.Sessions()
+		fmt.Printf("timeout %v: %d V-1 sessions, %.2f requests/session\n",
+			timeout, len(sessions.SessionsOf("V-1")), sessions.MeanRequestsPerSession("V-1"))
+	}
+	// Output:
+	// timeout 1m0s: 2671 V-1 sessions, 2.28 requests/session
+	// timeout 10m0s: 1578 V-1 sessions, 3.85 requests/session
+	// timeout 1h0m0s: 1499 V-1 sessions, 4.06 requests/session
 }
 
 // ExampleDTWDistance shows the warping invariance that motivates DTW for
@@ -54,19 +84,24 @@ func ExampleNewLRU() {
 	// false
 }
 
-// ExampleNewGenerator generates a deterministic synthetic trace and
-// writes it in the text log format.
+// ExampleNewGenerator generates a synthetic week twice from one seed:
+// the same config yields the same records, in timestamp order.
 func ExampleNewGenerator() {
-	gen, err := trafficscope.NewGenerator(trafficscope.GeneratorConfig{Seed: 7, Scale: 0.001})
-	if err != nil {
-		panic(err)
+	generate := func() []*trafficscope.Record {
+		gen, err := trafficscope.NewGenerator(trafficscope.GeneratorConfig{Seed: 7, Scale: 0.001})
+		if err != nil {
+			panic(err)
+		}
+		recs, err := gen.Generate()
+		if err != nil {
+			panic(err)
+		}
+		return recs
 	}
-	recs, err := gen.Generate()
-	if err != nil {
-		panic(err)
-	}
+	recs, again := generate(), generate()
+	same := slices.EqualFunc(recs, again, func(a, b *trafficscope.Record) bool { return *a == *b })
 	fmt.Printf("deterministic: %v, sorted: %v, nonempty: %v\n",
-		true, isSorted(recs), len(recs) > 0)
+		same, isSorted(recs), len(recs) > 0)
 	// Output:
 	// deterministic: true, sorted: true, nonempty: true
 }

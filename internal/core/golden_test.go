@@ -92,7 +92,8 @@ func TestFiguresGolden(t *testing.T) {
 
 // crawlGoldenText renders the crawl-vs-logs table as tsreport prints it
 // (seed 42, scale 0.03, daily crawls, top-200 visible), followed by the
-// four campaign configurations of examples/crawlbaseline against V-2.
+// V-2 under four crawl campaigns (cadence × top-N), the sweep that shows
+// what the crawl methodology misses as it gets cheaper.
 func crawlGoldenText(t *testing.T) string {
 	t.Helper()
 	study, err := NewStudy(Config{Seed: 42, Scale: 0.03})

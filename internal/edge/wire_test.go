@@ -196,6 +196,39 @@ func FuzzWireRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzParseFillRequestInto: a shield or peer parses whatever request URI
+// another process sends to /fill/. Whatever it accepts is a record the
+// encoder writes back (AppendFillPath) and the parser reads again as the
+// same record, so a forwarded fill asks for exactly what arrived.
+func FuzzParseFillRequestInto(f *testing.F) {
+	f.Add(string(AppendFillPath(nil, testRecord())))
+	f.Add(FillPrefix + "weird%2Fsite%20name/00000000deadbeef?ts=-5&ft=m+p4&size=0&bytes=&user=0&region=4&extra=1")
+	f.Add(FillPrefix + "V-1/1?ts=+1&ft=%6Dp4&size=1&user=A&region=1")
+	f.Add(ObjectPrefix + "V-1/1?ts=1&ft=mp4&size=1&user=1&region=1")
+	f.Fuzz(func(t *testing.T, uri string) {
+		u, err := url.ParseRequestURI(uri)
+		if err != nil {
+			return
+		}
+		var rec trace.Record
+		if err := ParseFillRequestInto(&http.Request{URL: u}, &rec); err != nil {
+			return
+		}
+		again := string(AppendFillPath(nil, &rec))
+		u2, err := url.ParseRequestURI(again)
+		if err != nil {
+			t.Fatalf("%q parsed to %+v, whose fill path %q is not a request URI: %v", uri, rec, again, err)
+		}
+		var back trace.Record
+		if err := ParseFillRequestInto(&http.Request{URL: u2}, &back); err != nil {
+			t.Fatalf("%q parsed to %+v, whose fill path %q does not parse: %v", uri, rec, again, err)
+		}
+		if back != rec {
+			t.Fatalf("%q: fill path %q round-trips to\n %+v, want\n %+v", uri, again, back, rec)
+		}
+	})
+}
+
 // TestParseRequestRejectsDuplicateKeys covers the scanner's strictness
 // win over the url.Values decoder, which silently resolved duplicates
 // last-wins: repeating any known key must fail.

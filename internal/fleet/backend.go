@@ -14,6 +14,7 @@ package fleet
 
 import (
 	"fmt"
+	"net/url"
 	"strings"
 	"sync/atomic"
 
@@ -90,20 +91,24 @@ func (b *Backend) Status() BackendStatus {
 // ParseBackendSpec parses a "regions=url" backend flag value, e.g.
 // "europe=http://127.0.0.1:8081" or
 // "north-america,south-america=http://127.0.0.1:8082". The backend name
-// is derived from the region list.
+// is derived from the region list. The URL must name a host once its
+// trailing slashes are trimmed ("http://" alone trims to "http:").
 func ParseBackendSpec(spec string) (*Backend, error) {
-	regionsStr, url, ok := strings.Cut(spec, "=")
-	if !ok || regionsStr == "" || url == "" {
+	regionsStr, rawURL, ok := strings.Cut(spec, "=")
+	if !ok || regionsStr == "" || rawURL == "" {
 		return nil, fmt.Errorf("fleet: bad backend spec %q (want regions=url)", spec)
 	}
-	if !strings.HasPrefix(url, "http://") && !strings.HasPrefix(url, "https://") {
-		return nil, fmt.Errorf("fleet: backend url %q must start with http:// or https://", url)
+	if !strings.HasPrefix(rawURL, "http://") && !strings.HasPrefix(rawURL, "https://") {
+		return nil, fmt.Errorf("fleet: backend url %q must start with http:// or https://", rawURL)
+	}
+	if u, err := url.Parse(strings.TrimRight(rawURL, "/")); err != nil || u.Host == "" {
+		return nil, fmt.Errorf("fleet: backend url %q names no host", rawURL)
 	}
 	regions, err := timeutil.ParseRegions(regionsStr)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: backend spec %q: %v", spec, err)
 	}
-	return NewBackend(regionsStr, url, regions...), nil
+	return NewBackend(regionsStr, rawURL, regions...), nil
 }
 
 // NewBackend builds a healthy backend owning the given regions.

@@ -43,6 +43,8 @@ func TestParseBackendSpec(t *testing.T) {
 		"europe=",
 		"europe=127.0.0.1:8081", // no scheme
 		"europe=ftp://127.0.0.1",
+		"europe=http://",   // trims to "http:", no host
+		"europe=http:///x", // a path, no host
 		"mars=http://127.0.0.1:8081",
 		"europe,=http://127.0.0.1:8081",
 	} {

@@ -110,21 +110,23 @@ func (o Objective) budget() float64 {
 }
 
 // Validate rejects objectives whose parameters are outside their domain.
+// Each bound is written as !(in range) so that NaN, which compares false
+// with everything, is out of every range.
 func (o Objective) Validate() error {
 	switch o.Kind {
 	case KindLatency:
-		if o.Quantile <= 0 || o.Quantile >= 1 {
+		if !(0 < o.Quantile && o.Quantile < 1) {
 			return fmt.Errorf("slo: latency quantile %g outside (0, 1)", o.Quantile)
 		}
-		if o.Threshold <= 0 {
-			return fmt.Errorf("slo: latency threshold %g must be positive", o.Threshold)
+		if !(0 < o.Threshold && o.Threshold < math.Inf(1)) {
+			return fmt.Errorf("slo: latency threshold %g must be positive and finite", o.Threshold)
 		}
 	case KindErrorRate:
-		if o.Threshold < 0 || o.Threshold >= 1 {
+		if !(0 <= o.Threshold && o.Threshold < 1) {
 			return fmt.Errorf("slo: error-rate ceiling %g outside [0, 1)", o.Threshold)
 		}
 	case KindHitRatio:
-		if o.Threshold <= 0 || o.Threshold > 1 {
+		if !(0 < o.Threshold && o.Threshold <= 1) {
 			return fmt.Errorf("slo: hit-ratio floor %g outside (0, 1]", o.Threshold)
 		}
 	default:
@@ -301,9 +303,19 @@ func (p Policy) Span() time.Duration {
 	return span
 }
 
-// Validate checks every objective; geometry problems are fixed by
-// Normalize rather than reported.
+// maxBuckets bounds the ring a Tracker keeps per scope (Span/Interval + 1
+// buckets of ≈ 230 bytes): 2 h 46 m of 1 s intervals, or 27 h of 10 s.
+// A policy that asks for more, such as "interval 1ns" under the default
+// 5 m burn window, is refused instead of exhausting memory in NewEngine.
+const maxBuckets = 10_000
+
+// Validate checks every objective and that the normalized windows fit in
+// maxBuckets intervals; other geometry problems are fixed by Normalize
+// rather than reported.
 func (p Policy) Validate() error {
+	if n := p.Normalize(); n.Span()/n.Interval > maxBuckets {
+		return fmt.Errorf("slo: a %v window at %v intervals needs more than %d buckets", n.Span(), n.Interval, maxBuckets)
+	}
 	for i, o := range p.Objectives {
 		if err := o.Validate(); err != nil {
 			return fmt.Errorf("objective %d (%s): %w", i+1, o.Name(), err)
@@ -395,7 +407,7 @@ func parseObjective(fields []string) (Objective, error) {
 			return o, fmt.Errorf("want: latency p<q> <= <duration>")
 		}
 		pct, err := strconv.ParseFloat(rest[0][1:], 64)
-		if err != nil || pct <= 0 || pct >= 100 {
+		if err != nil || !(0 < pct && pct < 100) {
 			return o, fmt.Errorf("bad quantile %q", rest[0])
 		}
 		o.Quantile = pct / 100
@@ -436,7 +448,7 @@ func parseFraction(s string) (float64, error) {
 		s, div = strings.TrimSuffix(s, "%"), 100
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v < 0 {
+	if err != nil || !(0 <= v && v < math.Inf(1)) {
 		return 0, fmt.Errorf("bad fraction %q", s)
 	}
 	return v / div, nil

@@ -99,10 +99,32 @@ func TestParsePolicyErrors(t *testing.T) {
 		"hit-ratio >= 0%",      // floor must be positive
 		"burn-windows",         // missing operand
 		"latency p99 <= 5ms x", // trailing junk
+		"latency pNaN <= 5ms",  // NaN passes every range check written as x < lo || x > hi
+		"error-rate <= NaN",
+		"hit-ratio >= NaN%",
+		"error-rate <= Inf",
+		"interval 1ns",           // a 5 m ring of 1 ns buckets
+		"burn-windows 1m 10001s", // the longest window, one interval past maxBuckets
 	} {
 		if _, err := ParsePolicy(src); err == nil {
 			t.Errorf("ParsePolicy(%q): want error", src)
 		}
+	}
+	// A Policy built in code is held to the same bounds.
+	nan := math.NaN()
+	for _, o := range []Objective{
+		{Kind: KindLatency, Quantile: nan, Threshold: 0.005},
+		{Kind: KindLatency, Quantile: 0.99, Threshold: nan},
+		{Kind: KindLatency, Quantile: 0.99, Threshold: math.Inf(1)},
+		{Kind: KindErrorRate, Threshold: nan},
+		{Kind: KindHitRatio, Threshold: nan},
+	} {
+		if err := (Policy{Objectives: []Objective{o}}).Validate(); err == nil {
+			t.Errorf("Validate(%+v): want error", o)
+		}
+	}
+	if _, err := ParsePolicy("window 2h; interval 1s"); err != nil {
+		t.Errorf("a 7200-bucket ring must parse: %v", err)
 	}
 }
 

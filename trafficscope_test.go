@@ -1,9 +1,12 @@
 package trafficscope
 
 import (
-	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"regexp"
 	"testing"
-	"time"
 )
 
 // TestPublicAPIEndToEnd exercises the root package exactly the way the
@@ -28,47 +31,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-func TestPublicCodecRoundTrip(t *testing.T) {
-	gen, err := NewGenerator(GeneratorConfig{Seed: 2, Scale: 0.001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := gen.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	w := NewJSONWriter(&buf)
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadAll(NewJSONReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(recs) {
-		t.Errorf("round trip %d != %d", len(back), len(recs))
-	}
-}
-
 func TestPublicDTWAndClustering(t *testing.T) {
 	a := []float64{0, 1, 2, 1, 0}
 	b := []float64{0, 0, 1, 2, 1}
-	d, err := DTWDistance(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := DTWDistanceBand(a, b, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db < d {
-		t.Errorf("banded %v < full %v", db, d)
+	if d, err := DTWDistance(a, b); err != nil || d <= 0 {
+		t.Fatalf("DTWDistance = %v, %v; want a positive distance", d, err)
 	}
 	dist := [][]float64{{0, 1, 9}, {1, 0, 9}, {9, 9, 0}}
 	dendro, err := Agglomerative(dist, LinkageAverage)
@@ -84,44 +51,59 @@ func TestPublicDTWAndClustering(t *testing.T) {
 	}
 }
 
-func TestPublicCachePolicies(t *testing.T) {
-	now := time.Now()
-	for _, c := range []Cache{NewLRU(1000), NewLFU(1000), NewFIFO(1000)} {
-		c.Access(1, 10, now)
-		if !c.Access(1, 10, now) {
-			t.Errorf("%s: re-access missed", c.Name())
+// TestFacadeNamesAreUsed keeps the facade to what its documentation
+// runs: every exported name trafficscope.go declares must be selected as
+// trafficscope.Name in example_test.go, or appear as a word in
+// README.md. A name neither uses is surface nobody exercises.
+func TestFacadeNamesAreUsed(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "trafficscope.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	examples, err := parser.ParseFile(fset, "example_test.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[string]bool{}
+	for _, w := range regexp.MustCompile(`\w+`).FindAllString(string(readme), -1) {
+		used[w] = true
+	}
+	ast.Inspect(examples, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "trafficscope" {
+				used[sel.Sel.Name] = true
+			}
+		}
+		return true
+	})
+	var declared []*ast.Ident
+	for _, decl := range facade.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			declared = append(declared, d.Name)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					declared = append(declared, s.Name)
+				case *ast.ValueSpec:
+					declared = append(declared, s.Names...)
+				}
+			}
 		}
 	}
-	slru, err := NewSLRU(1000, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ttl, err := NewTTLCache(slru, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	split, err := NewSplitCache(NewLRU(100), NewLRU(1000), 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []Cache{ttl, split} {
-		c.Access(2, 10, now)
-		if !c.Access(2, 10, now) {
-			t.Errorf("%s: re-access missed", c.Name())
+	var unused []string
+	for _, id := range declared {
+		if id.IsExported() && !used[id.Name] {
+			unused = append(unused, id.Name)
 		}
 	}
-}
-
-func TestDefaultProfilesExposed(t *testing.T) {
-	if len(DefaultProfiles()) != 5 {
-		t.Error("want 5 profiles")
-	}
-	p, err := ProfileByName("S-1")
-	if err != nil || p.Name != "S-1" {
-		t.Errorf("ProfileByName: %v %v", p.Name, err)
-	}
-	w := NewWeek(DefaultWeekStart)
-	if !w.Contains(DefaultWeekStart.Add(time.Hour)) {
-		t.Error("week window")
+	if len(unused) > 0 {
+		t.Errorf("trafficscope.go exports %d names no Example selects and README.md never names: %v", len(unused), unused)
 	}
 }
