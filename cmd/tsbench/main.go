@@ -9,11 +9,12 @@
 // It fails (exit 1) when, on any workload, allocs_per_op,
 // alloc_bytes_per_op or hit_ratio is worse than the baseline by more
 // than its contract bound, when fail_ratio rises, or when a line of the
-// baseline is missing from the current run. It refuses (exit 2) to
-// judge two runs whose headers name different GOMAXPROCS, a baseline
-// that lacks a gated line, or input it cannot read. There are no flags:
-// what is gated and by how much is the contract's decision, not the
-// caller's.
+// baseline is missing from the current run; a value better by more than
+// its bound prints BETTER on stdout (exit 0: refresh the baseline). It
+// refuses (exit 2) to judge two runs whose headers name different
+// GOMAXPROCS, a baseline that lacks a gated line, or input it cannot
+// read. There are no flags: what is gated and by how much is the
+// contract's decision, not the caller's.
 package main
 
 import (
@@ -53,10 +54,13 @@ func run(contractPath string, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: tsbench BASELINE CURRENT (two outputs of `go run ./benchmark -all`)")
 		return exitRefused
 	}
-	gated, worse, err := judge(contractPath, args[0], args[1])
+	gated, worse, better, err := judge(contractPath, args[0], args[1])
 	if err != nil {
 		fmt.Fprintln(stderr, "tsbench:", err)
 		return exitRefused
+	}
+	for _, b := range better {
+		fmt.Fprintf(stdout, "tsbench: BETTER %s; refresh %s with `make bench` so the gain is kept\n", b, args[0])
 	}
 	if len(worse) > 0 {
 		for _, w := range worse {
@@ -71,28 +75,28 @@ func run(contractPath string, args []string, stdout, stderr io.Writer) int {
 
 // judge reads the contract and both ledgers and compares them. An error
 // means no verdict.
-func judge(contractPath, basePath, curPath string) (gated int, worse []string, err error) {
+func judge(contractPath, basePath, curPath string) (gated int, worse, better []string, err error) {
 	c, err := readContract(contractPath)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	base, err := readLedger(basePath)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	cur, err := readLedger(curPath)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	if base.procs != cur.procs {
-		return 0, nil, fmt.Errorf("refusing to compare GOMAXPROCS=%s (%s) with GOMAXPROCS=%s (%s): worker pools allocate per worker",
+		return 0, nil, nil, fmt.Errorf("refusing to compare GOMAXPROCS=%s (%s) with GOMAXPROCS=%s (%s): worker pools allocate per worker",
 			base.procs, basePath, cur.procs, curPath)
 	}
-	gated, worse, err = compare(c, base, cur)
+	gated, worse, better, err = compare(c, base, cur)
 	if err != nil {
-		return 0, nil, fmt.Errorf("%s: %w", basePath, err)
+		return 0, nil, nil, fmt.Errorf("%s: %w", basePath, err)
 	}
-	return gated, worse, nil
+	return gated, worse, better, nil
 }
 
 // metric is one end-to-end metric of the contract: which direction is
@@ -180,9 +184,9 @@ func readLedger(path string) (*ledger, error) {
 }
 
 // compare returns how many values it judged and one line per value of
-// cur that is worse than base by more than the contract allows. A gated
-// line absent from base is an error: a truncated snapshot must not pass.
-func compare(c *contract, base, cur *ledger) (gated int, worse []string, err error) {
+// cur worse, or better, than base by more than its bound. A gated line
+// absent from base is an error: a truncated snapshot must not pass.
+func compare(c *contract, base, cur *ledger) (gated int, worse, better []string, err error) {
 	for _, key := range base.keys {
 		if _, ok := cur.values[key]; !ok {
 			worse = append(worse, key+": missing from the current run")
@@ -200,22 +204,26 @@ func compare(c *contract, base, cur *ledger) (gated int, worse []string, err err
 			key := w.Name + "/" + m.Name
 			b, ok := base.values[key]
 			if !ok {
-				return 0, nil, fmt.Errorf("no %s line", key)
+				return 0, nil, nil, fmt.Errorf("no %s line", key)
 			}
 			got, ok := cur.values[key]
 			if !ok {
 				continue // reported above
 			}
 			gated++
-			over := got > b*(1+m.Bound)
+			over, under := got > b*(1+m.Bound), got < b*(1-m.Bound)
 			if m.Better == "higher" {
-				over = got < b*(1-m.Bound)
+				over, under = under, over
 			}
-			if over {
-				worse = append(worse, fmt.Sprintf("%s: %g vs baseline %g (%+.2f%%, %s is better, bound %g%%)",
-					key, got, b, 100*(got-b)/b, m.Better, 100*m.Bound))
+			line := fmt.Sprintf("%s: %g vs baseline %g (%+.2f%%, %s is better, bound %g%%)",
+				key, got, b, 100*(got-b)/b, m.Better, 100*m.Bound)
+			switch {
+			case over:
+				worse = append(worse, line)
+			case under:
+				better = append(better, line)
 			}
 		}
 	}
-	return gated, worse, nil
+	return gated, worse, better, nil
 }

@@ -87,15 +87,16 @@ func TestGateOnDoctoredLedger(t *testing.T) {
 		name string
 		doctor
 		want int
-		says string // expected on stderr when want != 0
+		says string // expected on stderr when want != 0, else on stdout
 	}{
 		{"unchanged", doctor{key: "study-stream/allocs_per_op", factor: 1}, 0, ""},
 		{"allocs up 3 percent fails", doctor{key: "study-stream/allocs_per_op", factor: 1.03}, exitWorse, "study-stream/allocs_per_op"},
 		{"allocs up 1 percent passes", doctor{key: "study-stream/allocs_per_op", factor: 1.01}, 0, ""},
-		{"allocs down 30 percent passes", doctor{key: "study-stream/allocs_per_op", factor: 0.7}, 0, ""},
+		{"allocs down 1 percent passes", doctor{key: "study-stream/allocs_per_op", factor: 0.99}, 0, ""},
+		{"allocs down 30 percent passes", doctor{key: "serve-fleet/allocs_per_op", factor: 0.7}, 0, "BETTER serve-fleet/allocs_per_op"},
 		{"alloc bytes up 7 percent fails", doctor{key: "study-disk/alloc_bytes_per_op", factor: 1.07}, exitWorse, "study-disk/alloc_bytes_per_op"},
 		{"hit ratio down 2 percent fails", doctor{key: "serve-fleet/hit_ratio", factor: 0.98}, exitWorse, "serve-fleet/hit_ratio"},
-		{"hit ratio up 2 percent passes", doctor{key: "serve-fleet/hit_ratio", factor: 1.02}, 0, ""},
+		{"hit ratio up 2 percent passes", doctor{key: "serve-fleet/hit_ratio", factor: 1.02}, 0, "BETTER serve-fleet/hit_ratio"},
 		{"fail ratio 0 to 0.01 fails", doctor{key: "report-week/fail_ratio", factor: 0.01}, exitWorse, "report-week/fail_ratio"},
 		{"setup_s doubled passes", doctor{key: "serve-edge/setup_s", factor: 2}, 0, ""},
 		{"peak_rss_mib doubled passes", doctor{key: "study-stream/peak_rss_mib", factor: 2}, 0, ""},
@@ -111,8 +112,15 @@ func TestGateOnDoctoredLedger(t *testing.T) {
 			if got != tc.want {
 				t.Fatalf("exit %d, want %d\nstdout: %sstderr: %s", got, tc.want, &stdout, &stderr)
 			}
-			if !strings.Contains(stderr.String(), tc.says) {
-				t.Errorf("stderr does not name %q:\n%s", tc.says, &stderr)
+			out, name := &stderr, "stderr"
+			if tc.want == 0 {
+				out, name = &stdout, "stdout"
+			}
+			if !strings.Contains(out.String(), tc.says) {
+				t.Errorf("%s does not name %q:\n%s", name, tc.says, out)
+			}
+			if tc.says == "" && strings.Contains(stdout.String(), "BETTER") {
+				t.Errorf("reports a gain within the bound:\n%s", &stdout)
 			}
 		})
 	}

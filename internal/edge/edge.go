@@ -156,6 +156,17 @@ type serveScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(serveScratch) }}
 
+// Header values the serve paths assign into the header map instead of
+// allocating them through Header.Set: net/http only reads them.
+var (
+	cacheValues = [...][]string{
+		trace.CacheUnknown: {trace.CacheUnknown.String()},
+		trace.CacheHit:     {trace.CacheHit.String()},
+		trace.CacheMiss:    {trace.CacheMiss.String()},
+	}
+	octetStream = []string{"application/octet-stream"}
+)
+
 // New validates the config and builds a Server.
 func New(cfg Config) (*Server, error) {
 	if cfg.CDN == nil {
@@ -430,9 +441,9 @@ func (s *Server) handleObject(w http.ResponseWriter, req *http.Request) {
 	// counted, keeping client-side hit/miss accounting aligned with the
 	// server's.
 	h := w.Header()
-	h.Set(HeaderCache, out.Cache.String())
+	h[HeaderCache] = cacheValues[out.Cache]
 	h.Set(HeaderBytes, string(strconv.AppendInt(sc.num[:0], out.BytesServed, 10)))
-	h.Set("Content-Type", "application/octet-stream")
+	h["Content-Type"] = octetStream
 
 	// Resolve the miss outside any lock so slow fills stall only their
 	// own request, not the whole edge. With a shield configured the miss

@@ -3,6 +3,7 @@ package edge
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -124,8 +125,8 @@ func fillBytes(r *trace.Record) int64 {
 // check is strictly read-only — no origin fetch is triggered, no LRU
 // state moves, no DCStats count — so serving fills leaves this edge's
 // cache model in exactly the state its own traffic alone would produce.
-// Responses are logical (headers only, no body): the simulation tracks
-// byte accounting, not byte movement.
+// Responses are logical (the shield probes with HEAD, so no body): the
+// simulation tracks byte accounting, not byte movement.
 func (s *Server) handleFill(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet && req.Method != http.MethodHead {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -148,7 +149,7 @@ func (s *Server) handleFill(w http.ResponseWriter, req *http.Request) {
 	}
 	if !found {
 		s.fillMisses.Inc()
-		w.Header().Set(HeaderCache, trace.CacheMiss.String())
+		w.Header()[HeaderCache] = cacheValues[trace.CacheMiss]
 		http.Error(w, "not cached", http.StatusNotFound)
 		return
 	}
@@ -156,7 +157,7 @@ func (s *Server) handleFill(w http.ResponseWriter, req *http.Request) {
 	s.fillHits.Inc()
 	s.fillServedBytes.Add(n)
 	h := w.Header()
-	h.Set(HeaderCache, trace.CacheHit.String())
+	h[HeaderCache] = cacheValues[trace.CacheHit]
 	h.Set(HeaderFillSource, cdn.FillPeer.String())
 	h.Set(HeaderBytes, string(strconv.AppendInt(sc.num[:0], n, 10)))
 	w.WriteHeader(http.StatusOK)
@@ -219,7 +220,12 @@ func (s *Server) askShield(r *trace.Record, n int64) (cdn.FillResult, bool) {
 	if err != nil {
 		return cdn.FillResult{}, false
 	}
-	defer resp.Body.Close()
+	// The shield's 400/405/503 carry http.Error bodies: net/http reuses a
+	// connection only once its body is read.
+	defer func() {
+		io.CopyN(io.Discard, resp.Body, 4<<10)
+		resp.Body.Close()
+	}()
 	res := cdn.FillResult{
 		Source:  cdn.ParseFillSource(resp.Header.Get(HeaderFillSource)),
 		Backend: resp.Header.Get(HeaderFillBackend),

@@ -1,10 +1,13 @@
 package edge
 
 import (
+	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,6 +256,41 @@ func TestPeerFillUnreachableFallsBack(t *testing.T) {
 				t.Errorf("OriginFillBytes = %d, want %d", fs.OriginFillBytes, rec.ObjectSize)
 			}
 		})
+	}
+}
+
+// TestFailedFillsReuseConnection: a shield's error replies carry an
+// http.Error body; the fill client reads it, so a run of failed fills
+// rides one kept-alive connection instead of dialling per fill.
+func TestFailedFillsReuseConnection(t *testing.T) {
+	shield := newFakeShield(t, func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "shield unavailable", http.StatusServiceUnavailable)
+	})
+	var dials atomic.Int64
+	dialer := &net.Dialer{}
+	s := newTestServer(t, Config{
+		ShieldURL: shield.URL,
+		FillClient: &http.Client{Transport: &http.Transport{
+			DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+				dials.Add(1)
+				return dialer.DialContext(ctx, network, addr)
+			},
+		}},
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const fills = 50
+	rec := testRecord()
+	for i := 0; i < fills; i++ {
+		rec.ObjectID++
+		getMiss(t, ts.URL, rec)
+	}
+	if fs := s.FillStats(); fs.FillErrors != fills || fs.OriginFills != fills {
+		t.Errorf("fill stats = %+v, want %d fill errors and origin fills", fs, fills)
+	}
+	if got := dials.Load(); got > 1 {
+		t.Errorf("%d failed fills made %d dials to the shield, want <= 1", fills, got)
 	}
 }
 

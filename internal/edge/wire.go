@@ -47,12 +47,14 @@ const FillPrefix = "/fill/"
 
 // Response headers carrying the logical serve outcome. The on-wire body
 // may be truncated (see Config.MaxBodyBytes); these headers always hold
-// the full logical values.
+// the full logical values. Every X-TS-* name is spelled in the canonical
+// form net/http sends anyway (X-Ts-…), so Header.Set and Get need not
+// allocate it per call and the hit path may assign the header map.
 const (
 	// HeaderCache is the edge cache verdict: HIT, MISS or "-".
-	HeaderCache = "X-TS-Cache"
+	HeaderCache = "X-Ts-Cache"
 	// HeaderBytes is the logical response size in bytes.
-	HeaderBytes = "X-TS-Bytes"
+	HeaderBytes = "X-Ts-Bytes"
 )
 
 // Fill-path headers. Requests carry HeaderFillFrom; fill responses carry
@@ -61,16 +63,16 @@ const (
 const (
 	// HeaderFillSource is where the fill's bytes came from: "peer" or
 	// "origin" (cdn.FillSource.String values).
-	HeaderFillSource = "X-TS-Fill-Source"
+	HeaderFillSource = "X-Ts-Fill-Source"
 	// HeaderFillBackend names the peer backend that supplied a peer fill.
-	HeaderFillBackend = "X-TS-Fill-Backend"
+	HeaderFillBackend = "X-Ts-Fill-Backend"
 	// HeaderFillDedup is "1" when the fill piggybacked on another
 	// requester's in-flight origin fetch (shield singleflight), else "0".
-	HeaderFillDedup = "X-TS-Fill-Dedup"
+	HeaderFillDedup = "X-Ts-Fill-Dedup"
 	// HeaderFillFrom names the requesting backend on fill requests, so a
 	// shield probing peers on its behalf can skip asking the requester
 	// about its own miss.
-	HeaderFillFrom = "X-TS-Fill-From"
+	HeaderFillFrom = "X-Ts-Fill-From"
 )
 
 // RequestPath encodes a trace record as an edge request URI (path plus

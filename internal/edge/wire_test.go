@@ -402,8 +402,18 @@ func TestHandlerHitAllocs(t *testing.T) {
 	if got := w.h.Get(HeaderCache); got != trace.CacheHit.String() {
 		t.Fatalf("warm request: %s = %q, want a hit", HeaderCache, got)
 	}
-	if n := testing.AllocsPerRun(200, serve); n > 9 {
-		t.Errorf("warm handler hit: %v allocs/op, want <= 9", n)
+	if n := testing.AllocsPerRun(200, serve); n > 5 {
+		t.Errorf("warm handler hit: %v allocs/op, want <= 5", n)
+	}
+}
+
+// The header constants are assigned into header maps directly on the hit
+// path, which only works when they are spelled as http.Header stores them.
+func TestHeaderNamesAreCanonical(t *testing.T) {
+	for _, h := range []string{HeaderCache, HeaderBytes, HeaderFillSource, HeaderFillBackend, HeaderFillDedup, HeaderFillFrom} {
+		if c := http.CanonicalHeaderKey(h); c != h {
+			t.Errorf("header %q is not canonical; spell it %q", h, c)
+		}
 	}
 }
 

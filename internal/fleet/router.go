@@ -18,8 +18,8 @@ import (
 
 // HeaderBackend names the backend that served a proxied request, so a
 // client (and the failover tests) can see which process traffic landed
-// on without scraping backend stats.
-const HeaderBackend = "X-TS-Backend"
+// on without scraping backend stats (canonical spelling, as in edge).
+const HeaderBackend = "X-Ts-Backend"
 
 // RouterConfig configures the fleet Router.
 type RouterConfig struct {

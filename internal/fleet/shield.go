@@ -190,12 +190,14 @@ func (s *Shield) resolve(rec *trace.Record, from, uri string) cdn.FillResult {
 
 // probePeer asks one backend's /fill/ endpoint whether it holds the
 // object. ok=true on 200, ok=false on 404; anything else is an error.
+// It is a HEAD: a reply with no body to read keeps its connection
+// reusable (an unread 404 body would cost every miss probe a new dial).
 func (s *Shield) probePeer(b *Backend, uri string) (ok bool, err error) {
 	// Detached from the requester's context by design: the leader's
 	// resolution outlives any one requester.
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.URL+uri, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodHead, b.URL+uri, nil)
 	if err != nil {
 		return false, err
 	}

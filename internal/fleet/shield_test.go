@@ -5,7 +5,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -251,6 +253,79 @@ func TestShieldPeerFill(t *testing.T) {
 	}
 	if efs := eu.FillStats(); efs.ServedHits != 1 {
 		t.Errorf("europe fill stats = %+v, want one served fill hit", efs)
+	}
+}
+
+// TestShieldProbesReuseConnections pins what a peer probe costs on the
+// wire: every probe of a backend rides one kept-alive connection, so a
+// run of misses that probe every peer dials each peer once, not once per
+// probe. A peer answering 500 is a counted probe error that neither
+// fails the fill nor costs a connection per probe.
+func TestShieldProbesReuseConnections(t *testing.T) {
+	for _, broken := range []bool{false, true} {
+		name := "three edges"
+		if broken {
+			name += " and one answering 500"
+		}
+		t.Run(name, func(t *testing.T) {
+			var backends []*Backend
+			for i, r := range []timeutil.Region{timeutil.RegionEurope, timeutil.RegionAsia, timeutil.RegionNorthAmerica} {
+				srv, err := edge.New(edge.Config{CDN: mkE2ECDN(), Regions: []timeutil.Region{r}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ts := httptest.NewServer(srv.Handler())
+				t.Cleanup(ts.Close)
+				backends = append(backends, NewBackend("edge"+strconv.Itoa(i), ts.URL, r))
+			}
+			if broken {
+				ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+					http.Error(w, "peer broken", http.StatusInternalServerError)
+				}))
+				t.Cleanup(ts.Close)
+				backends = append(backends, NewBackend("broken", ts.URL, timeutil.RegionSouthAmerica))
+			}
+			var dials atomic.Int64
+			dialer := &net.Dialer{}
+			sh := NewShield(ShieldConfig{
+				Backends: backends,
+				Metrics:  obs.NewRegistry(),
+				Client: &http.Client{Transport: &http.Transport{
+					DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+						dials.Add(1)
+						return dialer.DialContext(ctx, network, addr)
+					},
+				}},
+			})
+			mux := http.NewServeMux()
+			sh.Register(mux)
+
+			const fills = 200
+			for i := 0; i < fills; i++ {
+				rec := shieldRecord(timeutil.RegionEurope)
+				rec.ObjectID = uint64(i + 1)
+				w := httptest.NewRecorder()
+				mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet, string(edge.AppendFillPath(nil, rec)), nil))
+				if w.Code != http.StatusOK || w.Header().Get(edge.HeaderFillSource) != "origin" {
+					t.Fatalf("fill %d: status %d, source %q; want 200 from the origin",
+						i, w.Code, w.Header().Get(edge.HeaderFillSource))
+				}
+			}
+			if got := sh.OriginFetches(); got != fills {
+				t.Errorf("origin fetches = %d, want %d", got, fills)
+			}
+			wantErrors := int64(0)
+			if broken {
+				wantErrors = fills
+			}
+			if got := sh.probeErrors.Value(); got != wantErrors {
+				t.Errorf("fleet_shield_peer_probe_errors_total = %d, want %d", got, wantErrors)
+			}
+			if got := dials.Load(); got > int64(len(backends)) {
+				t.Errorf("%d fills probing %d peers made %d dials, want <= %d",
+					fills, len(backends), got, len(backends))
+			}
+		})
 	}
 }
 
