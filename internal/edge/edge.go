@@ -81,8 +81,9 @@ type Config struct {
 	// FillTimeout bounds one shield fill attempt; zero defaults to
 	// DefaultFillTimeout.
 	FillTimeout time.Duration
-	// FillClient issues fill requests; nil builds a pooled client.
-	FillClient *http.Client
+	// FillTransport carries fill requests, one RoundTrip each (no
+	// redirects followed); nil builds a pooled transport.
+	FillTransport http.RoundTripper
 	// Metrics receives live serving telemetry (request/shed/error
 	// counters, latency histogram, inflight gauge). nil disables it.
 	Metrics *obs.Registry
@@ -123,6 +124,7 @@ type Server struct {
 	// cfg.ShieldURL is set (requesting side, deduped by fillSF); the
 	// /fill/ endpoint and its counters are always live (serving side).
 	fillSF          cdn.SingleFlight
+	fillHeader      http.Header // read-only: every fill request shares it
 	fillPeer        *obs.Counter
 	fillOrigin      *obs.Counter
 	fillDedup       *obs.Counter
@@ -165,6 +167,7 @@ var (
 		trace.CacheMiss:    {trace.CacheMiss.String()},
 	}
 	octetStream = []string{"application/octet-stream"}
+	peerSource  = []string{cdn.FillPeer.String()}
 )
 
 // New validates the config and builds a Server.
@@ -183,14 +186,21 @@ func New(cfg Config) (*Server, error) {
 		if cfg.FillTimeout <= 0 {
 			cfg.FillTimeout = DefaultFillTimeout
 		}
-		if cfg.FillClient == nil {
-			cfg.FillClient = &http.Client{Transport: &http.Transport{
+		if cfg.FillTransport == nil {
+			cfg.FillTransport = &http.Transport{
 				MaxIdleConnsPerHost: 16,
 				IdleConnTimeout:     time.Minute,
-			}}
+				DisableCompression:  true,
+			}
 		}
 	}
 	s := &Server{cfg: cfg, cdn: cdn.NewConcurrent(cfg.CDN)}
+	// The shield reads only X-TS-Fill-From; the empty User-Agent keeps
+	// net/http from sending its default.
+	s.fillHeader = http.Header{"User-Agent": {""}}
+	if cfg.Name != "" {
+		s.fillHeader[HeaderFillFrom] = []string{cfg.Name}
+	}
 	if len(cfg.Regions) > 0 {
 		s.scoped = true
 		for _, r := range cfg.Regions {
@@ -261,17 +271,25 @@ func New(cfg Config) (*Server, error) {
 // (503 "draining" once graceful drain begins), /metrics renders the
 // registry plus ts_slo_* gauges in Prometheus text format, /slo the SLO
 // compliance report as JSON, and /debug/trace the sampled trace-event
-// ring.
+// ring. Object and fill paths are dispatched by prefix before the
+// ServeMux: its prefix patterns cost every request three allocations.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(ObjectPrefix, s.handleObject)
-	mux.HandleFunc(FillPrefix, s.handleFill)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/slo", s.handleSLO)
 	mux.HandleFunc("/debug/trace", s.handleDebugTrace)
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		switch p := req.URL.Path; {
+		case strings.HasPrefix(p, ObjectPrefix):
+			s.handleObject(w, req)
+		case strings.HasPrefix(p, FillPrefix):
+			s.handleFill(w, req)
+		default:
+			mux.ServeHTTP(w, req)
+		}
+	})
 }
 
 // StartDraining flips /healthz to 503 "draining" so load balancers stop

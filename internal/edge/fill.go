@@ -121,7 +121,7 @@ func fillBytes(r *trace.Record) int64 {
 }
 
 // handleFill answers the shield's residency probe: 200 when an
-// owned DC holds every chunk the request covers, 404 otherwise. The
+// owned DC holds every chunk the request covers, a bare 404 otherwise. The
 // check is strictly read-only — no origin fetch is triggered, no LRU
 // state moves, no DCStats count — so serving fills leaves this edge's
 // cache model in exactly the state its own traffic alone would produce.
@@ -148,9 +148,9 @@ func (s *Server) handleFill(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	if !found {
+		// The shield reads only the status: no body, no headers.
 		s.fillMisses.Inc()
-		w.Header()[HeaderCache] = cacheValues[trace.CacheMiss]
-		http.Error(w, "not cached", http.StatusNotFound)
+		w.WriteHeader(http.StatusNotFound)
 		return
 	}
 	n := fillBytes(&sc.rec)
@@ -158,7 +158,7 @@ func (s *Server) handleFill(w http.ResponseWriter, req *http.Request) {
 	s.fillServedBytes.Add(n)
 	h := w.Header()
 	h[HeaderCache] = cacheValues[trace.CacheHit]
-	h.Set(HeaderFillSource, cdn.FillPeer.String())
+	h[HeaderFillSource] = peerSource
 	h.Set(HeaderBytes, string(strconv.AppendInt(sc.num[:0], n, 10)))
 	w.WriteHeader(http.StatusOK)
 }
@@ -213,10 +213,8 @@ func (s *Server) askShield(r *trace.Record, n int64) (cdn.FillResult, bool) {
 	if err != nil {
 		return cdn.FillResult{}, false
 	}
-	if s.cfg.Name != "" {
-		req.Header.Set(HeaderFillFrom, s.cfg.Name)
-	}
-	resp, err := s.cfg.FillClient.Do(req)
+	req.Header = s.fillHeader
+	resp, err := s.cfg.FillTransport.RoundTrip(req)
 	if err != nil {
 		return cdn.FillResult{}, false
 	}

@@ -270,12 +270,12 @@ func TestFailedFillsReuseConnection(t *testing.T) {
 	dialer := &net.Dialer{}
 	s := newTestServer(t, Config{
 		ShieldURL: shield.URL,
-		FillClient: &http.Client{Transport: &http.Transport{
+		FillTransport: &http.Transport{
 			DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
 				dials.Add(1)
 				return dialer.DialContext(ctx, network, addr)
 			},
-		}},
+		},
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -13,10 +13,13 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
+	"net/http"
 	"net/url"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"trafficscope/internal/timeutil"
 )
@@ -116,4 +119,27 @@ func NewBackend(name, url string, regions ...timeutil.Region) *Backend {
 	b := &Backend{Name: name, URL: strings.TrimRight(url, "/"), Regions: regions}
 	b.healthy.Store(true)
 	return b
+}
+
+// hopHeader is the header of every request the router and the shield
+// send to a backend, shared read-only: backends read none of it, and the
+// empty User-Agent keeps net/http from sending its default.
+var hopHeader = http.Header{"User-Agent": {""}}
+
+// internalTransport is the pooled transport the router and the shield
+// build when given none. Backends never compress, so asking them to
+// (Accept-Encoding: gzip) would only cost each one a header to parse.
+func internalTransport() *http.Transport {
+	return &http.Transport{MaxIdleConnsPerHost: 64, IdleConnTimeout: time.Minute, DisableCompression: true}
+}
+
+// roundTrip sends one bare request to a backend: hopHeader, no body, and
+// whatever it answers (a redirect included) is the reply.
+func roundTrip(ctx context.Context, rt http.RoundTripper, method, url string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header = hopHeader
+	return rt.RoundTrip(req)
 }

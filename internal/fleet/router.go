@@ -48,9 +48,10 @@ type RouterConfig struct {
 	FailAfter int
 	// Metrics receives fleet_* routing telemetry. nil disables it.
 	Metrics *obs.Registry
-	// Client issues proxy and probe requests; nil builds one with a
-	// connection pool sized for the backend count.
-	Client *http.Client
+	// Transport carries proxy and probe requests, one RoundTrip each: a
+	// backend's redirect is relayed, never followed. nil builds a pooled
+	// transport.
+	Transport http.RoundTripper
 	// Logf receives eviction/recovery log lines; nil silences them.
 	Logf func(format string, args ...any)
 }
@@ -67,8 +68,7 @@ const (
 // carries them there (proxy or 307), failing over along the consistent
 // hash order when a backend dies mid-request.
 type Router struct {
-	cfg    RouterConfig
-	client *http.Client
+	cfg RouterConfig
 
 	// regionSet[r] lists the backends owning region r; regionRing[r] is
 	// a consistent-hash ring over that list (nil when one backend owns
@@ -120,13 +120,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.FailAfter <= 0 {
 		cfg.FailAfter = DefaultFailAfter
 	}
-	r := &Router{cfg: cfg, client: cfg.Client}
-	if r.client == nil {
-		r.client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     time.Minute,
-		}}
+	if cfg.Transport == nil {
+		cfg.Transport = internalTransport()
 	}
+	r := &Router{cfg: cfg}
 	for _, b := range cfg.Backends {
 		if len(b.Regions) == 0 {
 			return nil, errors.New("fleet: backend " + b.Name + " owns no regions")
@@ -219,11 +216,7 @@ func (r *Router) probeLoop(ctx context.Context, b *Backend) {
 }
 
 func (r *Router) probeOnce(ctx context.Context, b *Backend) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.URL+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := r.client.Do(req)
+	resp, err := roundTrip(ctx, r.cfg.Transport, http.MethodGet, b.URL+"/healthz")
 	if err != nil {
 		return false
 	}
@@ -354,13 +347,9 @@ var proxyBufPool = sync.Pool{New: func() any { b := make([]byte, 32<<10); return
 // proxy carries one request to backend b. Returns false on a transport
 // error before any response bytes reached the client (safe to retry
 // elsewhere); any received HTTP response — success or failure — is
-// relayed as-is and ends routing.
+// relayed as-is (a redirect too, not followed) and ends routing.
 func (r *Router) proxy(w http.ResponseWriter, req *http.Request, b *Backend) bool {
-	out, err := http.NewRequestWithContext(req.Context(), req.Method, b.URL+req.URL.RequestURI(), nil)
-	if err != nil {
-		return false
-	}
-	resp, err := r.client.Do(out)
+	resp, err := roundTrip(req.Context(), r.cfg.Transport, req.Method, b.URL+req.URL.RequestURI())
 	if err != nil {
 		// The client giving up must not count against the backend; report
 		// "handled" so the caller doesn't retry a request nobody wants.
@@ -371,11 +360,10 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request, b *Backend) boo
 	}
 	defer resp.Body.Close()
 
+	// The response is ours alone, so its value slices move over as they are.
 	h := w.Header()
 	for k, vs := range resp.Header {
-		for _, v := range vs {
-			h.Add(k, v)
-		}
+		h[k] = vs
 	}
 	h.Set(HeaderBackend, b.Name)
 	w.WriteHeader(resp.StatusCode)

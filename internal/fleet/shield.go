@@ -40,8 +40,9 @@ type ShieldConfig struct {
 	ProbeTimeout time.Duration
 	// Metrics receives fleet_shield_* telemetry. nil disables it.
 	Metrics *obs.Registry
-	// Client issues peer probes; nil builds a pooled client.
-	Client *http.Client
+	// Transport carries peer probes, one RoundTrip each; nil builds a
+	// pooled transport.
+	Transport http.RoundTripper
 	// Logf receives probe-failure log lines; nil silences them.
 	Logf func(format string, args ...any)
 }
@@ -53,9 +54,8 @@ const DefaultShieldProbeTimeout = 2 * time.Second
 // Shield is the origin-shield fill tier. Mount with Register; backends
 // point their edge.Config.ShieldURL here.
 type Shield struct {
-	cfg    ShieldConfig
-	client *http.Client
-	sf     cdn.SingleFlight
+	cfg ShieldConfig
+	sf  cdn.SingleFlight
 
 	reqs         *obs.Counter
 	peerFills    *obs.Counter
@@ -74,13 +74,10 @@ func NewShield(cfg ShieldConfig) *Shield {
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = DefaultShieldProbeTimeout
 	}
-	s := &Shield{cfg: cfg, client: cfg.Client}
-	if s.client == nil {
-		s.client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     time.Minute,
-		}}
+	if cfg.Transport == nil {
+		cfg.Transport = internalTransport()
 	}
+	s := &Shield{cfg: cfg}
 	reg := cfg.Metrics
 	s.reqs = reg.Counter("fleet_shield_requests_total")
 	s.peerFills = reg.Counter("fleet_shield_peer_fills_total")
@@ -94,6 +91,17 @@ func NewShield(cfg ShieldConfig) *Shield {
 	s.originDelayH = reg.Histogram("fleet_shield_origin_seconds", obs.ExpBuckets(1e-3, 2, 16))
 	return s
 }
+
+// Reply header values the fill handler assigns into the header map
+// instead of allocating them through Header.Set: net/http only reads them.
+var (
+	sourceValues = [...][]string{
+		cdn.FillNone:   {cdn.FillNone.String()},
+		cdn.FillPeer:   {cdn.FillPeer.String()},
+		cdn.FillOrigin: {cdn.FillOrigin.String()},
+	}
+	dedupValues = map[bool][]string{false: {"0"}, true: {"1"}}
+)
 
 // OriginFetches reports how many origin fetches the shield has made —
 // the number the dedupe guarantee is about.
@@ -138,15 +146,11 @@ func (s *Shield) handleFill(w http.ResponseWriter, req *http.Request) {
 		s.dedup.Inc()
 	}
 	h := w.Header()
-	h.Set(edge.HeaderFillSource, res.Source.String())
+	h[edge.HeaderFillSource] = sourceValues[res.Source]
 	if res.Backend != "" {
 		h.Set(edge.HeaderFillBackend, res.Backend)
 	}
-	if shared {
-		h.Set(edge.HeaderFillDedup, "1")
-	} else {
-		h.Set(edge.HeaderFillDedup, "0")
-	}
+	h[edge.HeaderFillDedup] = dedupValues[shared]
 	h.Set(edge.HeaderBytes, strconv.FormatInt(res.Bytes, 10))
 	w.WriteHeader(http.StatusOK)
 }
@@ -197,11 +201,7 @@ func (s *Shield) probePeer(b *Backend, uri string) (ok bool, err error) {
 	// resolution outlives any one requester.
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodHead, b.URL+uri, nil)
-	if err != nil {
-		return false, err
-	}
-	resp, err := s.client.Do(req)
+	resp, err := roundTrip(ctx, s.cfg.Transport, http.MethodHead, b.URL+uri)
 	if err != nil {
 		return false, err
 	}

@@ -290,12 +290,12 @@ func TestShieldProbesReuseConnections(t *testing.T) {
 			sh := NewShield(ShieldConfig{
 				Backends: backends,
 				Metrics:  obs.NewRegistry(),
-				Client: &http.Client{Transport: &http.Transport{
+				Transport: &http.Transport{
 					DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
 						dials.Add(1)
 						return dialer.DialContext(ctx, network, addr)
 					},
-				}},
+				},
 			})
 			mux := http.NewServeMux()
 			sh.Register(mux)

@@ -56,7 +56,8 @@ type Config struct {
 	// defaults to 4*Workers.
 	QueueDepth int
 	// Client overrides the HTTP client (tests); nil builds a keep-alive
-	// client sized to the worker pool.
+	// client sized to the worker pool. Run works on a copy, so one client
+	// may serve any number of runs.
 	Client *http.Client
 	// Metrics receives live telemetry (request/error/retry counters and
 	// the latency histogram). nil keeps telemetry internal; the final
@@ -254,7 +255,6 @@ func Run(ctx context.Context, cfg Config, r trace.Reader) (*Stats, error) {
 	rn := &run{
 		cfg:      cfg,
 		base:     strings.TrimSuffix(cfg.Target, "/"),
-		client:   cfg.Client,
 		bySite:   map[string]int64{},
 		byStatus: map[int]int64{},
 		bounds:   bounds,
@@ -267,7 +267,13 @@ func Run(ctx context.Context, cfg Config, r trace.Reader) (*Stats, error) {
 		cancC:    reg.Counter("loadgen_cancelled_total"),
 		redirC:   reg.Counter("loadgen_redirects_total"),
 	}
-	if rn.client == nil {
+	// The run works on its own copy of the client: the redirect policy
+	// below counts into this run's Stats, so it must not land on a client
+	// the caller shares between runs.
+	if cfg.Client != nil {
+		c := *cfg.Client
+		rn.client = &c
+	} else {
 		rn.client = &http.Client{
 			Transport: &http.Transport{
 				MaxIdleConns:        cfg.Workers + 2,

@@ -137,3 +137,35 @@ func TestRunRedirectsDisabled(t *testing.T) {
 		t.Errorf("server saw %d requests, want 1", hits)
 	}
 }
+
+// TestRunReusedClientCountsOwnRedirects: Run sets its redirect policy on
+// a copy of Config.Client, so a client shared by consecutive runs (the
+// benchmark keeps one across repetitions) counts each run's hops into
+// that run's Stats and comes back untouched.
+func TestRunReusedClientCountsOwnRedirects(t *testing.T) {
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("hop") == "" {
+			http.Redirect(w, r, r.URL.Path+"?hop=1", http.StatusTemporaryRedirect)
+			return
+		}
+		w.Header().Set(edge.HeaderCache, trace.CacheHit.String())
+	}))
+	defer front.Close()
+
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	recs := redirectTrace(4)
+	for run := 1; run <= 2; run++ {
+		st, err := Run(context.Background(), Config{Target: front.URL, Workers: 2, Client: client},
+			trace.NewSliceReader(recs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Requests != int64(len(recs)) || st.Redirects != st.Requests {
+			t.Errorf("run %d: %d requests, %d redirects; want %d of each", run, st.Requests, st.Redirects, len(recs))
+		}
+	}
+	if client.CheckRedirect != nil {
+		t.Error("Run set CheckRedirect on the caller's client")
+	}
+}
