@@ -52,7 +52,7 @@ func run() error {
 		target    = flag.String("target", "", "edge base URL, e.g. http://127.0.0.1:8080 (required)")
 		speedup   = flag.Float64("speedup", 0, "trace-seconds replayed per wall-second (0 = as fast as possible)")
 		workers   = flag.Int("workers", 32, "request worker pool size")
-		timeout   = flag.Duration("timeout", 10*time.Second, "per-request deadline")
+		timeout   = flag.Duration("timeout", 10*time.Second, "per-attempt deadline, from the send to the last body byte (a timed-out request is not retried)")
 		retries   = flag.Int("retries", 2, "retries after transport errors (HTTP errors are never retried)")
 		backoff   = flag.Duration("backoff", 20*time.Millisecond, "initial retry backoff (doubles per attempt)")
 		redirects = flag.Int("max-redirects", 0, "max 307 hops followed per request, e.g. from a redirect-mode tsrouter (0 = default 5, negative = don't follow)")

@@ -105,6 +105,8 @@ type Server struct {
 	cdn      *cdn.ConcurrentCDN
 	inflight chan struct{}
 	body     []byte // repeated payload chunk for body writes
+	// maxBodyLength is MaxBodyBytes as a Content-Length header value.
+	maxBodyLength []string
 
 	// Region ownership, resolved once so the hot path pays one array
 	// index. With no Regions configured every slot is owned.
@@ -227,6 +229,7 @@ func New(cfg Config) (*Server, error) {
 		for i := range s.body {
 			s.body[i] = byte('a' + i%26)
 		}
+		s.maxBodyLength = []string{strconv.FormatInt(cfg.MaxBodyBytes, 10)}
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -460,7 +463,8 @@ func (s *Server) handleObject(w http.ResponseWriter, req *http.Request) {
 	// server's.
 	h := w.Header()
 	h[HeaderCache] = cacheValues[out.Cache]
-	h.Set(HeaderBytes, string(strconv.AppendInt(sc.num[:0], out.BytesServed, 10)))
+	logical := []string{string(strconv.AppendInt(sc.num[:0], out.BytesServed, 10))}
+	h[HeaderBytes] = logical
 	h["Content-Type"] = octetStream
 
 	// Resolve the miss outside any lock so slow fills stall only their
@@ -509,13 +513,20 @@ func (s *Server) handleObject(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 
-	w.WriteHeader(out.StatusCode)
-	if req.Method == http.MethodGet && out.BytesServed > 0 && len(s.body) > 0 &&
-		out.StatusCode != cdn.StatusNotModified {
-		n := out.BytesServed
-		if n > s.cfg.MaxBodyBytes {
-			n = s.cfg.MaxBodyBytes
+	// A body is framed by Content-Length (HEAD declares the same), so
+	// neither side chunks it. n is either the cap, preformatted, or the
+	// logical size, whose header value is shared.
+	n := min(out.BytesServed, s.cfg.MaxBodyBytes)
+	hasBody := n > 0 && out.StatusCode != cdn.StatusNotModified
+	if hasBody {
+		if n == s.cfg.MaxBodyBytes {
+			h["Content-Length"] = s.maxBodyLength
+		} else {
+			h["Content-Length"] = logical
 		}
+	}
+	w.WriteHeader(out.StatusCode)
+	if hasBody && req.Method == http.MethodGet {
 		var written int64
 		for written < n {
 			chunk := s.body

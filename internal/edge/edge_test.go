@@ -143,6 +143,74 @@ func TestHandlerServesObject(t *testing.T) {
 	}
 }
 
+// TestObjectResponsesCarryContentLength pins how object bodies are
+// framed over real HTTP: Content-Length is min(BytesServed,
+// MaxBodyBytes), nothing is chunked, HEAD declares the same length
+// without a body, and a 304 carries no body.
+func TestObjectResponsesCarryContentLength(t *testing.T) {
+	s := newTestServer(t, Config{CDN: cdn.New(cdn.Config{
+		NewCache:    func() cdn.Cache { return cdn.NewLRU(64 << 20) },
+		ChunkBytes:  -1,
+		IsIncognito: func(string, uint64) bool { return false }, // revalidations answer 304
+	})})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	large := testRecord() // 1 MiB logical, capped at DefaultMaxBodyBytes
+	small := testRecord()
+	small.ObjectID++
+	small.FileType = "jpg"
+	small.ObjectSize, small.BytesServed = 1000, 1000
+	for _, c := range []struct {
+		name string
+		rec  *trace.Record
+		want int64
+	}{
+		{"above the cap", large, DefaultMaxBodyBytes},
+		{"below the cap", small, 1000},
+	} {
+		resp, err := http.Get(ts.URL + RequestPath(c.rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ContentLength != c.want || int64(len(body)) != c.want {
+			t.Errorf("%s: Content-Length %d, body %d bytes; want %d", c.name, resp.ContentLength, len(body), c.want)
+		}
+		if len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Transfer-Encoding %v, want none", c.name, resp.TransferEncoding)
+		}
+
+		head := *c.rec
+		head.UserID++ // another browser, which has nothing to revalidate
+		resp, err = http.Head(ts.URL + RequestPath(&head))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.ContentLength != c.want || len(body) != 0 {
+			t.Errorf("%s HEAD: Content-Length %d, body %d bytes; want %d and none", c.name, resp.ContentLength, len(body), c.want)
+		}
+	}
+
+	// The browser that fetched small now holds a fresh copy: asking again
+	// revalidates.
+	resp, err := http.Get(ts.URL + RequestPath(small))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotModified || len(body) != 0 {
+		t.Errorf("revalidation: status %d, body %d bytes; want 304 and none", resp.StatusCode, len(body))
+	}
+}
+
 func TestHandlerRejects(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())

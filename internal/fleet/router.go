@@ -379,6 +379,12 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request, b *Backend) boo
 		readErr, writeErr = relayBody(w, resp.Body, *buf)
 		proxyBufPool.Put(buf)
 	}
+	if readErr != nil && req.Context().Err() != nil {
+		// The client hung up while the backend was still sending: the
+		// server cancelled the request context, and with it the backend
+		// read. That is the client's doing, not the backend's.
+		readErr, writeErr = nil, readErr
+	}
 	switch {
 	case readErr != nil:
 		// Truncated relay: the client received a short body (too late to

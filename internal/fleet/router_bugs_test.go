@@ -146,40 +146,89 @@ func (w *abortingWriter) Write(p []byte) (int, error) {
 	return n, nil
 }
 
+// cancellingWriter is a ResponseWriter whose client hangs up right after
+// the first body bytes arrive: the server cancels the request context,
+// as net/http does when it sees the connection close.
+type cancellingWriter struct {
+	*httptest.ResponseRecorder
+	cancel context.CancelFunc
+}
+
+func (w *cancellingWriter) Write(p []byte) (int, error) {
+	defer w.cancel()
+	return w.ResponseRecorder.Write(p)
+}
+
 // TestProxyClientAbortDoesNotPunishBackend is the other relay direction:
 // the client hanging up mid-body is counted as a body error but must not
-// feed the backend's failure state (the backend held up its end).
+// feed the backend's failure state (the backend held up its end). The
+// hang-up shows either as a failed write to the client or, while the
+// backend is still sending, as a backend read cut short by the cancelled
+// request context.
 func TestProxyClientAbortDoesNotPunishBackend(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc(edge.ObjectPrefix, func(w http.ResponseWriter, _ *http.Request) {
-		w.Write(make([]byte, 64<<10)) // a healthy backend, full body
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
+	for _, c := range []struct {
+		name    string
+		backend http.HandlerFunc
+		writer  func(cancel context.CancelFunc) http.ResponseWriter
+	}{
+		{
+			name: "write fails",
+			backend: func(w http.ResponseWriter, _ *http.Request) {
+				w.Write(make([]byte, 64<<10)) // a healthy backend, full body
+			},
+			writer: func(context.CancelFunc) http.ResponseWriter {
+				return &abortingWriter{ResponseRecorder: httptest.NewRecorder(), limit: 100}
+			},
+		},
+		{
+			name: "request cancelled mid-read",
+			backend: func(w http.ResponseWriter, r *http.Request) {
+				// A healthy backend still sending when the client leaves.
+				w.Header().Set("Content-Length", fmt.Sprint(64<<10))
+				w.Write(make([]byte, 100))
+				w.(http.Flusher).Flush()
+				select {
+				case <-r.Context().Done():
+				case <-time.After(5 * time.Second):
+				}
+			},
+			writer: func(cancel context.CancelFunc) http.ResponseWriter {
+				return &cancellingWriter{ResponseRecorder: httptest.NewRecorder(), cancel: cancel}
+			},
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mux := http.NewServeMux()
+			mux.HandleFunc(edge.ObjectPrefix, c.backend)
+			ts := httptest.NewServer(mux)
+			defer ts.Close()
 
-	b := NewBackend("eu-ok", ts.URL, timeutil.RegionEurope)
-	r, err := NewRouter(RouterConfig{Backends: []*Backend{b}, Metrics: obs.NewRegistry(), Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
+			b := NewBackend("eu-ok", ts.URL, timeutil.RegionEurope)
+			r, err := NewRouter(RouterConfig{Backends: []*Backend{b}, Metrics: obs.NewRegistry(), Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	req := httptest.NewRequest(http.MethodGet, edge.RequestPath(failoverRecord(1)), nil)
-	w := &abortingWriter{ResponseRecorder: httptest.NewRecorder(), limit: 100}
-	if !r.proxy(w, req, b) {
-		t.Fatal("proxy reported transport failure; the backend answered")
-	}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			req := httptest.NewRequest(http.MethodGet, edge.RequestPath(failoverRecord(1)), nil).WithContext(ctx)
+			if !r.proxy(c.writer(cancel), req, b) {
+				t.Fatal("proxy reported transport failure; the backend answered")
+			}
 
-	if got := r.bodyErrors.Value(); got != 1 {
-		t.Errorf("fleet_proxy_body_errors_total = %d, want 1", got)
-	}
-	if got := r.proxied.Value(); got != 0 {
-		t.Errorf("fleet_proxied_total = %d, want 0 for an aborted relay", got)
-	}
-	if got := b.consecFails.Load(); got != 0 {
-		t.Errorf("consecFails = %d — a client abort must not punish the backend", got)
-	}
-	if !b.Healthy() {
-		t.Error("backend unhealthy after a client abort")
+			if got := r.bodyErrors.Value(); got != 1 {
+				t.Errorf("fleet_proxy_body_errors_total = %d, want 1", got)
+			}
+			if got := r.proxied.Value(); got != 0 {
+				t.Errorf("fleet_proxied_total = %d, want 0 for an aborted relay", got)
+			}
+			if got := b.consecFails.Load(); got != 0 {
+				t.Errorf("consecFails = %d — a client abort must not punish the backend", got)
+			}
+			if !b.Healthy() {
+				t.Error("backend unhealthy after a client abort")
+			}
+		})
 	}
 }
 

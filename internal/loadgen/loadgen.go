@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	neturl "net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -38,13 +39,15 @@ type Config struct {
 	// Workers is the request worker pool size. Zero defaults to
 	// 2*GOMAXPROCS.
 	Workers int
-	// Timeout is the per-request deadline. Zero defaults to 10s.
+	// Timeout bounds each attempt, from the send to the last body byte
+	// (redirect hops included). Zero defaults to 10s.
 	Timeout time.Duration
 	// Retries is how many times a request is retried after a transport
 	// (connection) error; HTTP error statuses are never retried.
 	Retries int
-	// MaxRedirects bounds how many 307 hops a request follows (a
-	// redirect-mode tsrouter answers one per request). Zero defaults to
+	// MaxRedirects bounds how many redirect hops (301, 302, 303, 307 or
+	// 308 with a Location) a request follows; a redirect-mode tsrouter
+	// answers one 307 per request. Zero defaults to
 	// DefaultMaxRedirects; negative disables following — the 3xx
 	// response itself is recorded. Followed hops are counted in
 	// Stats.Redirects, never as errors.
@@ -55,9 +58,12 @@ type Config struct {
 	// QueueDepth bounds the scheduler→worker dispatch buffer. Zero
 	// defaults to 4*Workers.
 	QueueDepth int
-	// Client overrides the HTTP client (tests); nil builds a keep-alive
-	// client sized to the worker pool. Run works on a copy, so one client
-	// may serve any number of runs.
+	// Client supplies the transport requests go out on; only its
+	// Transport is used, and one client may serve any number of runs. nil
+	// (or a nil Transport) builds a keep-alive transport sized to the
+	// worker pool. A Client with Timeout, CheckRedirect or Jar set is an
+	// error: Timeout and MaxRedirects govern instead, and no cookies are
+	// sent.
 	Client *http.Client
 	// Metrics receives live telemetry (request/error/retry counters and
 	// the latency histogram). nil keeps telemetry internal; the final
@@ -85,7 +91,8 @@ const DefaultMaxRedirects = 5
 
 // Stats summarizes a completed (or interrupted) run. Requests counts
 // completed HTTP exchanges of any status; Errors counts records whose
-// request still failed at the transport level after retries.
+// request still failed at the transport level after retries, or whose
+// response body ended early.
 type Stats struct {
 	Requests int64 `json:"requests"`
 	Errors   int64 `json:"errors"`
@@ -97,7 +104,7 @@ type Stats struct {
 	Misses     int64  `json:"misses"`
 	Shed       int64  `json:"shed"` // 503 responses from edge load shedding
 	// Cancelled counts exchanges that ended without a cache verdict:
-	// the per-request deadline fired mid-exchange, or a successful
+	// the per-attempt deadline fired mid-exchange, or a successful
 	// response carried no X-TS-Cache header (e.g. the edge's implicit
 	// response after a client gave up mid-origin-fetch). These requests
 	// may still have been served — and counted — by the CDN, which is
@@ -149,8 +156,8 @@ func (s *Stats) HitRatio() float64 {
 // can be gated by the same policy objectives the live /slo endpoint
 // evaluates. Requests covers every attempted record (completed
 // exchanges plus transport failures); Errors covers the client-visible
-// failures among them (transport errors, which already include
-// mid-exchange deadline cancels, plus 503 sheds). The latency
+// failures among them (transport errors and truncated bodies, which
+// already include mid-exchange deadline cancels, plus 503 sheds). The latency
 // distribution holds completed exchanges only — transport failures
 // never produced a response to time.
 func (s *Stats) SLOWindow() slo.WindowStats {
@@ -166,9 +173,9 @@ func (s *Stats) SLOWindow() slo.WindowStats {
 
 // run carries one run's shared state across scheduler and workers.
 type run struct {
-	cfg    Config
-	base   string
-	client *http.Client
+	cfg  Config
+	base string
+	rt   http.RoundTripper
 
 	requests, errors, retries                  atomic.Int64
 	firstErr                                   atomic.Pointer[string]
@@ -191,29 +198,84 @@ type job struct {
 	scheduled time.Time
 }
 
-// workerStats is one worker's private telemetry. Workers record here
-// without any locking — the old design's single shared locked histogram
-// serialized the whole pool at high rates — and the run folds every
-// worker's copy into the registry metrics once, at stop.
-type workerStats struct {
+// worker is one worker goroutine's private state. Its telemetry is
+// recorded without any locking — the old design's single shared locked
+// histogram serialized the whole pool at high rates — and the run folds
+// every worker's copy into the registry metrics once, at stop. The URL
+// buffer and the deadline are reused by every request the worker sends.
+type worker struct {
 	latency  *obs.Histogram
 	qdelay   *obs.Histogram
 	bySite   map[string]int64
 	byStatus map[int]int64
+	url      []byte
+	deadline deadline
 }
 
-func newWorkerStats(bounds []float64) *workerStats {
-	return &workerStats{
+func newWorker(ctx context.Context, bounds []float64, timeout time.Duration) *worker {
+	return &worker{
 		latency:  obs.NewHistogram(bounds),
 		qdelay:   obs.NewHistogram(bounds),
 		bySite:   map[string]int64{},
 		byStatus: map[int]int64{},
+		deadline: deadline{parent: ctx, timeout: timeout},
 	}
+}
+
+// deadline is a worker's per-attempt timeout, one context and one timer
+// reused by every attempt instead of a context.WithTimeout each. When
+// the timer fires it cancels the context with cause
+// context.DeadlineExceeded; that context is then retired, so a late
+// timer can never cancel a later attempt.
+type deadline struct {
+	parent  context.Context
+	timeout time.Duration
+	ctx     context.Context
+	cancel  context.CancelCauseFunc
+	timer   *time.Timer
+}
+
+// arm starts the timeout of one attempt and returns the attempt's
+// context.
+func (d *deadline) arm() context.Context {
+	if d.ctx == nil {
+		ctx, cancel := context.WithCancelCause(d.parent)
+		d.ctx, d.cancel = ctx, cancel
+		d.timer = time.AfterFunc(d.timeout, func() { cancel(context.DeadlineExceeded) })
+	} else {
+		d.timer.Reset(d.timeout)
+	}
+	return d.ctx
+}
+
+// disarm ends the attempt once its body is closed. A timer that already
+// fired retires its context; the cause it set (or is about to set) is
+// the one given here, so the attempt reads as timed out either way.
+func (d *deadline) disarm() {
+	if !d.timer.Stop() {
+		d.cancel(context.DeadlineExceeded)
+		d.ctx = nil
+	}
+}
+
+// stop releases the context when the worker exits, so nothing stays
+// registered on the run's context.
+func (d *deadline) stop() {
+	if d.ctx != nil {
+		d.timer.Stop()
+		d.cancel(nil)
+	}
+}
+
+// timedOut reports whether the attempt run in rctx ended because its
+// own deadline fired, not because the run was cancelled.
+func timedOut(ctx, rctx context.Context) bool {
+	return ctx.Err() == nil && errors.Is(context.Cause(rctx), context.DeadlineExceeded)
 }
 
 // fold merges one worker's private telemetry into the run's shared
 // state. Called once per worker after the job channel closes.
-func (rn *run) fold(ws *workerStats) {
+func (rn *run) fold(ws *worker) {
 	// Bounds are identical by construction, so Merge cannot fail.
 	rn.latency.Merge(ws.latency)
 	rn.qdelay.Merge(ws.qdelay)
@@ -247,6 +309,13 @@ func Run(ctx context.Context, cfg Config, r trace.Reader) (*Stats, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 4 * cfg.Workers
 	}
+	if cfg.MaxRedirects == 0 {
+		cfg.MaxRedirects = DefaultMaxRedirects
+	}
+	rt, err := transport(cfg)
+	if err != nil {
+		return nil, err
+	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry() // latency quantiles need a histogram either way
@@ -255,6 +324,7 @@ func Run(ctx context.Context, cfg Config, r trace.Reader) (*Stats, error) {
 	rn := &run{
 		cfg:      cfg,
 		base:     strings.TrimSuffix(cfg.Target, "/"),
+		rt:       rt,
 		bySite:   map[string]int64{},
 		byStatus: map[int]int64{},
 		bounds:   bounds,
@@ -267,41 +337,6 @@ func Run(ctx context.Context, cfg Config, r trace.Reader) (*Stats, error) {
 		cancC:    reg.Counter("loadgen_cancelled_total"),
 		redirC:   reg.Counter("loadgen_redirects_total"),
 	}
-	// The run works on its own copy of the client: the redirect policy
-	// below counts into this run's Stats, so it must not land on a client
-	// the caller shares between runs.
-	if cfg.Client != nil {
-		c := *cfg.Client
-		rn.client = &c
-	} else {
-		rn.client = &http.Client{
-			Transport: &http.Transport{
-				MaxIdleConns:        cfg.Workers + 2,
-				MaxIdleConnsPerHost: cfg.Workers + 2,
-				IdleConnTimeout:     time.Minute,
-			},
-		}
-	}
-	// Redirect policy: net/http silently follows up to 10 hops; replace
-	// that with a counted, configurable budget so a redirect-mode router
-	// shows up in the stats instead of hiding in the latency numbers. A
-	// caller-provided client with its own CheckRedirect is left alone.
-	if rn.client.CheckRedirect == nil {
-		maxRedirects := cfg.MaxRedirects
-		if maxRedirects == 0 {
-			maxRedirects = DefaultMaxRedirects
-		}
-		rn.client.CheckRedirect = func(req *http.Request, via []*http.Request) error {
-			// len(via) counts requests already sent: following now would
-			// be hop len(via).
-			if maxRedirects < 0 || len(via) > maxRedirects {
-				return http.ErrUseLastResponse // record the 3xx itself
-			}
-			rn.redirects.Add(1)
-			rn.redirC.Inc()
-			return nil
-		}
-	}
 
 	jobs := make(chan job, cfg.QueueDepth)
 	var wg sync.WaitGroup
@@ -309,10 +344,11 @@ func Run(ctx context.Context, cfg Config, r trace.Reader) (*Stats, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := newWorkerStats(rn.bounds)
-			defer rn.fold(ws)
+			w := newWorker(ctx, rn.bounds, cfg.Timeout)
+			defer rn.fold(w)
+			defer w.deadline.stop()
 			for j := range jobs {
-				rn.one(ctx, j, ws)
+				rn.one(ctx, j, w)
 			}
 		}()
 	}
@@ -388,31 +424,32 @@ func (rn *run) schedule(ctx context.Context, r trace.Reader, jobs chan<- job, st
 // exponential backoff. Latency is measured from the job's scheduled
 // send time, so time spent queued behind other records (and in retry
 // backoffs) counts; the queued-send delay is also recorded on its own.
-func (rn *run) one(ctx context.Context, j job, ws *workerStats) {
+func (rn *run) one(ctx context.Context, j job, w *worker) {
 	rec := &j.rec
 	queued := time.Since(j.scheduled)
 	if queued < 0 {
 		queued = 0 // scheduler timers can fire marginally early
 	}
-	url := rn.base + edge.RequestPath(rec)
+	w.url = edge.AppendRequestPath(append(w.url[:0], rn.base...), rec)
+	url := string(w.url)
 	backoff := rn.cfg.Backoff
 	for attempt := 0; ; attempt++ {
-		rctx, cancel := context.WithTimeout(ctx, rn.cfg.Timeout)
+		rctx := w.deadline.arm()
 		req, err := http.NewRequestWithContext(rctx, http.MethodGet, url, nil)
 		if err != nil {
-			cancel()
+			w.deadline.disarm()
 			rn.fail(err)
 			return
 		}
-		resp, err := rn.client.Do(req)
+		resp, err := rn.do(req)
 		if err != nil {
-			cancel()
-			if ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
-				// The per-request deadline fired while the exchange was in
-				// flight: the server has likely already served (and
-				// counted) the record, so retrying would double-serve it
-				// and skew live-vs-offline accounting. Count it as a
-				// cancelled exchange instead.
+			w.deadline.disarm()
+			if timedOut(ctx, rctx) {
+				// The deadline fired while the exchange was in flight: the
+				// server has likely already served (and counted) the
+				// record, so retrying would double-serve it and skew
+				// live-vs-offline accounting. Count it as a cancelled
+				// exchange instead.
 				rn.cancelled.Add(1)
 				rn.cancC.Inc()
 				rn.fail(err)
@@ -431,14 +468,103 @@ func (rn *run) one(ctx context.Context, j job, ws *workerStats) {
 			backoff = nextBackoff(backoff)
 			continue
 		}
-		wire, _ := io.Copy(io.Discard, resp.Body)
+		wire, err := io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		cancel()
-		ws.latency.Observe(time.Since(j.scheduled).Seconds())
-		ws.qdelay.Observe(queued.Seconds())
-		rn.record(rec, resp, wire, ws)
+		w.deadline.disarm()
+		if err != nil {
+			// The body ended early: the exchange did not complete, but the
+			// server answered, so it counted the record — never retried.
+			if timedOut(ctx, rctx) {
+				rn.cancelled.Add(1)
+				rn.cancC.Inc()
+			}
+			rn.fail(err)
+			return
+		}
+		w.latency.Observe(time.Since(j.scheduled).Seconds())
+		w.qdelay.Observe(queued.Seconds())
+		rn.record(rec, resp, wire, w)
 		return
 	}
+}
+
+// requestHeader is the header of every request a run sends, shared
+// read-only. The empty User-Agent keeps net/http from sending its
+// default; identity keeps the transport from asking for gzip (which the
+// edge never sends), so WireBytes is what crossed the wire.
+var requestHeader = http.Header{"User-Agent": {""}, "Accept-Encoding": {"identity"}}
+
+// redirectDrain bounds how much of a followed redirect's body is read
+// before it is closed, so its connection can be reused (net/http's
+// Client reads the same 2 KiB).
+const redirectDrain = 2 << 10
+
+// do sends one attempt: req as a bare RoundTrip, then the redirects it
+// follows. A 301, 302, 303, 307 or 308 with a Location is followed,
+// resolved against the request URL, until MaxRedirects hops are spent;
+// then, or when following is disabled, the 3xx is the final response.
+// Errors are *url.Error, as http.Client returns them.
+func (rn *run) do(req *http.Request) (*http.Response, error) {
+	for hops := 0; ; hops++ {
+		req.Header = requestHeader
+		resp, err := rn.rt.RoundTrip(req)
+		if err != nil {
+			return nil, &neturl.Error{Op: "Get", URL: req.URL.Redacted(), Err: err}
+		}
+		loc := resp.Header.Get("Location")
+		if !isRedirect(resp.StatusCode) || loc == "" || hops >= rn.cfg.MaxRedirects {
+			return resp, nil // a negative budget follows nothing
+		}
+		if resp.ContentLength == -1 || resp.ContentLength <= redirectDrain {
+			io.CopyN(io.Discard, resp.Body, redirectDrain)
+		}
+		resp.Body.Close()
+		next, err := req.URL.Parse(loc)
+		if err != nil {
+			return nil, &neturl.Error{Op: "Get", URL: req.URL.Redacted(),
+				Err: fmt.Errorf("failed to parse Location header %q: %v", loc, err)}
+		}
+		hop, err := http.NewRequestWithContext(req.Context(), http.MethodGet, next.String(), nil)
+		if err != nil {
+			return nil, &neturl.Error{Op: "Get", URL: next.Redacted(), Err: err}
+		}
+		req = hop
+		rn.redirects.Add(1)
+		rn.redirC.Inc()
+	}
+}
+
+func isRedirect(code int) bool {
+	switch code {
+	case http.StatusMovedPermanently, http.StatusFound, http.StatusSeeOther,
+		http.StatusTemporaryRedirect, http.StatusPermanentRedirect:
+		return true
+	}
+	return false
+}
+
+// transport is the RoundTripper a run sends on: Config.Client's, or a
+// keep-alive transport sized to the worker pool. A Client field the run
+// would have to ignore is an error instead.
+func transport(cfg Config) (http.RoundTripper, error) {
+	if c := cfg.Client; c != nil {
+		switch {
+		case c.Timeout != 0:
+			return nil, errors.New("loadgen: Config.Client.Timeout is not used; set Config.Timeout")
+		case c.CheckRedirect != nil:
+			return nil, errors.New("loadgen: Config.Client.CheckRedirect is not used; set Config.MaxRedirects")
+		case c.Jar != nil:
+			return nil, errors.New("loadgen: Config.Client.Jar is not used; requests carry no cookies")
+		}
+		if c.Transport != nil {
+			return c.Transport, nil
+		}
+	}
+	return &http.Transport{
+		MaxIdleConns:        cfg.Workers + 2,
+		MaxIdleConnsPerHost: cfg.Workers + 2,
+		IdleConnTimeout:     time.Minute,
+	}, nil
 }
 
 // fail counts one record whose request failed for good and keeps the
@@ -463,7 +589,7 @@ func nextBackoff(cur time.Duration) time.Duration {
 
 // record folds one completed exchange into the run counters (shared
 // atomics) and the worker's private maps.
-func (rn *run) record(rec *trace.Record, resp *http.Response, wire int64, ws *workerStats) {
+func (rn *run) record(rec *trace.Record, resp *http.Response, wire int64, ws *worker) {
 	rn.requests.Add(1)
 	rn.sentC.Inc()
 	rn.wireBytes.Add(wire)

@@ -5,7 +5,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -270,6 +272,152 @@ func TestDeadlineExceededIsNotRetried(t *testing.T) {
 			st.Retries, st.Errors, st.Cancelled)
 	}
 }
+
+// TestTruncatedBodyIsAnError: an exchange counts as completed only once
+// its whole body arrived. A body cut short — the server died mid-body,
+// or the deadline fired mid-body — is an error, never retried (the
+// server already counted the record) and never a hit.
+func TestTruncatedBodyIsAnError(t *testing.T) {
+	const declared = 64 << 10
+	for _, c := range []struct {
+		name      string
+		half      bool // write half the body, then stall past the deadline
+		cancelled int64
+		errSubstr string
+	}{
+		{name: "server dies mid-body", errSubstr: "unexpected EOF"},
+		{name: "deadline mid-body", half: true, cancelled: 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Length", strconv.Itoa(declared))
+				w.Header().Set(edge.HeaderCache, trace.CacheHit.String())
+				if !c.half {
+					w.Write(make([]byte, 100))
+					return
+				}
+				w.Write(make([]byte, declared/2))
+				w.(http.Flusher).Flush()
+				select {
+				case <-r.Context().Done():
+				case <-time.After(5 * time.Second):
+				}
+			}))
+			defer ts.Close()
+
+			st, err := Run(context.Background(), Config{
+				Target:  ts.URL,
+				Workers: 1,
+				Timeout: 100 * time.Millisecond,
+				Retries: 2,
+				Backoff: time.Millisecond,
+			}, trace.NewSliceReader(makeRecords(1, 0)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Requests != 0 || st.Errors != 1 || st.Hits != 0 || st.Retries != 0 || st.Cancelled != c.cancelled {
+				t.Errorf("requests %d, errors %d, hits %d, retries %d, cancelled %d; want 0/1/0/0/%d",
+					st.Requests, st.Errors, st.Hits, st.Retries, st.Cancelled, c.cancelled)
+			}
+			if len(st.ByStatus) != 0 {
+				t.Errorf("by-status = %v, want nothing recorded", st.ByStatus)
+			}
+			if !strings.Contains(st.FirstError, c.errSubstr) {
+				t.Errorf("first error %q, want it to contain %q", st.FirstError, c.errSubstr)
+			}
+		})
+	}
+}
+
+// TestDeadlineReusedAcrossAttempts: one worker reuses one deadline for
+// every attempt. The third record stalls past the timeout; its fired
+// timer must not reach the records after it, which all complete.
+func TestDeadlineReusedAcrossAttempts(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec, err := edge.ParseRequest(r)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if rec.ObjectID == 2 {
+			time.Sleep(200 * time.Millisecond)
+		}
+		w.Header().Set(edge.HeaderCache, trace.CacheHit.String())
+		w.Write([]byte("ok"))
+	}))
+	defer ts.Close()
+
+	st, err := Run(context.Background(), Config{
+		Target:  ts.URL,
+		Workers: 1,
+		Timeout: 50 * time.Millisecond,
+	}, trace.NewSliceReader(makeRecords(6, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cancelled != 1 || st.Errors != 1 || st.Requests != 5 || st.Hits != 5 {
+		t.Errorf("cancelled %d, errors %d, requests %d, hits %d; want 1/1/5/5 (%s)",
+			st.Cancelled, st.Errors, st.Requests, st.Hits, st.FirstError)
+	}
+}
+
+// TestRunRequestHeaders pins what a request carries on the wire: no
+// User-Agent and Accept-Encoding identity, whether Run builds its own
+// transport or uses the one Config.Client carries. A Client field Run
+// would ignore is refused, and a transport error still names the URL.
+func TestRunRequestHeaders(t *testing.T) {
+	type seen struct {
+		agent    bool
+		encoding []string
+	}
+	got := make(chan seen, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, agent := r.Header["User-Agent"]
+		got <- seen{agent, r.Header.Values("Accept-Encoding")}
+	}))
+	defer ts.Close()
+
+	for _, client := range []*http.Client{nil, {Transport: &http.Transport{}}} {
+		if _, err := Run(context.Background(), Config{Target: ts.URL, Workers: 1, Client: client},
+			trace.NewSliceReader(makeRecords(1, 0))); err != nil {
+			t.Fatal(err)
+		}
+		h := <-got
+		if h.agent {
+			t.Errorf("client %v: request carried a User-Agent", client)
+		}
+		if len(h.encoding) != 1 || h.encoding[0] != "identity" {
+			t.Errorf("client %v: Accept-Encoding %q, want exactly identity", client, h.encoding)
+		}
+	}
+
+	for _, client := range []*http.Client{
+		{Timeout: time.Second},
+		{CheckRedirect: func(*http.Request, []*http.Request) error { return nil }},
+		{Jar: noJar{}},
+	} {
+		if _, err := Run(context.Background(), Config{Target: ts.URL, Client: client},
+			trace.NewSliceReader(makeRecords(1, 0))); err == nil {
+			t.Errorf("Run with Client %+v: want an error", client)
+		}
+	}
+
+	dead := deadTarget(t)
+	st, err := Run(context.Background(), Config{Target: dead, Workers: 1},
+		trace.NewSliceReader(makeRecords(1, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `Get "` + dead + `/o/`; !strings.Contains(st.FirstError, want) {
+		t.Errorf("first error %q, want it to contain %q", st.FirstError, want)
+	}
+}
+
+// noJar is a cookie jar that keeps nothing.
+type noJar struct{}
+
+func (noJar) SetCookies(*url.URL, []*http.Cookie) {}
+func (noJar) Cookies(*url.URL) []*http.Cookie     { return nil }
 
 // TestLatencyIncludesQueuedDelay is the coordinated-omission regression
 // test: with one worker, a paced schedule that dispatches records

@@ -138,10 +138,10 @@ func TestRunRedirectsDisabled(t *testing.T) {
 	}
 }
 
-// TestRunReusedClientCountsOwnRedirects: Run sets its redirect policy on
-// a copy of Config.Client, so a client shared by consecutive runs (the
-// benchmark keeps one across repetitions) counts each run's hops into
-// that run's Stats and comes back untouched.
+// TestRunReusedClientCountsOwnRedirects: Run follows redirects itself
+// and takes only the Transport of Config.Client, so a client shared by
+// consecutive runs (the benchmark keeps one across repetitions) counts
+// each run's hops into that run's Stats and comes back untouched.
 func TestRunReusedClientCountsOwnRedirects(t *testing.T) {
 	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("hop") == "" {
