@@ -55,24 +55,20 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # The four tracked sizes (ROADMAP aim 2) CHANGES.md quotes before/after
-# for every PR, one expression each: net non-test lines of Go outside
-# benchmark/; the same with _test.go files included (code that moves into
-# or out of a test file shows only here); CLI flags declared by the tools
-# (cmd/ plus the shared sets: cliobs for every tool, the edge model flags
-# of tsserve/tscluster, the router model flags of tsrouter/tscluster);
-# exported fields of
-# the *Config, *Options and Params structs under internal/ (a line
-# `A, B T` counts two). A PR that says "no new knob" shows the last two
+# for every PR: net non-test lines of Go outside benchmark/; the same with
+# _test.go files included (code that moves into or out of a test file
+# shows only here); CLI flags declared by the tools (cmd/ plus the shared
+# sets: cliobs for every tool, the edge model flags of tsserve/tscluster,
+# the router model flags of tsrouter/tscluster); exported fields of the
+# *Config, *Options and Params structs under internal/, as counted by
+# TestConfigFieldsAreSet, the test that fails on a field nothing but a
+# default or a test sets. A PR that says "no new knob" shows the last two
 # unchanged.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l | sed 's/$$/ lines/'
 	@find . -name '*.go' -not -path './benchmark/*' | xargs cat | wc -l | sed 's/$$/ lines with tests/'
 	@grep -rhoE '\b(flag|fs)\.(Bool|Duration|Float64|Func|Int|Int64|String|Uint|Uint64)?(Var)?\(' --include='*.go' cmd internal/obs/cliobs internal/edge/flags.go internal/fleet/flags.go | wc -l | sed 's/$$/ flags/'
-	@find internal -name '*.go' -not -name '*_test.go' | xargs awk ' \
-		/^type [A-Za-z]*(Config|Options|Params) struct \{/ { s = 1; next } \
-		s && /^}/ { s = 0 } \
-		s && match($$0, /^\t[A-Z][A-Za-z0-9]*(, [A-Z][A-Za-z0-9]*)* /) { f = substr($$0, RSTART, RLENGTH); n += gsub(/,/, ",", f) + 1 } \
-		END { print n " config fields" }'
+	@$(GO) test -run '^TestConfigFieldsAreSet$$' -v . | grep -oE '[0-9]+ config fields$$'
 
 check: vet tools race test loc
 

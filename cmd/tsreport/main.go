@@ -148,6 +148,8 @@ func run(ctx context.Context, o *options, stdin io.Reader, stdout io.Writer) (*c
 	}
 	elapsed := time.Since(start)
 	extra["records"] = results.Records
+	extra["cdn_requests"] = results.CDNStats.Requests
+	extra["elapsed_seconds"] = elapsed.Seconds()
 
 	var tables []*report.Table
 	if tabulate {
@@ -177,9 +179,16 @@ func run(ctx context.Context, o *options, stdin io.Reader, stdout io.Writer) (*c
 	}
 	allPass := true
 	if o.verify {
-		vt, ok := results.VerifyTable()
+		failed := []string{}
+		for _, c := range results.VerifyCalibration() {
+			if !c.Pass {
+				failed = append(failed, c.Name)
+			}
+		}
+		vt, _ := results.VerifyTable()
 		tables = append(tables, vt)
-		allPass = ok
+		allPass = len(failed) == 0
+		extra["verify_pass"], extra["verify_failed"] = allPass, failed
 	}
 	if !o.summary {
 		for _, tab := range tables {
@@ -214,8 +223,6 @@ func run(ctx context.Context, o *options, stdin io.Reader, stdout io.Writer) (*c
 	if !allPass {
 		return results, fmt.Errorf("calibration verification failed (see table above)")
 	}
-	extra["cdn_requests"] = results.CDNStats.Requests
-	extra["elapsed_seconds"] = elapsed.Seconds()
 	return results, sess.Finish(extra)
 }
 

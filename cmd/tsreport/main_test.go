@@ -3,14 +3,18 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"io"
+	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"trafficscope/internal/core"
+	"trafficscope/internal/synth"
 	"trafficscope/internal/trace"
 )
 
@@ -148,6 +152,69 @@ func TestFiguresRefusesVerify(t *testing.T) {
 	_, _, err := tsreport(t, nil, "-figures", "3", "-verify")
 	if err == nil || !strings.Contains(err.Error(), "-figures") {
 		t.Errorf("-figures 3 -verify: err %v, want a refusal naming -figures", err)
+	}
+}
+
+// TestVerifyFailsOnMiscalibratedTrace follows a user who modifies a
+// site profile (tsgen -profiles) and checks the result (tsreport -in
+// -replay -verify): V-1's hourly shape inverted into a typical diurnal
+// one must fail the anti-diurnal check, fail the run, and say so in the
+// run manifest.
+func TestVerifyFailsOnMiscalibratedTrace(t *testing.T) {
+	profiles := synth.DefaultProfiles()
+	for i := range profiles {
+		if profiles[i].Name != "V-1" {
+			continue
+		}
+		var inverted [24]float64
+		for h, v := range profiles[i].HourlyShape {
+			inverted[(h+12)%24] = v
+		}
+		profiles[i].HourlyShape = inverted
+	}
+	g, err := synth.NewGenerator(synth.Config{Seed: 2, Scale: 0.01, Salt: "broken", Sites: profiles})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := g.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path, manifest := filepath.Join(dir, "inverted.tsb"), filepath.Join(dir, "run.json")
+	writeTrace(t, path, recs)
+
+	const check = "V-1 night/day traffic ratio"
+	_, out, err := tsreport(t, nil, "-in", path, "-replay", "-verify", "-scale", "0.01", "-extras=false", "-manifest", manifest)
+	if err == nil || !strings.Contains(err.Error(), "calibration verification failed") {
+		t.Fatalf("err %v, want the calibration verification failure", err)
+	}
+	if !regexp.MustCompile(`(?m)^` + check + ` .* FAIL *$`).MatchString(out) {
+		t.Errorf("the verification table does not FAIL %q:\n%s", check, out)
+	}
+
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Extra struct {
+			Records        *int64   `json:"records"`
+			CDNRequests    *int64   `json:"cdn_requests"`
+			ElapsedSeconds *float64 `json:"elapsed_seconds"`
+			VerifyPass     *bool    `json:"verify_pass"`
+			VerifyFailed   []string `json:"verify_failed"`
+		} `json:"extra"`
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	x := m.Extra
+	if x.Records == nil || x.CDNRequests == nil || *x.CDNRequests != *x.Records || x.ElapsedSeconds == nil {
+		t.Errorf("manifest extra lacks the run's records, CDN requests or elapsed time:\n%s", raw)
+	}
+	if x.VerifyPass == nil || *x.VerifyPass || !slices.Contains(x.VerifyFailed, check) {
+		t.Errorf("manifest extra: verify_pass %v, verify_failed %q; want false and %q among them", x.VerifyPass, x.VerifyFailed, check)
 	}
 }
 

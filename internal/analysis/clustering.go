@@ -239,8 +239,6 @@ type ClusterOptions struct {
 	BandRadius int
 	// Workers parallelizes the distance matrix; default GOMAXPROCS.
 	Workers int
-	// Linkage selects the agglomeration rule; default average linkage.
-	Linkage cluster.Linkage
 }
 
 func (o *ClusterOptions) withDefaults() ClusterOptions {
@@ -259,9 +257,6 @@ func (o *ClusterOptions) withDefaults() ClusterOptions {
 	}
 	if out.Workers < 1 {
 		out.Workers = runtime.GOMAXPROCS(0)
-	}
-	if out.Linkage == 0 {
-		out.Linkage = cluster.LinkageAverage
 	}
 	return out
 }
@@ -299,8 +294,9 @@ type ClusterSummary struct {
 	Spread []float64
 }
 
-// ClusterSeries runs DTW + agglomerative hierarchical clustering over one
-// site and category and extracts cluster mixes and medoids.
+// ClusterSeries runs DTW + average-linkage agglomerative hierarchical
+// clustering over one site and category and extracts cluster mixes and
+// medoids.
 func (s *ObjectSeries) ClusterSeries(site string, cat trace.Category, opts ClusterOptions) (*ClusterResult, error) {
 	o := opts.withDefaults()
 	ids, series := s.SeriesSet(site, cat, o.MinRequests, o.MaxObjects)
@@ -312,7 +308,7 @@ func (s *ObjectSeries) ClusterSeries(site string, cat trace.Category, opts Clust
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %s/%s: dtw: %w", site, cat, err)
 	}
-	dendro, err := cluster.Agglomerative(dist, o.Linkage)
+	dendro, err := cluster.Agglomerative(dist, cluster.LinkageAverage)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %s/%s: clustering: %w", site, cat, err)
 	}

@@ -30,10 +30,6 @@ type Config struct {
 	// chunks as separate objects for the sake of caching"). Zero
 	// defaults to 2 MiB; negative disables chunking.
 	ChunkBytes int64
-	// BrowserTTL is how long a non-incognito browser keeps a cached copy
-	// fresh enough to revalidate with a conditional request (304 path).
-	// Zero defaults to 24h.
-	BrowserTTL time.Duration
 	// IsIncognito reports whether a user browses privately; incognito
 	// users never revalidate (their local cache dies with the window).
 	// nil means everyone is incognito.
@@ -152,8 +148,11 @@ type CDN struct {
 	// (regions start at 1).
 	dcByRegion [timeutil.NumRegions + 1]*DataCenter
 	chunk      int64
-	browserTTL time.Duration
 }
+
+// browserTTL is how long a non-incognito browser keeps a cached copy
+// fresh enough to revalidate with a conditional request (the 304 path).
+const browserTTL = 24 * time.Hour
 
 type browserKey struct {
 	user uint64
@@ -187,13 +186,14 @@ func (cs *clientState) nextSeq(user uint64) uint32 {
 }
 
 // browserCheck reports whether the user's local copy of obj is still
-// fresh at ts; when it is not, the freshness deadline is reset to ts+ttl.
-func (cs *clientState) browserCheck(user, obj uint64, ts time.Time, ttl time.Duration) bool {
+// fresh at ts; when it is not, the freshness deadline is reset to
+// ts+browserTTL.
+func (cs *clientState) browserCheck(user, obj uint64, ts time.Time) bool {
 	bk := browserKey{user: user, obj: obj}
 	if deadline, ok := cs.browser[bk]; ok && ts.Before(deadline) {
 		return true
 	}
-	cs.browser[bk] = ts.Add(ttl)
+	cs.browser[bk] = ts.Add(browserTTL)
 	return false
 }
 
@@ -206,16 +206,11 @@ func New(cfg Config) *CDN {
 	if chunk == 0 {
 		chunk = 2 << 20
 	}
-	ttl := cfg.BrowserTTL
-	if ttl == 0 {
-		ttl = 24 * time.Hour
-	}
 	c := &CDN{
-		cfg:        cfg,
-		dcs:        map[timeutil.Region]*DataCenter{},
-		clients:    newClientState(),
-		chunk:      chunk,
-		browserTTL: ttl,
+		cfg:     cfg,
+		dcs:     map[timeutil.Region]*DataCenter{},
+		clients: newClientState(),
+		chunk:   chunk,
 	}
 	for _, r := range timeutil.AllRegions() {
 		dc := &DataCenter{Region: r, Cache: cfg.NewCache(), PublisherCache: map[string]Cache{}}
@@ -367,7 +362,7 @@ func (c *CDN) serveInto(r, out *trace.Record, clients *clientState) {
 		incognito = c.cfg.IsIncognito(r.Publisher, r.UserID)
 	}
 	if !incognito && !isVideo {
-		if clients.browserCheck(r.UserID, r.ObjectID, r.Timestamp, c.browserTTL) {
+		if clients.browserCheck(r.UserID, r.ObjectID, r.Timestamp) {
 			out.StatusCode = StatusNotModified
 			out.BytesServed = 0
 			// The CDN still consults its cache for the validator.

@@ -115,7 +115,6 @@ func TestServeRegionalIsolation(t *testing.T) {
 func TestServe304ForReturningNonIncognitoUser(t *testing.T) {
 	c := New(Config{
 		ChunkBytes:  -1,
-		BrowserTTL:  time.Hour,
 		IsIncognito: func(string, uint64) bool { return false },
 	})
 	r := imageReq(1, 100, 1000, t0)
@@ -131,8 +130,8 @@ func TestServe304ForReturningNonIncognitoUser(t *testing.T) {
 	if got.BytesServed != 0 {
 		t.Errorf("304 must carry no body, got %d bytes", got.BytesServed)
 	}
-	// After browser TTL expiry: full 200 again.
-	late := imageReq(1, 100, 1000, t0.Add(2*time.Hour))
+	// After the browser's 24 h freshness lapses: full 200 again.
+	late := imageReq(1, 100, 1000, t0.Add(25*time.Hour))
 	if got := c.Serve(late).StatusCode; got != StatusOK {
 		t.Errorf("stale browser copy status = %d, want 200", got)
 	}
@@ -181,6 +180,13 @@ func TestServeErrorCodes(t *testing.T) {
 	other.FileType = trace.FileJS
 	if got := c3.Serve(other).StatusCode; got != StatusNoContent {
 		t.Errorf("204 path: %d", got)
+	}
+	// At zero rates, the live edge's, no error path is ever taken.
+	c0 := New(Config{})
+	for _, r := range []*trace.Record{imageReq(4, 1, 100, t0), videoReq(4, 2, 1000, 500, t0), other} {
+		if got := c0.Serve(r).StatusCode; got != StatusOK && got != StatusPartialContent {
+			t.Errorf("zero rates, %s request: %d", r.FileType, got)
+		}
 	}
 }
 

@@ -190,7 +190,8 @@ func (rc recordingCache) Access(key uint64, size int64, now time.Time) bool {
 // user keeps to one object, so the rejection dice — a function of
 // (object, user, sequence number) and the category — give the same
 // verdict at a given sequence number whichever of the user's requests
-// holds it.
+// holds it. Requests are 72 s apart, so the browser cache's 24 h
+// freshness lapses every 1200 requests.
 func linearRecords(n int) []*trace.Record {
 	regions := timeutil.AllRegions()
 	recs := make([]*trace.Record, n)
@@ -198,7 +199,7 @@ func linearRecords(n int) []*trace.Record {
 		user := uint64(i*7) % 60
 		kind := user % 4
 		r := &trace.Record{
-			Timestamp: t0.Add(time.Duration(i) * time.Second),
+			Timestamp: t0.Add(time.Duration(i) * 72 * time.Second),
 			ObjectID:  100*kind + user/4%5,
 			UserID:    user,
 			Region:    regions[i/3%len(regions)],
@@ -236,7 +237,6 @@ func TestConcurrentServeLinearizable(t *testing.T) {
 			NewCache:        lru(12 << 20),
 			PublisherCaches: map[string]func() Cache{"P-1": lru(192 << 10)},
 			ChunkBytes:      2 << 20,
-			BrowserTTL:      20 * time.Minute,
 			IsIncognito:     func(_ string, userID uint64) bool { return userID%3 == 0 },
 			P403:            0.04,
 			P416:            0.05,

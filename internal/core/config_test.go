@@ -3,68 +3,18 @@ package core
 import (
 	"strings"
 	"testing"
-
-	"trafficscope/internal/analysis"
-	"trafficscope/internal/trace"
 )
 
-// TestRateOrDefault pins the error-rate convention: zero means "use the
-// paper-plausible default", negative means "disabled".
-func TestRateOrDefault(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if cfg.P403 != 0.008 || cfg.P416 != 0.002 || cfg.P204 != 0.05 {
-		t.Errorf("zero rates should default: got P403=%v P416=%v P204=%v",
-			cfg.P403, cfg.P416, cfg.P204)
-	}
-	cfg = Config{P403: -1, P416: -0.5, P204: -1e-9}.withDefaults()
-	if cfg.P403 != 0 || cfg.P416 != 0 || cfg.P204 != 0 {
-		t.Errorf("negative rates should disable: got P403=%v P416=%v P204=%v",
-			cfg.P403, cfg.P416, cfg.P204)
-	}
-	cfg = Config{P403: 0.1, P416: 0.2, P204: 0.3}.withDefaults()
-	if cfg.P403 != 0.1 || cfg.P416 != 0.2 || cfg.P204 != 0.3 {
-		t.Errorf("positive rates should pass through: got P403=%v P416=%v P204=%v",
-			cfg.P403, cfg.P416, cfg.P204)
-	}
-}
-
 // TestClusterWorkersInherit: -workers reaches the Fig. 8-10 distance
-// matrix through Config.Workers unless the clustering names its own.
+// matrix through Config.Workers.
 func TestClusterWorkersInherit(t *testing.T) {
-	for _, tc := range []struct {
-		study, cluster, want int
-	}{{1, 0, 1}, {3, 0, 3}, {0, 0, 0}, {1, 4, 4}} {
-		study, err := NewStudy(Config{Workers: tc.study, Cluster: analysis.ClusterOptions{Workers: tc.cluster}})
+	for _, workers := range []int{1, 3, 0} {
+		study, err := NewStudy(Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := study.newResults(study.newFold()).ClusterOpts.Workers; got != tc.want {
-			t.Errorf("Config.Workers %d, Cluster.Workers %d: clustering runs on %d, want %d",
-				tc.study, tc.cluster, got, tc.want)
-		}
-	}
-}
-
-// TestDisabledErrorRates runs a study with every error path disabled and
-// checks the replayed trace carries no synthetic error codes.
-func TestDisabledErrorRates(t *testing.T) {
-	study, err := NewStudy(Config{Seed: 9, Scale: 0.002, P403: -1, P416: -1, P204: -1, Figures: []int{16}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := study.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, site := range r.Caching().Sites() {
-		for _, cat := range trace.AllCategories() {
-			codes := r.Caching().ResponseCodes(site, cat)
-			for _, code := range []int{403, 416, 204} {
-				if codes[code] != 0 {
-					t.Errorf("%s %s: %d responses with code %d despite disabled rate",
-						site, cat, codes[code], code)
-				}
-			}
+		if got := study.newResults(study.newFold()).ClusterOpts.Workers; got != workers {
+			t.Errorf("Config.Workers %d: clustering runs on %d", workers, got)
 		}
 	}
 }

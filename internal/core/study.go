@@ -27,16 +27,6 @@ type Config struct {
 	Scale float64
 	// Salt feeds ID anonymization.
 	Salt string
-	// Sites overrides the study sites; nil uses the five calibrated
-	// profiles.
-	Sites []synth.SiteProfile
-	// NewCache builds each data center's edge cache; nil defaults to a
-	// capacity sized relative to Scale so hit ratios stay in the paper's
-	// regime across scales.
-	NewCache func() cdn.Cache
-	// ChunkBytes is the CDN's video chunk size (0 = 2 MiB default,
-	// negative disables chunking).
-	ChunkBytes int64
 	// SessionTimeout is the session boundary gap; zero uses the paper's
 	// 10 minutes.
 	SessionTimeout time.Duration
@@ -46,11 +36,8 @@ type Config struct {
 	// based estimators (see analysis.Params.MemoryBudget for the error
 	// model). Use this to run full-scale studies in bounded memory.
 	MemoryBudget int
-	// Cluster configures the Fig. 8-10 DTW clustering; its Workers, left
-	// zero, is this Config's.
-	Cluster analysis.ClusterOptions
-	// Workers parallelizes the analysis pass and the clustering's
-	// distance matrix; < 1 means GOMAXPROCS.
+	// Workers parallelizes the analysis pass and the Fig. 8-10
+	// clustering's distance matrix; < 1 means GOMAXPROCS.
 	Workers int
 	// Figures restricts which analyses run: only analyzers covering at
 	// least one of the listed paper figures are constructed and folded,
@@ -58,37 +45,9 @@ type Config struct {
 	// DTW series. nil (or empty) runs every registered analysis.
 	// NewStudy rejects figure numbers no analyzer covers.
 	Figures []int
-	// P403, P416 and P204 are the CDN's error-path rates. Zero means
-	// "default" (0.8%, 0.2% and 5% — small paper-plausible rates); to
-	// actually disable an error path, pass a negative value.
-	P403, P416, P204 float64
 	// Metrics receives live telemetry from the CDN replay and the
 	// analysis pipeline. nil disables instrumentation.
 	Metrics *obs.Registry
-}
-
-// rateOrDefault resolves the zero-value ambiguity of the error-path
-// rates: zero means "use the default", negative means "disabled" (the
-// replay then never takes that error path).
-func rateOrDefault(v, def float64) float64 {
-	switch {
-	case v == 0:
-		return def
-	case v < 0:
-		return 0
-	default:
-		return v
-	}
-}
-
-func (c Config) withDefaults() Config {
-	if c.Scale == 0 {
-		c.Scale = 0.01
-	}
-	c.P403 = rateOrDefault(c.P403, 0.008)
-	c.P416 = rateOrDefault(c.P416, 0.002)
-	c.P204 = rateOrDefault(c.P204, 0.05)
-	return c
 }
 
 // Study is a configured end-to-end reproduction run.
@@ -100,7 +59,9 @@ type Study struct {
 
 // NewStudy validates the config and builds the trace generator.
 func NewStudy(cfg Config) (*Study, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Scale == 0 {
+		cfg.Scale = 0.01
+	}
 	descs, err := analysis.ForFigures(cfg.Figures)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -108,7 +69,6 @@ func NewStudy(cfg Config) (*Study, error) {
 	gen, err := synth.NewGenerator(synth.Config{
 		Seed:  cfg.Seed,
 		Scale: cfg.Scale,
-		Sites: cfg.Sites,
 		Salt:  cfg.Salt,
 	})
 	if err != nil {
@@ -213,54 +173,41 @@ func (s *Study) newFold() *analysis.Fold { return analysis.NewFold(s.descs, s.pa
 
 // newResults assembles a Results from a folded accumulator.
 func (s *Study) newResults(f *analysis.Fold) *Results {
-	opts := s.cfg.Cluster
-	if opts.Workers == 0 {
-		opts.Workers = s.cfg.Workers
-	}
 	return &Results{
 		Week:        s.gen.Week(),
 		Records:     f.Records(),
-		ClusterOpts: opts,
+		ClusterOpts: analysis.ClusterOptions{Workers: s.cfg.Workers},
 		analyzers:   f.Analyzers(),
 		scale:       s.cfg.Scale,
 	}
 }
 
 // NewCDN builds the study's CDN simulator, wired to the generator's
-// incognito model.
+// incognito model. Every data center runs a small/large split LRU (the
+// configuration commercial CDNs run and the paper's §IV-B
+// recommendation) over the CDN's 2 MiB video chunks. Separating sub-1MB
+// objects stops video chunk churn from flushing frequently re-used
+// images, reproducing the paper's image-over-video hit-ratio asymmetry;
+// capacities scale with the working set so cache pressure — and with it
+// the Fig. 15 hit-ratio spread — stays in the paper's regime at any
+// Scale. The error paths run at small paper-plausible rates: 0.8 % of
+// requests rejected (403), 0.2 % of video ranges malformed (416), 5 % of
+// "other" requests beacons (204).
 func (s *Study) NewCDN() *cdn.CDN {
-	newCache := s.cfg.NewCache
-	if newCache == nil {
-		// Default edge cache: a small/large split LRU (the configuration
-		// commercial CDNs run and the paper's §IV-B recommendation).
-		// Separating sub-1MB objects stops video chunk churn from
-		// flushing frequently re-used images, reproducing the paper's
-		// image-over-video hit-ratio asymmetry; capacities scale with
-		// the working set so cache pressure — and with it the Fig. 15
-		// hit-ratio spread — stays in the paper's regime at any Scale.
-		smallCap := int64(float64(1<<30) * s.cfg.Scale * 10)
-		largeCap := int64(float64(11<<30) * s.cfg.Scale * 10)
-		if smallCap < 16<<20 {
-			smallCap = 16 << 20
-		}
-		if largeCap < 128<<20 {
-			largeCap = 128 << 20
-		}
-		newCache = func() cdn.Cache {
+	smallCap := max(int64(float64(1<<30)*s.cfg.Scale*10), 16<<20)
+	largeCap := max(int64(float64(11<<30)*s.cfg.Scale*10), 128<<20)
+	return cdn.New(cdn.Config{
+		NewCache: func() cdn.Cache {
 			c, err := cdn.NewSplitCache(cdn.NewLRU(smallCap), cdn.NewLRU(largeCap), 1<<20)
 			if err != nil {
 				panic(err) // static parameters; cannot fail
 			}
 			return c
-		}
-	}
-	return cdn.New(cdn.Config{
-		NewCache:    newCache,
-		ChunkBytes:  s.cfg.ChunkBytes,
+		},
 		IsIncognito: s.gen.IsIncognito,
-		P403:        s.cfg.P403,
-		P416:        s.cfg.P416,
-		P204:        s.cfg.P204,
+		P403:        0.008,
+		P416:        0.002,
+		P204:        0.05,
 		Metrics:     s.cfg.Metrics,
 	})
 }

@@ -22,9 +22,10 @@ type Check struct {
 
 // VerifyCalibration evaluates the headline paper claims against the
 // results and returns one Check per claim. It is the programmatic
-// counterpart of the integration test suite, intended for downstream
-// users validating a modified configuration (new profiles, policies,
-// scales) against the paper's shape.
+// counterpart of the integration test suite and of tsreport -verify. To
+// validate modified site profiles against the paper's shape, write a
+// trace from them (tsgen -profiles) and run tsreport -in <trace>
+// -replay -verify, which exits 1 when a check fails.
 func (r *Results) VerifyCalibration() []Check {
 	var checks []Check
 	add := func(name, paper string, measured string, pass bool) {

@@ -3,8 +3,6 @@ package core
 import (
 	"strings"
 	"testing"
-
-	"trafficscope/internal/synth"
 )
 
 func TestVerifyCalibrationAllPass(t *testing.T) {
@@ -28,41 +26,5 @@ func TestVerifyCalibrationAllPass(t *testing.T) {
 	s := tab.String()
 	if !strings.Contains(s, "PASS") || !strings.Contains(s, "V-1") {
 		t.Errorf("table rendering:\n%s", s)
-	}
-}
-
-func TestVerifyCalibrationDetectsBrokenConfig(t *testing.T) {
-	// Invert V-1's hourly shape (make it typically-diurnal, peaking in
-	// the evening); the anti-diurnal check must flag it.
-	profiles := synth.DefaultProfiles()
-	for i := range profiles {
-		if profiles[i].Name != "V-1" {
-			continue
-		}
-		var inverted [24]float64
-		for h, v := range profiles[i].HourlyShape {
-			inverted[(h+12)%24] = v
-		}
-		profiles[i].HourlyShape = inverted
-	}
-	study, err := NewStudy(Config{Seed: 2, Scale: 0.01, Salt: "broken", Sites: profiles})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := study.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	failed := false
-	for _, c := range r.VerifyCalibration() {
-		if c.Name == "V-1 night/day traffic ratio" && !c.Pass {
-			failed = true
-		}
-	}
-	if !failed {
-		t.Error("verifier did not flag the inverted V-1 hourly shape")
-	}
-	if _, allPass := r.VerifyTable(); allPass {
-		t.Error("VerifyTable should report overall failure")
 	}
 }

@@ -115,15 +115,20 @@ func cacheFactory(policy string, capacity int64, shards int) (func() cdn.Cache, 
 
 // parsePublisherCaches parses "site=bytes,site=bytes" into dedicated
 // cache partitions using the same eviction policy as the default cache.
+// A site may be named once.
 func parsePublisherCaches(spec, policy string) (map[string]func() cdn.Cache, error) {
 	if spec == "" {
 		return nil, nil
 	}
 	out := map[string]func() cdn.Cache{}
 	for _, part := range strings.Split(spec, ",") {
-		site, sizeStr, ok := strings.Cut(strings.TrimSpace(part), "=")
+		site, sizeStr, ok := strings.Cut(part, "=")
+		site, sizeStr = strings.TrimSpace(site), strings.TrimSpace(sizeStr)
 		if !ok || site == "" {
 			return nil, fmt.Errorf("bad -publisher-caches entry %q (want site=bytes)", part)
+		}
+		if out[site] != nil {
+			return nil, fmt.Errorf("bad -publisher-caches: site %q appears twice", site)
 		}
 		size, err := strconv.ParseInt(sizeStr, 10, 64)
 		if err != nil {

@@ -44,20 +44,16 @@ type CollectorConfig struct {
 	// Interval is the polling period for Run; zero defaults to
 	// DefaultCollectInterval.
 	Interval time.Duration
-	// Timeout bounds one backend poll (all three endpoints together);
-	// zero defaults to DefaultCollectTimeout.
-	Timeout time.Duration
-	// Client issues poll requests; nil uses http.DefaultClient.
-	Client *http.Client
 	// Logf receives poll-failure log lines; nil silences them.
 	Logf func(format string, args ...any)
 }
 
-// Collector defaults.
-const (
-	DefaultCollectInterval = time.Second
-	DefaultCollectTimeout  = 5 * time.Second
-)
+// DefaultCollectInterval is the Collector's polling period when
+// CollectorConfig.Interval is zero.
+const DefaultCollectInterval = time.Second
+
+// collectTimeout bounds one backend poll (all three endpoints together).
+const collectTimeout = 5 * time.Second
 
 // Collector polls every backend's /stats, /slo and /metrics and serves
 // merged cluster views on the same endpoints: tsgate judges the whole
@@ -69,8 +65,7 @@ const (
 // /stats already has. After traffic stops, the next poll converges on
 // exact totals.
 type Collector struct {
-	cfg    CollectorConfig
-	client *http.Client
+	cfg CollectorConfig
 
 	mu      sync.RWMutex
 	polled  bool // at least one poll completed
@@ -89,14 +84,7 @@ func NewCollector(cfg CollectorConfig) (*Collector, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultCollectInterval
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = DefaultCollectTimeout
-	}
-	c := &Collector{cfg: cfg, client: cfg.Client}
-	if c.client == nil {
-		c.client = http.DefaultClient
-	}
-	return c, nil
+	return &Collector{cfg: cfg}, nil
 }
 
 // Run polls all backends every Interval until ctx is cancelled. One
@@ -110,7 +98,7 @@ func (c *Collector) Run(ctx context.Context) {
 		case <-ctx.Done():
 			// Backends drain before they exit; a last poll (with a fresh
 			// context — ctx is already dead) snapshots their final totals.
-			fctx, cancel := context.WithTimeout(context.Background(), c.cfg.Timeout)
+			fctx, cancel := context.WithTimeout(context.Background(), collectTimeout)
 			c.PollOnce(fctx)
 			cancel()
 			return
@@ -139,7 +127,7 @@ func (c *Collector) PollOnce(ctx context.Context) {
 		wg.Add(1)
 		go func(i int, b *Backend) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
+			pctx, cancel := context.WithTimeout(ctx, collectTimeout)
 			defer cancel()
 			polls[i] = c.pollBackend(pctx, b)
 		}(i, b)
@@ -224,7 +212,7 @@ func (c *Collector) get(ctx context.Context, url string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -48,10 +48,6 @@ type RouterConfig struct {
 	FailAfter int
 	// Metrics receives fleet_* routing telemetry. nil disables it.
 	Metrics *obs.Registry
-	// Transport carries proxy and probe requests, one RoundTrip each: a
-	// backend's redirect is relayed, never followed. nil builds a pooled
-	// transport.
-	Transport http.RoundTripper
 	// Logf receives eviction/recovery log lines; nil silences them.
 	Logf func(format string, args ...any)
 }
@@ -69,6 +65,9 @@ const (
 // hash order when a backend dies mid-request.
 type Router struct {
 	cfg RouterConfig
+	// rt carries proxy and probe requests, one RoundTrip each: a
+	// backend's redirect is relayed, never followed.
+	rt http.RoundTripper
 
 	// regionSet[r] lists the backends owning region r; regionRing[r] is
 	// a consistent-hash ring over that list (nil when one backend owns
@@ -120,10 +119,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.FailAfter <= 0 {
 		cfg.FailAfter = DefaultFailAfter
 	}
-	if cfg.Transport == nil {
-		cfg.Transport = internalTransport()
-	}
-	r := &Router{cfg: cfg}
+	r := &Router{cfg: cfg, rt: internalTransport()}
 	for _, b := range cfg.Backends {
 		if len(b.Regions) == 0 {
 			return nil, errors.New("fleet: backend " + b.Name + " owns no regions")
@@ -216,7 +212,7 @@ func (r *Router) probeLoop(ctx context.Context, b *Backend) {
 }
 
 func (r *Router) probeOnce(ctx context.Context, b *Backend) bool {
-	resp, err := roundTrip(ctx, r.cfg.Transport, http.MethodGet, b.URL+"/healthz")
+	resp, err := roundTrip(ctx, r.rt, http.MethodGet, b.URL+"/healthz")
 	if err != nil {
 		return false
 	}
@@ -349,7 +345,7 @@ var proxyBufPool = sync.Pool{New: func() any { b := make([]byte, 32<<10); return
 // elsewhere); any received HTTP response — success or failure — is
 // relayed as-is (a redirect too, not followed) and ends routing.
 func (r *Router) proxy(w http.ResponseWriter, req *http.Request, b *Backend) bool {
-	resp, err := roundTrip(req.Context(), r.cfg.Transport, req.Method, b.URL+req.URL.RequestURI())
+	resp, err := roundTrip(req.Context(), r.rt, req.Method, b.URL+req.URL.RequestURI())
 	if err != nil {
 		// The client giving up must not count against the backend; report
 		// "handled" so the caller doesn't retry a request nobody wants.

@@ -35,9 +35,6 @@ type ShieldConfig struct {
 	// OriginLatency + n/OriginBandwidth. Zero values mean free.
 	OriginLatency   time.Duration
 	OriginBandwidth int64
-	// ProbeTimeout bounds one peer probe; zero defaults to
-	// DefaultShieldProbeTimeout.
-	ProbeTimeout time.Duration
 	// Metrics receives fleet_shield_* telemetry. nil disables it.
 	Metrics *obs.Registry
 	// Transport carries peer probes, one RoundTrip each; nil builds a
@@ -47,9 +44,8 @@ type ShieldConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// DefaultShieldProbeTimeout bounds one peer probe when
-// ShieldConfig.ProbeTimeout is zero.
-const DefaultShieldProbeTimeout = 2 * time.Second
+// shieldProbeTimeout bounds one peer probe.
+const shieldProbeTimeout = 2 * time.Second
 
 // Shield is the origin-shield fill tier. Mount with Register; backends
 // point their edge.Config.ShieldURL here.
@@ -71,9 +67,6 @@ type Shield struct {
 
 // NewShield builds a Shield.
 func NewShield(cfg ShieldConfig) *Shield {
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = DefaultShieldProbeTimeout
-	}
 	if cfg.Transport == nil {
 		cfg.Transport = internalTransport()
 	}
@@ -199,7 +192,7 @@ func (s *Shield) resolve(rec *trace.Record, from, uri string) cdn.FillResult {
 func (s *Shield) probePeer(b *Backend, uri string) (ok bool, err error) {
 	// Detached from the requester's context by design: the leader's
 	// resolution outlives any one requester.
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), shieldProbeTimeout)
 	defer cancel()
 	resp, err := roundTrip(ctx, s.cfg.Transport, http.MethodHead, b.URL+uri)
 	if err != nil {

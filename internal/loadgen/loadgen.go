@@ -37,7 +37,8 @@ type Config struct {
 	// records dispatch as fast as the workers can send them.
 	Speedup float64
 	// Workers is the request worker pool size. Zero defaults to
-	// 2*GOMAXPROCS.
+	// 2*GOMAXPROCS. The scheduler hands the pool records through a
+	// buffer of 4*Workers.
 	Workers int
 	// Timeout bounds each attempt, from the send to the last body byte
 	// (redirect hops included). Zero defaults to 10s.
@@ -55,9 +56,6 @@ type Config struct {
 	// Backoff is the initial retry backoff, doubling per attempt. Zero
 	// defaults to 20ms.
 	Backoff time.Duration
-	// QueueDepth bounds the scheduler→worker dispatch buffer. Zero
-	// defaults to 4*Workers.
-	QueueDepth int
 	// Client supplies the transport requests go out on; only its
 	// Transport is used, and one client may serve any number of runs. nil
 	// (or a nil Transport) builds a keep-alive transport sized to the
@@ -306,9 +304,6 @@ func Run(ctx context.Context, cfg Config, r trace.Reader) (*Stats, error) {
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 20 * time.Millisecond
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.Workers
-	}
 	if cfg.MaxRedirects == 0 {
 		cfg.MaxRedirects = DefaultMaxRedirects
 	}
@@ -338,7 +333,9 @@ func Run(ctx context.Context, cfg Config, r trace.Reader) (*Stats, error) {
 		redirC:   reg.Counter("loadgen_redirects_total"),
 	}
 
-	jobs := make(chan job, cfg.QueueDepth)
+	// The scheduler may run up to four records per worker ahead of the
+	// pool, so a worker never idles between one record and the next.
+	jobs := make(chan job, 4*cfg.Workers)
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Workers; i++ {
 		wg.Add(1)

@@ -23,14 +23,14 @@ type Accumulator[T any] interface {
 	Merge(T)
 }
 
+// batchSize is the number of records handed to a worker at once.
+const batchSize = 1024
+
 // Options configures a Run.
 type Options struct {
 	// Workers is the parallelism degree; values < 1 default to
 	// GOMAXPROCS.
 	Workers int
-	// BatchSize is the number of records handed to a worker at once;
-	// values < 1 default to 1024.
-	BatchSize int
 	// Metrics receives live pipeline telemetry (batches/records
 	// dispatched, per-batch fold time, queue depth, backpressure
 	// stalls). nil — the default — disables instrumentation; the hot
@@ -43,7 +43,7 @@ type Options struct {
 //
 // Batch slices are recycled through a sync.Pool: workers hand their
 // batch back after folding it, so steady-state runs allocate a bounded
-// set of batch backing arrays instead of one per 1024 records.
+// set of batch backing arrays instead of one per batchSize records.
 //
 // On a mid-stream read error the run aborts promptly: queued batches
 // are abandoned (their accumulators would be discarded anyway), workers
@@ -53,7 +53,7 @@ func Run[T Accumulator[T]](r trace.Reader, newAcc func() T, opts Options) (T, er
 	s := NewSink(newAcc, opts)
 	for {
 		// Blocks are read straight into the batch a worker will fold.
-		n, err := trace.ReadBlock(r, s.batch[:s.batchSize])
+		n, err := trace.ReadBlock(r, s.batch[:batchSize])
 		if err != nil && !errors.Is(err, io.EOF) {
 			// Skip the final flush after a read error: the run's result
 			// is discarded, so folding the partial batch would be wasted

@@ -39,7 +39,7 @@ func TestRunCount(t *testing.T) {
 	for _, workers := range []int{0, 1, 4, 16} {
 		recs := makeRecords(5000)
 		got, err := Run(trace.NewSliceReader(recs), func() *Count { return &Count{} },
-			Options{Workers: workers, BatchSize: 64})
+			Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestRunMergeMatchesSequential(t *testing.T) {
 	for _, r := range recs {
 		seq.Add(r)
 	}
-	par, err := Run(trace.NewSliceReader(recs), newPerPublisher, Options{Workers: 8, BatchSize: 17})
+	par, err := Run(trace.NewSliceReader(recs), newPerPublisher, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +84,17 @@ func TestRunMergeMatchesSequential(t *testing.T) {
 	}
 }
 
+// failingReader yields n copies of one record, then fails.
 type failingReader struct{ n int }
+
+var failingRecord = makeRecords(1)[0]
 
 func (f *failingReader) Read(rec *trace.Record) error {
 	if f.n <= 0 {
 		return errors.New("disk on fire")
 	}
 	f.n--
-	*rec = *makeRecords(1)[0]
+	*rec = *failingRecord
 	return nil
 }
 
@@ -122,7 +125,7 @@ func TestRunEmptyInput(t *testing.T) {
 func TestRunSkipsPartialBatchOnError(t *testing.T) {
 	var n int64
 	_, err := Run(&failingReader{n: 10}, func() atomicCount { return atomicCount{n: &n} },
-		Options{Workers: 2, BatchSize: 1024})
+		Options{Workers: 2})
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -133,17 +136,18 @@ func TestRunSkipsPartialBatchOnError(t *testing.T) {
 
 // After a mid-stream read error the run is abandoned: the partial batch
 // is never dispatched, and queued batches are skipped. Whatever a worker
-// was already folding may complete, so anywhere from 0 to 8 of the
-// pre-error records fold — but never the 2 from the partial batch.
+// was already folding may complete, so anywhere from none to both full
+// batches of the pre-error records fold — but never the 2 records of the
+// partial batch.
 func TestRunErrorDropsPartialAndQueuedBatches(t *testing.T) {
 	var n int64
-	_, err := Run(&failingReader{n: 10}, func() atomicCount { return atomicCount{n: &n} },
-		Options{Workers: 2, BatchSize: 4})
+	_, err := Run(&failingReader{n: 2*batchSize + 2}, func() atomicCount { return atomicCount{n: &n} },
+		Options{Workers: 2})
 	if err == nil {
 		t.Fatal("want error")
 	}
-	if got := atomic.LoadInt64(&n); got > 8 {
-		t.Errorf("folded %d records, want at most the 8 from the two full batches", got)
+	if got := atomic.LoadInt64(&n); got > 2*batchSize {
+		t.Errorf("folded %d records, want at most the %d from the two full batches", got, 2*batchSize)
 	}
 }
 
@@ -164,16 +168,15 @@ func (s slowCount) Merge(slowCount)   {}
 // the in-flight batches only.
 func TestRunAbandonsQueuedBatchesOnError(t *testing.T) {
 	const (
-		workers   = 4
-		batchSize = 64
-		// 8 full batches fill the workers and the queue; the 513th read
+		workers = 4
+		// 8 full batches fill the workers and the queue; the next read
 		// returns the error before a 9th batch forms.
 		preError = 2 * workers * batchSize
 	)
 	var n int64
 	_, err := Run(&failingReader{n: preError},
-		func() slowCount { return slowCount{n: &n, delay: 500 * time.Microsecond} },
-		Options{Workers: workers, BatchSize: batchSize})
+		func() slowCount { return slowCount{n: &n, delay: 100 * time.Microsecond} },
+		Options{Workers: workers})
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -184,20 +187,22 @@ func TestRunAbandonsQueuedBatchesOnError(t *testing.T) {
 	}
 }
 
-// Run with a Metrics registry reports dispatched batches and records.
+// Run with a Metrics registry reports dispatched batches and records:
+// seven full batches and a partial one.
 func TestRunReportsMetrics(t *testing.T) {
+	const records = 7*batchSize + 1000
 	reg := obs.NewRegistry()
-	recs := makeRecords(1000)
+	recs := makeRecords(records)
 	got, err := Run(trace.NewSliceReader(recs), func() *Count { return &Count{} },
-		Options{Workers: 3, BatchSize: 128, Metrics: reg})
+		Options{Workers: 3, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.N != 1000 {
+	if got.N != records {
 		t.Fatalf("N = %d", got.N)
 	}
-	if v := reg.Counter("pipeline_records_total").Value(); v != 1000 {
-		t.Errorf("pipeline_records_total = %d, want 1000", v)
+	if v := reg.Counter("pipeline_records_total").Value(); v != records {
+		t.Errorf("pipeline_records_total = %d, want %d", v, records)
 	}
 	if v := reg.Counter("pipeline_batches_total").Value(); v != 8 {
 		t.Errorf("pipeline_batches_total = %d, want 8", v)
@@ -221,7 +226,7 @@ func TestRunOverParallelReaderMatchesGenerate(t *testing.T) {
 	}
 	r := g.ParallelReader(synth.ParallelOptions{Workers: 4})
 	defer r.Close()
-	got, err := Run(r, func() *Count { return &Count{} }, Options{Workers: 2, BatchSize: 256})
+	got, err := Run(r, func() *Count { return &Count{} }, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,22 +235,23 @@ func TestRunOverParallelReaderMatchesGenerate(t *testing.T) {
 	}
 }
 
-// atomicCount verifies every record is delivered exactly once even with
-// tiny batches and many workers.
+// atomicCount verifies every record is delivered exactly once across
+// many batches and workers.
 type atomicCount struct{ n *int64 }
 
 func (a atomicCount) Add(*trace.Record) { atomic.AddInt64(a.n, 1) }
 func (a atomicCount) Merge(atomicCount) {}
 
 func TestRunExactlyOnceDelivery(t *testing.T) {
+	const records = 20*batchSize + 999
 	var n int64
-	recs := makeRecords(999)
+	recs := makeRecords(records)
 	_, err := Run(trace.NewSliceReader(recs), func() atomicCount { return atomicCount{n: &n} },
-		Options{Workers: 7, BatchSize: 1})
+		Options{Workers: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 999 {
-		t.Errorf("delivered %d records, want 999", n)
+	if n != records {
+		t.Errorf("delivered %d records, want %d", n, records)
 	}
 }

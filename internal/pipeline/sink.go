@@ -24,13 +24,12 @@ import (
 // value), so producers may reuse one scratch record for the whole stream
 // — the fill-in Reader/replay contract — while workers fold concurrently.
 type Sink[T Accumulator[T]] struct {
-	batchSize int
-	batches   chan []trace.Record
-	pool      sync.Pool
-	accs      []T
-	wg        sync.WaitGroup
-	batch     []trace.Record
-	done      bool
+	batches chan []trace.Record
+	pool    sync.Pool
+	accs    []T
+	wg      sync.WaitGroup
+	batch   []trace.Record
+	done    bool
 
 	// aborted tells workers to recycle queued batches unprocessed; set
 	// by Abort when the producer fails and the result will be discarded.
@@ -50,14 +49,8 @@ func NewSink[T Accumulator[T]](newAcc func() T, opts Options) *Sink[T] {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	batchSize := opts.BatchSize
-	if batchSize < 1 {
-		batchSize = 1024
-	}
-
 	m := opts.Metrics
 	s := &Sink[T]{
-		batchSize:    batchSize,
 		batches:      make(chan []trace.Record, workers),
 		accs:         make([]T, workers),
 		batchesTotal: m.Counter("pipeline_batches_total"),
@@ -130,7 +123,7 @@ func (s *Sink[T]) dispatch(batch []trace.Record) {
 // replay sink directly.
 func (s *Sink[T]) Feed(rec *trace.Record) error {
 	s.batch = append(s.batch, *rec)
-	if len(s.batch) == s.batchSize {
+	if len(s.batch) == batchSize {
 		s.dispatch(s.batch)
 		s.batch = (*s.pool.Get().(*[]trace.Record))[:0]
 	}

@@ -32,7 +32,7 @@ func sinkTestRecords(n int) []*trace.Record {
 func TestSinkMatchesRun(t *testing.T) {
 	recs := sinkTestRecords(2500)
 	for _, workers := range []int{1, 4} {
-		opts := Options{Workers: workers, BatchSize: 64}
+		opts := Options{Workers: workers}
 		want, err := Run(trace.NewSliceReader(recs), func() *Count { return &Count{} }, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -66,8 +66,8 @@ func TestSinkEmptyClose(t *testing.T) {
 // was dispatched before the abort.
 func TestSinkAbortDiscards(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := NewSink(func() *Count { return &Count{} }, Options{Workers: 2, BatchSize: 8, Metrics: reg})
-	for _, r := range sinkTestRecords(100) {
+	s := NewSink(func() *Count { return &Count{} }, Options{Workers: 2, Metrics: reg})
+	for _, r := range sinkTestRecords(3*batchSize + 100) {
 		s.Feed(r)
 	}
 	s.Abort() // must not deadlock or panic

@@ -23,9 +23,6 @@ type Config struct {
 	// Scale multiplies the paper-reported object and request counts;
 	// 1.0 is full paper scale, 0.01 is a laptop-friendly default.
 	Scale float64
-	// Week is the observation window; a zero value defaults to the week
-	// starting Saturday 2015-10-03 (matching the paper's Sat-Fri axes).
-	Week timeutil.Week
 	// Sites lists the site profiles to generate; nil means
 	// DefaultProfiles().
 	Sites []SiteProfile
@@ -33,9 +30,9 @@ type Config struct {
 	Salt string
 }
 
-// DefaultWeekStart is the default trace window start (a Saturday,
-// matching the paper's figure axes).
-var DefaultWeekStart = time.Date(2015, 10, 3, 0, 0, 0, 0, time.UTC)
+// week is the observation window of every generated trace: the week
+// starting Saturday 2015-10-03, matching the paper's Sat-Fri axes.
+var week = timeutil.NewWeek(time.Date(2015, 10, 3, 0, 0, 0, 0, time.UTC))
 
 // Generator produces synthetic traces. Create one with NewGenerator.
 //
@@ -63,14 +60,6 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	}
 	if cfg.Scale < 0 {
 		return nil, fmt.Errorf("synth: negative scale %v", cfg.Scale)
-	}
-	if cfg.Week.Start.IsZero() {
-		cfg.Week = timeutil.NewWeek(DefaultWeekStart)
-	}
-	// The parallel merge keys records by UnixNano, which is defined from
-	// 1678 to 2262.
-	if y := cfg.Week.Start.Year(); y < 1700 || y > 2200 {
-		return nil, fmt.Errorf("synth: week starting %s: year outside 1700-2200", cfg.Week.Start.Format(time.DateOnly))
 	}
 	if cfg.Sites == nil {
 		cfg.Sites = DefaultProfiles()
@@ -104,7 +93,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 func (g *Generator) Populations() []*Population { return g.pops }
 
 // Week returns the generator's observation window.
-func (g *Generator) Week() timeutil.Week { return g.cfg.Week }
+func (g *Generator) Week() timeutil.Week { return week }
 
 // IsIncognito reports whether the given user browses in private mode.
 // The flag is a deterministic function of the user ID and the site's
@@ -554,8 +543,8 @@ func (g *Generator) newPrivateObject(p *SiteProfile, pop *Population, userIdx in
 // matching how a hard one-week log window clips boundary sessions.
 func (g *Generator) emitSession(plan *sitePlan, u *userState, localHour, size int, cum []float64, cumTotal float64, rng *rand.Rand, out *slab) {
 	localOffset := time.Duration(rng.Float64() * float64(time.Hour))
-	utc := g.cfg.Week.HourStart(localHour).Add(localOffset).Add(-u.region.UTCOffset())
-	if !g.cfg.Week.Contains(utc) {
+	utc := week.HourStart(localHour).Add(localOffset).Add(-u.region.UTCOffset())
+	if !week.Contains(utc) {
 		return
 	}
 
@@ -568,7 +557,7 @@ func (g *Generator) emitSession(plan *sitePlan, u *userState, localHour, size in
 				gap = 3600
 			}
 			t = t.Add(time.Duration(gap * float64(time.Second)))
-			if !g.cfg.Week.Contains(t) {
+			if !week.Contains(t) {
 				return
 			}
 		}

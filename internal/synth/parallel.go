@@ -481,7 +481,7 @@ func (g *Generator) runSitePipeline(r *ParallelReader, i, workers int, lead time
 			}
 			wm := int64(math.MaxInt64) // after the last shard everything goes
 			if j+1 < len(hours) {
-				wm = g.cfg.Week.HourStart(hours[j+1]).Add(-lead).UnixNano()
+				wm = week.HourStart(hours[j+1]).Add(-lead).UnixNano()
 			}
 			if !merge.release(wm, emit) || len(block) > 0 && !send() {
 				return

@@ -3,7 +3,6 @@ package synth
 import (
 	"math"
 	"testing"
-	"time"
 
 	"trafficscope/internal/timeutil"
 	"trafficscope/internal/trace"
@@ -301,10 +300,6 @@ func TestIsIncognitoDeterministic(t *testing.T) {
 func TestNewGeneratorValidation(t *testing.T) {
 	if _, err := NewGenerator(Config{Scale: -1}); err == nil {
 		t.Error("negative scale should error")
-	}
-	far := timeutil.NewWeek(time.Date(2400, 1, 1, 0, 0, 0, 0, time.UTC))
-	if _, err := NewGenerator(Config{Scale: 0.01, Week: far}); err == nil {
-		t.Error("a week beyond UnixNano's range should error")
 	}
 	bad := DefaultProfiles()
 	bad[0].Name = ""
