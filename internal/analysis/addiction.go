@@ -105,7 +105,7 @@ func (c *addictionCat) compact(evict []uint32) {
 	c.absorbSampled(&old, evict)
 }
 
-// Merge folds another accumulator in.
+// Merge folds o in and consumes it (see Fold.Merge).
 func (a *Addiction) Merge(o *Addiction) { a.mergeKeyed(o, a.keys().absorb(o.keys())) }
 
 func (a *Addiction) mergeKeyed(src Analyzer, rm *remap) {

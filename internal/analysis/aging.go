@@ -80,7 +80,7 @@ func (st *agingSite) compact(evict []uint32) {
 	st.absorb(&old, evict)
 }
 
-// Merge folds another accumulator in.
+// Merge folds o in and consumes it (see Fold.Merge).
 func (a *Aging) Merge(o *Aging) { a.mergeKeyed(o, a.keys().absorb(o.keys())) }
 
 func (a *Aging) mergeKeyed(src Analyzer, rm *remap) {

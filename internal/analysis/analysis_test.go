@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -199,6 +200,25 @@ func TestDeviceMixUserShare(t *testing.T) {
 	share2 := d.UserShare("S-1")
 	if math.Abs(share2[0]-9.0/11) > 1e-9 {
 		t.Errorf("merged desktop share = %v, want 9/11", share2[0])
+	}
+}
+
+// A merge adopts a site the receiver has not seen, users and their agent
+// memo included. The memo indexes the merged-from analyzer's agents, so a
+// record folded after the merge must still classify, not index past the
+// receiver's.
+func TestDeviceMixAddAfterAdoptingMerge(t *testing.T) {
+	d, o := NewDeviceMix(0), NewDeviceMix(0)
+	d.Add(rec("V-1", 1, 1, trace.FileJPG, 10, 0)) // one desktop agent
+	for u := uint64(0); u < 3; u++ {
+		r := rec("S-1", 1, u, trace.FileJPG, 10, 0)
+		r.UserAgent = fmt.Sprintf("Mozilla/5.0 (Linux; Android 5.1.%d; Nexus 5) Chrome/45.0 Mobile Safari/537.36", u)
+		o.Add(r)
+	}
+	d.Merge(o)
+	d.Add(rec("S-1", 2, 2, trace.FileJPG, 10, 1)) // user 2, now on the desktop agent
+	if got := d.UserShare("S-1"); got[0] != 0.25 || got[1] != 0.75 {
+		t.Errorf("UserShare after merge and add = %v, want desktop 1 and android 3 of 4", got)
 	}
 }
 

@@ -127,7 +127,7 @@ func (st *cachingSite) compact(evict []uint32) {
 	st.absorb(&old, evict)
 }
 
-// Merge folds another accumulator in.
+// Merge folds o in and consumes it (see Fold.Merge).
 func (c *Caching) Merge(o *Caching) { c.mergeKeyed(o, c.keys().absorb(o.keys())) }
 
 func (c *Caching) mergeKeyed(src Analyzer, rm *remap) {

@@ -129,10 +129,11 @@ func (s *ObjectSeries) add(r *trace.Record, k *recKey) {
 	st.series(slot, k.cat)[k.hour]++
 }
 
-// Merge folds another accumulator in. In bounded mode the sketches add
-// and partial series merge; an object admitted by one worker but still
-// below another worker's threshold loses those sub-threshold requests,
-// so the per-object undercount bound scales with the worker count.
+// Merge folds o in and consumes it (see Fold.Merge). In bounded mode
+// the sketches add and partial series merge; an object admitted by one
+// worker but still below another worker's threshold loses those
+// sub-threshold requests, so the per-object undercount bound scales with
+// the worker count.
 func (s *ObjectSeries) Merge(o *ObjectSeries) { s.mergeKeyed(o, s.keys().absorb(o.keys())) }
 
 func (s *ObjectSeries) mergeKeyed(src Analyzer, rm *remap) {

@@ -147,7 +147,7 @@ func (c *Composition) add(r *trace.Record, k *recKey) {
 	}
 }
 
-// Merge folds another accumulator in.
+// Merge folds o in and consumes it (see Fold.Merge).
 func (c *Composition) Merge(o *Composition) { c.mergeKeyed(o, c.keys().absorb(o.keys())) }
 
 func (c *Composition) mergeKeyed(src Analyzer, rm *remap) {

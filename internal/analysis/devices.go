@@ -41,8 +41,11 @@ type devicesSite struct {
 // carries the same string — the same pointer, in a generated or decoded
 // trace — so comparing against it ends before hashing 100 bytes.
 type userDevices struct {
-	agent uint16 // 1 + its index in agents; zero for none
-	seen  uint8  // bit deviceIndex(d) per device d
+	// agent is 1 + its index in agents; zero for none. Once a merge has
+	// adopted the user's site it indexes the merged-from analyzer's
+	// agents, which add's string comparison makes harmless.
+	agent uint16
+	seen  uint8 // bit deviceIndex(d) per device d
 }
 
 // deviceIndex maps a device to its position in useragent.AllDevices().
@@ -94,7 +97,7 @@ func (d *DeviceMix) add(r *trace.Record, k *recKey) {
 	}
 	u := at(&st.users, k.user)
 	var dev uint8
-	if u.agent != 0 && d.agents[u.agent-1].ua == r.UserAgent {
+	if u.agent != 0 && int(u.agent) <= len(d.agents) && d.agents[u.agent-1].ua == r.UserAgent {
 		dev = d.agents[u.agent-1].dev
 	} else {
 		u.agent, dev = d.classify(r.UserAgent)
@@ -102,7 +105,7 @@ func (d *DeviceMix) add(r *trace.Record, k *recKey) {
 	u.seen |= 1 << dev
 }
 
-// Merge folds another accumulator in.
+// Merge folds o in and consumes it (see Fold.Merge).
 func (d *DeviceMix) Merge(o *DeviceMix) { d.mergeKeyed(o, d.keys().absorb(o.keys())) }
 
 func (d *DeviceMix) mergeKeyed(src Analyzer, rm *remap) {

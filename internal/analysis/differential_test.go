@@ -121,8 +121,8 @@ type newSet struct {
 	popularity *Popularity
 }
 
-func newNewSet() *newSet {
-	return &newSet{NewSessions(0, 0), NewAddiction(0), NewAging(week, 0), NewCaching(0), NewPopularity()}
+func newNewSet(budget int) *newSet {
+	return &newSet{NewSessions(0, budget), NewAddiction(budget), NewAging(week, budget), NewCaching(budget), NewPopularity()}
 }
 
 func (s *newSet) add(r *trace.Record) {
@@ -151,50 +151,73 @@ func setOfFold(f *Fold) *newSet {
 
 // TestSlotIndexedMatchesMapBased folds the same foreign records into the
 // map-based reference, into a Fold and into stand-alone analyzers, over
-// one to four workers with random batch assignment and random merge
-// order, and requires every accessor to agree.
+// one to four workers and random merge orders, and requires every
+// accessor to agree. Batches go to workers at random, so that merges
+// meet sites both sides hold and translate them through the remap, or by
+// publisher as the pipeline routes them, so that every merge adopts
+// whole sites. Each assignment also runs under a budget above the
+// population, where the samples keep every key and must agree exactly.
 func TestSlotIndexedMatchesMapBased(t *testing.T) {
 	n := 100_000
 	if testing.Short() {
 		n = 20_000
 	}
 	for trial := 0; trial < 4; trial++ {
-		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-		recs := foreignRecords(rng, n)
-		workers := 1 + trial%4
-		refs := make([]*refSet, workers)
-		folds := make([]*Fold, workers)
-		alone := make([]*newSet, workers)
-		for w := range refs {
-			refs[w], folds[w], alone[w] = newRefSet(), NewFold(Registered(), Params{Week: week}), newNewSet()
-		}
-		for i := 0; i < len(recs); {
-			w, batch := rng.Intn(workers), 1+rng.Intn(2048)
-			for ; batch > 0 && i < len(recs); batch, i = batch-1, i+1 {
-				refs[w].add(&recs[i])
-				folds[w].Add(&recs[i])
-				alone[w].add(&recs[i])
+		for _, byPublisher := range []bool{false, true} {
+			for _, budget := range []int{0, 1 << 30} {
+				rng := rand.New(rand.NewSource(int64(1000 + trial)))
+				recs := foreignRecords(rng, n)
+				workers := 1 + trial%4
+				refs := make([]*refSet, workers)
+				folds := make([]*Fold, workers)
+				alone := make([]*newSet, workers)
+				for w := range refs {
+					refs[w], folds[w], alone[w] = newRefSet(), NewFold(Registered(), Params{Week: week, MemoryBudget: budget}), newNewSet(budget)
+				}
+				route := map[string]int{} // publisher → worker, when byPublisher
+				for i := 0; i < len(recs); {
+					w, batch := rng.Intn(workers), 1+rng.Intn(2048)
+					for ; batch > 0 && i < len(recs); batch, i = batch-1, i+1 {
+						if byPublisher {
+							p := recs[i].Publisher
+							if _, ok := route[p]; !ok {
+								route[p] = len(route) % workers
+							}
+							w = route[p]
+						}
+						refs[w].add(&recs[i])
+						folds[w].Add(&recs[i])
+						alone[w].add(&recs[i])
+					}
+				}
+				for len(refs) > 1 {
+					dst, src := rng.Intn(len(refs)), rng.Intn(len(refs)-1)
+					if src >= dst {
+						src++
+					}
+					refs[dst].merge(refs[src])
+					folds[dst].Merge(folds[src])
+					alone[dst].merge(alone[src])
+					refs, folds, alone = slices.Delete(refs, src, src+1), slices.Delete(folds, src, src+1), slices.Delete(alone, src, src+1)
+				}
+				if got := folds[0].Records(); got != int64(n) {
+					t.Fatalf("trial %d: fold counted %d records, want %d", trial, got, n)
+				}
+				name := fmt.Sprintf("trial=%d/workers=%d", trial, workers)
+				if byPublisher {
+					name += "/by-publisher"
+				}
+				if budget > 0 {
+					name += "/budget"
+				}
+				t.Run(name+"/fold", func(t *testing.T) {
+					compareSets(t, refs[0], setOfFold(folds[0]))
+				})
+				t.Run(name+"/alone", func(t *testing.T) {
+					compareSets(t, refs[0], alone[0])
+				})
 			}
 		}
-		for len(refs) > 1 {
-			dst, src := rng.Intn(len(refs)), rng.Intn(len(refs)-1)
-			if src >= dst {
-				src++
-			}
-			refs[dst].merge(refs[src])
-			folds[dst].Merge(folds[src])
-			alone[dst].merge(alone[src])
-			refs, folds, alone = slices.Delete(refs, src, src+1), slices.Delete(folds, src, src+1), slices.Delete(alone, src, src+1)
-		}
-		if got := folds[0].Records(); got != int64(n) {
-			t.Fatalf("trial %d: fold counted %d records, want %d", trial, got, n)
-		}
-		t.Run(fmt.Sprintf("trial=%d/workers=%d/fold", trial, workers), func(t *testing.T) {
-			compareSets(t, refs[0], setOfFold(folds[0]))
-		})
-		t.Run(fmt.Sprintf("trial=%d/workers=%d/alone", trial, workers), func(t *testing.T) {
-			compareSets(t, refs[0], alone[0])
-		})
 	}
 }
 

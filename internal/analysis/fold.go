@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
 	"trafficscope/internal/trace"
 )
@@ -65,14 +66,27 @@ func (f *Fold) Add(r *trace.Record) {
 	}
 }
 
-// Merge implements pipeline.Accumulator. Both folds must come from the
-// same descriptor set (always true inside one pipeline run).
+// Merge implements pipeline.Accumulator. It consumes o: the state of a
+// site f has not seen moves over from o as it is, not copied, so o must
+// not be used afterwards. Both folds must come from the same descriptor
+// set (always true inside one pipeline run); Merge panics otherwise.
 func (f *Fold) Merge(o *Fold) {
+	if !slices.EqualFunc(f.descs, o.descs, func(a, b Descriptor) bool { return a.Name == b.Name }) {
+		panic(fmt.Sprintf("analysis: merging a fold of %v into a fold of %v", descNames(o.descs), descNames(f.descs)))
+	}
 	f.n += o.n
 	rm := f.ks.absorb(o.ks)
 	for i, ka := range f.accs {
 		ka.mergeKeyed(o.accs[i], rm)
 	}
+}
+
+func descNames(descs []Descriptor) []string {
+	names := make([]string, len(descs))
+	for i, d := range descs {
+		names[i] = d.Name
+	}
+	return names
 }
 
 // Records returns the number of records folded.

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,4 +53,19 @@ func TestFoldMerge(t *testing.T) {
 	if got := len(byName["sessions"].(*Sessions).SessionsOf("V-1")); got != 4 {
 		t.Errorf("merged sessions = %d, want 4 (user 1 twice, two hours apart)", got)
 	}
+}
+
+// Merging folds of different analyzer sets is a programming error that
+// Merge reports, naming both sets.
+func TestFoldMergeRejectsOtherDescriptors(t *testing.T) {
+	comp, _ := ByName("composition")
+	sizes, _ := ByName("sizes")
+	a, b := NewFold([]Descriptor{comp}, Params{Week: week}), NewFold([]Descriptor{comp, sizes}, Params{Week: week})
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "[composition sizes]") || !strings.Contains(msg, "[composition]") {
+			t.Errorf("panic %q does not name both descriptor sets", msg)
+		}
+	}()
+	a.Merge(b)
 }

@@ -17,7 +17,8 @@ import (
 // analyzers keep their state in slices indexed by site and slot, and a
 // merge translates one keyspace's slots into another's through a remap
 // built once per site and population instead of re-hashing every key in
-// every analyzer.
+// every analyzer. A site only one side holds needs no translation: the
+// merge adopts its key tables and every analyzer's state for it whole.
 
 // noSlot marks a key with no slot: a population the keyspace does not
 // resolve, or a key a remap drops.
@@ -158,21 +159,32 @@ func (ks *keyspace) resolve(r *trace.Record, k *recKey) {
 
 // remap translates a source keyspace's indices into a destination's.
 type remap struct {
-	site      []int32    // source site → destination site
-	obj, user [][]uint32 // per source site: source slot → destination slot
+	site []int32 // source site → destination site
+	// adopted marks a source site the destination did not hold: its key
+	// tables moved across whole, so its slots are unchanged and an
+	// analyzer takes the site's state over as it is.
+	adopted   []bool
+	obj, user [][]uint32 // per source site not adopted: source slot → destination slot
 }
 
 // absorb adds every site and key of o and returns the remap from o's
-// indices to ks's.
+// indices to ks's. A site ks does not hold is adopted, not copied: o's
+// key tables for it become ks's, so o must not be used afterwards.
 func (ks *keyspace) absorb(o *keyspace) *remap {
 	rm := &remap{
-		site: make([]int32, len(o.sites)),
-		obj:  make([][]uint32, len(o.sites)),
-		user: make([][]uint32, len(o.sites)),
+		site:    make([]int32, len(o.sites)),
+		adopted: make([]bool, len(o.sites)),
+		obj:     make([][]uint32, len(o.sites)),
+		user:    make([][]uint32, len(o.sites)),
 	}
 	for si := range o.sites {
 		os := &o.sites[si]
-		di := ks.site(os.name)
+		di := int32(ks.find(os.name))
+		if di < 0 {
+			ks.sites = append(ks.sites, *os)
+			rm.site[si], rm.adopted[si] = int32(len(ks.sites)-1), true
+			continue
+		}
 		rm.site[si] = di
 		rm.obj[si] = ks.sites[di].objs.absorb(&os.objs)
 		rm.user[si] = ks.sites[di].users.absorb(&os.users)
@@ -235,11 +247,17 @@ func (p *perSite[T]) site(si int32) *T {
 	return at(&p.sites, uint32(si))
 }
 
-// mergeSites calls fn for every site o has state for, with that state,
-// p's state for the same site and the site's index in o.
+// mergeSites merges the state of every site o has state for into p's:
+// the state of a site the remap adopted moves over as it is (p has none
+// for it), and fn merges any other, given p's state for the site, o's,
+// and the site's index in o.
 func (p *perSite[T]) mergeSites(o *perSite[T], rm *remap, fn func(si int, dst, src *T)) {
 	for si, ok := range o.seen {
-		if ok {
+		switch {
+		case !ok:
+		case rm.adopted[si]:
+			*p.site(rm.site[si]) = o.sites[si]
+		default:
 			fn(si, p.site(rm.site[si]), &o.sites[si])
 		}
 	}

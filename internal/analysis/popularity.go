@@ -42,7 +42,7 @@ func (p *Popularity) add(_ *trace.Record, k *recKey) {
 	*at(p.site(k.site), catSlot(k.obj, k.cat))++
 }
 
-// Merge folds another accumulator in.
+// Merge folds o in and consumes it (see Fold.Merge).
 func (p *Popularity) Merge(o *Popularity) { p.mergeKeyed(o, p.keys().absorb(o.keys())) }
 
 func (p *Popularity) mergeKeyed(src Analyzer, rm *remap) {

@@ -33,8 +33,9 @@ type Params struct {
 
 // Analyzer is the streaming interface every analysis implements: fold
 // one record at a time. Analyses must be fold-order-insensitive across
-// workers (the parallel pipeline assigns batches to workers arbitrarily
-// and merges at the end).
+// workers: the parallel pipeline folds each publisher on one worker and
+// merges at the end, but a merge of state split any other way must give
+// the same result.
 type Analyzer interface {
 	Add(*trace.Record)
 }

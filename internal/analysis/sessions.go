@@ -130,7 +130,7 @@ func (st *sessionsSite) compact(evict []uint32) {
 	st.absorb(&old, evict)
 }
 
-// Merge folds another accumulator in.
+// Merge folds o in and consumes it (see Fold.Merge).
 func (s *Sessions) Merge(o *Sessions) { s.mergeKeyed(o, s.keys().absorb(o.keys())) }
 
 func (s *Sessions) mergeKeyed(src Analyzer, rm *remap) {

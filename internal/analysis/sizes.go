@@ -47,7 +47,7 @@ func (st *sizesSite) set(slot uint32, cat uint8, size int64) {
 	*at(&st.has, slot) |= 1 << cat
 }
 
-// Merge folds another accumulator in.
+// Merge folds o in and consumes it (see Fold.Merge).
 func (s *SizeDistribution) Merge(o *SizeDistribution) { s.mergeKeyed(o, s.keys().absorb(o.keys())) }
 
 func (s *SizeDistribution) mergeKeyed(src Analyzer, rm *remap) {

@@ -39,7 +39,7 @@ func (h *HourlyVolume) add(r *trace.Record, k *recKey) {
 	h.site(k.site)[k.localHour] += float64(r.ObjectSize)
 }
 
-// Merge folds another accumulator in.
+// Merge folds o in and consumes it (see Fold.Merge).
 func (h *HourlyVolume) Merge(o *HourlyVolume) { h.mergeKeyed(o, h.keys().absorb(o.keys())) }
 
 func (h *HourlyVolume) mergeKeyed(src Analyzer, rm *remap) {
@@ -130,7 +130,7 @@ func (h *HourOfWeekSeries) add(r *trace.Record, k *recKey) {
 	h.site(k.site)[idx]++
 }
 
-// Merge folds another accumulator in.
+// Merge folds o in and consumes it (see Fold.Merge).
 func (h *HourOfWeekSeries) Merge(o *HourOfWeekSeries) { h.mergeKeyed(o, h.keys().absorb(o.keys())) }
 
 func (h *HourOfWeekSeries) mergeKeyed(src Analyzer, rm *remap) {

@@ -12,7 +12,15 @@ import (
 // series rows or of the session log grows, never per key — let alone per
 // record. When every analyzer kept maps, one slice per user and one
 // array per object, this trace took 0.79 allocations a record to fold
-// exactly and 0.72 under the budget.
+// exactly and 0.72 under the budget. It also guards the routing: each
+// site is folded on one worker and merged by adoption, so two workers
+// allocate what one does. When batches went to whichever worker was free,
+// both built state for every site and the merge re-inserted it: 58 %
+// more bytes a record on this trace.
+//
+// Measured at either worker count: 0.016 allocations a record exact and
+// 0.024 under the budget, 0.020 and 0.027 in a -race build; the ceilings
+// leave about a third above the plain build.
 func TestFoldAllocsPerRecord(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale-0.03 replay in -short mode")
@@ -38,33 +46,51 @@ func TestFoldAllocsPerRecord(t *testing.T) {
 		budget int
 		max    float64
 	}{
-		{"exact", 0, 0.15},
-		{"budget 5000", 5000, 0.10},
+		{"exact", 0, 0.022},
+		{"budget 5000", 5000, 0.032},
 	} {
-		study, err := NewStudy(Config{Seed: 42, Scale: 0.03, Workers: 2, MemoryBudget: mode.budget})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fold := func() {
-			res, err := study.AnalyzeOnly(trace.NewSliceReader(replayed))
+		var bytes [3]float64 // B/record by worker count
+		for _, workers := range []int{1, 2} {
+			study, err := NewStudy(Config{Seed: 42, Scale: 0.03, Workers: workers, MemoryBudget: mode.budget})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Records != int64(len(replayed)) {
-				t.Fatalf("folded %d of %d records", res.Records, len(replayed))
+			fold := func() {
+				res, err := study.AnalyzeOnly(trace.NewSliceReader(replayed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Records != int64(len(replayed)) {
+					t.Fatalf("folded %d of %d records", res.Records, len(replayed))
+				}
+			}
+			fold() // untimed: warms the runtime
+			// The least of three folds, so that a collection emptying the
+			// batch pool mid-fold does not count.
+			var allocs float64
+			for rep := 0; rep < 3; rep++ {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				fold()
+				runtime.ReadMemStats(&after)
+				b := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(replayed))
+				if rep == 0 || b < bytes[workers] {
+					allocs = float64(after.Mallocs-before.Mallocs) / float64(len(replayed))
+					bytes[workers] = b
+				}
+			}
+			t.Logf("%s, %d workers: %d records, %.4f allocs/record, %.1f B/record",
+				mode.name, workers, len(replayed), allocs, bytes[workers])
+			if allocs > mode.max {
+				t.Errorf("%s, %d workers: %.4f allocs/record, want <= %.2f", mode.name, workers, allocs, mode.max)
 			}
 		}
-		fold() // untimed: warms the runtime and the batch pool
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		fold()
-		runtime.ReadMemStats(&after)
-		allocs := float64(after.Mallocs-before.Mallocs) / float64(len(replayed))
-		t.Logf("%s: %d records, %.4f allocs/record, %.1f B/record", mode.name, len(replayed), allocs,
-			float64(after.TotalAlloc-before.TotalAlloc)/float64(len(replayed)))
-		if allocs > mode.max {
-			t.Errorf("%s: %.4f allocs/record, want <= %.2f", mode.name, allocs, mode.max)
+		// A -race build's sync.Pool drops a random share of the batches
+		// put back, which moves either count by more than the margin.
+		if !raceEnabled && bytes[2] > 1.05*bytes[1] {
+			t.Errorf("%s: %.1f B/record on 2 workers against %.1f on 1, want at most 5%% more",
+				mode.name, bytes[2], bytes[1])
 		}
 	}
 }

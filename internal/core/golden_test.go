@@ -56,8 +56,9 @@ func tableDigest(tab *report.Table) string {
 // TestFiguresGolden pins the exact-mode output of the whole study —
 // every figure table, the forecast backtest and the calibration table —
 // to digests recorded before the analyzers moved to slot-indexed state.
-// Exact-mode output may not depend on the state layout or on how batches
-// fall on workers, so the same digests must hold at any worker count.
+// Exact-mode output may not depend on the state layout or on how sites
+// fall on workers, so the same digests must hold at any worker count —
+// seven included, more workers than the week has sites.
 func TestFiguresGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale-0.02 study runs in -short mode")
@@ -77,7 +78,7 @@ func TestFiguresGolden(t *testing.T) {
 	for sc := bufio.NewScanner(f); sc.Scan(); {
 		want = append(want, sc.Text())
 	}
-	for _, workers := range []int{1, 2, 3} {
+	for _, workers := range []int{1, 2, 3, 7} {
 		got := goldenLines(t, workers)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d tables, golden has %d", workers, len(got), len(want))

@@ -37,7 +37,9 @@ type Config struct {
 	// model). Use this to run full-scale studies in bounded memory.
 	MemoryBudget int
 	// Workers parallelizes the analysis pass and the Fig. 8-10
-	// clustering's distance matrix; < 1 means GOMAXPROCS.
+	// clustering's distance matrix; < 1 means GOMAXPROCS. The analysis
+	// pass folds each site on one worker, so it keeps at most
+	// min(Workers, sites) workers busy — five for the synthetic week.
 	Workers int
 	// Figures restricts which analyses run: only analyzers covering at
 	// least one of the listed paper figures are constructed and folded,

@@ -1,8 +1,10 @@
 // Package pipeline provides a small parallel log-processing framework:
-// records stream from a trace.Reader through a pool of workers, each
-// folding into a private accumulator, and the accumulators merge at the
-// end. Analyses over week-long traces are embarrassingly parallel per
-// record, so this covers every aggregation in the repository.
+// records stream from a trace.Reader, or from a producer feeding a Sink,
+// through a pool of workers, each folding into a private accumulator,
+// and the accumulators merge at the end. Every aggregation in the
+// repository is per site, so records are routed by publisher: one worker
+// folds all of a site's records, and the merge hands whole sites over
+// instead of re-inserting their state.
 package pipeline
 
 import (
@@ -19,7 +21,8 @@ type Accumulator[T any] interface {
 	// Add folds one record.
 	Add(*trace.Record)
 	// Merge folds another accumulator of the same concrete type into the
-	// receiver.
+	// receiver and consumes it: state may move over instead of being
+	// copied, so the argument must not be used afterwards.
 	Merge(T)
 }
 
@@ -28,46 +31,46 @@ const batchSize = 1024
 
 // Options configures a Run.
 type Options struct {
-	// Workers is the parallelism degree; values < 1 default to
-	// GOMAXPROCS.
+	// Workers is the number of fold workers; values < 1 default to
+	// GOMAXPROCS. All records of one publisher go to one worker, so fold
+	// parallelism is min(Workers, publishers).
 	Workers int
 	// Metrics receives live pipeline telemetry (batches/records
-	// dispatched, per-batch fold time, queue depth, backpressure
-	// stalls). nil — the default — disables instrumentation; the hot
+	// dispatched, records per worker, per-batch fold time, queue depth,
+	// backpressure stalls). nil — the default — disables instrumentation; the hot
 	// path then pays only nil checks.
 	Metrics *obs.Registry
 }
 
-// Run streams records from r through parallel workers. newAcc creates one
-// accumulator per worker; the final merged accumulator is returned.
+// Run streams records from r through parallel workers: it reads blocks
+// and feeds their records to a Sink, which routes each publisher's
+// records to one worker. newAcc creates one accumulator per worker; the
+// final merged accumulator is returned.
 //
 // Batch slices are recycled through a sync.Pool: workers hand their
 // batch back after folding it, so steady-state runs allocate a bounded
 // set of batch backing arrays instead of one per batchSize records.
 //
-// On a mid-stream read error the run aborts promptly: queued batches
-// are abandoned (their accumulators would be discarded anyway), workers
-// finish only the batch they are currently folding, and the error is
-// returned.
+// On a mid-stream read error the run aborts promptly: the records of the
+// failed read are not fed, queued batches are abandoned (their
+// accumulators would be discarded anyway), workers finish only the batch
+// they are currently folding, and the error is returned.
 func Run[T Accumulator[T]](r trace.Reader, newAcc func() T, opts Options) (T, error) {
 	s := NewSink(newAcc, opts)
+	block := make([]trace.Record, batchSize)
 	for {
-		// Blocks are read straight into the batch a worker will fold.
-		n, err := trace.ReadBlock(r, s.batch[:batchSize])
+		n, err := trace.ReadBlock(r, block)
 		if err != nil && !errors.Is(err, io.EOF) {
-			// Skip the final flush after a read error: the run's result
-			// is discarded, so folding the partial batch would be wasted
-			// work — and the workers abandon whatever is still queued.
 			s.Abort()
 			var zero T
 			return zero, fmt.Errorf("pipeline: read: %w", err)
 		}
-		s.batch = s.batch[:n]
+		for i := range block[:n] {
+			s.Feed(&block[i])
+		}
 		if err != nil {
 			return s.Close()
 		}
-		s.dispatch(s.batch)
-		s.batch = (*s.pool.Get().(*[]trace.Record))[:0]
 	}
 }
 

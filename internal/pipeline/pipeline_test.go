@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -187,14 +188,19 @@ func TestRunAbandonsQueuedBatchesOnError(t *testing.T) {
 	}
 }
 
-// Run with a Metrics registry reports dispatched batches and records:
-// seven full batches and a partial one.
+// Run with a Metrics registry reports dispatched batches and records.
+// Batches are filled per worker, so each worker's records make whole
+// batches and at most one partial one; the per-worker record counts sum
+// to the total, and the queues read empty once the run returns.
 func TestRunReportsMetrics(t *testing.T) {
-	const records = 7*batchSize + 1000
+	const (
+		workers = 3
+		records = 7*batchSize + 1000
+	)
 	reg := obs.NewRegistry()
 	recs := makeRecords(records)
 	got, err := Run(trace.NewSliceReader(recs), func() *Count { return &Count{} },
-		Options{Workers: 3, Metrics: reg})
+		Options{Workers: workers, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +210,117 @@ func TestRunReportsMetrics(t *testing.T) {
 	if v := reg.Counter("pipeline_records_total").Value(); v != records {
 		t.Errorf("pipeline_records_total = %d, want %d", v, records)
 	}
-	if v := reg.Counter("pipeline_batches_total").Value(); v != 8 {
-		t.Errorf("pipeline_batches_total = %d, want 8", v)
+	var routed, batches int64
+	for w := 0; w < workers; w++ {
+		n := workerRecords(reg, w)
+		routed += n
+		batches += (n + batchSize - 1) / batchSize
 	}
-	if v := reg.Snapshot().Histograms["pipeline_fold_seconds"].Count; v != 8 {
-		t.Errorf("pipeline_fold_seconds count = %d, want 8", v)
+	if routed != records {
+		t.Errorf("pipeline_worker_records_total sums to %d, want %d", routed, records)
+	}
+	if batches < 8 {
+		t.Errorf("%d batches for %d records", batches, records)
+	}
+	if v := reg.Counter("pipeline_batches_total").Value(); v != batches {
+		t.Errorf("pipeline_batches_total = %d, want %d", v, batches)
+	}
+	if v := reg.Snapshot().Histograms["pipeline_fold_seconds"].Count; v != batches {
+		t.Errorf("pipeline_fold_seconds count = %d, want %d", v, batches)
+	}
+	if v := reg.Gauge("pipeline_queue_depth").Value(); v != 0 {
+		t.Errorf("pipeline_queue_depth = %v after the run, want 0", v)
+	}
+}
+
+func workerRecords(reg *obs.Registry, w int) int64 {
+	return reg.Counter(obs.Name("pipeline_worker_records_total", "worker", strconv.Itoa(w))).Value()
+}
+
+// routeLog counts the records of each publisher one accumulator folded;
+// a merge keeps the merged accumulators' counts apart, so the result of
+// a run shows which worker folded what.
+type routeLog struct {
+	folded map[string]int64
+	merged []map[string]int64
+}
+
+func newRouteLog() *routeLog { return &routeLog{folded: map[string]int64{}} }
+
+func (l *routeLog) Add(r *trace.Record) { l.folded[r.Publisher]++ }
+
+func (l *routeLog) Merge(o *routeLog) { l.merged = append(append(l.merged, o.folded), o.merged...) }
+
+// workers returns what each worker folded, in worker order.
+func (l *routeLog) workers() []map[string]int64 {
+	return append([]map[string]int64{l.folded}, l.merged...)
+}
+
+// Every record of one publisher is folded by the same worker, whatever
+// the worker count: a 5-publisher trace keeps min(workers, 5) workers
+// busy, and what each worker folded is what its metric reports.
+func TestRunRoutesEachPublisherToOneWorker(t *testing.T) {
+	const records = 20*batchSize + 333
+	pubs := []string{"V-1", "V-2", "V-3", "P-1", "P-2"}
+	rng := rand.New(rand.NewSource(5))
+	recs := makeRecords(records)
+	for _, r := range recs {
+		// Skewed, as the paper's sites are: V-1 draws over half the records.
+		r.Publisher = pubs[rng.Intn(len(pubs))]
+		if rng.Intn(2) == 0 {
+			r.Publisher = pubs[0]
+		}
+	}
+	for _, workers := range []int{1, 2, 3, 7} {
+		reg := obs.NewRegistry()
+		got, err := Run(trace.NewSliceReader(recs), newRouteLog, Options{Workers: workers, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		folded := got.workers()
+		if len(folded) != workers {
+			t.Fatalf("workers=%d: %d accumulators merged", workers, len(folded))
+		}
+		owner := map[string]int{}
+		var total int64
+		busy := 0
+		for w, pubCounts := range folded {
+			var n int64
+			for p, c := range pubCounts {
+				if prev, ok := owner[p]; ok {
+					t.Errorf("workers=%d: %s folded by workers %d and %d", workers, p, prev, w)
+				}
+				owner[p] = w
+				n += c
+			}
+			if n > 0 {
+				busy++
+			}
+			if m := workerRecords(reg, w); m != n {
+				t.Errorf("workers=%d: worker %d folded %d records, its metric says %d", workers, w, n, m)
+			}
+			total += n
+		}
+		if len(owner) != len(pubs) || total != records {
+			t.Errorf("workers=%d: %d publishers and %d records folded, want %d and %d",
+				workers, len(owner), total, len(pubs), records)
+		}
+		if want := min(workers, len(pubs)); busy != want {
+			t.Errorf("workers=%d: %d workers busy, want %d", workers, busy, want)
+		}
+	}
+}
+
+// A trace of one publisher runs on one worker and completes.
+func TestRunOnePublisher(t *testing.T) {
+	recs := sinkTestRecords(5*batchSize + 7)
+	got, err := Run(trace.NewSliceReader(recs), newRouteLog, Options{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded := got.workers()
+	if len(folded) != 3 || folded[0]["V-1"] != int64(len(recs)) || len(folded[1])+len(folded[2]) != 0 {
+		t.Errorf("one-publisher trace folded as %v, want all %d records on worker 0", folded, len(recs))
 	}
 }
 

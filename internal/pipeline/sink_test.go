@@ -61,6 +61,59 @@ func TestSinkEmptyClose(t *testing.T) {
 	}
 }
 
+// gated holds every fold at its first record until release closes, and
+// says on started when it got there.
+type gated struct {
+	started   chan<- string
+	release   <-chan struct{}
+	signalled bool
+}
+
+func (g *gated) Add(r *trace.Record) {
+	if !g.signalled {
+		g.signalled = true
+		g.started <- r.Publisher
+	}
+	<-g.release
+}
+
+func (g *gated) Merge(*gated) {}
+
+// pipeline_queue_depth is the number of batches queued on all lanes
+// together: with both workers held at their first batch, two more V-1
+// batches and one P-1 batch wait.
+func TestSinkQueueDepthSumsLanes(t *testing.T) {
+	reg := obs.NewRegistry()
+	started, release := make(chan string, 2), make(chan struct{})
+	s := NewSink(func() *gated { return &gated{started: started, release: release} },
+		Options{Workers: 2, Metrics: reg})
+	feed := func(publisher string, batches int) {
+		for _, r := range sinkTestRecords(batches * batchSize) {
+			r.Publisher = publisher
+			s.Feed(r)
+		}
+	}
+	feed("V-1", 1)
+	<-started
+	feed("P-1", 1)
+	<-started
+	feed("V-1", 2)
+	feed("P-1", 1)
+	if v := reg.Gauge("pipeline_queue_depth").Value(); v != 3 {
+		t.Errorf("pipeline_queue_depth = %v with 2+1 batches queued, want 3", v)
+	}
+	close(release)
+	if _, err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if v := reg.Gauge("pipeline_queue_depth").Value(); v != 0 {
+		t.Errorf("pipeline_queue_depth = %v after Close, want 0", v)
+	}
+	if v0, v1 := workerRecords(reg, 0), workerRecords(reg, 1); v0 != 3*batchSize || v1 != 2*batchSize {
+		t.Errorf("worker records %d and %d, want %d and %d", v0, v1, 3*batchSize, 2*batchSize)
+	}
+}
+
 // TestSinkAbortDiscards verifies Abort drains the pool without folding
 // queued work into a usable result, and that metrics keep counting what
 // was dispatched before the abort.
