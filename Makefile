@@ -1,5 +1,5 @@
-# Build/verify entry points. `make check` is the CI gate: vet, a build
-# of every cmd/* binary, the whole module's tests under the race
+# Build/verify entry points. `make check` is the CI gate: gofmt, vet, a
+# build of every cmd/* binary, the whole module's tests under the race
 # detector, the full suite, then the tracked sizes (`make loc`: lines
 # without and with tests, CLI flags, config fields). `make bench` runs
 # the repository benchmark (benchmark/, contract BENCHMARK.json) and
@@ -50,7 +50,7 @@ fuzz-smoke:
 		done; \
 	done
 
-# Fail if any file is not gofmt-clean (CI runs this before check).
+# Fail if any file is not gofmt-clean (the first step of check).
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
@@ -70,7 +70,7 @@ loc:
 	@grep -rhoE '\b(flag|fs)\.(Bool|Duration|Float64|Func|Int|Int64|String|Uint|Uint64)?(Var)?\(' --include='*.go' cmd internal/obs/cliobs internal/edge/flags.go internal/fleet/flags.go | wc -l | sed 's/$$/ flags/'
 	@$(GO) test -run '^TestConfigFieldsAreSet$$' -v . | grep -oE '[0-9]+ config fields$$'
 
-check: vet tools race test loc
+check: fmt-check vet tools race test loc
 
 # Every metric of every workload, end-to-end and per-layer, at the
 # contract's run length (~5 min). Commit the refreshed BENCH_ledger.txt

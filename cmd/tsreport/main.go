@@ -179,13 +179,14 @@ func run(ctx context.Context, o *options, stdin io.Reader, stdout io.Writer) (*c
 	}
 	allPass := true
 	if o.verify {
+		checks := results.VerifyCalibration()
 		failed := []string{}
-		for _, c := range results.VerifyCalibration() {
+		for _, c := range checks {
 			if !c.Pass {
 				failed = append(failed, c.Name)
 			}
 		}
-		vt, _ := results.VerifyTable()
+		vt, _ := core.CheckTable(checks)
 		tables = append(tables, vt)
 		allPass = len(failed) == 0
 		extra["verify_pass"], extra["verify_failed"] = allPass, failed

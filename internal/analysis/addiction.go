@@ -105,22 +105,6 @@ func (c *addictionCat) compact(evict []uint32) {
 	c.absorbSampled(&old, evict)
 }
 
-// Merge folds o in and consumes it (see Fold.Merge).
-func (a *Addiction) Merge(o *Addiction) { a.mergeKeyed(o, a.keys().absorb(o.keys())) }
-
-func (a *Addiction) mergeKeyed(src Analyzer, rm *remap) {
-	a.mergeSites(&src.(*Addiction).perSite, rm, func(si int, st, os *[numCats]addictionCat) {
-		for cat := range st {
-			c, oc := &st[cat], &os[cat]
-			if a.budget == 0 {
-				c.absorb(oc, rm.obj[si], rm.user[si])
-			} else {
-				c.absorbSampled(oc, c.keys.mergeFrom(a.budget, &oc.keys, c.compact))
-			}
-		}
-	})
-}
-
 // ObjectPoint is one object in the Fig. 13 scatter.
 type ObjectPoint struct {
 	Object   uint64

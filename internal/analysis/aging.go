@@ -80,19 +80,6 @@ func (st *agingSite) compact(evict []uint32) {
 	st.absorb(&old, evict)
 }
 
-// Merge folds o in and consumes it (see Fold.Merge).
-func (a *Aging) Merge(o *Aging) { a.mergeKeyed(o, a.keys().absorb(o.keys())) }
-
-func (a *Aging) mergeKeyed(src Analyzer, rm *remap) {
-	a.mergeSites(&src.(*Aging).perSite, rm, func(si int, st, os *agingSite) {
-		objs := rm.obj[si]
-		if a.budget > 0 {
-			objs = st.keys.mergeFrom(a.budget, &os.keys, st.compact)
-		}
-		st.absorb(os, objs)
-	})
-}
-
 // Curve returns, for ages 1..7, the fraction of the site's objects
 // requested at that age. Index 0 is age 1 (always 1.0 by construction:
 // every object is requested on its first-seen day).

@@ -74,27 +74,30 @@ func TestCompositionCounts(t *testing.T) {
 }
 
 func TestCompositionMergeExact(t *testing.T) {
-	// Overlapping objects across shards must not double count.
+	// Object IDs repeat across sites, but object identity is per site:
+	// adopting one site's shard must not count the other's objects.
 	a, b, whole := NewComposition(0), NewComposition(0), NewComposition(0)
 	records := []*trace.Record{
 		rec("V-1", 1, 1, trace.FileMP4, 100, 0),
-		rec("V-1", 1, 2, trace.FileMP4, 100, 1),
+		rec("P-1", 1, 2, trace.FileMP4, 100, 1),
 		rec("V-1", 2, 1, trace.FileJPG, 10, 2),
-		rec("V-1", 2, 3, trace.FileJPG, 10, 3),
+		rec("P-1", 2, 3, trace.FileJPG, 10, 3),
+		rec("V-1", 2, 3, trace.FileJPG, 10, 4),
 	}
-	for i, r := range records {
+	for _, r := range records {
 		whole.Add(r)
-		if i%2 == 0 {
+		if r.Publisher == "V-1" {
 			a.Add(r)
 		} else {
 			b.Add(r)
 		}
 	}
-	a.Merge(b)
-	ba, bw := a.Site("V-1"), whole.Site("V-1")
-	if ba.TotalObjects() != bw.TotalObjects() || ba.TotalRequests() != bw.TotalRequests() {
-		t.Errorf("merged %d/%d != sequential %d/%d",
-			ba.TotalObjects(), ba.TotalRequests(), bw.TotalObjects(), bw.TotalRequests())
+	adoptAlone(a, b)
+	for _, site := range []string{"V-1", "P-1"} {
+		ba, bw := a.Site(site), whole.Site(site)
+		if !reflect.DeepEqual(ba, bw) {
+			t.Errorf("%s: merged %+v != sequential %+v", site, *ba, *bw)
+		}
 	}
 }
 
@@ -120,14 +123,18 @@ func TestHourlyVolumeLocalTime(t *testing.T) {
 func TestHourlyVolumeMerge(t *testing.T) {
 	a, b := NewHourlyVolume(), NewHourlyVolume()
 	a.Add(rec("V-1", 1, 1, trace.FileMP4, 300, 0))
-	b.Add(rec("V-1", 2, 1, trace.FileMP4, 700, 0))
-	a.Merge(b)
+	a.Add(rec("V-1", 2, 1, trace.FileMP4, 700, 0))
+	b.Add(rec("P-1", 2, 1, trace.FileMP4, 700, 3))
+	adoptAlone(a, b)
 	p := a.Percent("V-1")
 	// Both records land in the same local hour (EU, UTC+1 -> hour 1).
 	if math.Abs(p[1]-100) > 1e-9 {
 		t.Errorf("merged percent: %v", p[1])
 	}
-	if len(a.Sites()) != 1 {
+	if q := a.Percent("P-1"); math.Abs(q[4]-100) > 1e-9 {
+		t.Errorf("adopted site percent: %v", q[4])
+	}
+	if len(a.Sites()) != 2 {
 		t.Error("sites")
 	}
 	if a.TroughHour("V-1") == a.PeakHour("V-1") && p[0] != p[1] {
@@ -156,12 +163,6 @@ func TestHourOfWeekSeries(t *testing.T) {
 	}
 	if s.Series("none") != nil {
 		t.Error("unknown site should be nil")
-	}
-	o := NewHourOfWeekSeries(week)
-	o.Add(rec("V-1", 1, 1, trace.FileMP4, 100, 7))
-	s.Merge(o)
-	if s.Series("V-1")[7] != 1 {
-		t.Error("merge lost data")
 	}
 }
 
@@ -192,15 +193,6 @@ func TestDeviceMixUserShare(t *testing.T) {
 	if d.UserShare("none") != zero {
 		t.Error("unknown site")
 	}
-	// Merge unions users.
-	o := NewDeviceMix(0)
-	o.Add(rec("S-1", 1, 0, trace.FileJPG, 10, 0)) // duplicate user
-	o.Add(rec("S-1", 1, 999, trace.FileJPG, 10, 0))
-	d.Merge(o)
-	share2 := d.UserShare("S-1")
-	if math.Abs(share2[0]-9.0/11) > 1e-9 {
-		t.Errorf("merged desktop share = %v, want 9/11", share2[0])
-	}
 }
 
 // A merge adopts a site the receiver has not seen, users and their agent
@@ -215,7 +207,7 @@ func TestDeviceMixAddAfterAdoptingMerge(t *testing.T) {
 		r.UserAgent = fmt.Sprintf("Mozilla/5.0 (Linux; Android 5.1.%d; Nexus 5) Chrome/45.0 Mobile Safari/537.36", u)
 		o.Add(r)
 	}
-	d.Merge(o)
+	adoptAlone(d, o)
 	d.Add(rec("S-1", 2, 2, trace.FileJPG, 10, 1)) // user 2, now on the desktop agent
 	if got := d.UserShare("S-1"); got[0] != 0.25 || got[1] != 0.75 {
 		t.Errorf("UserShare after merge and add = %v, want desktop 1 and android 3 of 4", got)
@@ -246,15 +238,6 @@ func TestSizeDistribution(t *testing.T) {
 	}
 	if s.CDF("P-1", trace.CategoryOther) != nil {
 		t.Error("empty category should be nil")
-	}
-	o := NewSizeDistribution()
-	o.Add(rec("P-1", 4, 1, trace.FileJPG, 7_000, 0))
-	s.Merge(o)
-	if s.CDF("P-1", trace.CategoryImage).Len() != 3 {
-		t.Error("merge lost object")
-	}
-	if len(s.Sites()) != 1 {
-		t.Error("sites")
 	}
 }
 
@@ -288,12 +271,6 @@ func TestPopularity(t *testing.T) {
 	rc := p.RequestCounts("V-1", trace.CategoryVideo)
 	if rc[1] != 5 || rc[2] != 2 || rc[3] != 1 {
 		t.Errorf("RequestCounts = %v", rc)
-	}
-	o := NewPopularity()
-	o.Add(rec("V-1", 1, 9, trace.FileMP4, 100, 3))
-	p.Merge(o)
-	if p.Counts("V-1", trace.CategoryVideo)[0] != 6 {
-		t.Error("merge did not sum counts")
 	}
 }
 
@@ -338,13 +315,6 @@ func TestAgingCurve(t *testing.T) {
 	// After day 1 only object 2 (last request on day 1) is silent.
 	if got := a.FracSilentAfterDay("P-1", 1); math.Abs(got-1.0/3) > 1e-9 {
 		t.Errorf("FracSilentAfterDay(1) = %v, want 1/3", got)
-	}
-	o := NewAging(week, 0)
-	o.Add(rec("P-1", 2, 1, trace.FileJPG, 10, 3*24))
-	a.Merge(o)
-	curve2 := a.Curve("P-1")
-	if curve2[3] <= curve[3] {
-		t.Error("merge should have raised age-4 fraction")
 	}
 }
 
@@ -396,13 +366,6 @@ func TestSessionsIATAndLength(t *testing.T) {
 	if s.IATCDF("none") != nil || s.SessionLengthCDF("none") != nil {
 		t.Error("unknown site")
 	}
-	// Merge combines per-user series before sessionization.
-	o := NewSessions(0, 0)
-	o.Add(mk(1, 60*time.Second))
-	s.Merge(o)
-	if len(s.IATSeconds("V-1")) != 4 {
-		t.Error("merge should add one more gap")
-	}
 }
 
 func TestAddiction(t *testing.T) {
@@ -440,12 +403,6 @@ func TestAddiction(t *testing.T) {
 	if a.PerUserCDF("none", trace.CategoryVideo) != nil {
 		t.Error("unknown site")
 	}
-	o := NewAddiction(0)
-	o.Add(rec("V-1", 1, 1, trace.FileMP4, 100, 50))
-	a.Merge(o)
-	if a.MaxRequestsPerUser("V-1", trace.CategoryVideo)[1] != 13 {
-		t.Error("merge should sum pair counts")
-	}
 }
 
 func TestCaching(t *testing.T) {
@@ -479,14 +436,6 @@ func TestCaching(t *testing.T) {
 	}
 	if c.HitRatioCDF("none", trace.CategoryImage) != nil {
 		t.Error("unknown site")
-	}
-	o := NewCaching(0)
-	h2 := rec("V-1", 1, 3, trace.FileJPG, 100, 3)
-	h2.Cache = trace.CacheHit
-	o.Add(h2)
-	c.Merge(o)
-	if got := c.WeightedHitRatio("V-1"); math.Abs(got-0.75) > 1e-9 {
-		t.Errorf("merged weighted hit ratio = %v", got)
 	}
 }
 
@@ -682,10 +631,11 @@ func TestClassifyShapeEdgeCases(t *testing.T) {
 
 func TestObjectSeriesMerge(t *testing.T) {
 	a, b := NewObjectSeries(week, 0), NewObjectSeries(week, 0)
-	a.Add(rec("V-1", 1, 1, trace.FileMP4, 100, 0))
+	a.Add(rec("P-1", 7, 1, trace.FileMP4, 100, 9))
+	b.Add(rec("V-1", 1, 1, trace.FileMP4, 100, 0))
 	b.Add(rec("V-1", 1, 2, trace.FileMP4, 100, 0))
 	b.Add(rec("V-1", 2, 1, trace.FileMP4, 100, 5))
-	a.Merge(b)
+	adoptAlone(a, b)
 	ids, series := a.SeriesSet("V-1", trace.CategoryVideo, 1, 0)
 	if len(ids) != 2 {
 		t.Fatalf("ids = %v", ids)
@@ -695,5 +645,8 @@ func TestObjectSeriesMerge(t *testing.T) {
 		if id == 1 && series[i][0] != 1 {
 			t.Error("normalized series should be 1 at hour 0")
 		}
+	}
+	if ids, _ := a.SeriesSet("P-1", trace.CategoryVideo, 1, 0); len(ids) != 1 || ids[0] != 7 {
+		t.Errorf("receiver's own site: ids = %v", ids)
 	}
 }

@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"slices"
-
-	"trafficscope/internal/sketch"
-)
+import "trafficscope/internal/sketch"
 
 // boundedKeys is a slot table with a sampler attached, the bounded-memory
 // mode's replacement for a keyspace population: a uniform hash-threshold
@@ -18,9 +14,8 @@ import (
 // seen so far: any statistic that is a ratio or distribution over keys
 // (fractions of objects, per-object CDFs, per-user session curves)
 // computed from the sampled keys estimates the population value with
-// relative standard error ~ 1/sqrt(cap). Two workers' samples merge
-// exactly by adopting the stricter threshold and evicting. The zero
-// value is an empty sample admitting every key.
+// relative standard error ~ 1/sqrt(cap). The zero value is an empty
+// sample admitting every key.
 type boundedKeys struct {
 	slotTable
 	samp sketch.KeySampler
@@ -90,27 +85,4 @@ func (b *boundedKeys) remapOf(keys []uint64) []uint32 {
 		rm[s] = slot
 	}
 	return rm
-}
-
-// mergeFrom folds another sample in under the stricter of the two
-// thresholds and the cap, and returns the remap of o's slots to their
-// slots in the merged sample (noSlot for keys that did not make it). If
-// a key b tracked is evicted, move is first called with the remap of
-// b's old slots, as admit calls it.
-func (b *boundedKeys) mergeFrom(cap int, o *boundedKeys, move func(evict []uint32)) (from []uint32) {
-	tightened := b.samp.MergeFrom(&o.samp)
-	mine := len(b.keys)
-	for _, k := range o.keys {
-		if b.samp.Admits(sketch.Hash64(k)) {
-			b.slot(k)
-		}
-	}
-	if tightened || len(b.keys) > cap {
-		// b's own keys lead the table in their old order, so they keep
-		// their slots unless one of them is evicted.
-		if rm := b.prune(cap); rm != nil && slices.Contains(rm[:mine], noSlot) {
-			move(rm[:mine])
-		}
-	}
-	return b.remapOf(o.keys)
 }

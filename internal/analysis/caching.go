@@ -127,26 +127,6 @@ func (st *cachingSite) compact(evict []uint32) {
 	st.absorb(&old, evict)
 }
 
-// Merge folds o in and consumes it (see Fold.Merge).
-func (c *Caching) Merge(o *Caching) { c.mergeKeyed(o, c.keys().absorb(o.keys())) }
-
-func (c *Caching) mergeKeyed(src Analyzer, rm *remap) {
-	c.mergeSites(&src.(*Caching).perSite, rm, func(si int, st, os *cachingSite) {
-		st.totalLookups += os.totalLookups
-		st.totalHits += os.totalHits
-		for cat := range os.codes {
-			for _, cc := range os.codes[cat] {
-				addCode(&st.codes[cat], cc.code, cc.n)
-			}
-		}
-		objs := rm.obj[si]
-		if c.budget > 0 {
-			objs = st.keys.mergeFrom(c.budget, &os.keys, st.compact)
-		}
-		st.absorb(os, objs)
-	})
-}
-
 // hitRatios lists the lookups and hit ratio of every tracked object of
 // the site, optionally only those of one category.
 func (st *cachingSite) hitRatios(only trace.Category) (lookups, ratios []float64) {
@@ -224,10 +204,9 @@ func (c *Caching) HitRatioByPopularityDecile(site string) []float64 {
 	if len(objs) < 10 {
 		return nil
 	}
-	// Tie-break equal lookup counts by id: slot order depends on which
-	// worker saw an object first, and without a total order
-	// equal-popularity objects would land in different deciles from run
-	// to run.
+	// Tie-break equal lookup counts by id: slot order is the order the
+	// objects were first requested in, and without a total order
+	// equal-popularity objects would land in deciles that depend on it.
 	slices.SortFunc(objs, func(a, b obj) int {
 		return cmp.Or(cmp.Compare(a.lookups, b.lookups), cmp.Compare(a.id, b.id))
 	})

@@ -24,10 +24,10 @@ import (
 // estimated request count reaches seriesAdmitThreshold, and at most the
 // budget's worth of series exist per site and category. The error
 // model: an admitted object's series misses at most threshold-1 early
-// requests (per worker), a relative error below (threshold-1)/
-// minRequests for any object the clustering would consider (default
-// minRequests 20); objects that never reach the threshold are exactly
-// the cold objects SeriesSet filters out anyway. Count-Min never
+// requests, a relative error below (threshold-1)/minRequests for any
+// object the clustering would consider (default minRequests 20);
+// objects that never reach the threshold are exactly the cold objects
+// SeriesSet filters out anyway. Count-Min never
 // undercounts, so no qualifying object is starved — overcounts can only
 // admit a cold object early, which the minRequests filter still drops.
 type ObjectSeries struct {
@@ -127,40 +127,6 @@ func (s *ObjectSeries) add(r *trace.Record, k *recKey) {
 		}
 	}
 	st.series(slot, k.cat)[k.hour]++
-}
-
-// Merge folds o in and consumes it (see Fold.Merge). In bounded mode
-// the sketches add and partial series merge; an object admitted by one
-// worker but still below another worker's threshold loses those
-// sub-threshold requests, so the per-object undercount bound scales with
-// the worker count.
-func (s *ObjectSeries) Merge(o *ObjectSeries) { s.mergeKeyed(o, s.keys().absorb(o.keys())) }
-
-func (s *ObjectSeries) mergeKeyed(src Analyzer, rm *remap) {
-	s.mergeSites(&src.(*ObjectSeries).perSite, rm, func(si int, st, os *seriesSite) {
-		objs := rm.obj[si]
-		if s.budget > 0 {
-			objs = st.objs.absorb(&os.objs)
-			for cat, g := range os.gates {
-				if g == nil {
-					continue
-				}
-				if st.gates[cat] == nil {
-					st.gates[cat] = sketch.NewCountMin(0, 0)
-				}
-				st.gates[cat].Merge(g)
-			}
-		}
-		for i, ri := range os.rowOf {
-			if ri == 0 {
-				continue
-			}
-			dst := st.series(objs[i/numCats], uint8(i%numCats))
-			for h, v := range os.row(ri - 1) {
-				dst[h] += v
-			}
-		}
-	})
 }
 
 // SeriesSet extracts, for one site and category, the normalized request

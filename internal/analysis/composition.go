@@ -98,9 +98,8 @@ type compSite struct {
 }
 
 // Composition accumulates Figs. 1, 2a and 2b: per-site object, request
-// and byte composition by content category. It satisfies
-// pipeline.Accumulator and merges exactly in exact mode (object
-// identity is tracked). Bounded mode (Params.MemoryBudget > 0) replaces
+// and byte composition by content category; exact mode tracks object
+// identity. Bounded mode (Params.MemoryBudget > 0) replaces
 // the per-object category with one HyperLogLog per site and category —
 // a fixed 16 KiB each, relative standard error ~0.8% on object counts —
 // while request and byte totals stay exact in both modes. An object
@@ -145,29 +144,6 @@ func (c *Composition) add(r *trace.Record, k *recKey) {
 	if first := at(&st.firstCat, k.obj); *first == 0 {
 		*first = k.cat + 1
 	}
-}
-
-// Merge folds o in and consumes it (see Fold.Merge).
-func (c *Composition) Merge(o *Composition) { c.mergeKeyed(o, c.keys().absorb(o.keys())) }
-
-func (c *Composition) mergeKeyed(src Analyzer, rm *remap) {
-	c.mergeSites(&src.(*Composition).perSite, rm, func(si int, st, os *compSite) {
-		for cat := range os.requests {
-			st.requests[cat] += os.requests[cat]
-			st.bytes[cat] += os.bytes[cat]
-			if h := os.objHLL[cat]; h != nil {
-				if st.objHLL[cat] == nil {
-					st.objHLL[cat] = sketch.NewHLL(0)
-				}
-				st.objHLL[cat].Merge(h)
-			}
-		}
-		for slot, cat := range os.firstCat {
-			if first := at(&st.firstCat, rm.obj[si][slot]); cat != 0 && *first == 0 {
-				*first = cat
-			}
-		}
-	})
 }
 
 // Site returns the breakdown for one site, or nil if unseen.

@@ -7,8 +7,9 @@ import (
 	"trafficscope/internal/useragent"
 )
 
-// TestSitesAccessors covers the Sites() enumerators and the
-// merge-into-empty branches shared by every accumulator.
+// TestSitesAccessors covers the Sites() enumerators, across a merge that
+// adopts a second site, and the missing-site branches of every
+// accumulator.
 func TestSitesAccessors(t *testing.T) {
 	r1 := rec("B-site", 1, 1, trace.FileJPG, 10, 0)
 	r2 := rec("A-site", 2, 2, trace.FileMP4, 10, 1)
@@ -17,7 +18,7 @@ func TestSitesAccessors(t *testing.T) {
 		a, b := NewAddiction(0), NewAddiction(0)
 		a.Add(r1)
 		b.Add(r2)
-		a.Merge(b) // new-site branch
+		adoptAlone(a, b)
 		sites := a.Sites()
 		if len(sites) != 2 || sites[0] != "A-site" || sites[1] != "B-site" {
 			t.Errorf("Sites = %v", sites)
@@ -27,7 +28,7 @@ func TestSitesAccessors(t *testing.T) {
 		a, b := NewAging(week, 0), NewAging(week, 0)
 		a.Add(r1)
 		b.Add(r2)
-		a.Merge(b)
+		adoptAlone(a, b)
 		if got := a.Sites(); len(got) != 2 {
 			t.Errorf("Sites = %v", got)
 		}
@@ -47,7 +48,7 @@ func TestSitesAccessors(t *testing.T) {
 		hit.Cache = trace.CacheHit
 		a.Add(hit)
 		b.Add(r2)
-		a.Merge(b)
+		adoptAlone(a, b)
 		if got := a.Sites(); len(got) != 2 {
 			t.Errorf("Sites = %v", got)
 		}
@@ -71,7 +72,7 @@ func TestSitesAccessors(t *testing.T) {
 		a, b := NewSessions(0, 0), NewSessions(0, 0)
 		a.Add(r1)
 		b.Add(r2)
-		a.Merge(b)
+		adoptAlone(a, b)
 		if got := a.Sites(); len(got) != 2 {
 			t.Errorf("Sites = %v", got)
 		}
@@ -89,7 +90,7 @@ func TestSitesAccessors(t *testing.T) {
 		a, b := NewPopularity(), NewPopularity()
 		a.Add(r1)
 		b.Add(r2)
-		a.Merge(b)
+		adoptAlone(a, b)
 		if got := a.Sites(); len(got) != 2 {
 			t.Errorf("Sites = %v", got)
 		}
@@ -107,7 +108,7 @@ func TestSitesAccessors(t *testing.T) {
 		a, b := NewSizeDistribution(), NewSizeDistribution()
 		a.Add(r1)
 		b.Add(r2)
-		a.Merge(b)
+		adoptAlone(a, b)
 		if got := a.Sites(); len(got) != 2 {
 			t.Errorf("Sites = %v", got)
 		}
@@ -122,7 +123,7 @@ func TestSitesAccessors(t *testing.T) {
 		a, b := NewComposition(0), NewComposition(0)
 		a.Add(r1)
 		b.Add(r2)
-		a.Merge(b)
+		adoptAlone(a, b)
 		if got := a.Sites(); len(got) != 2 {
 			t.Errorf("Sites = %v", got)
 		}
@@ -131,7 +132,7 @@ func TestSitesAccessors(t *testing.T) {
 		a, b := NewDeviceMix(0), NewDeviceMix(0)
 		a.Add(r1)
 		b.Add(r2)
-		a.Merge(b)
+		adoptAlone(a, b)
 		if got := a.Sites(); len(got) != 2 {
 			t.Errorf("Sites = %v", got)
 		}
@@ -140,7 +141,7 @@ func TestSitesAccessors(t *testing.T) {
 		a, b := NewHourlyVolume(), NewHourlyVolume()
 		a.Add(r1)
 		b.Add(r2)
-		a.Merge(b)
+		adoptAlone(a, b)
 		if got := a.Sites(); len(got) != 2 {
 			t.Errorf("Sites = %v", got)
 		}
@@ -149,7 +150,7 @@ func TestSitesAccessors(t *testing.T) {
 		a, b := NewObjectSeries(week, 0), NewObjectSeries(week, 0)
 		a.Add(r1)
 		b.Add(r2)
-		a.Merge(b)
+		adoptAlone(a, b)
 		ids, _ := a.SeriesSet("A-site", trace.CategoryVideo, 1, 0)
 		if len(ids) != 1 {
 			t.Errorf("merged series missing: %v", ids)

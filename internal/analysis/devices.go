@@ -105,28 +105,6 @@ func (d *DeviceMix) add(r *trace.Record, k *recKey) {
 	u.seen |= 1 << dev
 }
 
-// Merge folds o in and consumes it (see Fold.Merge).
-func (d *DeviceMix) Merge(o *DeviceMix) { d.mergeKeyed(o, d.keys().absorb(o.keys())) }
-
-func (d *DeviceMix) mergeKeyed(src Analyzer, rm *remap) {
-	d.mergeSites(&src.(*DeviceMix).perSite, rm, func(si int, st, os *devicesSite) {
-		for i, h := range os.hlls {
-			if h == nil {
-				continue
-			}
-			if st.hlls[i] == nil {
-				st.hlls[i] = sketch.NewHLL(0)
-			}
-			st.hlls[i].Merge(h)
-		}
-		for slot, u := range os.users {
-			if u.seen != 0 {
-				at(&st.users, rm.user[si][slot]).seen |= u.seen
-			}
-		}
-	})
-}
-
 // UserShare returns the fraction of the site's users on each device, in
 // the order of useragent.AllDevices(). A user active on several devices
 // counts toward each (rare with hashed per-device identities).

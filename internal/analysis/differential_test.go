@@ -111,8 +111,7 @@ func (s *refSet) merge(o *refSet) {
 }
 
 // newSet is the same five analyzers of this package used stand-alone,
-// each resolving through its private keyspace and merging through its
-// typed Merge.
+// each resolving through its private keyspace and merging by adoption.
 type newSet struct {
 	sessions   *Sessions
 	addiction  *Addiction
@@ -134,11 +133,11 @@ func (s *newSet) add(r *trace.Record) {
 }
 
 func (s *newSet) merge(o *newSet) {
-	s.sessions.Merge(o.sessions)
-	s.addiction.Merge(o.addiction)
-	s.aging.Merge(o.aging)
-	s.caching.Merge(o.caching)
-	s.popularity.Merge(o.popularity)
+	adoptAlone(s.sessions, o.sessions)
+	adoptAlone(s.addiction, o.addiction)
+	adoptAlone(s.aging, o.aging)
+	adoptAlone(s.caching, o.caching)
+	adoptAlone(s.popularity, o.popularity)
 }
 
 func setOfFold(f *Fold) *newSet {
@@ -150,13 +149,14 @@ func setOfFold(f *Fold) *newSet {
 }
 
 // TestSlotIndexedMatchesMapBased folds the same foreign records into the
-// map-based reference, into a Fold and into stand-alone analyzers, over
-// one to four workers and random merge orders, and requires every
-// accessor to agree. Batches go to workers at random, so that merges
-// meet sites both sides hold and translate them through the remap, or by
-// publisher as the pipeline routes them, so that every merge adopts
-// whole sites. Each assignment also runs under a budget above the
-// population, where the samples keep every key and must agree exactly.
+// map-based reference, into a Fold and into stand-alone analyzers, and
+// requires every accessor to agree. The by-publisher cells route the
+// records over one to four workers by publisher, as the pipeline does,
+// and merge the workers in random order, every merge adopting whole
+// sites; the others fold the records whole, the path of a one-worker run
+// and of the per-analyzer benchmark rows. Each runs exact and under a
+// budget above the population, where the samples keep every key and
+// must agree exactly.
 func TestSlotIndexedMatchesMapBased(t *testing.T) {
 	n := 100_000
 	if testing.Short() {
@@ -168,27 +168,26 @@ func TestSlotIndexedMatchesMapBased(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(1000 + trial)))
 				recs := foreignRecords(rng, n)
 				workers := 1 + trial%4
-				refs := make([]*refSet, workers)
-				folds := make([]*Fold, workers)
-				alone := make([]*newSet, workers)
+				shards := 1
+				if byPublisher {
+					shards = workers
+				}
+				refs := make([]*refSet, shards)
+				folds := make([]*Fold, shards)
+				alone := make([]*newSet, shards)
 				for w := range refs {
 					refs[w], folds[w], alone[w] = newRefSet(), NewFold(Registered(), Params{Week: week, MemoryBudget: budget}), newNewSet(budget)
 				}
-				route := map[string]int{} // publisher → worker, when byPublisher
-				for i := 0; i < len(recs); {
-					w, batch := rng.Intn(workers), 1+rng.Intn(2048)
-					for ; batch > 0 && i < len(recs); batch, i = batch-1, i+1 {
-						if byPublisher {
-							p := recs[i].Publisher
-							if _, ok := route[p]; !ok {
-								route[p] = len(route) % workers
-							}
-							w = route[p]
-						}
-						refs[w].add(&recs[i])
-						folds[w].Add(&recs[i])
-						alone[w].add(&recs[i])
+				route := map[string]int{} // publisher → shard, round robin in first-seen order
+				for i := range recs {
+					w, ok := route[recs[i].Publisher]
+					if !ok {
+						w = len(route) % shards
+						route[recs[i].Publisher] = w
 					}
+					refs[w].add(&recs[i])
+					folds[w].Add(&recs[i])
+					alone[w].add(&recs[i])
 				}
 				for len(refs) > 1 {
 					dst, src := rng.Intn(len(refs)), rng.Intn(len(refs)-1)

@@ -16,9 +16,10 @@ type keyed interface {
 	bind(*keyspace)
 	// add folds one record that k resolves.
 	add(r *trace.Record, k *recKey)
-	// mergeKeyed folds src, an analyzer of the same type whose keyspace
-	// rm translates, into the receiver.
-	mergeKeyed(src Analyzer, rm *remap)
+	// adopt takes over the state of every site src, an analyzer of the
+	// same type, holds; src's keyspace was adopted at off. perSite
+	// implements it for every analyzer.
+	adopt(src keyed, off int32)
 }
 
 // Fold folds one record into every analysis of a study; it satisfies
@@ -66,18 +67,20 @@ func (f *Fold) Add(r *trace.Record) {
 	}
 }
 
-// Merge implements pipeline.Accumulator. It consumes o: the state of a
-// site f has not seen moves over from o as it is, not copied, so o must
-// not be used afterwards. Both folds must come from the same descriptor
-// set (always true inside one pipeline run); Merge panics otherwise.
+// Merge implements pipeline.Accumulator by adoption: o's sites join
+// f's, and every analyzer's state for them moves over as it is, not
+// copied, so o must not be used afterwards. The two folds must come from
+// the same descriptor set and hold disjoint sites, both always true
+// inside one pipeline run, which folds each publisher on one worker;
+// Merge panics otherwise.
 func (f *Fold) Merge(o *Fold) {
 	if !slices.EqualFunc(f.descs, o.descs, func(a, b Descriptor) bool { return a.Name == b.Name }) {
 		panic(fmt.Sprintf("analysis: merging a fold of %v into a fold of %v", descNames(o.descs), descNames(f.descs)))
 	}
 	f.n += o.n
-	rm := f.ks.absorb(o.ks)
+	off := f.ks.adopt(o.ks)
 	for i, ka := range f.accs {
-		ka.mergeKeyed(o.accs[i], rm)
+		ka.adopt(o.accs[i], off)
 	}
 }
 

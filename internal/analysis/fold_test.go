@@ -10,13 +10,23 @@ import (
 	"trafficscope/internal/trace"
 )
 
+// adoptAlone merges two stand-alone analyzers the way Fold.Merge merges
+// a fold's: src's sites join dst's keyspace and their state moves over.
+func adoptAlone[A interface {
+	keyed
+	keys() *keyspace
+}](dst, src A) {
+	dst.adopt(src, dst.keys().adopt(src.keys()))
+}
+
 // TestFoldMerge directly exercises the composite accumulator merge used
-// by the parallel analysis pass.
+// by the parallel analysis pass: each fold holds its own sites, as the
+// pipeline routes them, and the merge adopts them.
 func TestFoldMerge(t *testing.T) {
-	mk := func(obj, user uint64, hour int) *trace.Record {
+	mk := func(site string, obj, user uint64, hour int) *trace.Record {
 		return &trace.Record{
 			Timestamp:   week.HourStart(hour).Add(time.Minute),
-			Publisher:   "V-1",
+			Publisher:   site,
 			ObjectID:    obj,
 			FileType:    trace.FileMP4,
 			ObjectSize:  1000,
@@ -31,28 +41,51 @@ func TestFoldMerge(t *testing.T) {
 	p := Params{Week: week}
 	a := NewFold(Registered(), p)
 	b := NewFold(Registered(), p)
-	a.Add(mk(1, 1, 0))
-	a.Add(mk(1, 2, 1))
-	b.Add(mk(2, 1, 2))
-	b.Add(mk(2, 3, 3))
+	a.Add(mk("V-1", 1, 1, 0))
+	a.Add(mk("V-1", 1, 2, 1))
+	a.Add(mk("V-1", 2, 1, 2))
+	b.Add(mk("P-1", 2, 1, 2))
+	b.Add(mk("P-1", 2, 3, 3))
 	a.Merge(b)
-	if a.Records() != 4 {
-		t.Errorf("merged n = %d, want 4", a.Records())
+	if a.Records() != 5 {
+		t.Errorf("merged n = %d, want 5", a.Records())
 	}
 	byName := a.Analyzers()
 	comp := byName["composition"].(*Composition)
-	if got := comp.Site("V-1").TotalRequests(); got != 4 {
-		t.Errorf("merged requests = %d", got)
+	for _, c := range []struct {
+		site              string
+		requests, objects int64
+		sessions          int
+	}{{"V-1", 3, 2, 3}, {"P-1", 2, 1, 2}} {
+		if got := comp.Site(c.site).TotalRequests(); got != c.requests {
+			t.Errorf("%s: merged requests = %d, want %d", c.site, got, c.requests)
+		}
+		if got := comp.Site(c.site).TotalObjects(); got != c.objects {
+			t.Errorf("%s: merged objects = %d, want %d", c.site, got, c.objects)
+		}
+		if got := byName["caching"].(*Caching).WeightedHitRatio(c.site); got != 1 {
+			t.Errorf("%s: merged hit ratio = %v", c.site, got)
+		}
+		if got := len(byName["sessions"].(*Sessions).SessionsOf(c.site)); got != c.sessions {
+			t.Errorf("%s: merged sessions = %d, want %d", c.site, got, c.sessions)
+		}
 	}
-	if got := comp.Site("V-1").TotalObjects(); got != 2 {
-		t.Errorf("merged objects = %d", got)
-	}
-	if got := byName["caching"].(*Caching).WeightedHitRatio("V-1"); got != 1 {
-		t.Errorf("merged hit ratio = %v", got)
-	}
-	if got := len(byName["sessions"].(*Sessions).SessionsOf("V-1")); got != 4 {
-		t.Errorf("merged sessions = %d, want 4 (user 1 twice, two hours apart)", got)
-	}
+}
+
+// Merging two folds that hold the same publisher is a programming error
+// (the pipeline folds each publisher on one worker) that Merge reports,
+// naming the publisher.
+func TestFoldMergeRejectsSharedSite(t *testing.T) {
+	a, b := NewFold(Registered(), Params{Week: week}), NewFold(Registered(), Params{Week: week})
+	a.Add(rec("V-1", 1, 1, trace.FileMP4, 100, 0))
+	b.Add(rec("P-1", 2, 2, trace.FileJPG, 10, 1))
+	b.Add(rec("V-1", 3, 3, trace.FileMP4, 100, 2))
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, `"V-1"`) {
+			t.Errorf("panic %q does not name the shared site V-1", msg)
+		}
+	}()
+	a.Merge(b)
 }
 
 // Merging folds of different analyzer sets is a programming error that

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"time"
@@ -14,14 +15,14 @@ import (
 // one record used to hash the same publisher, object ID and user ID once
 // per analyzer. A keyspace resolves them once: the site to an index into
 // a short slice, the object and the user to dense per-site slots. The
-// analyzers keep their state in slices indexed by site and slot, and a
-// merge translates one keyspace's slots into another's through a remap
-// built once per site and population instead of re-hashing every key in
-// every analyzer. A site only one side holds needs no translation: the
-// merge adopts its key tables and every analyzer's state for it whole.
+// analyzers keep their state in slices indexed by site and slot. A
+// merge adopts whole sites: the pipeline folds each publisher on one
+// worker, so the source's sites are new to the destination, and their
+// key tables and every analyzer's state for them move across as they
+// are.
 
 // noSlot marks a key with no slot: a population the keyspace does not
-// resolve, or a key a remap drops.
+// resolve, or a key an eviction drops.
 const noSlot = ^uint32(0)
 
 // numCats is the number of content categories; per-category state is
@@ -74,15 +75,6 @@ func (t *slotTable) slot(key uint64) uint32 {
 	t.idx[key] = s
 	t.keys = append(t.keys, key)
 	return s
-}
-
-// absorb adds o's keys and returns the remap from o's slots to t's.
-func (t *slotTable) absorb(o *slotTable) []uint32 {
-	rm := make([]uint32, len(o.keys))
-	for s, key := range o.keys {
-		rm[s] = t.slot(key)
-	}
-	return rm
 }
 
 // siteKeys holds one publisher's key populations.
@@ -157,39 +149,20 @@ func (ks *keyspace) resolve(r *trace.Record, k *recKey) {
 	k.objHash, k.userHash = sketch.Hash64(r.ObjectID), sketch.Hash64(r.UserID)
 }
 
-// remap translates a source keyspace's indices into a destination's.
-type remap struct {
-	site []int32 // source site → destination site
-	// adopted marks a source site the destination did not hold: its key
-	// tables moved across whole, so its slots are unchanged and an
-	// analyzer takes the site's state over as it is.
-	adopted   []bool
-	obj, user [][]uint32 // per source site not adopted: source slot → destination slot
-}
-
-// absorb adds every site and key of o and returns the remap from o's
-// indices to ks's. A site ks does not hold is adopted, not copied: o's
-// key tables for it become ks's, so o must not be used afterwards.
-func (ks *keyspace) absorb(o *keyspace) *remap {
-	rm := &remap{
-		site:    make([]int32, len(o.sites)),
-		adopted: make([]bool, len(o.sites)),
-		obj:     make([][]uint32, len(o.sites)),
-		user:    make([][]uint32, len(o.sites)),
-	}
-	for si := range o.sites {
-		os := &o.sites[si]
-		di := int32(ks.find(os.name))
-		if di < 0 {
-			ks.sites = append(ks.sites, *os)
-			rm.site[si], rm.adopted[si] = int32(len(ks.sites)-1), true
-			continue
+// adopt appends o's sites to ks's and returns the index the first of
+// them takes: o's site si becomes ks's site off+si. The key tables move
+// across as they are, so o must not be used afterwards. Two folds never
+// hold the same publisher, since the pipeline routes each to one
+// worker; adopt panics, naming it, on one both hold.
+func (ks *keyspace) adopt(o *keyspace) (off int32) {
+	for i := range o.sites {
+		if name := o.sites[i].name; ks.find(name) >= 0 {
+			panic(fmt.Sprintf("analysis: both sides of a merge hold site %q", name))
 		}
-		rm.site[si] = di
-		rm.obj[si] = ks.sites[di].objs.absorb(&os.objs)
-		rm.user[si] = ks.sites[di].users.absorb(&os.users)
 	}
-	return rm
+	off = int32(len(ks.sites))
+	ks.sites = append(ks.sites, o.sites...)
+	return off
 }
 
 // base is the keyspace plumbing every analyzer embeds. An analyzer
@@ -247,18 +220,18 @@ func (p *perSite[T]) site(si int32) *T {
 	return at(&p.sites, uint32(si))
 }
 
-// mergeSites merges the state of every site o has state for into p's:
-// the state of a site the remap adopted moves over as it is (p has none
-// for it), and fn merges any other, given p's state for the site, o's,
-// and the site's index in o.
-func (p *perSite[T]) mergeSites(o *perSite[T], rm *remap, fn func(si int, dst, src *T)) {
+// state returns p itself, for adopt to find the perSite of an analyzer
+// it holds as a keyed.
+func (p *perSite[T]) state() *perSite[T] { return p }
+
+// adopt moves the state of every site src holds into p, src being an
+// analyzer of p's type whose keyspace the receiver's adopted at off (see
+// keyspace.adopt). The state is shared, not copied.
+func (p *perSite[T]) adopt(src keyed, off int32) {
+	o := src.(interface{ state() *perSite[T] }).state()
 	for si, ok := range o.seen {
-		switch {
-		case !ok:
-		case rm.adopted[si]:
-			*p.site(rm.site[si]) = o.sites[si]
-		default:
-			fn(si, p.site(rm.site[si]), &o.sites[si])
+		if ok {
+			*p.site(off + int32(si)) = o.sites[si]
 		}
 	}
 }

@@ -51,7 +51,8 @@ func TestResolveTimeIndices(t *testing.T) {
 // TestBoundedKeysRemaps drives a sampled slot table the way an analyzer
 // does — per-slot state moved through every remap it hands back — and
 // checks the state stays attached to its key, the sample stays within
-// its cap, and two samples merged equal one sample fed both key sets.
+// its cap, and it holds exactly the keys fed that its final threshold
+// admits, whatever order they came in.
 func TestBoundedKeysRemaps(t *testing.T) {
 	const cap = 100
 	rng := rand.New(rand.NewSource(9))
@@ -77,7 +78,7 @@ func TestBoundedKeysRemaps(t *testing.T) {
 		}
 		return state
 	}
-	check := func(name string, b *boundedKeys, state []uint64) {
+	check := func(name string, b *boundedKeys, state, fed []uint64) {
 		t.Helper()
 		if !slices.Equal(state, b.keys) {
 			t.Fatalf("%s: state drifted from its keys:\n state %v\n keys  %v", name, state, b.keys)
@@ -86,6 +87,18 @@ func TestBoundedKeysRemaps(t *testing.T) {
 			if b.idx[key] != uint32(slot) || !b.samp.Admits(sketch.Hash64(key)) {
 				t.Fatalf("%s: key %d at slot %d: index %d, admitted %v", name, key, slot, b.idx[key], b.samp.Admits(sketch.Hash64(key)))
 			}
+		}
+		var want []uint64
+		for _, key := range fed {
+			if b.samp.Admits(sketch.Hash64(key)) {
+				want = append(want, key)
+			}
+		}
+		slices.Sort(want)
+		got := slices.Clone(b.keys)
+		slices.Sort(got)
+		if want = slices.Compact(want); !slices.Equal(got, want) {
+			t.Fatalf("%s: sample differs from the admitted keys fed:\n sample %v\n want   %v", name, got, want)
 		}
 	}
 	draw := func(n int) []uint64 {
@@ -96,26 +109,11 @@ func TestBoundedKeysRemaps(t *testing.T) {
 		return keys
 	}
 	for trial := 0; trial < 20; trial++ {
-		ka, kb := draw(rng.Intn(2000)), draw(rng.Intn(2000))
-		var a, b, one boundedKeys
-		sa, sb := feed(&a, nil, ka), feed(&b, nil, kb)
-		check("a", &a, sa)
-		check("b", &b, sb)
-		sone := feed(&one, nil, append(slices.Clone(ka), kb...))
-		check("one", &one, sone)
-
-		from := a.mergeFrom(cap, &b, func(evict []uint32) { sa = move(sa, evict) })
-		for slot, key := range move(sb, from) {
-			if key != 0 {
-				*at(&sa, uint32(slot)) = key
-			}
-		}
-		check("merged", &a, sa)
-		got, want := slices.Clone(a.keys), slices.Clone(one.keys)
-		slices.Sort(got)
-		slices.Sort(want)
-		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d: merged sample differs from the single sample:\n merged %v\n single %v", trial, got, want)
-		}
+		keys := draw(rng.Intn(4000))
+		var b, rev boundedKeys
+		check("forward", &b, feed(&b, nil, keys), keys)
+		back := slices.Clone(keys)
+		slices.Reverse(back)
+		check("reversed", &rev, feed(&rev, nil, back), keys)
 	}
 }

@@ -42,19 +42,6 @@ func (p *Popularity) add(_ *trace.Record, k *recKey) {
 	*at(p.site(k.site), catSlot(k.obj, k.cat))++
 }
 
-// Merge folds o in and consumes it (see Fold.Merge).
-func (p *Popularity) Merge(o *Popularity) { p.mergeKeyed(o, p.keys().absorb(o.keys())) }
-
-func (p *Popularity) mergeKeyed(src Analyzer, rm *remap) {
-	p.mergeSites(&src.(*Popularity).perSite, rm, func(si int, counts, from *[]int64) {
-		for i, n := range *from {
-			if n != 0 {
-				*at(counts, catSlot(rm.obj[si][i/numCats], uint8(i%numCats))) += n
-			}
-		}
-	})
-}
-
 // Counts returns the per-object request counts for the site and category,
 // sorted descending (rank order).
 func (p *Popularity) Counts(site string, cat trace.Category) []int64 {

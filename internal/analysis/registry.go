@@ -32,10 +32,9 @@ type Params struct {
 }
 
 // Analyzer is the streaming interface every analysis implements: fold
-// one record at a time. Analyses must be fold-order-insensitive across
-// workers: the parallel pipeline folds each publisher on one worker and
-// merges at the end, but a merge of state split any other way must give
-// the same result.
+// one record at a time. The parallel pipeline folds each publisher on
+// one worker and merges by adopting whole sites (see Fold.Merge), so an
+// analysis only has to keep its state per site.
 type Analyzer interface {
 	Add(*trace.Record)
 }

@@ -77,8 +77,8 @@ func TestForFiguresRejectsUnknown(t *testing.T) {
 
 // TestDescriptorsConstructAndMerge exercises every registered analysis
 // through the registry, as the study does: construct two one-descriptor
-// folds, fold a record into each, merge — no panics, so every analyzer is
-// keyed and its merge accepts the constructor's concrete type.
+// folds, fold a record of its own site into each, merge — no panics, so
+// every analyzer is keyed and adopts the constructor's concrete type.
 func TestDescriptorsConstructAndMerge(t *testing.T) {
 	week := timeutil.NewWeek(time.Date(2015, 10, 3, 0, 0, 0, 0, time.UTC))
 	p := Params{Week: week, SessionTimeout: 10 * time.Minute}
@@ -95,10 +95,12 @@ func TestDescriptorsConstructAndMerge(t *testing.T) {
 		StatusCode:  200,
 		Cache:       trace.CacheHit,
 	}
+	other := *rec
+	other.Publisher = "P-1"
 	for _, d := range Registered() {
 		a, b := NewFold([]Descriptor{d}, p), NewFold([]Descriptor{d}, p)
 		a.Add(rec)
-		b.Add(rec)
+		b.Add(&other)
 		a.Merge(b)
 		if a.Records() != 2 {
 			t.Errorf("%s: merged fold holds %d records, want 2", d.Name, a.Records())

@@ -130,19 +130,6 @@ func (st *sessionsSite) compact(evict []uint32) {
 	st.absorb(&old, evict)
 }
 
-// Merge folds o in and consumes it (see Fold.Merge).
-func (s *Sessions) Merge(o *Sessions) { s.mergeKeyed(o, s.keys().absorb(o.keys())) }
-
-func (s *Sessions) mergeKeyed(src Analyzer, rm *remap) {
-	s.mergeSites(&src.(*Sessions).perSite, rm, func(si int, st, os *sessionsSite) {
-		users := rm.user[si]
-		if s.budget > 0 {
-			users = st.keys.mergeFrom(s.budget, &os.keys, st.compact)
-		}
-		st.absorb(os, users)
-	})
-}
-
 // events returns the site's index and its log ordered by (user, time),
 // joining and sorting it if anything was folded since the last query.
 func (s *Sessions) events(site string) (si int, log []sessionEvent) {

@@ -120,31 +120,35 @@ func TestTimeoutKnee(t *testing.T) {
 	}
 }
 
-// Property: merging two Sessions accumulators yields identical sessions
-// to feeding all records into one.
+// Property: two Sessions accumulators, each fed the records of its own
+// sites and merged by adoption, yield the sessions of one fed every
+// record. Users repeat across sites, and sessions do not.
 func TestSessionsMergeEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	whole := NewSessions(0, 0)
 	a, b := NewSessions(0, 0), NewSessions(0, 0)
 	base := week.HourStart(5)
+	sites := []string{"X", "Y", "Z"}
 	for i := 0; i < 500; i++ {
-		r := rec("X", 1, uint64(rng.Intn(20)), trace.FileJPG, 10, 0)
+		r := rec(sites[rng.Intn(len(sites))], 1, uint64(rng.Intn(20)), trace.FileJPG, 10, 0)
 		r.Timestamp = base.Add(time.Duration(rng.Intn(100000)) * time.Second)
 		whole.Add(r)
-		if i%2 == 0 {
-			a.Add(r)
-		} else {
+		if r.Publisher == "Y" {
 			b.Add(r)
+		} else {
+			a.Add(r)
 		}
 	}
-	a.Merge(b)
-	sa, sw := a.SessionsOf("X"), whole.SessionsOf("X")
-	if len(sa) != len(sw) {
-		t.Fatalf("merged %d sessions != sequential %d", len(sa), len(sw))
-	}
-	for i := range sa {
-		if sa[i] != sw[i] {
-			t.Fatalf("session %d differs: %+v vs %+v", i, sa[i], sw[i])
+	adoptAlone(a, b)
+	for _, site := range sites {
+		sa, sw := a.SessionsOf(site), whole.SessionsOf(site)
+		if len(sa) != len(sw) {
+			t.Fatalf("%s: merged %d sessions != sequential %d", site, len(sa), len(sw))
+		}
+		for i := range sa {
+			if sa[i] != sw[i] {
+				t.Fatalf("%s: session %d differs: %+v vs %+v", site, i, sa[i], sw[i])
+			}
 		}
 	}
 }

@@ -47,21 +47,6 @@ func (st *sizesSite) set(slot uint32, cat uint8, size int64) {
 	*at(&st.has, slot) |= 1 << cat
 }
 
-// Merge folds o in and consumes it (see Fold.Merge).
-func (s *SizeDistribution) Merge(o *SizeDistribution) { s.mergeKeyed(o, s.keys().absorb(o.keys())) }
-
-func (s *SizeDistribution) mergeKeyed(src Analyzer, rm *remap) {
-	s.mergeSites(&src.(*SizeDistribution).perSite, rm, func(si int, st, os *sizesSite) {
-		for slot, has := range os.has {
-			for cat := uint8(0); cat < numCats; cat++ {
-				if has&(1<<cat) != 0 {
-					st.set(rm.obj[si][slot], cat, os.size[catSlot(uint32(slot), cat)])
-				}
-			}
-		}
-	})
-}
-
 // CDF returns the size ECDF of the site's objects in the category, or nil
 // when no such objects were observed.
 func (s *SizeDistribution) CDF(site string, cat trace.Category) *stats.ECDF {

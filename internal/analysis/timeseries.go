@@ -39,17 +39,6 @@ func (h *HourlyVolume) add(r *trace.Record, k *recKey) {
 	h.site(k.site)[k.localHour] += float64(r.ObjectSize)
 }
 
-// Merge folds o in and consumes it (see Fold.Merge).
-func (h *HourlyVolume) Merge(o *HourlyVolume) { h.mergeKeyed(o, h.keys().absorb(o.keys())) }
-
-func (h *HourlyVolume) mergeKeyed(src Analyzer, rm *remap) {
-	h.mergeSites(&src.(*HourlyVolume).perSite, rm, func(_ int, buckets, from *[24]float64) {
-		for i, v := range from {
-			buckets[i] += v
-		}
-	})
-}
-
 // Percent returns the site's hourly volume as percentages of its daily
 // total (the paper's y-axis, "Percentage Traffic Volume").
 func (h *HourlyVolume) Percent(site string) [24]float64 {
@@ -128,17 +117,6 @@ func (h *HourOfWeekSeries) add(r *trace.Record, k *recKey) {
 		idx = ((idx+shift)%timeutil.HoursPerWeek + timeutil.HoursPerWeek) % timeutil.HoursPerWeek
 	}
 	h.site(k.site)[idx]++
-}
-
-// Merge folds o in and consumes it (see Fold.Merge).
-func (h *HourOfWeekSeries) Merge(o *HourOfWeekSeries) { h.mergeKeyed(o, h.keys().absorb(o.keys())) }
-
-func (h *HourOfWeekSeries) mergeKeyed(src Analyzer, rm *remap) {
-	h.mergeSites(&src.(*HourOfWeekSeries).perSite, rm, func(_ int, buckets, from *[timeutil.HoursPerWeek]float64) {
-		for i, v := range from {
-			buckets[i] += v
-		}
-	})
 }
 
 // Series returns the site's hour-of-week request counts.

@@ -144,11 +144,15 @@ func (r *Results) VerifyCalibration() []Check {
 
 // VerifyTable renders the calibration checks, and reports whether all
 // passed.
-func (r *Results) VerifyTable() (*report.Table, bool) {
+func (r *Results) VerifyTable() (*report.Table, bool) { return CheckTable(r.VerifyCalibration()) }
+
+// CheckTable renders checks as VerifyTable does, for a caller that has
+// already evaluated them, and reports whether all passed.
+func CheckTable(checks []Check) (*report.Table, bool) {
 	t := report.NewTable("calibration verification (paper claims vs this run)",
 		"check", "paper", "measured", "status")
 	all := true
-	for _, c := range r.VerifyCalibration() {
+	for _, c := range checks {
 		status := "PASS"
 		if !c.Pass {
 			status = "FAIL"

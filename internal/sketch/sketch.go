@@ -2,9 +2,7 @@
 // analysis package's bounded-memory mode: a Count-Min sketch for
 // per-key counts, an HLL-style distinct counter, and a hash-threshold
 // key sampler. Each structure uses O(1) or O(budget) memory regardless
-// of the key population, trading exactness for documented error bounds,
-// and merges associatively so accumulators can still fold in parallel
-// and combine at the end.
+// of the key population, trading exactness for documented error bounds.
 package sketch
 
 import "math"
@@ -124,24 +122,6 @@ func (cm *CountMin) ErrorBound() float64 {
 	return math.E / float64(cm.width) * float64(cm.n)
 }
 
-// Merge adds another sketch cell-wise. Both must share a geometry
-// (always true for sketches from the same analyzer descriptor).
-func (cm *CountMin) Merge(o *CountMin) {
-	if len(cm.rows) != len(o.rows) || cm.width != o.width {
-		panic("sketch: merging CountMin sketches of different geometry")
-	}
-	cm.n += o.n
-	for i, row := range cm.rows {
-		for j, c := range o.rows[i] {
-			if math.MaxUint32-row[j] >= c {
-				row[j] += c
-			} else {
-				row[j] = math.MaxUint32
-			}
-		}
-	}
-}
-
 // HLL estimates the number of distinct keys in fixed memory
 // (HyperLogLog with the standard bias corrections). With the default
 // 2^14 registers (16 KiB) the standard error is 1.04/sqrt(2^14) ~ 0.8%.
@@ -208,18 +188,6 @@ func (h *HLL) StdError() float64 {
 	return 1.04 / math.Sqrt(float64(len(h.regs)))
 }
 
-// Merge takes the register-wise maximum. Both must share a precision.
-func (h *HLL) Merge(o *HLL) {
-	if h.p != o.p {
-		panic("sketch: merging HLLs of different precision")
-	}
-	for i, r := range o.regs {
-		if r > h.regs[i] {
-			h.regs[i] = r
-		}
-	}
-}
-
 // KeySampler draws a uniform sample of a growing key population by hash
 // thresholding: a key is in the sample iff Hash64(key) <= threshold.
 // The threshold starts at the full hash range (every key sampled) and
@@ -231,10 +199,7 @@ func (h *HLL) Merge(o *HLL) {
 //
 // The sampler itself holds no keys; the caller keeps the keys it has
 // admitted, asks Admits before inserting, and evicts entries whose keys
-// fail Admits after a Halve. Because admission depends only on the
-// key's hash and the current threshold, two workers' samples merge
-// exactly: take the minimum threshold and evict, which yields the same
-// sample a single worker with that threshold would have kept.
+// fail Admits after a Halve.
 //
 // The zero value admits every key.
 type KeySampler struct {
@@ -258,13 +223,3 @@ func (s *KeySampler) InclusionProb() float64 { return math.Ldexp(1, -int(s.halvi
 // Exact reports whether the sampler still admits every key (no Halve
 // yet): sampled state equals exact state.
 func (s *KeySampler) Exact() bool { return s.halvings == 0 }
-
-// MergeFrom lowers the threshold to the other sampler's if needed and
-// reports whether it changed (the caller must evict when it did).
-func (s *KeySampler) MergeFrom(o *KeySampler) bool {
-	if o.halvings > s.halvings {
-		s.halvings = o.halvings
-		return true
-	}
-	return false
-}

@@ -30,29 +30,6 @@ func TestCountMinNeverUndercounts(t *testing.T) {
 	}
 }
 
-func TestCountMinMergeMatchesSingle(t *testing.T) {
-	a, b, whole := NewCountMin(0, 0), NewCountMin(0, 0), NewCountMin(0, 0)
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 50_000; i++ {
-		k := rng.Uint64() % 1000
-		whole.Add(k, 1)
-		if i%2 == 0 {
-			a.Add(k, 1)
-		} else {
-			b.Add(k, 1)
-		}
-	}
-	a.Merge(b)
-	if a.N() != whole.N() {
-		t.Fatalf("merged N %d != %d", a.N(), whole.N())
-	}
-	for k := uint64(0); k < 1000; k++ {
-		if a.Count(k) != whole.Count(k) {
-			t.Fatalf("key %d: merged %d != single %d", k, a.Count(k), whole.Count(k))
-		}
-	}
-}
-
 func TestCountMinSaturatesInsteadOfWrapping(t *testing.T) {
 	cm := NewCountMin(2, 16)
 	cm.Add(1, math.MaxUint32)
@@ -75,33 +52,7 @@ func TestHLLAccuracy(t *testing.T) {
 	}
 }
 
-func TestHLLMergeEqualsUnion(t *testing.T) {
-	a, b, u := NewHLL(12), NewHLL(12), NewHLL(12)
-	for i := 0; i < 40_000; i++ {
-		h := Hash64(uint64(i))
-		u.Add(h)
-		if i%3 == 0 {
-			a.Add(h)
-		}
-		if i%2 == 0 { // overlapping sets
-			b.Add(h)
-		}
-	}
-	a.Merge(b)
-	// Merged registers must estimate the union of the two sets; adding
-	// the union's elements directly gives the reference registers.
-	ref := NewHLL(12)
-	for i := 0; i < 40_000; i++ {
-		if i%3 == 0 || i%2 == 0 {
-			ref.Add(Hash64(uint64(i)))
-		}
-	}
-	if a.Estimate() != ref.Estimate() {
-		t.Errorf("merged estimate %.1f != union estimate %.1f", a.Estimate(), ref.Estimate())
-	}
-}
-
-func TestKeySamplerUniformAndMergeable(t *testing.T) {
+func TestKeySamplerUniform(t *testing.T) {
 	s := NewKeySampler()
 	if !s.Exact() || s.InclusionProb() != 1 {
 		t.Fatal("fresh sampler must admit everything")
@@ -122,20 +73,6 @@ func TestKeySamplerUniformAndMergeable(t *testing.T) {
 	got := float64(admitted) / n
 	if math.Abs(got-0.25) > 4*math.Sqrt(0.25*0.75/n) {
 		t.Errorf("admission rate %v, want ~0.25", got)
-	}
-	// Merge takes the lower threshold.
-	o := NewKeySampler()
-	o.Halve()
-	o.Halve()
-	o.Halve()
-	if !s.MergeFrom(o) {
-		t.Error("merging a stricter sampler must report a change")
-	}
-	if s.InclusionProb() != o.InclusionProb() {
-		t.Error("merge must adopt the stricter threshold")
-	}
-	if s.MergeFrom(NewKeySampler()) {
-		t.Error("merging a looser sampler must be a no-op")
 	}
 }
 
