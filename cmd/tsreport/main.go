@@ -78,7 +78,7 @@ func addFlags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.summary, "summary", false, "print only the run summary")
 	fs.IntVar(&o.workers, "workers", 0, "analysis parallelism (0 = GOMAXPROCS)")
 	fs.BoolVar(&o.extras, "extras", true, "include forecasting, crawler-baseline and §V implication tables")
-	fs.BoolVar(&o.verify, "verify", false, "append the calibration-verification table; exit 1 if any check fails")
+	fs.BoolVar(&o.verify, "verify", false, "append the calibration-verification table; exit 1 if any check fails or none applies")
 	fs.StringVar(&o.outDir, "outdir", "", "also write every table as a CSV file into this directory")
 	fs.IntVar(&o.memBudget, "mem-budget", 0, "per-site analyzer state budget in keys (0 = exact; >0 enables sketch/sample estimators)")
 	fs.StringVar(&o.in, "in", "", "read the week from this trace (.tsb/.jsonl, optional .gz), or - for JSON Lines on stdin, instead of generating it")
@@ -177,7 +177,7 @@ func run(ctx context.Context, o *options, stdin io.Reader, stdout io.Writer) (*c
 		}
 		tables = append(tables, ft, bt, it)
 	}
-	allPass := true
+	var verifyErr error
 	if o.verify {
 		checks := results.VerifyCalibration()
 		failed := []string{}
@@ -188,8 +188,13 @@ func run(ctx context.Context, o *options, stdin io.Reader, stdout io.Writer) (*c
 		}
 		vt, _ := core.CheckTable(checks)
 		tables = append(tables, vt)
-		allPass = len(failed) == 0
-		extra["verify_pass"], extra["verify_failed"] = allPass, failed
+		switch {
+		case len(checks) == 0:
+			verifyErr = fmt.Errorf("calibration verification: no claim evaluated (the trace holds none of the paper's sites)")
+		case len(failed) > 0:
+			verifyErr = fmt.Errorf("calibration verification failed (see table above)")
+		}
+		extra["verify_pass"], extra["verify_failed"] = verifyErr == nil, failed
 	}
 	if !o.summary {
 		for _, tab := range tables {
@@ -221,8 +226,8 @@ func run(ctx context.Context, o *options, stdin io.Reader, stdout io.Writer) (*c
 	sum.AddRow("egress traffic", report.Bytes(results.CDNStats.EgressBytes))
 	sum.AddRow("elapsed", elapsed.Round(time.Millisecond).String())
 	fmt.Fprintln(stdout, sum)
-	if !allPass {
-		return results, fmt.Errorf("calibration verification failed (see table above)")
+	if verifyErr != nil {
+		return results, verifyErr
 	}
 	return results, sess.Finish(extra)
 }

@@ -218,6 +218,45 @@ func TestVerifyFailsOnMiscalibratedTrace(t *testing.T) {
 	}
 }
 
+// TestVerifyScoresOnlyPresentSites: a trace of S-1 alone verifies S-1's
+// claims, its cache hit ratio among them, and no other site's; renamed,
+// S-1 leaves no claim to evaluate, and the run fails.
+func TestVerifyScoresOnlyPresentSites(t *testing.T) {
+	for _, rename := range []bool{false, true} {
+		var sites []synth.SiteProfile
+		for _, p := range synth.DefaultProfiles() {
+			if p.Name == "S-1" {
+				if rename {
+					p.Name = "X-1"
+				}
+				sites = append(sites, p)
+			}
+		}
+		g, err := synth.NewGenerator(synth.Config{Seed: 2, Scale: 0.01, Sites: sites})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := g.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "w.tsb")
+		writeTrace(t, path, recs)
+		res, _, err := tsreport(t, nil, "-in", path, "-replay", "-verify", "-scale", "0.01", "-extras=false")
+		var names []string
+		for _, c := range res.VerifyCalibration() {
+			names = append(names, c.Name)
+			if !strings.HasPrefix(c.Name, "S-1 ") {
+				t.Errorf("renamed %v: the trace scores %q", rename, c.Name)
+			}
+		}
+		if noClaim := err != nil && strings.Contains(err.Error(), "no claim evaluated"); noClaim != rename ||
+			!rename && !slices.Contains(names, "S-1 weighted cache hit ratio") {
+			t.Errorf("renamed %v: err %v, checks %q", rename, err, names)
+		}
+	}
+}
+
 // reverseInstants returns recs with their distinct timestamps in reverse
 // order. Records sharing a microsecond, the unit a trace file stores, keep
 // their order, so a stable sort restores recs.

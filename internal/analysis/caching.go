@@ -130,12 +130,19 @@ func (st *cachingSite) compact(evict []uint32) {
 // hitRatios lists the lookups and hit ratio of every tracked object of
 // the site, optionally only those of one category.
 func (st *cachingSite) hitRatios(only trace.Category) (lookups, ratios []float64) {
+	keep := func(o objLookups) bool { return o.lookups != 0 && (only == 0 || o.cat == only) }
+	n := 0
 	for _, o := range st.objs {
-		if o.lookups == 0 || (only != 0 && o.cat != only) {
-			continue
+		if keep(o) {
+			n++
 		}
-		lookups = append(lookups, float64(o.lookups))
-		ratios = append(ratios, float64(o.hits)/float64(o.lookups))
+	}
+	lookups, ratios = make([]float64, 0, n), make([]float64, 0, n)
+	for _, o := range st.objs {
+		if keep(o) {
+			lookups = append(lookups, float64(o.lookups))
+			ratios = append(ratios, float64(o.hits)/float64(o.lookups))
+		}
 	}
 	return lookups, ratios
 }
@@ -153,6 +160,14 @@ func (c *Caching) HitRatioCDF(site string, cat trace.Category) *stats.ECDF {
 		return nil
 	}
 	return stats.MustECDF(sample)
+}
+
+// Verdicts returns how many of the site's requests carry a cache verdict.
+func (c *Caching) Verdicts(site string) int64 {
+	if _, st := c.find(site); st != nil {
+		return st.totalLookups
+	}
+	return 0
 }
 
 // WeightedHitRatio returns the site's request-weighted hit ratio across

@@ -14,7 +14,7 @@ import (
 	"trafficscope/internal/report"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/figures.golden and testdata/crawl.golden from this run")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the goldens in testdata and the tables EXPERIMENTS.md quotes from this run")
 
 const (
 	figuresGolden = "testdata/figures.golden"
@@ -22,7 +22,9 @@ const (
 )
 
 // goldenLines renders every table the report prints for an exact-mode
-// study and returns one "sha256  title" line per table.
+// study and returns one "sha256  title" line per table. At one worker it
+// also checks the calibration table EXPERIMENTS.md quotes, which is
+// tsreport -scale 0.02 -seed 42 -verify's.
 func goldenLines(t *testing.T, workers int) []string {
 	t.Helper()
 	study, err := NewStudy(Config{Seed: 42, Scale: 0.02, Workers: workers})
@@ -39,6 +41,9 @@ func goldenLines(t *testing.T, workers int) []string {
 		t.Fatal(err)
 	}
 	vt, _ := res.VerifyTable()
+	if workers == 1 {
+		checkDocBlock(t, "## Calibration verification", vt.String())
+	}
 	var lines []string
 	for _, tab := range append(tables, ft, vt) {
 		lines = append(lines, tableDigest(tab))

@@ -91,33 +91,39 @@ func TestEdgePushIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestImplicationsDoc keeps EXPERIMENTS.md's §V table the golden: the
-// first fenced block under the section's heading must be the golden file
-// byte for byte, and -update-golden rewrites it with the golden.
+// TestImplicationsDoc keeps EXPERIMENTS.md's §V table the golden.
 func TestImplicationsDoc(t *testing.T) {
 	golden, err := os.ReadFile(implicationsGolden)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkDocBlock(t, "## §V implications", string(golden))
+}
+
+// checkDocBlock keeps the first fenced block under an EXPERIMENTS.md
+// section heading equal to want, byte for byte; -update-golden rewrites
+// the block with want.
+func checkDocBlock(t *testing.T, heading, want string) {
+	t.Helper()
 	doc, err := os.ReadFile(experimentsDoc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const fence = "```text\n"
-	head, rest, found := strings.Cut(string(doc), "\n## §V implications\n")
+	head, rest, found := strings.Cut(string(doc), "\n"+heading+"\n")
 	prose, rest, opened := strings.Cut(rest, fence)
 	block, tail, closed := strings.Cut(rest, "```\n")
 	if !found || !opened || !closed {
-		t.Fatalf("%s has no fenced block under \"## §V implications\"", experimentsDoc)
+		t.Fatalf("%s has no fenced block under %q", experimentsDoc, heading)
 	}
-	if block == string(golden) {
+	if block == want {
 		return
 	}
 	if !*updateGolden {
-		t.Fatalf("%s §V block differs from %s (go test ./internal/core -update-golden rewrites it)\n doc:\n%s\n golden:\n%s",
-			experimentsDoc, implicationsGolden, block, golden)
+		t.Fatalf("%s block under %q is stale (go test ./internal/core -update-golden rewrites it)\n doc:\n%s\n want:\n%s",
+			experimentsDoc, heading, block, want)
 	}
-	out := head + "\n## §V implications\n" + prose + fence + string(golden) + "```\n" + tail
+	out := head + "\n" + heading + "\n" + prose + fence + want + "```\n" + tail
 	if err := os.WriteFile(experimentsDoc, []byte(out), 0o644); err != nil {
 		t.Fatal(err)
 	}

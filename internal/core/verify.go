@@ -2,142 +2,186 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 
+	"trafficscope/internal/analysis"
 	"trafficscope/internal/report"
+	"trafficscope/internal/stats"
 	"trafficscope/internal/trace"
 )
 
 // Check is one calibration assertion outcome.
 type Check struct {
-	// Name identifies the paper claim being checked.
-	Name string
-	// Paper states the claim as reported.
-	Paper string
-	// Measured is the reproduced value, formatted.
-	Measured string
-	// Pass reports whether the measured value satisfies the claim's
-	// tolerance band.
+	// Name, Fig and Paper identify the claim: what it says, the paper
+	// figure it comes from and the value the paper reports.
+	Name, Fig, Paper string
+	// Band is the pass band, and Measured the reproduced value, formatted.
+	Band, Measured string
+	// Pass reports whether the measured value lies in the band.
 	Pass bool
 }
 
-// VerifyCalibration evaluates the headline paper claims against the
-// results and returns one Check per claim. It is the programmatic
-// counterpart of the integration test suite and of tsreport -verify. To
-// validate modified site profiles against the paper's shape, write a
-// trace from them (tsgen -profiles) and run tsreport -in <trace>
-// -replay -verify, which exits 1 when a check fails.
+// claim is one paper claim, a row of the calibration table. A reproduced
+// value v passes when it lies in [lo, hi], or, with op set, when "v op
+// lo" holds. VerifyCalibration evaluates the claim only on a run that holds its
+// analyzer (a registry name), its site (or two, space-separated), objects
+// of its category there (cat 0: any), and for the caching analyzer the
+// site's cache verdicts.
+type claim struct {
+	fig, analyzer, site string
+	cat                 trace.Category
+	name, paper         string
+	op                  string // "", ">", ">=", "<" or "<="
+	lo, hi              float64
+	unit                unit
+	measure             func(*Results) float64
+}
+
+// unit prints a claim's bounds, and its measured value after label.
+type unit struct {
+	label  string
+	format func(float64) string
+}
+
+func (c claim) holds(v float64) bool {
+	switch c.op {
+	case ">", ">=":
+		return v > c.lo || c.op == ">=" && v == c.lo
+	case "<", "<=":
+		return v < c.lo || c.op == "<=" && v == c.lo
+	}
+	return c.lo <= v && v <= c.hi
+}
+
+func (c claim) band() string {
+	if c.op != "" {
+		return c.op + " " + c.unit.format(c.lo)
+	}
+	return c.unit.format(c.lo) + " - " + c.unit.format(c.hi)
+}
+
+var (
+	video, image = trace.CategoryVideo, trace.CategoryImage
+	pc           = unit{"", report.Percent}
+	x2           = unit{"", func(v float64) string { return fmt.Sprintf("%.2f", v) }}
+	secs         = unit{"", func(v float64) string { return fmt.Sprintf("%.0fs", v) }}
+	mib          = unit{"", func(v float64) string { return report.Bytes(int64(v)) }}
+	// d7 prints an aging curve's day-7 fraction after its day-1 one,
+	// which is 100% by construction.
+	d7 = unit{"d1 100.0% -> d7 ", report.Percent}
+)
+
+// paperClaims is the calibration table: every claim of Figs. 1-16 the
+// reproduction is held to, with its tolerance band.
+var paperClaims = []claim{
+	{"1", "composition", "V-2", 0, "V-2 image object share", "~84%", "", 0.80, 0.88, pc, func(r *Results) float64 { return r.Composition().Site("V-2").ObjectFrac(image) }},
+	{"1", "composition", "P-1", 0, "P-1 image object share", "~99%", ">=", 0.9, 0, pc, func(r *Results) float64 { return r.Composition().Site("P-1").ObjectFrac(image) }},
+	{"1", "composition", "P-2", 0, "P-2 image object share", "~99%", ">=", 0.9, 0, pc, func(r *Results) float64 { return r.Composition().Site("P-2").ObjectFrac(image) }},
+	{"1", "composition", "S-1", 0, "S-1 image object share", "~99%", ">=", 0.9, 0, pc, func(r *Results) float64 { return r.Composition().Site("S-1").ObjectFrac(image) }},
+	{"2a", "composition", "V-1", 0, "V-1 video request share", "~99%", ">=", 0.97, 0, pc, func(r *Results) float64 { return r.Composition().Site("V-1").RequestFrac(video) }},
+	{"2b", "composition", "V-1", 0, "V-1 video byte share", "~99%", ">=", 0.95, 0, pc, func(r *Results) float64 { return r.Composition().Site("V-1").ByteFrac(video) }},
+	{"2b", "composition", "V-2", 0, "V-2 video byte share", "dominant", ">=", 0.5, 0, pc, func(r *Results) float64 { return r.Composition().Site("V-2").ByteFrac(video) }},
+	{"3", "hourly", "V-1", 0, "V-1 night/day traffic ratio", "anti-diurnal (>1)", ">", 1, 0, x2, func(r *Results) float64 {
+		p := r.Hourly().Percent("V-1")
+		return (p[23] + p[0] + p[1] + p[2] + p[3] + p[4] + p[5]) / 7 / ((p[9] + p[10] + p[11] + p[12] + p[13] + p[14] + p[15]) / 7)
+	}},
+	{"3", "hourly", "V-1", 0, "V-1 quietest hour share", "~2.5%", ">=", 0.005, 0, pc, func(r *Results) float64 { p := r.Hourly().Percent("V-1"); return slices.Min(p[:]) / 100 }},
+	{"3", "hourly", "V-1", 0, "V-1 busiest hour share", "~5.5%", "<=", 0.12, 0, pc, func(r *Results) float64 { p := r.Hourly().Percent("V-1"); return slices.Max(p[:]) / 100 }},
+	{"4", "devices", "V-1", 0, "V-1 desktop user share", "dominant", ">=", 0.5, 0, pc, func(r *Results) float64 { return r.Devices().DesktopShare("V-1") }},
+	{"4", "devices", "V-2", 0, "V-2 desktop user share", ">95%", ">=", 0.9, 0, pc, func(r *Results) float64 { return r.Devices().DesktopShare("V-2") }},
+	{"4", "devices", "P-1", 0, "P-1 desktop user share", "dominant", ">=", 0.5, 0, pc, func(r *Results) float64 { return r.Devices().DesktopShare("P-1") }},
+	{"4", "devices", "P-2", 0, "P-2 desktop user share", "dominant", ">=", 0.5, 0, pc, func(r *Results) float64 { return r.Devices().DesktopShare("P-2") }},
+	{"4", "devices", "S-1", 0, "S-1 desktop user share", "dominant", ">=", 0.5, 0, pc, func(r *Results) float64 { return r.Devices().DesktopShare("S-1") }},
+	{"4", "devices", "S-1", 0, "S-1 non-desktop user share", ">1/3", ">=", 0.25, 0, pc, func(r *Results) float64 { return 1 - r.Devices().DesktopShare("S-1") }},
+	{"5", "sizes", "V-1", video, "V-1 videos above 1 MB", "majority", ">=", 0.8, 0, pc, func(r *Results) float64 { return r.Sizes().FracAbove("V-1", video, 1<<20) }},
+	{"5", "sizes", "P-1", image, "P-1 images at or below 1 MB", "nearly all", ">=", 0.9, 0, pc, func(r *Results) float64 { return r.Sizes().CDF("P-1", image).At(1 << 20) }},
+	{"5", "sizes", "P-2", image, "P-2 images at or below 1 MB", "nearly all", ">=", 0.9, 0, pc, func(r *Results) float64 { return r.Sizes().CDF("P-2", image).At(1 << 20) }},
+	{"5", "sizes", "S-1", image, "S-1 images at or below 1 MB", "nearly all", ">=", 0.9, 0, pc, func(r *Results) float64 { return r.Sizes().CDF("S-1", image).At(1 << 20) }},
+	{"5", "sizes", "P-1", image, "P-1 image size p75/p25", "bimodal", ">=", 5, 0, x2, func(r *Results) float64 { return r.Sizes().BimodalityGap("P-1", image) }},
+	{"5", "sizes", "P-2", image, "P-2 image size p75/p25", "bimodal", ">=", 5, 0, x2, func(r *Results) float64 { return r.Sizes().BimodalityGap("P-2", image) }},
+	{"5", "sizes", "S-1", image, "S-1 image size p75/p25", "bimodal", ">=", 5, 0, x2, func(r *Results) float64 { return r.Sizes().BimodalityGap("S-1", image) }},
+	{"5", "sizes", "P-2", video, "P-2 median video size", "multi-MB", ">=", 1 << 20, 0, mib, func(r *Results) float64 { return median(r.Sizes().CDF("P-2", video)) }},
+	{"6", "popularity", "V-1", video, "V-1 video popularity Zipf exponent", "long-tailed", "", 0.3, 2.0, x2, func(r *Results) float64 { return r.Popularity().ZipfExponent("V-1", video) }},
+	{"6", "popularity", "V-1", video, "V-1 top-10% video request share", "long-tailed", ">=", 0.3, 0, pc, func(r *Results) float64 { return r.Popularity().TopShare("V-1", video, 0.1) }},
+	{"6", "popularity", "P-1", image, "P-1 image popularity Zipf exponent", "long-tailed", "", 0.3, 2.0, x2, func(r *Results) float64 { return r.Popularity().ZipfExponent("P-1", image) }},
+	{"6", "popularity", "P-1", image, "P-1 top-10% image request share", "long-tailed", ">=", 0.3, 0, pc, func(r *Results) float64 { return r.Popularity().TopShare("P-1", image, 0.1) }},
+	{"7", "aging", "V-1", 0, "V-1 aging curve declines", "declining", "", 0.03, 0.75, d7, func(r *Results) float64 { return r.Aging().Curve("V-1")[6] }},
+	{"7", "aging", "V-2", 0, "V-2 aging curve declines", "declining", "<", 1, 0, d7, func(r *Results) float64 { return r.Aging().Curve("V-2")[6] }},
+	{"7", "aging", "P-2", 0, "P-2 aging curve declines", "declining", "", 0.03, 0.75, d7, func(r *Results) float64 { return r.Aging().Curve("P-2")[6] }},
+	{"7", "aging", "V-2", 0, "V-2 objects requested all week", "~10%", "", 0.01, 0.4, pc, func(r *Results) float64 { return r.Aging().FracAliveAllWeek("V-2") }},
+	{"11", "sessions", "V-1", 0, "V-1 median request IAT", "<10 min", "<", 600, 0, secs, func(r *Results) float64 { return median(r.Sessions().IATCDF("V-1")) }},
+	{"11", "sessions", "P-2", 0, "P-2 median request IAT", ">1 hour", ">", 3600, 0, secs, func(r *Results) float64 { return median(r.Sessions().IATCDF("P-2")) }},
+	{"12", "sessions", "V-1", 0, "V-1 median session length", "~1 min", "<=", 600, 0, secs, func(r *Results) float64 { return median(r.Sessions().SessionLengthCDF("V-1")) }},
+	{"12", "sessions", "V-2", 0, "V-2 median session length", "~1 min", "<=", 600, 0, secs, func(r *Results) float64 { return median(r.Sessions().SessionLengthCDF("V-2")) }},
+	{"12", "sessions", "P-1", 0, "P-1 median session length", "~1 min", "<=", 600, 0, secs, func(r *Results) float64 { return median(r.Sessions().SessionLengthCDF("P-1")) }},
+	{"12", "sessions", "P-2", 0, "P-2 median session length", "~1 min", "<=", 600, 0, secs, func(r *Results) float64 { return median(r.Sessions().SessionLengthCDF("P-2")) }},
+	{"12", "sessions", "S-1", 0, "S-1 median session length", "~1 min", "<=", 600, 0, secs, func(r *Results) float64 { return median(r.Sessions().SessionLengthCDF("S-1")) }},
+	{"13", "addiction", "V-1", video, "V-1 max video requests/users", "up to ~100x", ">=", 5, 0, x2, func(r *Results) float64 {
+		most := 0.0
+		for _, p := range r.Addiction().Scatter("V-1", video) {
+			most = max(most, float64(p.Requests)/float64(p.Users))
+		}
+		return most
+	}},
+	{"14", "addiction", "V-1", video, "V-1 video objects >10 req/user", ">=10%", ">=", 0.03, 0, pc, func(r *Results) float64 { return r.Addiction().FracObjectsAbove("V-1", video, 10) }},
+	{"14", "addiction", "P-1", image, "P-1 image objects >10 req/user", "<1%", "<=", 0.05, 0, pc, func(r *Results) float64 { return r.Addiction().FracObjectsAbove("P-1", image, 10) }},
+	{"14", "addiction", "V-1 P-1", 0, "V-1 video minus P-1 image >10 req/user", "video >> image", ">", 0, 0, pc, func(r *Results) float64 {
+		return r.Addiction().FracObjectsAbove("V-1", video, 10) - r.Addiction().FracObjectsAbove("P-1", image, 10)
+	}},
+	{"15", "caching", "V-1", 0, "V-1 weighted cache hit ratio", "80-90%", "", 0.55, 0.995, pc, func(r *Results) float64 { return r.Caching().WeightedHitRatio("V-1") }},
+	{"15", "caching", "V-2", 0, "V-2 weighted cache hit ratio", "80-90%", "", 0.55, 0.995, pc, func(r *Results) float64 { return r.Caching().WeightedHitRatio("V-2") }},
+	{"15", "caching", "P-1", 0, "P-1 weighted cache hit ratio", "80-90%", "", 0.55, 0.995, pc, func(r *Results) float64 { return r.Caching().WeightedHitRatio("P-1") }},
+	{"15", "caching", "P-2", 0, "P-2 weighted cache hit ratio", "80-90%", "", 0.55, 0.995, pc, func(r *Results) float64 { return r.Caching().WeightedHitRatio("P-2") }},
+	{"15", "caching", "S-1", 0, "S-1 weighted cache hit ratio", "80-90%", "", 0.55, 0.995, pc, func(r *Results) float64 { return r.Caching().WeightedHitRatio("S-1") }},
+	{"15", "caching", "V-1", 0, "V-1 popularity-hit correlation", ">0.9 (paper)", ">=", 0.3, 0, x2, func(r *Results) float64 { return r.Caching().PopularityHitCorrelation("V-1") }},
+	{"15", "caching", "V-2", 0, "V-2 popularity-hit correlation", ">0.9 (paper)", ">=", 0.3, 0, x2, func(r *Results) float64 { return r.Caching().PopularityHitCorrelation("V-2") }},
+	{"15", "caching", "P-1", 0, "P-1 popularity-hit correlation", ">0.9 (paper)", ">=", 0.3, 0, x2, func(r *Results) float64 { return r.Caching().PopularityHitCorrelation("P-1") }},
+	{"15", "caching", "P-2", 0, "P-2 popularity-hit correlation", ">0.9 (paper)", ">=", 0.3, 0, x2, func(r *Results) float64 { return r.Caching().PopularityHitCorrelation("P-2") }},
+	{"15", "caching", "S-1", 0, "S-1 popularity-hit correlation", ">0.9 (paper)", ">=", 0.3, 0, x2, func(r *Results) float64 { return r.Caching().PopularityHitCorrelation("S-1") }},
+	{"15", "caching", "V-2", 0, "V-2 image minus video median hit ratio", "image > video", ">=", -0.05, 0, pc, func(r *Results) float64 {
+		return median(r.Caching().HitRatioCDF("V-2", image)) - median(r.Caching().HitRatioCDF("V-2", video))
+	}},
+	{"16", "caching", "P-1", image, "P-1 image 200 share", "dominant", ">=", 0.7, 0, pc, func(r *Results) float64 { return r.Caching().CodeFrac("P-1", image, 200) }},
+	{"16", "caching", "P-1", image, "P-1 image 304 share", "small (incognito)", "<=", 0.2, 0, pc, func(r *Results) float64 { return r.Caching().CodeFrac("P-1", image, 304) }},
+	{"16", "caching", "P-1", image, "P-1 image 403 share", "rare", "<=", 0.05, 0, pc, func(r *Results) float64 { return r.Caching().CodeFrac("P-1", image, 403) }},
+	{"16", "caching", "S-1", image, "S-1 image 200 share", "dominant", ">=", 0.7, 0, pc, func(r *Results) float64 { return r.Caching().CodeFrac("S-1", image, 200) }},
+	{"16", "caching", "S-1", image, "S-1 image 304 share", "small (incognito)", "<=", 0.2, 0, pc, func(r *Results) float64 { return r.Caching().CodeFrac("S-1", image, 304) }},
+	{"16", "caching", "S-1", image, "S-1 image 403 share", "rare", "<=", 0.05, 0, pc, func(r *Results) float64 { return r.Caching().CodeFrac("S-1", image, 403) }},
+	{"16", "caching", "V-1", video, "V-1 video 206 share", "common", ">=", 0.3, 0, pc, func(r *Results) float64 { return r.Caching().CodeFrac("V-1", video, 206) }},
+}
+
+// median is e's median, NaN (failing any band) for an empty population.
+func median(e *stats.ECDF) float64 {
+	if e == nil {
+		return math.NaN()
+	}
+	m, _ := e.Median()
+	return m
+}
+
+// VerifyCalibration evaluates every claim of the calibration table that
+// the results hold the populations of, and returns one Check per claim.
+// It is the programmatic counterpart of tsreport -verify, which exits 1
+// when a check fails or none applies: to validate modified site profiles
+// against the paper's shape, write a trace from them (tsgen -profiles)
+// and run tsreport -in <trace> -replay -verify.
 func (r *Results) VerifyCalibration() []Check {
-	var checks []Check
-	add := func(name, paper string, measured string, pass bool) {
-		checks = append(checks, Check{Name: name, Paper: paper, Measured: measured, Pass: pass})
+	sites := map[string]*analysis.CategoryBreakdown{}
+	for _, s := range r.SiteNames() {
+		sites[s] = r.Composition().Site(s)
 	}
-	pc := func(f float64) string { return report.Percent(f) }
-
-	// Each block guards on its analyzer: figure-pruned runs verify only
-	// the claims their analyses cover.
-
-	// Fig 1/2a: composition.
-	if comp := r.Composition(); comp != nil {
-		if b := comp.Site("V-1"); b != nil {
-			f := b.RequestFrac(trace.CategoryVideo)
-			add("V-1 video request share", "~99%", pc(f), f >= 0.95)
+	checks := make([]Check, 0, len(paperClaims))
+	for _, c := range paperClaims {
+		first, second, _ := strings.Cut(c.site, " ")
+		b := sites[first]
+		if b == nil || c.cat != 0 && b.Requests[c.cat] == 0 || second != "" && sites[second] == nil ||
+			r.analyzers[c.analyzer] == nil || c.analyzer == "caching" && r.Caching().Verdicts(first) == 0 {
+			continue
 		}
-		if b := comp.Site("V-2"); b != nil {
-			f := b.ObjectFrac(trace.CategoryImage)
-			add("V-2 image object share", "~84%", pc(f), f >= 0.75 && f <= 0.92)
-		}
-		for _, site := range []string{"P-1", "P-2", "S-1"} {
-			if b := comp.Site(site); b != nil {
-				f := b.ObjectFrac(trace.CategoryImage)
-				add(site+" image object share", "~99%", pc(f), f >= 0.9)
-			}
-		}
-	}
-
-	// Fig 3: anti-diurnal V-1.
-	if hourly := r.Hourly(); hourly != nil {
-		p := hourly.Percent("V-1")
-		night := (p[23] + p[0] + p[1] + p[2] + p[3] + p[4] + p[5]) / 7
-		day := (p[9] + p[10] + p[11] + p[12] + p[13] + p[14] + p[15]) / 7
-		if day > 0 {
-			add("V-1 night/day traffic ratio", "anti-diurnal (>1)",
-				fmt.Sprintf("%.2f", night/day), night > day)
-		}
-	}
-
-	// Fig 4: devices.
-	if dev := r.Devices(); dev != nil {
-		if f := dev.DesktopShare("V-2"); f > 0 {
-			add("V-2 desktop user share", ">95%", pc(f), f >= 0.9)
-		}
-		s1 := dev.UserShare("S-1")
-		if nd := 1 - s1[0]; s1[0] > 0 {
-			add("S-1 non-desktop user share", ">1/3", pc(nd), nd >= 0.25)
-		}
-	}
-
-	// Fig 5: sizes.
-	if sizes := r.Sizes(); sizes != nil {
-		if f := sizes.FracAbove("V-1", trace.CategoryVideo, 1<<20); f > 0 {
-			add("V-1 videos above 1 MB", "majority", pc(f), f >= 0.8)
-		}
-		if cdf := sizes.CDF("P-1", trace.CategoryImage); cdf != nil {
-			f := cdf.At(1 << 20)
-			add("P-1 images at or below 1 MB", "nearly all", pc(f), f >= 0.9)
-		}
-	}
-
-	// Fig 6: long tail.
-	if pop := r.Popularity(); pop != nil {
-		if s := pop.ZipfExponent("V-1", trace.CategoryVideo); s > 0 {
-			add("V-1 video popularity Zipf exponent", "long-tailed",
-				fmt.Sprintf("%.2f", s), s >= 0.3 && s <= 2.0)
-		}
-	}
-
-	// Fig 7: aging.
-	if aging := r.Aging(); aging != nil {
-		if curve := aging.Curve("V-2"); curve[0] > 0 {
-			add("V-2 aging curve declines", "declining",
-				fmt.Sprintf("d1 %s -> d7 %s", pc(curve[0]), pc(curve[6])), curve[6] < curve[0])
-		}
-		if f := aging.FracAliveAllWeek("V-2"); f > 0 {
-			add("V-2 objects requested all week", "~10%", pc(f), f >= 0.01 && f <= 0.4)
-		}
-	}
-
-	// Fig 11: IATs.
-	if sess := r.Sessions(); sess != nil {
-		if v1 := sess.IATCDF("V-1"); v1 != nil {
-			med, _ := v1.Median()
-			add("V-1 median request IAT", "<10 min", fmt.Sprintf("%.0fs", med), med < 600)
-		}
-		if p2 := sess.IATCDF("P-2"); p2 != nil {
-			med, _ := p2.Median()
-			add("P-2 median request IAT", ">1 hour", fmt.Sprintf("%.0fs", med), med > 3600)
-		}
-	}
-
-	// Fig 14: addiction asymmetry.
-	if addict := r.Addiction(); addict != nil {
-		v := addict.FracObjectsAbove("V-1", trace.CategoryVideo, 10)
-		im := addict.FracObjectsAbove("P-1", trace.CategoryImage, 10)
-		add("V-1 video objects >10 req/user", ">=10%", pc(v), v >= 0.03)
-		add("P-1 image objects >10 req/user", "<1%", pc(im), im <= 0.05)
-	}
-
-	// Fig 15: caching (only when the trace carries cache verdicts).
-	if caching := r.Caching(); caching != nil {
-		if hr := caching.WeightedHitRatio("V-1"); hr > 0 {
-			for _, site := range r.SiteNames() {
-				f := caching.WeightedHitRatio(site)
-				add(site+" weighted cache hit ratio", "80-90%", pc(f), f >= 0.55 && f <= 0.995)
-			}
-			if c := caching.PopularityHitCorrelation("V-1"); c != 0 {
-				add("V-1 popularity-hit correlation", ">0.9 (paper)",
-					fmt.Sprintf("%.2f", c), c >= 0.3)
-			}
-		}
+		v := c.measure(r)
+		checks = append(checks, Check{c.name, c.fig, c.paper, c.band(), c.unit.label + c.unit.format(v), c.holds(v)})
 	}
 	return checks
 }
@@ -150,7 +194,7 @@ func (r *Results) VerifyTable() (*report.Table, bool) { return CheckTable(r.Veri
 // already evaluated them, and reports whether all passed.
 func CheckTable(checks []Check) (*report.Table, bool) {
 	t := report.NewTable("calibration verification (paper claims vs this run)",
-		"check", "paper", "measured", "status")
+		"check", "fig", "paper", "band", "measured", "status")
 	all := true
 	for _, c := range checks {
 		status := "PASS"
@@ -158,7 +202,7 @@ func CheckTable(checks []Check) (*report.Table, bool) {
 			status = "FAIL"
 			all = false
 		}
-		t.AddRow(c.Name, c.Paper, c.Measured, status)
+		t.AddStrings(c.Name, c.Fig, c.Paper, c.Band, c.Measured, status)
 	}
 	return t, all
 }

@@ -37,6 +37,10 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
+// AddStrings appends a row of cells already formatted, keeping the
+// slice; AddRow would box each cell to format it.
+func (t *Table) AddStrings(cells ...string) { t.rows = append(t.rows, cells) }
+
 func formatFloat(v float64) string {
 	switch {
 	case math.IsNaN(v):

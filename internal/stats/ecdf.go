@@ -22,16 +22,15 @@ type ECDF struct {
 	sorted []float64
 }
 
-// NewECDF builds an ECDF from the sample. The input slice is copied, so the
-// caller may reuse it.
+// NewECDF builds an ECDF from the sample. It sorts the sample in place and
+// keeps it, so the caller hands the slice over: pass a copy to keep using
+// it.
 func NewECDF(sample []float64) (*ECDF, error) {
 	if len(sample) == 0 {
 		return nil, ErrEmpty
 	}
-	s := make([]float64, len(sample))
-	copy(s, sample)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}, nil
+	sort.Float64s(sample)
+	return &ECDF{sorted: sample}, nil
 }
 
 // MustECDF is NewECDF but panics on error. Intended for tests and static

@@ -92,7 +92,7 @@ func (z *Zipf) Prob(rank int) float64 {
 // by least-squares regression of log(count) on log(rank) over the top ranks
 // with nonzero counts. Returns NaN when fewer than two usable ranks exist.
 func FitZipf(countsDesc []int64) float64 {
-	var lx, ly []float64
+	lx, ly := make([]float64, 0, len(countsDesc)), make([]float64, 0, len(countsDesc))
 	for i, c := range countsDesc {
 		if c <= 0 {
 			break
