@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestVerifyCalibrationAllPass runs the calibration table over the
 // weeks whose verdicts matter: the shared seed-7 study, report-week's
@@ -45,3 +48,41 @@ func TestVerifyCalibrationAllPass(t *testing.T) {
 		})
 	}
 }
+
+// checkFigures requires every calibration-table row of the given
+// figures to be evaluated on the shared seed-7 study, and to pass.
+func checkFigures(t *testing.T, figs ...string) {
+	t.Helper()
+	want := 0
+	for _, c := range paperClaims {
+		if slices.Contains(figs, c.fig) {
+			want++
+		}
+	}
+	if want == 0 {
+		t.Fatalf("no claim of figs %v in the table", figs)
+	}
+	got := 0
+	for _, ch := range getResults(t).VerifyCalibration() {
+		if !slices.Contains(figs, ch.Fig) {
+			continue
+		}
+		got++
+		if !ch.Pass {
+			t.Errorf("fig %s %q: paper %s, band %s, measured %s", ch.Fig, ch.Name, ch.Paper, ch.Band, ch.Measured)
+		}
+	}
+	if got != want {
+		t.Errorf("figs %v: evaluated %d of %d claims", figs, got, want)
+	}
+}
+
+func TestCompositionMatchesPaper(t *testing.T) { checkFigures(t, "1", "2a", "2b") }
+func TestHourlyShapeMatchesPaper(t *testing.T) { checkFigures(t, "3") }
+func TestDeviceMixMatchesPaper(t *testing.T)   { checkFigures(t, "4") }
+func TestSizesMatchPaper(t *testing.T)         { checkFigures(t, "5") }
+func TestPopularityMatchesPaper(t *testing.T)  { checkFigures(t, "6") }
+func TestAgingMatchesPaper(t *testing.T)       { checkFigures(t, "7") }
+func TestSessionsMatchPaper(t *testing.T)      { checkFigures(t, "11", "12") }
+func TestAddictionMatchesPaper(t *testing.T)   { checkFigures(t, "13", "14") }
+func TestCachingMatchesPaper(t *testing.T)     { checkFigures(t, "15", "16") }
