@@ -148,6 +148,7 @@ type CDN struct {
 	// (regions start at 1).
 	dcByRegion [timeutil.NumRegions + 1]*DataCenter
 	chunk      int64
+	replay     replayScratch // ReplayStream's, kept from one call to the next
 }
 
 // browserTTL is how long a non-incognito browser keeps a cached copy
@@ -175,6 +176,12 @@ func newClientState() *clientState {
 		browser: map[browserKey]time.Time{},
 		reqSeq:  map[uint64]uint32{},
 	}
+}
+
+// reset empties the state, keeping its maps' storage for the next pass.
+func (cs *clientState) reset() {
+	clear(cs.browser)
+	clear(cs.reqSeq)
 }
 
 // nextSeq returns the user's current request sequence number and
@@ -292,7 +299,7 @@ func (dc *DataCenter) StatsSnapshot() DCStats {
 // sequencing, so a measured replay after warm-up sees first-visit
 // conditional-request behaviour again.
 func (c *CDN) ResetClientState() {
-	c.clients = newClientState()
+	c.clients.reset()
 }
 
 // TotalStats sums counters across all data centers. Safe to call while

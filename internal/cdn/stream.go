@@ -37,6 +37,17 @@ type replayBlock struct {
 	serving sync.WaitGroup // lanes that have not finished this block
 }
 
+// replayScratch is what ReplayStream keeps on its CDN from one call to
+// the next, so a repeat replay — the measured pass after the warm-up —
+// allocates none of it again: each lane's client state, the user-region
+// map of the stability check and the blocks. A call empties the maps
+// before it uses them, so it starts from the client state of a new CDN.
+type replayScratch struct {
+	lanes      [timeutil.NumRegions + 1]*clientState
+	userRegion map[uint64]timeutil.Region
+	blocks     []*replayBlock
+}
+
 // ReplayStream replays records through the CDN with one worker per data
 // center, streaming: records flow reader → per-DC lanes → sink in
 // blocks with no full-trace buffering, so a week-long on-disk trace
@@ -57,20 +68,28 @@ type replayBlock struct {
 // Record ownership: the reader fills a record inside a block, its lane
 // serves it in place, the sink sees it, and the block is refilled. The
 // sink must therefore not retain the record pointer past the call.
+// Calls on one CDN must not overlap: they share its scratch.
 func (c *CDN) ReplayStream(r trace.Reader, sink func(*trace.Record) error) error {
 	// Every channel holds replayBlocks entries and at most that many
 	// blocks exist, so only waiting for a free block ever blocks a send.
 	var lanes [timeutil.NumRegions + 1]chan *replayBlock
 	order := make(chan *replayBlock, replayBlocks)
 	free := make(chan *replayBlock, replayBlocks)
+	sc := &c.replay
 
 	var wg sync.WaitGroup
 	startLane := func(dc uint8) chan *replayBlock {
+		state := sc.lanes[dc]
+		if state == nil {
+			state = newClientState()
+			sc.lanes[dc] = state
+		} else {
+			state.reset()
+		}
 		in := make(chan *replayBlock, replayBlocks)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			state := newClientState()
 			for b := range in {
 				for i, lane := range b.dc[:b.n] {
 					if lane == dc {
@@ -108,12 +127,19 @@ func (c *CDN) ReplayStream(r trace.Reader, sink func(*trace.Record) error) error
 	// block cut short by EOF, an error or an abort is still dispatched:
 	// the records before the cut are served and sunk.
 	var readErr error
-	userRegion := make(map[uint64]timeutil.Region, 1024)
+	if sc.userRegion == nil {
+		sc.userRegion = make(map[uint64]timeutil.Region, 1024)
+	}
+	userRegion := sc.userRegion
+	clear(userRegion)
 	allocated := 0
 	for done := false; !done; {
 		var b *replayBlock
 		if allocated < replayBlocks {
-			b = new(replayBlock)
+			if allocated == len(sc.blocks) {
+				sc.blocks = append(sc.blocks, new(replayBlock))
+			}
+			b = sc.blocks[allocated]
 			allocated++
 		} else {
 			b = <-free

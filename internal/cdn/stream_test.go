@@ -96,6 +96,58 @@ func TestReplayStreamMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestReplayStreamRepeatStartsFromEmptyClientState replays one trace
+// twice through one CDN. The second call reuses the first one's lane
+// state, emptied: a user whose copy of an object was still fresh in the
+// browser when call 1 ended gets no 304 for it at the start of call 2,
+// and every response code — request sequences included, which pick the
+// rejections — is what call 1 returned.
+func TestReplayStreamRepeatStartsFromEmptyClientState(t *testing.T) {
+	recs := regionStableTrace(8000, 3)
+	c := New(Config{
+		NewCache:    func() Cache { return NewLRU(64 << 20) },
+		IsIncognito: func(_ string, u uint64) bool { return u%2 == 0 },
+		P403:        0.01,
+	})
+	var calls [2][]*trace.Record
+	for i := range calls {
+		if err := c.ReplayStream(trace.NewSliceReader(recs), collect(&calls[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Pairs that revalidate (non-incognito user, non-video object) and
+	// were fresh in the browser at the end of call 1.
+	type pair struct{ user, obj uint64 }
+	end := recs[len(recs)-1].Timestamp
+	fresh := map[pair]bool{}
+	for _, r := range calls[0] {
+		if r.UserID%2 == 1 && r.Category() != trace.CategoryVideo && r.StatusCode == StatusOK {
+			fresh[pair{r.UserID, r.ObjectID}] = end.Before(r.Timestamp.Add(browserTTL))
+		}
+	}
+	seen, checked := map[pair]bool{}, 0
+	for i, r := range calls[1] {
+		if r.StatusCode != calls[0][i].StatusCode {
+			t.Fatalf("record %d: call 2 status %d, call 1 %d", i, r.StatusCode, calls[0][i].StatusCode)
+		}
+		p := pair{r.UserID, r.ObjectID}
+		if seen[p] {
+			continue
+		}
+		seen[p] = true
+		if fresh[p] {
+			checked++
+			if r.StatusCode == StatusNotModified {
+				t.Fatalf("record %d: user %d got 304 for object %d on its first request of call 2", i, p.user, p.obj)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no pair was fresh at the end of call 1; the trace does not exercise the reset")
+	}
+}
+
 // TestReplayStreamRejectsRegionUnstableUsers verifies the mid-stream
 // stability check fires and the error unwraps to ErrRegionUnstable.
 func TestReplayStreamRejectsRegionUnstableUsers(t *testing.T) {

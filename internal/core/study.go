@@ -217,11 +217,12 @@ func (s *Study) NewCDN() *cdn.CDN {
 // Source returns the study's synthetic trace as a reopenable source:
 // each Open regenerates the trace (deterministically — same seed, same
 // bytes) through the parallel generator, so no pass ever materializes
-// the full trace in memory.
+// the full trace in memory. The passes over one source share the
+// generator's record chunks (synth.Generator.ParallelSource), so a
+// second pass regenerates without allocating them again; they are
+// freed with the source.
 func (s *Study) Source() trace.Source {
-	return trace.SourceFunc(func() (trace.Reader, error) {
-		return s.gen.ParallelReader(synth.ParallelOptions{Workers: s.cfg.Workers}), nil
-	})
+	return s.gen.ParallelSource(synth.ParallelOptions{Workers: s.cfg.Workers})
 }
 
 // Run generates the trace, replays it through the CDN and computes the

@@ -314,11 +314,15 @@ func (s *slab) add() *trace.Record {
 	return &c[len(c)-1]
 }
 
-// chunkPool recycles a site pipeline's record chunks between the
-// goroutines that fill them and the ones that drain them.
+// chunkPool recycles one site's record chunks, and its drained shards
+// with their key storage, between the goroutines that fill them and the
+// ones that drain them. Every reader opened from one ParallelSource
+// shares the site's pool, so a second pass reuses the first one's
+// storage; readers open at the same time share it under the mutex.
 type chunkPool struct {
-	mu   sync.Mutex
-	free [][]trace.Record
+	mu     sync.Mutex
+	free   [][]trace.Record
+	shards []*shard
 }
 
 // get returns an empty chunk of chunkRecords.
@@ -333,13 +337,34 @@ func (p *chunkPool) get() []trace.Record {
 	return make([]trace.Record, 0, chunkRecords)
 }
 
-// put takes back chunks whose records have all been copied out.
-func (p *chunkPool) put(chunks ...[]trace.Record) {
+// put takes back a chunk whose records have all been copied out.
+func (p *chunkPool) put(c []trace.Record) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, c := range chunks {
+	p.free = append(p.free, c[:0])
+}
+
+// shard returns a drained shard, its key storage kept, or a new one.
+func (p *chunkPool) shard() *shard {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.shards) - 1; n >= 0 {
+		sh := p.shards[n]
+		p.shards = p.shards[:n]
+		return sh
+	}
+	return &shard{recs: slab{pool: p}}
+}
+
+// recycle takes back a drained shard and its chunks.
+func (p *chunkPool) recycle(sh *shard) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, c := range sh.recs.chunks {
 		p.free = append(p.free, c[:0])
 	}
+	sh.recs.chunks = sh.recs.chunks[:0]
+	p.shards = append(p.shards, sh)
 }
 
 // generateHour produces local hour h of site i into out, which must be

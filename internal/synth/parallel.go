@@ -116,8 +116,8 @@ type shardKey struct {
 // shard is one generated (site, hour): its records in emission order
 // (a slab of pooled chunks) and their keys in time order. A worker fills
 // it, the site's sequencer releases keys[pos:] as the watermark passes
-// them, and once drained the chunks return to the site's pool and the
-// shard, with its key storage, to the workers.
+// them, and once drained the shard returns to the site's pool with its
+// chunks and its key storage.
 type shard struct {
 	hour int // index into the site's hours
 	recs slab
@@ -337,17 +337,35 @@ func (r *ParallelReader) Close() error {
 	return nil
 }
 
+// ParallelSource returns the generator's trace as a reopenable source:
+// every Open starts a ParallelReader. The readers of one source share
+// one chunk pool per site, so a later pass reuses the record chunks and
+// shards an earlier one drained instead of allocating them again;
+// readers may be open at the same time. The pools live as long as the
+// source and no longer.
+func (g *Generator) ParallelSource(opts ParallelOptions) trace.Source {
+	pools := make([]chunkPool, len(g.plans))
+	return trace.SourceFunc(func() (trace.Reader, error) {
+		return g.parallelReader(opts, pools), nil
+	})
+}
+
 // ParallelReader starts concurrent generation and returns the sorted
-// record stream. One pipeline runs per site: a pool of workers generates
-// (site, hour) shards — each an independent RNG stream, see rng.go —
-// into recycled slabs, and a per-site sequencer takes them in hour
-// order, merging the live shards by key and copying the prefix no later
-// shard can undercut into blocks. The reader merges the site streams,
-// ties to the lower site, copying each record from its block into the
-// caller's storage, so the result is byte-identical to sequential
-// Generate for the same seed and config, without ever buffering the
-// whole trace.
+// record stream: a ParallelSource opened once. One pipeline runs per
+// site: a pool of workers generates (site, hour) shards — each an
+// independent RNG stream, see rng.go — into recycled slabs, and a
+// per-site sequencer takes them in hour order, merging the live shards
+// by key and copying the prefix no later shard can undercut into blocks.
+// The reader merges the site streams, ties to the lower site, copying
+// each record from its block into the caller's storage, so the result is
+// byte-identical to sequential Generate for the same seed and config,
+// without ever buffering the whole trace.
 func (g *Generator) ParallelReader(opts ParallelOptions) *ParallelReader {
+	return g.parallelReader(opts, make([]chunkPool, len(g.plans)))
+}
+
+// parallelReader starts the site pipelines over pools, one per plan.
+func (g *Generator) parallelReader(opts ParallelOptions, pools []chunkPool) *ParallelReader {
 	workers := opts.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -366,7 +384,7 @@ func (g *Generator) ParallelReader(opts ParallelOptions) *ParallelReader {
 		}
 		// Eight blocks let the sequencer run a release ahead of the reader
 		// without a goroutine switch per block.
-		out, pool := make(chan []trace.Record, 8), new(chunkPool)
+		out, pool := make(chan []trace.Record, 8), &pools[i]
 		site := g.prof[i].Name
 		g.runSitePipeline(r, i, perSite[i], lead, out, pool, shardMetrics{
 			shardsDone:   m.Counter("synth_shards_done_total"),
@@ -394,17 +412,16 @@ type shardMetrics struct {
 
 // runSitePipeline spawns site i's shard workers and sequencer as
 // goroutines of r. Time-ordered blocks arrive on out, which is closed
-// when the site is exhausted or r is closed; shard slabs and blocks are
-// chunks of pool.
+// when the site is exhausted or r is closed; shards, their slabs and
+// blocks come from pool and go back to it.
 func (g *Generator) runSitePipeline(r *ParallelReader, i, workers int, lead time.Duration, out chan<- []trace.Record, pool *chunkPool, met shardMetrics) {
 	plan, done := g.plans[i], r.done
 	hours := plan.hours
 	// The sequencer keeps lookahead shards dispatched and unsequenced — the
 	// memory/parallelism trade-off — so tasks and generated never block
-	// their senders, and drained has room for every shard there can be.
+	// their senders.
 	tasks := make(chan int, lookahead)
 	generated := make(chan *shard, lookahead)
-	drained := make(chan *shard, len(hours))
 
 	r.running.Add(workers + 1)
 	for w := 0; w < workers; w++ {
@@ -412,12 +429,7 @@ func (g *Generator) runSitePipeline(r *ParallelReader, i, workers int, lead time
 			defer r.running.Done()
 			sc := newShardScratch(plan)
 			for j := range tasks {
-				var sh *shard
-				select {
-				case sh = <-drained:
-				default:
-					sh = &shard{recs: slab{pool: pool}}
-				}
+				sh := pool.shard()
 				sh.hour = j
 				g.generateHour(i, hours[j], sc, &sh.recs)
 				sh.sortKeys()
@@ -461,11 +473,6 @@ func (g *Generator) runSitePipeline(r *ParallelReader, i, workers int, lead time
 			block = append(block, *rec)
 			return len(block) < cap(block) || send()
 		}
-		recycle := func(sh *shard) {
-			pool.put(sh.recs.chunks...)
-			sh.recs.chunks = sh.recs.chunks[:0]
-			drained <- sh
-		}
 		for j := range hours {
 			for ready[j%lookahead] == nil {
 				select {
@@ -486,7 +493,7 @@ func (g *Generator) runSitePipeline(r *ParallelReader, i, workers int, lead time
 			if !merge.release(wm, emit) || len(block) > 0 && !send() {
 				return
 			}
-			pending, newest := merge.retire(recycle)
+			pending, newest := merge.retire(pool.recycle)
 			met.mergePending.Set(float64(pending))
 			met.mergeLag.Set(time.Duration(max(newest-wm, 0)).Seconds())
 		}

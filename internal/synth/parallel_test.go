@@ -81,6 +81,54 @@ func TestGenerateParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// The readers of one ParallelSource share its chunk pools, also while
+// they are open at the same time: two read concurrently, and a third
+// opened after them on what they recycled, must each stream the
+// sequential trace. Run with -race, the pools' hand-offs are checked
+// too.
+func TestParallelSourceConcurrentOpens(t *testing.T) {
+	g := newTestGenerator(t, 5, 0.004)
+	seq, err := g.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encodeTrace(t, seq)
+	src := g.ParallelSource(ParallelOptions{Workers: 3})
+	var readers [2]trace.Reader
+	for i := range readers {
+		if readers[i], err = src.Open(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got [2][]*trace.Record
+	errs := make(chan error, len(readers))
+	for i, r := range readers {
+		go func() {
+			var err error
+			got[i], err = trace.ReadAll(r)
+			errs <- err
+		}()
+	}
+	for range readers {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := src.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := trace.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, recs := range append(got[:], after) {
+		if !bytes.Equal(encodeTrace(t, recs), want) {
+			t.Errorf("open %d: trace differs from sequential (%d vs %d records)", i, len(recs), len(seq))
+		}
+	}
+}
+
 // The merged stream must already arrive sorted — no terminal sort pass
 // hides an unordered merge.
 func TestParallelReaderStreamsInOrder(t *testing.T) {

@@ -17,32 +17,48 @@ import (
 // over-sized slab. ParallelReader recycles its chunks, key slices and
 // blocks within a site pipeline, so a pass allocates what is live at the
 // week's busiest moment and no more: under half a record per record.
+// The readers of one ParallelSource share those pools, so its second
+// Open — the measured pass of a study — reuses what the first left and
+// allocates only the pipelines' goroutines and channels.
 func TestGenerationAllocsPerRecord(t *testing.T) {
 	g := newTestGenerator(t, 3, 0.03)
+	drain := func(r trace.Reader, sink func(*trace.Record) error) error {
+		defer trace.CloseReader(r)
+		var rec trace.Record
+		for {
+			if err := r.Read(&rec); err == io.EOF {
+				return nil
+			} else if err != nil {
+				return err
+			}
+			if err := sink(&rec); err != nil {
+				return err
+			}
+		}
+	}
+	src := g.ParallelSource(ParallelOptions{Workers: 2})
+	// Each path runs twice, the second run measured: for ParallelSource
+	// that is the second Open of one source.
 	paths := []struct {
 		name string
 		run  func(sink func(*trace.Record) error) error
 	}{
 		{"GenerateTo", g.GenerateTo},
 		{"ParallelReader", func(sink func(*trace.Record) error) error {
-			r := g.ParallelReader(ParallelOptions{Workers: 2})
-			defer r.Close()
-			var rec trace.Record
-			for {
-				if err := r.Read(&rec); err == io.EOF {
-					return nil
-				} else if err != nil {
-					return err
-				}
-				if err := sink(&rec); err != nil {
-					return err
-				}
+			return drain(g.ParallelReader(ParallelOptions{Workers: 2}), sink)
+		}},
+		{"ParallelSource, second Open", func(sink func(*trace.Record) error) error {
+			r, err := src.Open()
+			if err != nil {
+				return err
 			}
+			return drain(r, sink)
 		}},
 	}
 	maxBytes := map[string]float64{
-		"GenerateTo":     1.25*float64(unsafe.Sizeof(trace.Record{})) + float64(unsafe.Sizeof(uintptr(0))),
-		"ParallelReader": 0.5 * float64(unsafe.Sizeof(trace.Record{})),
+		"GenerateTo":                  1.25*float64(unsafe.Sizeof(trace.Record{})) + float64(unsafe.Sizeof(uintptr(0))),
+		"ParallelReader":              0.5 * float64(unsafe.Sizeof(trace.Record{})),
+		"ParallelSource, second Open": 0.05 * float64(unsafe.Sizeof(trace.Record{})),
 	}
 	for _, p := range paths {
 		var records int
