@@ -277,6 +277,18 @@ func (c *CDN) ResetStats() {
 		atomic.StoreInt64(&dc.Stats.Misses, 0)
 		atomic.StoreInt64(&dc.Stats.OriginBytes, 0)
 		atomic.StoreInt64(&dc.Stats.EgressBytes, 0)
+		resetCacheStats(dc.Cache)
+		for _, pc := range dc.PublisherCache {
+			resetCacheStats(pc)
+		}
+	}
+}
+
+// resetCacheStats zeroes the counters a cache keeps of its own (a
+// TieredCache's parent tier), if it keeps any.
+func resetCacheStats(c Cache) {
+	if r, ok := c.(interface{ ResetStats() }); ok {
+		r.ResetStats()
 	}
 }
 

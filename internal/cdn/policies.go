@@ -184,11 +184,16 @@ func (c *TwoQ) Name() string { return "2q" }
 // TieredCache models an edge cache backed by a regional parent (origin
 // shield): an edge miss consults the parent before the origin. Parent
 // hits avoid origin traffic but still count as edge misses for the
-// edge's own hit ratio — exactly how CDN hierarchies report.
+// edge's own hit ratio — exactly how CDN hierarchies report. So the DC's
+// OriginBytes count every byte the edge missed: the origin sent
+// OriginBytes − ParentHitBytes of them. The counters are zeroed with the
+// DC's stats (CDN.ResetStats).
 type TieredCache struct {
 	edge, parent Cache
-	// ParentHits counts edge misses absorbed by the parent tier.
-	ParentHits int64
+	// ParentHits counts edge misses absorbed by the parent tier, and
+	// ParentHitBytes their bytes.
+	ParentHits     int64
+	ParentHitBytes int64
 	// ParentMisses counts requests that fell through to the origin.
 	ParentMisses int64
 }
@@ -209,6 +214,7 @@ func (c *TieredCache) Access(key uint64, size int64, now time.Time) bool {
 	}
 	if c.parent.Access(key, size, now) {
 		c.ParentHits++
+		c.ParentHitBytes += size
 	} else {
 		c.ParentMisses++
 	}
@@ -218,6 +224,11 @@ func (c *TieredCache) Access(key uint64, size int64, now time.Time) bool {
 // Contains implements Cache.
 func (c *TieredCache) Contains(key uint64) bool {
 	return c.edge.Contains(key) || c.parent.Contains(key)
+}
+
+// ResetStats zeroes the parent-tier counters.
+func (c *TieredCache) ResetStats() {
+	c.ParentHits, c.ParentHitBytes, c.ParentMisses = 0, 0, 0
 }
 
 // Push implements Cache.

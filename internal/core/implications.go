@@ -21,13 +21,28 @@ const (
 )
 
 // implicationCell is one CDN configuration replayed for the §V table:
-// its part in the fan-out, the CDN its Build made, and the counters its
-// rows print. A cell with a Survey is cold and fills stats itself; the
-// others report the measured week's totals.
+// its part in the fan-out, the config its Build makes a CDN of, that
+// CDN, and the counters its rows print. A cell with a Survey is cold and
+// fills stats itself; the others report the measured week's totals.
 type implicationCell struct {
 	cdn.FanoutCell
+	cfg     cdn.Config
 	network *cdn.CDN
 	stats   cdn.DCStats
+	// parentHitBytes, set on a cell whose edges have a parent tier,
+	// counts the bytes of edge-missed chunks the parent served.
+	parentHitBytes func() int64
+}
+
+// fill splits the bytes of the chunks the cell's edges missed, which s
+// counts as OriginBytes, into those the parent tier served and those the
+// origin sent. (A 304 whose validator lookup misses admits its object
+// and counts no bytes anywhere.)
+func (c *implicationCell) fill(s cdn.DCStats) (parent, origin int64) {
+	if c.parentHitBytes != nil {
+		parent = c.parentHitBytes()
+	}
+	return parent, s.OriginBytes - parent
 }
 
 // implicationRow is one line of the §V table: the implication it speaks
@@ -53,9 +68,9 @@ func must[T any](v T, err error) T {
 // configuration the paper's implications compare, as data.
 func (r *Results) implicationRows(capacity int64) []implicationRow {
 	cell := func(cfg cdn.Config) *implicationCell {
-		c := &implicationCell{}
+		c := &implicationCell{cfg: cfg}
 		c.Build = func() *cdn.CDN {
-			c.network = cdn.New(cfg)
+			c.network = cdn.New(c.cfg)
 			return c.network
 		}
 		return c
@@ -79,9 +94,9 @@ func (r *Results) implicationRows(capacity int64) []implicationRow {
 
 	// The edge-level hit ratio is the same with and without the parent by
 	// construction; the parent's value is the share of edge misses it
-	// absorbs before they reach the origin. One parent stands behind
-	// every DC's edge, as the live fleet's shield does (a cell is served
-	// by one goroutine, so sharing it is safe).
+	// absorbs, and their bytes, which never reach the origin. One parent
+	// stands behind every DC's edge, as the live fleet's shield does (a
+	// cell is served by one goroutine, so sharing it is safe).
 	var tiers []*cdn.TieredCache
 	parent := cdn.NewLRU(capacity)
 	shield := cell(cdn.Config{NewCache: func() cdn.Cache {
@@ -89,13 +104,20 @@ func (r *Results) implicationRows(capacity int64) []implicationRow {
 		tiers = append(tiers, t)
 		return t
 	}})
+	shield.parentHitBytes = func() (n int64) {
+		for _, t := range tiers {
+			n += t.ParentHitBytes
+		}
+		return n
+	}
 	absorbed := func() string {
 		var hits, misses int64
 		for _, t := range tiers {
 			hits += t.ParentHits
 			misses += t.ParentMisses
 		}
-		return fmt.Sprintf("shield absorbs %.2f%% of edge misses", 100*float64(hits)/float64(hits+misses))
+		return fmt.Sprintf("shield absorbs %.2f%% of edge misses, %.2f GiB",
+			100*float64(hits)/float64(hits+misses), float64(shield.parentHitBytes())/(1<<30))
 	}
 
 	// incognito is an LRU cell in which permille of the users browse
@@ -239,16 +261,8 @@ func (r *Results) ImplicationsTableSource(src trace.Source) (*report.Table, erro
 	}
 	capacity := int64(implicationCapacity * r.scale)
 	rows := r.implicationRows(capacity)
-	var fan []cdn.FanoutCell
-	replayed := map[*implicationCell]bool{}
-	for _, row := range rows {
-		if c := row.cell; c != nil && !replayed[c] {
-			replayed[c] = true
-			fan = append(fan, c.FanoutCell)
-		}
-	}
-	if _, err := cdn.ReplayFanout(src, fan); err != nil {
-		return nil, fmt.Errorf("core: implications replay: %w", err)
+	if err := replayImplications(src, rows); err != nil {
+		return nil, err
 	}
 	t := report.NewTable(
 		fmt.Sprintf("§V implications (%s of edge cache per DC, warm-up + measured week)", report.Bytes(capacity)),
@@ -259,8 +273,9 @@ func (r *Results) ImplicationsTableSource(src trace.Source) (*report.Table, erro
 			if c.Survey == nil {
 				c.stats = c.network.TotalStats()
 			}
+			_, originBytes := c.fill(c.stats)
 			hit = fmt.Sprintf("%.2f%%", 100*c.stats.HitRatio())
-			origin = fmt.Sprintf("%.2f GiB", float64(c.stats.OriginBytes)/(1<<30))
+			origin = fmt.Sprintf("%.2f GiB", float64(originBytes)/(1<<30))
 		}
 		if row.note != nil {
 			note = row.note()
@@ -268,4 +283,21 @@ func (r *Results) ImplicationsTableSource(src trace.Source) (*report.Table, erro
 		t.AddRow(row.implication, row.setup, hit, origin, note)
 	}
 	return t, nil
+}
+
+// replayImplications replays every distinct cell of rows over two reads
+// of src.
+func replayImplications(src trace.Source, rows []implicationRow) error {
+	var fan []cdn.FanoutCell
+	replayed := map[*implicationCell]bool{}
+	for _, row := range rows {
+		if c := row.cell; c != nil && !replayed[c] {
+			replayed[c] = true
+			fan = append(fan, c.FanoutCell)
+		}
+	}
+	if _, err := cdn.ReplayFanout(src, fan); err != nil {
+		return fmt.Errorf("core: implications replay: %w", err)
+	}
+	return nil
 }

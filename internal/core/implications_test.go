@@ -5,8 +5,10 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"trafficscope/internal/cdn"
+	"trafficscope/internal/trace"
 )
 
 const (
@@ -88,6 +90,91 @@ func TestEdgePushIsDeterministic(t *testing.T) {
 		if hit := fmt.Sprintf(" %.2f%% ", 100*push.cell.stats.HitRatio()); !strings.Contains(row, hit) {
 			t.Errorf("run %d: push cell hit ratio%s, golden row reads %q", run, hit, row)
 		}
+	}
+}
+
+// missedBytes wraps a cell's cache and counts the bytes of the chunks
+// its edge tier missed since the DC's stats were last reset.
+type missedBytes struct {
+	cdn.Cache
+	n *int64
+}
+
+func (m missedBytes) Access(key uint64, size int64, now time.Time) bool {
+	hit := m.Cache.Access(key, size, now)
+	if !hit {
+		*m.n += size
+	}
+	return hit
+}
+
+func (m missedBytes) ResetStats() {
+	*m.n = 0
+	if r, ok := m.Cache.(interface{ ResetStats() }); ok {
+		r.ResetStats()
+	}
+}
+
+// TestImplicationsFillIdentity: in every §V cell, the bytes of the chunks
+// the edges missed, counted by a wrapper around each cache, equal the
+// parent tier's hit bytes plus the origin bytes the cell reports, plus
+// the objects of 304s whose validator lookup missed: the model admits
+// those objects and counts no origin bytes for them. The two
+// parent-tier cells share their edges, so the shield's origin bytes are
+// the edge-only cell's less the shield's hit bytes.
+func TestImplicationsFillIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale-0.02 study runs in -short mode")
+	}
+	study, res := implicationsStudy(t, 0)
+	rows := res.implicationRows(int64(implicationCapacity * res.scale))
+	missed, validated := map[*implicationCell]*int64{}, map[*implicationCell]*int64{}
+	bySetup := map[string]*implicationCell{}
+	for _, row := range rows {
+		c := row.cell
+		if c == nil || missed[c] != nil {
+			continue
+		}
+		n, v := new(int64), new(int64)
+		missed[c], validated[c], bySetup[row.setup] = n, v, c
+		wrap := func(mk func() cdn.Cache) func() cdn.Cache {
+			return func() cdn.Cache { return missedBytes{mk(), n} }
+		}
+		c.cfg.NewCache = wrap(c.cfg.NewCache)
+		partitions := map[string]func() cdn.Cache{}
+		for pub, mk := range c.cfg.PublisherCaches {
+			partitions[pub] = wrap(mk)
+		}
+		c.cfg.PublisherCaches = partitions
+		observe := c.Observe
+		c.Observe = func(rec *trace.Record) error {
+			if rec.StatusCode == cdn.StatusNotModified && rec.Cache == trace.CacheMiss {
+				*v += rec.ObjectSize
+			}
+			if observe == nil {
+				return nil
+			}
+			return observe(rec)
+		}
+	}
+	if err := replayImplications(study.Source(), rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		if c := row.cell; c != nil {
+			parent, origin := c.fill(c.network.TotalStats())
+			if parent < 0 || origin < 0 || parent+origin+*validated[c] != *missed[c] {
+				t.Errorf("%s, %s: parent %d + origin %d + 304 validator %d bytes, want the %d bytes the edges missed",
+					row.implication, row.setup, parent, origin, *validated[c], *missed[c])
+			}
+		}
+	}
+	edgeOnly, shield := bySetup["edge only (capacity/4)"], bySetup["edge + one shared shield"]
+	_, edgeOrigin := edgeOnly.fill(edgeOnly.network.TotalStats())
+	parent, origin := shield.fill(shield.network.TotalStats())
+	if parent <= 0 || origin != edgeOrigin-parent {
+		t.Errorf("shield cell: parent %d, origin %d bytes; want parent > 0 and origin = edge-only %d - parent",
+			parent, origin, edgeOrigin)
 	}
 }
 

@@ -170,6 +170,7 @@ var (
 	}
 	octetStream = []string{"application/octet-stream"}
 	peerSource  = []string{cdn.FillPeer.String()}
+	heldValue   = []string{"1"}
 )
 
 // New validates the config and builds a Server.

@@ -120,13 +120,16 @@ func fillBytes(r *trace.Record) int64 {
 	return r.ObjectSize
 }
 
-// handleFill answers the shield's residency probe: 200 when an
-// owned DC holds every chunk the request covers, a bare 404 otherwise. The
-// check is strictly read-only — no origin fetch is triggered, no LRU
-// state moves, no DCStats count — so serving fills leaves this edge's
-// cache model in exactly the state its own traffic alone would produce.
-// Responses are logical (the shield probes with HEAD, so no body): the
-// simulation tracks byte accounting, not byte movement.
+// handleFill answers the shield's residency probe: 200 when an owned DC
+// holds every chunk the request covers, a 404 otherwise. The 404 carries
+// HeaderFillHeld when an owned DC still holds the object's first chunk
+// (chunk 0's key is the object ID, so no range is servable without it);
+// it is bare when none does. The check is strictly read-only — no origin
+// fetch is triggered, no LRU state moves, no DCStats count — so serving
+// fills leaves this edge's cache model in exactly the state its own
+// traffic alone would produce. Responses are logical (the shield probes
+// with HEAD, so no body): the simulation tracks byte accounting, not
+// byte movement.
 func (s *Server) handleFill(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet && req.Method != http.MethodHead {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -140,16 +143,14 @@ func (s *Server) handleFill(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	found := false
-	for _, r := range timeutil.AllRegions() {
-		if s.owned[r] && s.cdn.DCContains(r, &sc.rec) {
-			found = true
-			break
-		}
-	}
-	if !found {
-		// The shield reads only the status: no body, no headers.
+	if !s.holds(&sc.rec) {
+		// The shield reads only the status and HeaderFillHeld: no body.
 		s.fillMisses.Inc()
+		first := sc.rec
+		first.BytesServed = 1
+		if s.holds(&first) {
+			w.Header()[HeaderFillHeld] = heldValue
+		}
 		w.WriteHeader(http.StatusNotFound)
 		return
 	}
@@ -161,6 +162,16 @@ func (s *Server) handleFill(w http.ResponseWriter, req *http.Request) {
 	h[HeaderFillSource] = peerSource
 	h.Set(HeaderBytes, string(strconv.AppendInt(sc.num[:0], n, 10)))
 	w.WriteHeader(http.StatusOK)
+}
+
+// holds reports whether an owned DC holds every chunk r covers.
+func (s *Server) holds(r *trace.Record) bool {
+	for _, region := range timeutil.AllRegions() {
+		if s.owned[region] && s.cdn.DCContains(region, r) {
+			return true
+		}
+	}
+	return false
 }
 
 // fill is the requesting side: it resolves the regional miss rec

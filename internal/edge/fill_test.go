@@ -82,6 +82,41 @@ func TestFillEndpoint(t *testing.T) {
 	}
 }
 
+// TestFillMissSaysWhetherFirstChunkIsHeld: a probe for a range the edge
+// lacks answers 404 either way, with HeaderFillHeld when the edge still
+// holds the object's first chunk (it may serve a shorter range) and bare
+// when it holds none of the object.
+func TestFillMissSaysWhetherFirstChunkIsHeld(t *testing.T) {
+	s := newTestServer(t, Config{CDN: cdn.New(cdn.Config{
+		NewCache:   func() cdn.Cache { return cdn.NewLRU(64 << 20) },
+		ChunkBytes: 1 << 20,
+	})})
+	handler := s.Handler()
+	probe := func(rec *trace.Record) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		handler.ServeHTTP(w, httptest.NewRequest(http.MethodHead, string(AppendFillPath(nil, rec)), nil))
+		return w
+	}
+
+	// A 1 MiB range of a 5 MiB video admits its first chunk alone.
+	rec := testRecord()
+	handler.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, RequestPath(rec), nil))
+	if w := probe(rec); w.Code != http.StatusOK {
+		t.Fatalf("probe of the cached range: status %d, want 200", w.Code)
+	}
+	longer := *rec
+	longer.BytesServed = 3 << 20
+	if w := probe(&longer); w.Code != http.StatusNotFound || w.Header().Get(HeaderFillHeld) != "1" {
+		t.Errorf("probe of a longer range: status %d, %s %q; want 404 with 1",
+			w.Code, HeaderFillHeld, w.Header().Get(HeaderFillHeld))
+	}
+	other := *rec
+	other.ObjectID++
+	if w := probe(&other); w.Code != http.StatusNotFound || len(w.Header()) != 0 {
+		t.Errorf("probe of an uncached object: status %d, headers %v; want a bare 404", w.Code, w.Header())
+	}
+}
+
 // shieldReply answers a fill the way fleet.Shield does: 200,
 // X-TS-Fill-Source naming where the bytes came from, X-TS-Fill-Backend
 // for a peer fill, X-TS-Fill-Dedup and X-TS-Bytes.

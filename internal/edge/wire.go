@@ -57,9 +57,10 @@ const (
 	HeaderBytes = "X-Ts-Bytes"
 )
 
-// Fill-path headers. Requests carry HeaderFillFrom; fill responses carry
-// the other three so the requesting edge can account where its miss was
-// filled from without a second round trip.
+// Fill-path headers. Requests carry HeaderFillFrom; the shield's fill
+// responses carry source, backend and dedup so the requesting edge can
+// account where its miss was filled from without a second round trip; a
+// peer's probe miss may carry HeaderFillHeld.
 const (
 	// HeaderFillSource is where the fill's bytes came from: "peer" or
 	// "origin" (cdn.FillSource.String values).
@@ -73,6 +74,11 @@ const (
 	// shield probing peers on its behalf can skip asking the requester
 	// about its own miss.
 	HeaderFillFrom = "X-Ts-Fill-From"
+	// HeaderFillHeld is "1" on a residency probe's 404 from an edge that
+	// lacks the requested range but still holds the object's first chunk,
+	// so it may serve a shorter range later. A 404 without it means the
+	// edge can serve no range of the object at all.
+	HeaderFillHeld = "X-Ts-Fill-Held"
 )
 
 // RequestPath encodes a trace record as an edge request URI (path plus

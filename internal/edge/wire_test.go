@@ -431,7 +431,7 @@ func TestHandlerFillMissAllocs(t *testing.T) {
 // The header constants are assigned into header maps directly on the hit
 // path, which only works when they are spelled as http.Header stores them.
 func TestHeaderNamesAreCanonical(t *testing.T) {
-	for _, h := range []string{HeaderCache, HeaderBytes, HeaderFillSource, HeaderFillBackend, HeaderFillDedup, HeaderFillFrom} {
+	for _, h := range []string{HeaderCache, HeaderBytes, HeaderFillSource, HeaderFillBackend, HeaderFillDedup, HeaderFillFrom, HeaderFillHeld} {
 		if c := http.CanonicalHeaderKey(h); c != h {
 			t.Errorf("header %q is not canonical; spell it %q", h, c)
 		}

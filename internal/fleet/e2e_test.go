@@ -65,13 +65,19 @@ func (f *e2eFleet) region(i int) timeutil.Region { return f.Edges[i].Backend.Reg
 // at Shutdown only, so a test's own PollOnce is the last word.
 func launchE2E(t *testing.T, router RouterConfig, shield bool) *e2eFleet {
 	t.Helper()
+	return launchE2EWith(t, router, shield, mkE2ECDN)
+}
+
+// launchE2EWith is launchE2E with every edge's CDN built by newCDN.
+func launchE2EWith(t *testing.T, router RouterConfig, shield bool, newCDN func() *cdn.CDN) *e2eFleet {
+	t.Helper()
 	f := &e2eFleet{}
 	router.Logf = t.Logf
 	cfg := LaunchConfig{
 		Router:    router,
 		Collector: CollectorConfig{Interval: time.Hour, Logf: t.Logf},
 		NewEdge: func(regions []timeutil.Region, name, shieldURL string) (*edge.Server, error) {
-			network := mkE2ECDN()
+			network := newCDN()
 			f.cdns = append(f.cdns, network)
 			return edge.New(edge.Config{
 				CDN:       network,

@@ -32,6 +32,20 @@ func shieldRecord(region timeutil.Region) *trace.Record {
 	}
 }
 
+// fillFrom sends h the fill request a miss for rec at the backend named
+// from sends: the shield records from as a holder of the object, which
+// it then probes for the other backends' misses.
+func fillFrom(t *testing.T, h http.Handler, from string, rec *trace.Record) {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodGet, string(edge.AppendFillPath(nil, rec)), nil)
+	req.Header.Set(edge.HeaderFillFrom, from)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("fill from %s: status %d, want 200", from, w.Code)
+	}
+}
+
 // TestShieldDedupeDirect pins the tentpole guarantee at the shield
 // itself, deterministically: N concurrent fill requests for one object
 // collapse into a single resolution — exactly one origin fetch — with
@@ -60,6 +74,9 @@ func TestShieldDedupeDirect(t *testing.T) {
 
 	rec := shieldRecord(timeutil.RegionEurope)
 	uri := string(edge.AppendFillPath(nil, rec))
+	// The peer filled the object once, so the leader probes it.
+	fillFrom(t, mux, "peer", rec)
+	fetches, originBytes := sh.OriginFetches(), sh.originBytes.Value()
 
 	const callers = 8
 	var wg sync.WaitGroup
@@ -104,7 +121,7 @@ func TestShieldDedupeDirect(t *testing.T) {
 	close(gate)
 	wg.Wait()
 
-	if got := sh.OriginFetches(); got != 1 {
+	if got := sh.OriginFetches() - fetches; got != 1 {
 		t.Errorf("origin fetches = %d, want exactly 1 for %d concurrent misses", got, callers)
 	}
 	if leaders != 1 || deduped != callers-1 {
@@ -113,7 +130,7 @@ func TestShieldDedupeDirect(t *testing.T) {
 	if got := sh.dedup.Value(); got != callers-1 {
 		t.Errorf("fleet_shield_dedup_total = %d, want %d", got, callers-1)
 	}
-	if got := sh.originBytes.Value(); got != rec.ObjectSize {
+	if got := sh.originBytes.Value() - originBytes; got != rec.ObjectSize {
 		t.Errorf("fleet_shield_origin_bytes_total = %d, want %d", got, rec.ObjectSize)
 	}
 }
@@ -260,7 +277,9 @@ func TestShieldPeerFill(t *testing.T) {
 // wire: every probe of a backend rides one kept-alive connection, so a
 // run of misses that probe every peer dials each peer once, not once per
 // probe. A peer answering 500 is a counted probe error that neither
-// fails the fill nor costs a connection per probe.
+// fails the fill nor costs a connection per probe. Every peer first fills
+// every object while all are unhealthy, so the shield records each as a
+// holder without probing any, and then probes each on every miss.
 func TestShieldProbesReuseConnections(t *testing.T) {
 	for _, broken := range []bool{false, true} {
 		name := "three edges"
@@ -301,6 +320,21 @@ func TestShieldProbesReuseConnections(t *testing.T) {
 			sh.Register(mux)
 
 			const fills = 200
+			for _, b := range backends {
+				b.healthy.Store(false)
+			}
+			for i := 0; i < fills; i++ {
+				rec := shieldRecord(timeutil.RegionEurope)
+				rec.ObjectID = uint64(i + 1)
+				for _, b := range backends {
+					fillFrom(t, mux, b.Name, rec)
+				}
+			}
+			for _, b := range backends {
+				b.healthy.Store(true)
+			}
+			fetches := sh.OriginFetches()
+
 			for i := 0; i < fills; i++ {
 				rec := shieldRecord(timeutil.RegionEurope)
 				rec.ObjectID = uint64(i + 1)
@@ -311,7 +345,7 @@ func TestShieldProbesReuseConnections(t *testing.T) {
 						i, w.Code, w.Header().Get(edge.HeaderFillSource))
 				}
 			}
-			if got := sh.OriginFetches(); got != fills {
+			if got := sh.OriginFetches() - fetches; got != fills {
 				t.Errorf("origin fetches = %d, want %d", got, fills)
 			}
 			wantErrors := int64(0)
@@ -320,6 +354,9 @@ func TestShieldProbesReuseConnections(t *testing.T) {
 			}
 			if got := sh.probeErrors.Value(); got != wantErrors {
 				t.Errorf("fleet_shield_peer_probe_errors_total = %d, want %d", got, wantErrors)
+			}
+			if got := sh.skipped.Value(); got != 0 {
+				t.Errorf("%d probes skipped, want every holder probed", got)
 			}
 			if got := dials.Load(); got > int64(len(backends)) {
 				t.Errorf("%d fills probing %d peers made %d dials, want <= %d",
