@@ -91,7 +91,7 @@ bench-gate:
 	GOMAXPROCS=2 $(GO) run ./benchmark -all -seconds 2 > $(BIN)/BENCH_ledger.current.txt
 	$(BIN)/tsbench BENCH_ledger.txt $(BIN)/BENCH_ledger.current.txt
 
-# The demos as declared cells (demos_test.go): one edge gated three ways
+# The demos as declared cells (demos_test.go): one edge gated both ways
 # by the committed SLO policy, an injected breach tsgate must fail, the
 # whole fleet behind its shield in one tscluster, the same tiers as
 # separate tsserve/tsrouter processes, and the README quickstart (a tsgen

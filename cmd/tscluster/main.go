@@ -12,8 +12,8 @@
 //	tscluster [-router-addr 127.0.0.1:8090]
 //	          [-dcs 'north-america,south-america;europe;asia']
 //	          [-replicas 1] [-shield]
-//	          [every tsserve model flag: -policy -capacity -shards ...]
-//	          [every tsrouter model flag: -redirect -retries ...]
+//	          [every tsserve model flag: -policy -capacity -chunk ...]
+//	          [every tsrouter model flag: -retries -fail-after ...]
 //
 // -dcs groups regions into edges: ';' separates edges, ',' co-hosts
 // regions on one. The default runs four single-DC edges. -replicas > 1

@@ -42,7 +42,7 @@ func TestLaunchConfigMapping(t *testing.T) {
 				t.Errorf("topology = %d groups, %d replicas, %q, shield %v", len(cfg.Groups), cfg.Replicas, cfg.RouterAddr, cfg.Shield)
 			}
 			r, col := cfg.Router, cfg.Collector
-			if r.Redirect || r.Retries != fleet.DefaultRetries || r.ProbeInterval != fleet.DefaultProbeInterval ||
+			if r.Retries != fleet.DefaultRetries || r.ProbeInterval != fleet.DefaultProbeInterval ||
 				r.ProbeTimeout != fleet.DefaultProbeTimeout || r.FailAfter != fleet.DefaultFailAfter ||
 				col.Interval != fleet.DefaultCollectInterval {
 				t.Errorf("front tier = %+v, %+v; want tsrouter's defaults", r, col)
@@ -59,10 +59,10 @@ func TestLaunchConfigMapping(t *testing.T) {
 					t.Errorf("topology = %v x%d on %q", cfg.Groups, cfg.Replicas, cfg.RouterAddr)
 				}
 			}},
-		{"router model", []string{"-redirect", "-retries", "3", "-probe-interval", "50ms", "-probe-timeout", "70ms", "-fail-after", "5", "-collect-interval", "90ms"},
+		{"router model", []string{"-retries", "3", "-probe-interval", "50ms", "-probe-timeout", "70ms", "-fail-after", "5", "-collect-interval", "90ms"},
 			func(t *testing.T, _ *options, cfg fleet.LaunchConfig) {
 				r := cfg.Router
-				if !r.Redirect || r.Retries != 3 || r.ProbeInterval != 50*time.Millisecond || r.ProbeTimeout != 70*time.Millisecond ||
+				if r.Retries != 3 || r.ProbeInterval != 50*time.Millisecond || r.ProbeTimeout != 70*time.Millisecond ||
 					r.FailAfter != 5 || cfg.Collector.Interval != 90*time.Millisecond {
 					t.Errorf("front tier = %+v, %+v", r, cfg.Collector)
 				}

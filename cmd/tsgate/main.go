@@ -1,19 +1,16 @@
-// Command tsgate evaluates an SLO policy and exits nonzero on breach —
-// the CI/deploy gate of the serving stack. It judges either a live edge
-// (fetching its /slo report) or a finished tsload run (reading the
-// summary JSON written by tsload -summary).
+// Command tsgate exits nonzero on an SLO breach — the CI/deploy gate of
+// the serving stack. It judges either a live edge or cluster by the
+// verdicts of its own /slo report, or a finished tsload run (the summary
+// JSON written by tsload -summary) against a policy.
 //
 // Usage:
 //
-//	tsgate -target http://127.0.0.1:8080 [-policy <file|inline>] [-min-requests 1]
+//	tsgate -target http://127.0.0.1:8080 [-min-requests 1] [-timeout 10s]
 //	tsgate -run load-summary.json -policy <file|inline> [-min-requests 1]
 //
-// Against a live edge, omitting -policy trusts the server's own policy
-// verdicts; with -policy, the gate re-evaluates its objectives against
-// the report's windows (the gate window must be one of the server's
-// burn windows). Against a run summary, -policy is required and its
-// global-scope objectives are evaluated over the whole run as one
-// window.
+// A live server is judged by its own policy over its gate window. A run
+// summary is judged by -policy: its global-scope objectives are
+// evaluated over the whole run as one window.
 //
 // -min-requests guards against vacuous passes: a gate window with fewer
 // observed requests than the floor fails, because "no traffic" is not
@@ -47,9 +44,9 @@ func main() {
 
 func run() (breached bool, err error) {
 	var (
-		target     = flag.String("target", "", "edge base URL whose /slo endpoint to judge")
+		target     = flag.String("target", "", "edge or cluster base URL whose /slo verdicts to judge")
 		runPath    = flag.String("run", "", "tsload summary JSON to judge (written by tsload -summary)")
-		policySpec = flag.String("policy", "", "SLO policy: a file path or inline text (see DESIGN.md §SLOs)")
+		policySpec = flag.String("policy", "", "SLO policy for -run: a file path or inline text (see DESIGN.md §SLOs)")
 		minReq     = flag.Int64("min-requests", 1, "fail unless the judged window saw at least this many requests")
 		timeout    = flag.Duration("timeout", 10*time.Second, "HTTP timeout for -target mode")
 	)
@@ -57,22 +54,18 @@ func run() (breached bool, err error) {
 	switch {
 	case (*target == "") == (*runPath == ""):
 		return false, fmt.Errorf("exactly one of -target or -run is required")
-	case *runPath != "" && *policySpec == "":
+	case *target != "" && *policySpec != "":
+		return false, fmt.Errorf("-policy applies to -run only: a live server is judged by its own policy (gate a tsload -summary with -run to apply a local one)")
+	case *target != "":
+		return gateLive(*target, *minReq, *timeout)
+	case *policySpec == "":
 		return false, fmt.Errorf("-run mode requires -policy")
 	}
-
-	var policy slo.Policy
-	havePolicy := *policySpec != ""
-	if havePolicy {
-		if policy, err = slo.LoadPolicy(*policySpec); err != nil {
-			return false, err
-		}
+	policy, err := slo.LoadPolicy(*policySpec)
+	if err != nil {
+		return false, err
 	}
-
-	if *runPath != "" {
-		return gateRun(*runPath, policy, *minReq)
-	}
-	return gateLive(*target, policy, havePolicy, *minReq, *timeout)
+	return gateRun(*runPath, policy, *minReq)
 }
 
 // gateRun judges a tsload run summary: the whole run is one window and
@@ -93,9 +86,8 @@ func gateRun(path string, policy slo.Policy, minReq int64) (bool, error) {
 	return applyMinRequests(breached, ws.Requests, minReq), nil
 }
 
-// gateLive judges a live edge's /slo report — by the server's own
-// verdicts, or by re-evaluating a local policy against its windows.
-func gateLive(target string, policy slo.Policy, havePolicy bool, minReq int64, timeout time.Duration) (bool, error) {
+// gateLive judges a live server's /slo report by its own verdicts.
+func gateLive(target string, minReq int64, timeout time.Duration) (bool, error) {
 	client := &http.Client{Timeout: timeout}
 	resp, err := client.Get(target + "/slo")
 	if err != nil {
@@ -110,68 +102,26 @@ func gateLive(target string, policy slo.Policy, havePolicy bool, minReq int64, t
 		return false, fmt.Errorf("%s/slo: %w", target, err)
 	}
 
-	globalWindow := func(name string) (slo.WindowStats, bool) {
-		sr := rep.Scopes[slo.GlobalScope]
-		if sr == nil {
-			return slo.WindowStats{}, false
-		}
-		ws, ok := sr.Windows[name]
-		return ws, ok
-	}
-
-	if !havePolicy {
-		// Trust the server's verdicts.
-		gateName := slo.WindowName(time.Duration(rep.GateWindowSeconds * float64(time.Second)))
-		var reps []slo.ObjectiveReport
-		scopes := make([]string, 0, len(rep.Scopes))
-		for name := range rep.Scopes {
-			scopes = append(scopes, name)
-		}
-		sort.Strings(scopes)
-		for _, name := range scopes {
-			reps = append(reps, rep.Scopes[name].Objectives...)
-		}
-		fmt.Println(slo.VerdictTable(fmt.Sprintf("SLO gate: %s (server policy, %s window)", target, gateName), reps, gateName))
-		var requests int64
-		if ws, ok := globalWindow(gateName); ok {
-			requests = ws.Requests
-		}
-		return applyMinRequests(rep.Breached, requests, minReq), nil
-	}
-
-	// Re-evaluate the local policy against the server's windows. The
-	// policy's gate window must be one the server tracks.
-	gateName := slo.WindowName(policy.Window)
-	scopeSeen := map[string]bool{}
+	gateName := slo.WindowName(time.Duration(rep.GateWindowSeconds * float64(time.Second)))
 	var reps []slo.ObjectiveReport
-	breached := false
-	var globalRequests int64
-	if ws, ok := globalWindow(gateName); ok {
-		globalRequests = ws.Requests
+	scopes := make([]string, 0, len(rep.Scopes))
+	for name := range rep.Scopes {
+		scopes = append(scopes, name)
 	}
-	for _, o := range policy.Objectives {
-		if scopeSeen[o.Scope] {
-			continue
-		}
-		scopeSeen[o.Scope] = true
-		scopeKey := o.Scope
-		if scopeKey == "" {
-			scopeKey = slo.GlobalScope
-		}
-		sr := rep.Scopes[scopeKey]
+	sort.Strings(scopes)
+	for _, name := range scopes {
+		sr := rep.Scopes[name]
 		if sr == nil {
-			return false, fmt.Errorf("edge does not track scope %q", scopeKey)
+			return false, fmt.Errorf("%s/slo: scope %q is null", target, name)
 		}
-		ws, ok := sr.Windows[gateName]
-		if !ok {
-			return false, fmt.Errorf("edge does not track a %s window (its windows: %v); align the policy's `window` with the server's", gateName, windowNames(sr.Windows))
-		}
-		r, b := policy.EvaluateStats(ws, o.Scope)
-		reps = append(reps, r...)
-		breached = breached || b
+		reps = append(reps, sr.Objectives...)
 	}
-	fmt.Println(slo.VerdictTable(fmt.Sprintf("SLO gate: %s (%s window)", target, gateName), reps, gateName))
-	return applyMinRequests(breached, globalRequests, minReq), nil
+	fmt.Println(slo.VerdictTable(fmt.Sprintf("SLO gate: %s (server policy, %s window)", target, gateName), reps, gateName))
+	var requests int64
+	if sr := rep.Scopes[slo.GlobalScope]; sr != nil {
+		requests = sr.Windows[gateName].Requests
+	}
+	return applyMinRequests(rep.Breached, requests, minReq), nil
 }
 
 // applyMinRequests folds the traffic floor into the verdict, explaining
@@ -187,13 +137,4 @@ func applyMinRequests(breached bool, requests, minReq int64) bool {
 		fmt.Println("PASS: all objectives within budget")
 	}
 	return breached
-}
-
-func windowNames(m map[string]slo.WindowStats) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

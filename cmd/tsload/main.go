@@ -7,13 +7,13 @@
 //
 //	tsload -in trace.tsb -target http://127.0.0.1:8080
 //	       [-speedup 0] [-workers 32] [-timeout 10s] [-retries 2]
-//	       [-backoff 20ms] [-max-redirects 0] [-debug-addr :6060]
+//	       [-backoff 20ms] [-debug-addr :6060]
 //	       [-progress] [-manifest run.json] [-summary load-summary.json]
-//	       [-slo <policy file|inline>]
 //
-// The target may be a tsserve edge or a tsrouter front tier; against a
-// redirect-mode router, 307 hops are followed (bounded by
-// -max-redirects) and counted in the summary's redirects row.
+// The target may be a tsserve edge or a tsrouter front tier. Whatever it
+// answers is the response recorded, a 3xx included: nothing is followed.
+// To gate the run on an SLO policy, write -summary and judge it with
+// tsgate -run.
 //
 // The summary (and the -manifest extras) reports achieved RPS, p50/p99
 // latency (measured from each record's scheduled send time, so
@@ -33,7 +33,6 @@ import (
 
 	"trafficscope/internal/loadgen"
 	"trafficscope/internal/obs/cliobs"
-	"trafficscope/internal/obs/slo"
 	"trafficscope/internal/report"
 	"trafficscope/internal/trace"
 )
@@ -47,17 +46,15 @@ func main() {
 
 func run() error {
 	var (
-		in        = flag.String("in", "", "input trace path (required)")
-		format    = flag.String("format", "", "override log format: block or json")
-		target    = flag.String("target", "", "edge base URL, e.g. http://127.0.0.1:8080 (required)")
-		speedup   = flag.Float64("speedup", 0, "trace-seconds replayed per wall-second (0 = as fast as possible)")
-		workers   = flag.Int("workers", 32, "request worker pool size")
-		timeout   = flag.Duration("timeout", 10*time.Second, "per-attempt deadline, from the send to the last body byte (a timed-out request is not retried)")
-		retries   = flag.Int("retries", 2, "retries after transport errors (HTTP errors are never retried)")
-		backoff   = flag.Duration("backoff", 20*time.Millisecond, "initial retry backoff (doubles per attempt)")
-		redirects = flag.Int("max-redirects", 0, "max 307 hops followed per request, e.g. from a redirect-mode tsrouter (0 = default 5, negative = don't follow)")
-		summary   = flag.String("summary", "", "write the run summary as JSON (tsgate -run input)")
-		sloSpec   = flag.String("slo", "", "SLO policy (file path or inline) to assert against the run; breach exits nonzero")
+		in      = flag.String("in", "", "input trace path (required)")
+		format  = flag.String("format", "", "override log format: block or json")
+		target  = flag.String("target", "", "edge base URL, e.g. http://127.0.0.1:8080 (required)")
+		speedup = flag.Float64("speedup", 0, "trace-seconds replayed per wall-second (0 = as fast as possible)")
+		workers = flag.Int("workers", 32, "request worker pool size")
+		timeout = flag.Duration("timeout", 10*time.Second, "per-attempt deadline, from the send to the last body byte (a timed-out request is not retried)")
+		retries = flag.Int("retries", 2, "retries after transport errors (HTTP errors are never retried)")
+		backoff = flag.Duration("backoff", 20*time.Millisecond, "initial retry backoff (doubles per attempt)")
+		summary = flag.String("summary", "", "write the run summary as JSON (tsgate -run input)")
 	)
 	obsFlags := cliobs.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -95,14 +92,13 @@ func run() error {
 	defer fr.Close()
 
 	st, runErr := loadgen.Run(ctx, loadgen.Config{
-		Target:       *target,
-		Speedup:      *speedup,
-		Workers:      *workers,
-		Timeout:      *timeout,
-		Retries:      *retries,
-		Backoff:      *backoff,
-		MaxRedirects: *redirects,
-		Metrics:      sess.Registry(),
+		Target:  *target,
+		Speedup: *speedup,
+		Workers: *workers,
+		Timeout: *timeout,
+		Retries: *retries,
+		Backoff: *backoff,
+		Metrics: sess.Registry(),
 	}, fr)
 	if st != nil {
 		printSummary(st)
@@ -110,7 +106,6 @@ func run() error {
 		extra["errors"] = st.Errors
 		extra["shed"] = st.Shed
 		extra["cancelled"] = st.Cancelled
-		extra["redirects"] = st.Redirects
 		extra["rps"] = st.RPS()
 		extra["hit_ratio"] = st.HitRatio()
 		extra["logical_bytes"] = st.LogicalBytes
@@ -128,13 +123,7 @@ func run() error {
 		sess.Finish(extra)
 		return runErr
 	}
-	if err := sess.Finish(extra); err != nil {
-		return err
-	}
-	if *sloSpec != "" && st != nil {
-		return gateSLO(*sloSpec, st)
-	}
-	return nil
+	return sess.Finish(extra)
 }
 
 // writeSummary records the full Stats as JSON — the input tsgate -run
@@ -147,24 +136,6 @@ func writeSummary(path string, st *loadgen.Stats) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// gateSLO asserts the policy's global objectives over the whole run as
-// one SLO window; a breach is an error so the process exits nonzero.
-func gateSLO(spec string, st *loadgen.Stats) error {
-	policy, err := slo.LoadPolicy(spec)
-	if err != nil {
-		return err
-	}
-	ws := st.SLOWindow()
-	reps, breached := policy.EvaluateStats(ws, "")
-	wn := slo.WindowName(time.Duration(ws.WindowSeconds * float64(time.Second)))
-	fmt.Println(slo.VerdictTable("SLO verdicts (whole run)", reps, wn))
-	if breached {
-		return fmt.Errorf("SLO breached (see verdicts above)")
-	}
-	fmt.Println("SLO: all objectives within budget")
-	return nil
-}
-
 func printSummary(st *loadgen.Stats) {
 	tab := report.NewTable("load generation summary", "metric", "value")
 	tab.AddRow("requests", st.Requests)
@@ -175,7 +146,6 @@ func printSummary(st *loadgen.Stats) {
 	tab.AddRow("retries", st.Retries)
 	tab.AddRow("shed (503)", st.Shed)
 	tab.AddRow("cancelled", st.Cancelled)
-	tab.AddRow("redirects", st.Redirects)
 	tab.AddRow("duration", st.Duration.Round(time.Millisecond).String())
 	tab.AddRow("throughput", fmt.Sprintf("%.0f req/s", st.RPS()))
 	tab.AddRow("hit ratio", report.Percent(st.HitRatio()))

@@ -1,11 +1,11 @@
 // Command tsrouter is the fleet's front tier: it maps object requests
 // to the single-DC tsserve backend owning their region (consistent-
-// hashed when several backends share a region), proxying by default or
-// answering 307 redirects with -redirect. Backends are health-probed at
-// /healthz; a dead backend is evicted after -fail-after consecutive
-// failures and traffic fails over along the hash order, bounded by
-// -retries extra attempts. With every backend of a region down the
-// router answers 503 + Retry-After.
+// hashed when several backends share a region) and proxies them there;
+// a backend's answer, a redirect included, is relayed as it is.
+// Backends are health-probed at /healthz; a dead backend is evicted
+// after -fail-after consecutive failures and traffic fails over along
+// the hash order, bounded by -retries extra attempts. With every
+// backend of a region down the router answers 503 + Retry-After.
 //
 // The embedded collector polls every backend's /stats, /slo and
 // /metrics each -collect-interval and serves merged cluster views on
@@ -24,7 +24,7 @@
 //
 //	tsrouter -backend europe=http://127.0.0.1:8081 \
 //	         -backend north-america,south-america=http://127.0.0.1:8082 \
-//	         [-addr :8090] [-redirect] [-retries 1]
+//	         [-addr :8090] [-retries 1]
 //	         [-probe-interval 500ms] [-probe-timeout 2s] [-fail-after 2]
 //	         [-collect-interval 1s]
 //	         [-shield] [-origin-latency 0] [-origin-bw 0]
@@ -83,13 +83,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	mode := "proxy"
-	if rc.Redirect {
-		mode = "redirect"
-	}
-	extra := map[string]any{
-		"addr": *addr, "mode": mode, "backends": len(bs), "retries": rc.Retries,
-	}
+	extra := map[string]any{"addr": *addr, "backends": len(bs), "retries": rc.Retries}
 	defer sess.Finish(extra)
 
 	logf := func(format string, args ...any) {
@@ -116,8 +110,8 @@ func run() error {
 		Addr:         *addr,
 		DrainTimeout: *drain,
 		OnReady: func(a string) {
-			fmt.Fprintf(os.Stderr, "tsrouter: serving on http://%s (%s mode, %d backends; endpoints: /o/ /stats /healthz /slo /metrics /backends)\n",
-				a, mode, len(bs))
+			fmt.Fprintf(os.Stderr, "tsrouter: serving on http://%s (%d backends; endpoints: /o/ /stats /healthz /slo /metrics /backends)\n",
+				a, len(bs))
 		},
 	}, nil)
 	// Only now that the router has drained does the collector take its

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	tsserve [-addr :8080] [-policy lru] [-capacity 1073741824]
-//	        [-shards 0] [-publisher-caches V-1=268435456,...]
+//	        [-publisher-caches V-1=268435456,...]
 //	        [-chunk 2097152] [-origin-latency 0] [-origin-bw 0]
 //	        [-max-body 4096] [-max-conns 0] [-max-inflight 0]
 //	        [-read-timeout 5s] [-write-timeout 30s] [-idle-timeout 2m]
@@ -95,7 +95,7 @@ func run() error {
 		return err
 	}
 	extra := map[string]any{
-		"addr": *addr, "policy": model.Policy, "capacity": model.Capacity, "shards": model.Shards,
+		"addr": *addr, "policy": model.Policy, "capacity": model.Capacity,
 		// Serving parallelism is bounded by cores (the cache model's
 		// one lock covers under 1% of a request); record them.
 		"gomaxprocs": runtime.GOMAXPROCS(0),

@@ -5,6 +5,9 @@ package trafficscope
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -30,6 +33,7 @@ type demoProc struct {
 	tool string
 	args []string
 	exit int
+	says string // a client's output must contain this, when set
 }
 
 type demoCell struct {
@@ -43,17 +47,19 @@ type demoCell struct {
 }
 
 var demoCells = []demoCell{
-	// One edge under the demo policy, gated three ways: tsload's own run
-	// gate, tsgate on the live /slo windows, tsgate on the run summary.
+	// One edge under the demo policy, gated both ways: tsgate on the live
+	// server's own /slo verdicts, tsgate on the run summary. A local
+	// policy applies to a run summary only.
 	{
 		name: "edge-slo", scale: "0.01", seed: "42",
 		servers: []demoProc{{tool: "tsserve", args: []string{"-addr", "127.0.0.1:0", "-capacity", "2147483648",
 			"-slo-policy", "$policy", "-trace-buffer", "256", "-trace-sample", "64", "-manifest", "$dir/serve-manifest.json"}}},
 		clients: []demoProc{
-			{tool: "tsload", args: []string{"-in", "$trace", "-target", "$target", "-workers", "16", "-slo", "$policy",
+			{tool: "tsload", args: []string{"-in", "$trace", "-target", "$target", "-workers", "16",
 				"-summary", "$dir/load-summary.json", "-manifest", "$dir/load-manifest.json"}},
 			{tool: "tsgate", args: []string{"-target", "$target"}},
 			{tool: "tsgate", args: []string{"-run", "$dir/load-summary.json", "-policy", "$policy"}},
+			{tool: "tsgate", args: []string{"-target", "$target", "-policy", "$policy"}, exit: 2, says: "-run"},
 		},
 		check: func(t *testing.T, r *demoRun) {
 			served, loaded := r.manifest("serve-manifest.json"), r.manifest("load-manifest.json")
@@ -151,16 +157,46 @@ var demoCells = []demoCell{
 	},
 }
 
+// tools holds the cmd/* binaries, built once for every test that runs
+// them; TestMain removes the directory.
+var tools struct {
+	once sync.Once
+	dir  string
+	err  error
+}
+
+// buildTools builds every cmd/* binary on first use and returns their
+// directory.
+func buildTools(t *testing.T) string {
+	t.Helper()
+	tools.once.Do(func() {
+		if tools.dir, tools.err = os.MkdirTemp("", "trafficscope-tools-"); tools.err != nil {
+			return
+		}
+		out, err := exec.Command("go", "build", "-o", tools.dir+string(filepath.Separator), "./cmd/...").CombinedOutput()
+		if err != nil {
+			tools.err = fmt.Errorf("go build: %v\n%s", err, out)
+		}
+	})
+	if tools.err != nil {
+		t.Fatal(tools.err)
+	}
+	return tools.dir
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if tools.dir != "" {
+		os.RemoveAll(tools.dir)
+	}
+	os.Exit(code)
+}
+
 func TestDemos(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds seven binaries, replays four traces over loopback and reports a fifth")
+		t.Skip("builds the binaries, replays four traces over loopback and reports a fifth")
 	}
-	bin := t.TempDir()
-	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator),
-		"./cmd/tsgen", "./cmd/tsserve", "./cmd/tsload", "./cmd/tsgate", "./cmd/tsrouter", "./cmd/tscluster", "./cmd/tsreport")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildTools(t)
 	policy, err := filepath.Abs("policies/demo.slo")
 	if err != nil {
 		t.Fatal(err)
@@ -192,6 +228,63 @@ func TestDemos(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestUsageNamesRegisteredFlags: every -flag a command's package doc
+// names in its Usage block is one the binary registers, as its -h lists
+// them, so a removed or renamed flag cannot linger in the docs.
+func TestUsageNamesRegisteredFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binaries")
+	}
+	bin := buildTools(t)
+	cmds, err := filepath.Glob("cmd/*/main.go")
+	if err != nil || len(cmds) == 0 {
+		t.Fatalf("no commands found (%v)", err)
+	}
+	for _, path := range cmds {
+		tool := filepath.Base(filepath.Dir(path))
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments|parser.PackageClauseOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		named := usageFlags(f.Doc.Text())
+		out, _ := exec.Command(filepath.Join(bin, tool), "-h").CombinedOutput()
+		registered := map[string]bool{}
+		for _, m := range helpFlag.FindAllStringSubmatch(string(out), -1) {
+			registered[m[1]] = true
+		}
+		for _, name := range named {
+			if !registered[name] {
+				t.Errorf("%s: the Usage block names -%s, which %s -h does not list", path, name, tool)
+			}
+		}
+	}
+}
+
+var (
+	usageFlag = regexp.MustCompile(`(?:^|[\s\[])-([a-z][a-z0-9-]*)`)
+	helpFlag  = regexp.MustCompile(`(?m)^  -([a-zA-Z0-9-]+)`)
+)
+
+// usageFlags returns the flag names in a package doc's Usage block: the
+// indented lines after the paragraph that opens with "Usage".
+func usageFlags(doc string) []string {
+	var names []string
+	inUsage := false
+	for _, line := range strings.Split(doc, "\n") {
+		switch {
+		case strings.HasPrefix(line, "Usage"):
+			inUsage = true
+		case inUsage && strings.HasPrefix(line, "\t"):
+			for _, m := range usageFlag.FindAllStringSubmatch(line, -1) {
+				names = append(names, m[1])
+			}
+		case inUsage && line != "":
+			return names
+		}
+	}
+	return names
 }
 
 // demoRun is one cell's execution state.
@@ -231,6 +324,9 @@ func (r *demoRun) client(p demoProc) {
 	}
 	if code := cmd.ProcessState.ExitCode(); code != p.exit {
 		r.t.Fatalf("%s %v exited %d, want %d\n%s", p.tool, cmd.Args[1:], code, p.exit, out)
+	}
+	if !bytes.Contains(out, []byte(p.says)) {
+		r.t.Fatalf("%s %v: output lacks %q\n%s", p.tool, cmd.Args[1:], p.says, out)
 	}
 }
 

@@ -45,8 +45,8 @@ type Config struct {
 	// Publishers not listed share the DC's default cache.
 	PublisherCaches map[string]func() Cache
 	// Metrics receives live replay telemetry: per-DC request/hit/miss
-	// and origin/egress byte counters, and per-cache (per-shard for
-	// ShardedCache) hit/miss/eviction counters and occupancy gauges.
+	// and origin/egress byte counters, and per-cache hit/miss/eviction
+	// counters and occupancy gauges.
 	// nil — the default — disables instrumentation entirely; caches are
 	// then not wrapped and the serve path pays only nil checks.
 	Metrics *obs.Registry
@@ -233,17 +233,9 @@ func New(cfg Config) *CDN {
 				originBytes: reg.Counter(obs.Name("cdn_origin_bytes_total", "dc", name)),
 				egressBytes: reg.Counter(obs.Name("cdn_egress_bytes_total", "dc", name)),
 			}
-			if sharded, ok := dc.Cache.(*ShardedCache); ok {
-				sharded.Instrument(reg, "dc", name, "cache", "default")
-			} else {
-				dc.Cache = NewInstrumentedCache(dc.Cache, reg, "dc", name, "cache", "default")
-			}
+			dc.Cache = NewInstrumentedCache(dc.Cache, reg, "dc", name, "cache", "default")
 			for pub, pc := range dc.PublisherCache {
-				if sharded, ok := pc.(*ShardedCache); ok {
-					sharded.Instrument(reg, "dc", name, "cache", pub)
-				} else {
-					dc.PublisherCache[pub] = NewInstrumentedCache(pc, reg, "dc", name, "cache", pub)
-				}
+				dc.PublisherCache[pub] = NewInstrumentedCache(pc, reg, "dc", name, "cache", pub)
 			}
 		}
 		c.dcs[r] = dc

@@ -1,18 +1,16 @@
 package cdn
 
 import (
-	"fmt"
 	"time"
 
 	"trafficscope/internal/obs"
 )
 
 // InstrumentedCache wraps a Cache and reports accesses, hits, misses and
-// evictions into an obs.Registry — the per-cache (and, via
-// ShardedCache.Instrument, per-shard) view a real CDN operator watches
-// during a replay. Eviction counts are derived from the resident-object
-// delta around each admitting access, so any Cache implementation can be
-// instrumented without changing its interface.
+// evictions into an obs.Registry — the per-cache view a real CDN
+// operator watches during a replay. Eviction counts are derived from the
+// resident-object delta around each admitting access, so any Cache
+// implementation can be instrumented without changing its interface.
 type InstrumentedCache struct {
 	inner Cache
 
@@ -94,17 +92,3 @@ func (c *InstrumentedCache) Capacity() int64 { return c.inner.Capacity() }
 
 // Name implements Cache.
 func (c *InstrumentedCache) Name() string { return c.inner.Name() }
-
-// Instrument wraps every shard with per-shard hit/miss/eviction counters
-// (labels plus shard="<i>"), giving the load-balance and per-server
-// cache-pressure view a sharded deployment is operated by. Call before
-// the cache serves traffic.
-func (c *ShardedCache) Instrument(reg *obs.Registry, labels ...string) {
-	if reg == nil {
-		return
-	}
-	for i := range c.shards {
-		shardLabels := append(append([]string(nil), labels...), "shard", fmt.Sprint(i))
-		c.shards[i] = NewInstrumentedCache(c.shards[i], reg, shardLabels...)
-	}
-}

@@ -42,29 +42,27 @@ func TestInstrumentedCacheCounters(t *testing.T) {
 	}
 }
 
-// An instrumented sharded cache behaves identically to the bare one and
-// reports per-shard series.
+// A sharded cache is instrumented like any other cache, as one unit: it
+// behaves identically to the bare one and reports one series per cache.
 func TestShardedCacheInstrument(t *testing.T) {
 	reg := obs.NewRegistry()
 	sc, err := NewShardedCache(4, 32, func() Cache { return NewLRU(1 << 20) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Instrument(reg, "dc", "EU")
+	c := NewInstrumentedCache(sc, reg, "dc", "EU")
 	now := time.Unix(0, 0)
 	for key := uint64(0); key < 100; key++ {
-		sc.Access(key, 100, now)
-		if !sc.Contains(key) {
+		c.Access(key, 100, now)
+		if !c.Contains(key) {
 			t.Fatalf("key %d not admitted", key)
 		}
 	}
-	var misses int64
-	for i := 0; i < 4; i++ {
-		name := obs.Name("cdn_cache_misses_total", "dc", "EU", "shard", string(rune('0'+i)))
-		misses += reg.Counter(name).Value()
+	if misses := reg.Counter(obs.Name("cdn_cache_misses_total", "dc", "EU")).Value(); misses != 100 {
+		t.Errorf("misses = %d, want 100", misses)
 	}
-	if misses != 100 {
-		t.Errorf("summed per-shard misses = %d, want 100", misses)
+	if objects := reg.Gauge(obs.Name("cdn_cache_objects", "dc", "EU")).Value(); objects != float64(sc.Len()) {
+		t.Errorf("objects gauge = %g, want %d", objects, sc.Len())
 	}
 }
 

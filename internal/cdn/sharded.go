@@ -170,12 +170,3 @@ func (c *ShardedCache) Capacity() int64 {
 func (c *ShardedCache) Name() string {
 	return fmt.Sprintf("sharded-%dx(%s)", len(c.shards), c.shards[0].Name())
 }
-
-// ShardLoads reports the object count per shard, for balance checks.
-func (c *ShardedCache) ShardLoads() []int {
-	out := make([]int, len(c.shards))
-	for i, s := range c.shards {
-		out[i] = s.Len()
-	}
-	return out
-}

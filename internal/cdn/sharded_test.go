@@ -166,14 +166,6 @@ func TestShardedCacheBasics(t *testing.T) {
 	if sc.Len() != len(distinct) || sc.Bytes() != int64(len(distinct))*10 {
 		t.Errorf("len/bytes = %d/%d, want %d distinct", sc.Len(), sc.Bytes(), len(distinct))
 	}
-	loads := sc.ShardLoads()
-	var sum int
-	for _, l := range loads {
-		sum += l
-	}
-	if sum != sc.Len() {
-		t.Errorf("shard loads %v don't sum to %d", loads, sc.Len())
-	}
 	sc.Push(9999, 5, t0)
 	if !sc.Contains(9999) {
 		t.Error("push")

@@ -24,7 +24,6 @@ type Flags struct {
 	Config
 	Policy          string
 	Capacity        int64
-	Shards          int
 	PublisherCaches string
 	ChunkBytes      int64
 	SLOPolicy       string
@@ -38,7 +37,6 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Policy, "policy", "lru", "per-DC eviction policy (lru, lfu, fifo, slru, gdsf, 2q, split)")
 	fs.Int64Var(&f.Capacity, "capacity", 1<<30, "per-datacenter cache capacity in bytes")
-	fs.IntVar(&f.Shards, "shards", 0, "consistent-hash shards per DC cache (0 = unsharded; capacity splits evenly)")
 	fs.StringVar(&f.PublisherCaches, "publisher-caches", "", "dedicated per-publisher partitions, e.g. V-1=268435456,P-1=134217728")
 	fs.Int64Var(&f.ChunkBytes, "chunk", 2<<20, "video chunk size in bytes (negative disables chunking)")
 	fs.DurationVar(&f.OriginLatency, "origin-latency", 0, "simulated origin round-trip added to every miss")
@@ -58,7 +56,7 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 // flat origin model) and the registry its telemetry lands in (nil =
 // nothing exported).
 func (f *Flags) NewServer(regions []timeutil.Region, name, shieldURL string, metrics *obs.Registry) (*Server, error) {
-	factory, err := cacheFactory(f.Policy, f.Capacity, f.Shards)
+	factory, err := cdn.PolicyFactory(f.Policy, f.Capacity)
 	if err != nil {
 		return nil, err
 	}
@@ -91,26 +89,6 @@ func (f *Flags) NewServer(regions []timeutil.Region, name, shieldURL string, met
 	cfg.SLO = slo.NewEngine(policy, timeutil.RegionNames(owned)...)
 	cfg.Trace = NewTraceRing(f.TraceBuffer, f.TraceSample)
 	return New(cfg)
-}
-
-// cacheFactory builds the per-DC cache constructor, optionally sharding
-// the policy across a consistent-hash ring.
-func cacheFactory(policy string, capacity int64, shards int) (func() cdn.Cache, error) {
-	if shards <= 1 {
-		return cdn.PolicyFactory(policy, capacity)
-	}
-	perShard, err := cdn.PolicyFactory(policy, capacity/int64(shards))
-	if err != nil {
-		return nil, err
-	}
-	// Validate ring parameters once so the factory cannot fail later.
-	if _, err := cdn.NewShardedCache(shards, 64, perShard); err != nil {
-		return nil, err
-	}
-	return func() cdn.Cache {
-		c, _ := cdn.NewShardedCache(shards, 64, perShard) // validated above
-		return c
-	}, nil
 }
 
 // parsePublisherCaches parses "site=bytes,site=bytes" into dedicated

@@ -221,7 +221,7 @@ func TestShieldPeerFillsMatchOracle(t *testing.T) {
 		}
 	}
 
-	fl := launchE2EWith(t, RouterConfig{}, true, newCDN)
+	fl := launchE2EWith(t, true, newCDN)
 	st, err := loadgen.Run(context.Background(), loadgen.Config{Target: fl.URL, Workers: 1}, trace.NewSliceReader(recs))
 	if err != nil {
 		t.Fatal(err)

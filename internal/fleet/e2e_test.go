@@ -59,22 +59,21 @@ type e2eFleet struct {
 func (f *e2eFleet) region(i int) timeutil.Region { return f.Edges[i].Backend.Regions[0] }
 
 // launchE2E launches one region-scoped edge per trace region, each with
-// its own CDN, metrics registry and SLO engine, behind a front tier built
-// from router; shield routes every edge's miss path through an origin
+// its own CDN, metrics registry and SLO engine, behind a front tier with
+// the default router; shield routes every edge's miss path through an origin
 // shield there (`tscluster -shield`). The collector polls at launch and
 // at Shutdown only, so a test's own PollOnce is the last word.
-func launchE2E(t *testing.T, router RouterConfig, shield bool) *e2eFleet {
+func launchE2E(t *testing.T, shield bool) *e2eFleet {
 	t.Helper()
-	return launchE2EWith(t, router, shield, mkE2ECDN)
+	return launchE2EWith(t, shield, mkE2ECDN)
 }
 
 // launchE2EWith is launchE2E with every edge's CDN built by newCDN.
-func launchE2EWith(t *testing.T, router RouterConfig, shield bool, newCDN func() *cdn.CDN) *e2eFleet {
+func launchE2EWith(t *testing.T, shield bool, newCDN func() *cdn.CDN) *e2eFleet {
 	t.Helper()
 	f := &e2eFleet{}
-	router.Logf = t.Logf
 	cfg := LaunchConfig{
-		Router:    router,
+		Router:    RouterConfig{Logf: t.Logf},
 		Collector: CollectorConfig{Interval: time.Hour, Logf: t.Logf},
 		NewEdge: func(regions []timeutil.Region, name, shieldURL string) (*edge.Server, error) {
 			network := newCDN()
@@ -154,7 +153,7 @@ func TestRouterReplayMatchesOfflinePerDC(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fl := launchE2E(t, RouterConfig{}, false)
+	fl := launchE2E(t, false)
 	st := replayE2E(t, fl, recs)
 
 	// The per-DC equivalence guarantee, now across listener boundaries:
@@ -237,56 +236,6 @@ func TestRouterReplayMatchesOfflinePerDC(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/metrics status %d, want 200", resp.StatusCode)
-	}
-}
-
-// TestRouterRedirectReplayMatchesOfflinePerDC repeats the equivalence
-// run in redirect mode: the router answers 307s, the load generator
-// follows them (one hop per request), and the per-DC totals must still
-// match the offline replay.
-func TestRouterRedirectReplayMatchesOfflinePerDC(t *testing.T) {
-	if testing.Short() {
-		t.Skip("replays a few thousand records over HTTP")
-	}
-	recs := e2eTrace(t)
-
-	offline := mkE2ECDN()
-	if err := offline.Replay(trace.NewSliceReader(recs), func(*trace.Record) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-
-	fl := launchE2E(t, RouterConfig{Redirect: true}, false)
-
-	// A non-following client sees the redirect itself: 307, a Location
-	// on the owning backend, and the backend's name in X-TS-Backend.
-	probe := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	resp, err := probe.Get(fl.URL + edge.RequestPath(recs[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("redirect-mode router answered %d, want 307", resp.StatusCode)
-	}
-	if resp.Header.Get(HeaderBackend) == "" || resp.Header.Get("Location") == "" {
-		t.Fatalf("redirect missing backend/location headers: %v", resp.Header)
-	}
-
-	st := replayE2E(t, fl, recs)
-	// Every request took exactly one router hop.
-	if st.Redirects != st.Requests {
-		t.Errorf("followed %d redirects for %d requests, want one per request", st.Redirects, st.Requests)
-	}
-
-	for i, network := range fl.cdns {
-		region := fl.region(i)
-		got := network.DC(region).StatsSnapshot()
-		want := offline.DC(region).StatsSnapshot()
-		if got != want {
-			t.Errorf("DC %v: live totals %+v, want offline %+v", region, got, want)
-		}
 	}
 }
 

@@ -9,7 +9,6 @@ import "flag"
 // tsrouter and tscluster both call it, so every name, default and usage
 // string is declared once.
 func AddRouterFlags(fs *flag.FlagSet, rc *RouterConfig, cc *CollectorConfig) {
-	fs.BoolVar(&rc.Redirect, "redirect", false, "answer 307 redirects to the owning backend instead of proxying")
 	fs.IntVar(&rc.Retries, "retries", DefaultRetries, "extra proxy attempts on transport failure (negative disables)")
 	fs.DurationVar(&rc.ProbeInterval, "probe-interval", DefaultProbeInterval, "backend /healthz probe period")
 	fs.DurationVar(&rc.ProbeTimeout, "probe-timeout", DefaultProbeTimeout, "single probe request budget")

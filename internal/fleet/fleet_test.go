@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -200,5 +201,40 @@ func TestCollectorWarmupAndUnreachable(t *testing.T) {
 	}
 	if _, err := c.SLOReport(); err == nil {
 		t.Error("SLO report with no reachable backend must error")
+	}
+}
+
+// TestCollectorNullScopeAnswers503: a backend whose /slo names a scope
+// but holds null for it must not take the collector down. The merge
+// refuses the report, and the merged /slo answers 503 naming the scope.
+func TestCollectorNullScopeAnswers503(t *testing.T) {
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/stats":
+			w.Write([]byte(`{}`))
+		case "/slo":
+			w.Write([]byte(`{"interval_seconds":1,"gate_window_seconds":60,"scopes":{"global":null}}`))
+		}
+	}))
+	defer backend.Close()
+	b := NewBackend("null-scope", backend.URL, timeutil.RegionEurope)
+	c, err := NewCollector(CollectorConfig{Backends: []*Backend{b}, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	c.Register(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	c.PollOnce(context.Background())
+	resp, err := http.Get(ts.URL + "/slo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), `report 0 scope "global"`) {
+		t.Errorf("/slo = %d %q, want 503 naming report 0's scope \"global\"", resp.StatusCode, body)
 	}
 }

@@ -95,7 +95,7 @@ func TestLaunchShutdownTotalsAreExact(t *testing.T) {
 		t.Skip("replays a few thousand records over HTTP")
 	}
 	recs := e2eTrace(t)
-	fl := launchE2E(t, RouterConfig{}, true)
+	fl := launchE2E(t, true)
 	replayE2E(t, fl, recs)
 	if err := fl.Shutdown(); err != nil {
 		t.Fatal(err)

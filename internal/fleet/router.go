@@ -28,9 +28,6 @@ type RouterConfig struct {
 	// between them by consistent hash, and the hash order doubles as the
 	// failover preference chain.
 	Backends []*Backend
-	// Redirect switches the router from proxying (default) to answering
-	// 307 Temporary Redirect pointing at the owning backend.
-	Redirect bool
 	// Retries bounds additional proxy attempts after the first fails
 	// with a transport error (the backend's HTTP responses, including
 	// 5xx, are never retried — they are answers). Negative disables
@@ -61,7 +58,7 @@ const (
 )
 
 // Router maps object requests to the backend owning their region and
-// carries them there (proxy or 307), failing over along the consistent
+// proxies them there, failing over along the consistent
 // hash order when a backend dies mid-request.
 type Router struct {
 	cfg RouterConfig
@@ -77,7 +74,6 @@ type Router struct {
 
 	reqs       *obs.Counter
 	proxied    *obs.Counter
-	redirects  *obs.Counter
 	retries    *obs.Counter
 	unrouted   *obs.Counter // no healthy backend for the region
 	upstreamEr *obs.Counter // all proxy attempts failed in transport
@@ -148,7 +144,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	reg := cfg.Metrics
 	r.reqs = reg.Counter("fleet_requests_total")
 	r.proxied = reg.Counter("fleet_proxied_total")
-	r.redirects = reg.Counter("fleet_redirects_total")
 	r.retries = reg.Counter("fleet_retries_total")
 	r.unrouted = reg.Counter("fleet_unrouted_total")
 	r.upstreamEr = reg.Counter("fleet_upstream_errors_total")
@@ -267,29 +262,9 @@ func (r *Router) handleObject(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	order := r.candidateOrder(sc, region)
-
-	if r.cfg.Redirect {
-		for _, i := range order {
-			b := set[i]
-			if !b.Healthy() {
-				continue
-			}
-			r.redirects.Inc()
-			w.Header().Set(HeaderBackend, b.Name)
-			w.Header().Set("Location", b.URL+req.URL.RequestURI())
-			w.WriteHeader(http.StatusTemporaryRedirect)
-			return
-		}
-		r.unrouted.Inc()
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "region "+region.String()+" backends down", http.StatusServiceUnavailable)
-		return
-	}
-
 	attempts := 0
 	maxAttempts := 1 + r.cfg.Retries
-	for _, i := range order {
+	for _, i := range r.candidateOrder(sc, region) {
 		b := set[i]
 		if !b.Healthy() {
 			continue

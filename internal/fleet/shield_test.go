@@ -385,7 +385,7 @@ func TestClusterShieldReplayEquivalence(t *testing.T) {
 
 	// Launch binds the front tier first, so the shield's address is
 	// fixed before any edge exists.
-	fl := launchE2E(t, RouterConfig{}, true)
+	fl := launchE2E(t, true)
 	replayE2E(t, fl, recs)
 
 	// Equivalence survives the fill hierarchy: the fill layer only moved

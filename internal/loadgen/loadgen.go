@@ -40,19 +40,12 @@ type Config struct {
 	// 2*GOMAXPROCS. The scheduler hands the pool records through a
 	// buffer of 4*Workers.
 	Workers int
-	// Timeout bounds each attempt, from the send to the last body byte
-	// (redirect hops included). Zero defaults to 10s.
+	// Timeout bounds each attempt, from the send to the last body byte.
+	// Zero defaults to 10s.
 	Timeout time.Duration
 	// Retries is how many times a request is retried after a transport
 	// (connection) error; HTTP error statuses are never retried.
 	Retries int
-	// MaxRedirects bounds how many redirect hops (301, 302, 303, 307 or
-	// 308 with a Location) a request follows; a redirect-mode tsrouter
-	// answers one 307 per request. Zero defaults to
-	// DefaultMaxRedirects; negative disables following — the 3xx
-	// response itself is recorded. Followed hops are counted in
-	// Stats.Redirects, never as errors.
-	MaxRedirects int
 	// Backoff is the initial retry backoff, doubling per attempt. Zero
 	// defaults to 20ms.
 	Backoff time.Duration
@@ -60,8 +53,8 @@ type Config struct {
 	// Transport is used, and one client may serve any number of runs. nil
 	// (or a nil Transport) builds a keep-alive transport sized to the
 	// worker pool. A Client with Timeout, CheckRedirect or Jar set is an
-	// error: Timeout and MaxRedirects govern instead, and no cookies are
-	// sent.
+	// error: Timeout governs instead, a redirect is recorded as the
+	// answer, never followed, and no cookies are sent.
 	Client *http.Client
 	// Metrics receives live telemetry (request/error/retry counters and
 	// the latency histogram). nil keeps telemetry internal; the final
@@ -82,13 +75,9 @@ const queuedDelayMetric = "loadgen_queued_delay_seconds"
 // drive per-record sleeps into minutes.
 const maxRetryBackoff = 2 * time.Second
 
-// DefaultMaxRedirects is the redirect-hop budget when
-// Config.MaxRedirects is zero — enough for a router hop plus failover
-// re-redirects, far below net/http's silent default of 10.
-const DefaultMaxRedirects = 5
-
 // Stats summarizes a completed (or interrupted) run. Requests counts
-// completed HTTP exchanges of any status; Errors counts records whose
+// completed HTTP exchanges of any status (a 3xx is an answer, recorded
+// in ByStatus, never followed); Errors counts records whose
 // request still failed at the transport level after retries, or whose
 // response body ended early.
 type Stats struct {
@@ -108,11 +97,7 @@ type Stats struct {
 	// may still have been served — and counted — by the CDN, which is
 	// why they are surfaced separately instead of silently skewing the
 	// client-observed hit ratio.
-	Cancelled int64 `json:"cancelled"`
-	// Redirects counts followed redirect hops (307s from a
-	// redirect-mode tsrouter); the exchange they belong to is counted
-	// once, under its final response.
-	Redirects    int64            `json:"redirects"`
+	Cancelled    int64            `json:"cancelled"`
 	LogicalBytes int64            `json:"logical_bytes"`
 	WireBytes    int64            `json:"wire_bytes"`
 	BySite       map[string]int64 `json:"by_site"`
@@ -175,17 +160,17 @@ type run struct {
 	base string
 	rt   http.RoundTripper
 
-	requests, errors, retries                  atomic.Int64
-	firstErr                                   atomic.Pointer[string]
-	hits, misses, shed, cancelled, redirects   atomic.Int64
-	logicalBytes, wireBytes                    atomic.Int64
-	mu                                         sync.Mutex // guards the maps below
-	bySite                                     map[string]int64
-	byStatus                                   map[int]int64
-	bounds                                     []float64 // latency bucket layout
-	latency                                    *obs.Histogram
-	qdelay                                     *obs.Histogram
-	sentC, errC, retryC, bytesC, cancC, redirC *obs.Counter
+	requests, errors, retries          atomic.Int64
+	firstErr                           atomic.Pointer[string]
+	hits, misses, shed, cancelled      atomic.Int64
+	logicalBytes, wireBytes            atomic.Int64
+	mu                                 sync.Mutex // guards the maps below
+	bySite                             map[string]int64
+	byStatus                           map[int]int64
+	bounds                             []float64 // latency bucket layout
+	latency                            *obs.Histogram
+	qdelay                             *obs.Histogram
+	sentC, errC, retryC, bytesC, cancC *obs.Counter
 }
 
 // job is one scheduled request: the record plus its virtual-clock send
@@ -304,9 +289,6 @@ func Run(ctx context.Context, cfg Config, r trace.Reader) (*Stats, error) {
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 20 * time.Millisecond
 	}
-	if cfg.MaxRedirects == 0 {
-		cfg.MaxRedirects = DefaultMaxRedirects
-	}
 	rt, err := transport(cfg)
 	if err != nil {
 		return nil, err
@@ -330,7 +312,6 @@ func Run(ctx context.Context, cfg Config, r trace.Reader) (*Stats, error) {
 		retryC:   reg.Counter("loadgen_retries_total"),
 		bytesC:   reg.Counter("loadgen_logical_bytes_total"),
 		cancC:    reg.Counter("loadgen_cancelled_total"),
-		redirC:   reg.Counter("loadgen_redirects_total"),
 	}
 
 	// The scheduler may run up to four records per worker ahead of the
@@ -491,53 +472,16 @@ func (rn *run) one(ctx context.Context, j job, w *worker) {
 // edge never sends), so WireBytes is what crossed the wire.
 var requestHeader = http.Header{"User-Agent": {""}, "Accept-Encoding": {"identity"}}
 
-// redirectDrain bounds how much of a followed redirect's body is read
-// before it is closed, so its connection can be reused (net/http's
-// Client reads the same 2 KiB).
-const redirectDrain = 2 << 10
-
-// do sends one attempt: req as a bare RoundTrip, then the redirects it
-// follows. A 301, 302, 303, 307 or 308 with a Location is followed,
-// resolved against the request URL, until MaxRedirects hops are spent;
-// then, or when following is disabled, the 3xx is the final response.
-// Errors are *url.Error, as http.Client returns them.
+// do sends one attempt as a bare RoundTrip: whatever the target answers,
+// a 3xx included, is the response. Errors are *url.Error, as
+// http.Client returns them.
 func (rn *run) do(req *http.Request) (*http.Response, error) {
-	for hops := 0; ; hops++ {
-		req.Header = requestHeader
-		resp, err := rn.rt.RoundTrip(req)
-		if err != nil {
-			return nil, &neturl.Error{Op: "Get", URL: req.URL.Redacted(), Err: err}
-		}
-		loc := resp.Header.Get("Location")
-		if !isRedirect(resp.StatusCode) || loc == "" || hops >= rn.cfg.MaxRedirects {
-			return resp, nil // a negative budget follows nothing
-		}
-		if resp.ContentLength == -1 || resp.ContentLength <= redirectDrain {
-			io.CopyN(io.Discard, resp.Body, redirectDrain)
-		}
-		resp.Body.Close()
-		next, err := req.URL.Parse(loc)
-		if err != nil {
-			return nil, &neturl.Error{Op: "Get", URL: req.URL.Redacted(),
-				Err: fmt.Errorf("failed to parse Location header %q: %v", loc, err)}
-		}
-		hop, err := http.NewRequestWithContext(req.Context(), http.MethodGet, next.String(), nil)
-		if err != nil {
-			return nil, &neturl.Error{Op: "Get", URL: next.Redacted(), Err: err}
-		}
-		req = hop
-		rn.redirects.Add(1)
-		rn.redirC.Inc()
+	req.Header = requestHeader
+	resp, err := rn.rt.RoundTrip(req)
+	if err != nil {
+		return nil, &neturl.Error{Op: "Get", URL: req.URL.Redacted(), Err: err}
 	}
-}
-
-func isRedirect(code int) bool {
-	switch code {
-	case http.StatusMovedPermanently, http.StatusFound, http.StatusSeeOther,
-		http.StatusTemporaryRedirect, http.StatusPermanentRedirect:
-		return true
-	}
-	return false
+	return resp, nil
 }
 
 // transport is the RoundTripper a run sends on: Config.Client's, or a
@@ -549,7 +493,7 @@ func transport(cfg Config) (http.RoundTripper, error) {
 		case c.Timeout != 0:
 			return nil, errors.New("loadgen: Config.Client.Timeout is not used; set Config.Timeout")
 		case c.CheckRedirect != nil:
-			return nil, errors.New("loadgen: Config.Client.CheckRedirect is not used; set Config.MaxRedirects")
+			return nil, errors.New("loadgen: Config.Client.CheckRedirect is not used; a redirect is recorded, never followed")
 		case c.Jar != nil:
 			return nil, errors.New("loadgen: Config.Client.Jar is not used; requests carry no cookies")
 		}
@@ -626,7 +570,6 @@ func (rn *run) stats(elapsed time.Duration, reg *obs.Registry) *Stats {
 		Misses:       rn.misses.Load(),
 		Shed:         rn.shed.Load(),
 		Cancelled:    rn.cancelled.Load(),
-		Redirects:    rn.redirects.Load(),
 		LogicalBytes: rn.logicalBytes.Load(),
 		WireBytes:    rn.wireBytes.Load(),
 		BySite:       map[string]int64{},

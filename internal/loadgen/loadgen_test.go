@@ -105,6 +105,36 @@ func TestStatusesAreNotRetried(t *testing.T) {
 	}
 }
 
+// TestRunRedirectsDisabled: a 307 is the target's answer. It is recorded
+// under its status, not followed and not counted as an error.
+func TestRunRedirectsDisabled(t *testing.T) {
+	var elsewhere atomic.Int64
+	backend := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		elsewhere.Add(1)
+	}))
+	defer backend.Close()
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Redirect(w, r, backend.URL+r.URL.RequestURI(), http.StatusTemporaryRedirect)
+	}))
+	defer front.Close()
+
+	const n = 3
+	st, err := Run(context.Background(), Config{Target: front.URL, Workers: 1},
+		trace.NewSliceReader(makeRecords(n, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Requests != n || st.Errors != 0 {
+		t.Errorf("stats = %+v, want %d completed requests and no errors", st, n)
+	}
+	if st.ByStatus[http.StatusTemporaryRedirect] != n {
+		t.Errorf("by-status = %v, want %d raw 307s", st.ByStatus, n)
+	}
+	if got := elsewhere.Load(); got != 0 {
+		t.Errorf("the redirect target saw %d requests, want none", got)
+	}
+}
+
 func TestResponseAccounting(t *testing.T) {
 	// A synthetic edge: odd object IDs hit with 100 logical bytes, even
 	// IDs are shed with 503.

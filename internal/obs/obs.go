@@ -176,12 +176,23 @@ func (h *Histogram) value() HistogramValue {
 // of Histogram.Merge, for aggregators (the fleet collector) combining
 // histogram readings fetched from remote processes without access to the
 // live *Histogram. A zero-valued receiver adopts src's bucket layout;
-// otherwise the bounds must match exactly, and mismatched bounds return
-// an error leaving v untouched. Merging a zero-count src with no bounds
-// is a no-op.
+// otherwise the bounds must match exactly. A src that disagrees with
+// itself (not one count per bucket plus +Inf, or counts that do not sum
+// to Count) or whose bounds differ from v's returns an error leaving v
+// untouched. Merging a zero-count src with no bounds is a no-op.
 func (v *HistogramValue) Merge(src HistogramValue) error {
 	if len(src.Bounds) == 0 && src.Count == 0 {
 		return nil
+	}
+	if len(src.Counts) != len(src.Bounds)+1 {
+		return fmt.Errorf("obs: histogram value has %d counts for %d bounds, want %d", len(src.Counts), len(src.Bounds), len(src.Bounds)+1)
+	}
+	var sum int64
+	for _, c := range src.Counts {
+		sum += c
+	}
+	if sum != src.Count {
+		return fmt.Errorf("obs: histogram value counts sum to %d, not its count %d", sum, src.Count)
 	}
 	if len(v.Bounds) == 0 && v.Count == 0 {
 		v.Bounds = append([]float64(nil), src.Bounds...)
@@ -204,9 +215,7 @@ func (v *HistogramValue) Merge(src HistogramValue) error {
 		v.Counts = append(v.Counts, make([]int64, n-len(v.Counts))...)
 	}
 	for i, c := range src.Counts {
-		if i < len(v.Counts) {
-			v.Counts[i] += c
-		}
+		v.Counts[i] += c
 	}
 	v.Count += src.Count
 	v.Sum += src.Sum

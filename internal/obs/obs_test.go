@@ -368,4 +368,32 @@ func TestHistogramValueMerge(t *testing.T) {
 	if av.Count != before {
 		t.Error("failed merge changed dst")
 	}
+
+	// A source that disagrees with itself must error too, both into a
+	// well-formed value and into a zero one (which would adopt it): too
+	// many counts for its bounds, too few, or counts that do not sum to
+	// Count.
+	e := NewHistogram([]float64{1, 10})
+	for _, v := range []float64{0.5, 5, 50} {
+		e.Observe(v)
+	}
+	ev := e.value()
+	for _, bad := range []HistogramValue{
+		{Bounds: []float64{1, 10}, Counts: []int64{1, 1, 1, 100, 0}, Count: 103},
+		{Bounds: []float64{1, 10}, Counts: []int64{2}, Count: 2},
+		{Bounds: []float64{1, 10}, Counts: []int64{1, 1, 1}, Count: 103},
+		{Counts: []int64{}, Count: 4},
+	} {
+		before := ev.Count
+		if err := ev.Merge(bad); err == nil {
+			t.Errorf("Merge(%+v) into a well-formed value: want error", bad)
+		}
+		if ev.Count != before {
+			t.Errorf("failed merge of %+v changed dst: count %d", bad, ev.Count)
+		}
+		var zero HistogramValue
+		if err := zero.Merge(bad); err == nil {
+			t.Errorf("Merge(%+v) into a zero value: want error", bad)
+		}
+	}
 }

@@ -337,7 +337,7 @@ func (o Objective) report(windows map[string]WindowStats, gate string) Objective
 }
 
 // VerdictTable renders one row per objective verdict, with the burn rate
-// over the gate window gate — the table tsgate and tsload -slo print.
+// over the gate window gate — the table tsgate prints.
 func VerdictTable(title string, verdicts []ObjectiveReport, gate string) *report.Table {
 	tab := report.NewTable(title, "objective", "scope", "actual", "threshold", "burn", "verdict")
 	value := func(kind string, v float64) string {

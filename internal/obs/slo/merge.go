@@ -83,6 +83,9 @@ func MergeReports(reps ...Report) (Report, error) {
 		sort.Strings(scopes)
 		for _, scope := range scopes {
 			sr := r.Scopes[scope]
+			if sr == nil {
+				return out, fmt.Errorf("slo: report %d scope %q is null", ri, scope)
+			}
 			dst := out.Scopes[scope]
 			if dst == nil {
 				dst = &ScopeReport{Windows: map[string]WindowStats{}}

@@ -3,6 +3,7 @@ package slo
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -162,6 +163,21 @@ func TestMergeReportsErrors(t *testing.T) {
 	repB, _ := twoBackendReports(t, "window 20s; interval 1s; burn-windows 20s; error-rate <= 5%")
 	if _, err := MergeReports(repA, repB); err == nil {
 		t.Error("mismatched gate windows: want error")
+	}
+}
+
+// TestMergeReportsNullScope: a /slo reply holding null for a scope is an
+// error naming the report and the scope, not a nil dereference on the
+// collector's goroutine.
+func TestMergeReportsNullScope(t *testing.T) {
+	repA, _ := twoBackendReports(t, "window 10s; interval 1s; burn-windows 10s; error-rate <= 5%")
+	var null Report
+	if err := json.Unmarshal([]byte(`{"interval_seconds":1,"gate_window_seconds":10,"scopes":{"global":null}}`), &null); err != nil {
+		t.Fatal(err)
+	}
+	_, err := MergeReports(repA, null)
+	if err == nil || !strings.Contains(err.Error(), `report 1 scope "global"`) {
+		t.Errorf("merge with a null scope: err %v, want one naming report 1 scope \"global\"", err)
 	}
 }
 

@@ -454,10 +454,10 @@ func parseFraction(s string) (float64, error) {
 	return v / div, nil
 }
 
-// LoadPolicy resolves a -slo/-policy flag value: if spec names an
+// LoadPolicy resolves a -slo-policy/-policy flag value: if spec names an
 // existing file it is read and parsed, otherwise spec itself is parsed
-// as inline policy text (so both `-slo policies/demo.slo` and
-// `-slo 'latency p99 <= 5ms; hit-ratio >= 40%'` work).
+// as inline policy text (so both `-policy policies/demo.slo` and
+// `-policy 'latency p99 <= 5ms; hit-ratio >= 40%'` work).
 func LoadPolicy(spec string) (Policy, error) {
 	if st, err := os.Stat(spec); err == nil && !st.IsDir() {
 		data, err := os.ReadFile(spec)
