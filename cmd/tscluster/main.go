@@ -25,6 +25,10 @@
 // fetch and peer DCs are probed before the origin. -origin-latency and
 // -origin-bw then also describe the origin the shield fronts.
 //
+// The router's /metrics is the fleet's one metrics page: every edge's
+// edge_* and cdn_*{dc} series summed, the router's fleet_* and the
+// shield's fleet_shield_* counters, and the cluster's ts_slo_* gauges.
+//
 // The model flags are the ones tsserve and tsrouter declare (edge.AddFlags,
 // fleet.AddRouterFlags), with their defaults; see those tools' -h. To run
 // the tiers as separate processes, start tsserve -dc and tsrouter -backend

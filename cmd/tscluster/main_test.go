@@ -147,3 +147,61 @@ func TestShieldPointsEveryEdgeAtTheRouter(t *testing.T) {
 		t.Errorf("europe's fills: %d origin, %d errors; want one origin fill answered by the shield", fs.OriginFills, fs.FillErrors)
 	}
 }
+
+// TestClusterMetricsCoverEveryTier runs tscluster's own wiring: edges
+// from edge.Flags.NewServer without a registry and a shield without one.
+// Every tier still counts, and the router's /metrics carries them all.
+func TestClusterMetricsCoverEveryTier(t *testing.T) {
+	o := parse(t, "-shield", "-router-addr", "127.0.0.1:0", "-dcs", "north-america,south-america;europe;asia")
+	cfg, err := o.launchConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fleet.Launch(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Shutdown()
+
+	// Three first requests fill from the origin; object 1 asked again
+	// from Asia fills from Europe's edge.
+	for i, r := range []struct {
+		obj    uint64
+		region timeutil.Region
+	}{{1, timeutil.RegionEurope}, {2, timeutil.RegionAsia}, {3, timeutil.RegionNorthAmerica}, {1, timeutil.RegionAsia}} {
+		rec := &trace.Record{
+			Timestamp: time.Date(2016, 4, 12, 9, 30, i, 0, time.UTC), Publisher: "P-1", ObjectID: r.obj, FileType: "jpg",
+			ObjectSize: 1000, BytesServed: 1000, UserID: uint64(10 + i), Region: r.region,
+		}
+		resp, err := http.Get(f.URL + edge.RequestPath(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, resp.StatusCode)
+		}
+	}
+
+	var originFills int64
+	for _, e := range f.Edges {
+		originFills += e.Server.FillStats().OriginFills
+	}
+	if got := f.Front.Shield.OriginFetches(); got != originFills || got != 3 {
+		t.Errorf("shield origin fetches = %d, edges' origin fills = %d; want 3 each", got, originFills)
+	}
+
+	f.Front.Collector.PollOnce(context.Background())
+	resp, err := http.Get(f.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, series := range []string{"edge_requests_total 4\n", `cdn_requests_total{dc="asia"} 2` + "\n", "fleet_shield_requests_total 4\n"} {
+		if !strings.Contains(string(page), series) {
+			t.Errorf("router /metrics lacks %q:\n%s", series, page)
+		}
+	}
+}

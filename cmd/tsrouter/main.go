@@ -10,7 +10,9 @@
 // The embedded collector polls every backend's /stats, /slo and
 // /metrics each -collect-interval and serves merged cluster views on
 // the router's own endpoints of the same names — tsgate judges the
-// whole cluster through the router with zero changes.
+// whole cluster through the router with zero changes. The merged
+// /metrics also carries the router's own fleet_* counters (and the
+// shield's fleet_shield_*), so one scrape covers every tier.
 //
 // -shield mounts an origin shield at /fill/ on the router's mux:
 // backends started with `tsserve -shield http://<router>` send their
@@ -97,8 +99,7 @@ func run() error {
 	}
 	// Routing, the collector's merged /stats, /slo and /metrics and the
 	// shield live on one mux: clients talk to one address for routing and
-	// cluster state alike. The router's own fleet_* counters are served
-	// by the -debug-addr observability server.
+	// cluster state alike.
 	mux := http.NewServeMux()
 	front, err := fleet.NewFront(mux, bs, rc, cc, sc)
 	if err != nil {

@@ -11,7 +11,7 @@
 //	tsserve [-addr :8080] [-policy lru] [-capacity 1073741824]
 //	        [-publisher-caches V-1=268435456,...]
 //	        [-chunk 2097152] [-origin-latency 0] [-origin-bw 0]
-//	        [-max-body 4096] [-max-conns 0] [-max-inflight 0]
+//	        [-max-body 4096] [-max-inflight 0]
 //	        [-read-timeout 5s] [-write-timeout 30s] [-idle-timeout 2m]
 //	        [-drain 10s] [-drain-grace 0] [-slo-policy <file|inline>]
 //	        [-trace-buffer 0] [-trace-sample 1] [-dc europe]
@@ -19,12 +19,14 @@
 //	        [-fill-timeout 5s]
 //	        [-debug-addr :6060] [-progress] [-manifest run.json]
 //
-// The edge always tracks rolling SLO windows and serves them at /slo
-// (JSON) and as ts_slo_* gauges on /metrics; -slo-policy adds
-// objectives (latency quantile targets, error-rate ceilings, hit-ratio
-// floors — see DESIGN.md §"SLOs and burn rates") that tsgate can gate
-// on. -trace-buffer enables a sampled per-request trace-event ring
-// dumpable at /debug/trace.
+// The edge always counts and tracks rolling SLO windows: /stats, /slo
+// and /metrics (edge_*, cdn_*{dc} and ts_slo_* series) answer with or
+// without the observability flags. -slo-policy adds objectives (latency
+// quantiles, error-rate ceilings, hit-ratio floors; DESIGN.md §"SLOs and
+// burn rates") that tsgate can gate on. -max-inflight is the one
+// overload control: excess requests get a fast 503, counted in
+// edge_shed_total. -trace-buffer enables a sampled per-request
+// trace-event ring dumpable at /debug/trace.
 //
 // -dc scopes the edge to one or more regions for fleet deployments: a
 // scoped edge refuses requests for foreign regions with 421, reports
@@ -73,7 +75,6 @@ func main() {
 func run() error {
 	var (
 		addr       = flag.String("addr", ":8080", "TCP listen address")
-		maxConns   = flag.Int("max-conns", 0, "max concurrently accepted TCP connections (0 = unlimited)")
 		readTO     = flag.Duration("read-timeout", 5*time.Second, "HTTP read timeout")
 		writeTO    = flag.Duration("write-timeout", 30*time.Second, "HTTP write timeout")
 		idleTO     = flag.Duration("idle-timeout", 2*time.Minute, "HTTP keep-alive idle timeout")
@@ -130,7 +131,6 @@ func run() error {
 		ReadTimeout:  *readTO,
 		WriteTimeout: *writeTO,
 		IdleTimeout:  *idleTO,
-		MaxConns:     *maxConns,
 		DrainTimeout: *drain,
 		DrainGrace:   *drainGrace,
 		OnReady: func(a string) {

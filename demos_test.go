@@ -165,15 +165,15 @@ var tools struct {
 	err  error
 }
 
-// buildTools builds every cmd/* binary on first use and returns their
-// directory.
+// buildTools builds every cmd/* binary and ./benchmark on first use and
+// returns their directory.
 func buildTools(t *testing.T) string {
 	t.Helper()
 	tools.once.Do(func() {
 		if tools.dir, tools.err = os.MkdirTemp("", "trafficscope-tools-"); tools.err != nil {
 			return
 		}
-		out, err := exec.Command("go", "build", "-o", tools.dir+string(filepath.Separator), "./cmd/...").CombinedOutput()
+		out, err := exec.Command("go", "build", "-o", tools.dir+string(filepath.Separator), "./cmd/...", "./benchmark").CombinedOutput()
 		if err != nil {
 			tools.err = fmt.Errorf("go build: %v\n%s", err, out)
 		}
@@ -232,12 +232,27 @@ func TestDemos(t *testing.T) {
 
 // TestUsageNamesRegisteredFlags: every -flag a command's package doc
 // names in its Usage block is one the binary registers, as its -h lists
-// them, so a removed or renamed flag cannot linger in the docs.
+// them, and every -flag in a code span of README.md or DESIGN.md is one
+// some cmd/* binary or ./benchmark registers, or a go tool flag. A
+// removed or renamed flag cannot linger in the docs.
 func TestUsageNamesRegisteredFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binaries")
 	}
 	bin := buildTools(t)
+	helpFlags := func(tool string) map[string]bool {
+		out, _ := exec.Command(filepath.Join(bin, tool), "-h").CombinedOutput()
+		registered := map[string]bool{}
+		for _, m := range helpFlag.FindAllStringSubmatch(string(out), -1) {
+			registered[m[1]] = true
+		}
+		return registered
+	}
+	// The go test flags the docs cite beside the tools' own.
+	anyTool := map[string]bool{"race": true, "cpu": true}
+	for name := range helpFlags("benchmark") {
+		anyTool[name] = true
+	}
 	cmds, err := filepath.Glob("cmd/*/main.go")
 	if err != nil || len(cmds) == 0 {
 		t.Fatalf("no commands found (%v)", err)
@@ -248,15 +263,24 @@ func TestUsageNamesRegisteredFlags(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		named := usageFlags(f.Doc.Text())
-		out, _ := exec.Command(filepath.Join(bin, tool), "-h").CombinedOutput()
-		registered := map[string]bool{}
-		for _, m := range helpFlag.FindAllStringSubmatch(string(out), -1) {
-			registered[m[1]] = true
+		registered := helpFlags(tool)
+		for name := range registered {
+			anyTool[name] = true
 		}
-		for _, name := range named {
+		for _, name := range usageFlags(f.Doc.Text()) {
 			if !registered[name] {
 				t.Errorf("%s: the Usage block names -%s, which %s -h does not list", path, name, tool)
+			}
+		}
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range codeSpanFlags(string(text)) {
+			if !anyTool[name] {
+				t.Errorf("%s names -%s in a code span; no cmd/* binary, ./benchmark or go tool flag has it", doc, name)
 			}
 		}
 	}
@@ -265,7 +289,26 @@ func TestUsageNamesRegisteredFlags(t *testing.T) {
 var (
 	usageFlag = regexp.MustCompile(`(?:^|[\s\[])-([a-z][a-z0-9-]*)`)
 	helpFlag  = regexp.MustCompile(`(?m)^  -([a-zA-Z0-9-]+)`)
+	codeSpan  = regexp.MustCompile("`([^`]+)`")
 )
+
+// codeSpanFlags returns the flag names in a Markdown text's inline code
+// spans, outside fenced blocks. A flag starts a span or follows a blank
+// or '[', so a hyphenated word is not one.
+func codeSpanFlags(text string) []string {
+	var names []string
+	for i, part := range strings.Split(text, "```") {
+		if i%2 == 1 {
+			continue // a fenced block
+		}
+		for _, span := range codeSpan.FindAllStringSubmatch(part, -1) {
+			for _, m := range usageFlag.FindAllStringSubmatch(span[1], -1) {
+				names = append(names, m[1])
+			}
+		}
+	}
+	return names
+}
 
 // usageFlags returns the flag names in a package doc's Usage block: the
 // indented lines after the paragraph that opens with "Usage".

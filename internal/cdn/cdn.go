@@ -44,11 +44,11 @@ type Config struct {
 	// configuration and performance for individual publishers", §V).
 	// Publishers not listed share the DC's default cache.
 	PublisherCaches map[string]func() Cache
-	// Metrics receives live replay telemetry: per-DC request/hit/miss
-	// and origin/egress byte counters, and per-cache hit/miss/eviction
-	// counters and occupancy gauges.
-	// nil — the default — disables instrumentation entirely; caches are
-	// then not wrapped and the serve path pays only nil checks.
+	// Metrics, if set, mirrors each DC's Stats into per-DC
+	// cdn_{requests,hits,misses,origin_bytes,egress_bytes}_total{dc}
+	// counters as requests are served. The model's own counters (Stats,
+	// a TieredCache's parent tier) count either way; nil only leaves
+	// them unexported.
 	Metrics *obs.Registry
 }
 
@@ -232,10 +232,6 @@ func New(cfg Config) *CDN {
 				misses:      reg.Counter(obs.Name("cdn_misses_total", "dc", name)),
 				originBytes: reg.Counter(obs.Name("cdn_origin_bytes_total", "dc", name)),
 				egressBytes: reg.Counter(obs.Name("cdn_egress_bytes_total", "dc", name)),
-			}
-			dc.Cache = NewInstrumentedCache(dc.Cache, reg, "dc", name, "cache", "default")
-			for pub, pc := range dc.PublisherCache {
-				dc.PublisherCache[pub] = NewInstrumentedCache(pc, reg, "dc", name, "cache", pub)
 			}
 		}
 		c.dcs[r] = dc

@@ -1,9 +1,13 @@
 package cdn
 
 import (
+	"bytes"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"trafficscope/internal/obs"
 	"trafficscope/internal/timeutil"
 	"trafficscope/internal/trace"
 )
@@ -298,5 +302,100 @@ func TestServeOversizedBytesServedClamped(t *testing.T) {
 	out := c.Serve(r)
 	if out.BytesServed != 100 {
 		t.Errorf("BytesServed = %d, want clamped to 100", out.BytesServed)
+	}
+}
+
+// A registry only exports the model's counters: with one, a DC's cache is
+// still the very object NewCache returned, and ResetStats still zeroes a
+// TieredCache's parent tier.
+func TestResetStatsWithMetricsReachesTieredCache(t *testing.T) {
+	var tiered *TieredCache
+	c := New(Config{
+		NewCache: func() Cache {
+			tiered = NewTieredCache(NewLRU(1000), NewLRU(1<<20))
+			return tiered
+		},
+		ChunkBytes: -1,
+		Metrics:    obs.NewRegistry(),
+	})
+	if got := c.DC(timeutil.RegionAsia).Cache; got != Cache(tiered) {
+		t.Fatalf("Asia's cache is a %T, want the *TieredCache NewCache returned", got)
+	}
+	eu := c.DC(timeutil.RegionEurope).Cache.(*TieredCache)
+	// Object 1 is evicted from the 1000-byte edge by object 2 and comes
+	// back from the parent, twice.
+	for _, obj := range []uint64{1, 2, 1, 2} {
+		c.Serve(imageReq(obj, 100+obj, 800, t0))
+	}
+	if eu.ParentHits != 2 || eu.ParentHitBytes != 1600 || eu.ParentMisses != 2 {
+		t.Fatalf("before reset: parent %d hits (%d B), %d misses; want 2 (1600 B), 2",
+			eu.ParentHits, eu.ParentHitBytes, eu.ParentMisses)
+	}
+	c.ResetStats()
+	if eu.ParentHits != 0 || eu.ParentHitBytes != 0 || eu.ParentMisses != 0 {
+		t.Errorf("after reset: parent %d hits (%d B), %d misses; want all zero",
+			eu.ParentHits, eu.ParentHitBytes, eu.ParentMisses)
+	}
+}
+
+// TestMetricFamiliesHaveOneLabelSet: every metric family a CDN publishes
+// carries one set of label keys — plain and sharded, with a publisher
+// partition.
+func TestMetricFamiliesHaveOneLabelSet(t *testing.T) {
+	sharded := func() Cache {
+		c, err := NewShardedCache(2, 8, func() Cache { return NewLRU(1 << 20) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for name, newCache := range map[string]func() Cache{
+		"plain":   func() Cache { return NewLRU(1 << 20) },
+		"sharded": sharded,
+	} {
+		reg := obs.NewRegistry()
+		c := New(Config{
+			NewCache:        newCache,
+			PublisherCaches: map[string]func() Cache{"V-1": newCache},
+			ChunkBytes:      -1,
+			Metrics:         reg,
+		})
+		for i := uint64(0); i < 6; i++ {
+			c.Serve(imageReq(i%3, 100+i, 1000, t0))
+			c.Serve(videoReq(i%3, 100+i, 1000, 1000, t0))
+		}
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		labelSets := map[string]map[string]bool{} // family -> distinct label-key lists
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			series, _, _ := strings.Cut(line, " ")
+			family, labels, _ := strings.Cut(series, "{")
+			var keys []string
+			for _, kv := range strings.Split(strings.TrimSuffix(labels, "}"), ",") {
+				if k, _, ok := strings.Cut(kv, "="); ok {
+					keys = append(keys, k)
+				}
+			}
+			sort.Strings(keys)
+			if labelSets[family] == nil {
+				labelSets[family] = map[string]bool{}
+			}
+			labelSets[family][strings.Join(keys, ",")] = true
+		}
+		for _, family := range []string{"cdn_requests_total", "cdn_hits_total", "cdn_misses_total", "cdn_origin_bytes_total", "cdn_egress_bytes_total"} {
+			if len(labelSets[family]) == 0 {
+				t.Errorf("%s: family %s not rendered", name, family)
+			}
+		}
+		for family, sets := range labelSets {
+			if len(sets) != 1 {
+				t.Errorf("%s: family %s rendered under %d label sets: %v", name, family, len(sets), sets)
+			}
+		}
 	}
 }

@@ -3,10 +3,10 @@
 // cache model (internal/cdn), simulating origin fetches on miss with
 // configurable latency and bandwidth. It carries the production
 // robustness the offline simulator never needed — read/write/idle
-// timeouts, a max-connection listener, max-inflight load shedding with
-// 503s, and context-driven graceful drain — so a trace-replay load
-// generator (internal/loadgen) can measure hit ratios, egress and tail
-// latency end to end over a real network stack.
+// timeouts, max-inflight load shedding with 503s, and context-driven
+// graceful drain — so a trace-replay load generator (internal/loadgen)
+// can measure hit ratios, egress and tail latency end to end over a real
+// network stack.
 //
 // All hit/miss/byte accounting goes through the CDN model — served
 // through cdn.ConcurrentCDN, one request per critical section — so a
@@ -84,8 +84,9 @@ type Config struct {
 	// FillTransport carries fill requests, one RoundTrip each (no
 	// redirects followed); nil builds a pooled transport.
 	FillTransport http.RoundTripper
-	// Metrics receives live serving telemetry (request/shed/error
-	// counters, latency histogram, inflight gauge). nil disables it.
+	// Metrics holds the edge's counters, latency histogram and inflight
+	// gauge, which /stats, FillStats and /metrics read; nil gives the
+	// edge a registry of its own.
 	Metrics *obs.Registry
 	// SLO, if set, receives every request into its rolling windows and
 	// powers the /slo endpoint and the ts_slo_* gauges on /metrics. nil
@@ -113,6 +114,8 @@ type Server struct {
 	owned  [timeutil.NumRegions + 1]bool
 	scoped bool
 
+	// reg holds every counter below: cfg.Metrics, or the edge's own.
+	reg       *obs.Registry
 	reqs      *obs.Counter
 	shed      *obs.Counter
 	badReq    *obs.Counter
@@ -234,11 +237,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	reg := cfg.Metrics
 	if reg == nil {
-		// A private registry: /metrics stays silent (it renders
-		// cfg.Metrics), but the /stats fill section and FillStats still
-		// count — stats must not depend on telemetry being exported.
 		reg = obs.NewRegistry()
 	}
+	s.reg = reg
 	s.reqs = reg.Counter("edge_requests_total")
 	s.shed = reg.Counter("edge_shed_total")
 	s.badReq = reg.Counter("edge_bad_requests_total")
@@ -314,9 +315,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.WritePrometheus(w)
-	}
+	s.reg.WritePrometheus(w)
 	if s.cfg.SLO != nil {
 		s.cfg.SLO.Report().WritePrometheus(w)
 	}
@@ -595,9 +594,6 @@ type ListenConfig struct {
 	ReadTimeout  time.Duration
 	WriteTimeout time.Duration
 	IdleTimeout  time.Duration
-	// MaxConns bounds concurrently accepted TCP connections at the
-	// listener (0 = unlimited).
-	MaxConns int
 	// DrainTimeout bounds the graceful drain after ctx is cancelled;
 	// zero defaults to 10s.
 	DrainTimeout time.Duration
@@ -640,9 +636,6 @@ func ListenAndServe(ctx context.Context, handler http.Handler, lc ListenConfig, 
 	ln, err := net.Listen("tcp", lc.Addr)
 	if err != nil {
 		return err
-	}
-	if lc.MaxConns > 0 {
-		ln = LimitListener(ln, lc.MaxConns)
 	}
 	if lc.OnReady != nil {
 		lc.OnReady(ln.Addr().String())
@@ -699,59 +692,7 @@ func ListenAndServe(ctx context.Context, handler http.Handler, lc ListenConfig, 
 			// hangs up cannot extend the drain past DrainTimeout.
 			srv.Close()
 		}
-		<-errc // srv.Serve returns once the (limit) listener closes
+		<-errc // srv.Serve returns once the listener closes
 		return err
 	}
-}
-
-// LimitListener bounds the number of simultaneously accepted
-// connections on ln to n; further accepts block until a connection
-// closes. Closing the listener unblocks any Accept waiting on the
-// semaphore, so a graceful drain cannot stall behind a saturated
-// connection limit. (Same contract as
-// golang.org/x/net/netutil.LimitListener, reimplemented to keep the
-// repo dependency-free.)
-func LimitListener(ln net.Listener, n int) net.Listener {
-	return &limitListener{Listener: ln, sem: make(chan struct{}, n), done: make(chan struct{})}
-}
-
-type limitListener struct {
-	net.Listener
-	sem  chan struct{}
-	done chan struct{} // closed by Close; unblocks Accepts parked on sem
-	once sync.Once
-}
-
-func (l *limitListener) Accept() (net.Conn, error) {
-	select {
-	case l.sem <- struct{}{}:
-	case <-l.done:
-		// The listener was closed while all connection slots were in
-		// use; report closure instead of blocking the accept loop (and
-		// with it http.Server.Serve's return) until a client hangs up.
-		return nil, net.ErrClosed
-	}
-	c, err := l.Listener.Accept()
-	if err != nil {
-		<-l.sem
-		return nil, err
-	}
-	return &limitConn{Conn: c, sem: l.sem}, nil
-}
-
-func (l *limitListener) Close() error {
-	l.once.Do(func() { close(l.done) })
-	return l.Listener.Close()
-}
-
-type limitConn struct {
-	net.Conn
-	sem  chan struct{}
-	once sync.Once
-}
-
-func (c *limitConn) Close() error {
-	err := c.Conn.Close()
-	c.once.Do(func() { <-c.sem })
-	return err
 }

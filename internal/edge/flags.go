@@ -53,8 +53,8 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 // NewServer builds the edge the flags describe at the placement the
 // caller gives it: the regions it owns (none = every region), the name
 // its fill requests carry, the shield its misses go through ("" = the
-// flat origin model) and the registry its telemetry lands in (nil =
-// nothing exported).
+// flat origin model) and the registry the edge and its CDN model count
+// into (nil = one of their own, which /metrics renders all the same).
 func (f *Flags) NewServer(regions []timeutil.Region, name, shieldURL string, metrics *obs.Registry) (*Server, error) {
 	factory, err := cdn.PolicyFactory(f.Policy, f.Capacity)
 	if err != nil {
@@ -77,6 +77,9 @@ func (f *Flags) NewServer(regions []timeutil.Region, name, shieldURL string, met
 	owned := regions
 	if len(owned) == 0 {
 		owned = timeutil.AllRegions()
+	}
+	if metrics == nil {
+		metrics = obs.NewRegistry()
 	}
 	cfg := f.Config
 	cfg.Regions, cfg.Name, cfg.ShieldURL, cfg.Metrics = regions, name, shieldURL, metrics

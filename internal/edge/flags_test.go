@@ -1,9 +1,40 @@
 package edge
 
 import (
+	"flag"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
+
+// An edge built from the flags without a registry, as tscluster builds
+// every edge, still exports the edge's and its CDN model's counters on
+// /metrics.
+func TestNewServerWithoutRegistryExportsCounters(t *testing.T) {
+	f := AddFlags(flag.NewFlagSet("edge", flag.ContinueOnError))
+	s, err := f.NewServer(nil, "", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var page []byte
+	for _, path := range []string{RequestPath(testRecord()), "/metrics"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		page, _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+	}
+	for _, series := range []string{"edge_requests_total 1\n", `cdn_requests_total{dc="europe"} 1` + "\n"} {
+		if !strings.Contains(string(page), series) {
+			t.Errorf("/metrics lacks %q:\n%s", series, page)
+		}
+	}
+}
 
 func TestParsePublisherCachesRejectsRepeatedSite(t *testing.T) {
 	_, err := parsePublisherCaches("V-1=1048576,P-1=4096, V-1 =2097152", "lru")

@@ -310,14 +310,21 @@ func TestSLOAndTraceDisabled(t *testing.T) {
 			t.Errorf("%s: status %d, want 404", path, resp.StatusCode)
 		}
 	}
-	// /metrics works without a registry (empty body, no panic).
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// Without Config.Metrics the edge counts into a registry of its own,
+	// and /metrics renders it.
+	var page []byte
+	for _, path := range []string{RequestPath(testRecord()), "/metrics"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		page, _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode/100 != 2 {
+			t.Errorf("%s: status %d, want 2xx", path, resp.StatusCode)
+		}
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/metrics: status %d, want 200", resp.StatusCode)
+	if !strings.Contains(string(page), "edge_requests_total 1\n") {
+		t.Errorf("/metrics lacks edge_requests_total 1:\n%s", page)
 	}
 }

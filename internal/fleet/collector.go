@@ -13,6 +13,7 @@ import (
 
 	"trafficscope/internal/cdn"
 	"trafficscope/internal/edge"
+	"trafficscope/internal/obs"
 	"trafficscope/internal/obs/slo"
 )
 
@@ -55,6 +56,11 @@ const DefaultCollectInterval = time.Second
 // collectTimeout bounds one backend poll (all three endpoints together).
 const collectTimeout = 5 * time.Second
 
+// maxPollBytes caps each reply the collector reads: over 100x the 7.3 KiB
+// /metrics, 5.6 KiB /slo and 0.7 KiB /stats of an unscoped edge with an
+// SLO policy. A longer reply makes its backend unreachable for the poll.
+const maxPollBytes = 1 << 20
+
 // Collector polls every backend's /stats, /slo and /metrics and serves
 // merged cluster views on the same endpoints: tsgate judges the whole
 // cluster through the collector exactly as it would one tsserve.
@@ -66,6 +72,8 @@ const collectTimeout = 5 * time.Second
 // exact totals.
 type Collector struct {
 	cfg CollectorConfig
+	// local are the front tier's own registries, merged into /metrics.
+	local []*obs.Registry
 
 	mu      sync.RWMutex
 	polled  bool // at least one poll completed
@@ -158,6 +166,11 @@ func (c *Collector) PollOnce(ctx context.Context) {
 		reports = append(reports, p.slo)
 		pages = append(pages, p.metrics)
 	}
+	for _, reg := range c.local {
+		var buf bytes.Buffer
+		reg.WritePrometheus(&buf)
+		pages = append(pages, buf.Bytes())
+	}
 	sort.Strings(merged.Unreachable)
 	merged.HitRatio = merged.Total.HitRatio()
 
@@ -217,9 +230,12 @@ func (c *Collector) get(ctx context.Context, url string) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxPollBytes+1))
 	if err != nil {
 		return nil, err
+	}
+	if len(body) > maxPollBytes {
+		return nil, fmt.Errorf("%s: reply exceeds %d bytes", url, maxPollBytes)
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("%s: status %d", url, resp.StatusCode)

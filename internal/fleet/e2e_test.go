@@ -3,7 +3,10 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -227,16 +230,34 @@ func TestRouterReplayMatchesOfflinePerDC(t *testing.T) {
 		}
 	}
 
-	// The merged /metrics page serves the summed backend series plus
-	// re-derived cluster SLO gauges.
+	// The merged /metrics page serves the summed backend series, the
+	// router's own counters and re-derived cluster SLO gauges.
 	resp, err := http.Get(fl.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
+	page, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/metrics status %d, want 200", resp.StatusCode)
 	}
+	if v, ok := seriesValue(page, "edge_requests_total"); !ok || v != float64(liveTotal.Requests) {
+		t.Errorf("merged edge_requests_total = %v (present %v), want the edges' %d", v, ok, liveTotal.Requests)
+	}
+	if _, ok := seriesValue(page, "fleet_requests_total"); !ok {
+		t.Errorf("merged /metrics lacks the router's fleet_requests_total:\n%s", page)
+	}
+}
+
+// seriesValue returns the value of one series on a Prometheus text page.
+func seriesValue(page []byte, series string) (float64, bool) {
+	for _, line := range strings.Split(string(page), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			return f, err == nil
+		}
+	}
+	return 0, false
 }
 
 func getJSON(t *testing.T, url string, into any) {

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -236,5 +238,42 @@ func TestCollectorNullScopeAnswers503(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), `report 0 scope "global"`) {
 		t.Errorf("/slo = %d %q, want 503 naming report 0's scope \"global\"", resp.StatusCode, body)
+	}
+}
+
+// TestCollectorCapsReplies: a backend whose reply runs past maxPollBytes
+// is unreachable for that poll, not buffered whole.
+func TestCollectorCapsReplies(t *testing.T) {
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/stats":
+			// Valid JSON, padded with whitespace past the cap.
+			w.Write([]byte(`{"total":{"requests":1}}`))
+			pad := bytes.Repeat([]byte(" "), 64<<10)
+			for n := 0; n <= maxPollBytes; n += len(pad) {
+				if _, err := w.Write(pad); err != nil {
+					return
+				}
+			}
+		case "/slo":
+			w.Write([]byte(`{"interval_seconds":1,"gate_window_seconds":60,"scopes":{}}`))
+		}
+	}))
+	defer backend.Close()
+	b := NewBackend("flood", backend.URL, timeutil.RegionEurope)
+	var logged []string
+	c, err := NewCollector(CollectorConfig{Backends: []*Backend{b}, Logf: func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.PollOnce(context.Background())
+	stats, _ := c.Stats()
+	if len(stats.Unreachable) != 1 || stats.Unreachable[0] != "flood" || stats.Total.Requests != 0 {
+		t.Errorf("unreachable = %v, total = %+v; want [flood] and nothing merged", stats.Unreachable, stats.Total)
+	}
+	if log := strings.Join(logged, "\n"); !strings.Contains(log, "flood unreachable") || !strings.Contains(log, "exceeds") {
+		t.Errorf("log %q does not name the backend and the cap", logged)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"trafficscope/internal/edge"
+	"trafficscope/internal/obs"
 	"trafficscope/internal/timeutil"
 )
 
@@ -43,8 +44,9 @@ func ParseGroups(spec string) ([][]timeutil.Region, error) {
 }
 
 // Front is the fleet's front tier on one mux: the router, the collector's
-// merged views and, optionally, the origin shield. tsrouter serves one
-// over the backends it is told about, Launch over the edges it hosts.
+// merged views and, optionally, the origin shield; its /metrics covers
+// all three tiers. tsrouter serves one over the backends it is told
+// about, Launch over the edges it hosts.
 type Front struct {
 	Router    *Router
 	Collector *Collector
@@ -69,11 +71,15 @@ func NewFront(mux *http.ServeMux, backends []*Backend, rc RouterConfig, cc Colle
 	}
 	f.Router.Register(mux)
 	f.Collector.Register(mux)
+	f.Collector.local = []*obs.Registry{f.Router.reg}
 	if sc != nil {
 		shield := *sc
 		shield.Backends = backends
 		f.Shield = NewShield(shield)
 		f.Shield.Register(mux)
+		if f.Shield.reg != f.Router.reg {
+			f.Collector.local = append(f.Collector.local, f.Shield.reg)
+		}
 	}
 	var polls context.Context
 	polls, f.stopPolls = context.WithCancel(context.Background())

@@ -22,12 +22,11 @@ import (
 type promMerger struct {
 	order  []string           // series keys in first-seen order
 	values map[string]float64 // series key -> summed value
-	types  []string           // "# TYPE ..." lines in first-seen order
-	typed  map[string]bool    // families with an emitted TYPE line
+	types  map[string]string  // family -> its first "# TYPE ..." line
 }
 
 func newPromMerger() *promMerger {
-	return &promMerger{values: map[string]float64{}, typed: map[string]bool{}}
+	return &promMerger{values: map[string]float64{}, types: map[string]string{}}
 }
 
 // skipSeries reports whether a series must not be summed across
@@ -47,12 +46,9 @@ func (m *promMerger) add(page []byte) error {
 		}
 		if strings.HasPrefix(line, "#") {
 			if fields := strings.Fields(line); len(fields) >= 3 && fields[1] == "TYPE" {
-				family := fields[2]
-				if skipSeries(family) || m.typed[family] {
-					continue
+				if family := fields[2]; !skipSeries(family) && m.types[family] == "" {
+					m.types[family] = line
 				}
-				m.typed[family] = true
-				m.types = append(m.types, line)
 			}
 			continue
 		}
@@ -77,31 +73,20 @@ func (m *promMerger) add(page []byte) error {
 	return sc.Err()
 }
 
-// render writes the merged page: TYPE headers first-seen, then each
-// family's series grouped under it in first-seen order.
+// render writes the merged series in first-seen order, each family's
+// TYPE line just before its first series (a histogram's family is its
+// series name less _bucket, _sum or _count).
 func (m *promMerger) render(buf *bytes.Buffer) {
-	// Group series by family (the series name up to '{' or a known
-	// histogram suffix maps onto the TYPE line's family name, but for
-	// rendering we only need the original first-seen order with TYPE
-	// lines interleaved where their family first appears).
 	emittedType := map[string]bool{}
-	typeFor := map[string]string{}
-	for _, tl := range m.types {
-		fields := strings.Fields(tl)
-		typeFor[fields[2]] = tl
-	}
 	for _, key := range m.order {
-		family := key
-		if i := strings.IndexByte(family, '{'); i >= 0 {
-			family = family[:i]
-		}
+		family, _, _ := strings.Cut(key, "{")
 		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-			if f, ok := strings.CutSuffix(family, suffix); ok && typeFor[f] != "" {
+			if f, ok := strings.CutSuffix(family, suffix); ok && m.types[f] != "" {
 				family = f
 				break
 			}
 		}
-		if tl := typeFor[family]; tl != "" && !emittedType[family] {
+		if tl := m.types[family]; tl != "" && !emittedType[family] {
 			emittedType[family] = true
 			buf.WriteString(tl)
 			buf.WriteByte('\n')

@@ -43,7 +43,8 @@ type RouterConfig struct {
 	// (probe or proxy); one success restores it. Zero defaults to
 	// DefaultFailAfter.
 	FailAfter int
-	// Metrics receives fleet_* routing telemetry. nil disables it.
+	// Metrics holds the router's fleet_* counters. nil gives the router
+	// a registry of its own; either way NewFront serves it on /metrics.
 	Metrics *obs.Registry
 	// Logf receives eviction/recovery log lines; nil silences them.
 	Logf func(format string, args ...any)
@@ -72,6 +73,8 @@ type Router struct {
 	regionSet  [timeutil.NumRegions + 1][]*Backend
 	regionRing [timeutil.NumRegions + 1]*cdn.HashRing
 
+	// reg holds every counter below: cfg.Metrics, or the router's own.
+	reg        *obs.Registry
 	reqs       *obs.Counter
 	proxied    *obs.Counter
 	retries    *obs.Counter
@@ -142,6 +145,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	r.scratch.New = func() any { return &routeScratch{order: make([]int, 0, maxSet)} }
 	reg := cfg.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	r.reg = reg
 	r.reqs = reg.Counter("fleet_requests_total")
 	r.proxied = reg.Counter("fleet_proxied_total")
 	r.retries = reg.Counter("fleet_retries_total")

@@ -43,7 +43,9 @@ type ShieldConfig struct {
 	// OriginLatency + n/OriginBandwidth. Zero values mean free.
 	OriginLatency   time.Duration
 	OriginBandwidth int64
-	// Metrics receives fleet_shield_* telemetry. nil disables it.
+	// Metrics holds the shield's fleet_shield_* counters, which
+	// OriginFetches reads. nil gives the shield a registry of its own;
+	// either way NewFront serves it on /metrics.
 	Metrics *obs.Registry
 	// Transport carries peer probes, one RoundTrip each; nil builds a
 	// pooled transport.
@@ -65,6 +67,8 @@ type Shield struct {
 	// past the 64th has none, and is probed on every resolution.
 	bits map[string]uint64
 
+	// reg holds every counter below: cfg.Metrics, or the shield's own.
+	reg          *obs.Registry
 	reqs         *obs.Counter
 	peerFills    *obs.Counter
 	originFetch  *obs.Counter
@@ -90,6 +94,10 @@ func NewShield(cfg ShieldConfig) *Shield {
 		}
 	}
 	reg := cfg.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	s.reg = reg
 	s.reqs = reg.Counter("fleet_shield_requests_total")
 	s.peerFills = reg.Counter("fleet_shield_peer_fills_total")
 	s.originFetch = reg.Counter("fleet_shield_origin_fetches_total")

@@ -46,6 +46,18 @@ func fillFrom(t *testing.T, h http.Handler, from string, rec *trace.Record) {
 	}
 }
 
+// A shield built without a registry still counts: OriginFetches reads
+// the fetch an origin fill made.
+func TestShieldWithoutRegistryCountsOriginFetches(t *testing.T) {
+	s := NewShield(ShieldConfig{})
+	mux := http.NewServeMux()
+	s.Register(mux)
+	fillFrom(t, mux, "europe", shieldRecord(timeutil.RegionEurope))
+	if n := s.OriginFetches(); n != 1 {
+		t.Errorf("OriginFetches = %d after one origin fill, want 1", n)
+	}
+}
+
 // TestShieldDedupeDirect pins the tentpole guarantee at the shield
 // itself, deterministically: N concurrent fill requests for one object
 // collapse into a single resolution — exactly one origin fetch — with

@@ -45,9 +45,10 @@ type bucket struct {
 	latCounts   []atomic.Int64 // len(bounds)+1, +Inf last
 }
 
-// DefaultLatencyBounds returns the latency bucket layout the serving
-// stack uses for SLO windows: 100µs..~26s exponential, matching the
-// edge_request_seconds histogram resolution.
+// DefaultLatencyBounds returns the latency bucket layout of the serving
+// stack's SLO windows: 18 doubling bounds from 100µs to 13.1s, past which
+// a request lands in the +Inf bucket. It is its own layout, not the
+// edge_request_seconds histogram's (22 doubling bounds, 50µs to 105s).
 func DefaultLatencyBounds() []float64 {
 	return obs.ExpBuckets(0.0001, 2, 18)
 }
