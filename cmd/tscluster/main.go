@@ -28,6 +28,7 @@
 // The router's /metrics is the fleet's one metrics page: every edge's
 // edge_* and cdn_*{dc} series summed, the router's fleet_* and the
 // shield's fleet_shield_* counters, and the cluster's ts_slo_* gauges.
+// The cluster line of the exit summary is read from it.
 //
 // The model flags are the ones tsserve and tsrouter declare (edge.AddFlags,
 // fleet.AddRouterFlags), with their defaults; see those tools' -h. To run
@@ -115,7 +116,7 @@ func run(ctx context.Context, o *options) error {
 	if o.shield {
 		fill = ", origin shield"
 	}
-	fmt.Fprintf(os.Stderr, "tscluster: cluster ready on %s (%d edges, %d region groups%s; endpoints: /o/ /stats /healthz /slo /metrics /backends)\n",
+	fmt.Fprintf(os.Stderr, "tscluster: cluster ready on %s (%d edges, %d region groups%s; endpoints: /o/ /healthz /slo /metrics /backends)\n",
 		f.URL, len(f.Edges), len(cfg.Groups), fill)
 
 	<-ctx.Done()
@@ -123,7 +124,7 @@ func run(ctx context.Context, o *options) error {
 	for _, e := range f.Edges {
 		fmt.Fprint(os.Stderr, edge.Summary("tscluster: edge "+e.Backend.Name, e.Server.TotalStats(), e.Server.FillStats()))
 	}
-	stats, _ := f.Front.Collector.Stats()
-	fmt.Fprint(os.Stderr, edge.Summary("tscluster: cluster", stats.Total, stats.Fill))
+	merged, _ := f.Front.Collector.Merged()
+	fmt.Fprint(os.Stderr, edge.Summary("tscluster: cluster", merged.CDN(), merged.Fill()))
 	return err
 }

@@ -7,12 +7,13 @@
 // the hash order, bounded by -retries extra attempts. With every
 // backend of a region down the router answers 503 + Retry-After.
 //
-// The embedded collector polls every backend's /stats, /slo and
-// /metrics each -collect-interval and serves merged cluster views on
-// the router's own endpoints of the same names — tsgate judges the
-// whole cluster through the router with zero changes. The merged
-// /metrics also carries the router's own fleet_* counters (and the
-// shield's fleet_shield_*), so one scrape covers every tier.
+// The embedded collector polls every backend's /slo and /metrics each
+// -collect-interval and serves merged cluster views on the router's own
+// endpoints of the same names — tsgate judges the whole cluster through
+// the router with zero changes. The merged /metrics also carries the
+// router's own fleet_* counters (and the shield's fleet_shield_*), so one
+// scrape covers every tier; the exit summary reads its cdn_* and
+// edge_*fill* series.
 //
 // -shield mounts an origin shield at /fill/ on the router's mux:
 // backends started with `tsserve -shield http://<router>` send their
@@ -97,7 +98,7 @@ func run() error {
 		sc = &fleet.ShieldConfig{OriginLatency: *originLat, OriginBandwidth: *originBW, Metrics: sess.Registry(), Logf: logf}
 		extra["shield"] = true
 	}
-	// Routing, the collector's merged /stats, /slo and /metrics and the
+	// Routing, the collector's merged /slo and /metrics and the
 	// shield live on one mux: clients talk to one address for routing and
 	// cluster state alike.
 	mux := http.NewServeMux()
@@ -111,7 +112,7 @@ func run() error {
 		Addr:         *addr,
 		DrainTimeout: *drain,
 		OnReady: func(a string) {
-			fmt.Fprintf(os.Stderr, "tsrouter: serving on http://%s (%d backends; endpoints: /o/ /stats /healthz /slo /metrics /backends)\n",
+			fmt.Fprintf(os.Stderr, "tsrouter: serving on http://%s (%d backends; endpoints: /o/ /healthz /slo /metrics /backends)\n",
 				a, len(bs))
 		},
 	}, nil)
@@ -119,15 +120,16 @@ func run() error {
 	// last poll: the summary reads totals no in-flight request can move.
 	front.Stop()
 
-	if stats, ok := front.Collector.Stats(); ok {
-		extra["requests"] = stats.Total.Requests
-		extra["hit_ratio"] = stats.HitRatio
-		extra["unreachable"] = stats.Unreachable
-		if stats.Fill.Filled() > 0 {
-			extra["origin_fill_bytes"] = stats.Fill.OriginFillBytes
-			extra["fill_saved_bytes"] = stats.Fill.SavedBytes()
+	if merged, ok := front.Collector.Merged(); ok {
+		total, fill := merged.CDN(), merged.Fill()
+		extra["requests"] = total.Requests
+		extra["hit_ratio"] = total.HitRatio()
+		extra["unreachable"] = merged.Unreachable
+		if fill.Filled() > 0 {
+			extra["origin_fill_bytes"] = fill.OriginFillBytes
+			extra["fill_saved_bytes"] = fill.SavedBytes()
 		}
-		fmt.Fprint(os.Stderr, edge.Summary("tsrouter: cluster", stats.Total, stats.Fill))
+		fmt.Fprint(os.Stderr, edge.Summary("tsrouter: cluster", total, fill))
 	}
 	if front.Shield != nil {
 		extra["shield_origin_fetches"] = front.Shield.OriginFetches()

@@ -19,8 +19,8 @@
 //	        [-fill-timeout 5s]
 //	        [-debug-addr :6060] [-progress] [-manifest run.json]
 //
-// The edge always counts and tracks rolling SLO windows: /stats, /slo
-// and /metrics (edge_*, cdn_*{dc} and ts_slo_* series) answer with or
+// The edge always counts and tracks rolling SLO windows: /slo and
+// /metrics (edge_*, cdn_*{dc} and ts_slo_* series) answer with or
 // without the observability flags. -slo-policy adds objectives (latency
 // quantiles, error-rate ceilings, hit-ratio floors; DESIGN.md §"SLOs and
 // burn rates") that tsgate can gate on. -max-inflight is the one
@@ -29,10 +29,10 @@
 // trace-event ring dumpable at /debug/trace.
 //
 // -dc scopes the edge to one or more regions for fleet deployments: a
-// scoped edge refuses requests for foreign regions with 421, reports
-// only its own DCs at /stats, and registers only its own regions as SLO
+// scoped edge refuses requests for foreign regions with 421, so only its
+// own DCs count traffic, and registers only its own regions as SLO
 // scopes. tsrouter maps traffic to a fleet of scoped edges and a
-// collector merges their stats back into one cluster view.
+// collector merges their /slo and /metrics back into one cluster view.
 //
 // -shield puts the edge's miss path behind a fill hierarchy: instead of
 // a flat simulated origin fetch, a miss asks the shield (typically
@@ -125,6 +125,10 @@ func run() error {
 		return err
 	}
 	sess.SetProgress(sess.CounterProgress("edge_requests_total", 0, "requests"))
+	endpoints := "/o/ /healthz /slo /metrics"
+	if model.TraceBuffer > 0 {
+		endpoints += " /debug/trace"
+	}
 
 	serveErr := srv.ListenAndServe(ctx, edge.ListenConfig{
 		Addr:         *addr,
@@ -134,8 +138,8 @@ func run() error {
 		DrainTimeout: *drain,
 		DrainGrace:   *drainGrace,
 		OnReady: func(a string) {
-			fmt.Fprintf(os.Stderr, "tsserve: serving on http://%s (%s, %s per DC, %s; endpoints: /o/ /stats /healthz /slo /metrics /debug/trace)\n",
-				a, model.Policy, report.Bytes(model.Capacity), scope)
+			fmt.Fprintf(os.Stderr, "tsserve: serving on http://%s (%s, %s per DC, %s; endpoints: %s)\n",
+				a, model.Policy, report.Bytes(model.Capacity), scope, endpoints)
 		},
 	})
 

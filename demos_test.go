@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"go/parser"
 	"go/token"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -222,6 +223,7 @@ func TestDemos(t *testing.T) {
 			for _, cl := range c.clients {
 				r.client(cl)
 			}
+			r.getEndpoints()
 			r.stopServers()
 			if c.check != nil && !t.Failed() {
 				c.check(t, r)
@@ -396,6 +398,36 @@ func (r *demoRun) start(p demoProc) string {
 	}
 	return s.url
 }
+
+// getEndpoints GETs every path a server's readiness line names but the
+// object prefix, and requires a 200: a ready line names only what the
+// server serves.
+func (r *demoRun) getEndpoints() {
+	r.t.Helper()
+	for _, s := range r.servers {
+		m := endpointsList.FindStringSubmatch(s.log.String())
+		if m == nil {
+			r.t.Errorf("%s's readiness line names no endpoints\n%s", s.tool, s.log)
+			continue
+		}
+		for _, path := range strings.Fields(m[1]) {
+			if path == "/o/" {
+				continue
+			}
+			resp, err := http.Get(s.url + path)
+			if err != nil {
+				r.t.Errorf("%s %s: %v", s.tool, path, err)
+				continue
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				r.t.Errorf("%s names %s in its readiness line, which answers %d", s.tool, path, resp.StatusCode)
+			}
+		}
+	}
+}
+
+var endpointsList = regexp.MustCompile(`endpoints: ([^)\n]*)\)`)
 
 // stopServers SIGINTs the servers last-started first, one at a time, and
 // requires each one's declared exit code. Only the first call acts.

@@ -3,7 +3,6 @@ package cdn
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
 	"time"
 
 	"trafficscope/internal/obs"
@@ -44,11 +43,12 @@ type Config struct {
 	// configuration and performance for individual publishers", §V).
 	// Publishers not listed share the DC's default cache.
 	PublisherCaches map[string]func() Cache
-	// Metrics, if set, mirrors each DC's Stats into per-DC
+	// Metrics, if set, holds each DC's counters: the
 	// cdn_{requests,hits,misses,origin_bytes,egress_bytes}_total{dc}
-	// counters as requests are served. The model's own counters (Stats,
-	// a TieredCache's parent tier) count either way; nil only leaves
-	// them unexported.
+	// series, counted as requests are served. nil keeps them in the DC
+	// itself, unexported. CDNs built on one registry share its counters,
+	// so at most one of them may serve at a time; each reports only what
+	// it counted since New or its last ResetStats.
 	Metrics *obs.Registry
 }
 
@@ -60,12 +60,16 @@ type DataCenter struct {
 	Cache Cache
 	// PublisherCache holds dedicated partitions for selected publishers.
 	PublisherCache map[string]Cache
-	// Stats accumulates this DC's counters.
-	Stats DCStats
 
-	// met carries the DC's live metric handles; all nil (no-op) when
-	// the CDN was built without a Metrics registry.
-	met dcMetrics
+	// count holds the DC's five event counters in DCStats field order:
+	// Config.Metrics' cdn_*{dc} series, or own's without a registry.
+	// Each event is one atomic add, so readers never take
+	// ConcurrentCDN's serve lock.
+	count [numCounters]*obs.Counter
+	own   [numCounters]obs.Counter
+	// base is what count read at New or the last ResetStats: DCStats
+	// report the events since.
+	base DCStats
 }
 
 // partition returns the cache serving pub: its dedicated partition when
@@ -81,24 +85,43 @@ func (dc *DataCenter) partition(pub string) Cache {
 	return dc.Cache
 }
 
-// dcMetrics is one data center's set of live metric handles. Counters
-// update per request during replay, so the /metrics page shows per-DC
-// hit-rate and traffic dynamics over replay time rather than only the
-// end-of-run DCStats totals.
-type dcMetrics struct {
-	requests    *obs.Counter
-	hits        *obs.Counter
-	misses      *obs.Counter
-	originBytes *obs.Counter
-	egressBytes *obs.Counter
+// The DC's counters, indices into DataCenter.count in DCStats field
+// order.
+const (
+	cRequests = iota
+	cHits
+	cMisses
+	cOriginBytes
+	cEgressBytes
+	numCounters
+)
+
+// counterFamilies names the metric family of each counter; every series
+// carries a dc label naming its region.
+var counterFamilies = [numCounters]string{
+	"cdn_requests_total", "cdn_hits_total", "cdn_misses_total", "cdn_origin_bytes_total", "cdn_egress_bytes_total",
 }
 
-// DCStats carries per-DC counters. During serving the fields are updated
-// with atomic adds, so /stats readers never take ConcurrentCDN's serve
-// lock; read a consistent copy through DataCenter.StatsSnapshot or
-// CDN.TotalStats while traffic is in flight. Once serving has stopped the
-// plain fields are safe to read directly, as all existing offline callers
-// do.
+// ReadStats reads region r's DCStats through value, which returns one
+// series' count given its name as a registry spells it
+// (cdn_requests_total{dc="europe"}, ...): how a reader of a /metrics
+// page, one edge's or a fleet's merged one, gets back what
+// StatsSnapshot reports.
+func ReadStats(r timeutil.Region, value func(series string) int64) (s DCStats) {
+	for i, f := range s.fields() {
+		*f = value(counterSeries(i, r))
+	}
+	return s
+}
+
+// counterSeries names counter i of region r's DC.
+func counterSeries(i int, r timeutil.Region) string {
+	return obs.Name(counterFamilies[i], "dc", r.String())
+}
+
+// DCStats carries one DC's counts of its five events. It is a value:
+// DataCenter.StatsSnapshot and CDN.TotalStats read one from the live
+// counters, safe while traffic is in flight.
 type DCStats struct {
 	Requests    int64
 	Hits        int64
@@ -107,13 +130,17 @@ type DCStats struct {
 	EgressBytes int64 // bytes served to clients
 }
 
+// fields points at s's fields in counter order.
+func (s *DCStats) fields() [numCounters]*int64 {
+	return [...]*int64{&s.Requests, &s.Hits, &s.Misses, &s.OriginBytes, &s.EgressBytes}
+}
+
 // Add sums src into s field-wise.
 func (s *DCStats) Add(src DCStats) {
-	s.Requests += src.Requests
-	s.Hits += src.Hits
-	s.Misses += src.Misses
-	s.OriginBytes += src.OriginBytes
-	s.EgressBytes += src.EgressBytes
+	from := src.fields()
+	for i, f := range s.fields() {
+		*f += *from[i]
+	}
 }
 
 // HitRatio returns hits/(hits+misses), or 0 when idle.
@@ -224,16 +251,14 @@ func New(cfg Config) *CDN {
 		for pub, mk := range cfg.PublisherCaches {
 			dc.PublisherCache[pub] = mk()
 		}
-		if reg := cfg.Metrics; reg != nil {
-			name := r.String()
-			dc.met = dcMetrics{
-				requests:    reg.Counter(obs.Name("cdn_requests_total", "dc", name)),
-				hits:        reg.Counter(obs.Name("cdn_hits_total", "dc", name)),
-				misses:      reg.Counter(obs.Name("cdn_misses_total", "dc", name)),
-				originBytes: reg.Counter(obs.Name("cdn_origin_bytes_total", "dc", name)),
-				egressBytes: reg.Counter(obs.Name("cdn_egress_bytes_total", "dc", name)),
+		for i := range dc.count {
+			if cfg.Metrics != nil {
+				dc.count[i] = cfg.Metrics.Counter(counterSeries(i, r))
+			} else {
+				dc.count[i] = &dc.own[i]
 			}
 		}
+		dc.base = dc.read(DCStats{})
 		c.dcs[r] = dc
 		c.dcByRegion[int(r)] = dc
 	}
@@ -254,17 +279,14 @@ func (c *CDN) dcForRegion(reg timeutil.Region) *DataCenter {
 // DC returns the data center serving the given region.
 func (c *CDN) DC(r timeutil.Region) *DataCenter { return c.dcs[r] }
 
-// ResetStats zeroes all per-DC counters while keeping cache contents.
+// ResetStats starts every DC's DCStats from zero again while keeping
+// cache contents; the counters themselves stay monotonic.
 // Use between a warm-up replay and a measured replay to model the
 // steady-state CDN the paper observed (its week of logs does not start
 // from cold caches). Must not be called while traffic is in flight.
 func (c *CDN) ResetStats() {
 	for _, dc := range c.dcs {
-		atomic.StoreInt64(&dc.Stats.Requests, 0)
-		atomic.StoreInt64(&dc.Stats.Hits, 0)
-		atomic.StoreInt64(&dc.Stats.Misses, 0)
-		atomic.StoreInt64(&dc.Stats.OriginBytes, 0)
-		atomic.StoreInt64(&dc.Stats.EgressBytes, 0)
+		dc.base = dc.read(DCStats{})
 		resetCacheStats(dc.Cache)
 		for _, pc := range dc.PublisherCache {
 			resetCacheStats(pc)
@@ -280,20 +302,21 @@ func resetCacheStats(c Cache) {
 	}
 }
 
-// StatsSnapshot returns a consistent copy of the DC's counters, safe to
-// call while ConcurrentCDN traffic is in flight. (Each field is loaded
-// atomically; the five loads are not one transaction, so a snapshot
-// taken mid-flight can straddle a request — totals are still exact once
-// traffic quiesces.)
-func (dc *DataCenter) StatsSnapshot() DCStats {
-	return DCStats{
-		Requests:    atomic.LoadInt64(&dc.Stats.Requests),
-		Hits:        atomic.LoadInt64(&dc.Stats.Hits),
-		Misses:      atomic.LoadInt64(&dc.Stats.Misses),
-		OriginBytes: atomic.LoadInt64(&dc.Stats.OriginBytes),
-		EgressBytes: atomic.LoadInt64(&dc.Stats.EgressBytes),
+// read returns the DC's counters less base.
+func (dc *DataCenter) read(base DCStats) (s DCStats) {
+	less := base.fields()
+	for i, f := range s.fields() {
+		*f = dc.count[i].Value() - *less[i]
 	}
+	return s
 }
+
+// StatsSnapshot returns the DC's counts since New or the last ResetStats,
+// safe to call while ConcurrentCDN traffic is in flight. (Each counter is
+// loaded atomically; the five loads are not one transaction, so a
+// snapshot taken mid-flight can straddle a request — totals are exact
+// once traffic quiesces.)
+func (dc *DataCenter) StatsSnapshot() DCStats { return dc.read(dc.base) }
 
 // ResetClientState clears browser-cache freshness and per-user request
 // sequencing, so a measured replay after warm-up sees first-visit
@@ -341,14 +364,13 @@ func (c *CDN) ServeInto(r, out *trace.Record) {
 // serveInto is the one serve path, with explicit client state so
 // ReplayStream's region workers can each own theirs. The caller owns all
 // synchronization of the caches and client state it reaches; only the
-// stats and metrics are atomic. A cache hit performs no heap allocation:
+// counters are atomic. A cache hit performs no heap allocation:
 // the DC resolves by array index, the rejection dice and chunk keys hash
 // without hash.Hash indirection, and the result lands in *out.
 func (c *CDN) serveInto(r, out *trace.Record, clients *clientState) {
 	*out = *r
 	dc := c.dcForRegion(r.Region)
-	atomic.AddInt64(&dc.Stats.Requests, 1)
-	dc.met.requests.Inc()
+	dc.count[cRequests].Inc()
 
 	// Access control first: rejected requests never touch the cache.
 	if status := c.rejection(r, clients.nextSeq(r.UserID)); status != 0 {
@@ -451,16 +473,12 @@ func (c *CDN) accessChunks(cache Cache, r *trace.Record, bytesWanted int64) (hit
 
 func (c *CDN) recordCache(dc *DataCenter, hit bool, originBytes, egress int64) {
 	if hit {
-		atomic.AddInt64(&dc.Stats.Hits, 1)
-		dc.met.hits.Inc()
+		dc.count[cHits].Inc()
 	} else {
-		atomic.AddInt64(&dc.Stats.Misses, 1)
-		dc.met.misses.Inc()
+		dc.count[cMisses].Inc()
 	}
-	atomic.AddInt64(&dc.Stats.OriginBytes, originBytes)
-	atomic.AddInt64(&dc.Stats.EgressBytes, egress)
-	dc.met.originBytes.Add(originBytes)
-	dc.met.egressBytes.Add(egress)
+	dc.count[cOriginBytes].Add(originBytes)
+	dc.count[cEgressBytes].Add(egress)
 }
 
 // Replay streams records from r through the CDN, passing each finalized

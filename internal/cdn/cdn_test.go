@@ -108,10 +108,10 @@ func TestServeRegionalIsolation(t *testing.T) {
 	if got := c.Serve(eu); got.Cache != trace.CacheHit {
 		t.Errorf("same-region re-request should HIT, got %v", got.Cache)
 	}
-	if c.DC(timeutil.RegionEurope).Stats.Requests != 2 {
+	if c.DC(timeutil.RegionEurope).StatsSnapshot().Requests != 2 {
 		t.Error("EU DC request count")
 	}
-	if c.DC(timeutil.RegionNorthAmerica).Stats.Requests != 1 {
+	if c.DC(timeutil.RegionNorthAmerica).StatsSnapshot().Requests != 1 {
 		t.Error("NA DC request count")
 	}
 }
@@ -302,6 +302,81 @@ func TestServeOversizedBytesServedClamped(t *testing.T) {
 	out := c.Serve(r)
 	if out.BytesServed != 100 {
 		t.Errorf("BytesServed = %d, want clamped to 100", out.BytesServed)
+	}
+}
+
+// TestCDNCountsOnce: a DC counts each event once, into its registry's
+// cdn_*{dc} series when it has one. DCStats cover what a CDN counted
+// since ResetStats, or since New for a second CDN on a used registry;
+// the page keeps counting across both.
+func TestCDNCountsOnce(t *testing.T) {
+	var recs []*trace.Record
+	for i := uint64(0); i < 60; i++ {
+		r := imageReq(i%7, 100+i%5, 1000+int64(i), t0.Add(time.Duration(i)*time.Minute))
+		if i%3 == 0 {
+			r = videoReq(i%4, 200+i%3, 5<<20, 3<<20, r.Timestamp)
+		}
+		r.Region = timeutil.AllRegions()[i%4]
+		recs = append(recs, r)
+	}
+	replay := func(c *CDN) {
+		t.Helper()
+		if err := c.Replay(trace.NewSliceReader(recs), func(*trace.Record) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perDC := func(c *CDN) map[timeutil.Region]DCStats {
+		out := map[timeutil.Region]DCStats{}
+		for _, r := range timeutil.AllRegions() {
+			out[r] = c.DC(r).StatsSnapshot()
+		}
+		return out
+	}
+	cfg := Config{NewCache: func() Cache { return NewLRU(8 << 20) }}
+	ref := New(cfg)
+	replay(ref)
+	refWarm := perDC(ref)
+	ref.ResetStats()
+	replay(ref)
+	refMeasured := perDC(ref)
+
+	reg := obs.NewRegistry()
+	cfg.Metrics = reg
+	c := New(cfg)
+	replay(c)
+	c.ResetStats()
+	replay(c)
+	if got, want := c.TotalStats(), ref.TotalStats(); got != want || got.Requests != int64(len(recs)) {
+		t.Errorf("measured pass with a registry %+v, without %+v (%d requests replayed)", got, want, len(recs))
+	}
+	counters := reg.Snapshot().Counters
+	var pageRequests int64
+	for _, r := range timeutil.AllRegions() {
+		if got, want := c.DC(r).StatsSnapshot(), refMeasured[r]; got != want {
+			t.Errorf("DC %v: measured %+v, want %+v", r, got, want)
+		}
+		want := refWarm[r]
+		want.Add(refMeasured[r])
+		if got := ReadStats(r, func(series string) int64 { return counters[series] }); got != want {
+			t.Errorf("DC %v: page reads %+v, want both passes %+v", r, got, want)
+		}
+		pageRequests += counters[`cdn_requests_total{dc="`+r.String()+`"}`]
+	}
+	if want := int64(2 * len(recs)); pageRequests != want {
+		t.Errorf("cdn_requests_total sums to %d, want both passes' %d", pageRequests, want)
+	}
+
+	second := New(cfg)
+	for r, st := range perDC(second) {
+		if st != (DCStats{}) {
+			t.Errorf("a second CDN on the registry starts DC %v at %+v, want zero", r, st)
+		}
+	}
+	replay(second)
+	for r, st := range perDC(second) {
+		if st != refWarm[r] {
+			t.Errorf("second CDN, DC %v: %+v, want a cold pass's %+v", r, st, refWarm[r])
+		}
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // linearizable: whatever order requests win the lock in, every response
 // record and every per-DC counter equals what a sequential CDN produces
 // when fed that order — with chunked video, eviction, the browser cache
-// and the rejection dice all on. DCStats fields stay atomic so readers
-// (StatsSnapshot, TotalStats, the edge's /stats) never queue behind
+// and the rejection dice all on. The DC counters are atomic, so readers
+// (StatsSnapshot, TotalStats, the edge's /metrics) never queue behind
 // serving traffic. The serve step is under 1% of a live request, so
 // finer-grained locking has nothing to win; see DESIGN.md §"Edge
 // concurrency model" for the measurements.
@@ -54,11 +54,6 @@ func (cc *ConcurrentCDN) DCContains(region timeutil.Region, r *trace.Record) boo
 	defer cc.mu.Unlock()
 	return cc.c.DCContains(region, r)
 }
-
-// CDN returns the wrapped CDN for configuration-time access (DC lookup,
-// PushToAll). Reads of per-DC stats while traffic is in flight must go
-// through StatsSnapshot/TotalStats.
-func (cc *ConcurrentCDN) CDN() *CDN { return cc.c }
 
 // TotalStats sums counters across all data centers; safe while traffic
 // is in flight.

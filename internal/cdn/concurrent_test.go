@@ -70,7 +70,7 @@ func TestConcurrentServeMatchesSequential(t *testing.T) {
 		t.Errorf("TotalStats = %+v, want %+v", got, want)
 	}
 	for _, region := range timeutil.AllRegions() {
-		got := conc.CDN().DC(region).StatsSnapshot()
+		got := conc.c.DC(region).StatsSnapshot()
 		want := seq.DC(region).StatsSnapshot()
 		if got != want {
 			t.Errorf("DC %v stats = %+v, want %+v", region, got, want)
@@ -151,7 +151,7 @@ func TestConcurrentTotalsMatchOffline(t *testing.T) {
 	wg.Wait()
 
 	for _, region := range timeutil.AllRegions() {
-		got := conc.CDN().DC(region).StatsSnapshot()
+		got := conc.c.DC(region).StatsSnapshot()
 		want := seq.DC(region).StatsSnapshot()
 		if got != want {
 			t.Errorf("DC %v: concurrent totals %+v, want %+v", region, got, want)
@@ -353,7 +353,7 @@ func TestConcurrentServeLinearizable(t *testing.T) {
 		}
 	}
 	for _, region := range timeutil.AllRegions() {
-		got, want := conc.CDN().DC(region).StatsSnapshot(), ref.DC(region).StatsSnapshot()
+		got, want := conc.c.DC(region).StatsSnapshot(), ref.DC(region).StatsSnapshot()
 		if got != want {
 			t.Errorf("DC %v: concurrent stats %+v, sequential %+v", region, got, want)
 		}

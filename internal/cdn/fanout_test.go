@@ -108,7 +108,7 @@ func TestReplayFanoutMatchesReplaySource(t *testing.T) {
 				t.Errorf("%s cell %d: total stats %+v, alone %+v", name, i, got, alone.TotalStats())
 			}
 			for _, region := range timeutil.AllRegions() {
-				if got, want := cdns[i].DC(region).Stats, alone.DC(region).Stats; got != want {
+				if got, want := cdns[i].DC(region).StatsSnapshot(), alone.DC(region).StatsSnapshot(); got != want {
 					t.Errorf("%s cell %d %v: stats %+v, alone %+v", name, i, region, got, want)
 				}
 			}

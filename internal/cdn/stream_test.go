@@ -84,7 +84,7 @@ func TestReplayStreamMatchesSequential(t *testing.T) {
 		t.Errorf("stats differ:\nseq %+v\nstr %+v", seqCDN.TotalStats(), strCDN.TotalStats())
 	}
 	for _, region := range timeutil.AllRegions() {
-		if seqCDN.DC(region).Stats != strCDN.DC(region).Stats {
+		if seqCDN.DC(region).StatsSnapshot() != strCDN.DC(region).StatsSnapshot() {
 			t.Errorf("region %v stats differ", region)
 		}
 	}

@@ -51,9 +51,9 @@ func TestReplayParallelOfMergedStreamMatchesSequential(t *testing.T) {
 		t.Errorf("total stats differ:\nseq %+v\npar %+v", seqCDN.TotalStats(), parCDN.TotalStats())
 	}
 	for _, region := range timeutil.AllRegions() {
-		if seqCDN.DC(region).Stats != parCDN.DC(region).Stats {
+		if seqCDN.DC(region).StatsSnapshot() != parCDN.DC(region).StatsSnapshot() {
 			t.Errorf("region %v stats differ:\nseq %+v\npar %+v",
-				region, seqCDN.DC(region).Stats, parCDN.DC(region).Stats)
+				region, seqCDN.DC(region).StatsSnapshot(), parCDN.DC(region).StatsSnapshot())
 		}
 	}
 }

@@ -63,11 +63,11 @@ type Config struct {
 	MaxInflight int
 	// Regions, when non-empty, scopes the edge to those DCs: object
 	// requests for any other region are refused with 421 Misdirected
-	// Request (counted in edge_misrouted_total) and /stats reports only
-	// the owned DCs. Empty serves every region — the single-process
-	// default. A fleet runs one scoped edge per DC behind a router that
-	// owns the region mapping; the 421 makes a routing bug loud instead
-	// of silently double-counting a DC on two backends.
+	// Request (counted in edge_misrouted_total). Empty serves every
+	// region — the single-process default. A fleet runs one scoped edge
+	// per DC behind a router that owns the region mapping; the 421 makes
+	// a routing bug loud instead of silently double-counting a DC on two
+	// backends.
 	Regions []timeutil.Region
 	// Name identifies this edge on outgoing fill requests
 	// (X-TS-Fill-From) so a shield probing peers on its behalf skips the
@@ -85,8 +85,8 @@ type Config struct {
 	// redirects followed); nil builds a pooled transport.
 	FillTransport http.RoundTripper
 	// Metrics holds the edge's counters, latency histogram and inflight
-	// gauge, which /stats, FillStats and /metrics read; nil gives the
-	// edge a registry of its own.
+	// gauge, which FillStats and /metrics read; nil gives the edge a
+	// registry of its own.
 	Metrics *obs.Registry
 	// SLO, if set, receives every request into its rolling windows and
 	// powers the /slo endpoint and the ts_slo_* gauges on /metrics. nil
@@ -128,19 +128,10 @@ type Server struct {
 	// Fill hierarchy: misses resolve through the shield when
 	// cfg.ShieldURL is set (requesting side, deduped by fillSF); the
 	// /fill/ endpoint and its counters are always live (serving side).
-	fillSF          cdn.SingleFlight
-	fillHeader      http.Header // read-only: every fill request shares it
-	fillPeer        *obs.Counter
-	fillOrigin      *obs.Counter
-	fillDedup       *obs.Counter
-	fillPeerBytes   *obs.Counter
-	fillOriginBytes *obs.Counter
-	fillDedupBytes  *obs.Counter
-	fillErrors      *obs.Counter
-	fillReqs        *obs.Counter
-	fillHits        *obs.Counter
-	fillMisses      *obs.Counter
-	fillServedBytes *obs.Counter
+	fillSF     cdn.SingleFlight
+	fillHeader http.Header // read-only: every fill request shares it
+	fillCount  [numFillCounters]*obs.Counter
+	fillMisses *obs.Counter
 
 	// SLO trackers, resolved once at construction so the hot path is a
 	// nil check plus atomic adds. sloRegion is indexed by
@@ -248,17 +239,10 @@ func New(cfg Config) (*Server, error) {
 	s.bodyBytes = reg.Counter("edge_body_bytes_total")
 	s.inflightG = reg.Gauge("edge_inflight")
 	s.latency = reg.Histogram("edge_request_seconds", obs.ExpBuckets(50e-6, 2, 22))
-	s.fillPeer = reg.Counter("edge_peer_fills_total")
-	s.fillOrigin = reg.Counter("edge_origin_fills_total")
-	s.fillDedup = reg.Counter("edge_fill_dedup_total")
-	s.fillPeerBytes = reg.Counter("edge_peer_fill_bytes_total")
-	s.fillOriginBytes = reg.Counter("edge_origin_fill_bytes_total")
-	s.fillDedupBytes = reg.Counter("edge_dedup_fill_bytes_total")
-	s.fillErrors = reg.Counter("edge_fill_errors_total")
-	s.fillReqs = reg.Counter("edge_fill_requests_total")
-	s.fillHits = reg.Counter("edge_fill_hits_total")
+	for i, family := range fillFamilies {
+		s.fillCount[i] = reg.Counter(family)
+	}
 	s.fillMisses = reg.Counter("edge_fill_misses_total")
-	s.fillServedBytes = reg.Counter("edge_fill_served_bytes_total")
 	if cfg.SLO != nil {
 		s.sloGlobal = cfg.SLO.Global()
 		for _, r := range timeutil.AllRegions() {
@@ -272,15 +256,13 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Handler returns the server's HTTP handler: /o/... serves objects,
-// /stats reports live per-DC counters as JSON, /healthz answers "ok"
-// (503 "draining" once graceful drain begins), /metrics renders the
-// registry plus ts_slo_* gauges in Prometheus text format, /slo the SLO
-// compliance report as JSON, and /debug/trace the sampled trace-event
-// ring. Object and fill paths are dispatched by prefix before the
+// /healthz answers "ok" (503 "draining" once graceful drain begins),
+// /metrics renders the registry — every counter of the edge and its CDN —
+// plus ts_slo_* gauges in Prometheus text format, /slo the SLO compliance
+// report as JSON, and /debug/trace the sampled trace-event ring. Object and fill paths are dispatched by prefix before the
 // ServeMux: its prefix patterns cost every request three allocations.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/slo", s.handleSLO)
@@ -487,14 +469,14 @@ func (s *Server) handleObject(w http.ResponseWriter, req *http.Request) {
 			case shared || res.Deduped:
 				// This request rode another's in-flight resolution: its
 				// bytes never cost the origin anything extra.
-				s.fillDedup.Inc()
-				s.fillDedupBytes.Add(fillBytes(out))
+				s.fillCount[dedupFills].Inc()
+				s.fillCount[dedupFillBytes].Add(fillBytes(out))
 			case res.Source == cdn.FillPeer:
-				s.fillPeer.Inc()
-				s.fillPeerBytes.Add(res.Bytes)
+				s.fillCount[peerFills].Inc()
+				s.fillCount[peerFillBytes].Add(res.Bytes)
 			default:
-				s.fillOrigin.Inc()
-				s.fillOriginBytes.Add(res.Bytes)
+				s.fillCount[originFills].Inc()
+				s.fillCount[originFillBytes].Add(res.Bytes)
 			}
 			if req.Context().Err() != nil {
 				s.cancelled.Inc()
@@ -557,32 +539,6 @@ func OriginDelay(latency time.Duration, bandwidth, n int64) time.Duration {
 // serving n logical bytes.
 func (s *Server) originDelay(n int64) time.Duration {
 	return OriginDelay(s.cfg.OriginLatency, s.cfg.OriginBandwidth, n)
-}
-
-// StatsReply is the /stats JSON document.
-type StatsReply struct {
-	Total    cdn.DCStats            `json:"total"`
-	HitRatio float64                `json:"hit_ratio"`
-	PerDC    map[string]cdn.DCStats `json:"per_dc"`
-	Fill     FillStats              `json:"fill"`
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	// Atomic snapshots, not a lock: /stats never stalls the serve path.
-	// Total is summed from the same per-field atomics, so a reply is
-	// internally consistent up to requests that complete mid-snapshot.
-	total := s.cdn.TotalStats()
-	perDC := map[string]cdn.DCStats{}
-	for _, r := range timeutil.AllRegions() {
-		if !s.owned[r] {
-			continue // a scoped edge reports only the DCs it owns
-		}
-		if dc := s.cdn.CDN().DC(r); dc != nil {
-			perDC[r.String()] = dc.StatsSnapshot()
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(StatsReply{Total: total, HitRatio: total.HitRatio(), PerDC: perDC, Fill: s.FillStats()})
 }
 
 // ListenConfig configures the networked serving loop.

@@ -2,12 +2,12 @@ package edge
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -93,12 +93,15 @@ func TestParseRequestRejectsBadInput(t *testing.T) {
 	}
 }
 
+// newTestServer builds an edge from cfg; without a CDN it gets a 64 MiB
+// LRU one counting into cfg.Metrics, as tsserve's does.
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	if cfg.CDN == nil {
 		cfg.CDN = cdn.New(cdn.Config{
 			NewCache:   func() cdn.Cache { return cdn.NewLRU(64 << 20) },
 			ChunkBytes: -1,
+			Metrics:    cfg.Metrics,
 		})
 	}
 	s, err := New(cfg)
@@ -287,8 +290,10 @@ func TestLoadShedding(t *testing.T) {
 	}
 }
 
+// TestStatsEndpoint: /metrics is the edge's stats page, and its
+// cdn_*{dc} series read back as the DCs' DCStats.
 func TestStatsEndpoint(t *testing.T) {
-	s := newTestServer(t, Config{})
+	s := newTestServer(t, Config{Metrics: obs.NewRegistry()})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -298,25 +303,45 @@ func TestStatsEndpoint(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-	resp, err := http.Get(ts.URL + "/stats")
+	page := scrape(t, ts.URL)
+	var total cdn.DCStats
+	for _, r := range timeutil.AllRegions() {
+		total.Add(cdn.ReadStats(r, page))
+	}
+	if total.Requests != 1 || total != s.TotalStats() {
+		t.Errorf("page total %+v, want 1 request and the CDN's %+v", total, s.TotalStats())
+	}
+	if dc := cdn.ReadStats(timeutil.RegionEurope, page); dc.Requests != 1 {
+		t.Errorf("europe requests = %d, want 1 (got %+v)", dc.Requests, dc)
+	}
+}
+
+// scrape GETs base's /metrics page and returns a reader of its series,
+// by name and labels as the page prints them (0 for an absent one).
+func scrape(t *testing.T, base string) func(series string) int64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var reply struct {
-		Total    cdn.DCStats            `json:"total"`
-		HitRatio float64                `json:"hit_ratio"`
-		PerDC    map[string]cdn.DCStats `json:"per_dc"`
+	page, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d, %v", resp.StatusCode, err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		t.Fatal(err)
+	values := map[string]int64{}
+	for _, line := range strings.Split(string(page), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		f, err := strconv.ParseFloat(line[sp+1:], 64)
+		if sp < 0 || err != nil {
+			t.Fatalf("/metrics line %q: %v", line, err)
+		}
+		values[line[:sp]] = int64(f)
 	}
-	if reply.Total.Requests != 1 {
-		t.Errorf("total.requests = %d, want 1", reply.Total.Requests)
-	}
-	if dc := reply.PerDC[timeutil.RegionEurope.String()]; dc.Requests != 1 {
-		t.Errorf("per_dc[Europe].requests = %d, want 1 (got %+v)", dc.Requests, reply.PerDC)
-	}
+	return func(series string) int64 { return values[series] }
 }
 
 func TestGracefulDrain(t *testing.T) {
@@ -603,24 +628,16 @@ func TestScopedEdgeRefusesForeignRegions(t *testing.T) {
 		t.Errorf("edge_misrouted_total = %d, want 1", got)
 	}
 
-	// /stats reports only the owned DC.
-	resp, err = http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reply struct {
-		PerDC map[string]cdn.DCStats `json:"per_dc"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&reply)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reply.PerDC) != 1 {
-		t.Errorf("scoped /stats reports %d DCs, want 1: %v", len(reply.PerDC), reply.PerDC)
-	}
-	if dc := reply.PerDC[timeutil.RegionEurope.String()]; dc.Requests != 1 {
-		t.Errorf("per_dc[europe].requests = %d, want 1", dc.Requests)
+	// /metrics counts the request in the owned DC alone.
+	page := scrape(t, ts.URL)
+	for _, r := range timeutil.AllRegions() {
+		want := int64(0)
+		if r == timeutil.RegionEurope {
+			want = 1
+		}
+		if dc := cdn.ReadStats(r, page); dc.Requests != want {
+			t.Errorf("%v requests = %d on /metrics, want %d", r, dc.Requests, want)
+		}
 	}
 }
 

@@ -30,44 +30,78 @@ import (
 // Config.FillTimeout is zero.
 const DefaultFillTimeout = 5 * time.Second
 
-// FillStats is the /stats "fill" section: where this edge's misses were
-// filled from (requesting side) and what it served to peers (serving
-// side). All fields are monotonic counters, so per-backend documents sum
-// field-wise into a cluster view.
+// FillStats is the fill section of an edge's counters: where its misses
+// were filled from (requesting side) and what it served to peers (serving
+// side). Every field is a monotonic counter on /metrics (edge_*fill*), so
+// edges' pages sum series-wise into a cluster view that ReadFillStats
+// reads back.
 type FillStats struct {
 	// Requesting side: one of PeerFills/OriginFills/DedupFills is counted
 	// per filled miss.
-	PeerFills   int64 `json:"peer_fills"`
-	OriginFills int64 `json:"origin_fills"`
-	DedupFills  int64 `json:"dedup_fills"`
+	PeerFills   int64
+	OriginFills int64
+	DedupFills  int64
 	// PeerFillBytes/OriginFillBytes are the logical bytes the fill moved;
 	// DedupFillBytes are bytes a deduped request wanted but that rode an
 	// already-in-flight fetch. Origin egress is OriginFillBytes alone.
-	PeerFillBytes   int64 `json:"peer_fill_bytes"`
-	OriginFillBytes int64 `json:"origin_fill_bytes"`
-	DedupFillBytes  int64 `json:"dedup_fill_bytes"`
+	PeerFillBytes   int64
+	OriginFillBytes int64
+	DedupFillBytes  int64
 	// FillErrors counts shield attempts that failed (transport, status
 	// or a reply naming no source); the miss still resolves, from the
 	// local origin.
-	FillErrors int64 `json:"fill_errors"`
+	FillErrors int64
 	// Serving side: /fill/ requests answered for peers.
-	ServedRequests int64 `json:"served_requests"`
-	ServedHits     int64 `json:"served_hits"`
-	ServedBytes    int64 `json:"served_bytes"`
+	ServedRequests int64
+	ServedHits     int64
+	ServedBytes    int64
+}
+
+// The fill counters, indices into Server.fillCount in FillStats field
+// order.
+const (
+	peerFills = iota
+	originFills
+	dedupFills
+	peerFillBytes
+	originFillBytes
+	dedupFillBytes
+	fillErrors
+	servedRequests
+	servedHits
+	servedBytes
+	numFillCounters
+)
+
+// fillFamilies names the counter family behind each FillStats field.
+var fillFamilies = [numFillCounters]string{
+	"edge_peer_fills_total", "edge_origin_fills_total", "edge_fill_dedup_total",
+	"edge_peer_fill_bytes_total", "edge_origin_fill_bytes_total", "edge_dedup_fill_bytes_total",
+	"edge_fill_errors_total", "edge_fill_requests_total", "edge_fill_hits_total", "edge_fill_served_bytes_total",
+}
+
+// fields points at f's fields in counter order.
+func (f *FillStats) fields() [numFillCounters]*int64 {
+	return [...]*int64{&f.PeerFills, &f.OriginFills, &f.DedupFills, &f.PeerFillBytes, &f.OriginFillBytes,
+		&f.DedupFillBytes, &f.FillErrors, &f.ServedRequests, &f.ServedHits, &f.ServedBytes}
+}
+
+// ReadFillStats reads FillStats through value, which returns one
+// counter's value given its family name: how a reader of a fleet's
+// merged /metrics page gets back the sum of every edge's FillStats.
+func ReadFillStats(value func(family string) int64) (f FillStats) {
+	for i, field := range f.fields() {
+		*field = value(fillFamilies[i])
+	}
+	return f
 }
 
 // Add sums src into f field-wise (the cluster-merge operation).
 func (f *FillStats) Add(src FillStats) {
-	f.PeerFills += src.PeerFills
-	f.OriginFills += src.OriginFills
-	f.DedupFills += src.DedupFills
-	f.PeerFillBytes += src.PeerFillBytes
-	f.OriginFillBytes += src.OriginFillBytes
-	f.DedupFillBytes += src.DedupFillBytes
-	f.FillErrors += src.FillErrors
-	f.ServedRequests += src.ServedRequests
-	f.ServedHits += src.ServedHits
-	f.ServedBytes += src.ServedBytes
+	from := src.fields()
+	for i, field := range f.fields() {
+		*field += *from[i]
+	}
 }
 
 // SavedBytes is the headline number: origin egress avoided, i.e. bytes
@@ -94,19 +128,11 @@ func Summary(who string, total cdn.DCStats, fill FillStats) string {
 
 // FillStats snapshots the edge's fill counters (atomic reads, safe while
 // traffic is in flight).
-func (s *Server) FillStats() FillStats {
-	return FillStats{
-		PeerFills:       s.fillPeer.Value(),
-		OriginFills:     s.fillOrigin.Value(),
-		DedupFills:      s.fillDedup.Value(),
-		PeerFillBytes:   s.fillPeerBytes.Value(),
-		OriginFillBytes: s.fillOriginBytes.Value(),
-		DedupFillBytes:  s.fillDedupBytes.Value(),
-		FillErrors:      s.fillErrors.Value(),
-		ServedRequests:  s.fillReqs.Value(),
-		ServedHits:      s.fillHits.Value(),
-		ServedBytes:     s.fillServedBytes.Value(),
+func (s *Server) FillStats() (f FillStats) {
+	for i, field := range f.fields() {
+		*field = s.fillCount[i].Value()
 	}
+	return f
 }
 
 // fillBytes is the logical byte count a fill for r moves: the whole
@@ -135,7 +161,7 @@ func (s *Server) handleFill(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	s.fillReqs.Inc()
+	s.fillCount[servedRequests].Inc()
 	sc := scratchPool.Get().(*serveScratch)
 	defer scratchPool.Put(sc)
 	if err := ParseFillRequestInto(req, &sc.rec); err != nil {
@@ -155,8 +181,8 @@ func (s *Server) handleFill(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	n := fillBytes(&sc.rec)
-	s.fillHits.Inc()
-	s.fillServedBytes.Add(n)
+	s.fillCount[servedHits].Inc()
+	s.fillCount[servedBytes].Add(n)
 	h := w.Header()
 	h[HeaderCache] = cacheValues[trace.CacheHit]
 	h[HeaderFillSource] = peerSource
@@ -204,7 +230,7 @@ func (s *Server) fetchFill(r *trace.Record) cdn.FillResult {
 	if res, ok := s.askShield(r, n); ok {
 		return res
 	}
-	s.fillErrors.Inc()
+	s.fillCount[fillErrors].Inc()
 	// Local origin simulation: an uninterruptible sleep by design — the
 	// leader's fill completes for whoever shares it.
 	if d := s.originDelay(n); d > 0 {

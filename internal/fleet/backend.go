@@ -2,9 +2,9 @@
 // tsserve processes into one logical CDN cluster. A Router maps object
 // requests to the backend owning their region (consistent-hashed when a
 // region has several backends) and proxies them there, with
-// /healthz-driven failover; a Collector polls every backend's /stats,
-// /slo and /metrics and serves merged cluster views on the same
-// endpoints so tsgate and dashboards see one server. Launch
+// /healthz-driven failover; a Collector polls every backend's /slo and
+// /metrics and serves merged cluster views on the same endpoints so
+// tsgate and dashboards see one server. Launch
 // hosts the whole topology in one process, every tier on its own
 // listener, for tscluster and the e2e tests.
 //

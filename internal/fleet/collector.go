@@ -15,28 +15,34 @@ import (
 	"trafficscope/internal/edge"
 	"trafficscope/internal/obs"
 	"trafficscope/internal/obs/slo"
+	"trafficscope/internal/timeutil"
 )
 
-// ClusterStats is the collector's merged /stats document: the same
-// shape tsload and scripts already read from a single edge, extended
-// with per-backend rows and poll metadata. Per-DC entries from several
-// backends (a region split across two processes) sum field-wise.
-type ClusterStats struct {
-	Total    cdn.DCStats            `json:"total"`
-	HitRatio float64                `json:"hit_ratio"`
-	PerDC    map[string]cdn.DCStats `json:"per_dc"`
-	// Backends maps backend name to its own aggregate counters.
-	Backends map[string]cdn.DCStats `json:"backends"`
-	// Fill sums every backend's fill section: where the cluster's misses
-	// were filled from. Fill.OriginFillBytes is the cluster's actual
-	// origin egress; Fill.SavedBytes() is what the fill hierarchy saved.
-	Fill edge.FillStats `json:"fill"`
-	// Unreachable lists backends the last poll could not read, in name
-	// order. Their traffic is missing from the merged numbers.
-	Unreachable []string `json:"unreachable,omitempty"`
-	// AsOf is when the merged snapshot was assembled.
-	AsOf time.Time `json:"as_of"`
+// Merged is the collector's last poll read back as numbers.
+type Merged struct {
+	// Series holds every series of the merged /metrics page, keyed by
+	// name and labels as the page prints them.
+	Series map[string]float64
+	// Unreachable lists backends the poll could not read, in name order.
+	// Their traffic is missing from Series.
+	Unreachable []string
 }
+
+// Counter returns one series' value, 0 when the page lacks it.
+func (m Merged) Counter(series string) int64 { return int64(m.Series[series]) }
+
+// CDN sums every DC's cdn_*{dc} counters into the cluster's totals.
+func (m Merged) CDN() (total cdn.DCStats) {
+	for _, r := range timeutil.AllRegions() {
+		total.Add(cdn.ReadStats(r, m.Counter))
+	}
+	return total
+}
+
+// Fill reads the edges' summed edge_*fill* counters: where the cluster's
+// misses were filled from. Fill().OriginFillBytes is the cluster's actual
+// origin egress; Fill().SavedBytes() is what the fill hierarchy saved.
+func (m Merged) Fill() edge.FillStats { return edge.ReadFillStats(m.Counter) }
 
 // CollectorConfig configures a cluster stats Collector.
 type CollectorConfig struct {
@@ -53,22 +59,22 @@ type CollectorConfig struct {
 // CollectorConfig.Interval is zero.
 const DefaultCollectInterval = time.Second
 
-// collectTimeout bounds one backend poll (all three endpoints together).
+// collectTimeout bounds one backend poll (both endpoints together).
 const collectTimeout = 5 * time.Second
 
 // maxPollBytes caps each reply the collector reads: over 100x the 7.3 KiB
-// /metrics, 5.6 KiB /slo and 0.7 KiB /stats of an unscoped edge with an
-// SLO policy. A longer reply makes its backend unreachable for the poll.
+// /metrics and 5.6 KiB /slo of an unscoped edge with an SLO policy. A
+// longer reply makes its backend unreachable for the poll.
 const maxPollBytes = 1 << 20
 
-// Collector polls every backend's /stats, /slo and /metrics and serves
-// merged cluster views on the same endpoints: tsgate judges the whole
-// cluster through the collector exactly as it would one tsserve.
+// Collector polls every backend's /slo and /metrics and serves merged
+// cluster views on the same endpoints: tsgate judges the whole cluster
+// through the collector exactly as it would one tsserve.
 //
 // Consistency: each backend is polled at a slightly different instant
 // and backends keep serving between polls, so merged views are
 // weakly consistent snapshots, the same contract a single live server's
-// /stats already has. After traffic stops, the next poll converges on
+// /metrics already has. After traffic stops, the next poll converges on
 // exact totals.
 type Collector struct {
 	cfg CollectorConfig
@@ -77,7 +83,7 @@ type Collector struct {
 
 	mu      sync.RWMutex
 	polled  bool // at least one poll completed
-	stats   ClusterStats
+	merged  Merged
 	slo     slo.Report
 	sloErr  error
 	metrics []byte
@@ -119,13 +125,12 @@ func (c *Collector) Run(ctx context.Context) {
 // backendPoll is one backend's fetched state.
 type backendPoll struct {
 	backend *Backend
-	stats   edge.StatsReply
 	slo     slo.Report
-	metrics []byte
+	metrics *promMerger // the parsed /metrics page
 	err     error
 }
 
-// PollOnce fetches every backend's /stats, /slo and /metrics once and
+// PollOnce fetches every backend's /slo and /metrics once and
 // rebuilds the merged views. Unreachable backends are recorded, not
 // fatal: the cluster view degrades to the reachable subset.
 func (c *Collector) PollOnce(ctx context.Context) {
@@ -142,37 +147,31 @@ func (c *Collector) PollOnce(ctx context.Context) {
 	}
 	wg.Wait()
 
-	merged := ClusterStats{
-		PerDC:    map[string]cdn.DCStats{},
-		Backends: map[string]cdn.DCStats{},
-		AsOf:     time.Now().UTC(),
-	}
+	var unreachable []string
 	var reports []slo.Report
-	var pages [][]byte
+	metrics := newPromMerger()
 	for _, p := range polls {
 		if p.err != nil {
-			merged.Unreachable = append(merged.Unreachable, p.backend.Name)
+			unreachable = append(unreachable, p.backend.Name)
 			c.logf("fleet: collector: backend %s unreachable: %v", p.backend.Name, p.err)
 			continue
 		}
-		merged.Total.Add(p.stats.Total)
-		merged.Fill.Add(p.stats.Fill)
-		merged.Backends[p.backend.Name] = p.stats.Total
-		for dc, st := range p.stats.PerDC {
-			sum := merged.PerDC[dc]
-			sum.Add(st)
-			merged.PerDC[dc] = sum
-		}
 		reports = append(reports, p.slo)
-		pages = append(pages, p.metrics)
+		metrics.merge(p.metrics)
 	}
 	for _, reg := range c.local {
 		var buf bytes.Buffer
 		reg.WritePrometheus(&buf)
-		pages = append(pages, buf.Bytes())
+		page, err := parsePage(buf.Bytes())
+		if err != nil {
+			c.logf("fleet: collector: front tier metrics: %v", err)
+			continue
+		}
+		metrics.merge(page)
 	}
-	sort.Strings(merged.Unreachable)
-	merged.HitRatio = merged.Total.HitRatio()
+	sort.Strings(unreachable)
+	var page bytes.Buffer
+	metrics.render(&page)
 
 	var mergedSLO slo.Report
 	var sloErr error
@@ -181,33 +180,20 @@ func (c *Collector) PollOnce(ctx context.Context) {
 	} else {
 		sloErr = fmt.Errorf("fleet: no backend reachable")
 	}
-	mergedMetrics, metricsErr := MergePrometheus(pages...)
-	if metricsErr != nil {
-		c.logf("fleet: collector: metrics merge: %v", metricsErr)
-		mergedMetrics = nil
-	}
 	if sloErr != nil {
 		c.logf("fleet: collector: slo merge: %v", sloErr)
 	}
 
 	c.mu.Lock()
 	c.polled = true
-	c.stats = merged
+	c.merged = Merged{Series: metrics.values, Unreachable: unreachable}
 	c.slo, c.sloErr = mergedSLO, sloErr
-	c.metrics = mergedMetrics
+	c.metrics = page.Bytes()
 	c.mu.Unlock()
 }
 
 func (c *Collector) pollBackend(ctx context.Context, b *Backend) backendPoll {
 	p := backendPoll{backend: b}
-	statsBody, err := c.get(ctx, b.URL+"/stats")
-	if err != nil {
-		p.err = err
-		return p
-	}
-	if p.err = json.Unmarshal(statsBody, &p.stats); p.err != nil {
-		return p
-	}
 	sloBody, err := c.get(ctx, b.URL+"/slo")
 	if err != nil {
 		p.err = err
@@ -216,7 +202,12 @@ func (c *Collector) pollBackend(ctx context.Context, b *Backend) backendPoll {
 	if p.err = json.Unmarshal(sloBody, &p.slo); p.err != nil {
 		return p
 	}
-	p.metrics, p.err = c.get(ctx, b.URL+"/metrics")
+	page, err := c.get(ctx, b.URL+"/metrics")
+	if err != nil {
+		p.err = err
+		return p
+	}
+	p.metrics, p.err = parsePage(page)
 	return p
 }
 
@@ -249,12 +240,12 @@ func (c *Collector) logf(format string, args ...any) {
 	}
 }
 
-// Stats returns the latest merged cluster stats and whether a poll has
+// Merged returns the latest poll's merged series and whether a poll has
 // completed yet.
-func (c *Collector) Stats() (ClusterStats, bool) {
+func (c *Collector) Merged() (Merged, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.stats, c.polled
+	return c.merged, c.polled
 }
 
 // SLOReport returns the latest merged SLO report.
@@ -267,20 +258,10 @@ func (c *Collector) SLOReport() (slo.Report, error) {
 	return c.slo, c.sloErr
 }
 
-// Register mounts the merged cluster views on mux: /stats, /slo and
-// /metrics, shape-compatible with a single edge's endpoints. Before the
-// first completed poll all three answer 503 so a gate never judges an
-// empty view.
+// Register mounts the merged cluster views on mux: /slo and /metrics,
+// shape-compatible with a single edge's endpoints. Before the first
+// completed poll both answer 503 so a gate never judges an empty view.
 func (c *Collector) Register(mux *http.ServeMux) {
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
-		stats, ok := c.Stats()
-		if !ok {
-			http.Error(w, "collector warming up", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(stats)
-	})
 	mux.HandleFunc("/slo", func(w http.ResponseWriter, _ *http.Request) {
 		rep, err := c.SLOReport()
 		if err != nil {

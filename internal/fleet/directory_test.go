@@ -195,11 +195,9 @@ func TestShieldPeerFillsMatchOracle(t *testing.T) {
 		t.Skip("replays a few thousand records over HTTP")
 	}
 	recs := e2eTrace(t)
-	newCDN := func() *cdn.CDN {
-		return cdn.New(cdn.Config{NewCache: func() cdn.Cache { return cdn.NewLRU(64 << 20) }})
-	}
+	edgeCDN := cdn.Config{NewCache: func() cdn.Cache { return cdn.NewLRU(64 << 20) }}
 
-	oracle := newCDN()
+	oracle := cdn.New(edgeCDN)
 	var misses, peerFills, exhaustive int64
 	var out trace.Record
 	for _, r := range recs {
@@ -221,7 +219,7 @@ func TestShieldPeerFillsMatchOracle(t *testing.T) {
 		}
 	}
 
-	fl := launchE2EWith(t, true, newCDN)
+	fl := launchE2EWith(t, true, edgeCDN)
 	st, err := loadgen.Run(context.Background(), loadgen.Config{Target: fl.URL, Workers: 1}, trace.NewSliceReader(recs))
 	if err != nil {
 		t.Fatal(err)

@@ -20,16 +20,16 @@ import (
 	"trafficscope/internal/trace"
 )
 
-// mkE2ECDN builds the order-insensitive CDN config both sides of the
+// e2eCDN is the order-insensitive CDN config both sides of the
 // equivalence test share: caches too large to evict and whole-object
 // caching, so per-DC totals are independent of request interleaving
 // (see loadgen's TestLiveReplayConcurrentMatchesPerDCTotals for why).
-func mkE2ECDN() *cdn.CDN {
-	return cdn.New(cdn.Config{
-		NewCache:   func() cdn.Cache { return cdn.NewLRU(16 << 30) },
-		ChunkBytes: -1,
-	})
+var e2eCDN = cdn.Config{
+	NewCache:   func() cdn.Cache { return cdn.NewLRU(16 << 30) },
+	ChunkBytes: -1,
 }
+
+func mkE2ECDN() *cdn.CDN { return cdn.New(e2eCDN) }
 
 // e2ePolicy carries generous thresholds: the e2e asserts the merged
 // cluster /slo is gateable (tsgate would exit 0), not that this machine
@@ -62,31 +62,34 @@ type e2eFleet struct {
 func (f *e2eFleet) region(i int) timeutil.Region { return f.Edges[i].Backend.Regions[0] }
 
 // launchE2E launches one region-scoped edge per trace region, each with
-// its own CDN, metrics registry and SLO engine, behind a front tier with
+// its own CDN and SLO engine and one metrics registry for both (as
+// tsserve builds them), behind a front tier with
 // the default router; shield routes every edge's miss path through an origin
 // shield there (`tscluster -shield`). The collector polls at launch and
 // at Shutdown only, so a test's own PollOnce is the last word.
 func launchE2E(t *testing.T, shield bool) *e2eFleet {
 	t.Helper()
-	return launchE2EWith(t, shield, mkE2ECDN)
+	return launchE2EWith(t, shield, e2eCDN)
 }
 
-// launchE2EWith is launchE2E with every edge's CDN built by newCDN.
-func launchE2EWith(t *testing.T, shield bool, newCDN func() *cdn.CDN) *e2eFleet {
+// launchE2EWith is launchE2E with every edge's CDN built from cdnCfg.
+func launchE2EWith(t *testing.T, shield bool, cdnCfg cdn.Config) *e2eFleet {
 	t.Helper()
 	f := &e2eFleet{}
 	cfg := LaunchConfig{
 		Router:    RouterConfig{Logf: t.Logf},
 		Collector: CollectorConfig{Interval: time.Hour, Logf: t.Logf},
 		NewEdge: func(regions []timeutil.Region, name, shieldURL string) (*edge.Server, error) {
-			network := newCDN()
+			cfg := cdnCfg
+			cfg.Metrics = obs.NewRegistry()
+			network := cdn.New(cfg)
 			f.cdns = append(f.cdns, network)
 			return edge.New(edge.Config{
 				CDN:       network,
 				Regions:   regions,
 				Name:      name,
 				ShieldURL: shieldURL,
-				Metrics:   obs.NewRegistry(),
+				Metrics:   cfg.Metrics,
 				SLO:       slo.NewEngine(e2ePolicy(t), name),
 			})
 		},
@@ -144,7 +147,7 @@ func e2eTrace(t *testing.T) []*trace.Record {
 // acceptance test: tsload-style replay through a proxying router over
 // four single-DC backends must produce per-DC totals identical to an
 // offline CDN.Replay of the same records, and the collector's merged
-// /stats and /slo must present the cluster as one gateable server.
+// /metrics and /slo must present the cluster as one gateable server.
 func TestRouterReplayMatchesOfflinePerDC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays a few thousand records over HTTP")
@@ -185,28 +188,23 @@ func TestRouterReplayMatchesOfflinePerDC(t *testing.T) {
 	}
 
 	// The collector must reassemble the same numbers into one cluster
-	// view, reachable over the router's own /stats.
+	// view, reachable over the router's own /metrics.
 	fl.Front.Collector.PollOnce(context.Background())
-	stats, ok := fl.Front.Collector.Stats()
+	merged, ok := fl.Front.Collector.Merged()
 	if !ok {
 		t.Fatal("collector has not polled")
 	}
-	if len(stats.Unreachable) != 0 {
-		t.Fatalf("unreachable backends: %v", stats.Unreachable)
+	if len(merged.Unreachable) != 0 {
+		t.Fatalf("unreachable backends: %v", merged.Unreachable)
 	}
-	if stats.Total != offline.TotalStats() {
-		t.Errorf("merged cluster total %+v, want offline %+v", stats.Total, offline.TotalStats())
+	if merged.CDN() != offline.TotalStats() {
+		t.Errorf("merged cluster total %+v, want offline %+v", merged.CDN(), offline.TotalStats())
 	}
+	page := getPage(t, fl.URL+"/metrics")
 	for _, r := range timeutil.AllRegions() {
-		if got, want := stats.PerDC[r.String()], offline.DC(r).StatsSnapshot(); got != want {
-			t.Errorf("merged per-DC %v: %+v, want %+v", r, got, want)
+		if got, want := cdn.ReadStats(r, pageReader(t, page)), offline.DC(r).StatsSnapshot(); got != want {
+			t.Errorf("merged /metrics cdn_*_total{dc=%q}: %+v, want %+v", r, got, want)
 		}
-	}
-
-	var overHTTP ClusterStats
-	getJSON(t, fl.URL+"/stats", &overHTTP)
-	if overHTTP.Total != offline.TotalStats() {
-		t.Errorf("/stats over HTTP total %+v, want %+v", overHTTP.Total, offline.TotalStats())
 	}
 
 	// tsgate compatibility: the merged /slo must parse as a single
@@ -230,22 +228,40 @@ func TestRouterReplayMatchesOfflinePerDC(t *testing.T) {
 		}
 	}
 
-	// The merged /metrics page serves the summed backend series, the
-	// router's own counters and re-derived cluster SLO gauges.
-	resp, err := http.Get(fl.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	page, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/metrics status %d, want 200", resp.StatusCode)
-	}
+	// The merged /metrics page also serves the summed edge series and
+	// the router's own counters.
 	if v, ok := seriesValue(page, "edge_requests_total"); !ok || v != float64(liveTotal.Requests) {
 		t.Errorf("merged edge_requests_total = %v (present %v), want the edges' %d", v, ok, liveTotal.Requests)
 	}
 	if _, ok := seriesValue(page, "fleet_requests_total"); !ok {
 		t.Errorf("merged /metrics lacks the router's fleet_requests_total:\n%s", page)
+	}
+}
+
+// getPage GETs a Prometheus text page and requires a 200.
+func getPage(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, %v", url, resp.StatusCode, err)
+	}
+	return page
+}
+
+// pageReader reads page's series for cdn.ReadStats and
+// edge.ReadFillStats; a series the page lacks fails the test.
+func pageReader(t *testing.T, page []byte) func(series string) int64 {
+	return func(series string) int64 {
+		v, ok := seriesValue(page, series)
+		if !ok {
+			t.Errorf("page lacks %s", series)
+		}
+		return int64(v)
 	}
 }
 

@@ -125,7 +125,7 @@ edge_latency_seconds_count 32
 # TYPE ts_slo_error_rate gauge
 ts_slo_error_rate{scope="global"} 0.25
 `)
-	merged, err := MergePrometheus(pageA, pageB)
+	merged, err := mergePrometheus(pageA, pageB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,18 +156,35 @@ ts_slo_error_rate{scope="global"} 0.25
 		t.Errorf("histogram TYPE line not before its series:\n%s", out)
 	}
 
-	if _, err := MergePrometheus([]byte("edge_requests_total notanumber\n")); err == nil {
+	if _, err := mergePrometheus([]byte("edge_requests_total notanumber\n")); err == nil {
 		t.Error("malformed value must error")
 	}
-	if _, err := MergePrometheus([]byte("lonely-token\n")); err == nil {
+	if _, err := mergePrometheus([]byte("lonely-token\n")); err == nil {
 		t.Error("valueless line must error")
 	}
 }
 
+// mergePrometheus parses and merges pages as the collector does and
+// renders the result.
+func mergePrometheus(pages ...[]byte) ([]byte, error) {
+	m := newPromMerger()
+	for _, p := range pages {
+		page, err := parsePage(p)
+		if err != nil {
+			return nil, err
+		}
+		m.merge(page)
+	}
+	var buf bytes.Buffer
+	m.render(&buf)
+	return buf.Bytes(), nil
+}
+
 // TestCollectorWarmupAndUnreachable drives the collector against a
 // backend that does not exist: the merged endpoints must answer 503
-// before the first poll, and afterwards /stats must degrade to an empty
-// view that names the unreachable backend while /slo stays 503.
+// before the first poll, and afterwards the merged counters must degrade
+// to an empty view that names the unreachable backend while /slo stays
+// 503.
 func TestCollectorWarmupAndUnreachable(t *testing.T) {
 	b := NewBackend("ghost", "http://127.0.0.1:1", timeutil.RegionEurope)
 	c, err := NewCollector(CollectorConfig{Backends: []*Backend{b}, Logf: t.Logf})
@@ -179,7 +196,7 @@ func TestCollectorWarmupAndUnreachable(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	for _, ep := range []string{"/stats", "/slo", "/metrics"} {
+	for _, ep := range []string{"/slo", "/metrics"} {
 		resp, err := http.Get(ts.URL + ep)
 		if err != nil {
 			t.Fatal(err)
@@ -191,15 +208,15 @@ func TestCollectorWarmupAndUnreachable(t *testing.T) {
 	}
 
 	c.PollOnce(context.Background())
-	stats, ok := c.Stats()
+	merged, ok := c.Merged()
 	if !ok {
 		t.Fatal("PollOnce did not mark the collector polled")
 	}
-	if len(stats.Unreachable) != 1 || stats.Unreachable[0] != "ghost" {
-		t.Errorf("unreachable = %v, want [ghost]", stats.Unreachable)
+	if len(merged.Unreachable) != 1 || merged.Unreachable[0] != "ghost" {
+		t.Errorf("unreachable = %v, want [ghost]", merged.Unreachable)
 	}
-	if stats.Total.Requests != 0 {
-		t.Errorf("total = %+v, want zero", stats.Total)
+	if merged.CDN().Requests != 0 {
+		t.Errorf("total = %+v, want zero", merged.CDN())
 	}
 	if _, err := c.SLOReport(); err == nil {
 		t.Error("SLO report with no reachable backend must error")
@@ -212,8 +229,6 @@ func TestCollectorWarmupAndUnreachable(t *testing.T) {
 func TestCollectorNullScopeAnswers503(t *testing.T) {
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
-		case "/stats":
-			w.Write([]byte(`{}`))
 		case "/slo":
 			w.Write([]byte(`{"interval_seconds":1,"gate_window_seconds":60,"scopes":{"global":null}}`))
 		}
@@ -241,15 +256,61 @@ func TestCollectorNullScopeAnswers503(t *testing.T) {
 	}
 }
 
+// TestCollectorSkipsMalformedPage: a backend whose /metrics does not
+// parse is unreachable for that poll, and the cluster page still carries
+// every other backend's series.
+func TestCollectorSkipsMalformedPage(t *testing.T) {
+	backend := func(page string) *httptest.Server {
+		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/slo":
+				w.Write([]byte(`{"interval_seconds":1,"gate_window_seconds":60,"scopes":{}}`))
+			case "/metrics":
+				w.Write([]byte(page))
+			}
+		}))
+	}
+	good := backend("# TYPE cdn_requests_total counter\n" + `cdn_requests_total{dc="europe"} 7` + "\n")
+	defer good.Close()
+	bad := backend("edge_requests_total notanumber\n")
+	defer bad.Close()
+	c, err := NewCollector(CollectorConfig{Backends: []*Backend{
+		NewBackend("good", good.URL, timeutil.RegionEurope),
+		NewBackend("bad", bad.URL, timeutil.RegionAsia),
+	}, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	c.Register(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	c.PollOnce(context.Background())
+	merged, _ := c.Merged()
+	if len(merged.Unreachable) != 1 || merged.Unreachable[0] != "bad" || merged.CDN().Requests != 7 {
+		t.Errorf("unreachable = %v, total = %+v; want [bad] and the good backend's 7 requests", merged.Unreachable, merged.CDN())
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := `cdn_requests_total{dc="europe"} 7`; resp.StatusCode != http.StatusOK || !strings.Contains(string(page), want) {
+		t.Errorf("/metrics = %d, want 200 carrying %q:\n%s", resp.StatusCode, want, page)
+	}
+}
+
 // TestCollectorCapsReplies: a backend whose reply runs past maxPollBytes
 // is unreachable for that poll, not buffered whole.
 func TestCollectorCapsReplies(t *testing.T) {
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
-		case "/stats":
-			// Valid JSON, padded with whitespace past the cap.
-			w.Write([]byte(`{"total":{"requests":1}}`))
-			pad := bytes.Repeat([]byte(" "), 64<<10)
+		case "/metrics":
+			// A valid page, padded with blank lines past the cap.
+			w.Write([]byte(`cdn_requests_total{dc="europe"} 1` + "\n"))
+			pad := bytes.Repeat([]byte("\n"), 64<<10)
 			for n := 0; n <= maxPollBytes; n += len(pad) {
 				if _, err := w.Write(pad); err != nil {
 					return
@@ -269,9 +330,9 @@ func TestCollectorCapsReplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.PollOnce(context.Background())
-	stats, _ := c.Stats()
-	if len(stats.Unreachable) != 1 || stats.Unreachable[0] != "flood" || stats.Total.Requests != 0 {
-		t.Errorf("unreachable = %v, total = %+v; want [flood] and nothing merged", stats.Unreachable, stats.Total)
+	merged, _ := c.Merged()
+	if len(merged.Unreachable) != 1 || merged.Unreachable[0] != "flood" || merged.CDN().Requests != 0 {
+		t.Errorf("unreachable = %v, total = %+v; want [flood] and nothing merged", merged.Unreachable, merged.CDN())
 	}
 	if log := strings.Join(logged, "\n"); !strings.Contains(log, "flood unreachable") || !strings.Contains(log, "exceeds") {
 		t.Errorf("log %q does not name the backend and the cap", logged)

@@ -93,7 +93,7 @@ func NewFront(mux *http.ServeMux, backends []*Backend, rc RouterConfig, cc Colle
 
 // Stop ends the probes and joins the collector, whose last poll runs on
 // its way out. Called once the front tier's listener has drained and
-// while the backends still answer, it leaves Collector.Stats exact: no
+// while the backends still answer, it leaves Collector.Merged exact: no
 // request is in flight and none is missing.
 func (f *Front) Stop() {
 	f.stopPolls()
@@ -209,7 +209,7 @@ func (f *Fleet) start(ctx context.Context, cfg LaunchConfig) (err error) {
 // Shutdown stops the fleet front to back, so the final numbers are
 // exact: the router drains, the collector takes its last poll of the
 // still-serving edges (Front.Stop), then the edges drain. Afterwards
-// Collector.Stats equals the sum of the edges' own counters. It returns
+// Collector.Merged equals the sum of the edges' own counters. It returns
 // the first tier's serve or drain error, on every call.
 func (f *Fleet) Shutdown() error {
 	f.shutdown.Do(func() {

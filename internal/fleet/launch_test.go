@@ -89,7 +89,7 @@ func FuzzParseGroups(f *testing.F) {
 // request sent and exactly the sum of the edges' own counters, fills
 // included. The collector polls only at launch and on its way out here,
 // so the numbers are right only if Shutdown joins that last poll, after
-// the router has drained and before the edges stop answering /stats.
+// the router has drained and before the edges stop answering /metrics.
 func TestLaunchShutdownTotalsAreExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays a few thousand records over HTTP")
@@ -107,17 +107,17 @@ func TestLaunchShutdownTotalsAreExact(t *testing.T) {
 		total.Add(e.Server.TotalStats())
 		fill.Add(e.Server.FillStats())
 	}
-	stats, _ := fl.Front.Collector.Stats()
-	if len(stats.Unreachable) != 0 {
-		t.Fatalf("last poll could not reach %v", stats.Unreachable)
+	merged, _ := fl.Front.Collector.Merged()
+	if len(merged.Unreachable) != 0 {
+		t.Fatalf("last poll could not reach %v", merged.Unreachable)
 	}
-	if n := int64(len(recs)); stats.Total.Requests != n || total.Requests != n {
-		t.Errorf("collector counted %d requests, edges %d, sent %d", stats.Total.Requests, total.Requests, n)
+	if n := int64(len(recs)); merged.CDN().Requests != n || total.Requests != n {
+		t.Errorf("collector counted %d requests, edges %d, sent %d", merged.CDN().Requests, total.Requests, n)
 	}
-	if stats.Total != total {
-		t.Errorf("collector total %+v != summed edges %+v", stats.Total, total)
+	if merged.CDN() != total {
+		t.Errorf("collector total %+v != summed edges %+v", merged.CDN(), total)
 	}
-	if stats.Fill != fill || fill.Filled() != total.Misses {
-		t.Errorf("collector fill %+v, summed edges %+v, want equal and %d fills", stats.Fill, fill, total.Misses)
+	if merged.Fill() != fill || fill.Filled() != total.Misses {
+		t.Errorf("collector fill %+v, summed edges %+v, want equal and %d fills", merged.Fill(), fill, total.Misses)
 	}
 }

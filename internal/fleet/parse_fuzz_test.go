@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"trafficscope/internal/cdn"
 	"trafficscope/internal/edge"
 	"trafficscope/internal/obs"
 	"trafficscope/internal/obs/slo"
@@ -15,14 +16,17 @@ import (
 )
 
 // edgeMetricsPage is what a live edge's /metrics serves after one miss
-// and one hit, SLO gauges included: the page the collector merges.
+// and one hit, cdn_*{dc} series and SLO gauges included: the page the
+// collector merges.
 func edgeMetricsPage(tb testing.TB) []byte {
 	tb.Helper()
 	policy, err := slo.ParsePolicy("latency p99 <= 100ms; error-rate <= 1%; hit-ratio >= 50% scope=europe")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s, err := edge.New(edge.Config{CDN: mkE2ECDN(), Metrics: obs.NewRegistry(), SLO: slo.NewEngine(policy)})
+	cfg := e2eCDN
+	cfg.Metrics = obs.NewRegistry()
+	s, err := edge.New(edge.Config{CDN: cdn.New(cfg), Metrics: cfg.Metrics, SLO: slo.NewEngine(policy)})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -51,11 +55,11 @@ func FuzzMergePrometheus(f *testing.F) {
 	f.Add([]byte("# TYPE a counter\na 1\n"), []byte("a{x=\"y\"} NaN\na +Inf\n"))
 	f.Add([]byte("lonely-token\n"), []byte(""))
 	f.Fuzz(func(t *testing.T, a, b []byte) {
-		merged, err := MergePrometheus(a, b)
+		merged, err := mergePrometheus(a, b)
 		if err != nil {
 			return
 		}
-		if _, err := MergePrometheus(merged); err != nil {
+		if _, err := mergePrometheus(merged); err != nil {
 			t.Fatalf("merge output is not a mergeable page: %v\n%s", err, merged)
 		}
 	})

@@ -35,8 +35,10 @@ func skipSeries(name string) bool {
 	return strings.HasPrefix(name, "ts_slo_")
 }
 
-// add folds one exposition page in.
-func (m *promMerger) add(page []byte) error {
+// parsePage parses one exposition page into a merger of its own, so a
+// malformed page fails alone, before anything of it is merged.
+func parsePage(page []byte) (*promMerger, error) {
+	m := newPromMerger()
 	sc := bufio.NewScanner(bytes.NewReader(page))
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	for sc.Scan() {
@@ -55,7 +57,7 @@ func (m *promMerger) add(page []byte) error {
 		// "<name>[{labels}] <value>": the value is the last field.
 		sp := strings.LastIndexByte(line, ' ')
 		if sp <= 0 {
-			return fmt.Errorf("fleet: bad metrics line %q", line)
+			return nil, fmt.Errorf("fleet: bad metrics line %q", line)
 		}
 		key, valStr := line[:sp], line[sp+1:]
 		if skipSeries(key) {
@@ -63,14 +65,35 @@ func (m *promMerger) add(page []byte) error {
 		}
 		v, err := strconv.ParseFloat(valStr, 64)
 		if err != nil {
-			return fmt.Errorf("fleet: bad metrics value in %q: %v", line, err)
+			return nil, fmt.Errorf("fleet: bad metrics value in %q: %v", line, err)
 		}
-		if _, seen := m.values[key]; !seen {
-			m.order = append(m.order, key)
-		}
-		m.values[key] += v
+		m.add(key, v)
 	}
-	return sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// add sums v into one series.
+func (m *promMerger) add(key string, v float64) {
+	if _, seen := m.values[key]; !seen {
+		m.order = append(m.order, key)
+	}
+	m.values[key] += v
+}
+
+// merge folds a parsed page in: its series in their order, and the TYPE
+// line of each family m has none for yet.
+func (m *promMerger) merge(page *promMerger) {
+	for family, line := range page.types {
+		if m.types[family] == "" {
+			m.types[family] = line
+		}
+	}
+	for _, key := range page.order {
+		m.add(key, page.values[key])
+	}
 }
 
 // render writes the merged series in first-seen order, each family's
@@ -93,18 +116,4 @@ func (m *promMerger) render(buf *bytes.Buffer) {
 		}
 		fmt.Fprintf(buf, "%s %g\n", key, m.values[key])
 	}
-}
-
-// MergePrometheus merges exposition pages from identical binaries into
-// one page (see promMerger for the summing rules).
-func MergePrometheus(pages ...[]byte) ([]byte, error) {
-	m := newPromMerger()
-	for _, p := range pages {
-		if err := m.add(p); err != nil {
-			return nil, err
-		}
-	}
-	var buf bytes.Buffer
-	m.render(&buf)
-	return buf.Bytes(), nil
 }

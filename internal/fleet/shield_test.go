@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"trafficscope/internal/cdn"
 	"trafficscope/internal/edge"
 	"trafficscope/internal/obs"
 	"trafficscope/internal/timeutil"
@@ -383,7 +384,7 @@ func TestShieldProbesReuseConnections(t *testing.T) {
 // through the shield. Per-DC stats must STILL match the offline replay
 // exactly (fills are invisible to the cache model), every miss must be
 // resolved through exactly one of peer/origin/dedup, and the collector's
-// merged /stats must present the fill accounting cluster-wide.
+// merged /metrics must present the fill accounting cluster-wide.
 func TestClusterShieldReplayEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays a few thousand records over HTTP")
@@ -442,26 +443,29 @@ func TestClusterShieldReplayEquivalence(t *testing.T) {
 	t.Logf("shield e2e: %d misses -> %d origin fills, %d peer fills, %d deduped; %d origin bytes, %d saved",
 		misses, fill.OriginFills, fill.PeerFills, fill.DedupFills, fill.OriginFillBytes, fill.SavedBytes())
 
-	// The collector's merged /stats carries the same fill section.
+	// The collector's merged /metrics carries the same fill section.
 	fl.Front.Collector.PollOnce(context.Background())
-	stats, ok := fl.Front.Collector.Stats()
+	merged, ok := fl.Front.Collector.Merged()
 	if !ok {
 		t.Fatal("collector has not polled")
 	}
-	if stats.Fill != fill {
-		t.Errorf("merged fill %+v != summed backend fill %+v", stats.Fill, fill)
+	if merged.Fill() != fill {
+		t.Errorf("merged fill %+v != summed backend fill %+v", merged.Fill(), fill)
 	}
-	var overHTTP ClusterStats
-	getJSON(t, fl.URL+"/stats", &overHTTP)
-	if overHTTP.Fill != fill {
-		t.Errorf("/stats over HTTP fill %+v != %+v", overHTTP.Fill, fill)
+	page := getPage(t, fl.URL+"/metrics")
+	if overHTTP := edge.ReadFillStats(pageReader(t, page)); overHTTP != fill {
+		t.Errorf("merged /metrics edge_*fill* %+v != %+v", overHTTP, fill)
+	}
+	var total cdn.DCStats
+	for _, r := range timeutil.AllRegions() {
+		total.Add(cdn.ReadStats(r, pageReader(t, page)))
 	}
 
 	// The fill layer's CDN-model invariant, restated on the wire: the
 	// model's OriginBytes (bytes missed) now splits into real origin
 	// egress plus bytes the hierarchy saved.
-	if got := fill.OriginFillBytes + fill.SavedBytes(); got != stats.Total.OriginBytes {
+	if got := fill.OriginFillBytes + fill.SavedBytes(); got != total.OriginBytes {
 		t.Errorf("origin egress %d + saved %d = %d, want model origin bytes %d",
-			fill.OriginFillBytes, fill.SavedBytes(), got, stats.Total.OriginBytes)
+			fill.OriginFillBytes, fill.SavedBytes(), got, total.OriginBytes)
 	}
 }
