@@ -26,8 +26,8 @@
 // -origin-bw then also describe the origin the shield fronts.
 //
 // The router's /metrics is the fleet's one metrics page: every edge's
-// edge_* and cdn_*{dc} series summed, the router's fleet_* and the
-// shield's fleet_shield_* counters, and the cluster's ts_slo_* gauges.
+// edge_* and cdn_*{dc} series summed, and the router's fleet_* and the
+// shield's fleet_shield_* counters; its /slo is the cluster's report.
 // The cluster line of the exit summary is read from it.
 //
 // The model flags are the ones tsserve and tsrouter declare (edge.AddFlags,

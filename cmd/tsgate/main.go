@@ -95,7 +95,7 @@ func gateLive(target string, minReq int64, timeout time.Duration) (bool, error) 
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return false, fmt.Errorf("%s/slo: HTTP %d (is the edge running with SLO tracking enabled?)", target, resp.StatusCode)
+		return false, fmt.Errorf("%s/slo: HTTP %d", target, resp.StatusCode)
 	}
 	var rep slo.Report
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {

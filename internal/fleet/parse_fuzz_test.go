@@ -1,9 +1,12 @@
 package fleet
 
 import (
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,9 +18,9 @@ import (
 	"trafficscope/internal/trace"
 )
 
-// edgeMetricsPage is what a live edge's /metrics serves after one miss
-// and one hit, cdn_*{dc} series and SLO gauges included: the page the
-// collector merges.
+// edgeMetricsPage is what a live edge under an SLO policy serves on
+// /metrics after one miss and one hit, cdn_*{dc} series included: the
+// page the collector merges.
 func edgeMetricsPage(tb testing.TB) []byte {
 	tb.Helper()
 	policy, err := slo.ParsePolicy("latency p99 <= 100ms; error-rate <= 1%; hit-ratio >= 50% scope=europe")
@@ -46,23 +49,64 @@ func edgeMetricsPage(tb testing.TB) []byte {
 }
 
 // FuzzMergePrometheus: the collector merges whatever its backends'
-// /metrics pages hold. The merge never panics, and a page it produces is
-// itself a page it accepts (the router's merged /metrics can be scraped
-// and merged again).
+// /metrics pages hold. The merge never panics and fails exactly when a
+// page does; the page it produces is itself a page it accepts (the
+// router's merged /metrics can be scraped and merged again); and that
+// page holds the union of both pages' series, each the sum of a's value
+// and b's, a missing series counting as 0. No family is dropped.
 func FuzzMergePrometheus(f *testing.F) {
 	page := edgeMetricsPage(f)
 	f.Add(page, page)
 	f.Add([]byte("# TYPE a counter\na 1\n"), []byte("a{x=\"y\"} NaN\na +Inf\n"))
+	f.Add([]byte("# TYPE ts_slo_breached gauge\nts_slo_breached 1\n"), []byte("b -Inf\nb +Inf\n"))
 	f.Add([]byte("lonely-token\n"), []byte(""))
 	f.Fuzz(func(t *testing.T, a, b []byte) {
+		_, errA := parsePage(a)
+		_, errB := parsePage(b)
 		merged, err := mergePrometheus(a, b)
+		if (err == nil) != (errA == nil && errB == nil) {
+			t.Fatalf("merge error %v, page errors %v and %v", err, errA, errB)
+		}
 		if err != nil {
 			return
 		}
-		if _, err := mergePrometheus(merged); err != nil {
+		got, err := parsePage(merged)
+		if err != nil {
 			t.Fatalf("merge output is not a mergeable page: %v\n%s", err, merged)
 		}
+		sa, sb := pageSeries(a), pageSeries(b)
+		want := map[string]float64{}
+		for _, series := range []map[string]float64{sa, sb} {
+			for key, v := range series {
+				want[key] += v
+			}
+		}
+		if len(got.values) != len(want) {
+			t.Fatalf("merged page has %d series, the pages %d between them:\n%s", len(got.values), len(want), merged)
+		}
+		for key, w := range want {
+			v, ok := got.values[key]
+			if !ok || !(v == w || math.IsNaN(v) && math.IsNaN(w)) {
+				t.Fatalf("series %q: merged %g (present %v), want %g + %g", key, v, ok, sa[key], sb[key])
+			}
+		}
 	})
+}
+
+// pageSeries sums each series of a page parsePage accepts, read line by
+// line without it: the oracle FuzzMergePrometheus checks the merge by.
+func pageSeries(page []byte) map[string]float64 {
+	series := map[string]float64{}
+	for _, line := range strings.Split(string(page), "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		v, _ := strconv.ParseFloat(line[sp+1:], 64)
+		series[line[:sp]] += v
+	}
+	return series
 }
 
 // FuzzParseBackendSpec: whatever a -backend flag holds, ParseBackendSpec

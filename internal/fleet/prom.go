@@ -12,10 +12,8 @@ import (
 // summing series with identical names+labels. Counters sum trivially;
 // histogram _bucket/_sum/_count series sum correctly because every
 // backend runs the same binary and therefore the same bucket layout;
-// gauges (inflight, cache bytes) sum into cluster totals. Ratio-style
-// ts_slo_* gauges would NOT survive summing, so those series are skipped
-// here — the collector re-derives them from the merged SLO report
-// instead.
+// gauges (inflight, cache bytes) sum into cluster totals. Every tier's
+// page holds only such summable series: ratios and verdicts live on /slo.
 //
 // Series order is first-seen across pages, and one # TYPE line is kept
 // per metric family, so the merged page looks like a single server's.
@@ -27,12 +25,6 @@ type promMerger struct {
 
 func newPromMerger() *promMerger {
 	return &promMerger{values: map[string]float64{}, types: map[string]string{}}
-}
-
-// skipSeries reports whether a series must not be summed across
-// backends (cluster SLO gauges are recomputed from merged windows).
-func skipSeries(name string) bool {
-	return strings.HasPrefix(name, "ts_slo_")
 }
 
 // parsePage parses one exposition page into a merger of its own, so a
@@ -48,7 +40,7 @@ func parsePage(page []byte) (*promMerger, error) {
 		}
 		if strings.HasPrefix(line, "#") {
 			if fields := strings.Fields(line); len(fields) >= 3 && fields[1] == "TYPE" {
-				if family := fields[2]; !skipSeries(family) && m.types[family] == "" {
+				if family := fields[2]; m.types[family] == "" {
 					m.types[family] = line
 				}
 			}
@@ -60,9 +52,6 @@ func parsePage(page []byte) (*promMerger, error) {
 			return nil, fmt.Errorf("fleet: bad metrics line %q", line)
 		}
 		key, valStr := line[:sp], line[sp+1:]
-		if skipSeries(key) {
-			continue
-		}
 		v, err := strconv.ParseFloat(valStr, 64)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: bad metrics value in %q: %v", line, err)

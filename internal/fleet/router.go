@@ -160,9 +160,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	return r, nil
 }
 
-// Backends returns the configured backend set.
-func (r *Router) Backends() []*Backend { return r.cfg.Backends }
-
 // Statuses snapshots every backend's health for /backends.
 func (r *Router) Statuses() []BackendStatus {
 	out := make([]BackendStatus, len(r.cfg.Backends))

@@ -56,19 +56,34 @@ type Config struct {
 	// error: Timeout governs instead, a redirect is recorded as the
 	// answer, never followed, and no cookies are sent.
 	Client *http.Client
-	// Metrics receives live telemetry (request/error/retry counters and
-	// the latency histogram). nil keeps telemetry internal; the final
-	// Stats are populated either way.
+	// Metrics is the registry the run counts into, once per event (the
+	// loadgen_* families). Stats are read back from it less what it held
+	// when the run began, so runs may share one registry in sequence.
+	// nil gives the run a registry of its own.
 	Metrics *obs.Registry
 }
 
-// latencyMetric is the histogram name the run records latencies under.
-const latencyMetric = "loadgen_latency_seconds"
-
-// queuedDelayMetric is the histogram name for the queued-send delay:
-// how long each record waited between its scheduled (virtual-clock)
-// send time and the moment a worker actually sent it.
-const queuedDelayMetric = "loadgen_queued_delay_seconds"
+// The families a run counts into, one add per event. Stats are read
+// back from them less their values when the run began.
+const (
+	requestsMetric     = "loadgen_requests_total"
+	errorsMetric       = "loadgen_errors_total"
+	retriesMetric      = "loadgen_retries_total"
+	hitsMetric         = "loadgen_hits_total"
+	missesMetric       = "loadgen_misses_total"
+	shedMetric         = "loadgen_shed_total"
+	cancelledMetric    = "loadgen_cancelled_total"
+	logicalBytesMetric = "loadgen_logical_bytes_total"
+	wireBytesMetric    = "loadgen_wire_bytes_total"
+	// latencyMetric times each completed exchange from its scheduled
+	// send; queuedDelayMetric how long it waited between its scheduled
+	// (virtual-clock) send time and the moment a worker sent it.
+	latencyMetric     = "loadgen_latency_seconds"
+	queuedDelayMetric = "loadgen_queued_delay_seconds"
+	// Completed exchanges by trace site and by response status.
+	siteMetric   = "loadgen_site_requests_total"
+	statusMetric = "loadgen_responses_total"
+)
 
 // maxRetryBackoff caps the exponential retry backoff: the delay doubles
 // per attempt but never exceeds this, so a long retry budget cannot
@@ -160,17 +175,35 @@ type run struct {
 	base string
 	rt   http.RoundTripper
 
-	requests, errors, retries          atomic.Int64
-	firstErr                           atomic.Pointer[string]
-	hits, misses, shed, cancelled      atomic.Int64
-	logicalBytes, wireBytes            atomic.Int64
-	mu                                 sync.Mutex // guards the maps below
-	bySite                             map[string]int64
-	byStatus                           map[int]int64
-	bounds                             []float64 // latency bucket layout
-	latency                            *obs.Histogram
-	qdelay                             *obs.Histogram
-	sentC, errC, retryC, bytesC, cancC *obs.Counter
+	reg      *obs.Registry
+	start    obs.Snapshot // reg when the run began
+	firstErr atomic.Pointer[string]
+
+	requests, errors, retries, hits, misses  *obs.Counter
+	shed, cancelled, logicalBytes, wireBytes *obs.Counter
+	latency, qdelay                          *obs.Histogram
+	sites, statuses                          series
+}
+
+// series is one labeled counter family of a run: a counter per label
+// value, registered on first use. Workers cache the handles, so only a
+// value's first sighting by a worker takes the lock.
+type series struct {
+	family, label string
+	mu            sync.Mutex
+	seen          map[string]*obs.Counter
+}
+
+// counter returns the family's counter for one label value.
+func (s *series) counter(reg *obs.Registry, value string) *obs.Counter {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := s.seen[value]
+	if c == nil {
+		c = reg.Counter(obs.Name(s.family, s.label, value))
+		s.seen[value] = c
+	}
+	return c
 }
 
 // job is one scheduled request: the record plus its virtual-clock send
@@ -181,28 +214,14 @@ type job struct {
 	scheduled time.Time
 }
 
-// worker is one worker goroutine's private state. Its telemetry is
-// recorded without any locking — the old design's single shared locked
-// histogram serialized the whole pool at high rates — and the run folds
-// every worker's copy into the registry metrics once, at stop. The URL
-// buffer and the deadline are reused by every request the worker sends.
+// worker is one worker goroutine's private state: its handles to the
+// run's labeled counters, and the URL buffer and deadline every request
+// it sends reuses.
 type worker struct {
-	latency  *obs.Histogram
-	qdelay   *obs.Histogram
-	bySite   map[string]int64
-	byStatus map[int]int64
+	sites    map[string]*obs.Counter
+	statuses map[int]*obs.Counter
 	url      []byte
 	deadline deadline
-}
-
-func newWorker(ctx context.Context, bounds []float64, timeout time.Duration) *worker {
-	return &worker{
-		latency:  obs.NewHistogram(bounds),
-		qdelay:   obs.NewHistogram(bounds),
-		bySite:   map[string]int64{},
-		byStatus: map[int]int64{},
-		deadline: deadline{parent: ctx, timeout: timeout},
-	}
 }
 
 // deadline is a worker's per-attempt timeout, one context and one timer
@@ -256,22 +275,6 @@ func timedOut(ctx, rctx context.Context) bool {
 	return ctx.Err() == nil && errors.Is(context.Cause(rctx), context.DeadlineExceeded)
 }
 
-// fold merges one worker's private telemetry into the run's shared
-// state. Called once per worker after the job channel closes.
-func (rn *run) fold(ws *worker) {
-	// Bounds are identical by construction, so Merge cannot fail.
-	rn.latency.Merge(ws.latency)
-	rn.qdelay.Merge(ws.qdelay)
-	rn.mu.Lock()
-	defer rn.mu.Unlock()
-	for k, v := range ws.bySite {
-		rn.bySite[k] += v
-	}
-	for k, v := range ws.byStatus {
-		rn.byStatus[k] += v
-	}
-}
-
 // Run replays records from r against cfg.Target until the trace ends or
 // ctx is cancelled. It always returns the Stats gathered so far; the
 // error is non-nil for a trace read failure, cancellation, or an
@@ -295,24 +298,29 @@ func Run(ctx context.Context, cfg Config, r trace.Reader) (*Stats, error) {
 	}
 	reg := cfg.Metrics
 	if reg == nil {
-		reg = obs.NewRegistry() // latency quantiles need a histogram either way
+		reg = obs.NewRegistry() // Stats are read back from it
 	}
 	bounds := obs.ExpBuckets(50e-6, 1.6, 40)
 	rn := &run{
-		cfg:      cfg,
-		base:     strings.TrimSuffix(cfg.Target, "/"),
-		rt:       rt,
-		bySite:   map[string]int64{},
-		byStatus: map[int]int64{},
-		bounds:   bounds,
-		latency:  reg.Histogram(latencyMetric, bounds),
-		qdelay:   reg.Histogram(queuedDelayMetric, bounds),
-		sentC:    reg.Counter("loadgen_requests_total"),
-		errC:     reg.Counter("loadgen_errors_total"),
-		retryC:   reg.Counter("loadgen_retries_total"),
-		bytesC:   reg.Counter("loadgen_logical_bytes_total"),
-		cancC:    reg.Counter("loadgen_cancelled_total"),
+		cfg:          cfg,
+		base:         strings.TrimSuffix(cfg.Target, "/"),
+		rt:           rt,
+		reg:          reg,
+		requests:     reg.Counter(requestsMetric),
+		errors:       reg.Counter(errorsMetric),
+		retries:      reg.Counter(retriesMetric),
+		hits:         reg.Counter(hitsMetric),
+		misses:       reg.Counter(missesMetric),
+		shed:         reg.Counter(shedMetric),
+		cancelled:    reg.Counter(cancelledMetric),
+		logicalBytes: reg.Counter(logicalBytesMetric),
+		wireBytes:    reg.Counter(wireBytesMetric),
+		latency:      reg.Histogram(latencyMetric, bounds),
+		qdelay:       reg.Histogram(queuedDelayMetric, bounds),
+		sites:        series{family: siteMetric, label: "site", seen: map[string]*obs.Counter{}},
+		statuses:     series{family: statusMetric, label: "code", seen: map[string]*obs.Counter{}},
 	}
+	rn.start = reg.Snapshot()
 
 	// The scheduler may run up to four records per worker ahead of the
 	// pool, so a worker never idles between one record and the next.
@@ -322,8 +330,11 @@ func Run(ctx context.Context, cfg Config, r trace.Reader) (*Stats, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := newWorker(ctx, rn.bounds, cfg.Timeout)
-			defer rn.fold(w)
+			w := &worker{
+				sites:    map[string]*obs.Counter{},
+				statuses: map[int]*obs.Counter{},
+				deadline: deadline{parent: ctx, timeout: cfg.Timeout},
+			}
 			defer w.deadline.stop()
 			for j := range jobs {
 				rn.one(ctx, j, w)
@@ -336,7 +347,7 @@ func Run(ctx context.Context, cfg Config, r trace.Reader) (*Stats, error) {
 	close(jobs)
 	wg.Wait()
 
-	st := rn.stats(time.Since(start), reg)
+	st := rn.stats(time.Since(start))
 	if readErr != nil {
 		return st, readErr
 	}
@@ -428,8 +439,7 @@ func (rn *run) one(ctx context.Context, j job, w *worker) {
 				// record, so retrying would double-serve it and skew
 				// live-vs-offline accounting. Count it as a cancelled
 				// exchange instead.
-				rn.cancelled.Add(1)
-				rn.cancC.Inc()
+				rn.cancelled.Inc()
 				rn.fail(err)
 				return
 			}
@@ -437,8 +447,7 @@ func (rn *run) one(ctx context.Context, j job, w *worker) {
 				rn.fail(err)
 				return
 			}
-			rn.retries.Add(1)
-			rn.retryC.Inc()
+			rn.retries.Inc()
 			if !timeutil.SleepCtx(ctx, backoff) {
 				rn.fail(err)
 				return
@@ -453,14 +462,13 @@ func (rn *run) one(ctx context.Context, j job, w *worker) {
 			// The body ended early: the exchange did not complete, but the
 			// server answered, so it counted the record — never retried.
 			if timedOut(ctx, rctx) {
-				rn.cancelled.Add(1)
-				rn.cancC.Inc()
+				rn.cancelled.Inc()
 			}
 			rn.fail(err)
 			return
 		}
-		w.latency.Observe(time.Since(j.scheduled).Seconds())
-		w.qdelay.Observe(queued.Seconds())
+		rn.latency.Observe(time.Since(j.scheduled).Seconds())
+		rn.qdelay.Observe(queued.Seconds())
 		rn.record(rec, resp, wire, w)
 		return
 	}
@@ -511,8 +519,7 @@ func transport(cfg Config) (http.RoundTripper, error) {
 // fail counts one record whose request failed for good and keeps the
 // first such error for Stats.FirstError.
 func (rn *run) fail(err error) {
-	rn.errors.Add(1)
-	rn.errC.Inc()
+	rn.errors.Inc()
 	if rn.firstErr.Load() == nil {
 		msg := err.Error()
 		rn.firstErr.CompareAndSwap(nil, &msg)
@@ -528,67 +535,87 @@ func nextBackoff(cur time.Duration) time.Duration {
 	return next
 }
 
-// record folds one completed exchange into the run counters (shared
-// atomics) and the worker's private maps.
-func (rn *run) record(rec *trace.Record, resp *http.Response, wire int64, ws *worker) {
-	rn.requests.Add(1)
-	rn.sentC.Inc()
+// record counts one completed exchange, whose latency is already
+// observed: a reader never sees a request its latency histograms lack.
+func (rn *run) record(rec *trace.Record, resp *http.Response, wire int64, w *worker) {
+	rn.requests.Inc()
 	rn.wireBytes.Add(wire)
 	if resp.StatusCode == http.StatusServiceUnavailable {
-		rn.shed.Add(1)
+		rn.shed.Inc()
 	}
 	switch resp.Header.Get(edge.HeaderCache) {
 	case trace.CacheHit.String():
-		rn.hits.Add(1)
+		rn.hits.Inc()
 	case trace.CacheMiss.String():
-		rn.misses.Add(1)
+		rn.misses.Inc()
 	case "":
 		// A successful exchange with no cache verdict means the edge
 		// gave up on us mid-serve (implicit response after a client
 		// cancel); shed 503s and bad requests are accounted elsewhere.
 		if resp.StatusCode < 300 {
-			rn.cancelled.Add(1)
-			rn.cancC.Inc()
+			rn.cancelled.Inc()
 		}
 	}
 	if v := resp.Header.Get(edge.HeaderBytes); v != "" {
 		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
 			rn.logicalBytes.Add(n)
-			rn.bytesC.Add(n)
 		}
 	}
-	ws.bySite[rec.Publisher]++
-	ws.byStatus[resp.StatusCode]++
+	site := w.sites[rec.Publisher]
+	if site == nil {
+		site = rn.sites.counter(rn.reg, rec.Publisher)
+		w.sites[rec.Publisher] = site
+	}
+	site.Inc()
+	status := w.statuses[resp.StatusCode]
+	if status == nil {
+		status = rn.statuses.counter(rn.reg, strconv.Itoa(resp.StatusCode))
+		w.statuses[resp.StatusCode] = status
+	}
+	status.Inc()
 }
 
-func (rn *run) stats(elapsed time.Duration, reg *obs.Registry) *Stats {
+// stats reads the run's families back from the registry, less what they
+// held when the run began.
+func (rn *run) stats(elapsed time.Duration) *Stats {
+	now := rn.reg.Snapshot()
+	count := func(name string) int64 { return now.Counters[name] - rn.start.Counters[name] }
 	st := &Stats{
-		Requests:     rn.requests.Load(),
-		Errors:       rn.errors.Load(),
-		Retries:      rn.retries.Load(),
-		Hits:         rn.hits.Load(),
-		Misses:       rn.misses.Load(),
-		Shed:         rn.shed.Load(),
-		Cancelled:    rn.cancelled.Load(),
-		LogicalBytes: rn.logicalBytes.Load(),
-		WireBytes:    rn.wireBytes.Load(),
+		Requests:     count(requestsMetric),
+		Errors:       count(errorsMetric),
+		Retries:      count(retriesMetric),
+		Hits:         count(hitsMetric),
+		Misses:       count(missesMetric),
+		Shed:         count(shedMetric),
+		Cancelled:    count(cancelledMetric),
+		LogicalBytes: count(logicalBytesMetric),
+		WireBytes:    count(wireBytesMetric),
 		BySite:       map[string]int64{},
 		ByStatus:     map[int]int64{},
 		Duration:     elapsed,
+		Latency:      less(now.Histograms[latencyMetric], rn.start.Histograms[latencyMetric]),
+		QueuedDelay:  less(now.Histograms[queuedDelayMetric], rn.start.Histograms[queuedDelayMetric]),
 	}
 	if msg := rn.firstErr.Load(); msg != nil {
 		st.FirstError = *msg
 	}
-	hists := reg.Snapshot().Histograms
-	st.Latency = hists[latencyMetric]
-	st.QueuedDelay = hists[queuedDelayMetric]
-	rn.mu.Lock()
-	for k, v := range rn.bySite {
-		st.BySite[k] = v
+	for site := range rn.sites.seen {
+		st.BySite[site] = count(obs.Name(siteMetric, "site", site))
 	}
-	for k, v := range rn.byStatus {
-		st.ByStatus[k] = v
+	for code := range rn.statuses.seen {
+		n, _ := strconv.Atoi(code)
+		st.ByStatus[n] = count(obs.Name(statusMetric, "code", code))
 	}
-	rn.mu.Unlock()
 	return st
+}
+
+// less returns the observations in v, a snapshot's own reading, that
+// base, an earlier reading of the same histogram, does not hold.
+func less(v, base obs.HistogramValue) obs.HistogramValue {
+	for i, c := range base.Counts {
+		v.Counts[i] -= c
+	}
+	v.Count -= base.Count
+	v.Sum -= base.Sum
+	return v
 }

@@ -544,6 +544,73 @@ func TestWorkerHistogramsMerge(t *testing.T) {
 	}
 }
 
+// TestRunsShareRegistry: Stats cover their own run only, histograms
+// included, when runs count into one registry in sequence.
+func TestRunsShareRegistry(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set(edge.HeaderCache, trace.CacheHit.String())
+		w.Write([]byte("ok"))
+	}))
+	defer ts.Close()
+
+	const n = 10
+	reg := obs.NewRegistry()
+	for run := 1; run <= 2; run++ {
+		st, err := Run(context.Background(), Config{Target: ts.URL, Workers: 2, Metrics: reg},
+			trace.NewSliceReader(makeRecords(n, 0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Requests != n || st.Hits != n || st.BySite["V-1"] != n || st.ByStatus[http.StatusOK] != n {
+			t.Errorf("run %d: %+v, want %d requests, hits, V-1 and 200s", run, st, n)
+		}
+		if st.Latency.Count != st.Requests || st.QueuedDelay.Count != st.Requests {
+			t.Errorf("run %d: latency count %d, queued delay count %d, want its %d requests",
+				run, st.Latency.Count, st.QueuedDelay.Count, st.Requests)
+		}
+	}
+	if got := reg.Snapshot().Counters["loadgen_requests_total"]; got != 2*n {
+		t.Errorf("loadgen_requests_total = %d after two runs, want %d", got, 2*n)
+	}
+}
+
+// TestLatencyCountedLive: a request is in the latency histograms as soon
+// as loadgen_requests_total counts it, not only once the run ends. The
+// paced trace sends ten records, then waits before its last.
+func TestLatencyCountedLive(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Write([]byte("ok"))
+	}))
+	defer ts.Close()
+
+	const n = 10
+	recs := makeRecords(n+1, 0)
+	recs[n].Timestamp = recs[0].Timestamp.Add(time.Second)
+	reg := obs.NewRegistry()
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(context.Background(), Config{Target: ts.URL, Workers: 2, Speedup: 2, Metrics: reg},
+			trace.NewSliceReader(recs))
+		done <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); reg.Counter("loadgen_requests_total").Value() < n; {
+		if time.Now().After(deadline) {
+			t.Fatal("the first records never completed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	snap := reg.Snapshot()
+	requests := snap.Counters["loadgen_requests_total"]
+	for _, h := range []string{"loadgen_latency_seconds", "loadgen_queued_delay_seconds"} {
+		if got := snap.Histograms[h].Count; got != requests {
+			t.Errorf("mid-run %s counts %d, loadgen_requests_total %d", h, got, requests)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestNextBackoffCaps(t *testing.T) {
 	b := 20 * time.Millisecond
 	for i := 0; i < 20; i++ {

@@ -83,22 +83,21 @@ func (g *Gauge) Value() float64 {
 
 // Histogram counts observations into fixed buckets (cumulative
 // Prometheus semantics: bucket i counts observations <= Bounds[i], with
-// an implicit +Inf bucket). A nil Histogram discards observations.
+// an implicit +Inf bucket). Its count is the sum of its buckets, so a
+// reading can never disagree with itself. A nil Histogram discards
+// observations.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1; last is +Inf
-	count  atomic.Int64
-	sum    atomic.Uint64 // math.Float64bits of the running sum
+	sum    atomic.Uint64  // math.Float64bits of the running sum
 }
 
-// NewHistogram builds a standalone histogram with the given bucket
-// upper bounds (sorted ascending) — the registry-free form for
-// worker-private histograms that are later folded into a registered one
-// with Merge.
+// NewHistogram builds a standalone histogram over the given bucket upper
+// bounds (sorted ascending), for callers that keep histograms outside a
+// registry. The histogram keeps bounds rather than a copy, so histograms
+// built over one slice share it; the caller must not modify it.
 func NewHistogram(bounds []float64) *Histogram {
-	h := &Histogram{bounds: append([]float64(nil), bounds...)}
-	h.counts = make([]atomic.Int64, len(bounds)+1)
-	return h
+	return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
 }
 
 // Merge folds src's observations into h. The histograms must share
@@ -123,15 +122,8 @@ func (h *Histogram) Merge(src *Histogram) error {
 			h.counts[i].Add(n)
 		}
 	}
-	h.count.Add(src.count.Load())
-	delta := math.Float64frombits(src.sum.Load())
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if h.sum.CompareAndSwap(old, next) {
-			return nil
-		}
-	}
+	h.addSum(math.Float64frombits(src.sum.Load()))
+	return nil
 }
 
 // Observe records one value. No-op on a nil receiver.
@@ -139,16 +131,28 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.count.Add(1)
+	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
+	h.addSum(v)
+}
+
+// addSum adds delta to the running sum (CAS loop).
+func (h *Histogram) addSum(delta float64) {
 	for {
 		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
+		next := math.Float64bits(math.Float64frombits(old) + delta)
 		if h.sum.CompareAndSwap(old, next) {
 			return
 		}
 	}
+}
+
+// Reset zeroes every bucket and the sum. It is not atomic as a whole:
+// an Observe racing with it may land on either side of it.
+func (h *Histogram) Reset() {
+	for i := range h.counts {
+		h.counts[i].Store(0)
+	}
+	h.sum.Store(0)
 }
 
 // HistogramValue is a point-in-time histogram reading.
@@ -159,15 +163,17 @@ type HistogramValue struct {
 	Sum    float64   `json:"sum"`
 }
 
-func (h *Histogram) value() HistogramValue {
+// Value reads the histogram: each bucket atomically, Count as their
+// sum. Bounds is the histogram's own slice, not a copy.
+func (h *Histogram) Value() HistogramValue {
 	out := HistogramValue{
 		Bounds: h.bounds,
 		Counts: make([]int64, len(h.counts)),
-		Count:  h.count.Load(),
 		Sum:    math.Float64frombits(h.sum.Load()),
 	}
 	for i := range h.counts {
 		out.Counts[i] = h.counts[i].Load()
+		out.Count += out.Counts[i]
 	}
 	return out
 }
@@ -432,8 +438,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h = r.hists[name]; h == nil {
-		h = &Histogram{bounds: append([]float64(nil), bounds...)}
-		h.counts = make([]atomic.Int64, len(bounds)+1)
+		h = NewHistogram(append([]float64(nil), bounds...))
 		r.hists[name] = h
 	}
 	return h
@@ -469,7 +474,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges[name] = g.Value()
 	}
 	for name, h := range r.hists {
-		s.Histograms[name] = h.value()
+		s.Histograms[name] = h.Value()
 	}
 	return s
 }

@@ -261,7 +261,7 @@ func TestHistogramMerge(t *testing.T) {
 	if err := a.Merge(b); err != nil {
 		t.Fatalf("Merge: %v", err)
 	}
-	got := a.value()
+	got := a.Value()
 	if got.Count != 5 {
 		t.Errorf("count = %d, want 5", got.Count)
 	}
@@ -275,7 +275,7 @@ func TestHistogramMerge(t *testing.T) {
 		}
 	}
 	// src is untouched by the merge.
-	if bv := b.value(); bv.Count != 2 {
+	if bv := b.Value(); bv.Count != 2 {
 		t.Errorf("src count = %d, want 2", bv.Count)
 	}
 
@@ -285,7 +285,7 @@ func TestHistogramMerge(t *testing.T) {
 	if err := a.Merge(NewHistogram([]float64{1, 10, 99})); err == nil {
 		t.Error("Merge with different bounds: want error")
 	}
-	if av := a.value(); av.Count != 5 {
+	if av := a.Value(); av.Count != 5 {
 		t.Errorf("failed merges must leave dst untouched, count = %d", av.Count)
 	}
 
@@ -309,7 +309,7 @@ func TestHistogramValueMerge(t *testing.T) {
 	for _, v := range []float64{5, 500} {
 		b.Observe(v)
 	}
-	av, bv := a.value(), b.value()
+	av, bv := a.Value(), b.Value()
 	if err := av.Merge(bv); err != nil {
 		t.Fatalf("Merge: %v", err)
 	}
@@ -343,7 +343,7 @@ func TestHistogramValueMerge(t *testing.T) {
 	}
 	// ... and the adopted buckets are a copy, not an alias.
 	zero.Counts[0] += 100
-	if b.value().Counts[0] >= 100 {
+	if b.Value().Counts[0] >= 100 {
 		t.Error("zero merge aliased the source counts")
 	}
 
@@ -357,11 +357,11 @@ func TestHistogramValueMerge(t *testing.T) {
 	}
 
 	// Mismatched layouts must error without corrupting dst.
-	cv := NewHistogram([]float64{1, 10, 99}).value()
+	cv := NewHistogram([]float64{1, 10, 99}).Value()
 	if err := av.Merge(cv); err == nil {
 		t.Error("mismatched bounds: want error")
 	}
-	dv := NewHistogram([]float64{1, 10}).value()
+	dv := NewHistogram([]float64{1, 10}).Value()
 	if err := av.Merge(dv); err == nil {
 		t.Error("mismatched bucket count: want error")
 	}
@@ -377,7 +377,7 @@ func TestHistogramValueMerge(t *testing.T) {
 	for _, v := range []float64{0.5, 5, 50} {
 		e.Observe(v)
 	}
-	ev := e.value()
+	ev := e.Value()
 	for _, bad := range []HistogramValue{
 		{Bounds: []float64{1, 10}, Counts: []int64{1, 1, 1, 100, 0}, Count: 103},
 		{Bounds: []float64{1, 10}, Counts: []int64{2}, Count: 2},

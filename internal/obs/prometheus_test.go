@@ -68,7 +68,7 @@ func TestQuantileExtremes(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		h.Observe(15) // all mass in (10, 20]
 	}
-	v := h.value()
+	v := h.Value()
 	if got := v.Quantile(0); got != 10 {
 		t.Errorf("Quantile(0) = %v, want 10", got)
 	}
@@ -85,7 +85,7 @@ func TestFractionAbove(t *testing.T) {
 	h.Observe(30) // (20, 40]
 	h.Observe(30)
 	h.Observe(100) // +Inf
-	v := h.value()
+	v := h.Value()
 
 	cases := []struct {
 		x, want float64

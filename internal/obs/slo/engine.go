@@ -2,12 +2,9 @@ package slo
 
 import (
 	"fmt"
-	"io"
-	"sort"
 	"strings"
 	"time"
 
-	"trafficscope/internal/obs"
 	"trafficscope/internal/report"
 )
 
@@ -17,7 +14,6 @@ import (
 // request path, and ask for Report snapshots from the control plane.
 type Engine struct {
 	policy Policy
-	bounds []float64
 	global *Tracker
 	scopes map[string]*Tracker
 	order  []string // scope iteration order (registration order)
@@ -28,19 +24,15 @@ type Engine struct {
 // from scopes are added automatically so the objectives are evaluable.
 func NewEngine(p Policy, scopes ...string) *Engine {
 	p = p.Normalize()
-	e := &Engine{
-		policy: p,
-		bounds: DefaultLatencyBounds(),
-		scopes: map[string]*Tracker{},
-	}
-	span := p.Span()
-	e.global = NewTracker(p.Interval, span, e.bounds)
+	e := &Engine{policy: p, scopes: map[string]*Tracker{}}
+	span, bounds := p.Span(), DefaultLatencyBounds()
+	e.global = NewTracker(p.Interval, span, bounds)
 	add := func(name string) {
 		if name == "" {
 			return
 		}
 		if _, ok := e.scopes[name]; !ok {
-			e.scopes[name] = NewTracker(p.Interval, span, e.bounds)
+			e.scopes[name] = NewTracker(p.Interval, span, bounds)
 			e.order = append(e.order, name)
 		}
 	}
@@ -52,9 +44,6 @@ func NewEngine(p Policy, scopes ...string) *Engine {
 	}
 	return e
 }
-
-// Policy returns the engine's normalized policy.
-func (e *Engine) Policy() Policy { return e.policy }
 
 // Global returns the all-traffic tracker. Nil-safe.
 func (e *Engine) Global() *Tracker {
@@ -185,103 +174,6 @@ func (e *Engine) Report() Report {
 		}
 	}
 	return rep
-}
-
-// WritePrometheus renders the report as ts_slo_* gauges in the
-// Prometheus text exposition format:
-//
-//	ts_slo_window_requests{scope,window}      requests in the window
-//	ts_slo_window_error_ratio{scope,window}   windowed error fraction
-//	ts_slo_window_hit_ratio{scope,window}     windowed hit ratio
-//	ts_slo_burn_rate{scope,objective,window}  burn rate per burn window
-//	ts_slo_budget_remaining{scope,objective}  gate-window budget left
-//	ts_slo_breached{scope,objective}          1 when breached
-func (r Report) WritePrometheus(w io.Writer) error {
-	scopes := make([]string, 0, len(r.Scopes))
-	for name := range r.Scopes {
-		scopes = append(scopes, name)
-	}
-	sort.Strings(scopes)
-
-	var err error
-	emit := func(name string, v float64) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, "%s %g\n", name, v)
-		}
-	}
-	gaugeType := func(base string) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n", base)
-		}
-	}
-
-	windowNames := make([]string, 0, len(r.WindowsSeconds))
-	for _, ws := range r.WindowsSeconds {
-		windowNames = append(windowNames, WindowName(time.Duration(ws*float64(time.Second))))
-	}
-
-	gaugeType("ts_slo_window_requests")
-	for _, scope := range scopes {
-		for _, wn := range windowNames {
-			st, ok := r.Scopes[scope].Windows[wn]
-			if !ok {
-				continue
-			}
-			emit(obs.Name("ts_slo_window_requests", "scope", scope, "window", wn), float64(st.Requests))
-		}
-	}
-	gaugeType("ts_slo_window_error_ratio")
-	for _, scope := range scopes {
-		for _, wn := range windowNames {
-			if st, ok := r.Scopes[scope].Windows[wn]; ok {
-				emit(obs.Name("ts_slo_window_error_ratio", "scope", scope, "window", wn), st.ErrorRate())
-			}
-		}
-	}
-	gaugeType("ts_slo_window_hit_ratio")
-	for _, scope := range scopes {
-		for _, wn := range windowNames {
-			if st, ok := r.Scopes[scope].Windows[wn]; ok {
-				emit(obs.Name("ts_slo_window_hit_ratio", "scope", scope, "window", wn), st.HitRatio())
-			}
-		}
-	}
-
-	hasObjectives := false
-	for _, scope := range scopes {
-		if len(r.Scopes[scope].Objectives) > 0 {
-			hasObjectives = true
-		}
-	}
-	if hasObjectives {
-		gaugeType("ts_slo_burn_rate")
-		for _, scope := range scopes {
-			for _, o := range r.Scopes[scope].Objectives {
-				for _, wn := range windowNames {
-					if burn, ok := o.BurnRates[wn]; ok {
-						emit(obs.Name("ts_slo_burn_rate", "scope", scope, "objective", o.Name, "window", wn), burn)
-					}
-				}
-			}
-		}
-		gaugeType("ts_slo_budget_remaining")
-		for _, scope := range scopes {
-			for _, o := range r.Scopes[scope].Objectives {
-				emit(obs.Name("ts_slo_budget_remaining", "scope", scope, "objective", o.Name), o.BudgetRemaining)
-			}
-		}
-		gaugeType("ts_slo_breached")
-		for _, scope := range scopes {
-			for _, o := range r.Scopes[scope].Objectives {
-				v := 0.0
-				if o.Breached {
-					v = 1
-				}
-				emit(obs.Name("ts_slo_breached", "scope", scope, "objective", o.Name), v)
-			}
-		}
-	}
-	return err
 }
 
 // EvaluateStats runs the policy's objectives against a single

@@ -4,14 +4,14 @@
 // time windows of live traffic, the way production CDNs gate deploys.
 //
 // The package has three parts. A Tracker (window.go) is a ring of
-// per-interval buckets over the repository's obs Counter/Histogram
-// semantics — every request is recorded with a handful of atomic
-// operations, no locks and no allocations, so the edge hot path can feed
-// it unconditionally. A Policy (this file) declares objectives in a tiny
-// dependency-free text format loadable from a file or an inline flag. An
-// Engine (engine.go) owns one Tracker per scope, computes multi-window
-// burn rates against the policy, and renders the verdict as a JSON
-// report (the edge's /slo endpoint) or Prometheus ts_slo_* gauges.
+// per-interval buckets, each an obs.Histogram in the edge's
+// request-latency layout plus three counters — every request is recorded
+// with a handful of atomic operations, no locks and no allocations, so
+// the edge hot path can feed it unconditionally. A Policy (this file)
+// declares objectives in a tiny dependency-free text format loadable
+// from a file or an inline flag. An Engine (engine.go) owns one Tracker
+// per scope, computes multi-window burn rates against the policy, and
+// renders the verdict as a JSON report, the edge's /slo endpoint.
 //
 // Burn rate follows the SRE-workbook definition: the fraction of the
 // error budget consumed per unit of budget allowed. For an objective
@@ -61,8 +61,8 @@ func (k Kind) String() string {
 }
 
 // BurnCap bounds reported burn rates so a zero budget (e.g. an
-// error-rate ceiling of 0 with any error observed) stays JSON- and
-// Prometheus-encodable instead of overflowing to +Inf.
+// error-rate ceiling of 0 with any error observed) stays JSON-encodable
+// instead of overflowing to +Inf.
 const BurnCap = 1e9
 
 // Objective is one declarative service-level objective.
@@ -79,8 +79,8 @@ type Objective struct {
 	Scope string `json:"scope,omitempty"`
 }
 
-// Name renders a stable identifier for the objective, used as the
-// Prometheus `objective` label: "latency_p99", "error_rate", "hit_ratio".
+// Name renders a stable identifier for the objective, its name in a
+// Report: "latency_p99", "error_rate", "hit_ratio".
 func (o Objective) Name() string {
 	switch o.Kind {
 	case KindLatency:
@@ -304,7 +304,7 @@ func (p Policy) Span() time.Duration {
 }
 
 // maxBuckets bounds the ring a Tracker keeps per scope (Span/Interval + 1
-// buckets of ≈ 230 bytes): 2 h 46 m of 1 s intervals, or 27 h of 10 s.
+// buckets of ≈ 280 bytes): 2 h 46 m of 1 s intervals, or 27 h of 10 s.
 // A policy that asks for more, such as "interval 1ns" under the default
 // 5 m burn window, is refused instead of exhausting memory in NewEngine.
 const maxBuckets = 10_000

@@ -4,7 +4,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -441,37 +440,6 @@ func TestEngineScopes(t *testing.T) {
 	}
 	// An unknown scope returns a nil tracker that swallows records.
 	e.Scope("nope").Record(0.001, true, false, false)
-}
-
-func TestReportWritePrometheus(t *testing.T) {
-	p, err := ParsePolicy("window 5s; interval 1s; burn-windows 5s; latency p99 <= 5ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(p)
-	now := at(0)
-	e.SetClock(func() time.Time { return now })
-	for i := 0; i < 100; i++ {
-		e.Global().Record(0.001, true, false, false)
-	}
-	var b strings.Builder
-	if err := e.Report().WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE ts_slo_window_requests gauge",
-		`ts_slo_window_requests{scope="global",window="5s"} 100`,
-		`ts_slo_window_hit_ratio{scope="global",window="5s"} 1`,
-		`ts_slo_window_error_ratio{scope="global",window="5s"} 0`,
-		`ts_slo_burn_rate{scope="global",objective="latency_p99",window="5s"} 0`,
-		`ts_slo_budget_remaining{scope="global",objective="latency_p99"} 1`,
-		`ts_slo_breached{scope="global",objective="latency_p99"} 0`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
-		}
-	}
 }
 
 func TestPolicyEvaluateStats(t *testing.T) {

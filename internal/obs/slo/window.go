@@ -1,7 +1,6 @@
 package slo
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,7 +25,7 @@ import (
 type Tracker struct {
 	interval   time.Duration
 	numBuckets int
-	bounds     []float64
+	bounds     []float64 // the one latency layout every bucket shares
 	buckets    []bucket
 	rotMu      sync.Mutex
 	now        func() time.Time
@@ -34,29 +33,30 @@ type Tracker struct {
 
 // bucket holds one interval's telemetry. epoch is the interval index
 // the data belongs to, or -1 while the bucket is being reset; readers
-// must check it before and writers after loading/adding.
+// check it before loading. latency holds every request of the interval,
+// so its count is the interval's request count.
 type bucket struct {
-	epoch       atomic.Int64
-	requests    atomic.Int64
-	errors      atomic.Int64
-	hits        atomic.Int64
-	misses      atomic.Int64
-	latSumNanos atomic.Int64
-	latCounts   []atomic.Int64 // len(bounds)+1, +Inf last
+	epoch   atomic.Int64
+	errors  atomic.Int64
+	hits    atomic.Int64
+	misses  atomic.Int64
+	latency *obs.Histogram
 }
 
-// DefaultLatencyBounds returns the latency bucket layout of the serving
-// stack's SLO windows: 18 doubling bounds from 100µs to 13.1s, past which
-// a request lands in the +Inf bucket. It is its own layout, not the
-// edge_request_seconds histogram's (22 doubling bounds, 50µs to 105s).
+// DefaultLatencyBounds returns the serving stack's request-latency
+// bucket layout: 22 doubling bounds from 50µs to 105s, past which a
+// request lands in the +Inf bucket. The edge's edge_request_seconds
+// histogram and its SLO windows both use it, so a window's latency is
+// that histogram's, restricted to the window.
 func DefaultLatencyBounds() []float64 {
-	return obs.ExpBuckets(0.0001, 2, 18)
+	return obs.ExpBuckets(50e-6, 2, 22)
 }
 
 // NewTracker builds a tracker with the given bucket interval and
 // retained span (the longest window it can answer). One extra bucket is
 // allocated beyond span/interval so the oldest full interval is still
-// intact while the newest is being written.
+// intact while the newest is being written. Every bucket's histogram
+// shares one copy of bounds.
 func NewTracker(interval, span time.Duration, bounds []float64) *Tracker {
 	if interval <= 0 {
 		interval = DefaultInterval
@@ -74,7 +74,7 @@ func NewTracker(interval, span time.Duration, bounds []float64) *Tracker {
 	}
 	for i := range t.buckets {
 		t.buckets[i].epoch.Store(-1)
-		t.buckets[i].latCounts = make([]atomic.Int64, len(bounds)+1)
+		t.buckets[i].latency = obs.NewHistogram(t.bounds)
 	}
 	return t
 }
@@ -105,7 +105,6 @@ func (t *Tracker) RecordAt(now time.Time, latencySeconds float64, hit, miss, isE
 	if b == nil {
 		return // older than the ring retains; drop
 	}
-	b.requests.Add(1)
 	if isErr {
 		b.errors.Add(1)
 	}
@@ -115,8 +114,7 @@ func (t *Tracker) RecordAt(now time.Time, latencySeconds float64, hit, miss, isE
 	if miss {
 		b.misses.Add(1)
 	}
-	b.latSumNanos.Add(int64(latencySeconds * 1e9))
-	b.latCounts[sort.SearchFloat64s(t.bounds, latencySeconds)].Add(1)
+	b.latency.Observe(latencySeconds)
 }
 
 // bucket returns the ring slot for the given interval epoch, rotating
@@ -142,14 +140,10 @@ func (t *Tracker) bucket(epoch int64) *bucket {
 			continue // someone else rotated (or moved past us)
 		}
 		b.epoch.Store(-1) // readers now skip this slot
-		b.requests.Store(0)
 		b.errors.Store(0)
 		b.hits.Store(0)
 		b.misses.Store(0)
-		b.latSumNanos.Store(0)
-		for i := range b.latCounts {
-			b.latCounts[i].Store(0)
-		}
+		b.latency.Reset()
 		b.epoch.Store(epoch)
 		t.rotMu.Unlock()
 		return b
@@ -183,40 +177,19 @@ func (t *Tracker) WindowAt(now time.Time, span time.Duration) WindowStats {
 		n = t.numBuckets - 1
 	}
 	ws.WindowSeconds = (time.Duration(n) * t.interval).Seconds()
-	ws.Latency = obs.HistogramValue{
-		Bounds: t.bounds,
-		Counts: make([]int64, len(t.bounds)+1),
-	}
+	latency := obs.NewHistogram(t.bounds)
 	newest := now.UnixNano() / int64(t.interval)
-	var sumNanos int64
 	for epoch := newest - int64(n) + 1; epoch <= newest; epoch++ {
 		b := &t.buckets[int(epoch%int64(t.numBuckets))]
 		if b.epoch.Load() != epoch {
 			continue
 		}
-		ws.Requests += b.requests.Load()
 		ws.Errors += b.errors.Load()
 		ws.Hits += b.hits.Load()
 		ws.Misses += b.misses.Load()
-		sumNanos += b.latSumNanos.Load()
-		for i := range b.latCounts {
-			ws.Latency.Counts[i] += b.latCounts[i].Load()
-		}
+		latency.Merge(b.latency) // one layout throughout: cannot fail
 	}
-	// Derive Count from the bucket counts so the HistogramValue stays
-	// internally consistent for Quantile even when a racing writer lands
-	// between our loads.
-	for _, c := range ws.Latency.Counts {
-		ws.Latency.Count += c
-	}
-	ws.Latency.Sum = float64(sumNanos) / 1e9
+	ws.Latency = latency.Value()
+	ws.Requests = ws.Latency.Count
 	return ws
-}
-
-// Interval returns the tracker's bucket resolution.
-func (t *Tracker) Interval() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return t.interval
 }
