@@ -66,6 +66,13 @@ func public(a, b []float64, radius int) (float64, error) {
 	return DistanceBand(a, b, radius)
 }
 
+// pair runs one pair on k, its spare lanes repeating b.
+func pair(k *kernel, a, b []float64, radius int) (float64, error) {
+	var d [1]float64
+	err := k.distances(a, [][]float64{b}, radius, d[:])
+	return d[0], err
+}
+
 // checkAgainstReference compares one evaluation with the reference
 // kernel's: the same bits, or the same error.
 func checkAgainstReference(t *testing.T, what string, a, b []float64, radius int, got float64, gotErr error) {
@@ -111,7 +118,7 @@ func TestKernelMatchesReference(t *testing.T) {
 	differentialCases(func(a, b []float64, radius int) {
 		got, err := public(a, b, radius)
 		checkAgainstReference(t, "fresh kernel", a, b, radius, got, err)
-		got, err = shared.distance(a, b, radius)
+		got, err = pair(&shared, a, b, radius)
 		checkAgainstReference(t, "shared kernel", a, b, radius, got, err)
 		if err != nil && strings.Contains(err.Error(), "band radius too small") {
 			tooSmall++
@@ -199,7 +206,111 @@ func FuzzDistanceBand(f *testing.F) {
 			got, err := DistanceBand(a, b, radius)
 			checkAgainstReference(t, "DistanceBand", a, b, radius, got, err)
 		}
-		got, err := shared.distance(a, b, radius)
+		got, err := pair(&shared, a, b, radius)
 		checkAgainstReference(t, "shared kernel", a, b, radius, got, err)
+	})
+}
+
+// checkMatrix holds PairwiseDistances on one and two workers to the
+// reference matrix: every cell bit for bit, or the same error, which it
+// returns.
+func checkMatrix(t *testing.T, series [][]float64, radius int) error {
+	t.Helper()
+	want, wantErr := referenceMatrix(series, radius)
+	for _, workers := range []int{1, 2} {
+		got, err := PairwiseDistances(series, PairwiseOptions{BandRadius: radius, Workers: workers})
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("%d series, radius %d, workers %d: error %v, reference %v", len(series), radius, workers, err, wantErr)
+		}
+		for i := range got {
+			for j := range got {
+				if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+					t.Fatalf("%d series, radius %d, workers %d: (%d,%d) = %v, reference %v",
+						len(series), radius, workers, i, j, got[i][j], want[i][j])
+				}
+			}
+		}
+	}
+	return wantErr
+}
+
+// TestPairwiseLanes holds the matrix to the reference wherever the
+// kernel's groups of lanes pairs can go wrong: at every row tail (n = 1
+// to 9 and 33 end rows with every count of spare lanes), on series of
+// one length and on mixed lengths that cut groups short, under no band,
+// the diagonal, the clustering's band and a band too small for some
+// pairs.
+func TestPairwiseLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var failed int
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 33} {
+		for _, lengths := range [][]int{{24}, {24, 24, 24, 13, 60}} {
+			series := make([][]float64, n)
+			for i := range series {
+				series[i] = shapes[rng.Intn(len(shapes))].gen(rng, lengths[rng.Intn(len(lengths))])
+			}
+			for _, radius := range []int{-1, 0, 24, 1} {
+				if checkMatrix(t, series, radius) != nil {
+					failed++
+				}
+			}
+		}
+	}
+	if failed == 0 {
+		t.Error("no matrix where the band is too small for a pair")
+	}
+}
+
+// FuzzPairwiseDistances holds the matrix to the reference on any finite
+// series: raw[0] picks 2 to 9 series, the next bytes their lengths (1 to
+// 32), and the rest are little-endian float64 samples, dealt out in
+// order and repeated when they run out.
+func FuzzPairwiseDistances(f *testing.F) {
+	rng := rand.New(rand.NewSource(29))
+	seed := func(radius int, series ...[]float64) {
+		raw := []byte{byte(len(series) - 2)}
+		var samples []float64
+		for _, s := range series {
+			raw = append(raw, byte(len(s)-1))
+			samples = append(samples, s...)
+		}
+		f.Add(append(raw, encodeSeries(samples)...), radius)
+	}
+	for n := 2; n <= 9; n++ {
+		series := make([][]float64, n)
+		for i := range series {
+			series[i] = shapes[i%len(shapes)].gen(rng, []int{8, 8, 8, 5, 32}[rng.Intn(5)])
+		}
+		seed(-1, series...)
+		seed(n-2, series...)
+	}
+	seed(1, []float64{1, 2}, []float64{-math.MaxFloat64}, []float64{3}, []float64{math.MaxFloat64})
+	f.Fuzz(func(t *testing.T, raw []byte, radius int) {
+		if len(raw) < 1 {
+			t.Skip("no series count")
+		}
+		n := 2 + int(raw[0])%8
+		if len(raw) < 1+n {
+			t.Skip("no length for every series")
+		}
+		lengths, raw := raw[1:1+n], raw[1+n:]
+		samples := make([]float64, max(1, len(raw)/8))
+		for i := range len(raw) / 8 {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip("non-finite sample")
+			}
+			samples[i] = v
+		}
+		series := make([][]float64, n)
+		next := 0
+		for i, l := range lengths {
+			series[i] = make([]float64, 1+int(l)%32)
+			for j := range series[i] {
+				series[i][j] = samples[next%len(samples)]
+				next++
+			}
+		}
+		checkMatrix(t, series, radius)
 	})
 }

@@ -6,7 +6,8 @@
 // One kernel serves the full O(N·M) dynamic program, its Sakoe-Chiba
 // banded variant and the pairwise-distance matrix the agglomerative
 // clustering consumes: it visits only the cells inside per-row integer
-// band bounds (an unbanded run is a band that covers every cell).
+// band bounds (an unbanded run is a band that covers every cell), for
+// four pairs at a time that share their first series.
 package dtw
 
 import (
@@ -44,7 +45,8 @@ func DistanceBand(a, b []float64, radius int) (float64, error) {
 	return distance(a, b, radius)
 }
 
-// distance validates one pair and runs it on a fresh kernel.
+// distance validates one pair and runs it on a fresh kernel, its spare
+// lanes repeating b.
 func distance(a, b []float64, radius int) (float64, error) {
 	for i, s := range [2][]float64{a, b} {
 		if err := checkFinite(i, s); err != nil {
@@ -52,7 +54,9 @@ func distance(a, b []float64, radius int) (float64, error) {
 		}
 	}
 	var k kernel
-	return k.distance(a, b, radius)
+	var d [1]float64
+	err := k.distances(a, [][]float64{b}, radius, d[:])
+	return d[0], err
 }
 
 // checkFinite reports the first NaN or infinite sample of series idx.
@@ -65,10 +69,21 @@ func checkFinite(idx int, s []float64) error {
 	return nil
 }
 
+// lane holds one cell, or one sample, of each of the pairs the kernel
+// runs through one dynamic program together — one series a against
+// lanes series b of one length: their rows and b samples are
+// interleaved lane by lane. The kernel's inner loop is unrolled by hand
+// for four.
+type lane [4]float64
+
+// lanes is how many pairs the kernel advances per sweep.
+const lanes = len(lane{})
+
 // kernel is one evaluator's reusable state: the two rolling rows of the
-// dynamic program and the band bounds of the last shape it ran, so a
-// run of same-shaped pairs — a whole matrix of hour-of-week series —
-// derives the bounds once and allocates nothing per pair.
+// dynamic program, the interleaved b samples, and the band bounds of the
+// last shape it ran, so a run of same-shaped pairs — a whole matrix of
+// hour-of-week series — derives the bounds once and allocates nothing
+// per pair.
 type kernel struct {
 	// n, m, radius is the shape lo and hi describe.
 	n, m, radius int
@@ -76,9 +91,12 @@ type kernel struct {
 	// then lo[i] == hi[i]+1); both are non-decreasing in i. hi carries
 	// one extra entry, hi[n] = m-1, the columns read after the last row.
 	lo, hi []int
-	// rows backs the two rolling rows of m+1 cells each: column j lives
-	// at index j+1, index 0 is the column left of the matrix.
-	rows []float64
+	// rows backs the two rolling rows of m+1 lane cells each: column j
+	// lives at index j+1, index 0 is the column left of the matrix.
+	rows []lane
+	// b holds the lanes' b series, interleaved: b[j][l] is sample j of
+	// lane l's. It shares one allocation with rows.
+	b []lane
 }
 
 // setShape points the kernel at n×m matrices under the given radius
@@ -94,7 +112,8 @@ func (k *kernel) setShape(n, m, radius int) {
 	k.n, k.m, k.radius = n, m, radius
 	k.lo = slices.Grow(k.lo[:0], n)[:n]
 	k.hi = slices.Grow(k.hi[:0], n+1)[:n+1]
-	k.rows = slices.Grow(k.rows[:0], 2*(m+1))[:2*(m+1)]
+	cells := slices.Grow(k.rows[:0], 3*m+2)[:3*m+2]
+	k.rows, k.b = cells[:2*(m+1)], cells[2*(m+1):]
 	r := math.Inf(1)
 	if radius >= 0 {
 		r = float64(radius)
@@ -115,7 +134,11 @@ func (k *kernel) setShape(n, m, radius int) {
 	k.hi[n] = m - 1
 }
 
-// distance runs the dynamic program over the band cells of a×b.
+// distances runs the dynamic program over the band cells of a×bs[l] for
+// every l at once and stores the distances in d[:len(bs)]. bs holds 1 to
+// lanes series of one length; lanes past len(bs) repeat its last. On
+// failure it returns the error of the first failing pair, which is that
+// of every failing pair: all share their lengths.
 //
 // Each row writes its band cells and nothing else, so a cell outside
 // the band holds whatever an earlier row or pair left there. What makes
@@ -126,51 +149,58 @@ func (k *kernel) setShape(n, m, radius int) {
 //
 // On finite input the result is bit-identical to filling the whole
 // matrix with math.Min: every cell is a sum of absolute values, so no
-// NaN and no negative zero ever reaches a comparison.
-func (k *kernel) distance(a, b []float64, radius int) (float64, error) {
-	n, m := len(a), len(b)
+// NaN and no negative zero ever reaches a comparison, and the order of
+// a min cannot change its result.
+func (k *kernel) distances(a []float64, bs [][]float64, radius int, d []float64) error {
+	n, m := len(a), len(bs[0])
 	if n == 0 || m == 0 {
-		return 0, ErrEmptySeries
+		return ErrEmptySeries
 	}
 	k.setShape(n, m, radius)
+	for l := range lanes {
+		for j, v := range bs[min(l, len(bs)-1)][:m] {
+			k.b[j][l] = v
+		}
+	}
 	inf := math.Inf(1)
+	infs := lane{inf, inf, inf, inf}
 	prev, cur := k.rows[:m+1], k.rows[m+1:]
 	// The row above the matrix: only the corner left of column 0 is a
 	// predecessor, of cell (0, 0), at cost zero.
-	prev[0] = 0
+	prev[0] = lane{}
 	for j := 0; j <= k.hi[0]; j++ {
-		prev[j+1] = inf
+		prev[j+1] = infs
 	}
 	for i, ai := range a {
 		lo, hi := k.lo[i], k.hi[i]
-		cur[lo] = inf
-		left, diag := inf, prev[lo]
-		band := b[lo : hi+1]
+		cur[lo] = infs
+		band := k.b[lo : hi+1]
+		diag := prev[lo:][:len(band)]
 		up := prev[lo+1:][:len(band)]
 		out := cur[lo+1:][:len(band)]
-		for j, bj := range band {
-			u := up[j]
-			best := u
-			if diag < best {
-				best = diag
-			}
-			if left < best {
-				best = left
-			}
-			left = math.Abs(ai-bj) + best
-			out[j] = left
-			diag = u
+		// The four lanes' left cells are four dependency chains the
+		// branchless min lets overlap.
+		l0, l1, l2, l3 := inf, inf, inf, inf
+		for j := range band {
+			b, u, g := &band[j], &up[j], &diag[j]
+			l0 = math.Abs(ai-b[0]) + min(min(u[0], g[0]), l0)
+			l1 = math.Abs(ai-b[1]) + min(min(u[1], g[1]), l1)
+			l2 = math.Abs(ai-b[2]) + min(min(u[2], g[2]), l2)
+			l3 = math.Abs(ai-b[3]) + min(min(u[3], g[3]), l3)
+			out[j] = lane{l0, l1, l2, l3}
 		}
 		for j := hi + 1; j <= k.hi[i+1]; j++ {
-			cur[j+1] = inf
+			cur[j+1] = infs
 		}
 		prev, cur = cur, prev
 	}
-	d := prev[m]
-	if math.IsInf(d, 1) {
-		return 0, fmt.Errorf("dtw: band radius too small for series of lengths %d, %d", n, m)
+	for l := range d {
+		if math.IsInf(prev[m][l], 1) {
+			return fmt.Errorf("dtw: band radius too small for series of lengths %d, %d", n, m)
+		}
+		d[l] = prev[m][l]
 	}
-	return d, nil
+	return nil
 }
 
 // PairwiseOptions configures PairwiseDistances.
@@ -188,9 +218,11 @@ type PairwiseOptions struct {
 //
 // Workers claim whole rows of the upper triangle in ascending order —
 // longest rows first, and series i stays cached across its row — each
-// on its own kernel, so the call allocates the matrix and a constant
-// amount per worker, nothing per pair. On failure the error is that of
-// the first failing pair in row-major order, whatever the worker count.
+// on its own kernel, which takes the row's pairs in groups of up to
+// lanes, cut short at a change of length. The call allocates the matrix
+// and a constant amount per worker, nothing per pair. On failure the
+// error is that of the first failing pair in row-major order, whatever
+// the worker count.
 func PairwiseDistances(series [][]float64, opts PairwiseOptions) ([][]float64, error) {
 	n := len(series)
 	for i, s := range series {
@@ -224,9 +256,14 @@ func PairwiseDistances(series [][]float64, opts PairwiseOptions) ([][]float64, e
 				if i >= n-1 {
 					return
 				}
-				for j := i + 1; j < n; j++ {
-					d, err := k.distance(series[i], series[j], opts.BandRadius)
-					if err != nil {
+				for j := i + 1; j < n; {
+					// A group: up to lanes pairs of row i whose b series
+					// share a length, written straight into the row.
+					g := j + 1
+					for g < n && g-j < lanes && len(series[g]) == len(series[j]) {
+						g++
+					}
+					if err := k.distances(series[i], series[j:g], opts.BandRadius, dist[i][j:g]); err != nil {
 						// Hand out no more rows. Rows are claimed in order
 						// and finished once claimed, so every earlier row
 						// still runs to its own first failure.
@@ -238,7 +275,9 @@ func PairwiseDistances(series [][]float64, opts PairwiseOptions) ([][]float64, e
 						mu.Unlock()
 						return
 					}
-					dist[i][j], dist[j][i] = d, d
+					for ; j < g; j++ {
+						dist[j][i] = dist[i][j]
+					}
 				}
 			}
 		}()

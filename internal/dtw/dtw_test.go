@@ -2,7 +2,6 @@ package dtw
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -179,28 +178,46 @@ func TestPairwiseDistances(t *testing.T) {
 	}
 }
 
-// TestPairwiseDistancesFirstError: a band too narrow for some pairs
-// fails the matrix with the error of the first such pair in row-major
-// order, at any worker count.
+// TestPairwiseDistancesFirstError: a band too narrow for some pairs, or
+// samples whose costs overflow to +Inf, fail the matrix with the error of
+// the first failing pair in row-major order, at any worker count.
 func TestPairwiseDistancesFirstError(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	// Radius 1 joins lengths 12 and 12 or 12 and 13, not 12 and 40 or 13
 	// and 40: the first failing pair is (0, 3), and (1, 3) and (3, 4),
 	// which name other lengths, fail with a different message.
-	lengths := []int{12, 13, 12, 40, 12, 13}
-	series := make([][]float64, len(lengths))
-	for i, n := range lengths {
-		series[i] = randSeries(rng, n)
+	narrow := make([][]float64, 6)
+	for i, n := range []int{12, 13, 12, 40, 12, 13} {
+		narrow[i] = randSeries(rng, n)
 	}
-	_, want := referenceDistance(series[0], series[3], 1)
-	if want == nil {
-		t.Fatal("reference joins lengths 12 and 40 under radius 1")
+	// Every pair of row 0 but (0, 3) has a finite cost, and (0, 3) is the
+	// third lane of row 0's first group: with -MaxFloat64 in series 0 and
+	// +MaxFloat64 in series 3, a path that aligns the two pays +Inf there
+	// and one that does not pays MaxFloat64 twice, which overflows too.
+	// Row 1 fails later in row-major order, on lengths 12 and 40: the
+	// message of a kernel that misses the failure in lane 2.
+	overflow := make([][]float64, 6)
+	for i := range overflow {
+		overflow[i] = randSeries(rng, 12)
 	}
-	for _, workers := range []int{0, 1, 2, 3, len(series) + 5} {
-		for rep := 0; rep < 20; rep++ {
-			m, err := PairwiseDistances(series, PairwiseOptions{BandRadius: 1, Workers: workers})
-			if m != nil || err == nil || err.Error() != want.Error() {
-				t.Fatalf("workers %d: matrix %v, error %v; want nil, %v", workers, m, err, want)
+	overflow[5] = randSeries(rng, 40)
+	overflow[0][4], overflow[3][7] = -math.MaxFloat64, math.MaxFloat64
+	for _, tc := range []struct {
+		name   string
+		series [][]float64
+	}{{"narrow", narrow}, {"overflow", overflow}} {
+		_, want := referenceMatrix(tc.series, 1)
+		for j := 1; j <= 3; j++ {
+			if _, err := referenceDistance(tc.series[0], tc.series[j], 1); (err != nil) != (j == 3) || j == 3 && err.Error() != want.Error() {
+				t.Fatalf("%s: the reference's first failing pair is not (0, 3): (0, %d) gives %v", tc.name, j, err)
+			}
+		}
+		for _, workers := range []int{0, 1, 2, 3, len(tc.series) + 5} {
+			for rep := 0; rep < 20; rep++ {
+				m, err := PairwiseDistances(tc.series, PairwiseOptions{BandRadius: 1, Workers: workers})
+				if m != nil || err == nil || err.Error() != want.Error() {
+					t.Fatalf("%s, workers %d: matrix %v, error %v; want nil, %v", tc.name, workers, m, err, want)
+				}
 			}
 		}
 	}
@@ -269,15 +286,20 @@ func TestNonFinite(t *testing.T) {
 // BenchmarkPairwiseDistances times a matrix like the ones Fig. 8
 // clusters — 128 normalised hour-of-week series, diurnal, short-lived
 // and sparse counts, under the 24-hour band — by the reference kernel
-// and by the package's on one and two workers. The kernel's min is two
-// compare-and-branch steps, so its time depends on the data: Gaussian
-// noise (randSeries), where no branch predicts, costs it 2.1× what
-// these shapes do per pair, and costs the reference the same.
+// and by the package's on one and two workers, and beside it a matrix of
+// 128 series of Gaussian noise (randSeries) on one worker. The kernel's
+// min is branchless, so its time does not depend on the data: noise,
+// where no branch would predict, costs it 1.0× what these shapes do per
+// pair (medians of eight runs each on a 2-vCPU Xeon).
 func BenchmarkPairwiseDistances(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	series := make([][]float64, 128)
 	for i := range series {
 		series[i] = clusteringShapes[i%len(clusteringShapes)].gen(rng, 168)
+	}
+	noise := make([][]float64, len(series))
+	for i := range noise {
+		noise[i] = randSeries(rng, 168)
 	}
 	b.Run("reference", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -286,8 +308,8 @@ func BenchmarkPairwiseDistances(b *testing.B) {
 			}
 		}
 	})
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+	run := func(name string, series [][]float64, workers int) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := PairwiseDistances(series, PairwiseOptions{BandRadius: 24, Workers: workers}); err != nil {
@@ -296,6 +318,9 @@ func BenchmarkPairwiseDistances(b *testing.B) {
 			}
 		})
 	}
+	run("workers-1", series, 1)
+	run("workers-2", series, 2)
+	run("noise", noise, 1)
 }
 
 func randSeries(rng *rand.Rand, n int) []float64 {
