@@ -3,12 +3,12 @@
 //
 // Usage:
 //
-//	tsgen -out trace.tsb [-format block|json] [-scale 0.01]
+//	tsgen -out trace.tsb [-scale 0.01]
 //	      [-seed 42] [-sites V-1,P-2] [-salt s] [-profiles custom.json]
 //	      [-dump-profiles profiles.json] [-workers N]
 //	      [-debug-addr :6060] [-progress] [-manifest run.json]
 //
-// Output format defaults to the file extension (.jsonl is JSON Lines,
+// The file extension picks the output format (.jsonl is JSON Lines,
 // anything else the v2 block format; an optional .gz suffix compresses);
 // "-" writes JSON Lines to stdout.
 //
@@ -41,7 +41,6 @@ func main() {
 func run() error {
 	var (
 		out          = flag.String("out", "-", "output path (extension selects format; .gz compresses), or - for JSON Lines on stdout")
-		format       = flag.String("format", "", "override log format: block or json")
 		scale        = flag.Float64("scale", 0.01, "fraction of paper-reported object/request counts")
 		seed         = flag.Int64("seed", 42, "random seed (identical seeds reproduce identical traces)")
 		sites        = flag.String("sites", "", "comma-separated site subset (default: all five)")
@@ -113,7 +112,7 @@ func run() error {
 	defer sess.Finish(extra)
 
 	sess.SetProgress(sess.CounterProgress("synth_records_total", gen.ExpectedRecords(), "records"))
-	n, err := parallelGenerate(ctx, gen, *out, *format,
+	n, err := parallelGenerate(ctx, gen, *out,
 		synth.ParallelOptions{Workers: *workers, Metrics: sess.Registry()})
 	if err != nil {
 		return err
@@ -128,7 +127,7 @@ func run() error {
 // the generator's streaming time-ordered merge yields records already
 // globally sorted, so they go straight to the writer without a sort or
 // an in-memory trace. Cancelling ctx ends the stream with ctx's error.
-func parallelGenerate(ctx context.Context, gen *synth.Generator, out, format string, opts synth.ParallelOptions) (int64, error) {
+func parallelGenerate(ctx context.Context, gen *synth.Generator, out string, opts synth.ParallelOptions) (int64, error) {
 	var n int64
 	stream := func(w trace.Writer) error {
 		pr := gen.ParallelReader(opts)
@@ -157,15 +156,7 @@ func parallelGenerate(ctx context.Context, gen *synth.Generator, out, format str
 		}
 		return n, tw.Flush()
 	}
-	var f trace.Format
-	if format != "" {
-		var err error
-		f, err = trace.ParseFormat(format)
-		if err != nil {
-			return 0, err
-		}
-	}
-	fw, err := trace.CreateFile(out, f)
+	fw, err := trace.CreateFile(out, 0)
 	if err != nil {
 		return 0, err
 	}

@@ -47,7 +47,6 @@ func main() {
 func run() error {
 	var (
 		in      = flag.String("in", "", "input trace path (required)")
-		format  = flag.String("format", "", "override log format: block or json")
 		target  = flag.String("target", "", "edge base URL, e.g. http://127.0.0.1:8080 (required)")
 		speedup = flag.Float64("speedup", 0, "trace-seconds replayed per wall-second (0 = as fast as possible)")
 		workers = flag.Int("workers", 32, "request worker pool size")
@@ -78,14 +77,7 @@ func run() error {
 	// record total is unknown until the stream ends).
 	sess.SetProgress(sess.CounterProgress("loadgen_requests_total", 0, "requests"))
 
-	var f trace.Format
-	if *format != "" {
-		f, err = trace.ParseFormat(*format)
-		if err != nil {
-			return err
-		}
-	}
-	fr, err := trace.OpenFile(*in, f)
+	fr, err := trace.OpenFile(*in, 0)
 	if err != nil {
 		return err
 	}

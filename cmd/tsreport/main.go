@@ -9,13 +9,14 @@
 //
 // Usage:
 //
-//	tsreport [-scale 0.02] [-seed 42] [-in trace.tsb [-format block|json] [-replay]]
-//	         [-figures 1,3,11] [-csv] [-summary] [-verify] [-outdir dir]
+//	tsreport [-scale 0.02] [-seed 42] [-in trace.tsb [-replay]]
+//	         [-figures 1,3,11] [-summary] [-verify] [-outdir dir]
 //	         [-debug-addr :6060] [-progress] [-manifest run.json]
 //
-// -in reads its trace, a file or JSON Lines on stdin (-in -), exactly once,
-// into a time-ordered spool on disk (trace.Spool): a log may arrive in any
-// order, and every pass reads the spool. The trace is analyzed as-is
+// -in reads its trace — a file, block or JSON Lines as its first bytes
+// tell, or JSON Lines on stdin (-in -) — exactly once into a time-ordered
+// spool on disk (trace.Spool): a log may arrive in any order, and every
+// pass reads the spool. The trace is analyzed as-is
 // (cache columns require a trace that already carries cache verdicts);
 // with -replay it is first pushed through the CDN simulator — warm-up plus
 // measured pass, with the measured records fused straight into the
@@ -60,21 +61,18 @@ func main() {
 
 // options are tsreport's flags.
 type options struct {
-	scale                  float64
-	seed                   int64
-	csv, summary           bool
-	workers, memBudget     int
-	extras, verify, replay bool
-	outDir                 string
-	in, format, figures    string
-	obs                    *cliobs.Flags
+	scale                           float64
+	seed                            int64
+	workers, memBudget              int
+	summary, extras, verify, replay bool
+	outDir, in, figures             string
+	obs                             *cliobs.Flags
 }
 
 func addFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.Float64Var(&o.scale, "scale", 0.02, "fraction of paper-reported object/request counts")
 	fs.Int64Var(&o.seed, "seed", 42, "random seed")
-	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of aligned tables")
 	fs.BoolVar(&o.summary, "summary", false, "print only the run summary")
 	fs.IntVar(&o.workers, "workers", 0, "analysis parallelism (0 = GOMAXPROCS)")
 	fs.BoolVar(&o.extras, "extras", true, "include forecasting, crawler-baseline and §V implication tables")
@@ -82,7 +80,6 @@ func addFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.outDir, "outdir", "", "also write every table as a CSV file into this directory")
 	fs.IntVar(&o.memBudget, "mem-budget", 0, "per-site analyzer state budget in keys (0 = exact; >0 enables sketch/sample estimators)")
 	fs.StringVar(&o.in, "in", "", "read the week from this trace (.tsb/.jsonl, optional .gz), or - for JSON Lines on stdin, instead of generating it")
-	fs.StringVar(&o.format, "format", "", "override log format: block or json")
 	fs.StringVar(&o.figures, "figures", "", "comma-separated figure numbers (default: all)")
 	fs.BoolVar(&o.replay, "replay", false, "replay the -in trace through the CDN simulator before analyzing")
 	o.obs = cliobs.AddFlags(fs)
@@ -192,17 +189,13 @@ func run(ctx context.Context, o *options, stdin io.Reader, stdout io.Writer) (*c
 		case len(checks) == 0:
 			verifyErr = fmt.Errorf("calibration verification: no claim evaluated (the trace holds none of the paper's sites)")
 		case len(failed) > 0:
-			verifyErr = fmt.Errorf("calibration verification failed (see table above)")
+			verifyErr = fmt.Errorf("calibration verification failed: %s", strings.Join(failed, "; "))
 		}
 		extra["verify_pass"], extra["verify_failed"] = verifyErr == nil, failed
 	}
 	if !o.summary {
 		for _, tab := range tables {
-			if o.csv {
-				fmt.Fprint(stdout, tab.CSV())
-			} else {
-				fmt.Fprintln(stdout, tab)
-			}
+			fmt.Fprintln(stdout, tab)
 		}
 	}
 	if o.outDir != "" {
@@ -249,14 +242,7 @@ func (o *options) source(ctx context.Context, study *core.Study, sess *cliobs.Se
 	if o.in == "-" {
 		return trace.NewSpool(trace.NewContextReader(ctx, trace.NewJSONReader(stdin)))
 	}
-	var f trace.Format
-	if o.format != "" {
-		var err error
-		if f, err = trace.ParseFormat(o.format); err != nil {
-			return nil, err
-		}
-	}
-	fr, err := trace.OpenFile(o.in, f)
+	fr, err := trace.OpenFile(o.in, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -46,12 +47,7 @@ func week(t *testing.T) []*trace.Record {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := study.Source().Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer trace.CloseReader(r)
-	recs, err := trace.ReadAll(r)
+	recs, err := study.Generator().Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +154,9 @@ func TestFiguresRefusesVerify(t *testing.T) {
 // TestVerifyFailsOnMiscalibratedTrace follows a user who modifies a
 // site profile (tsgen -profiles) and checks the result (tsreport -in
 // -replay -verify): V-1's hourly shape inverted into a typical diurnal
-// one must fail the anti-diurnal check, fail the run, and say so in the
-// run manifest.
+// one must fail the anti-diurnal check, fail the run with an error naming
+// the check (also under -summary, which prints no verification table),
+// and say so in the run manifest.
 func TestVerifyFailsOnMiscalibratedTrace(t *testing.T) {
 	profiles := synth.DefaultProfiles()
 	for i := range profiles {
@@ -185,15 +182,30 @@ func TestVerifyFailsOnMiscalibratedTrace(t *testing.T) {
 	writeTrace(t, path, recs)
 
 	const check = "V-1 night/day traffic ratio"
-	_, out, err := tsreport(t, nil, "-in", path, "-replay", "-verify", "-scale", "0.01", "-extras=false", "-manifest", manifest)
-	if err == nil || !strings.Contains(err.Error(), "calibration verification failed") {
-		t.Fatalf("err %v, want the calibration verification failure", err)
+	for _, summary := range []bool{false, true} {
+		t.Run(fmt.Sprintf("summary=%v", summary), func(t *testing.T) {
+			args := []string{"-in", path, "-replay", "-verify", "-scale", "0.01", "-extras=false", "-manifest", manifest}
+			if summary {
+				args = append(args, "-summary")
+			}
+			_, out, err := tsreport(t, nil, args...)
+			if err == nil || !strings.Contains(err.Error(), "calibration verification failed") || !strings.Contains(err.Error(), check) {
+				t.Fatalf("err %v, want the calibration verification failure naming %q", err, check)
+			}
+			if !summary && !regexp.MustCompile(`(?m)^`+check+` .* FAIL *$`).MatchString(out) {
+				t.Errorf("the verification table does not FAIL %q:\n%s", check, out)
+			}
+			checkFailedManifest(t, manifest, check)
+		})
 	}
-	if !regexp.MustCompile(`(?m)^` + check + ` .* FAIL *$`).MatchString(out) {
-		t.Errorf("the verification table does not FAIL %q:\n%s", check, out)
-	}
+}
 
-	raw, err := os.ReadFile(manifest)
+// checkFailedManifest requires the run manifest at path to carry the
+// run's records, CDN requests and elapsed time, and a failed
+// verification that names check.
+func checkFailedManifest(t *testing.T, path, check string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package analysis
 import (
 	"sort"
 
-	"trafficscope/internal/stats"
 	"trafficscope/internal/trace"
 )
 
@@ -15,10 +14,9 @@ import (
 //
 // Bounded mode (Params.MemoryBudget > 0) samples *objects*: all (user,
 // object) pairs of a uniformly sampled object subset are kept exactly,
-// so per-object statistics (Scatter points, MaxRequestsPerUser) are
-// exact for the sampled objects and the object-level distributions
-// (PerUserCDF, FracObjectsAbove) are unbiased estimates with relative
-// standard error ~ 1/sqrt(budget).
+// so per-object statistics (Scatter points) are exact for the sampled
+// objects and the object-level fractions (FracObjectsAbove) are unbiased
+// estimates with relative standard error ~ 1/sqrt(budget).
 type Addiction struct {
 	perSite[[numCats]addictionCat]
 	budget int
@@ -156,42 +154,6 @@ func (c *addictionCat) maxPerUser(slots int) []int64 {
 		}
 	}
 	return out
-}
-
-// MaxRequestsPerUser returns, per object, the maximum number of requests
-// any single user issued for it.
-func (a *Addiction) MaxRequestsPerUser(site string, cat trace.Category) map[uint64]int64 {
-	c, ids := a.population(site, cat)
-	if c == nil {
-		return nil
-	}
-	out := map[uint64]int64{}
-	for slot, n := range c.maxPerUser(len(ids)) {
-		if n > 0 {
-			out[ids[slot]] = n
-		}
-	}
-	return out
-}
-
-// PerUserCDF returns the ECDF of per-object *maximum* requests per unique
-// user, the Fig. 14 presentation ("at least 10% of video objects have
-// more than 10 requests per unique user").
-func (a *Addiction) PerUserCDF(site string, cat trace.Category) *stats.ECDF {
-	c, ids := a.population(site, cat)
-	if c == nil {
-		return nil
-	}
-	var sample []float64
-	for _, n := range c.maxPerUser(len(ids)) {
-		if n > 0 {
-			sample = append(sample, float64(n))
-		}
-	}
-	if len(sample) == 0 {
-		return nil
-	}
-	return stats.MustECDF(sample)
 }
 
 // FracObjectsAbove returns the fraction of objects whose per-user repeat

@@ -13,8 +13,8 @@ import (
 // d, the fraction of objects that received at least one request on day
 // first+d-1, among objects whose age-d day falls inside the trace.
 // Bounded mode (Params.MemoryBudget > 0) keeps day bitmaps for a
-// uniform object sample of at most the budget per site; the Curve,
-// FracAliveAllWeek and FracSilentAfterDay ratios are then unbiased
+// uniform object sample of at most the budget per site; the Curve and
+// FracAliveAllWeek ratios are then unbiased
 // estimates with relative standard error ~ 1/sqrt(budget).
 type Aging struct {
 	perSite[agingSite]
@@ -114,39 +114,22 @@ func (a *Aging) Curve(site string) [7]float64 {
 // that received requests on every day of the week ("only about 10% of
 // objects are requested throughout the trace duration of one week").
 func (a *Aging) FracAliveAllWeek(site string) float64 {
-	return a.fracWhere(site, func(days uint8) bool { return days == allWeek })
-}
-
-// FracSilentAfterDay returns the fraction of the site's objects with no
-// request after the given day index (0-based; the paper reports "about
-// 20% of objects are not requested after 3 days").
-func (a *Aging) FracSilentAfterDay(site string, day int) float64 {
-	later := uint8(allWeek)
-	if day >= 0 {
-		later = allWeek &^ (1<<(min(day, 6)+1) - 1)
-	}
-	return a.fracWhere(site, func(days uint8) bool { return days&later == 0 })
-}
-
-// fracWhere returns the fraction of the site's tracked objects whose
-// day set satisfies pred.
-func (a *Aging) fracWhere(site string, pred func(days uint8) bool) float64 {
 	_, st := a.find(site)
 	if st == nil {
 		return 0
 	}
-	var n, total int64
+	var alive, total int64
 	for _, days := range st.days {
 		if days == 0 {
 			continue
 		}
 		total++
-		if pred(days) {
-			n++
+		if days == allWeek {
+			alive++
 		}
 	}
 	if total == 0 {
 		return 0
 	}
-	return float64(n) / float64(total)
+	return float64(alive) / float64(total)
 }

@@ -307,15 +307,6 @@ func TestAgingCurve(t *testing.T) {
 	if got := a.FracAliveAllWeek("P-1"); math.Abs(got-1.0/3) > 1e-9 {
 		t.Errorf("FracAliveAllWeek = %v, want 1/3", got)
 	}
-	// Objects 2 (last request day 1) and 3 (last request day 5) are
-	// silent after day 5; object 1 is not.
-	if got := a.FracSilentAfterDay("P-1", 5); math.Abs(got-2.0/3) > 1e-9 {
-		t.Errorf("FracSilentAfterDay(5) = %v, want 2/3", got)
-	}
-	// After day 1 only object 2 (last request on day 1) is silent.
-	if got := a.FracSilentAfterDay("P-1", 1); math.Abs(got-1.0/3) > 1e-9 {
-		t.Errorf("FracSilentAfterDay(1) = %v, want 1/3", got)
-	}
 }
 
 func TestSessionsIATAndLength(t *testing.T) {
@@ -389,18 +380,13 @@ func TestAddiction(t *testing.T) {
 	if scatter[1].Requests != 5 || scatter[1].Users != 5 {
 		t.Errorf("viral object point: %+v", scatter[1])
 	}
-	maxes := a.MaxRequestsPerUser("V-1", trace.CategoryVideo)
-	if maxes[1] != 12 || maxes[2] != 1 {
-		t.Errorf("maxes = %v", maxes)
+	// Object 1's heaviest user issued 12 requests, object 2's one.
+	for threshold, want := range map[int64]float64{0: 1, 10: 0.5, 11: 0.5, 12: 0} {
+		if got := a.FracObjectsAbove("V-1", trace.CategoryVideo, threshold); math.Abs(got-want) > 1e-9 {
+			t.Errorf("FracObjectsAbove(%d) = %v, want %v", threshold, got, want)
+		}
 	}
-	if got := a.FracObjectsAbove("V-1", trace.CategoryVideo, 10); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("FracObjectsAbove(10) = %v, want 0.5", got)
-	}
-	cdf := a.PerUserCDF("V-1", trace.CategoryVideo)
-	if cdf.Len() != 2 {
-		t.Error("per-user CDF")
-	}
-	if a.PerUserCDF("none", trace.CategoryVideo) != nil {
+	if a.FracObjectsAbove("none", trace.CategoryVideo, 0) != 0 {
 		t.Error("unknown site")
 	}
 }

@@ -96,7 +96,7 @@ func buildBounded(t testing.TB) (exact, small, huge analyzerSet, records int) {
 	err = gen.GenerateTo(func(r *trace.Record) error {
 		// Synthesize a deterministic cache verdict (the generator leaves
 		// Cache unknown; replay normally fills it): 75% hits.
-		if sketch.Hash64Pair(r.ObjectID, r.UserID)%4 != 0 {
+		if sketch.Hash64(r.ObjectID^sketch.Hash64(r.UserID))%4 != 0 {
 			r.Cache = trace.CacheHit
 		} else {
 			r.Cache = trace.CacheMiss
@@ -226,8 +226,7 @@ func TestBoundedModeMatchesExact(t *testing.T) {
 		}
 		for _, site := range exact.addict.Sites() {
 			for _, cat := range trace.AllCategories() {
-				maxes := exact.addict.MaxRequestsPerUser(site, cat)
-				if len(maxes) < 2000 {
+				if len(exact.addict.Scatter(site, cat)) < 2000 {
 					continue // tiny populations carry too few sampled objects
 				}
 				g := small.addict.FracObjectsAbove(site, cat, 1)

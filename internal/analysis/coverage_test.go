@@ -35,9 +35,6 @@ func TestSitesAccessors(t *testing.T) {
 		if a.FracAliveAllWeek("missing") != 0 {
 			t.Error("missing site should be 0")
 		}
-		if a.FracSilentAfterDay("missing", 1) != 0 {
-			t.Error("missing site should be 0")
-		}
 		if got := a.Curve("missing"); got[0] != 0 {
 			t.Error("missing site curve should be zero")
 		}

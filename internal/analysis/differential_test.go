@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"trafficscope/internal/stats"
 	"trafficscope/internal/timeutil"
 	"trafficscope/internal/trace"
 )
@@ -220,14 +219,6 @@ func TestSlotIndexedMatchesMapBased(t *testing.T) {
 	}
 }
 
-// ecdfValues flattens a possibly nil ECDF for comparison.
-func ecdfValues(e *stats.ECDF) []float64 {
-	if e == nil {
-		return nil
-	}
-	return e.Values()
-}
-
 func sortedFloats(xs []float64) []float64 {
 	out := slices.Clone(xs)
 	slices.Sort(out)
@@ -285,17 +276,14 @@ func compareSets(t *testing.T, want *refSet, got *newSet) {
 	for _, site := range append(want.sessions.Sites(), "never-seen") {
 		s := "[" + site + "] "
 		eq(s+"IATSeconds", sortedFloats(got.sessions.IATSeconds(site)), sortedFloats(want.sessions.IATSeconds(site)))
-		eq(s+"IATCDF", ecdfValues(got.sessions.IATCDF(site)), ecdfValues(want.sessions.IATCDF(site)))
+		eq(s+"IATCDF", got.sessions.IATCDF(site), want.sessions.IATCDF(site))
 		eq(s+"SessionsOf", got.sessions.SessionsOf(site), want.sessions.SessionsOf(site))
-		eq(s+"SessionLengthCDF", ecdfValues(got.sessions.SessionLengthCDF(site)), ecdfValues(want.sessions.SessionLengthCDF(site)))
+		eq(s+"SessionLengthCDF", got.sessions.SessionLengthCDF(site), want.sessions.SessionLengthCDF(site))
 		eq(s+"MeanRequestsPerSession", got.sessions.MeanRequestsPerSession(site), want.sessions.MeanRequestsPerSession(site))
 		eq(s+"TimeoutKnee", got.sessions.TimeoutKnee(site), want.sessions.TimeoutKnee(site))
 
 		eq(s+"Curve", got.aging.Curve(site), want.aging.Curve(site))
 		eq(s+"FracAliveAllWeek", got.aging.FracAliveAllWeek(site), want.aging.FracAliveAllWeek(site))
-		for day := 0; day < 7; day++ {
-			eq(s+"FracSilentAfterDay", got.aging.FracSilentAfterDay(site, day), want.aging.FracSilentAfterDay(site, day))
-		}
 
 		eq(s+"WeightedHitRatio", got.caching.WeightedHitRatio(site), want.caching.WeightedHitRatio(site))
 		near(s+"PopularityHitCorrelation", got.caching.PopularityHitCorrelation(site), want.caching.PopularityHitCorrelation(site))
@@ -304,13 +292,11 @@ func compareSets(t *testing.T, want *refSet, got *newSet) {
 		for _, cat := range cats {
 			c := fmt.Sprintf("[%s/%v] ", site, cat)
 			eq(c+"Scatter", byRequests(got.addiction.Scatter(site, cat)), byRequests(want.addiction.Scatter(site, cat)))
-			eq(c+"MaxRequestsPerUser", got.addiction.MaxRequestsPerUser(site, cat), want.addiction.MaxRequestsPerUser(site, cat))
-			eq(c+"PerUserCDF", ecdfValues(got.addiction.PerUserCDF(site, cat)), ecdfValues(want.addiction.PerUserCDF(site, cat)))
 			for _, threshold := range []int64{0, 1, 2, 10} {
 				eq(c+"FracObjectsAbove", got.addiction.FracObjectsAbove(site, cat, threshold), want.addiction.FracObjectsAbove(site, cat, threshold))
 			}
 
-			eq(c+"HitRatioCDF", ecdfValues(got.caching.HitRatioCDF(site, cat)), ecdfValues(want.caching.HitRatioCDF(site, cat)))
+			eq(c+"HitRatioCDF", got.caching.HitRatioCDF(site, cat), want.caching.HitRatioCDF(site, cat))
 			eq(c+"ResponseCodes", got.caching.ResponseCodes(site, cat), want.caching.ResponseCodes(site, cat))
 			for _, code := range []int{200, 304, 999, 7} {
 				eq(c+"CodeFrac", got.caching.CodeFrac(site, cat, code), want.caching.CodeFrac(site, cat, code))
@@ -318,7 +304,7 @@ func compareSets(t *testing.T, want *refSet, got *newSet) {
 
 			eq(c+"Counts", got.popularity.Counts(site, cat), want.popularity.Counts(site, cat))
 			eq(c+"RequestCounts", got.popularity.RequestCounts(site, cat), want.popularity.RequestCounts(site, cat))
-			eq(c+"popularity CDF", ecdfValues(got.popularity.CDF(site, cat)), ecdfValues(want.popularity.CDF(site, cat)))
+			eq(c+"popularity CDF", got.popularity.CDF(site, cat), want.popularity.CDF(site, cat))
 			eq(c+"ZipfExponent", got.popularity.ZipfExponent(site, cat), want.popularity.ZipfExponent(site, cat))
 			for _, frac := range []float64{0, 0.1, 0.5, 1} {
 				eq(c+"TopShare", got.popularity.TopShare(site, cat, frac), want.popularity.TopShare(site, cat, frac))

@@ -91,8 +91,7 @@ func TestFoldMergeRejectsSharedSite(t *testing.T) {
 // Merging folds of different analyzer sets is a programming error that
 // Merge reports, naming both sets.
 func TestFoldMergeRejectsOtherDescriptors(t *testing.T) {
-	comp, _ := ByName("composition")
-	sizes, _ := ByName("sizes")
+	comp, sizes := descriptor(t, "composition"), descriptor(t, "sizes")
 	a, b := NewFold([]Descriptor{comp}, Params{Week: week}), NewFold([]Descriptor{comp, sizes}, Params{Week: week})
 	defer func() {
 		msg := fmt.Sprint(recover())
@@ -101,4 +100,16 @@ func TestFoldMergeRejectsOtherDescriptors(t *testing.T) {
 		}
 	}()
 	a.Merge(b)
+}
+
+// descriptor looks up one registered descriptor.
+func descriptor(t *testing.T, name string) Descriptor {
+	t.Helper()
+	for _, d := range Registered() {
+		if d.Name == name {
+			return d
+		}
+	}
+	t.Fatalf("no analyzer %q registered", name)
+	return Descriptor{}
 }

@@ -125,7 +125,7 @@ func (ks *keyspace) find(name string) int {
 func (ks *keyspace) resolve(r *trace.Record, k *recKey) {
 	k.site = ks.site(r.Publisher)
 	k.cat, _ = catIndex(r.Category())
-	// Week.HourIndex and timeutil.LocalHourOfDay, sharing one
+	// The hour of week and timeutil.LocalHourOfDay, sharing one
 	// subtraction and skipping the calendar: inside the week the local
 	// hour of day follows from the offset into it.
 	if d := r.Timestamp.Sub(ks.week.Start); d >= 0 && d < timeutil.HoursPerWeek*time.Hour {

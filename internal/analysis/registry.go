@@ -81,16 +81,6 @@ func Registered() []Descriptor {
 	return out
 }
 
-// ByName looks up one descriptor.
-func ByName(name string) (Descriptor, bool) {
-	for _, d := range registry {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	return Descriptor{}, false
-}
-
 // CoveredFigures returns the sorted union of figure numbers covered by
 // registered analyses.
 func CoveredFigures() []int {

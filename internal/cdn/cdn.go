@@ -152,19 +152,6 @@ func (s *DCStats) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// ByteHitRatio returns the fraction of client-served bytes that did not
-// require an origin fetch — the metric CDN contracts usually bill on.
-func (s *DCStats) ByteHitRatio() float64 {
-	if s.EgressBytes == 0 {
-		return 0
-	}
-	saved := s.EgressBytes - s.OriginBytes
-	if saved < 0 {
-		saved = 0
-	}
-	return float64(saved) / float64(s.EgressBytes)
-}
-
 // CDN simulates a multi-datacenter content delivery network.
 type CDN struct {
 	cfg     Config

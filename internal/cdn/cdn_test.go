@@ -245,21 +245,6 @@ func TestDCStatsHitRatioIdle(t *testing.T) {
 	if s.HitRatio() != 0 {
 		t.Error("idle hit ratio should be 0")
 	}
-	if s.ByteHitRatio() != 0 {
-		t.Error("idle byte hit ratio should be 0")
-	}
-}
-
-func TestDCStatsByteHitRatio(t *testing.T) {
-	s := DCStats{EgressBytes: 1000, OriginBytes: 250}
-	if got := s.ByteHitRatio(); got != 0.75 {
-		t.Errorf("ByteHitRatio = %v, want 0.75", got)
-	}
-	// Origin exceeding egress (prefetch waste) clamps to zero.
-	s = DCStats{EgressBytes: 100, OriginBytes: 500}
-	if got := s.ByteHitRatio(); got != 0 {
-		t.Errorf("ByteHitRatio = %v, want 0", got)
-	}
 }
 
 func TestPublisherCachePartition(t *testing.T) {

@@ -5,6 +5,8 @@ import (
 	"hash/fnv"
 	"sort"
 	"time"
+
+	"trafficscope/internal/sketch"
 )
 
 // HashRing is a consistent-hash ring mapping object keys to shard
@@ -38,19 +40,16 @@ func NewHashRing(shards, vnodes int) (*HashRing, error) {
 			fmt.Fprintf(h, "shard-%d-vnode-%d", s, v)
 			// FNV clusters on structured inputs; finalize with a
 			// splitmix64 round for uniform ring placement.
-			r.points = append(r.points, ringPoint{hash: mix64(h.Sum64()), shard: s})
+			r.points = append(r.points, ringPoint{hash: sketch.Hash64(h.Sum64()), shard: s})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 	return r, nil
 }
 
-// Shards reports the number of shards.
-func (r *HashRing) Shards() int { return r.shards }
-
 // Shard maps an object key to its shard.
 func (r *HashRing) Shard(key uint64) int {
-	kh := mix64(key)
+	kh := sketch.Hash64(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= kh })
 	if i == len(r.points) {
 		i = 0
@@ -66,7 +65,7 @@ func (r *HashRing) Shard(key uint64) int {
 // to the next backend without re-shuffling every other key.
 func (r *HashRing) ShardOrderAppend(dst []int, key uint64) []int {
 	start := len(dst)
-	kh := mix64(key)
+	kh := sketch.Hash64(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= kh })
 	if i == len(r.points) {
 		i = 0
@@ -89,14 +88,6 @@ func containsInt(s []int, v int) bool {
 		}
 	}
 	return false
-}
-
-// mix64 is the splitmix64 finalizer: a fast, high-quality 64-bit mixer.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // ShardedCache distributes objects over several cache servers with

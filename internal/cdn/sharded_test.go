@@ -19,9 +19,6 @@ func TestHashRingDeterministicAndInRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Shards() != 8 {
-		t.Error("Shards")
-	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
 		key := rng.Uint64()

@@ -138,26 +138,6 @@ func TestCutKBounds(t *testing.T) {
 	}
 }
 
-func TestCutByHeight(t *testing.T) {
-	pts := twoBlobs()
-	d, _ := Agglomerative(matFromPoints(pts), LinkageSingle)
-	// Below the smallest merge: every leaf is its own cluster.
-	_, k := d.CutByHeight(-1)
-	if k != len(pts) {
-		t.Errorf("cut below min: k = %d, want %d", k, len(pts))
-	}
-	// Above the largest merge: one cluster.
-	_, k = d.CutByHeight(1e9)
-	if k != 1 {
-		t.Errorf("cut above max: k = %d, want 1", k)
-	}
-	// Between blob diameter (~0.2) and blob separation (~9.8): 2 clusters.
-	_, k = d.CutByHeight(1.0)
-	if k != 2 {
-		t.Errorf("mid cut: k = %d, want 2", k)
-	}
-}
-
 func TestExtractMedoids(t *testing.T) {
 	pts := twoBlobs()
 	dist := matFromPoints(pts)

@@ -184,35 +184,22 @@ func Agglomerative(dist [][]float64, linkage Linkage) (*Dendrogram, error) {
 	return dendro, nil
 }
 
-// CutByHeight assigns each leaf to a cluster by cutting the dendrogram at
-// the given height: merges at or below the height are applied, higher
-// merges are not. Returns a label per leaf in [0, k) with labels numbered
-// by first appearance, and the number of clusters k.
-func (d *Dendrogram) CutByHeight(height float64) ([]int, int) {
-	return d.cut(func(m Merge) bool { return m.Height <= height })
-}
-
 // CutK cuts the dendrogram into exactly k clusters (1 <= k <= Leaves) by
-// applying the first Leaves-k merges.
+// applying the first Leaves-k merges. It returns a label per leaf in
+// [0, k), numbered by first appearance, and k.
 func (d *Dendrogram) CutK(k int) ([]int, int, error) {
 	if k < 1 || k > d.Leaves {
 		return nil, 0, fmt.Errorf("cluster: k=%d outside [1, %d]", k, d.Leaves)
 	}
-	applied := 0
-	want := d.Leaves - k
-	labels, got := d.cut(func(Merge) bool {
-		applied++
-		return applied <= want
-	})
+	labels, got := d.cut(d.Leaves - k)
 	if got != k {
 		return nil, 0, fmt.Errorf("cluster: cut produced %d clusters, want %d", got, k)
 	}
 	return labels, got, nil
 }
 
-// cut applies merges while keep(m) is true (merges are visited in order),
-// then labels connected components.
-func (d *Dendrogram) cut(keep func(Merge) bool) ([]int, int) {
+// cut applies the first n merges, then labels connected components.
+func (d *Dendrogram) cut(n int) ([]int, int) {
 	parent := make([]int, d.Leaves+len(d.Merges))
 	for i := range parent {
 		parent[i] = i
@@ -225,10 +212,7 @@ func (d *Dendrogram) cut(keep func(Merge) bool) ([]int, int) {
 		}
 		return x
 	}
-	for i, m := range d.Merges {
-		if !keep(m) {
-			continue
-		}
+	for i, m := range d.Merges[:n] {
 		newID := d.Leaves + i
 		ra, rb := find(m.A), find(m.B)
 		parent[ra] = newID

@@ -37,22 +37,12 @@ func (r *Results) compareCrawl(camp *crawler.Campaign) crawler.Comparison {
 	return crawler.Compare(camp, truth)
 }
 
-// CrawlerBaselineSource compares what a simulated crawl of one site
-// observes against what the logs do. src must yield, in time order, the
-// trace the results were computed from (trace.SliceSource for records in
-// memory); it is streamed once, so on-disk traces are never loaded.
-func (r *Results) CrawlerBaselineSource(src trace.Source, site string, interval time.Duration, topN int) (crawler.Comparison, error) {
-	camps, err := r.crawlCampaigns(src, interval, topN)
-	if err != nil {
-		return crawler.Comparison{}, err
-	}
-	return r.compareCrawl(camps.Site(site)), nil
-}
-
 // CrawlerBaselineTableSource renders the crawl-vs-logs comparison for
 // every site at the given crawl cadence and visibility, quantifying the
-// paper's §II critique of crawl-based measurement. All sites share one
-// streaming pass over src.
+// paper's §II critique of crawl-based measurement. src must yield, in
+// time order, the trace the results were computed from
+// (trace.SliceSource for records in memory); all sites share one
+// streaming pass over it, so on-disk traces are never loaded.
 func (r *Results) CrawlerBaselineTableSource(src trace.Source, interval time.Duration, topN int) (*report.Table, error) {
 	camps, err := r.crawlCampaigns(src, interval, topN)
 	if err != nil {

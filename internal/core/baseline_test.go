@@ -5,8 +5,19 @@ import (
 	"testing"
 	"time"
 
+	"trafficscope/internal/crawler"
 	"trafficscope/internal/trace"
 )
+
+// crawlerBaseline compares what a simulated crawl of one site observes
+// against what the logs do, as one row of CrawlerBaselineTableSource.
+func crawlerBaseline(r *Results, src trace.Source, site string, interval time.Duration, topN int) (crawler.Comparison, error) {
+	camps, err := r.crawlCampaigns(src, interval, topN)
+	if err != nil {
+		return crawler.Comparison{}, err
+	}
+	return r.compareCrawl(camps.Site(site)), nil
+}
 
 func TestCrawlerBaseline(t *testing.T) {
 	study, err := NewStudy(Config{Seed: 9, Scale: 0.005, Salt: "baseline"})
@@ -25,7 +36,7 @@ func TestCrawlerBaseline(t *testing.T) {
 	// An idealized crawler (full visibility) still loses temporal
 	// resolution and user identity; a realistic top-N one also loses
 	// coverage.
-	ideal, err := results.CrawlerBaselineSource(trace.SliceSource(recs), "V-1", 24*time.Hour, 0)
+	ideal, err := crawlerBaseline(results, trace.SliceSource(recs), "V-1", 24*time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +53,7 @@ func TestCrawlerBaseline(t *testing.T) {
 		t.Error("crawls must not see users")
 	}
 
-	narrow, err := results.CrawlerBaselineSource(trace.SliceSource(recs), "V-1", 24*time.Hour, 10)
+	narrow, err := crawlerBaseline(results, trace.SliceSource(recs), "V-1", 24*time.Hour, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +87,7 @@ func TestCrawlerBaselineUnknownSiteEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := results.CrawlerBaselineSource(trace.SliceSource(recs), "no-such-site", 24*time.Hour, 0)
+	cmp, err := crawlerBaseline(results, trace.SliceSource(recs), "no-such-site", 24*time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"trafficscope/internal/forecast"
 	"trafficscope/internal/report"
-	"trafficscope/internal/stats"
 )
 
 // ForecastEntry is one model's backtest result for one site.
@@ -92,18 +91,4 @@ func (r *Results) ForecastTable(horizon int) (*report.Table, error) {
 		}
 	}
 	return t, nil
-}
-
-// HourOfDayProfile returns a site's measured hour-of-day request profile
-// normalized to shares, for use as a ProfileForecaster input or for
-// comparing against forecast.TypicalWebProfile.
-func (r *Results) HourOfDayProfile(site string) [24]float64 {
-	series := r.WeekSeries().Series(site)
-	var profile [24]float64
-	for h, v := range series {
-		profile[h%24] += v
-	}
-	norm := stats.Normalize(profile[:])
-	copy(profile[:], norm)
-	return profile
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"trafficscope/internal/stats"
 )
 
 func TestForecastComparison(t *testing.T) {
@@ -62,7 +64,11 @@ func TestForecastTableRenders(t *testing.T) {
 
 func TestHourOfDayProfile(t *testing.T) {
 	r := getResults(t)
-	p := r.HourOfDayProfile("V-1")
+	var p [24]float64
+	for h, v := range r.WeekSeries().Series("V-1") {
+		p[h%24] += v
+	}
+	copy(p[:], stats.Normalize(p[:]))
 	var sum float64
 	for _, v := range p {
 		if v < 0 {

@@ -46,13 +46,6 @@ func TestPassBudget(t *testing.T) {
 	if src.opens != 1 {
 		t.Errorf("CrawlerBaselineTableSource opened its source %d times for 5 sites, want 1", src.opens)
 	}
-	src.opens = 0
-	if _, err := res.CrawlerBaselineSource(src, "V-2", 24*time.Hour, 200); err != nil {
-		t.Fatal(err)
-	}
-	if src.opens != 1 {
-		t.Errorf("CrawlerBaselineSource opened its source %d times, want 1", src.opens)
-	}
 
 	src.opens = 0
 	if _, err := res.ImplicationsTableSource(src); err != nil {

@@ -8,22 +8,15 @@ import (
 )
 
 // bufferedResults is the pre-streaming reference implementation of the
-// study run, kept test-only: materialize the whole trace with ReadAll,
+// study run, kept test-only: materialize the whole trace with Generate,
 // replay the in-memory slice twice through a sequential CDN (warm-up,
 // then measured), and fold the measured records into one accumulator.
 // The streaming path must be observationally identical to it.
 func bufferedResults(t *testing.T, s *Study) *Results {
 	t.Helper()
-	r, err := s.Source().Open()
+	recs, err := s.Generator().Generate()
 	if err != nil {
-		t.Fatalf("open source: %v", err)
-	}
-	recs, err := trace.ReadAll(r)
-	if err != nil {
-		t.Fatalf("read all: %v", err)
-	}
-	if err := trace.CloseReader(r); err != nil {
-		t.Fatalf("close source: %v", err)
+		t.Fatalf("generate: %v", err)
 	}
 	network := s.NewCDN()
 	discard := func(*trace.Record) error { return nil }

@@ -111,10 +111,6 @@ type Results struct {
 	scale float64
 }
 
-// Analyzer returns the folded analyzer registered under name, or nil if
-// that analysis was not part of the run.
-func (r *Results) Analyzer(name string) analysis.Analyzer { return r.analyzers[name] }
-
 // get pulls a typed analyzer out of the result set; absent or
 // differently-typed entries yield the type's nil.
 func get[T analysis.Analyzer](r *Results, name string) T {

@@ -36,15 +36,8 @@ func BenchmarkAnalyzeOnly(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, err := study.Source().Open()
+	recs, err := study.Generator().Generate()
 	if err != nil {
-		b.Fatal(err)
-	}
-	recs, err := trace.ReadAll(r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := trace.CloseReader(r); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -184,30 +184,6 @@ func (c *Campaign) FinalViews() map[uint64]int64 {
 	return out
 }
 
-// ViewDeltaSeries reconstructs, per object, the per-interval view deltas
-// — the best temporal signal a crawl campaign can offer (vs. the logs'
-// per-request timestamps).
-func (c *Campaign) ViewDeltaSeries(objectID uint64) []float64 {
-	out := make([]float64, len(c.Snapshots))
-	var prev int64
-	for i, snap := range c.Snapshots {
-		n, ok := snap.Views[objectID]
-		if !ok {
-			// Invisible this crawl (fell out of the top-N): the crawler
-			// observes nothing, not zero — but it cannot tell the
-			// difference, which is part of the methodology's weakness.
-			out[i] = 0
-			continue
-		}
-		out[i] = float64(n - prev)
-		if out[i] < 0 {
-			out[i] = 0
-		}
-		prev = n
-	}
-	return out
-}
-
 // Comparison quantifies what the crawl methodology loses relative to the
 // HTTP logs it was derived from.
 type Comparison struct {

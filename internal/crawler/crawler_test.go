@@ -207,25 +207,25 @@ func TestSimulateAllSitesMatchesPerSite(t *testing.T) {
 func TestViewDeltaSeries(t *testing.T) {
 	recs := mkRecs("P-1", 1, 70) // even spread -> ~10/day
 	camp := simulate(t, recs, "P-1", Config{Interval: 24 * time.Hour})
-	deltas := camp.ViewDeltaSeries(1)
-	if len(deltas) != 7 {
-		t.Fatalf("deltas = %v", deltas)
+	if len(camp.Snapshots) != 7 {
+		t.Fatalf("%d snapshots, want 7", len(camp.Snapshots))
 	}
-	var sum float64
-	for _, d := range deltas {
-		if d < 0 {
-			t.Fatal("negative delta")
+	// Cumulative views never fall, so every per-interval delta is
+	// non-negative and the deltas sum to the final count.
+	var prev int64
+	for i, snap := range camp.Snapshots {
+		n := snap.Views[1]
+		if n < prev {
+			t.Fatalf("snapshot %d: %d views after %d (negative delta)", i, n, prev)
 		}
-		sum += d
-	}
-	if sum != 70 {
-		t.Errorf("delta sum = %v, want 70", sum)
-	}
-	// Unknown object: all zeros.
-	for _, d := range camp.ViewDeltaSeries(999) {
-		if d != 0 {
-			t.Fatal("unknown object should have zero deltas")
+		prev = n
+		// Unknown object: never visible.
+		if _, ok := snap.Views[999]; ok {
+			t.Fatalf("snapshot %d shows an unknown object", i)
 		}
+	}
+	if prev != 70 {
+		t.Errorf("delta sum = %v, want 70", prev)
 	}
 }
 

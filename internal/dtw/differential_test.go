@@ -58,12 +58,17 @@ var shapes = append([]shape{
 	{"negative", randSeries},
 }, clusteringShapes...)
 
-// public is the exported entry point for a radius: negative is Distance.
+// public is the exported entry point for a radius: Distance when
+// negative, else PairwiseDistances of the one pair.
 func public(a, b []float64, radius int) (float64, error) {
 	if radius < 0 {
 		return Distance(a, b)
 	}
-	return DistanceBand(a, b, radius)
+	m, err := PairwiseDistances([][]float64{a, b}, PairwiseOptions{BandRadius: radius})
+	if err != nil {
+		return 0, err
+	}
+	return m[0][1], nil
 }
 
 // pair runs one pair on k, its spare lanes repeating b.
@@ -174,7 +179,8 @@ func encodeSeries(s []float64) []byte {
 	return raw
 }
 
-// FuzzDistanceBand holds the kernel to the reference on any finite input:
+// FuzzDistanceBand holds the kernel, banded or not, to the reference on
+// any finite input:
 // raw is a run of float64s, split after lenA samples into the two series.
 func FuzzDistanceBand(f *testing.F) {
 	seeds := 0
@@ -202,9 +208,9 @@ func FuzzDistanceBand(f *testing.F) {
 		}
 		lenA = min(max(lenA, 0), len(samples))
 		a, b := samples[:lenA], samples[lenA:]
-		if radius >= 0 {
-			got, err := DistanceBand(a, b, radius)
-			checkAgainstReference(t, "DistanceBand", a, b, radius, got, err)
+		if len(a) > 0 && len(b) > 0 { // PairwiseDistances names an empty series itself
+			got, err := public(a, b, radius)
+			checkAgainstReference(t, "exported", a, b, radius, got, err)
 		}
 		got, err := pair(&shared, a, b, radius)
 		checkAgainstReference(t, "shared kernel", a, b, radius, got, err)

@@ -28,26 +28,8 @@ var ErrEmptySeries = errors.New("dtw: empty series")
 var ErrNonFinite = errors.New("dtw: non-finite sample")
 
 // Distance computes the DTW distance between a and b with the full
-// dynamic program (no band).
+// dynamic program (no band), on a fresh kernel whose spare lanes repeat b.
 func Distance(a, b []float64) (float64, error) {
-	return distance(a, b, -1)
-}
-
-// DistanceBand computes the DTW distance constrained to a Sakoe-Chiba band
-// of the given radius: cell (i, j) is admissible only when
-// |i*(M-1)/(N-1) - j| <= radius (band scaled for unequal lengths). A
-// radius covering the full matrix reproduces the unconstrained distance.
-// The banded distance is always >= the unconstrained distance.
-func DistanceBand(a, b []float64, radius int) (float64, error) {
-	if radius < 0 {
-		return 0, fmt.Errorf("dtw: negative band radius %d", radius)
-	}
-	return distance(a, b, radius)
-}
-
-// distance validates one pair and runs it on a fresh kernel, its spare
-// lanes repeating b.
-func distance(a, b []float64, radius int) (float64, error) {
 	for i, s := range [2][]float64{a, b} {
 		if err := checkFinite(i, s); err != nil {
 			return 0, err
@@ -55,7 +37,7 @@ func distance(a, b []float64, radius int) (float64, error) {
 	}
 	var k kernel
 	var d [1]float64
-	err := k.distances(a, [][]float64{b}, radius, d[:])
+	err := k.distances(a, [][]float64{b}, -1, d[:])
 	return d[0], err
 }
 

@@ -97,7 +97,7 @@ func TestBandDominanceProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, radius := range []int{1, 2, 5, n} {
-			banded, err := DistanceBand(a, b, radius)
+			banded, err := public(a, b, radius)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestBandDominanceProperty(t *testing.T) {
 				t.Fatalf("band %d distance %v < full %v", radius, banded, full)
 			}
 		}
-		wide, err := DistanceBand(a, b, n)
+		wide, err := public(a, b, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,11 +116,12 @@ func TestBandDominanceProperty(t *testing.T) {
 }
 
 func TestDistanceBandValidation(t *testing.T) {
-	if _, err := DistanceBand([]float64{1}, []float64{1}, -1); err == nil {
-		t.Error("negative radius should error")
+	// Radius 0 admits no path between series of lengths 3 and 6.
+	if _, err := public([]float64{1, 2, 3}, []float64{1, 1, 2, 2, 3, 3}, 0); err == nil || !strings.Contains(err.Error(), "band radius too small") {
+		t.Errorf("radius 0 on 3×6: error %v, want band radius too small", err)
 	}
 	// Radius 0 on equal-length series follows the diagonal and succeeds.
-	d, err := DistanceBand([]float64{1, 2, 3}, []float64{1, 2, 4}, 0)
+	d, err := public([]float64{1, 2, 3}, []float64{1, 2, 4}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,8 +274,8 @@ func TestNonFinite(t *testing.T) {
 		if _, err := Distance(good, bad); !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), "series 1") {
 			t.Errorf("Distance(good, %v) error = %v, want ErrNonFinite naming series 1", bad, err)
 		}
-		if _, err := DistanceBand(bad, good, 2); !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), "series 0") {
-			t.Errorf("DistanceBand(%v, good) error = %v, want ErrNonFinite naming series 0", bad, err)
+		if _, err := Distance(bad, good); !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), "series 0") {
+			t.Errorf("Distance(%v, good) error = %v, want ErrNonFinite naming series 0", bad, err)
 		}
 		m, err := PairwiseDistances([][]float64{good, good, bad, good}, PairwiseOptions{Workers: 2})
 		if m != nil || !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), "series 2") {

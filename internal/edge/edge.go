@@ -286,9 +286,6 @@ func (s *Server) Handler() http.Handler {
 // its context is cancelled, before the listener closes.
 func (s *Server) StartDraining() { s.draining.Store(true) }
 
-// Draining reports whether graceful drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)

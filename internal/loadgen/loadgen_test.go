@@ -139,8 +139,8 @@ func TestResponseAccounting(t *testing.T) {
 	// A synthetic edge: odd object IDs hit with 100 logical bytes, even
 	// IDs are shed with 503.
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec, err := edge.ParseRequest(r)
-		if err != nil {
+		rec := new(trace.Record)
+		if err := edge.ParseRequestInto(r, rec); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -364,8 +364,8 @@ func TestTruncatedBodyIsAnError(t *testing.T) {
 // timer must not reach the records after it, which all complete.
 func TestDeadlineReusedAcrossAttempts(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec, err := edge.ParseRequest(r)
-		if err != nil {
+		rec := new(trace.Record)
+		if err := edge.ParseRequestInto(r, rec); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -505,8 +505,8 @@ func TestLatencyIncludesQueuedDelay(t *testing.T) {
 // exactly once, in the same snapshot shape as before.
 func TestWorkerHistogramsMerge(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec, err := edge.ParseRequest(r)
-		if err != nil {
+		rec := new(trace.Record)
+		if err := edge.ParseRequestInto(r, rec); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}

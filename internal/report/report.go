@@ -130,34 +130,6 @@ func writeCSVRow(b *strings.Builder, cells []string) {
 	b.WriteByte('\n')
 }
 
-// Markdown renders the table as a GitHub-flavored Markdown table, with
-// the title as a bold caption line when present.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.title)
-	}
-	writeMD := func(cells []string) {
-		b.WriteString("|")
-		for _, cell := range cells {
-			b.WriteString(" ")
-			b.WriteString(strings.ReplaceAll(cell, "|", "\\|"))
-			b.WriteString(" |")
-		}
-		b.WriteByte('\n')
-	}
-	writeMD(t.headers)
-	sep := make([]string, len(t.headers))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	writeMD(sep)
-	for _, row := range t.rows {
-		writeMD(row)
-	}
-	return b.String()
-}
-
 // sparkLevels are the eighth-block characters used by Sparkline.
 var sparkLevels = []rune("▁▂▃▄▅▆▇█")
 

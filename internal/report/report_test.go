@@ -73,30 +73,6 @@ func TestCSV(t *testing.T) {
 	}
 }
 
-func TestMarkdown(t *testing.T) {
-	tb := NewTable("caption", "site", "note")
-	tb.AddRow("V-1", "has|pipe")
-	md := tb.Markdown()
-	lines := strings.Split(strings.TrimRight(md, "\n"), "\n")
-	if lines[0] != "**caption**" {
-		t.Errorf("caption line = %q", lines[0])
-	}
-	if lines[2] != "| site | note |" {
-		t.Errorf("header = %q", lines[2])
-	}
-	if lines[3] != "| --- | --- |" {
-		t.Errorf("separator = %q", lines[3])
-	}
-	if !strings.Contains(lines[4], `has\|pipe`) {
-		t.Errorf("pipe escaping: %q", lines[4])
-	}
-	// No caption when the title is empty.
-	tb2 := NewTable("", "a")
-	if strings.Contains(tb2.Markdown(), "**") {
-		t.Error("empty title should have no caption")
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	if Sparkline(nil) != "" {
 		t.Error("empty input")

@@ -7,10 +7,12 @@ package sketch
 
 import "math"
 
-// Hash64 mixes x through the splitmix64 finalizer. Analyzer keys
-// (object IDs, user IDs) are already hash-shaped in real traces but can
-// be dense small integers in synthetic ones; mixing makes threshold
-// sampling and sketch bucketing safe for both.
+// Hash64 mixes x through the splitmix64 finalizer, the module's one
+// 64-bit mixer: it also places the CDN's hash-ring points and derives
+// the generator's random streams. Analyzer keys (object IDs, user IDs)
+// are already hash-shaped in real traces but can be dense small integers
+// in synthetic ones; mixing makes threshold sampling and sketch bucketing
+// safe for both.
 func Hash64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -18,28 +20,8 @@ func Hash64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Hash64Pair mixes two keys into one hash (e.g. site-qualified IDs).
-func Hash64Pair(a, b uint64) uint64 {
-	return Hash64(a ^ Hash64(b))
-}
-
-// HashString hashes a string with FNV-1a then mixes; used to fold small
-// string dimensions (site names) into sampling keys without allocating.
-func HashString(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return Hash64(h)
-}
-
 // CountMin is a Count-Min sketch: an approximate map[key]count in fixed
-// memory. Count never under-reports; it over-reports by at most
+// memory. Its estimates never under-report; they over-report by at most
 // e/width * N with probability 1 - (1/2)^depth, where N is the total of
 // all adds (the classic Cormode-Muthukrishnan bound). With the default
 // 4 x 16384 geometry and uint32 cells the sketch is 256 KiB and the
@@ -47,7 +29,6 @@ func HashString(s string) uint64 {
 type CountMin struct {
 	width uint64
 	rows  [][]uint32
-	n     int64 // total adds, for error-bound reporting
 }
 
 // Default Count-Min geometry.
@@ -82,9 +63,9 @@ func (cm *CountMin) rowHash(key uint64, row int) uint64 {
 	return Hash64(key+uint64(row)*0x9e3779b97f4a7c15) & (cm.width - 1)
 }
 
-// Add increments key by delta and returns the new estimate.
+// Add increments key by delta and returns the new estimate; a zero delta
+// reads the estimate.
 func (cm *CountMin) Add(key uint64, delta uint32) uint32 {
-	cm.n += int64(delta)
 	est := uint32(math.MaxUint32)
 	for i, row := range cm.rows {
 		j := cm.rowHash(key, i)
@@ -100,26 +81,6 @@ func (cm *CountMin) Add(key uint64, delta uint32) uint32 {
 		}
 	}
 	return est
-}
-
-// Count returns the estimated count for key (never an undercount).
-func (cm *CountMin) Count(key uint64) uint32 {
-	est := uint32(math.MaxUint32)
-	for i, row := range cm.rows {
-		if c := row[cm.rowHash(key, i)]; c < est {
-			est = c
-		}
-	}
-	return est
-}
-
-// N returns the total of all adds, the N in the error bound.
-func (cm *CountMin) N() int64 { return cm.n }
-
-// ErrorBound returns the additive overcount not exceeded with ~99.9%
-// probability (depth 4): e/width * N.
-func (cm *CountMin) ErrorBound() float64 {
-	return math.E / float64(cm.width) * float64(cm.n)
 }
 
 // HLL estimates the number of distinct keys in fixed memory
@@ -183,11 +144,6 @@ func (h *HLL) Estimate() float64 {
 	return est
 }
 
-// StdError returns the estimator's relative standard error.
-func (h *HLL) StdError() float64 {
-	return 1.04 / math.Sqrt(float64(len(h.regs)))
-}
-
 // KeySampler draws a uniform sample of a growing key population by hash
 // thresholding: a key is in the sample iff Hash64(key) <= threshold.
 // The threshold starts at the full hash range (every key sampled) and
@@ -206,20 +162,9 @@ type KeySampler struct {
 	halvings uint8 // the threshold is MaxUint64 >> halvings
 }
 
-// NewKeySampler starts with every key admitted.
-func NewKeySampler() *KeySampler { return &KeySampler{} }
-
 // Admits reports whether the key with this hash is in the sample.
 func (s *KeySampler) Admits(hash uint64) bool { return hash <= math.MaxUint64>>s.halvings }
 
 // Halve shrinks the sample by half. The caller must then evict state
 // for keys that no longer pass Admits.
 func (s *KeySampler) Halve() { s.halvings++ }
-
-// InclusionProb returns the probability a key is in the sample; scale
-// sampled totals by 1/InclusionProb for population estimates.
-func (s *KeySampler) InclusionProb() float64 { return math.Ldexp(1, -int(s.halvings)) }
-
-// Exact reports whether the sampler still admits every key (no Halve
-// yet): sampled state equals exact state.
-func (s *KeySampler) Exact() bool { return s.halvings == 0 }

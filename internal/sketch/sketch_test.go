@@ -7,17 +7,18 @@ import (
 )
 
 func TestCountMinNeverUndercounts(t *testing.T) {
-	cm := NewCountMin(4, 1<<12)
+	const width, adds = 1 << 12, 200_000
+	cm := NewCountMin(4, width)
 	rng := rand.New(rand.NewSource(1))
 	truth := map[uint64]uint32{}
-	for i := 0; i < 200_000; i++ {
+	for i := 0; i < adds; i++ {
 		k := uint64(rng.Intn(5000))
 		truth[k]++
 		cm.Add(k, 1)
 	}
 	var overshoot float64
 	for k, want := range truth {
-		got := cm.Count(k)
+		got := cm.Add(k, 0)
 		if got < want {
 			t.Fatalf("key %d: count %d < true %d (Count-Min must never undercount)", k, got, want)
 		}
@@ -25,7 +26,7 @@ func TestCountMinNeverUndercounts(t *testing.T) {
 	}
 	// The mean overcount should sit well inside the e/width * N bound.
 	mean := overshoot / float64(len(truth))
-	if bound := cm.ErrorBound(); mean > bound {
+	if bound := math.E / width * adds; mean > bound {
 		t.Errorf("mean overcount %.1f exceeds the %.1f error bound", mean, bound)
 	}
 }
@@ -45,7 +46,7 @@ func TestHLLAccuracy(t *testing.T) {
 			h.Add(Hash64(uint64(i)))
 		}
 		got := h.Estimate()
-		tol := 6 * h.StdError() * float64(n)
+		tol := 6 * 1.04 / math.Sqrt(1<<DefaultHLLPrecision) * float64(n)
 		if math.Abs(got-float64(n)) > tol {
 			t.Errorf("n=%d: estimate %.0f off by more than %.0f", n, got, tol)
 		}
@@ -53,16 +54,13 @@ func TestHLLAccuracy(t *testing.T) {
 }
 
 func TestKeySamplerUniform(t *testing.T) {
-	s := NewKeySampler()
-	if !s.Exact() || s.InclusionProb() != 1 {
+	var s KeySampler
+	if !s.Admits(math.MaxUint64) {
 		t.Fatal("fresh sampler must admit everything")
 	}
 	s.Halve()
 	s.Halve()
-	if want := 0.25; math.Abs(s.InclusionProb()-want) > 1e-9 {
-		t.Fatalf("after two halvings inclusion prob = %v, want %v", s.InclusionProb(), want)
-	}
-	// Admission rate over hashed keys tracks the inclusion probability.
+	// After two halvings the admission rate over hashed keys is 1/4.
 	var admitted int
 	const n = 200_000
 	for i := 0; i < n; i++ {
@@ -85,8 +83,5 @@ func TestHash64Spreads(t *testing.T) {
 	}
 	if len(seen) < 250 {
 		t.Errorf("top byte of Hash64(0..4095) hits only %d/256 values", len(seen))
-	}
-	if HashString("V-1") == HashString("V-2") {
-		t.Error("HashString collides on adjacent site names")
 	}
 }

@@ -81,34 +81,6 @@ func (e *ECDF) Quantile(q float64) (float64, error) {
 // Median returns the 0.5 quantile.
 func (e *ECDF) Median() (float64, error) { return e.Quantile(0.5) }
 
-// Min returns the smallest observation.
-func (e *ECDF) Min() float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	return e.sorted[0]
-}
-
-// Max returns the largest observation.
-func (e *ECDF) Max() float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	return e.sorted[len(e.sorted)-1]
-}
-
-// Mean returns the arithmetic mean of the sample.
-func (e *ECDF) Mean() float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, v := range e.sorted {
-		sum += v
-	}
-	return sum / float64(len(e.sorted))
-}
-
 // Point is one (X, P) evaluation of a CDF, suitable for plotting.
 type Point struct {
 	X float64 // value
@@ -153,11 +125,4 @@ func (e *ECDF) Curve(n int, logScale bool) ([]Point, error) {
 		pts = append(pts, Point{X: x, P: e.At(x)})
 	}
 	return pts, nil
-}
-
-// Values returns a copy of the sorted sample.
-func (e *ECDF) Values() []float64 {
-	out := make([]float64, len(e.sorted))
-	copy(out, e.sorted)
-	return out
 }

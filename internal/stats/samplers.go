@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // LogNormal samples from a log-normal distribution whose underlying normal
@@ -36,18 +35,13 @@ func Pareto(rng *rand.Rand, xm, alpha float64) float64 {
 	return xm / math.Pow(u, 1/alpha)
 }
 
-// Exponential samples from an exponential distribution with the given mean.
-func Exponential(rng *rand.Rand, mean float64) float64 {
-	return rng.ExpFloat64() * mean
-}
-
-// Zipf draws ranks in [0, n) with probability proportional to
-// 1/(rank+1)^s. It precomputes the CDF once; draws are O(log n).
+// Zipf is the distribution of ranks in [0, n) with probability
+// proportional to 1/(rank+1)^s. It precomputes the CDF once.
 type Zipf struct {
 	cdf []float64
 }
 
-// NewZipf builds a Zipf sampler over n ranks with exponent s >= 0.
+// NewZipf builds a Zipf distribution over n ranks with exponent s >= 0.
 func NewZipf(n int, s float64) (*Zipf, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("stats: zipf needs n >= 1, got %d", n)
@@ -66,15 +60,6 @@ func NewZipf(n int, s float64) (*Zipf, error) {
 	}
 	cdf[n-1] = 1 // guard against float rounding
 	return &Zipf{cdf: cdf}, nil
-}
-
-// N reports the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Draw samples one rank in [0, N()).
-func (z *Zipf) Draw(rng *rand.Rand) int {
-	u := rng.Float64()
-	return sort.SearchFloat64s(z.cdf, u)
 }
 
 // Prob returns the probability mass of the given rank.

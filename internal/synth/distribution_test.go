@@ -13,7 +13,7 @@ import (
 // sampleSizes draws n sizes from a category's configured distribution.
 func sampleSizes(t *testing.T, site string, cat trace.Category, class PatternClass, n int) []float64 {
 	t.Helper()
-	p, err := ProfileByName(site)
+	p, err := profileByName(site)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestImageBimodalityAtDistributionLevel(t *testing.T) {
 // short-lived dies within ~a day, long-lived within ~5 days.
 func TestClassShapeLifetimes(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
-	site, _ := ProfileByName("V-2")
+	site, _ := profileByName("V-2")
 	lastNonzero := func(shape [timeutil.HoursPerWeek]float64) int {
 		last := -1
 		for h, v := range shape {
@@ -112,7 +112,7 @@ func TestClassShapeLifetimes(t *testing.T) {
 // Diurnal-B is phase-shifted from diurnal-A by construction.
 func TestDiurnalPhases(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	site, _ := ProfileByName("V-2")
+	site, _ := profileByName("V-2")
 	peakHour := func(shape [timeutil.HoursPerWeek]float64) int {
 		var byHour [24]float64
 		for h, v := range shape {

@@ -11,8 +11,23 @@ import (
 	"testing"
 	"time"
 
+	"trafficscope/internal/sketch"
 	"trafficscope/internal/trace"
 )
+
+// readAll drains r into freshly allocated records.
+func readAll(r trace.Reader) ([]*trace.Record, error) {
+	var out []*trace.Record
+	for {
+		rec := &trace.Record{}
+		if err := r.Read(rec); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return out, err
+		}
+		out = append(out, rec)
+	}
+}
 
 // encodeTrace renders records to the block codec, the byte-level
 // equality oracle for the seed -> trace contract.
@@ -69,7 +84,7 @@ func TestGenerateParallelMatchesSequential(t *testing.T) {
 		}
 		want := encodeTrace(t, seq)
 		for _, workers := range []int{1, 3, 8} {
-			par, err := trace.ReadAll(g.ParallelReader(ParallelOptions{Workers: workers}))
+			par, err := readAll(g.ParallelReader(ParallelOptions{Workers: workers}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +120,7 @@ func TestParallelSourceConcurrentOpens(t *testing.T) {
 	for i, r := range readers {
 		go func() {
 			var err error
-			got[i], err = trace.ReadAll(r)
+			got[i], err = readAll(r)
 			errs <- err
 		}()
 	}
@@ -118,7 +133,7 @@ func TestParallelSourceConcurrentOpens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := trace.ReadAll(r)
+	after, err := readAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +245,7 @@ func TestParallelReaderCloseMidStream(t *testing.T) {
 		}
 	}
 
-	recs, err := trace.ReadAll(g.ParallelReader(ParallelOptions{Workers: 2}))
+	recs, err := readAll(g.ParallelReader(ParallelOptions{Workers: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +259,7 @@ func TestParallelReaderCloseMidStream(t *testing.T) {
 // the first caller block still holds what it was filled with.
 func TestReadBlockLeavesCallerStorageAlone(t *testing.T) {
 	g := newTestGenerator(t, 5, 0.01)
-	want, err := trace.ReadAll(g.ParallelReader(ParallelOptions{Workers: 2}))
+	want, err := readAll(g.ParallelReader(ParallelOptions{Workers: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +400,7 @@ func TestIncognitoFractionUnbiased(t *testing.T) {
 		var hit int
 		for i := 0; i < n; i++ {
 			// Hash-spread IDs, like real anonymized user IDs.
-			if userIsIncognito(splitmix64(uint64(i)), frac) {
+			if userIsIncognito(sketch.Hash64(uint64(i)), frac) {
 				hit++
 			}
 		}

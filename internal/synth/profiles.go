@@ -452,16 +452,6 @@ func DefaultProfiles() []SiteProfile {
 	}
 }
 
-// ProfileByName returns the default profile with the given name.
-func ProfileByName(name string) (SiteProfile, error) {
-	for _, p := range DefaultProfiles() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return SiteProfile{}, fmt.Errorf("synth: unknown site %q", name)
-}
-
 // Compile-time guards that mix array lengths match their enumerations.
 var (
 	_ = [1]struct{}{}[len([4]float64{})-timeutil.NumRegions]

@@ -1,6 +1,10 @@
 package synth
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"trafficscope/internal/sketch"
+)
 
 // RNG stream derivation. The generator owns one logical random stream per
 // (site, phase) pair, where a phase is either a fixed setup pass (user
@@ -17,22 +21,13 @@ const (
 	streamFavorites = -2 // build-time favorite (addiction) assignment
 )
 
-// splitmix64 is the splitmix64 finalizer: a fast, high-quality 64-bit
-// mixer whose output is equidistributed over distinct inputs.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // streamSeed derives the seed of the (site, phase) stream. Site and phase
 // are mixed through separate splitmix rounds so that adjacent sites or
 // hours share no low-entropy structure.
 func streamSeed(seed int64, site, phase int) int64 {
-	x := splitmix64(uint64(seed))
-	x = splitmix64(x ^ splitmix64(uint64(int64(site))+0x632be59bd9b4e019))
-	x = splitmix64(x ^ splitmix64(uint64(int64(phase))+0x9e3779b97f4a7c15))
+	x := sketch.Hash64(uint64(seed))
+	x = sketch.Hash64(x ^ sketch.Hash64(uint64(int64(site))+0x632be59bd9b4e019))
+	x = sketch.Hash64(x ^ sketch.Hash64(uint64(int64(phase))+0x9e3779b97f4a7c15))
 	return int64(x)
 }
 
@@ -45,5 +40,5 @@ func newStream(seed int64, site, phase int) *rand.Rand {
 // deterministically. Used for per-user Bernoulli flags (incognito) that
 // must be reconstructible from the user ID alone.
 func hashUnit(x uint64) float64 {
-	return float64(splitmix64(x)>>11) / (1 << 53)
+	return float64(sketch.Hash64(x)>>11) / (1 << 53)
 }

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -24,19 +25,29 @@ func TestDefaultProfilesValid(t *testing.T) {
 	}
 }
 
-func TestProfileByName(t *testing.T) {
-	p, err := ProfileByName("V-1")
-	if err != nil || p.Name != "V-1" {
-		t.Errorf("ProfileByName(V-1) = %v, %v", p.Name, err)
+// profileByName returns the default profile with the given name.
+func profileByName(name string) (SiteProfile, error) {
+	for _, p := range DefaultProfiles() {
+		if p.Name == name {
+			return p, nil
+		}
 	}
-	if _, err := ProfileByName("nope"); err == nil {
+	return SiteProfile{}, fmt.Errorf("synth: unknown site %q", name)
+}
+
+func TestProfileByName(t *testing.T) {
+	p, err := profileByName("V-1")
+	if err != nil || p.Name != "V-1" {
+		t.Errorf("profileByName(V-1) = %v, %v", p.Name, err)
+	}
+	if _, err := profileByName("nope"); err == nil {
 		t.Error("unknown name should error")
 	}
 }
 
 func TestProfileValidateCatchesErrors(t *testing.T) {
 	base := func() SiteProfile {
-		p, _ := ProfileByName("P-1")
+		p, _ := profileByName("P-1")
 		return p
 	}
 	tests := []struct {

@@ -139,37 +139,9 @@ func (w Week) Contains(t time.Time) bool {
 	return !t.Before(w.Start) && t.Before(w.End())
 }
 
-// HourIndex returns the hour-of-week bucket of t in [0, HoursPerWeek), or
-// -1 when t lies outside the window.
-func (w Week) HourIndex(t time.Time) int {
-	if !w.Contains(t) {
-		return -1
-	}
-	return int(t.UTC().Sub(w.Start) / time.Hour)
-}
-
-// DayIndex returns the day bucket of t in [0, 7), or -1 outside the window.
-func (w Week) DayIndex(t time.Time) int {
-	h := w.HourIndex(t)
-	if h < 0 {
-		return -1
-	}
-	return h / 24
-}
-
 // HourStart returns the start time of the given hour-of-week bucket.
 func (w Week) HourStart(hour int) time.Time {
 	return w.Start.Add(time.Duration(hour) * time.Hour)
-}
-
-// DayLabels returns the seven day-of-week labels starting from the week's
-// first day, for chart axes ("Sat Sun Mon ..." in the paper's figures).
-func (w Week) DayLabels() [7]string {
-	var out [7]string
-	for d := 0; d < 7; d++ {
-		out[d] = w.Start.AddDate(0, 0, d).Weekday().String()[:3]
-	}
-	return out
 }
 
 // SleepCtx sleeps d, returning false if ctx was cancelled first.

@@ -23,24 +23,20 @@ func TestWeekContainsAndIndices(t *testing.T) {
 		t        time.Time
 		contains bool
 		hour     int
-		day      int
 	}{
-		{weekStart, true, 0, 0},
-		{weekStart.Add(time.Hour - time.Nanosecond), true, 0, 0},
-		{weekStart.Add(25 * time.Hour), true, 25, 1},
-		{weekStart.Add(167*time.Hour + 59*time.Minute), true, 167, 6},
-		{weekStart.Add(-time.Nanosecond), false, -1, -1},
-		{weekStart.Add(168 * time.Hour), false, -1, -1},
+		{weekStart, true, 0},
+		{weekStart.Add(time.Hour - time.Nanosecond), true, 0},
+		{weekStart.Add(25 * time.Hour), true, 25},
+		{weekStart.Add(167*time.Hour + 59*time.Minute), true, 167},
+		{weekStart.Add(-time.Nanosecond), false, -1},
+		{weekStart.Add(168 * time.Hour), false, -1},
 	}
 	for _, tt := range tests {
 		if got := w.Contains(tt.t); got != tt.contains {
 			t.Errorf("Contains(%v) = %v, want %v", tt.t, got, tt.contains)
 		}
-		if got := w.HourIndex(tt.t); got != tt.hour {
-			t.Errorf("HourIndex(%v) = %d, want %d", tt.t, got, tt.hour)
-		}
-		if got := w.DayIndex(tt.t); got != tt.day {
-			t.Errorf("DayIndex(%v) = %d, want %d", tt.t, got, tt.day)
+		if tt.contains && (tt.t.Before(w.HourStart(tt.hour)) || !tt.t.Before(w.HourStart(tt.hour+1))) {
+			t.Errorf("%v is not in hour %d [%v, %v)", tt.t, tt.hour, w.HourStart(tt.hour), w.HourStart(tt.hour+1))
 		}
 	}
 }
@@ -48,18 +44,9 @@ func TestWeekContainsAndIndices(t *testing.T) {
 func TestHourStartRoundTrip(t *testing.T) {
 	w := NewWeek(weekStart)
 	for _, h := range []int{0, 1, 100, 167} {
-		if got := w.HourIndex(w.HourStart(h)); got != h {
-			t.Errorf("HourIndex(HourStart(%d)) = %d", h, got)
+		if got := w.HourStart(h).Sub(w.Start); got != time.Duration(h)*time.Hour {
+			t.Errorf("HourStart(%d) is %v into the week", h, got)
 		}
-	}
-}
-
-func TestDayLabelsStartSaturday(t *testing.T) {
-	w := NewWeek(weekStart)
-	labels := w.DayLabels()
-	want := [7]string{"Sat", "Sun", "Mon", "Tue", "Wed", "Thu", "Fri"}
-	if labels != want {
-		t.Errorf("DayLabels = %v, want %v", labels, want)
 	}
 }
 

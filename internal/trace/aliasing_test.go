@@ -9,10 +9,11 @@ import (
 
 // The fill-in Reader contract makes aliasing bugs easy to write: a
 // collector that stores the scratch pointer ends up with N copies of the
-// last record. These tests pin the two documented safe harbors —
-// ReadAll's fresh-copy guarantee and SliceReader's copy-out semantics.
+// last record. These tests pin two safe harbors — the fresh-copy
+// guarantee of readAll, which the tests that mutate or sort its result
+// rely on, and SliceReader's copy-out semantics.
 
-// TestReadAllElementsDoNotAlias: every element of ReadAll's result is
+// TestReadAllElementsDoNotAlias: every element of readAll's result is
 // its own allocation; mutating one leaves the others (and a re-read of
 // the same stream) untouched.
 func TestReadAllElementsDoNotAlias(t *testing.T) {
@@ -29,7 +30,7 @@ func TestReadAllElementsDoNotAlias(t *testing.T) {
 	}
 	data := buf.Bytes()
 
-	got, err := ReadAll(NewBlockReader(bytes.NewReader(data)))
+	got, err := readAll(NewBlockReader(bytes.NewReader(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestReadAllElementsDoNotAlias(t *testing.T) {
 	}
 	// Clobber one element; everything else must still match a fresh read.
 	*got[7] = Record{}
-	again, err := ReadAll(NewBlockReader(bytes.NewReader(data)))
+	again, err := readAll(NewBlockReader(bytes.NewReader(data)))
 	if err != nil {
 		t.Fatal(err)
 	}

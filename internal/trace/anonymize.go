@@ -22,32 +22,19 @@ func NewAnonymizer(salt []byte) *Anonymizer {
 	return &Anonymizer{salt: s}
 }
 
-// HashString maps an arbitrary string (URL, client address) to a salted
-// 64-bit identifier: FNV-1a over salt then s, as hash/fnv computes it.
-func (a *Anonymizer) HashString(s string) uint64 {
-	return fnv1a(fnv1a(fnvOffset64, a.salt), s)
-}
-
-// HashBytes is HashString for a key built in a byte buffer, so that
-// callers formatting millions of keys need not allocate a string each.
+// HashBytes maps an arbitrary key (URL, client address) to a salted
+// 64-bit identifier: FNV-1a over salt then b, as hash/fnv computes it.
+// The key is a byte buffer, so callers formatting millions of keys need
+// not allocate a string each.
 func (a *Anonymizer) HashBytes(b []byte) uint64 {
 	return fnv1a(fnv1a(fnvOffset64, a.salt), b)
 }
 
-// HashUser derives a user identity from client address and user agent.
-// Combining both mirrors common CDN practice: NAT'd clients with distinct
-// devices separate, while a single browser remains stable.
-func (a *Anonymizer) HashUser(clientAddr, userAgent string) uint64 {
-	return hashUser(a.salt, clientAddr, userAgent)
-}
-
-// HashUserBytes is HashUser for a client address built in a byte buffer.
+// HashUserBytes derives a user identity from client address and user
+// agent. Combining both mirrors common CDN practice: NAT'd clients with
+// distinct devices separate, while a single browser remains stable.
 func (a *Anonymizer) HashUserBytes(clientAddr []byte, userAgent string) uint64 {
-	return hashUser(a.salt, clientAddr, userAgent)
-}
-
-func hashUser[T string | []byte](salt []byte, clientAddr T, userAgent string) uint64 {
-	h := fnv1a(fnv1a(fnvOffset64, salt), clientAddr)
+	h := fnv1a(fnv1a(fnvOffset64, a.salt), clientAddr)
 	h *= fnvPrime64 // the NUL separator: h ^= 0 is the identity
 	return fnv1a(h, userAgent)
 }
@@ -108,24 +95,6 @@ func (sr *SliceReader) ReadBlock(dst []Record) (int, error) {
 
 // Reset rewinds the reader to the first record.
 func (sr *SliceReader) Reset() { sr.pos = 0 }
-
-// ReadAll drains a reader into a slice. Every element is a freshly
-// allocated copy — no element aliases the reader's internal scratch or
-// any other element — so the result is safe to hold, mutate and sort.
-func ReadAll(r Reader) ([]*Record, error) {
-	var out []*Record
-	for {
-		rec := &Record{}
-		err := r.Read(rec)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-}
 
 // SortByTime sorts records by timestamp, stably, in place.
 func SortByTime(recs []*Record) {

@@ -32,7 +32,7 @@ func realisticTrace(n int) []*Record {
 		"Mozilla/5.0 (iPad; CPU OS 9_0_2 like Mac OS X) AppleWebKit/601.1.46 (KHTML, like Gecko) Version/9.0 Mobile/13A452",
 	}
 	pubs := []string{"V-1", "V-2", "P-1", "P-2", "S-1"}
-	fts := append(append(VideoTypes(), ImageTypes()...), OtherTypes()...)
+	fts := fileTypes()
 	regions := timeutil.AllRegions()
 	recs := make([]*Record, n)
 	ts := int64(1443830400_000000)
@@ -150,7 +150,7 @@ func TestBlockWriterFlushMidStream(t *testing.T) {
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(NewBlockReader(&buf))
+	got, err := readAll(NewBlockReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestBlockReaderRejectsCorruptFrames(t *testing.T) {
 }
 
 // OpenFile sniffs magic bytes, so a block file opens correctly under any
-// extension and under an explicit wrong format hint.
+// extension, and under the matching explicit format.
 func TestOpenFileSniffsBlockMagic(t *testing.T) {
 	recs := realisticTrace(50)
 	dir := t.TempDir()
@@ -355,11 +355,11 @@ func TestOpenFileSniffsBlockMagic(t *testing.T) {
 	cases := []struct {
 		name   string
 		format Format // format passed to CreateFile
-		open   Format // format hint passed to OpenFile
+		open   Format // format passed to OpenFile
 	}{
 		{"v2-under-bin-name.bin", FormatBlock, 0},
 		{"v2-under-jsonl-name.jsonl", FormatBlock, 0},
-		{"v2-explicit-json-hint.tsb", FormatBlock, FormatJSON},
+		{"v2-explicit-block-format.jsonl", FormatBlock, FormatBlock},
 		{"native-v2.tsb", 0, 0}, // .tsb detects as block
 		{"v2-gzipped.tsb.gz", 0, 0},
 	}
@@ -381,7 +381,7 @@ func TestOpenFileSniffsBlockMagic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: open: %v", tc.name, err)
 		}
-		got, err := ReadAll(fr)
+		got, err := readAll(fr)
 		fr.Close()
 		if err != nil {
 			t.Fatalf("%s: read: %v", tc.name, err)

@@ -23,39 +23,31 @@ const (
 	FormatBlock
 )
 
-// v1Magic heads a stream in the removed v1 binary encoding. It is kept
-// for detection only, so an old trace is refused by name instead of
-// being decoded as garbage.
-var v1Magic = [8]byte{'T', 'S', 'L', 'O', 'G', 0, 0, 1}
-
-// errRemovedFormat refuses an input (a path or a format name) in one of
-// the encodings this package no longer reads or writes. No trace is
-// committed anywhere; every workflow regenerates its trace from a seed.
-func errRemovedFormat(input string) error {
-	return fmt.Errorf("trace: %s: the v1 binary and tab-separated text encodings were removed; "+
-		"supported formats are block (.tsb) and json (.jsonl) — regenerate the trace from its seed", input)
-}
-
-// ParseFormat parses a format name ("block"/"v2", "json"/"jsonl").
-func ParseFormat(s string) (Format, error) {
-	switch strings.ToLower(s) {
-	case "json", "jsonl":
-		return FormatJSON, nil
-	case "block", "v2":
-		return FormatBlock, nil
-	case "binary", "bin", "text", "tsv":
-		return 0, errRemovedFormat(fmt.Sprintf("format %q", s))
-	default:
-		return 0, fmt.Errorf("trace: unknown format %q (want block or json)", s)
+// String names the format as the errors of this package do.
+func (f Format) String() string {
+	switch f {
+	case FormatJSON:
+		return "json"
+	case FormatBlock:
+		return "block"
 	}
+	return fmt.Sprintf("format %d", int(f))
 }
 
-// DetectFormat guesses the format from a file name, honoring a trailing
-// .gz suffix: trace.jsonl.gz -> json, trace.tsb -> block. Matching is
-// case-insensitive. The removed text encoding's extensions (.txt, .tsv,
-// .log) yield 0, which OpenFile and CreateFile refuse; any other
-// extension — or none — is block, and OpenFile's magic check fails
-// loudly on a foreign stream.
+// errRemovedFormat refuses a path to create, or a file to open, in
+// neither supported encoding — such as the v1 binary and text encodings
+// this package no longer reads or writes. No trace is committed
+// anywhere; every workflow regenerates its trace from a seed.
+func errRemovedFormat(input string) error {
+	return fmt.Errorf("trace: %s: not block (.tsb) or json (.jsonl), the supported formats; the v1 binary "+
+		"and tab-separated text encodings were removed — regenerate the trace from its seed", input)
+}
+
+// DetectFormat picks the format CreateFile writes from a file name,
+// honoring a trailing .gz suffix: trace.jsonl.gz -> json, trace.tsb ->
+// block. Matching is case-insensitive. The removed text encoding's
+// extensions (.txt, .tsv, .log) yield 0, which CreateFile refuses; any
+// other extension — or none — is block.
 func DetectFormat(path string) Format {
 	p := strings.TrimSuffix(strings.ToLower(path), ".gz")
 	switch {
@@ -68,7 +60,8 @@ func DetectFormat(path string) Format {
 	}
 }
 
-// resolveFormat applies DetectFormat when the caller passed no format.
+// resolveFormat applies DetectFormat when CreateFile's caller passed no
+// format.
 func resolveFormat(path string, format Format) (Format, error) {
 	switch format {
 	case FormatJSON, FormatBlock:
@@ -82,22 +75,21 @@ func resolveFormat(path string, format Format) (Format, error) {
 	return 0, fmt.Errorf("trace: unknown format %d", format)
 }
 
-// sniffFormat corrects the format guess from the first 8 bytes: a block
-// magic opens as block under any name or hint, and the v1 magic is
-// refused. Other (or unreadable) prefixes keep the guess — the codec's
-// own error reporting is better than a sniff failure.
-func sniffFormat(br *bufio.Reader, path string, guess Format) (Format, error) {
-	magic, err := br.Peek(8)
-	if err != nil {
-		return guess, nil
-	}
-	switch [8]byte(magic) {
-	case v1Magic:
-		return 0, errRemovedFormat(path)
-	case blockMagic:
+// sniffFormat reads a trace's format off its first bytes: the v2 magic
+// is block, a leading '{' is JSON Lines, and an empty stream, which
+// either codec reads as no records, is block. Anything else — the
+// removed v1 magic included — is refused.
+func sniffFormat(br *bufio.Reader, path string) (Format, error) {
+	head, err := br.Peek(len(blockMagic))
+	switch {
+	case len(head) > 0 && head[0] == '{':
+		return FormatJSON, nil
+	case len(head) == len(blockMagic) && [8]byte(head) == blockMagic, len(head) == 0 && err == io.EOF:
 		return FormatBlock, nil
+	case err != nil && err != io.EOF:
+		return 0, fmt.Errorf("trace: %s: %w", path, err)
 	}
-	return guess, nil
+	return 0, errRemovedFormat(path)
 }
 
 // FileReader streams records from a trace file, transparently
@@ -108,13 +100,11 @@ type FileReader struct {
 	gz *gzip.Reader
 }
 
-// OpenFile opens a trace file with the given format (0 means detect from
-// the file name).
+// OpenFile opens a trace file, decompressing it when the path ends in
+// .gz. The content picks the codec whatever the name (see sniffFormat).
+// A zero format takes either codec; a nonzero one refuses a file in the
+// other.
 func OpenFile(path string, format Format) (*FileReader, error) {
-	format, err := resolveFormat(path, format)
-	if err != nil {
-		return nil, err
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -137,11 +127,15 @@ func OpenFile(path string, format Format) (*FileReader, error) {
 		src = gz
 	}
 	br := bufio.NewReaderSize(src, 1<<16)
-	if format, err = sniffFormat(br, path, format); err != nil {
+	found, err := sniffFormat(br, path)
+	if err == nil && format != 0 && format != found {
+		err = fmt.Errorf("trace: %s: a %v trace, not %v", path, found, format)
+	}
+	if err != nil {
 		fr.Close()
 		return nil, err
 	}
-	if format == FormatBlock {
+	if found == FormatBlock {
 		fr.Reader = NewBlockReader(br)
 	} else {
 		fr.Reader = NewJSONReader(br)

@@ -55,36 +55,9 @@ func TestJSONReaderMalformed(t *testing.T) {
 	}
 	jw.Flush()
 	padded := "\n" + buf.String() + "\n"
-	recs, err := ReadAll(NewJSONReader(strings.NewReader(padded)))
+	recs, err := readAll(NewJSONReader(strings.NewReader(padded)))
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("padded input: %d recs, %v", len(recs), err)
-	}
-}
-
-func TestParseFormat(t *testing.T) {
-	tests := []struct {
-		in   string
-		want Format
-		ok   bool
-	}{
-		{"block", FormatBlock, true},
-		{"v2", FormatBlock, true},
-		{"json", FormatJSON, true},
-		{"jsonl", FormatJSON, true},
-		{"Block", FormatBlock, true},
-		{"JSON", FormatJSON, true},
-		{"xml", 0, false},
-		{"", 0, false},
-		{"block ", 0, false}, // no trimming: flag values arrive clean
-	}
-	for _, tt := range tests {
-		got, err := ParseFormat(tt.in)
-		if tt.ok && (err != nil || got != tt.want) {
-			t.Errorf("ParseFormat(%q) = %v, %v", tt.in, got, err)
-		}
-		if !tt.ok && err == nil {
-			t.Errorf("ParseFormat(%q) should error", tt.in)
-		}
 	}
 }
 
@@ -100,19 +73,17 @@ func isRemovedFormatError(err error) bool {
 		strings.Contains(msg, "json") && strings.Contains(msg, "regenerate the trace from its seed")
 }
 
-// The v1 binary and text encodings are gone; every way of asking for
-// them — a format name, a file extension, or a stream that carries the
-// v1 magic under any name or hint — must fail with the same explanatory
-// error rather than be decoded as block garbage.
-func TestRemovedFormatsFailLoudly(t *testing.T) {
-	for _, name := range []string{"binary", "bin", "text", "tsv", "Binary", "TSV"} {
-		if f, err := ParseFormat(name); !isRemovedFormatError(err) {
-			t.Errorf("ParseFormat(%q) = %v, %v; want the removed-format error", name, f, err)
-		}
-	}
+// v1Magic headed a stream in the removed v1 binary encoding.
+var v1Magic = [8]byte{'T', 'S', 'L', 'O', 'G', 0, 0, 1}
 
+// The v1 binary and text encodings are gone; every way of asking for
+// them — a file to create under a text extension, or a file to open that
+// carries either encoding under any name or format — must fail with the
+// same explanatory error rather than be decoded as block garbage.
+func TestRemovedFormatsFailLoudly(t *testing.T) {
 	dir := t.TempDir()
 	v1 := append(append([]byte{}, v1Magic[:]...), "\x05hello"...)
+	text := []byte("#trafficscope-log v1\n1443830400000000\tV-1\t1\tmp4\n")
 	files := []struct {
 		name    string
 		content []byte
@@ -123,9 +94,9 @@ func TestRemovedFormatsFailLoudly(t *testing.T) {
 		{"old.tsb", v1, FormatBlock},
 		{"old.jsonl", v1, FormatJSON},
 		{"old.bin.gz", gzipBytes(t, v1), 0},
-		{"old.txt", []byte("#trafficscope-log v1\n"), 0},
-		{"old.tsv.gz", nil, 0},
-		{"old.LOG", nil, 0},
+		{"old.txt", text, 0},
+		{"old.tsv.gz", gzipBytes(t, text), 0},
+		{"old.LOG", text, 0},
 	}
 	for _, f := range files {
 		path := filepath.Join(dir, f.name)
@@ -167,6 +138,54 @@ func gzipBytes(t *testing.T, data []byte) []byte {
 	return buf.Bytes()
 }
 
+// A JSON Lines trace reads by its content under any name, the case a
+// -format json flag once had to rescue, and a file that starts like
+// neither supported format is refused with an error naming both.
+func TestOpenFileSniffsJSONLines(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	recs := make([]*Record, 60)
+	for i := range recs {
+		recs[i] = randomRecord(rng)
+	}
+	SortByTime(recs)
+	dir := t.TempDir()
+	want := writeTrace(t, filepath.Join(dir, "week.jsonl"), recs)
+	gzipped := writeTrace(t, filepath.Join(dir, "week.jsonl.gz"), recs)
+	for name, content := range map[string][]byte{"week.ndjson": want, "week.ndjson.gz": gzipped, "week": want} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fr, err := OpenFile(path, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := readAll(fr)
+		fr.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, recs) {
+			t.Errorf("%s: %d records differ from the .jsonl copy's %d", name, len(got), len(recs))
+		}
+	}
+	if _, err := OpenFile(filepath.Join(dir, "week"), FormatBlock); err == nil || !strings.Contains(err.Error(), "a json trace, not block") {
+		t.Errorf("JSON Lines opened as block: error %v, want one naming both formats", err)
+	}
+
+	foreign := filepath.Join(dir, "foreign.tsb")
+	if err := os.WriteFile(foreign, []byte("\x89PNG\r\n\x1a\n rest of an image"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := OpenFile(foreign, 0)
+	if err == nil {
+		fr.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), "block") || !strings.Contains(err.Error(), "json") {
+		t.Errorf("foreign 8-byte prefix: error %v, want one naming block and json", err)
+	}
+}
+
 func TestDetectFormat(t *testing.T) {
 	tests := []struct {
 		path string
@@ -181,9 +200,7 @@ func TestDetectFormat(t *testing.T) {
 		// paths often arrive upper- or mixed-case.
 		{"TRACE.TSB", FormatBlock},
 		{"Trace.JsonL.GZ", FormatJSON},
-		// Unknown or missing inner extensions fall back to block, whose
-		// reader self-validates via a magic header and fails loudly on a
-		// wrong guess (see the DetectFormat doc comment).
+		// Unknown or missing inner extensions write block.
 		{"trace.bin", FormatBlock},
 		{".gz", FormatBlock},
 		{"trace.gz", FormatBlock},
@@ -191,7 +208,7 @@ func TestDetectFormat(t *testing.T) {
 		{"trace.xml.gz", FormatBlock},
 		{"", FormatBlock},
 		// The removed text encoding's extensions detect as nothing, so
-		// OpenFile/CreateFile refuse them.
+		// CreateFile refuses them.
 		{"trace.txt", 0},
 		{"TRACE.TXT", 0},
 		{"trace.log.gz", 0},
@@ -231,7 +248,7 @@ func TestFileRoundTripAllFormatsAndGzip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s open: %v", name, err)
 		}
-		got, err := ReadAll(fr)
+		got, err := readAll(fr)
 		if err != nil {
 			t.Fatalf("%s read: %v", name, err)
 		}
@@ -295,7 +312,7 @@ func TestMergeReaderOrdersGlobally(t *testing.T) {
 	SortByTime(a)
 	SortByTime(b)
 	SortByTime(c)
-	merged, err := ReadAll(NewMergeReader(NewSliceReader(a), NewSliceReader(b), NewSliceReader(c)))
+	merged, err := readAll(NewMergeReader(NewSliceReader(a), NewSliceReader(b), NewSliceReader(c)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,12 +327,12 @@ func TestMergeReaderOrdersGlobally(t *testing.T) {
 }
 
 func TestMergeReaderEmptySources(t *testing.T) {
-	merged, err := ReadAll(NewMergeReader(NewSliceReader(nil), NewSliceReader(nil)))
+	merged, err := readAll(NewMergeReader(NewSliceReader(nil), NewSliceReader(nil)))
 	if err != nil || len(merged) != 0 {
 		t.Errorf("empty merge: %d, %v", len(merged), err)
 	}
 	one := []*Record{sampleRecord()}
-	merged, err = ReadAll(NewMergeReader(NewSliceReader(nil), NewSliceReader(one)))
+	merged, err = readAll(NewMergeReader(NewSliceReader(nil), NewSliceReader(one)))
 	if err != nil || len(merged) != 1 {
 		t.Errorf("one-source merge: %d, %v", len(merged), err)
 	}
@@ -324,7 +341,7 @@ func TestMergeReaderEmptySources(t *testing.T) {
 func TestMergeReaderPropagatesError(t *testing.T) {
 	bad := NewJSONReader(strings.NewReader("garbage line, not json\nmore\n"))
 	good := NewSliceReader([]*Record{sampleRecord()})
-	_, err := ReadAll(NewMergeReader(good, bad))
+	_, err := readAll(NewMergeReader(good, bad))
 	var pe *ParseError
 	if !errors.As(err, &pe) {
 		t.Errorf("want ParseError from merged source, got %v", err)
@@ -350,7 +367,7 @@ func TestMergeReaderStableOnTies(t *testing.T) {
 	a := []*Record{mkRec(ts, 1), mkRec(ts.Add(time.Second), 2)}
 	b := []*Record{mkRec(ts, 3), mkRec(ts.Add(time.Second), 4)}
 	c := []*Record{mkRec(ts, 5)}
-	got, err := ReadAll(NewMergeReader(NewSliceReader(a), NewSliceReader(b), NewSliceReader(c)))
+	got, err := readAll(NewMergeReader(NewSliceReader(a), NewSliceReader(b), NewSliceReader(c)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +399,7 @@ func TestMergeMatchesSort(t *testing.T) {
 		SortByTime(s)
 		readers = append(readers, NewSliceReader(s))
 	}
-	merged, err := ReadAll(NewMergeReader(readers...))
+	merged, err := readAll(NewMergeReader(readers...))
 	if err != nil {
 		t.Fatal(err)
 	}

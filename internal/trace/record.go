@@ -80,18 +80,6 @@ func (f FileType) Category() Category {
 	}
 }
 
-// VideoTypes, ImageTypes and OtherTypes enumerate the known file types per
-// category, for generators and validators.
-func VideoTypes() []FileType { return []FileType{FileFLV, FileMP4, FileMPG, FileAVI, FileWMV} }
-
-// ImageTypes enumerates the image file types.
-func ImageTypes() []FileType { return []FileType{FileJPG, FilePNG, FileGIF, FileTIFF, FileBMP} }
-
-// OtherTypes enumerates the non-multimedia file types.
-func OtherTypes() []FileType {
-	return []FileType{FileTXT, FileMP3, FileHTML, FileCSS, FileXML, FileJS}
-}
-
 // CacheStatus is the CDN edge cache outcome recorded with each response.
 type CacheStatus int
 

@@ -97,11 +97,11 @@ func TestInterleavedWriters(t *testing.T) {
 	}
 	w1.Flush()
 	w2.Flush()
-	got1, err := ReadAll(NewBlockReader(&b1))
+	got1, err := readAll(NewBlockReader(&b1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := ReadAll(NewBlockReader(&b2))
+	got2, err := readAll(NewBlockReader(&b2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,15 +26,12 @@ func (f SourceFunc) Open() (Reader, error) { return f() }
 
 // FileSource reopens a trace file for every pass.
 type FileSource struct {
-	// Path is the trace file (.tsb/.jsonl, optional .gz).
+	// Path is the trace file (block or JSON Lines, optional .gz).
 	Path string
-	// Format overrides format detection; zero means detect from the
-	// path.
-	Format Format
 }
 
 // Open implements Source.
-func (f FileSource) Open() (Reader, error) { return OpenFile(f.Path, f.Format) }
+func (f FileSource) Open() (Reader, error) { return OpenFile(f.Path, 0) }
 
 // SliceSource replays an in-memory record slice for every pass. A stream
 // that cannot be reopened goes through a Spool instead, on disk.

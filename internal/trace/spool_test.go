@@ -40,7 +40,7 @@ func readSpool(t *testing.T, dir string, recs []*Record) (*Spool, []*Record, boo
 		t.Fatal(err)
 	}
 	defer CloseReader(r)
-	got, err := ReadAll(r)
+	got, err := readAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -29,18 +30,45 @@ func sampleRecord() *Record {
 	}
 }
 
+// The known file types per category.
+var (
+	videoTypes = []FileType{FileFLV, FileMP4, FileMPG, FileAVI, FileWMV}
+	imageTypes = []FileType{FileJPG, FilePNG, FileGIF, FileTIFF, FileBMP}
+	otherTypes = []FileType{FileTXT, FileMP3, FileHTML, FileCSS, FileXML, FileJS}
+)
+
+func fileTypes() []FileType { return slices.Concat(videoTypes, imageTypes, otherTypes) }
+
+// readAll drains a reader into a slice. Every element is a freshly
+// allocated copy — no element aliases the reader's internal scratch or
+// any other element — so the result is safe to hold, mutate and sort.
+func readAll(r Reader) ([]*Record, error) {
+	var out []*Record
+	for {
+		rec := &Record{}
+		err := r.Read(rec)
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rec)
+	}
+}
+
 func TestCategoryMapping(t *testing.T) {
-	for _, ft := range VideoTypes() {
+	for _, ft := range videoTypes {
 		if ft.Category() != CategoryVideo {
 			t.Errorf("%s should be video", ft)
 		}
 	}
-	for _, ft := range ImageTypes() {
+	for _, ft := range imageTypes {
 		if ft.Category() != CategoryImage {
 			t.Errorf("%s should be image", ft)
 		}
 	}
-	for _, ft := range OtherTypes() {
+	for _, ft := range otherTypes {
 		if ft.Category() != CategoryOther {
 			t.Errorf("%s should be other", ft)
 		}
@@ -111,7 +139,7 @@ func codecRoundTrip(t *testing.T, recs []*Record, mkW func(io.Writer) Writer, fl
 	if err := flush(w); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	got, err := ReadAll(mkR(&buf))
+	got, err := readAll(mkR(&buf))
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -119,7 +147,7 @@ func codecRoundTrip(t *testing.T, recs []*Record, mkW func(io.Writer) Writer, fl
 }
 
 func randomRecord(rng *rand.Rand) *Record {
-	fts := append(append(VideoTypes(), ImageTypes()...), OtherTypes()...)
+	fts := fileTypes()
 	regions := timeutil.AllRegions()
 	statuses := []int{200, 204, 206, 304, 403, 416}
 	return &Record{
@@ -195,21 +223,21 @@ func TestAnonymizerStability(t *testing.T) {
 	a := NewAnonymizer([]byte("salt"))
 	b := NewAnonymizer([]byte("salt"))
 	c := NewAnonymizer([]byte("different"))
-	if a.HashString("/video/1.mp4") != b.HashString("/video/1.mp4") {
+	if a.HashBytes([]byte("/video/1.mp4")) != b.HashBytes([]byte("/video/1.mp4")) {
 		t.Error("same salt must hash identically")
 	}
-	if a.HashString("/video/1.mp4") == c.HashString("/video/1.mp4") {
+	if a.HashBytes([]byte("/video/1.mp4")) == c.HashBytes([]byte("/video/1.mp4")) {
 		t.Error("different salts should differ")
 	}
-	if a.HashString("x") == a.HashString("y") {
+	if a.HashBytes([]byte("x")) == a.HashBytes([]byte("y")) {
 		t.Error("different inputs should differ")
 	}
-	if a.HashUser("1.2.3.4", "UA1") == a.HashUser("1.2.3.4", "UA2") {
+	if a.HashUserBytes([]byte("1.2.3.4"), "UA1") == a.HashUserBytes([]byte("1.2.3.4"), "UA2") {
 		t.Error("same IP different agent should differ")
 	}
 }
 
-// TestAnonymizerHashesPinned pins HashString and HashUser to the values
+// TestAnonymizerHashesPinned pins HashBytes and HashUserBytes to the values
 // hash/fnv's FNV-1a gives for salt ‖ s and salt ‖ addr ‖ 0 ‖ agent: object
 // and user IDs are part of every golden digest, so the inlined loop must
 // never drift from them.
@@ -217,7 +245,7 @@ func TestAnonymizerHashesPinned(t *testing.T) {
 	const iphone = "Mozilla/5.0 (iPhone; CPU iPhone OS 9_0 like Mac OS X)"
 	tests := []struct {
 		salt, s, agent string
-		user           bool // HashUser(s, agent) rather than HashString(s)
+		user           bool // HashUserBytes(s, agent) rather than HashBytes(s)
 		want           uint64
 	}{
 		{"", "", "", false, 0xcbf29ce484222325},
@@ -245,9 +273,9 @@ func TestAnonymizerHashesPinned(t *testing.T) {
 	}
 	for _, tt := range tests {
 		a := NewAnonymizer([]byte(tt.salt))
-		got := a.HashString(tt.s)
+		got := a.HashBytes([]byte(tt.s))
 		if tt.user {
-			got = a.HashUser(tt.s, tt.agent)
+			got = a.HashUserBytes([]byte(tt.s), tt.agent)
 		}
 		if got != tt.want {
 			t.Errorf("salt %q, %q, %q (user %v) = %#x, want %#x", tt.salt, tt.s, tt.agent, tt.user, got, tt.want)
@@ -258,9 +286,9 @@ func TestAnonymizerHashesPinned(t *testing.T) {
 func TestSliceReaderReset(t *testing.T) {
 	recs := []*Record{sampleRecord(), sampleRecord()}
 	sr := NewSliceReader(recs)
-	first, _ := ReadAll(sr)
+	first, _ := readAll(sr)
 	sr.Reset()
-	second, _ := ReadAll(sr)
+	second, _ := readAll(sr)
 	if len(first) != 2 || len(second) != 2 {
 		t.Errorf("reset replay: %d then %d", len(first), len(second))
 	}

@@ -43,13 +43,13 @@ func readTruncated(t *testing.T, dir, name string, data []byte, n int) (int, err
 		return 0, err
 	}
 	defer fr.Close()
-	recs, err := ReadAll(fr)
+	recs, err := readAll(fr)
 	return len(recs), err
 }
 
 // TestTruncatedGzipTraceErrors guards against silent short reads: a
 // .tsb.gz trace cut mid-stream must surface an error from OpenFile or
-// ReadAll — never a nil error with fewer records than were written. The
+// readAll — never a nil error with fewer records than were written. The
 // gzip footer (CRC + length) makes any truncation detectable; the block
 // codec's ErrTruncated covers the uncompressed case.
 func TestTruncatedGzipTraceErrors(t *testing.T) {

@@ -273,6 +273,103 @@ func fieldsSetIn(n ast.Node, info *types.Info, fields map[*types.Var]string) map
 	return out
 }
 
+// exportsOnlyTestsCall are the exported functions and methods under
+// internal/ that nothing but a test calls: each lets the test named here
+// observe behaviour no kept API exposes.
+var exportsOnlyTestsCall = map[string]string{
+	"cdn.SingleFlight.Inflight": "the fill tests of cdn, edge and fleet wait for a flight to open before racing followers onto it; no counter shows an open flight",
+}
+
+// TestExportedFuncsAreCalled gives exported functions the rule
+// TestConfigFieldsAreSet gives config fields: every exported function or
+// method under internal/ (the count `make loc` prints is the one this test
+// logs) must be used by non-test code somewhere in the module or by a
+// checked Example in example_test.go. A function counts as used when such
+// code names it; a method, when such code selects any method of its name,
+// so a call through an interface vouches for every implementation.
+func TestExportedFuncsAreCalled(t *testing.T) {
+	mod := newModuleChecker(t)
+	funcs := map[*types.Func]string{}
+	var names []string
+	add := func(f *types.Func, key string) {
+		if f.Exported() {
+			funcs[f] = key
+			names = append(names, key)
+		}
+	}
+	for _, p := range mod.pkgs {
+		if !strings.HasPrefix(p.pkg.Path(), "trafficscope/internal/") {
+			continue
+		}
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Func:
+				add(obj, p.pkg.Name()+"."+name)
+			case *types.TypeName:
+				if named, ok := obj.Type().(*types.Named); ok && !obj.IsAlias() {
+					for i := 0; i < named.NumMethods(); i++ {
+						m := named.Method(i)
+						add(m, p.pkg.Name()+"."+name+"."+m.Name())
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d exported functions", len(funcs))
+
+	used := map[string]bool{}
+	selected := map[string]bool{} // method names non-test code selects
+	visit := func(n ast.Node, info *types.Info) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if f, ok := info.Uses[n].(*types.Func); ok && funcs[f.Origin()] != "" {
+					used[funcs[f.Origin()]] = true
+				}
+			case *ast.SelectorExpr:
+				if s := info.Selections[n]; s != nil && s.Kind() != types.FieldVal {
+					selected[n.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	for _, p := range mod.pkgs {
+		for _, file := range p.files {
+			visit(file, p.info)
+		}
+	}
+	for _, ex := range mod.examples {
+		visit(ex, mod.exampleInfo)
+	}
+	for f, key := range funcs {
+		if f.Type().(*types.Signature).Recv() != nil && selected[f.Name()] {
+			used[key] = true
+		}
+	}
+
+	sort.Strings(names)
+	var uncalled []string
+	for _, name := range names {
+		_, allowed := exportsOnlyTestsCall[name]
+		switch {
+		case !used[name] && !allowed:
+			uncalled = append(uncalled, name)
+		case used[name] && allowed:
+			t.Errorf("%s has a non-test caller now; drop it from exportsOnlyTestsCall", name)
+		}
+	}
+	for name := range exportsOnlyTestsCall {
+		if !slices.Contains(names, name) {
+			t.Errorf("exportsOnlyTestsCall names %s, which is no exported function under internal/", name)
+		}
+	}
+	if len(uncalled) > 0 {
+		t.Errorf("%d exported functions only tests call: %v", len(uncalled), uncalled)
+	}
+}
+
 // moduleChecker holds the module's packages type-checked from their
 // non-test files, plus the checked Examples of example_test.go.
 type moduleChecker struct {
