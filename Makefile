@@ -54,7 +54,7 @@ fuzz-smoke:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The five tracked sizes (ROADMAP aim 2) CHANGES.md quotes before/after
+# The six tracked sizes (ROADMAP aim 2) CHANGES.md quotes before/after
 # for every PR: net non-test lines of Go outside benchmark/; the same with
 # _test.go files included (code that moves into or out of a test file
 # shows only here); CLI flags declared by the tools (cmd/ plus the shared
@@ -64,14 +64,16 @@ fmt-check:
 # TestConfigFieldsAreSet, the test that fails on a field nothing but a
 # default or a test sets; exported functions and methods under internal/,
 # as counted by TestExportedFuncsAreCalled, the test that fails on one
-# only tests call. A PR that says "no new knob" shows flags and config
-# fields unchanged.
+# only tests call; and packages under internal/ (`go list`; a package
+# with one importer is a candidate to fold into it). A PR that says "no
+# new knob" shows flags and config fields unchanged.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l | sed 's/$$/ lines/'
 	@find . -name '*.go' -not -path './benchmark/*' | xargs cat | wc -l | sed 's/$$/ lines with tests/'
 	@grep -rhoE '\b(flag|fs)\.(Bool|Duration|Float64|Func|Int|Int64|String|Uint|Uint64)?(Var)?\(' --include='*.go' cmd internal/obs/cliobs internal/edge/flags.go internal/fleet/flags.go | wc -l | sed 's/$$/ flags/'
 	@$(GO) test -run '^TestConfigFieldsAreSet$$' -v . | grep -oE '[0-9]+ config fields$$'
 	@$(GO) test -run '^TestExportedFuncsAreCalled$$' -v . | grep -oE '[0-9]+ exported functions$$'
+	@$(GO) list ./internal/... | wc -l | sed 's/$$/ packages under internal\//'
 
 check: fmt-check vet tools race test loc
 

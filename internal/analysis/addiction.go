@@ -36,17 +36,9 @@ type addictionCat struct {
 
 func pairKey(obj, user uint32) uint64 { return uint64(obj)<<32 | uint64(user) }
 
-func init() {
-	Register(Descriptor{
-		Name:    "addiction",
-		Figures: []int{13, 14},
-		New:     func(p Params) Analyzer { return NewAddiction(p.MemoryBudget) },
-	})
-}
-
-// NewAddiction creates an empty accumulator; budget 0 is exact, a
+// newAddiction creates an empty accumulator; budget 0 is exact, a
 // positive budget caps tracked objects per site and category.
-func NewAddiction(budget int) *Addiction {
+func newAddiction(budget int) *Addiction {
 	a := &Addiction{budget: budget}
 	a.needs = exactNeeds(budget, needObjects|needUsers)
 	return a

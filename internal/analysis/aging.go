@@ -30,17 +30,9 @@ type agingSite struct {
 
 const allWeek = 1<<7 - 1
 
-func init() {
-	Register(Descriptor{
-		Name:    "aging",
-		Figures: []int{7},
-		New:     func(p Params) Analyzer { return NewAging(p.Week, p.MemoryBudget) },
-	})
-}
-
-// NewAging creates an accumulator over the given trace week; budget 0
+// newAging creates an accumulator over the given trace week; budget 0
 // is exact, a positive budget caps tracked objects per site.
-func NewAging(week timeutil.Week, budget int) *Aging {
+func newAging(week timeutil.Week, budget int) *Aging {
 	a := &Aging{budget: budget}
 	a.week, a.needs = week, exactNeeds(budget, needObjects)
 	return a

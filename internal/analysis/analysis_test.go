@@ -33,7 +33,7 @@ func rec(site string, obj, user uint64, ft trace.FileType, size int64, h int) *t
 }
 
 func TestCompositionCounts(t *testing.T) {
-	c := NewComposition(0)
+	c := newComposition(0)
 	c.Add(rec("V-1", 1, 10, trace.FileMP4, 1000, 0))
 	c.Add(rec("V-1", 1, 11, trace.FileMP4, 1000, 1)) // same object again
 	c.Add(rec("V-1", 2, 10, trace.FileJPG, 50, 2))
@@ -76,7 +76,7 @@ func TestCompositionCounts(t *testing.T) {
 func TestCompositionMergeExact(t *testing.T) {
 	// Object IDs repeat across sites, but object identity is per site:
 	// adopting one site's shard must not count the other's objects.
-	a, b, whole := NewComposition(0), NewComposition(0), NewComposition(0)
+	a, b, whole := newComposition(0), newComposition(0), newComposition(0)
 	records := []*trace.Record{
 		rec("V-1", 1, 1, trace.FileMP4, 100, 0),
 		rec("P-1", 1, 2, trace.FileMP4, 100, 1),
@@ -102,7 +102,7 @@ func TestCompositionMergeExact(t *testing.T) {
 }
 
 func TestHourlyVolumeLocalTime(t *testing.T) {
-	h := NewHourlyVolume()
+	h := newHourlyVolume()
 	r := rec("V-1", 1, 1, trace.FileMP4, 1000, 12) // 12:00 UTC
 	r.Region = timeutil.RegionAsia                 // UTC+8 -> 20:00 local
 	h.Add(r)
@@ -121,7 +121,7 @@ func TestHourlyVolumeLocalTime(t *testing.T) {
 }
 
 func TestHourlyVolumeMerge(t *testing.T) {
-	a, b := NewHourlyVolume(), NewHourlyVolume()
+	a, b := newHourlyVolume(), newHourlyVolume()
 	a.Add(rec("V-1", 1, 1, trace.FileMP4, 300, 0))
 	a.Add(rec("V-1", 2, 1, trace.FileMP4, 700, 0))
 	b.Add(rec("P-1", 2, 1, trace.FileMP4, 700, 3))
@@ -143,22 +143,30 @@ func TestHourlyVolumeMerge(t *testing.T) {
 }
 
 func TestHourOfWeekSeries(t *testing.T) {
-	s := NewHourOfWeekSeries(week)
+	s := newHourOfWeekSeries(week)
+	// rec's requests come from Europe (UTC+1): UTC hour 5 is local 6.
 	s.Add(rec("V-1", 1, 1, trace.FileMP4, 100, 5))
 	s.Add(rec("V-1", 1, 2, trace.FileMP4, 100, 5))
 	s.Add(rec("V-1", 1, 3, trace.FileMP4, 100, 100))
-	outside := rec("V-1", 1, 4, trace.FileMP4, 100, 0)
+	// Local hours wrap at the week boundary both ways.
+	early := rec("V-1", 1, 4, trace.FileMP4, 100, 2)
+	early.Region = timeutil.RegionNorthAmerica // UTC-6: local hour -4
+	s.Add(early)
+	late := rec("V-1", 1, 5, trace.FileMP4, 100, 167)
+	late.Region = timeutil.RegionAsia // UTC+8: local hour 175
+	s.Add(late)
+	outside := rec("V-1", 1, 6, trace.FileMP4, 100, 0)
 	outside.Timestamp = week.Start.Add(-time.Hour)
 	s.Add(outside)
 	got := s.Series("V-1")
-	if got[5] != 2 || got[100] != 1 {
-		t.Errorf("series: h5=%v h100=%v", got[5], got[100])
+	if got[6] != 2 || got[101] != 1 || got[164] != 1 || got[7] != 1 {
+		t.Errorf("series: h6=%v h101=%v h164=%v h7=%v, want 2, 1, 1, 1", got[6], got[101], got[164], got[7])
 	}
 	var total float64
 	for _, v := range got {
 		total += v
 	}
-	if total != 3 {
+	if total != 5 {
 		t.Errorf("out-of-window record counted: total=%v", total)
 	}
 	if s.Series("none") != nil {
@@ -167,7 +175,7 @@ func TestHourOfWeekSeries(t *testing.T) {
 }
 
 func TestDeviceMixUserShare(t *testing.T) {
-	d := NewDeviceMix(0)
+	d := newDeviceMix(0)
 	android := "Mozilla/5.0 (Linux; Android 5.1.1; SM-G920F Build/LMY47X) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/45.0.2454.94 Mobile Safari/537.36"
 	for u := uint64(0); u < 8; u++ {
 		d.Add(rec("S-1", 1, u, trace.FileJPG, 10, 0)) // desktop agent
@@ -200,7 +208,7 @@ func TestDeviceMixUserShare(t *testing.T) {
 // record folded after the merge must still classify, not index past the
 // receiver's.
 func TestDeviceMixAddAfterAdoptingMerge(t *testing.T) {
-	d, o := NewDeviceMix(0), NewDeviceMix(0)
+	d, o := newDeviceMix(0), newDeviceMix(0)
 	d.Add(rec("V-1", 1, 1, trace.FileJPG, 10, 0)) // one desktop agent
 	for u := uint64(0); u < 3; u++ {
 		r := rec("S-1", 1, u, trace.FileJPG, 10, 0)
@@ -215,7 +223,7 @@ func TestDeviceMixAddAfterAdoptingMerge(t *testing.T) {
 }
 
 func TestSizeDistribution(t *testing.T) {
-	s := NewSizeDistribution()
+	s := newSizeDistribution()
 	s.Add(rec("P-1", 1, 1, trace.FileJPG, 5_000, 0))
 	s.Add(rec("P-1", 1, 2, trace.FileJPG, 5_000, 1)) // dedup
 	s.Add(rec("P-1", 2, 1, trace.FileJPG, 500_000, 2))
@@ -242,7 +250,7 @@ func TestSizeDistribution(t *testing.T) {
 }
 
 func TestPopularity(t *testing.T) {
-	p := NewPopularity()
+	p := newPopularity()
 	// Object 1: 5 requests; object 2: 2; object 3: 1.
 	for i := 0; i < 5; i++ {
 		p.Add(rec("V-1", 1, uint64(i), trace.FileMP4, 100, i))
@@ -275,7 +283,7 @@ func TestPopularity(t *testing.T) {
 }
 
 func TestAgingCurve(t *testing.T) {
-	a := NewAging(week, 0)
+	a := newAging(week, 0)
 	// Object 1: requested on all 7 days (diurnal).
 	for d := 0; d < 7; d++ {
 		a.Add(rec("P-1", 1, 1, trace.FileJPG, 10, d*24))
@@ -310,7 +318,7 @@ func TestAgingCurve(t *testing.T) {
 }
 
 func TestSessionsIATAndLength(t *testing.T) {
-	s := NewSessions(0, 0)
+	s := newSessions(0, 0)
 	if s.Timeout() != DefaultSessionTimeout {
 		t.Error("default timeout")
 	}
@@ -360,7 +368,7 @@ func TestSessionsIATAndLength(t *testing.T) {
 }
 
 func TestAddiction(t *testing.T) {
-	a := NewAddiction(0)
+	a := newAddiction(0)
 	// Object 1: user 1 requests it 12 times (addiction), user 2 once.
 	for i := 0; i < 12; i++ {
 		a.Add(rec("V-1", 1, 1, trace.FileMP4, 100, i))
@@ -392,7 +400,7 @@ func TestAddiction(t *testing.T) {
 }
 
 func TestCaching(t *testing.T) {
-	c := NewCaching(0)
+	c := newCaching(0)
 	hit := rec("V-1", 1, 1, trace.FileJPG, 100, 0)
 	hit.Cache = trace.CacheHit
 	miss := rec("V-1", 1, 2, trace.FileJPG, 100, 1)
@@ -426,7 +434,7 @@ func TestCaching(t *testing.T) {
 }
 
 func TestHitRatioByPopularityDecile(t *testing.T) {
-	c := NewCaching(0)
+	c := newCaching(0)
 	// 20 objects: object i gets i+1 lookups and hits proportional to
 	// popularity, so the decile curve must rise.
 	for obj := uint64(0); obj < 20; obj++ {
@@ -454,7 +462,7 @@ func TestHitRatioByPopularityDecile(t *testing.T) {
 		}
 	}
 	// Too few objects: nil.
-	small := NewCaching(0)
+	small := newCaching(0)
 	r := rec("X", 1, 1, trace.FileJPG, 10, 0)
 	r.Cache = trace.CacheHit
 	small.Add(r)
@@ -467,7 +475,7 @@ func TestHitRatioByPopularityDecile(t *testing.T) {
 }
 
 func TestCachingCorrelation(t *testing.T) {
-	c := NewCaching(0)
+	c := newCaching(0)
 	// Popular objects hit more: object i gets i+1 lookups with i hits.
 	for obj := uint64(1); obj <= 5; obj++ {
 		for k := int64(0); k < int64(obj)+1; k++ {
@@ -486,7 +494,7 @@ func TestCachingCorrelation(t *testing.T) {
 }
 
 func TestObjectSeriesAndClustering(t *testing.T) {
-	s := NewObjectSeries(week, 0)
+	s := newObjectSeries(week, 0)
 	// Three diurnal objects: daily repeating pattern.
 	for obj := uint64(1); obj <= 3; obj++ {
 		for d := 0; d < 7; d++ {
@@ -562,7 +570,7 @@ func TestObjectSeriesAndClustering(t *testing.T) {
 // however its rows fall on workers, so the whole result is — and an
 // unset worker count, which now means GOMAXPROCS, changes nothing else.
 func TestClusterSeriesWorkerInvariant(t *testing.T) {
-	s := NewObjectSeries(week, 0)
+	s := newObjectSeries(week, 0)
 	rng := rand.New(rand.NewSource(8))
 	for obj := uint64(1); obj <= 40; obj++ {
 		start, span := rng.Intn(100), 12+rng.Intn(56)
@@ -616,7 +624,7 @@ func TestClassifyShapeEdgeCases(t *testing.T) {
 }
 
 func TestObjectSeriesMerge(t *testing.T) {
-	a, b := NewObjectSeries(week, 0), NewObjectSeries(week, 0)
+	a, b := newObjectSeries(week, 0), newObjectSeries(week, 0)
 	a.Add(rec("P-1", 7, 1, trace.FileMP4, 100, 9))
 	b.Add(rec("V-1", 1, 1, trace.FileMP4, 100, 0))
 	b.Add(rec("V-1", 1, 2, trace.FileMP4, 100, 0))

@@ -61,33 +61,33 @@ func buildBounded(t testing.TB) (exact, small, huge analyzerSet, records int) {
 		t.Fatal(err)
 	}
 	exact = analyzerSet{
-		comp:     NewComposition(0),
-		devices:  NewDeviceMix(0),
-		caching:  NewCaching(0),
-		addict:   NewAddiction(0),
-		aging:    NewAging(gen.Week(), 0),
-		sessions: NewSessions(0, 0),
-		series:   NewObjectSeries(gen.Week(), 0),
+		comp:     newComposition(0),
+		devices:  newDeviceMix(0),
+		caching:  newCaching(0),
+		addict:   newAddiction(0),
+		aging:    newAging(gen.Week(), 0),
+		sessions: newSessions(0, 0),
+		series:   newObjectSeries(gen.Week(), 0),
 	}
 	small = analyzerSet{
-		comp:     NewComposition(smallBudget),
-		devices:  NewDeviceMix(smallBudget),
-		caching:  NewCaching(smallBudget),
-		addict:   NewAddiction(smallBudget),
-		aging:    NewAging(gen.Week(), smallBudget),
-		sessions: NewSessions(0, smallBudget),
-		series:   NewObjectSeries(gen.Week(), smallBudget),
+		comp:     newComposition(smallBudget),
+		devices:  newDeviceMix(smallBudget),
+		caching:  newCaching(smallBudget),
+		addict:   newAddiction(smallBudget),
+		aging:    newAging(gen.Week(), smallBudget),
+		sessions: newSessions(0, smallBudget),
+		series:   newObjectSeries(gen.Week(), smallBudget),
 	}
 	const hugeBudget = 1 << 30
 	hugeHalf := func() analyzerSet {
 		return analyzerSet{
-			comp:     NewComposition(hugeBudget),
-			devices:  NewDeviceMix(hugeBudget),
-			caching:  NewCaching(hugeBudget),
-			addict:   NewAddiction(hugeBudget),
-			aging:    NewAging(gen.Week(), hugeBudget),
-			sessions: NewSessions(0, hugeBudget),
-			series:   NewObjectSeries(gen.Week(), hugeBudget),
+			comp:     newComposition(hugeBudget),
+			devices:  newDeviceMix(hugeBudget),
+			caching:  newCaching(hugeBudget),
+			addict:   newAddiction(hugeBudget),
+			aging:    newAging(gen.Week(), hugeBudget),
+			sessions: newSessions(0, hugeBudget),
+			series:   newObjectSeries(gen.Week(), hugeBudget),
 		}
 	}
 	a, b := hugeHalf(), hugeHalf()

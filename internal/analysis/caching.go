@@ -59,17 +59,9 @@ func addCode(codes *[]codeCount, code int, n int64) {
 	*codes = append(*codes, codeCount{code, n})
 }
 
-func init() {
-	Register(Descriptor{
-		Name:    "caching",
-		Figures: []int{15, 16},
-		New:     func(p Params) Analyzer { return NewCaching(p.MemoryBudget) },
-	})
-}
-
-// NewCaching creates an empty accumulator; budget 0 is exact, a
+// newCaching creates an empty accumulator; budget 0 is exact, a
 // positive budget caps tracked objects per site.
-func NewCaching(budget int) *Caching {
+func newCaching(budget int) *Caching {
 	c := &Caching{budget: budget}
 	c.needs = exactNeeds(budget, needObjects)
 	return c

@@ -88,18 +88,10 @@ func (st *seriesSite) series(slot uint32, cat uint8) *hourRow {
 	return st.row(*ri - 1)
 }
 
-func init() {
-	Register(Descriptor{
-		Name:    "series",
-		Figures: []int{8, 9, 10},
-		New:     func(p Params) Analyzer { return NewObjectSeries(p.Week, p.MemoryBudget) },
-	})
-}
-
-// NewObjectSeries creates an accumulator over the given trace week;
+// newObjectSeries creates an accumulator over the given trace week;
 // budget 0 is exact, a positive budget caps per-(site, category) series
 // at that count behind a Count-Min admission gate.
-func NewObjectSeries(week timeutil.Week, budget int) *ObjectSeries {
+func newObjectSeries(week timeutil.Week, budget int) *ObjectSeries {
 	s := &ObjectSeries{budget: budget}
 	s.week, s.needs = week, exactNeeds(budget, needObjects)
 	return s

@@ -111,17 +111,9 @@ type Composition struct {
 	budget int
 }
 
-func init() {
-	Register(Descriptor{
-		Name:    "composition",
-		Figures: []int{1, 2},
-		New:     func(p Params) Analyzer { return NewComposition(p.MemoryBudget) },
-	})
-}
-
-// NewComposition creates an empty accumulator; budget 0 is exact, any
+// newComposition creates an empty accumulator; budget 0 is exact, any
 // positive budget switches distinct-object counting to HyperLogLog.
-func NewComposition(budget int) *Composition {
+func newComposition(budget int) *Composition {
 	c := &Composition{budget: budget}
 	c.needs = exactNeeds(budget, needObjects)
 	return c

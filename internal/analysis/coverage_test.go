@@ -15,7 +15,7 @@ func TestSitesAccessors(t *testing.T) {
 	r2 := rec("A-site", 2, 2, trace.FileMP4, 10, 1)
 
 	t.Run("addiction", func(t *testing.T) {
-		a, b := NewAddiction(0), NewAddiction(0)
+		a, b := newAddiction(0), newAddiction(0)
 		a.Add(r1)
 		b.Add(r2)
 		adoptAlone(a, b)
@@ -25,7 +25,7 @@ func TestSitesAccessors(t *testing.T) {
 		}
 	})
 	t.Run("aging", func(t *testing.T) {
-		a, b := NewAging(week, 0), NewAging(week, 0)
+		a, b := newAging(week, 0), newAging(week, 0)
 		a.Add(r1)
 		b.Add(r2)
 		adoptAlone(a, b)
@@ -40,7 +40,7 @@ func TestSitesAccessors(t *testing.T) {
 		}
 	})
 	t.Run("caching", func(t *testing.T) {
-		a, b := NewCaching(0), NewCaching(0)
+		a, b := newCaching(0), newCaching(0)
 		hit := rec("B-site", 1, 1, trace.FileJPG, 10, 0)
 		hit.Cache = trace.CacheHit
 		a.Add(hit)
@@ -66,7 +66,7 @@ func TestSitesAccessors(t *testing.T) {
 		}
 	})
 	t.Run("sessions", func(t *testing.T) {
-		a, b := NewSessions(0, 0), NewSessions(0, 0)
+		a, b := newSessions(0, 0), newSessions(0, 0)
 		a.Add(r1)
 		b.Add(r2)
 		adoptAlone(a, b)
@@ -84,7 +84,7 @@ func TestSitesAccessors(t *testing.T) {
 		}
 	})
 	t.Run("popularity", func(t *testing.T) {
-		a, b := NewPopularity(), NewPopularity()
+		a, b := newPopularity(), newPopularity()
 		a.Add(r1)
 		b.Add(r2)
 		adoptAlone(a, b)
@@ -102,7 +102,7 @@ func TestSitesAccessors(t *testing.T) {
 		}
 	})
 	t.Run("sizes", func(t *testing.T) {
-		a, b := NewSizeDistribution(), NewSizeDistribution()
+		a, b := newSizeDistribution(), newSizeDistribution()
 		a.Add(r1)
 		b.Add(r2)
 		adoptAlone(a, b)
@@ -117,7 +117,7 @@ func TestSitesAccessors(t *testing.T) {
 		}
 	})
 	t.Run("composition", func(t *testing.T) {
-		a, b := NewComposition(0), NewComposition(0)
+		a, b := newComposition(0), newComposition(0)
 		a.Add(r1)
 		b.Add(r2)
 		adoptAlone(a, b)
@@ -126,7 +126,7 @@ func TestSitesAccessors(t *testing.T) {
 		}
 	})
 	t.Run("devices", func(t *testing.T) {
-		a, b := NewDeviceMix(0), NewDeviceMix(0)
+		a, b := newDeviceMix(0), newDeviceMix(0)
 		a.Add(r1)
 		b.Add(r2)
 		adoptAlone(a, b)
@@ -135,7 +135,7 @@ func TestSitesAccessors(t *testing.T) {
 		}
 	})
 	t.Run("hourly", func(t *testing.T) {
-		a, b := NewHourlyVolume(), NewHourlyVolume()
+		a, b := newHourlyVolume(), newHourlyVolume()
 		a.Add(r1)
 		b.Add(r2)
 		adoptAlone(a, b)
@@ -144,7 +144,7 @@ func TestSitesAccessors(t *testing.T) {
 		}
 	})
 	t.Run("series", func(t *testing.T) {
-		a, b := NewObjectSeries(week, 0), NewObjectSeries(week, 0)
+		a, b := newObjectSeries(week, 0), newObjectSeries(week, 0)
 		a.Add(r1)
 		b.Add(r2)
 		adoptAlone(a, b)

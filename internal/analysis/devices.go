@@ -51,17 +51,9 @@ type userDevices struct {
 // deviceIndex maps a device to its position in useragent.AllDevices().
 func deviceIndex(d useragent.Device) uint8 { return uint8(d - useragent.DeviceDesktop) }
 
-func init() {
-	Register(Descriptor{
-		Name:    "devices",
-		Figures: []int{4},
-		New:     func(p Params) Analyzer { return NewDeviceMix(p.MemoryBudget) },
-	})
-}
-
-// NewDeviceMix creates an empty accumulator; budget 0 is exact, any
+// newDeviceMix creates an empty accumulator; budget 0 is exact, any
 // positive budget switches distinct-user counting to HyperLogLog.
-func NewDeviceMix(budget int) *DeviceMix {
+func newDeviceMix(budget int) *DeviceMix {
 	d := &DeviceMix{bounded: budget > 0, index: map[string]uint16{}}
 	d.needs = exactNeeds(budget, needUsers)
 	return d

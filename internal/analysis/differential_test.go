@@ -120,7 +120,7 @@ type newSet struct {
 }
 
 func newNewSet(budget int) *newSet {
-	return &newSet{NewSessions(0, budget), NewAddiction(budget), NewAging(week, budget), NewCaching(budget), NewPopularity()}
+	return &newSet{newSessions(0, budget), newAddiction(budget), newAging(week, budget), newCaching(budget), newPopularity()}
 }
 
 func (s *newSet) add(r *trace.Record) {

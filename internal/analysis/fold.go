@@ -39,8 +39,8 @@ type Fold struct {
 }
 
 // NewFold constructs one analyzer per descriptor. It panics on a
-// descriptor whose analyzer is not keyed: descriptors are registered in
-// this package's init funcs, so that is a programming error.
+// descriptor whose analyzer is not keyed: descriptors are declared in
+// this package's registry, so that is a programming error.
 func NewFold(descs []Descriptor, p Params) *Fold {
 	f := &Fold{
 		descs: descs,

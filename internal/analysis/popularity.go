@@ -20,16 +20,8 @@ type Popularity struct {
 // that serves one ID under two keeps them apart.
 func catSlot(slot uint32, cat uint8) uint32 { return slot*numCats + uint32(cat) }
 
-func init() {
-	Register(Descriptor{
-		Name:    "popularity",
-		Figures: []int{6},
-		New:     func(Params) Analyzer { return NewPopularity() },
-	})
-}
-
-// NewPopularity creates an empty accumulator.
-func NewPopularity() *Popularity {
+// newPopularity creates an empty accumulator.
+func newPopularity() *Popularity {
 	p := &Popularity{}
 	p.needs = needObjects
 	return p

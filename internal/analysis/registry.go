@@ -14,7 +14,7 @@ type Params struct {
 	// Week is the observation window.
 	Week timeutil.Week
 	// SessionTimeout is the session boundary gap; zero uses the paper's
-	// default (see NewSessions).
+	// default, DefaultSessionTimeout.
 	SessionTimeout time.Duration
 	// MemoryBudget bounds each analyzer's per-key state. Zero keeps the
 	// exact accumulators (every object/user tracked). A positive value
@@ -39,10 +39,9 @@ type Analyzer interface {
 	Add(*trace.Record)
 }
 
-// Descriptor registers one analysis with the study core. Each analysis
-// file registers its own descriptor in an init func, so adding a new
-// analysis touches only that file: the study's accumulator, figure
-// pruning and result plumbing are all driven off the registry.
+// Descriptor declares one analysis to the study core: the study's
+// accumulator, figure pruning and result plumbing are all driven off the
+// registry, so adding an analysis adds one entry there.
 type Descriptor struct {
 	// Name uniquely identifies the analysis (e.g. "composition").
 	Name string
@@ -54,27 +53,27 @@ type Descriptor struct {
 	New func(Params) Analyzer
 }
 
-// registry holds every registered analysis in registration order
-// (deterministic: init funcs run in file-name order within the package).
-var registry []Descriptor
-
-// Register adds an analysis descriptor. It panics on duplicate names or
-// incomplete descriptors — registration happens in init funcs, so a bad
-// entry is a programming error caught by any test run.
-func Register(d Descriptor) {
-	if d.Name == "" || d.New == nil {
-		panic(fmt.Sprintf("analysis: incomplete descriptor %+v", d))
-	}
-	for _, e := range registry {
-		if e.Name == d.Name {
-			panic(fmt.Sprintf("analysis: duplicate analyzer %q", d.Name))
-		}
-	}
-	registry = append(registry, d)
+// registry declares every analysis, in the order the study folds and
+// reports them.
+var registry = []Descriptor{
+	{Name: "addiction", Figures: []int{13, 14}, New: func(p Params) Analyzer { return newAddiction(p.MemoryBudget) }},
+	{Name: "aging", Figures: []int{7}, New: func(p Params) Analyzer { return newAging(p.Week, p.MemoryBudget) }},
+	{Name: "caching", Figures: []int{15, 16}, New: func(p Params) Analyzer { return newCaching(p.MemoryBudget) }},
+	{Name: "series", Figures: []int{8, 9, 10}, New: func(p Params) Analyzer { return newObjectSeries(p.Week, p.MemoryBudget) }},
+	{Name: "composition", Figures: []int{1, 2}, New: func(p Params) Analyzer { return newComposition(p.MemoryBudget) }},
+	{Name: "devices", Figures: []int{4}, New: func(p Params) Analyzer { return newDeviceMix(p.MemoryBudget) }},
+	{Name: "popularity", Figures: []int{6}, New: func(Params) Analyzer { return newPopularity() }},
+	{Name: "sessions", Figures: []int{11, 12}, New: func(p Params) Analyzer { return newSessions(p.SessionTimeout, p.MemoryBudget) }},
+	{Name: "sizes", Figures: []int{5}, New: func(Params) Analyzer { return newSizeDistribution() }},
+	{Name: "hourly", Figures: []int{3}, New: func(Params) Analyzer { return newHourlyVolume() }},
+	// The hour-of-week series has no paper figure of its own: it feeds
+	// the forecasting comparison, so it is only constructed when the
+	// study runs unpruned.
+	{Name: "weekseries", New: func(p Params) Analyzer { return newHourOfWeekSeries(p.Week) }},
 }
 
-// Registered returns every registered descriptor in registration order.
-// The returned slice is a copy.
+// Registered returns every descriptor in registry order. The returned
+// slice is a copy.
 func Registered() []Descriptor {
 	out := make([]Descriptor, len(registry))
 	copy(out, registry)

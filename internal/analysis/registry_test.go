@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -8,22 +9,27 @@ import (
 	"trafficscope/internal/trace"
 )
 
+// Every analysis is declared once, complete, in the order the study
+// folds them and the benchmark reports them.
 func TestRegistryCoversEveryAnalysis(t *testing.T) {
 	wantNames := []string{
-		"composition", "hourly", "devices", "sizes", "popularity",
-		"aging", "series", "weekseries", "sessions", "addiction", "caching",
+		"addiction", "aging", "caching", "series", "composition", "devices",
+		"popularity", "sessions", "sizes", "hourly", "weekseries",
 	}
-	byName := map[string]Descriptor{}
+	var names []string
+	seen := map[string]bool{}
 	for _, d := range Registered() {
-		byName[d.Name] = d
-	}
-	for _, name := range wantNames {
-		if _, ok := byName[name]; !ok {
-			t.Errorf("analyzer %q not registered", name)
+		if d.Name == "" || d.New == nil {
+			t.Errorf("incomplete descriptor %+v", d)
 		}
+		if seen[d.Name] {
+			t.Errorf("analyzer %q declared twice", d.Name)
+		}
+		seen[d.Name] = true
+		names = append(names, d.Name)
 	}
-	if len(byName) != len(wantNames) {
-		t.Errorf("registered %d analyzers, want %d", len(byName), len(wantNames))
+	if !slices.Equal(names, wantNames) {
+		t.Errorf("registry = %v, want %v", names, wantNames)
 	}
 }
 

@@ -73,18 +73,10 @@ func (st *sessionsSite) append(e sessionEvent) {
 	st.sorted = false
 }
 
-func init() {
-	Register(Descriptor{
-		Name:    "sessions",
-		Figures: []int{11, 12},
-		New:     func(p Params) Analyzer { return NewSessions(p.SessionTimeout, p.MemoryBudget) },
-	})
-}
-
-// NewSessions creates an accumulator with the given session timeout
+// newSessions creates an accumulator with the given session timeout
 // (zero defaults to 10 minutes); budget 0 is exact, a positive budget
 // caps tracked users per site.
-func NewSessions(timeout time.Duration, budget int) *Sessions {
+func newSessions(timeout time.Duration, budget int) *Sessions {
 	if timeout <= 0 {
 		timeout = DefaultSessionTimeout
 	}

@@ -13,7 +13,7 @@ import (
 // user, so ten times the users cost the same handful of allocations.
 func TestSessionsQueriesSortOnce(t *testing.T) {
 	queryAllocs := func(users int) float64 {
-		s := NewSessions(0, 0)
+		s := newSessions(0, 0)
 		for u := 0; u < users; u++ {
 			for i := 0; i < 5; i++ {
 				r := rec("V-1", uint64(i), uint64(u), trace.FileMP4, 1000, (u+i*7)%160)

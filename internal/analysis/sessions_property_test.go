@@ -16,7 +16,7 @@ func TestSessionInvariantsRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 50; trial++ {
 		timeout := time.Duration(1+rng.Intn(30)) * time.Minute
-		s := NewSessions(timeout, 0)
+		s := newSessions(timeout, 0)
 		perUser := map[uint64][]time.Time{}
 		nUsers := 1 + rng.Intn(10)
 		base := week.HourStart(rng.Intn(100))
@@ -82,7 +82,7 @@ func TestSessionInvariantsRandom(t *testing.T) {
 // modes in a synthetic bimodal IAT distribution.
 func TestTimeoutKnee(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	s := NewSessions(0, 0)
+	s := newSessions(0, 0)
 	base := week.HourStart(0)
 	// 200 users, each with bursts of ~30s gaps separated by ~6h gaps.
 	for u := uint64(0); u < 200; u++ {
@@ -102,12 +102,12 @@ func TestTimeoutKnee(t *testing.T) {
 		t.Errorf("knee = %v, want between the 30s and 6h modes", knee)
 	}
 	// Too few IATs: zero.
-	empty := NewSessions(0, 0)
+	empty := newSessions(0, 0)
 	if empty.TimeoutKnee("X") != 0 {
 		t.Error("empty site should report no knee")
 	}
 	// Unimodal distribution: no usable gap.
-	uni := NewSessions(0, 0)
+	uni := newSessions(0, 0)
 	at := base
 	for i := 0; i < 100; i++ {
 		r := rec("X", 1, 7, trace.FileJPG, 10, 0)
@@ -125,8 +125,8 @@ func TestTimeoutKnee(t *testing.T) {
 // record. Users repeat across sites, and sessions do not.
 func TestSessionsMergeEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
-	whole := NewSessions(0, 0)
-	a, b := NewSessions(0, 0), NewSessions(0, 0)
+	whole := newSessions(0, 0)
+	a, b := newSessions(0, 0), newSessions(0, 0)
 	base := week.HourStart(5)
 	sites := []string{"X", "Y", "Z"}
 	for i := 0; i < 500; i++ {

@@ -20,16 +20,8 @@ type sizesSite struct {
 	has  []uint8
 }
 
-func init() {
-	Register(Descriptor{
-		Name:    "sizes",
-		Figures: []int{5},
-		New:     func(Params) Analyzer { return NewSizeDistribution() },
-	})
-}
-
-// NewSizeDistribution creates an empty accumulator.
-func NewSizeDistribution() *SizeDistribution {
+// newSizeDistribution creates an empty accumulator.
+func newSizeDistribution() *SizeDistribution {
 	s := &SizeDistribution{}
 	s.needs = needObjects
 	return s

@@ -14,23 +14,8 @@ type HourlyVolume struct {
 	perSite[[24]float64]
 }
 
-func init() {
-	Register(Descriptor{
-		Name:    "hourly",
-		Figures: []int{3},
-		New:     func(Params) Analyzer { return NewHourlyVolume() },
-	})
-	// The hour-of-week series has no paper figure of its own: it feeds
-	// the forecasting comparison, so it is only constructed when the
-	// study runs unpruned.
-	Register(Descriptor{
-		Name: "weekseries",
-		New:  func(p Params) Analyzer { return NewLocalHourOfWeekSeries(p.Week) },
-	})
-}
-
-// NewHourlyVolume creates an empty accumulator.
-func NewHourlyVolume() *HourlyVolume { return &HourlyVolume{} }
+// newHourlyVolume creates an empty accumulator.
+func newHourlyVolume() *HourlyVolume { return &HourlyVolume{} }
 
 // Add folds one record.
 func (h *HourlyVolume) Add(r *trace.Record) { h.add(r, h.resolve(r)) }
@@ -80,27 +65,17 @@ func (h *HourlyVolume) TroughHour(site string) int {
 
 // HourOfWeekSeries accumulates each site's requests per hour of the
 // trace week; it feeds the clustering analyses, the Fig. 3 diagnostics
-// and the forecasting backtests. In UTC mode hours are trace time; in
-// local mode each request lands in the *client's local* hour of week
-// (wrapped at the week boundary), which is the series a regional
-// operator forecasts against.
+// and the forecasting backtests. Each request lands in the *client's
+// local* hour of week (wrapped at the week boundary), which is the
+// series a regional operator forecasts against.
 type HourOfWeekSeries struct {
 	perSite[[timeutil.HoursPerWeek]float64]
-	local bool
 }
 
-// NewHourOfWeekSeries creates a UTC-time accumulator over the given week.
-func NewHourOfWeekSeries(week timeutil.Week) *HourOfWeekSeries {
+// newHourOfWeekSeries creates an accumulator over the given week.
+func newHourOfWeekSeries(week timeutil.Week) *HourOfWeekSeries {
 	h := &HourOfWeekSeries{}
 	h.week = week
-	return h
-}
-
-// NewLocalHourOfWeekSeries creates a local-time accumulator: requests
-// are bucketed by the client's local hour of week.
-func NewLocalHourOfWeekSeries(week timeutil.Week) *HourOfWeekSeries {
-	h := NewHourOfWeekSeries(week)
-	h.local = true
 	return h
 }
 
@@ -111,11 +86,8 @@ func (h *HourOfWeekSeries) add(r *trace.Record, k *recKey) {
 	if k.hour < 0 {
 		return
 	}
-	idx := int(k.hour)
-	if h.local {
-		shift := int(r.Region.UTCOffset().Hours())
-		idx = ((idx+shift)%timeutil.HoursPerWeek + timeutil.HoursPerWeek) % timeutil.HoursPerWeek
-	}
+	shift := int(r.Region.UTCOffset().Hours())
+	idx := ((int(k.hour)+shift)%timeutil.HoursPerWeek + timeutil.HoursPerWeek) % timeutil.HoursPerWeek
 	h.site(k.site)[idx]++
 }
 

@@ -381,9 +381,14 @@ func (c *CDN) serveInto(r, out *trace.Record, clients *clientState) {
 		if clients.browserCheck(r.UserID, r.ObjectID, r.Timestamp) {
 			out.StatusCode = StatusNotModified
 			out.BytesServed = 0
-			// The CDN still consults its cache for the validator.
+			// The CDN still consults its cache for the validator; a miss
+			// admits the object, fetched whole from origin.
 			hit := cache.Access(r.ObjectID, r.ObjectSize, r.Timestamp)
-			c.recordCache(dc, hit, 0, 0)
+			var originBytes int64
+			if !hit {
+				originBytes = r.ObjectSize
+			}
+			c.recordCache(dc, hit, originBytes, 0)
 			out.Cache = cacheStatus(hit)
 			return
 		}

@@ -125,8 +125,8 @@ func crawlGoldenText(t *testing.T) string {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&b, "V-2 every %v top-%d: objects %d/%d coverage %.9f undercount %.9f rank corr %.9f points %d\n",
-			c.interval, c.topN, cmp.CrawlObjects, cmp.LogObjects,
-			cmp.Coverage, cmp.ViewUndercount, cmp.RankCorrelation, cmp.TemporalPoints)
+			c.interval, c.topN, cmp.crawlObjects, cmp.logObjects,
+			cmp.coverage, cmp.undercount, cmp.rankCorr, cmp.points)
 	}
 	return b.String()
 }
@@ -151,4 +151,14 @@ func TestCrawlBaselineGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("crawl baseline differs from %s\n got:\n%s\n want:\n%s", crawlGolden, got, want)
 	}
+}
+
+// TestCrawlBaselineDoc keeps EXPERIMENTS.md's crawl baseline block the
+// golden.
+func TestCrawlBaselineDoc(t *testing.T) {
+	golden, err := os.ReadFile(crawlGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDocBlock(t, "## Methodology baseline: crawling vs. HTTP logs (§II)", string(golden))
 }

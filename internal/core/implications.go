@@ -36,8 +36,7 @@ type implicationCell struct {
 
 // fill splits the bytes of the chunks the cell's edges missed, which s
 // counts as OriginBytes, into those the parent tier served and those the
-// origin sent. (A 304 whose validator lookup misses admits its object
-// and counts no bytes anywhere.)
+// origin sent.
 func (c *implicationCell) fill(s cdn.DCStats) (parent, origin int64) {
 	if c.parentHitBytes != nil {
 		parent = c.parentHitBytes()

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"trafficscope/internal/cdn"
-	"trafficscope/internal/trace"
 )
 
 const (
@@ -117,10 +116,8 @@ func (m missedBytes) ResetStats() {
 
 // TestImplicationsFillIdentity: in every §V cell, the bytes of the chunks
 // the edges missed, counted by a wrapper around each cache, equal the
-// parent tier's hit bytes plus the origin bytes the cell reports, plus
-// the objects of 304s whose validator lookup missed: the model admits
-// those objects and counts no origin bytes for them. The two
-// parent-tier cells share their edges, so the shield's origin bytes are
+// parent tier's hit bytes plus the origin bytes the cell reports, 304s
+// whose validator lookup missed included. The two parent-tier cells share their edges, so the shield's origin bytes are
 // the edge-only cell's less the shield's hit bytes.
 func TestImplicationsFillIdentity(t *testing.T) {
 	if testing.Short() {
@@ -128,15 +125,15 @@ func TestImplicationsFillIdentity(t *testing.T) {
 	}
 	study, res := implicationsStudy(t, 0)
 	rows := res.implicationRows(int64(implicationCapacity * res.scale))
-	missed, validated := map[*implicationCell]*int64{}, map[*implicationCell]*int64{}
+	missed := map[*implicationCell]*int64{}
 	bySetup := map[string]*implicationCell{}
 	for _, row := range rows {
 		c := row.cell
 		if c == nil || missed[c] != nil {
 			continue
 		}
-		n, v := new(int64), new(int64)
-		missed[c], validated[c], bySetup[row.setup] = n, v, c
+		n := new(int64)
+		missed[c], bySetup[row.setup] = n, c
 		wrap := func(mk func() cdn.Cache) func() cdn.Cache {
 			return func() cdn.Cache { return missedBytes{mk(), n} }
 		}
@@ -146,16 +143,6 @@ func TestImplicationsFillIdentity(t *testing.T) {
 			partitions[pub] = wrap(mk)
 		}
 		c.cfg.PublisherCaches = partitions
-		observe := c.Observe
-		c.Observe = func(rec *trace.Record) error {
-			if rec.StatusCode == cdn.StatusNotModified && rec.Cache == trace.CacheMiss {
-				*v += rec.ObjectSize
-			}
-			if observe == nil {
-				return nil
-			}
-			return observe(rec)
-		}
 	}
 	if err := replayImplications(study.Source(), rows); err != nil {
 		t.Fatal(err)
@@ -163,9 +150,9 @@ func TestImplicationsFillIdentity(t *testing.T) {
 	for _, row := range rows {
 		if c := row.cell; c != nil {
 			parent, origin := c.fill(c.network.TotalStats())
-			if parent < 0 || origin < 0 || parent+origin+*validated[c] != *missed[c] {
-				t.Errorf("%s, %s: parent %d + origin %d + 304 validator %d bytes, want the %d bytes the edges missed",
-					row.implication, row.setup, parent, origin, *validated[c], *missed[c])
+			if parent < 0 || origin < 0 || parent+origin != *missed[c] {
+				t.Errorf("%s, %s: parent %d + origin %d bytes, want the %d bytes the edges missed",
+					row.implication, row.setup, parent, origin, *missed[c])
 			}
 		}
 	}

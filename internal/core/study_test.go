@@ -139,7 +139,12 @@ func TestStudyWeek(t *testing.T) {
 func TestSiteNamesNonPaperSites(t *testing.T) {
 	// Sites outside the paper's five sort lexically after them.
 	week := timeutil.NewWeek(time.Date(2015, 10, 3, 0, 0, 0, 0, time.UTC))
-	comp := analysis.NewComposition(0)
+	var comp analysis.Analyzer
+	for _, d := range analysis.Registered() {
+		if d.Name == "composition" {
+			comp = d.New(analysis.Params{Week: week})
+		}
+	}
 	for _, site := range []string{"Z-custom", "V-2", "A-custom"} {
 		comp.Add(&trace.Record{
 			Timestamp:  week.HourStart(0).Add(time.Minute),

@@ -1,0 +1,35 @@
+package useragent
+
+import (
+	"slices"
+	"testing"
+)
+
+// FuzzParse feeds Parse arbitrary User-Agent strings, the untrusted
+// field Fig. 4 classifies each trace record by: it must not panic, must
+// name one of the defined devices, must be a pure function of its input,
+// and must classify every canonical agent as its own device.
+func FuzzParse(f *testing.F) {
+	canonical := map[string]Device{}
+	for _, d := range AllDevices() {
+		for _, ua := range CanonicalAgents(d) {
+			canonical[ua] = d
+			f.Add(ua)
+		}
+	}
+	for _, seed := range []string{"", "-", "IPAD", "Mozilla/5.0 (Linux; Android)", "\xff\xfe", "ipadiphoneandroidwindows nt"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, ua string) {
+		info := Parse(ua)
+		if !slices.Contains(AllDevices(), info.Device) {
+			t.Fatalf("Parse(%q).Device = %v, not one of %v", ua, info.Device, AllDevices())
+		}
+		if again := Parse(ua); again != info {
+			t.Fatalf("Parse(%q) = %+v, then %+v", ua, info, again)
+		}
+		if d, ok := canonical[ua]; ok && info.Device != d {
+			t.Fatalf("canonical %v agent %q classified as %v", d, ua, info.Device)
+		}
+	})
+}
