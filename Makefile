@@ -64,7 +64,8 @@ fmt-check:
 # TestConfigFieldsAreSet, the test that fails on a field nothing but a
 # default or a test sets; exported functions and methods under internal/,
 # as counted by TestExportedFuncsAreCalled, the test that fails on one
-# only tests call; and packages under internal/ (`go list`; a package
+# no program reaches (from a main, an init, a package-level initializer or
+# a checked Example); and packages under internal/ (`go list`; a package
 # with one importer is a candidate to fold into it). A PR that says "no
 # new knob" shows flags and config fields unchanged.
 loc:

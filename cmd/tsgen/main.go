@@ -5,7 +5,7 @@
 //
 //	tsgen -out trace.tsb [-scale 0.01]
 //	      [-seed 42] [-sites V-1,P-2] [-salt s] [-profiles custom.json]
-//	      [-dump-profiles profiles.json] [-workers N]
+//	      [-dump-profiles profiles.json]
 //	      [-debug-addr :6060] [-progress] [-manifest run.json]
 //
 // The file extension picks the output format (.jsonl is JSON Lines,
@@ -14,8 +14,9 @@
 //
 // Generation is one path at every scale: (site, hour) shards are
 // generated concurrently and streamed through a time-ordered merge
-// straight to the writer, in bounded memory. The bytes depend on the
-// seed alone, never on -workers.
+// straight to the writer, in bounded memory, on GOMAXPROCS goroutines
+// (set GOMAXPROCS=n to size the pool). The bytes depend on the seed
+// alone, never on the pool size.
 package main
 
 import (
@@ -47,7 +48,6 @@ func run() error {
 		salt         = flag.String("salt", "", "anonymization salt")
 		profilesPath = flag.String("profiles", "", "load site profiles from a JSON file instead of the built-ins")
 		dumpProfiles = flag.String("dump-profiles", "", "write the built-in site profiles to this JSON file and exit")
-		workers      = flag.Int("workers", 0, "shard-generation goroutines (0 = GOMAXPROCS); the output does not depend on it")
 	)
 	obsFlags := cliobs.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -60,9 +60,6 @@ func run() error {
 		return nil
 	}
 
-	if *workers < 0 {
-		return fmt.Errorf("-workers %d: must be 0 (GOMAXPROCS) or positive", *workers)
-	}
 	cfg := synth.Config{Seed: *seed, Scale: *scale, Salt: *salt}
 	if *profilesPath != "" {
 		profiles, err := synth.LoadProfiles(*profilesPath)
@@ -113,7 +110,7 @@ func run() error {
 
 	sess.SetProgress(sess.CounterProgress("synth_records_total", gen.ExpectedRecords(), "records"))
 	n, err := parallelGenerate(ctx, gen, *out,
-		synth.ParallelOptions{Workers: *workers, Metrics: sess.Registry()})
+		synth.ParallelOptions{Metrics: sess.Registry()})
 	if err != nil {
 		return err
 	}

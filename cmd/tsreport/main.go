@@ -63,7 +63,7 @@ func main() {
 type options struct {
 	scale                           float64
 	seed                            int64
-	workers, memBudget              int
+	memBudget                       int
 	summary, extras, verify, replay bool
 	outDir, in, figures             string
 	obs                             *cliobs.Flags
@@ -74,7 +74,6 @@ func addFlags(fs *flag.FlagSet) *options {
 	fs.Float64Var(&o.scale, "scale", 0.02, "fraction of paper-reported object/request counts")
 	fs.Int64Var(&o.seed, "seed", 42, "random seed")
 	fs.BoolVar(&o.summary, "summary", false, "print only the run summary")
-	fs.IntVar(&o.workers, "workers", 0, "analysis parallelism (0 = GOMAXPROCS)")
 	fs.BoolVar(&o.extras, "extras", true, "include forecasting, crawler-baseline and §V implication tables")
 	fs.BoolVar(&o.verify, "verify", false, "append the calibration-verification table; exit 1 if any check fails or none applies")
 	fs.StringVar(&o.outDir, "outdir", "", "also write every table as a CSV file into this directory")
@@ -110,7 +109,7 @@ func run(ctx context.Context, o *options, stdin io.Reader, stdout io.Writer) (*c
 	start := time.Now()
 	// NewStudy validates -figures against the analyzer registry and
 	// constructs only the analyzers covering the requested figures.
-	study, err := core.NewStudy(core.Config{Seed: o.seed, Scale: o.scale, Workers: o.workers, Figures: figList, MemoryBudget: o.memBudget, Metrics: sess.Registry()})
+	study, err := core.NewStudy(core.Config{Seed: o.seed, Scale: o.scale, Figures: figList, MemoryBudget: o.memBudget, Metrics: sess.Registry()})
 	if err != nil {
 		return nil, err
 	}

@@ -122,6 +122,8 @@ func TestFileReplayMatchesGeneratedRun(t *testing.T) {
 // TestFiguresPrintsOnlyThoseTables reads JSON Lines on stdin in one pass
 // and prints the figure's table and the run summary, nothing else. Fig. 1
 // shares its analyzer with Figs. 2a and 2b, whose tables must be pruned.
+// The summary still counts the week's five sites: they come from the
+// fold, not from the composition analyzer Fig. 3 prunes.
 func TestFiguresPrintsOnlyThoseTables(t *testing.T) {
 	recs := week(t)
 	for _, fig := range []string{"3", "1"} {
@@ -131,6 +133,9 @@ func TestFiguresPrintsOnlyThoseTables(t *testing.T) {
 		}
 		if res.Records != int64(len(recs)) {
 			t.Errorf("-figures %s: analyzed %d records, stdin carried %d", fig, res.Records, len(recs))
+		}
+		if row := regexp.MustCompile(`(?m)^sites +(\d+) *$`).FindStringSubmatch(out); row == nil || row[1] != "5" {
+			t.Errorf("-figures %s: summary row %q, want sites 5", fig, row)
 		}
 		var titles []string
 		for _, line := range strings.Split(out, "\n") {

@@ -548,9 +548,6 @@ func TestObjectSeriesAndClustering(t *testing.T) {
 		if len(cl.Medoid) != timeutil.HoursPerWeek {
 			t.Error("medoid length")
 		}
-		if len(cl.Spread) != timeutil.HoursPerWeek {
-			t.Error("spread length")
-		}
 	}
 	// Shape classifier distinguishes the medoids.
 	labels := map[string]bool{}

@@ -248,9 +248,6 @@ type ClusterSummary struct {
 	MedoidID uint64
 	// Medoid is the medoid's normalized series (Figs. 9-10 solid line).
 	Medoid []float64
-	// Spread is the hour-wise standard deviation of member series
-	// around the cluster mean (Figs. 9-10 shaded band).
-	Spread []float64
 }
 
 // ClusterSeries runs DTW + average-linkage agglomerative hierarchical
@@ -292,31 +289,11 @@ func (s *ObjectSeries) ClusterSeries(site string, cat trace.Category, opts Clust
 			Frac:     float64(len(c.Members)) / float64(len(ids)),
 			MedoidID: ids[c.Medoid],
 			Medoid:   series[c.Medoid],
-			Spread:   spread(series, c.Members),
 		}
 		res.Clusters = append(res.Clusters, cs)
 	}
 	sort.Slice(res.Clusters, func(i, j int) bool { return res.Clusters[i].Size > res.Clusters[j].Size })
 	return res, nil
-}
-
-// spread computes per-hour standard deviation of the member series.
-func spread(series [][]float64, members []int) []float64 {
-	if len(members) == 0 || len(series) == 0 {
-		return nil
-	}
-	n := len(series[members[0]])
-	out := make([]float64, n)
-	col := make([]float64, len(members))
-	for h := 0; h < n; h++ {
-		for i, m := range members {
-			col[i] = series[m][h]
-		}
-		if len(members) > 1 {
-			out[h] = stats.StdDev(col)
-		}
-	}
-	return out
 }
 
 // ClassifyShape heuristically labels a normalized hour-of-week series as

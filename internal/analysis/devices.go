@@ -65,7 +65,7 @@ func (d *DeviceMix) classify(ua string) (agent uint16, dev uint8) {
 	if i, ok := d.index[ua]; ok {
 		return i + 1, d.agents[i].dev
 	}
-	dev = deviceIndex(useragent.Parse(ua).Device)
+	dev = deviceIndex(useragent.Parse(ua))
 	if len(d.agents) == maxAgents {
 		return 0, dev
 	}

@@ -95,6 +95,17 @@ func descNames(descs []Descriptor) []string {
 // Records returns the number of records folded.
 func (f *Fold) Records() int64 { return f.n }
 
+// Sites returns the publishers of the records folded. Every record
+// resolves its site in the fold's keyspace, so the list does not depend
+// on which analyzers run.
+func (f *Fold) Sites() []string {
+	out := make([]string, len(f.ks.sites))
+	for i := range f.ks.sites {
+		out[i] = f.ks.sites[i].name
+	}
+	return out
+}
+
 // Analyzers returns the folded analyzers by registry name.
 func (f *Fold) Analyzers() map[string]Analyzer {
 	out := make(map[string]Analyzer, len(f.descs))

@@ -26,14 +26,6 @@ type Cache interface {
 	// Push inserts the object without counting an access (used for
 	// proactive content placement).
 	Push(key uint64, size int64, now time.Time)
-	// Len reports the number of cached objects.
-	Len() int
-	// Bytes reports the cached byte volume.
-	Bytes() int64
-	// Capacity reports the configured byte capacity.
-	Capacity() int64
-	// Name identifies the policy for reports.
-	Name() string
 }
 
 // node is one resident object of a queue, linked by slice index.
@@ -64,15 +56,6 @@ func newQueue(capacity int64) queue {
 
 // Contains implements Cache.
 func (q *queue) Contains(key uint64) bool { _, ok := q.index[key]; return ok }
-
-// Len implements Cache.
-func (q *queue) Len() int { return len(q.index) }
-
-// Bytes implements Cache.
-func (q *queue) Bytes() int64 { return q.bytes }
-
-// Capacity implements Cache.
-func (q *queue) Capacity() int64 { return q.capacity }
 
 // Push implements Cache.
 func (q *queue) Push(key uint64, size int64, _ time.Time) {
@@ -167,9 +150,6 @@ func (c *LRU) Access(key uint64, size int64, _ time.Time) bool {
 	return false
 }
 
-// Name implements Cache.
-func (c *LRU) Name() string { return "lru" }
-
 // FIFO evicts in insertion order regardless of reuse.
 type FIFO struct{ queue }
 
@@ -186,9 +166,6 @@ func (c *FIFO) Access(key uint64, size int64, _ time.Time) bool {
 	c.insert(key, size, nil)
 	return false
 }
-
-// Name implements Cache.
-func (c *FIFO) Name() string { return "fifo" }
 
 // heapNode is one resident object of a heapStore.
 type heapNode struct {
@@ -246,15 +223,6 @@ func (h *heapStore) Access(key uint64, size int64, _ time.Time) bool {
 
 // Contains implements Cache.
 func (h *heapStore) Contains(key uint64) bool { _, ok := h.index[key]; return ok }
-
-// Len implements Cache.
-func (h *heapStore) Len() int { return len(h.index) }
-
-// Bytes implements Cache.
-func (h *heapStore) Bytes() int64 { return h.bytes }
-
-// Capacity implements Cache.
-func (h *heapStore) Capacity() int64 { return h.capacity }
 
 // push admits key, if absent, at the frequency a policy gives an object
 // nobody has asked for yet.
@@ -371,9 +339,6 @@ func NewLFU(capacity int64) *LFU {
 // Push implements Cache: a pushed object ranks below every accessed one.
 func (c *LFU) Push(key uint64, size int64, _ time.Time) { c.push(key, size, 0) }
 
-// Name implements Cache.
-func (c *LFU) Name() string { return "lfu" }
-
 // SLRU is a segmented LRU: objects enter a probationary segment and are
 // promoted to a protected segment on re-reference; scans of one-hit
 // objects cannot flush popular content.
@@ -422,18 +387,6 @@ func (c *SLRU) Push(key uint64, size int64, now time.Time) {
 	c.probation.Push(key, size, now)
 }
 
-// Len implements Cache.
-func (c *SLRU) Len() int { return c.probation.Len() + c.protected.Len() }
-
-// Bytes implements Cache.
-func (c *SLRU) Bytes() int64 { return c.probation.Bytes() + c.protected.Bytes() }
-
-// Capacity implements Cache.
-func (c *SLRU) Capacity() int64 { return c.probation.Capacity() + c.protected.Capacity() }
-
-// Name implements Cache.
-func (c *SLRU) Name() string { return "slru" }
-
 // TTLCache wraps another cache with per-entry expiry: an entry older than
 // the TTL counts as a miss (revalidation fetch). This models the §V
 // suggestion of class-aware revalidation intervals.
@@ -478,18 +431,6 @@ func (c *TTLCache) Push(key uint64, size int64, now time.Time) {
 	}
 }
 
-// Len implements Cache.
-func (c *TTLCache) Len() int { return c.inner.Len() }
-
-// Bytes implements Cache.
-func (c *TTLCache) Bytes() int64 { return c.inner.Bytes() }
-
-// Capacity implements Cache.
-func (c *TTLCache) Capacity() int64 { return c.inner.Capacity() }
-
-// Name implements Cache.
-func (c *TTLCache) Name() string { return c.inner.Name() + "+ttl" }
-
 // SplitCache routes objects at or below Threshold bytes to the Small
 // cache and larger ones to the Large cache — the paper's §IV-B
 // implication: "ISPs/CDNs can employ separate caching platforms to
@@ -530,15 +471,3 @@ func (c *SplitCache) Contains(key uint64) bool {
 func (c *SplitCache) Push(key uint64, size int64, now time.Time) {
 	c.pick(size).Push(key, size, now)
 }
-
-// Len implements Cache.
-func (c *SplitCache) Len() int { return c.Small.Len() + c.Large.Len() }
-
-// Bytes implements Cache.
-func (c *SplitCache) Bytes() int64 { return c.Small.Bytes() + c.Large.Bytes() }
-
-// Capacity implements Cache.
-func (c *SplitCache) Capacity() int64 { return c.Small.Capacity() + c.Large.Capacity() }
-
-// Name implements Cache.
-func (c *SplitCache) Name() string { return "split(" + c.Small.Name() + "," + c.Large.Name() + ")" }

@@ -11,6 +11,22 @@ import (
 
 var t0 = time.Date(2015, 10, 3, 0, 0, 0, 0, time.UTC)
 
+// resident reads what c holds of the keys [0, n) through Contains, the
+// one view a Cache gives of its contents: how many, and their bytes at
+// size(key) each.
+func resident(c Cache, n uint64, size func(key uint64) int64) (objects int, bytes int64) {
+	for k := uint64(0); k < n; k++ {
+		if c.Contains(k) {
+			objects++
+			bytes += size(k)
+		}
+	}
+	return objects, bytes
+}
+
+// sized gives every key one size.
+func sized(size int64) func(uint64) int64 { return func(uint64) int64 { return size } }
+
 func TestLRUBasics(t *testing.T) {
 	c := NewLRU(100)
 	if c.Access(1, 40, t0) {
@@ -20,8 +36,8 @@ func TestLRUBasics(t *testing.T) {
 		t.Error("second access should hit")
 	}
 	c.Access(2, 40, t0)
-	if c.Bytes() != 80 || c.Len() != 2 {
-		t.Errorf("bytes/len = %d/%d", c.Bytes(), c.Len())
+	if n, bytes := resident(c, 3, sized(40)); bytes != 80 || n != 2 {
+		t.Errorf("bytes/len = %d/%d", bytes, n)
 	}
 	// Touch 1 so 2 is the LRU victim, then overflow.
 	c.Access(1, 40, t0)
@@ -32,18 +48,12 @@ func TestLRUBasics(t *testing.T) {
 	if c.Contains(2) {
 		t.Error("LRU victim 2 should be gone")
 	}
-	if c.Capacity() != 100 {
-		t.Error("capacity")
-	}
-	if c.Name() != "lru" {
-		t.Error("name")
-	}
 }
 
 func TestLRUOversizedObject(t *testing.T) {
 	c := NewLRU(10)
 	c.Access(1, 100, t0) // larger than cache: not admitted
-	if c.Len() != 0 || c.Bytes() != 0 {
+	if c.Contains(1) {
 		t.Error("oversized object was admitted")
 	}
 	if c.Access(1, 100, t0) {
@@ -58,8 +68,9 @@ func TestLRUPush(t *testing.T) {
 		t.Error("pushed object missing")
 	}
 	c.Push(1, 50, t0) // idempotent
-	if c.Bytes() != 50 {
-		t.Errorf("double push inflated bytes to %d", c.Bytes())
+	c.Push(2, 50, t0)
+	if !c.Contains(1) || !c.Contains(2) {
+		t.Error("double push inflated the bytes: two 50-byte objects no longer fit 100")
 	}
 	if !c.Access(1, 50, t0) {
 		t.Error("pushed object should hit")
@@ -79,9 +90,6 @@ func TestFIFOEvictsInsertionOrder(t *testing.T) {
 	if !c.Contains(2) || !c.Contains(3) {
 		t.Error("wrong FIFO eviction")
 	}
-	if c.Name() != "fifo" {
-		t.Error("name")
-	}
 }
 
 func TestLFUKeepsFrequent(t *testing.T) {
@@ -96,9 +104,6 @@ func TestLFUKeepsFrequent(t *testing.T) {
 	}
 	if !c.Contains(1) || !c.Contains(3) {
 		t.Error("wrong LFU eviction")
-	}
-	if c.Name() != "lfu" {
-		t.Error("name")
 	}
 }
 
@@ -126,9 +131,6 @@ func TestSLRUScanResistance(t *testing.T) {
 	if _, err := NewSLRU(100, 1.5); err == nil {
 		t.Error("bad protectedFrac should error")
 	}
-	if c.Name() != "slru" {
-		t.Error("name")
-	}
 	c.Push(42, 10, t0)
 	if !c.Contains(42) {
 		t.Error("push should insert")
@@ -155,9 +157,6 @@ func TestTTLCacheExpiry(t *testing.T) {
 	if _, err := NewTTLCache(inner, 0); err == nil {
 		t.Error("zero TTL should error")
 	}
-	if c.Name() != "lru+ttl" {
-		t.Error("name")
-	}
 }
 
 func TestSplitCacheRouting(t *testing.T) {
@@ -174,8 +173,14 @@ func TestSplitCacheRouting(t *testing.T) {
 	if !large.Contains(2) || small.Contains(2) {
 		t.Error("large object misrouted")
 	}
-	if c.Len() != 2 || c.Bytes() != 510 || c.Capacity() != 1100 {
-		t.Errorf("aggregates: len=%d bytes=%d cap=%d", c.Len(), c.Bytes(), c.Capacity())
+	size := func(k uint64) int64 {
+		if k == 1 {
+			return 10
+		}
+		return 500
+	}
+	if n, bytes := resident(c, 3, size); n != 2 || bytes != 510 {
+		t.Errorf("resident: len=%d bytes=%d", n, bytes)
 	}
 	if !c.Contains(1) || !c.Contains(2) {
 		t.Error("Contains should check both")
@@ -189,8 +194,8 @@ func TestSplitCacheRouting(t *testing.T) {
 	}
 }
 
-// Property: under any access sequence, every policy keeps Bytes() <=
-// Capacity() and hit+miss accounting consistent.
+// Property: under any access sequence, the bytes every policy holds stay
+// within its capacity. An object has one size, as in a trace.
 func TestCacheInvariantsProperty(t *testing.T) {
 	mk := map[string]func() Cache{
 		"lru":  func() Cache { return NewLRU(500) },
@@ -200,23 +205,16 @@ func TestCacheInvariantsProperty(t *testing.T) {
 	}
 	for name, factory := range mk {
 		t.Run(name, func(t *testing.T) {
-			f := func(keys []uint8, sizes []uint8) bool {
+			f := func(keys []uint8, sizes [32]uint8) bool {
 				c := factory()
-				n := len(keys)
-				if len(sizes) < n {
-					n = len(sizes)
-				}
-				for i := 0; i < n; i++ {
-					size := int64(sizes[i]%200) + 1
-					c.Access(uint64(keys[i]%32), size, t0)
-					if c.Bytes() > c.Capacity() {
-						return false
-					}
-					if c.Len() < 0 {
+				size := func(k uint64) int64 { return int64(sizes[k]%200) + 1 }
+				for _, k := range keys {
+					c.Access(uint64(k%32), size(uint64(k%32)), t0)
+					if _, bytes := resident(c, 32, size); bytes > 500 {
 						return false
 					}
 				}
-				return c.Bytes() >= 0
+				return true
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 				t.Error(err)
@@ -228,17 +226,16 @@ func TestCacheInvariantsProperty(t *testing.T) {
 // Property: an object just accessed (and admissible) is a hit when
 // re-accessed immediately, for every policy.
 func TestImmediateReaccessHits(t *testing.T) {
-	caches := []Cache{NewLRU(1000), NewFIFO(1000), NewLFU(1000)}
 	slru, _ := NewSLRU(1000, 0.8)
-	caches = append(caches, slru)
+	caches := map[string]Cache{"lru": NewLRU(1000), "fifo": NewFIFO(1000), "lfu": NewLFU(1000), "slru": slru}
 	rng := rand.New(rand.NewSource(1))
-	for _, c := range caches {
+	for name, c := range caches {
 		for i := 0; i < 200; i++ {
 			key := rng.Uint64() % 64
 			size := rng.Int63n(100) + 1
 			c.Access(key, size, t0)
 			if !c.Access(key, size, t0) {
-				t.Errorf("%s: immediate re-access missed", c.Name())
+				t.Errorf("%s: immediate re-access missed", name)
 				break
 			}
 		}
@@ -246,13 +243,13 @@ func TestImmediateReaccessHits(t *testing.T) {
 }
 
 func TestZeroCapacityCacheNeverAdmits(t *testing.T) {
-	for _, c := range []Cache{NewLRU(0), NewFIFO(0), NewLFU(0)} {
+	for name, c := range map[string]Cache{"lru": NewLRU(0), "fifo": NewFIFO(0), "lfu": NewLFU(0)} {
 		c.Access(1, 1, t0)
-		if c.Len() != 0 {
-			t.Errorf("%s: zero-capacity cache admitted an object", c.Name())
+		if c.Contains(1) {
+			t.Errorf("%s: zero-capacity cache admitted an object", name)
 		}
 		if c.Access(1, 1, t0) {
-			t.Errorf("%s: zero-capacity cache hit", c.Name())
+			t.Errorf("%s: zero-capacity cache hit", name)
 		}
 	}
 }
@@ -434,13 +431,25 @@ func refTwoQ(capacity int64, inFrac float64, ghostN int) cacheModel {
 	}
 }
 
-func modelOf(c Cache, lists func() [][]uint64) cacheModel {
+// queued sums the resident queues of a policy: their counters are what
+// eviction reads, so they must equal the reference's to the byte.
+func queued(qs ...*queue) func() (int, int64) {
+	return func() (n int, bytes int64) {
+		for _, q := range qs {
+			n += len(q.index)
+			bytes += q.bytes
+		}
+		return n, bytes
+	}
+}
+
+func modelOf(c Cache, lists func() [][]uint64, occupied func() (int, int64)) cacheModel {
 	m := cacheModel{
 		access:   func(key uint64, size int64) bool { return c.Access(key, size, t0) },
 		push:     func(key uint64, size int64) { c.Push(key, size, t0) },
 		contains: c.Contains,
 		lists:    lists,
-		occupied: func() (int, int64) { return c.Len(), c.Bytes() },
+		occupied: occupied,
 	}
 	if p, ok := c.(interface{ Purge(uint64) bool }); ok {
 		m.purge = p.Purge // the queue's, promoted to LRU and FIFO
@@ -457,18 +466,19 @@ func TestQueuePoliciesMatchListReference(t *testing.T) {
 	policies := map[string]func(capacity int64) (got, want cacheModel){
 		"lru": func(capacity int64) (cacheModel, cacheModel) {
 			c := NewLRU(capacity)
-			return modelOf(c, func() [][]uint64 { return [][]uint64{c.keys()} }), refSingle(capacity, true)
+			return modelOf(c, func() [][]uint64 { return [][]uint64{c.keys()} }, queued(&c.queue)), refSingle(capacity, true)
 		},
 		"fifo": func(capacity int64) (cacheModel, cacheModel) {
 			c := NewFIFO(capacity)
-			return modelOf(c, func() [][]uint64 { return [][]uint64{c.keys()} }), refSingle(capacity, false)
+			return modelOf(c, func() [][]uint64 { return [][]uint64{c.keys()} }, queued(&c.queue)), refSingle(capacity, false)
 		},
 		"slru": func(capacity int64) (cacheModel, cacheModel) {
 			c, err := NewSLRU(capacity, 0.8)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return modelOf(c, func() [][]uint64 { return [][]uint64{c.probation.keys(), c.protected.keys()} }),
+			return modelOf(c, func() [][]uint64 { return [][]uint64{c.probation.keys(), c.protected.keys()} },
+					queued(&c.probation, &c.protected)),
 				refSLRU(capacity, 0.8)
 		},
 		"2q": func(capacity int64) (cacheModel, cacheModel) {
@@ -476,7 +486,8 @@ func TestQueuePoliciesMatchListReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return modelOf(c, func() [][]uint64 { return [][]uint64{c.in.keys(), c.main.keys(), c.ghost.keys()} }),
+			return modelOf(c, func() [][]uint64 { return [][]uint64{c.in.keys(), c.main.keys(), c.ghost.keys()} },
+					queued(&c.in, &c.main)),
 				refTwoQ(capacity, 0.25, 8)
 		},
 	}

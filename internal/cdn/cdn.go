@@ -156,7 +156,7 @@ func (s *DCStats) HitRatio() float64 {
 type CDN struct {
 	cfg     Config
 	dcs     map[timeutil.Region]*DataCenter
-	clients *clientState // default client state used by Serve/Replay
+	clients *clientState // default client state used by ServeInto/Replay
 	// dcByRegion pre-resolves the region→DC map into a dense array so
 	// the serve hot path indexes instead of hashing; index 0 is unused
 	// (regions start at 1).
@@ -177,7 +177,7 @@ type browserKey struct {
 // clientState is the per-client request history the serve path
 // consults: browser-cache freshness deadlines and per-user request
 // sequence numbers. It is unsynchronized; the CDN's default instance is
-// guarded by whoever serializes Serve calls (the single replay goroutine,
+// guarded by whoever serializes ServeInto calls (the single replay goroutine,
 // or ConcurrentCDN's mutex), and ReplayStream gives each region worker
 // its own.
 type clientState struct {
@@ -330,20 +330,13 @@ func (c *CDN) PushToAll(objectID uint64, size int64, now time.Time) {
 	}
 }
 
-// Serve processes one request record, returning a copy with StatusCode,
-// Cache and BytesServed finalized. The input record is not modified.
-// Serve is single-threaded; wrap the CDN in NewConcurrent for a
-// thread-safe serve path.
-func (c *CDN) Serve(r *trace.Record) *trace.Record {
-	out := new(trace.Record)
-	c.serveInto(r, out, c.clients)
-	return out
-}
-
-// ServeInto is Serve writing the finalized record into a caller-provided
-// out record (every field of *out is overwritten) — the allocation-free
-// form for hot paths holding pooled or per-goroutine scratch. out may
-// alias r, in which case the record is finalized in place.
+// ServeInto processes one request record, writing it with StatusCode,
+// Cache and BytesServed finalized into a caller-provided out record
+// (every field of *out is overwritten; r is not modified unless out
+// aliases it, in which case the record is finalized in place). It
+// allocates nothing on a hit, for hot paths holding pooled or
+// per-goroutine scratch. ServeInto is single-threaded; wrap the CDN in
+// NewConcurrent for a thread-safe serve path.
 func (c *CDN) ServeInto(r, out *trace.Record) {
 	c.serveInto(r, out, c.clients)
 }

@@ -27,6 +27,14 @@ func videoReq(obj uint64, user uint64, size, served int64, ts time.Time) *trace.
 	}
 }
 
+// serve finalizes r into a fresh record through ServeInto, leaving r as
+// it was.
+func serve(c *CDN, r *trace.Record) *trace.Record {
+	out := new(trace.Record)
+	c.ServeInto(r, out)
+	return out
+}
+
 func imageReq(obj uint64, user uint64, size int64, ts time.Time) *trace.Record {
 	r := videoReq(obj, user, size, size, ts)
 	r.FileType = trace.FileJPG
@@ -37,14 +45,14 @@ func imageReq(obj uint64, user uint64, size int64, ts time.Time) *trace.Record {
 func TestServeBasicHitMiss(t *testing.T) {
 	c := New(Config{ChunkBytes: -1})
 	r := imageReq(1, 100, 1000, t0)
-	out := c.Serve(r)
+	out := serve(c, r)
 	if out.Cache != trace.CacheMiss {
 		t.Errorf("first request cache = %v, want MISS", out.Cache)
 	}
 	if out.StatusCode != StatusOK {
 		t.Errorf("status = %d, want 200", out.StatusCode)
 	}
-	out2 := c.Serve(r)
+	out2 := serve(c, r)
 	if out2.Cache != trace.CacheHit {
 		t.Errorf("second request cache = %v, want HIT", out2.Cache)
 	}
@@ -61,7 +69,7 @@ func TestServeBasicHitMiss(t *testing.T) {
 func TestServePartialContentForVideo(t *testing.T) {
 	c := New(Config{})
 	r := videoReq(1, 100, 10<<20, 3<<20, t0)
-	out := c.Serve(r)
+	out := serve(c, r)
 	if out.StatusCode != StatusPartialContent {
 		t.Errorf("partial video status = %d, want 206", out.StatusCode)
 	}
@@ -70,7 +78,7 @@ func TestServePartialContentForVideo(t *testing.T) {
 	}
 	// Full-object fetch is a 200.
 	full := videoReq(2, 100, 1<<20, 1<<20, t0)
-	if got := c.Serve(full).StatusCode; got != StatusOK {
+	if got := serve(c, full).StatusCode; got != StatusOK {
 		t.Errorf("full video status = %d, want 200", got)
 	}
 }
@@ -79,18 +87,18 @@ func TestServeChunkedVideoCaching(t *testing.T) {
 	c := New(Config{ChunkBytes: 1 << 20})
 	// First viewer fetches the first 3 MB of a 10 MB video.
 	r1 := videoReq(7, 1, 10<<20, 3<<20, t0)
-	if got := c.Serve(r1); got.Cache != trace.CacheMiss {
+	if got := serve(c, r1); got.Cache != trace.CacheMiss {
 		t.Errorf("cold chunks should MISS, got %v", got.Cache)
 	}
 	// Second viewer in the same region fetches the first 2 MB: all
 	// touched chunks are now resident.
 	r2 := videoReq(7, 2, 10<<20, 2<<20, t0.Add(time.Minute))
-	if got := c.Serve(r2); got.Cache != trace.CacheHit {
+	if got := serve(c, r2); got.Cache != trace.CacheHit {
 		t.Errorf("warm chunks should HIT, got %v", got.Cache)
 	}
 	// Third viewer fetches 5 MB: chunks 4-5 are cold, so MISS.
 	r3 := videoReq(7, 3, 10<<20, 5<<20, t0.Add(2*time.Minute))
-	if got := c.Serve(r3); got.Cache != trace.CacheMiss {
+	if got := serve(c, r3); got.Cache != trace.CacheMiss {
 		t.Errorf("partially cold fetch should MISS, got %v", got.Cache)
 	}
 }
@@ -100,12 +108,12 @@ func TestServeRegionalIsolation(t *testing.T) {
 	eu := imageReq(1, 1, 1000, t0)
 	na := imageReq(1, 2, 1000, t0)
 	na.Region = timeutil.RegionNorthAmerica
-	c.Serve(eu)
+	serve(c, eu)
 	// The NA DC has not seen the object.
-	if got := c.Serve(na); got.Cache != trace.CacheMiss {
+	if got := serve(c, na); got.Cache != trace.CacheMiss {
 		t.Errorf("cross-region request should MISS its own DC, got %v", got.Cache)
 	}
-	if got := c.Serve(eu); got.Cache != trace.CacheHit {
+	if got := serve(c, eu); got.Cache != trace.CacheHit {
 		t.Errorf("same-region re-request should HIT, got %v", got.Cache)
 	}
 	if c.DC(timeutil.RegionEurope).StatsSnapshot().Requests != 2 {
@@ -122,12 +130,12 @@ func TestServe304ForReturningNonIncognitoUser(t *testing.T) {
 		IsIncognito: func(string, uint64) bool { return false },
 	})
 	r := imageReq(1, 100, 1000, t0)
-	first := c.Serve(r)
+	first := serve(c, r)
 	if first.StatusCode != StatusOK {
 		t.Fatalf("first = %d", first.StatusCode)
 	}
 	again := imageReq(1, 100, 1000, t0.Add(10*time.Minute))
-	got := c.Serve(again)
+	got := serve(c, again)
 	if got.StatusCode != StatusNotModified {
 		t.Errorf("returning user status = %d, want 304", got.StatusCode)
 	}
@@ -136,7 +144,7 @@ func TestServe304ForReturningNonIncognitoUser(t *testing.T) {
 	}
 	// After the browser's 24 h freshness lapses: full 200 again.
 	late := imageReq(1, 100, 1000, t0.Add(25*time.Hour))
-	if got := c.Serve(late).StatusCode; got != StatusOK {
+	if got := serve(c, late).StatusCode; got != StatusOK {
 		t.Errorf("stale browser copy status = %d, want 200", got)
 	}
 }
@@ -147,8 +155,8 @@ func TestServeIncognitoUserNever304(t *testing.T) {
 		IsIncognito: func(string, uint64) bool { return true },
 	})
 	r := imageReq(1, 100, 1000, t0)
-	c.Serve(r)
-	got := c.Serve(imageReq(1, 100, 1000, t0.Add(time.Minute)))
+	serve(c, r)
+	got := serve(c, imageReq(1, 100, 1000, t0.Add(time.Minute)))
 	if got.StatusCode == StatusNotModified {
 		t.Error("incognito users must not revalidate")
 	}
@@ -160,7 +168,7 @@ func TestServeIncognitoUserNever304(t *testing.T) {
 func TestServeErrorCodes(t *testing.T) {
 	// With P403=1 every request is rejected.
 	c := New(Config{P403: 1})
-	out := c.Serve(imageReq(1, 1, 100, t0))
+	out := serve(c, imageReq(1, 1, 100, t0))
 	if out.StatusCode != StatusForbidden || out.BytesServed != 0 {
 		t.Errorf("403 path: %+v", out)
 	}
@@ -170,25 +178,25 @@ func TestServeErrorCodes(t *testing.T) {
 	}
 	// With P416=1 every video range request fails.
 	c2 := New(Config{P416: 1})
-	out2 := c2.Serve(videoReq(1, 1, 1000, 500, t0))
+	out2 := serve(c2, videoReq(1, 1, 1000, 500, t0))
 	if out2.StatusCode != StatusRangeError {
 		t.Errorf("416 path: %d", out2.StatusCode)
 	}
 	// Images are unaffected by P416.
-	if got := c2.Serve(imageReq(2, 1, 100, t0)).StatusCode; got != StatusOK {
+	if got := serve(c2, imageReq(2, 1, 100, t0)).StatusCode; got != StatusOK {
 		t.Errorf("image with P416=1: %d", got)
 	}
 	// With P204=1 every "other" request is a beacon.
 	c3 := New(Config{P204: 1})
 	other := imageReq(3, 1, 100, t0)
 	other.FileType = trace.FileJS
-	if got := c3.Serve(other).StatusCode; got != StatusNoContent {
+	if got := serve(c3, other).StatusCode; got != StatusNoContent {
 		t.Errorf("204 path: %d", got)
 	}
 	// At zero rates, the live edge's, no error path is ever taken.
 	c0 := New(Config{})
 	for _, r := range []*trace.Record{imageReq(4, 1, 100, t0), videoReq(4, 2, 1000, 500, t0), other} {
-		if got := c0.Serve(r).StatusCode; got != StatusOK && got != StatusPartialContent {
+		if got := serve(c0, r).StatusCode; got != StatusOK && got != StatusPartialContent {
 			t.Errorf("zero rates, %s request: %d", r.FileType, got)
 		}
 	}
@@ -234,7 +242,7 @@ func TestPushToAllWarmsEveryDC(t *testing.T) {
 	for _, region := range timeutil.AllRegions() {
 		r := imageReq(9, uint64(region), 100, t0)
 		r.Region = region
-		if got := c.Serve(r); got.Cache != trace.CacheHit {
+		if got := serve(c, r); got.Cache != trace.CacheHit {
 			t.Errorf("region %v: pushed object missed", region)
 		}
 	}
@@ -258,9 +266,9 @@ func TestPublisherCachePartition(t *testing.T) {
 	// P-1 requests land in the dedicated partition; V-1 in the shared
 	// default cache.
 	p1 := imageReq(1, 1, 1000, t0) // publisher P-1 per helper
-	c.Serve(p1)
+	serve(c, p1)
 	v1 := videoReq(2, 2, 1000, 1000, t0)
-	c.Serve(v1)
+	serve(c, v1)
 	dc := c.DC(timeutil.RegionEurope)
 	if !dc.PublisherCache["P-1"].Contains(1) {
 		t.Error("P-1 object missing from its partition")
@@ -273,9 +281,9 @@ func TestPublisherCachePartition(t *testing.T) {
 	}
 	// Partitioned publisher is isolated from shared-cache churn.
 	for k := uint64(100); k < 2000; k++ {
-		c.Serve(videoReq(k, 3, 1000, 1000, t0))
+		serve(c, videoReq(k, 3, 1000, 1000, t0))
 	}
-	if got := c.Serve(p1); got.Cache != trace.CacheHit {
+	if got := serve(c, p1); got.Cache != trace.CacheHit {
 		t.Errorf("partitioned object evicted by shared churn: %v", got.Cache)
 	}
 }
@@ -284,7 +292,7 @@ func TestServeOversizedBytesServedClamped(t *testing.T) {
 	c := New(Config{ChunkBytes: -1})
 	r := imageReq(1, 1, 100, t0)
 	r.BytesServed = 500 // inconsistent: more than the object
-	out := c.Serve(r)
+	out := serve(c, r)
 	if out.BytesServed != 100 {
 		t.Errorf("BytesServed = %d, want clamped to 100", out.BytesServed)
 	}
@@ -385,7 +393,7 @@ func TestResetStatsWithMetricsReachesTieredCache(t *testing.T) {
 	// Object 1 is evicted from the 1000-byte edge by object 2 and comes
 	// back from the parent, twice.
 	for _, obj := range []uint64{1, 2, 1, 2} {
-		c.Serve(imageReq(obj, 100+obj, 800, t0))
+		serve(c, imageReq(obj, 100+obj, 800, t0))
 	}
 	if eu.ParentHits != 2 || eu.ParentHitBytes != 1600 || eu.ParentMisses != 2 {
 		t.Fatalf("before reset: parent %d hits (%d B), %d misses; want 2 (1600 B), 2",
@@ -421,8 +429,8 @@ func TestMetricFamiliesHaveOneLabelSet(t *testing.T) {
 			Metrics:         reg,
 		})
 		for i := uint64(0); i < 6; i++ {
-			c.Serve(imageReq(i%3, 100+i, 1000, t0))
-			c.Serve(videoReq(i%3, 100+i, 1000, 1000, t0))
+			serve(c, imageReq(i%3, 100+i, 1000, t0))
+			serve(c, videoReq(i%3, 100+i, 1000, 1000, t0))
 		}
 		var buf bytes.Buffer
 		if err := reg.WritePrometheus(&buf); err != nil {

@@ -28,7 +28,7 @@ type ConcurrentCDN struct {
 }
 
 // NewConcurrent wraps c. The wrapped CDN must not be driven through its
-// own single-threaded Serve/Replay methods while the ConcurrentCDN is in
+// own single-threaded ServeInto/Replay methods while the ConcurrentCDN is in
 // use; offline and live paths share the same caches, client state and
 // counters.
 func NewConcurrent(c *CDN) *ConcurrentCDN {
@@ -58,11 +58,3 @@ func (cc *ConcurrentCDN) DCContains(region timeutil.Region, r *trace.Record) boo
 // TotalStats sums counters across all data centers; safe while traffic
 // is in flight.
 func (cc *ConcurrentCDN) TotalStats() DCStats { return cc.c.TotalStats() }
-
-// ResetClientState clears browser-cache freshness and request
-// sequencing; safe while traffic is in flight.
-func (cc *ConcurrentCDN) ResetClientState() {
-	cc.mu.Lock()
-	cc.c.ResetClientState()
-	cc.mu.Unlock()
-}

@@ -60,7 +60,7 @@ func TestConcurrentServeMatchesSequential(t *testing.T) {
 	conc := NewConcurrent(New(concConfig(nil)))
 	var got trace.Record
 	for i, r := range recs {
-		want := seq.Serve(r)
+		want := serve(seq, r)
 		conc.ServeInto(r, &got)
 		if got != *want {
 			t.Fatalf("record %d: concurrent serve = %+v, want %+v", i, got, want)
@@ -130,7 +130,7 @@ func TestConcurrentTotalsMatchOffline(t *testing.T) {
 
 	seq := New(mkCfg())
 	for _, r := range recs {
-		seq.Serve(r)
+		serve(seq, r)
 	}
 
 	conc := NewConcurrent(New(mkCfg()))
@@ -348,7 +348,7 @@ func TestConcurrentServeLinearizable(t *testing.T) {
 	}
 
 	for _, i := range total {
-		if want := ref.Serve(recs[i]); got[i] != *want {
+		if want := serve(ref, recs[i]); got[i] != *want {
 			t.Fatalf("request %d: concurrent response %+v, sequential replay of the observed order gives %+v", i, got[i], *want)
 		}
 	}

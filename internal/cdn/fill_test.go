@@ -176,7 +176,7 @@ func TestDCContainsReadOnly(t *testing.T) {
 	if c.DCContains(timeutil.RegionEurope, rec) {
 		t.Fatal("empty cache reported resident")
 	}
-	c.Serve(rec) // admit via a miss
+	serve(c, rec) // admit via a miss
 	if !c.DCContains(timeutil.RegionEurope, rec) {
 		t.Fatal("served object not reported resident")
 	}
@@ -204,7 +204,7 @@ func TestDCContainsChunked(t *testing.T) {
 	// Serve only the first chunk's worth.
 	partial := *full
 	partial.BytesServed = chunk
-	c.Serve(&partial)
+	serve(c, &partial)
 
 	head := *full
 	head.BytesServed = chunk
@@ -214,7 +214,7 @@ func TestDCContainsChunked(t *testing.T) {
 	if c.DCContains(timeutil.RegionEurope, full) {
 		t.Error("full object reported resident with only one chunk cached")
 	}
-	c.Serve(full)
+	serve(c, full)
 	if !c.DCContains(timeutil.RegionEurope, full) {
 		t.Error("full object not resident after full serve")
 	}
@@ -229,7 +229,7 @@ func TestDCContainsPublisherPartition(t *testing.T) {
 		PublisherCaches: map[string]func() Cache{"V-1": func() Cache { return NewLRU(1 << 30) }},
 	})
 	rec := fillProbeRecord(0x77, 2048, 0, "jpg")
-	c.Serve(rec)
+	serve(c, rec)
 	if !c.DCContains(timeutil.RegionEurope, rec) {
 		t.Error("partitioned object not found by probe")
 	}

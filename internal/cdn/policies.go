@@ -104,9 +104,6 @@ func (c *GDSF) evicted(priority float64) {
 // Push implements Cache: a pushed object starts at half an access.
 func (c *GDSF) Push(key uint64, size int64, _ time.Time) { c.push(key, size, 0.5) }
 
-// Name implements Cache.
-func (c *GDSF) Name() string { return "gdsf" }
-
 // TwoQ is the 2Q cache: a FIFO "in" queue absorbs first-time accesses, a
 // ghost "out" queue remembers recently evicted keys (no bytes), and only
 // objects re-referenced while in the ghost queue enter the main LRU.
@@ -169,18 +166,6 @@ func (c *TwoQ) Push(key uint64, size int64, now time.Time) {
 	c.main.Push(key, size, now)
 }
 
-// Len implements Cache.
-func (c *TwoQ) Len() int { return c.in.Len() + c.main.Len() }
-
-// Bytes implements Cache.
-func (c *TwoQ) Bytes() int64 { return c.in.Bytes() + c.main.Bytes() }
-
-// Capacity implements Cache.
-func (c *TwoQ) Capacity() int64 { return c.in.Capacity() + c.main.Capacity() }
-
-// Name implements Cache.
-func (c *TwoQ) Name() string { return "2q" }
-
 // TieredCache models an edge cache backed by a regional parent (origin
 // shield): an edge miss consults the parent before the origin. Parent
 // hits avoid origin traffic but still count as edge misses for the
@@ -235,18 +220,4 @@ func (c *TieredCache) ResetStats() {
 func (c *TieredCache) Push(key uint64, size int64, now time.Time) {
 	c.edge.Push(key, size, now)
 	c.parent.Push(key, size, now)
-}
-
-// Len implements Cache.
-func (c *TieredCache) Len() int { return c.edge.Len() + c.parent.Len() }
-
-// Bytes implements Cache.
-func (c *TieredCache) Bytes() int64 { return c.edge.Bytes() + c.parent.Bytes() }
-
-// Capacity implements Cache.
-func (c *TieredCache) Capacity() int64 { return c.edge.Capacity() + c.parent.Capacity() }
-
-// Name implements Cache.
-func (c *TieredCache) Name() string {
-	return "tiered(" + c.edge.Name() + "<-" + c.parent.Name() + ")"
 }

@@ -22,18 +22,21 @@ func TestGDSFFavorsSmallFrequent(t *testing.T) {
 	if !c.Access(1, 10, t0) {
 		t.Error("small frequent object should hit")
 	}
-	if c.Name() != "gdsf" {
-		t.Error("name")
+	size := func(k uint64) int64 {
+		if k == 1 {
+			return 10
+		}
+		return 400
 	}
-	if c.Bytes() > c.Capacity() {
-		t.Error("capacity exceeded")
+	if _, bytes := resident(c, 110, size); bytes > 1000 {
+		t.Errorf("holds %d bytes, capacity 1000", bytes)
 	}
 }
 
 func TestGDSFOversizedAndPush(t *testing.T) {
 	c := NewGDSF(100)
 	c.Access(1, 500, t0)
-	if c.Len() != 0 {
+	if c.Contains(1) {
 		t.Error("oversized admitted")
 	}
 	c.Push(2, 50, t0)
@@ -41,8 +44,9 @@ func TestGDSFOversizedAndPush(t *testing.T) {
 		t.Error("push missing")
 	}
 	c.Push(2, 50, t0) // idempotent
-	if c.Bytes() != 50 {
-		t.Errorf("bytes = %d", c.Bytes())
+	c.Push(3, 50, t0)
+	if !c.Contains(2) || !c.Contains(3) {
+		t.Error("double push inflated the bytes: two 50-byte objects no longer fit 100")
 	}
 }
 
@@ -60,8 +64,8 @@ func TestGDSFInflationAllowsNewContent(t *testing.T) {
 	}
 	// After massive churn the cache must still be functional and within
 	// capacity; the stale object 1 should have been displaced.
-	if c.Bytes() > c.Capacity() {
-		t.Error("capacity exceeded")
+	if _, bytes := resident(c, 200, sized(60)); bytes > 100 {
+		t.Errorf("holds %d bytes, capacity 100", bytes)
 	}
 	if c.Contains(1) {
 		t.Error("inflation failed: stale object survived unbounded churn")
@@ -105,9 +109,6 @@ func TestTwoQValidationAndBasics(t *testing.T) {
 		t.Error("ghostN 0 should error")
 	}
 	c, _ := NewTwoQ(1000, 0.25, 4)
-	if c.Name() != "2q" {
-		t.Error("name")
-	}
 	c.Push(7, 10, t0)
 	if !c.Contains(7) {
 		t.Error("push")
@@ -121,8 +122,8 @@ func TestTwoQValidationAndBasics(t *testing.T) {
 	for k := uint64(100); k < 200; k++ {
 		c.Access(k, 240, t0)
 	}
-	if c.ghost.Len() > 4 {
-		t.Errorf("ghost grew to %d", c.ghost.Len())
+	if n := len(c.ghost.index); n > 4 {
+		t.Errorf("ghost grew to %d", n)
 	}
 }
 
@@ -156,9 +157,6 @@ func TestTieredCacheParentAbsorbsEdgeMisses(t *testing.T) {
 	if !edge.Contains(9) || !parent.Contains(9) {
 		t.Error("push should warm both tiers")
 	}
-	if c.Name() != "tiered(lru<-lru)" {
-		t.Errorf("name = %s", c.Name())
-	}
 }
 
 func TestSharedParentAcrossEdges(t *testing.T) {
@@ -174,25 +172,52 @@ func TestSharedParentAcrossEdges(t *testing.T) {
 	}
 }
 
-// All new policies obey the capacity bound and hit on immediate
-// re-access under random workloads.
+// The other policies and the composite caches obey the capacity bound
+// under random workloads: bounds names each cache whose contents it
+// reads (a composite's parts, where one key can sit in two) and its
+// capacity. An object has one size, as in a trace.
 func TestNewPolicyInvariants(t *testing.T) {
-	factories := map[string]func() Cache{
-		"gdsf": func() Cache { return NewGDSF(500) },
-		"2q":   func() Cache { c, _ := NewTwoQ(500, 0.25, 64); return c },
-		"tiered": func() Cache {
-			return NewTieredCache(NewLRU(200), NewLRU(300))
+	factories := map[string]func() (c Cache, bounds map[Cache]int64){
+		"gdsf": func() (Cache, map[Cache]int64) { c := NewGDSF(500); return c, map[Cache]int64{c: 500} },
+		"2q": func() (Cache, map[Cache]int64) {
+			c, _ := NewTwoQ(500, 0.25, 64)
+			return c, map[Cache]int64{c: 500}
+		},
+		"tiered": func() (Cache, map[Cache]int64) {
+			edge, parent := NewLRU(200), NewLRU(300)
+			return NewTieredCache(edge, parent), map[Cache]int64{edge: 200, parent: 300}
+		},
+		"ttl": func() (Cache, map[Cache]int64) {
+			c, _ := NewTTLCache(NewLFU(500), time.Minute)
+			return c, map[Cache]int64{c: 500}
+		},
+		"split": func() (Cache, map[Cache]int64) {
+			small := NewLRU(200)
+			large, _ := NewSLRU(300, 0.8)
+			c, _ := NewSplitCache(small, large, 60)
+			return c, map[Cache]int64{small: 200, large: 300}
+		},
+		"sharded": func() (Cache, map[Cache]int64) {
+			bounds := map[Cache]int64{}
+			c, _ := NewShardedCache(4, 32, func() Cache { s := NewFIFO(125); bounds[s] = 125; return s })
+			return c, bounds
 		},
 	}
 	rng := rand.New(rand.NewSource(9))
+	var sizes [64]int64
+	for k := range sizes {
+		sizes[k] = rng.Int63n(120) + 1
+	}
+	size := func(k uint64) int64 { return sizes[k] }
 	for name, mk := range factories {
-		c := mk()
+		c, bounds := mk()
 		for i := 0; i < 5000; i++ {
 			key := rng.Uint64() % 64
-			size := rng.Int63n(120) + 1
-			c.Access(key, size, t0.Add(time.Duration(i)*time.Second))
-			if c.Bytes() > c.Capacity() {
-				t.Fatalf("%s: bytes %d > capacity %d", name, c.Bytes(), c.Capacity())
+			c.Access(key, size(key), t0.Add(time.Duration(i)*time.Second))
+			for part, capacity := range bounds {
+				if _, bytes := resident(part, 64, size); bytes > capacity {
+					t.Fatalf("%s: holds %d bytes, capacity %d", name, bytes, capacity)
+				}
 			}
 		}
 	}

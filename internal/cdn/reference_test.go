@@ -210,17 +210,22 @@ func (c *refGDSF) insert(key uint64, size int64, freq float64) {
 // the stream keeps the caches full, so a different victim shows as a
 // different resident set at once.
 func TestHeapPoliciesMatchReference(t *testing.T) {
+	stored := func(h *heapStore) func() (int, int64) {
+		return func() (int, int64) { return len(h.index), h.bytes }
+	}
 	policies := map[string]func(capacity int64) (got, want cacheModel){
 		"lfu": func(capacity int64) (cacheModel, cacheModel) {
 			ref := newRefLFU(capacity)
-			return modelOf(NewLFU(capacity), nil), cacheModel{
+			c := NewLFU(capacity)
+			return modelOf(c, nil, stored(&c.heapStore)), cacheModel{
 				access: ref.Access, push: ref.Push, contains: ref.Contains,
 				occupied: func() (int, int64) { return len(ref.items), ref.bytes },
 			}
 		},
 		"gdsf": func(capacity int64) (cacheModel, cacheModel) {
 			ref := newRefGDSF(capacity)
-			return modelOf(NewGDSF(capacity), nil), cacheModel{
+			c := NewGDSF(capacity)
+			return modelOf(c, nil, stored(&c.heapStore)), cacheModel{
 				access: ref.Access, push: ref.Push, contains: ref.Contains,
 				occupied: func() (int, int64) { return len(ref.items), ref.bytes },
 			}

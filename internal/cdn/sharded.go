@@ -129,35 +129,3 @@ func (c *ShardedCache) Contains(key uint64) bool {
 func (c *ShardedCache) Push(key uint64, size int64, now time.Time) {
 	c.shards[c.ring.Shard(key)].Push(key, size, now)
 }
-
-// Len implements Cache.
-func (c *ShardedCache) Len() int {
-	var n int
-	for _, s := range c.shards {
-		n += s.Len()
-	}
-	return n
-}
-
-// Bytes implements Cache.
-func (c *ShardedCache) Bytes() int64 {
-	var n int64
-	for _, s := range c.shards {
-		n += s.Bytes()
-	}
-	return n
-}
-
-// Capacity implements Cache.
-func (c *ShardedCache) Capacity() int64 {
-	var n int64
-	for _, s := range c.shards {
-		n += s.Capacity()
-	}
-	return n
-}
-
-// Name implements Cache.
-func (c *ShardedCache) Name() string {
-	return fmt.Sprintf("sharded-%dx(%s)", len(c.shards), c.shards[0].Name())
-}

@@ -27,11 +27,11 @@ func TestFiguresPruneAnalyzers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(study.Analyzers()); n != 1 {
+	if n := len(study.descs); n != 1 {
 		t.Fatalf("analyzer descriptors = %d, want 1 (hourly only)", n)
 	}
-	if study.Analyzers()[0].Name != "hourly" {
-		t.Fatalf("constructed analyzer = %q, want hourly", study.Analyzers()[0].Name)
+	if study.descs[0].Name != "hourly" {
+		t.Fatalf("constructed analyzer = %q, want hourly", study.descs[0].Name)
 	}
 	r, err := study.Run()
 	if err != nil {

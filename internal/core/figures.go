@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -409,10 +410,7 @@ func (r *Results) AllFigureTables() []*report.Table {
 // SiteNames lists the sites present in the results, sorted with the
 // paper's ordering (V-1, V-2, P-1, P-2, S-1) when applicable.
 func (r *Results) SiteNames() []string {
-	if r.Composition() == nil {
-		return nil
-	}
-	sites := r.Composition().Sites()
+	sites := slices.Clone(r.sites)
 	order := map[string]int{"V-1": 0, "V-2": 1, "P-1": 2, "P-2": 3, "S-1": 4}
 	sort.SliceStable(sites, func(i, j int) bool {
 		oi, iok := order[sites[i]]

@@ -85,10 +85,6 @@ func (s *Study) Generator() *synth.Generator { return s.gen }
 // Week returns the study's observation window.
 func (s *Study) Week() timeutil.Week { return s.gen.Week() }
 
-// Analyzers lists the analysis descriptors this study constructs — the
-// full registry, or the pruned set when Config.Figures is set.
-func (s *Study) Analyzers() []analysis.Descriptor { return s.descs }
-
 // Results carries the analyses of the paper's evaluation, computed over
 // the CDN-replayed trace. Which analyzers are present depends on
 // Config.Figures: the typed accessors (Composition, Sessions, ...)
@@ -106,6 +102,9 @@ type Results struct {
 
 	// analyzers maps registry names to the folded analyzers.
 	analyzers map[string]analysis.Analyzer
+	// sites are the publishers of the folded records, whichever
+	// analyzers ran.
+	sites []string
 	// scale is the study's Config.Scale; the §V table sizes its caches
 	// by it.
 	scale float64
@@ -176,6 +175,7 @@ func (s *Study) newResults(f *analysis.Fold) *Results {
 		Records:     f.Records(),
 		ClusterOpts: analysis.ClusterOptions{Workers: s.cfg.Workers},
 		analyzers:   f.Analyzers(),
+		sites:       f.Sites(),
 		scale:       s.cfg.Scale,
 	}
 }

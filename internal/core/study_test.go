@@ -2,12 +2,12 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"trafficscope/internal/analysis"
 	"trafficscope/internal/timeutil"
 	"trafficscope/internal/trace"
 )
@@ -137,17 +137,17 @@ func TestStudyWeek(t *testing.T) {
 }
 
 func TestSiteNamesNonPaperSites(t *testing.T) {
-	// Sites outside the paper's five sort lexically after them.
-	week := timeutil.NewWeek(time.Date(2015, 10, 3, 0, 0, 0, 0, time.UTC))
-	var comp analysis.Analyzer
-	for _, d := range analysis.Registered() {
-		if d.Name == "composition" {
-			comp = d.New(analysis.Params{Week: week})
-		}
+	// Sites outside the paper's five sort lexically after them, and the
+	// list comes from the fold, not from one analyzer: this study runs
+	// Fig. 3's alone.
+	study, err := NewStudy(Config{Seed: 1, Scale: 0.002, Figures: []int{3}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	f := study.newFold()
 	for _, site := range []string{"Z-custom", "V-2", "A-custom"} {
-		comp.Add(&trace.Record{
-			Timestamp:  week.HourStart(0).Add(time.Minute),
+		f.Add(&trace.Record{
+			Timestamp:  study.Week().HourStart(0).Add(time.Minute),
 			Publisher:  site,
 			ObjectID:   1,
 			FileType:   trace.FileJPG,
@@ -158,12 +158,8 @@ func TestSiteNamesNonPaperSites(t *testing.T) {
 			StatusCode: 200,
 		})
 	}
-	r := &Results{analyzers: map[string]analysis.Analyzer{"composition": comp}}
-	got := r.SiteNames()
-	want := []string{"V-2", "A-custom", "Z-custom"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SiteNames = %v, want %v", got, want)
-		}
+	got := study.newResults(f).SiteNames()
+	if want := []string{"V-2", "A-custom", "Z-custom"}; !slices.Equal(got, want) {
+		t.Fatalf("SiteNames = %v, want %v", got, want)
 	}
 }

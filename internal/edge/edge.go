@@ -44,7 +44,7 @@ const DefaultMaxBodyBytes = 4096
 type Config struct {
 	// CDN is the cache model serving requests. Required. The Server
 	// wraps it in a cdn.ConcurrentCDN and serves through that; do not
-	// drive the same CDN through its single-threaded Serve/Replay
+	// drive the same CDN through its single-threaded ServeInto/Replay
 	// methods while the Server is running.
 	CDN *cdn.CDN
 	// OriginLatency is the simulated origin round-trip added to every

@@ -544,8 +544,8 @@ func TestCancelMidFetchKeepsAccounting(t *testing.T) {
 		NewCache:   func() cdn.Cache { return cdn.NewLRU(64 << 20) },
 		ChunkBytes: -1,
 	})
-	offline.Serve(rec)
-	offline.Serve(rec)
+	offline.ServeInto(rec, new(trace.Record))
+	offline.ServeInto(rec, new(trace.Record))
 	if got, want := s.TotalStats(), offline.TotalStats(); got != want {
 		t.Errorf("live stats after cancellation = %+v, want offline %+v", got, want)
 	}

@@ -223,7 +223,7 @@ func TestPeerFill(t *testing.T) {
 		ChunkBytes: -1,
 	})
 	want := *rec
-	offline.Serve(&want)
+	offline.ServeInto(&want, &want)
 	if got := s.TotalStats(); got != offline.TotalStats() {
 		t.Errorf("live stats with peer fill %+v != offline replay %+v", got, offline.TotalStats())
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // An edge built from the flags without a registry, as tscluster builds
@@ -61,8 +62,8 @@ func FuzzParsePublisherCaches(f *testing.F) {
 			t.Fatalf("%q: %d partitions from %d entries", spec, len(parts), entries)
 		}
 		for site, mk := range parts {
-			if c := mk().Capacity(); c <= 0 {
-				t.Fatalf("%q: site %q accepted with size %d", spec, site, c)
+			if c := mk(); c.Access(1, 1, time.Time{}) || !c.Contains(1) {
+				t.Fatalf("%q: site %q accepted with a cache that cannot hold one byte", spec, site)
 			}
 		}
 	})

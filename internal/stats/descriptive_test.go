@@ -13,23 +13,13 @@ func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
 }
 
-func TestMeanVarianceStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); !almostEqual(got, 5, 1e-12) {
 		t.Errorf("Mean = %v, want 5", got)
 	}
-	// Unbiased sample variance of this classic sample is 32/7.
-	if got := Variance(xs); !almostEqual(got, 32.0/7.0, 1e-12) {
-		t.Errorf("Variance = %v, want %v", got, 32.0/7.0)
-	}
-	if got := StdDev(xs); !almostEqual(got, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Errorf("StdDev = %v", got)
-	}
 	if !math.IsNaN(Mean(nil)) {
 		t.Error("Mean(nil) should be NaN")
-	}
-	if !math.IsNaN(Variance([]float64{1})) {
-		t.Error("Variance of one point should be NaN")
 	}
 }
 

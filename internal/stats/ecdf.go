@@ -80,49 +80,3 @@ func (e *ECDF) Quantile(q float64) (float64, error) {
 
 // Median returns the 0.5 quantile.
 func (e *ECDF) Median() (float64, error) { return e.Quantile(0.5) }
-
-// Point is one (X, P) evaluation of a CDF, suitable for plotting.
-type Point struct {
-	X float64 // value
-	P float64 // cumulative probability P(X <= x)
-}
-
-// Curve evaluates the ECDF at n log- or linearly-spaced points between the
-// sample min and max, returning a plottable curve. If logScale is true the
-// evaluation points are geometrically spaced (all observations must be > 0).
-func (e *ECDF) Curve(n int, logScale bool) ([]Point, error) {
-	if len(e.sorted) == 0 {
-		return nil, ErrEmpty
-	}
-	if n < 2 {
-		return nil, fmt.Errorf("stats: curve needs n >= 2, got %d", n)
-	}
-	lo, hi := e.sorted[0], e.sorted[len(e.sorted)-1]
-	pts := make([]Point, 0, n)
-	if logScale {
-		if lo <= 0 {
-			// Clamp to the smallest positive observation.
-			i := sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > 0 })
-			if i == len(e.sorted) {
-				return nil, errors.New("stats: log-scale curve needs positive observations")
-			}
-			lo = e.sorted[i]
-		}
-		if hi <= lo {
-			hi = lo * (1 + 1e-9)
-		}
-		ratio := math.Pow(hi/lo, 1/float64(n-1))
-		x := lo
-		for i := 0; i < n; i++ {
-			pts = append(pts, Point{X: x, P: e.At(x)})
-			x *= ratio
-		}
-		return pts, nil
-	}
-	step := (hi - lo) / float64(n-1)
-	for i := 0; i < n; i++ {
-		x := lo + float64(i)*step
-		pts = append(pts, Point{X: x, P: e.At(x)})
-	}
-	return pts, nil
-}

@@ -75,49 +75,6 @@ func TestECDFMinMaxMeanMedian(t *testing.T) {
 	}
 }
 
-func TestECDFCurve(t *testing.T) {
-	e := MustECDF([]float64{1, 10, 100, 1000})
-	for _, logScale := range []bool{false, true} {
-		pts, err := e.Curve(11, logScale)
-		if err != nil {
-			t.Fatalf("Curve(log=%v): %v", logScale, err)
-		}
-		if len(pts) != 11 {
-			t.Fatalf("Curve len = %d, want 11", len(pts))
-		}
-		if pts[len(pts)-1].P != 1 {
-			t.Errorf("last point P = %v, want 1", pts[len(pts)-1].P)
-		}
-		for i := 1; i < len(pts); i++ {
-			if pts[i].P < pts[i-1].P {
-				t.Errorf("curve not monotone at %d (log=%v)", i, logScale)
-			}
-			if pts[i].X <= pts[i-1].X {
-				t.Errorf("curve X not increasing at %d (log=%v)", i, logScale)
-			}
-		}
-	}
-	if _, err := e.Curve(1, false); err == nil {
-		t.Error("Curve(1) should error")
-	}
-}
-
-func TestECDFCurveLogNeedsPositive(t *testing.T) {
-	e := MustECDF([]float64{-5, -1})
-	if _, err := e.Curve(4, true); err == nil {
-		t.Error("log curve over nonpositive sample should error")
-	}
-	// Mixed sample clamps to smallest positive value.
-	e2 := MustECDF([]float64{0, 2, 8})
-	pts, err := e2.Curve(4, true)
-	if err != nil {
-		t.Fatalf("mixed log curve: %v", err)
-	}
-	if pts[0].X != 2 {
-		t.Errorf("log curve lo = %v, want 2", pts[0].X)
-	}
-}
-
 // Property: ECDF is monotone nondecreasing and bounded in [0,1] for any
 // sample and any pair of probe points.
 func TestECDFMonotoneProperty(t *testing.T) {

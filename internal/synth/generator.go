@@ -168,7 +168,6 @@ func (g *Generator) GenerateTo(sink func(*trace.Record) error) error {
 // concurrently.
 type userState struct {
 	id           uint64
-	device       useragent.Device
 	agent        string
 	region       timeutil.Region
 	favorite     *Object // object the user habitually re-requests
@@ -179,9 +178,9 @@ type userState struct {
 // everything an hour shard needs except its RNG stream.
 type sitePlan struct {
 	prof *SiteProfile
-	pop  *Population
-	// objs snapshots pop.Objects after private-audience objects are
-	// registered; expected[i] is objs[i]'s expected weekly request count.
+	// objs snapshots the site population's Objects after
+	// private-audience objects are registered; expected[i] is objs[i]'s
+	// expected weekly request count.
 	objs     []*Object
 	expected []float64
 	// hourTotal is the expected request count per local hour-of-week;
@@ -215,7 +214,6 @@ func (g *Generator) buildSitePlan(i int) (*sitePlan, error) {
 
 	plan := &sitePlan{
 		prof:    p,
-		pop:     pop,
 		objs:    pop.Objects,
 		users:   users,
 		userCum: userCum,
@@ -429,7 +427,6 @@ func (g *Generator) buildUserPool(p *SiteProfile, pop *Population, n int, rng *r
 		addr = strconv.AppendInt(addr[:prefix], int64(i), 10)
 		users[i] = userState{
 			id:     g.anon.HashUserBytes(addr, agent),
-			device: dev,
 			agent:  agent,
 			region: regions[stats.WeightedChoice(rng, p.RegionMix[:])],
 		}

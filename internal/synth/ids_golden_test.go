@@ -28,7 +28,7 @@ func idLines(t *testing.T) []string {
 		for k, u := range plan.users[:min(64, len(plan.users))] {
 			lines = append(lines, fmt.Sprintf("%s user %d %016x", site, k, u.id))
 		}
-		for cat, objs := range plan.pop.ByCategory {
+		for cat, objs := range g.pops[i].ByCategory {
 			for k, o := range objs[:min(64, len(objs))] {
 				lines = append(lines, fmt.Sprintf("%s %s %d %016x", site, cat, k, o.ID))
 			}

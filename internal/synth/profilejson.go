@@ -3,167 +3,34 @@ package synth
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
-
-	"trafficscope/internal/trace"
 )
 
-// profileJSON is the serialized form of a SiteProfile. Maps keyed by
-// typed enums marshal as their string labels for readability.
-type profileJSON struct {
-	Name                   string                  `json:"name"`
-	Description            string                  `json:"description,omitempty"`
-	Objects                int                     `json:"objects"`
-	WeeklyRequests         int                     `json:"weekly_requests"`
-	Categories             map[string]categoryJSON `json:"categories"`
-	HourlyShape            [24]float64             `json:"hourly_shape"`
-	DeviceMix              [4]float64              `json:"device_mix"`
-	RegionMix              [4]float64              `json:"region_mix"`
-	MeanRequestsPerSession float64                 `json:"mean_requests_per_session"`
-	SessionIATSeconds      float64                 `json:"session_iat_seconds"`
-	RequestsPerUserWeek    float64                 `json:"requests_per_user_week"`
-	IncognitoFrac          float64                 `json:"incognito_frac"`
-	PreexistFrac           float64                 `json:"preexist_frac"`
-	WatchedFracMedian      float64                 `json:"watched_frac_median"`
-}
-
-type categoryJSON struct {
-	ObjectFrac       float64            `json:"object_frac"`
-	RequestFrac      float64            `json:"request_frac"`
-	FileTypes        []string           `json:"file_types"`
-	Sizes            SizeDist           `json:"sizes"`
-	Classes          map[string]float64 `json:"classes"`
-	ZipfExponent     float64            `json:"zipf_exponent"`
-	AddictRepeatMean float64            `json:"addict_repeat_mean"`
-	AddictFrac       float64            `json:"addict_frac"`
-}
-
-var classByLabel = func() map[string]PatternClass {
-	m := map[string]PatternClass{}
-	for _, c := range AllClasses() {
-		m[c.String()] = c
-	}
-	return m
-}()
-
-var categoryByLabel = map[string]trace.Category{
-	trace.CategoryVideo.String(): trace.CategoryVideo,
-	trace.CategoryImage.String(): trace.CategoryImage,
-	trace.CategoryOther.String(): trace.CategoryOther,
-}
-
-// MarshalProfiles serializes profiles to indented JSON.
+// MarshalProfiles serializes profiles to indented JSON. Categories and
+// temporal classes key their maps by label (Category and PatternClass
+// are text marshalers), so the file reads "video" and "diurnal-a".
 func MarshalProfiles(profiles []SiteProfile) ([]byte, error) {
-	out := make([]profileJSON, 0, len(profiles))
-	for i := range profiles {
-		p := &profiles[i]
-		pj := profileJSON{
-			Name:                   p.Name,
-			Description:            p.Description,
-			Objects:                p.Objects,
-			WeeklyRequests:         p.WeeklyRequests,
-			Categories:             map[string]categoryJSON{},
-			HourlyShape:            p.HourlyShape,
-			DeviceMix:              p.DeviceMix,
-			RegionMix:              p.RegionMix,
-			MeanRequestsPerSession: p.MeanRequestsPerSession,
-			SessionIATSeconds:      p.SessionIATSeconds,
-			RequestsPerUserWeek:    p.RequestsPerUserWeek,
-			IncognitoFrac:          p.IncognitoFrac,
-			PreexistFrac:           p.PreexistFrac,
-			WatchedFracMedian:      p.WatchedFracMedian,
-		}
-		for cat, cp := range p.Categories {
-			cj := categoryJSON{
-				ObjectFrac:       cp.ObjectFrac,
-				RequestFrac:      cp.RequestFrac,
-				Sizes:            cp.Sizes,
-				Classes:          map[string]float64{},
-				ZipfExponent:     cp.ZipfExponent,
-				AddictRepeatMean: cp.AddictRepeatMean,
-				AddictFrac:       cp.AddictFrac,
-			}
-			for _, ft := range cp.FileTypes {
-				cj.FileTypes = append(cj.FileTypes, string(ft))
-			}
-			for class, w := range cp.Classes {
-				cj.Classes[class.String()] = w
-			}
-			pj.Categories[cat.String()] = cj
-		}
-		out = append(out, pj)
-	}
-	return json.MarshalIndent(out, "", "  ")
+	return json.MarshalIndent(profiles, "", "  ")
 }
 
 // UnmarshalProfiles parses profiles serialized by MarshalProfiles and
-// validates each.
+// validates each; an unknown category or class label is an error.
 func UnmarshalProfiles(data []byte) ([]SiteProfile, error) {
-	var raw []profileJSON
-	if err := json.Unmarshal(data, &raw); err != nil {
+	var out []SiteProfile
+	if err := json.Unmarshal(data, &out); err != nil {
 		return nil, fmt.Errorf("synth: parse profiles: %w", err)
 	}
-	out := make([]SiteProfile, 0, len(raw))
-	for _, pj := range raw {
-		p := SiteProfile{
-			Name:                   pj.Name,
-			Description:            pj.Description,
-			Objects:                pj.Objects,
-			WeeklyRequests:         pj.WeeklyRequests,
-			Categories:             map[trace.Category]CategoryProfile{},
-			HourlyShape:            pj.HourlyShape,
-			DeviceMix:              pj.DeviceMix,
-			RegionMix:              pj.RegionMix,
-			MeanRequestsPerSession: pj.MeanRequestsPerSession,
-			SessionIATSeconds:      pj.SessionIATSeconds,
-			RequestsPerUserWeek:    pj.RequestsPerUserWeek,
-			IncognitoFrac:          pj.IncognitoFrac,
-			PreexistFrac:           pj.PreexistFrac,
-			WatchedFracMedian:      pj.WatchedFracMedian,
-		}
-		for catLabel, cj := range pj.Categories {
-			cat, ok := categoryByLabel[catLabel]
-			if !ok {
-				return nil, fmt.Errorf("synth: %s: unknown category %q", pj.Name, catLabel)
-			}
-			cp := CategoryProfile{
-				ObjectFrac:       cj.ObjectFrac,
-				RequestFrac:      cj.RequestFrac,
-				Sizes:            cj.Sizes,
-				Classes:          ClassMix{},
-				ZipfExponent:     cj.ZipfExponent,
-				AddictRepeatMean: cj.AddictRepeatMean,
-				AddictFrac:       cj.AddictFrac,
-			}
-			for _, ft := range cj.FileTypes {
-				cp.FileTypes = append(cp.FileTypes, trace.FileType(ft))
-			}
-			for classLabel, w := range cj.Classes {
-				class, ok := classByLabel[classLabel]
-				if !ok {
-					return nil, fmt.Errorf("synth: %s/%s: unknown class %q", pj.Name, catLabel, classLabel)
-				}
-				cp.Classes[class] = w
-			}
-			p.Categories[cat] = cp
-		}
-		if err := p.Validate(); err != nil {
+	for i := range out {
+		if err := out[i].Validate(); err != nil {
 			return nil, err
 		}
-		out = append(out, p)
 	}
 	return out, nil
 }
 
 // LoadProfiles reads profiles from a JSON file.
 func LoadProfiles(path string) ([]SiteProfile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}

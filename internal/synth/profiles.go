@@ -52,6 +52,21 @@ func (c PatternClass) String() string {
 	}
 }
 
+// MarshalText encodes the class as its label.
+func (c PatternClass) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
+// UnmarshalText decodes a label MarshalText writes; any other is an
+// error.
+func (c *PatternClass) UnmarshalText(text []byte) error {
+	for _, k := range AllClasses() {
+		if k.String() == string(text) {
+			*c = k
+			return nil
+		}
+	}
+	return fmt.Errorf("synth: unknown class %q", text)
+}
+
 // AllClasses returns the classes in display order.
 func AllClasses() []PatternClass {
 	return []PatternClass{ClassDiurnalA, ClassDiurnalB, ClassLongLived, ClassShortLived, ClassOutlier}
@@ -78,68 +93,68 @@ type ClassMix map[PatternClass]float64
 type CategoryProfile struct {
 	// ObjectFrac is this category's share of the site's object count
 	// (Fig. 1).
-	ObjectFrac float64
+	ObjectFrac float64 `json:"object_frac"`
 	// RequestFrac is this category's share of the site's request count
 	// (Fig. 2a).
-	RequestFrac float64
+	RequestFrac float64 `json:"request_frac"`
 	// FileTypes are the file extensions used for the category's objects,
 	// drawn uniformly.
-	FileTypes []trace.FileType
+	FileTypes []trace.FileType `json:"file_types"`
 	// Sizes parameterizes object sizes.
-	Sizes SizeDist
+	Sizes SizeDist `json:"sizes"`
 	// Classes is the temporal-class mixture for the category's objects.
-	Classes ClassMix
+	Classes ClassMix `json:"classes"`
 	// ZipfExponent shapes the category's popularity skew (Fig. 6).
-	ZipfExponent float64
+	ZipfExponent float64 `json:"zipf_exponent"`
 	// AddictRepeatMean is the mean number of extra same-user re-requests
 	// an "addicted" (user, object) pair accumulates over the week;
 	// higher for video than images (Fig. 13/14).
-	AddictRepeatMean float64
+	AddictRepeatMean float64 `json:"addict_repeat_mean"`
 	// AddictFrac is the probability a user develops a repeat habit for
 	// an object they request.
-	AddictFrac float64
+	AddictFrac float64 `json:"addict_frac"`
 }
 
 // SiteProfile is the full calibration of one study site.
 type SiteProfile struct {
 	// Name is the anonymized publisher identifier, e.g. "V-1".
-	Name string
+	Name string `json:"name"`
 	// Description is a short human-readable description.
-	Description string
+	Description string `json:"description,omitempty"`
 	// Objects is the paper-reported object population size (Fig. 1).
-	Objects int
+	Objects int `json:"objects"`
 	// WeeklyRequests is the paper-reported request count for the week
 	// (Fig. 2a, summed over categories).
-	WeeklyRequests int
+	WeeklyRequests int `json:"weekly_requests"`
 	// Categories configures each content category. Fractions across
 	// categories should each sum to ~1.
-	Categories map[trace.Category]CategoryProfile
+	Categories map[trace.Category]CategoryProfile `json:"categories"`
 	// HourlyShape is the site's hour-of-day traffic weight in the user's
 	// local time (Fig. 3); it is normalized at use.
-	HourlyShape [24]float64
+	HourlyShape [24]float64 `json:"hourly_shape"`
 	// DeviceMix is the session share per device category in the order of
 	// useragent.AllDevices(): desktop, android, ios, misc (Fig. 4).
-	DeviceMix [4]float64
+	DeviceMix [4]float64 `json:"device_mix"`
 	// RegionMix is the session share per region in the order of
 	// timeutil.AllRegions() (§III: four continents).
-	RegionMix [4]float64
+	RegionMix [4]float64 `json:"region_mix"`
 	// MeanRequestsPerSession controls session sizes; video-heavy sites
 	// issue more requests per session than image-heavy ones (Fig. 11/12).
-	MeanRequestsPerSession float64
+	MeanRequestsPerSession float64 `json:"mean_requests_per_session"`
 	// SessionIATSeconds is the median intra-session request gap.
-	SessionIATSeconds float64
+	SessionIATSeconds float64 `json:"session_iat_seconds"`
 	// RequestsPerUserWeek is the mean number of requests one user issues
 	// over the week; sets the user-pool size.
-	RequestsPerUserWeek float64
+	RequestsPerUserWeek float64 `json:"requests_per_user_week"`
 	// IncognitoFrac is the fraction of users browsing in private mode;
 	// those users never produce 304 revalidations (§V).
-	IncognitoFrac float64
+	IncognitoFrac float64 `json:"incognito_frac"`
 	// PreexistFrac is the fraction of objects already published before
 	// the trace week starts (content injection, Fig. 7).
-	PreexistFrac float64
+	PreexistFrac float64 `json:"preexist_frac"`
 	// WatchedFracMedian is the median fraction of a video object fetched
 	// per request (range requests / 206s).
-	WatchedFracMedian float64
+	WatchedFracMedian float64 `json:"watched_frac_median"`
 }
 
 // Validate reports the first inconsistency in the profile, or nil.

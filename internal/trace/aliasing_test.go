@@ -62,7 +62,7 @@ func TestReadAllElementsDoNotAlias(t *testing.T) {
 
 // TestSliceReaderCopiesOut: SliceReader.Read hands out copies, so a
 // caller scribbling on its scratch record cannot corrupt the backing
-// slice, and rewinding yields the original values.
+// slice, and a new reader over it yields the original values.
 func TestSliceReaderCopiesOut(t *testing.T) {
 	recs := realisticTrace(10)
 	want := make([]Record, len(recs))
@@ -90,7 +90,7 @@ func TestSliceReaderCopiesOut(t *testing.T) {
 			t.Fatalf("backing record %d mutated through the reader's scratch:\n got %+v\nwant %+v", i, *r, want[i])
 		}
 	}
-	sr.Reset()
+	sr = NewSliceReader(recs)
 	var first Record
 	if err := sr.Read(&first); err != nil {
 		t.Fatal(err)

@@ -93,9 +93,6 @@ func (sr *SliceReader) ReadBlock(dst []Record) (int, error) {
 	return n, nil
 }
 
-// Reset rewinds the reader to the first record.
-func (sr *SliceReader) Reset() { sr.pos = 0 }
-
 // SortByTime sorts records by timestamp, stably, in place.
 func SortByTime(recs []*Record) {
 	slices.SortStableFunc(recs, func(a, b *Record) int {

@@ -40,6 +40,22 @@ func (c Category) String() string {
 	}
 }
 
+// MarshalText encodes the category as its label, so a JSON map keyed by
+// categories reads "video", not 1.
+func (c Category) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
+// UnmarshalText decodes a label MarshalText writes; any other is an
+// error.
+func (c *Category) UnmarshalText(text []byte) error {
+	for _, k := range AllCategories() {
+		if k.String() == string(text) {
+			*c = k
+			return nil
+		}
+	}
+	return fmt.Errorf("trace: unknown category %q", text)
+}
+
 // AllCategories returns the categories in display order.
 func AllCategories() []Category {
 	return []Category{CategoryVideo, CategoryImage, CategoryOther}

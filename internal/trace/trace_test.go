@@ -283,17 +283,6 @@ func TestAnonymizerHashesPinned(t *testing.T) {
 	}
 }
 
-func TestSliceReaderReset(t *testing.T) {
-	recs := []*Record{sampleRecord(), sampleRecord()}
-	sr := NewSliceReader(recs)
-	first, _ := readAll(sr)
-	sr.Reset()
-	second, _ := readAll(sr)
-	if len(first) != 2 || len(second) != 2 {
-		t.Errorf("reset replay: %d then %d", len(first), len(second))
-	}
-}
-
 func TestSortByTime(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	recs := make([]*Record, 50)

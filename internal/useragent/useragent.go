@@ -1,11 +1,11 @@
-// Package useragent classifies HTTP User-Agent strings into the device,
-// operating-system and browser categories used by the paper's device-mix
-// analysis (§III: "We use the user agent field to distinguish between
-// different device types, operating systems, and web browsers").
+// Package useragent classifies HTTP User-Agent strings into the device
+// categories of the paper's device-mix analysis (§III: "We use the user
+// agent field to distinguish between different device types, operating
+// systems, and web browsers"; Figure 4 reports the device types).
 //
-// The classifier is a pragmatic substring matcher over the dominant token
-// patterns of the 2015-era browser population; it intentionally mirrors
-// the coarse Desktop / Android / iOS / Misc breakdown of Figure 4.
+// The classifier is a pragmatic substring matcher over the platform tokens
+// of the 2015-era browser population; it mirrors the coarse Desktop /
+// Android / iOS / Misc breakdown of Figure 4.
 package useragent
 
 import "strings"
@@ -43,143 +43,31 @@ func AllDevices() []Device {
 	return []Device{DeviceDesktop, DeviceAndroid, DeviceIOS, DeviceMisc}
 }
 
-// OS is the operating-system family parsed from the agent string.
-type OS int
-
-// OS families.
-const (
-	OSWindows OS = iota + 1
-	OSMacOS
-	OSLinux
-	OSAndroid
-	OSIOS
-	OSOther
-)
-
-// String returns the OS label.
-func (o OS) String() string {
-	switch o {
-	case OSWindows:
-		return "windows"
-	case OSMacOS:
-		return "macos"
-	case OSLinux:
-		return "linux"
-	case OSAndroid:
-		return "android"
-	case OSIOS:
-		return "ios"
-	default:
-		return "other"
-	}
-}
-
-// Browser is the browser family parsed from the agent string.
-type Browser int
-
-// Browser families.
-const (
-	BrowserChrome Browser = iota + 1
-	BrowserFirefox
-	BrowserSafari
-	BrowserIE
-	BrowserOpera
-	BrowserOther
-)
-
-// String returns the browser label.
-func (b Browser) String() string {
-	switch b {
-	case BrowserChrome:
-		return "chrome"
-	case BrowserFirefox:
-		return "firefox"
-	case BrowserSafari:
-		return "safari"
-	case BrowserIE:
-		return "ie"
-	case BrowserOpera:
-		return "opera"
-	default:
-		return "other"
-	}
-}
-
-// Info is the full classification of one User-Agent string.
-type Info struct {
-	Device  Device
-	OS      OS
-	Browser Browser
-	Mobile  bool // true for phone-class devices
-	Tablet  bool // true for tablet-class devices
-}
-
-// Parse classifies a User-Agent string. It never fails: unrecognized
-// agents classify as Misc/Other.
-func Parse(ua string) Info {
+// Parse classifies a User-Agent string into its Figure 4 device
+// category: smartphone Android and iOS get their own buckets, desktop
+// OSes are Desktop, and tablets and everything else (Windows Phone,
+// consoles, TVs, bots) land in Misc. It never fails: an unrecognized
+// agent is Misc.
+func Parse(ua string) Device {
 	s := strings.ToLower(ua)
-	info := Info{Device: DeviceMisc, OS: OSOther, Browser: BrowserOther}
-
-	// Operating system / platform.
 	switch {
-	case strings.Contains(s, "ipad"):
-		info.OS = OSIOS
-		info.Tablet = true
+	case strings.Contains(s, "ipad"): // a tablet
+		return DeviceMisc
 	case strings.Contains(s, "iphone"), strings.Contains(s, "ipod"):
-		info.OS = OSIOS
-		info.Mobile = true
+		return DeviceIOS
 	case strings.Contains(s, "android"):
-		info.OS = OSAndroid
 		// Android tablets omit "mobile" from the UA token.
 		if strings.Contains(s, "mobile") {
-			info.Mobile = true
-		} else {
-			info.Tablet = true
+			return DeviceAndroid
 		}
-	case strings.Contains(s, "windows phone"):
-		info.OS = OSOther
-		info.Mobile = true
-	case strings.Contains(s, "windows"):
-		info.OS = OSWindows
-	case strings.Contains(s, "mac os x"), strings.Contains(s, "macintosh"):
-		info.OS = OSMacOS
-	case strings.Contains(s, "x11"), strings.Contains(s, "linux"):
-		info.OS = OSLinux
+		return DeviceMisc
+	case strings.Contains(s, "windows phone"): // a phone, but neither Android nor iOS
+		return DeviceMisc
+	case strings.Contains(s, "windows"), strings.Contains(s, "mac os x"), strings.Contains(s, "macintosh"),
+		strings.Contains(s, "x11"), strings.Contains(s, "linux"):
+		return DeviceDesktop
 	}
-
-	// Browser. Order matters: Chrome UAs contain "safari", Opera contains
-	// "chrome", IE11 hides behind "trident".
-	switch {
-	case strings.Contains(s, "opr/"), strings.Contains(s, "opera"):
-		info.Browser = BrowserOpera
-	case strings.Contains(s, "edge/"):
-		info.Browser = BrowserIE
-	case strings.Contains(s, "chrome/"), strings.Contains(s, "crios/"):
-		info.Browser = BrowserChrome
-	case strings.Contains(s, "firefox/"), strings.Contains(s, "fxios/"):
-		info.Browser = BrowserFirefox
-	case strings.Contains(s, "msie"), strings.Contains(s, "trident/"):
-		info.Browser = BrowserIE
-	case strings.Contains(s, "safari/"):
-		info.Browser = BrowserSafari
-	}
-
-	// Device category per Figure 4: smartphone Android and iOS get their
-	// own buckets; desktop OSes are Desktop; tablets and everything else
-	// (consoles, TVs, bots, feature phones) land in Misc.
-	switch {
-	case info.Mobile && info.OS == OSAndroid:
-		info.Device = DeviceAndroid
-	case info.Mobile && info.OS == OSIOS:
-		info.Device = DeviceIOS
-	case info.Tablet:
-		info.Device = DeviceMisc
-	case info.OS == OSWindows, info.OS == OSMacOS, info.OS == OSLinux:
-		info.Device = DeviceDesktop
-	default:
-		info.Device = DeviceMisc
-	}
-	return info
+	return DeviceMisc
 }
 
 // Canonical agent strings for the synthetic trace generator, one per

@@ -21,15 +21,15 @@ func FuzzParse(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, ua string) {
-		info := Parse(ua)
-		if !slices.Contains(AllDevices(), info.Device) {
-			t.Fatalf("Parse(%q).Device = %v, not one of %v", ua, info.Device, AllDevices())
+		dev := Parse(ua)
+		if !slices.Contains(AllDevices(), dev) {
+			t.Fatalf("Parse(%q) = %v, not one of %v", ua, dev, AllDevices())
 		}
-		if again := Parse(ua); again != info {
-			t.Fatalf("Parse(%q) = %+v, then %+v", ua, info, again)
+		if again := Parse(ua); again != dev {
+			t.Fatalf("Parse(%q) = %v, then %v", ua, dev, again)
 		}
-		if d, ok := canonical[ua]; ok && info.Device != d {
-			t.Fatalf("canonical %v agent %q classified as %v", d, ua, info.Device)
+		if d, ok := canonical[ua]; ok && dev != d {
+			t.Fatalf("canonical %v agent %q classified as %v", d, ua, dev)
 		}
 	})
 }

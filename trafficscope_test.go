@@ -274,19 +274,20 @@ func fieldsSetIn(n ast.Node, info *types.Info, fields map[*types.Var]string) map
 }
 
 // exportsOnlyTestsCall are the exported functions and methods under
-// internal/ that nothing but a test calls: each lets the test named here
-// observe behaviour no kept API exposes.
+// internal/ that no program reaches: each lets the test named here
+// observe or steer behaviour no kept API exposes.
 var exportsOnlyTestsCall = map[string]string{
 	"cdn.SingleFlight.Inflight": "the fill tests of cdn, edge and fleet wait for a flight to open before racing followers onto it; no counter shows an open flight",
+	"slo.Engine.SetClock":       "the slo and edge SLO tests freeze the engine's time so a window's verdict does not depend on when the test runs",
+	"slo.Tracker.SetClock":      "slo_test.go freezes a tracker's time to step its windows by hand",
 }
 
 // TestExportedFuncsAreCalled gives exported functions the rule
 // TestConfigFieldsAreSet gives config fields: every exported function or
 // method under internal/ (the count `make loc` prints is the one this test
-// logs) must be used by non-test code somewhere in the module or by a
-// checked Example in example_test.go. A function counts as used when such
-// code names it; a method, when such code selects any method of its name,
-// so a call through an interface vouches for every implementation.
+// logs) must be reached from a program, as reachable computes it from
+// every main, init, package-level variable initializer and checked
+// Example in example_test.go.
 func TestExportedFuncsAreCalled(t *testing.T) {
 	mod := newModuleChecker(t)
 	funcs := map[*types.Func]string{}
@@ -318,46 +319,25 @@ func TestExportedFuncsAreCalled(t *testing.T) {
 	}
 	t.Logf("%d exported functions", len(funcs))
 
-	used := map[string]bool{}
-	selected := map[string]bool{} // method names non-test code selects
-	visit := func(n ast.Node, info *types.Info) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.Ident:
-				if f, ok := info.Uses[n].(*types.Func); ok && funcs[f.Origin()] != "" {
-					used[funcs[f.Origin()]] = true
-				}
-			case *ast.SelectorExpr:
-				if s := info.Selections[n]; s != nil && s.Kind() != types.FieldVal {
-					selected[n.Sel.Name] = true
-				}
-			}
-			return true
-		})
-	}
-	for _, p := range mod.pkgs {
-		for _, file := range p.files {
-			visit(file, p.info)
-		}
-	}
+	var examples []funcBody
 	for _, ex := range mod.examples {
-		visit(ex, mod.exampleInfo)
+		examples = append(examples, funcBody{node: ex, info: mod.exampleInfo})
 	}
-	for f, key := range funcs {
-		if f.Type().(*types.Signature).Recv() != nil && selected[f.Name()] {
-			used[key] = true
-		}
-	}
+	reached := reachable(t, mod.pkgs, mod.std, examples...)
 
 	sort.Strings(names)
-	var uncalled []string
+	used := map[string]bool{}
+	for f, key := range funcs {
+		used[key] = reached[f]
+	}
+	var unreached []string
 	for _, name := range names {
 		_, allowed := exportsOnlyTestsCall[name]
 		switch {
 		case !used[name] && !allowed:
-			uncalled = append(uncalled, name)
+			unreached = append(unreached, name)
 		case used[name] && allowed:
-			t.Errorf("%s has a non-test caller now; drop it from exportsOnlyTestsCall", name)
+			t.Errorf("%s is reached from a program now; drop it from exportsOnlyTestsCall", name)
 		}
 	}
 	for name := range exportsOnlyTestsCall {
@@ -365,9 +345,289 @@ func TestExportedFuncsAreCalled(t *testing.T) {
 			t.Errorf("exportsOnlyTestsCall names %s, which is no exported function under internal/", name)
 		}
 	}
-	if len(uncalled) > 0 {
-		t.Errorf("%d exported functions only tests call: %v", len(uncalled), uncalled)
+	if len(unreached) > 0 {
+		t.Errorf("%d exported functions no program reaches: %v", len(unreached), unreached)
 	}
+}
+
+// TestReachableRule runs reachable over small programs and checks which
+// methods it reaches: a method counts as used only when a call from a
+// root leads to it, not when some other method of its name is called.
+func TestReachableRule(t *testing.T) {
+	cases := []struct {
+		name, src          string
+		reached, unreached []string
+	}{{
+		name: "a standard-library method of the same name vouches for nothing",
+		src: `import ("net"; "net/http")
+type CDN struct{}
+func (CDN) Serve() {}
+func main() { var s http.Server; var l net.Listener; s.Serve(l) }`,
+		unreached: []string{"CDN.Serve"},
+	}, {
+		name: "a call from an unreached function reaches nothing",
+		src: `type T struct{}
+func (T) M() {}
+type U struct{}
+func (U) M() {}
+func unused() { T{}.M() }
+func main() { U{}.M() }`,
+		reached:   []string{"U.M"},
+		unreached: []string{"T.M", "unused"},
+	}, {
+		name: "an interface call reaches every type that implements the interface",
+		src: `type I interface{ M() }
+type T struct{}
+func (*T) M() {}
+type U struct{}
+func (U) M() {}
+type V struct{}
+func (V) M(int) {}
+func main() { var i I = &T{}; i.M() }`,
+		reached:   []string{"T.M", "U.M"},
+		unreached: []string{"V.M"},
+	}, {
+		name: "a type-parameter call reaches every type that satisfies the constraint",
+		src: `type Sizer interface{ Size() int }
+type A struct{}
+func (A) Size() int { return 0 }
+type B struct{}
+func (B) Size() string { return "" }
+func total[S Sizer](s S) int { return s.Size() }
+func main() { total(A{}) }`,
+		reached:   []string{"A.Size", "total"},
+		unreached: []string{"B.Size"},
+	}, {
+		name: "the standard library calls String and sort.Interface, not a lone Len",
+		src: `import ("fmt"; "sort")
+type C int
+func (C) String() string { return "c" }
+type byN []int
+func (b byN) Len() int { return len(b) }
+func (b byN) Less(i, j int) bool { return b[i] < b[j] }
+func (b byN) Swap(i, j int) { b[i], b[j] = b[j], b[i] }
+type K struct{}
+func (K) Len() int { return 0 }
+func main() { fmt.Println(C(1)); sort.Sort(byN{}) }`,
+		reached:   []string{"C.String", "byN.Len", "byN.Less", "byN.Swap"},
+		unreached: []string{"K.Len"},
+	}, {
+		name: "initializers are roots; an inline assertion in a generic body reaches a generic method",
+		src: `var registry = []func(){ newA }
+type box[T any] struct{ v T }
+func (b *box[T]) state() *box[T] { return b }
+func (b *box[T]) adopt(src any) { _ = src.(interface{ state() *box[T] }).state() }
+type ints struct{ box[int] }
+func newA() { var x ints; x.adopt(&x) }
+func main() {}`,
+		reached: []string{"newA", "box.adopt", "box.state"},
+	}}
+	std := importer.Default()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, "main.go", "package main\n"+c.src, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := &checkedPackage{files: []*ast.File{f}, info: newInfo()}
+			if p.pkg, err = (&types.Config{Importer: std}).Check("main", fset, p.files, p.info); err != nil {
+				t.Fatal(err)
+			}
+			got := map[string]bool{}
+			for f := range reachable(t, []*checkedPackage{p}, std) {
+				name := f.Name()
+				if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+					typ := recv.Type()
+					if ptr, ok := typ.(*types.Pointer); ok {
+						typ = ptr.Elem()
+					}
+					name = typ.(*types.Named).Obj().Name() + "." + name
+				}
+				got[name] = true
+			}
+			for _, name := range c.reached {
+				if !got[name] {
+					t.Errorf("%s not reached", name)
+				}
+			}
+			for _, name := range c.unreached {
+				if got[name] {
+					t.Errorf("%s reached", name)
+				}
+			}
+		})
+	}
+}
+
+// stdCallbacks are the standard-library interfaces through which the
+// standard library itself calls module methods (fmt, errors, encoding,
+// net/http, io, sort, container/heap, net): a module type that
+// implements one has that interface's methods reached.
+var stdCallbacks = [][2]string{
+	{"", "error"}, {"fmt", "Stringer"},
+	{"encoding", "TextMarshaler"}, {"encoding", "TextUnmarshaler"}, {"encoding/json", "Marshaler"},
+	{"net/http", "Handler"}, {"net/http", "RoundTripper"},
+	{"io", "Reader"}, {"io", "Writer"}, {"io", "Closer"},
+	{"sort", "Interface"}, {"container/heap", "Interface"}, {"net", "Listener"},
+}
+
+// funcBody is code reachable walks: a declaration, an initializer or an
+// Example, with the info it was checked with.
+type funcBody struct {
+	node ast.Node
+	info *types.Info
+}
+
+// reachable returns the functions and methods (by their generic origin)
+// a program reaches from the roots of pkgs (every main of a main
+// package, every init, every package-level variable initializer) and
+// from extra. A reached body reaches every function and method it names.
+// A method named through an interface or a type parameter reaches the
+// method of that name of every defined type of pkgs that can stand
+// behind it: one that implements the interface, or, where generics make
+// signatures inexact (an interface that mentions a type parameter, or a
+// generic type), one whose method set has a method of each of the
+// interface's names. The methods of stdCallbacks' interfaces are reached
+// on every type implementing one. std resolves those interfaces; it must
+// be the importer pkgs were checked with.
+func reachable(t testing.TB, pkgs []*checkedPackage, std types.Importer, extra ...funcBody) map[*types.Func]bool {
+	bodies := map[*types.Func]funcBody{}
+	var named []*types.Named
+	work := extra
+	for _, p := range pkgs {
+		for _, file := range p.files {
+			for _, decl := range file.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					b := funcBody{node: d, info: p.info}
+					bodies[p.info.Defs[d.Name].(*types.Func)] = b
+					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && p.pkg.Name() == "main") {
+						work = append(work, b)
+					}
+				case *ast.GenDecl:
+					if d.Tok == token.VAR {
+						work = append(work, funcBody{node: d, info: p.info})
+					}
+				}
+			}
+		}
+		for _, name := range p.pkg.Scope().Names() {
+			if tn, ok := p.pkg.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() && !types.IsInterface(tn.Type()) {
+				named = append(named, tn.Type().(*types.Named))
+			}
+		}
+	}
+
+	reached := map[*types.Func]bool{}
+	reach := func(f *types.Func) {
+		if f = f.Origin(); !reached[f] {
+			reached[f] = true
+			if b, ok := bodies[f]; ok {
+				work = append(work, b)
+			}
+		}
+	}
+	// behind reaches the method called name, or every method of iface
+	// when name is "", on every type that can stand behind iface.
+	behind := func(iface *types.Interface, name string) {
+		loose := mentionsTypeParam(iface)
+		for _, n := range named {
+			ptr := types.NewPointer(n)
+			var ms []*types.Func
+			for i := 0; i < iface.NumMethods(); i++ {
+				obj, _, _ := types.LookupFieldOrMethod(ptr, false, iface.Method(i).Pkg(), iface.Method(i).Name())
+				if m, ok := obj.(*types.Func); ok {
+					ms = append(ms, m)
+				}
+			}
+			if len(ms) < iface.NumMethods() {
+				continue
+			}
+			if !loose && n.TypeParams().Len() == 0 && !types.Implements(ptr, iface) {
+				continue
+			}
+			for _, m := range ms {
+				if name == "" || m.Name() == name {
+					reach(m)
+				}
+			}
+		}
+	}
+	for _, cb := range stdCallbacks {
+		scope := types.Universe
+		if cb[0] != "" {
+			pkg, err := std.Import(cb[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			scope = pkg.Scope()
+		}
+		behind(scope.Lookup(cb[1]).Type().Underlying().(*types.Interface), "")
+	}
+	for len(work) > 0 {
+		b := work[len(work)-1]
+		work = work[:len(work)-1]
+		ast.Inspect(b.node, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			f, ok := b.info.Uses[id].(*types.Func)
+			if !ok {
+				return true
+			}
+			if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+				if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+					behind(iface, f.Name())
+					return true
+				}
+			}
+			reach(f)
+			return true
+		})
+	}
+	return reached
+}
+
+// mentionsTypeParam reports whether t is built from a type parameter,
+// where types.Implements cannot speak for the instantiations.
+func mentionsTypeParam(t types.Type) bool {
+	switch t := t.(type) {
+	case *types.TypeParam:
+		return true
+	case *types.Map:
+		return mentionsTypeParam(t.Key()) || mentionsTypeParam(t.Elem())
+	case interface{ Elem() types.Type }: // pointer, slice, array, chan
+		return mentionsTypeParam(t.Elem())
+	case *types.Named:
+		for i := 0; i < t.TypeArgs().Len(); i++ {
+			if mentionsTypeParam(t.TypeArgs().At(i)) {
+				return true
+			}
+		}
+	case *types.Signature:
+		return mentionsTypeParam(t.Params()) || mentionsTypeParam(t.Results())
+	case *types.Tuple:
+		for i := 0; i < t.Len(); i++ {
+			if mentionsTypeParam(t.At(i).Type()) {
+				return true
+			}
+		}
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if mentionsTypeParam(t.Field(i).Type()) {
+				return true
+			}
+		}
+	case *types.Interface:
+		for i := 0; i < t.NumMethods(); i++ {
+			if mentionsTypeParam(t.Method(i).Type()) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // moduleChecker holds the module's packages type-checked from their
@@ -491,5 +751,9 @@ func (m *moduleChecker) parse(dir string, names []string) ([]*ast.File, error) {
 }
 
 func newInfo() *types.Info {
-	return &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	return &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 }
