@@ -156,13 +156,13 @@ func (s *DCStats) HitRatio() float64 {
 type CDN struct {
 	cfg     Config
 	dcs     map[timeutil.Region]*DataCenter
-	clients *clientState // default client state used by ServeInto/Replay
+	clients *clientState // what admit reads and writes
 	// dcByRegion pre-resolves the region→DC map into a dense array so
 	// the serve hot path indexes instead of hashing; index 0 is unused
 	// (regions start at 1).
 	dcByRegion [timeutil.NumRegions + 1]*DataCenter
 	chunk      int64
-	replay     replayScratch // ReplayStream's, kept from one call to the next
+	blocks     []*replayBlock // ReplayStream's, kept from one call to the next
 }
 
 // browserTTL is how long a non-incognito browser keeps a cached copy
@@ -174,12 +174,11 @@ type browserKey struct {
 	obj  uint64
 }
 
-// clientState is the per-client request history the serve path
-// consults: browser-cache freshness deadlines and per-user request
-// sequence numbers. It is unsynchronized; the CDN's default instance is
-// guarded by whoever serializes ServeInto calls (the single replay goroutine,
-// or ConcurrentCDN's mutex), and ReplayStream gives each region worker
-// its own.
+// clientState is the per-client request history admit consults:
+// browser-cache freshness deadlines and per-user request sequence
+// numbers. It is unsynchronized; the CDN's one instance is guarded by
+// whoever serializes admit calls (the replay's reading goroutine, or
+// ConcurrentCDN's mutex).
 type clientState struct {
 	browser map[browserKey]time.Time
 	reqSeq  map[uint64]uint32
@@ -338,56 +337,81 @@ func (c *CDN) PushToAll(objectID uint64, size int64, now time.Time) {
 // per-goroutine scratch. ServeInto is single-threaded; wrap the CDN in
 // NewConcurrent for a thread-safe serve path.
 func (c *CDN) ServeInto(r, out *trace.Record) {
-	c.serveInto(r, out, c.clients)
+	c.serveInto(r, out)
 }
 
-// serveInto is the one serve path, with explicit client state so
-// ReplayStream's region workers can each own theirs. The caller owns all
-// synchronization of the caches and client state it reaches; only the
-// counters are atomic. A cache hit performs no heap allocation:
-// the DC resolves by array index, the rejection dice and chunk keys hash
-// without hash.Hash indirection, and the result lands in *out.
-func (c *CDN) serveInto(r, out *trace.Record, clients *clientState) {
+// serveInto is the one serve path: the client half (admit), then the
+// cache half (finish). The caller owns all synchronization of the caches
+// and client state it reaches; only the counters are atomic. A cache hit
+// performs no heap allocation: the DC resolves by array index, the
+// rejection dice and chunk keys hash without hash.Hash indirection, and
+// the result lands in *out.
+func (c *CDN) serveInto(r, out *trace.Record) {
+	c.finish(r, out, c.admit(r))
+}
+
+// admit is the client half of serving a request: it advances the user's
+// request sequence, rolls the access-control dice, and checks the
+// browser cache of a non-incognito user for a non-video object. It
+// returns the status that settles the request before any data center
+// sees it (a rejection, or StatusNotModified for a fresh local copy),
+// or 0. admit reads and writes only the CDN's client state, never a
+// cache or a counter, so ReplayStream runs it on its reading goroutine
+// in input order.
+func (c *CDN) admit(r *trace.Record) int {
+	if status := c.rejection(r, c.clients.nextSeq(r.UserID)); status != 0 {
+		return status
+	}
+	// Browser cache: a non-incognito user with a fresh local copy sends a
+	// conditional request. Videos are streamed with ranges and are not
+	// revalidated this way.
+	if r.Category() == trace.CategoryVideo {
+		return 0
+	}
+	incognito := true
+	if c.cfg.IsIncognito != nil {
+		incognito = c.cfg.IsIncognito(r.Publisher, r.UserID)
+	}
+	if !incognito && c.clients.browserCheck(r.UserID, r.ObjectID, r.Timestamp) {
+		return StatusNotModified
+	}
+	return 0
+}
+
+// finish is the cache half of serving r, given admit's verdict: it
+// counts the request at its data center and finalizes *out.
+func (c *CDN) finish(r, out *trace.Record, verdict int) {
 	*out = *r
 	dc := c.dcForRegion(r.Region)
 	dc.count[cRequests].Inc()
 
-	// Access control first: rejected requests never touch the cache.
-	if status := c.rejection(r, clients.nextSeq(r.UserID)); status != 0 {
-		out.StatusCode = status
+	// Rejected requests never touch the cache.
+	if verdict != 0 && verdict != StatusNotModified {
+		out.StatusCode = verdict
 		out.BytesServed = 0
 		out.Cache = trace.CacheUnknown
 		return
 	}
 
-	isVideo := r.Category() == trace.CategoryVideo
 	cache := dc.partition(r.Publisher)
-
-	// Browser cache: a non-incognito user with a fresh local copy sends
-	// a conditional request and gets 304 (no body). Videos are streamed
-	// with ranges and are not revalidated this way.
-	incognito := true
-	if c.cfg.IsIncognito != nil {
-		incognito = c.cfg.IsIncognito(r.Publisher, r.UserID)
-	}
-	if !incognito && !isVideo {
-		if clients.browserCheck(r.UserID, r.ObjectID, r.Timestamp) {
-			out.StatusCode = StatusNotModified
-			out.BytesServed = 0
-			// The CDN still consults its cache for the validator; a miss
-			// admits the object, fetched whole from origin.
-			hit := cache.Access(r.ObjectID, r.ObjectSize, r.Timestamp)
-			var originBytes int64
-			if !hit {
-				originBytes = r.ObjectSize
-			}
-			c.recordCache(dc, hit, originBytes, 0)
-			out.Cache = cacheStatus(hit)
-			return
+	if verdict == StatusNotModified {
+		// A conditional request gets no body, but the CDN still consults
+		// its cache for the validator; a miss admits the object, fetched
+		// whole from origin.
+		out.StatusCode = StatusNotModified
+		out.BytesServed = 0
+		hit := cache.Access(r.ObjectID, r.ObjectSize, r.Timestamp)
+		var originBytes int64
+		if !hit {
+			originBytes = r.ObjectSize
 		}
+		c.recordCache(dc, hit, originBytes, 0)
+		out.Cache = cacheStatus(hit)
+		return
 	}
 
 	// Edge cache lookup, chunked for video.
+	isVideo := r.Category() == trace.CategoryVideo
 	bytesWanted := r.BytesServed
 	if bytesWanted <= 0 || bytesWanted > r.ObjectSize {
 		bytesWanted = r.ObjectSize

@@ -40,7 +40,7 @@ func NewConcurrent(c *CDN) *ConcurrentCDN {
 // adds, with no heap allocation.
 func (cc *ConcurrentCDN) ServeInto(r, out *trace.Record) {
 	cc.mu.Lock()
-	cc.c.serveInto(r, out, cc.c.clients)
+	cc.c.serveInto(r, out)
 	cc.mu.Unlock()
 }
 

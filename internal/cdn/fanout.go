@@ -2,8 +2,6 @@ package cdn
 
 import (
 	"fmt"
-	"io"
-	"sync"
 
 	"trafficscope/internal/trace"
 )
@@ -27,25 +25,26 @@ type FanoutCell struct {
 
 // ReplayFanout runs ReplaySource's warm-up + measured protocol for every
 // cell over one read of each pass: src is opened twice whatever the
-// number of cells, and one block of replayBlockSize records is held at a
-// time. Each CDN is served sequentially, in input order, on a goroutine
-// of its own (the runtime runs up to GOMAXPROCS of them at a time), so a
-// cell's results equal a sequential replay of that cell alone,
-// region-stable users or not. The first error of a cell's Observe or
-// Survey ends the pass for every cell and is returned. The CDNs come
-// back in cell order for their stats.
+// number of cells. Each cell is a lane of the block pump ReplayStream
+// runs on: a goroutine of its own (the runtime runs up to GOMAXPROCS of
+// them at a time) that serves every record of a block, in input order,
+// into a scratch record of its own, so the blocks are shared read-only
+// and a cell's results equal a sequential replay of that cell alone. The
+// first error of a cell's Observe or Survey ends the pass for every cell
+// and is returned. The CDNs come back in cell order for their stats.
 func ReplayFanout(src trace.Source, cells []FanoutCell) ([]*CDN, error) {
 	cdns := make([]*CDN, len(cells))
-	lanes := make([]func(*trace.Record) error, len(cells))
+	lanes := make([]func(*replayBlock) error, len(cells))
+	var blocks []*replayBlock // the warm-up's, reused by the measured pass
 	for i, cell := range cells {
 		if cell.Survey != nil {
-			lanes[i] = cell.Survey
+			lanes[i] = eachRecord(cell.Survey)
 			continue
 		}
 		cdns[i] = cell.Build()
 		lanes[i] = cdns[i].lane(nil)
 	}
-	if err := fanoutPass(src, "warm-up", lanes); err != nil {
+	if err := fanoutPass(src, "warm-up", &blocks, lanes); err != nil {
 		return nil, err
 	}
 	for i, cell := range cells {
@@ -57,63 +56,44 @@ func ReplayFanout(src trace.Source, cells []FanoutCell) ([]*CDN, error) {
 		}
 		lanes[i] = cdns[i].lane(cell.Observe)
 	}
-	if err := fanoutPass(src, "measured", lanes); err != nil {
+	if err := fanoutPass(src, "measured", &blocks, lanes); err != nil {
 		return nil, err
 	}
 	return cdns, nil
 }
 
-// lane returns the fan-out consumer that serves each shared input record
+// lane returns the fan-out lane that serves each record of a block
 // through c into a scratch record of its own and hands that to observe.
-func (c *CDN) lane(observe func(*trace.Record) error) func(*trace.Record) error {
+func (c *CDN) lane(observe func(*trace.Record) error) func(*replayBlock) error {
 	var out trace.Record
-	return func(r *trace.Record) error {
-		c.serveInto(r, &out, c.clients)
+	return eachRecord(func(r *trace.Record) error {
+		c.serveInto(r, &out)
 		if observe == nil {
 			return nil
 		}
 		return observe(&out)
+	})
+}
+
+// eachRecord returns the lane that calls f on each record of a block in
+// order, stopping at f's first error.
+func eachRecord(f func(*trace.Record) error) func(*replayBlock) error {
+	return func(b *replayBlock) error {
+		for i := range b.recs[:b.n] {
+			if err := f(&b.recs[i]); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 }
 
-// fanoutPass opens src and hands every record, in order, to every lane,
-// a block of replayBlockSize records at a time: each lane walks the
-// block on a goroutine of its own, none writes to it, and the next block
-// is read when all are through. A lane that fails stops; the pass ends
-// with the block, read errors winning over lane errors and the lowest
-// lane's over the others.
-func fanoutPass(src trace.Source, pass string, lanes []func(*trace.Record) error) error {
+// fanoutPass opens src and pumps it once through lanes.
+func fanoutPass(src trace.Source, pass string, blocks *[]*replayBlock, lanes []func(*replayBlock) error) error {
 	r, err := src.Open()
 	if err != nil {
 		return fmt.Errorf("cdn: open %s pass: %w", pass, err)
 	}
 	defer trace.CloseReader(r)
-
-	block := make([]trace.Record, replayBlockSize)
-	errs := make([]error, len(lanes))
-	for {
-		n, readErr := trace.ReadBlock(r, block)
-		var wg sync.WaitGroup
-		for i, lane := range lanes {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := 0; j < n && errs[i] == nil; j++ {
-					errs[i] = lane(&block[j])
-				}
-			}()
-		}
-		wg.Wait()
-		if readErr != nil && readErr != io.EOF {
-			return fmt.Errorf("cdn: replay read: %w", readErr)
-		}
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		if readErr == io.EOF {
-			return nil
-		}
-	}
+	return pump(r, blocks, nil, lanes, nil)
 }

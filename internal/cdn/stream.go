@@ -1,7 +1,6 @@
 package cdn
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -11,108 +10,81 @@ import (
 	"trafficscope/internal/trace"
 )
 
-// ErrRegionUnstable reports a trace in which some user appears in more
-// than one region; per-region parallel replay owns client state per
-// region worker, so such traces must fall back to sequential replay.
-var ErrRegionUnstable = errors.New("cdn: parallel replay requires region-stable users")
-
-// Replay blocks: ReplayStream moves records in blocks of replayBlockSize,
-// at most replayBlocks of them in flight, so the replay holds
-// O(replayBlocks × replayBlockSize) records whatever the trace length and
-// pays its channel operations per block, not per record.
+// Replay blocks: the block pump moves records in blocks of
+// replayBlockSize, at most replayBlocks of them in flight, so a replay
+// holds O(replayBlocks × replayBlockSize) records whatever the trace
+// length and pays its channel operations per block, not per record.
 const (
 	replayBlockSize = 1024
 	replayBlocks    = 8
 )
 
-// replayBlock is one run of consecutive input records, each tagged with
-// the data center that serves it. The dispatcher owns a block while
-// filling it, the lanes named in it own their (disjoint) records while
-// serving, the collector owns it while sinking, and then it returns to
-// the dispatcher for reuse.
+// replayBlock is one run of consecutive input records. The reading
+// goroutine owns a block while it fills and tags it; then every lane
+// has it (ReplayStream's lanes each finalize their own records in place,
+// the fan-out's lanes only read), then the sink, and then it returns to
+// the reader for reuse.
 type replayBlock struct {
 	recs    [replayBlockSize]trace.Record
-	dc      [replayBlockSize]uint8 // recs[i] is served by lane dc[i]
+	dc      [replayBlockSize]uint8  // ReplayStream: recs[i] is served by lane dc[i]
+	verdict [replayBlockSize]uint16 // ReplayStream: admit's verdict on recs[i]
 	n       int
 	serving sync.WaitGroup // lanes that have not finished this block
 }
 
-// replayScratch is what ReplayStream keeps on its CDN from one call to
-// the next, so a repeat replay — the measured pass after the warm-up —
-// allocates none of it again: each lane's client state, the user-region
-// map of the stability check and the blocks. A call empties the maps
-// before it uses them, so it starts from the client state of a new CDN.
-type replayScratch struct {
-	lanes      [timeutil.NumRegions + 1]*clientState
-	userRegion map[uint64]timeutil.Region
-	blocks     []*replayBlock
-}
-
-// ReplayStream replays records through the CDN with one worker per data
-// center, streaming: records flow reader → per-DC lanes → sink in
-// blocks with no full-trace buffering, so a week-long on-disk trace
-// replays in bounded memory. Per-DC request order is preserved (each
-// lane takes blocks in sequence and serves its records of a block in
-// input order), and the sink receives finalized records in exactly the
-// reader's order, so a time-ordered input yields a time-ordered output
-// stream.
+// pump is the one block engine: ReplayStream and ReplayFanout are two
+// sets of lanes on it. The calling goroutine reads r a block of
+// replayBlockSize records at a time, runs tag on the block when tag is
+// set, and hands it to every lane; each lane is a goroutine of its own
+// that takes the blocks in input order. Once every lane is through with
+// a block, sink, when set, sees its records in input order, and the
+// block goes back to be refilled. At most replayBlocks blocks are in
+// flight; they come from *blocks, grown to that many, so a caller that
+// keeps the slice reuses them.
 //
-// Parallelism is safe because every piece of per-request state (the edge
-// cache, browser-cache freshness, request sequencing) is owned by a
-// single DC's lane: clients belong to exactly one region in valid
-// traces. The stream verifies that region stability and fails with
-// ErrRegionUnstable on traces that violate it. Aggregate counters
-// (TotalStats, per-DC stats) match a sequential Replay of the same trace
-// exactly.
-//
-// Record ownership: the reader fills a record inside a block, its lane
-// serves it in place, the sink sees it, and the block is refilled. The
-// sink must therefore not retain the record pointer past the call.
-// Calls on one CDN must not overlap: they share its scratch.
-func (c *CDN) ReplayStream(r trace.Reader, sink func(*trace.Record) error) error {
+// A lane or a sink that fails is not called again and no block is read
+// after it; the blocks already read still go through the other lanes. A
+// block cut short by the end of r or a read error still goes through:
+// the records before the cut reach every lane and the sink. The first
+// error wins in this order: the read's, the lowest failing lane's, the
+// sink's.
+func pump(r trace.Reader, blocks *[]*replayBlock, tag func(*replayBlock),
+	lanes []func(*replayBlock) error, sink func(*trace.Record) error) error {
 	// Every channel holds replayBlocks entries and at most that many
 	// blocks exist, so only waiting for a free block ever blocks a send.
-	var lanes [timeutil.NumRegions + 1]chan *replayBlock
 	order := make(chan *replayBlock, replayBlocks)
 	free := make(chan *replayBlock, replayBlocks)
-	sc := &c.replay
-
+	ins := make([]chan *replayBlock, len(lanes))
+	laneErrs := make([]error, len(lanes))
+	var stop atomic.Bool
 	var wg sync.WaitGroup
-	startLane := func(dc uint8) chan *replayBlock {
-		state := sc.lanes[dc]
-		if state == nil {
-			state = newClientState()
-			sc.lanes[dc] = state
-		} else {
-			state.reset()
-		}
-		in := make(chan *replayBlock, replayBlocks)
+	for i, lane := range lanes {
+		ins[i] = make(chan *replayBlock, replayBlocks)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for b := range in {
-				for i, lane := range b.dc[:b.n] {
-					if lane == dc {
-						c.serveInto(&b.recs[i], &b.recs[i], state)
+			for b := range ins[i] {
+				if laneErrs[i] == nil {
+					if laneErrs[i] = lane(b); laneErrs[i] != nil {
+						stop.Store(true)
 					}
 				}
 				b.serving.Done()
 			}
 		}()
-		return in
 	}
 
-	// The collector delivers finalized blocks to the sink in input
-	// order. On a sink error it keeps draining (skipping the sink) so
-	// lanes and the dispatcher unwind promptly.
+	// The collector hands each block, once its lanes are through, to the
+	// sink and then back to the reader. After a sink error it keeps
+	// draining, skipping the sink, so the lanes and the reader unwind
+	// promptly.
 	var sinkErr error
-	var stop atomic.Bool
-	collectorDone := make(chan struct{})
+	collected := make(chan struct{})
 	go func() {
-		defer close(collectorDone)
+		defer close(collected)
 		for b := range order {
 			b.serving.Wait()
-			for i := 0; i < b.n && sinkErr == nil; i++ {
+			for i := 0; sink != nil && i < b.n && sinkErr == nil; i++ {
 				if sinkErr = sink(&b.recs[i]); sinkErr != nil {
 					stop.Store(true)
 				}
@@ -121,25 +93,14 @@ func (c *CDN) ReplayStream(r trace.Reader, sink func(*trace.Record) error) error
 		}
 	}()
 
-	// Dispatch loop: fill a block in input order, then tag each record
-	// with its data center, checking user-region stability on the way,
-	// and hand the block to every lane it names and to the collector. A
-	// block cut short by EOF, an error or an abort is still dispatched:
-	// the records before the cut are served and sunk.
 	var readErr error
-	if sc.userRegion == nil {
-		sc.userRegion = make(map[uint64]timeutil.Region, 1024)
-	}
-	userRegion := sc.userRegion
-	clear(userRegion)
-	allocated := 0
-	for done := false; !done; {
+	for allocated, done := 0, false; !done && !stop.Load(); {
 		var b *replayBlock
 		if allocated < replayBlocks {
-			if allocated == len(sc.blocks) {
-				sc.blocks = append(sc.blocks, new(replayBlock))
+			if allocated == len(*blocks) {
+				*blocks = append(*blocks, new(replayBlock))
 			}
-			b = sc.blocks[allocated]
+			b = (*blocks)[allocated]
 			allocated++
 		} else {
 			b = <-free
@@ -151,91 +112,103 @@ func (c *CDN) ReplayStream(r trace.Reader, sink func(*trace.Record) error) error
 			}
 			done = true
 		}
-		var named [len(lanes)]bool
-		for b.n = 0; b.n < n; b.n++ {
-			rec := &b.recs[b.n]
-			if prev, seen := userRegion[rec.UserID]; !seen {
-				userRegion[rec.UserID] = rec.Region
-			} else if prev != rec.Region {
-				readErr = fmt.Errorf("%w: user %x appears in regions %v and %v",
-					ErrRegionUnstable, rec.UserID, prev, rec.Region)
-				done = true
-				break
-			}
-			dc := uint8(c.dcForRegion(rec.Region).Region)
-			b.dc[b.n], named[dc] = dc, true
+		b.n = n
+		if tag != nil {
+			tag(b)
 		}
-		done = done || stop.Load()
-		// Each lane is counted before it gets the block, and all of them
-		// before the collector can wait on it.
-		for dc, ok := range named {
-			if !ok {
-				continue
-			}
-			if lanes[dc] == nil {
-				lanes[dc] = startLane(uint8(dc))
-			}
-			b.serving.Add(1)
-			lanes[dc] <- b
+		// Every lane is counted before any gets the block, so the
+		// collector cannot see it finished early.
+		b.serving.Add(len(lanes))
+		for _, in := range ins {
+			in <- b
 		}
 		order <- b
 	}
 
-	for _, in := range lanes {
-		if in != nil {
-			close(in)
-		}
+	for _, in := range ins {
+		close(in)
 	}
 	close(order)
-	<-collectorDone
+	<-collected
 	wg.Wait()
 	if readErr != nil {
 		return readErr
 	}
+	for _, err := range laneErrs {
+		if err != nil {
+			return err
+		}
+	}
 	return sinkErr
 }
 
-// ReplaySource runs the steady-state measurement protocol over a
-// reopenable trace source, streaming both passes: a warm-up pass fills
-// the edge caches and is discarded, then counters and client state
-// reset, and the measured pass streams finalized records to sink in
-// input order. build constructs the CDN; it is called once, or twice
-// when the trace turns out to be region-unstable — the partially warmed
-// first CDN is thrown away and a fresh one replays both passes
-// sequentially. The CDN that served the measured pass is returned for
-// its stats. Both replay paths reuse record storage, so the sink must
-// not retain the record pointer past the call.
-func ReplaySource(build func() *CDN, src trace.Source, sink func(*trace.Record) error) (*CDN, error) {
-	discard := func(*trace.Record) error { return nil }
-	c, replay := build(), (*CDN).ReplayStream
-	err := replayPass(c, replay, src, "warm-up", discard)
-	if errors.Is(err, ErrRegionUnstable) {
-		// Region-unstable users: redo the warm-up sequentially on a fresh
-		// CDN (the aborted parallel one left partial state) and measure
-		// sequentially too.
-		c, replay = build(), (*CDN).Replay
-		err = replayPass(c, replay, src, "warm-up", discard)
+// ReplayStream replays records through the CDN with one lane per data
+// center, streaming: records flow reader → per-DC lanes → sink in
+// blocks with no full-trace buffering, so a week-long on-disk trace
+// replays in bounded memory. The reading goroutine runs the client half
+// of serving (admit: request sequence, rejection dice, browser cache) on
+// every record in input order, against the CDN's one client state, which
+// each call empties first; each DC's lane then runs the cache half
+// (finish) on its own records of a block, in input order. The sink
+// receives finalized records in exactly the reader's order. Every record
+// and every counter therefore equals what a sequential Replay of the
+// same trace from empty client state produces, whatever region each
+// user's requests come from.
+//
+// Record ownership: the reader fills a record inside a block, its lane
+// serves it in place, the sink sees it, and the block is refilled. The
+// sink must therefore not retain the record pointer past the call.
+// Calls on one CDN must not overlap: they share its client state and
+// blocks.
+func (c *CDN) ReplayStream(r trace.Reader, sink func(*trace.Record) error) error {
+	c.clients.reset()
+	lanes := make([]func(*replayBlock) error, 0, timeutil.NumRegions)
+	for _, dc := range c.dcByRegion[1:] {
+		lane := uint8(dc.Region)
+		lanes = append(lanes, func(b *replayBlock) error {
+			for i, d := range b.dc[:b.n] {
+				if d == lane {
+					c.finish(&b.recs[i], &b.recs[i], int(b.verdict[i]))
+				}
+			}
+			return nil
+		})
 	}
-	if err != nil {
-		return nil, err
-	}
-	c.ResetStats()
-	c.ResetClientState()
-	if err := replayPass(c, replay, src, "measured", sink); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return pump(r, &c.blocks, c.admitBlock, lanes, sink)
 }
 
-// replayPass opens src and streams it once through c with the given
-// replay entrypoint (ReplayStream or Replay). Sink errors come back
-// unwrapped.
-func replayPass(c *CDN, replay func(*CDN, trace.Reader, func(*trace.Record) error) error,
-	src trace.Source, pass string, sink func(*trace.Record) error) error {
+// admitBlock is ReplayStream's tag step: it names each record's data
+// center and stores admit's verdict beside it.
+func (c *CDN) admitBlock(b *replayBlock) {
+	for i := range b.recs[:b.n] {
+		r := &b.recs[i]
+		b.dc[i] = uint8(c.dcForRegion(r.Region).Region)
+		b.verdict[i] = uint16(c.admit(r))
+	}
+}
+
+// ReplaySource runs the steady-state measurement protocol on c over a
+// reopenable trace source, streaming both passes through ReplayStream:
+// a warm-up pass fills the edge caches and is discarded, then the
+// counters reset, and the measured pass, starting again from empty
+// client state, streams finalized records to sink in input order. src
+// is opened twice. The sink must not retain the record pointer past the
+// call.
+func ReplaySource(c *CDN, src trace.Source, sink func(*trace.Record) error) error {
+	if err := c.replayPass(src, "warm-up", func(*trace.Record) error { return nil }); err != nil {
+		return err
+	}
+	c.ResetStats()
+	return c.replayPass(src, "measured", sink)
+}
+
+// replayPass opens src and streams it once through c's ReplayStream.
+// Sink errors come back unwrapped.
+func (c *CDN) replayPass(src trace.Source, pass string, sink func(*trace.Record) error) error {
 	r, err := src.Open()
 	if err != nil {
 		return fmt.Errorf("cdn: open %s pass: %w", pass, err)
 	}
 	defer trace.CloseReader(r)
-	return replay(c, r, sink)
+	return c.ReplayStream(r, sink)
 }

@@ -51,48 +51,119 @@ func regionStableTraceOf(n int, seed int64, users, objects uint64) []*trace.Reco
 	return recs
 }
 
+// regionHoppingTrace is regionStableTraceOf over 200 users and 200
+// objects with a third of the records moved to a random region, and
+// every fifth non-video record an "other" object (an HTML page, which
+// P204 may turn into a beacon).
+func regionHoppingTrace(n int, seed int64) []*trace.Record {
+	recs := regionStableTraceOf(n, seed, 200, 200)
+	rng := rand.New(rand.NewSource(seed + 1))
+	regions := timeutil.AllRegions()
+	for _, r := range recs {
+		if rng.Intn(3) == 0 {
+			r.Region = regions[rng.Intn(len(regions))]
+		}
+		if r.FileType == trace.FileJPG && rng.Intn(5) == 0 {
+			r.FileType = trace.FileHTML
+		}
+	}
+	return recs
+}
+
+// movedUserTrace is a short region-stable trace whose last record is its
+// first user's again, from another region.
+func movedUserTrace(n int, seed int64) []*trace.Record {
+	recs := regionStableTrace(n, seed)
+	moved := *recs[0]
+	moved.Region = timeutil.RegionAsia
+	if recs[0].Region == timeutil.RegionAsia {
+		moved.Region = timeutil.RegionEurope
+	}
+	moved.Timestamp = recs[len(recs)-1].Timestamp.Add(time.Minute)
+	return append(recs, &moved)
+}
+
+// hoppingConfig mixes incognito and revalidating users and turns every
+// rejection on, so the client half of serving (request sequence, dice,
+// browser cache) decides many responses.
+func hoppingConfig() Config {
+	return Config{
+		NewCache:    func() Cache { return NewLRU(64 << 20) },
+		IsIncognito: func(_ string, u uint64) bool { return u%2 == 0 },
+		P403:        0.01,
+		P416:        0.02,
+		P204:        0.05,
+	}
+}
+
+// requireClientVerdicts fails unless recs hold both 304s and rejections:
+// a trace that exercises the client half of serving.
+func requireClientVerdicts(t *testing.T, recs []*trace.Record) {
+	t.Helper()
+	codes := map[int]int{}
+	for _, r := range recs {
+		codes[r.StatusCode]++
+	}
+	if codes[StatusNotModified] == 0 || codes[StatusForbidden]+codes[StatusRangeError]+codes[StatusNoContent] == 0 {
+		t.Fatalf("status codes %v: want both 304s and rejections", codes)
+	}
+}
+
 // TestReplayStreamMatchesSequential checks that the streaming parallel
 // replay delivers the same records in the same order, and the same
-// aggregate stats, as a sequential Replay of the same trace.
+// aggregate and per-DC stats, as a sequential Replay of the same trace:
+// with each user in one region, with users that hop between regions,
+// and with one user seen in a second region at the very end.
 func TestReplayStreamMatchesSequential(t *testing.T) {
-	recs := regionStableTrace(8000, 3)
-	mk := func() *CDN {
-		return New(Config{
-			NewCache:    func() Cache { return NewLRU(64 << 20) },
-			IsIncognito: func(_ string, u uint64) bool { return u%2 == 0 },
-			P403:        0.01,
-			P416:        0.005,
+	stable := Config{
+		NewCache:    func() Cache { return NewLRU(64 << 20) },
+		IsIncognito: func(_ string, u uint64) bool { return u%2 == 0 },
+		P403:        0.01,
+		P416:        0.005,
+	}
+	for _, tc := range []struct {
+		name string
+		recs []*trace.Record
+		cfg  Config
+	}{
+		{"stable", regionStableTrace(8000, 3), stable},
+		{"hopping", regionHoppingTrace(8000, 3), hoppingConfig()},
+		{"moved", movedUserTrace(10, 4), Config{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seqCDN := New(tc.cfg)
+			var seq []*trace.Record
+			if err := seqCDN.Replay(trace.NewSliceReader(tc.recs), collect(&seq)); err != nil {
+				t.Fatal(err)
+			}
+			if tc.name == "hopping" {
+				requireClientVerdicts(t, seq)
+			}
+
+			strCDN := New(tc.cfg)
+			var got []*trace.Record
+			if err := strCDN.ReplayStream(trace.NewSliceReader(tc.recs), collect(&got)); err != nil {
+				t.Fatal(err)
+			}
+
+			if len(seq) != len(got) {
+				t.Fatalf("lengths: %d vs %d", len(seq), len(got))
+			}
+			if seqCDN.TotalStats() != strCDN.TotalStats() {
+				t.Errorf("stats differ:\nseq %+v\nstr %+v", seqCDN.TotalStats(), strCDN.TotalStats())
+			}
+			for _, region := range timeutil.AllRegions() {
+				if seqCDN.DC(region).StatsSnapshot() != strCDN.DC(region).StatsSnapshot() {
+					t.Errorf("region %v stats differ", region)
+				}
+			}
+			// The sink must see records in input order — no sort applied here.
+			for i := range seq {
+				if !reflect.DeepEqual(seq[i], got[i]) {
+					t.Fatalf("record %d differs:\nseq %+v\nstr %+v", i, seq[i], got[i])
+				}
+			}
 		})
-	}
-
-	seqCDN := mk()
-	var seq []*trace.Record
-	if err := seqCDN.Replay(trace.NewSliceReader(recs), collect(&seq)); err != nil {
-		t.Fatal(err)
-	}
-
-	strCDN := mk()
-	var got []*trace.Record
-	if err := strCDN.ReplayStream(trace.NewSliceReader(recs), collect(&got)); err != nil {
-		t.Fatal(err)
-	}
-
-	if len(seq) != len(got) {
-		t.Fatalf("lengths: %d vs %d", len(seq), len(got))
-	}
-	if seqCDN.TotalStats() != strCDN.TotalStats() {
-		t.Errorf("stats differ:\nseq %+v\nstr %+v", seqCDN.TotalStats(), strCDN.TotalStats())
-	}
-	for _, region := range timeutil.AllRegions() {
-		if seqCDN.DC(region).StatsSnapshot() != strCDN.DC(region).StatsSnapshot() {
-			t.Errorf("region %v stats differ", region)
-		}
-	}
-	// The sink must see records in input order — no sort applied here.
-	for i := range seq {
-		if !reflect.DeepEqual(seq[i], got[i]) {
-			t.Fatalf("record %d differs:\nseq %+v\nstr %+v", i, seq[i], got[i])
-		}
 	}
 }
 
@@ -148,28 +219,6 @@ func TestReplayStreamRepeatStartsFromEmptyClientState(t *testing.T) {
 	}
 }
 
-// TestReplayStreamRejectsRegionUnstableUsers verifies the mid-stream
-// stability check fires and the error unwraps to ErrRegionUnstable.
-func TestReplayStreamRejectsRegionUnstableUsers(t *testing.T) {
-	recs := regionStableTrace(10, 4)
-	bad := *recs[0]
-	bad.Region = timeutil.RegionAsia
-	if recs[0].Region == timeutil.RegionAsia {
-		bad.Region = timeutil.RegionEurope
-	}
-	bad.Timestamp = recs[len(recs)-1].Timestamp.Add(time.Minute)
-	recs = append(recs, &bad)
-
-	c := New(Config{})
-	err := c.ReplayStream(trace.NewSliceReader(recs), func(*trace.Record) error { return nil })
-	if err == nil {
-		t.Fatal("region-unstable trace should be rejected")
-	}
-	if !errors.Is(err, ErrRegionUnstable) {
-		t.Errorf("error %v does not wrap ErrRegionUnstable", err)
-	}
-}
-
 func TestReplayStreamEmptyTrace(t *testing.T) {
 	c := New(Config{})
 	n := 0
@@ -212,105 +261,170 @@ func TestReplayStreamSinkError(t *testing.T) {
 	}
 }
 
+// cutReader delivers the first n records of its inner reader, then
+// fails.
+type cutReader struct {
+	inner trace.Reader
+	n     int
+}
+
+var errCut = errors.New("reader cut")
+
+func (c *cutReader) Read(rec *trace.Record) error {
+	if c.n == 0 {
+		return errCut
+	}
+	c.n--
+	return c.inner.Read(rec)
+}
+
 // TestReplayStreamFlushesBeforeReadError: a reader that fails mid-block
 // still gets every record it delivered served and sunk, in order.
 func TestReplayStreamFlushesBeforeReadError(t *testing.T) {
 	recs := regionStableTrace(3000, 8)
-	bad := *recs[0]
-	bad.Region = timeutil.RegionAsia
-	if recs[0].Region == timeutil.RegionAsia {
-		bad.Region = timeutil.RegionEurope
-	}
 	const cut = 2*replayBlockSize + 300
-	unstable := append(append([]*trace.Record{}, recs[:cut]...), &bad)
 	n := 0
-	err := New(Config{}).ReplayStream(trace.NewSliceReader(unstable), func(r *trace.Record) error {
+	err := New(Config{}).ReplayStream(&cutReader{inner: trace.NewSliceReader(recs), n: cut}, func(r *trace.Record) error {
 		if r.ObjectID != recs[n].ObjectID || r.StatusCode == 0 {
 			t.Errorf("record %d out of order or not served: %+v", n, r)
 		}
 		n++
 		return nil
 	})
-	if !errors.Is(err, ErrRegionUnstable) {
-		t.Fatalf("err = %v, want ErrRegionUnstable", err)
+	if !errors.Is(err, errCut) {
+		t.Fatalf("err = %v, want %v", err, errCut)
 	}
 	if n != cut {
-		t.Errorf("sink saw %d records before the unstable one, want %d", n, cut)
+		t.Errorf("sink saw %d records before the read error, want %d", n, cut)
 	}
 }
 
 // TestReplaySourceMatchesWarmedReplay checks the streaming two-pass
-// protocol produces the same measured stats and records as the
-// sequential reference: warm with Replay, reset, measure with Replay.
+// protocol, over two reads of its source on the one CDN it is given,
+// produces the same measured stats and records as the sequential
+// reference (warm with Replay, reset, measure with Replay): on a
+// region-stable trace, on one whose users hop between regions, and on
+// one with a user seen in a second region at the very end.
 func TestReplaySourceMatchesWarmedReplay(t *testing.T) {
-	recs := regionStableTrace(6000, 6)
-	mk := func() *CDN {
-		return New(Config{
-			NewCache: func() Cache { return NewLRU(32 << 20) },
-			P403:     0.01,
+	stable := Config{
+		NewCache: func() Cache { return NewLRU(32 << 20) },
+		P403:     0.01,
+	}
+	for _, tc := range []struct {
+		name string
+		recs []*trace.Record
+		cfg  Config
+	}{
+		{"stable", regionStableTrace(6000, 6), stable},
+		{"hopping", regionHoppingTrace(6000, 6), hoppingConfig()},
+		{"moved", movedUserTrace(50, 7), Config{NewCache: func() Cache { return NewLRU(1 << 20) }}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			refCDN := New(tc.cfg)
+			if err := refCDN.Replay(trace.NewSliceReader(tc.recs), func(*trace.Record) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			refCDN.ResetStats()
+			refCDN.ResetClientState()
+			var ref []*trace.Record
+			if err := refCDN.Replay(trace.NewSliceReader(tc.recs), collect(&ref)); err != nil {
+				t.Fatal(err)
+			}
+			if tc.name == "hopping" {
+				requireClientVerdicts(t, ref)
+			}
+
+			var got []*trace.Record
+			src := &countingSource{Source: trace.SliceSource(tc.recs)}
+			srcCDN := New(tc.cfg)
+			if err := ReplaySource(srcCDN, src, collect(&got)); err != nil {
+				t.Fatal(err)
+			}
+			if src.opens != 2 {
+				t.Errorf("source opened %d times, want 2 (warm-up + measured)", src.opens)
+			}
+			if refCDN.TotalStats() != srcCDN.TotalStats() {
+				t.Errorf("stats differ:\nref %+v\nsrc %+v", refCDN.TotalStats(), srcCDN.TotalStats())
+			}
+			for _, region := range timeutil.AllRegions() {
+				if refCDN.DC(region).StatsSnapshot() != srcCDN.DC(region).StatsSnapshot() {
+					t.Errorf("region %v stats differ", region)
+				}
+			}
+			if len(ref) != len(got) {
+				t.Fatalf("lengths: %d vs %d", len(ref), len(got))
+			}
+			for i := range ref {
+				if !reflect.DeepEqual(ref[i], got[i]) {
+					t.Fatalf("record %d differs:\nref %+v\nsrc %+v", i, ref[i], got[i])
+				}
+			}
 		})
-	}
-
-	refCDN := mk()
-	if err := refCDN.Replay(trace.NewSliceReader(recs), func(*trace.Record) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	refCDN.ResetStats()
-	refCDN.ResetClientState()
-	var ref []*trace.Record
-	if err := refCDN.Replay(trace.NewSliceReader(recs), collect(&ref)); err != nil {
-		t.Fatal(err)
-	}
-
-	var got []*trace.Record
-	srcCDN, err := ReplaySource(mk, trace.SliceSource(recs), collect(&got))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if refCDN.TotalStats() != srcCDN.TotalStats() {
-		t.Errorf("stats differ:\nref %+v\nsrc %+v", refCDN.TotalStats(), srcCDN.TotalStats())
-	}
-	if len(ref) != len(got) {
-		t.Fatalf("lengths: %d vs %d", len(ref), len(got))
-	}
-	for i := range ref {
-		if !reflect.DeepEqual(ref[i], got[i]) {
-			t.Fatalf("record %d differs:\nref %+v\nsrc %+v", i, ref[i], got[i])
-		}
 	}
 }
 
-// TestReplaySourceRegionUnstableFallback verifies the sequential
-// fallback: a region-unstable trace still replays (on a rebuilt CDN)
-// and yields every record.
-func TestReplaySourceRegionUnstableFallback(t *testing.T) {
-	recs := regionStableTrace(50, 7)
-	bad := *recs[0]
-	bad.Region = timeutil.RegionAsia
-	if recs[0].Region == timeutil.RegionAsia {
-		bad.Region = timeutil.RegionEurope
-	}
-	bad.Timestamp = recs[len(recs)-1].Timestamp.Add(time.Minute)
-	recs = append(recs, &bad)
+// FuzzReplayStream: on whatever trace the fuzzer's bytes spell,
+// ReplayStream delivers what a sequential Replay delivers, record for
+// record, and ends with the same stats in every DC. Each four bytes are
+// one request: its user (one of 16), its region (one of the four, or an
+// unknown one, served by the first DC), its object and category (image,
+// video or other) and its size. The requests repeat in that order until
+// the trace spans several blocks, one every seven minutes, so browser
+// copies are both fresh and expired when asked for again; chunked turns
+// video chunking on.
+func FuzzReplayStream(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 10, 0, 2, 1, 20, 1, 3, 2, 30, 1, 4, 5, 40}, true)
+	f.Add([]byte{3, 0, 7, 255, 3, 3, 7, 1, 9, 2, 4, 128}, false)
+	f.Fuzz(func(t *testing.T, data []byte, chunked bool) {
+		requests := len(data) / 4
+		if requests == 0 {
+			return
+		}
+		categories := [...]trace.FileType{trace.FileJPG, trace.FileMP4, trace.FileHTML}
+		recs := make([]*trace.Record, 3*replayBlockSize+17)
+		for i := range recs {
+			b := data[4*(i%requests):]
+			size := int64(b[3])<<16 + 1
+			recs[i] = &trace.Record{
+				Timestamp:   t0.Add(time.Duration(i) * 7 * time.Minute),
+				Publisher:   "V-1",
+				ObjectID:    uint64(b[2] / 3),
+				FileType:    categories[b[2]%3],
+				ObjectSize:  size,
+				BytesServed: size,
+				UserID:      uint64(b[0] % 16),
+				UserAgent:   "UA",
+				Region:      timeutil.Region(b[1] % (timeutil.NumRegions + 1)),
+				StatusCode:  200,
+			}
+		}
+		cfg := hoppingConfig()
+		cfg.NewCache = func() Cache { return NewLRU(32 << 20) }
+		cfg.ChunkBytes = -1
+		if chunked {
+			cfg.ChunkBytes = 1 << 20
+		}
 
-	builds := 0
-	mk := func() *CDN {
-		builds++
-		return New(Config{NewCache: func() Cache { return NewLRU(1 << 20) }})
-	}
-	n := 0
-	c, err := ReplaySource(mk, trace.SliceSource(recs), func(*trace.Record) error { n++; return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(recs) {
-		t.Errorf("measured pass saw %d records, want %d", n, len(recs))
-	}
-	if builds != 2 {
-		t.Errorf("build called %d times, want 2 (parallel attempt + sequential fallback)", builds)
-	}
-	if c.TotalStats().Requests != int64(len(recs)) {
-		t.Errorf("measured stats count %d requests, want %d", c.TotalStats().Requests, len(recs))
-	}
+		seqCDN, strCDN := New(cfg), New(cfg)
+		var seq, got []*trace.Record
+		if err := seqCDN.Replay(trace.NewSliceReader(recs), collect(&seq)); err != nil {
+			t.Fatal(err)
+		}
+		if err := strCDN.ReplayStream(trace.NewSliceReader(recs), collect(&got)); err != nil {
+			t.Fatal(err)
+		}
+		if len(seq) != len(got) {
+			t.Fatalf("lengths: %d vs %d", len(seq), len(got))
+		}
+		for i := range seq {
+			if *seq[i] != *got[i] {
+				t.Fatalf("record %d differs:\nseq %+v\nstr %+v", i, seq[i], got[i])
+			}
+		}
+		for _, region := range timeutil.AllRegions() {
+			if want, got := seqCDN.DC(region).StatsSnapshot(), strCDN.DC(region).StatsSnapshot(); want != got {
+				t.Fatalf("region %v stats: seq %+v, str %+v", region, want, got)
+			}
+		}
+	})
 }

@@ -55,8 +55,7 @@ func TestPassBudget(t *testing.T) {
 		t.Errorf("ImplicationsTableSource opened its source %d times for all its cells, want 2", src.opens)
 	}
 
-	// A user seen in two regions aborts the per-region parallel warm-up,
-	// which is then redone sequentially: one extra pass, no more.
+	// A user seen in two regions costs no extra pass.
 	recs, err := study.Generator().Generate()
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +70,7 @@ func TestPassBudget(t *testing.T) {
 	if _, err := study.RunSource(unstable); err != nil {
 		t.Fatal(err)
 	}
-	if unstable.opens != 3 {
-		t.Errorf("RunSource opened a region-unstable source %d times, want 3", unstable.opens)
+	if unstable.opens != 2 {
+		t.Errorf("RunSource opened a region-unstable source %d times, want 2", unstable.opens)
 	}
 }

@@ -36,10 +36,11 @@ type Config struct {
 	// based estimators (see analysis.Params.MemoryBudget for the error
 	// model). Use this to run full-scale studies in bounded memory.
 	MemoryBudget int
-	// Workers parallelizes the analysis pass and the Fig. 8-10
-	// clustering's distance matrix; < 1 means GOMAXPROCS. The analysis
-	// pass folds each site on one worker, so it keeps at most
-	// min(Workers, sites) workers busy — five for the synthetic week.
+	// Workers sizes the generator's shard workers (Study.Source), the
+	// analysis pass and the Fig. 8-10 clustering's distance matrix; < 1
+	// means GOMAXPROCS. The analysis pass folds each site on one worker,
+	// so it keeps at most min(Workers, sites) workers busy — five for the
+	// synthetic week.
 	Workers int
 	// Figures restricts which analyses run: only analyzers covering at
 	// least one of the listed paper figures are constructed and folded,
@@ -238,12 +239,10 @@ func (s *Study) Run() (*Results, error) {
 // (modelling the steady-state CDN the paper observed — its week of logs
 // did not start from cold caches), the second pass is measured, with
 // finalized records streaming straight into the analysis pipeline.
-// Replay is per-region parallel when the trace has region-stable users
-// (always true for synthetic traces) and sequential otherwise.
 func (s *Study) RunSource(src trace.Source) (*Results, error) {
 	sink := pipeline.NewSink(s.newFold, pipeline.Options{Workers: s.cfg.Workers, Metrics: s.cfg.Metrics})
-	network, err := cdn.ReplaySource(s.NewCDN, src, sink.Feed)
-	if err != nil {
+	network := s.NewCDN()
+	if err := cdn.ReplaySource(network, src, sink.Feed); err != nil {
 		sink.Abort()
 		return nil, fmt.Errorf("core: replay: %w", err)
 	}
