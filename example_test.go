@@ -74,10 +74,12 @@ func ExampleDTWDistance() {
 func ExampleNewLRU() {
 	cache := trafficscope.NewLRU(100)
 	now := time.Now()
-	fmt.Println(cache.Access(1, 60, now)) // cold: miss
-	fmt.Println(cache.Access(1, 60, now)) // resident: hit
-	cache.Access(2, 60, now)              // evicts object 1 (capacity 100)
-	fmt.Println(cache.Contains(1))
+	a := trafficscope.CacheKey{ID: 0xa11ce, Slot: 1}
+	b := trafficscope.CacheKey{ID: 0xb0b, Slot: 2}
+	fmt.Println(cache.Access(a, 60, now)) // cold: miss
+	fmt.Println(cache.Access(a, 60, now)) // resident: hit
+	cache.Access(b, 60, now)              // evicts a (capacity 100)
+	fmt.Println(cache.Contains(a))
 	// Output:
 	// false
 	// true

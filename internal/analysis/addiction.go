@@ -31,7 +31,7 @@ type addictionCat struct {
 	// sample, and the user slots those of a table of its own holding
 	// only the users of sampled objects.
 	keys  boundedKeys
-	users slotTable
+	users idTable
 }
 
 func pairKey(obj, user uint32) uint64 { return uint64(obj)<<32 | uint64(user) }
@@ -91,7 +91,7 @@ func (c *addictionCat) absorbSampled(o *addictionCat, objs []uint32) {
 // forgets users left without a pair, after the sample shrank.
 func (c *addictionCat) compact(evict []uint32) {
 	old := addictionCat{pairs: c.pairs, users: c.users}
-	c.pairs, c.users = nil, slotTable{}
+	c.pairs, c.users = nil, idTable{}
 	c.absorbSampled(&old, evict)
 }
 
@@ -110,7 +110,7 @@ func (a *Addiction) population(site string, cat trace.Category) (c *addictionCat
 	if st == nil || !ok {
 		return nil, nil
 	}
-	return &st[ci], a.objectIDs(si, &st[ci].keys.slotTable)
+	return &st[ci], a.objectIDs(si, st[ci].keys.keys)
 }
 
 // Scatter returns (requests, users) per object for the site and category.

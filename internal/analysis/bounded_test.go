@@ -327,7 +327,7 @@ func pairCounts(a *Addiction, site string, cat trace.Category) map[idPair]int64 
 		return nil
 	}
 	si, _ := a.find(site)
-	users := a.userIDs(si, &c.users)
+	users := a.userIDs(si, c.users.keys)
 	out := map[idPair]int64{}
 	for k, n := range c.pairs {
 		out[idPair{objs[k>>32], users[uint32(k)]}] = n
@@ -371,7 +371,7 @@ func seriesTotals(s *ObjectSeries, site string, cat trace.Category) map[uint64]f
 	if st == nil {
 		return nil
 	}
-	ids := s.objectIDs(si, &st.objs)
+	ids := s.objectIDs(si, st.objs.keys)
 	c, _ := catIndex(cat)
 	out := map[uint64]float64{}
 	for i := int(c); i < len(st.rowOf); i += numCats {

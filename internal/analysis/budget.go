@@ -17,7 +17,7 @@ import "trafficscope/internal/sketch"
 // relative standard error ~ 1/sqrt(cap). The zero value is an empty
 // sample admitting every key.
 type boundedKeys struct {
-	slotTable
+	idTable
 	samp sketch.KeySampler
 }
 
@@ -56,7 +56,7 @@ func (b *boundedKeys) prune(cap int) []uint32 {
 	if len(kept) == len(old) {
 		return nil
 	}
-	b.slotTable = slotTable{idx: make(map[uint64]uint32, len(kept)), keys: kept}
+	b.idTable = idTable{idx: make(map[uint64]uint32, len(kept)), keys: kept}
 	for s, k := range kept {
 		b.idx[k] = uint32(s)
 	}

@@ -195,7 +195,7 @@ func (c *Caching) HitRatioByPopularityDecile(site string) []float64 {
 	if st == nil {
 		return nil
 	}
-	ids := c.objectIDs(si, &st.keys.slotTable)
+	ids := c.objectIDs(si, st.keys.keys)
 	type obj struct {
 		id      uint64
 		lookups int64

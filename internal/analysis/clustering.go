@@ -57,7 +57,7 @@ type seriesSite struct {
 	// Bounded mode: objs slots the admitted objects (exact mode uses
 	// the keyspace's slots) and gates holds the per-category Count-Min
 	// admission sketches, nil for a category without requests.
-	objs  slotTable
+	objs  idTable
 	gates [numCats]*sketch.CountMin
 }
 
@@ -132,7 +132,7 @@ func (s *ObjectSeries) SeriesSet(site string, cat trace.Category, minRequests fl
 	if st == nil || !ok {
 		return nil, nil
 	}
-	objIDs := s.objectIDs(si, &st.objs)
+	objIDs := s.objectIDs(si, st.objs.keys)
 	type cand struct {
 		id    uint64
 		total float64

@@ -14,12 +14,15 @@ import (
 // Every analysis aggregates per site and per object or user, so folding
 // one record used to hash the same publisher, object ID and user ID once
 // per analyzer. A keyspace resolves them once: the site to an index into
-// a short slice, the object and the user to dense per-site slots. The
-// analyzers keep their state in slices indexed by site and slot. A
-// merge adopts whole sites: the pipeline folds each publisher on one
-// worker, so the source's sites are new to the destination, and their
-// key tables and every analyzer's state for them move across as they
-// are.
+// a short slice, the object and the user to dense per-site slots, looked
+// up by the record's dense keys (trace.Record.ObjectKey, UserKey) in a
+// slice, not by its hashed IDs in a map. A site whose records come
+// unnumbered (a decoded trace folded without a replay, hand-built
+// records handed to an analyzer) is numbered by a table of its own. The
+// analyzers keep their state in slices indexed by site and slot. A merge
+// adopts whole sites: the pipeline folds each publisher on one worker,
+// so the source's sites are new to the destination, and their key
+// tables and every analyzer's state for them move across as they are.
 
 // noSlot marks a key with no slot: a population the keyspace does not
 // resolve, or a key an eviction drops.
@@ -56,31 +59,52 @@ func catIndex(c trace.Category) (idx uint8, ok bool) {
 // category is the inverse of catIndex.
 func category(idx uint8) trace.Category { return trace.CategoryVideo + trace.Category(idx) }
 
-// slotTable assigns dense slots to keys in first-seen order. The zero
-// value is an empty table.
+// slotTable assigns dense slots to the keys of one population in
+// first-seen order. The zero value is an empty table.
 type slotTable struct {
-	idx  map[uint64]uint32
-	keys []uint64 // slot → key
+	idx  []uint32 // dense key → 1 + slot; 0 for a key not seen
+	keys []uint64 // slot → hashed ID
 }
 
-// slot returns the key's slot, assigning the next one to a new key.
-func (t *slotTable) slot(key uint64) uint32 {
-	if s, ok := t.idx[key]; ok {
+// slot returns the slot of the record key key, whose hashed ID is id,
+// assigning the next one to a new key.
+func (t *slotTable) slot(key uint32, id uint64) uint32 {
+	s := at(&t.idx, key)
+	if *s == 0 {
+		t.keys = append(t.keys, id)
+		*s = uint32(len(t.keys))
+	}
+	return *s - 1
+}
+
+// idTable is a slotTable keyed by hashed ID, for the bounded mode's
+// samples: its map holds only the sampled keys, where a slice over dense
+// keys would grow with the population the budget bounds.
+type idTable struct {
+	idx  map[uint64]uint32
+	keys []uint64 // slot → hashed ID
+}
+
+// slot returns the ID's slot, assigning the next one to a new ID.
+func (t *idTable) slot(id uint64) uint32 {
+	if s, ok := t.idx[id]; ok {
 		return s
 	}
 	if t.idx == nil {
 		t.idx = map[uint64]uint32{}
 	}
 	s := uint32(len(t.keys))
-	t.idx[key] = s
-	t.keys = append(t.keys, key)
+	t.idx[id] = s
+	t.keys = append(t.keys, id)
 	return s
 }
 
-// siteKeys holds one publisher's key populations.
+// siteKeys holds one publisher's key populations, and the numbering of
+// its records that come unnumbered.
 type siteKeys struct {
 	name        string
 	objs, users slotTable
+	numbering   trace.KeyTable
 }
 
 // keyspace resolves records for one fold worker, or for one stand-alone
@@ -139,12 +163,15 @@ func (ks *keyspace) resolve(r *trace.Record, k *recKey) {
 		k.localHour = uint8(timeutil.LocalHourOfDay(r.Timestamp, r.Region))
 	}
 	k.obj, k.user = noSlot, noSlot
-	st := &ks.sites[k.site]
-	if ks.want&needObjects != 0 {
-		k.obj = st.objs.slot(r.ObjectID)
-	}
-	if ks.want&needUsers != 0 {
-		k.user = st.users.slot(r.UserID)
+	if ks.want&(needObjects|needUsers) != 0 {
+		st := &ks.sites[k.site]
+		obj, user := st.numbering.Keys(r)
+		if ks.want&needObjects != 0 {
+			k.obj = st.objs.slot(obj, r.ObjectID)
+		}
+		if ks.want&needUsers != 0 {
+			k.user = st.users.slot(user, r.UserID)
+		}
 	}
 	k.objHash, k.userHash = sketch.Hash64(r.ObjectID), sketch.Hash64(r.UserID)
 }
@@ -250,18 +277,18 @@ func (p *perSite[T]) find(name string) (si int, st *T) {
 }
 
 // objectIDs returns the slot → ID list behind the object slots of site
-// si's state: the keyspace's, or in bounded mode the analyzer's own.
-func (b *base) objectIDs(si int, own *slotTable) []uint64 {
+// si's state: the keyspace's, or in bounded mode own, the analyzer's.
+func (b *base) objectIDs(si int, own []uint64) []uint64 {
 	if b.needs&needObjects == 0 {
-		return own.keys
+		return own
 	}
 	return b.ks.sites[si].objs.keys
 }
 
 // userIDs is objectIDs for user slots.
-func (b *base) userIDs(si int, own *slotTable) []uint64 {
+func (b *base) userIDs(si int, own []uint64) []uint64 {
 	if b.needs&needUsers == 0 {
-		return own.keys
+		return own
 	}
 	return b.ks.sites[si].users.keys
 }

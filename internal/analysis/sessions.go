@@ -209,7 +209,7 @@ func (s *Sessions) SessionsOf(site string) []Session {
 	var ids []uint64
 	s.eachSession(site, func(si int, user uint32, start, last int64, requests int) {
 		if ids == nil {
-			ids = s.userIDs(si, &s.sites[si].keys.slotTable)
+			ids = s.userIDs(si, s.sites[si].keys.keys)
 		}
 		out = append(out, Session{User: ids[user], Start: time.Unix(0, start).UTC(), Length: time.Duration(last - start), Requests: requests})
 	})

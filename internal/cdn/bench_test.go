@@ -19,7 +19,7 @@ func BenchmarkLRUChurn(b *testing.B) {
 	op := func() {
 		for p := 0; p < passes; p++ {
 			for key := uint64(0); key < 2*resident; key++ {
-				c.Access(key, 10, t0)
+				c.Access(entry(key), 10, t0)
 			}
 		}
 	}

@@ -19,19 +19,41 @@ type Cache interface {
 	// Access looks up the object, admitting it on a miss (subject to the
 	// policy) and evicting as needed. It reports whether the access was
 	// a hit. now supports time-based policies.
-	Access(key uint64, size int64, now time.Time) bool
+	Access(key Key, size int64, now time.Time) bool
 	// Contains reports whether the object is currently cached, without
 	// side effects.
-	Contains(key uint64) bool
+	Contains(key Key) bool
 	// Push inserts the object without counting an access (used for
 	// proactive content placement).
-	Push(key uint64, size int64, now time.Time)
+	Push(key Key, size int64, now time.Time)
+}
+
+// Key names one cache entry, an object or a video chunk. Slot, its dense
+// position in the CDN's slot space (see slotSpace), is what a cache
+// indexes its state by: two keys with one Slot are one entry. ID is the
+// entry's hashed identity, the object ID or chunkKey's hash of it, which
+// a consistent-hash ring places (ShardedCache).
+type Key struct {
+	ID   uint64
+	Slot uint32
+}
+
+// at returns &(*s)[i], growing *s with zero values to reach it: to at
+// least twice its length, so that growing a slot index to n entries
+// allocates O(log n) times.
+func at[T any](s *[]T, i uint32) *T {
+	if int(i) >= len(*s) {
+		grown := make([]T, max(int(i)+1, 2*len(*s), 256))
+		copy(grown, *s)
+		*s = grown
+	}
+	return &(*s)[i]
 }
 
 // node is one resident object of a queue, linked by slice index.
 type node struct {
-	key        uint64
 	size       int64
+	slot       uint32
 	prev, next int32
 }
 
@@ -41,60 +63,70 @@ type node struct {
 // in one slice and link by index — nodes[0] is the sentinel, whose next
 // is the newest entry and whose prev is the eviction victim — and evicted
 // nodes are recycled through a free list threaded along next, so a full
-// cache inserts and evicts without allocating.
+// cache inserts and evicts without allocating. index maps a slot to the
+// node holding it, 0 for a slot not resident.
 type queue struct {
 	capacity int64
 	bytes    int64
 	nodes    []node
 	free     int32 // head of the recycled-node list; 0 when empty
-	index    map[uint64]int32
+	index    []int32
+	resident int
 }
 
 func newQueue(capacity int64) queue {
-	return queue{capacity: capacity, nodes: make([]node, 1), index: map[uint64]int32{}}
+	return queue{capacity: capacity, nodes: make([]node, 1)}
+}
+
+// find returns the node holding slot, 0 when it is not resident.
+func (q *queue) find(slot uint32) int32 {
+	if int(slot) < len(q.index) {
+		return q.index[slot]
+	}
+	return 0
 }
 
 // Contains implements Cache.
-func (q *queue) Contains(key uint64) bool { _, ok := q.index[key]; return ok }
+func (q *queue) Contains(key Key) bool { return q.find(key.Slot) != 0 }
 
 // Push implements Cache.
-func (q *queue) Push(key uint64, size int64, _ time.Time) {
+func (q *queue) Push(key Key, size int64, _ time.Time) {
 	if !q.Contains(key) {
-		q.insert(key, size, nil)
+		q.insert(key.Slot, size, nil)
 	}
 }
 
-// Purge removes key if resident and reports whether it was: SLRU's
+// Purge removes slot if resident and reports whether it was: SLRU's
 // promotion and 2Q's ghost hits move a key out of one queue this way.
-func (q *queue) Purge(key uint64) bool {
-	i, ok := q.index[key]
-	if ok {
+func (q *queue) Purge(slot uint32) bool {
+	i := q.find(slot)
+	if i != 0 {
 		q.drop(i)
 	}
-	return ok
+	return i != 0
 }
 
-// touch moves key to the front if resident and reports whether it was.
-func (q *queue) touch(key uint64) bool {
-	i, ok := q.index[key]
-	if ok && q.nodes[0].next != i {
+// touch moves slot to the front if resident and reports whether it was.
+func (q *queue) touch(slot uint32) bool {
+	i := q.find(slot)
+	if i != 0 && q.nodes[0].next != i {
 		q.unlink(i)
 		q.linkFront(i)
 	}
-	return ok
+	return i != 0
 }
 
-// insert admits key at the front, evicting from the back until it fits;
+// insert admits slot at the front, evicting from the back until it fits;
 // objects larger than the whole queue are not admitted. evicted, when
-// non-nil, sees each victim's key.
-func (q *queue) insert(key uint64, size int64, evicted func(key uint64)) {
+// non-nil, sees each victim's slot.
+func (q *queue) insert(slot uint32, size int64, evicted func(slot uint32)) {
 	if size > q.capacity {
 		return
 	}
-	for q.bytes+size > q.capacity && len(q.index) > 0 {
+	for q.bytes+size > q.capacity && q.resident > 0 {
 		victim := q.nodes[0].prev
 		if evicted != nil {
-			evicted(q.nodes[victim].key)
+			evicted(q.nodes[victim].slot)
 		}
 		q.drop(victim)
 	}
@@ -105,17 +137,19 @@ func (q *queue) insert(key uint64, size int64, evicted func(key uint64)) {
 		q.nodes = append(q.nodes, node{})
 		i = int32(len(q.nodes) - 1)
 	}
-	q.nodes[i].key, q.nodes[i].size = key, size
+	q.nodes[i].slot, q.nodes[i].size = slot, size
 	q.linkFront(i)
-	q.index[key] = i
+	*at(&q.index, slot) = i
 	q.bytes += size
+	q.resident++
 }
 
 // drop removes node i from the queue and recycles it.
 func (q *queue) drop(i int32) {
 	q.unlink(i)
-	delete(q.index, q.nodes[i].key)
+	q.index[q.nodes[i].slot] = 0
 	q.bytes -= q.nodes[i].size
+	q.resident--
 	q.nodes[i].next = q.free
 	q.free = i
 }
@@ -142,11 +176,11 @@ var _ Cache = (*LRU)(nil)
 func NewLRU(capacity int64) *LRU { return &LRU{newQueue(capacity)} }
 
 // Access implements Cache.
-func (c *LRU) Access(key uint64, size int64, _ time.Time) bool {
-	if c.touch(key) {
+func (c *LRU) Access(key Key, size int64, _ time.Time) bool {
+	if c.touch(key.Slot) {
 		return true
 	}
-	c.insert(key, size, nil)
+	c.insert(key.Slot, size, nil)
 	return false
 }
 
@@ -159,22 +193,22 @@ var _ Cache = (*FIFO)(nil)
 func NewFIFO(capacity int64) *FIFO { return &FIFO{newQueue(capacity)} }
 
 // Access implements Cache.
-func (c *FIFO) Access(key uint64, size int64, _ time.Time) bool {
+func (c *FIFO) Access(key Key, size int64, _ time.Time) bool {
 	if c.Contains(key) {
 		return true
 	}
-	c.insert(key, size, nil)
+	c.insert(key.Slot, size, nil)
 	return false
 }
 
 // heapNode is one resident object of a heapStore.
 type heapNode struct {
-	key      uint64
 	size     int64
 	freq     float64
 	priority float64
 	tick     int64 // tie-break: older ticks evict first
 	pos      int32 // position in heapStore.heap; on the free list, the next free node
+	slot     uint32
 }
 
 // heapStore is the byte-bounded priority store both frequency-ordered
@@ -185,14 +219,15 @@ type heapNode struct {
 // operation takes a fresh tick, so the order is total and the victim
 // never depends on the heap's layout. Evicted nodes are recycled through
 // a free list threaded along pos, so a full cache admits and evicts
-// without allocating.
+// without allocating. index maps a slot to one more than the node
+// holding it, 0 for a slot not resident.
 type heapStore struct {
 	capacity int64
 	bytes    int64
 	nodes    []heapNode
 	heap     []int32 // min-heap of indices into nodes
 	free     int32   // head of the recycled-node list; -1 when empty
-	index    map[uint64]int32
+	index    []int32
 	tick     int64
 	// priority ranks an object by access frequency and size; the lowest
 	// priority is evicted first.
@@ -203,13 +238,21 @@ type heapStore struct {
 }
 
 func newHeapStore(capacity int64, priority func(freq float64, size int64) float64, evicted func(priority float64)) heapStore {
-	return heapStore{capacity: capacity, free: -1, index: map[uint64]int32{}, priority: priority, evicted: evicted}
+	return heapStore{capacity: capacity, free: -1, priority: priority, evicted: evicted}
+}
+
+// find returns the node holding slot, -1 when it is not resident.
+func (h *heapStore) find(slot uint32) int32 {
+	if int(slot) < len(h.index) {
+		return h.index[slot] - 1
+	}
+	return -1
 }
 
 // Access implements Cache.
-func (h *heapStore) Access(key uint64, size int64, _ time.Time) bool {
+func (h *heapStore) Access(key Key, size int64, _ time.Time) bool {
 	h.tick++
-	if i, ok := h.index[key]; ok {
+	if i := h.find(key.Slot); i >= 0 {
 		n := &h.nodes[i]
 		n.freq++
 		n.priority = h.priority(n.freq, n.size)
@@ -217,19 +260,19 @@ func (h *heapStore) Access(key uint64, size int64, _ time.Time) bool {
 		h.fix(int(n.pos))
 		return true
 	}
-	h.insert(key, size, 1)
+	h.insert(key.Slot, size, 1)
 	return false
 }
 
 // Contains implements Cache.
-func (h *heapStore) Contains(key uint64) bool { _, ok := h.index[key]; return ok }
+func (h *heapStore) Contains(key Key) bool { return h.find(key.Slot) >= 0 }
 
 // push admits key, if absent, at the frequency a policy gives an object
 // nobody has asked for yet.
-func (h *heapStore) push(key uint64, size int64, freq float64) {
+func (h *heapStore) push(key Key, size int64, freq float64) {
 	h.tick++
 	if !h.Contains(key) {
-		h.insert(key, size, freq)
+		h.insert(key.Slot, size, freq)
 	}
 }
 
@@ -237,7 +280,7 @@ func (h *heapStore) push(key uint64, size int64, freq float64) {
 // fits; objects larger than the whole store are not admitted. The
 // newcomer's priority is taken after the evictions, so a policy whose
 // evicted hook moves later priorities (GDSF's inflation) applies to it.
-func (h *heapStore) insert(key uint64, size int64, freq float64) {
+func (h *heapStore) insert(slot uint32, size int64, freq float64) {
 	if size > h.capacity {
 		return
 	}
@@ -254,10 +297,10 @@ func (h *heapStore) insert(key uint64, size int64, freq float64) {
 		h.nodes = append(h.nodes, heapNode{})
 		i = int32(len(h.nodes) - 1)
 	}
-	h.nodes[i] = heapNode{key: key, size: size, freq: freq, priority: h.priority(freq, size), tick: h.tick, pos: int32(len(h.heap))}
+	h.nodes[i] = heapNode{size: size, freq: freq, priority: h.priority(freq, size), tick: h.tick, pos: int32(len(h.heap)), slot: slot}
 	h.heap = append(h.heap, i)
 	h.up(len(h.heap) - 1)
-	h.index[key] = i
+	*at(&h.index, slot) = i + 1
 	h.bytes += size
 }
 
@@ -272,7 +315,7 @@ func (h *heapStore) remove(pos int) {
 		h.fix(pos)
 	}
 	n := &h.nodes[i]
-	delete(h.index, n.key)
+	h.index[n.slot] = 0
 	h.bytes -= n.size
 	n.pos = h.free
 	h.free = i
@@ -337,7 +380,7 @@ func NewLFU(capacity int64) *LFU {
 }
 
 // Push implements Cache: a pushed object ranks below every accessed one.
-func (c *LFU) Push(key uint64, size int64, _ time.Time) { c.push(key, size, 0) }
+func (c *LFU) Push(key Key, size int64, _ time.Time) { c.push(key, size, 0) }
 
 // SLRU is a segmented LRU: objects enter a probationary segment and are
 // promoted to a protected segment on re-reference; scans of one-hit
@@ -362,25 +405,25 @@ func NewSLRU(capacity int64, protectedFrac float64) (*SLRU, error) {
 }
 
 // Access implements Cache.
-func (c *SLRU) Access(key uint64, size int64, _ time.Time) bool {
-	if c.protected.touch(key) {
+func (c *SLRU) Access(key Key, size int64, _ time.Time) bool {
+	if c.protected.touch(key.Slot) {
 		return true
 	}
-	if c.probation.Purge(key) {
-		c.protected.insert(key, size, nil) // promote on re-reference
+	if c.probation.Purge(key.Slot) {
+		c.protected.insert(key.Slot, size, nil) // promote on re-reference
 		return true
 	}
-	c.probation.insert(key, size, nil)
+	c.probation.insert(key.Slot, size, nil)
 	return false
 }
 
 // Contains implements Cache.
-func (c *SLRU) Contains(key uint64) bool {
+func (c *SLRU) Contains(key Key) bool {
 	return c.probation.Contains(key) || c.protected.Contains(key)
 }
 
 // Push implements Cache.
-func (c *SLRU) Push(key uint64, size int64, now time.Time) {
+func (c *SLRU) Push(key Key, size int64, now time.Time) {
 	if c.Contains(key) {
 		return
 	}
@@ -393,7 +436,7 @@ func (c *SLRU) Push(key uint64, size int64, now time.Time) {
 type TTLCache struct {
 	inner   Cache
 	ttl     time.Duration
-	expires map[uint64]time.Time
+	expires map[uint32]time.Time // by slot
 }
 
 var _ Cache = (*TTLCache)(nil)
@@ -403,31 +446,31 @@ func NewTTLCache(inner Cache, ttl time.Duration) (*TTLCache, error) {
 	if ttl <= 0 {
 		return nil, fmt.Errorf("cdn: TTL must be positive, got %v", ttl)
 	}
-	return &TTLCache{inner: inner, ttl: ttl, expires: map[uint64]time.Time{}}, nil
+	return &TTLCache{inner: inner, ttl: ttl, expires: map[uint32]time.Time{}}, nil
 }
 
 // Access implements Cache.
-func (c *TTLCache) Access(key uint64, size int64, now time.Time) bool {
+func (c *TTLCache) Access(key Key, size int64, now time.Time) bool {
 	hit := c.inner.Access(key, size, now)
 	if hit {
-		if exp, ok := c.expires[key]; ok && now.After(exp) {
+		if exp, ok := c.expires[key.Slot]; ok && now.After(exp) {
 			hit = false // stale: counts as a revalidation miss
 		}
 	}
 	if !hit {
-		c.expires[key] = now.Add(c.ttl)
+		c.expires[key.Slot] = now.Add(c.ttl)
 	}
 	return hit
 }
 
 // Contains implements Cache.
-func (c *TTLCache) Contains(key uint64) bool { return c.inner.Contains(key) }
+func (c *TTLCache) Contains(key Key) bool { return c.inner.Contains(key) }
 
 // Push implements Cache.
-func (c *TTLCache) Push(key uint64, size int64, now time.Time) {
+func (c *TTLCache) Push(key Key, size int64, now time.Time) {
 	c.inner.Push(key, size, now)
-	if _, ok := c.expires[key]; !ok {
-		c.expires[key] = now.Add(c.ttl)
+	if _, ok := c.expires[key.Slot]; !ok {
+		c.expires[key.Slot] = now.Add(c.ttl)
 	}
 }
 
@@ -458,16 +501,16 @@ func (c *SplitCache) pick(size int64) Cache {
 }
 
 // Access implements Cache.
-func (c *SplitCache) Access(key uint64, size int64, now time.Time) bool {
+func (c *SplitCache) Access(key Key, size int64, now time.Time) bool {
 	return c.pick(size).Access(key, size, now)
 }
 
 // Contains implements Cache.
-func (c *SplitCache) Contains(key uint64) bool {
+func (c *SplitCache) Contains(key Key) bool {
 	return c.Small.Contains(key) || c.Large.Contains(key)
 }
 
 // Push implements Cache.
-func (c *SplitCache) Push(key uint64, size int64, now time.Time) {
+func (c *SplitCache) Push(key Key, size int64, now time.Time) {
 	c.pick(size).Push(key, size, now)
 }

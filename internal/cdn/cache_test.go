@@ -14,9 +14,13 @@ var t0 = time.Date(2015, 10, 3, 0, 0, 0, 0, time.UTC)
 // resident reads what c holds of the keys [0, n) through Contains, the
 // one view a Cache gives of its contents: how many, and their bytes at
 // size(key) each.
+// entry is the key of object n in the tests that drive a cache directly:
+// ID n, slot n.
+func entry(n uint64) Key { return Key{ID: n, Slot: uint32(n)} }
+
 func resident(c Cache, n uint64, size func(key uint64) int64) (objects int, bytes int64) {
 	for k := uint64(0); k < n; k++ {
-		if c.Contains(k) {
+		if c.Contains(entry(k)) {
 			objects++
 			bytes += size(k)
 		}
@@ -29,65 +33,65 @@ func sized(size int64) func(uint64) int64 { return func(uint64) int64 { return s
 
 func TestLRUBasics(t *testing.T) {
 	c := NewLRU(100)
-	if c.Access(1, 40, t0) {
+	if c.Access(entry(1), 40, t0) {
 		t.Error("first access should miss")
 	}
-	if !c.Access(1, 40, t0) {
+	if !c.Access(entry(1), 40, t0) {
 		t.Error("second access should hit")
 	}
-	c.Access(2, 40, t0)
+	c.Access(entry(2), 40, t0)
 	if n, bytes := resident(c, 3, sized(40)); bytes != 80 || n != 2 {
 		t.Errorf("bytes/len = %d/%d", bytes, n)
 	}
 	// Touch 1 so 2 is the LRU victim, then overflow.
-	c.Access(1, 40, t0)
-	c.Access(3, 40, t0)
-	if !c.Contains(1) {
+	c.Access(entry(1), 40, t0)
+	c.Access(entry(3), 40, t0)
+	if !c.Contains(entry(1)) {
 		t.Error("recently used 1 was evicted")
 	}
-	if c.Contains(2) {
+	if c.Contains(entry(2)) {
 		t.Error("LRU victim 2 should be gone")
 	}
 }
 
 func TestLRUOversizedObject(t *testing.T) {
 	c := NewLRU(10)
-	c.Access(1, 100, t0) // larger than cache: not admitted
-	if c.Contains(1) {
+	c.Access(entry(1), 100, t0) // larger than cache: not admitted
+	if c.Contains(entry(1)) {
 		t.Error("oversized object was admitted")
 	}
-	if c.Access(1, 100, t0) {
+	if c.Access(entry(1), 100, t0) {
 		t.Error("oversized object can never hit")
 	}
 }
 
 func TestLRUPush(t *testing.T) {
 	c := NewLRU(100)
-	c.Push(1, 50, t0)
-	if !c.Contains(1) {
+	c.Push(entry(1), 50, t0)
+	if !c.Contains(entry(1)) {
 		t.Error("pushed object missing")
 	}
-	c.Push(1, 50, t0) // idempotent
-	c.Push(2, 50, t0)
-	if !c.Contains(1) || !c.Contains(2) {
+	c.Push(entry(1), 50, t0) // idempotent
+	c.Push(entry(2), 50, t0)
+	if !c.Contains(entry(1)) || !c.Contains(entry(2)) {
 		t.Error("double push inflated the bytes: two 50-byte objects no longer fit 100")
 	}
-	if !c.Access(1, 50, t0) {
+	if !c.Access(entry(1), 50, t0) {
 		t.Error("pushed object should hit")
 	}
 }
 
 func TestFIFOEvictsInsertionOrder(t *testing.T) {
 	c := NewFIFO(100)
-	c.Access(1, 40, t0)
-	c.Access(2, 40, t0)
+	c.Access(entry(1), 40, t0)
+	c.Access(entry(2), 40, t0)
 	// Re-access 1: FIFO does not refresh recency.
-	c.Access(1, 40, t0)
-	c.Access(3, 40, t0) // evicts 1 (oldest insertion)
-	if c.Contains(1) {
+	c.Access(entry(1), 40, t0)
+	c.Access(entry(3), 40, t0) // evicts 1 (oldest insertion)
+	if c.Contains(entry(1)) {
 		t.Error("FIFO should evict oldest insertion")
 	}
-	if !c.Contains(2) || !c.Contains(3) {
+	if !c.Contains(entry(2)) || !c.Contains(entry(3)) {
 		t.Error("wrong FIFO eviction")
 	}
 }
@@ -95,14 +99,14 @@ func TestFIFOEvictsInsertionOrder(t *testing.T) {
 func TestLFUKeepsFrequent(t *testing.T) {
 	c := NewLFU(100)
 	for i := 0; i < 5; i++ {
-		c.Access(1, 40, t0) // freq 5
+		c.Access(entry(1), 40, t0) // freq 5
 	}
-	c.Access(2, 40, t0) // freq 1
-	c.Access(3, 40, t0) // evicts 2 (lowest freq)
-	if c.Contains(2) {
+	c.Access(entry(2), 40, t0) // freq 1
+	c.Access(entry(3), 40, t0) // evicts 2 (lowest freq)
+	if c.Contains(entry(2)) {
 		t.Error("LFU should evict the low-frequency object")
 	}
-	if !c.Contains(1) || !c.Contains(3) {
+	if !c.Contains(entry(1)) || !c.Contains(entry(3)) {
 		t.Error("wrong LFU eviction")
 	}
 }
@@ -113,26 +117,26 @@ func TestSLRUScanResistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Make 1 popular: two accesses promote it to protected.
-	c.Access(1, 30, t0)
-	c.Access(1, 30, t0)
-	if !c.Contains(1) {
+	c.Access(entry(1), 30, t0)
+	c.Access(entry(1), 30, t0)
+	if !c.Contains(entry(1)) {
 		t.Fatal("popular object missing")
 	}
 	// Scan of one-hit wonders through probation.
 	for k := uint64(10); k < 20; k++ {
-		c.Access(k, 30, t0)
+		c.Access(entry(k), 30, t0)
 	}
-	if !c.Contains(1) {
+	if !c.Contains(entry(1)) {
 		t.Error("scan evicted the protected object")
 	}
-	if !c.Access(1, 30, t0) {
+	if !c.Access(entry(1), 30, t0) {
 		t.Error("protected object should hit")
 	}
 	if _, err := NewSLRU(100, 1.5); err == nil {
 		t.Error("bad protectedFrac should error")
 	}
-	c.Push(42, 10, t0)
-	if !c.Contains(42) {
+	c.Push(entry(42), 10, t0)
+	if !c.Contains(entry(42)) {
 		t.Error("push should insert")
 	}
 }
@@ -143,15 +147,15 @@ func TestTTLCacheExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Access(1, 10, t0)
-	if !c.Access(1, 10, t0.Add(30*time.Minute)) {
+	c.Access(entry(1), 10, t0)
+	if !c.Access(entry(1), 10, t0.Add(30*time.Minute)) {
 		t.Error("fresh entry should hit")
 	}
-	if c.Access(1, 10, t0.Add(3*time.Hour)) {
+	if c.Access(entry(1), 10, t0.Add(3*time.Hour)) {
 		t.Error("stale entry should miss (revalidation)")
 	}
 	// After revalidation the entry is fresh again.
-	if !c.Access(1, 10, t0.Add(3*time.Hour+time.Minute)) {
+	if !c.Access(entry(1), 10, t0.Add(3*time.Hour+time.Minute)) {
 		t.Error("revalidated entry should hit")
 	}
 	if _, err := NewTTLCache(inner, 0); err == nil {
@@ -165,12 +169,12 @@ func TestSplitCacheRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Access(1, 10, t0)  // small
-	c.Access(2, 500, t0) // large
-	if !small.Contains(1) || large.Contains(1) {
+	c.Access(entry(1), 10, t0)  // small
+	c.Access(entry(2), 500, t0) // large
+	if !small.Contains(entry(1)) || large.Contains(entry(1)) {
 		t.Error("small object misrouted")
 	}
-	if !large.Contains(2) || small.Contains(2) {
+	if !large.Contains(entry(2)) || small.Contains(entry(2)) {
 		t.Error("large object misrouted")
 	}
 	size := func(k uint64) int64 {
@@ -182,11 +186,11 @@ func TestSplitCacheRouting(t *testing.T) {
 	if n, bytes := resident(c, 3, size); n != 2 || bytes != 510 {
 		t.Errorf("resident: len=%d bytes=%d", n, bytes)
 	}
-	if !c.Contains(1) || !c.Contains(2) {
+	if !c.Contains(entry(1)) || !c.Contains(entry(2)) {
 		t.Error("Contains should check both")
 	}
-	c.Push(3, 20, t0)
-	if !small.Contains(3) {
+	c.Push(entry(3), 20, t0)
+	if !small.Contains(entry(3)) {
 		t.Error("push misrouted")
 	}
 	if _, err := NewSplitCache(small, large, 0); err == nil {
@@ -209,7 +213,7 @@ func TestCacheInvariantsProperty(t *testing.T) {
 				c := factory()
 				size := func(k uint64) int64 { return int64(sizes[k]%200) + 1 }
 				for _, k := range keys {
-					c.Access(uint64(k%32), size(uint64(k%32)), t0)
+					c.Access(entry(uint64(k%32)), size(uint64(k%32)), t0)
 					if _, bytes := resident(c, 32, size); bytes > 500 {
 						return false
 					}
@@ -233,8 +237,8 @@ func TestImmediateReaccessHits(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			key := rng.Uint64() % 64
 			size := rng.Int63n(100) + 1
-			c.Access(key, size, t0)
-			if !c.Access(key, size, t0) {
+			c.Access(entry(key), size, t0)
+			if !c.Access(entry(key), size, t0) {
 				t.Errorf("%s: immediate re-access missed", name)
 				break
 			}
@@ -244,11 +248,11 @@ func TestImmediateReaccessHits(t *testing.T) {
 
 func TestZeroCapacityCacheNeverAdmits(t *testing.T) {
 	for name, c := range map[string]Cache{"lru": NewLRU(0), "fifo": NewFIFO(0), "lfu": NewLFU(0)} {
-		c.Access(1, 1, t0)
-		if c.Contains(1) {
+		c.Access(entry(1), 1, t0)
+		if c.Contains(entry(1)) {
 			t.Errorf("%s: zero-capacity cache admitted an object", name)
 		}
-		if c.Access(1, 1, t0) {
+		if c.Access(entry(1), 1, t0) {
 			t.Errorf("%s: zero-capacity cache hit", name)
 		}
 	}
@@ -333,7 +337,7 @@ func (c *refList) keys() []uint64 {
 func (q *queue) keys() []uint64 {
 	var out []uint64
 	for i := q.nodes[0].next; i != 0; i = q.nodes[i].next {
-		out = append(out, q.nodes[i].key)
+		out = append(out, uint64(q.nodes[i].slot))
 	}
 	return out
 }
@@ -436,7 +440,7 @@ func refTwoQ(capacity int64, inFrac float64, ghostN int) cacheModel {
 func queued(qs ...*queue) func() (int, int64) {
 	return func() (n int, bytes int64) {
 		for _, q := range qs {
-			n += len(q.index)
+			n += q.resident
 			bytes += q.bytes
 		}
 		return n, bytes
@@ -445,14 +449,14 @@ func queued(qs ...*queue) func() (int, int64) {
 
 func modelOf(c Cache, lists func() [][]uint64, occupied func() (int, int64)) cacheModel {
 	m := cacheModel{
-		access:   func(key uint64, size int64) bool { return c.Access(key, size, t0) },
-		push:     func(key uint64, size int64) { c.Push(key, size, t0) },
-		contains: c.Contains,
+		access:   func(key uint64, size int64) bool { return c.Access(entry(key), size, t0) },
+		push:     func(key uint64, size int64) { c.Push(entry(key), size, t0) },
+		contains: func(key uint64) bool { return c.Contains(entry(key)) },
 		lists:    lists,
 		occupied: occupied,
 	}
-	if p, ok := c.(interface{ Purge(uint64) bool }); ok {
-		m.purge = p.Purge // the queue's, promoted to LRU and FIFO
+	if p, ok := c.(interface{ Purge(uint32) bool }); ok {
+		m.purge = func(key uint64) bool { return p.Purge(uint32(key)) } // the queue's, promoted to LRU and FIFO
 	}
 	return m
 }
@@ -541,16 +545,16 @@ func TestQueuePoliciesMatchListReference(t *testing.T) {
 func TestQueueRecyclesNodes(t *testing.T) {
 	c := NewLRU(100 * 10)
 	for key := uint64(0); key < 100; key++ {
-		c.Access(key, 10, t0)
+		c.Access(entry(key), 10, t0)
 	}
 	full := len(c.nodes)
 	if full != 101 {
 		t.Fatalf("full cache holds %d nodes, want 100 + sentinel", full)
 	}
 	for key := uint64(100); key < 50_000; key++ {
-		c.Access(key, 10, t0)
+		c.Access(entry(key), 10, t0)
 		if key%3 == 0 {
-			c.Purge(key - 5)
+			c.Purge(uint32(key - 5))
 		}
 	}
 	if len(c.nodes) != full {

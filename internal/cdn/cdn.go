@@ -3,6 +3,7 @@ package cdn
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"trafficscope/internal/obs"
@@ -156,7 +157,14 @@ func (s *DCStats) HitRatio() float64 {
 type CDN struct {
 	cfg     Config
 	dcs     map[timeutil.Region]*DataCenter
-	clients *clientState // what admit reads and writes
+	clients clientState // what admit reads and writes
+	// keys numbers the records that come without dense keys (parsed
+	// from the wire, hand-built); slots lays every object's chunks out
+	// in the slot space the caches index by. Both are written only where
+	// admit runs, in input order.
+	keys  trace.KeyTable
+	slots slotSpace
+	more  []uint32 // placement scratch of ServeInto
 	// dcByRegion pre-resolves the region→DC map into a dense array so
 	// the serve hot path indexes instead of hashing; index 0 is unused
 	// (regions start at 1).
@@ -169,29 +177,18 @@ type CDN struct {
 // fresh enough to revalidate with a conditional request (the 304 path).
 const browserTTL = 24 * time.Hour
 
-type browserKey struct {
-	user uint64
-	obj  uint64
-}
-
 // clientState is the per-client request history admit consults:
-// browser-cache freshness deadlines and per-user request sequence
-// numbers. It is unsynchronized; the CDN's one instance is guarded by
-// whoever serializes admit calls (the replay's reading goroutine, or
+// browser-cache freshness deadlines, by user and object key packed into
+// one word, and per-user request sequence numbers, by user key. It is
+// unsynchronized; the CDN's one instance is guarded by whoever
+// serializes admit calls (the replay's reading goroutine, or
 // ConcurrentCDN's mutex).
 type clientState struct {
-	browser map[browserKey]time.Time
-	reqSeq  map[uint64]uint32
+	browser map[uint64]time.Time
+	reqSeq  []uint32
 }
 
-func newClientState() *clientState {
-	return &clientState{
-		browser: map[browserKey]time.Time{},
-		reqSeq:  map[uint64]uint32{},
-	}
-}
-
-// reset empties the state, keeping its maps' storage for the next pass.
+// reset empties the state, keeping its storage for the next pass.
 func (cs *clientState) reset() {
 	clear(cs.browser)
 	clear(cs.reqSeq)
@@ -199,22 +196,104 @@ func (cs *clientState) reset() {
 
 // nextSeq returns the user's current request sequence number and
 // advances it.
-func (cs *clientState) nextSeq(user uint64) uint32 {
-	seq := cs.reqSeq[user]
-	cs.reqSeq[user] = seq + 1
-	return seq
+func (cs *clientState) nextSeq(user uint32) uint32 {
+	seq := at(&cs.reqSeq, user)
+	*seq++
+	return *seq - 1
 }
 
 // browserCheck reports whether the user's local copy of obj is still
 // fresh at ts; when it is not, the freshness deadline is reset to
 // ts+browserTTL.
-func (cs *clientState) browserCheck(user, obj uint64, ts time.Time) bool {
-	bk := browserKey{user: user, obj: obj}
+func (cs *clientState) browserCheck(user, obj uint32, ts time.Time) bool {
+	bk := uint64(user)<<32 | uint64(obj)
 	if deadline, ok := cs.browser[bk]; ok && ts.Before(deadline) {
 		return true
 	}
+	if cs.browser == nil {
+		cs.browser = map[uint64]time.Time{}
+	}
 	cs.browser[bk] = ts.Add(browserTTL)
 	return false
+}
+
+// slotSpace lays the CDN's cache entries out densely. The first time an
+// object is requested it reserves a run of slots (see CDN.run): one per
+// cached chunk of a chunked video, one for anything else. Its chunk i is
+// the run's first slot plus i. A chunk past the run (an object that comes
+// back larger, or first came as a non-video) gets a slot of its own, kept
+// in past. No chunk at or past maxChunks has a slot, so one request adds
+// at most maxChunks slots whatever size it claims. Slots only name
+// entries: no policy orders anything by them.
+type slotSpace struct {
+	runs []slotRun         // by object key
+	past map[uint64]uint32 // object key<<32 | chunk → slot
+	n    uint32            // slots handed out
+}
+
+// slotRun is one object's reservation: chunks 0..n-1 at slots
+// first..first+n-1. n == 0 means none yet.
+type slotRun struct{ first, n uint32 }
+
+// placement is where one request's chunks are: chunk i at slot first+i
+// while i < n, past the run at more[i-n].
+type placement struct {
+	first, n uint32
+	more     []uint32
+}
+
+// slot returns chunk i's slot.
+func (p *placement) slot(i int) uint32 {
+	if i < int(p.n) {
+		return p.first + uint32(i)
+	}
+	return p.more[i-int(p.n)]
+}
+
+// take hands out n fresh slots and returns the first. It panics, leaving
+// the space as it was, when fewer than n are left.
+func (s *slotSpace) take(n uint32) uint32 {
+	if n > math.MaxUint32-s.n {
+		panic("cdn: slot space exhausted")
+	}
+	first := s.n
+	s.n += n
+	return first
+}
+
+// place returns where obj's chunks 0..need-1 are; the slots of chunks
+// past the object's run are appended to *more, which the placement
+// refers to. With add set it reserves a run of run slots for an object
+// new to the space, and a slot for each chunk past the run not placed
+// before. Without, it hands out nothing, and ok is false when a chunk
+// has no slot, and so is in no cache. run and need are at most maxChunks.
+func (s *slotSpace) place(obj uint32, run, need int, more *[]uint32, add bool) (p placement, ok bool) {
+	if int(obj) >= len(s.runs) || s.runs[obj].n == 0 {
+		if !add {
+			return p, false
+		}
+		*at(&s.runs, obj) = slotRun{first: s.take(uint32(run)), n: uint32(run)}
+	}
+	r := s.runs[obj]
+	p = placement{first: r.first, n: r.n}
+	from := len(*more)
+	for i := int(r.n); i < need; i++ {
+		k := uint64(obj)<<32 | uint64(i)
+		slot, ok := s.past[k]
+		if !ok {
+			if !add {
+				return p, false
+			}
+			if s.past == nil {
+				s.past = map[uint64]uint32{}
+			}
+			slot = s.take(1)
+			s.past[k] = slot
+		}
+		*more = append(*more, slot)
+	}
+	p.more = (*more)[from:]
+	return p, true
 }
 
 // New creates a CDN with one data center per region.
@@ -227,10 +306,9 @@ func New(cfg Config) *CDN {
 		chunk = 2 << 20
 	}
 	c := &CDN{
-		cfg:     cfg,
-		dcs:     map[timeutil.Region]*DataCenter{},
-		clients: newClientState(),
-		chunk:   chunk,
+		cfg:   cfg,
+		dcs:   map[timeutil.Region]*DataCenter{},
+		chunk: chunk,
 	}
 	for _, r := range timeutil.AllRegions() {
 		dc := &DataCenter{Region: r, Cache: cfg.NewCache(), PublisherCache: map[string]Cache{}}
@@ -321,45 +399,49 @@ func (c *CDN) TotalStats() DCStats {
 	return out
 }
 
-// PushToAll inserts an object into every DC cache (proactive placement of
-// popular objects "to locations closer to their end-users", §V).
-func (c *CDN) PushToAll(objectID uint64, size int64, now time.Time) {
+// PushToAll inserts r's object, whole, into every DC cache (proactive
+// placement of popular objects "to locations closer to their end-users",
+// §V). r is numbered as a served record would be.
+func (c *CDN) PushToAll(r *trace.Record, now time.Time) {
+	obj, _ := c.keys.Keys(r)
+	p, _ := c.slots.place(obj, c.run(r), 1, &c.more, true)
 	for _, dc := range c.dcs {
-		dc.Cache.Push(objectID, size, now)
+		dc.Cache.Push(Key{ID: r.ObjectID, Slot: p.first}, r.ObjectSize, now)
 	}
 }
 
 // ServeInto processes one request record, writing it with StatusCode,
-// Cache and BytesServed finalized into a caller-provided out record
-// (every field of *out is overwritten; r is not modified unless out
-// aliases it, in which case the record is finalized in place). It
-// allocates nothing on a hit, for hot paths holding pooled or
-// per-goroutine scratch. ServeInto is single-threaded; wrap the CDN in
-// NewConcurrent for a thread-safe serve path.
+// Cache and BytesServed finalized, and with its dense keys, into a
+// caller-provided out record (every field of *out is overwritten; r is
+// not modified unless out aliases it, in which case the record is
+// finalized in place). It is the one serve path: Replay, ConcurrentCDN
+// and the fan-out's cells call it, and ReplayStream runs its two halves,
+// admit and finish, on two sides of its block pump. It allocates nothing
+// on a hit, for hot paths holding pooled or per-goroutine scratch: the
+// DC resolves by array index, caches and client state index slices by
+// dense key, the rejection dice and chunk IDs hash without hash.Hash
+// indirection, and the result lands in *out. ServeInto is
+// single-threaded; wrap the CDN in NewConcurrent for a thread-safe serve
+// path.
 func (c *CDN) ServeInto(r, out *trace.Record) {
-	c.serveInto(r, out)
+	*out = *r
+	verdict := c.admit(out)
+	c.more = c.more[:0]
+	c.finish(out, verdict, c.place(out, verdict, &c.more))
 }
 
-// serveInto is the one serve path: the client half (admit), then the
-// cache half (finish). The caller owns all synchronization of the caches
-// and client state it reaches; only the counters are atomic. A cache hit
-// performs no heap allocation: the DC resolves by array index, the
-// rejection dice and chunk keys hash without hash.Hash indirection, and
-// the result lands in *out.
-func (c *CDN) serveInto(r, out *trace.Record) {
-	c.finish(r, out, c.admit(r))
-}
-
-// admit is the client half of serving a request: it advances the user's
-// request sequence, rolls the access-control dice, and checks the
-// browser cache of a non-incognito user for a non-video object. It
-// returns the status that settles the request before any data center
-// sees it (a rejection, or StatusNotModified for a fresh local copy),
-// or 0. admit reads and writes only the CDN's client state, never a
-// cache or a counter, so ReplayStream runs it on its reading goroutine
-// in input order.
+// admit is the client half of serving a request: it numbers r when it
+// comes without dense keys, advances the user's request sequence, rolls
+// the access-control dice, and checks the browser cache of a
+// non-incognito user for a non-video object. It returns the status that
+// settles the request before any data center sees it (a rejection, or
+// StatusNotModified for a fresh local copy), or 0. admit reads and
+// writes only r, the key table and the client state, never a cache or a
+// counter, so ReplayStream runs it on its reading goroutine in input
+// order.
 func (c *CDN) admit(r *trace.Record) int {
-	if status := c.rejection(r, c.clients.nextSeq(r.UserID)); status != 0 {
+	c.keys.Stamp(r)
+	if status := c.rejection(r, c.clients.nextSeq(r.UserKey)); status != 0 {
 		return status
 	}
 	// Browser cache: a non-incognito user with a fresh local copy sends a
@@ -372,67 +454,126 @@ func (c *CDN) admit(r *trace.Record) int {
 	if c.cfg.IsIncognito != nil {
 		incognito = c.cfg.IsIncognito(r.Publisher, r.UserID)
 	}
-	if !incognito && c.clients.browserCheck(r.UserID, r.ObjectID, r.Timestamp) {
+	if !incognito && c.clients.browserCheck(r.UserKey, r.ObjectKey, r.Timestamp) {
 		return StatusNotModified
 	}
 	return 0
 }
 
-// finish is the cache half of serving r, given admit's verdict: it
-// counts the request at its data center and finalizes *out.
-func (c *CDN) finish(r, out *trace.Record, verdict int) {
-	*out = *r
+// maxChunks caps the chunks of one video the CDN caches: chunk i >=
+// maxChunks (past 128 GiB at the default 2 MiB chunk) streams from
+// origin, a miss, and is never admitted. The cap bounds the slots one
+// request can add to the slot space, and the cache accesses it costs,
+// whatever size it claims; a generated week's largest video spans a few
+// thousand chunks.
+const maxChunks = 1 << 16
+
+// chunks returns how many cache entries an object of the given size
+// spans: its chunks, at least one, or 1 when chunking is off.
+func (c *CDN) chunks(size int64) int64 {
+	if c.chunk <= 0 || size <= c.chunk {
+		return 1
+	}
+	return (size-1)/c.chunk + 1
+}
+
+// run returns how many slots r's object reserves the first time it is
+// placed: one per cached chunk of a chunked video, else one, the whole
+// object finish reads.
+func (c *CDN) run(r *trace.Record) int {
+	if r.Category() == trace.CategoryVideo && c.chunk > 0 {
+		return int(min(c.chunks(r.ObjectSize), maxChunks))
+	}
+	return 1
+}
+
+// touched returns how many of r's chunks the cache half reads given
+// admit's verdict: none for a rejected request, the chunks covering the
+// requested bytes of a chunked video, past maxChunks too, else one, the
+// whole object.
+func (c *CDN) touched(r *trace.Record, verdict int) int64 {
+	switch {
+	case verdict != 0 && verdict != StatusNotModified:
+		return 0
+	case verdict == 0 && r.Category() == trace.CategoryVideo && c.chunk > 0:
+		return c.chunks(wanted(r))
+	}
+	return 1
+}
+
+// wanted is the byte count a request asks for: BytesServed when it names
+// a range, the whole object otherwise.
+func wanted(r *trace.Record) int64 {
+	if r.BytesServed <= 0 || r.BytesServed > r.ObjectSize {
+		return r.ObjectSize
+	}
+	return r.BytesServed
+}
+
+// place returns where the chunks of r that finish reads are, given
+// admit's verdict (see slotSpace.place). It runs beside admit.
+func (c *CDN) place(r *trace.Record, verdict int, more *[]uint32) placement {
+	need := min(c.touched(r, verdict), maxChunks)
+	if need == 0 {
+		return placement{}
+	}
+	p, _ := c.slots.place(r.ObjectKey, c.run(r), int(need), more, true)
+	return p
+}
+
+// finish is the cache half of serving a record admit has seen, given its
+// verdict and placement: it counts the request at its data center and
+// finalizes r in place.
+func (c *CDN) finish(r *trace.Record, verdict int, p placement) {
 	dc := c.dcForRegion(r.Region)
 	dc.count[cRequests].Inc()
 
 	// Rejected requests never touch the cache.
 	if verdict != 0 && verdict != StatusNotModified {
-		out.StatusCode = verdict
-		out.BytesServed = 0
-		out.Cache = trace.CacheUnknown
+		r.StatusCode = verdict
+		r.BytesServed = 0
+		r.Cache = trace.CacheUnknown
 		return
 	}
 
 	cache := dc.partition(r.Publisher)
+	whole := Key{ID: r.ObjectID, Slot: p.first}
 	if verdict == StatusNotModified {
 		// A conditional request gets no body, but the CDN still consults
 		// its cache for the validator; a miss admits the object, fetched
 		// whole from origin.
-		out.StatusCode = StatusNotModified
-		out.BytesServed = 0
-		hit := cache.Access(r.ObjectID, r.ObjectSize, r.Timestamp)
+		r.StatusCode = StatusNotModified
+		r.BytesServed = 0
+		hit := cache.Access(whole, r.ObjectSize, r.Timestamp)
 		var originBytes int64
 		if !hit {
 			originBytes = r.ObjectSize
 		}
 		c.recordCache(dc, hit, originBytes, 0)
-		out.Cache = cacheStatus(hit)
+		r.Cache = cacheStatus(hit)
 		return
 	}
 
 	// Edge cache lookup, chunked for video.
 	isVideo := r.Category() == trace.CategoryVideo
-	bytesWanted := r.BytesServed
-	if bytesWanted <= 0 || bytesWanted > r.ObjectSize {
-		bytesWanted = r.ObjectSize
-	}
+	bytesWanted := wanted(r)
 	var hit bool
 	var originBytes int64
 	if isVideo && c.chunk > 0 {
-		hit, originBytes = c.accessChunks(cache, r, bytesWanted)
+		hit, originBytes = c.accessChunks(cache, r, &p, bytesWanted)
 	} else {
-		hit = cache.Access(r.ObjectID, r.ObjectSize, r.Timestamp)
+		hit = cache.Access(whole, r.ObjectSize, r.Timestamp)
 		if !hit {
 			originBytes = r.ObjectSize
 		}
 	}
 	c.recordCache(dc, hit, originBytes, bytesWanted)
-	out.Cache = cacheStatus(hit)
-	out.BytesServed = bytesWanted
+	r.Cache = cacheStatus(hit)
+	r.BytesServed = bytesWanted
 	if isVideo && bytesWanted < r.ObjectSize {
-		out.StatusCode = StatusPartialContent
+		r.StatusCode = StatusPartialContent
 	} else {
-		out.StatusCode = StatusOK
+		r.StatusCode = StatusOK
 	}
 }
 
@@ -456,25 +597,30 @@ func (c *CDN) rejection(r *trace.Record, seq uint32) int {
 // accessChunks touches the chunks covering [0, bytesWanted) of a video
 // object in the given cache partition. The request is a HIT only when
 // every touched chunk was resident, mirroring chunk-level caching with
-// request-level logging.
-func (c *CDN) accessChunks(cache Cache, r *trace.Record, bytesWanted int64) (hit bool, originBytes int64) {
-	nChunks := int((bytesWanted + c.chunk - 1) / c.chunk)
-	if nChunks < 1 {
-		nChunks = 1
-	}
-	totalChunks := int((r.ObjectSize + c.chunk - 1) / c.chunk)
+// request-level logging. Chunks from maxChunks on are fetched from
+// origin without a cache access.
+func (c *CDN) accessChunks(cache Cache, r *trace.Record, p *placement, bytesWanted int64) (hit bool, originBytes int64) {
+	nChunks := c.chunks(bytesWanted)
+	totalChunks := c.chunks(r.ObjectSize)
 	hit = true
-	for i := 0; i < nChunks; i++ {
-		key := chunkKey(r.ObjectID, i)
+	for i := range int(min(nChunks, maxChunks)) {
 		size := c.chunk
-		if i == totalChunks-1 {
-			if rem := r.ObjectSize - int64(totalChunks-1)*c.chunk; rem > 0 {
+		if int64(i) == totalChunks-1 {
+			if rem := r.ObjectSize - (totalChunks-1)*c.chunk; rem > 0 {
 				size = rem
 			}
 		}
-		if !cache.Access(key, size, r.Timestamp) {
+		if !cache.Access(Key{ID: chunkKey(r.ObjectID, i), Slot: p.slot(i)}, size, r.Timestamp) {
 			hit = false
 			originBytes += size
+		}
+	}
+	if nChunks > maxChunks {
+		hit = false
+		if nChunks == totalChunks {
+			originBytes += r.ObjectSize - maxChunks*c.chunk
+		} else {
+			originBytes += (nChunks - maxChunks) * c.chunk
 		}
 	}
 	return hit, originBytes

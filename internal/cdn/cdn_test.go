@@ -2,6 +2,7 @@ package cdn
 
 import (
 	"bytes"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -40,6 +41,13 @@ func imageReq(obj uint64, user uint64, size int64, ts time.Time) *trace.Record {
 	r.FileType = trace.FileJPG
 	r.Publisher = "P-1"
 	return r
+}
+
+// wholeKey is the key c caches r's object under whole (its chunk 0); r's
+// object must have been served.
+func wholeKey(c *CDN, r *trace.Record) Key {
+	obj, _ := c.keys.Object(r)
+	return Key{ID: r.ObjectID, Slot: c.slots.runs[obj].first}
 }
 
 func TestServeBasicHitMiss(t *testing.T) {
@@ -238,7 +246,7 @@ func TestReplayAll(t *testing.T) {
 
 func TestPushToAllWarmsEveryDC(t *testing.T) {
 	c := New(Config{ChunkBytes: -1})
-	c.PushToAll(9, 100, t0)
+	c.PushToAll(imageReq(9, 1, 100, t0), t0)
 	for _, region := range timeutil.AllRegions() {
 		r := imageReq(9, uint64(region), 100, t0)
 		r.Region = region
@@ -270,13 +278,13 @@ func TestPublisherCachePartition(t *testing.T) {
 	v1 := videoReq(2, 2, 1000, 1000, t0)
 	serve(c, v1)
 	dc := c.DC(timeutil.RegionEurope)
-	if !dc.PublisherCache["P-1"].Contains(1) {
+	if !dc.PublisherCache["P-1"].Contains(wholeKey(c, p1)) {
 		t.Error("P-1 object missing from its partition")
 	}
-	if dc.Cache.Contains(1) {
+	if dc.Cache.Contains(wholeKey(c, p1)) {
 		t.Error("P-1 object leaked into the shared cache")
 	}
-	if !dc.Cache.Contains(2) {
+	if !dc.Cache.Contains(wholeKey(c, v1)) {
 		t.Error("V-1 object missing from the shared cache")
 	}
 	// Partitioned publisher is isolated from shared-cache churn.
@@ -296,6 +304,61 @@ func TestServeOversizedBytesServedClamped(t *testing.T) {
 	if out.BytesServed != 100 {
 		t.Errorf("BytesServed = %d, want clamped to 100", out.BytesServed)
 	}
+}
+
+// TestClaimedSizeReservesBoundedSlots: the slot space grows by what a
+// request can cache, not by the size it claims. An image claiming 2^52
+// bytes (or the largest int64) takes one slot, a video claiming as much
+// takes maxChunks and streams the rest from origin, and the next object
+// is placed right after them and cached as usual.
+func TestClaimedSizeReservesBoundedSlots(t *testing.T) {
+	for _, huge := range []int64{1 << 52, math.MaxInt64} {
+		c := New(Config{NewCache: func() Cache { return NewLRU(64 << 20) }})
+		// origin returns the origin bytes the request served by do cost
+		// (a difference, exact even where the running sum wraps).
+		origin := func(do func()) int64 {
+			before := c.DC(timeutil.RegionEurope).StatsSnapshot().OriginBytes
+			do()
+			return c.DC(timeutil.RegionEurope).StatsSnapshot().OriginBytes - before
+		}
+		var out *trace.Record
+		if o := origin(func() { out = serve(c, imageReq(1, 1, huge, t0)) }); out.Cache != trace.CacheMiss || out.StatusCode != StatusOK || o != huge {
+			t.Fatalf("size %d image: %v %d, %d bytes from origin; want MISS 200, %d", huge, out.Cache, out.StatusCode, o, huge)
+		}
+		if c.slots.n != 1 {
+			t.Fatalf("size %d image: %d slots, want 1", huge, c.slots.n)
+		}
+		if o := origin(func() { out = serve(c, videoReq(2, 1, huge, huge, t0)) }); out.Cache != trace.CacheMiss || out.BytesServed != huge || o != huge {
+			t.Fatalf("size %d video: %v, %d bytes, %d from origin; want MISS, %d, %d", huge, out.Cache, out.BytesServed, o, huge, huge)
+		}
+		if c.slots.n != 1+maxChunks {
+			t.Fatalf("size %d video: %d slots, want %d", huge, c.slots.n, 1+maxChunks)
+		}
+		small := imageReq(3, 1, 1000, t0)
+		for _, want := range []trace.CacheStatus{trace.CacheMiss, trace.CacheHit} {
+			if out := serve(c, small); out.Cache != want {
+				t.Fatalf("size %d, then a small image: %v, want %v", huge, out.Cache, want)
+			}
+		}
+		if obj, _ := c.keys.Object(small); c.slots.runs[obj].first != 1+maxChunks {
+			t.Errorf("size %d: small image at slot %d, want %d", huge, c.slots.runs[obj].first, 1+maxChunks)
+		}
+	}
+}
+
+// TestSlotSpaceExhaustionLeavesItIntact: taking more slots than are left
+// panics before anything is handed out.
+func TestSlotSpaceExhaustionLeavesItIntact(t *testing.T) {
+	s := slotSpace{n: math.MaxUint32 - 2}
+	defer func() {
+		if recover() == nil {
+			t.Error("taking 3 of 2 slots left did not panic")
+		}
+		if s.n != math.MaxUint32-2 {
+			t.Errorf("slots handed out: %d, want %d", s.n, uint32(math.MaxUint32-2))
+		}
+	}()
+	s.take(3)
 }
 
 // TestCDNCountsOnce: a DC counts each event once, into its registry's

@@ -11,9 +11,10 @@ import (
 // goroutines may call ServeInto at once. It is the layer the live edge
 // (internal/edge) serves through.
 //
-// One mutex guards the wrapped CDN's caches and client state, and each
-// request is served entirely inside one critical section by the same
-// serveInto the offline replay calls. Concurrent serving is therefore
+// One mutex guards the wrapped CDN's caches, key table and client state,
+// and each request is served entirely inside one critical section by the
+// same ServeInto the offline replay calls: a request parsed off the wire
+// is numbered there too. Concurrent serving is therefore
 // linearizable: whatever order requests win the lock in, every response
 // record and every per-DC counter equals what a sequential CDN produces
 // when fed that order — with chunked video, eviction, the browser cache
@@ -40,8 +41,8 @@ func NewConcurrent(c *CDN) *ConcurrentCDN {
 // adds, with no heap allocation.
 func (cc *ConcurrentCDN) ServeInto(r, out *trace.Record) {
 	cc.mu.Lock()
-	cc.c.serveInto(r, out)
-	cc.mu.Unlock()
+	defer cc.mu.Unlock()
+	cc.c.ServeInto(r, out)
 }
 
 // DCContains is CDN.DCContains under the serve lock, safe to call while

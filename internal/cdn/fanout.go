@@ -29,13 +29,22 @@ type FanoutCell struct {
 // runs on: a goroutine of its own (the runtime runs up to GOMAXPROCS of
 // them at a time) that serves every record of a block, in input order,
 // into a scratch record of its own, so the blocks are shared read-only
-// and a cell's results equal a sequential replay of that cell alone. The
-// first error of a cell's Observe or Survey ends the pass for every cell
-// and is returned. The CDNs come back in cell order for their stats.
+// and a cell's results equal a sequential replay of that cell alone.
+// Records that come without dense keys are numbered once, on the
+// reading goroutine, through one table for both passes, so no cell
+// numbers them again. The first error of a cell's Observe or Survey ends
+// the pass for every cell and is returned. The CDNs come back in cell
+// order for their stats.
 func ReplayFanout(src trace.Source, cells []FanoutCell) ([]*CDN, error) {
 	cdns := make([]*CDN, len(cells))
 	lanes := make([]func(*replayBlock) error, len(cells))
 	var blocks []*replayBlock // the warm-up's, reused by the measured pass
+	var keys trace.KeyTable
+	number := func(b *replayBlock) {
+		for i := range b.recs[:b.n] {
+			keys.Stamp(&b.recs[i])
+		}
+	}
 	for i, cell := range cells {
 		if cell.Survey != nil {
 			lanes[i] = eachRecord(cell.Survey)
@@ -44,7 +53,7 @@ func ReplayFanout(src trace.Source, cells []FanoutCell) ([]*CDN, error) {
 		cdns[i] = cell.Build()
 		lanes[i] = cdns[i].lane(nil)
 	}
-	if err := fanoutPass(src, "warm-up", &blocks, lanes); err != nil {
+	if err := fanoutPass(src, "warm-up", &blocks, number, lanes); err != nil {
 		return nil, err
 	}
 	for i, cell := range cells {
@@ -56,7 +65,7 @@ func ReplayFanout(src trace.Source, cells []FanoutCell) ([]*CDN, error) {
 		}
 		lanes[i] = cdns[i].lane(cell.Observe)
 	}
-	if err := fanoutPass(src, "measured", &blocks, lanes); err != nil {
+	if err := fanoutPass(src, "measured", &blocks, number, lanes); err != nil {
 		return nil, err
 	}
 	return cdns, nil
@@ -67,7 +76,7 @@ func ReplayFanout(src trace.Source, cells []FanoutCell) ([]*CDN, error) {
 func (c *CDN) lane(observe func(*trace.Record) error) func(*replayBlock) error {
 	var out trace.Record
 	return eachRecord(func(r *trace.Record) error {
-		c.serveInto(r, &out)
+		c.ServeInto(r, &out)
 		if observe == nil {
 			return nil
 		}
@@ -88,12 +97,12 @@ func eachRecord(f func(*trace.Record) error) func(*replayBlock) error {
 	}
 }
 
-// fanoutPass opens src and pumps it once through lanes.
-func fanoutPass(src trace.Source, pass string, blocks *[]*replayBlock, lanes []func(*replayBlock) error) error {
+// fanoutPass opens src and pumps it once through tag and lanes.
+func fanoutPass(src trace.Source, pass string, blocks *[]*replayBlock, tag func(*replayBlock), lanes []func(*replayBlock) error) error {
 	r, err := src.Open()
 	if err != nil {
 		return fmt.Errorf("cdn: open %s pass: %w", pass, err)
 	}
 	defer trace.CloseReader(r)
-	return pump(r, blocks, nil, lanes, nil)
+	return pump(r, blocks, tag, lanes, nil)
 }

@@ -135,32 +135,31 @@ func (g *SingleFlight) Inflight() int {
 // DCContains reports whether the data center serving region currently
 // holds the object r describes — every chunk covering the requested
 // bytes for chunked video, the whole object otherwise. The probe is
-// strictly read-only: no admission, no recency touch, no stats — so a
-// fill endpoint answering peers from it leaves the cache model in
-// exactly the state an offline Replay of the DC's own traffic would
-// produce. Not safe for concurrent use with serving traffic; see
+// strictly read-only: no admission, no recency touch, no stats, and no
+// key or slot handed out (an object the CDN never numbered is in no
+// cache) — so a fill endpoint answering peers from it leaves the cache
+// model in exactly the state an offline Replay of the DC's own traffic
+// would produce. Not safe for concurrent use with serving traffic; see
 // ConcurrentCDN.DCContains for the locking variant.
 func (c *CDN) DCContains(region timeutil.Region, r *trace.Record) bool {
-	return c.cacheContains(c.dcForRegion(region).partition(r.Publisher), r)
-}
-
-// cacheContains is the chunk-aware residency check behind DCContains.
-func (c *CDN) cacheContains(cache Cache, r *trace.Record) bool {
-	bytesWanted := r.BytesServed
-	if bytesWanted <= 0 || bytesWanted > r.ObjectSize {
-		bytesWanted = r.ObjectSize
+	obj, ok := c.keys.Object(r)
+	if !ok {
+		return false
 	}
-	if r.Category() == trace.CategoryVideo && c.chunk > 0 {
-		nChunks := int((bytesWanted + c.chunk - 1) / c.chunk)
-		if nChunks < 1 {
-			nChunks = 1
-		}
-		for i := 0; i < nChunks; i++ {
-			if !cache.Contains(chunkKey(r.ObjectID, i)) {
-				return false
-			}
-		}
-		return true
+	need := c.touched(r, 0)
+	if need > maxChunks {
+		return false // the chunks past the cap are never cached
 	}
-	return cache.Contains(r.ObjectID)
+	c.more = c.more[:0]
+	p, ok := c.slots.place(obj, 0, int(need), &c.more, false)
+	if !ok {
+		return false
+	}
+	cache := c.dcForRegion(region).partition(r.Publisher)
+	for i := range int(need) {
+		if !cache.Contains(Key{ID: chunkKey(r.ObjectID, i), Slot: p.slot(i)}) {
+			return false
+		}
+	}
+	return true
 }

@@ -102,7 +102,7 @@ func (c *GDSF) evicted(priority float64) {
 }
 
 // Push implements Cache: a pushed object starts at half an access.
-func (c *GDSF) Push(key uint64, size int64, _ time.Time) { c.push(key, size, 0.5) }
+func (c *GDSF) Push(key Key, size int64, _ time.Time) { c.push(key, size, 0.5) }
 
 // TwoQ is the 2Q cache: a FIFO "in" queue absorbs first-time accesses, a
 // ghost "out" queue remembers recently evicted keys (no bytes), and only
@@ -133,8 +133,8 @@ func NewTwoQ(capacity int64, inFrac float64, ghostN int) (*TwoQ, error) {
 }
 
 // Access implements Cache.
-func (c *TwoQ) Access(key uint64, size int64, _ time.Time) bool {
-	if c.main.touch(key) {
+func (c *TwoQ) Access(key Key, size int64, _ time.Time) bool {
+	if c.main.touch(key.Slot) {
 		return true
 	}
 	if c.in.Contains(key) {
@@ -142,24 +142,24 @@ func (c *TwoQ) Access(key uint64, size int64, _ time.Time) bool {
 		// (hot-for-a-moment objects don't pollute main).
 		return true
 	}
-	if c.ghost.Purge(key) {
-		c.main.insert(key, size, nil)
+	if c.ghost.Purge(key.Slot) {
+		c.main.insert(key.Slot, size, nil)
 		return false // the bytes were not cached; it is a miss
 	}
 	// First sight: into the FIFO in-queue; remember evictions as ghosts.
-	c.in.insert(key, size, c.addGhost)
+	c.in.insert(key.Slot, size, c.addGhost)
 	return false
 }
 
-func (c *TwoQ) addGhost(key uint64) { c.ghost.Push(key, 1, time.Time{}) }
+func (c *TwoQ) addGhost(slot uint32) { c.ghost.Push(Key{Slot: slot}, 1, time.Time{}) }
 
 // Contains implements Cache.
-func (c *TwoQ) Contains(key uint64) bool {
+func (c *TwoQ) Contains(key Key) bool {
 	return c.in.Contains(key) || c.main.Contains(key)
 }
 
 // Push implements Cache.
-func (c *TwoQ) Push(key uint64, size int64, now time.Time) {
+func (c *TwoQ) Push(key Key, size int64, now time.Time) {
 	if c.Contains(key) {
 		return
 	}
@@ -193,7 +193,7 @@ func NewTieredCache(edge, parent Cache) *TieredCache {
 }
 
 // Access implements Cache. The return value reflects the *edge* tier.
-func (c *TieredCache) Access(key uint64, size int64, now time.Time) bool {
+func (c *TieredCache) Access(key Key, size int64, now time.Time) bool {
 	if c.edge.Access(key, size, now) {
 		return true
 	}
@@ -207,7 +207,7 @@ func (c *TieredCache) Access(key uint64, size int64, now time.Time) bool {
 }
 
 // Contains implements Cache.
-func (c *TieredCache) Contains(key uint64) bool {
+func (c *TieredCache) Contains(key Key) bool {
 	return c.edge.Contains(key) || c.parent.Contains(key)
 }
 
@@ -217,7 +217,7 @@ func (c *TieredCache) ResetStats() {
 }
 
 // Push implements Cache.
-func (c *TieredCache) Push(key uint64, size int64, now time.Time) {
+func (c *TieredCache) Push(key Key, size int64, now time.Time) {
 	c.edge.Push(key, size, now)
 	c.parent.Push(key, size, now)
 }

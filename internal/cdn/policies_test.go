@@ -10,16 +10,16 @@ func TestGDSFFavorsSmallFrequent(t *testing.T) {
 	c := NewGDSF(1000)
 	// Small object with repeated use.
 	for i := 0; i < 5; i++ {
-		c.Access(1, 10, t0)
+		c.Access(entry(1), 10, t0)
 	}
 	// Large one-shot objects that would flush an LRU.
 	for k := uint64(100); k < 110; k++ {
-		c.Access(k, 400, t0)
+		c.Access(entry(k), 400, t0)
 	}
-	if !c.Contains(1) {
+	if !c.Contains(entry(1)) {
 		t.Error("GDSF evicted the small frequent object during a large-object scan")
 	}
-	if !c.Access(1, 10, t0) {
+	if !c.Access(entry(1), 10, t0) {
 		t.Error("small frequent object should hit")
 	}
 	size := func(k uint64) int64 {
@@ -35,17 +35,17 @@ func TestGDSFFavorsSmallFrequent(t *testing.T) {
 
 func TestGDSFOversizedAndPush(t *testing.T) {
 	c := NewGDSF(100)
-	c.Access(1, 500, t0)
-	if c.Contains(1) {
+	c.Access(entry(1), 500, t0)
+	if c.Contains(entry(1)) {
 		t.Error("oversized admitted")
 	}
-	c.Push(2, 50, t0)
-	if !c.Contains(2) {
+	c.Push(entry(2), 50, t0)
+	if !c.Contains(entry(2)) {
 		t.Error("push missing")
 	}
-	c.Push(2, 50, t0) // idempotent
-	c.Push(3, 50, t0)
-	if !c.Contains(2) || !c.Contains(3) {
+	c.Push(entry(2), 50, t0) // idempotent
+	c.Push(entry(3), 50, t0)
+	if !c.Contains(entry(2)) || !c.Contains(entry(3)) {
 		t.Error("double push inflated the bytes: two 50-byte objects no longer fit 100")
 	}
 }
@@ -55,11 +55,11 @@ func TestGDSFInflationAllowsNewContent(t *testing.T) {
 	// Fill with a high-frequency object, then churn: inflation must let
 	// newer objects eventually displace stale high-priority residents.
 	for i := 0; i < 50; i++ {
-		c.Access(1, 60, t0)
+		c.Access(entry(1), 60, t0)
 	}
 	for k := uint64(10); k < 200; k++ {
 		for i := 0; i < 3; i++ {
-			c.Access(k, 60, t0)
+			c.Access(entry(k), 60, t0)
 		}
 	}
 	// After massive churn the cache must still be functional and within
@@ -67,7 +67,7 @@ func TestGDSFInflationAllowsNewContent(t *testing.T) {
 	if _, bytes := resident(c, 200, sized(60)); bytes > 100 {
 		t.Errorf("holds %d bytes, capacity 100", bytes)
 	}
-	if c.Contains(1) {
+	if c.Contains(entry(1)) {
 		t.Error("inflation failed: stale object survived unbounded churn")
 	}
 }
@@ -78,22 +78,22 @@ func TestTwoQScanResistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Promote object 1 to main: in -> evicted to ghost -> re-access.
-	c.Access(1, 100, t0)
+	c.Access(entry(1), 100, t0)
 	for k := uint64(50); k < 55; k++ {
-		c.Access(k, 100, t0) // flushes 1 out of the 250-byte in-queue
+		c.Access(entry(k), 100, t0) // flushes 1 out of the 250-byte in-queue
 	}
-	if c.Contains(1) {
+	if c.Contains(entry(1)) {
 		t.Fatal("object 1 should have left the in-queue")
 	}
-	c.Access(1, 100, t0) // ghost hit -> main
-	if !c.Contains(1) {
+	c.Access(entry(1), 100, t0) // ghost hit -> main
+	if !c.Contains(entry(1)) {
 		t.Fatal("ghost re-reference should admit to main")
 	}
 	// A long one-hit scan must not evict object 1 from main.
 	for k := uint64(1000); k < 1100; k++ {
-		c.Access(k, 100, t0)
+		c.Access(entry(k), 100, t0)
 	}
-	if !c.Contains(1) {
+	if !c.Contains(entry(1)) {
 		t.Error("scan evicted the main-queue resident")
 	}
 }
@@ -109,20 +109,20 @@ func TestTwoQValidationAndBasics(t *testing.T) {
 		t.Error("ghostN 0 should error")
 	}
 	c, _ := NewTwoQ(1000, 0.25, 4)
-	c.Push(7, 10, t0)
-	if !c.Contains(7) {
+	c.Push(entry(7), 10, t0)
+	if !c.Contains(entry(7)) {
 		t.Error("push")
 	}
 	// In-queue re-access hits without promotion.
-	c.Access(8, 10, t0)
-	if !c.Access(8, 10, t0) {
+	c.Access(entry(8), 10, t0)
+	if !c.Access(entry(8), 10, t0) {
 		t.Error("in-queue re-access should hit")
 	}
 	// Ghost list stays bounded.
 	for k := uint64(100); k < 200; k++ {
-		c.Access(k, 240, t0)
+		c.Access(entry(k), 240, t0)
 	}
-	if n := len(c.ghost.index); n > 4 {
+	if n := c.ghost.resident; n > 4 {
 		t.Errorf("ghost grew to %d", n)
 	}
 }
@@ -132,29 +132,29 @@ func TestTieredCacheParentAbsorbsEdgeMisses(t *testing.T) {
 	parent := NewLRU(10000)
 	c := NewTieredCache(edge, parent)
 	// Miss everywhere: parent records a miss (origin fetch).
-	if c.Access(1, 50, t0) {
+	if c.Access(entry(1), 50, t0) {
 		t.Error("cold access hit")
 	}
 	if c.ParentMisses != 1 || c.ParentHits != 0 {
 		t.Errorf("parent stats: %d/%d", c.ParentHits, c.ParentMisses)
 	}
 	// Evict from the tiny edge, keep in parent.
-	c.Access(2, 60, t0) // evicts 1 from edge (100-byte capacity)
-	if edge.Contains(1) {
+	c.Access(entry(2), 60, t0) // evicts 1 from edge (100-byte capacity)
+	if edge.Contains(entry(1)) {
 		t.Fatal("edge should have evicted 1")
 	}
 	// Edge miss, parent hit.
-	if c.Access(1, 50, t0) {
+	if c.Access(entry(1), 50, t0) {
 		t.Error("edge-level verdict should be MISS")
 	}
 	if c.ParentHits != 1 {
 		t.Errorf("ParentHits = %d, want 1", c.ParentHits)
 	}
-	if !c.Contains(2) {
+	if !c.Contains(entry(2)) {
 		t.Error("Contains should cover both tiers")
 	}
-	c.Push(9, 10, t0)
-	if !edge.Contains(9) || !parent.Contains(9) {
+	c.Push(entry(9), 10, t0)
+	if !edge.Contains(entry(9)) || !parent.Contains(entry(9)) {
 		t.Error("push should warm both tiers")
 	}
 }
@@ -163,8 +163,8 @@ func TestSharedParentAcrossEdges(t *testing.T) {
 	parent := NewLRU(10000)
 	e1 := NewTieredCache(NewLRU(100), parent)
 	e2 := NewTieredCache(NewLRU(100), parent)
-	e1.Access(1, 50, t0) // fills the shared parent
-	if e2.Access(1, 50, t0) {
+	e1.Access(entry(1), 50, t0) // fills the shared parent
+	if e2.Access(entry(1), 50, t0) {
 		t.Error("edge 2 verdict should be MISS")
 	}
 	if e2.ParentHits != 1 {
@@ -213,7 +213,7 @@ func TestNewPolicyInvariants(t *testing.T) {
 		c, bounds := mk()
 		for i := 0; i < 5000; i++ {
 			key := rng.Uint64() % 64
-			c.Access(key, size(key), t0.Add(time.Duration(i)*time.Second))
+			c.Access(entry(key), size(key), t0.Add(time.Duration(i)*time.Second))
 			for part, capacity := range bounds {
 				if _, bytes := resident(part, 64, size); bytes > capacity {
 					t.Fatalf("%s: holds %d bytes, capacity %d", name, bytes, capacity)

@@ -24,13 +24,13 @@ func TestPolicyFactoryBuildsEveryNamedPolicy(t *testing.T) {
 			t.Errorf("%s: factory returned nil cache", name)
 			continue
 		}
-		if hit := a.Access(1, 100, now); hit {
+		if hit := a.Access(entry(1), 100, now); hit {
 			t.Errorf("%s: first access was a hit", name)
 		}
-		if hit := a.Access(1, 100, now.Add(time.Second)); !hit {
+		if hit := a.Access(entry(1), 100, now.Add(time.Second)); !hit {
 			t.Errorf("%s: second access was a miss", name)
 		}
-		if b.Contains(1) {
+		if b.Contains(entry(1)) {
 			t.Errorf("%s: caches share state (b holds what a was asked for)", name)
 		}
 	}

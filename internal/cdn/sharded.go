@@ -115,17 +115,17 @@ func NewShardedCache(shards, vnodes int, newShard func() Cache) (*ShardedCache, 
 	return sc, nil
 }
 
-// Access implements Cache.
-func (c *ShardedCache) Access(key uint64, size int64, now time.Time) bool {
-	return c.shards[c.ring.Shard(key)].Access(key, size, now)
+// Access implements Cache. The ring places the key by its hashed ID.
+func (c *ShardedCache) Access(key Key, size int64, now time.Time) bool {
+	return c.shards[c.ring.Shard(key.ID)].Access(key, size, now)
 }
 
 // Contains implements Cache.
-func (c *ShardedCache) Contains(key uint64) bool {
-	return c.shards[c.ring.Shard(key)].Contains(key)
+func (c *ShardedCache) Contains(key Key) bool {
+	return c.shards[c.ring.Shard(key.ID)].Contains(key)
 }
 
 // Push implements Cache.
-func (c *ShardedCache) Push(key uint64, size int64, now time.Time) {
-	c.shards[c.ring.Shard(key)].Push(key, size, now)
+func (c *ShardedCache) Push(key Key, size int64, now time.Time) {
+	c.shards[c.ring.Shard(key.ID)].Push(key, size, now)
 }

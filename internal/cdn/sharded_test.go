@@ -152,16 +152,16 @@ func TestShardedCacheBasics(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		key := rng.Uint64() % 100
 		distinct[key] = true
-		sc.Access(key, 10, t0)
-		if !sc.Access(key, 10, t0) {
+		sc.Access(entry(key), 10, t0)
+		if !sc.Access(entry(key), 10, t0) {
 			t.Fatal("immediate re-access missed")
 		}
 	}
 	if n, bytes := resident(sc, 100, sized(10)); n != len(distinct) || bytes != int64(len(distinct))*10 {
 		t.Errorf("len/bytes = %d/%d, want %d distinct", n, bytes, len(distinct))
 	}
-	sc.Push(9999, 5, t0)
-	if !sc.Contains(9999) {
+	sc.Push(entry(9999), 5, t0)
+	if !sc.Contains(entry(9999)) {
 		t.Error("push")
 	}
 }
@@ -171,10 +171,10 @@ func TestShardedCacheIsolation(t *testing.T) {
 	// never see it.
 	sc, _ := NewShardedCache(4, 32, func() Cache { return NewLRU(1000) })
 	key := uint64(42)
-	sc.Access(key, 10, t0)
+	sc.Access(entry(key), 10, t0)
 	home := sc.ring.Shard(key)
 	for i, shard := range sc.shards {
-		if (i == home) != shard.Contains(key) {
+		if (i == home) != shard.Contains(entry(key)) {
 			t.Errorf("shard %d containment wrong (home %d)", i, home)
 		}
 	}

@@ -26,8 +26,10 @@ const (
 // the reader for reuse.
 type replayBlock struct {
 	recs    [replayBlockSize]trace.Record
-	dc      [replayBlockSize]uint8  // ReplayStream: recs[i] is served by lane dc[i]
-	verdict [replayBlockSize]uint16 // ReplayStream: admit's verdict on recs[i]
+	dc      [replayBlockSize]uint8     // ReplayStream: recs[i] is served by lane dc[i]
+	verdict [replayBlockSize]uint16    // ReplayStream: admit's verdict on recs[i]
+	at      [replayBlockSize]placement // ReplayStream: where recs[i]'s chunks are
+	more    []uint32                   // ReplayStream: the slots at[i].more lists
 	n       int
 	serving sync.WaitGroup // lanes that have not finished this block
 }
@@ -168,7 +170,7 @@ func (c *CDN) ReplayStream(r trace.Reader, sink func(*trace.Record) error) error
 		lanes = append(lanes, func(b *replayBlock) error {
 			for i, d := range b.dc[:b.n] {
 				if d == lane {
-					c.finish(&b.recs[i], &b.recs[i], int(b.verdict[i]))
+					c.finish(&b.recs[i], int(b.verdict[i]), b.at[i])
 				}
 			}
 			return nil
@@ -177,13 +179,19 @@ func (c *CDN) ReplayStream(r trace.Reader, sink func(*trace.Record) error) error
 	return pump(r, &c.blocks, c.admitBlock, lanes, sink)
 }
 
-// admitBlock is ReplayStream's tag step: it names each record's data
-// center and stores admit's verdict beside it.
+// admitBlock is ReplayStream's tag step: it runs admit on each record,
+// numbering it in place when it comes without dense keys, and stores
+// beside it the record's data center, admit's verdict and the record's
+// placement. The lanes only read what it wrote, so the key table and the
+// slot space stay the reader's.
 func (c *CDN) admitBlock(b *replayBlock) {
+	b.more = b.more[:0]
 	for i := range b.recs[:b.n] {
 		r := &b.recs[i]
+		verdict := c.admit(r)
 		b.dc[i] = uint8(c.dcForRegion(r.Region).Region)
-		b.verdict[i] = uint16(c.admit(r))
+		b.verdict[i] = uint16(verdict)
+		b.at[i] = c.place(r, verdict, &b.more)
 	}
 }
 

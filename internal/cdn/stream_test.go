@@ -371,7 +371,9 @@ func TestReplaySourceMatchesWarmedReplay(t *testing.T) {
 // video or other) and its size. The requests repeat in that order until
 // the trace spans several blocks, one every seven minutes, so browser
 // copies are both fresh and expired when asked for again; chunked turns
-// video chunking on.
+// video chunking on. Both replays must also equal the oracle keyed by
+// hashed IDs (refCDN), whatever sizes and categories an object comes
+// back with.
 func FuzzReplayStream(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 10, 0, 2, 1, 20, 1, 3, 2, 30, 1, 4, 5, 40}, true)
 	f.Add([]byte{3, 0, 7, 255, 3, 3, 7, 1, 9, 2, 4, 128}, false)
@@ -426,5 +428,17 @@ func FuzzReplayStream(f *testing.F) {
 				t.Fatalf("region %v stats: seq %+v, str %+v", region, want, got)
 			}
 		}
+		// And both equal the oracle keyed by hashed IDs.
+		ref := newRefCDN(cfg, refLRUCache(32<<20))
+		want := make([]served, len(recs))
+		for i, r := range recs {
+			s := ref.serve(r)
+			want[i] = servedOf(&s)
+		}
+		fromSeq := make([]served, len(seq))
+		for i, r := range seq {
+			fromSeq[i] = servedOf(r)
+		}
+		requireOracle(t, fromSeq, want, seqCDN, ref)
 	})
 }

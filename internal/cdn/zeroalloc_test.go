@@ -102,10 +102,10 @@ func TestLRUChurnZeroAllocs(t *testing.T) {
 	c := NewLRU(held * 10)
 	key := uint64(0)
 	for ; key < 2*held; key++ {
-		c.Access(key, 10, t0) // full, and every node has been recycled once
+		c.Access(entry(key), 10, t0) // full, and every node has been recycled once
 	}
 	n := testing.AllocsPerRun(20_000, func() {
-		c.Access(key, 10, t0)
+		c.Access(entry(key), 10, t0)
 		key++
 	})
 	if n != 0 {
@@ -125,11 +125,11 @@ func TestHeapStoreChurnZeroAllocs(t *testing.T) {
 	for name, c := range map[string]Cache{"lfu": NewLFU(held * 10), "gdsf": NewGDSF(held * 10)} {
 		key := uint64(0)
 		for ; key < 2*held; key++ {
-			c.Access(key, 10, t0)
+			c.Access(entry(key), 10, t0)
 		}
 		n := testing.AllocsPerRun(20_000, func() {
-			c.Access(key, 10, t0)
-			c.Access(key, 10, t0) // a hit re-sifts; it must not allocate either
+			c.Access(entry(key), 10, t0)
+			c.Access(entry(key), 10, t0) // a hit re-sifts; it must not allocate either
 			key++
 		})
 		if n != 0 {
@@ -142,12 +142,12 @@ func TestHeapStoreChurnZeroAllocs(t *testing.T) {
 }
 
 // TestReplayStreamAllocsPerRecord guards the block lanes: a replay
-// allocates its blocks, lanes and client-state maps, not per record.
-// Caches hold the whole working set, so no insert allocates for growth
-// in the measured replay. A repeat replay on one CDN reuses the blocks
-// and the emptied maps of the one before, so all it allocates is its
-// channels, goroutines and closures: about 20 objects, whatever the
-// trace length.
+// allocates its blocks, lanes, key table and client state, not per
+// record. Caches hold the whole working set, so no insert allocates for
+// growth in the measured replay. A repeat replay on one CDN reuses the
+// blocks, the key table, the slot indexes and the emptied client state
+// of the one before, so all it allocates is its channels, goroutines and
+// closures: 27 objects, whatever the trace length.
 func TestReplayStreamAllocsPerRecord(t *testing.T) {
 	const maxPerReplay = 30
 	recs := regionStableTrace(50_000, 9)

@@ -158,7 +158,7 @@ func (r *Results) implicationRows(capacity int64) []implicationRow {
 	counts := map[uint64]objectCount{}
 	push := coldFirstDay(func(rec *trace.Record) error {
 		if rec.Timestamp.Before(dayEnd) {
-			counts[rec.ObjectID] = objectCount{counts[rec.ObjectID].requests + 1, rec.ObjectSize}
+			counts[rec.ObjectID] = objectCount{counts[rec.ObjectID].requests + 1, *rec}
 		}
 		return nil
 	})
@@ -166,7 +166,8 @@ func (r *Results) implicationRows(capacity int64) []implicationRow {
 	push.Build = func() *cdn.CDN {
 		network := empty()
 		for _, id := range topObjects(counts, implicationPushTop) {
-			network.PushToAll(id, counts[id].size, r.Week.Start)
+			last := counts[id].last
+			network.PushToAll(&last, r.Week.Start)
 		}
 		return network
 	}
@@ -209,7 +210,7 @@ func (r *Results) implicationRows(capacity int64) []implicationRow {
 // objectCount is what a survey of the trace learns about one object.
 type objectCount struct {
 	requests int
-	size     int64
+	last     trace.Record // the object's latest request
 }
 
 // topObjects returns the n most requested objects, most requested first,

@@ -99,7 +99,7 @@ type missedBytes struct {
 	n *int64
 }
 
-func (m missedBytes) Access(key uint64, size int64, now time.Time) bool {
+func (m missedBytes) Access(key cdn.Key, size int64, now time.Time) bool {
 	hit := m.Cache.Access(key, size, now)
 	if !hit {
 		*m.n += size

@@ -223,6 +223,43 @@ func TestObjectResponsesCarryContentLength(t *testing.T) {
 	}
 }
 
+// TestHandlerServesHugeClaimedSizes: the size a request claims is the
+// client's to choose. An image and a video claiming 2^52 bytes are each
+// served once, as a miss, and the edge goes on serving: the object after
+// them misses, then hits.
+func TestHandlerServesHugeClaimedSizes(t *testing.T) {
+	s := newTestServer(t, Config{CDN: cdn.New(cdn.Config{NewCache: func() cdn.Cache { return cdn.NewLRU(64 << 20) }})})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	get := func(rec *trace.Record) (status int, cache string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + RequestPath(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, resp.Header.Get(HeaderCache)
+	}
+	image, video := testRecord(), testRecord()
+	image.FileType = "jpg"
+	video.ObjectID++
+	for _, rec := range []*trace.Record{image, video} {
+		rec.ObjectSize, rec.BytesServed = 1<<52, 1<<52
+		if status, cache := get(rec); status != http.StatusOK || cache != trace.CacheMiss.String() {
+			t.Fatalf("%s of 2^52 bytes: status %d, %s; want 200, MISS", rec.FileType, status, cache)
+		}
+	}
+	small := testRecord()
+	small.ObjectID += 2
+	for _, want := range []string{trace.CacheMiss.String(), trace.CacheHit.String()} {
+		if status, cache := get(small); status != http.StatusPartialContent || cache != want {
+			t.Fatalf("the next object: status %d, %s; want 206, %s", status, cache, want)
+		}
+	}
+}
+
 func TestHandlerRejects(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())

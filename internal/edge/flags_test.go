@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"trafficscope/internal/cdn"
 )
 
 // An edge built from the flags without a registry, as tscluster builds
@@ -62,7 +64,7 @@ func FuzzParsePublisherCaches(f *testing.F) {
 			t.Fatalf("%q: %d partitions from %d entries", spec, len(parts), entries)
 		}
 		for site, mk := range parts {
-			if c := mk(); c.Access(1, 1, time.Time{}) || !c.Contains(1) {
+			if c, k := mk(), (cdn.Key{ID: 1, Slot: 1}); c.Access(k, 1, time.Time{}) || !c.Contains(k) {
 				t.Fatalf("%q: site %q accepted with a cache that cannot hold one byte", spec, site)
 			}
 		}

@@ -50,6 +50,9 @@ type Generator struct {
 	prof    []SiteProfile
 	plans   []*sitePlan        // per-site generation plans, nil for idle sites
 	private map[uint64]*Object // private-audience objects, by ID
+	// objects and users count the dense keys handed out (Object.key,
+	// userState.key).
+	objects, users uint32
 }
 
 // NewGenerator validates the config and materializes object populations,
@@ -78,6 +81,12 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		}
 		g.pops = append(g.pops, pop)
 		g.prof = append(g.prof, *p)
+	}
+	for _, pop := range g.pops {
+		for _, o := range pop.Objects {
+			g.objects++
+			o.key = g.objects
+		}
 	}
 	for i := range g.pops {
 		plan, err := g.buildSitePlan(i)
@@ -170,6 +179,7 @@ type userState struct {
 	id           uint64
 	agent        string
 	region       timeutil.Region
+	key          uint32  // dense key (trace.Record.UserKey), in pool order site by site
 	favorite     *Object // object the user habitually re-requests
 	favIntensity float64 // probability a draw goes to the favorite
 }
@@ -425,8 +435,10 @@ func (g *Generator) buildUserPool(p *SiteProfile, pop *Population, n int, rng *r
 		agents := useragent.CanonicalAgents(dev)
 		agent := agents[rng.Intn(len(agents))]
 		addr = strconv.AppendInt(addr[:prefix], int64(i), 10)
+		g.users++
 		users[i] = userState{
 			id:     g.anon.HashUserBytes(addr, agent),
+			key:    g.users,
 			agent:  agent,
 			region: regions[stats.WeightedChoice(rng, p.RegionMix[:])],
 		}
@@ -553,6 +565,8 @@ func (g *Generator) newPrivateObject(p *SiteProfile, pop *Population, userIdx in
 		Weight:     0,
 	}
 	o.Shape = narrowShape(classShape(rng, ClassDiurnalA, o.InjectHour, &p.HourlyShape))
+	g.objects++
+	o.key = g.objects
 	g.private[id] = o
 	pop.Objects = append(pop.Objects, o)
 	pop.ByCategory[cat] = append(pop.ByCategory[cat], o)
@@ -601,6 +615,8 @@ func (g *Generator) emitSession(plan *sitePlan, u *userState, localHour, size in
 			Region:      u.region,
 			StatusCode:  status,
 			Cache:       trace.CacheUnknown,
+			ObjectKey:   o.key,
+			UserKey:     u.key,
 		}
 	}
 }

@@ -33,6 +33,10 @@ type Object struct {
 	// dominant allocation, and the ~1e-7 relative error is far below
 	// the generator's sampling noise).
 	Shape [timeutil.HoursPerWeek]float32
+	// key is the object's dense key (trace.Record.ObjectKey): the
+	// populations' objects are numbered site by site in slice order, then
+	// private-audience objects as they are created.
+	key uint32
 }
 
 // Category returns the object's content category.

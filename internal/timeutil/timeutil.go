@@ -20,7 +20,7 @@ const HoursPerWeek = 7 * 24
 // fixed UTC offset used to convert timestamps to local time. (Real traces
 // would use per-user timezone databases; a fixed representative offset per
 // region preserves the hour-of-day analysis behaviour.)
-type Region int
+type Region uint8
 
 // The four continents covered by the trace.
 const (

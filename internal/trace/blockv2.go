@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"trafficscope/internal/timeutil"
@@ -265,6 +266,9 @@ func (br *BlockReader) Read(rec *Record) error {
 	uaIdx := d.uvarint()
 	if d.err != nil {
 		return fmt.Errorf("%w: %v", ErrCorruptBlock, d.err)
+	}
+	if region > math.MaxUint8 || cache > math.MaxUint8 {
+		return fmt.Errorf("%w: region %d or cache status %d out of range", ErrCorruptBlock, region, cache)
 	}
 	pub, err := br.internAt(pubIdx)
 	if err != nil {

@@ -287,8 +287,9 @@ func frame(payload []byte) []byte {
 }
 
 func TestBlockReaderRejectsCorruptFrames(t *testing.T) {
-	// A minimal valid payload to corrupt: 1 record, 2 interns.
-	validPayload := func() []byte {
+	// A minimal payload to corrupt, valid for regions up to 255: 1
+	// record, 2 interns.
+	payloadIn := func(region uint64) []byte {
 		p := appendUvarints(nil, 1, 2)
 		for _, s := range []string{"V-1", "mp4"} {
 			p = binary.AppendUvarint(p, uint64(len(s)))
@@ -300,9 +301,10 @@ func TestBlockReaderRejectsCorruptFrames(t *testing.T) {
 		p = appendUvarints(p, 1)                      // file type idx
 		p = binary.AppendVarint(p, 100)               // object size
 		p = binary.AppendVarint(p, 0)                 // served delta
-		p = appendUvarints(p, 3, 1, 200, 1, 0)        // user, region, status, cache, ua idx
+		p = appendUvarints(p, 3, region, 200, 1, 0)   // user, region, status, cache, ua idx
 		return p
 	}
+	validPayload := func() []byte { return payloadIn(1) }
 	// Sanity: the hand-assembled frame decodes.
 	var rec Record
 	if err := NewBlockReader(bytes.NewReader(frame(validPayload()))).Read(&rec); err != nil {
@@ -330,6 +332,7 @@ func TestBlockReaderRejectsCorruptFrames(t *testing.T) {
 		}(), ErrCorruptBlock},
 		{"intern table overruns payload", frame(appendUvarints(nil, 1, 1, 200)), ErrCorruptBlock},
 		{"record bytes missing", frame(appendUvarints(nil, 2, 0)), ErrCorruptBlock},
+		{"region wider than a byte", frame(payloadIn(256)), ErrCorruptBlock},
 		{"invalid decoded record", func() []byte {
 			p := validPayload()
 			// Status 200 -> 20: Validate rejects implausible status codes.

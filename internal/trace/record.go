@@ -97,7 +97,7 @@ func (f FileType) Category() Category {
 }
 
 // CacheStatus is the CDN edge cache outcome recorded with each response.
-type CacheStatus int
+type CacheStatus uint8
 
 // Cache statuses. A HIT means the object was served from the edge cache; a
 // MISS means it was fetched from the origin (and typically admitted).
@@ -155,13 +155,21 @@ type Record struct {
 	UserID uint64
 	// UserAgent is the raw User-Agent header.
 	UserAgent string
+	// StatusCode is the HTTP response status (200, 206, 304, 403, 416...).
+	StatusCode int
 	// Region is the coarse geography of the client, used to convert
 	// timestamps to local time.
 	Region timeutil.Region
-	// StatusCode is the HTTP response status (200, 206, 304, 403, 416...).
-	StatusCode int
 	// Cache is the edge cache outcome for the request.
 	Cache CacheStatus
+	// ObjectKey and UserKey number ObjectID and UserID densely (1, 2,
+	// ...) within one stream, so that state kept per object or per user
+	// can sit in a slice indexed by key instead of a hash map. Zero means
+	// unnumbered. The hashed IDs stay the record's identity: no codec
+	// stores the keys, and a consumer handed unnumbered records numbers
+	// them itself through a KeyTable. (Region, Cache and the keys fill
+	// one 16-byte stretch after StatusCode, so a Record stays 128 bytes.)
+	ObjectKey, UserKey uint32
 }
 
 // Category returns the record's content category.

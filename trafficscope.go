@@ -80,6 +80,14 @@ var NewGenerator = synth.NewGenerator
 // policies the CDN simulator's edge caches run.
 var NewLRU = cdn.NewLRU
 
+// CacheKey names a cache entry: Slot, the index the cache keeps its
+// state under, and ID, its hashed identity. Slots must be small dense
+// numbers, handed out 0, 1, 2, ... as entries are first named: a cache
+// grows a slice up to the largest slot it admits, 4 to 8 bytes a slot
+// however few entries are resident, so a hashed ID used as a slot can
+// cost gigabytes in one Access.
+type CacheKey = cdn.Key
+
 // DTWDistance computes the Dynamic Time Warping distance between two
 // series (the paper's §IV-B similarity measure).
 func DTWDistance(a, b []float64) (float64, error) { return dtw.Distance(a, b) }
