@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
+	"sync"
 
 	"trafficscope/internal/trace"
 )
@@ -12,6 +14,15 @@ import (
 // which separates "viral" objects (many users, few repeats) from
 // "addictive" ones (few users, many repeats).
 //
+// Both need a request count per (object, user) pair, and the pairs grow
+// with the trace. Rather than count them in a map, which allocates at
+// every growth, Addiction logs one 8-byte key per request and counts the
+// pairs at the first query, as Sessions orders its events: folding
+// appends, and the fold worker sorts each chunk of the log as it fills;
+// the first query sorts the last chunk and merges them all, a run of one
+// key being one pair and a run of one object one object. What the
+// queries read is kept per object until the next record is folded.
+//
 // Bounded mode (Params.MemoryBudget > 0) samples *objects*: all (user,
 // object) pairs of a uniformly sampled object subset are kept exactly,
 // so per-object statistics (Scatter points) are exact for the sampled
@@ -20,18 +31,30 @@ import (
 type Addiction struct {
 	perSite[[numCats]addictionCat]
 	budget int
+	// mu guards the lazy count, so that concurrent queries stay as safe
+	// as they were when queries only read.
+	mu sync.Mutex
 }
 
 // addictionCat is the state of one (site, category) population.
 type addictionCat struct {
-	// pairs counts requests per (object slot, user slot), packed by
-	// pairKey.
-	pairs map[uint64]int64
+	// log holds pairKey(object slot, user slot) per request; every full
+	// chunk is sorted.
+	log chunkLog[uint64]
+	// objs is the log's count per object slot, current while
+	// log.settled.
+	objs []objectPairs
 	// In bounded mode the object slots are those of the population's
 	// sample, and the user slots those of a table of its own holding
 	// only the users of sampled objects.
 	keys  boundedKeys
 	users idTable
+}
+
+// objectPairs counts one object's pairs: its requests, its distinct
+// users and the most requests any one user issued for it.
+type objectPairs struct {
+	requests, users, maxPerUser int64
 }
 
 func pairKey(obj, user uint32) uint64 { return uint64(obj)<<32 | uint64(user) }
@@ -57,42 +80,118 @@ func (a *Addiction) add(r *trace.Record, k *recKey) {
 		}
 		user = c.users.slot(r.UserID)
 	}
-	if c.pairs == nil {
-		c.pairs = map[uint64]int64{}
-	}
-	c.pairs[pairKey(obj, user)]++
+	c.append(pairKey(obj, user))
 }
 
-// absorb folds o's pairs in, objs and users mapping o's slots to c's.
-func (c *addictionCat) absorb(o *addictionCat, objs, users []uint32) {
-	if c.pairs == nil {
-		c.pairs = make(map[uint64]int64, len(o.pairs))
+// append logs one request, sorting the chunk it fills.
+func (c *addictionCat) append(k uint64) {
+	if full := c.log.append(k); full != nil {
+		slices.Sort(full)
 	}
-	for k, n := range o.pairs {
-		if obj := objs[k>>32]; obj != noSlot {
-			c.pairs[pairKey(obj, users[uint32(k)])] += n
-		}
-	}
-}
-
-// absorbSampled is absorb in bounded mode, where each side has its own
-// user table: the users of o's surviving pairs join c's first.
-func (c *addictionCat) absorbSampled(o *addictionCat, objs []uint32) {
-	users := make([]uint32, len(o.users.keys))
-	for k := range o.pairs {
-		if u := uint32(k); objs[k>>32] != noSlot {
-			users[u] = c.users.slot(o.users.keys[u])
-		}
-	}
-	c.absorb(o, objs, users)
 }
 
 // compact drops the pairs of evicted objects, renumbers the rest and
 // forgets users left without a pair, after the sample shrank.
 func (c *addictionCat) compact(evict []uint32) {
-	old := addictionCat{pairs: c.pairs, users: c.users}
-	c.pairs, c.users = nil, idTable{}
-	c.absorbSampled(&old, evict)
+	old, oldUsers := c.log, c.users
+	c.log, c.users = chunkLog[uint64]{}, idTable{}
+	users := make([]uint32, len(oldUsers.keys)) // old user slot → 1 + new slot
+	old.each(func(k uint64) {
+		obj := evict[k>>32]
+		if obj == noSlot {
+			return
+		}
+		u := &users[uint32(k)]
+		if *u == 0 {
+			*u = 1 + c.users.slot(oldUsers.keys[uint32(k)])
+		}
+		c.append(pairKey(obj, *u-1))
+	})
+}
+
+// count returns the population's pairs counted per object slot, merging
+// the log if anything was folded since the last query.
+func (a *Addiction) count(c *addictionCat) []objectPairs {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if c.log.settled {
+		return c.objs
+	}
+	slots := 0
+	for i, chunk := range c.log.chunks {
+		if i == len(c.log.chunks)-1 {
+			slices.Sort(chunk) // the one chunk that may have room
+		}
+		if len(chunk) > 0 {
+			slots = max(slots, int(chunk[len(chunk)-1]>>32)+1)
+		}
+	}
+	c.objs = slices.Grow(c.objs[:0], slots)[:slots]
+	clear(c.objs)
+	eachRun(c.log.chunks, func(k uint64, n int64) {
+		p := &c.objs[k>>32]
+		p.requests += n
+		p.users++
+		p.maxPerUser = max(p.maxPerUser, n)
+	})
+	c.log.settled = true
+	return c.objs
+}
+
+// eachRun calls fn once per distinct value of the sorted runs, in
+// ascending order, with the number of times it occurs in them all: a
+// k-way merge over a min-heap of the runs, ordered by their first
+// values.
+func eachRun(runs [][]uint64, fn func(v uint64, n int64)) {
+	h := make([][]uint64, 0, len(runs))
+	for _, r := range runs {
+		if len(r) > 0 {
+			h = append(h, r)
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	var cur uint64
+	var n int64
+	for len(h) > 0 {
+		r := h[0]
+		j := 1
+		for j < len(r) && r[j] == r[0] {
+			j++
+		}
+		if n > 0 && r[0] != cur {
+			fn(cur, n)
+			n = 0
+		}
+		cur, n = r[0], n+int64(j)
+		if h[0] = r[j:]; j == len(r) {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+	if n > 0 {
+		fn(cur, n)
+	}
+}
+
+// siftDown restores the min-heap order of h below i.
+func siftDown(h [][]uint64, i int) {
+	for {
+		least := i
+		if l := 2*i + 1; l < len(h) && h[l][0] < h[least][0] {
+			least = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r][0] < h[least][0] {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }
 
 // ObjectPoint is one object in the Fig. 13 scatter.
@@ -119,49 +218,31 @@ func (a *Addiction) Scatter(site string, cat trace.Category) []ObjectPoint {
 	if c == nil {
 		return nil
 	}
-	pts := make([]ObjectPoint, len(ids))
-	for k, n := range c.pairs {
-		p := &pts[k>>32]
-		p.Requests += n
-		p.Users++
-	}
-	out := pts[:0]
-	for slot, p := range pts {
-		if p.Users > 0 {
-			p.Object = ids[slot]
-			out = append(out, p)
+	objs := a.count(c)
+	out := make([]ObjectPoint, 0, len(objs))
+	for slot, p := range objs {
+		if p.users > 0 {
+			out = append(out, ObjectPoint{Object: ids[slot], Requests: p.requests, Users: p.users})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Requests > out[j].Requests })
 	return out
 }
 
-// maxPerUser returns, by object slot, the maximum number of requests any
-// single user issued for the object; zero for a slot without requests.
-func (c *addictionCat) maxPerUser(slots int) []int64 {
-	out := make([]int64, slots)
-	for k, n := range c.pairs {
-		if n > out[k>>32] {
-			out[k>>32] = n
-		}
-	}
-	return out
-}
-
 // FracObjectsAbove returns the fraction of objects whose per-user repeat
 // maximum exceeds the threshold.
 func (a *Addiction) FracObjectsAbove(site string, cat trace.Category, threshold int64) float64 {
-	c, ids := a.population(site, cat)
+	c, _ := a.population(site, cat)
 	if c == nil {
 		return 0
 	}
 	var above, objects int
-	for _, n := range c.maxPerUser(len(ids)) {
-		if n == 0 {
+	for _, p := range a.count(c) {
+		if p.users == 0 {
 			continue
 		}
 		objects++
-		if n > threshold {
+		if p.maxPerUser > threshold {
 			above++
 		}
 	}

@@ -329,9 +329,7 @@ func pairCounts(a *Addiction, site string, cat trace.Category) map[idPair]int64 
 	si, _ := a.find(site)
 	users := a.userIDs(si, c.users.keys)
 	out := map[idPair]int64{}
-	for k, n := range c.pairs {
-		out[idPair{objs[k>>32], users[uint32(k)]}] = n
-	}
+	c.log.each(func(k uint64) { out[idPair{objs[k>>32], users[uint32(k)]}]++ })
 	return out
 }
 

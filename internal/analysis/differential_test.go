@@ -155,7 +155,12 @@ func setOfFold(f *Fold) *newSet {
 // sites; the others fold the records whole, the path of a one-worker run
 // and of the per-analyzer benchmark rows. Each runs exact and under a
 // budget above the population, where the samples keep every key and
-// must agree exactly.
+// must agree exactly. Halfway through the fold every worker's Sessions
+// and Addiction are queried and compared, so the rest of the fold
+// appends to logs a query has ordered. One more Addiction folds every
+// record under a budget its samples overflow, before and after that
+// query, and must match the reference restricted to the objects it
+// keeps.
 func TestSlotIndexedMatchesMapBased(t *testing.T) {
 	n := 100_000
 	if testing.Short() {
@@ -177,8 +182,32 @@ func TestSlotIndexedMatchesMapBased(t *testing.T) {
 				for w := range refs {
 					refs[w], folds[w], alone[w] = newRefSet(), NewFold(Registered(), Params{Week: week, MemoryBudget: budget}), newNewSet(budget)
 				}
+				name := fmt.Sprintf("trial=%d/workers=%d", trial, workers)
+				if byPublisher {
+					name += "/by-publisher"
+				}
+				if budget > 0 {
+					name += "/budget"
+				}
+				// A bounded Addiction whose samples overflow: the reference
+				// restricted to the objects it keeps must match it.
+				sampled := newAddiction(sampledBudget)
+				var halfway []uint8
 				route := map[string]int{} // publisher → shard, round robin in first-seen order
 				for i := range recs {
+					if i == n/2 {
+						// Query halfway, so that the rest of the fold appends
+						// to logs a query has put in order, and in bounded
+						// mode compacts them.
+						t.Run(name+"/halfway", func(t *testing.T) {
+							for w := range refs {
+								compareLazy(t, refs[w], setOfFold(folds[w]))
+								compareLazy(t, refs[w], alone[w])
+							}
+						})
+						halfway = samplerHalvings(sampled)
+						queryAll(sampled)
+					}
 					w, ok := route[recs[i].Publisher]
 					if !ok {
 						w = len(route) % shards
@@ -187,6 +216,7 @@ func TestSlotIndexedMatchesMapBased(t *testing.T) {
 					refs[w].add(&recs[i])
 					folds[w].Add(&recs[i])
 					alone[w].add(&recs[i])
+					sampled.Add(&recs[i])
 				}
 				for len(refs) > 1 {
 					dst, src := rng.Intn(len(refs)), rng.Intn(len(refs)-1)
@@ -201,18 +231,14 @@ func TestSlotIndexedMatchesMapBased(t *testing.T) {
 				if got := folds[0].Records(); got != int64(n) {
 					t.Fatalf("trial %d: fold counted %d records, want %d", trial, got, n)
 				}
-				name := fmt.Sprintf("trial=%d/workers=%d", trial, workers)
-				if byPublisher {
-					name += "/by-publisher"
-				}
-				if budget > 0 {
-					name += "/budget"
-				}
 				t.Run(name+"/fold", func(t *testing.T) {
 					compareSets(t, refs[0], setOfFold(folds[0]))
 				})
 				t.Run(name+"/alone", func(t *testing.T) {
 					compareSets(t, refs[0], alone[0])
+				})
+				t.Run(name+"/sampled", func(t *testing.T) {
+					compareSampled(t, refs[0].addiction, sampled, halfway)
 				})
 			}
 		}
@@ -235,25 +261,137 @@ func byRequests(pts []ObjectPoint) []ObjectPoint {
 	return out
 }
 
-func compareSets(t *testing.T, want *refSet, got *newSet) {
-	// Equal, but for nil against empty and NaN against NaN.
-	eq := func(what string, g, w any) {
-		t.Helper()
-		gv, wv := reflect.ValueOf(g), reflect.ValueOf(w)
-		switch gv.Kind() {
-		case reflect.Slice, reflect.Map:
-			if gv.Len() == 0 && wv.Len() == 0 {
-				return
-			}
-		case reflect.Float64:
-			if math.IsNaN(gv.Float()) && math.IsNaN(wv.Float()) {
-				return
-			}
+// eqLoose fails t unless g equals w, but for nil against empty and NaN
+// against NaN.
+func eqLoose(t *testing.T, what string, g, w any) {
+	t.Helper()
+	gv, wv := reflect.ValueOf(g), reflect.ValueOf(w)
+	switch gv.Kind() {
+	case reflect.Slice, reflect.Map:
+		if gv.Len() == 0 && wv.Len() == 0 {
+			return
 		}
-		if !reflect.DeepEqual(g, w) {
-			t.Errorf("%s:\n got  %v\n want %v", what, g, w)
+	case reflect.Float64:
+		if math.IsNaN(gv.Float()) && math.IsNaN(wv.Float()) {
+			return
 		}
 	}
+	if !reflect.DeepEqual(g, w) {
+		t.Errorf("%s:\n got  %v\n want %v", what, g, w)
+	}
+}
+
+// testCats are the categories every per-category accessor is asked
+// about: the three, and two values that name none.
+var testCats = append(trace.AllCategories(), 0, 9)
+
+// compareLazy compares the accessors of the two analyzers that order
+// their logs at the first query, Sessions and Addiction.
+func compareLazy(t *testing.T, want *refSet, got *newSet) {
+	t.Helper()
+	eq := func(what string, g, w any) { t.Helper(); eqLoose(t, what, g, w) }
+	eq("sessions sites", got.sessions.Sites(), want.sessions.Sites())
+	eq("addiction sites", got.addiction.Sites(), want.addiction.Sites())
+	for _, site := range append(want.sessions.Sites(), "never-seen") {
+		s := "[" + site + "] "
+		eq(s+"IATSeconds", sortedFloats(got.sessions.IATSeconds(site)), sortedFloats(want.sessions.IATSeconds(site)))
+		eq(s+"IATCDF", got.sessions.IATCDF(site), want.sessions.IATCDF(site))
+		eq(s+"SessionsOf", got.sessions.SessionsOf(site), want.sessions.SessionsOf(site))
+		eq(s+"SessionLengthCDF", got.sessions.SessionLengthCDF(site), want.sessions.SessionLengthCDF(site))
+		eq(s+"MeanRequestsPerSession", got.sessions.MeanRequestsPerSession(site), want.sessions.MeanRequestsPerSession(site))
+		eq(s+"TimeoutKnee", got.sessions.TimeoutKnee(site), want.sessions.TimeoutKnee(site))
+		for _, cat := range testCats {
+			compareAddiction(t, fmt.Sprintf("[%s/%v] ", site, cat), want.addiction, got.addiction, site, cat)
+		}
+	}
+}
+
+// compareAddiction compares one population's Fig. 13 and 14 accessors.
+func compareAddiction(t *testing.T, what string, want *refAddiction, got *Addiction, site string, cat trace.Category) {
+	t.Helper()
+	eqLoose(t, what+"Scatter", byRequests(got.Scatter(site, cat)), byRequests(want.Scatter(site, cat)))
+	for _, threshold := range []int64{0, 1, 2, 10} {
+		eqLoose(t, what+"FracObjectsAbove", got.FracObjectsAbove(site, cat, threshold), want.FracObjectsAbove(site, cat, threshold))
+	}
+}
+
+// sampledBudget makes the samples of foreignRecords' busier populations
+// overflow, and overflow again after the halfway query.
+const sampledBudget = 64
+
+// queryAll asks a for every population's Fig. 13 and 14 figures.
+func queryAll(a *Addiction) {
+	for _, site := range a.Sites() {
+		for _, cat := range testCats {
+			a.Scatter(site, cat)
+			a.FracObjectsAbove(site, cat, 1)
+		}
+	}
+}
+
+// samplerHalvings returns how often each of a's object samples has
+// halved, in site and category order.
+func samplerHalvings(a *Addiction) []uint8 {
+	var out []uint8
+	for si, ok := range a.seen {
+		if !ok {
+			continue
+		}
+		for ci := range a.sites[si] {
+			samp := a.sites[si][ci].keys.samp
+			var h uint8
+			for !samp.Admits(math.MaxUint64 >> h) {
+				h++
+			}
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+// compareSampled requires the bounded Addiction got to equal want
+// restricted to the objects its samples keep: hash-threshold sampling
+// keeps every request of a kept object. Some sample must have shrunk
+// since halfway, when it was queried.
+func compareSampled(t *testing.T, want *refAddiction, got *Addiction, halfway []uint8) {
+	shrunk := false
+	for i, h := range samplerHalvings(got) {
+		shrunk = shrunk || i < len(halfway) && h > halfway[i]
+	}
+	if !shrunk {
+		t.Fatalf("no sample shrank after the halfway query (halvings %v, then %v)", halfway, samplerHalvings(got))
+	}
+	kept := &refAddiction{sites: map[string]map[trace.Category]map[refPairKey]int64{}}
+	for site, cats := range want.sites {
+		kept.sites[site] = map[trace.Category]map[refPairKey]int64{}
+		for cat, pairs := range cats {
+			c, ids := got.population(site, cat)
+			if c == nil {
+				t.Fatalf("[%s/%v] bounded addiction lost the population", site, cat)
+			}
+			inSample := map[uint64]bool{}
+			for _, id := range ids {
+				inSample[id] = true
+			}
+			m := map[refPairKey]int64{}
+			for k, n := range pairs {
+				if inSample[k.obj] {
+					m[k] = n
+				}
+			}
+			kept.sites[site][cat] = m
+		}
+	}
+	eqLoose(t, "addiction sites", got.Sites(), kept.Sites())
+	for _, site := range append(kept.Sites(), "never-seen") {
+		for _, cat := range testCats {
+			compareAddiction(t, fmt.Sprintf("[%s/%v] ", site, cat), kept, got, site, cat)
+		}
+	}
+}
+
+func compareSets(t *testing.T, want *refSet, got *newSet) {
+	eq := func(what string, g, w any) { t.Helper(); eqLoose(t, what, g, w) }
 	// Spearman sums ranks in object order, which differs between a map
 	// and a slot table; everything else is order-free or sorted.
 	near := func(what string, g, w float64) {
@@ -262,10 +400,8 @@ func compareSets(t *testing.T, want *refSet, got *newSet) {
 			t.Errorf("%s: got %v, want %v", what, g, w)
 		}
 	}
-	cats := append(trace.AllCategories(), 0, 9)
 
-	eq("sessions sites", got.sessions.Sites(), want.sessions.Sites())
-	eq("addiction sites", got.addiction.Sites(), want.addiction.Sites())
+	compareLazy(t, want, got)
 	eq("aging sites", got.aging.Sites(), want.aging.Sites())
 	eq("caching sites", got.caching.Sites(), want.caching.Sites())
 	eq("popularity sites", got.popularity.Sites(), want.popularity.Sites())
@@ -275,13 +411,6 @@ func compareSets(t *testing.T, want *refSet, got *newSet) {
 
 	for _, site := range append(want.sessions.Sites(), "never-seen") {
 		s := "[" + site + "] "
-		eq(s+"IATSeconds", sortedFloats(got.sessions.IATSeconds(site)), sortedFloats(want.sessions.IATSeconds(site)))
-		eq(s+"IATCDF", got.sessions.IATCDF(site), want.sessions.IATCDF(site))
-		eq(s+"SessionsOf", got.sessions.SessionsOf(site), want.sessions.SessionsOf(site))
-		eq(s+"SessionLengthCDF", got.sessions.SessionLengthCDF(site), want.sessions.SessionLengthCDF(site))
-		eq(s+"MeanRequestsPerSession", got.sessions.MeanRequestsPerSession(site), want.sessions.MeanRequestsPerSession(site))
-		eq(s+"TimeoutKnee", got.sessions.TimeoutKnee(site), want.sessions.TimeoutKnee(site))
-
 		eq(s+"Curve", got.aging.Curve(site), want.aging.Curve(site))
 		eq(s+"FracAliveAllWeek", got.aging.FracAliveAllWeek(site), want.aging.FracAliveAllWeek(site))
 
@@ -289,13 +418,8 @@ func compareSets(t *testing.T, want *refSet, got *newSet) {
 		near(s+"PopularityHitCorrelation", got.caching.PopularityHitCorrelation(site), want.caching.PopularityHitCorrelation(site))
 		eq(s+"HitRatioByPopularityDecile", got.caching.HitRatioByPopularityDecile(site), want.caching.HitRatioByPopularityDecile(site))
 
-		for _, cat := range cats {
+		for _, cat := range testCats {
 			c := fmt.Sprintf("[%s/%v] ", site, cat)
-			eq(c+"Scatter", byRequests(got.addiction.Scatter(site, cat)), byRequests(want.addiction.Scatter(site, cat)))
-			for _, threshold := range []int64{0, 1, 2, 10} {
-				eq(c+"FracObjectsAbove", got.addiction.FracObjectsAbove(site, cat, threshold), want.addiction.FracObjectsAbove(site, cat, threshold))
-			}
-
 			eq(c+"HitRatioCDF", got.caching.HitRatioCDF(site, cat), want.caching.HitRatioCDF(site, cat))
 			eq(c+"ResponseCodes", got.caching.ResponseCodes(site, cat), want.caching.ResponseCodes(site, cat))
 			for _, code := range []int{200, 304, 999, 7} {

@@ -45,32 +45,14 @@ type Sessions struct {
 
 type sessionsSite struct {
 	keys boundedKeys // bounded mode: the site's user sample
-	// log holds the events in arrival order, in chunks of which only the
-	// last has room; sorted means it is one chunk ordered by (user, ts).
-	log    [][]sessionEvent
-	events int
-	sorted bool
+	// log holds the events in arrival order until a query sorts it by
+	// (user, ts).
+	log chunkLog[sessionEvent]
 }
 
 type sessionEvent struct {
 	ts   int64 // Unix nanoseconds
 	user uint32
-}
-
-// Log chunks start small, for the many sites of a small trace, and
-// double up to a size that keeps allocation a rounding error.
-const minLogChunk, maxLogChunk = 256, 8192
-
-// append logs one event.
-func (st *sessionsSite) append(e sessionEvent) {
-	last := len(st.log) - 1
-	if last < 0 || len(st.log[last]) == cap(st.log[last]) {
-		st.log = append(st.log, make([]sessionEvent, 0, min(max(st.events, minLogChunk), maxLogChunk)))
-		last++
-	}
-	st.log[last] = append(st.log[last], e)
-	st.events++
-	st.sorted = false
 }
 
 // newSessions creates an accumulator with the given session timeout
@@ -100,47 +82,33 @@ func (s *Sessions) add(r *trace.Record, k *recKey) {
 			return
 		}
 	}
-	st.append(sessionEvent{ts: r.Timestamp.UnixNano(), user: slot})
-}
-
-// absorb logs o's events, users mapping o's slots to st's.
-func (st *sessionsSite) absorb(o *sessionsSite, users []uint32) {
-	for _, chunk := range o.log {
-		for _, e := range chunk {
-			if e.user = users[e.user]; e.user != noSlot {
-				st.append(e)
-			}
-		}
-	}
+	st.log.append(sessionEvent{ts: r.Timestamp.UnixNano(), user: slot})
 }
 
 // compact drops the events of evicted users and renumbers the rest
 // after the sample shrank.
 func (st *sessionsSite) compact(evict []uint32) {
-	old := sessionsSite{log: st.log}
-	st.log, st.events = nil, 0
-	st.absorb(&old, evict)
+	old := st.log
+	st.log = chunkLog[sessionEvent]{}
+	old.each(func(e sessionEvent) {
+		if e.user = evict[e.user]; e.user != noSlot {
+			st.log.append(e)
+		}
+	})
 }
 
 // events returns the site's index and its log ordered by (user, time),
 // joining and sorting it if anything was folded since the last query.
 func (s *Sessions) events(site string) (si int, log []sessionEvent) {
 	si, st := s.find(site)
-	if st == nil || st.events == 0 {
+	if st == nil {
 		return si, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !st.sorted {
-		if len(st.log) > 1 {
-			st.log = [][]sessionEvent{slices.Concat(st.log...)}
-		}
-		slices.SortFunc(st.log[0], func(a, b sessionEvent) int {
-			return cmp.Or(cmp.Compare(a.user, b.user), cmp.Compare(a.ts, b.ts))
-		})
-		st.sorted = true
-	}
-	return si, st.log[0]
+	return si, st.log.sorted(func(a, b sessionEvent) int {
+		return cmp.Or(cmp.Compare(a.user, b.user), cmp.Compare(a.ts, b.ts))
+	})
 }
 
 // IATSeconds returns every consecutive same-user request gap for the
