@@ -49,6 +49,7 @@ type addictionCat struct {
 	// only the users of sampled objects.
 	keys  boundedKeys
 	users idTable
+	live  []bool // compact's scratch: by user slot, the user keeps a pair
 }
 
 // objectPairs counts one object's pairs: its requests, its distinct
@@ -91,22 +92,28 @@ func (c *addictionCat) append(k uint64) {
 }
 
 // compact drops the pairs of evicted objects, renumbers the rest and
-// forgets users left without a pair, after the sample shrank.
+// forgets users left without a pair, after the sample shrank. The log
+// and the user table are rebuilt in their own storage: the users that
+// stay keep their order, and every chunk is sorted again.
 func (c *addictionCat) compact(evict []uint32) {
-	old, oldUsers := c.log, c.users
-	c.log, c.users = chunkLog[uint64]{}, idTable{}
-	users := make([]uint32, len(oldUsers.keys)) // old user slot → 1 + new slot
-	old.each(func(k uint64) {
-		obj := evict[k>>32]
+	c.live = slices.Grow(c.live[:0], len(c.users.keys))[:len(c.users.keys)]
+	clear(c.live)
+	c.log.filter(func(k *uint64) bool {
+		obj := evict[*k>>32]
 		if obj == noSlot {
-			return
+			return false
 		}
-		u := &users[uint32(k)]
-		if *u == 0 {
-			*u = 1 + c.users.slot(oldUsers.keys[uint32(k)])
-		}
-		c.append(pairKey(obj, *u-1))
+		c.live[uint32(*k)] = true
+		*k = pairKey(obj, uint32(*k))
+		return true
 	})
+	users := c.users.compact(func(s int, _ uint64) bool { return c.live[s] })
+	for _, chunk := range c.log.chunks {
+		for i, k := range chunk {
+			chunk[i] = pairKey(uint32(k>>32), users[uint32(k)])
+		}
+		slices.Sort(chunk)
+	}
 }
 
 // count returns the population's pairs counted per object slot, merging

@@ -329,7 +329,11 @@ func pairCounts(a *Addiction, site string, cat trace.Category) map[idPair]int64 
 	si, _ := a.find(site)
 	users := a.userIDs(si, c.users.keys)
 	out := map[idPair]int64{}
-	c.log.each(func(k uint64) { out[idPair{objs[k>>32], users[uint32(k)]}]++ })
+	for _, chunk := range c.log.chunks {
+		for _, k := range chunk {
+			out[idPair{objs[k>>32], users[uint32(k)]}]++
+		}
+	}
 	return out
 }
 

@@ -30,11 +30,7 @@ func (b *boundedKeys) admit(cap int, key, hash uint64, move func(evict []uint32)
 	if !b.samp.Admits(hash) {
 		return noSlot, false
 	}
-	if s, seen := b.idx[key]; seen {
-		return s, true
-	}
-	slot = b.slot(key)
-	if len(b.keys) <= cap {
+	if slot = b.slot(key); len(b.keys) <= cap {
 		return slot, true
 	}
 	evict := b.prune(cap)
@@ -44,45 +40,27 @@ func (b *boundedKeys) admit(cap int, key, hash uint64, move func(evict []uint32)
 
 // prune evicts the keys the sampler does not admit, halving its
 // threshold first for as long as the sample exceeds cap, and renumbers
-// the survivors in order. It returns the remap from old slots to new,
-// nil if every key stayed.
+// the survivors in order, in the table's own storage. It returns the
+// remap from old slots to new, nil if every key stayed.
 func (b *boundedKeys) prune(cap int) []uint32 {
-	old := b.keys
-	kept := b.admitted(old)
-	for len(kept) > cap {
+	kept := b.admitted()
+	for kept > cap {
 		b.samp.Halve()
-		kept = b.admitted(kept)
+		kept = b.admitted()
 	}
-	if len(kept) == len(old) {
+	if kept == len(b.keys) {
 		return nil
 	}
-	b.idTable = idTable{idx: make(map[uint64]uint32, len(kept)), keys: kept}
-	for s, k := range kept {
-		b.idx[k] = uint32(s)
-	}
-	return b.remapOf(old)
+	return b.compact(func(_ int, k uint64) bool { return b.samp.Admits(sketch.Hash64(k)) })
 }
 
-// admitted filters keys down to those the sampler admits.
-func (b *boundedKeys) admitted(keys []uint64) []uint64 {
-	var out []uint64
-	for _, k := range keys {
+// admitted counts the tracked keys the sampler admits.
+func (b *boundedKeys) admitted() int {
+	n := 0
+	for _, k := range b.keys {
 		if b.samp.Admits(sketch.Hash64(k)) {
-			out = append(out, k)
+			n++
 		}
 	}
-	return out
-}
-
-// remapOf maps each of keys to its slot, or to noSlot.
-func (b *boundedKeys) remapOf(keys []uint64) []uint32 {
-	rm := make([]uint32, len(keys))
-	for s, k := range keys {
-		slot, ok := b.idx[k]
-		if !ok {
-			slot = noSlot
-		}
-		rm[s] = slot
-	}
-	return rm
+	return n
 }

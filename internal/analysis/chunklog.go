@@ -36,13 +36,32 @@ func (l *chunkLog[T]) append(e T) (full []T) {
 	return nil
 }
 
-// each calls fn on every entry in log order.
-func (l *chunkLog[T]) each(fn func(T)) {
+// filter keeps, in log order, the entries keep reports true for, as
+// keep leaves them: it may rewrite the entry it is passed. It writes them
+// over the log's own chunks, dropping only the chunks it empties, so the
+// chunks before the last stay full.
+func (l *chunkLog[T]) filter(keep func(e *T) bool) {
+	wc, wi := 0, 0 // the next entry is written at chunks[wc][wi]
+	l.n = 0
 	for _, chunk := range l.chunks {
-		for _, e := range chunk {
-			fn(e)
+		for i := range chunk {
+			if !keep(&chunk[i]) {
+				continue
+			}
+			if wi == len(l.chunks[wc]) {
+				wc, wi = wc+1, 0
+			}
+			l.chunks[wc][wi] = chunk[i]
+			wi++
+			l.n++
 		}
 	}
+	if len(l.chunks) > 0 {
+		l.chunks[wc] = l.chunks[wc][:wi]
+		clear(l.chunks[wc+1:])
+		l.chunks = l.chunks[:wc+1]
+	}
+	l.settled = false
 }
 
 // sorted returns the log as one slice ordered by cmp, joining the chunks

@@ -108,7 +108,7 @@ func (s *ObjectSeries) add(r *trace.Record, k *recKey) {
 	slot := k.obj
 	if s.budget > 0 {
 		var known bool
-		if slot, known = st.objs.idx[r.ObjectID]; !known || !st.has(slot, k.cat) {
+		if slot, known = st.objs.idx.Get(r.ObjectID); !known || !st.has(slot, k.cat) {
 			if st.gates[k.cat] == nil {
 				st.gates[k.cat] = sketch.NewCountMin(0, 0)
 			}

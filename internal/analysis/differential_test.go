@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"trafficscope/internal/stats"
 	"trafficscope/internal/timeutil"
 	"trafficscope/internal/trace"
 )
@@ -160,7 +161,8 @@ func setOfFold(f *Fold) *newSet {
 // appends to logs a query has ordered. One more Addiction folds every
 // record under a budget its samples overflow, before and after that
 // query, and must match the reference restricted to the objects it
-// keeps.
+// keeps. The cells run in parallel, and each asks the reference once
+// for the answers both sides must give.
 func TestSlotIndexedMatchesMapBased(t *testing.T) {
 	n := 100_000
 	if testing.Short() {
@@ -169,19 +171,7 @@ func TestSlotIndexedMatchesMapBased(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		for _, byPublisher := range []bool{false, true} {
 			for _, budget := range []int{0, 1 << 30} {
-				rng := rand.New(rand.NewSource(int64(1000 + trial)))
-				recs := foreignRecords(rng, n)
 				workers := 1 + trial%4
-				shards := 1
-				if byPublisher {
-					shards = workers
-				}
-				refs := make([]*refSet, shards)
-				folds := make([]*Fold, shards)
-				alone := make([]*newSet, shards)
-				for w := range refs {
-					refs[w], folds[w], alone[w] = newRefSet(), NewFold(Registered(), Params{Week: week, MemoryBudget: budget}), newNewSet(budget)
-				}
 				name := fmt.Sprintf("trial=%d/workers=%d", trial, workers)
 				if byPublisher {
 					name += "/by-publisher"
@@ -189,60 +179,85 @@ func TestSlotIndexedMatchesMapBased(t *testing.T) {
 				if budget > 0 {
 					name += "/budget"
 				}
-				// A bounded Addiction whose samples overflow: the reference
-				// restricted to the objects it keeps must match it.
-				sampled := newAddiction(sampledBudget)
-				var halfway []uint8
-				route := map[string]int{} // publisher → shard, round robin in first-seen order
-				for i := range recs {
-					if i == n/2 {
-						// Query halfway, so that the rest of the fold appends
-						// to logs a query has put in order, and in bounded
-						// mode compacts them.
-						t.Run(name+"/halfway", func(t *testing.T) {
-							for w := range refs {
-								compareLazy(t, refs[w], setOfFold(folds[w]))
-								compareLazy(t, refs[w], alone[w])
-							}
-						})
-						halfway = samplerHalvings(sampled)
-						queryAll(sampled)
-					}
-					w, ok := route[recs[i].Publisher]
-					if !ok {
-						w = len(route) % shards
-						route[recs[i].Publisher] = w
-					}
-					refs[w].add(&recs[i])
-					folds[w].Add(&recs[i])
-					alone[w].add(&recs[i])
-					sampled.Add(&recs[i])
-				}
-				for len(refs) > 1 {
-					dst, src := rng.Intn(len(refs)), rng.Intn(len(refs)-1)
-					if src >= dst {
-						src++
-					}
-					refs[dst].merge(refs[src])
-					folds[dst].Merge(folds[src])
-					alone[dst].merge(alone[src])
-					refs, folds, alone = slices.Delete(refs, src, src+1), slices.Delete(folds, src, src+1), slices.Delete(alone, src, src+1)
-				}
-				if got := folds[0].Records(); got != int64(n) {
-					t.Fatalf("trial %d: fold counted %d records, want %d", trial, got, n)
-				}
-				t.Run(name+"/fold", func(t *testing.T) {
-					compareSets(t, refs[0], setOfFold(folds[0]))
-				})
-				t.Run(name+"/alone", func(t *testing.T) {
-					compareSets(t, refs[0], alone[0])
-				})
-				t.Run(name+"/sampled", func(t *testing.T) {
-					compareSampled(t, refs[0].addiction, sampled, halfway)
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					slotIndexedCell(t, n, trial, workers, byPublisher, budget)
 				})
 			}
 		}
 	}
+}
+
+// slotIndexedCell is one cell of TestSlotIndexedMatchesMapBased.
+func slotIndexedCell(t *testing.T, n, trial, workers int, byPublisher bool, budget int) {
+	rng := rand.New(rand.NewSource(int64(1000 + trial)))
+	recs := foreignRecords(rng, n)
+	shards := 1
+	if byPublisher {
+		shards = workers
+	}
+	refs := make([]*refSet, shards)
+	folds := make([]*Fold, shards)
+	alone := make([]*newSet, shards)
+	for w := range refs {
+		refs[w], folds[w], alone[w] = newRefSet(), NewFold(Registered(), Params{Week: week, MemoryBudget: budget}), newNewSet(budget)
+	}
+	// A bounded Addiction whose samples overflow: the reference
+	// restricted to the objects it keeps must match it.
+	sampled := newAddiction(sampledBudget)
+	var halfway []uint8
+	route := map[string]int{} // publisher → shard, round robin in first-seen order
+	for i := range recs {
+		if i == n/2 {
+			// Query halfway, so that the rest of the fold appends to logs
+			// a query has put in order, and in bounded mode compacts them.
+			t.Run("halfway", func(t *testing.T) {
+				for w := range refs {
+					want := lazyAnswers(refs[w].view(), refs[w].sessions.Sites())
+					compareAnswers(t, lazyAnswers(setOfFold(folds[w]).view(), refs[w].sessions.Sites()), want)
+					compareAnswers(t, lazyAnswers(alone[w].view(), refs[w].sessions.Sites()), want)
+				}
+			})
+			halfway = samplerHalvings(sampled)
+			queryAll(sampled)
+		}
+		w, ok := route[recs[i].Publisher]
+		if !ok {
+			w = len(route) % shards
+			route[recs[i].Publisher] = w
+		}
+		refs[w].add(&recs[i])
+		folds[w].Add(&recs[i])
+		alone[w].add(&recs[i])
+		sampled.Add(&recs[i])
+	}
+	for len(refs) > 1 {
+		dst, src := rng.Intn(len(refs)), rng.Intn(len(refs)-1)
+		if src >= dst {
+			src++
+		}
+		refs[dst].merge(refs[src])
+		folds[dst].Merge(folds[src])
+		alone[dst].merge(alone[src])
+		refs, folds, alone = slices.Delete(refs, src, src+1), slices.Delete(folds, src, src+1), slices.Delete(alone, src, src+1)
+	}
+	if got := folds[0].Records(); got != int64(n) {
+		t.Fatalf("trial %d: fold counted %d records, want %d", trial, got, n)
+	}
+	ref := refs[0]
+	sites := ref.sessions.Sites()
+	want := allAnswers(ref.view(), sites)
+	t.Run("fold", func(t *testing.T) {
+		requireFixture(t, ref)
+		compareAnswers(t, allAnswers(setOfFold(folds[0]).view(), sites), want)
+	})
+	t.Run("alone", func(t *testing.T) {
+		requireFixture(t, ref)
+		compareAnswers(t, allAnswers(alone[0].view(), sites), want)
+	})
+	t.Run("sampled", func(t *testing.T) {
+		compareSampled(t, ref.addiction, sampled, halfway)
+	})
 }
 
 func sortedFloats(xs []float64) []float64 {
@@ -285,33 +300,194 @@ func eqLoose(t *testing.T, what string, g, w any) {
 // about: the three, and two values that name none.
 var testCats = append(trace.AllCategories(), 0, 9)
 
-// compareLazy compares the accessors of the two analyzers that order
-// their logs at the first query, Sessions and Addiction.
-func compareLazy(t *testing.T, want *refSet, got *newSet) {
+// The accessors the test compares, which the map reference and this
+// package's analyzers share.
+type (
+	sessionsView interface {
+		Sites() []string
+		IATSeconds(site string) []float64
+		IATCDF(site string) *stats.ECDF
+		SessionsOf(site string) []Session
+		SessionLengthCDF(site string) *stats.ECDF
+		MeanRequestsPerSession(site string) float64
+		TimeoutKnee(site string) time.Duration
+	}
+	addictionView interface {
+		Sites() []string
+		Scatter(site string, cat trace.Category) []ObjectPoint
+		FracObjectsAbove(site string, cat trace.Category, threshold int64) float64
+	}
+	agingView interface {
+		Sites() []string
+		Curve(site string) [7]float64
+		FracAliveAllWeek(site string) float64
+	}
+	cachingView interface {
+		Sites() []string
+		WeightedHitRatio(site string) float64
+		PopularityHitCorrelation(site string) float64
+		HitRatioByPopularityDecile(site string) []float64
+		HitRatioCDF(site string, cat trace.Category) *stats.ECDF
+		ResponseCodes(site string, cat trace.Category) map[int]int64
+		CodeFrac(site string, cat trace.Category, code int) float64
+	}
+	popularityView interface {
+		Sites() []string
+		Counts(site string, cat trace.Category) []int64
+		RequestCounts(site string, cat trace.Category) map[uint64]int64
+		CDF(site string, cat trace.Category) *stats.ECDF
+		ZipfExponent(site string, cat trace.Category) float64
+		TopShare(site string, cat trace.Category, frac float64) float64
+	}
+)
+
+// view is one side's five analyzers, seen through the shared accessors.
+type view struct {
+	sessions   sessionsView
+	addiction  addictionView
+	aging      agingView
+	caching    cachingView
+	popularity popularityView
+}
+
+func (s *refSet) view() view {
+	return view{s.sessions, s.addiction, s.aging, s.caching, s.popularity}
+}
+
+func (s *newSet) view() view {
+	return view{s.sessions, s.addiction, s.aging, s.caching, s.popularity}
+}
+
+// answer is what one accessor call returned, named by the call.
+type answer struct {
+	what string
+	v    any
+	// near compares within 1e-9: Spearman sums ranks in object order,
+	// which differs between a map and a slot table.
+	near bool
+}
+
+// answers collects a side's answers, in the order both sides ask.
+type answers []answer
+
+func (as *answers) add(what string, v any) { *as = append(*as, answer{what: what, v: v}) }
+
+// compareAnswers requires every answer got to equal want's, but for nil
+// against empty and NaN against NaN, or to be near it.
+func compareAnswers(t *testing.T, got, want answers) {
 	t.Helper()
-	eq := func(what string, g, w any) { t.Helper(); eqLoose(t, what, g, w) }
-	eq("sessions sites", got.sessions.Sites(), want.sessions.Sites())
-	eq("addiction sites", got.addiction.Sites(), want.addiction.Sites())
-	for _, site := range append(want.sessions.Sites(), "never-seen") {
-		s := "[" + site + "] "
-		eq(s+"IATSeconds", sortedFloats(got.sessions.IATSeconds(site)), sortedFloats(want.sessions.IATSeconds(site)))
-		eq(s+"IATCDF", got.sessions.IATCDF(site), want.sessions.IATCDF(site))
-		eq(s+"SessionsOf", got.sessions.SessionsOf(site), want.sessions.SessionsOf(site))
-		eq(s+"SessionLengthCDF", got.sessions.SessionLengthCDF(site), want.sessions.SessionLengthCDF(site))
-		eq(s+"MeanRequestsPerSession", got.sessions.MeanRequestsPerSession(site), want.sessions.MeanRequestsPerSession(site))
-		eq(s+"TimeoutKnee", got.sessions.TimeoutKnee(site), want.sessions.TimeoutKnee(site))
-		for _, cat := range testCats {
-			compareAddiction(t, fmt.Sprintf("[%s/%v] ", site, cat), want.addiction, got.addiction, site, cat)
+	if len(got) != len(want) {
+		t.Fatalf("%d answers, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.what != w.what {
+			t.Fatalf("answer %d is %s, want %s", i, g.what, w.what)
+		}
+		if !w.near {
+			eqLoose(t, w.what, g.v, w.v)
+			continue
+		}
+		gf, wf := g.v.(float64), w.v.(float64)
+		if !(math.Abs(gf-wf) <= 1e-9 || (math.IsNaN(gf) && math.IsNaN(wf))) {
+			t.Errorf("%s: got %v, want %v", w.what, gf, wf)
 		}
 	}
 }
 
-// compareAddiction compares one population's Fig. 13 and 14 accessors.
-func compareAddiction(t *testing.T, what string, want *refAddiction, got *Addiction, site string, cat trace.Category) {
+// lazyAnswers asks the two analyzers that order their logs at the first
+// query, Sessions and Addiction, about every site of sites and one never
+// seen.
+func lazyAnswers(v view, sites []string) answers {
+	var as answers
+	as.add("sessions sites", v.sessions.Sites())
+	for _, site := range append(slices.Clone(sites), "never-seen") {
+		s := "[" + site + "] "
+		as.add(s+"IATSeconds", sortedFloats(v.sessions.IATSeconds(site)))
+		as.add(s+"IATCDF", v.sessions.IATCDF(site))
+		as.add(s+"SessionsOf", v.sessions.SessionsOf(site))
+		as.add(s+"SessionLengthCDF", v.sessions.SessionLengthCDF(site))
+		as.add(s+"MeanRequestsPerSession", v.sessions.MeanRequestsPerSession(site))
+		as.add(s+"TimeoutKnee", v.sessions.TimeoutKnee(site))
+	}
+	return append(as, addictionAnswers(v.addiction, sites)...)
+}
+
+// addictionAnswers asks for the Fig. 13 and 14 figures of every
+// population of sites and one never seen.
+func addictionAnswers(a addictionView, sites []string) answers {
+	var as answers
+	as.add("addiction sites", a.Sites())
+	for _, site := range append(slices.Clone(sites), "never-seen") {
+		for _, cat := range testCats {
+			what := fmt.Sprintf("[%s/%v] ", site, cat)
+			as.add(what+"Scatter", byRequests(a.Scatter(site, cat)))
+			for _, threshold := range []int64{0, 1, 2, 10} {
+				as.add(what+"FracObjectsAbove", a.FracObjectsAbove(site, cat, threshold))
+			}
+		}
+	}
+	return as
+}
+
+// allAnswers is lazyAnswers and every accessor of Aging, Caching and
+// Popularity.
+func allAnswers(v view, sites []string) answers {
+	as := lazyAnswers(v, sites)
+	as.add("aging sites", v.aging.Sites())
+	as.add("caching sites", v.caching.Sites())
+	as.add("popularity sites", v.popularity.Sites())
+	for _, site := range append(slices.Clone(sites), "never-seen") {
+		s := "[" + site + "] "
+		as.add(s+"Curve", v.aging.Curve(site))
+		as.add(s+"FracAliveAllWeek", v.aging.FracAliveAllWeek(site))
+
+		as.add(s+"WeightedHitRatio", v.caching.WeightedHitRatio(site))
+		as = append(as, answer{what: s + "PopularityHitCorrelation", v: v.caching.PopularityHitCorrelation(site), near: true})
+		as.add(s+"HitRatioByPopularityDecile", v.caching.HitRatioByPopularityDecile(site))
+
+		for _, cat := range testCats {
+			c := fmt.Sprintf("[%s/%v] ", site, cat)
+			as.add(c+"HitRatioCDF", v.caching.HitRatioCDF(site, cat))
+			as.add(c+"ResponseCodes", v.caching.ResponseCodes(site, cat))
+			for _, code := range []int{200, 304, 999, 7} {
+				as.add(c+"CodeFrac", v.caching.CodeFrac(site, cat, code))
+			}
+
+			as.add(c+"Counts", v.popularity.Counts(site, cat))
+			as.add(c+"RequestCounts", v.popularity.RequestCounts(site, cat))
+			as.add(c+"popularity CDF", v.popularity.CDF(site, cat))
+			as.add(c+"ZipfExponent", v.popularity.ZipfExponent(site, cat))
+			for _, frac := range []float64{0, 0.1, 0.5, 1} {
+				as.add(c+"TopShare", v.popularity.TopShare(site, cat, frac))
+			}
+		}
+	}
+	return as
+}
+
+// requireFixture fails t unless the reference holds the cases the test
+// is for: five sites, an object under two categories, and cache
+// verdicts.
+func requireFixture(t *testing.T, want *refSet) {
 	t.Helper()
-	eqLoose(t, what+"Scatter", byRequests(got.Scatter(site, cat)), byRequests(want.Scatter(site, cat)))
-	for _, threshold := range []int64{0, 1, 2, 10} {
-		eqLoose(t, what+"FracObjectsAbove", got.FracObjectsAbove(site, cat, threshold), want.FracObjectsAbove(site, cat, threshold))
+	if len(want.sessions.Sites()) < 5 || len(want.aging.Sites()) < 5 {
+		t.Fatalf("fixture lost its sites: %v", want.sessions.Sites())
+	}
+	var twoCats, noVerdict bool
+	for _, site := range want.popularity.Sites() {
+		video, image := want.popularity.RequestCounts(site, trace.CategoryVideo), want.popularity.RequestCounts(site, trace.CategoryImage)
+		for id := range video {
+			if _, ok := image[id]; ok {
+				twoCats = true
+			}
+		}
+		if c := want.caching.ResponseCodes(site, trace.CategoryVideo); len(c) > 0 && want.caching.WeightedHitRatio(site) > 0 {
+			noVerdict = true
+		}
+	}
+	if !twoCats || !noVerdict {
+		t.Fatalf("fixture lacks a case: object under two categories %v, verdicts %v", twoCats, noVerdict)
 	}
 }
 
@@ -382,74 +558,5 @@ func compareSampled(t *testing.T, want *refAddiction, got *Addiction, halfway []
 			kept.sites[site][cat] = m
 		}
 	}
-	eqLoose(t, "addiction sites", got.Sites(), kept.Sites())
-	for _, site := range append(kept.Sites(), "never-seen") {
-		for _, cat := range testCats {
-			compareAddiction(t, fmt.Sprintf("[%s/%v] ", site, cat), kept, got, site, cat)
-		}
-	}
-}
-
-func compareSets(t *testing.T, want *refSet, got *newSet) {
-	eq := func(what string, g, w any) { t.Helper(); eqLoose(t, what, g, w) }
-	// Spearman sums ranks in object order, which differs between a map
-	// and a slot table; everything else is order-free or sorted.
-	near := func(what string, g, w float64) {
-		t.Helper()
-		if !(math.Abs(g-w) <= 1e-9 || (math.IsNaN(g) && math.IsNaN(w))) {
-			t.Errorf("%s: got %v, want %v", what, g, w)
-		}
-	}
-
-	compareLazy(t, want, got)
-	eq("aging sites", got.aging.Sites(), want.aging.Sites())
-	eq("caching sites", got.caching.Sites(), want.caching.Sites())
-	eq("popularity sites", got.popularity.Sites(), want.popularity.Sites())
-	if len(want.sessions.Sites()) < 5 || len(want.aging.Sites()) < 5 {
-		t.Fatalf("fixture lost its sites: %v", want.sessions.Sites())
-	}
-
-	for _, site := range append(want.sessions.Sites(), "never-seen") {
-		s := "[" + site + "] "
-		eq(s+"Curve", got.aging.Curve(site), want.aging.Curve(site))
-		eq(s+"FracAliveAllWeek", got.aging.FracAliveAllWeek(site), want.aging.FracAliveAllWeek(site))
-
-		eq(s+"WeightedHitRatio", got.caching.WeightedHitRatio(site), want.caching.WeightedHitRatio(site))
-		near(s+"PopularityHitCorrelation", got.caching.PopularityHitCorrelation(site), want.caching.PopularityHitCorrelation(site))
-		eq(s+"HitRatioByPopularityDecile", got.caching.HitRatioByPopularityDecile(site), want.caching.HitRatioByPopularityDecile(site))
-
-		for _, cat := range testCats {
-			c := fmt.Sprintf("[%s/%v] ", site, cat)
-			eq(c+"HitRatioCDF", got.caching.HitRatioCDF(site, cat), want.caching.HitRatioCDF(site, cat))
-			eq(c+"ResponseCodes", got.caching.ResponseCodes(site, cat), want.caching.ResponseCodes(site, cat))
-			for _, code := range []int{200, 304, 999, 7} {
-				eq(c+"CodeFrac", got.caching.CodeFrac(site, cat, code), want.caching.CodeFrac(site, cat, code))
-			}
-
-			eq(c+"Counts", got.popularity.Counts(site, cat), want.popularity.Counts(site, cat))
-			eq(c+"RequestCounts", got.popularity.RequestCounts(site, cat), want.popularity.RequestCounts(site, cat))
-			eq(c+"popularity CDF", got.popularity.CDF(site, cat), want.popularity.CDF(site, cat))
-			eq(c+"ZipfExponent", got.popularity.ZipfExponent(site, cat), want.popularity.ZipfExponent(site, cat))
-			for _, frac := range []float64{0, 0.1, 0.5, 1} {
-				eq(c+"TopShare", got.popularity.TopShare(site, cat, frac), want.popularity.TopShare(site, cat, frac))
-			}
-		}
-	}
-
-	// The fixture must hold the cases the test is for.
-	var twoCats, noVerdict bool
-	for _, site := range want.popularity.Sites() {
-		video, image := want.popularity.RequestCounts(site, trace.CategoryVideo), want.popularity.RequestCounts(site, trace.CategoryImage)
-		for id := range video {
-			if _, ok := image[id]; ok {
-				twoCats = true
-			}
-		}
-		if c := want.caching.ResponseCodes(site, trace.CategoryVideo); len(c) > 0 && want.caching.WeightedHitRatio(site) > 0 {
-			noVerdict = true
-		}
-	}
-	if !twoCats || !noVerdict {
-		t.Fatalf("fixture lacks a case: object under two categories %v, verdicts %v", twoCats, noVerdict)
-	}
+	compareAnswers(t, addictionAnswers(got, kept.Sites()), addictionAnswers(kept, kept.Sites()))
 }

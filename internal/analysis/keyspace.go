@@ -78,25 +78,48 @@ func (t *slotTable) slot(key uint32, id uint64) uint32 {
 }
 
 // idTable is a slotTable keyed by hashed ID, for the bounded mode's
-// samples: its map holds only the sampled keys, where a slice over dense
-// keys would grow with the population the budget bounds.
+// samples: it holds only the sampled keys, where a slice over dense keys
+// would grow with the population the budget bounds. Its index is a
+// trace.IDMap, which allocates once per doubling where a Go map
+// allocates once per 1,024-slot table, and which compact rebuilds in
+// the storage it has.
 type idTable struct {
-	idx  map[uint64]uint32
-	keys []uint64 // slot → hashed ID
+	idx   trace.IDMap[uint32]
+	keys  []uint64 // slot → hashed ID
+	remap []uint32 // compact's result
 }
 
 // slot returns the ID's slot, assigning the next one to a new ID.
 func (t *idTable) slot(id uint64) uint32 {
-	if s, ok := t.idx[id]; ok {
-		return s
+	s, found := t.idx.Ref(id)
+	if !found {
+		*s = uint32(len(t.keys))
+		if len(t.keys) == cap(t.keys) { // double, as the index does
+			t.keys = slices.Grow(t.keys, max(len(t.keys), 16))
+		}
+		t.keys = append(t.keys, id)
 	}
-	if t.idx == nil {
-		t.idx = map[uint64]uint32{}
+	return *s
+}
+
+// compact keeps the IDs keep reports true for, renumbered in slot
+// order, and returns the remap of every old slot to its new one, or to
+// noSlot for an ID dropped. The remap is the table's own buffer, valid
+// until the next compact.
+func (t *idTable) compact(keep func(slot int, id uint64) bool) []uint32 {
+	t.remap = slices.Grow(t.remap[:0], len(t.keys))[:len(t.keys)]
+	t.idx.Clear()
+	kept := t.keys[:0]
+	for s, id := range t.keys {
+		t.remap[s] = noSlot
+		if keep(s, id) {
+			t.remap[s] = uint32(len(kept))
+			t.idx.Put(id, uint32(len(kept)))
+			kept = append(kept, id)
+		}
 	}
-	s := uint32(len(t.keys))
-	t.idx[id] = s
-	t.keys = append(t.keys, id)
-	return s
+	t.keys = kept
+	return t.remap
 }
 
 // siteKeys holds one publisher's key populations, and the numbering of

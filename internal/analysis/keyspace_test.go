@@ -93,9 +93,12 @@ func TestBoundedKeysRemaps(t *testing.T) {
 		if !slices.Equal(state, b.keys) {
 			t.Fatalf("%s: state drifted from its keys:\n state %v\n keys  %v", name, state, b.keys)
 		}
+		if b.idx.Len() != len(b.keys) {
+			t.Fatalf("%s: index holds %d keys, the sample %d", name, b.idx.Len(), len(b.keys))
+		}
 		for slot, key := range b.keys {
-			if b.idx[key] != uint32(slot) || !b.samp.Admits(sketch.Hash64(key)) {
-				t.Fatalf("%s: key %d at slot %d: index %d, admitted %v", name, key, slot, b.idx[key], b.samp.Admits(sketch.Hash64(key)))
+			if got, _ := b.idx.Get(key); got != uint32(slot) || !b.samp.Admits(sketch.Hash64(key)) {
+				t.Fatalf("%s: key %d at slot %d: index %d, admitted %v", name, key, slot, got, b.samp.Admits(sketch.Hash64(key)))
 			}
 		}
 		var want []uint64

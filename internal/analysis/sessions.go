@@ -86,14 +86,11 @@ func (s *Sessions) add(r *trace.Record, k *recKey) {
 }
 
 // compact drops the events of evicted users and renumbers the rest
-// after the sample shrank.
+// after the sample shrank, in the log's own storage.
 func (st *sessionsSite) compact(evict []uint32) {
-	old := st.log
-	st.log = chunkLog[sessionEvent]{}
-	old.each(func(e sessionEvent) {
-		if e.user = evict[e.user]; e.user != noSlot {
-			st.log.append(e)
-		}
+	st.log.filter(func(e *sessionEvent) bool {
+		e.user = evict[e.user]
+		return e.user != noSlot
 	})
 }
 
@@ -111,25 +108,27 @@ func (s *Sessions) events(site string) (si int, log []sessionEvent) {
 	})
 }
 
+// eachGap calls fn with every consecutive same-user request gap of the
+// site, in seconds, in (user, time) order.
+func (s *Sessions) eachGap(site string, fn func(seconds float64)) {
+	_, log := s.events(site)
+	for i := 1; i < len(log); i++ {
+		if log[i].user == log[i-1].user {
+			fn(time.Duration(log[i].ts - log[i-1].ts).Seconds())
+		}
+	}
+}
+
 // IATSeconds returns every consecutive same-user request gap for the
 // site, in seconds (Fig. 11).
 func (s *Sessions) IATSeconds(site string) []float64 {
-	_, log := s.events(site)
 	gaps := 0
-	for i := 1; i < len(log); i++ {
-		if log[i].user == log[i-1].user {
-			gaps++
-		}
-	}
+	s.eachGap(site, func(float64) { gaps++ })
 	if gaps == 0 {
 		return nil
 	}
 	out := make([]float64, 0, gaps)
-	for i := 1; i < len(log); i++ {
-		if log[i].user == log[i-1].user {
-			out = append(out, time.Duration(log[i].ts-log[i-1].ts).Seconds())
-		}
-	}
+	s.eachGap(site, func(x float64) { out = append(out, x) })
 	return out
 }
 
@@ -222,15 +221,14 @@ func (s *Sessions) MeanRequestsPerSession(site string) float64 {
 // earlier analysis of user request IAT distributions"). Returns zero
 // when the distribution has no usable gap.
 func (s *Sessions) TimeoutKnee(site string) time.Duration {
-	iats := s.IATSeconds(site)
-	if len(iats) < 20 {
-		return 0
-	}
-	// Log-spaced histogram from 1 second to 1 week.
+	// Log-spaced histogram from 1 second to 1 week, binned as the log
+	// is scanned.
 	const bins = 36
 	lo, hi := math.Log(1.0), math.Log(7*24*3600.0)
-	counts := make([]float64, bins)
-	for _, x := range iats {
+	var counts [bins]float64
+	gaps := 0
+	s.eachGap(site, func(x float64) {
+		gaps++
 		if x < 1 {
 			x = 1
 		}
@@ -242,6 +240,9 @@ func (s *Sessions) TimeoutKnee(site string) time.Duration {
 			b = bins - 1
 		}
 		counts[b]++
+	})
+	if gaps < 20 {
+		return 0
 	}
 	// Peak below ~30 min and peak above; knee = sparsest bin between.
 	cut := int((math.Log(1800.0) - lo) / (hi - lo) * bins)

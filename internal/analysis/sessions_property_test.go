@@ -101,6 +101,11 @@ func TestTimeoutKnee(t *testing.T) {
 	if knee < time.Minute || knee > 2*time.Hour {
 		t.Errorf("knee = %v, want between the 30s and 6h modes", knee)
 	}
+	// With the log sorted, the knee bins the gaps as it scans them and
+	// allocates nothing, no slice of gaps included.
+	if n := testing.AllocsPerRun(5, func() { s.TimeoutKnee("X") }); n != 0 {
+		t.Errorf("TimeoutKnee allocates %v times on a sorted log, want 0", n)
+	}
 	// Too few IATs: zero.
 	empty := newSessions(0, 0)
 	if empty.TimeoutKnee("X") != 0 {

@@ -184,13 +184,30 @@ const browserTTL = 24 * time.Hour
 // serializes admit calls (the replay's reading goroutine, or
 // ConcurrentCDN's mutex).
 type clientState struct {
-	browser map[uint64]time.Time
+	browser trace.IDMap[deadline]
 	reqSeq  []uint32
+}
+
+// deadline is a time.Time without its location pointer: Unix seconds
+// and the nanosecond within them, which order like the time.Time
+// (Before, for a time without a monotonic reading) at any date, where
+// Unix nanoseconds stop outside 1678–2262.
+type deadline struct {
+	sec  int64
+	nsec int32
+}
+
+func deadlineOf(t time.Time) deadline { return deadline{t.Unix(), int32(t.Nanosecond())} }
+
+// after reports whether the deadline is later than t.
+func (d deadline) after(t time.Time) bool {
+	sec := t.Unix()
+	return sec < d.sec || sec == d.sec && int32(t.Nanosecond()) < d.nsec
 }
 
 // reset empties the state, keeping its storage for the next pass.
 func (cs *clientState) reset() {
-	clear(cs.browser)
+	cs.browser.Clear()
 	clear(cs.reqSeq)
 }
 
@@ -206,14 +223,11 @@ func (cs *clientState) nextSeq(user uint32) uint32 {
 // fresh at ts; when it is not, the freshness deadline is reset to
 // ts+browserTTL.
 func (cs *clientState) browserCheck(user, obj uint32, ts time.Time) bool {
-	bk := uint64(user)<<32 | uint64(obj)
-	if deadline, ok := cs.browser[bk]; ok && ts.Before(deadline) {
+	d, found := cs.browser.Ref(uint64(user)<<32 | uint64(obj))
+	if found && d.after(ts) {
 		return true
 	}
-	if cs.browser == nil {
-		cs.browser = map[uint64]time.Time{}
-	}
-	cs.browser[bk] = ts.Add(browserTTL)
+	*d = deadlineOf(ts.Add(browserTTL))
 	return false
 }
 
@@ -226,9 +240,9 @@ func (cs *clientState) browserCheck(user, obj uint32, ts time.Time) bool {
 // at most maxChunks slots whatever size it claims. Slots only name
 // entries: no policy orders anything by them.
 type slotSpace struct {
-	runs []slotRun         // by object key
-	past map[uint64]uint32 // object key<<32 | chunk → slot
-	n    uint32            // slots handed out
+	runs []slotRun           // by object key
+	past trace.IDMap[uint32] // object key<<32 | chunk → slot
+	n    uint32              // slots handed out
 }
 
 // slotRun is one object's reservation: chunks 0..n-1 at slots
@@ -279,16 +293,13 @@ func (s *slotSpace) place(obj uint32, run, need int, more *[]uint32, add bool) (
 	from := len(*more)
 	for i := int(r.n); i < need; i++ {
 		k := uint64(obj)<<32 | uint64(i)
-		slot, ok := s.past[k]
+		slot, ok := s.past.Get(k)
 		if !ok {
 			if !add {
 				return p, false
 			}
-			if s.past == nil {
-				s.past = map[uint64]uint32{}
-			}
 			slot = s.take(1)
-			s.past[k] = slot
+			s.past.Put(k, slot)
 		}
 		*more = append(*more, slot)
 	}

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -663,6 +664,52 @@ func TestDenseCDNMatchesHashedOracle(t *testing.T) {
 		}
 		if hits == 0 || hits == len(want) {
 			t.Errorf("%d of %d requests hit; the trace should hit and miss", hits, len(want))
+		}
+	})
+
+	// Browser-cache deadlines at dates Unix nanoseconds cannot hold: one
+	// image per anchor, first asked for half a day before it, so that its
+	// deadline lies half a day after; then an hour later, one nanosecond
+	// before the deadline, exactly at it, and one nanosecond before the
+	// deadline that last request set. The anchors straddle the ends of
+	// the int64 nanosecond range, where a deadline past the end would
+	// wrap below the request before it, and lie far outside it.
+	t.Run("browser deadlines at any date", func(t *testing.T) {
+		anchors := []time.Time{
+			time.Date(1200, 3, 1, 0, 0, 0, 0, time.UTC),
+			time.Unix(0, math.MinInt64).UTC(),
+			t0,
+			time.Unix(0, math.MaxInt64).UTC(),
+			time.Date(3000, 3, 1, 0, 0, 0, 0, time.UTC),
+		}
+		var recs []*trace.Record
+		var wantStatus []int
+		for i, a := range anchors {
+			first := a.Add(-browserTTL / 2)
+			deadline := first.Add(browserTTL)
+			for _, req := range []struct {
+				at     time.Time
+				status int
+			}{
+				{first, StatusOK},
+				{first.Add(time.Hour), StatusNotModified},
+				{deadline.Add(-time.Nanosecond), StatusNotModified},
+				{deadline, StatusOK},
+				{deadline.Add(browserTTL - time.Nanosecond), StatusNotModified},
+			} {
+				recs = append(recs, imageReq(uint64(i+1), 7, 1000, req.at))
+				wantStatus = append(wantStatus, req.status)
+			}
+		}
+		cfg := Config{
+			NewCache:    func() Cache { return NewLRU(1 << 20) },
+			IsIncognito: func(string, uint64) bool { return false },
+		}
+		want := requireReplaysMatchOracle(t, cfg, refLRUCache(1<<20), recs)
+		for i, w := range want {
+			if w.status != wantStatus[i] {
+				t.Errorf("request %d at %v: oracle status %d, want %d", i, recs[i].Timestamp, w.status, wantStatus[i])
+			}
 		}
 	})
 }

@@ -17,7 +17,7 @@ import "fmt"
 // alias unrelated objects silently. The zero value is an empty table.
 // A KeyTable is not safe for concurrent use.
 type KeyTable struct {
-	objs, users map[uint64]uint32
+	objs, users IDMap[uint32]
 	// numbered records that came with keys of their own.
 	numbered bool
 }
@@ -26,7 +26,7 @@ type KeyTable struct {
 // table's, numbering an ID it has not seen before.
 func (t *KeyTable) Keys(r *Record) (obj, user uint32) {
 	if r.ObjectKey != 0 || r.UserKey != 0 {
-		if r.ObjectKey == 0 || r.UserKey == 0 || len(t.objs) > 0 {
+		if r.ObjectKey == 0 || r.UserKey == 0 || t.objs.Len() > 0 {
 			panic(t.mixed(r))
 		}
 		t.numbered = true
@@ -47,13 +47,12 @@ func (t *KeyTable) Stamp(r *Record) { r.ObjectKey, r.UserKey = t.Keys(r) }
 // kind, as Keys does.
 func (t *KeyTable) Object(r *Record) (uint32, bool) {
 	switch {
-	case r.ObjectKey != 0 && len(t.objs) > 0, r.ObjectKey == 0 && t.numbered:
+	case r.ObjectKey != 0 && t.objs.Len() > 0, r.ObjectKey == 0 && t.numbered:
 		panic(t.mixed(r))
 	case r.ObjectKey != 0:
 		return r.ObjectKey, true
 	}
-	k, ok := t.objs[r.ObjectID]
-	return k, ok
+	return t.objs.Get(r.ObjectID)
 }
 
 func (t *KeyTable) mixed(r *Record) string {
@@ -65,15 +64,11 @@ func (t *KeyTable) mixed(r *Record) string {
 		r.ObjectID, r.UserID, r.ObjectKey, r.UserKey, how)
 }
 
-// number returns id's key in *m, giving it the next one when new.
-func number(m *map[uint64]uint32, id uint64) uint32 {
-	if k, ok := (*m)[id]; ok {
-		return k
+// number returns id's key in m, giving it the next one when new.
+func number(m *IDMap[uint32], id uint64) uint32 {
+	k, found := m.Ref(id)
+	if !found {
+		*k = uint32(m.Len())
 	}
-	if *m == nil {
-		*m = map[uint64]uint32{}
-	}
-	k := uint32(len(*m) + 1)
-	(*m)[id] = k
-	return k
+	return *k
 }
