@@ -38,7 +38,9 @@ race:
 
 # Five seconds of each fuzz target (CI runs this after check): the seed
 # corpus plus whatever the mutator reaches, so a target that rots or a
-# parser/kernel that breaks on its own seeds fails the build. -fuzz takes
+# parser/kernel that breaks on its own seeds fails the build. Minimising a
+# new input runs one attempt (-fuzzminimizetime 1x): the default 60 s would
+# spend the five seconds minimising instead of executing. -fuzz takes
 # one target of one package per run, so the loop asks each package for
 # its targets (`go test -list`): a new Fuzz* function runs here by existing.
 fuzz-smoke:
@@ -46,7 +48,7 @@ fuzz-smoke:
 		targets=$$($(GO) test -list '^Fuzz' $$pkg) || exit 1; \
 		for t in $$(echo "$$targets" | grep '^Fuzz'); do \
 			echo "fuzz-smoke: $$t ($$pkg)"; \
-			$(GO) test -run NONE -fuzz "^$$t$$" -fuzztime 5s $$pkg || exit 1; \
+			$(GO) test -run NONE -fuzz "^$$t$$" -fuzztime 5s -fuzzminimizetime 1x $$pkg || exit 1; \
 		done; \
 	done
 

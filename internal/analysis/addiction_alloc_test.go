@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -34,8 +35,12 @@ func addictionOf(perUser int) []*trace.Record {
 // pair, and once the first query has counted the log, a Scatter and a
 // FracObjectsAbove allocate their points and nothing per pair, so ten
 // times the pairs over the same keys cost the same handful of
-// allocations.
+// allocations. The collector is off: a cycle that ends mid-fold runs the
+// runtime's post-collection cleanups (the unique package's map cleanup
+// allocates two objects), which count too — at random under -race, where
+// the slower fold meets more cycles.
 func TestAddictionQueriesCountOnce(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	measure := func(perUser int) (fold, query float64, chunks int) {
 		recs := addictionOf(perUser)
 		var a *Addiction

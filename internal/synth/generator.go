@@ -147,18 +147,19 @@ func (g *Generator) Generate() ([]*trace.Record, error) {
 // GenerateTo streams records to sink. Records arrive grouped by site and
 // hour shard, roughly time-ordered within a site; use Generate for a
 // fully sorted in-memory trace or ParallelReader for a sorted stream.
-// Each record lives in its hour's slab, which is fresh and never reused:
-// the sink may retain the pointer. A sink error aborts generation.
+// Records are carved in emission order from fresh chunks of freshRecords,
+// each hour continuing where the last one stopped, and no record is ever
+// reused: the sink may retain the pointer. A sink error aborts generation.
 func (g *Generator) GenerateTo(sink func(*trace.Record) error) error {
+	var hour slab
 	for i := range g.pops {
 		plan := g.plans[i]
 		if plan == nil {
 			continue
 		}
 		sc := newShardScratch(plan)
-		var hour slab
 		for _, h := range plan.hours {
-			hour.chunks = hour.chunks[:0]
+			hour.restart()
 			g.generateHour(i, h, sc, &hour)
 			for _, chunk := range hour.chunks {
 				for k := range chunk {
@@ -290,36 +291,60 @@ func newShardScratch(plan *sitePlan) *shardScratch {
 }
 
 // chunkRecords is the capacity of a pooled slab chunk: 16 KiB of records.
-const chunkRecords = 128
+// freshRecords is that of a fresh one: 1 MiB.
+const (
+	chunkRecords = 128
+	freshRecords = 8192
+)
 
 // slab holds one (site, hour)'s records in emission order, in chunks of
-// one capacity of which all but the last are full: record k is
-// chunks[k/cap][k%cap]. Without a pool it is a single fresh chunk sized by
-// the hour's request budget, which whoever receives the records may keep
-// (GenerateTo); with one it grows by pooled chunks of chunkRecords, which
-// go back to the pool once the hour's last record has been copied out
-// (the parallel path).
+// which all but the last are full. With a pool (the parallel path) every
+// chunk holds chunkRecords, so record k is
+// chunks[k/chunkRecords][k%chunkRecords], and the chunks go back to the
+// pool once the hour's last record has been copied out. Without one
+// (GenerateTo) the records are carved in order from fresh chunks of
+// freshRecords that are never reused, so whoever receives a record may
+// keep it: restart begins the next hour where the last one stopped, so
+// several hours share a fresh chunk and an hour may span two.
 type slab struct {
 	chunks [][]trace.Record
-	budget int
 	pool   *chunkPool
+	fresh  []trace.Record // without a pool: the current fresh chunk from the last chunk's start on
 }
 
 // add returns the storage of the slab's next record.
 func (s *slab) add() *trace.Record {
 	k := len(s.chunks) - 1
 	if k < 0 || len(s.chunks[k]) == cap(s.chunks[k]) {
-		if s.pool != nil {
-			s.chunks = append(s.chunks, s.pool.get())
-		} else {
-			s.chunks = append(s.chunks, make([]trace.Record, 0, s.budget))
-		}
+		s.chunks = append(s.chunks, s.chunk())
 		k++
 	}
 	c := s.chunks[k]
 	c = c[:len(c)+1]
 	s.chunks[k] = c
 	return &c[len(c)-1]
+}
+
+// chunk returns the slab's next empty chunk: a pooled one, or the unused
+// rest of the current fresh chunk, which is a new one when a full chunk
+// took the last rest.
+func (s *slab) chunk() []trace.Record {
+	if s.pool != nil {
+		return s.pool.get()
+	}
+	if len(s.chunks) > 0 || len(s.fresh) == 0 {
+		s.fresh = make([]trace.Record, freshRecords)
+	}
+	return s.fresh[:0:len(s.fresh)]
+}
+
+// restart empties a pool-less slab for the next hour, which carves its
+// records from the fresh chunk after the last hour's.
+func (s *slab) restart() {
+	if k := len(s.chunks); k > 0 {
+		s.fresh = s.fresh[len(s.chunks[k-1]):]
+	}
+	s.chunks = s.chunks[:0]
 }
 
 // chunkPool recycles one site's record chunks, and its drained shards
@@ -401,7 +426,6 @@ func (g *Generator) generateHour(i, h int, sc *shardScratch, out *slab) {
 	// Number of requests this local hour (Poisson via normal approx for
 	// large means, exact for small).
 	n := samplePoisson(rng, plan.hourTotal[h])
-	out.budget = n
 	for n > 0 {
 		// One session: size capped by remaining budget.
 		size := 1 + sampleGeometric(rng, plan.prof.MeanRequestsPerSession-1)

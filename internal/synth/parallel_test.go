@@ -290,7 +290,7 @@ func TestReadBlockLeavesCallerStorageAlone(t *testing.T) {
 // newShard builds a shard of the given timestamps, in emission order,
 // each record carrying user as its identity.
 func newShard(hour int, user uint64, stamps ...time.Time) *shard {
-	sh := &shard{hour: hour, recs: slab{budget: len(stamps)}}
+	sh := &shard{hour: hour, recs: slab{pool: &chunkPool{}}}
 	for _, ts := range stamps {
 		*sh.recs.add() = trace.Record{Timestamp: ts, UserID: user}
 	}

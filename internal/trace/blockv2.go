@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"trafficscope/internal/timeutil"
@@ -82,6 +83,7 @@ type BlockWriter struct {
 	interns  map[string]uint64
 	order    []string // interned strings in first-seen order
 	scratch  []byte
+	lenBuf   [binary.MaxVarintLen64]byte // the frame's length prefix
 }
 
 var _ Writer = (*BlockWriter)(nil)
@@ -92,6 +94,18 @@ func NewBlockWriter(w io.Writer) *BlockWriter {
 		w:       bufio.NewWriterSize(w, 1<<16),
 		interns: make(map[string]uint64, 64),
 	}
+}
+
+// reset discards any buffered block and points the writer at a new
+// stream, which gets its own magic: ExternalSort writes every spill
+// through one writer, keeping its buffers.
+func (bw *BlockWriter) reset(w io.Writer) {
+	bw.w.Reset(w)
+	bw.wroteMagic = false
+	bw.n = 0
+	bw.body = bw.body[:0]
+	bw.order = bw.order[:0]
+	clear(bw.interns)
 }
 
 func (bw *BlockWriter) intern(s string) uint64 {
@@ -163,9 +177,10 @@ func (bw *BlockWriter) flushBlock() error {
 	}
 	bw.scratch = h
 
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(h)+len(bw.body)))
-	if _, err := bw.w.Write(lenBuf[:n]); err != nil {
+	// The length prefix lives in the writer: a local array would escape
+	// through the io.Writer call, one allocation per block.
+	n := binary.PutUvarint(bw.lenBuf[:], uint64(len(h)+len(bw.body)))
+	if _, err := bw.w.Write(bw.lenBuf[:n]); err != nil {
 		return err
 	}
 	if _, err := bw.w.Write(h); err != nil {
@@ -214,8 +229,10 @@ var _ BulkReader = (*BlockReader)(nil) // and so a Reader
 // NewBlockReader wraps r. bufio.NewReaderSize hands back r itself when it
 // is already a large-enough *bufio.Reader, so OpenFile's magic-sniffing
 // peek reader is reused rather than double-buffered.
-func NewBlockReader(r io.Reader) *BlockReader {
-	return &BlockReader{r: bufio.NewReaderSize(r, 1<<16), in: newInterner()}
+func NewBlockReader(r io.Reader) *BlockReader { return newBlockReader(r, newInterner()) }
+
+func newBlockReader(r io.Reader, in *interner) *BlockReader {
+	return &BlockReader{r: bufio.NewReaderSize(r, 1<<16), in: in}
 }
 
 // Read fills rec with the next record, returning io.EOF at end of input,
@@ -369,7 +386,9 @@ func (br *BlockReader) nextBlock() error {
 			}
 			return br.parseBlock(br.buf)
 		}
-		br.buf = make([]byte, length)
+		// Geometric growth: blocks of a file differ by a few bytes, and a
+		// buffer sized to each new largest one reallocates on most blocks.
+		br.buf = make([]byte, max(need, min(2*cap(br.buf), 1<<20)))
 	}
 	br.buf = br.buf[:length]
 	if _, err := io.ReadFull(br.r, br.buf); err != nil {
@@ -391,7 +410,9 @@ func (br *BlockReader) parseBlock(payload []byte) error {
 	if internCount > maxBlockInterns {
 		return fmt.Errorf("%w: implausible intern count %d", ErrCorruptBlock, internCount)
 	}
-	br.interns = br.interns[:0]
+	// One allocation for the table, not one per doubling; an entry takes
+	// at least a byte, so a corrupt count cannot size it past the payload.
+	br.interns = slices.Grow(br.interns[:0], int(min(internCount, uint64(len(d.b)))))
 	for i := uint64(0); i < internCount; i++ {
 		b := d.strBytes()
 		if d.err != nil {

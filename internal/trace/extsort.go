@@ -39,18 +39,63 @@ func (a sortKey) compare(b sortKey) int {
 	return cmp.Compare(a.idx, b.idx)
 }
 
-// sortedKeys returns batch's keys in timestamp order, ties in batch
-// order, built in keys' storage when it is large enough. The records do
-// not move and no comparison touches one: the caller walks the batch in
-// key order.
-func sortedKeys(batch []Record, keys []sortKey) []sortKey {
-	keys = slices.Grow(keys[:0], len(batch))[:len(batch)]
-	for i := range batch {
-		t := batch[i].Timestamp
-		keys[i] = sortKey{sec: t.Unix(), nsec: uint32(t.Nanosecond()), idx: uint32(i)}
+// sortedKeys returns the keys of a batch held in blocks, in timestamp
+// order, ties in batch order, built in keys' storage when it is large
+// enough. A key's idx is its record's position in the blocks taken in
+// order. The records do not move and no comparison touches one: the
+// caller walks the batch in key order.
+func sortedKeys(blocks [][]Record, keys []sortKey) []sortKey {
+	n := 0
+	for _, block := range blocks {
+		n += len(block)
+	}
+	keys = slices.Grow(keys[:0], n)
+	for _, block := range blocks {
+		for i := range block {
+			t := block[i].Timestamp
+			keys = append(keys, sortKey{sec: t.Unix(), nsec: uint32(t.Nanosecond()), idx: uint32(len(keys))})
+		}
 	}
 	slices.SortFunc(keys, sortKey.compare)
 	return keys
+}
+
+// batch is ExternalSort's sort window of at most max records, held in
+// blocks of DefaultBlockRecords whose lengths are what they hold: record
+// i is blocks[i/DefaultBlockRecords][i%DefaultBlockRecords]. A block is
+// allocated when the window first reaches it and kept for every later
+// window, so records never move and the window never has room for more
+// than max.
+type batch struct {
+	blocks [][]Record
+	n, max int
+}
+
+// fill reads the next records into the free rest of the block the next
+// record goes in. The batch must not be full.
+func (b *batch) fill(r Reader) error {
+	k := b.n / DefaultBlockRecords
+	if k == len(b.blocks) {
+		b.blocks = append(b.blocks, make([]Record, 0, min(DefaultBlockRecords, b.max-b.n)))
+	}
+	block := b.blocks[k]
+	n, err := ReadBlock(r, block[len(block):cap(block)])
+	b.blocks[k] = block[:len(block)+n]
+	b.n += n
+	return err
+}
+
+// at is record i of the batch.
+func (b *batch) at(i uint32) *Record {
+	return &b.blocks[i/DefaultBlockRecords][i%DefaultBlockRecords]
+}
+
+// empty starts the next window in the same blocks.
+func (b *batch) empty() {
+	for k := range b.blocks {
+		b.blocks[k] = b.blocks[k][:0]
+	}
+	b.n = 0
 }
 
 // ExternalSort reads all records from r and writes them to w in
@@ -58,9 +103,12 @@ func sortedKeys(batch []Record, keys []sortKey) []sortKey {
 // MaxInMemory records. It is how full-scale (paper-sized) traces are
 // sorted without holding the week in RAM. Runs spill in the v2 block
 // format (FormatBlock): interned strings plus delta timestamps keep the
-// spill footprint a fraction of the input's. A batch is one flat []Record
-// that fills in blocks and never moves: sorting orders 16-byte keys
-// (sortedKeys), and the batch is written out in key order.
+// spill footprint a fraction of the input's. The batch fills blocks that
+// every window reuses and never moves: sorting orders 16-byte keys
+// (sortedKeys), and the batch is written out in key order. Every spill
+// goes through one BlockWriter, and the merge's run readers share one
+// string interner, so the sort allocates per run, not per record, block
+// or window.
 func ExternalSort(r Reader, w Writer, opts ExternalSortOptions) error {
 	// A key indexes its batch with 32 bits.
 	maxInMem := min(opts.MaxInMemory, math.MaxInt32)
@@ -78,60 +126,61 @@ func ExternalSort(r Reader, w Writer, opts ExternalSortOptions) error {
 		}
 	}()
 
-	var keys []sortKey // one allocation, reused by every spill
-	writeSorted := func(batch []Record, w Writer) error {
-		keys = sortedKeys(batch, keys)
+	b := &batch{max: maxInMem}
+	var keys []sortKey // reused by every spill
+	writeSorted := func(w Writer) error {
+		keys = sortedKeys(b.blocks, keys)
 		for _, k := range keys {
-			if err := w.Write(&batch[k.idx]); err != nil {
+			if err := w.Write(b.at(k.idx)); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	spill := func(batch []Record) error {
-		run, err := writeTemp(opts.TempDir, func(w Writer) error { return writeSorted(batch, w) })
-		if err == nil {
-			runs = append(runs, run)
+	var spillW *BlockWriter // made by the first spill, reset by each
+	spill := func() error {
+		if spillW == nil {
+			spillW = NewBlockWriter(nil)
 		}
-		return err
+		run, err := writeTemp(opts.TempDir, spillW, writeSorted)
+		if err != nil {
+			return fmt.Errorf("trace: external sort spill: %w", err)
+		}
+		runs = append(runs, run)
+		b.empty()
+		return nil
 	}
 
-	// The batch doubles until it holds maxInMem records, never more.
-	batch := make([]Record, 0, min(maxInMem, 4096))
 	for {
-		if len(batch) == cap(batch) {
-			batch = append(make([]Record, 0, min(maxInMem, 2*cap(batch))), batch...)
-		}
-		n, err := ReadBlock(r, batch[len(batch):cap(batch)])
-		batch = batch[:len(batch)+n]
+		err := b.fill(r)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return fmt.Errorf("trace: external sort read: %w", err)
 		}
-		if len(batch) == maxInMem {
-			if err := spill(batch); err != nil {
-				return fmt.Errorf("trace: external sort spill: %w", err)
+		if b.n == maxInMem {
+			if err := spill(); err != nil {
+				return err
 			}
-			batch = batch[:0]
 		}
 	}
 
 	// Fast path: everything fit in memory.
 	if len(runs) == 0 {
-		return writeSorted(batch, w)
+		return writeSorted(w)
 	}
 
 	// Spill the final partial batch and merge all runs.
-	if len(batch) > 0 {
-		if err := spill(batch); err != nil {
-			return fmt.Errorf("trace: external sort spill: %w", err)
+	if b.n > 0 {
+		if err := spill(); err != nil {
+			return err
 		}
 	}
-	batch = nil
+	b.blocks = nil
+	in := newInterner()
 	for _, run := range runs {
-		src, err := run.Open()
+		src, err := run.open(in)
 		if err != nil {
 			return err
 		}

@@ -159,7 +159,7 @@ func TestSortedKeysMatchStableSort(t *testing.T) {
 	}
 	want := append([]Record(nil), batch...)
 	sort.SliceStable(want, func(i, j int) bool { return want[i].Timestamp.Before(want[j].Timestamp) })
-	keys := sortedKeys(batch, nil)
+	keys := sortedKeys([][]Record{batch}, nil)
 	if len(keys) != n {
 		t.Fatalf("%d keys for %d records", len(keys), n)
 	}
@@ -169,7 +169,7 @@ func TestSortedKeysMatchStableSort(t *testing.T) {
 				i, batch[k.idx].ObjectID, batch[k.idx].Timestamp, want[i].ObjectID, want[i].Timestamp)
 		}
 	}
-	if again := sortedKeys(batch[:n/2], keys); &again[0] != &keys[0] {
+	if again := sortedKeys([][]Record{batch[:n/2]}, keys); &again[0] != &keys[0] {
 		t.Error("sortedKeys did not reuse key storage large enough for the batch")
 	}
 }
@@ -198,5 +198,40 @@ func TestExternalSortBatchStaysWithinMaxInMemory(t *testing.T) {
 	assertSorted(t, out.recs, 12_000)
 	if in.largest > maxInMemory {
 		t.Errorf("batch grew to room for %d records, MaxInMemory is %d", in.largest, maxInMemory)
+	}
+}
+
+// countWriter counts the records written to it and keeps none.
+type countWriter struct{ n int }
+
+func (c *countWriter) Write(*Record) error { c.n++; return nil }
+
+// ExternalSort allocates per run, not per record, block or window: the
+// batch's blocks, the spill writer and the merge's string interner are
+// made once per sort. Sorting sixteen windows of one trace shape therefore
+// costs at most a few allocations per extra run more than sorting four —
+// a run's file, its reader and that reader's buffers.
+func TestExternalSortAllocatesPerRun(t *testing.T) {
+	const window = 2 * DefaultBlockRecords
+	recs := realisticTrace(16 * window)
+	rand.New(rand.NewSource(12)).Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+	dir := t.TempDir()
+	allocs := func(runs int) float64 {
+		in := recs[:runs*window]
+		return testing.AllocsPerRun(1, func() {
+			var out countWriter
+			if err := ExternalSort(NewSliceReader(in), &out, ExternalSortOptions{MaxInMemory: window, TempDir: dir}); err != nil {
+				t.Fatal(err)
+			}
+			if out.n != len(in) {
+				t.Fatalf("sorted %d records of %d", out.n, len(in))
+			}
+		})
+	}
+	four, sixteen := allocs(4), allocs(16)
+	perRun := (sixteen - four) / 12
+	t.Logf("4 runs: %.0f allocations, 16 runs: %.0f, %.1f per extra run", four, sixteen, perRun)
+	if perRun > 24 {
+		t.Errorf("each extra run allocates %.1f times, want <= 24", perRun)
 	}
 }

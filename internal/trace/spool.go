@@ -15,13 +15,14 @@ type Spool struct {
 }
 
 // writeTemp creates a v2 file in dir (empty: the OS temp directory) and
-// writes it with fill. On any error the file is removed.
-func writeTemp(dir string, fill func(Writer) error) (*Spool, error) {
+// writes it with fill through bw, reset to the file. On any error the
+// file is removed.
+func writeTemp(dir string, bw *BlockWriter, fill func(Writer) error) (*Spool, error) {
 	f, err := os.CreateTemp(dir, "trace-*.tsb")
 	if err != nil {
 		return nil, err
 	}
-	bw := NewBlockWriter(f)
+	bw.reset(f)
 	err = fill(bw)
 	if err == nil {
 		err = bw.Flush()
@@ -42,7 +43,8 @@ func writeTemp(dir string, fill func(Writer) error) (*Spool, error) {
 // left behind. v2 keeps microseconds, all a v2 or JSON Lines input has.
 func NewSpool(r Reader) (*Spool, error) {
 	ordered := true
-	s, err := writeTemp("", func(w Writer) error {
+	bw := NewBlockWriter(nil) // writeTemp points it at each file
+	s, err := writeTemp("", bw, func(w Writer) error {
 		prev := int64(math.MinInt64)
 		block := make([]Record, DefaultBlockRecords)
 		for {
@@ -74,18 +76,22 @@ func NewSpool(r Reader) (*Spool, error) {
 	defer CloseReader(in)
 	// A sort window of 65,536 records (8 MiB) keeps an unsorted input's
 	// peak memory that of a sorted one; the rest of the sort spills.
-	return writeTemp("", func(w Writer) error { return ExternalSort(in, w, ExternalSortOptions{MaxInMemory: 1 << 16}) })
+	return writeTemp("", bw, func(w Writer) error { return ExternalSort(in, w, ExternalSortOptions{MaxInMemory: 1 << 16}) })
 }
 
 // Open implements Source. Its reader feeds no trace IO metric, so an
 // input NewSpool read from OpenFile is counted once however many passes
 // follow.
-func (s *Spool) Open() (Reader, error) {
+func (s *Spool) Open() (Reader, error) { return s.open(newInterner()) }
+
+// open reads the file with in as its decoder's string interner, which
+// readers used by one goroutine may share.
+func (s *Spool) open(in *interner) (Reader, error) {
 	f, err := os.Open(s.path)
 	if err != nil {
 		return nil, err
 	}
-	return &FileReader{Reader: NewBlockReader(f), f: f}, nil
+	return &FileReader{Reader: newBlockReader(f, in), f: f}, nil
 }
 
 // Close removes the file.

@@ -129,3 +129,26 @@ func TestMergeReaderReadsZeroAlloc(t *testing.T) {
 	}
 	assertZeroAllocReads(t, m, 1000)
 }
+
+// Once its buffers have grown, the writer allocates nothing per record,
+// the block flushes included: the body, the header scratch, the intern
+// table and the frame's length prefix are all kept across blocks.
+func TestBlockWriterWritesZeroAlloc(t *testing.T) {
+	recs := realisticTrace(2 * DefaultBlockRecords)
+	bw := NewBlockWriter(io.Discard)
+	for _, r := range recs { // two blocks and their flushes: the warm-up
+		if err := bw.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avg := testing.AllocsPerRun(4, func() { // one block and its flush a run
+		for _, r := range recs[:DefaultBlockRecords] {
+			if err := bw.Write(r); err != nil {
+				t.Fatalf("write during measurement: %v", err)
+			}
+		}
+	})
+	if avg != 0 {
+		t.Errorf("steady-state Write allocates %.0f objects per block of %d records, want 0", avg, DefaultBlockRecords)
+	}
+}
