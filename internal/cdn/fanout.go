@@ -1,8 +1,7 @@
 package cdn
 
 import (
-	"fmt"
-
+	"trafficscope/internal/pipeline"
 	"trafficscope/internal/trace"
 )
 
@@ -25,11 +24,12 @@ type FanoutCell struct {
 
 // ReplayFanout runs ReplaySource's warm-up + measured protocol for every
 // cell over one read of each pass: src is opened twice whatever the
-// number of cells. Each cell is a lane of the block pump ReplayStream
-// runs on: a goroutine of its own (the runtime runs up to GOMAXPROCS of
-// them at a time) that serves every record of a block, in input order,
-// into a scratch record of its own, so the blocks are shared read-only
-// and a cell's results equal a sequential replay of that cell alone.
+// number of cells. Each cell is a stage-1 lane of the pipeline's block
+// engine, which ReplayStream runs on too: a goroutine of its own (the
+// runtime runs up to GOMAXPROCS of them at a time) that serves every
+// record of a block, in input order, into a scratch record of its own,
+// so the blocks are shared read-only and a cell's results equal a
+// sequential replay of that cell alone.
 // Records that come without dense keys are numbered once, on the
 // reading goroutine, through one table for both passes, so no cell
 // numbers them again. The first error of a cell's Observe or Survey ends
@@ -41,8 +41,8 @@ func ReplayFanout(src trace.Source, cells []FanoutCell) ([]*CDN, error) {
 	var blocks []*replayBlock // the warm-up's, reused by the measured pass
 	var keys trace.KeyTable
 	number := func(b *replayBlock) {
-		for i := range b.recs[:b.n] {
-			keys.Stamp(&b.recs[i])
+		for i := range b.Recs[:b.N] {
+			keys.Stamp(&b.Recs[i])
 		}
 	}
 	for i, cell := range cells {
@@ -53,7 +53,8 @@ func ReplayFanout(src trace.Source, cells []FanoutCell) ([]*CDN, error) {
 		cdns[i] = cell.Build()
 		lanes[i] = cdns[i].lane(nil)
 	}
-	if err := fanoutPass(src, "warm-up", &blocks, number, lanes); err != nil {
+	replay := func(r trace.Reader) error { return pipeline.Pump(r, &blocks, number, lanes, nil) }
+	if err := pass(src, "warm-up", replay); err != nil {
 		return nil, err
 	}
 	for i, cell := range cells {
@@ -65,7 +66,7 @@ func ReplayFanout(src trace.Source, cells []FanoutCell) ([]*CDN, error) {
 		}
 		lanes[i] = cdns[i].lane(cell.Observe)
 	}
-	if err := fanoutPass(src, "measured", &blocks, number, lanes); err != nil {
+	if err := pass(src, "measured", replay); err != nil {
 		return nil, err
 	}
 	return cdns, nil
@@ -88,21 +89,11 @@ func (c *CDN) lane(observe func(*trace.Record) error) func(*replayBlock) error {
 // order, stopping at f's first error.
 func eachRecord(f func(*trace.Record) error) func(*replayBlock) error {
 	return func(b *replayBlock) error {
-		for i := range b.recs[:b.n] {
-			if err := f(&b.recs[i]); err != nil {
+		for i := range b.Recs[:b.N] {
+			if err := f(&b.Recs[i]); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-}
-
-// fanoutPass opens src and pumps it once through tag and lanes.
-func fanoutPass(src trace.Source, pass string, blocks *[]*replayBlock, tag func(*replayBlock), lanes []func(*replayBlock) error) error {
-	r, err := src.Open()
-	if err != nil {
-		return fmt.Errorf("cdn: open %s pass: %w", pass, err)
-	}
-	defer trace.CloseReader(r)
-	return pump(r, blocks, tag, lanes, nil)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"trafficscope/internal/pipeline"
 	"trafficscope/internal/timeutil"
 	"trafficscope/internal/trace"
 )
@@ -25,7 +26,7 @@ func (c *countingSource) Open() (trace.Reader, error) {
 // fanoutTrace is a region-stable trace over two publishers, several
 // blocks long.
 func fanoutTrace() []*trace.Record {
-	recs := regionStableTrace(5*replayBlockSize+321, 11)
+	recs := regionStableTrace(5*pipeline.BlockSize+321, 11)
 	for i, r := range recs {
 		if i%3 == 0 {
 			r.Publisher = "P-1"
@@ -100,7 +101,7 @@ func TestReplayFanoutMatchesReplaySource(t *testing.T) {
 		for i, cfg := range configs {
 			var want []*trace.Record
 			alone := New(cfg)
-			if err := ReplaySource(alone, trace.SliceSource(recs), collect(&want)); err != nil {
+			if err := ReplaySource(alone, trace.SliceSource(recs), oneLane(collect(&want))); err != nil {
 				t.Fatalf("%s cell %d alone: %v", name, i, err)
 			}
 			if got := cdns[i].TotalStats(); got != alone.TotalStats() {
@@ -132,13 +133,13 @@ func TestReplayFanoutMatchesReplaySource(t *testing.T) {
 // wherever in a block it falls, comes back from the fan-out and the
 // failing hook is not called again; so does a read error (here the
 // context cancelled mid-pass, as SIGINT does to tsreport's §V table).
-// The fan-out reads up to replayBlocks blocks ahead of its slowest
+// The fan-out reads up to pipeline.MaxBlocks blocks ahead of its slowest
 // lane, so the cancelled trace is longer than that window.
 func TestReplayFanoutErrors(t *testing.T) {
 	recs := fanoutTrace()
 	boom := errors.New("cell boom")
 	mk := func() *CDN { return New(Config{}) }
-	for _, failAt := range []int{1, replayBlockSize, replayBlockSize + 476, len(recs)} {
+	for _, failAt := range []int{1, pipeline.BlockSize, pipeline.BlockSize + 476, len(recs)} {
 		for _, survey := range []bool{false, true} {
 			seen := 0
 			fail := func(*trace.Record) error {
@@ -162,10 +163,10 @@ func TestReplayFanoutErrors(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	long := regionStableTrace((replayBlocks+2)*replayBlockSize+321, 12)
+	long := regionStableTrace((pipeline.MaxBlocks+2)*pipeline.BlockSize+321, 12)
 	seen := 0
 	_, err := ReplayFanout(trace.ContextSource(ctx, trace.SliceSource(long)), []FanoutCell{{Build: mk}, {Build: mk, Observe: func(*trace.Record) error {
-		if seen++; seen == replayBlockSize+476 {
+		if seen++; seen == pipeline.BlockSize+476 {
 			cancel()
 		}
 		return nil
@@ -174,10 +175,10 @@ func TestReplayFanoutErrors(t *testing.T) {
 		t.Fatalf("cancelled mid-pass: err = %v, want %v", err, context.Canceled)
 	}
 	// The context is polled once per block read, and every record read is
-	// observed. At most replayBlocks blocks are in flight, the cancelling
+	// observed. At most pipeline.MaxBlocks blocks are in flight, the cancelling
 	// record's block (the second) among them, so the reader stopped after
-	// 2 to replayBlocks+1 whole blocks.
-	if lo, hi := 2*replayBlockSize, (replayBlocks+1)*replayBlockSize; seen < lo || seen > hi || seen%replayBlockSize != 0 {
+	// 2 to pipeline.MaxBlocks+1 whole blocks.
+	if lo, hi := 2*pipeline.BlockSize, (pipeline.MaxBlocks+1)*pipeline.BlockSize; seen < lo || seen > hi || seen%pipeline.BlockSize != 0 {
 		t.Errorf("cancelled mid-pass: observed %d records, want whole blocks, %d to %d", seen, lo, hi)
 	}
 }

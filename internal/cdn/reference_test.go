@@ -612,10 +612,10 @@ func TestDenseCDNMatchesHashedOracle(t *testing.T) {
 				}
 				c := New(cfg)
 				var got []served
-				if err := ReplaySource(c, src, func(r *trace.Record) error {
+				if err := ReplaySource(c, src, oneLane(func(r *trace.Record) error {
 					got = append(got, servedOf(r))
 					return nil
-				}); err != nil {
+				})); err != nil {
 					t.Fatal(err)
 				}
 				requireOracle(t, got, want, c, ref)

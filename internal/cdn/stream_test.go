@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"trafficscope/internal/pipeline"
 	"trafficscope/internal/timeutil"
 	"trafficscope/internal/trace"
 )
@@ -239,7 +240,7 @@ func TestReplayStreamSinkError(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("sink boom")
-	for _, failAt := range []int{1, 100, replayBlockSize, replayBlockSize + 1, replayBlockSize + 476, len(recs)} {
+	for _, failAt := range []int{1, 100, pipeline.BlockSize, pipeline.BlockSize + 1, pipeline.BlockSize + 476, len(recs)} {
 		var got []*trace.Record
 		err := New(Config{}).ReplayStream(trace.NewSliceReader(recs), func(r *trace.Record) error {
 			cp := *r
@@ -278,11 +279,16 @@ func (c *cutReader) Read(rec *trace.Record) error {
 	return c.inner.Read(rec)
 }
 
+// oneLane is the fold stage whose one lane is f.
+func oneLane(f func(*trace.Record) error) *pipeline.Stage {
+	return &pipeline.Stage{Lanes: []func(*trace.Record) error{f}}
+}
+
 // TestReplayStreamFlushesBeforeReadError: a reader that fails mid-block
 // still gets every record it delivered served and sunk, in order.
 func TestReplayStreamFlushesBeforeReadError(t *testing.T) {
 	recs := regionStableTrace(3000, 8)
-	const cut = 2*replayBlockSize + 300
+	const cut = 2*pipeline.BlockSize + 300
 	n := 0
 	err := New(Config{}).ReplayStream(&cutReader{inner: trace.NewSliceReader(recs), n: cut}, func(r *trace.Record) error {
 		if r.ObjectID != recs[n].ObjectID || r.StatusCode == 0 {
@@ -337,7 +343,7 @@ func TestReplaySourceMatchesWarmedReplay(t *testing.T) {
 			var got []*trace.Record
 			src := &countingSource{Source: trace.SliceSource(tc.recs)}
 			srcCDN := New(tc.cfg)
-			if err := ReplaySource(srcCDN, src, collect(&got)); err != nil {
+			if err := ReplaySource(srcCDN, src, oneLane(collect(&got))); err != nil {
 				t.Fatal(err)
 			}
 			if src.opens != 2 {
@@ -373,23 +379,29 @@ func TestReplaySourceMatchesWarmedReplay(t *testing.T) {
 // copies are both fresh and expired when asked for again; chunked turns
 // video chunking on. Both replays must also equal the oracle keyed by
 // hashed IDs (refCDN), whatever sizes and categories an object comes
-// back with.
+// back with. The first byte's high nibble also picks the request's
+// publisher (one of three), and lanes picks 1 to 4 fold lanes: the
+// records each lane sees, in input order, are the sequential Replay's
+// records of the publishers routed to it, and each publisher goes to one
+// lane.
 func FuzzReplayStream(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 10, 0, 2, 1, 20, 1, 3, 2, 30, 1, 4, 5, 40}, true)
-	f.Add([]byte{3, 0, 7, 255, 3, 3, 7, 1, 9, 2, 4, 128}, false)
-	f.Fuzz(func(t *testing.T, data []byte, chunked bool) {
+	f.Add([]byte{0, 1, 0, 10, 0, 2, 1, 20, 1, 3, 2, 30, 1, 4, 5, 40}, true, byte(0))
+	f.Add([]byte{3, 0, 7, 255, 3, 3, 7, 1, 9, 2, 4, 128}, false, byte(1))
+	f.Add([]byte{0x13, 1, 0, 10, 0x20, 2, 1, 20, 0x01, 3, 2, 30, 0x31, 4, 5, 40}, true, byte(3))
+	f.Fuzz(func(t *testing.T, data []byte, chunked bool, lanes byte) {
 		requests := len(data) / 4
 		if requests == 0 {
 			return
 		}
 		categories := [...]trace.FileType{trace.FileJPG, trace.FileMP4, trace.FileHTML}
-		recs := make([]*trace.Record, 3*replayBlockSize+17)
+		publishers := [...]string{"V-1", "V-2", "P-1"}
+		recs := make([]*trace.Record, 3*pipeline.BlockSize+17)
 		for i := range recs {
 			b := data[4*(i%requests):]
 			size := int64(b[3])<<16 + 1
 			recs[i] = &trace.Record{
 				Timestamp:   t0.Add(time.Duration(i) * 7 * time.Minute),
-				Publisher:   "V-1",
+				Publisher:   publishers[b[0]>>4%3],
 				ObjectID:    uint64(b[2] / 3),
 				FileType:    categories[b[2]%3],
 				ObjectSize:  size,
@@ -408,19 +420,47 @@ func FuzzReplayStream(f *testing.F) {
 		}
 
 		seqCDN, strCDN := New(cfg), New(cfg)
-		var seq, got []*trace.Record
+		var seq []*trace.Record
 		if err := seqCDN.Replay(trace.NewSliceReader(recs), collect(&seq)); err != nil {
 			t.Fatal(err)
 		}
-		if err := strCDN.ReplayStream(trace.NewSliceReader(recs), collect(&got)); err != nil {
+		got := make([][]*trace.Record, 1+lanes%4)
+		var err error
+		if len(got) == 1 {
+			err = strCDN.ReplayStream(trace.NewSliceReader(recs), collect(&got[0]))
+		} else {
+			fold := &pipeline.Stage{}
+			for k := range got {
+				fold.Lanes = append(fold.Lanes, collect(&got[k]))
+			}
+			err = strCDN.replay(trace.NewSliceReader(recs), fold)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-		if len(seq) != len(got) {
-			t.Fatalf("lengths: %d vs %d", len(seq), len(got))
+		owner := map[string]int{}
+		for k, lane := range got {
+			for _, r := range lane {
+				if o, ok := owner[r.Publisher]; ok && o != k {
+					t.Fatalf("%s folded on lanes %d and %d", r.Publisher, o, k)
+				}
+				owner[r.Publisher] = k
+			}
 		}
-		for i := range seq {
-			if *seq[i] != *got[i] {
-				t.Fatalf("record %d differs:\nseq %+v\nstr %+v", i, seq[i], got[i])
+		for k, lane := range got {
+			var want []*trace.Record
+			for _, r := range seq {
+				if o, ok := owner[r.Publisher]; !ok || o == k {
+					want = append(want, r)
+				}
+			}
+			if len(want) != len(lane) {
+				t.Fatalf("lane %d of %d: %d records, sequential replay has %d of its publishers'", k, len(got), len(lane), len(want))
+			}
+			for i := range want {
+				if *want[i] != *lane[i] {
+					t.Fatalf("lane %d record %d differs:\nseq %+v\nstr %+v", k, i, want[i], lane[i])
+				}
 			}
 		}
 		for _, region := range timeutil.AllRegions() {

@@ -146,8 +146,8 @@ func TestHeapStoreChurnZeroAllocs(t *testing.T) {
 // record. Caches hold the whole working set, so no insert allocates for
 // growth in the measured replay. A repeat replay on one CDN reuses the
 // blocks, the key table, the slot indexes and the emptied client state
-// of the one before, so all it allocates is its channels, goroutines and
-// closures: 27 objects, whatever the trace length.
+// of the one before, so all it allocates is its engine, channels,
+// goroutines and closures: 26 objects, whatever the trace length.
 func TestReplayStreamAllocsPerRecord(t *testing.T) {
 	const maxPerReplay = 30
 	recs := regionStableTrace(50_000, 9)

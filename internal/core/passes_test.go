@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"trafficscope/internal/obs"
 	"trafficscope/internal/timeutil"
 	"trafficscope/internal/trace"
 )
@@ -72,5 +74,59 @@ func TestPassBudget(t *testing.T) {
 	}
 	if unstable.opens != 2 {
 		t.Errorf("RunSource opened a region-unstable source %d times, want 2", unstable.opens)
+	}
+}
+
+// measuredCut is a source whose second open, the measured pass of
+// RunSource, fails after its first n records.
+type measuredCut struct {
+	trace.Source
+	opens, n int
+}
+
+var errMeasuredCut = errors.New("measured pass cut")
+
+func (m *measuredCut) Open() (trace.Reader, error) {
+	r, err := m.Source.Open()
+	if m.opens++; m.opens == 2 {
+		return &cutReader{inner: r, n: m.n}, err
+	}
+	return r, err
+}
+
+// cutReader delivers the first n records of its inner reader, then
+// fails.
+type cutReader struct {
+	inner trace.Reader
+	n     int
+}
+
+func (c *cutReader) Read(rec *trace.Record) error {
+	if c.n--; c.n < 0 {
+		return errMeasuredCut
+	}
+	return c.inner.Read(rec)
+}
+
+// TestRunSourceFailsWithoutResults: a measured pass that fails partway
+// returns its error and no Results; the records folded before the
+// failure still count in the pipeline's metrics.
+func TestRunSourceFailsWithoutResults(t *testing.T) {
+	reg := obs.NewRegistry()
+	study, err := NewStudy(Config{Seed: 42, Scale: 0.004, Workers: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := study.Generator().Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := len(recs)/2 + 100
+	res, err := study.RunSource(&measuredCut{Source: trace.SliceSource(recs), n: cut})
+	if !errors.Is(err, errMeasuredCut) || res != nil {
+		t.Fatalf("RunSource = %v, %v; want no Results and %v", res, err, errMeasuredCut)
+	}
+	if got := reg.Counter("pipeline_records_total").Value(); got != int64(cut) {
+		t.Errorf("pipeline_records_total = %d, want the %d records read before the failure", got, cut)
 	}
 }

@@ -237,20 +237,16 @@ func (s *Study) Run() (*Results, error) {
 //
 // The source is opened twice: the first pass warms the edge caches
 // (modelling the steady-state CDN the paper observed — its week of logs
-// did not start from cold caches), the second pass is measured, with
-// finalized records streaming straight into the analysis pipeline.
+// did not start from cold caches), the second pass is measured. Each
+// pass is one run of the pipeline's block engine: the CDN's lanes, and
+// on the measured pass the analysis fold's lanes after them.
 func (s *Study) RunSource(src trace.Source) (*Results, error) {
-	sink := pipeline.NewSink(s.newFold, pipeline.Options{Workers: s.cfg.Workers, Metrics: s.cfg.Metrics})
+	fold, merge := pipeline.Fold(s.newFold, pipeline.Options{Workers: s.cfg.Workers, Metrics: s.cfg.Metrics})
 	network := s.NewCDN()
-	if err := cdn.ReplaySource(network, src, sink.Feed); err != nil {
-		sink.Abort()
+	if err := cdn.ReplaySource(network, src, fold); err != nil {
 		return nil, fmt.Errorf("core: replay: %w", err)
 	}
-	acc, err := sink.Close()
-	if err != nil {
-		return nil, fmt.Errorf("core: analyze: %w", err)
-	}
-	res := s.newResults(acc)
+	res := s.newResults(merge())
 	res.CDNStats = network.TotalStats()
 	return res, nil
 }

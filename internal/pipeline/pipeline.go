@@ -1,16 +1,15 @@
-// Package pipeline provides a small parallel log-processing framework:
-// records stream from a trace.Reader, or from a producer feeding a Sink,
-// through a pool of workers, each folding into a private accumulator,
-// and the accumulators merge at the end. Every aggregation in the
-// repository is per site, so records are routed by publisher: one worker
-// folds all of a site's records, and the merge hands whole sites over
-// instead of re-inserting their state.
+// Package pipeline provides the repository's one block engine (Pump) and
+// the parallel fold built on it: records stream from a trace.Reader in
+// blocks, through optional first-stage lanes (the CDN's data centers),
+// to fold lanes, each folding into a private accumulator, and the
+// accumulators merge at the end. Every aggregation in the repository is
+// per site, so records are routed by publisher: one lane folds all of a
+// site's records, and the merge hands whole sites over instead of
+// re-inserting their state.
 package pipeline
 
 import (
-	"errors"
-	"fmt"
-	"io"
+	"runtime"
 
 	"trafficscope/internal/obs"
 	"trafficscope/internal/trace"
@@ -26,52 +25,54 @@ type Accumulator[T any] interface {
 	Merge(T)
 }
 
-// batchSize is the number of records handed to a worker at once.
-const batchSize = 1024
-
 // Options configures a Run.
 type Options struct {
 	// Workers is the number of fold workers; values < 1 default to
 	// GOMAXPROCS. All records of one publisher go to one worker, so fold
 	// parallelism is min(Workers, publishers).
 	Workers int
-	// Metrics receives live pipeline telemetry (batches/records
-	// dispatched, records per worker, per-batch fold time, queue depth,
-	// backpressure stalls). nil — the default — disables instrumentation; the hot
-	// path then pays only nil checks.
+	// Metrics receives live pipeline telemetry (see Stage.Metrics). nil
+	// — the default — disables instrumentation; the hot path then pays
+	// only nil checks.
 	Metrics *obs.Registry
 }
 
-// Run streams records from r through parallel workers: it reads blocks
-// and feeds their records to a Sink, which routes each publisher's
-// records to one worker. newAcc creates one accumulator per worker; the
-// final merged accumulator is returned.
-//
-// Batch slices are recycled through a sync.Pool: workers hand their
-// batch back after folding it, so steady-state runs allocate a bounded
-// set of batch backing arrays instead of one per batchSize records.
-//
-// On a mid-stream read error the run aborts promptly: the records of the
-// failed read are not fed, queued batches are abandoned (their
-// accumulators would be discarded anyway), workers finish only the batch
-// they are currently folding, and the error is returned.
-func Run[T Accumulator[T]](r trace.Reader, newAcc func() T, opts Options) (T, error) {
-	s := NewSink(newAcc, opts)
-	block := make([]trace.Record, batchSize)
-	for {
-		n, err := trace.ReadBlock(r, block)
-		if err != nil && !errors.Is(err, io.EOF) {
-			s.Abort()
-			var zero T
-			return zero, fmt.Errorf("pipeline: read: %w", err)
-		}
-		for i := range block[:n] {
-			s.Feed(&block[i])
-		}
-		if err != nil {
-			return s.Close()
-		}
+// Fold returns a fold stage for Pump, one lane per worker, each folding
+// into an accumulator of its own that newAcc creates, and the function
+// that merges the accumulators once the run is through. A run that
+// fails leaves them to be discarded.
+func Fold[T Accumulator[T]](newAcc func() T, opts Options) (*Stage, func() T) {
+	workers := opts.Workers
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, 1<<16) // a block names a record's lane in 16 bits
+	accs := make([]T, workers)
+	fold := &Stage{Lanes: make([]func(*trace.Record) error, workers), Metrics: opts.Metrics}
+	for k := range accs {
+		acc := newAcc()
+		accs[k] = acc
+		fold.Lanes[k] = func(r *trace.Record) error { acc.Add(r); return nil }
+	}
+	return fold, func() T {
+		for _, acc := range accs[1:] {
+			accs[0].Merge(acc)
+		}
+		return accs[0]
+	}
+}
+
+// Run streams records from r through the engine's fold stage alone and
+// returns the merged accumulator. On a read error the records read
+// before it are folded and the error is returned.
+func Run[T Accumulator[T]](r trace.Reader, newAcc func() T, opts Options) (T, error) {
+	fold, merge := Fold(newAcc, opts)
+	var blocks []*Block[struct{}]
+	if err := Pump(r, &blocks, nil, nil, fold); err != nil {
+		var zero T
+		return zero, err
+	}
+	return merge(), nil
 }
 
 // Count is a trivial accumulator counting records; useful for smoke tests

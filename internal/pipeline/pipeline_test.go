@@ -120,116 +120,158 @@ func TestRunEmptyInput(t *testing.T) {
 	}
 }
 
-// A reader failing mid-stream must not dispatch the partial batch: the
-// run's result is discarded, so folding records read before the failure
-// would be wasted work.
+// A read error ends the run with the error, and the records read before
+// it, a block cut short by the error among them, are still folded, each
+// once: the run stops reading, it does not drop what it read.
+func foldsRecordsBeforeReadError(t *testing.T, n int) {
+	t.Helper()
+	var folded int64
+	_, err := Run(&failingReader{n: n}, func() atomicCount { return atomicCount{n: &folded} },
+		Options{Workers: 2})
+	if err == nil {
+		t.Fatal("want error")
+	}
+	if got := atomic.LoadInt64(&folded); got != int64(n) {
+		t.Errorf("%d records read before the error, %d folded", n, got)
+	}
+}
+
+// A reader failing inside the first block: the block it cut short goes
+// through the fold, so its 10 records are folded once.
 func TestRunSkipsPartialBatchOnError(t *testing.T) {
-	var n int64
-	_, err := Run(&failingReader{n: 10}, func() atomicCount { return atomicCount{n: &n} },
-		Options{Workers: 2})
-	if err == nil {
-		t.Fatal("want error")
-	}
-	if got := atomic.LoadInt64(&n); got != 0 {
-		t.Errorf("%d records folded after a read error, want 0", got)
-	}
+	foldsRecordsBeforeReadError(t, 10)
 }
 
-// After a mid-stream read error the run is abandoned: the partial batch
-// is never dispatched, and queued batches are skipped. Whatever a worker
-// was already folding may complete, so anywhere from none to both full
-// batches of the pre-error records fold — but never the 2 records of the
-// partial batch.
+// A reader failing after two whole blocks: both and the 2 records of the
+// block the error cut short are folded, each once.
 func TestRunErrorDropsPartialAndQueuedBatches(t *testing.T) {
-	var n int64
-	_, err := Run(&failingReader{n: 2*batchSize + 2}, func() atomicCount { return atomicCount{n: &n} },
-		Options{Workers: 2})
-	if err == nil {
-		t.Fatal("want error")
-	}
-	if got := atomic.LoadInt64(&n); got > 2*batchSize {
-		t.Errorf("folded %d records, want at most the %d from the two full batches", got, 2*batchSize)
-	}
+	foldsRecordsBeforeReadError(t, 2*BlockSize+2)
 }
 
-// slowCount sleeps per record, modelling an expensive accumulator.
-type slowCount struct {
-	n     *int64
-	delay time.Duration
-}
-
-func (s slowCount) Add(*trace.Record) { time.Sleep(s.delay); atomic.AddInt64(s.n, 1) }
-func (s slowCount) Merge(slowCount)   {}
-
-// A failed run must terminate promptly: batches still queued when the
-// read error hits are abandoned, not folded into accumulators that will
-// be discarded. With 4 slow workers and a queue that holds 4 more
-// batches, the error (hit microseconds after dispatch, while the first
-// folds are tens of milliseconds from done) must cut the folded total to
-// the in-flight batches only.
-func TestRunAbandonsQueuedBatchesOnError(t *testing.T) {
-	const (
-		workers = 4
-		// 8 full batches fill the workers and the queue; the next read
-		// returns the error before a 9th batch forms.
-		preError = 2 * workers * batchSize
-	)
-	var n int64
-	_, err := Run(&failingReader{n: preError},
-		func() slowCount { return slowCount{n: &n, delay: 100 * time.Microsecond} },
-		Options{Workers: workers})
-	if err == nil {
-		t.Fatal("want error")
-	}
-	got := atomic.LoadInt64(&n)
-	if got > int64(workers*batchSize+batchSize) {
-		t.Errorf("folded %d records after the read error; queued batches were not abandoned (in-flight bound: %d)",
-			got, workers*batchSize)
-	}
-}
-
-// Run with a Metrics registry reports dispatched batches and records.
-// Batches are filled per worker, so each worker's records make whole
-// batches and at most one partial one; the per-worker record counts sum
-// to the total, and the queues read empty once the run returns.
+// Run with a Metrics registry reports records and blocks folded. Each
+// lane folds each block that holds records of its publishers, so the
+// blocks folded are, summed over blocks, the lanes a block's publishers
+// are routed to; the per-worker record counts sum to the total, and no
+// block is in flight once the run returns.
 func TestRunReportsMetrics(t *testing.T) {
 	const (
 		workers = 3
-		records = 7*batchSize + 1000
+		records = 7*BlockSize + 1000
 	)
 	reg := obs.NewRegistry()
 	recs := makeRecords(records)
-	got, err := Run(trace.NewSliceReader(recs), func() *Count { return &Count{} },
-		Options{Workers: workers, Metrics: reg})
+	for i, r := range recs[:BlockSize] {
+		r.Publisher = []string{"V-1", "P-1", "V-2"}[i%3] // V-2 lives in the first block alone
+	}
+	got, err := Run(trace.NewSliceReader(recs), newRouteLog, Options{Workers: workers, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.N != records {
-		t.Fatalf("N = %d", got.N)
+	owner := map[string]int{}
+	for w, pubCounts := range got.workers() {
+		for p := range pubCounts {
+			owner[p] = w
+		}
+	}
+	var blocks int64
+	for at := 0; at < records; at += BlockSize {
+		lanes := map[int]bool{}
+		for _, r := range recs[at:min(at+BlockSize, records)] {
+			lanes[owner[r.Publisher]] = true
+		}
+		blocks += int64(len(lanes))
 	}
 	if v := reg.Counter("pipeline_records_total").Value(); v != records {
 		t.Errorf("pipeline_records_total = %d, want %d", v, records)
 	}
-	var routed, batches int64
+	var routed int64
 	for w := 0; w < workers; w++ {
-		n := workerRecords(reg, w)
-		routed += n
-		batches += (n + batchSize - 1) / batchSize
+		routed += workerRecords(reg, w)
 	}
 	if routed != records {
 		t.Errorf("pipeline_worker_records_total sums to %d, want %d", routed, records)
 	}
-	if batches < 8 {
-		t.Errorf("%d batches for %d records", batches, records)
+	if v := reg.Counter("pipeline_batches_total").Value(); v != blocks {
+		t.Errorf("pipeline_batches_total = %d, want %d", v, blocks)
 	}
-	if v := reg.Counter("pipeline_batches_total").Value(); v != batches {
-		t.Errorf("pipeline_batches_total = %d, want %d", v, batches)
+	if v := reg.Snapshot().Histograms["pipeline_fold_seconds"].Count; v != blocks {
+		t.Errorf("pipeline_fold_seconds count = %d, want %d", v, blocks)
 	}
-	if v := reg.Snapshot().Histograms["pipeline_fold_seconds"].Count; v != batches {
-		t.Errorf("pipeline_fold_seconds count = %d, want %d", v, batches)
+	if v := reg.Gauge("pipeline_workers").Value(); v != workers {
+		t.Errorf("pipeline_workers = %v, want %d", v, workers)
 	}
 	if v := reg.Gauge("pipeline_queue_depth").Value(); v != 0 {
 		t.Errorf("pipeline_queue_depth = %v after the run, want 0", v)
+	}
+}
+
+// A fold that holds its first record until the reader waits for a free
+// block sees every block in flight: pipeline_queue_depth reads
+// MaxBlocks, and pipeline_backpressure_stalls_total counts the wait.
+func TestRunCountsBlocksInFlight(t *testing.T) {
+	reg := obs.NewRegistry()
+	stalls := reg.Counter("pipeline_backpressure_stalls_total")
+	var depth float64
+	held := false
+	hold := func() holdFirst {
+		return holdFirst{func() {
+			if held {
+				return
+			}
+			held = true
+			for stalls.Value() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			depth = reg.Gauge("pipeline_queue_depth").Value()
+		}}
+	}
+	if _, err := Run(trace.NewSliceReader(makeRecords((MaxBlocks+2)*BlockSize)), hold,
+		Options{Workers: 1, Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	if depth != MaxBlocks {
+		t.Errorf("pipeline_queue_depth = %v while the reader waited, want %d", depth, MaxBlocks)
+	}
+	if v := reg.Gauge("pipeline_queue_depth").Value(); v != 0 {
+		t.Errorf("pipeline_queue_depth = %v after the run, want 0", v)
+	}
+}
+
+// holdFirst calls first on every record it folds.
+type holdFirst struct{ first func() }
+
+func (h holdFirst) Add(*trace.Record) { h.first() }
+func (h holdFirst) Merge(holdFirst)   {}
+
+// countReader yields n records of two publishers, in turn.
+type countReader struct{ n int }
+
+func (c *countReader) Read(rec *trace.Record) error {
+	if c.n == 0 {
+		return io.EOF
+	}
+	c.n--
+	*rec = trace.Record{Publisher: []string{"V-1", "P-1"}[c.n%2], ObjectID: uint64(c.n)}
+	return nil
+}
+
+// Run allocates per run, not per record: its blocks, lanes, channels
+// and goroutines, about 42 objects over 50K records and over 200K. While
+// it copied records into pooled 1,024-record batches, each batch put
+// back cost a slice header: 235 objects over 200K records against 90
+// over 50K.
+func TestRunAllocsIndependentOfLength(t *testing.T) {
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			got, err := Run(&countReader{n: n}, func() *Count { return &Count{} }, Options{Workers: 2})
+			if err != nil || got.N != int64(n) {
+				t.Fatalf("%d records: folded %d, %v", n, got.N, err)
+			}
+		})
+	}
+	short, long := allocs(50_000), allocs(200_000)
+	if long > short+4 {
+		t.Errorf("Run allocates %v objects over 200K records, %v over 50K: want the same within 4", long, short)
 	}
 }
 
@@ -260,7 +302,7 @@ func (l *routeLog) workers() []map[string]int64 {
 // the worker count: a 5-publisher trace keeps min(workers, 5) workers
 // busy, and what each worker folded is what its metric reports.
 func TestRunRoutesEachPublisherToOneWorker(t *testing.T) {
-	const records = 20*batchSize + 333
+	const records = 20*BlockSize + 333
 	pubs := []string{"V-1", "V-2", "V-3", "P-1", "P-2"}
 	rng := rand.New(rand.NewSource(5))
 	recs := makeRecords(records)
@@ -313,7 +355,10 @@ func TestRunRoutesEachPublisherToOneWorker(t *testing.T) {
 
 // A trace of one publisher runs on one worker and completes.
 func TestRunOnePublisher(t *testing.T) {
-	recs := sinkTestRecords(5*batchSize + 7)
+	recs := makeRecords(5*BlockSize + 7)
+	for _, r := range recs {
+		r.Publisher = "V-1"
+	}
 	got, err := Run(trace.NewSliceReader(recs), newRouteLog, Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -348,14 +393,14 @@ func TestRunOverParallelReaderMatchesGenerate(t *testing.T) {
 }
 
 // atomicCount verifies every record is delivered exactly once across
-// many batches and workers.
+// many blocks and workers.
 type atomicCount struct{ n *int64 }
 
 func (a atomicCount) Add(*trace.Record) { atomic.AddInt64(a.n, 1) }
 func (a atomicCount) Merge(atomicCount) {}
 
 func TestRunExactlyOnceDelivery(t *testing.T) {
-	const records = 20*batchSize + 999
+	const records = 20*BlockSize + 999
 	var n int64
 	recs := makeRecords(records)
 	_, err := Run(trace.NewSliceReader(recs), func() atomicCount { return atomicCount{n: &n} },
