@@ -12,7 +12,7 @@
 //	tscluster [-router-addr 127.0.0.1:8090]
 //	          [-dcs 'north-america,south-america;europe;asia']
 //	          [-replicas 1] [-shield]
-//	          [every tsserve model flag: -policy -capacity -chunk ...]
+//	          [every tsserve model flag: -capacity -chunk ...]
 //	          [every tsrouter model flag: -retries -fail-after ...]
 //
 // -dcs groups regions into edges: ';' separates edges, ',' co-hosts

@@ -47,7 +47,7 @@ func TestLaunchConfigMapping(t *testing.T) {
 				col.Interval != fleet.DefaultCollectInterval {
 				t.Errorf("front tier = %+v, %+v; want tsrouter's defaults", r, col)
 			}
-			want := edge.Flags{Policy: "lru", Capacity: 1 << 30, ChunkBytes: 2 << 20, TraceSample: 1,
+			want := edge.Flags{Capacity: 1 << 30, ChunkBytes: 2 << 20, TraceSample: 1,
 				Config: edge.Config{MaxBodyBytes: edge.DefaultMaxBodyBytes, FillTimeout: edge.DefaultFillTimeout}}
 			if !reflect.DeepEqual(*o.edge, want) {
 				t.Errorf("edge model = %+v, want tsserve's defaults %+v", *o.edge, want)

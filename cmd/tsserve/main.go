@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	tsserve [-addr :8080] [-policy lru] [-capacity 1073741824]
+//	tsserve [-addr :8080] [-capacity 1073741824]
 //	        [-publisher-caches V-1=268435456,...]
 //	        [-chunk 2097152] [-origin-latency 0] [-origin-bw 0]
 //	        [-max-body 4096] [-max-inflight 0]
@@ -96,7 +96,7 @@ func run() error {
 		return err
 	}
 	extra := map[string]any{
-		"addr": *addr, "policy": model.Policy, "capacity": model.Capacity,
+		"addr": *addr, "capacity": model.Capacity,
 		// Serving parallelism is bounded by cores (the cache model's
 		// one lock covers under 1% of a request); record them.
 		"gomaxprocs": runtime.GOMAXPROCS(0),
@@ -138,8 +138,8 @@ func run() error {
 		DrainTimeout: *drain,
 		DrainGrace:   *drainGrace,
 		OnReady: func(a string) {
-			fmt.Fprintf(os.Stderr, "tsserve: serving on http://%s (%s, %s per DC, %s; endpoints: %s)\n",
-				a, model.Policy, report.Bytes(model.Capacity), scope, endpoints)
+			fmt.Fprintf(os.Stderr, "tsserve: serving on http://%s (lru, %s per DC, %s; endpoints: %s)\n",
+				a, report.Bytes(model.Capacity), scope, endpoints)
 		},
 	})
 

@@ -69,13 +69,12 @@ func ExampleDTWDistance() {
 	// 0
 }
 
-// ExampleNewLRU exercises the cache-policy interface shared by every
-// eviction policy in the simulator.
+// ExampleNewLRU exercises the cache interface every cache in the
+// simulator shares, on two objects numbered as slots 0 and 1.
 func ExampleNewLRU() {
 	cache := trafficscope.NewLRU(100)
 	now := time.Now()
-	a := trafficscope.CacheKey{ID: 0xa11ce, Slot: 1}
-	b := trafficscope.CacheKey{ID: 0xb0b, Slot: 2}
+	const a, b = 0, 1
 	fmt.Println(cache.Access(a, 60, now)) // cold: miss
 	fmt.Println(cache.Access(a, 60, now)) // resident: hit
 	cache.Access(b, 60, now)              // evicts a (capacity 100)

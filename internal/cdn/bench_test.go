@@ -18,8 +18,8 @@ func BenchmarkLRUChurn(b *testing.B) {
 	c := NewLRU(resident * 10)
 	op := func() {
 		for p := 0; p < passes; p++ {
-			for key := uint64(0); key < 2*resident; key++ {
-				c.Access(entry(key), 10, t0)
+			for key := uint32(0); key < 2*resident; key++ {
+				c.Access(key, 10, t0)
 			}
 		}
 	}

@@ -12,30 +12,22 @@ import (
 	"time"
 )
 
-// Cache is a byte-capacity-bounded object cache. Implementations are not
-// safe for concurrent use; each simulated data center owns one cache and
-// replay is single-threaded per DC.
+// Cache is a byte-capacity-bounded object cache. It names an entry, an
+// object or a video chunk, by its slot: its dense position in the CDN's
+// slot space (see slotSpace). Implementations are not safe for
+// concurrent use; each simulated data center owns one cache and replay
+// is single-threaded per DC.
 type Cache interface {
 	// Access looks up the object, admitting it on a miss (subject to the
 	// policy) and evicting as needed. It reports whether the access was
 	// a hit. now supports time-based policies.
-	Access(key Key, size int64, now time.Time) bool
+	Access(slot uint32, size int64, now time.Time) bool
 	// Contains reports whether the object is currently cached, without
 	// side effects.
-	Contains(key Key) bool
+	Contains(slot uint32) bool
 	// Push inserts the object without counting an access (used for
 	// proactive content placement).
-	Push(key Key, size int64, now time.Time)
-}
-
-// Key names one cache entry, an object or a video chunk. Slot, its dense
-// position in the CDN's slot space (see slotSpace), is what a cache
-// indexes its state by: two keys with one Slot are one entry. ID is the
-// entry's hashed identity, the object ID or chunkKey's hash of it, which
-// a consistent-hash ring places (ShardedCache).
-type Key struct {
-	ID   uint64
-	Slot uint32
+	Push(slot uint32, size int64, now time.Time)
 }
 
 // at returns &(*s)[i], growing *s with zero values to reach it: to at
@@ -57,9 +49,7 @@ type node struct {
 	prev, next int32
 }
 
-// queue is the byte-bounded recency list every list-ordered policy is
-// built on: LRU, FIFO, both SLRU segments and 2Q's in-queue, main queue
-// and ghost history (unit sizes, so its capacity counts keys). Nodes live
+// queue is the byte-bounded recency list LRU is built on. Nodes live
 // in one slice and link by index — nodes[0] is the sentinel, whose next
 // is the newest entry and whose prev is the eviction victim — and evicted
 // nodes are recycled through a free list threaded along next, so a full
@@ -87,23 +77,13 @@ func (q *queue) find(slot uint32) int32 {
 }
 
 // Contains implements Cache.
-func (q *queue) Contains(key Key) bool { return q.find(key.Slot) != 0 }
+func (q *queue) Contains(slot uint32) bool { return q.find(slot) != 0 }
 
 // Push implements Cache.
-func (q *queue) Push(key Key, size int64, _ time.Time) {
-	if !q.Contains(key) {
-		q.insert(key.Slot, size, nil)
+func (q *queue) Push(slot uint32, size int64, _ time.Time) {
+	if !q.Contains(slot) {
+		q.insert(slot, size)
 	}
-}
-
-// Purge removes slot if resident and reports whether it was: SLRU's
-// promotion and 2Q's ghost hits move a key out of one queue this way.
-func (q *queue) Purge(slot uint32) bool {
-	i := q.find(slot)
-	if i != 0 {
-		q.drop(i)
-	}
-	return i != 0
 }
 
 // touch moves slot to the front if resident and reports whether it was.
@@ -117,18 +97,13 @@ func (q *queue) touch(slot uint32) bool {
 }
 
 // insert admits slot at the front, evicting from the back until it fits;
-// objects larger than the whole queue are not admitted. evicted, when
-// non-nil, sees each victim's slot.
-func (q *queue) insert(slot uint32, size int64, evicted func(slot uint32)) {
+// objects larger than the whole queue are not admitted.
+func (q *queue) insert(slot uint32, size int64) {
 	if size > q.capacity {
 		return
 	}
 	for q.bytes+size > q.capacity && q.resident > 0 {
-		victim := q.nodes[0].prev
-		if evicted != nil {
-			evicted(q.nodes[victim].slot)
-		}
-		q.drop(victim)
+		q.drop(q.nodes[0].prev)
 	}
 	i := q.free
 	if i != 0 {
@@ -176,258 +151,12 @@ var _ Cache = (*LRU)(nil)
 func NewLRU(capacity int64) *LRU { return &LRU{newQueue(capacity)} }
 
 // Access implements Cache.
-func (c *LRU) Access(key Key, size int64, _ time.Time) bool {
-	if c.touch(key.Slot) {
+func (c *LRU) Access(slot uint32, size int64, _ time.Time) bool {
+	if c.touch(slot) {
 		return true
 	}
-	c.insert(key.Slot, size, nil)
+	c.insert(slot, size)
 	return false
-}
-
-// FIFO evicts in insertion order regardless of reuse.
-type FIFO struct{ queue }
-
-var _ Cache = (*FIFO)(nil)
-
-// NewFIFO creates a FIFO cache with the given byte capacity.
-func NewFIFO(capacity int64) *FIFO { return &FIFO{newQueue(capacity)} }
-
-// Access implements Cache.
-func (c *FIFO) Access(key Key, size int64, _ time.Time) bool {
-	if c.Contains(key) {
-		return true
-	}
-	c.insert(key.Slot, size, nil)
-	return false
-}
-
-// heapNode is one resident object of a heapStore.
-type heapNode struct {
-	size     int64
-	freq     float64
-	priority float64
-	tick     int64 // tie-break: older ticks evict first
-	pos      int32 // position in heapStore.heap; on the free list, the next free node
-	slot     uint32
-}
-
-// heapStore is the byte-bounded priority store both frequency-ordered
-// policies are built on, as queue is for the recency-ordered ones: LFU
-// and GDSF differ only in the priority they give an object and in what an
-// eviction does to later priorities. Nodes live in one slice and a binary
-// min-heap of node indices orders them by (priority, tick); every
-// operation takes a fresh tick, so the order is total and the victim
-// never depends on the heap's layout. Evicted nodes are recycled through
-// a free list threaded along pos, so a full cache admits and evicts
-// without allocating. index maps a slot to one more than the node
-// holding it, 0 for a slot not resident.
-type heapStore struct {
-	capacity int64
-	bytes    int64
-	nodes    []heapNode
-	heap     []int32 // min-heap of indices into nodes
-	free     int32   // head of the recycled-node list; -1 when empty
-	index    []int32
-	tick     int64
-	// priority ranks an object by access frequency and size; the lowest
-	// priority is evicted first.
-	priority func(freq float64, size int64) float64
-	// evicted, when non-nil, sees the priority of each object evicted for
-	// space.
-	evicted func(priority float64)
-}
-
-func newHeapStore(capacity int64, priority func(freq float64, size int64) float64, evicted func(priority float64)) heapStore {
-	return heapStore{capacity: capacity, free: -1, priority: priority, evicted: evicted}
-}
-
-// find returns the node holding slot, -1 when it is not resident.
-func (h *heapStore) find(slot uint32) int32 {
-	if int(slot) < len(h.index) {
-		return h.index[slot] - 1
-	}
-	return -1
-}
-
-// Access implements Cache.
-func (h *heapStore) Access(key Key, size int64, _ time.Time) bool {
-	h.tick++
-	if i := h.find(key.Slot); i >= 0 {
-		n := &h.nodes[i]
-		n.freq++
-		n.priority = h.priority(n.freq, n.size)
-		n.tick = h.tick
-		h.fix(int(n.pos))
-		return true
-	}
-	h.insert(key.Slot, size, 1)
-	return false
-}
-
-// Contains implements Cache.
-func (h *heapStore) Contains(key Key) bool { return h.find(key.Slot) >= 0 }
-
-// push admits key, if absent, at the frequency a policy gives an object
-// nobody has asked for yet.
-func (h *heapStore) push(key Key, size int64, freq float64) {
-	h.tick++
-	if !h.Contains(key) {
-		h.insert(key.Slot, size, freq)
-	}
-}
-
-// insert admits key, evicting lowest (priority, tick) first until it
-// fits; objects larger than the whole store are not admitted. The
-// newcomer's priority is taken after the evictions, so a policy whose
-// evicted hook moves later priorities (GDSF's inflation) applies to it.
-func (h *heapStore) insert(slot uint32, size int64, freq float64) {
-	if size > h.capacity {
-		return
-	}
-	for h.bytes+size > h.capacity && len(h.heap) > 0 {
-		if h.evicted != nil {
-			h.evicted(h.nodes[h.heap[0]].priority)
-		}
-		h.remove(0)
-	}
-	i := h.free
-	if i >= 0 {
-		h.free = h.nodes[i].pos
-	} else {
-		h.nodes = append(h.nodes, heapNode{})
-		i = int32(len(h.nodes) - 1)
-	}
-	h.nodes[i] = heapNode{size: size, freq: freq, priority: h.priority(freq, size), tick: h.tick, pos: int32(len(h.heap)), slot: slot}
-	h.heap = append(h.heap, i)
-	h.up(len(h.heap) - 1)
-	*at(&h.index, slot) = i + 1
-	h.bytes += size
-}
-
-// remove takes the node at heap position pos out of the store and
-// recycles it.
-func (h *heapStore) remove(pos int) {
-	last := len(h.heap) - 1
-	h.swap(pos, last)
-	i := h.heap[last]
-	h.heap = h.heap[:last]
-	if pos != last {
-		h.fix(pos)
-	}
-	n := &h.nodes[i]
-	h.index[n.slot] = 0
-	h.bytes -= n.size
-	n.pos = h.free
-	h.free = i
-}
-
-func (h *heapStore) less(a, b int32) bool {
-	x, y := &h.nodes[a], &h.nodes[b]
-	if x.priority != y.priority {
-		return x.priority < y.priority
-	}
-	return x.tick < y.tick
-}
-
-// fix restores heap order after the node at pos alone changed rank.
-func (h *heapStore) fix(pos int) {
-	h.down(pos)
-	h.up(pos) // no-op if down moved it: what came up ranked above its subtree already
-}
-
-func (h *heapStore) swap(a, b int) {
-	h.heap[a], h.heap[b] = h.heap[b], h.heap[a]
-	h.nodes[h.heap[a]].pos, h.nodes[h.heap[b]].pos = int32(a), int32(b)
-}
-
-func (h *heapStore) up(pos int) {
-	for pos > 0 {
-		parent := (pos - 1) / 2
-		if !h.less(h.heap[pos], h.heap[parent]) {
-			return
-		}
-		h.swap(pos, parent)
-		pos = parent
-	}
-}
-
-func (h *heapStore) down(pos int) {
-	for {
-		least := pos
-		for child := 2*pos + 1; child <= 2*pos+2 && child < len(h.heap); child++ {
-			if h.less(h.heap[child], h.heap[least]) {
-				least = child
-			}
-		}
-		if least == pos {
-			return
-		}
-		h.swap(pos, least)
-		pos = least
-	}
-}
-
-// LFU is a least-frequently-used cache with LRU tie-breaking: an
-// object's priority is its access count (exact as a float64 far beyond
-// any replay's length).
-type LFU struct{ heapStore }
-
-var _ Cache = (*LFU)(nil)
-
-// NewLFU creates an LFU cache with the given byte capacity.
-func NewLFU(capacity int64) *LFU {
-	return &LFU{newHeapStore(capacity, func(freq float64, _ int64) float64 { return freq }, nil)}
-}
-
-// Push implements Cache: a pushed object ranks below every accessed one.
-func (c *LFU) Push(key Key, size int64, _ time.Time) { c.push(key, size, 0) }
-
-// SLRU is a segmented LRU: objects enter a probationary segment and are
-// promoted to a protected segment on re-reference; scans of one-hit
-// objects cannot flush popular content.
-type SLRU struct {
-	probation, protected queue
-}
-
-var _ Cache = (*SLRU)(nil)
-
-// NewSLRU creates a segmented LRU with the given total byte capacity;
-// protectedFrac of it (typically 0.8) forms the protected segment.
-func NewSLRU(capacity int64, protectedFrac float64) (*SLRU, error) {
-	if protectedFrac <= 0 || protectedFrac >= 1 {
-		return nil, fmt.Errorf("cdn: protectedFrac %v outside (0,1)", protectedFrac)
-	}
-	prot := int64(float64(capacity) * protectedFrac)
-	return &SLRU{
-		probation: newQueue(capacity - prot),
-		protected: newQueue(prot),
-	}, nil
-}
-
-// Access implements Cache.
-func (c *SLRU) Access(key Key, size int64, _ time.Time) bool {
-	if c.protected.touch(key.Slot) {
-		return true
-	}
-	if c.probation.Purge(key.Slot) {
-		c.protected.insert(key.Slot, size, nil) // promote on re-reference
-		return true
-	}
-	c.probation.insert(key.Slot, size, nil)
-	return false
-}
-
-// Contains implements Cache.
-func (c *SLRU) Contains(key Key) bool {
-	return c.probation.Contains(key) || c.protected.Contains(key)
-}
-
-// Push implements Cache.
-func (c *SLRU) Push(key Key, size int64, now time.Time) {
-	if c.Contains(key) {
-		return
-	}
-	c.probation.Push(key, size, now)
 }
 
 // TTLCache wraps another cache with per-entry expiry: an entry older than
@@ -450,27 +179,27 @@ func NewTTLCache(inner Cache, ttl time.Duration) (*TTLCache, error) {
 }
 
 // Access implements Cache.
-func (c *TTLCache) Access(key Key, size int64, now time.Time) bool {
-	hit := c.inner.Access(key, size, now)
+func (c *TTLCache) Access(slot uint32, size int64, now time.Time) bool {
+	hit := c.inner.Access(slot, size, now)
 	if hit {
-		if exp, ok := c.expires[key.Slot]; ok && now.After(exp) {
+		if exp, ok := c.expires[slot]; ok && now.After(exp) {
 			hit = false // stale: counts as a revalidation miss
 		}
 	}
 	if !hit {
-		c.expires[key.Slot] = now.Add(c.ttl)
+		c.expires[slot] = now.Add(c.ttl)
 	}
 	return hit
 }
 
 // Contains implements Cache.
-func (c *TTLCache) Contains(key Key) bool { return c.inner.Contains(key) }
+func (c *TTLCache) Contains(slot uint32) bool { return c.inner.Contains(slot) }
 
 // Push implements Cache.
-func (c *TTLCache) Push(key Key, size int64, now time.Time) {
-	c.inner.Push(key, size, now)
-	if _, ok := c.expires[key.Slot]; !ok {
-		c.expires[key.Slot] = now.Add(c.ttl)
+func (c *TTLCache) Push(slot uint32, size int64, now time.Time) {
+	c.inner.Push(slot, size, now)
+	if _, ok := c.expires[slot]; !ok {
+		c.expires[slot] = now.Add(c.ttl)
 	}
 }
 
@@ -501,16 +230,72 @@ func (c *SplitCache) pick(size int64) Cache {
 }
 
 // Access implements Cache.
-func (c *SplitCache) Access(key Key, size int64, now time.Time) bool {
-	return c.pick(size).Access(key, size, now)
+func (c *SplitCache) Access(slot uint32, size int64, now time.Time) bool {
+	return c.pick(size).Access(slot, size, now)
 }
 
 // Contains implements Cache.
-func (c *SplitCache) Contains(key Key) bool {
-	return c.Small.Contains(key) || c.Large.Contains(key)
+func (c *SplitCache) Contains(slot uint32) bool {
+	return c.Small.Contains(slot) || c.Large.Contains(slot)
 }
 
 // Push implements Cache.
-func (c *SplitCache) Push(key Key, size int64, now time.Time) {
-	c.pick(size).Push(key, size, now)
+func (c *SplitCache) Push(slot uint32, size int64, now time.Time) {
+	c.pick(size).Push(slot, size, now)
+}
+
+// TieredCache models an edge cache backed by a regional parent (origin
+// shield): an edge miss consults the parent before the origin. Parent
+// hits avoid origin traffic but still count as edge misses for the
+// edge's own hit ratio — exactly how CDN hierarchies report. So the DC's
+// OriginBytes count every byte the edge missed: the origin sent
+// OriginBytes − ParentHitBytes of them. The counters are zeroed with the
+// DC's stats (CDN.ResetStats).
+type TieredCache struct {
+	edge, parent Cache
+	// ParentHits counts edge misses absorbed by the parent tier, and
+	// ParentHitBytes their bytes.
+	ParentHits     int64
+	ParentHitBytes int64
+	// ParentMisses counts requests that fell through to the origin.
+	ParentMisses int64
+}
+
+var _ Cache = (*TieredCache)(nil)
+
+// NewTieredCache builds a two-tier cache. The parent is typically shared
+// across edges; pass the same parent Cache to several TieredCaches to
+// model that (single-threaded replay only).
+func NewTieredCache(edge, parent Cache) *TieredCache {
+	return &TieredCache{edge: edge, parent: parent}
+}
+
+// Access implements Cache. The return value reflects the *edge* tier.
+func (c *TieredCache) Access(slot uint32, size int64, now time.Time) bool {
+	if c.edge.Access(slot, size, now) {
+		return true
+	}
+	if c.parent.Access(slot, size, now) {
+		c.ParentHits++
+		c.ParentHitBytes += size
+	} else {
+		c.ParentMisses++
+	}
+	return false
+}
+
+// Contains implements Cache.
+func (c *TieredCache) Contains(slot uint32) bool {
+	return c.edge.Contains(slot) || c.parent.Contains(slot)
+}
+
+// ResetStats zeroes the parent-tier counters.
+func (c *TieredCache) ResetStats() {
+	c.ParentHits, c.ParentHitBytes, c.ParentMisses = 0, 0, 0
+}
+
+// Push implements Cache.
+func (c *TieredCache) Push(slot uint32, size int64, now time.Time) {
+	c.edge.Push(slot, size, now)
+	c.parent.Push(slot, size, now)
 }

@@ -11,16 +11,12 @@ import (
 
 var t0 = time.Date(2015, 10, 3, 0, 0, 0, 0, time.UTC)
 
-// resident reads what c holds of the keys [0, n) through Contains, the
+// resident reads what c holds of the slots [0, n) through Contains, the
 // one view a Cache gives of its contents: how many, and their bytes at
-// size(key) each.
-// entry is the key of object n in the tests that drive a cache directly:
-// ID n, slot n.
-func entry(n uint64) Key { return Key{ID: n, Slot: uint32(n)} }
-
-func resident(c Cache, n uint64, size func(key uint64) int64) (objects int, bytes int64) {
-	for k := uint64(0); k < n; k++ {
-		if c.Contains(entry(k)) {
+// size(slot) each.
+func resident(c Cache, n uint32, size func(slot uint32) int64) (objects int, bytes int64) {
+	for k := uint32(0); k < n; k++ {
+		if c.Contains(k) {
 			objects++
 			bytes += size(k)
 		}
@@ -28,116 +24,56 @@ func resident(c Cache, n uint64, size func(key uint64) int64) (objects int, byte
 	return objects, bytes
 }
 
-// sized gives every key one size.
-func sized(size int64) func(uint64) int64 { return func(uint64) int64 { return size } }
+// sized gives every slot one size.
+func sized(size int64) func(uint32) int64 { return func(uint32) int64 { return size } }
 
 func TestLRUBasics(t *testing.T) {
 	c := NewLRU(100)
-	if c.Access(entry(1), 40, t0) {
+	if c.Access(1, 40, t0) {
 		t.Error("first access should miss")
 	}
-	if !c.Access(entry(1), 40, t0) {
+	if !c.Access(1, 40, t0) {
 		t.Error("second access should hit")
 	}
-	c.Access(entry(2), 40, t0)
+	c.Access(2, 40, t0)
 	if n, bytes := resident(c, 3, sized(40)); bytes != 80 || n != 2 {
 		t.Errorf("bytes/len = %d/%d", bytes, n)
 	}
 	// Touch 1 so 2 is the LRU victim, then overflow.
-	c.Access(entry(1), 40, t0)
-	c.Access(entry(3), 40, t0)
-	if !c.Contains(entry(1)) {
+	c.Access(1, 40, t0)
+	c.Access(3, 40, t0)
+	if !c.Contains(1) {
 		t.Error("recently used 1 was evicted")
 	}
-	if c.Contains(entry(2)) {
+	if c.Contains(2) {
 		t.Error("LRU victim 2 should be gone")
 	}
 }
 
 func TestLRUOversizedObject(t *testing.T) {
 	c := NewLRU(10)
-	c.Access(entry(1), 100, t0) // larger than cache: not admitted
-	if c.Contains(entry(1)) {
+	c.Access(1, 100, t0) // larger than cache: not admitted
+	if c.Contains(1) {
 		t.Error("oversized object was admitted")
 	}
-	if c.Access(entry(1), 100, t0) {
+	if c.Access(1, 100, t0) {
 		t.Error("oversized object can never hit")
 	}
 }
 
 func TestLRUPush(t *testing.T) {
 	c := NewLRU(100)
-	c.Push(entry(1), 50, t0)
-	if !c.Contains(entry(1)) {
+	c.Push(1, 50, t0)
+	if !c.Contains(1) {
 		t.Error("pushed object missing")
 	}
-	c.Push(entry(1), 50, t0) // idempotent
-	c.Push(entry(2), 50, t0)
-	if !c.Contains(entry(1)) || !c.Contains(entry(2)) {
+	c.Push(1, 50, t0) // idempotent
+	c.Push(2, 50, t0)
+	if !c.Contains(1) || !c.Contains(2) {
 		t.Error("double push inflated the bytes: two 50-byte objects no longer fit 100")
 	}
-	if !c.Access(entry(1), 50, t0) {
+	if !c.Access(1, 50, t0) {
 		t.Error("pushed object should hit")
-	}
-}
-
-func TestFIFOEvictsInsertionOrder(t *testing.T) {
-	c := NewFIFO(100)
-	c.Access(entry(1), 40, t0)
-	c.Access(entry(2), 40, t0)
-	// Re-access 1: FIFO does not refresh recency.
-	c.Access(entry(1), 40, t0)
-	c.Access(entry(3), 40, t0) // evicts 1 (oldest insertion)
-	if c.Contains(entry(1)) {
-		t.Error("FIFO should evict oldest insertion")
-	}
-	if !c.Contains(entry(2)) || !c.Contains(entry(3)) {
-		t.Error("wrong FIFO eviction")
-	}
-}
-
-func TestLFUKeepsFrequent(t *testing.T) {
-	c := NewLFU(100)
-	for i := 0; i < 5; i++ {
-		c.Access(entry(1), 40, t0) // freq 5
-	}
-	c.Access(entry(2), 40, t0) // freq 1
-	c.Access(entry(3), 40, t0) // evicts 2 (lowest freq)
-	if c.Contains(entry(2)) {
-		t.Error("LFU should evict the low-frequency object")
-	}
-	if !c.Contains(entry(1)) || !c.Contains(entry(3)) {
-		t.Error("wrong LFU eviction")
-	}
-}
-
-func TestSLRUScanResistance(t *testing.T) {
-	c, err := NewSLRU(100, 0.6) // 40 probation, 60 protected
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Make 1 popular: two accesses promote it to protected.
-	c.Access(entry(1), 30, t0)
-	c.Access(entry(1), 30, t0)
-	if !c.Contains(entry(1)) {
-		t.Fatal("popular object missing")
-	}
-	// Scan of one-hit wonders through probation.
-	for k := uint64(10); k < 20; k++ {
-		c.Access(entry(k), 30, t0)
-	}
-	if !c.Contains(entry(1)) {
-		t.Error("scan evicted the protected object")
-	}
-	if !c.Access(entry(1), 30, t0) {
-		t.Error("protected object should hit")
-	}
-	if _, err := NewSLRU(100, 1.5); err == nil {
-		t.Error("bad protectedFrac should error")
-	}
-	c.Push(entry(42), 10, t0)
-	if !c.Contains(entry(42)) {
-		t.Error("push should insert")
 	}
 }
 
@@ -147,15 +83,15 @@ func TestTTLCacheExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Access(entry(1), 10, t0)
-	if !c.Access(entry(1), 10, t0.Add(30*time.Minute)) {
+	c.Access(1, 10, t0)
+	if !c.Access(1, 10, t0.Add(30*time.Minute)) {
 		t.Error("fresh entry should hit")
 	}
-	if c.Access(entry(1), 10, t0.Add(3*time.Hour)) {
+	if c.Access(1, 10, t0.Add(3*time.Hour)) {
 		t.Error("stale entry should miss (revalidation)")
 	}
 	// After revalidation the entry is fresh again.
-	if !c.Access(entry(1), 10, t0.Add(3*time.Hour+time.Minute)) {
+	if !c.Access(1, 10, t0.Add(3*time.Hour+time.Minute)) {
 		t.Error("revalidated entry should hit")
 	}
 	if _, err := NewTTLCache(inner, 0); err == nil {
@@ -169,15 +105,15 @@ func TestSplitCacheRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Access(entry(1), 10, t0)  // small
-	c.Access(entry(2), 500, t0) // large
-	if !small.Contains(entry(1)) || large.Contains(entry(1)) {
+	c.Access(1, 10, t0)  // small
+	c.Access(2, 500, t0) // large
+	if !small.Contains(1) || large.Contains(1) {
 		t.Error("small object misrouted")
 	}
-	if !large.Contains(entry(2)) || small.Contains(entry(2)) {
+	if !large.Contains(2) || small.Contains(2) {
 		t.Error("large object misrouted")
 	}
-	size := func(k uint64) int64 {
+	size := func(k uint32) int64 {
 		if k == 1 {
 			return 10
 		}
@@ -186,11 +122,11 @@ func TestSplitCacheRouting(t *testing.T) {
 	if n, bytes := resident(c, 3, size); n != 2 || bytes != 510 {
 		t.Errorf("resident: len=%d bytes=%d", n, bytes)
 	}
-	if !c.Contains(entry(1)) || !c.Contains(entry(2)) {
+	if !c.Contains(1) || !c.Contains(2) {
 		t.Error("Contains should check both")
 	}
-	c.Push(entry(3), 20, t0)
-	if !small.Contains(entry(3)) {
+	c.Push(3, 20, t0)
+	if !small.Contains(3) {
 		t.Error("push misrouted")
 	}
 	if _, err := NewSplitCache(small, large, 0); err == nil {
@@ -198,22 +134,50 @@ func TestSplitCacheRouting(t *testing.T) {
 	}
 }
 
-// Property: under any access sequence, the bytes every policy holds stay
+// caches builds every cache the CDN model composes at a total byte
+// capacity: the LRU, and the split, TTL and tiered caches the §V table
+// and the study run over LRUs. bounds names each LRU whose contents the
+// invariants read (a composite's parts, where one slot can sit in two)
+// and its capacity.
+func caches(capacity int64) map[string]func() (c Cache, bounds map[Cache]int64) {
+	part := func(bounds map[Cache]int64, capacity int64) Cache {
+		c := NewLRU(capacity)
+		bounds[c] = capacity
+		return c
+	}
+	small := capacity * 2 / 5
+	return map[string]func() (Cache, map[Cache]int64){
+		"lru": func() (Cache, map[Cache]int64) {
+			b := map[Cache]int64{}
+			return part(b, capacity), b
+		},
+		"split": func() (Cache, map[Cache]int64) {
+			b := map[Cache]int64{}
+			c, _ := NewSplitCache(part(b, small), part(b, capacity-small), 60)
+			return c, b
+		},
+		"ttl": func() (Cache, map[Cache]int64) {
+			b := map[Cache]int64{}
+			c, _ := NewTTLCache(part(b, capacity), time.Minute)
+			return c, b
+		},
+		"tiered": func() (Cache, map[Cache]int64) {
+			b := map[Cache]int64{}
+			return NewTieredCache(part(b, small), part(b, capacity-small)), b
+		},
+	}
+}
+
+// Property: under any access sequence, the bytes every cache holds stay
 // within its capacity. An object has one size, as in a trace.
 func TestCacheInvariantsProperty(t *testing.T) {
-	mk := map[string]func() Cache{
-		"lru":  func() Cache { return NewLRU(500) },
-		"fifo": func() Cache { return NewFIFO(500) },
-		"lfu":  func() Cache { return NewLFU(500) },
-		"slru": func() Cache { c, _ := NewSLRU(500, 0.8); return c },
-	}
-	for name, factory := range mk {
+	for name, mk := range caches(500) {
 		t.Run(name, func(t *testing.T) {
 			f := func(keys []uint8, sizes [32]uint8) bool {
-				c := factory()
-				size := func(k uint64) int64 { return int64(sizes[k]%200) + 1 }
+				c, _ := mk()
+				size := func(k uint32) int64 { return int64(sizes[k]%200) + 1 }
 				for _, k := range keys {
-					c.Access(entry(uint64(k%32)), size(uint64(k%32)), t0)
+					c.Access(uint32(k%32), size(uint32(k%32)), t0)
 					if _, bytes := resident(c, 32, size); bytes > 500 {
 						return false
 					}
@@ -227,18 +191,41 @@ func TestCacheInvariantsProperty(t *testing.T) {
 	}
 }
 
+// Every part of a composite cache obeys its own capacity under a long
+// random workload whose accesses are a second apart, so TTL entries
+// expire. An object has one size, as in a trace.
+func TestNewPolicyInvariants(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var sizes [64]int64
+	for k := range sizes {
+		sizes[k] = rng.Int63n(120) + 1
+	}
+	size := func(k uint32) int64 { return sizes[k] }
+	for name, mk := range caches(500) {
+		c, bounds := mk()
+		for i := 0; i < 5000; i++ {
+			key := uint32(rng.Intn(64))
+			c.Access(key, size(key), t0.Add(time.Duration(i)*time.Second))
+			for part, capacity := range bounds {
+				if _, bytes := resident(part, 64, size); bytes > capacity {
+					t.Fatalf("%s: holds %d bytes, capacity %d", name, bytes, capacity)
+				}
+			}
+		}
+	}
+}
+
 // Property: an object just accessed (and admissible) is a hit when
-// re-accessed immediately, for every policy.
+// re-accessed immediately, for every cache.
 func TestImmediateReaccessHits(t *testing.T) {
-	slru, _ := NewSLRU(1000, 0.8)
-	caches := map[string]Cache{"lru": NewLRU(1000), "fifo": NewFIFO(1000), "lfu": NewLFU(1000), "slru": slru}
 	rng := rand.New(rand.NewSource(1))
-	for name, c := range caches {
+	for name, mk := range caches(1000) {
+		c, _ := mk()
 		for i := 0; i < 200; i++ {
-			key := rng.Uint64() % 64
+			key := uint32(rng.Intn(64))
 			size := rng.Int63n(100) + 1
-			c.Access(entry(key), size, t0)
-			if !c.Access(entry(key), size, t0) {
+			c.Access(key, size, t0)
+			if !c.Access(key, size, t0) {
 				t.Errorf("%s: immediate re-access missed", name)
 				break
 			}
@@ -247,86 +234,112 @@ func TestImmediateReaccessHits(t *testing.T) {
 }
 
 func TestZeroCapacityCacheNeverAdmits(t *testing.T) {
-	for name, c := range map[string]Cache{"lru": NewLRU(0), "fifo": NewFIFO(0), "lfu": NewLFU(0)} {
-		c.Access(entry(1), 1, t0)
-		if c.Contains(entry(1)) {
+	for name, mk := range caches(0) {
+		c, _ := mk()
+		c.Access(1, 1, t0)
+		if c.Contains(1) {
 			t.Errorf("%s: zero-capacity cache admitted an object", name)
 		}
-		if c.Access(entry(1), 1, t0) {
+		if c.Access(1, 1, t0) {
 			t.Errorf("%s: zero-capacity cache hit", name)
 		}
 	}
 }
 
-// refList is the container/list cache the queue replaced, kept as the
-// reference model: touch selects LRU (move to front on hit) over FIFO.
+func TestTieredCacheParentAbsorbsEdgeMisses(t *testing.T) {
+	edge := NewLRU(100)
+	parent := NewLRU(10000)
+	c := NewTieredCache(edge, parent)
+	// Miss everywhere: parent records a miss (origin fetch).
+	if c.Access(1, 50, t0) {
+		t.Error("cold access hit")
+	}
+	if c.ParentMisses != 1 || c.ParentHits != 0 {
+		t.Errorf("parent stats: %d/%d", c.ParentHits, c.ParentMisses)
+	}
+	// Evict from the tiny edge, keep in parent.
+	c.Access(2, 60, t0) // evicts 1 from edge (100-byte capacity)
+	if edge.Contains(1) {
+		t.Fatal("edge should have evicted 1")
+	}
+	// Edge miss, parent hit.
+	if c.Access(1, 50, t0) {
+		t.Error("edge-level verdict should be MISS")
+	}
+	if c.ParentHits != 1 {
+		t.Errorf("ParentHits = %d, want 1", c.ParentHits)
+	}
+	if !c.Contains(2) {
+		t.Error("Contains should cover both tiers")
+	}
+	c.Push(9, 10, t0)
+	if !edge.Contains(9) || !parent.Contains(9) {
+		t.Error("push should warm both tiers")
+	}
+}
+
+func TestSharedParentAcrossEdges(t *testing.T) {
+	parent := NewLRU(10000)
+	e1 := NewTieredCache(NewLRU(100), parent)
+	e2 := NewTieredCache(NewLRU(100), parent)
+	e1.Access(1, 50, t0) // fills the shared parent
+	if e2.Access(1, 50, t0) {
+		t.Error("edge 2 verdict should be MISS")
+	}
+	if e2.ParentHits != 1 {
+		t.Errorf("shared parent should absorb edge-2 miss, hits=%d", e2.ParentHits)
+	}
+}
+
+// refList is the container/list LRU the queue replaced, kept as the
+// reference model.
 type refList struct {
 	capacity, bytes int64
-	touch           bool
 	ll              *list.List // front = most recent
-	items           map[uint64]*list.Element
+	items           map[uint32]*list.Element
 }
 
 type refEntry struct {
-	key  uint64
+	key  uint32
 	size int64
 }
 
-func newRefList(capacity int64, touch bool) *refList {
-	return &refList{capacity: capacity, touch: touch, ll: list.New(), items: map[uint64]*list.Element{}}
+func newRefList(capacity int64) *refList {
+	return &refList{capacity: capacity, ll: list.New(), items: map[uint32]*list.Element{}}
 }
 
-func (c *refList) Contains(key uint64) bool { _, ok := c.items[key]; return ok }
+func (c *refList) Contains(key uint32) bool { _, ok := c.items[key]; return ok }
 
-func (c *refList) Access(key uint64, size int64) bool {
+func (c *refList) Access(key uint32, size int64) bool {
 	if el, ok := c.items[key]; ok {
-		if c.touch {
-			c.ll.MoveToFront(el)
-		}
+		c.ll.MoveToFront(el)
 		return true
 	}
 	c.insert(key, size)
 	return false
 }
 
-func (c *refList) Push(key uint64, size int64) {
+func (c *refList) Push(key uint32, size int64) {
 	if !c.Contains(key) {
 		c.insert(key, size)
 	}
 }
 
-// insert returns the evicted keys, oldest first.
-func (c *refList) insert(key uint64, size int64) []uint64 {
+func (c *refList) insert(key uint32, size int64) {
 	if size > c.capacity {
-		return nil
+		return
 	}
-	var evicted []uint64
-	for c.bytes+size > c.capacity {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		evicted = append(evicted, back.Value.(refEntry).key)
-		c.Purge(back.Value.(refEntry).key)
+	for c.bytes+size > c.capacity && c.ll.Len() > 0 {
+		back := c.ll.Remove(c.ll.Back()).(refEntry)
+		delete(c.items, back.key)
+		c.bytes -= back.size
 	}
 	c.items[key] = c.ll.PushFront(refEntry{key: key, size: size})
 	c.bytes += size
-	return evicted
 }
 
-func (c *refList) Purge(key uint64) bool {
-	el, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	c.ll.Remove(el)
-	delete(c.items, key)
-	c.bytes -= el.Value.(refEntry).size
-	return true
-}
-
-func (c *refList) keys() []uint64 {
-	var out []uint64
+func (c *refList) keys() []uint32 {
+	var out []uint32
 	for el := c.ll.Front(); el != nil; el = el.Next() {
 		out = append(out, el.Value.(refEntry).key)
 	}
@@ -334,207 +347,56 @@ func (c *refList) keys() []uint64 {
 }
 
 // keys lists the queue front (newest) to back (next victim).
-func (q *queue) keys() []uint64 {
-	var out []uint64
+func (q *queue) keys() []uint32 {
+	var out []uint32
 	for i := q.nodes[0].next; i != 0; i = q.nodes[i].next {
-		out = append(out, uint64(q.nodes[i].slot))
+		out = append(out, q.nodes[i].slot)
 	}
 	return out
 }
 
-// cacheModel is one policy under differential test: the operations both
-// sides answer, and every internal list front to back.
-type cacheModel struct {
-	access   func(key uint64, size int64) bool
-	push     func(key uint64, size int64)
-	purge    func(key uint64) bool
-	contains func(key uint64) bool
-	lists    func() [][]uint64
-	occupied func() (objects int, bytes int64)
-}
-
-// occupancy sums the resident segments of a reference policy.
-func occupancy(segments ...*refList) func() (int, int64) {
-	return func() (n int, bytes int64) {
-		for _, s := range segments {
-			n += s.ll.Len()
-			bytes += s.bytes
-		}
-		return n, bytes
-	}
-}
-
-func refSingle(capacity int64, touch bool) cacheModel {
-	ref := newRefList(capacity, touch)
-	return cacheModel{
-		access:   ref.Access,
-		push:     ref.Push,
-		purge:    ref.Purge,
-		contains: ref.Contains,
-		lists:    func() [][]uint64 { return [][]uint64{ref.keys()} },
-		occupied: occupancy(ref),
-	}
-}
-
-func refSLRU(capacity int64, frac float64) cacheModel {
-	prot := int64(float64(capacity) * frac)
-	probation, protected := newRefList(capacity-prot, true), newRefList(prot, true)
-	contains := func(key uint64) bool { return probation.Contains(key) || protected.Contains(key) }
-	return cacheModel{
-		access: func(key uint64, size int64) bool {
-			if protected.Contains(key) {
-				return protected.Access(key, size)
-			}
-			if probation.Purge(key) {
-				protected.Push(key, size)
-				protected.Access(key, size)
-				return true
-			}
-			return probation.Access(key, size)
-		},
-		push: func(key uint64, size int64) {
-			if !contains(key) {
-				probation.Push(key, size)
-			}
-		},
-		contains: contains,
-		lists:    func() [][]uint64 { return [][]uint64{probation.keys(), protected.keys()} },
-		occupied: occupancy(probation, protected),
-	}
-}
-
-func refTwoQ(capacity int64, inFrac float64, ghostN int) cacheModel {
-	inCap := int64(float64(capacity) * inFrac)
-	in, main := newRefList(inCap, false), newRefList(capacity-inCap, true)
-	ghost := newRefList(int64(ghostN), false) // unit sizes: capacity counts keys
-	contains := func(key uint64) bool { return in.Contains(key) || main.Contains(key) }
-	return cacheModel{
-		access: func(key uint64, size int64) bool {
-			if main.Contains(key) {
-				return main.Access(key, size)
-			}
-			if in.Contains(key) {
-				return true
-			}
-			if ghost.Purge(key) {
-				return main.Access(key, size)
-			}
-			for _, ek := range in.insert(key, size) {
-				ghost.Push(ek, 1)
-			}
-			return false
-		},
-		push: func(key uint64, size int64) {
-			if !contains(key) {
-				main.Push(key, size)
-			}
-		},
-		contains: contains,
-		lists:    func() [][]uint64 { return [][]uint64{in.keys(), main.keys(), ghost.keys()} },
-		occupied: occupancy(in, main),
-	}
-}
-
-// queued sums the resident queues of a policy: their counters are what
-// eviction reads, so they must equal the reference's to the byte.
-func queued(qs ...*queue) func() (int, int64) {
-	return func() (n int, bytes int64) {
-		for _, q := range qs {
-			n += q.resident
-			bytes += q.bytes
-		}
-		return n, bytes
-	}
-}
-
-func modelOf(c Cache, lists func() [][]uint64, occupied func() (int, int64)) cacheModel {
-	m := cacheModel{
-		access:   func(key uint64, size int64) bool { return c.Access(entry(key), size, t0) },
-		push:     func(key uint64, size int64) { c.Push(entry(key), size, t0) },
-		contains: func(key uint64) bool { return c.Contains(entry(key)) },
-		lists:    lists,
-		occupied: occupied,
-	}
-	if p, ok := c.(interface{ Purge(uint32) bool }); ok {
-		m.purge = func(key uint64) bool { return p.Purge(uint32(key)) } // the queue's, promoted to LRU and FIFO
-	}
-	return m
-}
-
-// TestQueuePoliciesMatchListReference drives every queue-backed policy
-// and its container/list reference with the same seeded operation stream
-// and requires the same answers and the same list contents, front to
-// back, and the same Len and Bytes after every step — hit ratios reported anywhere in the repository
-// come out of these lists, so the rewrite must be indistinguishable.
+// TestQueuePoliciesMatchListReference drives the LRU and its
+// container/list reference with the same seeded operation stream and
+// requires the same answers and the same list contents, front to back,
+// and the same object count and bytes after every step — hit ratios
+// reported anywhere in the repository come out of this list, so the
+// rewrite must be indistinguishable.
 func TestQueuePoliciesMatchListReference(t *testing.T) {
-	policies := map[string]func(capacity int64) (got, want cacheModel){
-		"lru": func(capacity int64) (cacheModel, cacheModel) {
-			c := NewLRU(capacity)
-			return modelOf(c, func() [][]uint64 { return [][]uint64{c.keys()} }, queued(&c.queue)), refSingle(capacity, true)
-		},
-		"fifo": func(capacity int64) (cacheModel, cacheModel) {
-			c := NewFIFO(capacity)
-			return modelOf(c, func() [][]uint64 { return [][]uint64{c.keys()} }, queued(&c.queue)), refSingle(capacity, false)
-		},
-		"slru": func(capacity int64) (cacheModel, cacheModel) {
-			c, err := NewSLRU(capacity, 0.8)
-			if err != nil {
-				t.Fatal(err)
+	const opsPerCapacity = 30_000 // × 4 capacities = 1.2e5 operations
+	for _, capacity := range []int64{0, 1, 1000, 4096} {
+		got, want := NewLRU(capacity), newRefList(capacity)
+		rng := rand.New(rand.NewSource(capacity + 7))
+		for step := 0; step < opsPerCapacity; step++ {
+			key := uint32(rng.Intn(96))
+			var size int64
+			switch rng.Intn(10) {
+			case 0: // stays 0
+			case 1:
+				size = capacity
+			case 2:
+				size = capacity + 1 + int64(rng.Intn(50))
+			default:
+				size = 1 + int64(rng.Intn(400))
 			}
-			return modelOf(c, func() [][]uint64 { return [][]uint64{c.probation.keys(), c.protected.keys()} },
-					queued(&c.probation, &c.protected)),
-				refSLRU(capacity, 0.8)
-		},
-		"2q": func(capacity int64) (cacheModel, cacheModel) {
-			c, err := NewTwoQ(capacity, 0.25, 8)
-			if err != nil {
-				t.Fatal(err)
+			op := rng.Intn(10)
+			var g, w bool
+			switch {
+			case op < 6:
+				g, w = got.Access(key, size, t0), want.Access(key, size)
+			case op < 7:
+				got.Push(key, size, t0)
+				want.Push(key, size)
+			default:
+				g, w = got.Contains(key), want.Contains(key)
 			}
-			return modelOf(c, func() [][]uint64 { return [][]uint64{c.in.keys(), c.main.keys(), c.ghost.keys()} },
-					queued(&c.in, &c.main)),
-				refTwoQ(capacity, 0.25, 8)
-		},
-	}
-	const opsPerCapacity = 30_000 // × 4 capacities = 1.2e5 operations a policy
-	for name, mk := range policies {
-		for _, capacity := range []int64{0, 1, 1000, 4096} {
-			got, want := mk(capacity)
-			rng := rand.New(rand.NewSource(capacity + 7))
-			for step := 0; step < opsPerCapacity; step++ {
-				key := uint64(rng.Intn(96))
-				var size int64
-				switch rng.Intn(10) {
-				case 0: // stays 0
-				case 1:
-					size = capacity
-				case 2:
-					size = capacity + 1 + int64(rng.Intn(50))
-				default:
-					size = 1 + int64(rng.Intn(400))
-				}
-				op := rng.Intn(10)
-				var g, w bool
-				switch {
-				case op < 6:
-					g, w = got.access(key, size), want.access(key, size)
-				case op < 7:
-					got.push(key, size)
-					want.push(key, size)
-				case op < 8 && got.purge != nil:
-					g, w = got.purge(key), want.purge(key)
-				default:
-					g, w = got.contains(key), want.contains(key)
-				}
-				if g != w {
-					t.Fatalf("%s cap %d step %d: op %d key %d size %d = %v, reference %v", name, capacity, step, op, key, size, g, w)
-				}
-				if gl, wl := got.lists(), want.lists(); !reflect.DeepEqual(gl, wl) {
-					t.Fatalf("%s cap %d step %d: lists %v, reference %v", name, capacity, step, gl, wl)
-				}
-				gn, gb := got.occupied()
-				if wn, wb := want.occupied(); gn != wn || gb != wb {
-					t.Fatalf("%s cap %d step %d: Len/Bytes %d/%d, reference %d/%d", name, capacity, step, gn, gb, wn, wb)
-				}
+			if g != w {
+				t.Fatalf("cap %d step %d: op %d key %d size %d = %v, reference %v", capacity, step, op, key, size, g, w)
+			}
+			if gl, wl := got.keys(), want.keys(); !reflect.DeepEqual(gl, wl) {
+				t.Fatalf("cap %d step %d: list %v, reference %v", capacity, step, gl, wl)
+			}
+			if got.resident != want.ll.Len() || got.bytes != want.bytes {
+				t.Fatalf("cap %d step %d: Len/Bytes %d/%d, reference %d/%d", capacity, step, got.resident, got.bytes, want.ll.Len(), want.bytes)
 			}
 		}
 	}
@@ -544,17 +406,17 @@ func TestQueuePoliciesMatchListReference(t *testing.T) {
 // evicted node, so the node slice stops growing.
 func TestQueueRecyclesNodes(t *testing.T) {
 	c := NewLRU(100 * 10)
-	for key := uint64(0); key < 100; key++ {
-		c.Access(entry(key), 10, t0)
+	for key := uint32(0); key < 100; key++ {
+		c.Access(key, 10, t0)
 	}
 	full := len(c.nodes)
 	if full != 101 {
 		t.Fatalf("full cache holds %d nodes, want 100 + sentinel", full)
 	}
-	for key := uint64(100); key < 50_000; key++ {
-		c.Access(entry(key), 10, t0)
-		if key%3 == 0 {
-			c.Purge(uint32(key - 5))
+	for key := uint32(100); key < 50_000; key++ {
+		c.Access(key, 10, t0)
+		if i := c.find(key - 5); key%3 == 0 && i != 0 {
+			c.drop(i)
 		}
 	}
 	if len(c.nodes) != full {

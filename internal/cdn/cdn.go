@@ -417,7 +417,7 @@ func (c *CDN) PushToAll(r *trace.Record, now time.Time) {
 	obj, _ := c.keys.Keys(r)
 	p, _ := c.slots.place(obj, c.run(r), 1, &c.more, true)
 	for _, dc := range c.dcs {
-		dc.Cache.Push(Key{ID: r.ObjectID, Slot: p.first}, r.ObjectSize, now)
+		dc.Cache.Push(p.first, r.ObjectSize, now)
 	}
 }
 
@@ -430,8 +430,8 @@ func (c *CDN) PushToAll(r *trace.Record, now time.Time) {
 // admit and finish, on two sides of its block pump. It allocates nothing
 // on a hit, for hot paths holding pooled or per-goroutine scratch: the
 // DC resolves by array index, caches and client state index slices by
-// dense key, the rejection dice and chunk IDs hash without hash.Hash
-// indirection, and the result lands in *out. ServeInto is
+// dense key, the rejection dice hash without hash.Hash indirection, and
+// the result lands in *out. ServeInto is
 // single-threaded; wrap the CDN in NewConcurrent for a thread-safe serve
 // path.
 func (c *CDN) ServeInto(r, out *trace.Record) {
@@ -548,14 +548,13 @@ func (c *CDN) finish(r *trace.Record, verdict int, p placement) {
 	}
 
 	cache := dc.partition(r.Publisher)
-	whole := Key{ID: r.ObjectID, Slot: p.first}
 	if verdict == StatusNotModified {
 		// A conditional request gets no body, but the CDN still consults
 		// its cache for the validator; a miss admits the object, fetched
 		// whole from origin.
 		r.StatusCode = StatusNotModified
 		r.BytesServed = 0
-		hit := cache.Access(whole, r.ObjectSize, r.Timestamp)
+		hit := cache.Access(p.first, r.ObjectSize, r.Timestamp)
 		var originBytes int64
 		if !hit {
 			originBytes = r.ObjectSize
@@ -573,7 +572,7 @@ func (c *CDN) finish(r *trace.Record, verdict int, p placement) {
 	if isVideo && c.chunk > 0 {
 		hit, originBytes = c.accessChunks(cache, r, &p, bytesWanted)
 	} else {
-		hit = cache.Access(whole, r.ObjectSize, r.Timestamp)
+		hit = cache.Access(p.first, r.ObjectSize, r.Timestamp)
 		if !hit {
 			originBytes = r.ObjectSize
 		}
@@ -621,7 +620,7 @@ func (c *CDN) accessChunks(cache Cache, r *trace.Record, p *placement, bytesWant
 				size = rem
 			}
 		}
-		if !cache.Access(Key{ID: chunkKey(r.ObjectID, i), Slot: p.slot(i)}, size, r.Timestamp) {
+		if !cache.Access(p.slot(i), size, r.Timestamp) {
 			hit = false
 			originBytes += size
 		}
@@ -692,17 +691,6 @@ func fnv64a(buf []byte) uint64 {
 		h *= fnvPrime64
 	}
 	return h
-}
-
-// chunkKey derives the cache key of a video chunk.
-func chunkKey(objectID uint64, chunk int) uint64 {
-	if chunk == 0 {
-		return objectID
-	}
-	var b [12]byte
-	putUint64(b[:8], objectID)
-	putUint32(b[8:], uint32(chunk))
-	return fnv64a(b[:])
 }
 
 // hash3 mixes three values into a deterministic die roll.

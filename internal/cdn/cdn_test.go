@@ -43,11 +43,11 @@ func imageReq(obj uint64, user uint64, size int64, ts time.Time) *trace.Record {
 	return r
 }
 
-// wholeKey is the key c caches r's object under whole (its chunk 0); r's
-// object must have been served.
-func wholeKey(c *CDN, r *trace.Record) Key {
+// wholeSlot is the slot c caches r's object under whole (its chunk 0);
+// r's object must have been served.
+func wholeSlot(c *CDN, r *trace.Record) uint32 {
 	obj, _ := c.keys.Object(r)
-	return Key{ID: r.ObjectID, Slot: c.slots.runs[obj].first}
+	return c.slots.runs[obj].first
 }
 
 func TestServeBasicHitMiss(t *testing.T) {
@@ -278,13 +278,13 @@ func TestPublisherCachePartition(t *testing.T) {
 	v1 := videoReq(2, 2, 1000, 1000, t0)
 	serve(c, v1)
 	dc := c.DC(timeutil.RegionEurope)
-	if !dc.PublisherCache["P-1"].Contains(wholeKey(c, p1)) {
+	if !dc.PublisherCache["P-1"].Contains(wholeSlot(c, p1)) {
 		t.Error("P-1 object missing from its partition")
 	}
-	if dc.Cache.Contains(wholeKey(c, p1)) {
+	if dc.Cache.Contains(wholeSlot(c, p1)) {
 		t.Error("P-1 object leaked into the shared cache")
 	}
-	if !dc.Cache.Contains(wholeKey(c, v1)) {
+	if !dc.Cache.Contains(wholeSlot(c, v1)) {
 		t.Error("V-1 object missing from the shared cache")
 	}
 	// Partitioned publisher is isolated from shared-cache churn.
@@ -470,19 +470,12 @@ func TestResetStatsWithMetricsReachesTieredCache(t *testing.T) {
 }
 
 // TestMetricFamiliesHaveOneLabelSet: every metric family a CDN publishes
-// carries one set of label keys — plain and sharded, with a publisher
+// carries one set of label keys — plain and tiered, with a publisher
 // partition.
 func TestMetricFamiliesHaveOneLabelSet(t *testing.T) {
-	sharded := func() Cache {
-		c, err := NewShardedCache(2, 8, func() Cache { return NewLRU(1 << 20) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
 	for name, newCache := range map[string]func() Cache{
-		"plain":   func() Cache { return NewLRU(1 << 20) },
-		"sharded": sharded,
+		"plain":  func() Cache { return NewLRU(1 << 20) },
+		"tiered": func() Cache { return NewTieredCache(NewLRU(1<<10), NewLRU(1<<20)) },
 	} {
 		reg := obs.NewRegistry()
 		c := New(Config{

@@ -175,13 +175,13 @@ type recordingCache struct {
 	log *orderLog
 }
 
-func (rc recordingCache) Access(key Key, size int64, now time.Time) bool {
+func (rc recordingCache) Access(slot uint32, size int64, now time.Time) bool {
 	rc.log.mu.Lock()
 	if n := len(rc.log.order); n == 0 || !rc.log.order[n-1].Equal(now) {
 		rc.log.order = append(rc.log.order, now)
 	}
 	rc.log.mu.Unlock()
-	return rc.Cache.Access(key, size, now)
+	return rc.Cache.Access(slot, size, now)
 }
 
 // linearRecords is the hard workload: 60 users shared by every

@@ -37,7 +37,7 @@ func fanoutTrace() []*trace.Record {
 
 // fanoutConfigs are the cell configurations the differential test runs
 // side by side: plain and rejecting, publisher-partitioned, browser
-// revalidation, a sharded frequency policy, and chunking disabled.
+// revalidation, a TTL-wrapped size split, and chunking disabled.
 func fanoutConfigs() []Config {
 	lru := func(capacity int64) func() Cache {
 		return func() Cache { return NewLRU(capacity) }
@@ -47,7 +47,8 @@ func fanoutConfigs() []Config {
 		{NewCache: lru(1), PublisherCaches: map[string]func() Cache{"V-1": lru(24 << 20), "P-1": lru(2 << 20)}},
 		{NewCache: lru(16 << 20), IsIncognito: func(_ string, user uint64) bool { return user%2 == 0 }},
 		{NewCache: func() Cache {
-			c, _ := NewShardedCache(4, 16, func() Cache { return NewGDSF(8 << 20) })
+			split, _ := NewSplitCache(NewLRU(4<<20), NewLRU(28<<20), 1<<20)
+			c, _ := NewTTLCache(split, time.Hour)
 			return c
 		}},
 		{NewCache: lru(64 << 20), ChunkBytes: -1},

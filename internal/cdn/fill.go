@@ -157,7 +157,7 @@ func (c *CDN) DCContains(region timeutil.Region, r *trace.Record) bool {
 	}
 	cache := c.dcForRegion(region).partition(r.Publisher)
 	for i := range int(need) {
-		if !cache.Contains(Key{ID: chunkKey(r.ObjectID, i), Slot: p.slot(i)}) {
+		if !cache.Contains(p.slot(i)) {
 			return false
 		}
 	}

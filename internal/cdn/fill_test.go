@@ -234,7 +234,7 @@ func TestDCContainsPublisherPartition(t *testing.T) {
 		t.Error("partitioned object not found by probe")
 	}
 	// The shared default cache must not have it.
-	if c.DC(timeutil.RegionEurope).Cache.Contains(wholeKey(c, rec)) {
+	if c.DC(timeutil.RegionEurope).Cache.Contains(wholeSlot(c, rec)) {
 		t.Error("object leaked into the default partition")
 	}
 }

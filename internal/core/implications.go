@@ -77,10 +77,11 @@ func (r *Results) implicationRows(capacity int64) []implicationRow {
 	lru := func(capacity int64) func() cdn.Cache {
 		return func() cdn.Cache { return cdn.NewLRU(capacity) }
 	}
-	policy := func(name string) *implicationCell {
-		return cell(cdn.Config{NewCache: must(cdn.PolicyFactory(name, capacity))})
-	}
-	baseline := policy("lru")
+	baseline := cell(cdn.Config{NewCache: lru(capacity)})
+	// The split gives a twelfth of the capacity to objects of up to 1 MiB.
+	split := cell(cdn.Config{NewCache: func() cdn.Cache {
+		return must(cdn.NewSplitCache(cdn.NewLRU(capacity/12), cdn.NewLRU(capacity-capacity/12), 1<<20))
+	}})
 	ttl := func(d time.Duration) *implicationCell {
 		return cell(cdn.Config{NewCache: func() cdn.Cache { return must(cdn.NewTTLCache(cdn.NewLRU(capacity), d)) }})
 	}
@@ -176,24 +177,14 @@ func (r *Results) implicationRows(capacity int64) []implicationRow {
 		return func() string { return r.clusterMix(radius) }
 	}
 	return []implicationRow{
-		{"eviction policy", "lru", baseline, nil},
-		{"eviction policy", "lfu", policy("lfu"), nil},
-		{"eviction policy", "fifo", policy("fifo"), nil},
-		{"eviction policy", "slru", policy("slru"), nil},
-		{"eviction policy", "gdsf", policy("gdsf"), nil},
-		{"eviction policy", "2q", policy("2q"), nil},
 		{"split by size", "unified lru", baseline, nil},
-		{"split by size", "small/large at 1 MiB", policy("split"), nil},
+		{"split by size", "small/large at 1 MiB", split, nil},
 		{"revalidation TTL", "1 h", ttl(time.Hour), nil},
 		{"revalidation TTL", "24 h", ttl(24 * time.Hour), nil},
 		{"revalidation TTL", "7 d", ttl(7 * 24 * time.Hour), nil},
 		{"publisher partitions", "shared lru", baseline, nil},
 		{"publisher partitions", fmt.Sprintf("%d equal partitions", len(sites)),
 			cell(cdn.Config{NewCache: lru(1), PublisherCaches: partitions}), nil},
-		{"sharding", "monolithic lru", baseline, nil},
-		{"sharding", "8 consistent-hash shards", cell(cdn.Config{NewCache: func() cdn.Cache {
-			return must(cdn.NewShardedCache(8, 64, lru(capacity/8)))
-		}}), nil},
 		{"parent tier", "edge only (capacity/4)", cell(cdn.Config{NewCache: lru(capacity / 4)}), nil},
 		{"parent tier", "edge + one shared shield", shield, absorbed},
 		{"incognito browsing", "0% of users", incognito0, share0},
@@ -248,9 +239,9 @@ func (r *Results) clusterMix(radius int) string {
 	return fmt.Sprintf("K=4 cluster sizes %s of %d V-2 video series", strings.Join(sizes, "/"), len(res.ObjectIDs))
 }
 
-// ImplicationsTableSource replays the paper's §V implications — eviction
-// policy, split by size, TTL, publisher partitions, sharding, a parent
-// tier, incognito browsing, edge push — against src, which must yield in
+// ImplicationsTableSource replays the paper's §V implications — split by
+// size, TTL, publisher partitions, a parent tier, incognito browsing,
+// edge push — against src, which must yield in
 // time order the generated (pre-CDN) week the results were computed
 // from, and appends what the DTW band does to the clustering. Every cell
 // is an independent CDN with the same per-DC capacity, proportional to

@@ -99,8 +99,8 @@ type missedBytes struct {
 	n *int64
 }
 
-func (m missedBytes) Access(key cdn.Key, size int64, now time.Time) bool {
-	hit := m.Cache.Access(key, size, now)
+func (m missedBytes) Access(slot uint32, size int64, now time.Time) bool {
+	hit := m.Cache.Access(slot, size, now)
 	if !hit {
 		*m.n += size
 	}

@@ -12,17 +12,16 @@ import (
 	"trafficscope/internal/timeutil"
 )
 
-// Flags are the edge's model flags: what an edge is — cache policy and
-// size, origin model, body and shed limits, SLO objectives, trace ring —
-// as opposed to where it runs (-addr, -dc, -name, -shield and the
-// listener timeouts stay tsserve's own). tsserve and tscluster both
-// register them through AddFlags, so every name, default and usage
-// string is declared once. The flags that are Config fields as they stand
+// Flags are the edge's model flags: what an edge is — LRU cache size,
+// publisher partitions, origin model, body and shed limits, SLO
+// objectives, trace ring — as opposed to where it runs (-addr, -dc,
+// -name, -shield and the listener timeouts stay tsserve's own). tsserve
+// and tscluster both register them through AddFlags, so every name,
+// default and usage string is declared once. The flags that are Config fields as they stand
 // (origin model, body and shed limits, fill timeout) land in the embedded
 // Config; NewServer derives the rest of it.
 type Flags struct {
 	Config
-	Policy          string
 	Capacity        int64
 	PublisherCaches string
 	ChunkBytes      int64
@@ -35,8 +34,7 @@ type Flags struct {
 // destination, valid after fs.Parse.
 func AddFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	fs.StringVar(&f.Policy, "policy", "lru", "per-DC eviction policy (lru, lfu, fifo, slru, gdsf, 2q, split)")
-	fs.Int64Var(&f.Capacity, "capacity", 1<<30, "per-datacenter cache capacity in bytes")
+	fs.Int64Var(&f.Capacity, "capacity", 1<<30, "per-datacenter LRU cache capacity in bytes")
 	fs.StringVar(&f.PublisherCaches, "publisher-caches", "", "dedicated per-publisher partitions, e.g. V-1=268435456,P-1=134217728")
 	fs.Int64Var(&f.ChunkBytes, "chunk", 2<<20, "video chunk size in bytes (negative disables chunking)")
 	fs.DurationVar(&f.OriginLatency, "origin-latency", 0, "simulated origin round-trip added to every miss")
@@ -56,11 +54,10 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 // flat origin model) and the registry the edge and its CDN model count
 // into (nil = one of their own, which /metrics renders all the same).
 func (f *Flags) NewServer(regions []timeutil.Region, name, shieldURL string, metrics *obs.Registry) (*Server, error) {
-	factory, err := cdn.PolicyFactory(f.Policy, f.Capacity)
-	if err != nil {
-		return nil, err
+	if f.Capacity <= 0 {
+		return nil, fmt.Errorf("-capacity must be positive, got %d", f.Capacity)
 	}
-	pubFactories, err := parsePublisherCaches(f.PublisherCaches, f.Policy)
+	pubFactories, err := parsePublisherCaches(f.PublisherCaches)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +81,7 @@ func (f *Flags) NewServer(regions []timeutil.Region, name, shieldURL string, met
 	cfg := f.Config
 	cfg.Regions, cfg.Name, cfg.ShieldURL, cfg.Metrics = regions, name, shieldURL, metrics
 	cfg.CDN = cdn.New(cdn.Config{
-		NewCache:        factory,
+		NewCache:        lru(f.Capacity),
 		ChunkBytes:      f.ChunkBytes,
 		PublisherCaches: pubFactories,
 		Metrics:         metrics,
@@ -94,10 +91,15 @@ func (f *Flags) NewServer(regions []timeutil.Region, name, shieldURL string, met
 	return New(cfg)
 }
 
-// parsePublisherCaches parses "site=bytes,site=bytes" into dedicated
-// cache partitions using the same eviction policy as the default cache.
-// A site may be named once.
-func parsePublisherCaches(spec, policy string) (map[string]func() cdn.Cache, error) {
+// lru builds a data center's LRU, or one publisher's partition of it.
+func lru(capacity int64) func() cdn.Cache {
+	return func() cdn.Cache { return cdn.NewLRU(capacity) }
+}
+
+// parsePublisherCaches parses "site=bytes,site=bytes" into dedicated LRU
+// partitions. A site may be named once, and every size is positive: a
+// partition that holds nothing would serve its publisher only misses.
+func parsePublisherCaches(spec string) (map[string]func() cdn.Cache, error) {
 	if spec == "" {
 		return nil, nil
 	}
@@ -115,11 +117,10 @@ func parsePublisherCaches(spec, policy string) (map[string]func() cdn.Cache, err
 		if err != nil {
 			return nil, fmt.Errorf("bad -publisher-caches size %q: %v", sizeStr, err)
 		}
-		factory, err := cdn.PolicyFactory(policy, size)
-		if err != nil {
-			return nil, err
+		if size <= 0 {
+			return nil, fmt.Errorf("bad -publisher-caches size %d for %q: must be positive", size, site)
 		}
-		out[site] = factory
+		out[site] = lru(size)
 	}
 	return out, nil
 }

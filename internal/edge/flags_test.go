@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"trafficscope/internal/cdn"
 )
 
 // An edge built from the flags without a registry, as tscluster builds
@@ -39,8 +37,28 @@ func TestNewServerWithoutRegistryExportsCounters(t *testing.T) {
 	}
 }
 
+// An edge whose cache, or one of whose publisher partitions, holds no
+// bytes would serve every request as a miss; NewServer refuses it.
+func TestNewServerRejectsEmptyCaches(t *testing.T) {
+	for _, args := range [][]string{
+		{"-capacity", "0"},
+		{"-capacity", "-1"},
+		{"-publisher-caches", "V-1=1048576,P-1=0"},
+		{"-publisher-caches", "V-1=-4096"},
+	} {
+		fs := flag.NewFlagSet("edge", flag.ContinueOnError)
+		f := AddFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.NewServer(nil, "", "", nil); err == nil || !strings.Contains(err.Error(), "positive") {
+			t.Errorf("%v: err %v, want one saying the size must be positive", args, err)
+		}
+	}
+}
+
 func TestParsePublisherCachesRejectsRepeatedSite(t *testing.T) {
-	_, err := parsePublisherCaches("V-1=1048576,P-1=4096, V-1 =2097152", "lru")
+	_, err := parsePublisherCaches("V-1=1048576,P-1=4096, V-1 =2097152")
 	if err == nil || !strings.Contains(err.Error(), `"V-1"`) {
 		t.Errorf("repeated V-1: err %v, want one naming the site", err)
 	}
@@ -56,7 +74,7 @@ func FuzzParsePublisherCaches(f *testing.F) {
 	f.Add("P-2=0")
 	f.Add("=7")
 	f.Fuzz(func(t *testing.T, spec string) {
-		parts, err := parsePublisherCaches(spec, "lru")
+		parts, err := parsePublisherCaches(spec)
 		if err != nil {
 			return
 		}
@@ -64,7 +82,7 @@ func FuzzParsePublisherCaches(f *testing.F) {
 			t.Fatalf("%q: %d partitions from %d entries", spec, len(parts), entries)
 		}
 		for site, mk := range parts {
-			if c, k := mk(), (cdn.Key{ID: 1, Slot: 1}); c.Access(k, 1, time.Time{}) || !c.Contains(k) {
+			if c := mk(); c.Access(1, 1, time.Time{}) || !c.Contains(1) {
 				t.Fatalf("%q: site %q accepted with a cache that cannot hold one byte", spec, site)
 			}
 		}

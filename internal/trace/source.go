@@ -6,7 +6,7 @@ import (
 )
 
 // Source is a reopenable record stream. Multi-pass consumers (the
-// warm-up + measured replay protocol, per-policy cache comparisons)
+// warm-up + measured replay protocol, the §V cache comparisons)
 // take a Source instead of a Reader so each pass streams from the
 // origin — a file path reopens, the deterministic generator regenerates
 // — and no pass needs the trace materialized in memory.

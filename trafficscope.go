@@ -76,17 +76,13 @@ type GeneratorConfig = synth.Config
 // NewGenerator builds a generator for the paper's five calibrated sites.
 var NewGenerator = synth.NewGenerator
 
-// NewLRU builds a byte-capacity-bounded LRU cache, one of the eviction
-// policies the CDN simulator's edge caches run.
+// NewLRU builds a byte-capacity-bounded LRU cache, the eviction policy
+// the CDN simulator's edge caches run. It names an entry by its slot:
+// slots must be small dense numbers, handed out 0, 1, 2, ... as entries
+// are first named. The cache grows a slice up to the largest slot it
+// admits, 4 to 8 bytes a slot however few entries are resident, so a
+// hashed ID used as a slot can cost gigabytes in one Access.
 var NewLRU = cdn.NewLRU
-
-// CacheKey names a cache entry: Slot, the index the cache keeps its
-// state under, and ID, its hashed identity. Slots must be small dense
-// numbers, handed out 0, 1, 2, ... as entries are first named: a cache
-// grows a slice up to the largest slot it admits, 4 to 8 bytes a slot
-// however few entries are resident, so a hashed ID used as a slot can
-// cost gigabytes in one Access.
-type CacheKey = cdn.Key
 
 // DTWDistance computes the Dynamic Time Warping distance between two
 // series (the paper's §IV-B similarity measure).
