@@ -165,7 +165,7 @@ func (c *LRU) Access(slot uint32, size int64, _ time.Time) bool {
 type TTLCache struct {
 	inner   Cache
 	ttl     time.Duration
-	expires map[uint32]time.Time // by slot
+	expires []deadline // by slot; the zero deadline marks none
 }
 
 var _ Cache = (*TTLCache)(nil)
@@ -175,19 +175,18 @@ func NewTTLCache(inner Cache, ttl time.Duration) (*TTLCache, error) {
 	if ttl <= 0 {
 		return nil, fmt.Errorf("cdn: TTL must be positive, got %v", ttl)
 	}
-	return &TTLCache{inner: inner, ttl: ttl, expires: map[uint32]time.Time{}}, nil
+	return &TTLCache{inner: inner, ttl: ttl}, nil
 }
 
 // Access implements Cache.
 func (c *TTLCache) Access(slot uint32, size int64, now time.Time) bool {
 	hit := c.inner.Access(slot, size, now)
-	if hit {
-		if exp, ok := c.expires[slot]; ok && now.After(exp) {
-			hit = false // stale: counts as a revalidation miss
-		}
+	exp := at(&c.expires, slot)
+	if hit && *exp != (deadline{}) && exp.before(now) {
+		hit = false // stale: counts as a revalidation miss
 	}
 	if !hit {
-		c.expires[slot] = now.Add(c.ttl)
+		*exp = deadlineOf(now.Add(c.ttl))
 	}
 	return hit
 }
@@ -198,8 +197,8 @@ func (c *TTLCache) Contains(slot uint32) bool { return c.inner.Contains(slot) }
 // Push implements Cache.
 func (c *TTLCache) Push(slot uint32, size int64, now time.Time) {
 	c.inner.Push(slot, size, now)
-	if _, ok := c.expires[slot]; !ok {
-		c.expires[slot] = now.Add(c.ttl)
+	if exp := at(&c.expires, slot); *exp == (deadline{}) {
+		*exp = deadlineOf(now.Add(c.ttl))
 	}
 }
 

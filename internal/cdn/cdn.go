@@ -205,6 +205,12 @@ func (d deadline) after(t time.Time) bool {
 	return sec < d.sec || sec == d.sec && int32(t.Nanosecond()) < d.nsec
 }
 
+// before reports whether the deadline is earlier than t.
+func (d deadline) before(t time.Time) bool {
+	sec := t.Unix()
+	return d.sec < sec || d.sec == sec && d.nsec < int32(t.Nanosecond())
+}
+
 // reset empties the state, keeping its storage for the next pass.
 func (cs *clientState) reset() {
 	cs.browser.Clear()

@@ -88,9 +88,9 @@ type Config struct {
 	// gauge, which FillStats and /metrics read; nil gives the edge a
 	// registry of its own.
 	Metrics *obs.Registry
-	// SLO receives every request into its rolling windows and answers
-	// /slo. nil gives the edge an engine with no objectives: its windows
-	// count, nothing can breach.
+	// SLO reads the edge's per-region request series into its rolling
+	// windows and answers /slo. nil gives the edge an engine with no
+	// objectives: its windows count, nothing can breach.
 	SLO *slo.Engine
 	// Trace, if set, samples per-request trace events into a ring buffer
 	// dumpable via /debug/trace. nil disables tracing.
@@ -123,7 +123,6 @@ type Server struct {
 	misrouted *obs.Counter
 	bodyBytes *obs.Counter
 	inflightG *obs.Gauge
-	latency   *obs.Histogram
 
 	// Fill hierarchy: misses resolve through the shield when
 	// cfg.ShieldURL is set (requesting side, deduped by fillSF); the
@@ -133,11 +132,14 @@ type Server struct {
 	fillCount  [numFillCounters]*obs.Counter
 	fillMisses *obs.Counter
 
-	// SLO trackers, resolved once at construction so the hot path is
-	// atomic adds. sloRegion is indexed by timeutil.Region (1-based; slot
-	// 0 stays nil for "no region", and a nil tracker records nothing).
-	sloGlobal *slo.Tracker
-	sloRegion [timeutil.NumRegions + 1]*slo.Tracker
+	// outcomes records each object request once: its latency in
+	// edge_request_seconds{region} and its result in
+	// edge_results_total{region,result}, indexed by owned region, or at
+	// slot 0 (region "none") for a shed, bad or misrouted request. The SLO
+	// engine reads these handles; sloNext is the Unix nanosecond at which
+	// its next interval opens.
+	outcomes [timeutil.NumRegions + 1]slo.Source
+	sloNext  atomic.Int64
 
 	traceRing *TraceRing
 	reqSeq    atomic.Uint64
@@ -241,16 +243,32 @@ func New(cfg Config) (*Server, error) {
 	s.misrouted = reg.Counter("edge_misrouted_total")
 	s.bodyBytes = reg.Counter("edge_body_bytes_total")
 	s.inflightG = reg.Gauge("edge_inflight")
-	s.latency = reg.Histogram("edge_request_seconds", slo.DefaultLatencyBounds())
 	for i, family := range fillFamilies {
 		s.fillCount[i] = reg.Counter(family)
 	}
 	s.fillMisses = reg.Counter("edge_fill_misses_total")
-	s.sloGlobal = cfg.SLO.Global()
-	for _, r := range timeutil.AllRegions() {
-		// Scopes the engine doesn't track resolve to nil trackers, which
-		// swallow records — per-region SLOs are opt-in.
-		s.sloRegion[r] = cfg.SLO.Scope(r.String())
+	for r := range s.outcomes {
+		if r != 0 && !s.owned[r] {
+			continue
+		}
+		region := "none" // names no DC, so it counts toward the global scope alone
+		if r != 0 {
+			region = timeutil.Region(r).String()
+		}
+		result := func(res string) *obs.Counter {
+			return reg.Counter(obs.Name("edge_results_total", "region", region, "result", res))
+		}
+		src := slo.Source{
+			Latency: reg.Histogram(obs.Name("edge_request_seconds", "region", region), slo.DefaultLatencyBounds()),
+			Errors:  result(ResultError),
+		}
+		if r != 0 {
+			src.Hits, src.Misses = result(ResultHit), result(ResultMiss)
+		}
+		s.outcomes[r] = src
+		if err := cfg.SLO.Attach(region, src); err != nil {
+			return nil, err
+		}
 	}
 	s.traceRing = cfg.Trace
 	return s, nil
@@ -336,11 +354,12 @@ func (s *Server) handleObject(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	// Every accepted object request is counted exactly once and observed
-	// by the latency histogram and the SLO windows on every exit path —
-	// shed, bad-request and client-cancelled included — so
-	// edge_requests_total equals the sum of its outcome counters and
-	// neither the histogram nor the windows undercount fast failures.
+	// Every accepted object request is counted exactly once and recorded
+	// once, into its region's latency histogram and result counter, on
+	// every exit path — shed, bad-request and client-cancelled included —
+	// so edge_requests_total equals the sum of its outcome counters and
+	// neither the histograms nor the SLO windows read from them
+	// undercount fast failures.
 	//
 	// The outcome travels in stack locals, not the pooled scratch: the
 	// scratch's deferred Put runs before this deferred observer (LIFO),
@@ -351,12 +370,26 @@ func (s *Server) handleObject(w http.ResponseWriter, req *http.Request) {
 	var region timeutil.Region
 	var originNs, logicalBytes int64
 	defer func() {
-		elapsed := time.Since(start)
-		sec := elapsed.Seconds()
-		s.latency.Observe(sec)
-		hit, miss, isErr := result == ResultHit, result == ResultMiss, result == ResultError
-		s.sloGlobal.Record(sec, hit, miss, isErr)
-		s.sloRegion[region].Record(sec, hit, miss, isErr)
+		end := time.Now()
+		elapsed := end.Sub(start)
+		if end.UnixNano() >= s.sloNext.Load() {
+			// The first request recorded in a new SLO interval has the
+			// engine read the series before it adds to them.
+			s.sloNext.Store(s.cfg.SLO.Read(end))
+		}
+		src := &s.outcomes[0]
+		if s.owned[region] {
+			src = &s.outcomes[region]
+		}
+		src.Latency.Observe(elapsed.Seconds())
+		switch result {
+		case ResultHit:
+			src.Hits.Inc()
+		case ResultMiss:
+			src.Misses.Inc()
+		default:
+			src.Errors.Inc()
+		}
 		if s.traceRing != nil {
 			id := s.reqSeq.Add(1)
 			if s.traceRing.ShouldSample(id) {

@@ -532,8 +532,12 @@ func TestShedMetricsAccounting(t *testing.T) {
 	if got := snap.Counters["edge_bad_requests_total"]; got != 1 {
 		t.Errorf("edge_bad_requests_total = %d, want 1", got)
 	}
-	if got := snap.Histograms["edge_request_seconds"].Count; got != 3 {
-		t.Errorf("latency histogram count = %d, want 3 (all exit paths observed)", got)
+	// The served request is its region's; the shed and the bad request
+	// reached no region.
+	for region, want := range map[string]int64{"europe": 1, "none": 2} {
+		if got := snap.Histograms[obs.Name("edge_request_seconds", "region", region)].Count; got != want {
+			t.Errorf("latency histogram count for region %s = %d, want %d (all exit paths observed)", region, got, want)
+		}
 	}
 }
 

@@ -61,8 +61,9 @@ func (f *Flags) NewServer(regions []timeutil.Region, name, shieldURL string, met
 	if err != nil {
 		return nil, err
 	}
-	// The SLO engine always runs (the /slo windows cost atomic adds);
-	// -slo-policy supplies the objectives that can actually breach.
+	// The SLO engine always runs (its windows are read from the series
+	// the edge records anyway, once per interval); -slo-policy supplies
+	// the objectives that can actually breach.
 	policy := slo.Policy{}
 	if f.SLOPolicy != "" {
 		if policy, err = slo.LoadPolicy(f.SLOPolicy); err != nil {

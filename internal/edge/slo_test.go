@@ -13,7 +13,7 @@ import (
 
 	"trafficscope/internal/obs"
 	"trafficscope/internal/obs/slo"
-	"trafficscope/internal/trace"
+	"trafficscope/internal/timeutil"
 )
 
 func TestHealthzDraining(t *testing.T) {
@@ -97,29 +97,29 @@ func TestDrainGraceExposesDrainingHealthz(t *testing.T) {
 }
 
 // End-to-end agreement check: the JSON /slo report and /metrics describe
-// the same requests. On a frozen clock the 1m window holds every request,
-// so its latency is edge_request_seconds, bucket for bucket, and /metrics
-// carries no SLO series of its own.
+// the same requests, because the windows are read from the edge's own
+// series. While the 1m window covers every request since start, the
+// global scope's latency is the sum of the edge_request_seconds series
+// and a region scope's is its region's series, bucket for bucket; and
+// /metrics carries no SLO series of its own.
 func TestSLOEndpointAgreesWithMetrics(t *testing.T) {
 	policy, err := slo.ParsePolicy("window 1m; interval 1s; burn-windows 5s 1m; hit-ratio >= 90%; latency p99 <= 10s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := slo.NewEngine(policy)
-	frozen := time.Unix(1_700_000_000, 0)
-	engine.SetClock(func() time.Time { return frozen })
-
+	region := testRecord().Region.String()
 	reg := obs.NewRegistry()
-	s := newTestServer(t, Config{Metrics: reg, SLO: engine})
+	s := newTestServer(t, Config{Metrics: reg, SLO: slo.NewEngine(policy, region)})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Two distinct objects (2 misses), then the first again (1 hit):
-	// hit ratio 1/3, breaching the 90% floor.
+	// Two distinct objects (2 misses), then the first again (1 hit): hit
+	// ratio 1/3, breaching the 90% floor. The bad request reaches no
+	// region, so it counts in the global scope alone.
 	recA, recB := testRecord(), testRecord()
 	recB.ObjectID++
-	for _, rec := range []*trace.Record{recA, recB, recA} {
-		resp, err := http.Get(ts.URL + RequestPath(rec))
+	for _, path := range []string{RequestPath(recA), RequestPath(recB), RequestPath(recA), ObjectPrefix + "bad"} {
+		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,12 +137,14 @@ func TestSLOEndpointAgreesWithMetrics(t *testing.T) {
 	}
 	resp.Body.Close()
 	g := rep.Scopes[slo.GlobalScope]
-	if g == nil {
-		t.Fatalf("report has no global scope: %+v", rep)
+	if g == nil || rep.Scopes[region] == nil {
+		t.Fatalf("report lacks the global or the %s scope: %+v", region, rep)
 	}
-	ws := g.Windows["1m"]
-	if ws.Requests != 3 || ws.Hits != 1 || ws.Misses != 2 || ws.Errors != 0 {
-		t.Fatalf("1m window: %+v", ws)
+	if ws := g.Windows["1m"]; ws.Requests != 4 || ws.Hits != 1 || ws.Misses != 2 || ws.Errors != 1 {
+		t.Fatalf("global 1m window: %+v", ws)
+	}
+	if ws := rep.Scopes[region].Windows["1m"]; ws.Requests != 3 || ws.Hits != 1 || ws.Misses != 2 || ws.Errors != 0 {
+		t.Fatalf("%s 1m window: %+v", region, ws)
 	}
 	if !rep.Breached || !g.Breached {
 		t.Fatal("1/3 hit ratio must breach the 90% floor")
@@ -158,10 +160,24 @@ func TestSLOEndpointAgreesWithMetrics(t *testing.T) {
 		t.Errorf("latency_p99 objective must hold: %+v", g.Objectives)
 	}
 
-	hist := reg.Snapshot().Histograms["edge_request_seconds"]
-	if !slices.Equal(ws.Latency.Bounds, hist.Bounds) || !slices.Equal(ws.Latency.Counts, hist.Counts) ||
-		ws.Latency.Count != hist.Count {
-		t.Errorf("1m window latency %+v, edge_request_seconds %+v: want the same buckets", ws.Latency, hist)
+	hists := reg.Snapshot().Histograms
+	var all obs.HistogramValue
+	for name, h := range hists {
+		if strings.HasPrefix(name, "edge_request_seconds{") {
+			if err := all.Merge(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for scope, hist := range map[string]obs.HistogramValue{
+		slo.GlobalScope: all,
+		region:          hists[obs.Name("edge_request_seconds", "region", region)],
+	} {
+		ws := rep.Scopes[scope].Windows["1m"]
+		if !slices.Equal(ws.Latency.Bounds, hist.Bounds) || !slices.Equal(ws.Latency.Counts, hist.Counts) ||
+			ws.Latency.Count != hist.Count {
+			t.Errorf("%s 1m window latency %+v, edge_request_seconds %+v: want the same buckets", scope, ws.Latency, hist)
+		}
 	}
 
 	resp, err = http.Get(ts.URL + "/metrics")
@@ -170,38 +186,60 @@ func TestSLOEndpointAgreesWithMetrics(t *testing.T) {
 	}
 	page, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(page), "edge_requests_total 3\n") {
-		t.Errorf("/metrics lacks edge_requests_total 3:\n%s", page)
+	for _, series := range []string{
+		"edge_requests_total 4\n",
+		`edge_request_seconds_count{region="none"} 1` + "\n",
+		`edge_results_total{region="europe",result="hit"} 1` + "\n",
+		`edge_results_total{region="europe",result="miss"} 2` + "\n",
+		`edge_results_total{region="none",result="error"} 1` + "\n",
+	} {
+		if !strings.Contains(string(page), series) {
+			t.Errorf("/metrics lacks %q:\n%s", series, page)
+		}
 	}
 	if strings.Contains(string(page), "ts_slo_") {
 		t.Errorf("/metrics carries SLO series; /slo is their one surface:\n%s", page)
 	}
 }
 
-// Failures before and after the CDN verdict land in the SLO windows as
-// errors: a bad request and a mid-fetch client cancel both count.
+// Failures before the CDN verdict land in the SLO windows as errors: a
+// bad request and a misrouted request both count. Neither reaches a
+// region of the edge, so they count in the global scope alone, even when
+// the engine tracks the region the misrouted request named.
 func TestSLOWindowsCountErrors(t *testing.T) {
 	policy, err := slo.ParsePolicy("window 1m; interval 1s; burn-windows 1m; error-rate <= 1%")
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := slo.NewEngine(policy)
-	frozen := time.Unix(1_700_000_000, 0)
-	engine.SetClock(func() time.Time { return frozen })
-	s := newTestServer(t, Config{SLO: engine})
+	engine := slo.NewEngine(policy, timeutil.RegionEurope.String(), timeutil.RegionAsia.String())
+	s := newTestServer(t, Config{SLO: engine, Regions: []timeutil.Region{timeutil.RegionAsia}})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + ObjectPrefix + "bad")
-	if err != nil {
-		t.Fatal(err)
+	for path, want := range map[string]int{
+		ObjectPrefix + "bad":      http.StatusBadRequest,
+		RequestPath(testRecord()): http.StatusMisdirectedRequest, // a europe request at an asia edge
+	} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("GET %s: status %d, want %d", path, resp.StatusCode, want)
+		}
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
 
-	ws := engine.Global().Window(time.Minute)
-	if ws.Requests != 1 || ws.Errors != 1 || ws.Hits != 0 || ws.Misses != 0 {
-		t.Fatalf("window after bad request: %+v", ws)
+	rep := engine.Report()
+	ws := rep.Scopes[slo.GlobalScope].Windows["1m"]
+	if ws.Requests != 2 || ws.Errors != 2 || ws.Hits != 0 || ws.Misses != 0 {
+		t.Fatalf("global window after a bad and a misrouted request: %+v", ws)
+	}
+	for _, scope := range []string{timeutil.RegionEurope.String(), timeutil.RegionAsia.String()} {
+		if ws := rep.Scopes[scope].Windows["1m"]; ws.Requests != 0 {
+			t.Errorf("%s window: %+v, want no request", scope, ws)
+		}
 	}
 	st := policy.Objectives[0].Evaluate(ws)
 	if !st.Breached {

@@ -62,8 +62,9 @@ const DefaultCollectInterval = time.Second
 // collectTimeout bounds one backend poll (both endpoints together).
 const collectTimeout = 5 * time.Second
 
-// maxPollBytes caps each reply the collector reads: over 100x the 3.1 KiB
-// /metrics and 5.7 KiB /slo of an idle unscoped edge under the demo SLO
+// maxPollBytes caps each reply the collector reads: over 100x the
+// 10.1 KiB /metrics (five region-labelled latency histograms among its
+// series) and 5.7 KiB /slo of an idle unscoped edge under the demo SLO
 // policy. A longer reply makes its backend unreachable for the poll.
 const maxPollBytes = 1 << 20
 

@@ -593,8 +593,8 @@ func (rn *run) stats(elapsed time.Duration) *Stats {
 		BySite:       map[string]int64{},
 		ByStatus:     map[int]int64{},
 		Duration:     elapsed,
-		Latency:      less(now.Histograms[latencyMetric], rn.start.Histograms[latencyMetric]),
-		QueuedDelay:  less(now.Histograms[queuedDelayMetric], rn.start.Histograms[queuedDelayMetric]),
+		Latency:      now.Histograms[latencyMetric].Less(rn.start.Histograms[latencyMetric]),
+		QueuedDelay:  now.Histograms[queuedDelayMetric].Less(rn.start.Histograms[queuedDelayMetric]),
 	}
 	if msg := rn.firstErr.Load(); msg != nil {
 		st.FirstError = *msg
@@ -607,15 +607,4 @@ func (rn *run) stats(elapsed time.Duration) *Stats {
 		st.ByStatus[n] = count(obs.Name(statusMetric, "code", code))
 	}
 	return st
-}
-
-// less returns the observations in v, a snapshot's own reading, that
-// base, an earlier reading of the same histogram, does not hold.
-func less(v, base obs.HistogramValue) obs.HistogramValue {
-	for i, c := range base.Counts {
-		v.Counts[i] -= c
-	}
-	v.Count -= base.Count
-	v.Sum -= base.Sum
-	return v
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -226,6 +227,19 @@ func (v *HistogramValue) Merge(src HistogramValue) error {
 	v.Count += src.Count
 	v.Sum += src.Sum
 	return nil
+}
+
+// Less returns the observations in v that base, an earlier reading of
+// the same histogram, does not hold: what the histogram observed between
+// the two readings. Neither v nor base changes.
+func (v HistogramValue) Less(base HistogramValue) HistogramValue {
+	v.Counts = slices.Clone(v.Counts)
+	for i, c := range base.Counts {
+		v.Counts[i] -= c
+	}
+	v.Count -= base.Count
+	v.Sum -= base.Sum
+	return v
 }
 
 // Quantile estimates the q-th quantile (0 <= q <= 1) from the bucket

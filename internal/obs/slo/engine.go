@@ -2,21 +2,71 @@ package slo
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
+	"trafficscope/internal/obs"
 	"trafficscope/internal/report"
 )
 
-// Engine evaluates a Policy against live traffic: one Tracker for the
-// global stream plus one per named scope (the serving stack scopes by
-// DC/region name). Construct with NewEngine, hand scope trackers to the
-// request path, and ask for Report snapshots from the control plane.
+// DefaultLatencyBounds returns the serving stack's request-latency
+// bucket layout: 22 doubling bounds from 50µs to 105s, past which a
+// request lands in the +Inf bucket. The edge's edge_request_seconds
+// histograms use it, and so does every window an Engine reports.
+func DefaultLatencyBounds() []float64 {
+	return obs.ExpBuckets(50e-6, 2, 22)
+}
+
+// Engine evaluates a Policy against live traffic that the serving tier
+// records once, into handles of its own registry (a Source per stream of
+// requests, attached with Attach). Readings of those handles, one per
+// policy interval, sit in a ring as long as the policy's longest window,
+// and a window is the handles' current values less the reading that
+// opened it — the subtraction a tsload summary makes over its run. The
+// global scope sums every source; a named scope (the serving stack names
+// them by DC/region) sums the sources attached under its name.
 type Engine struct {
 	policy Policy
-	global *Tracker
-	scopes map[string]*Tracker
-	order  []string // scope iteration order (registration order)
+	order  []string  // named scopes, in registration order
+	bounds []float64 // the one latency layout every tally shares
+	now    func() time.Time
+
+	mu      sync.Mutex
+	sources []source
+	ring    []reading // the reading of epoch e sits at e % len(ring)
+	last    int64     // epoch of the newest reading, -1 before the first
+}
+
+// Source is one stream of requests as the serving tier records it: one
+// latency observation per request, and the hits, misses and errors among
+// them. The histogram uses DefaultLatencyBounds; nil counters count zero.
+type Source struct {
+	Latency              *obs.Histogram
+	Hits, Misses, Errors *obs.Counter
+}
+
+// source is an attached Source and the tally it adds into: the index of
+// its named scope, or len(order) when it counts toward the global scope
+// alone.
+type source struct {
+	Source
+	group int
+}
+
+// reading holds the sources' values as the interval epoch (interval
+// index since the Unix epoch) opened, summed into one tally per group.
+// groups is nil until the ring slot is first used.
+type reading struct {
+	epoch  int64
+	groups []tally
+}
+
+// tally is one group's counts at a reading.
+type tally struct {
+	hits, misses, errors int64
+	latency              *obs.Histogram
 }
 
 // NewEngine builds an engine for the (normalized) policy and the given
@@ -24,15 +74,15 @@ type Engine struct {
 // from scopes are added automatically so the objectives are evaluable.
 func NewEngine(p Policy, scopes ...string) *Engine {
 	p = p.Normalize()
-	e := &Engine{policy: p, scopes: map[string]*Tracker{}}
-	span, bounds := p.Span(), DefaultLatencyBounds()
-	e.global = NewTracker(p.Interval, span, bounds)
+	e := &Engine{
+		policy: p,
+		bounds: DefaultLatencyBounds(),
+		now:    time.Now,
+		ring:   make([]reading, p.Span()/p.Interval+1),
+		last:   -1,
+	}
 	add := func(name string) {
-		if name == "" {
-			return
-		}
-		if _, ok := e.scopes[name]; !ok {
-			e.scopes[name] = NewTracker(p.Interval, span, bounds)
+		if name != "" && !slices.Contains(e.order, name) {
 			e.order = append(e.order, name)
 		}
 	}
@@ -45,30 +95,87 @@ func NewEngine(p Policy, scopes ...string) *Engine {
 	return e
 }
 
-// Global returns the all-traffic tracker. Nil-safe.
-func (e *Engine) Global() *Tracker {
-	if e == nil {
-		return nil
+// SetClock replaces the time source Report judges windows by (test
+// hook).
+func (e *Engine) SetClock(now func() time.Time) { e.now = now }
+
+// Attach adds a stream of requests to the engine: it counts toward the
+// global scope and, when scope names one of the engine's scopes, toward
+// that scope as well. Attach a source before it records its first
+// request.
+func (e *Engine) Attach(scope string, src Source) error {
+	if err := obs.NewHistogram(e.bounds).Merge(src.Latency); err != nil {
+		return fmt.Errorf("slo: source latency: %w", err)
 	}
-	return e.global
+	group := slices.Index(e.order, scope)
+	if group < 0 {
+		group = len(e.order)
+	}
+	e.mu.Lock()
+	e.sources = append(e.sources, source{src, group})
+	e.mu.Unlock()
+	return nil
 }
 
-// Scope returns the tracker for a named scope, or nil if the scope is
-// not tracked (callers record into nil trackers as no-ops).
-func (e *Engine) Scope(name string) *Tracker {
-	if e == nil {
-		return nil
+// Read takes the reading that opens now's interval, unless that interval
+// or a later one has been read already, and returns the Unix nanosecond
+// at which the interval after the newest reading opens. A recorder calls
+// it before recording its first request at or past that instant, so a
+// request counts in the interval it is recorded in. An interval in which
+// no request is recorded needs no reading: the sources did not move.
+func (e *Engine) Read(now time.Time) int64 {
+	epoch := now.UnixNano() / int64(e.policy.Interval)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if epoch > e.last {
+		r := &e.ring[epoch%int64(len(e.ring))]
+		if r.groups == nil {
+			r.groups = e.tallies()
+		}
+		r.epoch = epoch
+		e.readInto(r.groups)
+		e.last = epoch
 	}
-	return e.scopes[name]
+	return (e.last + 1) * int64(e.policy.Interval)
 }
 
-// SetClock replaces the time source of every tracker (test hook). Must
-// be called before any traffic is recorded.
-func (e *Engine) SetClock(now func() time.Time) {
-	e.global.SetClock(now)
-	for _, t := range e.scopes {
-		t.SetClock(now)
+// tallies allocates one empty tally per group.
+func (e *Engine) tallies() []tally {
+	ts := make([]tally, len(e.order)+1)
+	for i := range ts {
+		ts[i].latency = obs.NewHistogram(e.bounds)
 	}
+	return ts
+}
+
+// readInto sums the sources' current values into ts. Call with e.mu
+// held.
+func (e *Engine) readInto(ts []tally) {
+	for i := range ts {
+		ts[i] = tally{latency: ts[i].latency}
+		ts[i].latency.Reset()
+	}
+	for _, s := range e.sources {
+		t := &ts[s.group]
+		t.hits += s.Hits.Value()
+		t.misses += s.Misses.Value()
+		t.errors += s.Errors.Value()
+		t.latency.Merge(s.Latency) // one layout, checked by Attach
+	}
+}
+
+// opening returns the reading that opened the window starting at epoch
+// from: the first one taken at or after it, since the sources did not
+// move in the intervals before it that took none. nil means no request
+// was recorded since from. Call with e.mu held.
+func (e *Engine) opening(from int64) *reading {
+	n := int64(len(e.ring))
+	for epoch := from; epoch <= e.last && epoch < from+n; epoch++ {
+		if r := &e.ring[epoch%n]; r.epoch == epoch && r.groups != nil {
+			return r
+		}
+	}
+	return nil
 }
 
 // ObjectiveReport is one objective's multi-window verdict.
@@ -137,7 +244,7 @@ func WindowName(d time.Duration) string {
 	return s
 }
 
-// Report evaluates the policy over the trackers as of now.
+// Report evaluates the policy over the windows as of now.
 func (e *Engine) Report() Report {
 	rep := Report{
 		IntervalSeconds:   e.policy.Interval.Seconds(),
@@ -148,17 +255,44 @@ func (e *Engine) Report() Report {
 		rep.WindowsSeconds = append(rep.WindowsSeconds, w.Seconds())
 	}
 
-	scopeWindows := func(t *Tracker) map[string]WindowStats {
-		m := make(map[string]WindowStats, len(e.policy.BurnWindows))
-		for _, w := range e.policy.BurnWindows {
-			m[WindowName(w)] = t.Window(w)
+	// Group g of a reading is scope e.order[g]; the last, the sources of
+	// no named scope, shows only in the global scope, which sums them all.
+	scopes := make([]*ScopeReport, len(e.order)+1)
+	for g := range scopes {
+		scopes[g] = &ScopeReport{Windows: make(map[string]WindowStats, len(e.policy.BurnWindows))}
+		if g < len(e.order) {
+			rep.Scopes[e.order[g]] = scopes[g]
 		}
-		return m
 	}
-	rep.Scopes[GlobalScope] = &ScopeReport{Windows: scopeWindows(e.global)}
-	for _, name := range e.order {
-		rep.Scopes[name] = &ScopeReport{Windows: scopeWindows(e.scopes[name])}
+	global := &ScopeReport{Windows: make(map[string]WindowStats, len(e.policy.BurnWindows))}
+	rep.Scopes[GlobalScope] = global
+
+	newest := e.now().UnixNano() / int64(e.policy.Interval)
+	live := e.tallies()
+	e.mu.Lock()
+	e.readInto(live)
+	for _, span := range e.policy.BurnWindows {
+		name := WindowName(span)
+		base := live // no reading since the window opened: it is empty
+		if r := e.opening(newest - int64(span/e.policy.Interval) + 1); r != nil {
+			base = r.groups
+		}
+		for g, t := range live {
+			b := base[g]
+			lat := t.latency.Value().Less(b.latency.Value())
+			ws := WindowStats{
+				WindowSeconds: span.Seconds(),
+				Requests:      lat.Count,
+				Errors:        t.errors - b.errors,
+				Hits:          t.hits - b.hits,
+				Misses:        t.misses - b.misses,
+				Latency:       lat,
+			}
+			scopes[g].Windows[name] = ws
+			global.Windows[name], _ = mergeWindow(global.Windows[name], ws) // one layout throughout
+		}
 	}
+	e.mu.Unlock()
 
 	for _, o := range e.policy.Objectives {
 		scopeName := o.Scope

@@ -18,11 +18,14 @@ func FuzzMergeReports(f *testing.F) {
 		f.Fatal(err)
 	}
 	e := NewEngine(p, "europe")
-	now := at(5 * time.Second)
-	e.SetClock(func() time.Time { return now })
+	e.SetClock(func() time.Time { return at(5 * time.Second) })
+	r := newRecorder(f, e, "europe")
 	for i := 0; i < 20; i++ {
-		e.Global().RecordAt(at(time.Second), 0.001*float64(i), i%2 == 0, i%2 == 1, i == 3)
-		e.Scope("europe").RecordAt(at(time.Second), 0.001*float64(i), i%2 == 0, i%2 == 1, i == 3)
+		result := i % 2
+		if i == 3 {
+			result = failed
+		}
+		r.record(at(time.Second), "europe", 0.001*float64(i), result)
 	}
 	real, err := json.Marshal(e.Report())
 	if err != nil {

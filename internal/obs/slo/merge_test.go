@@ -18,25 +18,25 @@ func twoBackendReports(t *testing.T, policy string) (Report, Report) {
 		t.Fatal(err)
 	}
 	now := at(5 * time.Second)
-	mk := func(scope string) *Engine {
+	mk := func(scope string) (*Engine, *recorder) {
 		e := NewEngine(p, scope)
 		e.SetClock(func() time.Time { return now })
-		return e
+		return e, newRecorder(t, e, scope)
 	}
-	eu, as := mk("europe"), mk("asia")
+	eu, euRec := mk("europe")
+	as, asRec := mk("asia")
 
 	// Backend A (europe): 100 hits at 1ms, clean.
 	for i := 0; i < 100; i++ {
-		eu.Global().RecordAt(at(time.Second), 0.001, true, false, false)
-		eu.Scope("europe").RecordAt(at(time.Second), 0.001, true, false, false)
+		euRec.record(at(time.Second), "europe", 0.001, hit)
 	}
-	// Backend B (asia): 50 hits + 50 misses at 2ms, 2 of them errors.
+	// Backend B (asia): 49 hits + 49 misses at 2ms, and 2 errors.
 	for i := 0; i < 100; i++ {
-		isErr := i < 2
-		hit := i%2 == 0 && !isErr
-		miss := !hit && !isErr
-		as.Global().RecordAt(at(2*time.Second), 0.002, hit, miss, isErr)
-		as.Scope("asia").RecordAt(at(2*time.Second), 0.002, hit, miss, isErr)
+		result := i % 2
+		if i < 2 {
+			result = failed
+		}
+		asRec.record(at(2*time.Second), "asia", 0.002, result)
 	}
 	return eu.Report(), as.Report()
 }
@@ -113,17 +113,22 @@ func TestMergeReportsPooledBreach(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := at(5 * time.Second)
-	mk := func() *Engine {
+	mk := func() (*Engine, *recorder) {
 		e := NewEngine(p)
 		e.SetClock(func() time.Time { return now })
-		return e
+		return e, newRecorder(t, e)
 	}
-	a, b := mk(), mk()
+	a, aRec := mk()
+	b, bRec := mk()
 	for i := 0; i < 1000; i++ {
-		a.Global().RecordAt(at(time.Second), 0.001, true, false, false)
+		aRec.record(at(time.Second), "", 0.001, hit)
 	}
 	for i := 0; i < 20; i++ {
-		b.Global().RecordAt(at(time.Second), 0.001, false, false, i < 15)
+		result := hit
+		if i < 15 {
+			result = failed
+		}
+		bRec.record(at(time.Second), "", 0.001, result)
 	}
 	repA, repB := a.Report(), b.Report()
 	if repA.Breached {
@@ -208,13 +213,14 @@ func TestOneEvaluator(t *testing.T) {
 	now := at(5 * time.Second)
 	e := NewEngine(p, "europe")
 	e.SetClock(func() time.Time { return now })
-	// 100 requests at 2ms, two a second: half hits, half misses, two errors.
+	r := newRecorder(t, e, "europe")
+	// 100 requests at 2ms, 25 a second: half hits, half misses, two errors.
 	for i := 0; i < 100; i++ {
-		isErr := i < 2
-		hit := i%2 == 0 && !isErr
-		ts := at(time.Duration(i/25) * time.Second)
-		e.Global().RecordAt(ts, 0.002, hit, !hit && !isErr, isErr)
-		e.Scope("europe").RecordAt(ts, 0.002, hit, !hit && !isErr, isErr)
+		result := i % 2
+		if i < 2 {
+			result = failed
+		}
+		r.record(at(time.Duration(i/25)*time.Second), "europe", 0.002, result)
 	}
 	rep := e.Report()
 	merged, err := MergeReports(rep)

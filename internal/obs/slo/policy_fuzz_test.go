@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // FuzzParsePolicy: whatever a -slo-policy file or flag holds, ParsePolicy
@@ -33,9 +34,11 @@ func FuzzParsePolicy(f *testing.F) {
 			t.Fatalf("ParsePolicy(%q) accepted a policy Validate refuses: %v", src, err)
 		}
 		e := NewEngine(p)
-		e.Global().Record(0.004, true, false, false)
+		r := newRecorder(t, e, e.order...)
+		now := time.Now()
+		r.record(now, "", 0.004, hit)
 		for _, name := range e.order {
-			e.Scope(name).Record(0.2, false, true, true)
+			r.record(now, name, 0.2, failed)
 		}
 		if _, err := json.Marshal(e.Report()); err != nil {
 			t.Fatalf("ParsePolicy(%q): report does not encode: %v", src, err)

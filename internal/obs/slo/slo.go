@@ -3,15 +3,15 @@
 // hit-ratio floors, per-DC or global scope) evaluated against rolling
 // time windows of live traffic, the way production CDNs gate deploys.
 //
-// The package has three parts. A Tracker (window.go) is a ring of
-// per-interval buckets, each an obs.Histogram in the edge's
-// request-latency layout plus three counters — every request is recorded
-// with a handful of atomic operations, no locks and no allocations, so
-// the edge hot path can feed it unconditionally. A Policy (this file)
-// declares objectives in a tiny dependency-free text format loadable
-// from a file or an inline flag. An Engine (engine.go) owns one Tracker
-// per scope, computes multi-window burn rates against the policy, and
-// renders the verdict as a JSON report, the edge's /slo endpoint.
+// The package has two parts. A Policy (this file) declares objectives in
+// a tiny dependency-free text format loadable from a file or an inline
+// flag. An Engine (engine.go) reads the series the serving tier records
+// each request into once — a latency histogram and hit, miss and error
+// counters per scope, in the tier's own obs.Registry — into a ring of
+// per-interval readings; a window is the series' current values less
+// the reading that opened it. The engine computes multi-window burn
+// rates against the policy and renders the verdict as a JSON report, the
+// edge's /slo endpoint.
 //
 // Burn rate follows the SRE-workbook definition: the fraction of the
 // error budget consumed per unit of budget allowed. For an objective
@@ -291,8 +291,8 @@ func (p Policy) Normalize() Policy {
 	return p
 }
 
-// Span returns the longest burn window — the history a Tracker must
-// retain. Call on a normalized policy.
+// Span returns the longest burn window — the history an Engine's ring
+// of readings must retain. Call on a normalized policy.
 func (p Policy) Span() time.Duration {
 	span := p.Window
 	for _, d := range p.BurnWindows {
@@ -303,10 +303,11 @@ func (p Policy) Span() time.Duration {
 	return span
 }
 
-// maxBuckets bounds the ring a Tracker keeps per scope (Span/Interval + 1
-// buckets of ≈ 280 bytes): 2 h 46 m of 1 s intervals, or 27 h of 10 s.
-// A policy that asks for more, such as "interval 1ns" under the default
-// 5 m burn window, is refused instead of exhausting memory in NewEngine.
+// maxBuckets bounds the ring of readings an Engine keeps (Span/Interval
+// + 1 interval readings of ≈ 290 bytes per scope): 2 h 46 m of 1 s
+// intervals, or 27 h of 10 s. A policy that asks for more, such as
+// "interval 1ns" under the default 5 m burn window, is refused instead
+// of exhausting memory in the engine.
 const maxBuckets = 10_000
 
 // Validate checks every objective and that the normalized windows fit in
@@ -330,13 +331,14 @@ func (p Policy) Validate() error {
 //	window 1m
 //	interval 1s
 //	burn-windows 5s 1m 5m
-//	latency p99 <= 5ms [scope=EU]
-//	error-rate <= 1% [scope=NA]
-//	hit-ratio >= 40% [scope=EU]
+//	latency p99 <= 5ms [scope=europe]
+//	error-rate <= 1% [scope=north-america]
+//	hit-ratio >= 40% [scope=europe]
 //
 // Rate thresholds accept percentages ("1%") or fractions ("0.01").
 // Latency quantiles are "p50", "p99", "p99.9", …; scope names must
-// match the serving stack's DC/region names ("NA", "SA", "EU", "AS").
+// match the serving stack's DC/region names ("north-america",
+// "south-america", "europe", "asia").
 func ParsePolicy(src string) (Policy, error) {
 	var p Policy
 	lines := strings.FieldsFunc(src, func(r rune) bool { return r == '\n' || r == ';' })

@@ -4,8 +4,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -155,104 +153,6 @@ func at(d time.Duration) time.Time {
 	return time.Unix(1_700_000_000, 0).Add(d)
 }
 
-func TestTrackerWindowBasic(t *testing.T) {
-	tr := NewTracker(time.Second, 10*time.Second, DefaultLatencyBounds())
-	// 3 requests in interval 0: two hits at 1ms, one miss at 100ms.
-	tr.RecordAt(at(0), 0.001, true, false, false)
-	tr.RecordAt(at(100*time.Millisecond), 0.001, true, false, false)
-	tr.RecordAt(at(200*time.Millisecond), 0.100, false, true, false)
-	// 1 error in interval 2 (no cache verdict).
-	tr.RecordAt(at(2*time.Second), 0.050, false, false, true)
-
-	ws := tr.WindowAt(at(2500*time.Millisecond), 5*time.Second)
-	if ws.Requests != 4 || ws.Errors != 1 || ws.Hits != 2 || ws.Misses != 1 {
-		t.Fatalf("window: %+v", ws)
-	}
-	almost(t, "hit ratio", ws.HitRatio(), 2.0/3.0)
-	almost(t, "error rate", ws.ErrorRate(), 0.25)
-	if ws.Latency.Count != 4 {
-		t.Fatalf("latency count %d", ws.Latency.Count)
-	}
-	almost(t, "latency sum", ws.Latency.Sum, 0.001+0.001+0.100+0.050)
-
-	// A 1s window at t=2.5s sees only the interval-2 error.
-	ws1 := tr.WindowAt(at(2500*time.Millisecond), time.Second)
-	if ws1.Requests != 1 || ws1.Errors != 1 {
-		t.Fatalf("1s window: %+v", ws1)
-	}
-}
-
-func TestTrackerPartialWindow(t *testing.T) {
-	// Only 2 of the last 5 intervals ever saw traffic: the window must
-	// report exactly that traffic, not fail or extrapolate.
-	tr := NewTracker(time.Second, 10*time.Second, DefaultLatencyBounds())
-	tr.RecordAt(at(0), 0.001, true, false, false)
-	tr.RecordAt(at(time.Second), 0.001, true, false, false)
-	ws := tr.WindowAt(at(4*time.Second), 5*time.Second)
-	if ws.Requests != 2 {
-		t.Fatalf("partial window requests = %d, want 2", ws.Requests)
-	}
-	if ws.WindowSeconds != 5 {
-		t.Fatalf("window seconds = %g", ws.WindowSeconds)
-	}
-}
-
-func TestTrackerRollover(t *testing.T) {
-	// Span 5s => 6 ring slots. Record in interval 0, then in interval 7
-	// (same slot 7%6=1 is different; interval 6 reuses slot 0). After
-	// rollover, a window covering the old interval must not see the old
-	// bucket's data.
-	tr := NewTracker(time.Second, 5*time.Second, DefaultLatencyBounds())
-	tr.RecordAt(at(0), 0.001, true, false, false) // interval 0, slot i0
-	// Reuse interval 0's slot: 6 intervals later.
-	tr.RecordAt(at(6*time.Second), 0.002, false, true, false)
-
-	// Window [2s..6s] as of t=6.5s: only the second record.
-	ws := tr.WindowAt(at(6500*time.Millisecond), 5*time.Second)
-	if ws.Requests != 1 || ws.Misses != 1 || ws.Hits != 0 {
-		t.Fatalf("post-rollover window: %+v", ws)
-	}
-	// The old interval's data is gone even when asking at its own time:
-	// the slot was recycled.
-	old := tr.WindowAt(at(500*time.Millisecond), time.Second)
-	if old.Requests != 0 {
-		t.Fatalf("recycled slot still visible: %+v", old)
-	}
-}
-
-func TestTrackerLateRecordDropped(t *testing.T) {
-	tr := NewTracker(time.Second, 5*time.Second, DefaultLatencyBounds())
-	tr.RecordAt(at(10*time.Second), 0.001, true, false, false)
-	// A record 6 intervals in the past lands on a slot already stamped
-	// with a newer epoch; it must be dropped, not misfiled.
-	tr.RecordAt(at(4*time.Second), 0.002, false, true, false)
-	ws := tr.WindowAt(at(10*time.Second), 5*time.Second)
-	if ws.Requests != 1 || ws.Misses != 0 {
-		t.Fatalf("late record misfiled: %+v", ws)
-	}
-}
-
-func TestTrackerRecordNoAlloc(t *testing.T) {
-	tr := NewTracker(time.Second, time.Minute, DefaultLatencyBounds())
-	now := at(0)
-	tr.SetClock(func() time.Time { return now })
-	allocs := testing.AllocsPerRun(1000, func() {
-		tr.Record(0.003, true, false, false)
-		now = now.Add(3 * time.Millisecond)
-	})
-	if allocs != 0 {
-		t.Fatalf("Record allocates %.1f per op, want 0", allocs)
-	}
-}
-
-func TestTrackerNil(t *testing.T) {
-	var tr *Tracker
-	tr.Record(0.1, true, false, false) // must not panic
-	if ws := tr.Window(time.Minute); ws.Requests != 0 {
-		t.Fatalf("nil tracker window: %+v", ws)
-	}
-}
-
 // Hand-computed burn-rate fixture: 1000 requests in the gate window, 25
 // above the 5ms latency target, 12 errors, 772 hits / 216 misses.
 //
@@ -268,14 +168,14 @@ func TestBurnRateFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(p)
-	// Drive via the engine's own clock so Record and Report agree.
+	// Drive via the engine's own clock so recording and Report agree.
 	now := at(0)
 	e.SetClock(func() time.Time { return now })
 
-	tr := e.Global()
-	rec := func(n int, lat float64, hit, miss, isErr bool) {
+	r := newRecorder(t, e)
+	rec := func(n int, lat float64, result int) {
 		for i := 0; i < n; i++ {
-			tr.Record(lat, hit, miss, isErr)
+			r.record(now, "", lat, result)
 		}
 	}
 	// Spread over intervals 0..9 by advancing the clock; the exact split
@@ -285,14 +185,14 @@ func TestBurnRateFixture(t *testing.T) {
 		// 100 requests per interval.
 		if iv == 0 {
 			// All 25 slow requests (hits at 20ms > 5ms target)...
-			rec(25, 0.020, true, false, false)
+			rec(25, 0.020, hit)
 			// ...and all 12 errors (1ms, no cache verdict).
-			rec(12, 0.001, false, false, true)
-			rec(63, 0.001, true, false, false)
+			rec(12, 0.001, failed)
+			rec(63, 0.001, hit)
 		} else {
-			rec(24, 0.001, false, true, false) // 24 misses per interval * 10 = 240
-			rec(68, 0.001, true, false, false)
-			rec(8, 0.001, true, false, false)
+			rec(24, 0.001, miss) // 24 misses per interval * 10 = 240
+			rec(68, 0.001, hit)
+			rec(8, 0.001, hit)
 		}
 	}
 	// Totals: requests 1000; errors 12; hits 88 + 9*76 = 772; misses
@@ -352,42 +252,6 @@ func TestBurnRateFixture(t *testing.T) {
 	almost(t, "hit short burn", hitRep.BurnRates["2s"], (48.0/200.0)/0.30)
 }
 
-// Hammer Record from many goroutines across interval boundaries while
-// a reader assembles windows: the rotation path must stay race-clean
-// and no sample may be lost or duplicated.
-func TestTrackerConcurrent(t *testing.T) {
-	tr := NewTracker(time.Millisecond, 100*time.Millisecond, DefaultLatencyBounds())
-	var clock atomic.Int64 // nanos offset from base
-	base := at(0)
-	tr.SetClock(func() time.Time { return base.Add(time.Duration(clock.Load())) })
-
-	const workers, perWorker = 8, 2000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				clock.Add(int64(5 * time.Microsecond)) // ~80ms total spread
-				tr.Record(0.001, true, false, false)
-			}
-		}()
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 100; i++ {
-			_ = tr.Window(50 * time.Millisecond)
-		}
-	}()
-	wg.Wait()
-	<-done
-	ws := tr.WindowAt(base.Add(time.Duration(clock.Load())), 100*time.Millisecond)
-	if want := int64(workers * perWorker); ws.Requests != want {
-		t.Fatalf("requests = %d, want %d", ws.Requests, want)
-	}
-}
-
 // An idle window is vacuously compliant: burn 0, no breach.
 func TestEvaluateIdleWindow(t *testing.T) {
 	o := Objective{Kind: KindErrorRate, Threshold: 0.01}
@@ -413,20 +277,22 @@ func TestEngineScopes(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(p, "NA", "EU")
-	now := at(0)
-	e.SetClock(func() time.Time { return now })
-	// Global + per-scope recording is the caller's job (the edge records
-	// into both); mirror that here.
+	e.SetClock(func() time.Time { return at(500 * time.Millisecond) })
+	// A request recorded under a scope counts toward it and toward the
+	// global scope; one recorded under a scope the engine does not track
+	// counts toward the global scope alone.
+	r := newRecorder(t, e, "NA", "EU", "nope")
 	for i := 0; i < 10; i++ {
-		isErr := i < 2 // 20% errors in EU
-		e.Global().Record(0.001, !isErr, false, isErr)
-		e.Scope("EU").Record(0.001, !isErr, false, isErr)
+		result := hit
+		if i < 2 { // 20% errors in EU
+			result = failed
+		}
+		r.record(at(0), "EU", 0.001, result)
 	}
 	for i := 0; i < 10; i++ {
-		e.Global().Record(0.001, true, false, false)
-		e.Scope("NA").Record(0.001, true, false, false)
+		r.record(at(0), "NA", 0.001, hit)
 	}
-	now = at(500 * time.Millisecond)
+	r.record(at(0), "nope", 0.001, hit)
 	rep := e.Report()
 	eu := rep.Scopes["EU"]
 	if len(eu.Objectives) != 1 || !eu.Objectives[0].Breached || !rep.Breached {
@@ -435,11 +301,12 @@ func TestEngineScopes(t *testing.T) {
 	if rep.Scopes["NA"].Breached {
 		t.Fatalf("NA scope wrongly breached")
 	}
-	if got := rep.Scopes[GlobalScope].Windows["5s"].Requests; got != 20 {
-		t.Fatalf("global requests = %d, want 20", got)
+	if got := rep.Scopes[GlobalScope].Windows["5s"].Requests; got != 21 {
+		t.Fatalf("global requests = %d, want 21", got)
 	}
-	// An unknown scope returns a nil tracker that swallows records.
-	e.Scope("nope").Record(0.001, true, false, false)
+	if eu.Windows["5s"].Requests != 10 || rep.Scopes["nope"] != nil {
+		t.Fatalf("EU window %+v, untracked scope %+v", eu.Windows["5s"], rep.Scopes["nope"])
+	}
 }
 
 func TestPolicyEvaluateStats(t *testing.T) {
@@ -447,12 +314,13 @@ func TestPolicyEvaluateStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := DefaultLatencyBounds()
-	tr := NewTracker(time.Second, time.Minute, bounds)
+	e := NewEngine(p)
+	e.SetClock(func() time.Time { return at(0) })
+	r := newRecorder(t, e)
 	for i := 0; i < 100; i++ {
-		tr.RecordAt(at(0), 0.001, i%2 == 0, i%2 == 1, false)
+		r.record(at(0), "", 0.001, i%2)
 	}
-	ws := tr.WindowAt(at(0), time.Minute)
+	ws := e.Report().Scopes[GlobalScope].Windows["1m"]
 	reps, breached := p.EvaluateStats(ws, "")
 	if len(reps) != 2 {
 		t.Fatalf("reports: %+v", reps)

@@ -278,8 +278,7 @@ func fieldsSetIn(n ast.Node, info *types.Info, fields map[*types.Var]string) map
 // observe or steer behaviour no kept API exposes.
 var exportsOnlyTestsCall = map[string]string{
 	"cdn.SingleFlight.Inflight": "the fill tests of cdn, edge and fleet wait for a flight to open before racing followers onto it; no counter shows an open flight",
-	"slo.Engine.SetClock":       "the slo and edge SLO tests freeze the engine's time so a window's verdict does not depend on when the test runs",
-	"slo.Tracker.SetClock":      "slo_test.go freezes a tracker's time to step its windows by hand",
+	"slo.Engine.SetClock":       "the slo tests step the engine's time so a window's verdict does not depend on when the test runs",
 }
 
 // TestExportedFuncsAreCalled gives exported functions the rule
