@@ -115,7 +115,7 @@ func run(ctx context.Context, o *options, stdin io.Reader, stdout io.Writer) (*c
 	}
 	// Tables are built only when something prints or writes them: under
 	// -summary without -outdir the run skips the clustering, the forecast
-	// and the extras' three further passes over the week.
+	// and the §V table's two further passes over the week.
 	tabulate := !o.summary || o.outDir != ""
 	extras := tabulate && o.extras && len(figList) == 0
 	src, err := o.source(ctx, study, sess, stdin)
@@ -156,9 +156,10 @@ func run(ctx context.Context, o *options, stdin io.Reader, stdout io.Writer) (*c
 		}
 	}
 	if extras {
-		// The crawl baseline streams one more pass over src (one for all
-		// sites) and the §V table two (for all its cells), so even the
-		// extras never materialize the trace.
+		// The crawl baseline reads the fold's per-object counts (src is
+		// not read) and the §V table streams two more passes over src
+		// (for all its cells), so even the extras never materialize the
+		// trace.
 		ft, err := results.ForecastTable(24)
 		if err != nil {
 			return nil, err

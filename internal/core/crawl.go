@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -12,76 +11,51 @@ import (
 	"trafficscope/internal/trace"
 )
 
-// crawlViews derives, from the ground-truth logs, what the prior-art
-// methodology the paper positions itself against (§II: periodically
-// crawling a site for per-object view counts, as the YouPorn/PornHub
-// studies did) would have recorded. The crawler visits every site each
-// interval (zero means 24h), from one interval past the week's start to
-// its end, and sees only the topN most viewed objects (zero: every
-// object), ties going to the lower ID. It returns each site's view
-// counts at the last crawl, which are every request at or before that
-// instant, and the number of crawls. The logs are read once, in any
-// order, holding only per-object counts.
-func crawlViews(r trace.Reader, week timeutil.Week, interval time.Duration, topN int) (map[string]map[uint64]int64, int, error) {
+// crawlPoints returns how many times the prior-art methodology the
+// paper positions itself against (§II: periodically crawling a site for
+// per-object view counts, as the YouPorn/PornHub studies did) crawls the
+// week when it visits every site each interval (zero means 24h), from
+// one interval past the week's start to its end. A cadence must divide
+// the week, so that the last crawl falls at its end.
+func crawlPoints(interval time.Duration) (int, error) {
 	if interval == 0 {
 		interval = 24 * time.Hour
 	}
 	if interval < time.Minute {
-		return nil, 0, fmt.Errorf("core: implausible crawl interval %v", interval)
+		return 0, fmt.Errorf("core: implausible crawl interval %v", interval)
 	}
-	points := int(week.End().Sub(week.Start) / interval)
-	if points == 0 {
-		return nil, 0, fmt.Errorf("core: crawl interval %v longer than the trace window", interval)
+	const week = timeutil.HoursPerWeek * time.Hour
+	if week%interval != 0 {
+		return 0, fmt.Errorf("core: crawl interval %v does not divide the %v week", interval, week)
 	}
-	last := week.Start.Add(time.Duration(points) * interval)
-	views := map[string]map[uint64]int64{}
-	var rec trace.Record
-	for {
-		err := r.Read(&rec)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: crawl baseline read: %w", err)
-		}
-		if rec.Timestamp.After(last) {
-			continue
-		}
-		site := views[rec.Publisher]
-		if site == nil {
-			site = map[uint64]int64{}
-			views[rec.Publisher] = site
-		}
-		site[rec.ObjectID]++
-	}
-	if topN > 0 {
-		for _, site := range views {
-			keepTop(site, topN)
-		}
-	}
-	return views, points, nil
+	return int(week / interval), nil
 }
 
-// keepTop deletes from counts all but its n most viewed objects, ties
-// going to the lower ID: what a crawler that only sees a site's listings
-// (front page, category pages) can observe.
-func keepTop(counts map[uint64]int64, n int) {
-	if len(counts) <= n {
-		return
+// lastCrawl returns a site's view counts at the last crawl, given its
+// true per-object request counts: the last crawl falls at the week's
+// end, so it has seen every request, but only of the topN most viewed
+// objects (zero: every object), ties going to the lower ID: what a
+// crawler that only sees a site's listings (front page, category pages)
+// can observe.
+func lastCrawl(truth map[uint64]int64, topN int) map[uint64]int64 {
+	if topN <= 0 || len(truth) <= topN {
+		return truth
 	}
-	ids := make([]uint64, 0, len(counts))
-	for id := range counts {
+	ids := make([]uint64, 0, len(truth))
+	for id := range truth {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool {
-		if ci, cj := counts[ids[i]], counts[ids[j]]; ci != cj {
+		if ci, cj := truth[ids[i]], truth[ids[j]]; ci != cj {
 			return ci > cj
 		}
 		return ids[i] < ids[j]
 	})
-	for _, id := range ids[n:] {
-		delete(counts, id)
+	views := make(map[uint64]int64, topN)
+	for _, id := range ids[:topN] {
+		views[id] = truth[id]
 	}
+	return views
 }
 
 // crawlComparison quantifies what the crawl methodology loses relative
@@ -135,21 +109,15 @@ func (r *Results) requestCounts(site string) map[uint64]int64 {
 }
 
 // CrawlerBaselineTableSource renders the crawl-vs-logs comparison for
-// every site at the given crawl cadence and visibility, quantifying the
-// paper's §II critique of crawl-based measurement. src must yield the
-// trace the results were computed from (trace.SliceSource for records
-// in memory), in any order; all sites share one streaming read of it
-// (src is opened exactly once), so on-disk traces are never loaded.
-func (r *Results) CrawlerBaselineTableSource(src trace.Source, interval time.Duration, topN int) (*report.Table, error) {
+// every site at the given crawl cadence (one that divides the week) and
+// visibility, quantifying the paper's §II critique of crawl-based
+// measurement. The last crawl sees every request, so the table is read
+// off the popularity analysis' exact per-object counts: src is not read.
+func (r *Results) CrawlerBaselineTableSource(_ trace.Source, interval time.Duration, topN int) (*report.Table, error) {
 	if r.Popularity() == nil {
 		return nil, fmt.Errorf("core: popularity analysis not part of this run")
 	}
-	tr, err := src.Open()
-	if err != nil {
-		return nil, fmt.Errorf("core: open trace for crawl baseline: %w", err)
-	}
-	defer trace.CloseReader(tr)
-	views, points, err := crawlViews(tr, r.Week, interval, topN)
+	points, err := crawlPoints(interval)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +126,8 @@ func (r *Results) CrawlerBaselineTableSource(src trace.Source, interval time.Dur
 		"site", "log objects", "crawl objects", "coverage", "views missed",
 		"rank corr", "temporal points", "user-level analyses")
 	for _, site := range r.SiteNames() {
-		cmp := compareCrawl(views[site], r.requestCounts(site), points)
+		truth := r.requestCounts(site)
+		cmp := compareCrawl(lastCrawl(truth, topN), truth, points)
 		t.AddRow(site, cmp.logObjects, cmp.crawlObjects,
 			report.Percent(cmp.coverage), report.Percent(cmp.undercount),
 			cmp.rankCorr,

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"io"
 	"math"
 	"reflect"
-	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -44,30 +46,101 @@ func mergeRecs(parts ...[]*trace.Record) []*trace.Record {
 	return out
 }
 
-// crawlSite crawls recs over crawlWeek and returns site's last-crawl
-// views and the number of crawls.
-func crawlSite(t *testing.T, recs []*trace.Record, site string, interval time.Duration, topN int) (map[uint64]int64, int) {
+// crawlPass is the oracle the table is checked against, a crawl
+// simulated from the logs: one read, in any order, counting every
+// request at or before the last crawl of a cadence (zero means 24h)
+// that need not divide the week, then keeping each site's topN most
+// viewed objects (zero: every object), ties going to the lower ID. It
+// returns every site's last-crawl views and the number of crawls.
+func crawlPass(r trace.Reader, week timeutil.Week, interval time.Duration, topN int) (map[string]map[uint64]int64, int, error) {
+	if interval == 0 {
+		interval = 24 * time.Hour
+	}
+	points := int(week.End().Sub(week.Start) / interval)
+	last := week.Start.Add(time.Duration(points) * interval)
+	views := map[string]map[uint64]int64{}
+	var rec trace.Record
+	for {
+		err := r.Read(&rec)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		if rec.Timestamp.After(last) {
+			continue
+		}
+		site := views[rec.Publisher]
+		if site == nil {
+			site = map[uint64]int64{}
+			views[rec.Publisher] = site
+		}
+		site[rec.ObjectID]++
+	}
+	if topN > 0 {
+		for _, site := range views {
+			keepTop(site, topN)
+		}
+	}
+	return views, points, nil
+}
+
+// keepTop deletes from counts all but its n most viewed objects, ties
+// going to the lower ID.
+func keepTop(counts map[uint64]int64, n int) {
+	if len(counts) <= n {
+		return
+	}
+	ids := make([]uint64, 0, len(counts))
+	for id := range counts {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		if ci, cj := counts[ids[i]], counts[ids[j]]; ci != cj {
+			return ci > cj
+		}
+		return ids[i] < ids[j]
+	})
+	for _, id := range ids[n:] {
+		delete(counts, id)
+	}
+}
+
+// analyzeRecs folds recs into Results, exact (budget 0) or bounded.
+func analyzeRecs(t *testing.T, recs []*trace.Record, budget int) *Results {
 	t.Helper()
-	views, points, err := crawlViews(trace.NewSliceReader(recs), crawlWeek, interval, topN)
+	study, err := NewStudy(Config{Seed: 1, Scale: 0.002, MemoryBudget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return views[site], points
+	res, err := study.AnalyzeOnly(trace.NewSliceReader(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// crawlSite crawls recs and returns site's last-crawl views and the
+// number of crawls.
+func crawlSite(t *testing.T, recs []*trace.Record, site string, interval time.Duration, topN int) (map[uint64]int64, int) {
+	t.Helper()
+	points, err := crawlPoints(interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lastCrawl(analyzeRecs(t, recs, 0).requestCounts(site), topN), points
 }
 
 // crawlerBaseline compares what a simulated crawl of one site observes
 // against what the logs do, as one row of CrawlerBaselineTableSource.
-func crawlerBaseline(r *Results, src trace.Source, site string, interval time.Duration, topN int) (crawlComparison, error) {
-	tr, err := src.Open()
+func crawlerBaseline(r *Results, site string, interval time.Duration, topN int) (crawlComparison, error) {
+	points, err := crawlPoints(interval)
 	if err != nil {
 		return crawlComparison{}, err
 	}
-	defer trace.CloseReader(tr)
-	views, points, err := crawlViews(tr, r.Week, interval, topN)
-	if err != nil {
-		return crawlComparison{}, err
-	}
-	return compareCrawl(views[site], r.requestCounts(site), points), nil
+	truth := r.requestCounts(site)
+	return compareCrawl(lastCrawl(truth, topN), truth, points), nil
 }
 
 func TestCrawlDaily(t *testing.T) {
@@ -79,18 +152,14 @@ func TestCrawlDaily(t *testing.T) {
 	if views[1] != 70 || views[2] != 14 {
 		t.Errorf("final views = %v", views)
 	}
-	// Every 5h, the last crawl is at hour 165: a request at that instant
-	// is seen, one a nanosecond later is not.
-	last := crawlWeek.Start.Add(165 * time.Hour)
-	at, after := *recs[0], *recs[0]
-	at.Timestamp, after.Timestamp = last, last.Add(time.Nanosecond)
-	at.ObjectID, after.ObjectID = 3, 4
-	views, points = crawlSite(t, mergeRecs(recs, []*trace.Record{&at, &after}), "P-1", 5*time.Hour, 0)
-	if points != 33 {
-		t.Errorf("crawls every 5h = %d, want 33", points)
+	// Every 5h, the last crawl would fall at hour 165 and miss the
+	// week's last three hours: a cadence that does not divide the week
+	// is refused.
+	if _, err := crawlPoints(5 * time.Hour); err == nil {
+		t.Error("a 5h cadence should be refused")
 	}
-	if views[3] != 1 || views[4] != 0 {
-		t.Errorf("views at and after the last crawl = %d, %d, want 1, 0", views[3], views[4])
+	if _, err := analyzeRecs(t, recs, 0).CrawlerBaselineTableSource(nil, 5*time.Hour, 0); err == nil {
+		t.Error("the table should refuse a 5h cadence")
 	}
 }
 
@@ -111,15 +180,15 @@ func TestCrawlTopNCensoring(t *testing.T) {
 }
 
 func TestCrawlValidation(t *testing.T) {
-	recs := crawlRecs("P-1", 1, 5)
-	if _, _, err := crawlViews(trace.NewSliceReader(recs), crawlWeek, time.Second, 0); err == nil {
-		t.Error("sub-minute interval should error")
+	for _, bad := range []time.Duration{time.Second, 5 * time.Hour, 30 * 24 * time.Hour} {
+		if _, err := crawlPoints(bad); err == nil {
+			t.Errorf("a %v cadence should be refused", bad)
+		}
 	}
-	if _, _, err := crawlViews(trace.NewSliceReader(recs), crawlWeek, 30*24*time.Hour, 0); err == nil {
-		t.Error("interval longer than window should error")
-	}
-	if _, points, err := crawlViews(trace.NewSliceReader(recs), crawlWeek, 0, 0); err != nil || points != 7 {
-		t.Errorf("zero interval: %d crawls, err %v; want daily crawls", points, err)
+	for interval, want := range map[time.Duration]int{0: 7, time.Minute: 10080, time.Hour: 168, 7 * time.Hour: 24, 168 * time.Hour: 1} {
+		if points, err := crawlPoints(interval); err != nil || points != want {
+			t.Errorf("every %v: %d crawls, err %v; want %d", interval, points, err, want)
+		}
 	}
 }
 
@@ -134,83 +203,126 @@ func TestCrawlIgnoresOtherSites(t *testing.T) {
 	}
 }
 
-// siteReader passes through one publisher's records.
-type siteReader struct {
-	r    trace.Reader
-	site string
+// atWeekEnd returns a copy of recs' last request, for object obj, at
+// the week's end plus after.
+func atWeekEnd(recs []*trace.Record, obj uint64, after time.Duration) *trace.Record {
+	r := *recs[len(recs)-1]
+	r.Timestamp, r.ObjectID = crawlWeek.End().Add(after), obj
+	return &r
 }
 
-func (s siteReader) Read(rec *trace.Record) error {
-	for {
-		if err := s.r.Read(rec); err != nil || rec.Publisher == s.site {
-			return err
+// The last crawl falls at the week's end and sees every request the
+// logs hold, so a record after the week's end (an -in trace may carry
+// one) counts in the crawl as it does in the logs. crawlPass, which
+// cuts the crawl at the week's end, misses it.
+func TestCrawlCountsRecordsPastWeekEnd(t *testing.T) {
+	base := crawlRecs("P-1", 1, 70)
+	recs := mergeRecs(base, []*trace.Record{atWeekEnd(base, 3, 0), atWeekEnd(base, 4, time.Nanosecond)})
+	for _, interval := range []time.Duration{time.Hour, 24 * time.Hour} {
+		views, _ := crawlSite(t, recs, "P-1", interval, 0)
+		if views[3] != 1 || views[4] != 1 {
+			t.Errorf("every %v: views at and after the week's end = %d, %d, want 1, 1", interval, views[3], views[4])
+		}
+		old, _, err := crawlPass(trace.NewSliceReader(recs), crawlWeek, interval, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if old["P-1"][3] != 1 || old["P-1"][4] != 0 {
+			t.Errorf("every %v: the pass saw %d, %d at and after the week's end, want 1, 0", interval, old["P-1"][3], old["P-1"][4])
 		}
 	}
 }
 
-// One read of the whole trace, in any order, must give every publisher
-// exactly the crawl a read of that publisher's records alone gives.
-func TestCrawlAllSitesMatchesPerSite(t *testing.T) {
-	study, err := NewStudy(Config{Seed: 5, Scale: 0.004, Salt: "crawl"})
-	if err != nil {
-		t.Fatal(err)
+// sameComparison reports whether two rows agree field for field, an
+// undefined rank correlation (fewer than two objects, or no spread)
+// agreeing with itself.
+func sameComparison(a, b crawlComparison) bool {
+	if math.IsNaN(a.rankCorr) && math.IsNaN(b.rankCorr) {
+		a.rankCorr, b.rankCorr = 0, 0
 	}
-	generated, err := study.Generator().Generate()
-	if err != nil {
-		t.Fatal(err)
+	return a == b
+}
+
+// The table read off the fold equals, row for row and field for field,
+// the crawl of a pass over the logs: on generated weeks and on
+// hand-built traces, at every cadence and visibility, exact or bounded.
+func TestCrawlMatchesOracle(t *testing.T) {
+	type week struct {
+		name string
+		recs []*trace.Record
+	}
+	var weeks []week
+	for _, seed := range []int64{42, 43} {
+		study, err := NewStudy(Config{Seed: seed, Scale: 0.004})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := study.Generator().Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		weeks = append(weeks, week{fmt.Sprintf("seed %d", seed), recs})
 	}
 	// L-1's first request comes on day three.
 	late := crawlRecs("L-1", 9, 40)
 	for i, r := range late {
 		r.Timestamp = crawlWeek.Start.Add(54*time.Hour + time.Duration(i)*time.Hour)
 	}
-	handBuilt := mergeRecs(crawlRecs("P-1", 1, 70), crawlRecs("V-1", 2, 30), late)
+	p1 := crawlRecs("P-1", 1, 70)
+	weeks = append(weeks,
+		week{"late-starting site", mergeRecs(p1, crawlRecs("V-1", 2, 30), late)},
+		week{"record at the week's end", mergeRecs(p1, crawlRecs("P-1", 2, 3), []*trace.Record{atWeekEnd(p1, 3, 0)})},
+		week{"record after the week's end", mergeRecs(p1, crawlRecs("P-1", 2, 3), []*trace.Record{atWeekEnd(p1, 4, time.Hour)})})
 
-	for _, tc := range []struct {
-		name  string
-		recs  []*trace.Record
-		week  timeutil.Week
-		sites int
-	}{
-		{"generated", generated, study.Generator().Week(), 5},
-		{"late-starting site", handBuilt, crawlWeek, 3},
-	} {
-		reversed := slices.Clone(tc.recs)
-		slices.Reverse(reversed)
-		for _, cfg := range []struct {
-			interval time.Duration
-			topN     int
-		}{{24 * time.Hour, 20}, {6 * time.Hour, 0}} {
-			all, points, err := crawlViews(trace.NewSliceReader(tc.recs), tc.week, cfg.interval, cfg.topN)
-			if err != nil {
-				t.Fatal(err)
+	for _, w := range weeks {
+		exact, bounded := analyzeRecs(t, w.recs, 0), analyzeRecs(t, w.recs, 5000)
+		// The fold counts a record after the week's end, which the pass
+		// cut (TestCrawlCountsRecordsPastWeekEnd): the oracle reads it
+		// at the week's end.
+		oracleRecs := make([]*trace.Record, len(w.recs))
+		for i, r := range w.recs {
+			if r.Timestamp.After(crawlWeek.End()) {
+				moved := *r
+				moved.Timestamp = crawlWeek.End()
+				r = &moved
 			}
-			if len(all) != tc.sites {
-				t.Fatalf("%s: %d sites crawled, want %d", tc.name, len(all), tc.sites)
-			}
-			if want := int(7 * 24 * time.Hour / cfg.interval); points != want {
-				t.Errorf("%s, %+v: %d crawls, want %d", tc.name, cfg, points, want)
-			}
-			backwards, _, err := crawlViews(trace.NewSliceReader(reversed), tc.week, cfg.interval, cfg.topN)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(all, backwards) {
-				t.Errorf("%s, %+v: the reversed trace crawls differently", tc.name, cfg)
-			}
-			for site, got := range all {
-				one, _, err := crawlViews(siteReader{trace.NewSliceReader(tc.recs), site}, tc.week, cfg.interval, cfg.topN)
+			oracleRecs[i] = r
+		}
+		for _, interval := range []time.Duration{time.Hour, 6 * time.Hour, 24 * time.Hour, 168 * time.Hour} {
+			for _, topN := range []int{0, 20, 200} {
+				views, points, err := crawlPass(trace.NewSliceReader(oracleRecs), crawlWeek, interval, topN)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, one[site]) {
-					t.Errorf("%s, %+v, site %s: crawl of the whole trace differs from the crawl of its own records", tc.name, cfg, site)
+				if sites := exact.SiteNames(); len(sites) != len(views) {
+					t.Errorf("%s: the fold has sites %v, the pass %d", w.name, sites, len(views))
+				}
+				for _, site := range exact.SiteNames() {
+					got, err := crawlerBaseline(exact, site, interval, topN)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := compareCrawl(views[site], exact.requestCounts(site), points)
+					if !sameComparison(got, want) {
+						t.Errorf("%s, every %v, top-%d, %s: fold %+v, pass %+v", w.name, interval, topN, site, got, want)
+					}
+					if seen := lastCrawl(exact.requestCounts(site), topN); !reflect.DeepEqual(seen, views[site]) {
+						t.Errorf("%s, every %v, top-%d, %s: the fold's last crawl differs from the pass's", w.name, interval, topN, site)
+					}
+				}
+				a, err := exact.CrawlerBaselineTableSource(nil, interval, topN)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := bounded.CrawlerBaselineTableSource(nil, interval, topN)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a.String() != b.String() {
+					t.Errorf("%s, every %v, top-%d: the table differs under MemoryBudget 5000:\n%s\nexact:\n%s", w.name, interval, topN, b, a)
 				}
 			}
 		}
-	}
-	if views, _ := crawlSite(t, handBuilt, "L-1", 24*time.Hour, 0); views[9] != 40 {
-		t.Errorf("L-1 final views = %d, want 40", views[9])
 	}
 }
 
@@ -259,7 +371,7 @@ func TestCrawlerBaseline(t *testing.T) {
 	// An idealized crawler (full visibility) still loses temporal
 	// resolution and user identity; a realistic top-N one also loses
 	// coverage.
-	ideal, err := crawlerBaseline(results, trace.SliceSource(recs), "V-1", 24*time.Hour, 0)
+	ideal, err := crawlerBaseline(results, "V-1", 24*time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +385,7 @@ func TestCrawlerBaseline(t *testing.T) {
 		t.Errorf("crawl temporal points = %d, must be far below hourly logs", ideal.points)
 	}
 
-	narrow, err := crawlerBaseline(results, trace.SliceSource(recs), "V-1", 24*time.Hour, 10)
+	narrow, err := crawlerBaseline(results, "V-1", 24*time.Hour, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +425,7 @@ func TestCrawlerBaselineUnknownSiteEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := crawlerBaseline(results, trace.SliceSource(recs), "no-such-site", 24*time.Hour, 0)
+	cmp, err := crawlerBaseline(results, "no-such-site", 24*time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,7 +120,7 @@ func crawlGoldenText(t *testing.T) string {
 		interval time.Duration
 		topN     int
 	}{{time.Hour, 0}, {24 * time.Hour, 0}, {24 * time.Hour, 200}, {24 * time.Hour, 50}} {
-		cmp, err := crawlerBaseline(res, study.Source(), "V-2", c.interval, c.topN)
+		cmp, err := crawlerBaseline(res, "V-2", c.interval, c.topN)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,6 +70,14 @@ func (f *Flags) NewServer(regions []timeutil.Region, name, shieldURL string, met
 			return nil, err
 		}
 	}
+	// An objective scoped to a name that is no region would judge
+	// windows nothing records into, compliant forever. A region this
+	// edge does not own is a scope of a fleet-wide policy: it loads.
+	for _, o := range policy.Objectives {
+		if _, err := timeutil.ParseRegion(o.Scope); o.Scope != "" && err != nil {
+			return nil, fmt.Errorf("-slo-policy: %s objective scoped to %q, which names no region", o.Name(), o.Scope)
+		}
+	}
 	// Every owned region is a scope so per-DC objectives are evaluable; a
 	// cluster collector merges the scoped edges' reports into one view.
 	owned := regions

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"trafficscope/internal/timeutil"
 )
 
 // An edge built from the flags without a registry, as tscluster builds
@@ -87,4 +89,32 @@ func FuzzParsePublisherCaches(f *testing.F) {
 			}
 		}
 	})
+}
+
+// An objective scoped to a name that is no region is refused when the
+// edge builds its engine; one scoped to a region the edge does not own,
+// as in a fleet-wide policy, loads.
+func TestNewServerChecksObjectiveScopes(t *testing.T) {
+	for _, tc := range []struct {
+		policy string
+		ok     bool
+	}{
+		{"error-rate <= 1% scope=EU", false},
+		{"latency p99 <= 5ms; hit-ratio >= 40% scope=Europe", false},
+		{"latency p99 <= 5ms scope=asia; error-rate <= 1% scope=europe", true},
+		{"error-rate <= 1% scope=global", true},
+	} {
+		fs := flag.NewFlagSet("edge", flag.ContinueOnError)
+		f := AddFlags(fs)
+		if err := fs.Parse([]string{"-slo-policy", tc.policy}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := f.NewServer([]timeutil.Region{timeutil.RegionEurope}, "", "", nil)
+		if tc.ok && err != nil {
+			t.Errorf("%q on a europe edge: %v", tc.policy, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "no region")) {
+			t.Errorf("%q on a europe edge: err %v, want one saying the scope names no region", tc.policy, err)
+		}
+	}
 }

@@ -338,7 +338,7 @@ func (p Policy) Validate() error {
 // Rate thresholds accept percentages ("1%") or fractions ("0.01").
 // Latency quantiles are "p50", "p99", "p99.9", …; scope names must
 // match the serving stack's DC/region names ("north-america",
-// "south-america", "europe", "asia").
+// "south-america", "europe", "asia"); an edge refuses any other.
 func ParsePolicy(src string) (Policy, error) {
 	var p Policy
 	lines := strings.FieldsFunc(src, func(r rune) bool { return r == '\n' || r == ';' })
@@ -391,7 +391,7 @@ func ParsePolicy(src string) (Policy, error) {
 }
 
 // parseObjective parses one objective statement already split into
-// fields, e.g. ["latency" "p99" "<=" "5ms" "scope=EU"].
+// fields, e.g. ["latency" "p99" "<=" "5ms" "scope=europe"].
 func parseObjective(fields []string) (Objective, error) {
 	var o Objective
 	rest := fields[1:]
