@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"sync"
@@ -16,12 +17,11 @@ import (
 //
 // Both need a request count per (object, user) pair, and the pairs grow
 // with the trace. Rather than count them in a map, which allocates at
-// every growth, Addiction logs one 8-byte key per request and counts the
-// pairs at the first query, as Sessions orders its events: folding
-// appends, and the fold worker sorts each chunk of the log as it fills;
-// the first query sorts the last chunk and merges them all, a run of one
-// key being one pair and a run of one object one object. What the
-// queries read is kept per object until the next record is folded.
+// every growth, Addiction logs one 8-byte pair per request in a
+// chunkLog, as Sessions logs its events: folding appends, and the first
+// query after a fold merges the log once, a run of one pair being one
+// pair and a run of one object one object, into per-object counts that
+// the next queries read until a record is folded again.
 //
 // Bounded mode (Params.MemoryBudget > 0) samples *objects*: all (user,
 // object) pairs of a uniformly sampled object subset are kept exactly,
@@ -38,12 +38,11 @@ type Addiction struct {
 
 // addictionCat is the state of one (site, category) population.
 type addictionCat struct {
-	// log holds pairKey(object slot, user slot) per request; every full
-	// chunk is sorted.
-	log chunkLog[uint64]
-	// objs is the log's count per object slot, current while
-	// log.settled.
+	// log holds the (object slot, user slot) pair of every request.
+	log chunkLog[pair]
+	// objs is the log's count per object slot, as of log generation gen.
 	objs []objectPairs
+	gen  uint64
 	// In bounded mode the object slots are those of the population's
 	// sample, and the user slots those of a table of its own holding
 	// only the users of sampled objects.
@@ -58,7 +57,12 @@ type objectPairs struct {
 	requests, users, maxPerUser int64
 }
 
-func pairKey(obj, user uint32) uint64 { return uint64(obj)<<32 | uint64(user) }
+// pair is a chunkLog entry ordered by object slot, then user slot.
+type pair uint64
+
+func pairOf(obj, user uint32) pair { return pair(obj)<<32 | pair(user) }
+
+func (p pair) compare(q pair) int { return cmp.Compare(p, q) }
 
 // newAddiction creates an empty accumulator; budget 0 is exact, a
 // positive budget caps tracked objects per site and category.
@@ -81,39 +85,32 @@ func (a *Addiction) add(r *trace.Record, k *recKey) {
 		}
 		user = c.users.slot(r.UserID)
 	}
-	c.append(pairKey(obj, user))
-}
-
-// append logs one request, sorting the chunk it fills.
-func (c *addictionCat) append(k uint64) {
-	if full := c.log.append(k); full != nil {
-		slices.Sort(full)
-	}
+	c.log.append(pairOf(obj, user))
 }
 
 // compact drops the pairs of evicted objects, renumbers the rest and
 // forgets users left without a pair, after the sample shrank. The log
-// and the user table are rebuilt in their own storage: the users that
-// stay keep their order, and every chunk is sorted again.
+// and the user table are rebuilt in their own storage, and the users
+// that stay keep their order.
 func (c *addictionCat) compact(evict []uint32) {
 	c.live = slices.Grow(c.live[:0], len(c.users.keys))[:len(c.users.keys)]
 	clear(c.live)
-	c.log.filter(func(k *uint64) bool {
-		obj := evict[*k>>32]
+	for _, chunk := range c.log.chunks {
+		for _, p := range chunk {
+			if evict[p>>32] != noSlot {
+				c.live[uint32(p)] = true
+			}
+		}
+	}
+	users := c.users.compact(func(s int, _ uint64) bool { return c.live[s] })
+	c.log.filter(func(p *pair) bool {
+		obj := evict[*p>>32]
 		if obj == noSlot {
 			return false
 		}
-		c.live[uint32(*k)] = true
-		*k = pairKey(obj, uint32(*k))
+		*p = pairOf(obj, users[uint32(*p)])
 		return true
 	})
-	users := c.users.compact(func(s int, _ uint64) bool { return c.live[s] })
-	for _, chunk := range c.log.chunks {
-		for i, k := range chunk {
-			chunk[i] = pairKey(uint32(k>>32), users[uint32(k)])
-		}
-		slices.Sort(chunk)
-	}
 }
 
 // count returns the population's pairs counted per object slot, merging
@@ -121,84 +118,30 @@ func (c *addictionCat) compact(evict []uint32) {
 func (a *Addiction) count(c *addictionCat) []objectPairs {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if c.log.settled {
+	if c.gen == c.log.gen {
 		return c.objs
 	}
-	slots := 0
-	for i, chunk := range c.log.chunks {
-		if i == len(c.log.chunks)-1 {
-			slices.Sort(chunk) // the one chunk that may have room
-		}
-		if len(chunk) > 0 {
-			slots = max(slots, int(chunk[len(chunk)-1]>>32)+1)
-		}
-	}
-	c.objs = slices.Grow(c.objs[:0], slots)[:slots]
-	clear(c.objs)
-	eachRun(c.log.chunks, func(k uint64, n int64) {
-		p := &c.objs[k>>32]
-		p.requests += n
-		p.users++
-		p.maxPerUser = max(p.maxPerUser, n)
-	})
-	c.log.settled = true
-	return c.objs
-}
-
-// eachRun calls fn once per distinct value of the sorted runs, in
-// ascending order, with the number of times it occurs in them all: a
-// k-way merge over a min-heap of the runs, ordered by their first
-// values.
-func eachRun(runs [][]uint64, fn func(v uint64, n int64)) {
-	h := make([][]uint64, 0, len(runs))
-	for _, r := range runs {
-		if len(r) > 0 {
-			h = append(h, r)
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-	var cur uint64
+	c.objs = c.objs[:0]
+	var cur pair
 	var n int64
-	for len(h) > 0 {
-		r := h[0]
-		j := 1
-		for j < len(r) && r[j] == r[0] {
-			j++
-		}
-		if n > 0 && r[0] != cur {
-			fn(cur, n)
+	flush := func() {
+		o := at(&c.objs, uint32(cur>>32))
+		o.requests += n
+		o.users++
+		o.maxPerUser = max(o.maxPerUser, n)
+	}
+	c.log.inOrder(func(p pair) {
+		if n > 0 && p != cur {
+			flush()
 			n = 0
 		}
-		cur, n = r[0], n+int64(j)
-		if h[0] = r[j:]; j == len(r) {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		siftDown(h, 0)
-	}
+		cur, n = p, n+1
+	})
 	if n > 0 {
-		fn(cur, n)
+		flush()
 	}
-}
-
-// siftDown restores the min-heap order of h below i.
-func siftDown(h [][]uint64, i int) {
-	for {
-		least := i
-		if l := 2*i + 1; l < len(h) && h[l][0] < h[least][0] {
-			least = l
-		}
-		if r := 2*i + 2; r < len(h) && h[r][0] < h[least][0] {
-			least = r
-		}
-		if least == i {
-			return
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
-	}
+	c.gen = c.log.gen
+	return c.objs
 }
 
 // ObjectPoint is one object in the Fig. 13 scatter.

@@ -276,7 +276,7 @@ func TestPopularity(t *testing.T) {
 	if p.CDF("none", trace.CategoryVideo) != nil {
 		t.Error("unknown site")
 	}
-	rc := p.RequestCounts("V-1", trace.CategoryVideo)
+	rc := p.RequestCounts("V-1")
 	if rc[1] != 5 || rc[2] != 2 || rc[3] != 1 {
 		t.Errorf("RequestCounts = %v", rc)
 	}
@@ -336,11 +336,10 @@ func TestSessionsIATAndLength(t *testing.T) {
 	// User 2: one single-request session.
 	s.Add(mk(2, 0))
 
-	iats := s.IATSeconds("V-1")
-	if len(iats) != 3 {
-		t.Fatalf("IATs = %v", iats)
-	}
 	cdf := s.IATCDF("V-1")
+	if cdf == nil || cdf.Len() != 3 {
+		t.Fatalf("IAT CDF = %v", cdf)
+	}
 	if med, _ := cdf.Median(); med != 60 {
 		t.Errorf("median IAT = %v, want 60", med)
 	}

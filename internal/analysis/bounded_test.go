@@ -349,9 +349,11 @@ func trackedObjects(a *Aging, site string) (n int) {
 
 func trackedUsers(s *Sessions, site string) int {
 	users := map[uint32]bool{}
-	_, log := s.events(site)
-	for _, e := range log {
-		users[e.user] = true
+	_, st := s.find(site)
+	for _, chunk := range st.log.chunks {
+		for _, e := range chunk {
+			users[e.user] = true
+		}
 	}
 	return len(users)
 }

@@ -76,8 +76,8 @@ func TestSitesAccessors(t *testing.T) {
 		if a.SessionsOf("missing") != nil {
 			t.Error("missing site sessions should be nil")
 		}
-		if a.IATSeconds("missing") != nil {
-			t.Error("missing site IATs should be nil")
+		if a.IATCDF("missing") != nil {
+			t.Error("missing site IAT CDF should be nil")
 		}
 		if a.TimeoutKnee("missing") != 0 {
 			t.Error("missing site knee should be 0")
@@ -94,7 +94,7 @@ func TestSitesAccessors(t *testing.T) {
 		if a.Counts("missing", trace.CategoryImage) != nil {
 			t.Error("missing site counts should be nil")
 		}
-		if a.RequestCounts("missing", trace.CategoryImage) != nil {
+		if a.RequestCounts("missing") != nil {
 			t.Error("missing site request counts should be nil")
 		}
 		if a.TopShare("missing", trace.CategoryImage, 0.1) != 0 {

@@ -305,7 +305,6 @@ var testCats = append(trace.AllCategories(), 0, 9)
 type (
 	sessionsView interface {
 		Sites() []string
-		IATSeconds(site string) []float64
 		IATCDF(site string) *stats.ECDF
 		SessionsOf(site string) []Session
 		SessionLengthCDF(site string) *stats.ECDF
@@ -334,7 +333,7 @@ type (
 	popularityView interface {
 		Sites() []string
 		Counts(site string, cat trace.Category) []int64
-		RequestCounts(site string, cat trace.Category) map[uint64]int64
+		RequestCounts(site string) map[uint64]int64
 		CDF(site string, cat trace.Category) *stats.ECDF
 		ZipfExponent(site string, cat trace.Category) float64
 		TopShare(site string, cat trace.Category, frac float64) float64
@@ -403,7 +402,6 @@ func lazyAnswers(v view, sites []string) answers {
 	as.add("sessions sites", v.sessions.Sites())
 	for _, site := range append(slices.Clone(sites), "never-seen") {
 		s := "[" + site + "] "
-		as.add(s+"IATSeconds", sortedFloats(v.sessions.IATSeconds(site)))
 		as.add(s+"IATCDF", v.sessions.IATCDF(site))
 		as.add(s+"SessionsOf", v.sessions.SessionsOf(site))
 		as.add(s+"SessionLengthCDF", v.sessions.SessionLengthCDF(site))
@@ -445,6 +443,7 @@ func allAnswers(v view, sites []string) answers {
 		as.add(s+"WeightedHitRatio", v.caching.WeightedHitRatio(site))
 		as = append(as, answer{what: s + "PopularityHitCorrelation", v: v.caching.PopularityHitCorrelation(site), near: true})
 		as.add(s+"HitRatioByPopularityDecile", v.caching.HitRatioByPopularityDecile(site))
+		as.add(s+"RequestCounts", v.popularity.RequestCounts(site))
 
 		for _, cat := range testCats {
 			c := fmt.Sprintf("[%s/%v] ", site, cat)
@@ -455,7 +454,6 @@ func allAnswers(v view, sites []string) answers {
 			}
 
 			as.add(c+"Counts", v.popularity.Counts(site, cat))
-			as.add(c+"RequestCounts", v.popularity.RequestCounts(site, cat))
 			as.add(c+"popularity CDF", v.popularity.CDF(site, cat))
 			as.add(c+"ZipfExponent", v.popularity.ZipfExponent(site, cat))
 			for _, frac := range []float64{0, 0.1, 0.5, 1} {
@@ -476,7 +474,7 @@ func requireFixture(t *testing.T, want *refSet) {
 	}
 	var twoCats, noVerdict bool
 	for _, site := range want.popularity.Sites() {
-		video, image := want.popularity.RequestCounts(site, trace.CategoryVideo), want.popularity.RequestCounts(site, trace.CategoryImage)
+		video, image := want.popularity.sites[site][trace.CategoryVideo], want.popularity.sites[site][trace.CategoryImage]
 		for id := range video {
 			if _, ok := image[id]; ok {
 				twoCats = true

@@ -316,10 +316,15 @@ func (b *base) userIDs(si int, own []uint64) []uint64 {
 	return b.ks.sites[si].users.keys
 }
 
-// at returns &(*s)[i], growing *s with zero values to reach it.
+// at returns &(*s)[i], growing *s with zero values to reach it. The
+// capacity at least doubles when it grows, so a slice reaching n entries
+// one slot at a time is reallocated about log2(n) times.
 func at[T any](s *[]T, i uint32) *T {
 	if had, n := len(*s), int(i)+1; n > had {
-		*s = slices.Grow(*s, n-had)[:n]
+		if n > cap(*s) {
+			*s = slices.Grow(*s, max(n, 2*cap(*s))-had)
+		}
+		*s = (*s)[:n]
 		clear((*s)[had:])
 	}
 	return &(*s)[i]

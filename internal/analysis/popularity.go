@@ -52,18 +52,19 @@ func (p *Popularity) Counts(site string, cat trace.Category) []int64 {
 	return out
 }
 
-// RequestCounts returns per-object request counts keyed by object ID.
-func (p *Popularity) RequestCounts(site string, cat trace.Category) map[uint64]int64 {
+// RequestCounts returns the site's per-object request counts keyed by
+// object ID, summed over the categories an object is served under: the
+// log-level truth the §II crawl baseline compares a crawl against.
+func (p *Popularity) RequestCounts(site string) map[uint64]int64 {
 	si, counts := p.find(site)
-	c, ok := catIndex(cat)
-	if counts == nil || !ok {
+	if counts == nil {
 		return nil
 	}
 	ids := p.objectIDs(si, nil)
-	out := map[uint64]int64{}
-	for i := int(c); i < len(*counts); i += numCats {
-		if n := (*counts)[i]; n != 0 {
-			out[ids[i/numCats]] = n
+	out := make(map[uint64]int64, len(*counts)/numCats)
+	for i, n := range *counts {
+		if n != 0 {
+			out[ids[i/numCats]] += n
 		}
 	}
 	return out

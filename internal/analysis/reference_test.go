@@ -791,16 +791,18 @@ func (p *refPopularity) Counts(site string, cat trace.Category) []int64 {
 	return out
 }
 
-// RequestCounts returns per-object request counts keyed by object ID.
-func (p *refPopularity) RequestCounts(site string, cat trace.Category) map[uint64]int64 {
+// RequestCounts returns per-object request counts keyed by object ID,
+// summed over the categories an object is served under.
+func (p *refPopularity) RequestCounts(site string) map[uint64]int64 {
 	site2, ok := p.sites[site]
 	if !ok {
 		return nil
 	}
-	objs := site2[cat]
-	out := make(map[uint64]int64, len(objs))
-	for id, n := range objs {
-		out[id] = n
+	out := map[uint64]int64{}
+	for _, objs := range site2 {
+		for id, n := range objs {
+			out[id] += n
+		}
 	}
 	return out
 }

@@ -22,12 +22,14 @@ const DefaultSessionTimeout = 10 * time.Minute
 // last request, a lower bound on engagement (the paper's footnote 1).
 //
 // Sessions is a two-pass analysis by nature (per-user ordering is
-// required): it logs one (user slot, timestamp) event per request in
-// arrival order — the largest analyzer allocation in a streaming run,
-// so timestamps are Unix nanoseconds instead of 3-word time.Times, and
-// the log grows by chunks instead of being copied as it grows — and on
-// the first query joins the chunks and sorts them by user and time;
-// every IAT and session method then scans that slice in place.
+// required): it logs one (user slot, timestamp) event per request in a
+// chunkLog — the largest analyzer allocation in a streaming run, so
+// timestamps are Unix nanoseconds instead of 3-word time.Times — and the
+// first query after a fold merges the log once, by user and time, into a
+// summary of the site: its IAT and session-length samples, its session
+// and request counts and its IAT histogram for the timeout knee. The
+// next queries read that summary until a record is folded again;
+// SessionsOf alone merges the log at every call.
 //
 // Bounded mode (Params.MemoryBudget > 0) keeps the events of a uniform
 // *user* sample of at most the budget per site: every sampled user's
@@ -38,21 +40,39 @@ type Sessions struct {
 	perSite[sessionsSite]
 	timeout time.Duration
 	budget  int
-	// mu guards the lazy sort, so that concurrent queries stay as safe
-	// as they were when queries only read.
+	// mu guards the lazy summary, so that concurrent queries stay as
+	// safe as they were when queries only read.
 	mu sync.Mutex
 }
 
 type sessionsSite struct {
 	keys boundedKeys // bounded mode: the site's user sample
-	// log holds the events in arrival order until a query sorts it by
-	// (user, ts).
-	log chunkLog[sessionEvent]
+	log  chunkLog[sessionEvent]
+	// sum is what the queries read of the log, as of log generation gen.
+	sum sessionSummary
+	gen uint64
 }
 
 type sessionEvent struct {
 	ts   int64 // Unix nanoseconds
 	user uint32
+}
+
+// compare orders events by user slot, then time. Testing the users
+// first, rather than through cmp.Or, takes a third off sorting a chunk.
+func (e sessionEvent) compare(o sessionEvent) int {
+	if e.user != o.user {
+		return cmp.Compare(e.user, o.user)
+	}
+	return cmp.Compare(e.ts, o.ts)
+}
+
+// sessionSummary is what the IAT and session-length queries read of a
+// site's log.
+type sessionSummary struct {
+	iats, lengths      *stats.ECDF // seconds; nil when empty
+	sessions, requests int
+	knee               [kneeBins]float64 // IATs by kneeBin
 }
 
 // newSessions creates an accumulator with the given session timeout
@@ -94,53 +114,73 @@ func (st *sessionsSite) compact(evict []uint32) {
 	})
 }
 
-// events returns the site's index and its log ordered by (user, time),
-// joining and sorting it if anything was folded since the last query.
-func (s *Sessions) events(site string) (si int, log []sessionEvent) {
-	si, st := s.find(site)
+// summary returns the site's summary, merging its log if anything was
+// folded since the last query.
+func (s *Sessions) summary(site string) *sessionSummary {
+	_, st := s.find(site)
 	if st == nil {
-		return si, nil
+		return &noSessions
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return si, st.log.sorted(func(a, b sessionEvent) int {
-		return cmp.Or(cmp.Compare(a.user, b.user), cmp.Compare(a.ts, b.ts))
+	if st.gen != st.log.gen {
+		s.summarize(st)
+	}
+	return &st.sum
+}
+
+var noSessions sessionSummary
+
+// summarize merges the site's log into its summary.
+func (s *Sessions) summarize(st *sessionsSite) {
+	sum := sessionSummary{}
+	gaps := make([]float64, 0, st.log.n) // at most one per request
+	var lengths []float64
+	s.scan(st, func(gap time.Duration) {
+		x := gap.Seconds()
+		gaps = append(gaps, x)
+		sum.knee[kneeBin(x)]++
+	}, func(_ uint32, start, last int64, requests int) {
+		*at(&lengths, uint32(len(lengths))) = time.Duration(last - start).Seconds()
+		sum.requests += requests
 	})
+	sum.sessions = len(lengths)
+	sum.iats, _ = stats.NewECDF(gaps)
+	sum.lengths, _ = stats.NewECDF(lengths)
+	st.sum, st.gen = sum, st.log.gen
 }
 
-// eachGap calls fn with every consecutive same-user request gap of the
-// site, in seconds, in (user, time) order.
-func (s *Sessions) eachGap(site string, fn func(seconds float64)) {
-	_, log := s.events(site)
-	for i := 1; i < len(log); i++ {
-		if log[i].user == log[i-1].user {
-			fn(time.Duration(log[i].ts - log[i-1].ts).Seconds())
+// scan merges the site's log by (user slot, time), calling gap with
+// every consecutive same-user request gap and session with every
+// session, in (user slot, start) order: consecutive same-user requests
+// within the timeout belong to one session. The caller holds s.mu.
+func (s *Sessions) scan(st *sessionsSite, gap func(time.Duration), session func(user uint32, start, last int64, requests int)) {
+	var prev sessionEvent
+	var start int64
+	requests := 0
+	st.log.inOrder(func(e sessionEvent) {
+		if requests > 0 && e.user == prev.user {
+			d := time.Duration(e.ts - prev.ts)
+			gap(d)
+			if d <= s.timeout {
+				prev = e
+				requests++
+				return
+			}
 		}
+		if requests > 0 {
+			session(prev.user, start, prev.ts, requests)
+		}
+		prev, start, requests = e, e.ts, 1
+	})
+	if requests > 0 {
+		session(prev.user, start, prev.ts, requests)
 	}
 }
 
-// IATSeconds returns every consecutive same-user request gap for the
-// site, in seconds (Fig. 11).
-func (s *Sessions) IATSeconds(site string) []float64 {
-	gaps := 0
-	s.eachGap(site, func(float64) { gaps++ })
-	if gaps == 0 {
-		return nil
-	}
-	out := make([]float64, 0, gaps)
-	s.eachGap(site, func(x float64) { out = append(out, x) })
-	return out
-}
-
-// IATCDF returns the ECDF of same-user request gaps in seconds, or nil
-// when no user has two requests.
-func (s *Sessions) IATCDF(site string) *stats.ECDF {
-	iats := s.IATSeconds(site)
-	if len(iats) == 0 {
-		return nil
-	}
-	return stats.MustECDF(iats)
-}
+// IATCDF returns the ECDF of same-user request gaps in seconds (Fig. 11),
+// or nil when no user has two requests.
+func (s *Sessions) IATCDF(site string) *stats.ECDF { return s.summary(site).iats }
 
 // Session is one reconstructed user session.
 type Session struct {
@@ -154,63 +194,48 @@ type Session struct {
 	Requests int
 }
 
-// eachSession calls fn for every session of the site, in (user slot,
-// start) order: consecutive same-user requests within the timeout
-// belong to one session.
-func (s *Sessions) eachSession(site string, fn func(si int, user uint32, start, last int64, requests int)) {
-	si, log := s.events(site)
-	for i := 0; i < len(log); {
-		j := i + 1
-		for j < len(log) && log[j].user == log[i].user && time.Duration(log[j].ts-log[j-1].ts) <= s.timeout {
-			j++
-		}
-		fn(si, log[i].user, log[i].ts, log[j-1].ts, j-i)
-		i = j
-	}
-}
-
 // SessionsOf reconstructs the site's sessions: consecutive same-user
 // requests within the timeout belong to one session (Fig. 12).
 func (s *Sessions) SessionsOf(site string) []Session {
+	si, st := s.find(site)
+	if st == nil {
+		return nil
+	}
+	ids := s.userIDs(si, st.keys.keys)
 	var out []Session
-	var ids []uint64
-	s.eachSession(site, func(si int, user uint32, start, last int64, requests int) {
-		if ids == nil {
-			ids = s.userIDs(si, s.sites[si].keys.keys)
-		}
+	s.mu.Lock()
+	s.scan(st, func(time.Duration) {}, func(user uint32, start, last int64, requests int) {
 		out = append(out, Session{User: ids[user], Start: time.Unix(0, start).UTC(), Length: time.Duration(last - start), Requests: requests})
 	})
+	s.mu.Unlock()
 	slices.SortFunc(out, func(a, b Session) int {
 		return cmp.Or(a.Start.Compare(b.Start), cmp.Compare(a.User, b.User)) // deterministic tiebreak
 	})
 	return out
 }
 
-// SessionLengthCDF returns the ECDF of session lengths in seconds.
-func (s *Sessions) SessionLengthCDF(site string) *stats.ECDF {
-	n := 0
-	s.eachSession(site, func(int, uint32, int64, int64, int) { n++ })
-	if n == 0 {
-		return nil
-	}
-	sample := make([]float64, 0, n)
-	s.eachSession(site, func(_ int, _ uint32, start, last int64, _ int) {
-		sample = append(sample, time.Duration(last-start).Seconds())
-	})
-	return stats.MustECDF(sample)
-}
+// SessionLengthCDF returns the ECDF of session lengths in seconds, or
+// nil when the site has no session.
+func (s *Sessions) SessionLengthCDF(site string) *stats.ECDF { return s.summary(site).lengths }
 
 // MeanRequestsPerSession returns the average session size.
 func (s *Sessions) MeanRequestsPerSession(site string) float64 {
-	var sessions, requests int
-	s.eachSession(site, func(_ int, _ uint32, _, _ int64, n int) {
-		sessions++
-		requests += n
-	})
-	if sessions == 0 {
+	sum := s.summary(site)
+	if sum.sessions == 0 {
 		return 0
 	}
-	return float64(requests) / float64(sessions)
+	return float64(sum.requests) / float64(sum.sessions)
+}
+
+// The timeout knee bins IATs log-spaced from 1 second to 1 week.
+const kneeBins = 36
+
+var kneeLo, kneeHi = math.Log(1.0), math.Log(7 * 24 * 3600.0)
+
+// kneeBin returns the bin of an IAT in seconds.
+func kneeBin(x float64) int {
+	b := int((math.Log(max(x, 1)) - kneeLo) / (kneeHi - kneeLo) * kneeBins)
+	return min(max(b, 0), kneeBins-1)
 }
 
 // TimeoutKnee estimates the session-timeout knee of a site's IAT
@@ -221,38 +246,20 @@ func (s *Sessions) MeanRequestsPerSession(site string) float64 {
 // earlier analysis of user request IAT distributions"). Returns zero
 // when the distribution has no usable gap.
 func (s *Sessions) TimeoutKnee(site string) time.Duration {
-	// Log-spaced histogram from 1 second to 1 week, binned as the log
-	// is scanned.
-	const bins = 36
-	lo, hi := math.Log(1.0), math.Log(7*24*3600.0)
-	var counts [bins]float64
-	gaps := 0
-	s.eachGap(site, func(x float64) {
-		gaps++
-		if x < 1 {
-			x = 1
-		}
-		b := int((math.Log(x) - lo) / (hi - lo) * bins)
-		if b < 0 {
-			b = 0
-		}
-		if b >= bins {
-			b = bins - 1
-		}
-		counts[b]++
-	})
-	if gaps < 20 {
+	sum := s.summary(site)
+	if sum.iats == nil || sum.iats.Len() < 20 {
 		return 0
 	}
+	counts := &sum.knee
 	// Peak below ~30 min and peak above; knee = sparsest bin between.
-	cut := int((math.Log(1800.0) - lo) / (hi - lo) * bins)
+	cut := int((math.Log(1800.0) - kneeLo) / (kneeHi - kneeLo) * kneeBins)
 	peakA, peakB := 0, cut
 	for b := 1; b < cut; b++ {
 		if counts[b] > counts[peakA] {
 			peakA = b
 		}
 	}
-	for b := cut; b < bins; b++ {
+	for b := cut; b < kneeBins; b++ {
 		if counts[b] > counts[peakB] {
 			peakB = b
 		}
@@ -263,12 +270,7 @@ func (s *Sessions) TimeoutKnee(site string) time.Duration {
 	// Sparsest density between the modes; with ties (typically a run of
 	// empty bins) take the center of the widest minimal run, which is
 	// the most robust cut point.
-	minCount := counts[peakA+1]
-	for b := peakA + 1; b < peakB; b++ {
-		if counts[b] < minCount {
-			minCount = counts[b]
-		}
-	}
+	minCount := slices.Min(counts[peakA+1 : peakB])
 	bestStart, bestLen := -1, 0
 	runStart := -1
 	for b := peakA + 1; b <= peakB; b++ {
@@ -289,6 +291,6 @@ func (s *Sessions) TimeoutKnee(site string) time.Duration {
 		return 0
 	}
 	knee := float64(bestStart) + float64(bestLen)/2
-	center := math.Exp(lo + knee/bins*(hi-lo))
+	center := math.Exp(kneeLo + knee/kneeBins*(kneeHi-kneeLo))
 	return time.Duration(center * float64(time.Second))
 }

@@ -71,9 +71,12 @@ func TestSessionInvariantsRandom(t *testing.T) {
 			}
 		}
 		// 4. IAT count equals requests minus users-with-requests.
-		iats := s.IATSeconds("X")
-		if len(iats) != total-nUsers {
-			t.Fatalf("IATs = %d, want %d", len(iats), total-nUsers)
+		iats := 0
+		if cdf := s.IATCDF("X"); cdf != nil {
+			iats = cdf.Len()
+		}
+		if iats != total-nUsers {
+			t.Fatalf("IATs = %d, want %d", iats, total-nUsers)
 		}
 	}
 }

@@ -96,18 +96,6 @@ func compareCrawl(views, truth map[uint64]int64, points int) crawlComparison {
 	return cmp
 }
 
-// requestCounts returns the log-level ground truth of a site's crawl:
-// the popularity analysis' per-object request counts.
-func (r *Results) requestCounts(site string) map[uint64]int64 {
-	truth := map[uint64]int64{}
-	for _, cat := range trace.AllCategories() {
-		for id, n := range r.Popularity().RequestCounts(site, cat) {
-			truth[id] += n
-		}
-	}
-	return truth
-}
-
 // CrawlerBaselineTableSource renders the crawl-vs-logs comparison for
 // every site at the given crawl cadence (one that divides the week) and
 // visibility, quantifying the paper's §II critique of crawl-based
@@ -126,7 +114,7 @@ func (r *Results) CrawlerBaselineTableSource(_ trace.Source, interval time.Durat
 		"site", "log objects", "crawl objects", "coverage", "views missed",
 		"rank corr", "temporal points", "user-level analyses")
 	for _, site := range r.SiteNames() {
-		truth := r.requestCounts(site)
+		truth := r.Popularity().RequestCounts(site)
 		cmp := compareCrawl(lastCrawl(truth, topN), truth, points)
 		t.AddRow(site, cmp.logObjects, cmp.crawlObjects,
 			report.Percent(cmp.coverage), report.Percent(cmp.undercount),

@@ -129,7 +129,7 @@ func crawlSite(t *testing.T, recs []*trace.Record, site string, interval time.Du
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lastCrawl(analyzeRecs(t, recs, 0).requestCounts(site), topN), points
+	return lastCrawl(analyzeRecs(t, recs, 0).Popularity().RequestCounts(site), topN), points
 }
 
 // crawlerBaseline compares what a simulated crawl of one site observes
@@ -139,7 +139,7 @@ func crawlerBaseline(r *Results, site string, interval time.Duration, topN int) 
 	if err != nil {
 		return crawlComparison{}, err
 	}
-	truth := r.requestCounts(site)
+	truth := r.Popularity().RequestCounts(site)
 	return compareCrawl(lastCrawl(truth, topN), truth, points), nil
 }
 
@@ -302,11 +302,11 @@ func TestCrawlMatchesOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := compareCrawl(views[site], exact.requestCounts(site), points)
+					want := compareCrawl(views[site], exact.Popularity().RequestCounts(site), points)
 					if !sameComparison(got, want) {
 						t.Errorf("%s, every %v, top-%d, %s: fold %+v, pass %+v", w.name, interval, topN, site, got, want)
 					}
-					if seen := lastCrawl(exact.requestCounts(site), topN); !reflect.DeepEqual(seen, views[site]) {
+					if seen := lastCrawl(exact.Popularity().RequestCounts(site), topN); !reflect.DeepEqual(seen, views[site]) {
 						t.Errorf("%s, every %v, top-%d, %s: the fold's last crawl differs from the pass's", w.name, interval, topN, site)
 					}
 				}
